@@ -132,8 +132,8 @@ func (r *Repairer) migrations(result string) *obs.Counter {
 // it.Object from its old home to its placement under the current map.
 // The happy path is a paced byte copy (the shard travels as exact
 // shardfile bytes, validated by the destination); if the source no
-// longer has a healthy copy, the shard is rebuilt at its new home by
-// a degraded decode instead. Either way the source's copy is removed
+// longer has a healthy copy, the shard is rebuilt at its new home from
+// k of the object's other shards instead. Either way the source's copy is removed
 // afterwards and the move's durable intent is discharged. A transient
 // failure returns an error so DrainOnce requeues the item.
 func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
@@ -227,8 +227,9 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 }
 
 // migrateByRebuild converges a migration whose source cannot supply a
-// healthy copy: the shard is reconstructed at its new placement from
-// the other shards (RepairOne also discharges the durable intent),
+// healthy copy: the shard is rebuilt at its new placement by the
+// repair path's shard-domain rebuild (RepairOne, which also discharges
+// the durable intent),
 // then whatever stale copy the old home still holds is dropped.
 func (r *Repairer) migrateByRebuild(ctx context.Context, it *repairItem, src *node.Client) error {
 	if err := r.RepairOne(ctx, it.Object, it.Index); err != nil {

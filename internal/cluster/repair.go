@@ -14,6 +14,7 @@ import (
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
+	"dialga/internal/shardfile"
 	"dialga/internal/stream"
 )
 
@@ -85,20 +86,23 @@ type RepairerOptions struct {
 	// dropped (a later scan re-discovers the shard and starts fresh, so
 	// a drop bounds queue churn, not durability). Default 5.
 	MaxAttempts int
-	// Bandwidth caps repair's data movement in object bytes per second
-	// across the whole queue — each rebuild decodes one object, so an
-	// object's FileSize is the unit of spend. Zero leaves repair
-	// unpaced (the admission limiter still applies per request).
+	// Bandwidth caps repair's source reads in shard bytes per second
+	// across the whole queue. A rebuild is charged the bytes it opens
+	// for reading — k shard files, plus the remainder of any spare it
+	// brings in mid-stream — before it moves them; a migration is
+	// charged the one shard it copies. Zero leaves repair unpaced (the
+	// admission limiter still applies per request).
 	Bandwidth int64
 }
 
 // Repairer is the background repair queue: it scrubs every placed
 // shard of every object in the cluster (reusing the same shardfile
 // scrub that dialga-inspect -verify runs locally), queues the damaged
-// and missing ones, and rebuilds each by a degraded streaming decode
-// of the surviving shards piped straight back through the encoder —
-// only the damaged shard's output is kept, so repair moves O(object)
-// bytes but writes only the one shard.
+// and missing ones, and rebuilds each in the shard domain: k of the
+// object's other shards stream through a stream.Rebuilder that
+// computes only the damaged shard's row, so a rebuild reads k shards
+// and writes one — it never decodes the object or re-encodes the
+// shards that are fine.
 //
 // The queue is a priority queue ordered by remaining redundancy:
 // objects at redundancy zero (one more loss and they are unreadable)
@@ -124,6 +128,9 @@ type Repairer struct {
 	heap   repairHeap
 	queued map[string]*repairItem
 	seq    uint64
+
+	rbMu sync.Mutex
+	rb   *stream.Rebuilder // last rebuild pipeline used; see rebuilderFor
 }
 
 // NewRepairer wires a repair queue over the gateway's cluster view
@@ -368,11 +375,15 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 	return enqueued, nil
 }
 
-// RepairOne rebuilds one damaged shard: a degraded streaming decode of
-// the surviving shards is piped straight into a re-encode whose output
-// is discarded for every shard but the damaged one, which streams to
-// its placed node as a fresh validated shardfile. A successful rebuild
-// discharges the shard's durable write intent, if one is journaled.
+// RepairOne rebuilds one damaged shard in the shard domain: k of the
+// object's other shards stream through a stream.Rebuilder, which
+// computes only the damaged shard's blocks, straight into a validated
+// upload to its placed node. The sources are the first k shards in
+// router order, opened concurrently; another is opened only when one of
+// them fails to open, disagrees with the rest about the object's
+// geometry, or dies or turns out corrupt mid-stream. A successful
+// rebuild discharges the shard's durable write intent, if one is
+// journaled.
 func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error {
 	st := r.gw.snap()
 	placement, err := st.cmap.Place(object, r.gw.k+r.gw.m)
@@ -389,84 +400,55 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	if err != nil {
 		return fmt.Errorf("cluster: repair %q shard %d: %w", object, idx, err)
 	}
-	set, err := r.gw.open(ctx, st, object, placement, node.ClassRepair, r.gw.spares, idx, 0, -1)
-	if err != nil {
-		return fmt.Errorf("cluster: repair %q shard %d: %w", object, idx, err)
-	}
 
-	h := set.header
-	h.Index = uint32(idx)
-	stripeSize := int(h.ShardSize) * r.gw.k
-
-	// Spend this object's bytes against the global repair budget
-	// before moving them.
-	if err := r.pacer.wait(ctx, int64(h.FileSize)); err != nil {
-		for _, rd := range set.readers {
-			if c, ok := rd.(io.Closer); ok {
-				c.Close()
-			}
-		}
-		return err
-	}
-
-	decOpts := r.gw.streamOptions()
-	decOpts.StripeSize = stripeSize
-	decOpts.Checksum = h.Algo.Stream()
-	decOpts.CloseReaders = true
-	// Repair is background work that may already be at the decode
-	// limit (every spare block can be load-bearing); hedging a slow
-	// shard into an erasure here trades correctness margin for latency
-	// nobody is waiting on. Read every block.
-	decOpts.HedgeAfter = 0
-	dec, err := stream.NewDecoder(decOpts)
-	if err != nil {
-		return err
-	}
-	encOpts := r.gw.streamOptions()
-	encOpts.StripeSize = stripeSize
-	encOpts.Checksum = h.Algo.Stream()
-	enc, err := stream.NewEncoder(encOpts)
-	if err != nil {
-		return err
-	}
-
+	// Everything below runs under this context: cancelling it on the way
+	// out aborts whichever of the source reads and the upload is still
+	// in flight.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// decode -> object bytes -> re-encode; one rebuilt shard survives.
-	objR, objW := io.Pipe()
-	go func() {
-		objW.CloseWithError(dec.Decode(ctx, set.readers, objW, int64(h.FileSize)))
-	}()
-
-	shardR, shardW := io.Pipe()
-	writers := make([]io.Writer, r.gw.k+r.gw.m)
-	for i := range writers {
-		writers[i] = io.Discard
-	}
-	writers[idx] = shardW
-
-	putErr := make(chan error, 1)
-	go func() {
-		body := io.MultiReader(bytes.NewReader(h.Marshal()), shardR)
-		err := dst.WithClass(node.ClassRepair).PutShard(ctx, object, idx, body)
-		if err != nil {
-			shardR.CloseWithError(err)
-			cancel()
-		} else {
-			shardR.Close()
+	src := &rebuildSources{r: r, st: st, object: object, placement: placement}
+	for _, i := range r.gw.router.Order(object, placement) {
+		if i != idx {
+			src.candidates = append(src.candidates, i)
 		}
+	}
+	readers, err := src.open(ctx)
+	if err != nil {
+		return fmt.Errorf("cluster: repair %q shard %d: %w", object, idx, err)
+	}
+	h := src.header
+	h.Index = uint32(idx)
+	rb, err := r.rebuilderFor(int(h.ShardSize)*r.gw.k, h.Algo.Stream())
+	if err == nil {
+		// Spend the k shard files about to be read against the global
+		// repair budget before moving them.
+		err = r.spendRead(ctx, int64(r.gw.k)*h.ExpectedFileSize())
+	}
+	if err != nil {
+		closeReaders(readers)
+		return err
+	}
+
+	// The rebuilt blocks reach the node through a pipe: a failed rebuild
+	// fails the request body, so the node never commits a short shard,
+	// and a failed upload fails the rebuild's next write.
+	pr, pw := io.Pipe()
+	putErr := make(chan error, 1) // one send, so the uploader never blocks
+	go func() {
+		body := io.MultiReader(bytes.NewReader(h.Marshal()), pr)
+		err := dst.WithClass(node.ClassRepair).PutShard(ctx, object, idx, body)
+		pr.CloseWithError(err)
 		putErr <- err
 	}()
-
-	encErr := enc.Encode(ctx, objR, writers)
-	shardW.CloseWithError(encErr)
-	objR.CloseWithError(encErr) // unblock the decoder if encode quit first
-	if err := <-putErr; err != nil {
-		return fmt.Errorf("cluster: repair %q shard %d: upload: %w", object, idx, err)
+	rbErr := rb.Rebuild(ctx, readers, idx, pw, int64(h.StripeCount), src.spare)
+	pw.CloseWithError(rbErr)
+	upErr := <-putErr
+	if rbErr != nil {
+		return fmt.Errorf("cluster: repair %q shard %d: %w", object, idx, rbErr)
 	}
-	if encErr != nil {
-		return fmt.Errorf("cluster: repair %q shard %d: %w", object, idx, encErr)
+	if upErr != nil {
+		return fmt.Errorf("cluster: repair %q shard %d: upload: %w", object, idx, upErr)
 	}
 	r.reg.Counter("cluster_repair_bytes_total",
 		"Bytes of rebuilt shard data written by the repair queue.").
@@ -475,6 +457,206 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	// this slot is settled.
 	r.gw.intents.Done(object, idx)
 	return nil
+}
+
+// rebuilderFor returns the rebuild pipeline for a stripe size and
+// checksum, keeping the last one: the objects of a cluster share one
+// geometry, so consecutive repairs reuse its warmed buffer pools.
+func (r *Repairer) rebuilderFor(stripeSize int, sum stream.Checksum) (*stream.Rebuilder, error) {
+	r.rbMu.Lock()
+	defer r.rbMu.Unlock()
+	if r.rb != nil && r.rb.StripeSize() == stripeSize && r.rb.Checksum() == sum {
+		return r.rb, nil
+	}
+	opts := r.gw.streamOptions()
+	opts.StripeSize = stripeSize
+	opts.Checksum = sum
+	opts.CloseReaders = true
+	rb, err := stream.NewRebuilder(opts)
+	if err != nil {
+		return nil, err
+	}
+	r.rb = rb
+	return rb, nil
+}
+
+// spendRead charges n source bytes about to be read to the bandwidth
+// budget, waiting for them if repair is paced, and counts them.
+func (r *Repairer) spendRead(ctx context.Context, n int64) error {
+	if err := r.pacer.wait(ctx, n); err != nil {
+		return err
+	}
+	r.reg.Counter("cluster_repair_read_bytes_total",
+		"Bytes of source shard data the repair queue opened to rebuild shards from.").
+		Add(uint64(n))
+	return nil
+}
+
+func closeReaders(readers []io.Reader) {
+	for _, rd := range readers {
+		if c, ok := rd.(io.Closer); ok {
+			c.Close()
+		}
+	}
+}
+
+// rebuildSources opens the shards one rebuild reads: k to start with,
+// more only as those fail.
+type rebuildSources struct {
+	r         *Repairer
+	st        *mapState
+	object    string
+	placement Placement
+
+	candidates []int            // shard indices not tried yet, router order, target excluded
+	header     shardfile.Header // the geometry the sources agree on; Index is meaningless
+}
+
+// opened is one shard open attempt that produced a stream.
+type openedShard struct {
+	idx  int
+	h    shardfile.Header
+	body io.ReadCloser
+}
+
+// sameObject reports whether two shard headers describe the same
+// encoding of the same object. Block checksums cannot tell a stale
+// shard of an overwritten key from a current one, so sources must
+// agree here before their bytes are combined.
+func sameObject(a, b shardfile.Header) bool {
+	return a.ShardSize == b.ShardSize && a.StripeCount == b.StripeCount &&
+		a.FileSize == b.FileSize && a.Algo == b.Algo
+}
+
+// openFailed counts a source that could not be used against its node,
+// in the series object reads count their failed opens in.
+func (s *rebuildSources) openFailed(idx int) {
+	s.r.gw.counter("cluster_open_failures_total",
+		"Shard opens that failed during object reads, by node.",
+		obs.Label{Key: "node", Value: string(s.placement[idx].ID)}).Inc()
+}
+
+// openShard opens candidate idx at a block offset, observing the
+// latency into the router and counting a failure against its node.
+// Headers that do not match the cluster geometry are failures too.
+func (s *rebuildSources) openShard(ctx context.Context, idx int, block int64) (openedShard, error) {
+	g := s.r.gw
+	info := s.placement[idx]
+	fail := func(err error) (openedShard, error) {
+		s.openFailed(idx)
+		return openedShard{}, fmt.Errorf("shard %d from %s: %w", idx, info.ID, err)
+	}
+	cli, err := g.clientFor(s.st, info.ID)
+	if err != nil {
+		return fail(err)
+	}
+	start := time.Now()
+	h, body, err := cli.WithClass(node.ClassRepair).OpenShardAt(ctx, s.object, idx, block, -1)
+	g.router.Observe(info.ID, time.Since(start), err)
+	if err != nil {
+		return fail(err)
+	}
+	if int(h.Index) != idx || int(h.K) != g.k || int(h.M) != g.m {
+		body.Close()
+		return fail(fmt.Errorf("header (k=%d m=%d index=%d) does not match cluster geometry", h.K, h.M, h.Index))
+	}
+	return openedShard{idx: idx, h: h, body: body}, nil
+}
+
+// open returns k+m readers with exactly k non-nil: the first k
+// candidates that open and agree on the object's geometry. Candidates
+// are opened concurrently, as many at a time as are still needed, so
+// the healthy case costs one round of k opens and nothing else is
+// touched. Shards outvoted on the geometry are closed and counted as
+// open failures. It fails when the candidates run out first.
+func (s *rebuildSources) open(ctx context.Context) ([]io.Reader, error) {
+	g := s.r.gw
+	var got []openedShard
+	var firstErr error
+	for {
+		// The largest set of mutually agreeing shards so far leads; ties
+		// go to the earlier candidate.
+		lead, leadN := -1, 0
+		for i := range got {
+			n := 0
+			for j := range got {
+				if sameObject(got[i].h, got[j].h) {
+					n++
+				}
+			}
+			if n > leadN {
+				lead, leadN = i, n
+			}
+		}
+		need := g.k - leadN
+		if need <= 0 || len(s.candidates) == 0 {
+			readers := make([]io.Reader, len(s.placement))
+			for _, o := range got {
+				if sameObject(o.h, got[lead].h) {
+					readers[o.idx] = o.body
+					continue
+				}
+				o.body.Close()
+				s.openFailed(o.idx)
+				if firstErr == nil || errors.Is(firstErr, node.ErrNotFound) {
+					firstErr = fmt.Errorf("shard %d from %s: header disagrees with the other shards about the object",
+						o.idx, s.placement[o.idx].ID)
+				}
+			}
+			if need <= 0 {
+				s.header = got[lead].h
+				return readers, nil
+			}
+			closeReaders(readers)
+			return nil, fmt.Errorf("only %d of %d source shards available: %w", leadN, g.k, firstErr)
+		}
+		wave := s.candidates[:min(need, len(s.candidates))]
+		s.candidates = s.candidates[len(wave):]
+		opened := make([]openedShard, len(wave))
+		errs := make([]error, len(wave))
+		var wg sync.WaitGroup
+		for i, idx := range wave {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				opened[i], errs[i] = s.openShard(ctx, idx, 0)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err == nil {
+				got = append(got, opened[i])
+			} else if firstErr == nil || errors.Is(firstErr, node.ErrNotFound) {
+				firstErr = err // a more telling diagnosis displaces a 404
+			}
+		}
+	}
+}
+
+// spare is the rebuild's stream.SpareFunc: the next candidate that
+// opens at the given block and agrees with the sources' geometry, its
+// remaining bytes charged to the bandwidth budget like theirs.
+func (s *rebuildSources) spare(ctx context.Context, block int64) (int, io.Reader, error) {
+	for len(s.candidates) > 0 {
+		idx := s.candidates[0]
+		s.candidates = s.candidates[1:]
+		o, err := s.openShard(ctx, idx, block)
+		if err != nil {
+			continue
+		}
+		if !sameObject(o.h, s.header) {
+			o.body.Close()
+			s.openFailed(idx)
+			continue
+		}
+		remaining := int64(o.h.HeaderSize()) + (int64(o.h.StripeCount)-block)*o.h.BlockSize()
+		if err := s.r.spendRead(ctx, remaining); err != nil {
+			o.body.Close()
+			return 0, nil, err
+		}
+		return idx, o.body, nil
+	}
+	return 0, nil, errors.New("no spare shard left to open")
 }
 
 // DrainOnce works the queue until it is empty or ctx ends, returning

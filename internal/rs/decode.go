@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"dialga/internal/ecmatrix"
 )
 
 // maxDecodeEntries bounds the per-Code decode-plan cache. Real stripes
@@ -12,20 +14,30 @@ import (
 // steady state needs while keeping worst-case memory bounded.
 const maxDecodeEntries = 64
 
-// erasureKey is the bitmap of missing block indices in a stripe —
-// k+m <= 256, so 32 bytes always suffice.
-type erasureKey [32]byte
+// erasureKey names one compiled decoder: the bitmap of block indices
+// that are not sources (k+m <= 256, so 32 bytes always suffice) and,
+// for a single-target rebuild, the wanted index. A whole-stripe decode
+// has want == -1 and every absent block in the bitmap; a rebuild marks
+// everything but its k chosen survivors, so the key is exactly
+// (survivor set, target).
+type erasureKey struct {
+	missing [32]byte
+	want    int
+}
+
+func (k *erasureKey) mark(i int)     { k.missing[i>>3] |= 1 << (i & 7) }
+func (k *erasureKey) has(i int) bool { return k.missing[i>>3]&(1<<(i&7)) != 0 }
 
 // erasureKeyOf returns the missing-block bitmap and the number of
 // missing blocks. A block is missing when its length is zero: nil, or a
 // zero-length slice whose capacity the decoder may reuse as the output
 // buffer.
 func erasureKeyOf(blocks [][]byte) (erasureKey, int) {
-	var key erasureKey
+	key := erasureKey{want: -1}
 	missing := 0
 	for i, b := range blocks {
 		if len(b) == 0 {
-			key[i>>3] |= 1 << (i & 7)
+			key.mark(i)
 			missing++
 		}
 	}
@@ -36,14 +48,16 @@ func erasureKeyOf(blocks [][]byte) (erasureKey, int) {
 // survivor blocks chosen as sources, plus fused plans for the missing
 // data rows (inverted-submatrix coefficients over the survivors) and the
 // missing parity rows (generator coefficients over the repaired data).
-// Entries are immutable once built and shared across goroutines; used is
-// the LRU stamp, refreshed on every cache hit.
+// A single-target rebuild compiles only rowPlan. Entries are immutable
+// once built and shared across goroutines; used is the LRU stamp,
+// refreshed on every cache hit.
 type decodeEntry struct {
 	chosen        []int // k survivor stripe indices, ascending
 	missingData   []int
 	missingParity []int
 	dataPlan      *encodePlan // nil when no data block is missing
 	parityPlan    *encodePlan // nil when no parity block is missing
+	rowPlan       *encodePlan // rebuild: the one row gen[want]·inv(gen[chosen])
 	used          atomic.Uint64
 }
 
@@ -90,7 +104,7 @@ func (c *Code) buildDecodeEntry(key erasureKey) (*decodeEntry, error) {
 	e := &decodeEntry{}
 	for i := 0; i < c.k+c.m; i++ {
 		switch {
-		case key[i>>3]&(1<<(i&7)) != 0:
+		case key.has(i):
 			if i < c.k {
 				e.missingData = append(e.missingData, i)
 			} else {
@@ -100,12 +114,19 @@ func (c *Code) buildDecodeEntry(key erasureKey) (*decodeEntry, error) {
 			e.chosen = append(e.chosen, i)
 		}
 	}
-	if len(e.missingData) > 0 {
+	if key.want >= 0 || len(e.missingData) > 0 {
 		sub := c.gen.SubMatrix(e.chosen)
 		inv, err := sub.Invert()
 		if err != nil {
 			// Cannot happen for an MDS generator; surface it anyway.
 			return nil, fmt.Errorf("rs: survivor matrix singular: %w", err)
+		}
+		if key.want >= 0 {
+			// The generator is systematic, so for a data target this
+			// product is just inv's row; for a parity target it folds
+			// "rebuild the data, then re-encode" into one 1×k row.
+			row := ecmatrix.Mul(c.gen.SubMatrix([]int{key.want}), inv)
+			return &decodeEntry{chosen: e.chosen, rowPlan: buildPlan(row)}, nil
 		}
 		e.dataPlan = buildPlan(inv.SubMatrix(e.missingData))
 	}

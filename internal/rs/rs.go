@@ -338,6 +338,58 @@ func (c *Code) reconstruct(blocks [][]byte, withParity bool, sums []uint32) erro
 	return nil
 }
 
+// RebuildSum computes block want of a stripe into dst — and nothing
+// else — from the first k present blocks other than want, returning
+// dst's CRC-32C folded during the same tile sweep. blocks follows the
+// Reconstruct convention (k+m entries, nil or zero-length where
+// absent); blocks[want] is ignored, and absent blocks that are not
+// wanted are never rebuilt, so the cost is one 1×k row over the
+// survivors whatever else the stripe is missing. The row is compiled
+// once per (survivor set, want) and cached with the whole-stripe decode
+// plans, after which the call allocates nothing. dst sets the block
+// size and must not alias a source.
+func (c *Code) RebuildSum(blocks [][]byte, want int, dst []byte) (uint32, error) {
+	if len(blocks) != c.k+c.m {
+		return 0, fmt.Errorf("%w: got %d, want %d", ErrBlockCount, len(blocks), c.k+c.m)
+	}
+	if want < 0 || want >= c.k+c.m {
+		return 0, fmt.Errorf("rs: rebuild index %d out of range [0,%d)", want, c.k+c.m)
+	}
+	size := len(dst)
+	if size == 0 {
+		return 0, ErrBlockSize
+	}
+	key := erasureKey{want: want}
+	present := 0
+	for i, b := range blocks {
+		if i == want || len(b) == 0 || present == c.k {
+			key.mark(i)
+			continue
+		}
+		if len(b) != size {
+			return 0, ErrBlockSize
+		}
+		present++
+	}
+	if present < c.k {
+		return 0, fmt.Errorf("%w: %d of k=%d source blocks present", ErrTooManyErasures, present, c.k)
+	}
+	e, err := c.decodeEntryFor(key)
+	if err != nil {
+		return 0, err
+	}
+	sc := reconPool.Get().(*reconScratch)
+	for _, idx := range e.chosen {
+		sc.srcs = append(sc.srcs, blocks[idx])
+	}
+	sc.dsts = append(sc.dsts, dst)
+	sc.sums = append(sc.sums[:0], 0)
+	e.rowPlan.sweep(sc.dsts, sc.srcs, size, nil, sc.sums)
+	sum := sc.sums[0]
+	sc.release()
+	return sum, nil
+}
+
 // DecodeMatrix returns the k x k matrix that reconstructs the original
 // data blocks from the survivor blocks listed in survivors (stripe
 // indices, exactly k of them). This is the matrix an ISA-L style decoder

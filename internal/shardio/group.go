@@ -2,6 +2,7 @@ package shardio
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"slices"
 	"strconv"
@@ -52,10 +53,9 @@ type Group struct {
 	opts    Options
 	clock   vclock.Clock
 	n       int
-	readers []io.Reader
 	req     []chan request
 	results chan result
-	pool    *blockPool
+	pool    *BlockPool
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -101,15 +101,20 @@ func NewGroup(readers []io.Reader, opts Options) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
+	pool := opts.Blocks
+	if pool == nil {
+		pool = NewBlockPool(opts.BlockSize)
+	} else if pool.size != opts.BlockSize {
+		return nil, fmt.Errorf("shardio: Blocks pool holds %d-byte buffers, BlockSize is %d", pool.size, opts.BlockSize)
+	}
 	n := len(readers)
 	g := &Group{
 		opts:         opts,
 		clock:        vclock.OrReal(opts.Clock),
 		n:            n,
-		readers:      readers,
 		req:          make([]chan request, n),
 		results:      make(chan result, n),
-		pool:         newBlockPool(opts.BlockSize),
+		pool:         pool,
 		stop:         make(chan struct{}),
 		sh:           make([]shardMeta, n),
 		awaited:      make([]bool, n),
@@ -145,11 +150,33 @@ func NewGroup(readers []io.Reader, opts Options) (*Group, error) {
 			g.sh[i].missing = true
 			continue
 		}
-		g.req[i] = make(chan request, 1)
-		g.wg.Add(1)
-		go g.runShard(i)
+		g.start(i, r, 0)
 	}
 	return g, nil
+}
+
+// start spawns shard i's reader goroutine over r, which is positioned
+// at the first byte of block pos.
+func (g *Group) start(i int, r io.Reader, pos int64) {
+	g.req[i] = make(chan request, 1)
+	g.wg.Add(1)
+	go g.runShard(i, r, pos)
+}
+
+// Attach puts a reader into a slot NewGroup was given nil for: from
+// the next Fill on, shard i is served from r, which must be
+// positioned at the first byte of block pos (pos at most the stripe
+// about to be gathered; earlier blocks are skip-read). It is how a
+// caller that started with the minimum of sources brings in a spare
+// mid-stream; follow it with Fill to get the spare's block for the
+// stripe already in hand.
+func (g *Group) Attach(i int, r io.Reader, pos int64) error {
+	if i < 0 || i >= g.n || !g.sh[i].missing {
+		return fmt.Errorf("shardio: attach: shard slot %d is not free", i)
+	}
+	g.sh[i].missing = false
+	g.start(i, r, pos)
+	return nil
 }
 
 // Close signals every shard goroutine to exit and drains any results
@@ -341,16 +368,34 @@ func (g *Group) retune() {
 // and must Release it.
 func (g *Group) Next(ctx context.Context) (*Stripe, error) {
 	g.retune()
-	seq := g.seq
+	st := g.getStripe(g.seq)
 	g.seq++
-	st := g.getStripe(seq)
+	if err := g.Fill(ctx, st); err != nil {
+		return nil, err
+	}
+	if st.Hedged {
+		g.hedgedC.Inc()
+	}
+	return st, nil
+}
+
+// Fill issues stripe st.Seq's block request to every shard that can
+// take one and has no block in st yet, then waits the requests out
+// under the hedging rules, updating st's states, blocks and counters in
+// place. Next calls it on a fresh stripe; a caller calls it again on
+// the stripe Next returned last to read shards attached since. It fails
+// only when ctx is cancelled.
+func (g *Group) Fill(ctx context.Context, st *Stripe) error {
+	seq := st.Seq
 	now := g.clock.Now()
 	awaited := g.awaited
 	clear(awaited)
-	wait := 0
+	wait, got := 0, 0
 	for i := range g.sh {
 		m := &g.sh[i]
 		switch {
+		case st.Blocks[i] != nil:
+			got++ // delivered by an earlier Fill of this stripe
 		case m.missing:
 			st.States[i] = StateMissing
 		case m.dead:
@@ -372,7 +417,6 @@ func (g *Group) Next(ctx context.Context) (*Stripe, error) {
 	}
 
 	hedge := g.hedgeAfter > 0
-	got := 0
 	armed := false // the reusable group timer is counting for this stripe
 	fired := false
 	var timeC <-chan time.Time
@@ -423,7 +467,7 @@ func (g *Group) Next(ctx context.Context) (*Stripe, error) {
 	for wait > 0 {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-timeC:
 			fired = true
 			timeC = nil
@@ -443,10 +487,7 @@ func (g *Group) Next(ctx context.Context) (*Stripe, error) {
 			}
 		}
 	}
-	if st.Hedged {
-		g.hedgedC.Inc()
-	}
-	return st, nil
+	return nil
 }
 
 // consume folds one shard result into the gather state. Stale results

@@ -105,7 +105,7 @@ func TestReadaheadServesFromBuffer(t *testing.T) {
 // request.
 func TestServeFromReadaheadQueue(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := &Group{pool: newBlockPool(4)}
+	g := &Group{pool: NewBlockPool(4)}
 	g.raHits = reg.Counter("shardio_readahead_hits_total", "")
 	g.raUseless = reg.Counter("shardio_readahead_useless_total", "")
 

@@ -63,13 +63,12 @@ type raBlock struct {
 // sidelined-slow period — are discarded and counted as useless
 // prefetches. The depth knob is read atomically between block reads,
 // so the adaptive controller can move it mid-stream without tearing.
-func (g *Group) runShard(i int) {
+// pos is the block index r is positioned at.
+func (g *Group) runShard(i int, r io.Reader, pos int64) {
 	defer g.wg.Done()
-	r := g.readers[i]
 	// Deterministic full-jitter source: fixed Seed => fixed schedule.
 	rng := rand.New(rand.NewSource(int64(g.opts.Seed ^ uint64(i)*0x9e3779b97f4a7c15)))
 	var scratch []byte
-	pos := int64(0) // next block index the reader is positioned at
 	var ra []raBlock
 	terminal := false // eof or hard error observed while reading ahead
 	for {

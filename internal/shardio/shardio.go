@@ -137,6 +137,13 @@ type Options struct {
 	// clock and changes nothing.
 	Clock vclock.Clock
 
+	// Blocks, when non-nil, is the pool the group draws its BlockSize
+	// block buffers from and recycles them to, so consecutive groups
+	// over equally sized blocks reuse each other's buffers instead of
+	// allocating a stripe window afresh each. Nil gives the group a
+	// private pool.
+	Blocks *BlockPool
+
 	// Metrics, when non-nil, is the registry the group publishes its
 	// scheduling telemetry into: per-shard EWMA and breaker gauges,
 	// breaker-trip counters, the adaptive-deadline gauge, and hedged
@@ -295,25 +302,27 @@ func isTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// blockPool recycles block buffers across stripes. It is a plain
-// mutex-guarded free list rather than a sync.Pool: Put-ing a []byte
-// into a sync.Pool heap-allocates a *[]byte box on every cycle, which
-// would put a per-stripe allocation on the steady-state gather path.
-// The list is intrinsically bounded by the buffers in circulation
-// (one per in-flight read plus the stripes the consumer holds).
+// BlockPool recycles block buffers across stripes, and across groups
+// when shared through Options.Blocks. It is a plain mutex-guarded free
+// list rather than a sync.Pool: Put-ing a []byte into a sync.Pool
+// heap-allocates a *[]byte box on every cycle, which would put a
+// per-stripe allocation on the steady-state gather path. The list is
+// intrinsically bounded by the most buffers ever in circulation at
+// once (one per in-flight read plus the stripes the consumers hold).
 // Dropped buffers (abandoned mid-read at Close) are simply collected
-// by the GC.
-type blockPool struct {
+// by the GC. Safe for concurrent use.
+type BlockPool struct {
 	size int
 	mu   sync.Mutex
 	free [][]byte
 }
 
-func newBlockPool(size int) *blockPool {
-	return &blockPool{size: size}
+// NewBlockPool returns an empty pool of size-byte block buffers.
+func NewBlockPool(size int) *BlockPool {
+	return &BlockPool{size: size}
 }
 
-func (bp *blockPool) get() []byte {
+func (bp *BlockPool) get() []byte {
 	bp.mu.Lock()
 	if n := len(bp.free); n > 0 {
 		b := bp.free[n-1]
@@ -326,7 +335,7 @@ func (bp *blockPool) get() []byte {
 	return make([]byte, bp.size)
 }
 
-func (bp *blockPool) put(b []byte) {
+func (bp *BlockPool) put(b []byte) {
 	b = b[:cap(b)]
 	if len(b) != bp.size {
 		return
@@ -351,7 +360,7 @@ type lateSlot struct {
 	gen   int64 // the armed read's stripe seq; -1 until first armed
 	buf   []byte
 	taken bool // consumer committed (with or without the block) or stripe released
-	pool  *blockPool
+	pool  *BlockPool
 }
 
 // arm resets the slot for a new abandoned read. A buffer left from an
@@ -448,7 +457,7 @@ type Stripe struct {
 	slots     []*lateSlot // armed slots (into slotStore), nil when not hedged
 	slotGen   []int64     // generation each slot was armed with
 	slotStore []lateSlot  // inline per-shard slot backing, reused across pool cycles
-	pool      *blockPool
+	pool      *BlockPool
 	home      *sync.Pool // the Group's stripe pool; Release returns st here
 }
 

@@ -476,3 +476,112 @@ func TestGroupCloseReleasesGoroutines(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: %d at start, %d after", base, runtime.NumGoroutine())
 }
+
+// TestGroupAttachFill: a caller reading the minimum of shards brings
+// in spares mid-stream. Attach starts a free slot at a block offset,
+// Fill gathers the new shard's block into the stripe already in hand
+// without re-reading the shards that delivered, and later stripes are
+// served from the new set.
+func TestGroupAttachFill(t *testing.T) {
+	const n, stripes = 4, 5
+	ctx := context.Background()
+	shards := mkShards(n, stripes)
+	block := func(i, s int) []byte { return shards[i][s*testBlock : (s+1)*testBlock] }
+	readers := make([]io.Reader, n)
+	readers[0] = bytes.NewReader(shards[0])
+	readers[1] = bytes.NewReader(shards[1][:2*testBlock+5]) // dies mid-block on stripe 2
+	g := newTestGroup(t, readers, Options{})
+	for s := 0; s < 2; s++ {
+		st, err := g.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Release()
+	}
+	st, err := g.Next(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.States[0] != StateOK || st.States[1] != StateDead || st.States[3] != StateMissing {
+		t.Fatalf("stripe 2 states %v", st.States)
+	}
+	held := &st.Blocks[0][0]
+
+	if err := g.Attach(0, bytes.NewReader(nil), 2); err == nil {
+		t.Fatal("attach to a live slot accepted")
+	}
+	if err := g.Attach(n, bytes.NewReader(nil), 2); err == nil {
+		t.Fatal("attach past the last slot accepted")
+	}
+	// Shard 3 arrives positioned at the failing stripe; shard 2 arrives
+	// positioned at its start and is skip-read up to it.
+	if err := g.Attach(3, bytes.NewReader(shards[3][2*testBlock:]), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Attach(2, bytes.NewReader(shards[2]), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Fill(ctx, st); err != nil {
+		t.Fatal(err)
+	}
+	if &st.Blocks[0][0] != held {
+		t.Fatal("fill re-read a shard that had already delivered")
+	}
+	for _, i := range []int{0, 2, 3} {
+		if st.States[i] != StateOK || !bytes.Equal(st.Blocks[i], block(i, 2)) {
+			t.Fatalf("after fill: shard %d state %v, block ok=%v", i, st.States[i], bytes.Equal(st.Blocks[i], block(i, 2)))
+		}
+	}
+	if st.States[1] != StateDead {
+		t.Fatalf("after fill: dead shard state %v", st.States[1])
+	}
+	st.Release()
+
+	for s := 3; s < stripes; s++ {
+		st, err := g.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{0, 2, 3} {
+			if st.States[i] != StateOK || !bytes.Equal(st.Blocks[i], block(i, s)) {
+				t.Fatalf("stripe %d shard %d state %v or wrong block", s, i, st.States[i])
+			}
+		}
+		st.Release()
+	}
+}
+
+// TestGroupSharedBlockPool: groups given one pool reuse each other's
+// block buffers; a pool of the wrong size is refused.
+func TestGroupSharedBlockPool(t *testing.T) {
+	const n, stripes = 3, 4
+	shards := mkShards(n, stripes)
+	pool := NewBlockPool(testBlock)
+	seen := map[*byte]bool{}
+	for round := 0; round < 2; round++ {
+		readers := make([]io.Reader, n)
+		for i := range readers {
+			readers[i] = bytes.NewReader(shards[i])
+		}
+		g := newTestGroup(t, readers, Options{Blocks: pool})
+		for s := 0; s < stripes; s++ {
+			st, err := g.Next(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range st.Blocks {
+				if round == 0 {
+					seen[&b[0]] = true
+				} else if !seen[&b[0]] {
+					t.Fatal("second group allocated a block the shared pool should have supplied")
+				}
+			}
+			st.Release()
+		}
+		g.Close()
+		g.wait()
+	}
+	if _, err := NewGroup(make([]io.Reader, n), Options{BlockSize: testBlock + 1, Quorum: 2, Blocks: pool}); err == nil {
+		t.Fatal("pool of another block size accepted")
+	}
+}
