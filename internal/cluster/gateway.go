@@ -92,14 +92,15 @@ type Gateway struct {
 	k, m       int
 	stripe     int
 	spares     int
-	router     Router
+	router     *sideliner // the configured Router under cross-request sidelining
 	hedge      time.Duration
 	seed       uint64
 	reg        *obs.Registry
 	hc         *http.Client
 	codec      *rs.Code
-	quorum     int // shard uploads required to ack a put
-	retries    int // per-shard transient retry budget (-1: disabled)
+	enc        *stream.Encoder // the put pipeline, shared by every PutObject
+	quorum     int             // shard uploads required to ack a put
+	retries    int             // per-shard transient retry budget (-1: disabled)
 	backoff    time.Duration
 	intents    *IntentLog
 	onDegraded func(object string, index int)
@@ -111,6 +112,9 @@ type Gateway struct {
 	// epoch N complete under epoch N.
 	state  atomic.Pointer[mapState]
 	swapMu sync.Mutex // serializes UpdateMap
+
+	decMu    sync.Mutex
+	decoders []cachedDecoder // most recently used first; see decoderFor
 }
 
 // mapState pairs a cluster map with the shard clients built from it.
@@ -207,7 +211,7 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		m:          opts.M,
 		stripe:     stripeSize,
 		spares:     spares,
-		router:     router,
+		router:     newSideliner(router, opts.Metrics),
 		hedge:      opts.HedgeAfter,
 		seed:       opts.Seed,
 		reg:        opts.Metrics,
@@ -218,6 +222,9 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		backoff:    backoff,
 		intents:    opts.Intents,
 		onDegraded: opts.OnDegraded,
+	}
+	if g.enc, err = stream.NewEncoder(g.streamOptions()); err != nil {
+		return nil, err
 	}
 	g.state.Store(g.buildState(opts.Map, nil))
 	return g, nil
@@ -327,6 +334,56 @@ func (g *Gateway) streamOptions() stream.Options {
 	}
 }
 
+// maxCachedDecoders bounds the decoder cache. A gateway's own objects
+// share one shard size, so full and ranged reads need two entries; the
+// bound exists because shard size is read from stored headers, which
+// the gateway did not necessarily write.
+const maxCachedDecoders = 4
+
+// cachedDecoder is one decode pipeline kept across GETs.
+type cachedDecoder struct {
+	shardSize int
+	sum       stream.Checksum
+	hedged    bool
+	dec       *stream.Decoder
+}
+
+// decoderFor returns the gateway's decoder for a shard size, checksum
+// and hedging mode, building it on first use. Decoders outlive the
+// request — as Repairer keeps its Rebuilder — because their pools do:
+// the ~3 MiB of block buffers an 8 MiB GET cycles through are handed
+// from one GET to the next instead of being allocated, and left to two
+// GC cycles, per request.
+func (g *Gateway) decoderFor(shardSize int, sum stream.Checksum, hedged bool) (*stream.Decoder, error) {
+	hedged = hedged && g.hedge > 0
+	g.decMu.Lock()
+	defer g.decMu.Unlock()
+	for i, c := range g.decoders {
+		if c.shardSize == shardSize && c.sum == sum && c.hedged == hedged {
+			copy(g.decoders[1:i+1], g.decoders[:i])
+			g.decoders[0] = c
+			return c.dec, nil
+		}
+	}
+	opts := g.streamOptions()
+	opts.StripeSize = shardSize * g.k
+	opts.Checksum = sum
+	opts.CloseReaders = true
+	if !hedged {
+		opts.HedgeAfter = 0
+	}
+	dec, err := stream.NewDecoder(opts)
+	if err != nil {
+		return nil, err
+	}
+	if len(g.decoders) < maxCachedDecoders {
+		g.decoders = append(g.decoders, cachedDecoder{})
+	}
+	copy(g.decoders[1:], g.decoders)
+	g.decoders[0] = cachedDecoder{shardSize: shardSize, sum: sum, hedged: hedged, dec: dec}
+	return dec, nil
+}
+
 // PutObject encodes size bytes from r into K+M shards streamed
 // concurrently to the object's placement. Every shard upload carries a
 // full shardfile (header + checksummed blocks), so each node validates
@@ -351,10 +408,6 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	if err != nil {
 		return nil, err
 	}
-	enc, err := stream.NewEncoder(g.streamOptions())
-	if err != nil {
-		return nil, err
-	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -365,7 +418,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		h := g.header(i, size, enc.ShardSize())
+		h := g.header(i, size, g.enc.ShardSize())
 		pr, pw := io.Pipe()
 		pipes[i] = pw
 		writers[i] = pw
@@ -386,15 +439,15 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 		}(i, cli, cerr, pr, h.Marshal())
 	}
 
-	// Count input bytes locally: enc.Stats() aggregates across every
-	// pipeline sharing the registry, so it cannot size-check one put.
+	// Count input bytes locally: the encoder's Stats() aggregates across
+	// every pipeline sharing the registry, so it cannot size-check one put.
 	// The ctx wrapper bounds cancellation latency: the encoder's
 	// producer loop reads the caller's reader without watching ctx, so
 	// a trickling (or stalled-between-reads) source would otherwise
 	// keep the whole put — pipes, uploader goroutines and all — alive
 	// long after the caller gave up.
 	cr := &countingReader{r: readerCtx(ctx, r)}
-	encErr := enc.Encode(ctx, cr, writers)
+	encErr := g.enc.Encode(ctx, cr, writers)
 	for _, pw := range pipes {
 		if encErr != nil {
 			pw.CloseWithError(encErr)
@@ -638,98 +691,22 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 
 // openSet is the result of opening an object's shards for decode.
 type openSet struct {
-	header  shardfile.Header
-	readers []io.Reader // k+m entries, nil where unopened/failed
-	opened  int
+	header  shardfile.Header // what the opened shards agree on; Index is meaningless
+	readers []io.Reader      // k+m entries, nil where unopened/failed
 }
 
 // open fetches shards of object in router preference order until k +
-// spares are streaming (or candidates run out), observing per-node
-// open latency into the router. exclude skips one shard index (the
-// shard being rebuilt; -1 to open any). block/count select a window
-// of blocks within each shard ((0, -1) reads whole shards). Callers
-// own the readers — pass them to a decoder with CloseReaders set.
-//
-// When too few shards open, the error wraps node.ErrNotFound only if
-// *every* failure was a clean not-found — the object is genuinely
-// absent. Any other failure in the mix (node down, bad header) means
-// the object may exist but be unreadable right now, which is a
-// gateway-side 502, not a 404.
-func (g *Gateway) open(ctx context.Context, st *mapState, object string, placement Placement, class string, spares, exclude int, block, count int64) (openSet, error) {
-	n := len(placement)
-	want := g.k + spares
-	if want > n {
-		want = n
+// spares agreeing ones are streaming or the candidates run out (see
+// shardOpener.open for the rules). block/count select a window of
+// blocks within each shard ((0, -1) reads whole shards). Callers own
+// the readers — pass them to a decoder that closes them.
+func (g *Gateway) open(ctx context.Context, st *mapState, object string, placement Placement, class string, spares int, block, count int64) (openSet, error) {
+	o := g.newShardOpener(st, object, placement, class)
+	readers, err := o.open(ctx, min(g.k+spares, len(placement)), 1, block, count)
+	if err != nil {
+		return openSet{}, fmt.Errorf("cluster: get %q: %w", object, err)
 	}
-	set := openSet{readers: make([]io.Reader, n)}
-	var firstErr error
-	failures, notFound := 0, 0
-	fail := func(err error) {
-		failures++
-		if errors.Is(err, node.ErrNotFound) {
-			notFound++
-		} else if firstErr == nil || errors.Is(firstErr, node.ErrNotFound) {
-			// A non-404 failure is the more telling diagnosis; let it
-			// displace an earlier not-found as the reported cause.
-			firstErr = err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, idx := range g.router.Order(object, placement) {
-		if set.opened >= want {
-			break
-		}
-		if idx == exclude {
-			continue
-		}
-		info := placement[idx]
-		cli, cerr := g.clientFor(st, info.ID)
-		if cerr != nil {
-			fail(fmt.Errorf("shard %d: %w", idx, cerr))
-			continue
-		}
-		cli = cli.WithClass(class)
-		start := time.Now()
-		h, body, err := cli.OpenShardAt(ctx, object, idx, block, count)
-		g.router.Observe(info.ID, time.Since(start), err)
-		if err != nil {
-			fail(fmt.Errorf("shard %d from %s: %w", idx, info.ID, err))
-			g.counter("cluster_open_failures_total",
-				"Shard opens that failed during object reads, by node.",
-				obs.Label{Key: "node", Value: string(info.ID)}).Inc()
-			continue
-		}
-		if int(h.Index) != idx || int(h.K) != g.k || int(h.M) != g.m {
-			body.Close()
-			fail(fmt.Errorf("shard %d from %s: header (k=%d m=%d index=%d) does not match cluster geometry",
-				idx, info.ID, h.K, h.M, h.Index))
-			continue
-		}
-		if set.opened == 0 {
-			set.header = h
-		}
-		set.readers[idx] = body
-		set.opened++
-	}
-	if set.opened < g.k {
-		for _, r := range set.readers {
-			if c, ok := r.(io.Closer); ok {
-				c.Close()
-			}
-		}
-		if set.opened == 0 && failures > 0 && notFound == failures {
-			return openSet{}, fmt.Errorf("cluster: get %q: %w on all %d shards",
-				object, node.ErrNotFound, failures)
-		}
-		if firstErr == nil {
-			firstErr = errors.New("no shards reachable")
-		}
-		return openSet{}, fmt.Errorf("cluster: get %q: only %d of %d shards available: %w",
-			object, set.opened, g.k, firstErr)
-	}
-	return set, nil
+	return openSet{header: o.header, readers: readers}, nil
 }
 
 // ObjectRead is an opened object read pinned to one map generation:
@@ -769,11 +746,7 @@ func (o *ObjectRead) Close() {
 		return
 	}
 	o.streamed = true
-	for _, r := range o.set.readers {
-		if c, ok := r.(io.Closer); ok {
-			c.Close()
-		}
-	}
+	closeReaders(o.set.readers)
 }
 
 // WriteTo decodes the read's byte window into w — degraded, hedged,
@@ -785,20 +758,11 @@ func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 		return fmt.Errorf("cluster: get %q: read already consumed", o.object)
 	}
 	o.streamed = true
-	opts := g.streamOptions()
-	opts.StripeSize = int(o.set.header.ShardSize) * g.k
-	opts.Checksum = o.set.header.Algo.Stream()
-	opts.CloseReaders = true
-	if o.ranged {
-		// A ranged open holds exactly k shard windows: there is no
-		// spare for a hedge to rejoin from, so run unhedged and read
-		// every block.
-		opts.HedgeAfter = 0
-	}
-	dec, err := stream.NewDecoder(opts)
+	// A ranged open holds exactly k shard windows: there is no spare for
+	// a hedge to rejoin from, so it runs unhedged and reads every block.
+	dec, err := g.decoderFor(int(o.set.header.ShardSize), o.set.header.Algo.Stream(), !o.ranged)
 	if err != nil {
-		o.streamed = false
-		o.Close()
+		closeReaders(o.set.readers)
 		return err
 	}
 	if err := dec.DecodeRange(ctx, o.set.readers, w, o.size, o.off, o.length); err != nil {
@@ -820,7 +784,7 @@ func (g *Gateway) OpenObject(ctx context.Context, object string, class string) (
 	if err != nil {
 		return nil, err
 	}
-	set, err := g.open(ctx, st, object, placement, class, g.spares, -1, 0, -1)
+	set, err := g.open(ctx, st, object, placement, class, g.spares, 0, -1)
 	if err != nil {
 		g.counter("cluster_gets_total", "Object gets, by result.",
 			obs.Label{Key: "result", Value: "error"}).Inc()
@@ -873,91 +837,80 @@ func (g *Gateway) GetObjectRange(ctx context.Context, object string, w io.Writer
 
 // openRange resolves a range spec against the object's size (learned
 // from one shard stat) and opens the covering stripes' block windows.
+// The stat is one shard's word, and the shard may be a stale one of an
+// overwritten key: if the k windows that open agree on another size,
+// the range is cut again, once, from what they say.
 func (g *Gateway) openRange(ctx context.Context, object string, spec rangeSpec, class string) (*ObjectRead, error) {
 	st := g.snap()
 	placement, err := st.cmap.Place(object, g.k+g.m)
 	if err != nil {
 		return nil, err
 	}
+	fail := func(err error) (*ObjectRead, error) {
+		g.counter("cluster_gets_total", "Object gets, by result.",
+			obs.Label{Key: "result", Value: "error"}).Inc()
+		return nil, err
+	}
 	stat, err := g.statObject(ctx, st, object, placement, class)
 	if err != nil {
-		g.counter("cluster_gets_total", "Object gets, by result.",
-			obs.Label{Key: "result", Value: "error"}).Inc()
-		return nil, err
+		return fail(err)
 	}
-	size := int64(stat.FileSize)
-	off, length, err := spec.resolve(size)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: get %q: %w", object, err)
+	size, shardSize := int64(stat.FileSize), int64(stat.ShardSize)
+	for cut := 1; ; cut++ {
+		off, length, err := spec.resolve(size)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: get %q: %w", object, err)
+		}
+		stripeSize := shardSize * int64(g.k)
+		if stripeSize <= 0 {
+			return nil, fmt.Errorf("cluster: get %q: shard reports zero shard size", object)
+		}
+		// Map the byte window onto whole stripes: block i of every shard
+		// holds the stripe covering object bytes [i·stripe, (i+1)·stripe).
+		firstStripe := off / stripeSize
+		count := max(1, (off+length+stripeSize-1)/stripeSize-firstStripe)
+		set, err := g.open(ctx, st, object, placement, class, 0, firstStripe, count)
+		if err != nil {
+			return fail(err)
+		}
+		if h := set.header; int64(h.FileSize) != size || int64(h.ShardSize) != shardSize {
+			closeReaders(set.readers)
+			if cut == 2 {
+				return fail(fmt.Errorf("cluster: get %q: opened shards hold %d bytes in %d-byte blocks, the read was cut for %d in %d",
+					object, h.FileSize, h.ShardSize, size, shardSize))
+			}
+			size, shardSize = int64(h.FileSize), int64(h.ShardSize)
+			continue
+		}
+		g.counter("cluster_range_gets_total", "Object byte-range gets opened.").Inc()
+		return &ObjectRead{
+			g: g, object: object, set: set,
+			size: size, off: off, length: length, ranged: true,
+		}, nil
 	}
-	stripeSize := int64(stat.ShardSize) * int64(g.k)
-	if stripeSize <= 0 {
-		return nil, fmt.Errorf("cluster: get %q: shard stat reports zero shard size", object)
-	}
-	// Map the byte window onto whole stripes: block i of every shard
-	// holds the stripe covering object bytes [i·stripe, (i+1)·stripe).
-	firstStripe := off / stripeSize
-	lastByte := off + length
-	if lastByte > size {
-		lastByte = size
-	}
-	count := (lastByte+stripeSize-1)/stripeSize - firstStripe
-	if count < 1 {
-		count = 1
-	}
-	set, err := g.open(ctx, st, object, placement, class, 0, -1, firstStripe, count)
-	if err != nil {
-		g.counter("cluster_gets_total", "Object gets, by result.",
-			obs.Label{Key: "result", Value: "error"}).Inc()
-		return nil, err
-	}
-	g.counter("cluster_range_gets_total", "Object byte-range gets opened.").Inc()
-	return &ObjectRead{
-		g: g, object: object, set: set,
-		size: size, off: off, length: length, ranged: true,
-	}, nil
 }
 
 // statObject learns an object's geometry and size from the first
 // placed shard that answers a stat, in router order. Failures follow
-// open's not-found rule: all-404 means the object is absent.
+// open's not-found rule: all-404 means the object is absent. A stat is
+// no read sample, so the router hears of it only when it fails.
 func (g *Gateway) statObject(ctx context.Context, st *mapState, object string, placement Placement, class string) (node.Stat, error) {
-	var firstErr error
-	failures, notFound := 0, 0
-	for _, idx := range g.router.Order(object, placement) {
+	o := g.newShardOpener(st, object, placement, class)
+	for _, idx := range o.candidates {
 		info := placement[idx]
-		cli, cerr := g.clientFor(st, info.ID)
-		if cerr != nil {
-			failures++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", idx, cerr)
-			}
-			continue
-		}
-		start := time.Now()
-		stat, err := cli.WithClass(class).StatShard(ctx, object, idx)
-		g.router.Observe(info.ID, time.Since(start), err)
+		cli, err := g.clientFor(st, info.ID)
 		if err == nil {
-			return stat, nil
+			var stat node.Stat
+			if stat, err = cli.WithClass(class).StatShard(ctx, object, idx); err == nil {
+				return stat, nil
+			}
+			if ctx.Err() == nil {
+				g.router.Observe(info.ID, 0, err)
+			}
 		}
-		failures++
-		if errors.Is(err, node.ErrNotFound) {
-			notFound++
-		} else if firstErr == nil || errors.Is(firstErr, node.ErrNotFound) {
-			firstErr = fmt.Errorf("shard %d from %s: %w", idx, info.ID, err)
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("shard %d from %s: %w", idx, info.ID, err)
-		}
+		o.failed(fmt.Errorf("shard %d from %s: %w", idx, info.ID, err))
 	}
-	if failures > 0 && notFound == failures {
-		return node.Stat{}, fmt.Errorf("cluster: get %q: %w on all %d shards",
-			object, node.ErrNotFound, failures)
-	}
-	if firstErr == nil {
-		firstErr = errors.New("no shards reachable")
-	}
-	return node.Stat{}, fmt.Errorf("cluster: get %q: no shard stat available: %w", object, firstErr)
+	return node.Stat{}, fmt.Errorf("cluster: get %q: %w", object, o.unavailable(0, "no shard stat available"))
 }
 
 // DeleteObject drops every shard of the object from its placement.
@@ -1022,14 +975,19 @@ func (g *Gateway) Objects(ctx context.Context) ([]string, error) {
 //	DELETE /v1/object/{object}     delete an object's shards
 //	GET    /v1/objects/all         cluster-wide object listing
 //	GET    /v1/placement/{object}  the object's shard placement as JSON
-//	GET    /v1/cluster/map         the serving cluster map with its epoch
+//	GET    /v1/cluster/map         the serving cluster map with its epoch, and the sidelined nodes
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("PUT /v1/object/{object}", g.handlePut)
 	mux.HandleFunc("GET /v1/object/{object}", g.handleGet)
 	mux.HandleFunc("DELETE /v1/object/{object}", g.handleDelete)
 	mux.HandleFunc("GET /v1/cluster/map", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, g.Map().Info())
+		writeJSON(w, struct {
+			MapInfo
+			// Sidelined lists the nodes reads currently ask last, each
+			// with what is left of its cooldown.
+			Sidelined []sidelinedNode `json:"sidelined"`
+		}{g.Map().Info(), g.router.sidelinedNodes()})
 	})
 	mux.HandleFunc("GET /v1/objects/all", func(w http.ResponseWriter, r *http.Request) {
 		names, err := g.Objects(r.Context())

@@ -1,0 +1,235 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"sync"
+
+	"dialga/internal/node"
+	"dialga/internal/obs"
+	"dialga/internal/shardfile"
+)
+
+// openedShard is one shard open attempt that produced a stream.
+type openedShard struct {
+	idx  int
+	h    shardfile.Header
+	body io.ReadCloser
+}
+
+// sameObject reports whether two shard headers describe the same
+// encoding of the same object. Block checksums cannot tell a stale
+// shard of an overwritten key from a current one, so shards must agree
+// here before their bytes are combined.
+func sameObject(a, b shardfile.Header) bool {
+	return a.ShardSize == b.ShardSize && a.StripeCount == b.StripeCount &&
+		a.FileSize == b.FileSize && a.Algo == b.Algo
+}
+
+// agreeing finds the largest set of opened shards that describe the
+// same object: lead indexes one of its members (-1 when got is empty)
+// and n is its size. Ties go to the shard opened earlier.
+func agreeing(got []openedShard) (lead, n int) {
+	lead = -1
+	for i := range got {
+		c := 0
+		for j := range got {
+			if sameObject(got[i].h, got[j].h) {
+				c++
+			}
+		}
+		if c > n {
+			lead, n = i, c
+		}
+	}
+	return lead, n
+}
+
+// shardOpener opens the shards one read decodes from — a GET, a range
+// GET, a rebuild — in the order the gateway's router gives, under one
+// map generation. Every body it hands out is a timedBody, so closing
+// it is what reports the node's read sample; a failed open is reported
+// here.
+type shardOpener struct {
+	g         *Gateway
+	st        *mapState
+	object    string
+	placement Placement
+	class     string
+
+	// candidates are the shard indices not tried yet, most preferred
+	// first; the first front of them may supply spares, the rest sit on
+	// sidelined nodes whose opens fail (see sideliner.split).
+	candidates []int
+	front      int
+
+	header             shardfile.Header // what the opened shards agree on; Index is meaningless
+	failures, notFound int
+	firstErr           error
+}
+
+func (g *Gateway) newShardOpener(st *mapState, object string, placement Placement, class string) *shardOpener {
+	o := &shardOpener{g: g, st: st, object: object, placement: placement, class: class}
+	o.candidates, o.front = g.router.split(object, placement)
+	return o
+}
+
+// skip drops shard idx from the candidates: the shard a rebuild is for.
+func (o *shardOpener) skip(idx int) {
+	for i, c := range o.candidates {
+		if c == idx {
+			o.candidates = append(o.candidates[:i], o.candidates[i+1:]...)
+			if i < o.front {
+				o.front--
+			}
+			return
+		}
+	}
+}
+
+// take removes and returns the n most preferred candidates.
+func (o *shardOpener) take(n int) []int {
+	wave := o.candidates[:n]
+	o.candidates = o.candidates[n:]
+	o.front = max(0, o.front-n)
+	return wave
+}
+
+// failed records why a shard could not be used. A failure that is not a
+// 404 is the more telling diagnosis, so it displaces an earlier 404 as
+// the reported cause.
+func (o *shardOpener) failed(err error) {
+	o.failures++
+	if errors.Is(err, node.ErrNotFound) {
+		o.notFound++
+	}
+	if o.firstErr == nil || (errors.Is(o.firstErr, node.ErrNotFound) && !errors.Is(err, node.ErrNotFound)) {
+		o.firstErr = err
+	}
+}
+
+// unavailable is the error of a read that got only opened of the shards
+// it needed; what says how it fell short. It wraps node.ErrNotFound
+// only if nothing opened and every failure was a clean 404 — the object
+// is absent. Any other failure in the mix means the object may exist
+// but be unreadable right now: a 502, not a 404.
+func (o *shardOpener) unavailable(opened int, what string) error {
+	if opened == 0 && o.failures > 0 && o.notFound == o.failures {
+		return fmt.Errorf("%w on all %d shards", node.ErrNotFound, o.failures)
+	}
+	cause := o.firstErr
+	if cause == nil {
+		cause = errors.New("no shards reachable")
+	}
+	return fmt.Errorf("%s: %w", what, cause)
+}
+
+// countFailure counts a shard that could not be used against its node.
+func (o *shardOpener) countFailure(idx int) {
+	o.g.counter("cluster_open_failures_total",
+		"Shard opens that failed during object reads, by node.",
+		obs.Label{Key: "node", Value: string(o.placement[idx].ID)}).Inc()
+}
+
+// openShard opens shard idx's block window ((0, -1): the whole shard).
+// A failure is counted against the node and, unless the caller gave up
+// first, reported to the router; a header that does not match the
+// cluster geometry is a failure too. Safe to call concurrently.
+func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64) (openedShard, error) {
+	g := o.g
+	info := o.placement[idx]
+	fail := func(err error) (openedShard, error) {
+		o.countFailure(idx)
+		return openedShard{}, fmt.Errorf("shard %d from %s: %w", idx, info.ID, err)
+	}
+	cli, err := g.clientFor(o.st, info.ID)
+	if err != nil {
+		return fail(err)
+	}
+	start := g.router.clock.Now()
+	h, body, err := cli.WithClass(o.class).OpenShardAt(ctx, o.object, idx, block, count)
+	took := g.router.clock.Now().Sub(start)
+	if err != nil {
+		if ctx.Err() == nil {
+			g.router.Observe(info.ID, took, err)
+		}
+		return fail(err)
+	}
+	body = g.router.timed(info.ID, body, h.BlockSize(), took)
+	if int(h.Index) != idx || int(h.K) != g.k || int(h.M) != g.m {
+		body.Close()
+		return fail(fmt.Errorf("header (k=%d m=%d index=%d) does not match cluster geometry", h.K, h.M, h.Index))
+	}
+	return openedShard{idx: idx, h: h, body: body}, nil
+}
+
+// open opens candidates until want shards that agree on the object are
+// streaming, and returns them as k+m readers, nil where unopened.
+// Shards must agree on ShardSize, StripeCount, FileSize and Algo: the
+// largest agreeing set leads, a shard it outvotes is closed and counted
+// as an open failure, and the next candidate is tried in its place.
+// Sidelined nodes are asked last, and those whose opens fail only while
+// fewer than k shards are open, never for the spares beyond k — so at
+// least k open whenever k agreeing shards can be reached at all. Up to
+// wave candidates are opened at once, never more than are still needed:
+// a GET opens one at a time, a rebuild its k sources together. With
+// fewer than k it fails with unavailable's error.
+func (o *shardOpener) open(ctx context.Context, want, wave int, block, count int64) ([]io.Reader, error) {
+	k := o.g.k
+	var got []openedShard
+	for {
+		lead, leadN := agreeing(got)
+		need, avail := want-leadN, o.front
+		if avail == 0 {
+			need, avail = k-leadN, len(o.candidates)
+		}
+		if need <= 0 || avail == 0 {
+			readers := make([]io.Reader, len(o.placement))
+			for _, s := range got {
+				if sameObject(s.h, got[lead].h) {
+					readers[s.idx] = s.body
+					continue
+				}
+				s.body.Close()
+				o.countFailure(s.idx)
+				o.failed(fmt.Errorf("shard %d from %s: header disagrees with the other shards about the object",
+					s.idx, o.placement[s.idx].ID))
+			}
+			if leadN >= k {
+				o.header = got[lead].h
+				return readers, nil
+			}
+			closeReaders(readers)
+			return nil, o.unavailable(leadN, fmt.Sprintf("only %d of %d shards available", leadN, k))
+		}
+		idxs := o.take(min(wave, need, avail))
+		opened := make([]openedShard, len(idxs))
+		errs := make([]error, len(idxs))
+		var wg sync.WaitGroup
+		for i, idx := range idxs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				opened[i], errs[i] = o.openShard(ctx, idx, block, count)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				o.failed(err)
+			} else {
+				got = append(got, opened[i])
+			}
+		}
+	}
+}
+
+func closeReaders(readers []io.Reader) {
+	for _, rd := range readers {
+		if c, ok := rd.(io.Closer); ok {
+			c.Close()
+		}
+	}
+}

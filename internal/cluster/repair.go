@@ -14,7 +14,6 @@ import (
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
-	"dialga/internal/shardfile"
 	"dialga/internal/stream"
 )
 
@@ -379,11 +378,11 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 // object's other shards stream through a stream.Rebuilder, which
 // computes only the damaged shard's blocks, straight into a validated
 // upload to its placed node. The sources are the first k shards in
-// router order, opened concurrently; another is opened only when one of
-// them fails to open, disagrees with the rest about the object's
-// geometry, or dies or turns out corrupt mid-stream. A successful
-// rebuild discharges the shard's durable write intent, if one is
-// journaled.
+// router order (sidelined nodes last), opened concurrently; another is
+// opened only when one of them fails to open, disagrees with the rest
+// about the object's geometry, or dies or turns out corrupt mid-stream.
+// A successful rebuild discharges the shard's durable write intent, if
+// one is journaled.
 func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error {
 	st := r.gw.snap()
 	placement, err := st.cmap.Place(object, r.gw.k+r.gw.m)
@@ -407,13 +406,9 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	src := &rebuildSources{r: r, st: st, object: object, placement: placement}
-	for _, i := range r.gw.router.Order(object, placement) {
-		if i != idx {
-			src.candidates = append(src.candidates, i)
-		}
-	}
-	readers, err := src.open(ctx)
+	src := &rebuildSources{r: r, shardOpener: r.gw.newShardOpener(st, object, placement, node.ClassRepair)}
+	src.skip(idx)
+	readers, err := src.open(ctx, r.gw.k, r.gw.k, 0, -1)
 	if err != nil {
 		return fmt.Errorf("cluster: repair %q shard %d: %w", object, idx, err)
 	}
@@ -492,145 +487,11 @@ func (r *Repairer) spendRead(ctx context.Context, n int64) error {
 	return nil
 }
 
-func closeReaders(readers []io.Reader) {
-	for _, rd := range readers {
-		if c, ok := rd.(io.Closer); ok {
-			c.Close()
-		}
-	}
-}
-
-// rebuildSources opens the shards one rebuild reads: k to start with,
-// more only as those fail.
+// rebuildSources opens the shards one rebuild reads: k to start with
+// (shardOpener.open, all at once), more only as those fail.
 type rebuildSources struct {
-	r         *Repairer
-	st        *mapState
-	object    string
-	placement Placement
-
-	candidates []int            // shard indices not tried yet, router order, target excluded
-	header     shardfile.Header // the geometry the sources agree on; Index is meaningless
-}
-
-// opened is one shard open attempt that produced a stream.
-type openedShard struct {
-	idx  int
-	h    shardfile.Header
-	body io.ReadCloser
-}
-
-// sameObject reports whether two shard headers describe the same
-// encoding of the same object. Block checksums cannot tell a stale
-// shard of an overwritten key from a current one, so sources must
-// agree here before their bytes are combined.
-func sameObject(a, b shardfile.Header) bool {
-	return a.ShardSize == b.ShardSize && a.StripeCount == b.StripeCount &&
-		a.FileSize == b.FileSize && a.Algo == b.Algo
-}
-
-// openFailed counts a source that could not be used against its node,
-// in the series object reads count their failed opens in.
-func (s *rebuildSources) openFailed(idx int) {
-	s.r.gw.counter("cluster_open_failures_total",
-		"Shard opens that failed during object reads, by node.",
-		obs.Label{Key: "node", Value: string(s.placement[idx].ID)}).Inc()
-}
-
-// openShard opens candidate idx at a block offset, observing the
-// latency into the router and counting a failure against its node.
-// Headers that do not match the cluster geometry are failures too.
-func (s *rebuildSources) openShard(ctx context.Context, idx int, block int64) (openedShard, error) {
-	g := s.r.gw
-	info := s.placement[idx]
-	fail := func(err error) (openedShard, error) {
-		s.openFailed(idx)
-		return openedShard{}, fmt.Errorf("shard %d from %s: %w", idx, info.ID, err)
-	}
-	cli, err := g.clientFor(s.st, info.ID)
-	if err != nil {
-		return fail(err)
-	}
-	start := time.Now()
-	h, body, err := cli.WithClass(node.ClassRepair).OpenShardAt(ctx, s.object, idx, block, -1)
-	g.router.Observe(info.ID, time.Since(start), err)
-	if err != nil {
-		return fail(err)
-	}
-	if int(h.Index) != idx || int(h.K) != g.k || int(h.M) != g.m {
-		body.Close()
-		return fail(fmt.Errorf("header (k=%d m=%d index=%d) does not match cluster geometry", h.K, h.M, h.Index))
-	}
-	return openedShard{idx: idx, h: h, body: body}, nil
-}
-
-// open returns k+m readers with exactly k non-nil: the first k
-// candidates that open and agree on the object's geometry. Candidates
-// are opened concurrently, as many at a time as are still needed, so
-// the healthy case costs one round of k opens and nothing else is
-// touched. Shards outvoted on the geometry are closed and counted as
-// open failures. It fails when the candidates run out first.
-func (s *rebuildSources) open(ctx context.Context) ([]io.Reader, error) {
-	g := s.r.gw
-	var got []openedShard
-	var firstErr error
-	for {
-		// The largest set of mutually agreeing shards so far leads; ties
-		// go to the earlier candidate.
-		lead, leadN := -1, 0
-		for i := range got {
-			n := 0
-			for j := range got {
-				if sameObject(got[i].h, got[j].h) {
-					n++
-				}
-			}
-			if n > leadN {
-				lead, leadN = i, n
-			}
-		}
-		need := g.k - leadN
-		if need <= 0 || len(s.candidates) == 0 {
-			readers := make([]io.Reader, len(s.placement))
-			for _, o := range got {
-				if sameObject(o.h, got[lead].h) {
-					readers[o.idx] = o.body
-					continue
-				}
-				o.body.Close()
-				s.openFailed(o.idx)
-				if firstErr == nil || errors.Is(firstErr, node.ErrNotFound) {
-					firstErr = fmt.Errorf("shard %d from %s: header disagrees with the other shards about the object",
-						o.idx, s.placement[o.idx].ID)
-				}
-			}
-			if need <= 0 {
-				s.header = got[lead].h
-				return readers, nil
-			}
-			closeReaders(readers)
-			return nil, fmt.Errorf("only %d of %d source shards available: %w", leadN, g.k, firstErr)
-		}
-		wave := s.candidates[:min(need, len(s.candidates))]
-		s.candidates = s.candidates[len(wave):]
-		opened := make([]openedShard, len(wave))
-		errs := make([]error, len(wave))
-		var wg sync.WaitGroup
-		for i, idx := range wave {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				opened[i], errs[i] = s.openShard(ctx, idx, 0)
-			}()
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err == nil {
-				got = append(got, opened[i])
-			} else if firstErr == nil || errors.Is(firstErr, node.ErrNotFound) {
-				firstErr = err // a more telling diagnosis displaces a 404
-			}
-		}
-	}
+	*shardOpener
+	r *Repairer
 }
 
 // spare is the rebuild's stream.SpareFunc: the next candidate that
@@ -638,15 +499,14 @@ func (s *rebuildSources) open(ctx context.Context) ([]io.Reader, error) {
 // remaining bytes charged to the bandwidth budget like theirs.
 func (s *rebuildSources) spare(ctx context.Context, block int64) (int, io.Reader, error) {
 	for len(s.candidates) > 0 {
-		idx := s.candidates[0]
-		s.candidates = s.candidates[1:]
-		o, err := s.openShard(ctx, idx, block)
+		idx := s.take(1)[0]
+		o, err := s.openShard(ctx, idx, block, -1)
 		if err != nil {
 			continue
 		}
 		if !sameObject(o.h, s.header) {
 			o.body.Close()
-			s.openFailed(idx)
+			s.countFailure(idx)
 			continue
 		}
 		remaining := int64(o.h.HeaderSize()) + (int64(o.h.StripeCount)-block)*o.h.BlockSize()

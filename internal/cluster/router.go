@@ -14,12 +14,22 @@ import (
 // quorum plus hedging headroom, so the policy decides which nodes
 // absorb read load. Observe feeds per-node outcomes back so adaptive
 // policies can learn. Implementations must be safe for concurrent use.
+//
+// The gateway never calls the configured Router directly: it wraps it
+// in a sideliner, which passes Order through with the shards of nodes
+// that read behind their peers moved to the back, and passes Observe
+// through minus 404s.
 type Router interface {
 	// Order returns a permutation of [0, len(p)): shard indices in
 	// descending read preference.
 	Order(object string, p Placement) []int
-	// Observe reports one read against a node: how long it took and
-	// whether it failed.
+	// Observe reports one shard body read from a node, when it is
+	// closed: d is the time its open took plus the time its reader spent
+	// blocked in Read, divided by the blocks read — the same quantity
+	// whether the caller was a GET, a range GET or a rebuild (a body
+	// closed before any of it arrived reports nothing). A shard open or
+	// stat that failed is reported at once, with err set and d the time
+	// the attempt took.
 	Observe(id NodeID, d time.Duration, err error)
 }
 
@@ -59,9 +69,10 @@ func (*RoundRobin) Observe(NodeID, time.Duration, error) {}
 // behind any node that is merely slow.
 const errPenaltyFloor = 500 * time.Millisecond
 
-// LeastLoaded ranks nodes by a per-node latency EWMA — the same
-// estimator shardio's adaptive deadlines use — preferring the
-// currently fastest nodes. Failures fold in as large synthetic
+// LeastLoaded ranks nodes by a per-node EWMA of Observe's per-block
+// read samples — the same estimator shardio's adaptive deadlines use —
+// preferring the nodes whose bodies currently read fastest, not merely
+// the ones whose headers arrive first. Failures fold in as large synthetic
 // latencies, so an unresponsive node sinks to the back of the order
 // within an observation or two and climbs back as probes succeed.
 // Unobserved nodes rank first (optimistically fast), which doubles as

@@ -1,0 +1,302 @@
+package cluster
+
+import (
+	"errors"
+	"io"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dialga/internal/node"
+	"dialga/internal/obs"
+	"dialga/internal/shardio"
+	"dialga/internal/vclock"
+)
+
+// sideliner is the gateway's memory of how its nodes read, kept across
+// requests: it wraps the configured Router, learns one latency sample
+// per shard body from Observe, and moves the nodes that run behind
+// their peers to the back of every order the inner router returns.
+//
+// The rule is relative, as the paper's is: a sample is late when it
+// exceeds shardio.DefaultDeadlineMult times the median of the other
+// observed nodes' averages, so a fleet that is uniformly slow — a busy
+// box, a cold cache — sidelines nobody, and no absolute number has to
+// be right for the hardware. It acts on a run, not on one sample:
+// shardio.DefaultBreakerThreshold late samples (or failed opens) in a
+// row sideline the node for a cooldown that doubles per consecutive
+// trip (shardio.Cooldown, from DefaultBreakerCooldown up to
+// DefaultMaxDeadline); one on-time sample resets the run. When the
+// cooldown ends the node returns to its place in the order, and the
+// next sample it produces is its probe: on time re-admits it, late
+// sidelines it again for longer.
+//
+// Sidelined means asked last, never excluded: the node's shards move to
+// the back of the order, where a read that cannot get what it wants
+// from the nodes in good standing still finds them. A sidelined node
+// that answers — one that is merely slow — supplies spares like any
+// other, so a read tolerates as many bad blocks as it would with nobody
+// sidelined; one whose last open failed is opened only while fewer than
+// k shards are, since a spare sought there is a failed open more often
+// than a spare. All of this is soft state in the Parallel Persistent
+// Memory Model's sense — volatile, rebuilt by observation, safe to lose
+// with the process — so none of it is journaled. Safe for concurrent
+// use.
+type sideliner struct {
+	inner Router
+	clock vclock.Clock
+	reg   *obs.Registry
+
+	mu      sync.Mutex
+	nodes   map[NodeID]*nodeReads
+	benched int       // nodes with sidelined set
+	scratch []float64 // median's sort buffer
+}
+
+// nodeReads is what the sideliner knows about one node.
+type nodeReads struct {
+	ewma      shardio.EWMA // per-block read samples
+	misses    int          // late samples in a row
+	trips     int          // sidelinings since the last on-time probe
+	sidelined bool
+	until     time.Time // cooldown end; the first sample after it is the probe
+	failing   bool      // the last sample was a failed open
+
+	ewmaG, sidelinedG  *obs.Gauge
+	tripsC             *obs.Counter
+	probeOK, probeMiss *obs.Counter
+}
+
+func newSideliner(inner Router, reg *obs.Registry) *sideliner {
+	return &sideliner{inner: inner, clock: vclock.Real(), reg: reg, nodes: make(map[NodeID]*nodeReads)}
+}
+
+// nodeLocked returns id's record, creating it (and its series) on first
+// sight.
+func (s *sideliner) nodeLocked(id NodeID) *nodeReads {
+	n := s.nodes[id]
+	if n != nil {
+		return n
+	}
+	lbl := obs.Label{Key: "node", Value: string(id)}
+	probes := func(result string) *obs.Counter {
+		return s.reg.Counter("cluster_sideline_probes_total",
+			"Reads that probed a sidelined node after its cooldown, by node and result.",
+			lbl, obs.Label{Key: "result", Value: result})
+	}
+	n = &nodeReads{
+		ewmaG: s.reg.Gauge("cluster_node_read_ewma_us",
+			"Per-node moving average of shard read samples (open plus time blocked in Read, per block), microseconds.", lbl),
+		sidelinedG: s.reg.Gauge("cluster_node_sidelined",
+			"1 while the node is sidelined (asked last by reads), else 0.", lbl),
+		tripsC: s.reg.Counter("cluster_sideline_trips_total",
+			"Times the node was sidelined for reading behind its peers, including failed probes.", lbl),
+		probeOK:   probes("ok"),
+		probeMiss: probes("miss"),
+	}
+	s.nodes[id] = n
+	return n
+}
+
+// peerMedianLocked is the median average, in microseconds, over the
+// observed nodes other than self; ok is false when there are none.
+func (s *sideliner) peerMedianLocked(self *nodeReads) (float64, bool) {
+	peers := s.scratch[:0]
+	for _, n := range s.nodes {
+		if n != self && n.ewma.Samples() > 0 {
+			peers = append(peers, n.ewma.Micros())
+		}
+	}
+	s.scratch = peers
+	if len(peers) == 0 {
+		return 0, false
+	}
+	slices.Sort(peers)
+	return peers[len(peers)/2], true
+}
+
+// Observe takes one sample of a node: d is the open time plus the time
+// blocked in Read, per block, of one shard body, or err is why its
+// open failed. A 404 says something about the object and nothing about
+// the node, so it is dropped; a transient failure (transport error,
+// 429, 5xx) counts as a late sample; any other error reaches only the
+// inner router.
+func (s *sideliner) Observe(id NodeID, d time.Duration, err error) {
+	if errors.Is(err, node.ErrNotFound) {
+		return
+	}
+	s.inner.Observe(id, d, err)
+	if err != nil && !node.Transient(err) {
+		return
+	}
+	now := s.clock.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.nodeLocked(id)
+	n.failing = err != nil
+	late := err != nil
+	if err == nil {
+		med, ok := s.peerMedianLocked(n)
+		late = ok && float64(d)/float64(time.Microsecond) > shardio.DefaultDeadlineMult*med
+		n.ewma.Observe(d)
+		n.ewmaG.Set(n.ewma.Micros())
+	}
+	probe := n.sidelined && !now.Before(n.until)
+	switch {
+	case n.sidelined && !probe:
+		// Still cooling down: a read that had to reach into the back of
+		// the order, or one that began before the trip. It is no probe.
+	case !late:
+		n.misses = 0
+		if probe {
+			n.sidelined, n.trips = false, 0
+			s.benched--
+			n.sidelinedG.Set(0)
+			n.probeOK.Inc()
+		}
+	default:
+		n.misses++
+		if !probe && n.misses < shardio.DefaultBreakerThreshold {
+			return
+		}
+		if probe {
+			n.probeMiss.Inc()
+		} else {
+			n.sidelined = true
+			s.benched++
+			n.sidelinedG.Set(1)
+		}
+		n.until = now.Add(shardio.Cooldown(shardio.DefaultBreakerCooldown, n.trips, shardio.DefaultMaxDeadline))
+		n.trips++
+		n.misses = 0
+		n.tripsC.Inc()
+	}
+}
+
+// Order returns the inner router's order with the shards of sidelined
+// nodes moved to the back: first those of nodes that still answer, then
+// those of nodes whose last open failed, each group in the inner order.
+func (s *sideliner) Order(object string, p Placement) []int {
+	order, _ := s.split(object, p)
+	return order
+}
+
+// split is Order that also says where spares may come from: order[:front]
+// are the shards of nodes in good standing followed by those of
+// sidelined nodes that still answer; order[front:] sit on sidelined
+// nodes whose last open failed, and are worth asking only for a shard
+// the read cannot do without.
+func (s *sideliner) split(object string, p Placement) (order []int, front int) {
+	order = s.inner.Order(object, p)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.benched == 0 {
+		return order, len(order)
+	}
+	now := s.clock.Now()
+	var slow, failing []int
+	for _, idx := range order {
+		n := s.nodes[p[idx].ID]
+		switch {
+		case n == nil || !n.sidelined || !now.Before(n.until):
+			order[front] = idx
+			front++
+		case n.failing:
+			failing = append(failing, idx)
+		default:
+			slow = append(slow, idx)
+		}
+	}
+	front += copy(order[front:], slow)
+	copy(order[front:], failing)
+	return order, front
+}
+
+// sidelinedNode is one entry of the sidelined set GET /v1/cluster/map
+// serves beside the map.
+type sidelinedNode struct {
+	ID NodeID `json:"id"`
+	// CooldownMS is how much of the cooldown is left; at 0 the node's
+	// next read is its probe.
+	CooldownMS int64 `json:"cooldown_ms"`
+	Trips      int   `json:"trips"`
+}
+
+// sidelinedNodes lists the sidelined set, sorted by node ID.
+func (s *sideliner) sidelinedNodes() []sidelinedNode {
+	now := s.clock.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := []sidelinedNode{}
+	for id, n := range s.nodes {
+		if n.sidelined {
+			left := max(0, n.until.Sub(now))
+			out = append(out, sidelinedNode{ID: id, CooldownMS: left.Milliseconds(), Trips: n.trips})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// timedBody is an open shard body that times itself: the open that
+// produced it plus every moment a caller spent blocked in Read. Close
+// turns that into the node's one sample for this body — the total
+// divided by the blocks read — so every reader of shards (a GET, a
+// range GET, a rebuild source) feeds the sideliner the same quantity
+// without a call of its own. A body that was closed before a byte of it
+// arrived has no per-block time to report and reports nothing, unless
+// it is being waited on at that moment. Read and Close may run
+// concurrently, as the decoder's hedged reads need.
+type timedBody struct {
+	rc    io.ReadCloser
+	s     *sideliner
+	id    NodeID
+	block int64 // bytes per block on the wire
+
+	spent   atomic.Int64 // ns: the open and every finished Read
+	n       atomic.Int64 // bytes read
+	reading atomic.Int64 // start of the Read in flight, unix ns; 0 when none
+	closed  atomic.Bool
+}
+
+// timed wraps a body just opened from node id; opened is how long the
+// open took, header included.
+func (s *sideliner) timed(id NodeID, rc io.ReadCloser, blockSize int64, opened time.Duration) *timedBody {
+	b := &timedBody{rc: rc, s: s, id: id, block: max(1, blockSize)}
+	b.spent.Store(int64(opened))
+	return b
+}
+
+func (b *timedBody) Read(p []byte) (int, error) {
+	start := b.s.clock.Now()
+	b.reading.Store(start.UnixNano())
+	n, err := b.rc.Read(p)
+	b.reading.Store(0)
+	b.spent.Add(int64(b.s.clock.Now().Sub(start)))
+	b.n.Add(int64(n))
+	return n, err
+}
+
+func (b *timedBody) Close() error {
+	if b.closed.Swap(true) {
+		return nil
+	}
+	spent, n, start := b.spent.Load(), b.n.Load(), b.reading.Load()
+	if start != 0 {
+		// A Read abandoned mid-flight (a hedged-around straggler) is time
+		// blocked too; without it a stalled node would look idle, not slow.
+		spent += b.s.clock.Now().UnixNano() - start
+	}
+	err := b.rc.Close()
+	if n == 0 && start == 0 {
+		// Closed unread — outvoted, a window cut for the wrong size, an
+		// empty object: the whole open as one block's time would be several
+		// times what a body that amortizes it reports.
+		return err
+	}
+	blocks := max(1, (n+b.block-1)/b.block)
+	b.s.Observe(b.id, time.Duration(spent/blocks), nil)
+	return err
+}

@@ -23,7 +23,7 @@ func TestBreakerCooldownClamped(t *testing.T) {
 	ceiling := DefaultMaxDeadline
 	prev := time.Duration(0)
 	for trips := 0; trips < 100; trips++ {
-		d := breakerCooldown(base, trips, ceiling)
+		d := Cooldown(base, trips, ceiling)
 		if d <= 0 {
 			t.Fatalf("trip %d: cooldown %v not positive", trips, d)
 		}
@@ -35,21 +35,21 @@ func TestBreakerCooldownClamped(t *testing.T) {
 		}
 		prev = d
 	}
-	if got := breakerCooldown(base, 0, ceiling); got != base {
+	if got := Cooldown(base, 0, ceiling); got != base {
 		t.Fatalf("first trip cooldown = %v, want base %v", got, base)
 	}
-	if got := breakerCooldown(base, 1, ceiling); got != 2*base {
+	if got := Cooldown(base, 1, ceiling); got != 2*base {
 		t.Fatalf("second trip cooldown = %v, want %v", got, 2*base)
 	}
-	if got := breakerCooldown(base, 99, ceiling); got != ceiling {
+	if got := Cooldown(base, 99, ceiling); got != ceiling {
 		t.Fatalf("deep-trip cooldown = %v, want ceiling %v", got, ceiling)
 	}
 	// A ceiling below the base never lowers the cooldown under one base
 	// period, and a disabled base stays disabled.
-	if got := breakerCooldown(base, 0, base/2); got != base {
+	if got := Cooldown(base, 0, base/2); got != base {
 		t.Fatalf("sub-base ceiling gave %v, want %v", got, base)
 	}
-	if got := breakerCooldown(0, 10, ceiling); got != 0 {
+	if got := Cooldown(0, 10, ceiling); got != 0 {
 		t.Fatalf("zero base gave %v, want 0", got)
 	}
 }

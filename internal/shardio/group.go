@@ -248,13 +248,14 @@ func (g *Group) deadline() (time.Duration, bool) {
 	return d, true
 }
 
-// breakerCooldown returns the open period after a shard's trips-th
-// consecutive breaker trip: base doubled per prior trip, clamped to
-// ceiling. The doubling stops at the ceiling rather than shifting
-// blindly, so however many times a shard re-trips, the cooldown can
-// never overflow time.Duration into a negative (instantly expired)
-// open period.
-func breakerCooldown(base time.Duration, trips int, ceiling time.Duration) time.Duration {
+// Cooldown returns the open period after a breaker's trips-th
+// consecutive trip: base doubled per prior trip, clamped to ceiling.
+// The doubling stops at the ceiling rather than shifting blindly, so
+// however many times a source re-trips, the cooldown can never overflow
+// time.Duration into a negative (instantly expired) open period.
+// Exported so the cluster gateway's node sidelining backs off on the
+// same schedule as the per-stream shard breaker.
+func Cooldown(base time.Duration, trips int, ceiling time.Duration) time.Duration {
 	if base <= 0 {
 		return 0
 	}
@@ -295,7 +296,7 @@ func (g *Group) miss(i int, st *Stripe) {
 		return
 	}
 	m.open = true
-	m.openUntil = g.clock.Now().Add(breakerCooldown(g.opts.BreakerCooldown, m.trips, g.breakerCeiling()))
+	m.openUntil = g.clock.Now().Add(Cooldown(g.opts.BreakerCooldown, m.trips, g.breakerCeiling()))
 	m.trips++
 	m.misses = 0
 	st.Trips++

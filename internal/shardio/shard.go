@@ -67,7 +67,7 @@ type raBlock struct {
 func (g *Group) runShard(i int, r io.Reader, pos int64) {
 	defer g.wg.Done()
 	// Deterministic full-jitter source: fixed Seed => fixed schedule.
-	rng := rand.New(rand.NewSource(int64(g.opts.Seed ^ uint64(i)*0x9e3779b97f4a7c15)))
+	rng := &jitter{seed: int64(g.opts.Seed ^ uint64(i)*0x9e3779b97f4a7c15)}
 	var scratch []byte
 	var ra []raBlock
 	terminal := false // eof or hard error observed while reading ahead
@@ -169,9 +169,24 @@ func (g *Group) serveFromReadahead(ra *[]raBlock, req request, res *result) bool
 	return false
 }
 
+// jitter is a shard's backoff randomness, built on first use: nearly
+// every shard reads its stream without one retry, and a math/rand
+// source is 5 KB a shard would otherwise allocate per stream.
+type jitter struct {
+	seed int64
+	r    *rand.Rand
+}
+
+func (j *jitter) Int63n(n int64) int64 {
+	if j.r == nil {
+		j.r = rand.New(rand.NewSource(j.seed))
+	}
+	return j.r.Int63n(n)
+}
+
 // serve fulfills one request, converting panics (a misbehaving reader
 // implementation) into a typed error instead of killing the process.
-func (g *Group) serve(i int, r io.Reader, rng *rand.Rand, scratch *[]byte, pos *int64, req request, res *result) {
+func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int64, req request, res *result) {
 	defer func() {
 		if p := recover(); p != nil {
 			res.err = &PanicError{
@@ -215,7 +230,7 @@ func (g *Group) serve(i int, r io.Reader, rng *rand.Rand, scratch *[]byte, pos *
 // errors with exponential full-jitter backoff. A clean EOF before the
 // first byte returns eof=true; a mid-block EOF or any other failure is
 // terminal.
-func (g *Group) readBlock(r io.Reader, rng *rand.Rand, buf []byte, res *result) (eof bool, err error) {
+func (g *Group) readBlock(r io.Reader, rng *jitter, buf []byte, res *result) (eof bool, err error) {
 	n := 0
 	for attempt := 0; ; {
 		m, err := io.ReadFull(r, buf[n:])

@@ -39,6 +39,17 @@
 // period left behind, so shards re-admitted by a half-open probe are
 // always stripe-aligned.
 //
+// What a Group does not do: remember. Its EWMAs and breakers live for
+// one stream, and its hedge acts only above the HedgeAfter floor. At
+// the cluster gateway's defaults — 256 KiB blocks, a 30 ms floor — a
+// node that adds a few milliseconds to every read makes a block cost
+// ~5 ms: far behind its peers, far under the floor, so in-stream
+// hedging never fires there, on the first stream or the thousandth.
+// That regime is covered one layer up, by the gateway's cross-request
+// node sidelining (internal/cluster, sideline.go), which judges nodes
+// against their peers with this package's constants and Cooldown
+// schedule and simply stops handing the slow node's shard to the Group.
+//
 // All Group methods are intended for a single consumer goroutine (the
 // decoder's producer); only Stripe.TakeLate is safe to call
 // concurrently with the gather loop.
@@ -302,24 +313,30 @@ func isTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
+// maxIdleBlockBytes bounds the idle buffers one BlockPool keeps. A pool
+// private to one group never gets near it; a pool shared by every read
+// of a long-lived decoder would otherwise keep, for good, as many
+// buffers as its busiest moment ever had in flight.
+const maxIdleBlockBytes = 64 << 20
+
 // BlockPool recycles block buffers across stripes, and across groups
 // when shared through Options.Blocks. It is a plain mutex-guarded free
 // list rather than a sync.Pool: Put-ing a []byte into a sync.Pool
 // heap-allocates a *[]byte box on every cycle, which would put a
-// per-stripe allocation on the steady-state gather path. The list is
-// intrinsically bounded by the most buffers ever in circulation at
-// once (one per in-flight read plus the stripes the consumers hold).
-// Dropped buffers (abandoned mid-read at Close) are simply collected
-// by the GC. Safe for concurrent use.
+// per-stripe allocation on the steady-state gather path. The list holds
+// at most maxIdleBlockBytes of idle buffers; a buffer returned beyond
+// that, like one dropped mid-read at Close, is left to the GC. Safe for
+// concurrent use.
 type BlockPool struct {
-	size int
-	mu   sync.Mutex
-	free [][]byte
+	size    int
+	maxFree int
+	mu      sync.Mutex
+	free    [][]byte
 }
 
 // NewBlockPool returns an empty pool of size-byte block buffers.
 func NewBlockPool(size int) *BlockPool {
-	return &BlockPool{size: size}
+	return &BlockPool{size: size, maxFree: max(1, maxIdleBlockBytes/max(1, size))}
 }
 
 func (bp *BlockPool) get() []byte {
@@ -341,7 +358,9 @@ func (bp *BlockPool) put(b []byte) {
 		return
 	}
 	bp.mu.Lock()
-	bp.free = append(bp.free, b)
+	if len(bp.free) < bp.maxFree {
+		bp.free = append(bp.free, b)
+	}
 	bp.mu.Unlock()
 }
 

@@ -57,8 +57,15 @@ func statesAttr(states []shardio.ShardState) string {
 // Decoding continues as long as at least k usable blocks remain per
 // stripe; a stripe below that returns an error wrapping
 // ErrTooManyCorrupt rather than ever emitting unverified bytes.
+//
+// A Decoder is safe for concurrent use by multiple goroutines: every
+// Decode call builds its own shard scheduler and pipeline, and what
+// they share — the job, spare-buffer and shard-block pools — is
+// synchronized. Keeping one Decoder for many reads is what lets those
+// pools stay warm: the blocks a finished read returns are the blocks
+// the next one reads into.
 type Decoder struct {
-	g     geom
+	g     geom // g.straggler.Blocks pools the shard blocks of every Decode
 	stats *counters
 	jobs  jobPool
 	// rd/spare: codecs that rebuild data shards in place accept
@@ -74,6 +81,7 @@ func NewDecoder(opts Options) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.straggler.Blocks = shardio.NewBlockPool(g.blockSize)
 	d := &Decoder{g: g, stats: newCounters(g.metrics, "decode")}
 	if rd, ok := g.codec.(dataReconstructor); ok {
 		d.rd = rd
