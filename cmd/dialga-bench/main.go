@@ -5,33 +5,17 @@
 //	dialga-bench -all                # every figure
 //	dialga-bench -fig fig13 -csv     # CSV for plotting
 //	dialga-bench -all -quick         # fast smoke run (shapes untrusted)
-//	dialga-bench -straggler          # hedged vs plain decode under one slow shard
-//	dialga-bench -straggler -json    # same, machine-readable
-//	dialga-bench -adaptive           # adaptive vs static decode, paced fleet +
-//	                                 # bursty straggler, controller history
-//	dialga-bench -adaptive -json     # same, machine-readable (BENCH_adaptive.json)
-//	dialga-bench -encode             # fused vs two-pass encode sweep
-//	dialga-bench -encode -fused=off  # legacy two-pass path only (escape hatch)
-//	dialga-bench -encode -json -gate ci/bench_fused_baseline.json
-//	                                 # machine-readable + regression gate
-//	dialga-bench -cluster            # in-process 6-node cluster lifecycle:
-//	                                 # put/get, kill 2 nodes, degraded get, repair
-//	dialga-bench -repair             # quorum-degraded puts with a node down,
-//	                                 # then intent adoption + repair convergence
-//	dialga-bench -repair -json       # same, machine-readable (BENCH_repair.json)
-//	dialga-bench -rebalance          # map swap (node added, rack removed), then
-//	                                 # bounded migration convergence + range reads
-//	dialga-bench -rebalance -json    # same, machine-readable (BENCH_rebalance.json)
-//	dialga-bench -serve :8080        # loop the straggler workload and expose
-//	                                 # /metrics, /debug/trace, /debug/pprof
+//	dialga-bench -list               # figure ids
 //
 // Figure ids follow the paper: fig03..fig07 are the §3 observations,
-// fig10..fig19 the §5 evaluation.
+// fig10..fig19 the §5 evaluation. The live system (gateway, nodes,
+// repair) is measured by the benchmark under bench/, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -39,102 +23,47 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, writes figures to
+// stdout and diagnostics to stderr, and returns the exit status, so
+// tests can drive it directly.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dialga-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig       = flag.String("fig", "", "figure id to run (fig03..fig19)")
-		all       = flag.Bool("all", false, "run every figure")
-		csv       = flag.Bool("csv", false, "emit CSV instead of a text table")
-		quick     = flag.Bool("quick", false, "small working sets and sweeps (fast, shapes untrusted)")
-		repeats   = flag.Int("repeats", 1, "average multi-threaded points over N layout seeds")
-		verbose   = flag.Bool("v", false, "log each run")
-		list      = flag.Bool("list", false, "list figure ids")
-		straggler = flag.Bool("straggler", false, "benchmark hedged vs plain decode with one slow shard")
-		adaptiveB = flag.Bool("adaptive", false, "benchmark adaptive vs static decode under a paced fleet with a bursty straggler")
-		encodeB   = flag.Bool("encode", false, "benchmark fused vs two-pass encode across k and checksum settings")
-		fusedMode = flag.String("fused", "both", "with -encode: sweep the fused path (on), the legacy two-pass path (off), or both")
-		gate      = flag.String("gate", "", "with -encode: baseline BENCH_fused.json; fail if the RS(10,4) fused speedup regressed >10%")
-		clusterB  = flag.Bool("cluster", false, "benchmark an in-process 6-node cluster: put/get, kill, degraded get, repair")
-		repairB   = flag.Bool("repair", false, "benchmark quorum-degraded puts and repair convergence after the missing node returns")
-		rebalB    = flag.Bool("rebalance", false, "benchmark cluster-map-swap rebalancing: migration convergence and range-read fan-out")
-		asJSON    = flag.Bool("json", false, "with -straggler/-cluster/-repair/-rebalance/-encode: emit JSON instead of text")
-		serve     = flag.String("serve", "", "loop the straggler workload and serve /metrics, /debug/trace and pprof on this address (e.g. :8080)")
+		fig     = fs.String("fig", "", "figure id to run (fig03..fig19)")
+		all     = fs.Bool("all", false, "run every figure")
+		csv     = fs.Bool("csv", false, "emit CSV instead of a text table")
+		quick   = fs.Bool("quick", false, "small working sets and sweeps (fast, shapes untrusted)")
+		repeats = fs.Int("repeats", 1, "average multi-threaded points over N layout seeds")
+		verbose = fs.Bool("v", false, "log each run")
+		list    = fs.Bool("list", false, "list figure ids")
 	)
-	flag.Parse()
-
-	if *serve != "" {
-		if err := runServe(*serve, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *encodeB {
-		if err := runEncodeBench(*quick, *asJSON, *fusedMode, *gate); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *straggler {
-		if err := runStraggler(*quick, *asJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *adaptiveB {
-		if err := runAdaptive(*quick, *asJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clusterB {
-		if err := runCluster(*quick, *asJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *repairB {
-		if err := runRepairBench(*quick, *asJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *rebalB {
-		if err := runRebalanceBench(*quick, *asJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	if *list {
-		fmt.Println(strings.Join(harness.FigureIDs, "\n"))
-		return
+		fmt.Fprintln(stdout, strings.Join(harness.FigureIDs, "\n"))
+		return 0
 	}
 	r := &harness.Runner{Quick: *quick, Repeats: *repeats}
 	if *verbose {
 		r.Verbose = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 
 	emit := func(f *harness.Figure) {
 		if *csv {
-			fmt.Print(f.CSV())
+			fmt.Fprint(stdout, f.CSV())
 			return
 		}
-		fmt.Println(f.Table())
+		fmt.Fprintln(stdout, f.Table())
 		if lo, hi, ok := f.ImprovementRange("DIALGA"); ok {
-			fmt.Printf("  DIALGA vs best other: %+.1f%% .. %+.1f%%\n\n", lo, hi)
+			fmt.Fprintf(stdout, "  DIALGA vs best other: %+.1f%% .. %+.1f%%\n\n", lo, hi)
 		}
 	}
 
@@ -143,20 +72,21 @@ func main() {
 		for _, id := range harness.FigureIDs {
 			f, err := r.ByID(id)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "%s: %v\n", id, err)
+				return 1
 			}
 			emit(f)
 		}
 	case *fig != "":
 		f, err := r.ByID(*fig)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		emit(f)
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
+	return 0
 }

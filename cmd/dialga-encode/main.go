@@ -42,14 +42,13 @@ func main() {
 		dir     = flag.String("dir", "shards", "shard directory")
 		stripe  = flag.Int("stripe", stream.DefaultStripeSize, "stripe size in bytes (data payload per stripe)")
 		workers = flag.Int("workers", 0, "encoding workers (0 = GOMAXPROCS)")
-		fused   = flag.Bool("fused", true, "use the single-pass fused encode+CRC sweep (false: two-pass; output is byte-identical)")
 	)
 	flag.Parse()
 
 	var err error
 	switch *mode {
 	case "encode":
-		err = encode(*k, *m, *in, *dir, *stripe, *workers, *fused)
+		err = encode(*k, *m, *in, *dir, *stripe, *workers)
 	case "decode":
 		err = decode(*k, *m, *out, *dir, *workers)
 	default:
@@ -66,7 +65,7 @@ func shardPath(dir string, i int) string {
 	return shardfile.Path(dir, i)
 }
 
-func encode(k, m int, in, dir string, stripeSize, workers int, fused bool) error {
+func encode(k, m int, in, dir string, stripeSize, workers int) error {
 	if in == "" {
 		return fmt.Errorf("encode needs -in")
 	}
@@ -76,7 +75,7 @@ func encode(k, m int, in, dir string, stripeSize, workers int, fused bool) error
 	}
 	enc, err := stream.NewEncoder(stream.Options{
 		Codec: code, StripeSize: stripeSize, Workers: workers,
-		Checksum: stream.ChecksumCRC32C, DisableFused: !fused,
+		Checksum: stream.ChecksumCRC32C,
 	})
 	if err != nil {
 		return err

@@ -26,7 +26,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(8, 4, in, shards, 1<<20, 0, true); err != nil {
+	if err := encode(8, 4, in, shards, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Remove m shards (mixed data + parity).
@@ -63,7 +63,7 @@ func TestEncodeDecodeMultiStripe(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(4, 2, in, shards, 16<<10, 3, true); err != nil {
+	if err := encode(4, 2, in, shards, 16<<10, 3); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{1, 4} {
@@ -113,7 +113,7 @@ func TestLargeFileStreams(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(8, 4, in, shards, 1<<20, 0, true); err != nil {
+	if err := encode(8, 4, in, shards, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{2, 7, 10} {
@@ -144,7 +144,7 @@ func TestDecodeTooFewShards(t *testing.T) {
 	if err := os.WriteFile(in, []byte("hello world"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(4, 2, in, shards, 1<<20, 0, true); err != nil {
+	if err := encode(4, 2, in, shards, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1, 2} { // 3 > m=2 lost
@@ -163,7 +163,7 @@ func TestEncodeTinyFile(t *testing.T) {
 	if err := os.WriteFile(in, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(8, 4, in, shards, 1<<20, 0, true); err != nil {
+	if err := encode(8, 4, in, shards, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := decode(8, 4, out, shards, 0); err != nil {
@@ -183,7 +183,7 @@ func TestEncodeEmptyFile(t *testing.T) {
 	if err := os.WriteFile(in, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(4, 2, in, shards, 1<<20, 0, true); err != nil {
+	if err := encode(4, 2, in, shards, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := decode(4, 2, out, shards, 0); err != nil {
@@ -224,7 +224,7 @@ func TestDecodeMismatchedGeometry(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(8, 4, in, shards, 1<<20, 0, true); err != nil {
+	if err := encode(8, 4, in, shards, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := decode(6, 6, filepath.Join(dir, "out.bin"), shards, 0); err == nil {
@@ -249,10 +249,10 @@ func TestDecodeForeignShard(t *testing.T) {
 	if err := os.WriteFile(inB, bytes.Repeat([]byte("B"), 20000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(4, 2, inA, shardsA, 1<<20, 0, true); err != nil {
+	if err := encode(4, 2, inA, shardsA, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(4, 2, inB, shardsB, 1<<20, 0, true); err != nil {
+	if err := encode(4, 2, inB, shardsB, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Same geometry, different encoding: headers disagree on file size.
@@ -277,7 +277,7 @@ func TestDecodeShardIndexMismatch(t *testing.T) {
 	if err := os.WriteFile(in, bytes.Repeat([]byte("z"), 5000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(4, 2, in, shards, 1<<20, 0, true); err != nil {
+	if err := encode(4, 2, in, shards, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Swap two shard files on disk.
@@ -299,7 +299,7 @@ func TestDecodeTruncatedShard(t *testing.T) {
 	if err := os.WriteFile(in, bytes.Repeat([]byte("q"), 30000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(4, 2, in, shards, 1<<20, 0, true); err != nil {
+	if err := encode(4, 2, in, shards, 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	p := shardPath(shards, 1)
@@ -332,7 +332,7 @@ func TestDecodeHealsCorruptBlocks(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(4, 2, in, shards, 8<<10, 2, true); err != nil {
+	if err := encode(4, 2, in, shards, 8<<10, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt blocks in m=2 shards: one data, one parity, different
@@ -504,7 +504,7 @@ func TestShardFormatCompat(t *testing.T) {
 			if err := os.WriteFile(in, payload, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := encode(4, 2, in, shards, 4<<10, 0, true); err != nil {
+			if err := encode(4, 2, in, shards, 4<<10, 0); err != nil {
 				t.Fatal(err)
 			}
 			tc.prepare(t, shards)

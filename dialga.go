@@ -26,7 +26,6 @@ import (
 	"context"
 	"io"
 
-	"dialga/internal/adapt"
 	"dialga/internal/harness"
 	"dialga/internal/lrc"
 	"dialga/internal/obs"
@@ -257,8 +256,7 @@ func (c *LRC) StreamCodec() StreamCodec { return stream.WrapLRC(c.code) }
 // StreamOptions.Metrics, and record per-stripe lifecycle spans into a
 // StreamTracer set on StreamOptions.Trace. The registry renders in the
 // Prometheus text exposition format via its Expose method;
-// `dialga-bench -serve :PORT` mounts both at /metrics and
-// /debug/trace.
+// `dialga-node` mounts it at /metrics.
 
 // MetricsRegistry is an atomic metrics registry: counters, gauges, and
 // log-linear histograms addressable by name + labels, rendered in
@@ -289,56 +287,6 @@ func NewStreamTracer(capacity int) *StreamTracer { return obs.NewTracer(capacity
 // DefaultTraceCapacity is the span-ring size NewStreamTracer applies
 // when none is given.
 const DefaultTraceCapacity = obs.DefaultTraceCapacity
-
-// Adaptive control — see internal/adapt. An AdaptiveController closes
-// the paper's scheduling loop on a live pipeline: it samples the
-// pipeline's own metrics and spans, runs the relative-threshold
-// policy (aggressive when latency regresses against its trailing
-// baseline, back off when speculative work is mostly useless), and
-// republishes the knob set — readahead depth, hedge interval,
-// reconstruction-deadline multiplier, worker count, in-flight window
-// — which the pipeline re-reads at every stripe boundary.
-//
-// Wiring: build a MetricsRegistry and (optionally) a StreamTracer,
-// set both on StreamOptions, hand NewAdaptiveSignals over them to
-// NewAdaptiveController, and set the controller as
-// StreamOptions.Tuner. With EveryPulls set the controller ticks
-// synchronously at stripe boundaries (deterministic, what the tests
-// and the A/B benchmark use); otherwise call Run/Stop for
-// wall-clock ticks.
-
-// AdaptiveController is the feedback controller; it implements the
-// pipeline's Tuner hook directly.
-type AdaptiveController = adapt.Controller
-
-// AdaptiveOptions configures a controller: signal source, initial
-// knobs, policy thresholds, pacing, and observability sinks.
-type AdaptiveOptions = adapt.Options
-
-// AdaptiveKnobs is one atomic knob set published to the pipeline.
-type AdaptiveKnobs = adapt.Knobs
-
-// AdaptivePolicyConfig tunes the policy's trigger thresholds; zero
-// fields take the paper-derived defaults.
-type AdaptivePolicyConfig = adapt.Config
-
-// AdaptiveDecision is the reproducible outcome of one policy tick,
-// retained in the controller's history.
-type AdaptiveDecision = adapt.Decision
-
-// NewAdaptiveController validates opts and returns a controller ready
-// to use as StreamOptions.Tuner.
-func NewAdaptiveController(opts AdaptiveOptions) (*AdaptiveController, error) {
-	return adapt.New(opts)
-}
-
-// NewAdaptiveSignals returns the signal source an AdaptiveController
-// samples: pipeline counters from reg, stripe-latency quantiles from
-// tracer (optional), and the per-shard latency EWMAs of a k+m shard
-// group. Set the same reg and tracer on the pipeline's StreamOptions.
-func NewAdaptiveSignals(reg *MetricsRegistry, tracer *StreamTracer, shards int) *adapt.RegistrySource {
-	return adapt.NewRegistrySource(reg, tracer, shards)
-}
 
 // Figure is a reproduced paper figure; see internal/harness.
 type Figure = harness.Figure

@@ -15,8 +15,7 @@ import (
 const DefaultDrainTimeout = 10 * time.Second
 
 // SignalContext returns a context cancelled on SIGINT or SIGTERM —
-// the trigger both dialga-node and `dialga-bench -serve` hand to
-// Serve for graceful shutdown.
+// the trigger dialga-node hands to Serve for graceful shutdown.
 func SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(parent, syscall.SIGINT, syscall.SIGTERM)
 }

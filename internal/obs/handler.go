@@ -3,10 +3,10 @@ package obs
 import "net/http"
 
 // Handler returns an http.Handler serving the registry in the
-// Prometheus text exposition format — the /metrics endpoint every
-// dialga server (dialga-node, `dialga-bench -serve`) mounts, kept here
-// so the content type and error handling are written once. A nil
-// registry serves an empty (but valid) exposition.
+// Prometheus text exposition format — the /metrics endpoint
+// dialga-node mounts, kept here so the content type and error handling
+// are written once. A nil registry serves an empty (but valid)
+// exposition.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -10,8 +10,7 @@
 // the same discipline at stream scale: every scheduling decision
 // (hedge, breaker trip, retry, heal) is visible as a metric or a span
 // so it can be tuned from the outside. Metrics registered here back
-// stream.Stats snapshots and are served by `dialga-bench -serve` at
-// /metrics and /debug/trace.
+// stream.Stats snapshots and are served by `dialga-node` at /metrics.
 //
 // Design constraints:
 //

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dialga/internal/obs"
@@ -64,15 +63,6 @@ type Group struct {
 	seq int64
 	sh  []shardMeta
 
-	// Dynamic knobs. deadlineMult and hedgeAfter are owned by the
-	// single consumer goroutine and re-loaded from Options.Tuning at
-	// every stripe boundary; readahead is additionally read by the
-	// shard goroutines between block reads, so it is atomic. Without a
-	// TuningSource they stay at their static Options values forever.
-	deadlineMult float64
-	hedgeAfter   time.Duration
-	readahead    atomic.Int32
-
 	// Steady-state reuse: gathering a stripe — hedged or not — must not
 	// allocate. Stripes cycle through a pool (Release returns them),
 	// the hedge timer is reset rather than recreated, and the gather
@@ -109,19 +99,16 @@ func NewGroup(readers []io.Reader, opts Options) (*Group, error) {
 	}
 	n := len(readers)
 	g := &Group{
-		opts:         opts,
-		clock:        vclock.OrReal(opts.Clock),
-		n:            n,
-		req:          make([]chan request, n),
-		results:      make(chan result, n),
-		pool:         pool,
-		stop:         make(chan struct{}),
-		sh:           make([]shardMeta, n),
-		awaited:      make([]bool, n),
-		deadlineMult: opts.DeadlineMult,
-		hedgeAfter:   opts.HedgeAfter,
+		opts:    opts,
+		clock:   vclock.OrReal(opts.Clock),
+		n:       n,
+		req:     make([]chan request, n),
+		results: make(chan result, n),
+		pool:    pool,
+		stop:    make(chan struct{}),
+		sh:      make([]shardMeta, n),
+		awaited: make([]bool, n),
 	}
-	g.readahead.Store(int32(opts.Readahead))
 	reg := opts.Metrics
 	g.deadlineG = reg.Gauge("shardio_deadline_us",
 		"Adaptive per-stripe deadline derived from the fleet-median latency EWMA, microseconds.")
@@ -237,9 +224,9 @@ func (g *Group) deadline() (time.Duration, bool) {
 	}
 	slices.Sort(ewmas) // generic sort: no interface boxing on the hot path
 	med := ewmas[len(ewmas)/2]
-	d := time.Duration(g.deadlineMult * med * float64(time.Microsecond))
-	if d < g.hedgeAfter {
-		d = g.hedgeAfter
+	d := time.Duration(g.opts.DeadlineMult * med * float64(time.Microsecond))
+	if d < g.opts.HedgeAfter {
+		d = g.opts.HedgeAfter
 	}
 	if d > g.opts.MaxDeadline {
 		d = g.opts.MaxDeadline
@@ -337,38 +324,11 @@ func (g *Group) getStripe(seq int64) *Stripe {
 	return st
 }
 
-// retune loads the current Tuning, if any, and swaps the dynamic
-// knobs. Called once per stripe before any read is issued, so a knob
-// change never straddles a stripe.
-func (g *Group) retune() {
-	src := g.opts.Tuning
-	if src == nil {
-		return
-	}
-	t := src.ShardTuning()
-	if t.DeadlineMult >= 1 {
-		g.deadlineMult = t.DeadlineMult
-	}
-	if t.HedgeAfter > 0 && g.opts.HedgeAfter > 0 {
-		// The hedge switch itself stays static (a group built without
-		// hedging has no breaker/late-slot machinery warmed); the floor
-		// moves freely.
-		g.hedgeAfter = t.HedgeAfter
-	}
-	if t.Readahead >= 0 {
-		if old := g.readahead.Load(); int32(t.Readahead) != old {
-			g.readahead.Store(int32(t.Readahead))
-			g.raDepthG.Set(float64(t.Readahead))
-		}
-	}
-}
-
 // Next gathers the blocks of the next stripe. It returns a non-nil
 // error only when ctx is cancelled; every per-shard failure is
 // reported in the Stripe instead. The caller owns the returned stripe
 // and must Release it.
 func (g *Group) Next(ctx context.Context) (*Stripe, error) {
-	g.retune()
 	st := g.getStripe(g.seq)
 	g.seq++
 	if err := g.Fill(ctx, st); err != nil {
@@ -417,7 +377,7 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error {
 		}
 	}
 
-	hedge := g.hedgeAfter > 0
+	hedge := g.opts.HedgeAfter > 0
 	armed := false // the reusable group timer is counting for this stripe
 	fired := false
 	var timeC <-chan time.Time

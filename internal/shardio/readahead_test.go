@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,91 +157,5 @@ func TestServeFromReadaheadQueue(t *testing.T) {
 	}
 	if !res.eof || res.err != nil || res.buf != nil {
 		t.Fatalf("eof result = %+v, want eof with nil buf", res)
-	}
-}
-
-// settableTuning is a TuningSource tests flip between stripes.
-type settableTuning struct {
-	mu sync.Mutex
-	t  Tuning
-}
-
-func (s *settableTuning) set(t Tuning) {
-	s.mu.Lock()
-	s.t = t
-	s.mu.Unlock()
-}
-
-func (s *settableTuning) ShardTuning() Tuning {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t
-}
-
-// TestTuningRetunesAtStripeBoundary drives a group with a TuningSource
-// and checks the dynamic knobs move at the next Next call: readahead
-// depth lands in the gauge and the deadline multiplier/hedge interval
-// overrides take effect without recreating the group.
-func TestTuningRetunesAtStripeBoundary(t *testing.T) {
-	const n, stripes = 3, 4
-	shards := mkShards(n, stripes)
-	readers := make([]io.Reader, n)
-	for i := range readers {
-		readers[i] = bytes.NewReader(shards[i])
-	}
-	reg := obs.NewRegistry()
-	src := &settableTuning{}
-	src.set(Tuning{Readahead: -1}) // leave static at first
-	g := newTestGroup(t, readers, Options{
-		Quorum:     n,
-		HedgeAfter: 50 * time.Millisecond,
-		Tuning:     src,
-		Metrics:    reg,
-	})
-
-	depthG := reg.Gauge("shardio_readahead_depth", "")
-	st, err := g.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Release()
-	if depthG.Value() != 0 {
-		t.Fatalf("depth gauge = %v before tuning, want 0", depthG.Value())
-	}
-	if g.deadlineMult != g.opts.DeadlineMult {
-		t.Fatalf("deadlineMult drifted with a static tuning: %v", g.deadlineMult)
-	}
-
-	src.set(Tuning{Readahead: 3, DeadlineMult: 9.5, HedgeAfter: 5 * time.Millisecond})
-	st, err = g.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Release()
-	if depthG.Value() != 3 {
-		t.Fatalf("depth gauge = %v after tuning, want 3", depthG.Value())
-	}
-	if g.readahead.Load() != 3 {
-		t.Fatalf("readahead knob = %d, want 3", g.readahead.Load())
-	}
-	if g.deadlineMult != 9.5 {
-		t.Fatalf("deadlineMult = %v, want 9.5", g.deadlineMult)
-	}
-	if g.hedgeAfter != 5*time.Millisecond {
-		t.Fatalf("hedgeAfter = %v, want 5ms", g.hedgeAfter)
-	}
-
-	// Out-of-range values leave the knobs alone; readahead 0 disables.
-	src.set(Tuning{Readahead: 0, DeadlineMult: 0.5, HedgeAfter: -time.Second})
-	st, err = g.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Release()
-	if g.readahead.Load() != 0 || depthG.Value() != 0 {
-		t.Fatal("readahead 0 did not disable prefetching")
-	}
-	if g.deadlineMult != 9.5 || g.hedgeAfter != 5*time.Millisecond {
-		t.Fatalf("invalid tuning moved knobs: mult=%v hedge=%v", g.deadlineMult, g.hedgeAfter)
 	}
 }

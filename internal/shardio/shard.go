@@ -61,9 +61,7 @@ type raBlock struct {
 // answered without touching the reader (a readahead hit), and buffered
 // blocks whose stripe the group skipped — a breaker-open or
 // sidelined-slow period — are discarded and counted as useless
-// prefetches. The depth knob is read atomically between block reads,
-// so the adaptive controller can move it mid-stream without tearing.
-// pos is the block index r is positioned at.
+// prefetches. pos is the block index r is positioned at.
 func (g *Group) runShard(i int, r io.Reader, pos int64) {
 	defer g.wg.Done()
 	// Deterministic full-jitter source: fixed Seed => fixed schedule.
@@ -80,7 +78,7 @@ func (g *Group) runShard(i int, r io.Reader, pos int64) {
 		// out that read, exactly as it would were the shard mid-read
 		// for an earlier stripe.
 		for !got && !terminal {
-			depth := int(g.readahead.Load())
+			depth := g.opts.Readahead
 			if depth <= 0 || len(ra) >= depth {
 				break
 			}

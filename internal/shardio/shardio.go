@@ -124,7 +124,7 @@ type Options struct {
 	// from Seed^i, so a fixed seed yields a fixed backoff schedule.
 	Seed uint64
 
-	// Readahead is the initial per-shard readahead depth: each shard
+	// Readahead is the per-shard readahead depth: each shard
 	// goroutine may speculatively read up to this many blocks past the
 	// last requested stripe while it would otherwise sit idle, serving
 	// later requests from memory — the live-pipeline analogue of the
@@ -132,15 +132,6 @@ type Options struct {
 	// skips (breaker-open or sidelined-slow periods) are discarded and
 	// counted as useless prefetches. Zero disables readahead.
 	Readahead int
-
-	// Tuning, when non-nil, is consulted once per stripe (at the
-	// gather boundary, before any read of that stripe is issued) and
-	// overrides DeadlineMult, HedgeAfter, and Readahead for that stripe
-	// — the actuation seam of the adaptive controller
-	// (internal/adapt). Zero-valued fields of the returned Tuning leave
-	// the corresponding static option in force. Nil keeps every knob
-	// static.
-	Tuning TuningSource
 
 	// Clock, when non-nil, replaces the wall clock for deadlines,
 	// breaker cooldowns, latency measurement, and backoff sleeps —
@@ -162,30 +153,6 @@ type Options struct {
 	// registration; the group still works and Stripe counters are
 	// unaffected.
 	Metrics *obs.Registry
-}
-
-// Tuning is the dynamically adjustable subset of Options: the knobs
-// the adaptive controller may swap while a decode is running. Swaps
-// take effect at stripe boundaries only — the group loads one Tuning
-// per gather, so a stripe never sees a torn mix of old and new knobs.
-type Tuning struct {
-	// DeadlineMult overrides Options.DeadlineMult when >= 1.
-	DeadlineMult float64
-	// HedgeAfter overrides Options.HedgeAfter when > 0. It cannot
-	// switch hedging on for a group constructed with HedgeAfter == 0
-	// (the decoder sizes its machinery off the static option); it
-	// raises or lowers the deadline floor of a hedging group.
-	HedgeAfter time.Duration
-	// Readahead overrides Options.Readahead when >= 0 (-1 leaves the
-	// static depth; 0 switches readahead off).
-	Readahead int
-}
-
-// TuningSource supplies the current Tuning. Implementations must be
-// safe for concurrent use and tear-free (internal/adapt publishes via
-// an atomic pointer); the group calls it once per stripe.
-type TuningSource interface {
-	ShardTuning() Tuning
 }
 
 // Normalize fills defaults and validates. NewGroup applies it

@@ -69,8 +69,7 @@ func (e *Encoder) Stats() Stats { return e.stats.snapshot() }
 
 // Fused reports whether this encoder uses the codec's single-pass
 // fused encode+CRC sweep for its checksum trailers (false when the
-// codec does not offer it, checksums are off, or Options.DisableFused
-// forced the two-pass path).
+// codec does not offer it or checksums are off).
 func (e *Encoder) Fused() bool { return e.g.fused != nil }
 
 // encodeStripe is the worker body: encode one stripe's parity and,

@@ -7,6 +7,11 @@ import (
 	"dialga/internal/shardio"
 )
 
+// twoPass hides a codec's EncodeSumInto, so the encoder selects the
+// two-pass path (encode, then a CRC sweep per block): the reference
+// the fused sweep is compared against.
+type twoPass struct{ Codec }
+
 // TestFusedTrailersByteIdentical pins the core fused-path contract:
 // the single-pass encode+CRC sweep must emit exactly the shard bytes
 // — payload and trailers — the two-pass path emits, for full stripes,
@@ -32,7 +37,7 @@ func TestFusedTrailersByteIdentical(t *testing.T) {
 			fused := encodeAll(t, fusedOpts, payload)
 
 			plainOpts := base
-			plainOpts.DisableFused = true
+			plainOpts.Codec = twoPass{code}
 			plain := encodeAll(t, plainOpts, payload)
 
 			for i := range fused {
@@ -53,7 +58,7 @@ func TestFusedTrailersByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if encPlain.Fused() {
-				t.Fatal("DisableFused encoder still reports the fused path")
+				t.Fatal("encoder over a codec without EncodeSumInto still reports the fused path")
 			}
 		})
 	}
@@ -84,13 +89,16 @@ func TestEncodeStripeAllocs(t *testing.T) {
 	const k, m, stripe = 10, 4, 64 << 10
 	code := mustRS(t, k, m)
 	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{{"fused", false}, {"two-pass", true}} {
+		name  string
+		codec Codec
+	}{{"fused", code}, {"two-pass", twoPass{code}}} {
 		t.Run(tc.name, func(t *testing.T) {
-			enc, err := NewEncoder(Options{Codec: code, StripeSize: stripe, DisableFused: tc.disable})
+			enc, err := NewEncoder(Options{Codec: tc.codec, StripeSize: stripe})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want := tc.name == "fused"; enc.Fused() != want {
+				t.Fatalf("Fused() = %v, want %v", enc.Fused(), want)
 			}
 			j := enc.jobs.get()
 			j.data = enc.data.get()

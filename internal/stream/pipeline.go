@@ -143,34 +143,12 @@ func run(parent context.Context, g geom, stats *counters,
 	workCh := make(chan *job)            // unbuffered: a successful send is a worker handoff
 	orderCh := make(chan *job, g.window) // submission order; buffer bounds in-flight stripes
 
-	// Dynamic gates exist only under a Tuner; without one the pipeline
-	// runs the historical static path untouched.
-	var wGate *workerGate
-	var winGate *windowGate
-	if g.tuner != nil {
-		wGate = newWorkerGate(g.workers)
-		winGate = newWindowGate(g.window)
-		release = func(inner func(*job)) func(*job) {
-			return func(j *job) {
-				winGate.release()
-				inner(j)
-			}
-		}(release)
-	}
-
 	var workers sync.WaitGroup
 	workers.Add(g.workers)
 	for i := 0; i < g.workers; i++ {
-		go func(i int) {
+		go func() {
 			defer workers.Done()
-			for {
-				if wGate != nil {
-					wGate.enter(i)
-				}
-				j, ok := <-workCh
-				if !ok {
-					return
-				}
+			for j := range workCh {
 				if ctx.Err() != nil {
 					j.err = ctx.Err()
 				} else if err := safeWork(j); err != nil {
@@ -179,22 +157,13 @@ func run(parent context.Context, g geom, stats *counters,
 				}
 				j.ready <- struct{}{}
 			}
-		}(i)
+		}()
 	}
 
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
 		push := func(j *job) bool {
-			if winGate != nil {
-				// Stripe boundary: refresh the pipeline-level knobs,
-				// then claim an in-flight slot under the (possibly
-				// just-moved) window limit.
-				t := g.tuner.PipelineTuning()
-				wGate.setLimit(t.Workers)
-				winGate.setLimit(t.Window)
-				winGate.acquire()
-			}
 			select {
 			case orderCh <- j:
 			case <-ctx.Done():
@@ -243,9 +212,6 @@ func run(parent context.Context, g geom, stats *counters,
 			}
 		}
 		release(j)
-	}
-	if wGate != nil {
-		wGate.close()
 	}
 	workers.Wait()
 	<-prodDone

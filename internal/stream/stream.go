@@ -162,13 +162,6 @@ type Options struct {
 	// legacy trailer-less framing.
 	Checksum Checksum
 
-	// DisableFused forces the encoder onto the two-pass path (encode,
-	// then a separate CRC sweep per block) even when the codec offers
-	// the fused single-pass encode+CRC. The output is byte-identical
-	// either way; this is an escape hatch for benchmarking and for
-	// bisecting a suspected fused-path miscompute in production.
-	DisableFused bool
-
 	// HedgeAfter enables hedged degraded reads on decode when
 	// positive: a shard that misses the stripe's adaptive deadline
 	// (derived from the fleet-median block-read latency) while at
@@ -225,8 +218,8 @@ type Options struct {
 	// pipeline registers its counter/gauge/histogram series in
 	// (stream_* series labelled by pipeline direction, shardio_*
 	// series for the decoder's shard scheduler); Stats() snapshots
-	// read from those live series, and `dialga-bench -serve` exposes
-	// the registry at /metrics. Nil keeps the historical behaviour: a
+	// read from those live series, and `dialga-node` exposes the
+	// registry at /metrics. Nil keeps the historical behaviour: a
 	// private registry per pipeline, observable only through Stats().
 	// Pipelines sharing a registry accumulate into the same series.
 	Metrics *obs.Registry
@@ -234,82 +227,22 @@ type Options struct {
 	// Trace, when non-nil, records a lifecycle span per stripe (read →
 	// verify → reconstruct → emit on decode, read → encode → emit on
 	// encode, annotated with hedge/breaker/heal decisions) into the
-	// tracer's ring buffer; `dialga-bench -serve` exposes it at
-	// /debug/trace. Nil disables tracing at zero cost.
+	// tracer's ring buffer (obs.Tracer.Handler serves it as JSON). Nil
+	// disables tracing at zero cost.
 	Trace *obs.Tracer
 
-	// Readahead is the initial per-shard readahead depth on decode:
+	// Readahead is the per-shard readahead depth on decode:
 	// each shard goroutine speculatively reads up to this many blocks
 	// past its last request while idle, so a request for a buffered
 	// block completes without touching the device. Zero (the default)
-	// disables prefetching; a Tuner can raise or lower the live depth
-	// at stripe boundaries.
+	// disables prefetching.
 	Readahead int
-
-	// Tuner, when non-nil, is consulted once per stripe at the
-	// producer's submission point (and by the decoder's shard scheduler
-	// at every gather) for dynamic knob overrides: hedge interval,
-	// deadline multiplier, readahead depth, active worker count, and
-	// in-flight window. Implementations must be safe for concurrent
-	// use. Nil keeps every knob at its static Options value — the
-	// pipeline then runs byte-for-byte identically to a build without
-	// adaptive support.
-	Tuner Tuner
 
 	// Clock, when non-nil, replaces the wall clock for every
 	// time-driven decision (hedge deadlines, breaker cooldowns, retry
-	// backoff, latency stamps) — the determinism seam tests and the
-	// adaptive controller share. Nil means time.Now.
+	// backoff, latency stamps) — the determinism seam tests use. Nil
+	// means time.Now.
 	Clock vclock.Clock
-}
-
-// Tuning is one snapshot of dynamic pipeline knob overrides. The zero
-// value of each field (and any out-of-range value) leaves that knob at
-// its current setting, so a Tuner only moves the knobs it means to.
-type Tuning struct {
-	// HedgeAfter overrides the hedge interval when positive. It cannot
-	// enable hedging on a pipeline built with HedgeAfter == 0 (the
-	// scheduler has no breaker or late-slot machinery to hedge with).
-	HedgeAfter time.Duration
-	// DeadlineMult overrides the deadline multiplier when >= 1.
-	DeadlineMult float64
-	// Readahead overrides the per-shard readahead depth when >= 0;
-	// 0 disables prefetching, negative leaves the depth unchanged.
-	Readahead int
-	// Workers overrides the number of active encode/decode workers
-	// when >= 1, clamped to the static Options.Workers ceiling (the
-	// goroutines exist for the pipeline's lifetime; the knob gates how
-	// many may hold a stripe).
-	Workers int
-	// Window overrides the bounded in-flight window when >= 1, clamped
-	// to the static Options.Window ceiling.
-	Window int
-}
-
-// Tuner supplies the pipeline's dynamic knobs. PipelineTuning is
-// called from the producer goroutine once per stripe and from the
-// decoder's gather loop once per stripe; it must be fast, non-blocking,
-// and safe for concurrent use.
-type Tuner interface {
-	PipelineTuning() Tuning
-}
-
-// shardTunerAdapter narrows a pipeline Tuner to the shard scheduler's
-// TuningSource: the shard-level knobs pass through, the pipeline-level
-// ones (Workers, Window) are dropped.
-type shardTunerAdapter struct{ t Tuner }
-
-func (a shardTunerAdapter) ShardTuning() shardio.Tuning {
-	pt := a.t.PipelineTuning()
-	ra := pt.Readahead
-	if ra < 0 {
-		ra = -1
-	}
-	return shardio.Tuning{
-		DeadlineMult: pt.DeadlineMult,
-		HedgeAfter:   pt.HedgeAfter,
-		Readahead:    ra,
-	}
 }
 
 // geom is a validated, defaulted view of Options.
@@ -328,7 +261,6 @@ type geom struct {
 	closeRead  bool            // close closable shard readers when Decode returns
 	metrics    *obs.Registry   // nil: each pipeline gets a private registry
 	trace      *obs.Tracer     // nil: tracing off
-	tuner      Tuner           // nil: every knob static
 	clock      vclock.Clock    // nil: wall clock
 }
 
@@ -369,7 +301,7 @@ func (o Options) geometry() (geom, error) {
 	}
 	trailer := o.Checksum.trailerSize()
 	var fused sumEncoder
-	if se, ok := o.Codec.(sumEncoder); ok && trailer > 0 && !o.DisableFused {
+	if se, ok := o.Codec.(sumEncoder); ok && trailer > 0 {
 		// Fusion only pays when trailers are wanted: without checksums
 		// the plain Encode sweep already does all the work there is.
 		fused = se
@@ -392,9 +324,6 @@ func (o Options) geometry() (geom, error) {
 		Readahead:        o.Readahead,
 		Clock:            o.Clock,
 	}
-	if o.Tuner != nil {
-		sopts.Tuning = shardTunerAdapter{o.Tuner}
-	}
 	straggler, err := sopts.Normalize()
 	if err != nil {
 		return geom{}, err
@@ -415,7 +344,6 @@ func (o Options) geometry() (geom, error) {
 		closeRead:  o.CloseReaders,
 		metrics:    o.Metrics,
 		trace:      o.Trace,
-		tuner:      o.Tuner,
 		clock:      o.Clock,
 	}, nil
 }

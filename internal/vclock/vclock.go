@@ -1,11 +1,11 @@
 // Package vclock is a minimal virtual-clock seam: an interface over
-// time.Now / time.NewTimer / time.NewTicker with a real implementation
-// and a deterministic fake.
+// time.Now / time.NewTimer / time.After with a real implementation and
+// a deterministic fake.
 //
-// The adaptive controller (internal/adapt), the shard-I/O scheduler
-// (internal/shardio), and their tests all take a Clock instead of
+// The shard-I/O scheduler (internal/shardio), the gateway's sideliner
+// (internal/cluster), and their tests all take a Clock instead of
 // calling the time package directly, so every time-driven decision —
-// breaker cooldowns, hedge deadlines, controller ticks — can be
+// breaker cooldowns, hedge deadlines, sideline probes — can be
 // replayed exactly from a scripted schedule with no real sleeping. A
 // nil Clock everywhere means "wall clock", so production code pays one
 // nil check and no behaviour change.
@@ -24,8 +24,6 @@ type Clock interface {
 	Now() time.Time
 	// NewTimer returns a timer that fires once after d.
 	NewTimer(d time.Duration) Timer
-	// NewTicker returns a ticker that fires every d.
-	NewTicker(d time.Duration) Ticker
 	// After returns a channel that receives the fire time once d has
 	// elapsed.
 	After(d time.Duration) <-chan time.Time
@@ -38,12 +36,6 @@ type Timer interface {
 	C() <-chan time.Time
 	Stop() bool
 	Reset(d time.Duration)
-}
-
-// Ticker is the injectable face of *time.Ticker.
-type Ticker interface {
-	C() <-chan time.Time
-	Stop()
 }
 
 // Real returns the wall-clock implementation.
@@ -62,7 +54,6 @@ type realClock struct{}
 
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) NewTimer(d time.Duration) Timer         { return realTimer{time.NewTimer(d)} }
-func (realClock) NewTicker(d time.Duration) Ticker       { return realTicker{time.NewTicker(d)} }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 type realTimer struct{ t *time.Timer }
@@ -71,14 +62,9 @@ func (t realTimer) C() <-chan time.Time   { return t.t.C }
 func (t realTimer) Stop() bool            { return t.t.Stop() }
 func (t realTimer) Reset(d time.Duration) { t.t.Reset(d) }
 
-type realTicker struct{ t *time.Ticker }
-
-func (t realTicker) C() <-chan time.Time { return t.t.C }
-func (t realTicker) Stop()               { t.t.Stop() }
-
 // Fake is a deterministic Clock: time advances only when a test calls
-// Advance (or Set), and every timer/ticker whose deadline is reached
-// fires synchronously inside that call, in deadline order. All methods
+// Advance (or Set), and every timer whose deadline is reached fires
+// synchronously inside that call, in deadline order. All methods
 // are safe for concurrent use.
 type Fake struct {
 	mu      sync.Mutex
@@ -96,12 +82,11 @@ func NewFake() *Fake {
 	return f
 }
 
-// fakeWaiter is one pending timer/ticker/After registration.
+// fakeWaiter is one pending timer/After registration.
 type fakeWaiter struct {
-	at     time.Time
-	period time.Duration // 0: one-shot
-	ch     chan time.Time
-	dead   bool
+	at   time.Time
+	ch   chan time.Time
+	dead bool
 }
 
 func (f *Fake) Now() time.Time {
@@ -118,9 +103,8 @@ func (f *Fake) Set(t time.Time) {
 	f.advanceTo(t)
 }
 
-// Advance moves the clock forward by d, firing due timers and tickers
-// in deadline order. A ticker due several times within d fires once
-// per period.
+// Advance moves the clock forward by d, firing due timers in deadline
+// order.
 func (f *Fake) Advance(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -129,8 +113,7 @@ func (f *Fake) Advance(d time.Duration) {
 
 // advanceTo fires waiters in deadline order up to target; caller holds
 // f.mu. Sends are non-blocking after the first buffered slot: timer
-// channels have capacity 1 like the time package's, and a ticker that
-// nobody drained coalesces missed ticks, matching time.Ticker.
+// channels have capacity 1 like the time package's.
 func (f *Fake) advanceTo(target time.Time) {
 	for {
 		var next *fakeWaiter
@@ -150,11 +133,7 @@ func (f *Fake) advanceTo(target time.Time) {
 		case next.ch <- next.at:
 		default:
 		}
-		if next.period > 0 {
-			next.at = next.at.Add(next.period)
-		} else {
-			next.dead = true
-		}
+		next.dead = true
 	}
 	if target.After(f.now) {
 		f.now = target
@@ -181,7 +160,7 @@ func (f *Fake) add(w *fakeWaiter) {
 	f.mu.Unlock()
 }
 
-// Waiters returns the number of live pending timers/tickers — the
+// Waiters returns the number of live pending timers — the
 // test-side rendezvous for "has the code under test armed its timer
 // yet?".
 func (f *Fake) Waiters() int {
@@ -230,19 +209,6 @@ func (f *Fake) NewTimer(d time.Duration) Timer {
 	return &fakeTimer{f: f, w: w}
 }
 
-func (f *Fake) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker period")
-	}
-	w := &fakeWaiter{period: d, ch: make(chan time.Time, 1)}
-	f.mu.Lock()
-	w.at = f.now.Add(d)
-	f.waiters = append(f.waiters, w)
-	f.blocked.Broadcast()
-	f.mu.Unlock()
-	return &fakeTicker{f: f, w: w}
-}
-
 func (f *Fake) After(d time.Duration) <-chan time.Time {
 	return f.NewTimer(d).C()
 }
@@ -278,19 +244,6 @@ func (t *fakeTimer) Reset(d time.Duration) {
 		t.f.waiters = append(t.f.waiters, t.w)
 	}
 	t.f.blocked.Broadcast()
-	t.f.mu.Unlock()
-}
-
-type fakeTicker struct {
-	f *Fake
-	w *fakeWaiter
-}
-
-func (t *fakeTicker) C() <-chan time.Time { return t.w.ch }
-
-func (t *fakeTicker) Stop() {
-	t.f.mu.Lock()
-	t.w.dead = true
 	t.f.mu.Unlock()
 }
 

@@ -63,39 +63,6 @@ func TestFakeTimerStopAndReset(t *testing.T) {
 	}
 }
 
-func TestFakeTickerCoalescesAndStops(t *testing.T) {
-	f := NewFake()
-	tk := f.NewTicker(10 * time.Millisecond)
-	// Three periods elapse with nobody draining: the capacity-1 channel
-	// coalesces to one pending tick, like time.Ticker.
-	f.Advance(30 * time.Millisecond)
-	n := 0
-	for {
-		select {
-		case <-tk.C():
-			n++
-			continue
-		default:
-		}
-		break
-	}
-	if n != 1 {
-		t.Fatalf("undrained ticker delivered %d ticks, want 1 (coalesced)", n)
-	}
-	// Drained each period, it delivers each tick.
-	f.Advance(10 * time.Millisecond)
-	<-tk.C()
-	f.Advance(10 * time.Millisecond)
-	<-tk.C()
-	tk.Stop()
-	f.Advance(50 * time.Millisecond)
-	select {
-	case <-tk.C():
-		t.Fatal("stopped ticker ticked")
-	default:
-	}
-}
-
 func TestFakeFiringOrderIsDeadlineOrder(t *testing.T) {
 	f := NewFake()
 	late := f.NewTimer(20 * time.Millisecond)
