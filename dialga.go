@@ -167,10 +167,10 @@ func Join(shards [][]byte, size int) ([]byte, error) { return rs.Join(shards, si
 
 // StreamOptions configures a streaming pipeline. StreamOptions.Codec
 // accepts a *Codec directly; wrap an *LRC with its StreamCodec method.
-// The straggler-tolerance knobs (HedgeAfter, DeadlineMult, MaxRetries,
-// Backoff, BreakerThreshold, BreakerCooldown, Seed) configure the
-// decoder's hedged degraded reads, retry policy, and per-shard circuit
-// breakers; hedging is off until HedgeAfter is set.
+// Straggler tolerance on decode — hedged degraded reads, seeded retries
+// of transient errors, per-shard circuit breakers — has one switch,
+// HedgeAfter (off until set; retries are always on), and fixed
+// constants behind it.
 type StreamOptions = stream.Options
 
 // StreamCodec is the stripe-level codec interface the pipeline drives.

@@ -74,11 +74,6 @@ type GatewayOptions struct {
 	// journaling (quorum puts still succeed, but a gateway crash
 	// forgets which shards were owed).
 	Intents *IntentLog
-	// OnDegraded is called once per shard missing at ack time, after
-	// its intent is journaled — the hook the repairer registers to
-	// learn about owed shards without polling. Called from PutObject's
-	// goroutine; keep it fast. Nil disables.
-	OnDegraded func(object string, index int)
 }
 
 // Gateway stripes whole objects across the cluster: PUT encodes an
@@ -207,21 +202,20 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		backoff = 50 * time.Millisecond
 	}
 	g := &Gateway{
-		k:          opts.K,
-		m:          opts.M,
-		stripe:     stripeSize,
-		spares:     spares,
-		router:     newSideliner(router, opts.Metrics),
-		hedge:      opts.HedgeAfter,
-		seed:       opts.Seed,
-		reg:        opts.Metrics,
-		hc:         hc,
-		codec:      codec,
-		quorum:     quorum,
-		retries:    retries,
-		backoff:    backoff,
-		intents:    opts.Intents,
-		onDegraded: opts.OnDegraded,
+		k:       opts.K,
+		m:       opts.M,
+		stripe:  stripeSize,
+		spares:  spares,
+		router:  newSideliner(router, opts.Metrics),
+		hedge:   opts.HedgeAfter,
+		seed:    opts.Seed,
+		reg:     opts.Metrics,
+		hc:      hc,
+		codec:   codec,
+		quorum:  quorum,
+		retries: retries,
+		backoff: backoff,
+		intents: opts.Intents,
 	}
 	if g.enc, err = stream.NewEncoder(g.streamOptions()); err != nil {
 		return nil, err
@@ -279,10 +273,13 @@ func (g *Gateway) UpdateMap(next *Map) error {
 // Shards returns the stripe width K+M.
 func (g *Gateway) Shards() int { return g.k + g.m }
 
-// SetOnDegraded installs the degraded-put callback after construction
-// — the gateway is usually built before the repairer that wants the
-// hook. Call before the gateway starts serving puts; the hook is read
-// without synchronization.
+// SetOnDegraded installs the degraded-put callback: f is called once
+// per shard missing at ack time, after its intent is journaled — how the
+// repairer learns about owed shards without polling. It runs on
+// PutObject's goroutine; keep it fast. The gateway is usually built
+// before the repairer that wants the hook, hence a setter; call it
+// before the gateway starts serving puts, the hook is read without
+// synchronization.
 func (g *Gateway) SetOnDegraded(f func(object string, index int)) { g.onDegraded = f }
 
 // Map returns the gateway's current cluster map. Operations that need

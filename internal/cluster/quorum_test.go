@@ -62,11 +62,11 @@ func TestPutQuorumDegradedAck(t *testing.T) {
 
 	var mu sync.Mutex
 	var hooked []Intent
-	tc.gw.onDegraded = func(object string, index int) {
+	tc.gw.SetOnDegraded(func(object string, index int) {
 		mu.Lock()
 		hooked = append(hooked, Intent{Object: object, Index: index})
 		mu.Unlock()
-	}
+	})
 
 	const object = "degraded-put"
 	payload := clusterPayload(41, 256_000)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,18 +19,16 @@ import (
 // per shard body from Observe, and moves the nodes that run behind
 // their peers to the back of every order the inner router returns.
 //
-// The rule is relative, as the paper's is: a sample is late when it
-// exceeds shardio.DefaultDeadlineMult times the median of the other
-// observed nodes' averages, so a fleet that is uniformly slow — a busy
-// box, a cold cache — sidelines nobody, and no absolute number has to
-// be right for the hardware. It acts on a run, not on one sample:
-// shardio.DefaultBreakerThreshold late samples (or failed opens) in a
-// row sideline the node for a cooldown that doubles per consecutive
-// trip (shardio.Cooldown, from DefaultBreakerCooldown up to
-// DefaultMaxDeadline); one on-time sample resets the run. When the
-// cooldown ends the node returns to its place in the order, and the
-// next sample it produces is its probe: on time re-admits it, late
-// sidelines it again for longer.
+// The rule is relative, as the paper's is: a sample is late past
+// shardio.LateAfter of the other observed nodes' averages, so a fleet
+// that is uniformly slow — a busy box, a cold cache — sidelines nobody,
+// and no absolute number has to be right for the hardware. What lateness
+// does to a node is shardio.Breaker's rule, the one a Group applies to a
+// shard within a stream: a run of late samples (or failed opens)
+// sidelines the node for a cooldown that doubles per consecutive trip,
+// one on-time sample resets the run, and when the cooldown ends the node
+// returns to its place in the order and the next sample it produces is
+// its probe — on time re-admits it, late sidelines it again for longer.
 //
 // Sidelined means asked last, never excluded: the node's shards move to
 // the back of the order, where a read that cannot get what it wants
@@ -51,18 +48,15 @@ type sideliner struct {
 
 	mu      sync.Mutex
 	nodes   map[NodeID]*nodeReads
-	benched int       // nodes with sidelined set
+	benched int       // nodes whose gate is tripped
 	scratch []float64 // median's sort buffer
 }
 
 // nodeReads is what the sideliner knows about one node.
 type nodeReads struct {
-	ewma      shardio.EWMA // per-block read samples
-	misses    int          // late samples in a row
-	trips     int          // sidelinings since the last on-time probe
-	sidelined bool
-	until     time.Time // cooldown end; the first sample after it is the probe
-	failing   bool      // the last sample was a failed open
+	ewma    shardio.EWMA    // per-block read samples
+	gate    shardio.Breaker // tripped: the node is sidelined
+	failing bool            // the last sample was a failed open
 
 	ewmaG, sidelinedG  *obs.Gauge
 	tripsC             *obs.Counter
@@ -100,9 +94,10 @@ func (s *sideliner) nodeLocked(id NodeID) *nodeReads {
 	return n
 }
 
-// peerMedianLocked is the median average, in microseconds, over the
-// observed nodes other than self; ok is false when there are none.
-func (s *sideliner) peerMedianLocked(self *nodeReads) (float64, bool) {
+// lateAfterLocked is the latency past which a sample of self is late:
+// judged against the observed nodes other than self. ok is false when
+// there are none.
+func (s *sideliner) lateAfterLocked(self *nodeReads) (time.Duration, bool) {
 	peers := s.scratch[:0]
 	for _, n := range s.nodes {
 		if n != self && n.ewma.Samples() > 0 {
@@ -110,11 +105,7 @@ func (s *sideliner) peerMedianLocked(self *nodeReads) (float64, bool) {
 		}
 	}
 	s.scratch = peers
-	if len(peers) == 0 {
-		return 0, false
-	}
-	slices.Sort(peers)
-	return peers[len(peers)/2], true
+	return shardio.LateAfter(peers)
 }
 
 // Observe takes one sample of a node: d is the open time plus the time
@@ -138,40 +129,24 @@ func (s *sideliner) Observe(id NodeID, d time.Duration, err error) {
 	n.failing = err != nil
 	late := err != nil
 	if err == nil {
-		med, ok := s.peerMedianLocked(n)
-		late = ok && float64(d)/float64(time.Microsecond) > shardio.DefaultDeadlineMult*med
+		after, ok := s.lateAfterLocked(n)
+		late = ok && d > after
 		n.ewma.Observe(d)
 		n.ewmaG.Set(n.ewma.Micros())
 	}
-	probe := n.sidelined && !now.Before(n.until)
+	tripped, probe := n.gate.Observe(now, late)
 	switch {
-	case n.sidelined && !probe:
-		// Still cooling down: a read that had to reach into the back of
-		// the order, or one that began before the trip. It is no probe.
-	case !late:
-		n.misses = 0
-		if probe {
-			n.sidelined, n.trips = false, 0
-			s.benched--
-			n.sidelinedG.Set(0)
-			n.probeOK.Inc()
-		}
-	default:
-		n.misses++
-		if !probe && n.misses < shardio.DefaultBreakerThreshold {
-			return
-		}
-		if probe {
-			n.probeMiss.Inc()
-		} else {
-			n.sidelined = true
-			s.benched++
-			n.sidelinedG.Set(1)
-		}
-		n.until = now.Add(shardio.Cooldown(shardio.DefaultBreakerCooldown, n.trips, shardio.DefaultMaxDeadline))
-		n.trips++
-		n.misses = 0
+	case tripped && probe:
+		n.probeMiss.Inc()
 		n.tripsC.Inc()
+	case tripped:
+		s.benched++
+		n.sidelinedG.Set(1)
+		n.tripsC.Inc()
+	case probe:
+		s.benched--
+		n.sidelinedG.Set(0)
+		n.probeOK.Inc()
 	}
 }
 
@@ -200,7 +175,7 @@ func (s *sideliner) split(object string, p Placement) (order []int, front int) {
 	for _, idx := range order {
 		n := s.nodes[p[idx].ID]
 		switch {
-		case n == nil || !n.sidelined || !now.Before(n.until):
+		case n == nil || !n.gate.Cooling(now):
 			order[front] = idx
 			front++
 		case n.failing:
@@ -231,9 +206,9 @@ func (s *sideliner) sidelinedNodes() []sidelinedNode {
 	defer s.mu.Unlock()
 	out := []sidelinedNode{}
 	for id, n := range s.nodes {
-		if n.sidelined {
-			left := max(0, n.until.Sub(now))
-			out = append(out, sidelinedNode{ID: id, CooldownMS: left.Milliseconds(), Trips: n.trips})
+		if n.gate.Trips > 0 {
+			left := max(0, n.gate.Until.Sub(now))
+			out = append(out, sidelinedNode{ID: id, CooldownMS: left.Milliseconds(), Trips: n.gate.Trips})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })

@@ -15,13 +15,21 @@ import (
 	"dialga/internal/fault"
 	"dialga/internal/node"
 	"dialga/internal/obs"
-	"dialga/internal/shardio"
 	"dialga/internal/vclock"
 )
 
 const (
 	fastRead = 100 * time.Microsecond
 	slowRead = 5 * time.Millisecond
+)
+
+// shardio.Breaker's numbers, restated: the gate's own rules are pinned
+// by its table in internal/shardio; these tests pin that the sideliner
+// feeds it, acts on it and reports it.
+const (
+	lateRun       = 5                      // late samples in a row that sideline a node
+	firstCooldown = 250 * time.Millisecond // doubling per failed probe
+	maxCooldown   = 15 * time.Second
 )
 
 // errNodeDown is a failed open as the shard client reports one.
@@ -72,7 +80,7 @@ func (s *sideliner) isSidelined(id NodeID) bool {
 // the count over.
 func TestSidelineNeedsARun(t *testing.T) {
 	s, _, p := fakeSideliner(t)
-	const n = shardio.DefaultBreakerThreshold
+	const n = lateRun
 	victim := p[1].ID
 
 	for i := 0; i < n-1; i++ {
@@ -116,7 +124,7 @@ func TestSidelineNeedsARun(t *testing.T) {
 // node's last open did is what counts, also inside a cooldown.
 func TestSidelineOrdersSlowBeforeFailing(t *testing.T) {
 	s, _, p := fakeSideliner(t)
-	for i := 0; i < shardio.DefaultBreakerThreshold; i++ {
+	for i := 0; i < lateRun; i++ {
 		s.Observe(p[0].ID, 0, errNodeDown)
 		s.Observe(p[1].ID, slowRead, nil)
 		s.Observe(p[3].ID, 0, errNodeDown)
@@ -147,13 +155,14 @@ func TestSidelineIsRelative(t *testing.T) {
 	}
 }
 
-// TestSidelineProbeBackoff: the cooldown doubles with every failed
-// probe up to the cap, samples inside a cooldown change nothing, and an
-// on-time probe re-admits the node with its trips forgotten.
+// TestSidelineProbeBackoff: the cooldown the sideliner reports and
+// orders by doubles with every failed probe, samples inside a cooldown
+// change nothing, and an on-time probe re-admits the node with its trips
+// forgotten.
 func TestSidelineProbeBackoff(t *testing.T) {
 	s, clock, p := fakeSideliner(t)
 	victim := p[2].ID
-	for i := 0; i < shardio.DefaultBreakerThreshold; i++ {
+	for i := 0; i < lateRun; i++ {
 		s.Observe(victim, slowRead, nil)
 	}
 	lbl := obs.Label{Key: "node", Value: string(victim)}
@@ -161,8 +170,8 @@ func TestSidelineProbeBackoff(t *testing.T) {
 		return s.reg.Counter("cluster_sideline_probes_total", "", lbl, obs.Label{Key: "result", Value: result}).Value()
 	}
 
-	want := shardio.DefaultBreakerCooldown
-	for trip := 1; trip <= 9; trip++ {
+	want := firstCooldown
+	for trip := 1; trip <= 3; trip++ {
 		got := s.sidelinedNodes()
 		if len(got) != 1 || got[0].ID != victim || got[0].Trips != trip ||
 			got[0].CooldownMS != want.Milliseconds() {
@@ -184,10 +193,7 @@ func TestSidelineProbeBackoff(t *testing.T) {
 		if probes("miss") != uint64(trip) {
 			t.Fatalf("trip %d: %d failed probes counted", trip, probes("miss"))
 		}
-		want = min(2*want, shardio.DefaultMaxDeadline)
-	}
-	if want != shardio.DefaultMaxDeadline {
-		t.Fatalf("cooldown never reached the cap: %v", want)
+		want *= 2
 	}
 
 	clock.Advance(want)
@@ -199,11 +205,11 @@ func TestSidelineProbeBackoff(t *testing.T) {
 		t.Fatal("cluster_node_sidelined still 1 after re-admission")
 	}
 	// Trips were forgotten: the next sidelining starts from the base.
-	for i := 0; i < shardio.DefaultBreakerThreshold; i++ {
+	for i := 0; i < lateRun; i++ {
 		s.Observe(victim, slowRead, nil)
 	}
 	if got := s.sidelinedNodes(); len(got) != 1 || got[0].Trips != 1 ||
-		got[0].CooldownMS != shardio.DefaultBreakerCooldown.Milliseconds() {
+		got[0].CooldownMS != firstCooldown.Milliseconds() {
 		t.Fatalf("sidelined again: %+v, want trip 1 at the base cooldown", got)
 	}
 }
@@ -218,7 +224,7 @@ func TestSidelineErrors(t *testing.T) {
 	s.clock = vclock.NewFake()
 	notFound := fmt.Errorf("shard 3: %w", &node.StatusError{Code: http.StatusNotFound})
 	badHeader := errors.New("shardfile: bad magic")
-	for i := 0; i < 3*shardio.DefaultBreakerThreshold; i++ {
+	for i := 0; i < 3*lateRun; i++ {
 		s.Observe("n0", time.Millisecond, notFound)
 		s.Observe("n1", time.Millisecond, badHeader)
 	}
@@ -315,14 +321,14 @@ func TestTimedBodySample(t *testing.T) {
 
 // bench sidelines a node the way five refused connections would.
 func (tc *testCluster) bench(id NodeID) {
-	for i := 0; i < shardio.DefaultBreakerThreshold; i++ {
+	for i := 0; i < lateRun; i++ {
 		tc.gw.router.Observe(id, 0, errNodeDown)
 	}
 }
 
 // lag sidelines a node the way five slow bodies would.
 func (tc *testCluster) lag(id NodeID) {
-	for i := 0; i < shardio.DefaultBreakerThreshold; i++ {
+	for i := 0; i < lateRun; i++ {
 		tc.gw.router.Observe(id, slowRead, nil)
 	}
 }
@@ -404,7 +410,7 @@ func TestSidelinedMeansAskedLast(t *testing.T) {
 		Sidelined []sidelinedNode
 	}
 	if err := json.Unmarshal(body, &info); err != nil || len(info.Nodes) != 6 || len(info.Sidelined) != 3 ||
-		info.Sidelined[0].CooldownMS != shardio.DefaultBreakerCooldown.Milliseconds() {
+		info.Sidelined[0].CooldownMS != firstCooldown.Milliseconds() {
 		t.Fatalf("cluster map %s: %v", body, err)
 	}
 
@@ -456,7 +462,7 @@ func TestMissingShardsSidelineNobody(t *testing.T) {
 	tc.put(ctx, "obj", payload)
 	tc.deleteShard(ctx, "obj", 0)
 	tc.deleteShard(ctx, "obj", 2)
-	for i := 0; i < 3*shardio.DefaultBreakerThreshold; i++ {
+	for i := 0; i < 3*lateRun; i++ {
 		tc.mustGet(ctx, "obj", payload)
 	}
 	if got := tc.gw.router.sidelinedNodes(); len(got) != 0 {
@@ -500,13 +506,13 @@ func TestSidelineSlowNode(t *testing.T) {
 	faults.Set(slow.addr, plan)
 	detected := 0
 	for !tc.gw.router.isSidelined(slow.id) {
-		if detected++; detected > 4*shardio.DefaultBreakerThreshold {
+		if detected++; detected > 4*lateRun {
 			t.Fatalf("slow node not sidelined after %d reads", detected-1)
 		}
 		tc.mustGet(ctx, "obj", payload)
 	}
-	if detected < shardio.DefaultBreakerThreshold {
-		t.Fatalf("sidelined after %d reads, before a run of %d", detected, shardio.DefaultBreakerThreshold)
+	if detected < lateRun {
+		t.Fatalf("sidelined after %d reads, before a run of %d", detected, lateRun)
 	}
 
 	getsBefore, probesBefore := gets.Value(), probes()
@@ -536,10 +542,10 @@ func TestSidelineSlowNode(t *testing.T) {
 	benched := tc.gw.router.sidelinedNodes()[0]
 	wait := time.Duration(benched.CooldownMS)*time.Millisecond + 2*time.Second
 	for retry := 0; retry < 2; retry++ {
-		wait += shardio.Cooldown(shardio.DefaultBreakerCooldown, benched.Trips+retry, shardio.DefaultMaxDeadline)
+		wait += min(firstCooldown<<(benched.Trips+retry), maxCooldown)
 	}
 	if raceEnabled {
-		wait = 3 * shardio.DefaultMaxDeadline
+		wait = 3 * maxCooldown
 	}
 	for deadline := time.Now().Add(wait); tc.gw.router.isSidelined(slow.id); {
 		if time.Now().After(deadline) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -26,12 +25,8 @@ type shardMeta struct {
 	late           *lateSlot // armed slot of the stripe that hedged past the read
 	lateSeq        int64
 
-	ewma EWMA // block-read latency tracker
-
-	misses    int // consecutive adaptive-deadline misses (breaker input)
-	trips     int // total breaker trips (sets the cooldown backoff)
-	open      bool
-	openUntil time.Time
+	ewma EWMA    // block-read latency tracker
+	gate Breaker // fed a late sample per deadline miss, an on-time one per block in time
 
 	// Registry series for this shard; nil (no-op) without
 	// Options.Metrics.
@@ -87,8 +82,7 @@ type Group struct {
 // shard reader, and returns the ready group. Nil entries in readers
 // are permanently missing shards.
 func NewGroup(readers []io.Reader, opts Options) (*Group, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	pool := opts.Blocks
@@ -203,92 +197,29 @@ func (g *Group) enqueue(i int, seq int64) {
 // eligible reports whether shard i can be asked for a block right now.
 func (g *Group) eligible(i int, now time.Time) bool {
 	m := &g.sh[i]
-	return !m.missing && !m.dead && !m.eof && !m.outstanding &&
-		!(m.open && now.Before(m.openUntil))
+	return !m.missing && !m.dead && !m.eof && !m.outstanding && !m.gate.Cooling(now)
 }
 
-// deadline derives the stripe's adaptive deadline from the fleet: the
-// median of live shards' latency EWMAs times DeadlineMult, clamped to
-// [HedgeAfter, MaxDeadline]. ok is false until any shard has a sample.
+// deadline derives the stripe's adaptive deadline from the fleet: past
+// it a block is late against the live shards' latency EWMAs (the
+// straggler's own included), clamped to [HedgeAfter, maxDeadline]. ok is
+// false until any shard has a sample.
 func (g *Group) deadline() (time.Duration, bool) {
 	ewmas := g.ewmaScratch[:0]
-	defer func() { g.ewmaScratch = ewmas[:0] }()
 	for i := range g.sh {
 		m := &g.sh[i]
 		if m.ewma.Samples() > 0 && !m.missing && !m.dead && !m.eof {
 			ewmas = append(ewmas, m.ewma.Micros())
 		}
 	}
-	if len(ewmas) == 0 {
+	g.ewmaScratch = ewmas
+	d, ok := LateAfter(ewmas)
+	if !ok {
 		return 0, false
 	}
-	slices.Sort(ewmas) // generic sort: no interface boxing on the hot path
-	med := ewmas[len(ewmas)/2]
-	d := time.Duration(g.opts.DeadlineMult * med * float64(time.Microsecond))
-	if d < g.opts.HedgeAfter {
-		d = g.opts.HedgeAfter
-	}
-	if d > g.opts.MaxDeadline {
-		d = g.opts.MaxDeadline
-	}
+	d = min(max(d, g.opts.HedgeAfter), maxDeadline)
 	g.deadlineG.Set(float64(d) / float64(time.Microsecond))
 	return d, true
-}
-
-// Cooldown returns the open period after a breaker's trips-th
-// consecutive trip: base doubled per prior trip, clamped to ceiling.
-// The doubling stops at the ceiling rather than shifting blindly, so
-// however many times a source re-trips, the cooldown can never overflow
-// time.Duration into a negative (instantly expired) open period.
-// Exported so the cluster gateway's node sidelining backs off on the
-// same schedule as the per-stream shard breaker.
-func Cooldown(base time.Duration, trips int, ceiling time.Duration) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	if ceiling < base {
-		ceiling = base
-	}
-	d := base
-	for i := 0; i < trips; i++ {
-		if d >= ceiling/2 {
-			return ceiling
-		}
-		d <<= 1
-	}
-	return d
-}
-
-// breakerCeiling is the cooldown cap: a shard should never be benched
-// longer than the worst deadline the group itself tolerates, and never
-// less than one base cooldown.
-func (g *Group) breakerCeiling() time.Duration {
-	if g.opts.MaxDeadline > g.opts.BreakerCooldown {
-		return g.opts.MaxDeadline
-	}
-	return g.opts.BreakerCooldown
-}
-
-// miss records a deadline miss against shard i's breaker, tripping it
-// open (or re-opening a half-open probe) once misses reach the
-// threshold. Cooldown doubles with every consecutive trip, capped at
-// breakerCeiling.
-func (g *Group) miss(i int, st *Stripe) {
-	m := &g.sh[i]
-	m.misses++
-	if g.opts.BreakerThreshold <= 0 {
-		return
-	}
-	if !m.open && m.misses < g.opts.BreakerThreshold {
-		return
-	}
-	m.open = true
-	m.openUntil = g.clock.Now().Add(Cooldown(g.opts.BreakerCooldown, m.trips, g.breakerCeiling()))
-	m.trips++
-	m.misses = 0
-	st.Trips++
-	m.openG.Set(1)
-	m.tripsC.Inc()
 }
 
 // getStripe takes a stripe from the group's pool (allocating only when
@@ -364,7 +295,7 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error {
 			st.Errs[i] = m.deadErr
 		case m.eof:
 			st.States[i] = StateEOF
-		case m.open && now.Before(m.openUntil):
+		case m.gate.Cooling(now):
 			st.States[i] = StateOpen
 		case m.outstanding:
 			// Still serving an earlier stripe: a straggler mid-read.
@@ -405,8 +336,9 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error {
 
 	// abandon demotes every still-awaited shard to slow for this
 	// stripe, registering the late slot that lets the hedge race
-	// resolve in the worker.
+	// resolve in the worker, and counts the miss against its breaker.
 	abandon := func() {
+		now := g.clock.Now()
 		for i := range awaited {
 			if !awaited[i] {
 				continue
@@ -420,7 +352,11 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error {
 			st.slotGen[i] = m.outstandingSeq
 			st.States[i] = StateSlow
 			st.Hedged = true
-			g.miss(i, st)
+			if tripped, _ := m.gate.Observe(now, true); tripped {
+				st.Trips++
+				m.openG.Set(1)
+				m.tripsC.Inc()
+			}
 		}
 		wait = 0
 	}
@@ -522,11 +458,8 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 		st.States[i] = StateOK
 		*got++
 		m.observe(res.dur)
-		m.misses = 0
-		if m.open {
+		if _, probe := m.gate.Observe(g.clock.Now(), false); probe {
 			// Half-open probe answered in time: breaker closes.
-			m.open = false
-			m.trips = 0
 			m.openG.Set(0)
 		}
 	}

@@ -224,7 +224,15 @@ func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int
 	res.err = err
 }
 
-// readBlock reads one full block, absorbing up to MaxRetries transient
+// Transient read errors are retried in place: at most maxRetries times
+// per block, retry i after a sleep drawn uniformly from
+// [0, backoff<<(i-1)] (full jitter, seeded by Options.Seed).
+const (
+	maxRetries = 3
+	backoff    = 500 * time.Microsecond
+)
+
+// readBlock reads one full block, absorbing up to maxRetries transient
 // errors with exponential full-jitter backoff. A clean EOF before the
 // first byte returns eof=true; a mid-block EOF or any other failure is
 // terminal.
@@ -238,19 +246,13 @@ func (g *Group) readBlock(r io.Reader, rng *jitter, buf []byte, res *result) (eo
 			return false, nil
 		case err == io.EOF && n == 0:
 			return true, nil
-		case isTransient(err) && attempt < g.opts.MaxRetries:
+		case isTransient(err) && attempt < maxRetries:
 			attempt++
 			res.retries++
 			res.transients++
-			if g.opts.Backoff > 0 {
-				shift := attempt - 1
-				if shift > 16 {
-					shift = 16
-				}
-				d := time.Duration(rng.Int63n(int64(g.opts.Backoff<<shift) + 1))
-				if !g.sleep(d) {
-					return false, errClosed
-				}
+			d := time.Duration(rng.Int63n(int64(backoff)<<(attempt-1) + 1))
+			if !g.sleep(d) {
+				return false, errClosed
 			}
 		default:
 			return false, err

@@ -15,8 +15,7 @@
 //
 //   - Latency tracking. Every block read updates a per-shard EWMA;
 //     the fleet median of those EWMAs yields an adaptive per-stripe
-//     deadline (DeadlineMult × p50, clamped to [HedgeAfter,
-//     MaxDeadline]).
+//     deadline (LateAfter, clamped to [HedgeAfter, 15 s]).
 //   - Hedged reads. A shard that misses the deadline while at least
 //     Quorum blocks have arrived is demoted to slow for the stripe:
 //     the stripe proceeds to reconstruction immediately while the slow
@@ -24,15 +23,17 @@
 //     — the consumer may claim a late-arriving block via
 //     Stripe.TakeLate up to the moment it commits to reconstruction.
 //   - Retry with backoff. Transient read errors (Transient() bool ==
-//     true) are retried up to MaxRetries times with exponential
-//     backoff and full jitter, deterministically seeded, instead of a
-//     single immediate retry.
-//   - Circuit breaking. A shard that misses its deadline
-//     BreakerThreshold times in a row is demoted to open: the group
-//     stops waiting for it entirely. After a cooldown (doubling per
-//     trip) the breaker goes half-open and the next stripe issues a
+//     true) are retried up to three times with exponential backoff and
+//     full jitter, deterministically seeded, instead of a single
+//     immediate retry.
+//   - Circuit breaking. Each shard sits behind a Breaker: five deadline
+//     misses in a row and the group stops waiting for it entirely.
+//     After a cooldown (doubling per trip) the next stripe issues a
 //     probe read; an on-time probe closes the breaker, a miss re-opens
 //     it with a longer cooldown.
+//
+// The numbers are constants (breaker.go, shard.go), not options: the
+// one switch is HedgeAfter.
 //
 // Per-shard stream position is tracked by the shard goroutine itself:
 // a request for stripe s first skip-reads any blocks an open or slow
@@ -46,9 +47,9 @@
 // ~5 ms: far behind its peers, far under the floor, so in-stream
 // hedging never fires there, on the first stream or the thousandth.
 // That regime is covered one layer up, by the gateway's cross-request
-// node sidelining (internal/cluster, sideline.go), which judges nodes
-// against their peers with this package's constants and Cooldown
-// schedule and simply stops handing the slow node's shard to the Group.
+// node sidelining (internal/cluster, sideline.go), which puts each node
+// behind the same Breaker, judged against its peers, and simply stops
+// handing the slow node's shard to the Group.
 //
 // All Group methods are intended for a single consumer goroutine (the
 // decoder's producer); only Stripe.TakeLate is safe to call
@@ -63,16 +64,6 @@ import (
 
 	"dialga/internal/obs"
 	"dialga/internal/vclock"
-)
-
-// Defaults applied by NewGroup for zero-valued Options fields.
-const (
-	DefaultDeadlineMult     = 3.0
-	DefaultMaxDeadline      = 15 * time.Second
-	DefaultMaxRetries       = 3
-	DefaultBackoff          = 500 * time.Microsecond
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 250 * time.Millisecond
 )
 
 // Options configures a Group.
@@ -92,33 +83,6 @@ type Options struct {
 	// Zero disables hedging (and the circuit breaker with it): every
 	// stripe waits for all live shards, however slow.
 	HedgeAfter time.Duration
-
-	// DeadlineMult scales the fleet-median EWMA into the per-stripe
-	// deadline. Default DefaultDeadlineMult; must be >= 1.
-	DeadlineMult float64
-
-	// MaxDeadline caps the adaptive deadline. Default
-	// DefaultMaxDeadline.
-	MaxDeadline time.Duration
-
-	// MaxRetries bounds transient-error retries per block read.
-	// Default DefaultMaxRetries; negative means no retries.
-	MaxRetries int
-
-	// Backoff is the base of the exponential full-jitter backoff
-	// between retries: retry i sleeps uniform [0, Backoff<<(i-1)).
-	// Default DefaultBackoff.
-	Backoff time.Duration
-
-	// BreakerThreshold is the number of consecutive deadline misses
-	// that opens a shard's circuit breaker. Default
-	// DefaultBreakerThreshold; negative disables the breaker.
-	BreakerThreshold int
-
-	// BreakerCooldown is the open period before the first half-open
-	// probe; it doubles with every consecutive trip. Default
-	// DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 
 	// Seed makes retry jitter reproducible. Shard i derives its RNG
 	// from Seed^i, so a fixed seed yields a fixed backoff schedule.
@@ -155,62 +119,21 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Normalize fills defaults and validates. NewGroup applies it
-// automatically; it is exported so wrappers can validate straggler
-// options at construction time and surface errors early.
-func (o Options) Normalize() (Options, error) {
-	if o.BlockSize <= 0 {
-		return o, fmt.Errorf("shardio: BlockSize %d must be positive", o.BlockSize)
-	}
-	if o.Quorum <= 0 {
-		return o, fmt.Errorf("shardio: Quorum %d must be positive", o.Quorum)
-	}
-	if o.HedgeAfter < 0 {
-		return o, fmt.Errorf("shardio: HedgeAfter %v must not be negative", o.HedgeAfter)
-	}
-	if o.DeadlineMult == 0 {
-		o.DeadlineMult = DefaultDeadlineMult
-	}
-	if o.DeadlineMult < 1 {
-		return o, fmt.Errorf("shardio: DeadlineMult %g must be >= 1", o.DeadlineMult)
-	}
-	if o.MaxDeadline == 0 {
-		o.MaxDeadline = DefaultMaxDeadline
-	}
-	if o.MaxDeadline < 0 {
-		return o, fmt.Errorf("shardio: MaxDeadline %v must not be negative", o.MaxDeadline)
-	}
-	// Disabled-by-negative knobs canonicalize to -1, not 0: zero means
-	// "unset, take the default", and Normalize must be idempotent (the
-	// stream layer validates early and the group normalizes again).
+// Validate reports the first field NewGroup would refuse. NewGroup
+// applies it itself; it is exported so a wrapper that builds groups
+// later can surface the error at its own construction time.
+func (o Options) Validate() error {
 	switch {
-	case o.MaxRetries == 0:
-		o.MaxRetries = DefaultMaxRetries
-	case o.MaxRetries < 0:
-		o.MaxRetries = -1
+	case o.BlockSize <= 0:
+		return fmt.Errorf("shardio: BlockSize %d must be positive", o.BlockSize)
+	case o.Quorum <= 0:
+		return fmt.Errorf("shardio: Quorum %d must be positive", o.Quorum)
+	case o.HedgeAfter < 0:
+		return fmt.Errorf("shardio: HedgeAfter %v must not be negative", o.HedgeAfter)
+	case o.Readahead < 0:
+		return fmt.Errorf("shardio: Readahead %d must not be negative", o.Readahead)
 	}
-	if o.Backoff == 0 {
-		o.Backoff = DefaultBackoff
-	}
-	if o.Backoff < 0 {
-		return o, fmt.Errorf("shardio: Backoff %v must not be negative", o.Backoff)
-	}
-	switch {
-	case o.BreakerThreshold == 0:
-		o.BreakerThreshold = DefaultBreakerThreshold
-	case o.BreakerThreshold < 0:
-		o.BreakerThreshold = -1 // disabled
-	}
-	if o.BreakerCooldown == 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if o.BreakerCooldown < 0 {
-		return o, fmt.Errorf("shardio: BreakerCooldown %v must not be negative", o.BreakerCooldown)
-	}
-	if o.Readahead < 0 {
-		return o, fmt.Errorf("shardio: Readahead %d must not be negative", o.Readahead)
-	}
-	return o, nil
+	return nil
 }
 
 // ShardState is a shard's disposition for one stripe — the decoder's

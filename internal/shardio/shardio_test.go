@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"dialga/internal/fault"
+	"dialga/internal/obs"
+	"dialga/internal/vclock"
 )
 
 const testBlock = 16
@@ -47,18 +49,27 @@ func newTestGroup(t *testing.T, readers []io.Reader, opts Options) *Group {
 }
 
 // slowReader delays every Read by a fixed duration, optionally only
-// for the first slowReads calls (a straggler that recovers).
+// for the first slowReads calls (a straggler that recovers), and of
+// those optionally only every every-th (a straggler that never strings
+// a run together). With a clock the delay passes on it, not in real
+// time.
 type slowReader struct {
 	r         io.Reader
 	delay     time.Duration
 	slowReads int // <0: always slow
+	every     int // >1: only calls 1, 1+every, 1+2*every, ... are slow
+	clock     vclock.Clock
 	calls     int
 }
 
 func (s *slowReader) Read(p []byte) (int, error) {
 	s.calls++
-	if s.slowReads < 0 || s.calls <= s.slowReads {
-		time.Sleep(s.delay)
+	if (s.slowReads < 0 || s.calls <= s.slowReads) && (s.every <= 1 || s.calls%s.every == 1) {
+		if s.clock != nil {
+			<-s.clock.After(s.delay)
+		} else {
+			time.Sleep(s.delay) // not time.After: the allocation tests count
+		}
 	}
 	return s.r.Read(p)
 }
@@ -73,37 +84,14 @@ func TestOptionsValidation(t *testing.T) {
 		{BlockSize: 0, Quorum: 1},
 		{BlockSize: 8, Quorum: 0},
 		{BlockSize: 8, Quorum: 1, HedgeAfter: -time.Second},
-		{BlockSize: 8, Quorum: 1, DeadlineMult: 0.5},
-		{BlockSize: 8, Quorum: 1, Backoff: -1},
-		{BlockSize: 8, Quorum: 1, MaxDeadline: -1},
-		{BlockSize: 8, Quorum: 1, BreakerCooldown: -1},
+		{BlockSize: 8, Quorum: 1, Readahead: -1},
 	} {
-		if _, err := bad.Normalize(); err == nil {
+		if err := bad.Validate(); err == nil {
 			t.Fatalf("options %+v accepted", bad)
 		}
 	}
-	got, err := Options{BlockSize: 8, Quorum: 1, MaxRetries: -1, BreakerThreshold: -1}.Normalize()
-	if err != nil {
+	if err := (Options{BlockSize: 8, Quorum: 1}).Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if got.MaxRetries != -1 || got.BreakerThreshold != -1 {
-		t.Fatalf("negative MaxRetries/BreakerThreshold should canonicalize to -1, got %d/%d",
-			got.MaxRetries, got.BreakerThreshold)
-	}
-	if got.DeadlineMult != DefaultDeadlineMult || got.Backoff != DefaultBackoff {
-		t.Fatal("defaults not applied")
-	}
-	// Normalize must be idempotent: the stream layer validates early and
-	// NewGroup normalizes again. In particular "disabled" must never
-	// canonicalize to 0, or the second pass would read it as "unset" and
-	// silently re-enable the default (a breaker that cannot be turned
-	// off from stream.Options).
-	again, err := got.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != got {
-		t.Fatalf("Normalize not idempotent:\n first %+v\nsecond %+v", got, again)
 	}
 }
 
@@ -191,7 +179,7 @@ func TestGroupRetriesTransients(t *testing.T) {
 		{Kind: fault.ErrOnce, Off: testBlock},
 		{Kind: fault.ErrOnce, Off: 2*testBlock + 5},
 	}})
-	g := newTestGroup(t, readers, Options{Backoff: 50 * time.Microsecond})
+	g := newTestGroup(t, readers, Options{})
 	var retries, transients uint64
 	for s := 0; s < stripes; s++ {
 		st, err := g.Next(context.Background())
@@ -217,7 +205,7 @@ func TestGroupRetriesTransients(t *testing.T) {
 
 func TestGroupRetriesExhaust(t *testing.T) {
 	readers := []io.Reader{alwaysTransient{}, bytes.NewReader(mkShards(2, 2)[1])}
-	g := newTestGroup(t, readers, Options{Quorum: 1, MaxRetries: 2, Backoff: 10 * time.Microsecond})
+	g := newTestGroup(t, readers, Options{Quorum: 1})
 	st, err := g.Next(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +216,8 @@ func TestGroupRetriesExhaust(t *testing.T) {
 	if !errors.Is(st.Errs[0], fault.ErrInjected) {
 		t.Fatalf("dead err %v does not expose the underlying fault", st.Errs[0])
 	}
-	if st.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", st.Retries)
+	if st.Retries != maxRetries {
+		t.Fatalf("Retries = %d, want %d", st.Retries, maxRetries)
 	}
 	st.Release()
 }
@@ -245,11 +233,8 @@ func TestGroupHedgesStraggler(t *testing.T) {
 		readers[i] = bytes.NewReader(shards[i])
 	}
 	readers[2] = &slowReader{r: bytes.NewReader(shards[2]), delay: 40 * time.Millisecond, slowReads: -1}
-	g := newTestGroup(t, readers, Options{
-		Quorum:           3,
-		HedgeAfter:       2 * time.Millisecond,
-		BreakerThreshold: -1, // isolate hedging from the breaker
-	})
+	// One miss in three stripes: the breaker stays out of it.
+	g := newTestGroup(t, readers, Options{Quorum: 3, HedgeAfter: 2 * time.Millisecond})
 
 	start := time.Now()
 	st, err := g.Next(context.Background())
@@ -296,11 +281,7 @@ func TestGroupTakeLateBeforeArrival(t *testing.T) {
 		readers[i] = bytes.NewReader(shards[i])
 	}
 	readers[0] = &slowReader{r: bytes.NewReader(shards[0]), delay: 30 * time.Millisecond, slowReads: -1}
-	g := newTestGroup(t, readers, Options{
-		Quorum:           2,
-		HedgeAfter:       2 * time.Millisecond,
-		BreakerThreshold: -1,
-	})
+	g := newTestGroup(t, readers, Options{Quorum: 2, HedgeAfter: 2 * time.Millisecond})
 	st, err := g.Next(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -326,26 +307,30 @@ func TestGroupTakeLateBeforeArrival(t *testing.T) {
 // TestGroupBreakerTripsAndRecovers: a persistent straggler trips the
 // breaker open (stop waiting entirely); once it recovers, a half-open
 // probe closes the breaker and the shard serves blocks again — from
-// the correct stream offset.
+// the correct stream offset. All of it on a pumped fake clock: the
+// straggler's delays, the hedge deadline, the pace of the stripes and
+// the 250 ms cooldown pass in virtual time.
 func TestGroupBreakerTripsAndRecovers(t *testing.T) {
-	const n, stripes = 4, 300
+	const (
+		n, stripes = 4, 60
+		delay      = 25 * time.Millisecond // of a slow read
+		pace       = 2 * delay             // between stripes: a slow read is back, late, before the next
+	)
+	fc := vclock.NewFake()
+	defer fc.Pump()()
 	shards := mkShards(n, stripes)
 	readers := make([]io.Reader, n)
 	for i := range readers {
 		readers[i] = bytes.NewReader(shards[i])
 	}
-	// Slow for the first 4 reads (~enough to trip), then instant.
-	readers[1] = &slowReader{r: bytes.NewReader(shards[1]), delay: 25 * time.Millisecond, slowReads: 4}
-	g := newTestGroup(t, readers, Options{
-		Quorum:           3,
-		HedgeAfter:       2 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  10 * time.Millisecond,
-	})
+	// Slow for exactly the run that trips, then instant.
+	readers[1] = &slowReader{r: bytes.NewReader(shards[1]), delay: delay, slowReads: breakerThreshold, clock: fc}
+	reg := obs.NewRegistry()
+	g := newTestGroup(t, readers, Options{Quorum: 3, HedgeAfter: 2 * time.Millisecond, Clock: fc, Metrics: reg})
+	openG := reg.Gauge("shardio_breaker_open", "", obs.Label{Key: "shard", Value: "1"})
 	var trips uint64
 	sawOpen, sawRecovered := false, false
-	deadline := time.Now().Add(5 * time.Second)
-	for s := 0; s < stripes && time.Now().Before(deadline); s++ {
+	for s := 0; s < stripes && !sawRecovered; s++ {
 		st, err := g.Next(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -354,6 +339,9 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 		switch st.States[1] {
 		case StateOpen:
 			sawOpen = true
+			if openG.Value() != 1 {
+				t.Fatalf("stripe %d skipped the shard with shardio_breaker_open = %v", st.Seq, openG.Value())
+			}
 		case StateOK:
 			if sawOpen {
 				sawRecovered = true
@@ -363,12 +351,7 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 			}
 		}
 		st.Release()
-		if sawRecovered {
-			break
-		}
-		// Give the straggler's background read room to land so the
-		// probe path can run.
-		time.Sleep(2 * time.Millisecond)
+		<-fc.After(pace)
 	}
 	if trips == 0 {
 		t.Fatal("breaker never tripped")
@@ -378,6 +361,12 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 	}
 	if !sawRecovered {
 		t.Fatal("half-open probe never re-admitted the recovered shard")
+	}
+	if openG.Value() != 0 {
+		t.Fatalf("shardio_breaker_open = %v after the probe closed the breaker", openG.Value())
+	}
+	if got := reg.Counter("shardio_breaker_trips_total", "", obs.Label{Key: "shard", Value: "1"}).Value(); got != trips {
+		t.Fatalf("shardio_breaker_trips_total = %d, stripes reported %d", got, trips)
 	}
 }
 
@@ -448,11 +437,7 @@ func TestGroupCloseReleasesGoroutines(t *testing.T) {
 			readers[i] = bytes.NewReader(shards[i])
 		}
 		readers[4] = &slowReader{r: bytes.NewReader(shards[4]), delay: 5 * time.Millisecond, slowReads: -1}
-		g, err := NewGroup(readers, Options{
-			BlockSize: testBlock, Quorum: 3,
-			HedgeAfter: time.Millisecond, BreakerThreshold: 2,
-			BreakerCooldown: 5 * time.Millisecond,
-		})
+		g, err := NewGroup(readers, Options{BlockSize: testBlock, Quorum: 3, HedgeAfter: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

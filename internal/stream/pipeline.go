@@ -104,7 +104,7 @@ func (f *failFirst) get() error {
 //	produce (1 goroutine) -> work (workers goroutines) -> deliver (caller goroutine)
 //
 // produce creates jobs in sequence order and submits them via push;
-// push blocks once window jobs are in flight (backpressure) and
+// push blocks once 2*workers jobs are in flight (backpressure) and
 // returns false when the pipeline is cancelled. work runs on any
 // worker, concurrently and out of order. deliver runs on the calling
 // goroutine strictly in submission order. release is called exactly
@@ -140,8 +140,8 @@ func run(parent context.Context, g geom, stats *counters,
 		return work(j)
 	}
 
-	workCh := make(chan *job)            // unbuffered: a successful send is a worker handoff
-	orderCh := make(chan *job, g.window) // submission order; buffer bounds in-flight stripes
+	workCh := make(chan *job)               // unbuffered: a successful send is a worker handoff
+	orderCh := make(chan *job, 2*g.workers) // submission order; buffer bounds in-flight stripes
 
 	var workers sync.WaitGroup
 	workers.Add(g.workers)

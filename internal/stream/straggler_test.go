@@ -10,36 +10,55 @@ import (
 	"time"
 
 	"dialga/internal/fault"
+	"dialga/internal/vclock"
 )
 
-// laggard delays each of the first slowReads Reads by delay (every
-// Read when slowReads < 0), then serves at full speed — a straggler
-// that recovers.
+// The recovering-straggler tests run on a pumped fake clock
+// (vclock.Fake.Pump) handed to the decoder through Options.Clock: the
+// straggler's delays, the hedge deadlines, the writer's pace and the
+// breaker's cooldown all pass in virtual time, so a decode that spans
+// the production 250 ms cooldown costs milliseconds, and what trips when
+// follows from the numbers below rather than from the scheduler.
+const (
+	// lagDelay is how long a laggard's slow Read takes, stripePace how
+	// long the writer holds each stripe. The pace is several delays, so a
+	// shard that was hedged around has caught up — even across the
+	// half-dozen stripes the pipeline gathers before the first is written
+	// — by the next stripe, and its next slow read is the next deadline
+	// miss: one a stripe, in a row.
+	lagDelay   = 8 * time.Millisecond
+	stripePace = 60 * time.Millisecond
+	// lateRun is the run of deadline misses that trips shardio's breaker.
+	lateRun = 5
+)
+
+// laggard delays every Read by lagDelay while the clock is before
+// slowUntil, then serves at full speed — a straggler that recovers.
 type laggard struct {
 	r         io.Reader
-	delay     time.Duration
-	slowReads int
-	calls     int
+	clock     *vclock.Fake
+	slowUntil time.Time
 }
 
 func (l *laggard) Read(p []byte) (int, error) {
-	l.calls++
-	if l.slowReads < 0 || l.calls <= l.slowReads {
-		time.Sleep(l.delay)
+	if l.clock.Now().Before(l.slowUntil) {
+		<-l.clock.After(lagDelay)
 	}
 	return l.r.Read(p)
 }
 
-// pacedWriter sleeps before every Write, slowing delivery so the
-// producer keeps gathering stripes for a known minimum wall time (the
-// straggler tests need the decode to outlive the straggler's reads).
+// pacedWriter waits on the clock before every Write — the decoder makes
+// k a stripe, so stripePace/k each — so the producer keeps gathering
+// stripes for a known minimum of virtual time (the decode has to outlive
+// the straggler's slow phase and cooldown).
 type pacedWriter struct {
 	w     io.Writer
-	pause time.Duration
+	clock *vclock.Fake
+	k     int
 }
 
 func (p *pacedWriter) Write(b []byte) (int, error) {
-	time.Sleep(p.pause)
+	<-p.clock.After(stripePace / time.Duration(p.k))
 	return p.w.Write(b)
 }
 
@@ -70,8 +89,9 @@ func TestChaosStragglerHedgedDecode(t *testing.T) {
 		stripes         = 6
 		slowMicros      = 20_000 // fault.Slow mean; per-read floor is half that
 	)
+	// Six stripes hold too few misses to trip the breaker: this is
+	// hedging alone.
 	opts := stragglerOpts(t, k, m, shardSize)
-	opts.BreakerThreshold = -1 // isolate hedging; the breaker has its own test
 	payload := randBytes(t, stripes*k*shardSize, 7)
 	shards := encodeAll(t, opts, payload)
 
@@ -147,7 +167,6 @@ func TestChaosStragglerWithCorruption(t *testing.T) {
 		stripes         = 5
 	)
 	opts := stragglerOpts(t, k, m, shardSize)
-	opts.BreakerThreshold = -1
 	payload := randBytes(t, stripes*k*shardSize, 11)
 	shards := encodeAll(t, opts, payload)
 	blockSize := shardSize + crcSize
@@ -193,18 +212,19 @@ func TestChaosStragglerWithCorruption(t *testing.T) {
 	}
 }
 
-// TestChaosStragglerRecovers: a shard that is slow for its first two
-// reads and then healthy must be hedged around while slow, re-admitted
-// once fast, and never counted as failed or breaker-tripped (the
-// threshold is above its two misses).
+// TestChaosStragglerRecovers: a shard that is slow for a few reads —
+// fewer than the run that trips a breaker — and then healthy must be
+// hedged around while slow, re-admitted once fast, and never counted as
+// failed or breaker-tripped.
 func TestChaosStragglerRecovers(t *testing.T) {
 	const (
 		k, m, shardSize = 3, 2, 128
 		stripes         = 30
 	)
+	fc := vclock.NewFake()
+	defer fc.Pump()()
 	opts := stragglerOpts(t, k, m, shardSize)
-	opts.BreakerThreshold = 3
-	opts.BreakerCooldown = time.Millisecond
+	opts.Clock = fc
 	payload := randBytes(t, stripes*k*shardSize, 13)
 	shards := encodeAll(t, opts, payload)
 
@@ -216,11 +236,12 @@ func TestChaosStragglerRecovers(t *testing.T) {
 	for i := range readers {
 		readers[i] = bytes.NewReader(shards[i])
 	}
-	readers[0] = &laggard{r: bytes.NewReader(shards[0]), delay: 8 * time.Millisecond, slowReads: 2}
+	// At one miss per stripe the slow phase is over before a run is.
+	readers[0] = &laggard{r: bytes.NewReader(shards[0]), clock: fc, slowUntil: fc.Now().Add((lateRun-2)*stripePace - stripePace/2)}
 	var out bytes.Buffer
 	// Pace delivery so the decode outlives the straggler's slow phase
 	// and its recovery is actually exercised.
-	w := &pacedWriter{w: &out, pause: 300 * time.Microsecond}
+	w := &pacedWriter{w: &out, clock: fc, k: k}
 	if err := dec.Decode(context.Background(), readers, w, int64(len(payload))); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +253,7 @@ func TestChaosStragglerRecovers(t *testing.T) {
 		t.Fatal("HedgedReads = 0: the slow phase never triggered a hedge")
 	}
 	if st.BreakerTrips != 0 {
-		t.Fatalf("BreakerTrips = %d: two misses tripped a threshold of three", st.BreakerTrips)
+		t.Fatalf("BreakerTrips = %d: a run shorter than %d tripped the breaker", st.BreakerTrips, lateRun)
 	}
 	if st.ShardFailures != 0 {
 		t.Fatalf("ShardFailures = %d, want 0", st.ShardFailures)
@@ -242,19 +263,20 @@ func TestChaosStragglerRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosStragglerBreakerProbe: a shard slow for exactly two reads
-// under BreakerThreshold 2 trips the breaker once; after the cooldown
-// the half-open probe finds it recovered, closes the breaker, and the
-// decode finishes with the shard back in rotation. Exactly one trip,
-// no shard failures, byte-exact output.
+// TestChaosStragglerBreakerProbe: a shard slow for long enough to miss
+// a full run of deadlines trips the breaker once; it recovers inside the
+// cooldown, so the half-open probe finds it healthy, closes the breaker,
+// and the decode finishes with the shard back in rotation. Exactly one
+// trip, no shard failures, byte-exact output.
 func TestChaosStragglerBreakerProbe(t *testing.T) {
 	const (
 		k, m, shardSize = 3, 2, 128
 		stripes         = 40
 	)
+	fc := vclock.NewFake()
+	defer fc.Pump()()
 	opts := stragglerOpts(t, k, m, shardSize)
-	opts.BreakerThreshold = 2
-	opts.BreakerCooldown = time.Millisecond
+	opts.Clock = fc
 	payload := randBytes(t, stripes*k*shardSize, 17)
 	shards := encodeAll(t, opts, payload)
 
@@ -266,9 +288,11 @@ func TestChaosStragglerBreakerProbe(t *testing.T) {
 	for i := range readers {
 		readers[i] = bytes.NewReader(shards[i])
 	}
-	readers[4] = &laggard{r: bytes.NewReader(shards[4]), delay: 8 * time.Millisecond, slowReads: 2}
+	// Slow for the run (its last miss is lateRun-1 stripes in) and two
+	// stripes more: into the 250 ms cooldown, well short of its end.
+	readers[4] = &laggard{r: bytes.NewReader(shards[4]), clock: fc, slowUntil: fc.Now().Add((lateRun + 1) * stripePace)}
 	var out bytes.Buffer
-	w := &pacedWriter{w: &out, pause: 300 * time.Microsecond}
+	w := &pacedWriter{w: &out, clock: fc, k: k}
 	if err := dec.Decode(context.Background(), readers, w, int64(len(payload))); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +301,7 @@ func TestChaosStragglerBreakerProbe(t *testing.T) {
 	}
 	st := dec.Stats()
 	if st.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips = %d, want exactly 1 (two misses, then a successful probe)", st.BreakerTrips)
+		t.Fatalf("BreakerTrips = %d, want exactly 1 (a run of misses, then a successful probe)", st.BreakerTrips)
 	}
 	if st.ShardFailures != 0 {
 		t.Fatalf("ShardFailures = %d, want 0", st.ShardFailures)
@@ -297,18 +321,24 @@ func TestChaosStragglerNoGoroutineLeaks(t *testing.T) {
 		k, m, shardSize = 3, 2, 128
 		stripes         = 20
 	)
+	base := runtime.NumGoroutine()
+	fc := vclock.NewFake()
+	stopPump := fc.Pump()
 	opts := stragglerOpts(t, k, m, shardSize)
-	opts.BreakerThreshold = 2
-	opts.BreakerCooldown = time.Millisecond
+	opts.Clock = fc
 	payload := randBytes(t, stripes*k*shardSize, 19)
 	shards := encodeAll(t, opts, payload)
 	blockSize := shardSize + crcSize
+	healthy := func() []io.Reader {
+		readers := make([]io.Reader, k+m)
+		for i := range readers {
+			readers[i] = bytes.NewReader(shards[i])
+		}
+		return readers
+	}
 
-	base := runtime.NumGoroutine()
-
-	// Cancelled mid-decode, with a straggler still mid-read. The
-	// injected sleeps are context-aware, so cancellation propagates
-	// into the blocked Read instead of waiting it out.
+	// Cancelled mid-decode, with a straggler that never recovers still
+	// mid-read.
 	func() {
 		dec, err := NewDecoder(opts)
 		if err != nil {
@@ -316,19 +346,14 @@ func TestChaosStragglerNoGoroutineLeaks(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		readers := make([]io.Reader, k+m)
-		for i := range readers {
-			readers[i] = bytes.NewReader(shards[i])
-		}
-		readers[1] = fault.NewReader(bytes.NewReader(shards[1]), fault.Plan{
-			Ops: []fault.Op{{Kind: fault.Slow, Off: 0, Len: 500_000}},
-		}).WithContext(ctx)
+		readers := healthy()
+		readers[1] = &laggard{r: bytes.NewReader(shards[1]), clock: fc, slowUntil: fc.Now().Add(time.Hour)}
 		var out bytes.Buffer
 		go func() {
-			time.Sleep(3 * time.Millisecond)
+			<-fc.After(3 * stripePace)
 			cancel()
 		}()
-		err = dec.Decode(ctx, readers, &pacedWriter{w: &out, pause: 200 * time.Microsecond}, int64(len(payload)))
+		err = dec.Decode(ctx, readers, &pacedWriter{w: &out, clock: fc, k: k}, int64(len(payload)))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled decode returned %v, want context.Canceled", err)
 		}
@@ -360,21 +385,22 @@ func TestChaosStragglerNoGoroutineLeaks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		readers := make([]io.Reader, k+m)
-		for i := range readers {
-			readers[i] = bytes.NewReader(shards[i])
-		}
-		readers[4] = &laggard{r: bytes.NewReader(shards[4]), delay: 5 * time.Millisecond, slowReads: 3}
+		readers := healthy()
+		readers[4] = &laggard{r: bytes.NewReader(shards[4]), clock: fc, slowUntil: fc.Now().Add((lateRun + 1) * stripePace)}
 		var out bytes.Buffer
-		err = dec.Decode(context.Background(), readers, &pacedWriter{w: &out, pause: 200 * time.Microsecond}, int64(len(payload)))
+		err = dec.Decode(context.Background(), readers, &pacedWriter{w: &out, clock: fc, k: k}, int64(len(payload)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Bytes(), payload) {
 			t.Fatal("decode produced wrong bytes")
 		}
+		if dec.Stats().BreakerTrips == 0 {
+			t.Fatal("BreakerTrips = 0: the straggler decode never tripped a breaker")
+		}
 	}()
 
+	stopPump()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= base {

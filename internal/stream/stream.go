@@ -147,15 +147,12 @@ type Options struct {
 	// Default DefaultStripeSize.
 	StripeSize int
 
-	// Workers is the number of encoding goroutines.
-	// Default runtime.GOMAXPROCS(0).
+	// Workers is the number of encoding goroutines. Default
+	// runtime.GOMAXPROCS(0). At most 2*Workers stripes are in flight
+	// (read but not yet emitted) — the producer blocks once that window
+	// is full, so memory stays O(Workers * StripeSize) regardless of
+	// input size.
 	Workers int
-
-	// Window bounds the number of in-flight stripes (read but not
-	// yet emitted); the producer blocks once the window is full, so
-	// memory stays at O(Window * StripeSize) regardless of input
-	// size. Default 2*Workers.
-	Window int
 
 	// Checksum selects the per-block integrity trailer. The zero
 	// value is ChecksumCRC32C; pass ChecksumNone to read or write the
@@ -169,36 +166,10 @@ type Options struct {
 	// reconstructs around it immediately while the slow read continues
 	// in the background — first finisher wins. HedgeAfter is also the
 	// deadline floor. Zero (the default) disables hedging and the
-	// circuit breaker: every stripe waits for all live shards.
+	// circuit breaker: every stripe waits for all live shards. It is the
+	// one straggler switch; the deadline ratio, retry budget and breaker
+	// schedule behind it are shardio's constants.
 	HedgeAfter time.Duration
-
-	// DeadlineMult scales the fleet-median latency EWMA into the
-	// per-stripe deadline. Default shardio.DefaultDeadlineMult (3x).
-	DeadlineMult float64
-
-	// MaxDeadline caps the adaptive deadline. Default
-	// shardio.DefaultMaxDeadline.
-	MaxDeadline time.Duration
-
-	// MaxRetries bounds exponential-backoff retries of transient shard
-	// read errors per block. Default shardio.DefaultMaxRetries;
-	// negative disables retries.
-	MaxRetries int
-
-	// Backoff is the base of the full-jitter backoff between retries.
-	// Default shardio.DefaultBackoff.
-	Backoff time.Duration
-
-	// BreakerThreshold is the number of consecutive deadline misses
-	// that trips a shard's circuit breaker open (the decoder stops
-	// waiting for it until a half-open probe succeeds). Default
-	// shardio.DefaultBreakerThreshold; negative disables the breaker.
-	BreakerThreshold int
-
-	// BreakerCooldown is the open period before the first half-open
-	// probe, doubling with every consecutive trip. Default
-	// shardio.DefaultBreakerCooldown.
-	BreakerCooldown time.Duration
 
 	// Seed makes retry jitter (and fault-injection schedules layered
 	// underneath) reproducible.
@@ -252,7 +223,6 @@ type geom struct {
 	shardSize  int // data bytes per shard per stripe
 	stripeSize int // k * shardSize
 	workers    int
-	window     int
 	checksum   Checksum
 	trailer    int             // trailer bytes per shard block (0 or crcSize)
 	blockSize  int             // shardSize + trailer: bytes on the wire per shard per stripe
@@ -289,13 +259,6 @@ func (o Options) geometry() (geom, error) {
 	if workers < 0 {
 		return geom{}, fmt.Errorf("stream: Workers %d must be positive", workers)
 	}
-	window := o.Window
-	if window == 0 {
-		window = 2 * workers
-	}
-	if window < 0 {
-		return geom{}, fmt.Errorf("stream: Window %d must be positive", window)
-	}
 	if o.Checksum != ChecksumCRC32C && o.Checksum != ChecksumNone {
 		return geom{}, fmt.Errorf("stream: unknown Checksum %d", o.Checksum)
 	}
@@ -306,26 +269,16 @@ func (o Options) geometry() (geom, error) {
 		// the plain Encode sweep already does all the work there is.
 		fused = se
 	}
-	if o.Readahead < 0 {
-		return geom{}, fmt.Errorf("stream: Readahead %d must be non-negative", o.Readahead)
+	straggler := shardio.Options{
+		BlockSize:  shard + trailer,
+		Quorum:     k,
+		HedgeAfter: o.HedgeAfter,
+		Seed:       o.Seed,
+		Metrics:    o.Metrics,
+		Readahead:  o.Readahead,
+		Clock:      o.Clock,
 	}
-	sopts := shardio.Options{
-		BlockSize:        shard + trailer,
-		Quorum:           k,
-		HedgeAfter:       o.HedgeAfter,
-		DeadlineMult:     o.DeadlineMult,
-		MaxDeadline:      o.MaxDeadline,
-		MaxRetries:       o.MaxRetries,
-		Backoff:          o.Backoff,
-		BreakerThreshold: o.BreakerThreshold,
-		BreakerCooldown:  o.BreakerCooldown,
-		Seed:             o.Seed,
-		Metrics:          o.Metrics,
-		Readahead:        o.Readahead,
-		Clock:            o.Clock,
-	}
-	straggler, err := sopts.Normalize()
-	if err != nil {
+	if err := straggler.Validate(); err != nil {
 		return geom{}, err
 	}
 	return geom{
@@ -335,7 +288,6 @@ func (o Options) geometry() (geom, error) {
 		shardSize:  shard,
 		stripeSize: shard * k,
 		workers:    workers,
-		window:     window,
 		checksum:   o.Checksum,
 		trailer:    trailer,
 		blockSize:  shard + trailer,

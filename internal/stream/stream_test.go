@@ -20,9 +20,6 @@ func TestOptionsDefaults(t *testing.T) {
 	if g.workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("workers = %d, want GOMAXPROCS", g.workers)
 	}
-	if g.window != 2*g.workers {
-		t.Fatalf("window = %d, want %d", g.window, 2*g.workers)
-	}
 }
 
 func TestOptionsStripeRounding(t *testing.T) {
@@ -44,7 +41,9 @@ func TestOptionsValidation(t *testing.T) {
 	for _, o := range []Options{
 		{Codec: code, StripeSize: -1},
 		{Codec: code, Workers: -1},
-		{Codec: code, Window: -1},
+		// Refused by shardio.Options.Validate, at construction time.
+		{Codec: code, HedgeAfter: -1},
+		{Codec: code, Readahead: -1},
 	} {
 		if _, err := o.geometry(); err == nil {
 			t.Fatalf("invalid options %+v accepted", o)

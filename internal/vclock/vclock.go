@@ -12,7 +12,6 @@
 package vclock
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -63,14 +62,14 @@ func (t realTimer) Stop() bool            { return t.t.Stop() }
 func (t realTimer) Reset(d time.Duration) { t.t.Reset(d) }
 
 // Fake is a deterministic Clock: time advances only when a test calls
-// Advance (or Set), and every timer whose deadline is reached fires
+// Advance (or runs Pump), and every timer whose deadline is reached fires
 // synchronously inside that call, in deadline order. All methods
 // are safe for concurrent use.
 type Fake struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters []*fakeWaiter
-	blocked *sync.Cond // signalled whenever the waiter set changes
+	armed   *sync.Cond // signalled whenever a timer is armed; Pump waits on it
 }
 
 // NewFake returns a fake clock starting at a fixed, arbitrary epoch
@@ -78,7 +77,7 @@ type Fake struct {
 // absolute times).
 func NewFake() *Fake {
 	f := &Fake{now: time.Unix(1_700_000_000, 0)}
-	f.blocked = sync.NewCond(&f.mu)
+	f.armed = sync.NewCond(&f.mu)
 	return f
 }
 
@@ -95,14 +94,6 @@ func (f *Fake) Now() time.Time {
 	return f.now
 }
 
-// Set jumps the clock to t (monotone: earlier times are ignored),
-// firing everything due on the way.
-func (f *Fake) Set(t time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.advanceTo(t)
-}
-
 // Advance moves the clock forward by d, firing due timers in deadline
 // order.
 func (f *Fake) Advance(d time.Duration) {
@@ -116,16 +107,8 @@ func (f *Fake) Advance(d time.Duration) {
 // channels have capacity 1 like the time package's.
 func (f *Fake) advanceTo(target time.Time) {
 	for {
-		var next *fakeWaiter
-		for _, w := range f.waiters {
-			if w.dead || w.at.After(target) {
-				continue
-			}
-			if next == nil || w.at.Before(next.at) {
-				next = w
-			}
-		}
-		if next == nil {
+		next := f.next()
+		if next == nil || next.at.After(target) {
 			break
 		}
 		f.now = next.at
@@ -152,47 +135,58 @@ func (f *Fake) gc() {
 	f.waiters = live
 }
 
-// add registers a waiter and wakes BlockUntil callers.
-func (f *Fake) add(w *fakeWaiter) {
-	f.mu.Lock()
-	f.waiters = append(f.waiters, w)
-	f.blocked.Broadcast()
-	f.mu.Unlock()
-}
-
-// Waiters returns the number of live pending timers — the
-// test-side rendezvous for "has the code under test armed its timer
-// yet?".
-func (f *Fake) Waiters() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
+// next returns the live waiter with the earliest deadline, nil when
+// none is pending; caller holds f.mu.
+func (f *Fake) next() *fakeWaiter {
+	var next *fakeWaiter
 	for _, w := range f.waiters {
-		if !w.dead {
-			n++
+		if !w.dead && (next == nil || w.at.Before(next.at)) {
+			next = w
 		}
 	}
-	return n
+	return next
 }
 
-// BlockUntil returns once at least n live waiters are registered.
-// Tests call it before Advance so the goroutine under test is known to
-// be parked on the clock, eliminating the arm/advance race that makes
-// wall-clock tests flaky.
-func (f *Fake) BlockUntil(n int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		live := 0
-		for _, w := range f.waiters {
-			if !w.dead {
-				live++
+// pumpSettle is the real time Pump lets the code under test run before
+// each jump: in-memory reads and small stripes take microseconds, so it
+// is ample, and a virtual second still costs only milliseconds.
+const pumpSettle = 500 * time.Microsecond
+
+// Pump makes the clock run itself, for tests that drive goroutines they
+// cannot script step by step (a whole decode pipeline): whenever a timer
+// is pending it lets the code under test run for pumpSettle of real
+// time, then jumps to the earliest pending deadline, so virtual time
+// passes only while everyone is (by that allowance) parked on the clock,
+// and costs no more real time than the events in it. Code that a loaded
+// machine makes slower than the allowance merely sees its timers fire
+// early — a deadline missed, never a wrong answer. The returned stop ends
+// the pump and waits for it.
+func (f *Fake) Pump() (stop func()) {
+	stopped := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for !stopped {
+			if f.next() == nil {
+				f.armed.Wait()
+				continue
+			}
+			f.mu.Unlock()
+			time.Sleep(pumpSettle)
+			f.mu.Lock()
+			if w := f.next(); w != nil && !stopped {
+				f.advanceTo(w.at)
 			}
 		}
-		if live >= n {
-			return
-		}
-		f.blocked.Wait()
+	}()
+	return func() {
+		f.mu.Lock()
+		stopped = true
+		f.armed.Broadcast()
+		f.mu.Unlock()
+		<-done
 	}
 }
 
@@ -201,7 +195,7 @@ func (f *Fake) NewTimer(d time.Duration) Timer {
 	f.mu.Lock()
 	w.at = f.now.Add(d)
 	f.waiters = append(f.waiters, w)
-	f.blocked.Broadcast()
+	f.armed.Broadcast()
 	if d <= 0 {
 		f.advanceTo(f.now)
 	}
@@ -243,21 +237,6 @@ func (t *fakeTimer) Reset(d time.Duration) {
 	if !found {
 		t.f.waiters = append(t.f.waiters, t.w)
 	}
-	t.f.blocked.Broadcast()
+	t.f.armed.Broadcast()
 	t.f.mu.Unlock()
-}
-
-// Deadlines returns the pending fire times, soonest first — a debug
-// aid for tests asserting on the armed schedule.
-func (f *Fake) Deadlines() []time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []time.Time
-	for _, w := range f.waiters {
-		if !w.dead {
-			out = append(out, w.at)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }

@@ -75,23 +75,36 @@ func TestFakeFiringOrderIsDeadlineOrder(t *testing.T) {
 	}
 }
 
-func TestFakeBlockUntil(t *testing.T) {
+// TestFakePump: under Pump a goroutine that sleeps on the clock runs
+// to completion without anybody calling Advance, virtual time lands
+// exactly on its deadlines, and after stop the clock is still again.
+func TestFakePump(t *testing.T) {
 	f := NewFake()
-	done := make(chan struct{})
+	start := f.Now()
+	stop := f.Pump()
+	woke := make(chan time.Duration, 2)
 	go func() {
-		f.BlockUntil(1)
-		close(done)
+		<-f.After(time.Second)
+		woke <- f.Now().Sub(start)
+		<-f.After(2 * time.Hour)
+		woke <- f.Now().Sub(start)
 	}()
-	select {
-	case <-done:
-		t.Fatal("BlockUntil(1) returned with no waiters")
-	case <-time.After(5 * time.Millisecond):
+	for _, want := range []time.Duration{time.Second, 2*time.Hour + time.Second} {
+		select {
+		case got := <-woke:
+			if got != want {
+				t.Fatalf("woke at +%v, want +%v", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("pump never reached +%v", want)
+		}
 	}
-	f.NewTimer(time.Second)
+	stop()
+	tm := f.NewTimer(time.Millisecond)
 	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("BlockUntil(1) did not return after a timer was armed")
+	case <-tm.C():
+		t.Fatal("timer fired after the pump was stopped")
+	case <-time.After(5 * time.Millisecond):
 	}
 }
 
