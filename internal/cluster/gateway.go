@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -60,11 +59,12 @@ type GatewayOptions struct {
 	// and handed to repair.
 	WriteQuorum int
 	// PutRetries is the per-shard retry budget for transient upload
-	// failures during a put. Zero means the default (2 retries); -1
-	// disables retries entirely, which also disables the per-shard
-	// replay spool — with retries on, each in-flight shard buffers its
-	// own bytes in memory (roughly size·(K+M)/K per object total) so a
-	// failed upload can be replayed from the start.
+	// failures during a put. Zero means the default (2 retries). With
+	// retries on, a put keeps its encoded stripes (size·(K+M)/K bytes,
+	// one copy shared by all K+M uploads) until it ends, so a failed
+	// upload can start again from stripe 0. -1 disables retries, and the
+	// put then holds a window of putWindow stripes however large the
+	// object: the put for objects larger than memory.
 	PutRetries int
 	// PutBackoff is the base delay between per-shard retry attempts,
 	// grown linearly with full deterministic jitter. Default 50ms.
@@ -94,6 +94,7 @@ type Gateway struct {
 	hc         *http.Client
 	codec      *rs.Code
 	enc        *stream.Encoder // the put pipeline, shared by every PutObject
+	retained   *obs.Gauge      // cluster_put_retained_bytes
 	quorum     int             // shard uploads required to ack a put
 	retries    int             // per-shard transient retry budget (-1: disabled)
 	backoff    time.Duration
@@ -216,6 +217,8 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		retries: retries,
 		backoff: backoff,
 		intents: opts.Intents,
+		retained: opts.Metrics.Gauge("cluster_put_retained_bytes",
+			"Encoded stripe bytes puts currently lend to their shard uploads."),
 	}
 	if g.enc, err = stream.NewEncoder(g.streamOptions()); err != nil {
 		return nil, err
@@ -389,9 +392,9 @@ func (g *Gateway) decoderFor(shardSize int, sum stream.Checksum, hedged bool) (*
 //
 // A put is acknowledged once WriteQuorum shard uploads have landed.
 // Transient upload failures (connection errors, throttling, 5xx) are
-// retried per shard with backoff and full jitter, replaying the shard
-// from an in-memory spool; a shard that still cannot land does not
-// fail the put as long as quorum holds — its absence is journaled as a
+// retried per shard with backoff and full jitter, reading the put's
+// encoded stripes again from the first; a shard that still cannot land
+// does not fail the put as long as quorum holds — its absence is journaled as a
 // durable write intent *before* the ack, then reported through
 // OnDegraded so repair rebuilds it. Below quorum the put fails and the
 // shards that did land are deleted best-effort. Returns the placement
@@ -410,30 +413,29 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	defer cancel()
 
 	n := g.k + g.m
-	writers := make([]io.Writer, n)
-	pipes := make([]*io.PipeWriter, n)
+	window := 0 // retries need every stripe kept until the put ends
+	if g.retries < 0 {
+		window = putWindow
+	}
+	lent := newLentStripes(ctx, n, window, n*g.enc.BlockSize(), g.retained)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		h := g.header(i, size, g.enc.ShardSize())
-		pr, pw := io.Pipe()
-		pipes[i] = pw
-		writers[i] = pw
-		cli, cerr := g.clientFor(st, placement[i].ID)
+		cli, err := g.clientFor(st, placement[i].ID)
+		if err != nil {
+			// No destination for this shard; it must not hold the window.
+			lent.advance(i, gone)
+			errs[i] = fmt.Errorf("shard %d -> %s: %w", i, placement[i].ID, err)
+			continue
+		}
 		wg.Add(1)
-		go func(i int, cli *node.Client, cerr error, pr *io.PipeReader, hdr []byte) {
+		go func(i int, cli *node.Client) {
 			defer wg.Done()
-			if cerr != nil {
-				// No destination for this shard; keep the encoder moving.
-				io.Copy(io.Discard, pr)
-				pr.Close()
-				errs[i] = fmt.Errorf("shard %d -> %s: %w", i, placement[i].ID, cerr)
-				return
-			}
-			if err := g.uploadShard(ctx, object, i, cli.WithClass(class), pr, hdr); err != nil {
+			h := g.header(i, size, g.enc.ShardSize())
+			if err := g.uploadShard(ctx, object, placement[i].ID, cli.WithClass(class), lent, h); err != nil {
 				errs[i] = fmt.Errorf("shard %d -> %s: %w", i, placement[i].ID, err)
 			}
-		}(i, cli, cerr, pr, h.Marshal())
+		}(i, cli)
 	}
 
 	// Count input bytes locally: the encoder's Stats() aggregates across
@@ -441,29 +443,46 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	// The ctx wrapper bounds cancellation latency: the encoder's
 	// producer loop reads the caller's reader without watching ctx, so
 	// a trickling (or stalled-between-reads) source would otherwise
-	// keep the whole put — pipes, uploader goroutines and all — alive
+	// keep the whole put — stripes, uploader goroutines and all — alive
 	// long after the caller gave up.
 	cr := &countingReader{r: readerCtx(ctx, r)}
-	encErr := g.enc.Encode(ctx, cr, writers)
-	for _, pw := range pipes {
-		if encErr != nil {
-			pw.CloseWithError(encErr)
-		} else {
-			pw.Close()
-		}
+	encErr := g.enc.EncodeStripes(ctx, cr, lent.publish)
+	if encErr == nil && cr.n != size {
+		encErr = fmt.Errorf("read %d bytes, expected %d", cr.n, size)
 	}
+	if encErr != nil {
+		// Cancelled before the uploads can see why: a failure the encoder
+		// caused is then never mistaken for one worth a retry.
+		cancel()
+	}
+	lent.finish(encErr)
 	wg.Wait()
+	lent.release()
 
 	fail := func(err error) (Placement, error) {
 		g.counter("cluster_puts_total", "Object puts, by result.",
 			obs.Label{Key: "result", Value: "error"}).Inc()
 		return nil, fmt.Errorf("cluster: put %q: %w", object, err)
 	}
-	if encErr != nil {
-		return fail(encErr)
+	// dropLanded clears the shards that did land, best-effort, on a
+	// fresh context (ours may already be cancelled): a put that fails is
+	// stale the moment the client retries.
+	dropLanded := func() {
+		cleanCtx, cleanCancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cleanCancel()
+		for i, err := range errs {
+			if err == nil {
+				if cli, cerr := g.clientFor(st, placement[i].ID); cerr == nil {
+					cli.WithClass(class).DeleteShard(cleanCtx, object, i)
+				}
+			}
+		}
 	}
-	if cr.n != size {
-		return fail(fmt.Errorf("read %d bytes, expected %d", cr.n, size))
+	if encErr != nil {
+		// Only a source longer than it declared leaves anything to drop:
+		// the uploads are complete at the declared size.
+		dropLanded()
+		return fail(encErr)
 	}
 
 	landed := 0
@@ -483,18 +502,8 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 			obs.Label{Key: "node", Value: string(placement[i].ID)}).Inc()
 	}
 	if landed < g.quorum {
-		// Not enough durability to ack. The shards that landed are
-		// stale the moment the client retries; clear them best-effort
-		// on a fresh context (ours may already be cancelled).
-		cleanCtx, cleanCancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cleanCancel()
-		for i, err := range errs {
-			if err == nil {
-				if cli, cerr := g.clientFor(st, placement[i].ID); cerr == nil {
-					cli.WithClass(class).DeleteShard(cleanCtx, object, i)
-				}
-			}
-		}
+		// Not enough durability to ack.
+		dropLanded()
 		return fail(fmt.Errorf("only %d of %d shards landed, quorum is %d: %w",
 			landed, n, g.quorum, firstErr))
 	}
@@ -533,53 +542,32 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	return placement, nil
 }
 
-// uploadShard streams one shard from its pipe into its node. With
-// retries enabled, the bytes are teed into a spool as the first
-// attempt streams them; a transient failure drains the encoder's
-// remaining output into the spool (keeping the pipeline moving) and
-// replays the complete shard from memory, with linearly growing,
-// fully-jittered backoff between attempts. Failures never tear down
-// the put: the pipe is always drained to EOF so the other shards'
-// encode is unaffected, and the caller decides afterwards whether
-// quorum held.
-func (g *Gateway) uploadShard(ctx context.Context, object string, idx int, cli *node.Client, pr *io.PipeReader, hdr []byte) error {
-	defer pr.Close()
-	if g.retries < 0 {
-		err := cli.PutShard(ctx, object, idx, io.MultiReader(bytes.NewReader(hdr), pr))
-		if err != nil {
-			io.Copy(io.Discard, pr)
-		}
-		return err
-	}
-	sp := &putSpool{}
-	body := &spoolBody{src: io.MultiReader(bytes.NewReader(hdr), pr), sp: sp}
-	err := cli.PutShard(ctx, object, idx, body)
-	rest := body.seal()
-	if err == nil {
-		return nil
-	}
-	if !node.Transient(err) {
-		io.Copy(io.Discard, pr)
-		return err
-	}
-	// Drain what the failed attempt did not consume — from the sealed
-	// body's source, so the spool also picks up header bytes a
-	// refused-at-connect attempt never read. Only a complete spool can
-	// be replayed; a drain error means the encode itself failed and
-	// there is nothing to retry.
-	if _, derr := io.Copy(sp, rest); derr != nil {
-		return err
-	}
-	for attempt := 1; attempt <= g.retries; attempt++ {
-		if serr := sleepCtx(ctx, putBackoff(g.seed, idx, attempt, g.backoff)); serr != nil {
+// uploadShard sends one shard of a put to its node, reading the lent
+// stripes in place. A transient failure is retried, with linearly
+// growing, fully-jittered backoff, as a fresh body from stripe 0 — the
+// stripes are still there, and the node commits by rename, so an
+// attempt can simply be made again. Failures never tear down the put:
+// the other shards' uploads are unaffected, and the caller decides
+// afterwards whether quorum held.
+func (g *Gateway) uploadShard(ctx context.Context, object string, id NodeID, cli *node.Client, lent *lentStripes, h shardfile.Header) error {
+	idx := int(h.Index)
+	// Whatever ends the upload, a windowed list stops waiting for it —
+	// after the last attempt's body is sealed.
+	defer lent.advance(idx, gone)
+	for attempt := 0; ; attempt++ {
+		body := lent.body(idx, h)
+		err := cli.PutShard(ctx, object, idx, body)
+		body.seal()
+		if err == nil || !node.Transient(err) || attempt >= g.retries {
 			return err
 		}
-		err = cli.PutShard(ctx, object, idx, bytes.NewReader(sp.bytes()))
-		if err == nil || !node.Transient(err) {
-			return err
+		if sleepCtx(ctx, putBackoff(g.seed, idx, attempt+1, g.backoff)) != nil {
+			return err // the put is over; the attempt's own error says more than ctx's
 		}
+		g.counter("cluster_put_shard_retries_total",
+			"Shard uploads started again after a transient failure during puts, by node.",
+			obs.Label{Key: "node", Value: string(id)}).Inc()
 	}
-	return err
 }
 
 // putBackoff is the delay before retry attempt (1-based): full jitter
@@ -604,66 +592,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// putSpool is a mutex-guarded append-only byte buffer. The lock
-// matters: net/http's transport may still be reading (and closing) a
-// request body from its own goroutine after RoundTrip has returned,
-// so the tee that fills the spool can race the drain that completes
-// it unless both sides serialize here.
-type putSpool struct {
-	mu sync.Mutex
-	b  []byte
-}
-
-func (s *putSpool) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	s.b = append(s.b, p...)
-	s.mu.Unlock()
-	return len(p), nil
-}
-
-// bytes snapshots the spooled contents. Callers only read it after
-// the upload attempt that fed the spool has been sealed and drained,
-// so the copy is stable.
-func (s *putSpool) bytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b
-}
-
-// spoolBody tees an upload body into a spool and can be sealed: after
-// seal, reads report EOF without touching the source, cutting off the
-// transport's post-RoundTrip body goroutine so the uploader gets the
-// source back for exclusive use and can drain the unread remainder
-// into the spool itself.
-type spoolBody struct {
-	mu     sync.Mutex
-	src    io.Reader
-	sp     *putSpool
-	sealed bool
-}
-
-func (b *spoolBody) Read(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.sealed {
-		return 0, io.EOF
-	}
-	n, err := b.src.Read(p)
-	if n > 0 {
-		b.sp.Write(p[:n])
-	}
-	return n, err
-}
-
-// seal cuts the transport off and hands the not-yet-consumed source
-// back to the caller.
-func (b *spoolBody) seal() io.Reader {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.sealed = true
-	return b.src
 }
 
 // readerCtx wraps r so each Read first checks ctx: once the put's

@@ -154,7 +154,7 @@ func TestPutBelowQuorumFails(t *testing.T) {
 
 // TestPutRetriesTransientFaults: a node whose first two requests are
 // refused at the transport must still receive its shard via the
-// spool-replay retry path, leaving the put fully redundant.
+// retry path (a fresh body over the lent stripes), leaving the put fully redundant.
 func TestPutRetriesTransientFaults(t *testing.T) {
 	ft := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
 	tc := startClusterOpts(t, 6, 4, 2, 0, 11, func(o *GatewayOptions) {
@@ -255,7 +255,7 @@ func TestPutCancellationReleasesPipeline(t *testing.T) {
 }
 
 // TestPutRetryDisabled: PutRetries -1 keeps the original
-// fail-fast-per-shard behaviour (no spool), still under quorum rules.
+// fail-fast-per-shard behaviour (a window of stripes, no retry), still under quorum rules.
 func TestPutRetryDisabled(t *testing.T) {
 	log, err := OpenIntentLog(filepath.Join(t.TempDir(), "intents.log"), nil)
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
+	"dialga/internal/shardfile"
 )
 
 // Rebalance diffs every object's placement under old against the
@@ -206,7 +207,7 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 		}
 		return r.migrateByRebuild(ctx, it, src)
 	}
-	err = dst.PutShard(ctx, object, idx, body)
+	err = dst.PutShard(ctx, object, idx, sizedReader{body, statFileSize(stat)})
 	body.Close()
 	if err != nil {
 		if node.Transient(err) {
@@ -224,6 +225,15 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	r.reg.Counter("cluster_migrate_bytes_total",
 		"Shard bytes moved to new homes by rebalancing.").Add(uint64(shardBytes))
 	return r.gw.intents.Done(object, idx)
+}
+
+// statFileSize is the exact length of the shard file a stat describes.
+func statFileSize(st node.Stat) int64 {
+	h := shardfile.Header{Version: st.Version, ShardSize: st.ShardSize, StripeCount: st.StripeCount}
+	if st.Algo == shardfile.AlgoCRC32C.String() {
+		h.Algo = shardfile.AlgoCRC32C
+	}
+	return h.ExpectedFileSize()
 }
 
 // migrateByRebuild converges a migration whose source cannot supply a

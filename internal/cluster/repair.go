@@ -427,11 +427,12 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 
 	// The rebuilt blocks reach the node through a pipe: a failed rebuild
 	// fails the request body, so the node never commits a short shard,
-	// and a failed upload fails the rebuild's next write.
+	// and a failed upload fails the rebuild's next write. The header
+	// already says how long the file will be, so the upload says it too.
 	pr, pw := io.Pipe()
 	putErr := make(chan error, 1) // one send, so the uploader never blocks
 	go func() {
-		body := io.MultiReader(bytes.NewReader(h.Marshal()), pr)
+		body := sizedReader{io.MultiReader(bytes.NewReader(h.Marshal()), pr), h.ExpectedFileSize()}
 		err := dst.WithClass(node.ClassRepair).PutShard(ctx, object, idx, body)
 		pr.CloseWithError(err)
 		putErr <- err
@@ -453,6 +454,16 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	r.gw.intents.Done(object, idx)
 	return nil
 }
+
+// sizedReader is an upload body of known length: node.Client.PutShard
+// looks for Len, as net/http does on a *bytes.Reader, and sends a
+// Content-Length instead of chunking.
+type sizedReader struct {
+	io.Reader
+	size int64
+}
+
+func (s sizedReader) Len() int { return int(s.size) }
 
 // rebuilderFor returns the rebuild pipeline for a stripe size and
 // checksum, keeping the last one: the objects of a cluster share one

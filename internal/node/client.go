@@ -137,6 +137,12 @@ func (c *Client) do(ctx context.Context, method, url string, body io.Reader) (*h
 	if err != nil {
 		return nil, err
 	}
+	// net/http learns a body's length only from its own in-memory
+	// readers, by their Len; any body that says how many bytes it has
+	// left the same way is sent with a Content-Length too, not chunked.
+	if l, ok := body.(interface{ Len() int }); ok {
+		req.ContentLength = int64(l.Len())
+	}
 	req.Header.Set(ClassHeader, c.class)
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -151,7 +157,9 @@ func (c *Client) do(ctx context.Context, method, url string, body io.Reader) (*h
 }
 
 // PutShard uploads exact shardfile bytes to the node's slot for
-// (object, idx).
+// (object, idx). A body with a Len() int method (the bytes it has left,
+// as on a *bytes.Reader) is sent with that Content-Length; any other is
+// chunked.
 func (c *Client) PutShard(ctx context.Context, object string, idx int, body io.Reader) error {
 	resp, err := c.do(ctx, http.MethodPut, c.shardURL("shard", object, idx), body)
 	if err != nil {

@@ -3,13 +3,18 @@ package node
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
+	"dialga/internal/gf"
 	"dialga/internal/obs"
 	"dialga/internal/rs"
 	"dialga/internal/shardfile"
@@ -109,38 +114,121 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 func TestStoreRejectsBadUploads(t *testing.T) {
+	reg := obs.NewRegistry()
+	store, err := OpenStore(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := reg.Counter("node_store_rejected_total", "")
+	shards := encodeShards(t, 2, 1, testPayload(20_000)) // five 2052-byte blocks a shard
+	h, err := shardfile.Parse(bytes.NewReader(shards[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustReject := func(what, object string, idx int, body []byte) {
+		t.Helper()
+		before := rejected.Value()
+		if err := store.Put(object, idx, bytes.NewReader(body)); !errors.Is(err, ErrBadShard) {
+			t.Fatalf("%s: %v, want ErrBadShard", what, err)
+		}
+		if got := rejected.Value() - before; got != 1 {
+			t.Fatalf("%s: node_store_rejected_total moved by %d, want 1", what, got)
+		}
+	}
+
+	// Index mismatch: shard 1's header uploaded to slot 0.
+	mustReject("index-mismatch put", "obj", 0, shards[1])
+	// Truncated body, and one that runs past its header's word.
+	mustReject("truncated put", "obj", 0, shards[0][:len(shards[0])-10])
+	mustReject("overlong put", "obj", 0, append(append([]byte(nil), shards[0]...), 0))
+	// Corrupt header (self-CRC fails).
+	bad := append([]byte(nil), shards[0]...)
+	bad[8] ^= 0xff
+	mustReject("bad-header put", "obj", 0, bad)
+	// One payload byte flipped in block 2: every length is right, only
+	// the block's trailer can tell.
+	bad = append([]byte(nil), shards[0]...)
+	bad[h.HeaderSize()+2*int(h.BlockSize())+100] ^= 0x04
+	mustReject("flipped-byte put", "obj", 0, bad)
+	// Unusable object names ("../escape" is fine — it percent-encodes
+	// to a safe directory name — but "." and "" cannot).
+	mustReject("dot put", ".", 0, shards[0])
+	mustReject("empty-name put", "", 0, shards[0])
+
+	// A header is a stranger's word: one claiming a 4 GiB block over a
+	// body that has a few KiB must be refused for the short body it is,
+	// not trusted with an allocation.
+	huge := h
+	huge.ShardSize = 1<<32 - 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustReject("4 GiB ShardSize put", "obj", 0, append(huge.Marshal(), shards[0][h.HeaderSize():]...))
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*putBufSize {
+		t.Fatalf("a header claiming a 4 GiB block made the store allocate %d bytes", grew)
+	}
+
+	// Nothing got persisted: no object, no directory, no temp file.
+	names, err := store.Objects()
+	if err != nil || len(names) != 0 {
+		t.Fatalf("objects after rejected puts = %v, %v", names, err)
+	}
+	if entries, err := os.ReadDir(store.Dir()); err != nil || len(entries) != 0 {
+		t.Fatalf("store directory after rejected puts holds %v, %v", entries, err)
+	}
+
+	// Over HTTP a block that fails its trailer is a 422, and a rejected
+	// overwrite leaves the committed shard as it was.
+	ts := httptest.NewServer(NewServer(store, nil, reg).Handler())
+	defer ts.Close()
+	cli := NewClient(ts.URL)
+	ctx := context.Background()
+	if err := cli.PutShard(ctx, "obj", 0, bytes.NewReader(shards[0])); err != nil {
+		t.Fatal(err)
+	}
+	var se *StatusError
+	if err := cli.PutShard(ctx, "obj", 0, bytes.NewReader(bad)); !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("flipped-byte upload: %v, want a 422", err)
+	}
+	if rep, err := store.Scrub("obj", 0); err != nil || rep.Status != shardfile.ShardOK {
+		t.Fatalf("committed shard after a rejected overwrite: %v, %v", rep.Status, err)
+	}
+	if v := reg.Gauge("node_store_shards", "").Value(); v != 1 {
+		t.Fatalf("node_store_shards = %v after one commit and one rejected overwrite, want 1", v)
+	}
+	entries, err := os.ReadDir(filepath.Join(store.Dir(), "obj"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("object directory holds %v, %v: want the one shard and no temp file", entries, err)
+	}
+}
+
+// TestStorePutLargeBlocks: a block larger than the receive buffer goes
+// through it in pieces under one running CRC, and is checked like any
+// other.
+func TestStorePutLargeBlocks(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := encodeShards(t, 2, 1, testPayload(5_000))
-
-	// Index mismatch: shard 1's header uploaded to slot 0.
-	if err := store.Put("obj", 0, bytes.NewReader(shards[1])); !errors.Is(err, ErrBadShard) {
-		t.Fatalf("index-mismatch put: %v, want ErrBadShard", err)
+	payload := testPayload(2*putBufSize + 12_345)
+	h := shardfile.Header{
+		Version: shardfile.VersionV3, K: 1, M: 1, ShardSize: uint32(len(payload)),
+		StripeCount: 2, FileSize: 2 * uint64(len(payload)), Algo: shardfile.AlgoCRC32C,
 	}
-	// Truncated body.
-	if err := store.Put("obj", 0, bytes.NewReader(shards[0][:len(shards[0])-10])); !errors.Is(err, ErrBadShard) {
-		t.Fatalf("truncated put: %v, want ErrBadShard", err)
+	file := h.Marshal()
+	for i := 0; i < 2; i++ {
+		file = append(file, payload...)
+		file = binary.LittleEndian.AppendUint32(file, gf.CRC32C(payload))
 	}
-	// Corrupt header (self-CRC fails).
-	bad := append([]byte(nil), shards[0]...)
-	bad[8] ^= 0xff
-	if err := store.Put("obj", 0, bytes.NewReader(bad)); !errors.Is(err, ErrBadShard) {
-		t.Fatalf("bad-header put: %v, want ErrBadShard", err)
+	if err := store.Put("big", 0, bytes.NewReader(file)); err != nil {
+		t.Fatal(err)
 	}
-	// Unusable object names ("../escape" is fine — it percent-encodes
-	// to a safe directory name — but "." and "" cannot).
-	if err := store.Put(".", 0, bytes.NewReader(shards[0])); !errors.Is(err, ErrBadShard) {
-		t.Fatalf("dot put: %v, want ErrBadShard", err)
+	if rep, err := store.Scrub("big", 0); err != nil || rep.Status != shardfile.ShardOK {
+		t.Fatalf("scrub: %v, %v", rep.Status, err)
 	}
-	if err := store.Put("", 0, bytes.NewReader(shards[0])); !errors.Is(err, ErrBadShard) {
-		t.Fatalf("empty-name put: %v, want ErrBadShard", err)
-	}
-	// Nothing got persisted.
-	names, err := store.Objects()
-	if err != nil || len(names) != 0 {
-		t.Fatalf("objects after rejected puts = %v, %v", names, err)
+	file[len(file)-5000] ^= 1 // deep in the second block, past a piece boundary
+	if err := store.Put("big", 0, bytes.NewReader(file)); !errors.Is(err, ErrBadShard) {
+		t.Fatalf("flipped byte in a multi-piece block: %v, want ErrBadShard", err)
 	}
 }
 

@@ -15,9 +15,11 @@
 package node
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -25,6 +27,7 @@ import (
 	"strings"
 	"sync"
 
+	"dialga/internal/gf"
 	"dialga/internal/obs"
 	"dialga/internal/shardfile"
 )
@@ -33,8 +36,8 @@ import (
 var ErrNotFound = errors.New("node: shard not found")
 
 // ErrBadShard reports an upload rejected by validation: unparseable
-// header, index mismatch, or a byte count that disagrees with the
-// header.
+// header, index mismatch, a byte count that disagrees with the header,
+// or a block that fails its checksum trailer.
 var ErrBadShard = errors.New("node: invalid shard upload")
 
 // Store is a node's local shard storage: one directory per object
@@ -142,9 +145,10 @@ func (s *Store) countShards() (int, error) {
 
 // Put validates and atomically commits one shard upload: the body must
 // be exact shardfile bytes whose header parses, whose index matches
-// idx, and whose length matches the header's expected file size.
-// Anything else is rejected with ErrBadShard and leaves no trace on
-// disk. An existing shard at the slot is replaced atomically.
+// idx, whose length matches the header's expected file size, and whose
+// every block matches its checksum trailer. Anything else is rejected
+// with ErrBadShard and leaves no trace on disk. An existing shard at
+// the slot is replaced atomically.
 func (s *Store) Put(object string, idx int, body io.Reader) error {
 	dir, err := s.objectDir(object)
 	if err != nil {
@@ -160,47 +164,103 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 		s.rejects.Inc()
 		return fmt.Errorf("%w: header says shard %d, uploaded to slot %d", ErrBadShard, h.Index, idx)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	s.mu.Lock()
 	s.tmp++
 	tmp := filepath.Join(dir, fmt.Sprintf(".put-%d-%d.tmp", idx, s.tmp))
 	s.mu.Unlock()
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		// The object's first shard here: only that put pays for a mkdir.
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		}
+	}
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp) // no-op after a successful rename
-	if _, err := f.Write(h.Marshal()); err != nil {
-		f.Close()
-		return err
-	}
-	want := h.ExpectedFileSize() - int64(h.HeaderSize())
-	n, err := io.Copy(f, body)
+	err = receive(f, h, body)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return err
-	}
-	if n != want {
-		s.rejects.Inc()
-		os.Remove(tmp)
-		os.Remove(dir) // only removes an object dir the rejected put created empty
-		return fmt.Errorf("%w: body carried %d block bytes, header wants %d", ErrBadShard, n, want)
-	}
 	path := shardfile.Path(dir, idx)
 	existed := false
-	if _, err := os.Stat(path); err == nil {
-		existed = true
+	if err == nil {
+		if _, serr := os.Stat(path); serr == nil {
+			existed = true
+		}
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
+		if errors.Is(err, ErrBadShard) {
+			s.rejects.Inc()
+		}
+		os.Remove(tmp)
+		os.Remove(dir) // only removes an object dir this put created empty
 		return err
 	}
 	s.puts.Inc()
 	if !existed {
 		s.shards.Add(1)
+	}
+	return nil
+}
+
+// putBufSize is the buffer an upload is received through: room for the
+// default geometry's block (RS(4,2) over 1 MiB stripes: 256 KiB + 4),
+// so the usual block is read whole, checked and written with one
+// write(2). It is a constant — never the uploaded header's ShardSize,
+// which is a stranger's word — and a larger block goes through it in
+// pieces. Each upload allocates its own and leaves it to the GC: a free
+// list of even two of them per store was measured (six stores in the
+// benchmark's process) at 10-15 MiB of peak RSS on workloads that do
+// not put, because what a pool holds is live heap whenever the GC sets
+// its next goal.
+const putBufSize = 320 << 10
+
+// receive copies an upload's header and blocks into f, one block at a
+// time: each block's payload is checksummed against its trailer while
+// it is still in cache, before anything could be renamed into place,
+// and the body must end exactly where the header says the file does.
+func receive(f *os.File, h shardfile.Header, body io.Reader) error {
+	if _, err := f.Write(h.Marshal()); err != nil {
+		return err
+	}
+	buf := make([]byte, putBufSize)
+	payload, trailer := int64(h.ShardSize), int64(h.Algo.TrailerSize())
+	short := func(stripe uint64, err error) error {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("%w: body ended in block %d, header wants %d blocks of %d bytes",
+				ErrBadShard, stripe, h.StripeCount, h.BlockSize())
+		}
+		return err
+	}
+	for stripe := uint64(0); stripe < h.StripeCount; stripe++ {
+		var sum uint32
+		for left := payload; left > 0; {
+			// A piece is as much payload as fits with room kept for the
+			// trailer, so the trailer always arrives whole with the last one.
+			n := min(left, int64(len(buf))-trailer)
+			left -= n
+			piece := buf[:n]
+			if left == 0 {
+				piece = buf[:n+trailer]
+			}
+			if _, err := io.ReadFull(body, piece); err != nil {
+				return short(stripe, err)
+			}
+			sum = gf.CRC32CUpdate(sum, piece[:n])
+			if left == 0 && trailer > 0 && binary.LittleEndian.Uint32(piece[n:]) != sum {
+				return fmt.Errorf("%w: block %d fails its CRC-32C trailer", ErrBadShard, stripe)
+			}
+			if _, err := f.Write(piece); err != nil {
+				return err
+			}
+		}
+	}
+	if n, err := body.Read(buf[:1]); n > 0 {
+		return fmt.Errorf("%w: body runs past the %d bytes its header describes", ErrBadShard, h.ExpectedFileSize())
+	} else if err != nil && err != io.EOF {
+		return err
 	}
 	return nil
 }

@@ -5,30 +5,31 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dialga/internal/gf"
 )
 
 // Encoder is a streaming erasure encoder: it chunks a reader into
-// stripes, encodes stripes concurrently, and writes the k data and m
-// parity shards of each stripe to k+m writers in stripe order. The
-// tail stripe is zero-padded to a full stripe, so every shard writer
-// receives exactly BlockSize bytes per stripe — shardSize data bytes
-// plus, under ChecksumCRC32C (the default), a 4-byte CRC-32C trailer
-// the decoder verifies and heals against. Recording the original
-// length for trimming on decode is the caller's job (the dialga-encode
-// shard header does this).
+// stripes, encodes stripes concurrently, and hands the k data and m
+// parity shards of each stripe on in stripe order — by reference
+// through EncodeStripes, or copied into k+m writers by Encode. The
+// tail stripe is zero-padded to a full stripe, so every shard receives
+// exactly BlockSize bytes per stripe — shardSize data bytes plus, under
+// ChecksumCRC32C (the default), a 4-byte CRC-32C trailer the decoder
+// verifies and heals against. Recording the original length for
+// trimming on decode is the caller's job (the dialga-encode shard
+// header does this).
 //
-// An Encoder is safe for concurrent use; each Encode call runs its own
+// An Encoder is safe for concurrent use; each call runs its own
 // pipeline and the shared Stats accumulate across calls.
 type Encoder struct {
-	g      geom
-	stats  *counters
-	data   *bufPool
-	parity *bufPool
-	crc    *bufPool // nil when checksums are disabled
-	jobs   jobPool
+	g       geom
+	stats   *counters
+	stripes stripePool
+	jobs    jobPool
 }
 
 // NewEncoder validates opts and returns a ready Encoder.
@@ -37,16 +38,13 @@ func NewEncoder(opts Options) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Encoder{
-		g:      g,
-		stats:  newCounters(g.metrics, "encode"),
-		data:   newBufPool(g.stripeSize),
-		parity: newBufPool(g.m * g.shardSize),
-	}
-	if g.trailer > 0 {
-		e.crc = newBufPool((g.k + g.m) * crcSize)
-	}
-	return e, nil
+	return &Encoder{
+		g:     g,
+		stats: newCounters(g.metrics, "encode"),
+		// One more than the budget: the stripe the producer is holding
+		// when it finds the source has ended.
+		stripes: stripePool{maxFree: maxIdleStripeBytes/((g.k+g.m)*g.shardSize) + 1},
+	}, nil
 }
 
 // StripeSize returns the data payload per stripe after rounding
@@ -57,7 +55,7 @@ func (e *Encoder) StripeSize() int { return e.g.stripeSize }
 // any checksum trailer.
 func (e *Encoder) ShardSize() int { return e.g.shardSize }
 
-// BlockSize returns the bytes each shard writer receives per stripe:
+// BlockSize returns the bytes each shard receives per stripe:
 // ShardSize plus the checksum trailer.
 func (e *Encoder) BlockSize() int { return e.g.blockSize }
 
@@ -72,45 +70,131 @@ func (e *Encoder) Stats() Stats { return e.stats.snapshot() }
 // codec does not offer it or checksums are off).
 func (e *Encoder) Fused() bool { return e.g.fused != nil }
 
+// Stripe is one encoded stripe, lent by EncodeStripes: the k data and m
+// parity blocks and their checksum trailers, in the encoder's own
+// pooled buffers. Whoever holds it may read the blocks in place, from
+// any number of goroutines, until Release; it must not write to them.
+type Stripe struct {
+	e      *Encoder
+	lent   atomic.Bool
+	blocks []byte // (k+m)*shardSize: one allocation, with crc behind it
+	data   []byte // blocks' first k*shardSize: the stripe as read, zero-padded
+	parity []byte // blocks' last m*shardSize
+	crc    []byte // (k+m)*crcSize trailers; empty when checksums are off
+}
+
+// Block returns shard i's block of the stripe (data shards first, then
+// parity) as two views: the shardSize payload bytes and the checksum
+// trailer that follows them on the wire (nil under ChecksumNone).
+func (s *Stripe) Block(i int) (payload, trailer []byte) {
+	size := s.e.g.shardSize
+	payload = s.blocks[i*size : (i+1)*size]
+	if len(s.crc) > 0 {
+		trailer = s.crc[i*crcSize : (i+1)*crcSize]
+	}
+	return payload, trailer
+}
+
+// Release returns the stripe's buffers to the encoder. Call it exactly
+// once per lent stripe, after the last read of any of its blocks.
+func (s *Stripe) Release() {
+	if !s.lent.Swap(false) {
+		panic("stream: Stripe released twice")
+	}
+	s.e.stripes.put(s)
+}
+
+// maxIdleStripeBytes bounds the encoded stripes an Encoder keeps idle:
+// 8 at the gateway's defaults (RS(4,2) over 1 MiB stripes), one 8 MiB
+// put's worth. A stripe lent through EncodeStripes can stay out for a
+// whole put, so a busy encoder's stripes come back in bursts, and the
+// pool decides how much of a burst stays resident. It is a plain
+// mutex-guarded free list, like shardio.BlockPool, and small on
+// purpose: with the buffers recycled a server allocates so little that
+// the GC runs about once a second, and whatever the pool holds — a
+// sync.Pool's victim generation included — is live heap when the next
+// heap goal is set. A list allowed 32 MiB idle cost 20-40 MiB of peak
+// RSS on workloads that never put.
+const maxIdleStripeBytes = 12 << 20
+
+// stripePool is the encoder's free list of stripes. Safe for
+// concurrent use.
+type stripePool struct {
+	maxFree int
+	mu      sync.Mutex
+	free    []*Stripe
+}
+
+// get returns an idle stripe, or nil when there is none.
+func (p *stripePool) get() *Stripe {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	s := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return s
+}
+
+func (p *stripePool) put(s *Stripe) {
+	p.mu.Lock()
+	if len(p.free) < p.maxFree {
+		p.free = append(p.free, s)
+	}
+	p.mu.Unlock()
+}
+
+// lend takes a stripe off the free list, or allocates one: data, parity
+// and trailers are consecutive regions of a single buffer.
+func (e *Encoder) lend() *Stripe {
+	s := e.stripes.get()
+	if s == nil {
+		g := e.g
+		buf := make([]byte, (g.k+g.m)*g.blockSize)
+		end := (g.k + g.m) * g.shardSize
+		s = &Stripe{e: e, blocks: buf[:end:end], crc: buf[end:]}
+		s.data, s.parity = s.blocks[:g.stripeSize:g.stripeSize], s.blocks[g.stripeSize:]
+	}
+	s.lent.Store(true)
+	return s
+}
+
 // encodeStripe is the worker body: encode one stripe's parity and,
 // under ChecksumCRC32C, its k+m block trailers. With a fused codec the
 // parity and every CRC come out of one cache-tiled sweep — each 4 KiB
 // tile is checksummed while still L1-resident — instead of a second
 // full pass over k+m blocks. Both paths produce byte-identical
-// trailers. Runs allocation-free against warmed pools.
+// trailers. Runs allocation-free.
 func (e *Encoder) encodeStripe(j *job) error {
 	start := time.Now()
+	st := j.enc
 	// Full-length stripes split into pure aliases of the pooled
 	// buffer (see the pinned rs.Split aliasing contract) — the
 	// zero-copy path the pipeline is built around. Callers that
 	// need ownership use rs.SplitCopy instead.
-	j.dviews = shardViewsInto(j.dviews, j.data, e.g.k, e.g.shardSize)
-	j.parity = e.parity.get()
-	j.pviews = shardViewsInto(j.pviews, j.parity, e.g.m, e.g.shardSize)
+	j.dviews = shardViewsInto(j.dviews, st.data, e.g.k, e.g.shardSize)
+	j.pviews = shardViewsInto(j.pviews, st.parity, e.g.m, e.g.shardSize)
 	if e.g.fused != nil {
 		j.sums = sliceN(j.sums, e.g.k+e.g.m)
 		if err := e.g.fused.EncodeSumInto(j.sums, j.dviews, j.pviews); err != nil {
 			return fmt.Errorf("stream: encode stripe %d: %w", j.seq, err)
 		}
-		j.crc = e.crc.get()
 		for i, sum := range j.sums {
-			binary.LittleEndian.PutUint32(j.crc[i*crcSize:], sum)
+			binary.LittleEndian.PutUint32(st.crc[i*crcSize:], sum)
 		}
 	} else {
 		if err := e.g.codec.Encode(j.dviews, j.pviews); err != nil {
 			return fmt.Errorf("stream: encode stripe %d: %w", j.seq, err)
 		}
-		if e.crc != nil {
+		if len(st.crc) > 0 {
 			// Two-pass trailers: CRC-32C of each block after the fact,
 			// hardware-accelerated, off the serial deliver path.
-			j.crc = e.crc.get()
-			for i := 0; i < e.g.k; i++ {
-				sum := gf.CRC32C(j.data[i*e.g.shardSize : (i+1)*e.g.shardSize])
-				binary.LittleEndian.PutUint32(j.crc[i*crcSize:], sum)
-			}
-			for i := 0; i < e.g.m; i++ {
-				sum := gf.CRC32C(j.parity[i*e.g.shardSize : (i+1)*e.g.shardSize])
-				binary.LittleEndian.PutUint32(j.crc[(e.g.k+i)*crcSize:], sum)
+			for i := 0; i < e.g.k+e.g.m; i++ {
+				payload, trailer := st.Block(i)
+				binary.LittleEndian.PutUint32(trailer, gf.CRC32C(payload))
 			}
 		}
 	}
@@ -133,33 +217,60 @@ func (e *Encoder) Encode(ctx context.Context, r io.Reader, shards []io.Writer) e
 			return fmt.Errorf("stream: shard writer %d is nil", i)
 		}
 	}
+	return e.EncodeStripes(ctx, r, func(st *Stripe) error {
+		defer st.Release()
+		for i, w := range shards {
+			payload, trailer := st.Block(i)
+			if _, err := w.Write(payload); err != nil {
+				return fmt.Errorf("stream: write shard %d: %w", i, err)
+			}
+			if trailer != nil {
+				if _, err := w.Write(trailer); err != nil {
+					return fmt.Errorf("stream: write shard %d trailer: %w", i, err)
+				}
+			}
+		}
+		return nil
+	})
+}
 
+// EncodeStripes reads r to EOF and lends every encoded stripe to emit,
+// in stripe order, on the calling goroutine — the by-reference form of
+// Encode, for consumers that can read the blocks where they lie. The
+// stripe is emit's from the moment of the call, whatever emit returns:
+// it (or whoever it hands the stripe to) calls Release exactly once,
+// and may do so long after emit has returned. Stripes the pipeline read
+// or encoded but never emitted (an error, a cancelled ctx) it recycles
+// itself. EncodeStripes returns the first error from the reader, emit,
+// the codec, or ctx, after all workers have drained; the stripes'
+// bytes are identical for any worker count.
+func (e *Encoder) EncodeStripes(ctx context.Context, r io.Reader, emit func(*Stripe) error) error {
 	produce := func(ctx context.Context, push func(*job) bool) error {
 		for seq := int64(0); ; seq++ {
 			span := e.g.trace.Begin(seq)
-			buf := e.data.get()
-			n, err := io.ReadFull(r, buf)
+			st := e.lend()
+			n, err := io.ReadFull(r, st.data)
 			if n == 0 {
-				e.data.put(buf)
+				st.Release()
 				if err == io.EOF || err == nil {
 					return nil
 				}
 				return fmt.Errorf("stream: read input: %w", err)
 			}
 			if err != nil && err != io.ErrUnexpectedEOF {
-				e.data.put(buf)
+				st.Release()
 				return fmt.Errorf("stream: read input: %w", err)
 			}
 			final := err == io.ErrUnexpectedEOF
-			if n < len(buf) {
-				clear(buf[n:]) // pooled buffer: scrub stale bytes into the padding
+			if n < len(st.data) {
+				clear(st.data[n:]) // pooled buffer: scrub stale bytes into the padding
 			}
 			e.stats.bytesIn.Add(uint64(n))
 			if span != nil {
 				span.Event("read", fmt.Sprintf("bytes=%d", n))
 			}
 			j := e.jobs.get()
-			j.seq, j.data, j.n, j.span = seq, buf, n, span
+			j.seq, j.enc, j.n, j.span = seq, st, n, span
 			if !push(j) {
 				return nil
 			}
@@ -169,37 +280,11 @@ func (e *Encoder) Encode(ctx context.Context, r io.Reader, shards []io.Writer) e
 		}
 	}
 
-	work := e.encodeStripe
-
-	writeBlock := func(w io.Writer, idx int, block []byte, crc []byte) error {
-		if _, err := w.Write(block); err != nil {
-			return fmt.Errorf("stream: write shard %d: %w", idx, err)
-		}
-		if crc != nil {
-			if _, err := w.Write(crc); err != nil {
-				return fmt.Errorf("stream: write shard %d trailer: %w", idx, err)
-			}
-		}
-		return nil
-	}
-
 	deliver := func(j *job) error {
-		var crc []byte
-		for i := 0; i < e.g.k; i++ {
-			if j.crc != nil {
-				crc = j.crc[i*crcSize : (i+1)*crcSize]
-			}
-			if err := writeBlock(shards[i], i, j.data[i*e.g.shardSize:(i+1)*e.g.shardSize], crc); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < e.g.m; i++ {
-			if j.crc != nil {
-				crc = j.crc[(e.g.k+i)*crcSize : (e.g.k+i+1)*crcSize]
-			}
-			if err := writeBlock(shards[e.g.k+i], e.g.k+i, j.parity[i*e.g.shardSize:(i+1)*e.g.shardSize], crc); err != nil {
-				return err
-			}
+		st := j.enc
+		j.enc = nil // emit's now; release must not recycle it
+		if err := emit(st); err != nil {
+			return err
 		}
 		e.stats.stripes.Add(1)
 		e.stats.bytesOut.Add(uint64((e.g.k + e.g.m) * e.g.blockSize))
@@ -208,18 +293,12 @@ func (e *Encoder) Encode(ctx context.Context, r io.Reader, shards []io.Writer) e
 	}
 
 	release := func(j *job) {
-		if j.data != nil {
-			e.data.put(j.data)
-		}
-		if j.parity != nil {
-			e.parity.put(j.parity)
-		}
-		if j.crc != nil {
-			e.crc.put(j.crc)
+		if j.enc != nil {
+			j.enc.Release()
 		}
 		j.span.End()
 		e.jobs.put(j)
 	}
 
-	return run(ctx, e.g, e.stats, produce, work, deliver, release)
+	return run(ctx, e.g, e.stats, produce, e.encodeStripe, deliver, release)
 }

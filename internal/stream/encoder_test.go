@@ -358,3 +358,123 @@ func ExampleEncoder() {
 	fmt.Println(enc.Stats().Stripes, "stripes,", enc.Stats().BytesIn, "bytes in")
 	// Output: 3 stripes, 18 bytes in
 }
+
+// TestEncodeStripesMatchesEncode: the stripes EncodeStripes lends hold,
+// block for block, the bytes Encode writes — for every worker count,
+// with and without trailers, and with a short tail stripe — while the
+// consumer keeps every stripe until the encode has returned.
+func TestEncodeStripesMatchesEncode(t *testing.T) {
+	code := mustRS(t, 4, 2)
+	payload := randBytes(t, 9*(16<<10)+333, 77) // nine full stripes and a short tail
+	for _, sum := range []Checksum{ChecksumCRC32C, ChecksumNone} {
+		want := encodeAll(t, Options{Codec: code, StripeSize: 16 << 10, Workers: 1, Checksum: sum}, payload)
+		for _, workers := range []int{1, 2, 3, 8} {
+			enc, err := NewEncoder(Options{Codec: code, StripeSize: 16 << 10, Workers: workers, Checksum: sum})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held []*Stripe
+			err = enc.EncodeStripes(context.Background(), bytes.NewReader(payload), func(st *Stripe) error {
+				held = append(held, st)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][]byte, enc.Shards())
+			for _, st := range held {
+				for i := range got {
+					payload, trailer := st.Block(i)
+					if (trailer == nil) != (sum == ChecksumNone) {
+						t.Fatalf("%v: trailer %v", sum, trailer)
+					}
+					got[i] = append(append(got[i], payload...), trailer...)
+				}
+				st.Release()
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%v, workers=%d: shard %d by reference differs from Encode's", sum, workers, i)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeStripesReleasesEveryStripe: a stripe that is emitted is the
+// consumer's to release, once; one that is read or encoded but never
+// emitted is recycled by the pipeline. The free list is filled before
+// each run, so whether every stripe came back exactly once is its
+// length afterwards (a second release of any stripe panics).
+func TestEncodeStripesReleasesEveryStripe(t *testing.T) {
+	const stripe, stripes, pooled = 4 << 10, 40, 64
+	payload := randBytes(t, stripes*stripe, 78)
+	errBoom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		src  func() io.Reader
+		emit func(n int, cancel context.CancelFunc) error // called with the stripe's ordinal
+		want error
+	}{
+		{name: "success", src: func() io.Reader { return bytes.NewReader(payload) },
+			emit: func(int, context.CancelFunc) error { return nil }},
+		{name: "source fails", want: errBoom,
+			src:  func() io.Reader { return &failingReader{n: 7*stripe + 100, err: errBoom} },
+			emit: func(int, context.CancelFunc) error { return nil }},
+		{name: "emit fails", want: errBoom, src: func() io.Reader { return bytes.NewReader(payload) },
+			emit: func(n int, _ context.CancelFunc) error {
+				if n == 3 {
+					return errBoom
+				}
+				return nil
+			}},
+		{name: "cancelled", want: context.Canceled, src: func() io.Reader { return bytes.NewReader(payload) },
+			emit: func(n int, cancel context.CancelFunc) error {
+				if n == 3 {
+					cancel()
+				}
+				return nil
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc, err := NewEncoder(Options{Codec: mustRS(t, 4, 2), StripeSize: stripe, Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc.stripes.maxFree = pooled
+			warm := make([]*Stripe, pooled)
+			for i := range warm {
+				warm[i] = enc.lend()
+			}
+			for _, st := range warm {
+				st.Release()
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var held []*Stripe
+			err = enc.EncodeStripes(ctx, tc.src(), func(st *Stripe) error {
+				held = append(held, st)
+				return tc.emit(len(held)-1, cancel)
+			})
+			if !errors.Is(err, tc.want) || (tc.want == nil && len(held) != stripes) {
+				t.Fatalf("err = %v after %d stripes, want %v", err, len(held), tc.want)
+			}
+			if free := len(enc.stripes.free); free != pooled-len(held) {
+				t.Fatalf("%d stripes idle with %d lent out, want %d: the pipeline kept or lost some", free, len(held), pooled-len(held))
+			}
+			for _, st := range held {
+				st.Release()
+			}
+			if free := len(enc.stripes.free); free != pooled {
+				t.Fatalf("%d stripes idle after every release, want %d", free, pooled)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a second Release of one stripe went unnoticed")
+				}
+			}()
+			held[0].Release()
+		})
+	}
+}

@@ -17,7 +17,7 @@ import (
 type PanicError = shardio.PanicError
 
 // job is one stripe moving through the pipeline. The producer fills
-// seq/data/blocks/n, a worker fills parity/err and signals ready, and
+// seq/enc/blocks/n, a worker fills the parity/err and signals ready, and
 // the consumer waits on ready before emitting — so every field is
 // written before the channel operation that publishes it and no field
 // needs a lock.
@@ -31,18 +31,16 @@ type job struct {
 	ready chan struct{} // receives one value once the worker (or an abort) is done
 	err   error         // sticky per-job failure, set before ready is signalled
 
-	data    []byte          // encoder: pooled stripe buffer (k*shardSize)
-	n       int             // encoder: valid payload bytes in data (tail stripe may be short)
-	parity  []byte          // encoder: pooled parity buffer (m*shardSize), set by the worker
-	crc     []byte          // encoder: pooled checksum trailers ((k+m)*crcSize), set by the worker
+	enc     *Stripe         // encoder: pooled stripe buffers; nil once lent to the consumer
+	n       int             // encoder: valid payload bytes in enc.data (tail stripe may be short)
 	buf     []byte          // decoder: pooled stripe buffer ((k+m)*blockSize, trailers inline)
 	blocks  [][]byte        // decoder: k+m full block slices, nil for missing shards
 	demoted int             // decoder: blocks discarded as untrustworthy by the producer
 	stripe  *shardio.Stripe // decoder: gather result backing blocks; released with the job
 
 	// Reusable per-job scratch, capacity preserved across pool cycles.
-	dviews [][]byte // encoder: k data shard views into data
-	pviews [][]byte // encoder: m parity shard views into parity
+	dviews [][]byte // encoder: k data shard views into enc.data
+	pviews [][]byte // encoder: m parity shard views into enc.parity
 	sums   []uint32 // encoder: k+m fused CRC sums
 	eras   []int    // decoder: indices handed pooled spare output buffers
 
@@ -68,7 +66,7 @@ func (jp *jobPool) get() *job {
 
 func (jp *jobPool) put(j *job) {
 	j.seq, j.err, j.n, j.demoted = 0, nil, 0, 0
-	j.data, j.parity, j.crc, j.buf = nil, nil, nil, nil
+	j.enc, j.buf = nil, nil
 	j.blocks = j.blocks[:0]
 	j.dviews, j.pviews = j.dviews[:0], j.pviews[:0]
 	j.eras = j.eras[:0]

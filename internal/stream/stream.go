@@ -12,11 +12,12 @@
 //
 // Both directions are provided:
 //
-//   - Encoder: io.Reader -> k+m per-shard io.Writers
+//   - Encoder: io.Reader -> k+m per-shard io.Writers (Encode), or
+//     each encoded stripe lent by reference (EncodeStripes)
 //   - Decoder: k+m per-shard io.Readers (nil or failing entries
 //     tolerated, up to m per stripe) -> io.Writer
 //
-// Stripe buffers are pooled (sync.Pool), cancellation is by
+// Stripe buffers are pooled, cancellation is by
 // context.Context, and the first error from any stage cancels the
 // pipeline and drains the workers before returning. Per-pipeline
 // counters (stripes, bytes in/out, stripe latency histogram) are
