@@ -28,7 +28,9 @@ type GatewayOptions struct {
 	// K and M are the erasure geometry: K data + M parity shards per
 	// stripe. Required; K+M must not exceed the map's failure domains.
 	K, M int
-	// StripeSize is the data bytes per stripe on PUT. Default
+	// StripeSize is the data bytes per stripe on PUT, for objects that
+	// fill one: an object smaller than half of it is stored as a single
+	// stripe of smaller shards (see shardSizeFor). Default
 	// stream.DefaultStripeSize.
 	StripeSize int
 	// Router orders shards for reads. Default FirstK.
@@ -85,7 +87,7 @@ type GatewayOptions struct {
 // service to lose.
 type Gateway struct {
 	k, m       int
-	stripe     int
+	rungs      []int // the shard sizes puts choose from; see shardSizes
 	spares     int
 	router     *sideliner // the configured Router under cross-request sidelining
 	hedge      time.Duration
@@ -93,10 +95,10 @@ type Gateway struct {
 	reg        *obs.Registry
 	hc         *http.Client
 	codec      *rs.Code
-	enc        *stream.Encoder // the put pipeline, shared by every PutObject
-	retained   *obs.Gauge      // cluster_put_retained_bytes
-	quorum     int             // shard uploads required to ack a put
-	retries    int             // per-shard transient retry budget (-1: disabled)
+	retained   *obs.Gauge     // cluster_put_retained_bytes
+	putSizes   *obs.Histogram // cluster_put_shard_size_bytes
+	quorum     int            // shard uploads required to ack a put
+	retries    int            // per-shard transient retry budget (-1: disabled)
 	backoff    time.Duration
 	intents    *IntentLog
 	onDegraded func(object string, index int)
@@ -109,8 +111,9 @@ type Gateway struct {
 	state  atomic.Pointer[mapState]
 	swapMu sync.Mutex // serializes UpdateMap
 
-	decMu    sync.Mutex
-	decoders []cachedDecoder // most recently used first; see decoderFor
+	// The put and read pipelines, kept across requests (ladder.go).
+	encoders pipelines[*stream.Encoder]
+	decoders pipelines[*stream.Decoder]
 }
 
 // mapState pairs a cluster map with the shard clients built from it.
@@ -205,7 +208,7 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	g := &Gateway{
 		k:       opts.K,
 		m:       opts.M,
-		stripe:  stripeSize,
+		rungs:   shardSizes((stripeSize + opts.K - 1) / opts.K),
 		spares:  spares,
 		router:  newSideliner(router, opts.Metrics),
 		hedge:   opts.HedgeAfter,
@@ -220,7 +223,15 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		retained: opts.Metrics.Gauge("cluster_put_retained_bytes",
 			"Encoded stripe bytes puts currently lend to their shard uploads."),
 	}
-	if g.enc, err = stream.NewEncoder(g.streamOptions()); err != nil {
+	sizes := make([]float64, len(g.rungs))
+	for i, s := range g.rungs {
+		sizes[i] = float64(s)
+	}
+	g.putSizes = opts.Metrics.Histogram("cluster_put_shard_size_bytes",
+		"Object puts by the shard size they were stored at: one bucket per rung of the ladder.", sizes)
+	g.encoders.max, g.decoders.max = len(g.rungs), 2*len(g.rungs)
+	// Building the top rung's encoder now is what validates the options.
+	if _, err := g.encoderFor(int64(stripeSize)); err != nil {
 		return nil, err
 	}
 	g.state.Store(g.buildState(opts.Map, nil))
@@ -307,7 +318,7 @@ func (g *Gateway) counter(name, help string, labels ...obs.Label) *obs.Counter {
 }
 
 // header builds shard idx's shardfile header for an object of size
-// bytes encoded with the gateway's geometry and stripe size.
+// bytes encoded with the gateway's geometry in shardSize-byte shards.
 func (g *Gateway) header(idx int, size int64, shardSize int) shardfile.Header {
 	stripeSize := uint64(shardSize * g.k)
 	stripes := (uint64(size) + stripeSize - 1) / stripeSize
@@ -322,66 +333,16 @@ func (g *Gateway) header(idx int, size int64, shardSize int) shardfile.Header {
 }
 
 // streamOptions is the shared pipeline config for this gateway's
-// geometry.
-func (g *Gateway) streamOptions() stream.Options {
+// geometry over shards of shardSize bytes.
+func (g *Gateway) streamOptions(shardSize int) stream.Options {
 	return stream.Options{
 		Codec:      g.codec,
-		StripeSize: g.stripe,
+		StripeSize: shardSize * g.k,
 		Checksum:   stream.ChecksumCRC32C,
 		HedgeAfter: g.hedge,
 		Seed:       g.seed,
 		Metrics:    g.reg,
 	}
-}
-
-// maxCachedDecoders bounds the decoder cache. A gateway's own objects
-// share one shard size, so full and ranged reads need two entries; the
-// bound exists because shard size is read from stored headers, which
-// the gateway did not necessarily write.
-const maxCachedDecoders = 4
-
-// cachedDecoder is one decode pipeline kept across GETs.
-type cachedDecoder struct {
-	shardSize int
-	sum       stream.Checksum
-	hedged    bool
-	dec       *stream.Decoder
-}
-
-// decoderFor returns the gateway's decoder for a shard size, checksum
-// and hedging mode, building it on first use. Decoders outlive the
-// request — as Repairer keeps its Rebuilder — because their pools do:
-// the ~3 MiB of block buffers an 8 MiB GET cycles through are handed
-// from one GET to the next instead of being allocated, and left to two
-// GC cycles, per request.
-func (g *Gateway) decoderFor(shardSize int, sum stream.Checksum, hedged bool) (*stream.Decoder, error) {
-	hedged = hedged && g.hedge > 0
-	g.decMu.Lock()
-	defer g.decMu.Unlock()
-	for i, c := range g.decoders {
-		if c.shardSize == shardSize && c.sum == sum && c.hedged == hedged {
-			copy(g.decoders[1:i+1], g.decoders[:i])
-			g.decoders[0] = c
-			return c.dec, nil
-		}
-	}
-	opts := g.streamOptions()
-	opts.StripeSize = shardSize * g.k
-	opts.Checksum = sum
-	opts.CloseReaders = true
-	if !hedged {
-		opts.HedgeAfter = 0
-	}
-	dec, err := stream.NewDecoder(opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(g.decoders) < maxCachedDecoders {
-		g.decoders = append(g.decoders, cachedDecoder{})
-	}
-	copy(g.decoders[1:], g.decoders)
-	g.decoders[0] = cachedDecoder{shardSize: shardSize, sum: sum, hedged: hedged, dec: dec}
-	return dec, nil
 }
 
 // PutObject encodes size bytes from r into K+M shards streamed
@@ -409,6 +370,10 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 		return nil, err
 	}
 
+	enc, err := g.encoderFor(size)
+	if err != nil {
+		return nil, err
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -417,7 +382,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	if g.retries < 0 {
 		window = putWindow
 	}
-	lent := newLentStripes(ctx, n, window, n*g.enc.BlockSize(), g.retained)
+	lent := newLentStripes(ctx, n, window, n*enc.BlockSize(), g.retained)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -431,7 +396,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 		wg.Add(1)
 		go func(i int, cli *node.Client) {
 			defer wg.Done()
-			h := g.header(i, size, g.enc.ShardSize())
+			h := g.header(i, size, enc.ShardSize())
 			if err := g.uploadShard(ctx, object, placement[i].ID, cli.WithClass(class), lent, h); err != nil {
 				errs[i] = fmt.Errorf("shard %d -> %s: %w", i, placement[i].ID, err)
 			}
@@ -446,7 +411,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	// keep the whole put — stripes, uploader goroutines and all — alive
 	// long after the caller gave up.
 	cr := &countingReader{r: readerCtx(ctx, r)}
-	encErr := g.enc.EncodeStripes(ctx, cr, lent.publish)
+	encErr := enc.EncodeStripes(ctx, cr, lent.publish)
 	if encErr == nil && cr.n != size {
 		encErr = fmt.Errorf("read %d bytes, expected %d", cr.n, size)
 	}
@@ -539,6 +504,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	g.counter("cluster_puts_total", "Object puts, by result.",
 		obs.Label{Key: "result", Value: result}).Inc()
 	g.counter("cluster_put_bytes_total", "Object payload bytes written.").Add(uint64(size))
+	g.putSizes.Observe(float64(enc.ShardSize()))
 	return placement, nil
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
+	"dialga/internal/stream"
 )
 
 // TestGetSourcesMustAgree overwrites an object with one of a different
@@ -165,7 +166,7 @@ func TestSharedDecoderConcurrentGets(t *testing.T) {
 		tc.put(ctx, objectName(i), payloads[i])
 	}
 	tc.mustGet(ctx, objectName(0), payloads[0])
-	full := tc.gw.decoders[0].dec
+	full := tc.gw.decoders.entries[0].val
 	base := runtime.NumGoroutine()
 
 	var wg sync.WaitGroup
@@ -199,11 +200,11 @@ func TestSharedDecoderConcurrentGets(t *testing.T) {
 	}
 	wg.Wait()
 
-	if len(tc.gw.decoders) != 2 {
-		t.Fatalf("%d decoders cached, want one hedged and one not", len(tc.gw.decoders))
+	if len(tc.gw.decoders.entries) != 2 {
+		t.Fatalf("%d decoders cached, want one hedged and one not", len(tc.gw.decoders.entries))
 	}
-	for _, c := range tc.gw.decoders {
-		if c.hedged && c.dec != full {
+	for _, c := range tc.gw.decoders.entries {
+		if c.key.hedged && c.val != full {
 			t.Fatal("full reads did not keep the decoder they started with")
 		}
 	}
@@ -212,15 +213,48 @@ func TestSharedDecoderConcurrentGets(t *testing.T) {
 
 func objectName(i int) string { return "shared-" + string(rune('a'+i)) }
 
-// TestDecoderCacheIsBounded: shard sizes come from stored headers, so
-// the cache they key must not grow with them.
+// TestDecoderCacheIsBounded: the cache holds a full-read and a
+// ranged-read decoder for every rung of the ladder, so reads of the
+// gateway's own objects, of every size in rotation, build each decoder
+// exactly once; but shard sizes come from stored headers, so the cache
+// they key must not grow with them.
 func TestDecoderCacheIsBounded(t *testing.T) {
 	tc := startCluster(t, 6, 4, 2, 0, 73)
+	ctx := context.Background()
+	payload := clusterPayload(730, 200_000)
+	built := map[*stream.Decoder]bool{}
+	for round := 0; round < 3; round++ {
+		for _, shardSize := range tc.gw.rungs {
+			object, size := fmt.Sprintf("rung-%d", shardSize), 4*shardSize
+			if shardSize == tc.gw.rungs[len(tc.gw.rungs)-1] {
+				size = len(payload) // the top rung, several stripes
+			}
+			if round == 0 {
+				tc.put(ctx, object, payload[:size])
+			}
+			tc.mustGet(ctx, object, payload[:size])
+			var part bytes.Buffer
+			if err := tc.gw.GetObjectRange(ctx, object, &part, 100, 1000, node.ClassForeground); err != nil ||
+				!bytes.Equal(part.Bytes(), payload[100:1100]) {
+				t.Fatalf("range read of %s: %v, %d bytes", object, err, part.Len())
+			}
+		}
+		for _, c := range tc.gw.decoders.entries {
+			if round > 0 && !built[c.val] {
+				t.Fatalf("round %d built the decoder for %+v again", round, c.key)
+			}
+			built[c.val] = true
+		}
+		if len(built) != 2*len(tc.gw.rungs) || len(built) != tc.gw.decoders.max {
+			t.Fatalf("round %d: %d decoders built for %d rungs, cache bound %d", round, len(built), len(tc.gw.rungs), tc.gw.decoders.max)
+		}
+	}
+
 	first, err := tc.gw.decoderFor(1024, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for size := 2048; size < 2048+2*maxCachedDecoders; size++ {
+	for size := 2048; size < 2048+2*tc.gw.decoders.max; size++ {
 		if _, err := tc.gw.decoderFor(size, 0, true); err != nil {
 			t.Fatal(err)
 		}
@@ -229,8 +263,8 @@ func TestDecoderCacheIsBounded(t *testing.T) {
 			t.Fatalf("decoder in use was evicted at size %d", size)
 		}
 	}
-	if len(tc.gw.decoders) != maxCachedDecoders {
-		t.Fatalf("%d decoders cached, want %d", len(tc.gw.decoders), maxCachedDecoders)
+	if len(tc.gw.decoders.entries) != tc.gw.decoders.max {
+		t.Fatalf("%d decoders cached, want %d", len(tc.gw.decoders.entries), tc.gw.decoders.max)
 	}
 }
 

@@ -55,6 +55,12 @@ func (tc *testCluster) retainedBytes() float64 {
 	return tc.reg.Gauge("cluster_put_retained_bytes", "").Value()
 }
 
+// topBlockSize is the bytes per shard per stripe, trailer included, of
+// an object that fills the configured stripe.
+func (tc *testCluster) topBlockSize() int {
+	return tc.gw.rungs[len(tc.gw.rungs)-1] + 4 // the CRC-32C trailer
+}
+
 // TestPutMidStreamCutReplaysByReference: one node's upload is cut, with
 // a transient error, in the middle of its second block — after the
 // first stripe has gone out whole. The retry is a fresh body over the
@@ -71,7 +77,7 @@ func TestPutMidStreamCutReplaysByReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blockSize := tc.gw.enc.BlockSize()
+	blockSize := tc.topBlockSize()
 	plan, err := fault.Parse(fmt.Sprintf("err@%d", 48+blockSize+blockSize/2))
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +206,7 @@ func TestPutWindowBoundsRetainedStripes(t *testing.T) {
 		done <- err
 	}()
 
-	full := float64(putWindow * 6 * tc.gw.enc.BlockSize())
+	full := float64(putWindow * 6 * tc.topBlockSize())
 	deadline := time.Now().Add(10 * time.Second)
 	for settled := 0; settled < 20; { // the window fills, then stays exactly full
 		switch v := tc.retainedBytes(); {
@@ -304,5 +310,10 @@ func TestPutSteadyStateAllocation(t *testing.T) {
 	t.Logf("bytes allocated per 8 MiB PUT: min %d, median %d, max %d", perPut[0], perPut[10], perPut[20])
 	if perPut[10] > 1<<20 {
 		t.Fatalf("%d bytes allocated per PUT, want under 1 MiB", perPut[10])
+	}
+	// Large objects take the top rung, the encoder NewGateway built: a
+	// gateway that only ever sees them builds no other.
+	if n := len(gw.encoders.entries); n != 1 {
+		t.Fatalf("%d encoders built by 8 MiB puts, want 1", n)
 	}
 }

@@ -128,8 +128,7 @@ type Repairer struct {
 	queued map[string]*repairItem
 	seq    uint64
 
-	rbMu sync.Mutex
-	rb   *stream.Rebuilder // last rebuild pipeline used; see rebuilderFor
+	rebuilders pipelines[*stream.Rebuilder] // see rebuilderFor
 }
 
 // NewRepairer wires a repair queue over the gateway's cluster view
@@ -154,6 +153,7 @@ func NewRepairerOpts(gw *Gateway, lim *Limiter, reg *obs.Registry, opts Repairer
 		maxAttempts: maxAttempts,
 		pacer:       pacer,
 		queued:      make(map[string]*repairItem),
+		rebuilders:  pipelines[*stream.Rebuilder]{max: len(gw.rungs)},
 	}
 }
 
@@ -414,7 +414,7 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	}
 	h := src.header
 	h.Index = uint32(idx)
-	rb, err := r.rebuilderFor(int(h.ShardSize)*r.gw.k, h.Algo.Stream())
+	rb, err := r.rebuilderFor(int(h.ShardSize), h.Algo.Stream())
 	if err == nil {
 		// Spend the k shard files about to be read against the global
 		// repair budget before moving them.
@@ -465,25 +465,17 @@ type sizedReader struct {
 
 func (s sizedReader) Len() int { return int(s.size) }
 
-// rebuilderFor returns the rebuild pipeline for a stripe size and
-// checksum, keeping the last one: the objects of a cluster share one
-// geometry, so consecutive repairs reuse its warmed buffer pools.
-func (r *Repairer) rebuilderFor(stripeSize int, sum stream.Checksum) (*stream.Rebuilder, error) {
-	r.rbMu.Lock()
-	defer r.rbMu.Unlock()
-	if r.rb != nil && r.rb.StripeSize() == stripeSize && r.rb.Checksum() == sum {
-		return r.rb, nil
-	}
-	opts := r.gw.streamOptions()
-	opts.StripeSize = stripeSize
-	opts.Checksum = sum
-	opts.CloseReaders = true
-	rb, err := stream.NewRebuilder(opts)
-	if err != nil {
-		return nil, err
-	}
-	r.rb = rb
-	return rb, nil
+// rebuilderFor returns the rebuild pipeline for a shard size and
+// checksum, keeping one per rung of the gateway's ladder: a cluster's
+// objects share a geometry but not a size, and a repair pass over small
+// and large ones reuses each rung's warmed buffer pools.
+func (r *Repairer) rebuilderFor(shardSize int, sum stream.Checksum) (*stream.Rebuilder, error) {
+	return r.rebuilders.get(pipelineKey{shardSize: shardSize, sum: sum}, func() (*stream.Rebuilder, error) {
+		opts := r.gw.streamOptions(shardSize)
+		opts.Checksum = sum
+		opts.CloseReaders = true
+		return stream.NewRebuilder(opts)
+	})
 }
 
 // spendRead charges n source bytes about to be read to the bandwidth

@@ -170,8 +170,10 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 	s.mu.Unlock()
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if errors.Is(err, fs.ErrNotExist) {
-		// The object's first shard here: only that put pays for a mkdir.
-		if err = os.MkdirAll(dir, 0o755); err == nil {
+		// The object's first shard here: only that put pays for a mkdir,
+		// and not MkdirAll's walk (the root exists since OpenStore). Losing
+		// the race to a concurrent first shard is as good as winning.
+		if err = os.Mkdir(dir, 0o755); err == nil || errors.Is(err, fs.ErrExist) {
 			f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		}
 	}
@@ -205,16 +207,17 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 	return nil
 }
 
-// putBufSize is the buffer an upload is received through: room for the
-// default geometry's block (RS(4,2) over 1 MiB stripes: 256 KiB + 4),
-// so the usual block is read whole, checked and written with one
-// write(2). It is a constant — never the uploaded header's ShardSize,
-// which is a stranger's word — and a larger block goes through it in
-// pieces. Each upload allocates its own and leaves it to the GC: a free
-// list of even two of them per store was measured (six stores in the
-// benchmark's process) at 10-15 MiB of peak RSS on workloads that do
-// not put, because what a pool holds is live heap whenever the GC sets
-// its next goal.
+// putBufSize caps the buffer an upload is received through: room for
+// the default geometry's block (RS(4,2) over 1 MiB stripes: 256 KiB +
+// 4), so the usual block is read whole, checked and written with one
+// write(2). An upload of smaller blocks gets a buffer of one block (a
+// 64 KiB object's 16 KiB shard does not pay for zeroing 320 KiB), but the
+// uploaded header's ShardSize, a stranger's word, can only shrink it: a
+// larger block goes through the buffer in pieces. Each upload allocates
+// its own and leaves it to the GC: a free list of even two of them per
+// store was measured (six stores in the benchmark's process) at 10-15
+// MiB of peak RSS on workloads that do not put, because what a pool
+// holds is live heap whenever the GC sets its next goal.
 const putBufSize = 320 << 10
 
 // receive copies an upload's header and blocks into f, one block at a
@@ -225,7 +228,7 @@ func receive(f *os.File, h shardfile.Header, body io.Reader) error {
 	if _, err := f.Write(h.Marshal()); err != nil {
 		return err
 	}
-	buf := make([]byte, putBufSize)
+	buf := make([]byte, max(1, min(putBufSize, h.BlockSize())))
 	payload, trailer := int64(h.ShardSize), int64(h.Algo.TrailerSize())
 	short := func(stripe uint64, err error) error {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {

@@ -277,7 +277,19 @@ func (g *Group) Next(ctx context.Context) (*Stripe, error) {
 // place. Next calls it on a fresh stripe; a caller calls it again on
 // the stripe Next returned last to read shards attached since. It fails
 // only when ctx is cancelled.
-func (g *Group) Fill(ctx context.Context, st *Stripe) error {
+func (g *Group) Fill(ctx context.Context, st *Stripe) error { return g.fill(ctx, st, false) }
+
+// Await is Fill without the speculation: called on the stripe Next
+// returned last, it waits — as long as ctx lives, no deadline, no
+// breaker — for a block from every live shard the stripe went ahead
+// without: hedged past, still reading an earlier stripe, or behind an
+// open breaker. Hedging bets that the blocks in hand will do; a consumer
+// that finds they do not (too many corrupt) calls Await before giving
+// the stripe up, so a guess about latency never decides whether data is
+// readable. A block that arrives is an ordinary StateOK block.
+func (g *Group) Await(ctx context.Context, st *Stripe) error { return g.fill(ctx, st, true) }
+
+func (g *Group) fill(ctx context.Context, st *Stripe, patient bool) error {
 	seq := st.Seq
 	now := g.clock.Now()
 	awaited := g.awaited
@@ -295,11 +307,16 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error {
 			st.Errs[i] = m.deadErr
 		case m.eof:
 			st.States[i] = StateEOF
-		case m.gate.Cooling(now):
+		case m.gate.Cooling(now) && !patient:
 			st.States[i] = StateOpen
 		case m.outstanding:
-			// Still serving an earlier stripe: a straggler mid-read.
+			// Still serving an earlier stripe, or this one after a hedge: a
+			// straggler mid-read.
 			st.States[i] = StateSlow
+			if patient {
+				awaited[i] = true
+				wait++
+			}
 		default:
 			g.enqueue(i, seq)
 			awaited[i] = true
@@ -308,7 +325,7 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error {
 		}
 	}
 
-	hedge := g.opts.HedgeAfter > 0
+	hedge := g.opts.HedgeAfter > 0 && !patient
 	armed := false // the reusable group timer is counting for this stripe
 	fired := false
 	var timeC <-chan time.Time
@@ -374,7 +391,7 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error {
 				timedOut = true // keep waiting; hedge as soon as quorum lands
 			}
 		case res := <-g.results:
-			g.consume(&res, seq, st, awaited, &wait, &got)
+			g.consume(&res, seq, st, awaited, &wait, &got, patient)
 			if hedge && wait > 0 && got >= g.opts.Quorum {
 				if timedOut {
 					abandon()
@@ -390,13 +407,17 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error {
 // consume folds one shard result into the gather state. Stale results
 // (from stripes already hedged past) recycle or hand off their block
 // and re-admit the shard to the current stripe when it is eligible.
-func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait, got *int) {
+func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait, got *int, patient bool) {
 	i := res.shard
 	m := &g.sh[i]
 	m.outstanding = false
 	st.Retries += uint64(res.retries)
 	if res.panicked {
 		st.Panics++
+	}
+	if awaited[i] {
+		awaited[i] = false
+		*wait--
 	}
 
 	if res.seq != seq {
@@ -426,7 +447,7 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 			}
 			// Rejoin the stripe being gathered: the shard may have
 			// recovered and can still make this deadline.
-			if g.eligible(i, g.clock.Now()) {
+			if patient || g.eligible(i, g.clock.Now()) {
 				g.enqueue(i, seq)
 				awaited[i] = true
 				*wait++
@@ -438,10 +459,6 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 		return
 	}
 
-	if awaited[i] {
-		awaited[i] = false
-		*wait--
-	}
 	switch {
 	case res.eof:
 		m.eof = true
@@ -458,6 +475,9 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 		st.States[i] = StateOK
 		*got++
 		m.observe(res.dur)
+		if patient {
+			break // awaited, not raced: no sample for the breaker
+		}
 		if _, probe := m.gate.Observe(g.clock.Now(), false); probe {
 			// Half-open probe answered in time: breaker closes.
 			m.openG.Set(0)

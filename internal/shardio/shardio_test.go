@@ -304,6 +304,57 @@ func TestGroupTakeLateBeforeArrival(t *testing.T) {
 	st2.Release()
 }
 
+// TestGroupAwaitReadsWhatTheHedgeSkipped: every second stripe is
+// gathered the usual way — hedged past the straggler, released — and
+// every other one is handed to Await, which finds the straggler still
+// reading the stripe before (or, once enough misses are in, behind an
+// open breaker), waits it out and asks it for this stripe anyway. What
+// comes back is an ordinary StateOK block, the right one: the shard
+// stays stripe-aligned through reads nobody collected.
+func TestGroupAwaitReadsWhatTheHedgeSkipped(t *testing.T) {
+	const n, stripes = 3, 4 * 5 // a trip takes five misses, and only unawaited stripes count one
+	fc := vclock.NewFake()
+	defer fc.Pump()()
+	shards := mkShards(n, stripes)
+	readers := make([]io.Reader, n)
+	for i := range readers {
+		readers[i] = bytes.NewReader(shards[i])
+	}
+	readers[1] = &slowReader{r: bytes.NewReader(shards[1]), delay: 40 * time.Millisecond, slowReads: -1, clock: fc}
+	g := newTestGroup(t, readers, Options{Quorum: 2, HedgeAfter: 2 * time.Millisecond, Clock: fc})
+
+	opened := false
+	for s := 0; s < stripes; s++ {
+		st, err := g.Next(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.States[1] != StateSlow && st.States[1] != StateOpen {
+			t.Fatalf("stripe %d: straggler state %v, want it skipped", s, st.States[1])
+		}
+		if s%2 == 0 {
+			st.Release()
+			continue
+		}
+		opened = opened || st.States[1] == StateOpen
+		if err := g.Await(context.Background(), st); err != nil {
+			t.Fatal(err)
+		}
+		for i := range readers {
+			if st.States[i] != StateOK {
+				t.Fatalf("stripe %d: shard %d is %v after Await", s, i, st.States[i])
+			}
+			if want := shards[i][s*testBlock : (s+1)*testBlock]; !bytes.Equal(st.Blocks[i], want) {
+				t.Fatalf("stripe %d: shard %d delivered the wrong block", s, i)
+			}
+		}
+		st.Release()
+	}
+	if !opened {
+		t.Fatal("the breaker never opened: Await was not tried on a shard the group skips")
+	}
+}
+
 // TestGroupBreakerTripsAndRecovers: a persistent straggler trips the
 // breaker open (stop waiting entirely); once it recovers, a half-open
 // probe closes the breaker and the shard serves blocks again — from

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -168,6 +169,12 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 		for seq := int64(0); wantStripes < 0 || seq < wantStripes; seq++ {
 			span := d.g.trace.Begin(seq)
 			st, err := grp.Next(ctx)
+			if err == nil && d.short(st) {
+				// Speculation must not turn a readable stripe into an error:
+				// the hedge is a latency optimisation only.
+				span.Event("await", "too few clean blocks in hand")
+				err = grp.Await(ctx, st)
+			}
 			if err != nil {
 				return nil // only context cancellation; run() reports it
 			}
@@ -315,6 +322,33 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 	}
 
 	return run(ctx, d.g, d.stats, produce, work, deliver, release)
+}
+
+// short reports whether a gathered stripe cannot be decoded from the
+// blocks in hand — fewer than k pass their trailer (or, with no trailer,
+// were read without a fault) — while a live shard the scheduler chose not
+// to wait for, slow or behind an open breaker, could still supply one.
+// Only a stripe that speculated pays for the checksums, on the producer;
+// the verdict on each block stays the worker's.
+func (d *Decoder) short(st *shardio.Stripe) bool {
+	if !slices.ContainsFunc(st.States, func(s shardio.ShardState) bool {
+		return s == shardio.StateSlow || s == shardio.StateOpen
+	}) {
+		return false
+	}
+	usable, size := 0, d.g.shardSize
+	for i, bl := range st.Blocks {
+		if bl == nil {
+			continue
+		}
+		if d.g.trailer == 0 && st.Transients[i] == 0 ||
+			d.g.trailer > 0 && gf.CRC32C(bl[:size]) == binary.LittleEndian.Uint32(bl[size:]) {
+			if usable++; usable == d.g.k {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // processStripe is the worker body for one gathered stripe: resolve

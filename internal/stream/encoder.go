@@ -21,7 +21,9 @@ import (
 // ChecksumCRC32C (the default), a 4-byte CRC-32C trailer the decoder
 // verifies and heals against. Recording the original length for
 // trimming on decode is the caller's job (the dialga-encode shard
-// header does this).
+// header does this). An input shorter than one stripe is padded to one
+// too: a caller storing inputs of very different sizes keeps an encoder
+// per stripe size and picks by length (the cluster gateway's ladder).
 //
 // An Encoder is safe for concurrent use; each call runs its own
 // pipeline and the shared Stats accumulate across calls.
@@ -41,9 +43,9 @@ func NewEncoder(opts Options) (*Encoder, error) {
 	return &Encoder{
 		g:     g,
 		stats: newCounters(g.metrics, "encode"),
-		// One more than the budget: the stripe the producer is holding
+		// One more than the byte budget: the stripe the producer is holding
 		// when it finds the source has ended.
-		stripes: stripePool{maxFree: maxIdleStripeBytes/((g.k+g.m)*g.shardSize) + 1},
+		stripes: stripePool{maxFree: min(maxIdleStripes, maxIdleStripeBytes/((g.k+g.m)*g.shardSize)+1)},
 	}, nil
 }
 
@@ -115,7 +117,16 @@ func (s *Stripe) Release() {
 // sync.Pool's victim generation included — is live heap when the next
 // heap goal is set. A list allowed 32 MiB idle cost 20-40 MiB of peak
 // RSS on workloads that never put.
-const maxIdleStripeBytes = 12 << 20
+//
+// maxIdleStripes bounds the same list by count — the nine stripes those
+// bytes come to at the defaults — so an encoder of small stripes does
+// not read the byte budget as room for hundreds. The gateway keeps one
+// encoder per shard size it stores at, each half the next: capped by
+// count, all of them together idle under twice what the largest does.
+const (
+	maxIdleStripeBytes = 12 << 20
+	maxIdleStripes     = 9
+)
 
 // stripePool is the encoder's free list of stripes. Safe for
 // concurrent use.

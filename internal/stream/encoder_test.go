@@ -478,3 +478,45 @@ func TestEncodeStripesReleasesEveryStripe(t *testing.T) {
 		})
 	}
 }
+
+// TestEncoderIdleStripesCappedByCount: an encoder keeps at most
+// maxIdleStripes stripes idle however small they are, so a family of
+// encoders over halving stripe sizes — the cluster gateway keeps one per
+// shard size it stores objects at — idles, all together, under twice
+// what its largest member does alone.
+func TestEncoderIdleStripesCappedByCount(t *testing.T) {
+	const k, m = 4, 2
+	code := mustRS(t, k, m)
+	var idle, largest int
+	for shardSize := 256 << 10; shardSize >= 4<<10; shardSize >>= 1 {
+		enc, err := NewEncoder(Options{Codec: code, StripeSize: k * shardSize, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A put holds every stripe until it ends: a burst of twice the cap
+		// comes back at once.
+		var held []*Stripe
+		payload := randBytes(t, 2*maxIdleStripes*enc.StripeSize(), int64(shardSize))
+		if err := enc.EncodeStripes(context.Background(), bytes.NewReader(payload), func(st *Stripe) error {
+			held = append(held, st)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range held {
+			st.Release()
+		}
+		free := len(enc.stripes.free)
+		if free > maxIdleStripes || free == 0 {
+			t.Fatalf("%d-byte shards: %d stripes idle after a burst of %d, want 1..%d", shardSize, free, len(held), maxIdleStripes)
+		}
+		size := free * (k + m) * enc.BlockSize()
+		if largest == 0 {
+			largest = size
+		}
+		idle += size
+	}
+	if idle >= 2*largest {
+		t.Fatalf("the family idles %d bytes, its largest encoder %d alone: want under twice", idle, largest)
+	}
+}

@@ -76,12 +76,6 @@ func NewRebuilder(opts Options) (*Rebuilder, error) {
 	}, nil
 }
 
-// StripeSize returns the data payload per stripe.
-func (rb *Rebuilder) StripeSize() int { return rb.g.stripeSize }
-
-// Checksum returns the per-block trailer the shards carry.
-func (rb *Rebuilder) Checksum() Checksum { return rb.g.checksum }
-
 // Stats returns a snapshot of the pipeline counters. Reconstructed
 // counts rebuilt stripes; ShardsCorrupted and ShardFailures count
 // sources retired for a bad block checksum and for any other reason;

@@ -410,3 +410,65 @@ func TestChaosStragglerNoGoroutineLeaks(t *testing.T) {
 	}
 	t.Fatalf("goroutines leaked: %d at baseline, %d after decodes", base, runtime.NumGoroutine())
 }
+
+// TestHedgeNeverCostsAReadableStripe: two shards serve a corrupt block
+// in every stripe — the RS(4,2) limit — and a third is a straggler the
+// hedge goes ahead without, stripe after stripe, until its breaker
+// opens. The five blocks in hand then hold three clean ones, one short
+// of k, and the fourth is the one speculation chose not to wait for:
+// the decoder must wait for it after all (hedged past, or behind the
+// open breaker) and return the object, not ErrTooManyCorrupt.
+func TestHedgeNeverCostsAReadableStripe(t *testing.T) {
+	const (
+		k, m, shardSize = 4, 2, 128
+		stripes         = 3 * lateRun // enough misses in a row to trip the breaker on the way
+	)
+	fc := vclock.NewFake()
+	defer fc.Pump()()
+	opts := stragglerOpts(t, k, m, shardSize)
+	opts.Clock = fc
+	payload := randBytes(t, stripes*k*shardSize, 23)
+	shards := encodeAll(t, opts, payload)
+	blockSize := shardSize + crcSize
+
+	dec, err := NewDecoder(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := make([]io.Reader, k+m)
+	for i := range readers {
+		readers[i] = bytes.NewReader(shards[i])
+	}
+	for _, i := range []int{0, 4} {
+		var plan fault.Plan
+		for s := 0; s < stripes; s++ {
+			plan.Ops = append(plan.Ops, fault.Op{Kind: fault.BitFlip, Off: int64(s*blockSize + 7*i + s), Bit: 2})
+		}
+		readers[i] = fault.NewReader(bytes.NewReader(shards[i]), plan)
+	}
+	readers[2] = &laggard{r: bytes.NewReader(shards[2]), clock: fc, slowUntil: fc.Now().Add(time.Hour)}
+
+	var out bytes.Buffer
+	if err := dec.Decode(context.Background(), readers, &out, int64(len(payload))); err != nil {
+		t.Fatalf("decode with two corrupt shards and a straggler: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), payload) {
+		t.Fatal("decode produced wrong bytes")
+	}
+	st := dec.Stats()
+	if st.HedgedReads == 0 {
+		t.Fatal("HedgedReads = 0: the straggler was never hedged past, the test proves nothing")
+	}
+	if st.BreakerTrips == 0 {
+		t.Fatal("BreakerTrips = 0: no stripe met the straggler behind an open breaker")
+	}
+	if st.ShardsCorrupted != 2*stripes {
+		t.Fatalf("ShardsCorrupted = %d, the plan flipped %d blocks", st.ShardsCorrupted, 2*stripes)
+	}
+	if st.ShardFailures != 0 {
+		t.Fatalf("ShardFailures = %d, want 0", st.ShardFailures)
+	}
+	if st.Stripes != stripes {
+		t.Fatalf("Stripes = %d, want %d", st.Stripes, stripes)
+	}
+}
