@@ -15,8 +15,9 @@
 // mismatched -k/-m flags, a shard copied from another geometry, a
 // corrupted header, or a truncated shard file fails loudly; a shard
 // block whose trailer does not verify is demoted to an erasure for
-// that stripe and healed through reconstruction. Legacy v2 shard sets
-// (no trailers) still decode.
+// that stripe and healed through reconstruction. A shard file in the
+// retired trailer-less v2 framing is refused by name, like any other
+// header that does not parse.
 package main
 
 import (
@@ -73,10 +74,7 @@ func encode(k, m int, in, dir string, stripeSize, workers int) error {
 	if err != nil {
 		return err
 	}
-	enc, err := stream.NewEncoder(stream.Options{
-		Codec: code, StripeSize: stripeSize, Workers: workers,
-		Checksum: stream.ChecksumCRC32C,
-	})
+	enc, err := stream.NewEncoder(stream.Options{Codec: code, StripeSize: stripeSize, Workers: workers})
 	if err != nil {
 		return err
 	}
@@ -149,10 +147,9 @@ func encode(k, m int, in, dir string, stripeSize, workers int) error {
 // openShards opens and validates every present shard file, returning
 // one reader per stripe-order slot (nil = missing shard), the
 // agreed-upon header, and a closer for the opened files. Any header
-// inconsistency — mismatched flags, cross-geometry shards, mixed
-// checksum algorithms, truncated or ragged files — is an error.
-// Both v2 (bare blocks) and v3 (checksummed) shard sets are accepted,
-// but not a mixture.
+// inconsistency — a header that does not parse (a v2 one included),
+// mismatched flags, cross-geometry shards, truncated or ragged files —
+// is an error.
 func openShards(k, m int, dir string) (readers []io.Reader, agreed shardfile.Header, present int, closeAll func(), err error) {
 	readers = make([]io.Reader, k+m)
 	var files []*os.File
@@ -186,7 +183,7 @@ func openShards(k, m int, dir string) (readers []io.Reader, agreed shardfile.Hea
 		if present == 0 {
 			agreed = h
 		} else if h.ShardSize != agreed.ShardSize || h.StripeCount != agreed.StripeCount ||
-			h.FileSize != agreed.FileSize || h.Algo != agreed.Algo || h.Version != agreed.Version {
+			h.FileSize != agreed.FileSize {
 			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: header disagrees with shard %d (mixed encodings?)", i, agreed.Index)
 		}
 		fi, statErr := f.Stat()
@@ -218,12 +215,7 @@ func decode(k, m int, out, dir string, workers int) error {
 		return err
 	}
 	defer closeShards()
-	dec, err := stream.NewDecoder(stream.Options{
-		Codec:      code,
-		StripeSize: int(hdr.ShardSize) * k,
-		Workers:    workers,
-		Checksum:   hdr.Algo.Stream(),
-	})
+	dec, err := stream.NewDecoder(stream.Options{Codec: code, StripeSize: int(hdr.ShardSize) * k, Workers: workers})
 	if err != nil {
 		return err
 	}

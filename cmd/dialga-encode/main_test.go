@@ -2,15 +2,13 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"io"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"dialga/internal/rs"
 	"dialga/internal/shardfile"
-	"dialga/internal/stream"
 )
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
@@ -366,52 +364,34 @@ func TestDecodeHealsCorruptBlocks(t *testing.T) {
 	}
 }
 
-// writeV2Shards produces a legacy v2 shard directory: 40-byte headers,
-// bare blocks, no trailers — what a pre-v3 dialga-encode wrote.
-func writeV2Shards(t *testing.T, dir string, k, m, stripeSize int, payload []byte) {
+// reframeV2 rewrites a v3 shard file in the retired v2 framing — the
+// first 40 header bytes with version 2, then the blocks without their
+// trailers — which is what a pre-v3 dialga-encode wrote.
+func reframeV2(t *testing.T, path string) {
 	t.Helper()
-	code, err := rs.New(k, m)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := stream.NewEncoder(stream.Options{
-		Codec: code, StripeSize: stripeSize, Checksum: stream.ChecksumNone,
-	})
+	h, err := shardfile.Parse(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripes := (uint64(len(payload)) + uint64(enc.StripeSize()) - 1) / uint64(enc.StripeSize())
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
+	out := append([]byte(nil), raw[:40]...)
+	binary.LittleEndian.PutUint32(out[4:], 2)
+	for s := int64(0); s < int64(h.StripeCount); s++ {
+		off := shardfile.HeaderSizeV3 + s*h.BlockSize()
+		out = append(out, raw[off:off+int64(h.ShardSize)]...)
 	}
-	files := make([]*os.File, k+m)
-	writers := make([]io.Writer, k+m)
-	for i := range files {
-		f, err := os.Create(shardPath(dir, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		hdr := shardfile.Header{
-			Version: shardfile.VersionV2,
-			K:       uint32(k), M: uint32(m), Index: uint32(i),
-			ShardSize: uint32(enc.ShardSize()), StripeCount: stripes,
-			FileSize: uint64(len(payload)),
-		}
-		if _, err := f.Write(hdr.Marshal()); err != nil {
-			t.Fatal(err)
-		}
-		files[i], writers[i] = f, f
-	}
-	if err := enc.Encode(context.Background(), bytes.NewReader(payload), writers); err != nil {
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestShardFormatCompat is the table-driven header suite: v2 shard
-// sets (trailer-less) must still decode, corrupted v3 headers must be
-// rejected by the self-CRC, and truncated trailers must be rejected
-// by the exact-size check.
+// files (trailer-less) are refused by name, whole sets or one among v3
+// shards, corrupted v3 headers are rejected by the self-CRC, and
+// truncated trailers by the exact-size check.
 func TestShardFormatCompat(t *testing.T) {
 	payload := make([]byte, 3*4<<10+123)
 	for i := range payload {
@@ -420,34 +400,27 @@ func TestShardFormatCompat(t *testing.T) {
 	cases := []struct {
 		name    string
 		prepare func(t *testing.T, dir string) // builds/mutates the shard dir
-		wantErr bool
+		wantErr string                         // "" for a clean round trip, else what the error names
 	}{
 		{
-			name: "v3 round trip",
-			prepare: func(t *testing.T, dir string) {
-			},
-			wantErr: false,
+			name:    "v3 round trip",
+			prepare: func(t *testing.T, dir string) {},
 		},
 		{
-			name: "v2 legacy set decodes",
+			name: "v2 legacy set is rejected naming version 2",
 			prepare: func(t *testing.T, dir string) {
-				os.RemoveAll(dir)
-				writeV2Shards(t, dir, 4, 2, 4<<10, payload)
-			},
-			wantErr: false,
-		},
-		{
-			name: "v2 set with m shards missing decodes",
-			prepare: func(t *testing.T, dir string) {
-				os.RemoveAll(dir)
-				writeV2Shards(t, dir, 4, 2, 4<<10, payload)
-				for _, i := range []int{0, 4} {
-					if err := os.Remove(shardPath(dir, i)); err != nil {
-						t.Fatal(err)
-					}
+				for i := 0; i < 6; i++ {
+					reframeV2(t, shardPath(dir, i))
 				}
 			},
-			wantErr: false,
+			wantErr: "version 2",
+		},
+		{
+			name: "one v2 shard among v3 is rejected naming version 2",
+			prepare: func(t *testing.T, dir string) {
+				reframeV2(t, shardPath(dir, 4))
+			},
+			wantErr: "version 2",
 		},
 		{
 			name: "corrupted header field fails self-CRC",
@@ -462,7 +435,7 @@ func TestShardFormatCompat(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			wantErr: true,
+			wantErr: "self-CRC",
 		},
 		{
 			name: "corrupted header self-CRC word rejected",
@@ -477,7 +450,7 @@ func TestShardFormatCompat(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			wantErr: true,
+			wantErr: "self-CRC",
 		},
 		{
 			name: "truncated trailer rejected",
@@ -492,7 +465,7 @@ func TestShardFormatCompat(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			wantErr: true,
+			wantErr: "truncated",
 		},
 	}
 	for _, tc := range cases {
@@ -509,9 +482,9 @@ func TestShardFormatCompat(t *testing.T) {
 			}
 			tc.prepare(t, shards)
 			err := decode(4, 2, out, shards, 0)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("decode accepted a damaged shard set")
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("decode returned %v, want an error naming %q", err, tc.wantErr)
 				}
 				return
 			}

@@ -15,7 +15,6 @@ type scrubMetrics struct {
 	ok            *obs.Counter
 	corrupt       *obs.Counter
 	missing       *obs.Counter
-	unverifiable  *obs.Counter
 	blocksCorrupt *obs.Counter
 	stripes       *obs.Counter
 }
@@ -27,10 +26,9 @@ func newScrubMetrics(reg *obs.Registry) scrubMetrics {
 			obs.Label{Key: "result", Value: result})
 	}
 	return scrubMetrics{
-		ok:           shard("ok"),
-		corrupt:      shard("corrupt"),
-		missing:      shard("missing"),
-		unverifiable: shard("unverifiable"),
+		ok:      shard("ok"),
+		corrupt: shard("corrupt"),
+		missing: shard("missing"),
 		blocksCorrupt: reg.Counter("inspect_blocks_corrupt_total",
 			"Stripe blocks whose checksum trailer failed verification."),
 		stripes: reg.Counter("inspect_stripes_scrubbed_total",
@@ -41,10 +39,9 @@ func newScrubMetrics(reg *obs.Registry) scrubMetrics {
 // verifyDir scrubs every shard file in dir through the shared
 // shardfile.ScrubDir walk (the same detection the cluster repair queue
 // runs) and renders one line per shard slot plus a summary. It returns
-// whether any corruption, truncation, or header damage was found;
-// legacy trailer-less shards are reported as unverifiable but do not
-// count as corrupt. A non-nil reg additionally receives the scrub's
-// inspect_* series.
+// whether any corruption, truncation, or header damage was found — a
+// shard in the retired trailer-less v2 framing is a bad header. A
+// non-nil reg additionally receives the scrub's inspect_* series.
 func verifyDir(dir string, w io.Writer, reg *obs.Registry) (corrupt bool, err error) {
 	sm := newScrubMetrics(reg)
 	rep, err := shardfile.ScrubDir(dir)
@@ -71,16 +68,13 @@ func verifyDir(dir string, w io.Writer, reg *obs.Registry) (corrupt bool, err er
 		case shardfile.ShardCorrupt:
 			fmt.Fprintf(w, "%s: CORRUPT: %s\n", name, s.Detail)
 			sm.corrupt.Inc()
-		case shardfile.ShardUnverifiable:
-			fmt.Fprintf(w, "%s: unverifiable (%s)\n", name, s.Detail)
-			sm.unverifiable.Inc()
 		default:
 			fmt.Fprintf(w, "%s: ok (%d stripes, %s)\n", name, s.Result.Stripes, s.Header.Algo)
 			sm.ok.Inc()
 		}
 	}
-	ok, damaged, missing, unverifiable := rep.Counts()
-	fmt.Fprintf(w, "scrub: %d ok, %d corrupt/damaged, %d missing, %d unverifiable (geometry k=%d m=%d)\n",
-		ok, damaged, missing, unverifiable, rep.Geometry.K, rep.Geometry.M)
+	ok, damaged, missing := rep.Counts()
+	fmt.Fprintf(w, "scrub: %d ok, %d corrupt/damaged, %d missing (geometry k=%d m=%d)\n",
+		ok, damaged, missing, rep.Geometry.K, rep.Geometry.M)
 	return damaged > 0, nil
 }

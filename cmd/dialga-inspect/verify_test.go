@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,22 +15,15 @@ import (
 	"dialga/internal/stream"
 )
 
-// writeShardDir encodes payload into a k+m shard directory with the
-// given header version (v3 = checksummed blocks, v2 = bare blocks),
-// mirroring what dialga-encode writes.
-func writeShardDir(t *testing.T, dir string, k, m int, version uint32, payload []byte) {
+// writeShardDir encodes payload into a k+m shard directory, mirroring
+// what dialga-encode writes.
+func writeShardDir(t *testing.T, dir string, k, m int, payload []byte) {
 	t.Helper()
 	code, err := rs.New(k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	algo := shardfile.AlgoCRC32C
-	if version == shardfile.VersionV2 {
-		algo = shardfile.AlgoNone
-	}
-	enc, err := stream.NewEncoder(stream.Options{
-		Codec: code, StripeSize: k * 1024, Checksum: algo.Stream(),
-	})
+	enc, err := stream.NewEncoder(stream.Options{Codec: code, StripeSize: k * 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,9 +39,9 @@ func writeShardDir(t *testing.T, dir string, k, m int, version uint32, payload [
 		}
 		defer f.Close()
 		hdr := shardfile.Header{
-			Version: version, K: uint32(k), M: uint32(m), Index: uint32(i),
+			Version: shardfile.VersionV3, K: uint32(k), M: uint32(m), Index: uint32(i),
 			ShardSize: uint32(enc.ShardSize()), StripeCount: stripes,
-			FileSize: uint64(len(payload)), Algo: algo,
+			FileSize: uint64(len(payload)), Algo: shardfile.AlgoCRC32C,
 		}
 		if _, err := f.Write(hdr.Marshal()); err != nil {
 			t.Fatal(err)
@@ -55,6 +49,29 @@ func writeShardDir(t *testing.T, dir string, k, m int, version uint32, payload [
 		writers[i] = f
 	}
 	if err := enc.Encode(context.Background(), bytes.NewReader(payload), writers); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reframeV2 rewrites a shard file in the retired v2 framing: the first
+// 40 header bytes with version 2, then the blocks without trailers.
+func reframeV2(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := shardfile.Parse(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), raw[:40]...)
+	binary.LittleEndian.PutUint32(out[4:], 2)
+	for s := int64(0); s < int64(h.StripeCount); s++ {
+		off := shardfile.HeaderSizeV3 + s*h.BlockSize()
+		out = append(out, raw[off:off+int64(h.ShardSize)]...)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -76,7 +93,7 @@ func TestVerifyDir(t *testing.T) {
 
 	t.Run("pristine v3 set is clean", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "shards")
-		writeShardDir(t, dir, 4, 2, shardfile.VersionV3, payload)
+		writeShardDir(t, dir, 4, 2, payload)
 		var out strings.Builder
 		corrupt, err := verifyDir(dir, &out, nil)
 		if err != nil {
@@ -92,7 +109,7 @@ func TestVerifyDir(t *testing.T) {
 
 	t.Run("flipped block bit is caught", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "shards")
-		writeShardDir(t, dir, 4, 2, shardfile.VersionV3, payload)
+		writeShardDir(t, dir, 4, 2, payload)
 		corruptFile(t, shardfile.Path(dir, 2), int64(shardfile.HeaderSizeV3)+777, 0x04)
 		var out strings.Builder
 		corrupt, err := verifyDir(dir, &out, nil)
@@ -109,7 +126,7 @@ func TestVerifyDir(t *testing.T) {
 
 	t.Run("corrupt header and missing shard reported", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "shards")
-		writeShardDir(t, dir, 4, 2, shardfile.VersionV3, payload)
+		writeShardDir(t, dir, 4, 2, payload)
 		corruptFile(t, shardfile.Path(dir, 0), 9, 0xff) // k field: self-CRC must catch it
 		if err := os.Remove(shardfile.Path(dir, 5)); err != nil {
 			t.Fatal(err)
@@ -130,7 +147,7 @@ func TestVerifyDir(t *testing.T) {
 
 	t.Run("truncated shard reported", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "shards")
-		writeShardDir(t, dir, 4, 2, shardfile.VersionV3, payload)
+		writeShardDir(t, dir, 4, 2, payload)
 		p := shardfile.Path(dir, 3)
 		data, err := os.ReadFile(p)
 		if err != nil {
@@ -149,19 +166,38 @@ func TestVerifyDir(t *testing.T) {
 		}
 	})
 
-	t.Run("v2 set is unverifiable, not corrupt", func(t *testing.T) {
+	t.Run("v2 shards are bad headers", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "shards")
-		writeShardDir(t, dir, 3, 2, shardfile.VersionV2, payload)
+		writeShardDir(t, dir, 3, 2, payload)
+		for _, i := range []int{0, 3} {
+			reframeV2(t, shardfile.Path(dir, i))
+		}
 		var out strings.Builder
 		corrupt, err := verifyDir(dir, &out, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if corrupt {
-			t.Fatalf("v2 set reported corrupt:\n%s", out.String())
+		if !corrupt {
+			t.Fatalf("v2 shards not reported damaged:\n%s", out.String())
 		}
-		if !strings.Contains(out.String(), "5 unverifiable") {
-			t.Fatalf("v2 shards not reported unverifiable:\n%s", out.String())
+		for _, want := range []string{
+			"shard.000: BAD HEADER: unsupported shard header version 2",
+			"shard.003: BAD HEADER: unsupported shard header version 2",
+			"scrub: 3 ok, 2 corrupt/damaged, 0 missing (geometry k=3 m=2)\n",
+		} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("report lacks %q:\n%s", want, out.String())
+			}
+		}
+		// A set that is v2 throughout has no header to learn the geometry
+		// from; the error says why.
+		for i := 1; i < 5; i++ {
+			if i != 3 {
+				reframeV2(t, shardfile.Path(dir, i))
+			}
+		}
+		if _, err := verifyDir(dir, io.Discard, nil); err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("all-v2 set: %v, want an error naming version 2", err)
 		}
 	})
 

@@ -72,7 +72,7 @@ func (c *Codec) EncodeSum(data, parity [][]byte) ([]uint32, error) {
 
 // EncodeSumInto is EncodeSum writing the k+m checksums into
 // caller-provided sums; it allocates nothing. The streaming encoder
-// uses it automatically for its checksum trailers.
+// computes every stripe's parity and checksum trailers with it.
 func (c *Codec) EncodeSumInto(sums []uint32, data, parity [][]byte) error {
 	return c.code.EncodeSumInto(sums, data, parity)
 }
@@ -94,7 +94,7 @@ func (c *Codec) Verify(data, parity [][]byte) (bool, error) { return c.code.Veri
 
 // ReconstructData repairs only the data blocks of a stripe in place,
 // skipping parity rebuilds — the fast path for serving reads from a
-// degraded stripe. The streaming decoder uses it automatically.
+// degraded stripe. The streaming decoder reconstructs with it.
 func (c *Codec) ReconstructData(blocks [][]byte) error { return c.code.ReconstructData(blocks) }
 
 // Update applies an incremental parity update after data block idx
@@ -166,14 +166,18 @@ func Join(shards [][]byte, size int) ([]byte, error) { return rs.Join(shards, si
 // size are processed in O(stripe) memory.
 
 // StreamOptions configures a streaming pipeline. StreamOptions.Codec
-// accepts a *Codec directly; wrap an *LRC with its StreamCodec method.
-// Straggler tolerance on decode — hedged degraded reads, seeded retries
-// of transient errors, per-shard circuit breakers — has one switch,
+// accepts a *Codec directly. Every shard block carries a CRC-32C
+// trailer, computed in the same sweep as the parity and verified on
+// decode; the Checksum field has no other value to take. Straggler
+// tolerance on decode — hedged degraded reads, seeded retries of
+// transient errors, per-shard circuit breakers — has one switch,
 // HedgeAfter (off until set; retries are always on), and fixed
 // constants behind it.
 type StreamOptions = stream.Options
 
-// StreamCodec is the stripe-level codec interface the pipeline drives.
+// StreamCodec is the stripe-level codec interface the pipeline drives:
+// exactly the calls it makes (K, M, EncodeSumInto, ReconstructData).
+// *Codec satisfies it; the LRC is a whole-buffer codec only.
 type StreamCodec = stream.Codec
 
 // StreamStats is a snapshot of pipeline counters: stripes, bytes
@@ -187,22 +191,6 @@ type StreamStats = stream.Stats
 // goroutine, surfaced as an ordinary error (and counted in
 // StreamStats.WorkerPanics) instead of crashing the process.
 type StreamPanicError = stream.PanicError
-
-// StreamChecksum selects the per-block integrity trailer of a
-// streaming pipeline. The zero value is StreamChecksumCRC32C, so
-// integrity is on unless explicitly disabled.
-type StreamChecksum = stream.Checksum
-
-const (
-	// StreamChecksumCRC32C appends a 4-byte CRC-32C (Castagnoli)
-	// trailer to every shard block; the decoder verifies each block
-	// and demotes failures to per-stripe erasures, healing them
-	// through reconstruction.
-	StreamChecksumCRC32C = stream.ChecksumCRC32C
-	// StreamChecksumNone writes bare blocks (the legacy framing):
-	// silent corruption is not detected.
-	StreamChecksumNone = stream.ChecksumNone
-)
 
 // ErrTooManyCorrupt is returned (wrapped, with stripe context) when a
 // stripe has fewer than k usable shard blocks after corrupt, missing,
@@ -246,10 +234,6 @@ func StreamDecode(ctx context.Context, opts StreamOptions, shards []io.Reader, w
 	err = dec.Decode(ctx, shards, w, size)
 	return dec.Stats(), err
 }
-
-// StreamCodec adapts the LRC to the streaming pipeline: its m global
-// and l local parities appear as m+l parity shards in stripe order.
-func (c *LRC) StreamCodec() StreamCodec { return stream.WrapLRC(c.code) }
 
 // Observability — see internal/obs. Pipelines register their counters,
 // gauges, and latency histograms in a MetricsRegistry set on

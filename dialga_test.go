@@ -256,38 +256,6 @@ func TestFacadeStreamHealing(t *testing.T) {
 	}
 }
 
-// TestFacadeStreamLRC runs the pipeline with an LRC codec through the
-// facade adapter.
-func TestFacadeStreamLRC(t *testing.T) {
-	lrc, err := NewLRC(6, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := StreamOptions{Codec: lrc.StreamCodec(), StripeSize: 6 * 1024, Workers: 2}
-	payload := make([]byte, 100000)
-	rand.New(rand.NewSource(78)).Read(payload)
-	bufs := make([]bytes.Buffer, 10) // 6 data + 2 global + 2 local
-	writers := make([]io.Writer, 10)
-	for i := range bufs {
-		writers[i] = &bufs[i]
-	}
-	if _, err := StreamEncode(context.Background(), opts, bytes.NewReader(payload), writers); err != nil {
-		t.Fatal(err)
-	}
-	readers := make([]io.Reader, 10)
-	for i := range bufs {
-		readers[i] = bytes.NewReader(bufs[i].Bytes())
-	}
-	readers[1] = nil // single data failure: locally repairable
-	var out bytes.Buffer
-	if _, err := StreamDecode(context.Background(), opts, readers, &out, int64(len(payload))); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), payload) {
-		t.Fatal("LRC streaming roundtrip corrupted the payload")
-	}
-}
-
 func TestFacadeSplitCopy(t *testing.T) {
 	payload := []byte("aliasing is a contract, not an accident")
 	orig := append([]byte(nil), payload...)

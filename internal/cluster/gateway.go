@@ -338,7 +338,6 @@ func (g *Gateway) streamOptions(shardSize int) stream.Options {
 	return stream.Options{
 		Codec:      g.codec,
 		StripeSize: shardSize * g.k,
-		Checksum:   stream.ChecksumCRC32C,
 		HedgeAfter: g.hedge,
 		Seed:       g.seed,
 		Metrics:    g.reg,
@@ -651,7 +650,7 @@ func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 	o.streamed = true
 	// A ranged open holds exactly k shard windows: there is no spare for
 	// a hedge to rejoin from, so it runs unhedged and reads every block.
-	dec, err := g.decoderFor(int(o.set.header.ShardSize), o.set.header.Algo.Stream(), !o.ranged)
+	dec, err := g.decoderFor(int(o.set.header.ShardSize), !o.ranged)
 	if err != nil {
 		closeReaders(o.set.readers)
 		return err

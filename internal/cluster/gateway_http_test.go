@@ -249,7 +249,7 @@ func corruptBlock(t *testing.T, tc *testCluster, object string, idx int, stripe 
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := int64(h.HeaderSize()) + stripe*h.BlockSize() + 7
+	off := shardfile.HeaderSizeV3 + stripe*h.BlockSize() + 7
 	raw[off] ^= 0x40
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)

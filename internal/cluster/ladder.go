@@ -60,7 +60,6 @@ type pipeline[V any] struct {
 
 type pipelineKey struct {
 	shardSize int
-	sum       stream.Checksum
 	hedged    bool // decoders only: full reads hedge, ranged ones cannot
 }
 
@@ -98,18 +97,17 @@ func (g *Gateway) encoderFor(size int64) (*stream.Encoder, error) {
 	})
 }
 
-// decoderFor returns the gateway's decoder for a shard size, checksum
-// and hedging mode. Decoders outlive the request — as Repairer keeps its
+// decoderFor returns the gateway's decoder for a shard size and hedging
+// mode. Decoders outlive the request — as Repairer keeps its
 // Rebuilders — because their pools do: the ~3 MiB of block buffers an
 // 8 MiB GET cycles through are handed from one GET to the next instead
 // of being allocated, and left to two GC cycles, per request. The cache
 // holds two per rung — full reads hedge, ranged ones cannot — so reads
 // of what this gateway wrote, at any mix of sizes, keep their decoders.
-func (g *Gateway) decoderFor(shardSize int, sum stream.Checksum, hedged bool) (*stream.Decoder, error) {
-	key := pipelineKey{shardSize, sum, hedged && g.hedge > 0}
+func (g *Gateway) decoderFor(shardSize int, hedged bool) (*stream.Decoder, error) {
+	key := pipelineKey{shardSize, hedged && g.hedge > 0}
 	return g.decoders.get(key, func() (*stream.Decoder, error) {
 		opts := g.streamOptions(shardSize)
-		opts.Checksum = sum
 		opts.CloseReaders = true
 		if !key.hedged {
 			opts.HedgeAfter = 0

@@ -22,10 +22,11 @@ type openedShard struct {
 // sameObject reports whether two shard headers describe the same
 // encoding of the same object. Block checksums cannot tell a stale
 // shard of an overwritten key from a current one, so shards must agree
-// here before their bytes are combined.
+// here before their bytes are combined. (Every header that parses names
+// CRC-32C, so the algorithm never disagrees.)
 func sameObject(a, b shardfile.Header) bool {
 	return a.ShardSize == b.ShardSize && a.StripeCount == b.StripeCount &&
-		a.FileSize == b.FileSize && a.Algo == b.Algo
+		a.FileSize == b.FileSize
 }
 
 // agreeing finds the largest set of opened shards that describe the
@@ -167,7 +168,7 @@ func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64
 
 // open opens candidates until want shards that agree on the object are
 // streaming, and returns them as k+m readers, nil where unopened.
-// Shards must agree on ShardSize, StripeCount, FileSize and Algo: the
+// Shards must agree on ShardSize, StripeCount and FileSize: the
 // largest agreeing set leads, a shard it outvotes is closed and counted
 // as an open failure, and the next candidate is tried in its place.
 // Sidelined nodes are asked last, and those whose opens fail only while

@@ -250,16 +250,16 @@ func TestDecoderCacheIsBounded(t *testing.T) {
 		}
 	}
 
-	first, err := tc.gw.decoderFor(1024, 0, true)
+	first, err := tc.gw.decoderFor(1024, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for size := 2048; size < 2048+2*tc.gw.decoders.max; size++ {
-		if _, err := tc.gw.decoderFor(size, 0, true); err != nil {
+		if _, err := tc.gw.decoderFor(size, true); err != nil {
 			t.Fatal(err)
 		}
 		// Kept warm by use, the first survives every eviction.
-		if again, _ := tc.gw.decoderFor(1024, 0, true); again != first {
+		if again, _ := tc.gw.decoderFor(1024, true); again != first {
 			t.Fatalf("decoder in use was evicted at size %d", size)
 		}
 	}

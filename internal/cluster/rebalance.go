@@ -229,11 +229,7 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 
 // statFileSize is the exact length of the shard file a stat describes.
 func statFileSize(st node.Stat) int64 {
-	h := shardfile.Header{Version: st.Version, ShardSize: st.ShardSize, StripeCount: st.StripeCount}
-	if st.Algo == shardfile.AlgoCRC32C.String() {
-		h.Algo = shardfile.AlgoCRC32C
-	}
-	return h.ExpectedFileSize()
+	return shardfile.Header{ShardSize: st.ShardSize, StripeCount: st.StripeCount}.ExpectedFileSize()
 }
 
 // migrateByRebuild converges a migration whose source cannot supply a

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -174,6 +175,57 @@ func TestRepairRebuildsShardFilesExactly(t *testing.T) {
 	tc.mustGet(ctx, object, clusterPayload(301, 200_000))
 }
 
+// TestRepairRewritesLegacyShard: a node holding one shard of an object
+// in the retired trailer-less v2 framing — the payload intact, nothing
+// to verify it by — holds a damaged shard. A GET reads around it as one
+// erasure, the scan reports it as a bad header, and the repair rewrites
+// it to exactly the v3 file the put wrote.
+func TestRepairRewritesLegacyShard(t *testing.T) {
+	tc, _ := tappedCluster(t, 59, nil)
+	ctx := context.Background()
+	const object, legacy = "legacy", 2
+	payload := clusterPayload(601, 200_000)
+	tc.put(ctx, object, payload)
+	want := tc.shardFile(object, legacy)
+	h, err := shardfile.Parse(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte(nil), want[:40]...)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	for s := int64(0); s < int64(h.StripeCount); s++ {
+		off := shardfile.HeaderSizeV3 + s*h.BlockSize()
+		v2 = append(v2, want[off:off+int64(h.ShardSize)]...)
+	}
+	if err := os.WriteFile(tc.shardPath(object, legacy), v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	place, err := tc.gw.Place(object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failures := obs.Label{Key: "node", Value: string(place[legacy].ID)}
+
+	tc.mustGet(ctx, object, payload)
+	if got := tc.counter("cluster_open_failures_total", failures); got != 1 {
+		t.Fatalf("cluster_open_failures_total{node=%s} = %d after the GET, want the v2 shard's one", place[legacy].ID, got)
+	}
+
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	if queued, err := rep.ScanOnce(ctx); err != nil || queued != 1 {
+		t.Fatalf("scan queued %d, %v: want the v2 shard", queued, err)
+	}
+	if got := tc.counter("cluster_scrub_damaged_total", obs.Label{Key: "status", Value: "bad-header"}); got != 1 {
+		t.Fatalf("cluster_scrub_damaged_total{status=bad-header} = %d, want 1", got)
+	}
+	if repaired, failed := rep.DrainOnce(ctx); repaired != 1 || failed != 0 {
+		t.Fatalf("repaired=%d failed=%d, want 1/0", repaired, failed)
+	}
+	if got := tc.shardFile(object, legacy); !bytes.Equal(got, want) {
+		t.Fatalf("repaired shard (%d bytes) differs from the v3 file the put wrote (%d bytes)", len(got), len(want))
+	}
+}
+
 // TestRepairSpareOpensAtFailingBlock: a source with one silently
 // corrupt block is replaced mid-stream by a spare opened at that block;
 // the rebuilt file is still exact, and the budget is charged the k
@@ -191,7 +243,7 @@ func TestRepairSpareOpensAtFailingBlock(t *testing.T) {
 
 	// Flip one payload bit in block 2 of shard 1 — a first-k source.
 	raw := tc.shardFile(object, 1)
-	raw[int64(h.HeaderSize())+2*h.BlockSize()+100] ^= 0x08
+	raw[shardfile.HeaderSizeV3+2*h.BlockSize()+100] ^= 0x08
 	if err := os.WriteFile(tc.shardPath(object, 1), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +260,7 @@ func TestRepairSpareOpensAtFailingBlock(t *testing.T) {
 	if countPrefix(reqs, "GET /v1/shard/") != 5 || countPrefix(reqs, "GET /v1/shard/"+object+"/5?block=2&count=-1") != 1 {
 		t.Fatalf("requests %v, want 4 whole-shard GETs and shard 5 from block 2", reqs)
 	}
-	wantRead := 4*uint64(len(want)) + uint64(h.HeaderSize()) + 2*uint64(h.BlockSize())
+	wantRead := 4*uint64(len(want)) + shardfile.HeaderSizeV3 + 2*uint64(h.BlockSize())
 	if got := tc.counter("cluster_repair_read_bytes_total"); got != wantRead {
 		t.Fatalf("cluster_repair_read_bytes_total = %d, want %d", got, wantRead)
 	}

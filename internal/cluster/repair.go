@@ -414,7 +414,7 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	}
 	h := src.header
 	h.Index = uint32(idx)
-	rb, err := r.rebuilderFor(int(h.ShardSize), h.Algo.Stream())
+	rb, err := r.rebuilderFor(int(h.ShardSize))
 	if err == nil {
 		// Spend the k shard files about to be read against the global
 		// repair budget before moving them.
@@ -465,14 +465,13 @@ type sizedReader struct {
 
 func (s sizedReader) Len() int { return int(s.size) }
 
-// rebuilderFor returns the rebuild pipeline for a shard size and
-// checksum, keeping one per rung of the gateway's ladder: a cluster's
-// objects share a geometry but not a size, and a repair pass over small
-// and large ones reuses each rung's warmed buffer pools.
-func (r *Repairer) rebuilderFor(shardSize int, sum stream.Checksum) (*stream.Rebuilder, error) {
-	return r.rebuilders.get(pipelineKey{shardSize: shardSize, sum: sum}, func() (*stream.Rebuilder, error) {
+// rebuilderFor returns the rebuild pipeline for a shard size, keeping
+// one per rung of the gateway's ladder: a cluster's objects share a
+// geometry but not a size, and a repair pass over small and large ones
+// reuses each rung's warmed buffer pools.
+func (r *Repairer) rebuilderFor(shardSize int) (*stream.Rebuilder, error) {
+	return r.rebuilders.get(pipelineKey{shardSize: shardSize}, func() (*stream.Rebuilder, error) {
 		opts := r.gw.streamOptions(shardSize)
-		opts.Checksum = sum
 		opts.CloseReaders = true
 		return stream.NewRebuilder(opts)
 	})
@@ -512,7 +511,7 @@ func (s *rebuildSources) spare(ctx context.Context, block int64) (int, io.Reader
 			s.countFailure(idx)
 			continue
 		}
-		remaining := int64(o.h.HeaderSize()) + (int64(o.h.StripeCount)-block)*o.h.BlockSize()
+		remaining := o.h.ExpectedFileSize() - block*o.h.BlockSize()
 		if err := s.r.spendRead(ctx, remaining); err != nil {
 			o.body.Close()
 			return 0, nil, err

@@ -29,7 +29,7 @@ func encodeShards(t *testing.T, k, m int, payload []byte) [][]byte {
 		t.Fatal(err)
 	}
 	enc, err := stream.NewEncoder(stream.Options{
-		Codec: code, StripeSize: 4 * 1024, Checksum: stream.ChecksumCRC32C,
+		Codec: code, StripeSize: 4 * 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	// One payload byte flipped in block 2: every length is right, only
 	// the block's trailer can tell.
 	bad = append([]byte(nil), shards[0]...)
-	bad[h.HeaderSize()+2*int(h.BlockSize())+100] ^= 0x04
+	bad[shardfile.HeaderSizeV3+2*h.BlockSize()+100] ^= 0x04
 	mustReject("flipped-byte put", "obj", 0, bad)
 	// The same on the smallest shard the gateway writes, one 4 KiB block.
 	small := oneBlockShard(4<<10, 0)
@@ -156,6 +156,15 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	mustReject("overlong one-block put", "obj", 0, append(append([]byte(nil), small...), 0))
 	small[48+4095] ^= 0x80
 	mustReject("flipped-byte one-block put", "obj", 0, small)
+	// The retired trailer-less framings, each well-formed by its own
+	// rules: a v2 header (40 bytes, version 2) and a v3 header naming no
+	// checksum, over bare blocks that nothing could verify.
+	v2 := append(h.Marshal()[:40], bareBlocks(h, shards[0])...)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	mustReject("v2 put", "obj", 0, v2)
+	noSum := h
+	noSum.Algo = 0
+	mustReject("v3 no-checksum put", "obj", 0, append(noSum.Marshal(), bareBlocks(h, shards[0])...))
 	// Unusable object names ("../escape" is fine — it percent-encodes
 	// to a safe directory name — but "." and "" cannot).
 	mustReject("dot put", ".", 0, shards[0])
@@ -168,7 +177,7 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	huge.ShardSize = 1<<32 - 1
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	mustReject("4 GiB ShardSize put", "obj", 0, append(huge.Marshal(), shards[0][h.HeaderSize():]...))
+	mustReject("4 GiB ShardSize put", "obj", 0, append(huge.Marshal(), shards[0][shardfile.HeaderSizeV3:]...))
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*putBufSize {
 		t.Fatalf("a header claiming a 4 GiB block made the store allocate %d bytes", grew)
@@ -196,6 +205,9 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	if err := cli.PutShard(ctx, "obj", 0, bytes.NewReader(bad)); !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("flipped-byte upload: %v, want a 422", err)
 	}
+	if err := cli.PutShard(ctx, "obj", 0, bytes.NewReader(v2)); !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("v2 upload: %v, want a 422", err)
+	}
 	if rep, err := store.Scrub("obj", 0); err != nil || rep.Status != shardfile.ShardOK {
 		t.Fatalf("committed shard after a rejected overwrite: %v, %v", rep.Status, err)
 	}
@@ -206,6 +218,17 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("object directory holds %v, %v: want the one shard and no temp file", entries, err)
 	}
+}
+
+// bareBlocks is a shard file's blocks without their trailers: what the
+// retired trailer-less framings carried.
+func bareBlocks(h shardfile.Header, file []byte) []byte {
+	var out []byte
+	for s := int64(0); s < int64(h.StripeCount); s++ {
+		off := shardfile.HeaderSizeV3 + s*h.BlockSize()
+		out = append(out, file[off:off+int64(h.ShardSize)]...)
+	}
+	return out
 }
 
 // TestStorePutLargeBlocks: a block larger than the receive buffer goes

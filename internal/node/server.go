@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"dialga/internal/obs"
+	"dialga/internal/shardfile"
 )
 
 // Traffic classes. Every shard request carries one in the
@@ -189,7 +190,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		if count >= 0 && count < blocks {
 			blocks = count
 		}
-		length = int64(h.HeaderSize()) + blocks*int64(h.BlockSize())
+		length = shardfile.HeaderSizeV3 + blocks*h.BlockSize()
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))

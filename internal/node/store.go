@@ -229,7 +229,8 @@ func receive(f *os.File, h shardfile.Header, body io.Reader) error {
 		return err
 	}
 	buf := make([]byte, max(1, min(putBufSize, h.BlockSize())))
-	payload, trailer := int64(h.ShardSize), int64(h.Algo.TrailerSize())
+	payload := int64(h.ShardSize)
+	trailer := h.BlockSize() - payload // the CRC-32C behind the payload
 	short := func(stripe uint64, err error) error {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("%w: body ended in block %d, header wants %d blocks of %d bytes",
@@ -252,7 +253,7 @@ func receive(f *os.File, h shardfile.Header, body io.Reader) error {
 				return short(stripe, err)
 			}
 			sum = gf.CRC32CUpdate(sum, piece[:n])
-			if left == 0 && trailer > 0 && binary.LittleEndian.Uint32(piece[n:]) != sum {
+			if left == 0 && binary.LittleEndian.Uint32(piece[n:]) != sum {
 				return fmt.Errorf("%w: block %d fails its CRC-32C trailer", ErrBadShard, stripe)
 			}
 			if _, err := f.Write(piece); err != nil {
@@ -322,7 +323,7 @@ func (s *Store) GetAt(object string, idx int, block, count int64) (shardfile.Hea
 		return shardfile.Header{}, nil, fmt.Errorf("stored shard %s/%d not seekable", object, idx)
 	}
 	// Get left the reader at block 0; step straight to the window.
-	if _, err := seeker.Seek(int64(h.HeaderSize())+block*blockSize, io.SeekStart); err != nil {
+	if _, err := seeker.Seek(shardfile.HeaderSizeV3+block*blockSize, io.SeekStart); err != nil {
 		f.Close()
 		return shardfile.Header{}, nil, err
 	}

@@ -14,8 +14,9 @@ const (
 	ShardOK ShardStatus = iota
 	// ShardMissing: no file at the slot's conventional path.
 	ShardMissing
-	// ShardBadHeader: the header failed to parse (bad magic, version,
-	// self-CRC, or geometry).
+	// ShardBadHeader: the header failed to parse (bad magic, a version
+	// or checksum algorithm other than v3's CRC-32C, self-CRC, or
+	// geometry).
 	ShardBadHeader
 	// ShardTruncated: the file's size disagrees with its header.
 	ShardTruncated
@@ -24,9 +25,6 @@ const (
 	ShardReadError
 	// ShardCorrupt: one or more block trailers failed verification.
 	ShardCorrupt
-	// ShardUnverifiable: the format carries no block trailers (v2, or
-	// v3 with AlgoNone) — nothing to check against, but not damage.
-	ShardUnverifiable
 )
 
 func (s ShardStatus) String() string {
@@ -43,24 +41,14 @@ func (s ShardStatus) String() string {
 		return "read-error"
 	case ShardCorrupt:
 		return "corrupt"
-	case ShardUnverifiable:
-		return "unverifiable"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
 }
 
 // Damaged reports whether the status demands repair: the shard is
-// absent or its bytes cannot be trusted. Unverifiable legacy shards
-// are not damaged — they carry nothing to check against.
-func (s ShardStatus) Damaged() bool {
-	switch s {
-	case ShardMissing, ShardBadHeader, ShardTruncated, ShardReadError, ShardCorrupt:
-		return true
-	default:
-		return false
-	}
-}
+// absent or its bytes cannot be trusted — anything but ShardOK.
+func (s ShardStatus) Damaged() bool { return s != ShardOK }
 
 // ShardReport is one shard slot's scrub outcome.
 type ShardReport struct {
@@ -90,15 +78,13 @@ func (r DirReport) Damaged() bool {
 }
 
 // Counts tallies the slots by disposition.
-func (r DirReport) Counts() (ok, damaged, missing, unverifiable int) {
+func (r DirReport) Counts() (ok, damaged, missing int) {
 	for _, s := range r.Shards {
-		switch {
-		case s.Status == ShardOK:
+		switch s.Status {
+		case ShardOK:
 			ok++
-		case s.Status == ShardMissing:
+		case ShardMissing:
 			missing++
-		case s.Status == ShardUnverifiable:
-			unverifiable++
 		default:
 			damaged++
 		}
@@ -134,9 +120,6 @@ func ScrubFile(path string) ShardReport {
 	res, err := Scrub(f, h)
 	rep.Result = res
 	switch {
-	case err == ErrNoChecksum:
-		rep.Status = ShardUnverifiable
-		rep.Detail = fmt.Sprintf("v%d, checksum=%s: no block trailers", h.Version, h.Algo)
 	case err != nil:
 		rep.Status = ShardReadError
 		rep.Detail = err.Error()
@@ -152,8 +135,8 @@ func ScrubFile(path string) ShardReport {
 
 // ScrubDir scrubs every shard slot of a shard directory laid out by
 // Path. It learns the geometry from the first parseable header, then
-// scrubs slots 0..k+m-1, reporting each as ok, missing, damaged
-// (bad header / truncated / read error / corrupt), or unverifiable.
+// scrubs slots 0..k+m-1, reporting each as ok, missing, or damaged
+// (bad header / truncated / read error / corrupt).
 // The same walk backs both `dialga-inspect -verify` and the cluster
 // repair queue's damage detection, so the two can never disagree on
 // what counts as damage.
@@ -166,6 +149,7 @@ func ScrubDir(dir string) (DirReport, error) {
 	// shard slots can be reported by index.
 	var rep DirReport
 	haveGeom := false
+	why := "no shard files" // or why the last one's header did not parse
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
@@ -184,9 +168,10 @@ func ScrubDir(dir string) (DirReport, error) {
 			rep.Geometry, haveGeom = h, true
 			break
 		}
+		why = e.Name() + ": " + perr.Error()
 	}
 	if !haveGeom {
-		return rep, fmt.Errorf("no readable shard headers in %s", dir)
+		return rep, fmt.Errorf("no readable shard headers in %s (%s)", dir, why)
 	}
 	for i := 0; i < int(rep.Geometry.K+rep.Geometry.M); i++ {
 		sr := ScrubFile(Path(dir, i))

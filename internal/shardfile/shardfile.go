@@ -1,147 +1,110 @@
 // Package shardfile defines the self-describing on-disk shard-file
-// format shared by cmd/dialga-encode (writer/reader) and
-// cmd/dialga-inspect (scrubber).
+// format shared by cmd/dialga-encode (writer/reader), the shard nodes
+// (which store and serve these exact bytes), and cmd/dialga-inspect
+// (scrubber).
 //
-// A shard file is a fixed header followed by StripeCount blocks of
-// BlockSize bytes each. Two header versions are in the wild:
+// A shard file is a 48-byte v3 header followed by StripeCount blocks of
+// BlockSize bytes each: ShardSize payload bytes and a 4-byte CRC-32C
+// trailer over them. The header carries the geometry, shard index,
+// stripe count, file size, the checksum algorithm (CRC-32C, the only
+// one) and a CRC-32C over the header itself, so a corrupted header is
+// rejected instead of mis-parsed into a plausible geometry.
 //
-//	v2 (40 bytes, legacy): geometry + shard index + stripe count +
-//	    file size. Blocks are bare ShardSize-byte payloads with no
-//	    integrity trailer.
-//	v3 (48 bytes): everything in v2, plus a checksum-algorithm field
-//	    describing the per-block trailer (CRC-32C today) and a
-//	    CRC-32C over the header itself, so a corrupted header is
-//	    rejected instead of mis-parsed into a plausible geometry.
-//
-// Readers accept both; writers emit v3.
+// It is the only framing Parse accepts. The retired v2 header (40 bytes,
+// bare blocks) and v3 headers naming no checksum are refused: a block
+// without a trailer is a block nobody can verify, so the node would
+// store it unchecked and scrub could never call it damaged.
 package shardfile
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 
 	"dialga/internal/gf"
-	"dialga/internal/stream"
 )
 
 const (
 	// Magic identifies a dialga shard file.
 	Magic = 0xd1a16aec
 
-	// VersionV2 is the legacy header: no checksum field, no header CRC,
-	// bare blocks.
-	VersionV2 = 2
-	// VersionV3 adds the checksum-algorithm field and a header self-CRC.
+	// VersionV3 is the shard header version: the checksum-algorithm
+	// field and a header self-CRC.
 	VersionV3 = 3
 
-	// HeaderSizeV2 and HeaderSizeV3 are the on-disk header lengths.
-	HeaderSizeV2 = 40
+	// HeaderSizeV3 is the on-disk header length.
 	HeaderSizeV3 = 48
 
-	// headerCRCOff is where the v3 header self-CRC lives; it covers
-	// bytes [0, headerCRCOff).
+	// headerCRCOff is where the header self-CRC lives; it covers bytes
+	// [0, headerCRCOff).
 	headerCRCOff = 44
+
+	// trailerSize is the CRC-32C trailer behind every block's payload.
+	trailerSize = 4
 )
 
 // Algo identifies the per-block checksum trailer of a shard file.
 type Algo uint32
 
 const (
-	// AlgoNone means bare blocks: no trailer, no corruption detection.
-	AlgoNone Algo = 0
 	// AlgoCRC32C means each block carries a 4-byte little-endian
-	// CRC-32C (Castagnoli) trailer.
+	// CRC-32C (Castagnoli) trailer — the only algorithm Parse accepts.
 	AlgoCRC32C Algo = 1
 )
 
 func (a Algo) String() string {
-	switch a {
-	case AlgoNone:
-		return "none"
-	case AlgoCRC32C:
+	if a == AlgoCRC32C {
 		return "crc32c"
-	default:
-		return fmt.Sprintf("algo(%d)", uint32(a))
 	}
-}
-
-// TrailerSize returns the per-block trailer bytes for the algorithm.
-func (a Algo) TrailerSize() int {
-	if a == AlgoCRC32C {
-		return 4
-	}
-	return 0
-}
-
-// Stream maps the on-disk algorithm to the streaming pipeline's
-// checksum mode.
-func (a Algo) Stream() stream.Checksum {
-	if a == AlgoCRC32C {
-		return stream.ChecksumCRC32C
-	}
-	return stream.ChecksumNone
+	return fmt.Sprintf("algo(%d)", uint32(a))
 }
 
 // Header is the parsed shard-file header.
 //
-// v3 layout (little-endian):
+// Layout (little-endian):
 //
 //	off  0  u32  magic
-//	off  4  u32  version
+//	off  4  u32  version (3)
 //	off  8  u32  k (data shards)
 //	off 12  u32  m (parity shards)
 //	off 16  u32  shard index in [0, k+m)
 //	off 20  u32  shard payload bytes per stripe (excluding trailer)
 //	off 24  u64  stripe count
 //	off 32  u64  original file size
-//	off 40  u32  checksum algorithm (v3 only)
-//	off 44  u32  CRC-32C over bytes [0, 44) (v3 only)
+//	off 40  u32  checksum algorithm (1 = CRC-32C)
+//	off 44  u32  CRC-32C over bytes [0, 44)
 type Header struct {
-	Version     uint32 // VersionV2 or VersionV3; 0 marshals as VersionV3
+	Version     uint32 // VersionV3; 0 marshals as VersionV3
 	K, M        uint32
 	Index       uint32
 	ShardSize   uint32
 	StripeCount uint64
 	FileSize    uint64
-	Algo        Algo // v2 headers parse as AlgoNone
-}
-
-// HeaderSize returns the on-disk length of this header's version.
-func (h Header) HeaderSize() int {
-	if h.Version == VersionV2 {
-		return HeaderSizeV2
-	}
-	return HeaderSizeV3
+	Algo        Algo // AlgoCRC32C in every header Parse accepts
 }
 
 // BlockSize returns the on-disk bytes per stripe block: the shard
-// payload plus the checksum trailer.
+// payload plus the CRC-32C trailer.
 func (h Header) BlockSize() int64 {
-	return int64(h.ShardSize) + int64(h.Algo.TrailerSize())
+	return int64(h.ShardSize) + trailerSize
 }
 
 // ExpectedFileSize returns the exact byte length a well-formed shard
 // file with this header must have; anything else is truncated or
 // ragged.
 func (h Header) ExpectedFileSize() int64 {
-	return int64(h.HeaderSize()) + int64(h.StripeCount)*h.BlockSize()
+	return HeaderSizeV3 + int64(h.StripeCount)*h.BlockSize()
 }
 
-// Marshal serializes the header in its version's layout (v3 when
-// Version is zero), computing the self-CRC for v3.
+// Marshal serializes the header (Version 0 as VersionV3), computing its
+// self-CRC.
 func (h Header) Marshal() []byte {
 	version := h.Version
 	if version == 0 {
 		version = VersionV3
 	}
-	size := HeaderSizeV3
-	if version == VersionV2 {
-		size = HeaderSizeV2
-	}
-	buf := make([]byte, size)
+	buf := make([]byte, HeaderSizeV3)
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
 	binary.LittleEndian.PutUint32(buf[4:], version)
 	binary.LittleEndian.PutUint32(buf[8:], h.K)
@@ -150,52 +113,42 @@ func (h Header) Marshal() []byte {
 	binary.LittleEndian.PutUint32(buf[20:], h.ShardSize)
 	binary.LittleEndian.PutUint64(buf[24:], h.StripeCount)
 	binary.LittleEndian.PutUint64(buf[32:], h.FileSize)
-	if version >= VersionV3 {
-		binary.LittleEndian.PutUint32(buf[40:], uint32(h.Algo))
-		binary.LittleEndian.PutUint32(buf[headerCRCOff:], gf.CRC32C(buf[:headerCRCOff]))
-	}
+	binary.LittleEndian.PutUint32(buf[40:], uint32(h.Algo))
+	binary.LittleEndian.PutUint32(buf[headerCRCOff:], gf.CRC32C(buf[:headerCRCOff]))
 	return buf
 }
 
 // Parse reads and validates a shard header from r, consuming exactly
-// the header's on-disk length (40 bytes for v2, 48 for v3) and
-// nothing more.
+// HeaderSizeV3 bytes and nothing more. It accepts version 3 with
+// AlgoCRC32C and nothing else; the error names the version or algorithm
+// it refused.
 func Parse(r io.Reader) (Header, error) {
 	buf := make([]byte, HeaderSizeV3)
-	if _, err := io.ReadFull(r, buf[:HeaderSizeV2]); err != nil {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return Header{}, fmt.Errorf("header truncated: %w", err)
 	}
 	if magic := binary.LittleEndian.Uint32(buf[0:]); magic != Magic {
 		return Header{}, fmt.Errorf("bad magic %#x", magic)
 	}
-	version := binary.LittleEndian.Uint32(buf[4:])
-	switch version {
-	case VersionV2:
-	case VersionV3:
-		if _, err := io.ReadFull(r, buf[HeaderSizeV2:]); err != nil {
-			return Header{}, fmt.Errorf("v3 header truncated: %w", err)
-		}
-		want := binary.LittleEndian.Uint32(buf[headerCRCOff:])
-		if got := gf.CRC32C(buf[:headerCRCOff]); got != want {
-			return Header{}, fmt.Errorf("header self-CRC mismatch: computed %#x, stored %#x (corrupt header)", got, want)
-		}
-	default:
-		return Header{}, fmt.Errorf("unsupported shard header version %d (want %d or %d)", version, VersionV2, VersionV3)
+	if version := binary.LittleEndian.Uint32(buf[4:]); version != VersionV3 {
+		return Header{}, fmt.Errorf("unsupported shard header version %d (want %d)", version, VersionV3)
+	}
+	want := binary.LittleEndian.Uint32(buf[headerCRCOff:])
+	if got := gf.CRC32C(buf[:headerCRCOff]); got != want {
+		return Header{}, fmt.Errorf("header self-CRC mismatch: computed %#x, stored %#x (corrupt header)", got, want)
 	}
 	h := Header{
-		Version:     version,
+		Version:     VersionV3,
 		K:           binary.LittleEndian.Uint32(buf[8:]),
 		M:           binary.LittleEndian.Uint32(buf[12:]),
 		Index:       binary.LittleEndian.Uint32(buf[16:]),
 		ShardSize:   binary.LittleEndian.Uint32(buf[20:]),
 		StripeCount: binary.LittleEndian.Uint64(buf[24:]),
 		FileSize:    binary.LittleEndian.Uint64(buf[32:]),
+		Algo:        Algo(binary.LittleEndian.Uint32(buf[40:])),
 	}
-	if version >= VersionV3 {
-		h.Algo = Algo(binary.LittleEndian.Uint32(buf[40:]))
-		if h.Algo != AlgoNone && h.Algo != AlgoCRC32C {
-			return Header{}, fmt.Errorf("unknown checksum algorithm %d", h.Algo)
-		}
+	if h.Algo != AlgoCRC32C {
+		return Header{}, fmt.Errorf("unsupported checksum algorithm %d (want %d, crc32c)", uint32(h.Algo), uint32(AlgoCRC32C))
 	}
 	if h.K == 0 || h.M == 0 {
 		return Header{}, fmt.Errorf("invalid geometry k=%d m=%d", h.K, h.M)
@@ -214,10 +167,6 @@ func Path(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard.%03d", i))
 }
 
-// ErrNoChecksum reports a scrub request against a shard format that
-// carries no per-block integrity trailer (v2, or v3 with AlgoNone).
-var ErrNoChecksum = errors.New("shardfile: shard has no checksum trailers to verify")
-
 // maxCorruptListed caps the per-shard corrupt-stripe list a scrub
 // returns, keeping reports bounded on badly damaged files.
 const maxCorruptListed = 16
@@ -231,14 +180,10 @@ type ScrubResult struct {
 
 // Scrub reads every stripe block of a shard file (r must be
 // positioned just past the header) and verifies each block's checksum
-// trailer. It returns ErrNoChecksum when the header's algorithm
-// cannot be verified, and a read error if the file ends before
+// trailer. It returns a read error if the file ends before
 // StripeCount blocks.
 func Scrub(r io.Reader, h Header) (ScrubResult, error) {
 	var res ScrubResult
-	if h.Algo != AlgoCRC32C {
-		return res, ErrNoChecksum
-	}
 	block := make([]byte, h.BlockSize())
 	payload := int(h.ShardSize)
 	for s := uint64(0); s < h.StripeCount; s++ {

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 
 	"dialga/internal/rs"
@@ -35,11 +35,18 @@ func v3Header() Header {
 	}
 }
 
+// v2Header is h in the retired v2 layout: the first 40 bytes of the v3
+// layout with version 2, no algorithm field and no self-CRC.
+func v2Header(h Header) []byte {
+	b := h.Marshal()[:40]
+	binary.LittleEndian.PutUint32(b[4:], 2)
+	return b
+}
+
 func TestHeaderMarshalParseRoundTrip(t *testing.T) {
 	for _, h := range []Header{
 		v3Header(),
-		{Version: VersionV2, K: 4, M: 2, Index: 0, ShardSize: 256, StripeCount: 10, FileSize: 9999},
-		{Version: VersionV3, K: 3, M: 1, Index: 3, ShardSize: 64, StripeCount: 1, FileSize: 100, Algo: AlgoNone},
+		{Version: VersionV3, K: 3, M: 1, Index: 3, ShardSize: 64, StripeCount: 1, FileSize: 100, Algo: AlgoCRC32C},
 	} {
 		got, err := Parse(bytes.NewReader(h.Marshal()))
 		if err != nil {
@@ -62,60 +69,74 @@ func TestHeaderMarshalParseRoundTrip(t *testing.T) {
 }
 
 // TestHeaderRejections is the table-driven negative suite: every
-// mutation of a valid v3 header must be rejected, and the self-CRC
-// must catch silent field corruption that would otherwise still parse.
+// mutation of a valid v3 header must be rejected, the self-CRC must
+// catch silent field corruption that would otherwise still parse, and
+// a header in a retired framing is refused by name.
 func TestHeaderRejections(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(b []byte) []byte
+		want   string // what the error must name
 	}{
 		{"bad magic", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[0:], 0xdeadbeef)
 			return b
-		}},
+		}, "bad magic"},
 		{"unknown version", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:], 7)
 			return b
-		}},
+		}, "version 7"},
 		{"corrupt k field under self-CRC", func(b []byte) []byte {
 			b[8] ^= 0xff // parses as a plausible geometry without the CRC
 			return b
-		}},
+		}, "self-CRC"},
 		{"single bit flip under self-CRC", func(b []byte) []byte {
 			b[25] ^= 1 // stripe count off by one
 			return b
-		}},
+		}, "self-CRC"},
 		{"corrupt self-CRC itself", func(b []byte) []byte {
 			b[45] ^= 1
 			return b
-		}},
+		}, "self-CRC"},
 		{"unknown checksum algo", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[40:], 99)
 			binary.LittleEndian.PutUint32(b[44:], crc32.Checksum(b[:44], castagnoli))
 			return b
-		}},
+		}, "checksum algorithm 99"},
+		{"v3 naming no checksum", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[40:], 0) // bare blocks, well-formed otherwise
+			binary.LittleEndian.PutUint32(b[44:], crc32.Checksum(b[:44], castagnoli))
+			return b
+		}, "checksum algorithm 0"},
+		{"retired v2 header", func([]byte) []byte {
+			return append(v2Header(v3Header()), "its first bare block"...)
+		}, "version 2"},
 		{"index outside geometry", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[16:], 12)
 			binary.LittleEndian.PutUint32(b[44:], crc32.Checksum(b[:44], castagnoli))
 			return b
-		}},
+		}, "outside geometry"},
 		{"zero geometry", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[8:], 0)
 			binary.LittleEndian.PutUint32(b[44:], crc32.Checksum(b[:44], castagnoli))
 			return b
-		}},
+		}, "invalid geometry"},
 		{"truncated v3 tail", func(b []byte) []byte {
-			return b[:HeaderSizeV2+2]
-		}},
+			return b[:HeaderSizeV3-6]
+		}, "truncated"},
 		{"truncated v2 prefix", func(b []byte) []byte {
 			return b[:16]
-		}},
+		}, "truncated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(v3Header().Marshal())
-			if _, err := Parse(bytes.NewReader(buf)); err == nil {
+			_, err := Parse(bytes.NewReader(buf))
+			if err == nil {
 				t.Fatalf("mutated header accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %q", err, tc.want)
 			}
 		})
 	}
@@ -133,25 +154,15 @@ func TestParseV1Rejected(t *testing.T) {
 }
 
 func TestHeaderSizes(t *testing.T) {
-	v2 := Header{Version: VersionV2, K: 4, M: 2, ShardSize: 100, StripeCount: 3}
 	v3 := Header{Version: VersionV3, K: 4, M: 2, ShardSize: 100, StripeCount: 3, Algo: AlgoCRC32C}
-	if len(v2.Marshal()) != HeaderSizeV2 || v2.HeaderSize() != HeaderSizeV2 {
-		t.Fatal("v2 header size wrong")
-	}
-	if len(v3.Marshal()) != HeaderSizeV3 || v3.HeaderSize() != HeaderSizeV3 {
+	if len(v3.Marshal()) != HeaderSizeV3 {
 		t.Fatal("v3 header size wrong")
 	}
-	if v2.ExpectedFileSize() != 40+3*100 {
-		t.Fatalf("v2 expected size %d", v2.ExpectedFileSize())
+	if v3.BlockSize() != 104 {
+		t.Fatalf("block size %d, want the payload and a 4-byte trailer", v3.BlockSize())
 	}
 	if v3.ExpectedFileSize() != 48+3*104 {
 		t.Fatalf("v3 expected size %d", v3.ExpectedFileSize())
-	}
-	if AlgoNone.TrailerSize() != 0 || AlgoCRC32C.TrailerSize() != 4 {
-		t.Fatal("trailer sizes wrong")
-	}
-	if AlgoNone.Stream() != stream.ChecksumNone || AlgoCRC32C.Stream() != stream.ChecksumCRC32C {
-		t.Fatal("Algo -> stream.Checksum mapping wrong")
 	}
 }
 
@@ -193,20 +204,13 @@ func TestScrub(t *testing.T) {
 	if _, err := Scrub(bytes.NewReader(short), h); err == nil {
 		t.Fatal("scrub accepted a truncated shard")
 	}
-
-	// Unverifiable formats.
-	h2 := h
-	h2.Algo = AlgoNone
-	if _, err := Scrub(bytes.NewReader(nil), h2); !errors.Is(err, ErrNoChecksum) {
-		t.Fatalf("scrub of AlgoNone returned %v, want ErrNoChecksum", err)
-	}
 }
 
 // TestScrubMatchesEncoderOutput scrubs blocks produced by the real
 // streaming encoder, pinning the two packages to one trailer format.
 func TestScrubMatchesEncoderOutput(t *testing.T) {
 	code := mustRS(t, 3, 2)
-	enc, err := stream.NewEncoder(stream.Options{Codec: code, StripeSize: 3 * 64, Checksum: stream.ChecksumCRC32C})
+	enc, err := stream.NewEncoder(stream.Options{Codec: code, StripeSize: 3 * 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,4 +238,37 @@ func TestScrubMatchesEncoderOutput(t *testing.T) {
 			t.Fatalf("shard %d: scrub %d/%d corrupt on pristine encoder output", i, res.Corrupt, res.Stripes)
 		}
 	}
+}
+
+// FuzzParse feeds arbitrary bytes to the parser that faces both the
+// wire (a node's upload body) and the disk. It must never panic, and a
+// header it accepts is a v3 CRC-32C header that consumed exactly
+// HeaderSizeV3 bytes and marshals back to those bytes.
+func FuzzParse(f *testing.F) {
+	valid := v3Header().Marshal()
+	noSum := v3Header()
+	noSum.Algo = 0
+	badCRC := append([]byte(nil), valid...)
+	badCRC[45] ^= 1
+	f.Add(append(append([]byte(nil), valid...), "a block follows"...))
+	f.Add(append(v2Header(v3Header()), "a bare block"...))
+	f.Add(noSum.Marshal())
+	f.Add(badCRC)
+	f.Add(valid[:HeaderSizeV3-1])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := bytes.NewReader(b)
+		h, err := Parse(r)
+		if err != nil {
+			return
+		}
+		if used := len(b) - r.Len(); used != HeaderSizeV3 {
+			t.Fatalf("accepted header consumed %d bytes, want %d", used, HeaderSizeV3)
+		}
+		if !bytes.Equal(h.Marshal(), b[:HeaderSizeV3]) {
+			t.Fatalf("%+v re-marshals to other bytes than it was parsed from", h)
+		}
+		if h.Version != VersionV3 || h.Algo != AlgoCRC32C {
+			t.Fatalf("accepted version %d, algorithm %d", h.Version, h.Algo)
+		}
+	})
 }

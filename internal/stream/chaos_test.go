@@ -49,7 +49,7 @@ func newChaosTrial(t *testing.T, rng *rand.Rand) *chaosTrial {
 		tr.payload = randBytes(t, rng.Intn(8*stripeSize)+1, rng.Int63())
 	}
 	opts := Options{Codec: mustRS(t, tr.k, tr.m), StripeSize: stripeSize,
-		Workers: 1 + rng.Intn(4), Checksum: ChecksumCRC32C}
+		Workers: 1 + rng.Intn(4)}
 	tr.shards = encodeAll(t, opts, tr.payload)
 	tr.blockSize = tr.shardSize + crcSize
 	tr.stripes = len(tr.shards[0]) / tr.blockSize
@@ -128,7 +128,7 @@ func (tr *chaosTrial) planBeyondParity(rng *rand.Rand) bool {
 func (tr *chaosTrial) decode(t *testing.T) (*Decoder, *bytes.Buffer, error) {
 	t.Helper()
 	dec, err := NewDecoder(Options{Codec: mustRS(t, tr.k, tr.m),
-		StripeSize: tr.k * tr.shardSize, Checksum: ChecksumCRC32C})
+		StripeSize: tr.k * tr.shardSize})
 	if err != nil {
 		t.Fatal(err)
 	}

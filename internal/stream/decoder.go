@@ -28,10 +28,10 @@ func statesAttr(states []shardio.ShardState) string {
 }
 
 // Decoder is the inverse pipeline: it reads one block per stripe from
-// each of k+m shard readers, verifies each block's checksum trailer
-// (under ChecksumCRC32C, the default), reconstructs missing, failed,
-// corrupt, or straggling shards (up to m per stripe), and writes the
-// recovered data payload to a single writer in stripe order.
+// each of k+m shard readers, verifies each block's CRC-32C trailer,
+// reconstructs missing, failed, corrupt, or straggling shards (up to m
+// per stripe), and writes the recovered data payload to a single writer
+// in stripe order.
 //
 // Shard reads are scheduled by an internal/shardio.Group: one goroutine
 // per shard owns its reader, so a slow shard blocks only itself, and
@@ -43,10 +43,10 @@ func statesAttr(states []shardio.ShardState) string {
 //   - dead: a reader that failed hard (non-transient error with
 //     retries exhausted, or EOF before its peers); retired and treated
 //     as missing for that stripe and all later ones.
-//   - erased: a block whose checksum trailer does not verify, or that
-//     was read across a transient (Transient() bool == true) error
-//     with no checksum to clear it; an erasure for that stripe only —
-//     the shard stays live and may serve the next stripe.
+//   - erased: a block whose checksum trailer does not verify (the
+//     trailer is also what clears a block read across a transient,
+//     Transient() bool == true, error); an erasure for that stripe
+//     only — the shard stays live and may serve the next stripe.
 //   - slow: with Options.HedgeAfter set, a live shard that missed the
 //     stripe's adaptive deadline while at least k blocks had arrived.
 //     The stripe proceeds to reconstruction immediately (a hedged
@@ -69,11 +69,7 @@ type Decoder struct {
 	g     geom // g.straggler.Blocks pools the shard blocks of every Decode
 	stats *counters
 	jobs  jobPool
-	// rd/spare: codecs that rebuild data shards in place accept
-	// zero-length-with-capacity output buffers, so reconstruction can
-	// draw from a pool instead of allocating per stripe.
-	rd    dataReconstructor
-	spare *bufPool
+	spare *bufPool // ReconstructData's output buffers for erased data blocks
 }
 
 // NewDecoder validates opts and returns a ready Decoder.
@@ -83,19 +79,14 @@ func NewDecoder(opts Options) (*Decoder, error) {
 		return nil, err
 	}
 	g.straggler.Blocks = shardio.NewBlockPool(g.blockSize)
-	d := &Decoder{g: g, stats: newCounters(g.metrics, "decode")}
-	if rd, ok := g.codec.(dataReconstructor); ok {
-		d.rd = rd
-		d.spare = newBufPool(g.shardSize)
-	}
-	return d, nil
+	return &Decoder{g: g, stats: newCounters(g.metrics, "decode"), spare: newBufPool(g.shardSize)}, nil
 }
 
 // StripeSize returns the data payload per stripe.
 func (d *Decoder) StripeSize() int { return d.g.stripeSize }
 
 // ShardSize returns the data bytes per shard per stripe, excluding
-// any checksum trailer.
+// the checksum trailer.
 func (d *Decoder) ShardSize() int { return d.g.shardSize }
 
 // BlockSize returns the bytes consumed from each shard reader per
@@ -189,22 +180,15 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 			j := d.jobs.get()
 			j.blocks = sliceN(j.blocks, k+m)
 			var eofIdx []int
-			got, demoted := 0, 0
+			got := 0
 			var firstErr error
 			for i, state := range st.States {
 				switch state {
 				case shardio.StateOK:
 					if t := st.Transients[i]; t > 0 {
+						// Read across a fault: the worker verifies the block
+						// like any other, and its trailer is the arbiter.
 						d.stats.transientFaults.Add(t)
-						if d.g.trailer == 0 {
-							// No checksum to clear bytes read across a
-							// fault: demote for this stripe only.
-							demoted++
-							d.stats.shardsCorrupted.Add(1)
-							continue
-						}
-						// The checksum trailer is the arbiter: the
-						// worker verifies this block like any other.
 					}
 					j.blocks[i] = st.Blocks[i]
 					got++
@@ -229,7 +213,7 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 				}
 			}
 			if span != nil {
-				span.Event("read", fmt.Sprintf("got=%d demoted=%d states=%s", got, demoted, statesAttr(st.States)))
+				span.Event("read", fmt.Sprintf("got=%d states=%s", got, statesAttr(st.States)))
 				if st.Hedged {
 					span.Event("hedge", "deadline missed; reconstructing around stragglers")
 				}
@@ -237,7 +221,7 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 					span.Event("breaker", fmt.Sprintf("trips=%d", st.Trips))
 				}
 			}
-			if got == 0 && demoted == 0 {
+			if got == 0 {
 				st.Release()
 				d.jobs.put(j)
 				if wantStripes >= 0 {
@@ -271,7 +255,7 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 				d.stats.shardFailures.Add(1)
 			}
 			d.stats.bytesIn.Add(uint64(got * blockSize))
-			j.seq, j.demoted, j.stripe, j.span = seq, demoted, st, span
+			j.seq, j.stripe, j.span = seq, st, span
 			if !push(j) {
 				return nil
 			}
@@ -309,10 +293,8 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 	}
 
 	release := func(j *job) {
-		if d.spare != nil {
-			for _, i := range j.eras {
-				d.spare.put(j.blocks[i])
-			}
+		for _, i := range j.eras {
+			d.spare.put(j.blocks[i])
 		}
 		if j.stripe != nil {
 			j.stripe.Release()
@@ -325,24 +307,20 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 }
 
 // short reports whether a gathered stripe cannot be decoded from the
-// blocks in hand — fewer than k pass their trailer (or, with no trailer,
-// were read without a fault) — while a live shard the scheduler chose not
-// to wait for, slow or behind an open breaker, could still supply one.
-// Only a stripe that speculated pays for the checksums, on the producer;
-// the verdict on each block stays the worker's.
+// blocks in hand — fewer than k pass their trailer — while a live shard
+// the scheduler chose not to wait for, slow or behind an open breaker,
+// could still supply one. Only a stripe that speculated pays for the
+// checksums, on the producer; the verdict on each block stays the
+// worker's.
 func (d *Decoder) short(st *shardio.Stripe) bool {
 	if !slices.ContainsFunc(st.States, func(s shardio.ShardState) bool {
 		return s == shardio.StateSlow || s == shardio.StateOpen
 	}) {
 		return false
 	}
-	usable, size := 0, d.g.shardSize
-	for i, bl := range st.Blocks {
-		if bl == nil {
-			continue
-		}
-		if d.g.trailer == 0 && st.Transients[i] == 0 ||
-			d.g.trailer > 0 && gf.CRC32C(bl[:size]) == binary.LittleEndian.Uint32(bl[size:]) {
+	usable := 0
+	for _, bl := range st.Blocks {
+		if bl != nil && d.verified(bl) {
 			if usable++; usable == d.g.k {
 				return false
 			}
@@ -351,55 +329,50 @@ func (d *Decoder) short(st *shardio.Stripe) bool {
 	return true
 }
 
+// verified reports whether a full block's payload matches its trailer.
+func (d *Decoder) verified(block []byte) bool {
+	size := d.g.shardSize
+	return gf.CRC32C(block[:size]) == binary.LittleEndian.Uint32(block[size:d.g.blockSize])
+}
+
 // processStripe is the worker body for one gathered stripe: resolve
 // the hedge race for slow shards, verify checksum trailers, and
-// reconstruct missing data shards. With a data-reconstructing codec it
-// runs allocation-free against warmed pools — erasure outputs come
-// from the decoder's spare-buffer pool as zero-length-with-capacity
-// slices the codec fills in place.
+// reconstruct missing data shards. It runs allocation-free against
+// warmed pools — erasure outputs come from the decoder's spare-buffer
+// pool as zero-length-with-capacity slices the codec fills in place.
 func (d *Decoder) processStripe(j *job) error {
 	k, m := d.g.k, d.g.m
-	shardSize, blockSize := d.g.shardSize, d.g.blockSize
+	shardSize := d.g.shardSize
 	st := j.stripe
-	demoted := j.demoted
-	// Resolve the hedge race for slow shards: claim the block if
-	// the direct read beat us here (TakeLate is the commit point),
-	// but only under a checksum, which can vouch for bytes that
-	// arrived out from under the gather loop. Without a trailer,
-	// reconstruction always wins.
+	// Resolve the hedge race for slow shards: claim the block if the
+	// direct read beat us here (TakeLate is the commit point) and its
+	// trailer vouches for bytes that arrived out from under the gather
+	// loop.
 	hedgeLost := 0 // slow shards whose direct read won after all
-	if d.g.trailer > 0 {
-		for i, state := range st.States {
-			if state != shardio.StateSlow {
-				continue
-			}
-			if late := st.TakeLate(i); late != nil {
-				want := binary.LittleEndian.Uint32(late[shardSize:blockSize])
-				if gf.CRC32C(late[:shardSize]) == want {
-					j.blocks[i] = late
-					hedgeLost++
-				}
-			}
+	for i, state := range st.States {
+		if state != shardio.StateSlow {
+			continue
+		}
+		if late := st.TakeLate(i); late != nil && d.verified(late) {
+			j.blocks[i] = late
+			hedgeLost++
 		}
 	}
-	if d.g.trailer > 0 {
-		// Verify every block that was read; a bad trailer demotes
-		// the block to an erasure for this stripe only.
-		for i, state := range st.States {
-			if j.blocks[i] == nil || state == shardio.StateSlow {
-				continue // slow claims were verified above
-			}
-			bl := j.blocks[i]
-			want := binary.LittleEndian.Uint32(bl[shardSize:blockSize])
-			if gf.CRC32C(bl[:shardSize]) != want {
-				j.blocks[i] = nil
-				demoted++
-				d.stats.shardsCorrupted.Add(1)
-			}
+	// Verify every block that was read; a bad trailer demotes the block
+	// to an erasure for this stripe only.
+	demoted := 0
+	for i, state := range st.States {
+		if j.blocks[i] == nil || state == shardio.StateSlow {
+			continue // slow claims were verified above
 		}
-		if j.span != nil {
-			j.span.Event("verify", fmt.Sprintf("corrupt=%d late_claimed=%d", demoted-j.demoted, hedgeLost))
+		if !d.verified(j.blocks[i]) {
+			j.blocks[i] = nil
+			demoted++
+			d.stats.shardsCorrupted.Add(1)
 		}
+	}
+	if j.span != nil {
+		j.span.Event("verify", fmt.Sprintf("corrupt=%d late_claimed=%d", demoted, hedgeLost))
 	}
 	// Truncate the surviving full blocks to their data payload for
 	// the codec.
@@ -414,30 +387,17 @@ func (d *Decoder) processStripe(j *job) error {
 		return fmt.Errorf("stream: stripe %d: %d corrupt or missing shard blocks leave %d of %d required: %w",
 			j.seq, (k+m)-valid, valid, k, ErrTooManyCorrupt)
 	}
-	missing := false
+	// Hand every absent data entry a pooled spare as its output buffer;
+	// release returns them after delivery.
 	for i := 0; i < k; i++ {
 		if j.blocks[i] == nil {
-			missing = true
-			break
+			j.blocks[i] = d.spare.get()[:0]
+			j.eras = append(j.eras, i)
 		}
 	}
-	if missing {
+	if len(j.eras) > 0 {
 		start := time.Now()
-		var err error
-		if d.rd != nil {
-			// Hand every absent data entry a pooled spare as its
-			// output buffer; release returns them after delivery.
-			for i := 0; i < k; i++ {
-				if j.blocks[i] == nil {
-					j.blocks[i] = d.spare.get()[:0]
-					j.eras = append(j.eras, i)
-				}
-			}
-			err = d.rd.ReconstructData(j.blocks)
-		} else {
-			err = d.g.codec.Reconstruct(j.blocks)
-		}
-		if err != nil {
+		if err := d.g.codec.ReconstructData(j.blocks); err != nil {
 			return fmt.Errorf("stream: reconstruct stripe %d: %w", j.seq, err)
 		}
 		d.stats.reconstructed.Add(1)

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dialga/internal/gf"
 )
 
 // Encoder is a streaming erasure encoder: it chunks a reader into
@@ -17,9 +15,9 @@ import (
 // parity shards of each stripe on in stripe order — by reference
 // through EncodeStripes, or copied into k+m writers by Encode. The
 // tail stripe is zero-padded to a full stripe, so every shard receives
-// exactly BlockSize bytes per stripe — shardSize data bytes plus, under
-// ChecksumCRC32C (the default), a 4-byte CRC-32C trailer the decoder
-// verifies and heals against. Recording the original length for
+// exactly BlockSize bytes per stripe — shardSize data bytes plus a
+// 4-byte CRC-32C trailer the decoder verifies and heals against.
+// Recording the original length for
 // trimming on decode is the caller's job (the dialga-encode shard
 // header does this). An input shorter than one stripe is padded to one
 // too: a caller storing inputs of very different sizes keeps an encoder
@@ -54,7 +52,7 @@ func NewEncoder(opts Options) (*Encoder, error) {
 func (e *Encoder) StripeSize() int { return e.g.stripeSize }
 
 // ShardSize returns the data bytes per shard per stripe, excluding
-// any checksum trailer.
+// the checksum trailer.
 func (e *Encoder) ShardSize() int { return e.g.shardSize }
 
 // BlockSize returns the bytes each shard receives per stripe:
@@ -67,11 +65,6 @@ func (e *Encoder) Shards() int { return e.g.k + e.g.m }
 // Stats returns a snapshot of the pipeline counters.
 func (e *Encoder) Stats() Stats { return e.stats.snapshot() }
 
-// Fused reports whether this encoder uses the codec's single-pass
-// fused encode+CRC sweep for its checksum trailers (false when the
-// codec does not offer it or checksums are off).
-func (e *Encoder) Fused() bool { return e.g.fused != nil }
-
 // Stripe is one encoded stripe, lent by EncodeStripes: the k data and m
 // parity blocks and their checksum trailers, in the encoder's own
 // pooled buffers. Whoever holds it may read the blocks in place, from
@@ -82,19 +75,15 @@ type Stripe struct {
 	blocks []byte // (k+m)*shardSize: one allocation, with crc behind it
 	data   []byte // blocks' first k*shardSize: the stripe as read, zero-padded
 	parity []byte // blocks' last m*shardSize
-	crc    []byte // (k+m)*crcSize trailers; empty when checksums are off
+	crc    []byte // (k+m)*crcSize trailers
 }
 
 // Block returns shard i's block of the stripe (data shards first, then
-// parity) as two views: the shardSize payload bytes and the checksum
-// trailer that follows them on the wire (nil under ChecksumNone).
+// parity) as two views: the shardSize payload bytes and the CRC-32C
+// trailer that follows them on the wire.
 func (s *Stripe) Block(i int) (payload, trailer []byte) {
 	size := s.e.g.shardSize
-	payload = s.blocks[i*size : (i+1)*size]
-	if len(s.crc) > 0 {
-		trailer = s.crc[i*crcSize : (i+1)*crcSize]
-	}
-	return payload, trailer
+	return s.blocks[i*size : (i+1)*size], s.crc[i*crcSize : (i+1)*crcSize]
 }
 
 // Release returns the stripe's buffers to the encoder. Call it exactly
@@ -173,12 +162,10 @@ func (e *Encoder) lend() *Stripe {
 	return s
 }
 
-// encodeStripe is the worker body: encode one stripe's parity and,
-// under ChecksumCRC32C, its k+m block trailers. With a fused codec the
-// parity and every CRC come out of one cache-tiled sweep — each 4 KiB
-// tile is checksummed while still L1-resident — instead of a second
-// full pass over k+m blocks. Both paths produce byte-identical
-// trailers. Runs allocation-free.
+// encodeStripe is the worker body: one cache-tiled sweep computes the
+// stripe's parity and the CRC-32C of all k+m blocks, each 4 KiB tile
+// checksummed while still L1-resident, instead of a second full pass
+// over the blocks. Runs allocation-free.
 func (e *Encoder) encodeStripe(j *job) error {
 	start := time.Now()
 	st := j.enc
@@ -188,26 +175,12 @@ func (e *Encoder) encodeStripe(j *job) error {
 	// need ownership use rs.SplitCopy instead.
 	j.dviews = shardViewsInto(j.dviews, st.data, e.g.k, e.g.shardSize)
 	j.pviews = shardViewsInto(j.pviews, st.parity, e.g.m, e.g.shardSize)
-	if e.g.fused != nil {
-		j.sums = sliceN(j.sums, e.g.k+e.g.m)
-		if err := e.g.fused.EncodeSumInto(j.sums, j.dviews, j.pviews); err != nil {
-			return fmt.Errorf("stream: encode stripe %d: %w", j.seq, err)
-		}
-		for i, sum := range j.sums {
-			binary.LittleEndian.PutUint32(st.crc[i*crcSize:], sum)
-		}
-	} else {
-		if err := e.g.codec.Encode(j.dviews, j.pviews); err != nil {
-			return fmt.Errorf("stream: encode stripe %d: %w", j.seq, err)
-		}
-		if len(st.crc) > 0 {
-			// Two-pass trailers: CRC-32C of each block after the fact,
-			// hardware-accelerated, off the serial deliver path.
-			for i := 0; i < e.g.k+e.g.m; i++ {
-				payload, trailer := st.Block(i)
-				binary.LittleEndian.PutUint32(trailer, gf.CRC32C(payload))
-			}
-		}
+	j.sums = sliceN(j.sums, e.g.k+e.g.m)
+	if err := e.g.codec.EncodeSumInto(j.sums, j.dviews, j.pviews); err != nil {
+		return fmt.Errorf("stream: encode stripe %d: %w", j.seq, err)
+	}
+	for i, sum := range j.sums {
+		binary.LittleEndian.PutUint32(st.crc[i*crcSize:], sum)
 	}
 	e.stats.observe(time.Since(start))
 	j.span.Event("encode", "")
@@ -235,10 +208,8 @@ func (e *Encoder) Encode(ctx context.Context, r io.Reader, shards []io.Writer) e
 			if _, err := w.Write(payload); err != nil {
 				return fmt.Errorf("stream: write shard %d: %w", i, err)
 			}
-			if trailer != nil {
-				if _, err := w.Write(trailer); err != nil {
-					return fmt.Errorf("stream: write shard %d trailer: %w", i, err)
-				}
+			if _, err := w.Write(trailer); err != nil {
+				return fmt.Errorf("stream: write shard %d trailer: %w", i, err)
 			}
 		}
 		return nil

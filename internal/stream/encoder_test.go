@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dialga/internal/gf"
 	"dialga/internal/rs"
 )
 
@@ -52,22 +54,19 @@ func encodeAll(t testing.TB, opts Options, payload []byte) [][]byte {
 	return out
 }
 
-// referenceEncode produces the expected shard streams with the
-// single-threaded whole-buffer kernel, stripe by stripe. It uses
-// rs.SplitCopy so the reference path never aliases (and never
+// referenceEncode produces the expected shard streams without the
+// pipeline: stripe by stripe, the single-threaded whole-buffer
+// rs.Encode, then gf.CRC32C over each block for the trailer behind it —
+// the two-pass computation the encoder's fused sweep must reproduce. It
+// uses rs.SplitCopy so the reference path never aliases (and never
 // mutates) the payload under test.
 func referenceEncode(t testing.TB, code *rs.Code, stripeSize int, payload []byte) [][]byte {
 	t.Helper()
-	k, m := code.K(), code.M()
-	out := make([][]byte, k+m)
+	out := make([][]byte, code.K()+code.M())
 	for off := 0; off < len(payload); off += stripeSize {
-		end := off + stripeSize
-		if end > len(payload) {
-			end = len(payload)
-		}
 		stripe := make([]byte, stripeSize)
-		copy(stripe, payload[off:end])
-		data, err := rs.SplitCopy(stripe, k)
+		copy(stripe, payload[off:min(off+stripeSize, len(payload))])
+		data, err := rs.SplitCopy(stripe, code.K())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +74,8 @@ func referenceEncode(t testing.TB, code *rs.Code, stripeSize int, payload []byte
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < k; i++ {
-			out[i] = append(out[i], data[i]...)
-		}
-		for i := 0; i < m; i++ {
-			out[k+i] = append(out[k+i], parity[i]...)
+		for i, block := range append(data, parity...) {
+			out[i] = binary.LittleEndian.AppendUint32(append(out[i], block...), gf.CRC32C(block))
 		}
 	}
 	return out
@@ -87,9 +83,7 @@ func referenceEncode(t testing.TB, code *rs.Code, stripeSize int, payload []byte
 
 func TestEncoderMatchesWholeBufferKernel(t *testing.T) {
 	code := mustRS(t, 5, 3)
-	// ChecksumNone: this test pins byte-identity against the raw
-	// whole-buffer kernel, which has no trailers.
-	opts := Options{Codec: code, StripeSize: 1000, Workers: 3, Checksum: ChecksumNone}
+	opts := Options{Codec: code, StripeSize: 1000, Workers: 3}
 	enc, err := NewEncoder(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +113,7 @@ func TestEncoderEmptyInput(t *testing.T) {
 
 func TestEncoderInputSmallerThanOneStripe(t *testing.T) {
 	code := mustRS(t, 4, 2)
-	opts := Options{Codec: code, StripeSize: 4096, Workers: 2, Checksum: ChecksumNone}
+	opts := Options{Codec: code, StripeSize: 4096, Workers: 2}
 	payload := randBytes(t, 100, 1)
 	shards := encodeAll(t, opts, payload)
 	want := referenceEncode(t, code, 4096, payload)
@@ -128,8 +122,8 @@ func TestEncoderInputSmallerThanOneStripe(t *testing.T) {
 			t.Fatalf("shard %d differs", i)
 		}
 	}
-	if len(shards[0]) != 1024 {
-		t.Fatalf("shard size %d, want one full zero-padded stripe shard of 1024", len(shards[0]))
+	if len(shards[0]) != 1024+crcSize {
+		t.Fatalf("shard size %d, want one full zero-padded stripe shard of 1024 and its trailer", len(shards[0]))
 	}
 }
 
@@ -320,7 +314,7 @@ func TestEncoderShardCountValidation(t *testing.T) {
 
 func TestEncoderReusableAcrossCalls(t *testing.T) {
 	code := mustRS(t, 4, 2)
-	enc, err := NewEncoder(Options{Codec: code, StripeSize: 1024, Workers: 2, Checksum: ChecksumNone})
+	enc, err := NewEncoder(Options{Codec: code, StripeSize: 1024, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,42 +354,37 @@ func ExampleEncoder() {
 }
 
 // TestEncodeStripesMatchesEncode: the stripes EncodeStripes lends hold,
-// block for block, the bytes Encode writes — for every worker count,
-// with and without trailers, and with a short tail stripe — while the
-// consumer keeps every stripe until the encode has returned.
+// block for block, the bytes Encode writes — for every worker count and
+// with a short tail stripe — while the consumer keeps every stripe until
+// the encode has returned.
 func TestEncodeStripesMatchesEncode(t *testing.T) {
 	code := mustRS(t, 4, 2)
 	payload := randBytes(t, 9*(16<<10)+333, 77) // nine full stripes and a short tail
-	for _, sum := range []Checksum{ChecksumCRC32C, ChecksumNone} {
-		want := encodeAll(t, Options{Codec: code, StripeSize: 16 << 10, Workers: 1, Checksum: sum}, payload)
-		for _, workers := range []int{1, 2, 3, 8} {
-			enc, err := NewEncoder(Options{Codec: code, StripeSize: 16 << 10, Workers: workers, Checksum: sum})
-			if err != nil {
-				t.Fatal(err)
+	want := encodeAll(t, Options{Codec: code, StripeSize: 16 << 10, Workers: 1}, payload)
+	for _, workers := range []int{1, 2, 3, 8} {
+		enc, err := NewEncoder(Options{Codec: code, StripeSize: 16 << 10, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held []*Stripe
+		err = enc.EncodeStripes(context.Background(), bytes.NewReader(payload), func(st *Stripe) error {
+			held = append(held, st)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]byte, enc.Shards())
+		for _, st := range held {
+			for i := range got {
+				payload, trailer := st.Block(i)
+				got[i] = append(append(got[i], payload...), trailer...)
 			}
-			var held []*Stripe
-			err = enc.EncodeStripes(context.Background(), bytes.NewReader(payload), func(st *Stripe) error {
-				held = append(held, st)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([][]byte, enc.Shards())
-			for _, st := range held {
-				for i := range got {
-					payload, trailer := st.Block(i)
-					if (trailer == nil) != (sum == ChecksumNone) {
-						t.Fatalf("%v: trailer %v", sum, trailer)
-					}
-					got[i] = append(append(got[i], payload...), trailer...)
-				}
-				st.Release()
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("%v, workers=%d: shard %d by reference differs from Encode's", sum, workers, i)
-				}
+			st.Release()
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("workers=%d: shard %d by reference differs from Encode's", workers, i)
 			}
 		}
 	}

@@ -2,70 +2,65 @@ package stream
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"testing"
 
 	"dialga/internal/shardio"
 )
 
-// twoPass hides a codec's EncodeSumInto, so the encoder selects the
-// two-pass path (encode, then a CRC sweep per block): the reference
-// the fused sweep is compared against.
-type twoPass struct{ Codec }
-
-// TestFusedTrailersByteIdentical pins the core fused-path contract:
-// the single-pass encode+CRC sweep must emit exactly the shard bytes
-// — payload and trailers — the two-pass path emits, for full stripes,
-// a padded ragged tail, and both checksum settings.
+// TestFusedTrailersByteIdentical pins the fused sweep's contract: every
+// block an encoded stripe lends (Stripe.Block) holds what the two-pass
+// computation gives — rs.Encode's parity, then gf.CRC32C over the block
+// for its trailer — for full stripes, a padded ragged tail, and exact
+// multiples of the stripe.
 func TestFusedTrailersByteIdentical(t *testing.T) {
 	const k, m, stripe = 10, 4, 40 << 10
 	code := mustRS(t, k, m)
 	for _, tc := range []struct {
 		name string
 		size int
-		sum  Checksum
 	}{
-		{"crc multi-stripe", 3*stripe + 12345, ChecksumCRC32C},
-		{"crc single short stripe", 777, ChecksumCRC32C},
-		{"crc exact stripes", 2 * stripe, ChecksumCRC32C},
-		{"no checksum", 2*stripe + 9, ChecksumNone},
+		{"crc multi-stripe", 3*stripe + 12345},
+		{"crc single short stripe", 777},
+		{"crc exact stripes", 2 * stripe},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			payload := randBytes(t, tc.size, int64(tc.size))
-			base := Options{Codec: code, StripeSize: stripe, Checksum: tc.sum}
-
-			fusedOpts := base
-			fused := encodeAll(t, fusedOpts, payload)
-
-			plainOpts := base
-			plainOpts.Codec = twoPass{code}
-			plain := encodeAll(t, plainOpts, payload)
-
-			for i := range fused {
-				if !bytes.Equal(fused[i], plain[i]) {
-					t.Fatalf("shard %d: fused output differs from two-pass output", i)
+			input := randBytes(t, tc.size, int64(tc.size))
+			enc, err := NewEncoder(Options{Codec: code, StripeSize: stripe})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceEncode(t, code, enc.StripeSize(), input)
+			shardSize, blockSize := enc.ShardSize(), enc.BlockSize()
+			s := 0
+			err = enc.EncodeStripes(context.Background(), bytes.NewReader(input), func(st *Stripe) error {
+				defer st.Release()
+				for i := range want {
+					ref := want[i][s*blockSize : (s+1)*blockSize]
+					payload, trailer := st.Block(i)
+					if !bytes.Equal(payload, ref[:shardSize]) {
+						return fmt.Errorf("stripe %d shard %d: payload differs from rs.Encode's", s, i)
+					}
+					if !bytes.Equal(trailer, ref[shardSize:]) {
+						return fmt.Errorf("stripe %d shard %d: trailer %x, gf.CRC32C says %x", s, i, trailer, ref[shardSize:])
+					}
 				}
-			}
-
-			enc, err := NewEncoder(fusedOpts)
+				s++
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := tc.sum == ChecksumCRC32C; enc.Fused() != want {
-				t.Fatalf("Fused() = %v, want %v (checksum %v)", enc.Fused(), want, tc.sum)
-			}
-			encPlain, err := NewEncoder(plainOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if encPlain.Fused() {
-				t.Fatal("encoder over a codec without EncodeSumInto still reports the fused path")
+			if s*blockSize != len(want[0]) {
+				t.Fatalf("%d stripes lent, want %d", s, len(want[0])/blockSize)
 			}
 		})
 	}
 }
 
-// TestFusedRoundTrip: shards written by the fused encoder decode (and
-// self-heal a corrupt block) exactly like two-pass shards.
+// TestFusedRoundTrip: shards written by the fused encoder decode, and
+// self-heal a corrupt block, back to the payload.
 func TestFusedRoundTrip(t *testing.T) {
 	const k, m, stripe = 6, 3, 12 << 10
 	code := mustRS(t, k, m)
@@ -80,42 +75,46 @@ func TestFusedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeStripeAllocs: the encoder worker body — fused or two-pass
-// — must not allocate once pools are warm.
+// TestEncodeStripeAllocs: the encoder worker body must not allocate
+// once pools are warm ("fused"), and the stripe it leaves behind is the
+// two-pass reference — rs.Encode's parity and a gf.CRC32C trailer per
+// block — which the test computes itself ("two-pass").
 func TestEncodeStripeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
 	const k, m, stripe = 10, 4, 64 << 10
 	code := mustRS(t, k, m)
-	for _, tc := range []struct {
-		name  string
-		codec Codec
-	}{{"fused", code}, {"two-pass", twoPass{code}}} {
-		t.Run(tc.name, func(t *testing.T) {
-			enc, err := NewEncoder(Options{Codec: tc.codec, StripeSize: stripe})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := tc.name == "fused"; enc.Fused() != want {
-				t.Fatalf("Fused() = %v, want %v", enc.Fused(), want)
-			}
-			j := enc.jobs.get()
-			j.enc = enc.lend()
-			copy(j.enc.data, randBytes(t, enc.g.stripeSize, 5))
-			j.n = enc.g.stripeSize
-			if err := enc.encodeStripe(j); err != nil { // warm codec plan
-				t.Fatal(err)
-			}
-			if a := testing.AllocsPerRun(20, func() {
-				if err := enc.encodeStripe(j); err != nil {
-					t.Fatal(err)
-				}
-			}); a != 0 {
-				t.Errorf("encodeStripe allocates %.1f per stripe, want 0", a)
-			}
-		})
+	enc, err := NewEncoder(Options{Codec: code, StripeSize: stripe})
+	if err != nil {
+		t.Fatal(err)
 	}
+	input := randBytes(t, enc.g.stripeSize, 5)
+	j := enc.jobs.get()
+	j.enc = enc.lend()
+	copy(j.enc.data, input)
+	j.n = enc.g.stripeSize
+	if err := enc.encodeStripe(j); err != nil { // warm codec plan
+		t.Fatal(err)
+	}
+	t.Run("fused", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("race-detector instrumentation allocates")
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			if err := enc.encodeStripe(j); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("encodeStripe allocates %.1f per stripe, want 0", a)
+		}
+	})
+	t.Run("two-pass", func(t *testing.T) {
+		want := referenceEncode(t, code, enc.StripeSize(), input)
+		for i := range want {
+			payload, trailer := j.enc.Block(i)
+			if got := append(append([]byte(nil), payload...), trailer...); !bytes.Equal(got, want[i]) {
+				t.Fatalf("shard %d: the worker's block differs from rs.Encode + gf.CRC32C", i)
+			}
+		}
+	})
 }
 
 // TestProcessStripeAllocs: the decoder worker body must not allocate
@@ -159,7 +158,6 @@ func TestProcessStripeAllocs(t *testing.T) {
 			j.blocks[i] = shards[i][:blockSize]
 		}
 		j.stripe = st
-		j.demoted = 0
 	}
 	j := dec.jobs.get()
 	prep(j)
@@ -195,7 +193,6 @@ func TestProcessStripeAllocs(t *testing.T) {
 			j.blocks[i] = shards[i][:blockSize]
 		}
 		j.stripe = st
-		j.demoted = 0
 	}
 	prepAll(healthy)
 	if err := dec.processStripe(healthy); err != nil {

@@ -28,7 +28,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		m := 1 + int((seed>>3)%3) // 1..3
 		shardSize := 16 << (seed >> 6 % 3)
 		opts := Options{Codec: mustRS(t, k, m), StripeSize: k * shardSize,
-			Workers: 2, Checksum: ChecksumCRC32C}
+			Workers: 2}
 		shards := encodeAll(t, opts, payload)
 
 		// Pristine decode must always round-trip.

@@ -31,12 +31,11 @@ type job struct {
 	ready chan struct{} // receives one value once the worker (or an abort) is done
 	err   error         // sticky per-job failure, set before ready is signalled
 
-	enc     *Stripe         // encoder: pooled stripe buffers; nil once lent to the consumer
-	n       int             // encoder: valid payload bytes in enc.data (tail stripe may be short)
-	buf     []byte          // decoder: pooled stripe buffer ((k+m)*blockSize, trailers inline)
-	blocks  [][]byte        // decoder: k+m full block slices, nil for missing shards
-	demoted int             // decoder: blocks discarded as untrustworthy by the producer
-	stripe  *shardio.Stripe // decoder: gather result backing blocks; released with the job
+	enc    *Stripe         // encoder: pooled stripe buffers; nil once lent to the consumer
+	n      int             // encoder: valid payload bytes in enc.data (tail stripe may be short)
+	buf    []byte          // decoder: pooled stripe buffer ((k+m)*blockSize, trailers inline)
+	blocks [][]byte        // decoder: k+m full block slices, nil for missing shards
+	stripe *shardio.Stripe // decoder: gather result backing blocks; released with the job
 
 	// Reusable per-job scratch, capacity preserved across pool cycles.
 	dviews [][]byte // encoder: k data shard views into enc.data
@@ -65,7 +64,7 @@ func (jp *jobPool) get() *job {
 }
 
 func (jp *jobPool) put(j *job) {
-	j.seq, j.err, j.n, j.demoted = 0, nil, 0, 0
+	j.seq, j.err, j.n = 0, nil, 0
 	j.enc, j.buf = nil, nil
 	j.blocks = j.blocks[:0]
 	j.dviews, j.pviews = j.dviews[:0], j.pviews[:0]

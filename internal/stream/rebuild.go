@@ -14,7 +14,8 @@ import (
 
 // blockRebuilder is the codec entry point a Rebuilder drives: one
 // block of a stripe computed from any k of the others, with its
-// CRC-32C folded into the same sweep. *rs.Code implements it.
+// CRC-32C folded into the same sweep. *rs.Code implements it; it is not
+// part of Codec because the public dialga.Codec does not export it.
 type blockRebuilder interface {
 	RebuildSum(blocks [][]byte, want int, dst []byte) (uint32, error)
 }
@@ -164,12 +165,7 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 	if shards[target] != nil {
 		return fmt.Errorf("stream: rebuild target %d was given as a source", target)
 	}
-	source := func(r io.Reader) io.Reader {
-		if rb.g.trailer == 0 {
-			return r
-		}
-		return &verifiedReader{r: r, shardSize: shardSize}
-	}
+	source := func(r io.Reader) io.Reader { return &verifiedReader{r: r, shardSize: shardSize} }
 	readers := make([]io.Reader, n)
 	present := 0
 	for i, r := range shards {
@@ -292,9 +288,7 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 		if err != nil {
 			return fmt.Errorf("stream: rebuild stripe %d: %w", j.seq, err)
 		}
-		if rb.g.trailer > 0 {
-			binary.LittleEndian.PutUint32(j.buf[shardSize:], sum)
-		}
+		binary.LittleEndian.PutUint32(j.buf[shardSize:], sum)
 		rb.stats.reconstructed.Add(1)
 		rb.stats.observe(time.Since(start))
 		j.span.Event("rebuild", "")

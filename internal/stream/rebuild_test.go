@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"dialga/internal/lrc"
 	"dialga/internal/rs"
 )
 
@@ -45,7 +44,7 @@ func firstKOthers(k, n, target int) []int {
 // stream is byte-for-byte what the Encoder wrote for that shard —
 // blocks and trailers — from two different survivor sets, for a
 // multi-stripe object with a padded tail, a single-stripe 64 KiB
-// object, an empty object, and the legacy trailer-less framing.
+// object, and an empty object.
 func TestRebuildMatchesEncoder(t *testing.T) {
 	const k, m = 4, 2
 	for _, tc := range []struct {
@@ -57,7 +56,6 @@ func TestRebuildMatchesEncoder(t *testing.T) {
 		{"one worker", Options{StripeSize: k * 512, Workers: 1}, 9 * k * 512},
 		{"64KiB under the default stripe", Options{}, 64 << 10},
 		{"empty object", Options{StripeSize: k * 512}, 0},
-		{"no checksum", Options{StripeSize: k * 512, Checksum: ChecksumNone}, 3*k*512 + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
@@ -218,13 +216,6 @@ func TestRebuildValidation(t *testing.T) {
 	}
 	if _, err := rebuildFrom(t, rb, shards[:5], []int{0, 1, 2, 3}, 4, nil); err == nil {
 		t.Fatal("five readers for k+m=6: no error")
-	}
-	code, err := lrc.New(4, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRebuilder(Options{Codec: WrapLRC(code)}); err == nil {
-		t.Fatal("codec without single-block rebuild accepted")
 	}
 }
 

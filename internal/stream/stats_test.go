@@ -26,7 +26,7 @@ func TestStatsConcurrentWithHealingDecode(t *testing.T) {
 		stripes = 120 // instrumentation makes each stripe pricier
 	}
 	code := mustRS(t, 4, 2)
-	opts := Options{Codec: code, StripeSize: 4 * 64, Workers: 4, Checksum: ChecksumCRC32C}
+	opts := Options{Codec: code, StripeSize: 4 * 64, Workers: 4}
 	payload := randBytes(t, stripes*4*64, 99)
 	shards := encodeAll(t, opts, payload)
 
@@ -167,10 +167,10 @@ func TestStatsAndExposeConcurrentWithDecode(t *testing.T) {
 	tr := obs.NewTracer(64)
 	opts := Options{
 		Codec: code, StripeSize: 4 * 64, Workers: 4,
-		Checksum: ChecksumCRC32C, Metrics: reg, Trace: tr,
+		Metrics: reg, Trace: tr,
 	}
 	payload := randBytes(t, stripes*4*64, 7)
-	shards := encodeAll(t, Options{Codec: code, StripeSize: 4 * 64, Workers: 4, Checksum: ChecksumCRC32C}, payload)
+	shards := encodeAll(t, Options{Codec: code, StripeSize: 4 * 64, Workers: 4}, payload)
 
 	dec, err := NewDecoder(opts)
 	if err != nil {

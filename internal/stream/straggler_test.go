@@ -71,7 +71,6 @@ func stragglerOpts(t *testing.T, k, m, shardSize int) Options {
 		Codec:      mustRS(t, k, m),
 		StripeSize: k * shardSize,
 		Workers:    2,
-		Checksum:   ChecksumCRC32C,
 		HedgeAfter: time.Millisecond,
 		Seed:       42,
 	}

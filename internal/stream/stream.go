@@ -1,14 +1,15 @@
 // Package stream is a concurrent, streaming erasure-coding pipeline
 // over the repository's byte-level codecs.
 //
-// The whole-buffer API (rs.Code, lrc.Code) encodes one stripe at a
-// time on the calling goroutine and requires the entire payload in
-// memory. This package chunks an io.Reader into fixed-size stripes,
-// fans the stripes out to a worker pool, encodes each with the fused
-// word-parallel GF(2^8) kernels (internal/gf), and emits the resulting
-// shards through an
-// order-preserving bounded in-flight window, so arbitrarily large
-// inputs are processed in O(stripe) memory with all cores busy.
+// The whole-buffer API (rs.Code) encodes one stripe at a time on the
+// calling goroutine and requires the entire payload in memory. This
+// package chunks an io.Reader into fixed-size stripes, fans the stripes
+// out to a worker pool, encodes and checksums each in one fused sweep
+// of the word-parallel GF(2^8) kernels (internal/gf), and emits the
+// resulting shards through an order-preserving bounded in-flight
+// window, so arbitrarily large inputs are processed in O(stripe) memory
+// with all cores busy. Every shard block carries a CRC-32C trailer,
+// which the decoder and the rebuilder verify.
 //
 // Both directions are provided:
 //
@@ -30,7 +31,6 @@ import (
 	"runtime"
 	"time"
 
-	"dialga/internal/lrc"
 	"dialga/internal/obs"
 	"dialga/internal/shardio"
 	"dialga/internal/vclock"
@@ -42,45 +42,21 @@ import (
 const DefaultStripeSize = 1 << 20
 
 // crcSize is the per-block checksum trailer width: one little-endian
-// CRC-32C word. Checksums come from internal/gf (gf.CRC32C), the same
-// primitive the fused encode+CRC sweep folds per tile, so trailers are
-// identical whichever path produced them.
+// CRC-32C word, what the codec's fused encode+CRC sweep folds per tile
+// and gf.CRC32C computes over a whole block. Every block the pipeline
+// writes or reads carries one.
 const crcSize = 4
 
-// Checksum selects the per-block integrity trailer the pipeline
-// appends on encode and verifies on decode.
+// Checksum names a per-block integrity trailer. There is one, CRC-32C,
+// and Options.Checksum must be it; the type stays declared because the
+// benchmark's ladder (bench/ladder.go) names it in its Options literal.
 type Checksum int
 
 const (
-	// ChecksumCRC32C appends a 4-byte little-endian CRC-32C
-	// (Castagnoli) over each shard block. It is the zero value:
-	// pipelines detect and self-heal silent corruption by default.
+	// ChecksumCRC32C is the 4-byte little-endian CRC-32C (Castagnoli)
+	// trailer behind every shard block, and the zero value.
 	ChecksumCRC32C Checksum = iota
-	// ChecksumNone emits bare shard blocks — the legacy (v2 shard
-	// header) framing. The decoder then has no way to detect wrong
-	// bytes; only reader errors and early EOFs demote shards.
-	ChecksumNone
 )
-
-func (c Checksum) String() string {
-	switch c {
-	case ChecksumCRC32C:
-		return "crc32c"
-	case ChecksumNone:
-		return "none"
-	default:
-		return fmt.Sprintf("checksum(%d)", int(c))
-	}
-}
-
-// trailerSize is the number of trailer bytes appended to every shard
-// block under this checksum.
-func (c Checksum) trailerSize() int {
-	if c == ChecksumCRC32C {
-		return crcSize
-	}
-	return 0
-}
 
 // ErrTooManyCorrupt reports a stripe left with fewer than k usable
 // shard blocks once corrupt (checksum-failed), unreadable, and missing
@@ -88,54 +64,25 @@ func (c Checksum) trailerSize() int {
 // stripe number — instead of ever emitting unverified bytes.
 var ErrTooManyCorrupt = errors.New("stream: too many corrupt or missing shard blocks in stripe")
 
-// Codec is the stripe-level erasure codec the pipeline drives: k data
-// shards in, m parity shards out, and reconstruction of a k+m stripe
-// with nil entries for missing shards. *rs.Code and the public
-// dialga.Codec satisfy it directly; wrap an LRC code with WrapLRC.
-// Implementations must be safe for concurrent use.
+// Codec is the stripe-level erasure codec the pipeline drives, and
+// exactly the calls it makes. *rs.Code and the public dialga.Codec
+// satisfy it. Implementations must be safe for concurrent use.
+//
+//   - EncodeSumInto fills the m parity blocks from the k data blocks
+//     and writes the CRC-32C of all k+m blocks into sums, in one
+//     cache-tiled sweep that checksums each tile while it is still
+//     L1-resident (the paper's fused pass). The sums must be what
+//     gf.CRC32C returns over each full block.
+//   - ReconstructData rebuilds the missing data blocks of a k+m stripe
+//     in place, skipping parity. A zero-length entry with capacity
+//     means "missing, rebuild into me", which lets the decoder hand out
+//     pooled output buffers instead of allocating per stripe.
 type Codec interface {
 	K() int
 	M() int
-	Encode(data, parity [][]byte) error
-	Reconstruct(blocks [][]byte) error
-}
-
-// dataReconstructor is the optional fast path for decoding: rebuild
-// only the data shards, skipping parity. *rs.Code implements it.
-// Implementations must honour the spare-buffer contract — a zero-length
-// entry with capacity is "missing, rebuild in place" — which lets the
-// decoder hand out pooled output buffers instead of allocating per
-// stripe.
-type dataReconstructor interface {
+	EncodeSumInto(sums []uint32, data, parity [][]byte) error
 	ReconstructData(blocks [][]byte) error
 }
-
-// sumEncoder is the optional fused encode+CRC fast path: a single
-// cache-tiled sweep produces the parity blocks and the CRC-32C of all
-// k+m blocks, folded per 4 KiB tile while the data is L1-resident.
-// *rs.Code and the public dialga.Codec implement it. The sums must be
-// byte-for-byte what gf.CRC32C would return over each full block.
-type sumEncoder interface {
-	EncodeSumInto(sums []uint32, data, parity [][]byte) error
-}
-
-// WrapLRC adapts an LRC(k, m, l) code to the pipeline Codec: the
-// m global and l local parities are flattened into M() = m+l parity
-// shards in stripe order (global first), matching lrc.Code's stripe
-// layout.
-func WrapLRC(c *lrc.Code) Codec { return lrcCodec{c} }
-
-type lrcCodec struct{ c *lrc.Code }
-
-func (w lrcCodec) K() int { return w.c.K() }
-func (w lrcCodec) M() int { return w.c.M() + w.c.L() }
-
-func (w lrcCodec) Encode(data, parity [][]byte) error {
-	m := w.c.M()
-	return w.c.Encode(data, parity[:m], parity[m:])
-}
-
-func (w lrcCodec) Reconstruct(blocks [][]byte) error { return w.c.Reconstruct(blocks) }
 
 // Options configures a pipeline. The zero value of every field except
 // Codec is usable: defaults are filled in by NewEncoder/NewDecoder.
@@ -155,9 +102,10 @@ type Options struct {
 	// input size.
 	Workers int
 
-	// Checksum selects the per-block integrity trailer. The zero
-	// value is ChecksumCRC32C; pass ChecksumNone to read or write the
-	// legacy trailer-less framing.
+	// Checksum must be ChecksumCRC32C, its zero value: every block
+	// carries a CRC-32C trailer. The field is declared only because the
+	// benchmark's ladder (bench/ladder.go) sets it; NewEncoder,
+	// NewDecoder and NewRebuilder reject any other value.
 	Checksum Checksum
 
 	// HedgeAfter enables hedged degraded reads on decode when
@@ -224,10 +172,7 @@ type geom struct {
 	shardSize  int // data bytes per shard per stripe
 	stripeSize int // k * shardSize
 	workers    int
-	checksum   Checksum
-	trailer    int             // trailer bytes per shard block (0 or crcSize)
-	blockSize  int             // shardSize + trailer: bytes on the wire per shard per stripe
-	fused      sumEncoder      // non-nil: encoder uses the single-pass encode+CRC sweep
+	blockSize  int             // shardSize + crcSize: bytes on the wire per shard per stripe
 	straggler  shardio.Options // validated shard-I/O scheduling config (decoder)
 	closeRead  bool            // close closable shard readers when Decode returns
 	metrics    *obs.Registry   // nil: each pipeline gets a private registry
@@ -260,18 +205,11 @@ func (o Options) geometry() (geom, error) {
 	if workers < 0 {
 		return geom{}, fmt.Errorf("stream: Workers %d must be positive", workers)
 	}
-	if o.Checksum != ChecksumCRC32C && o.Checksum != ChecksumNone {
-		return geom{}, fmt.Errorf("stream: unknown Checksum %d", o.Checksum)
-	}
-	trailer := o.Checksum.trailerSize()
-	var fused sumEncoder
-	if se, ok := o.Codec.(sumEncoder); ok && trailer > 0 {
-		// Fusion only pays when trailers are wanted: without checksums
-		// the plain Encode sweep already does all the work there is.
-		fused = se
+	if o.Checksum != ChecksumCRC32C {
+		return geom{}, fmt.Errorf("stream: unknown Checksum %d: CRC-32C is the only block trailer", o.Checksum)
 	}
 	straggler := shardio.Options{
-		BlockSize:  shard + trailer,
+		BlockSize:  shard + crcSize,
 		Quorum:     k,
 		HedgeAfter: o.HedgeAfter,
 		Seed:       o.Seed,
@@ -289,10 +227,7 @@ func (o Options) geometry() (geom, error) {
 		shardSize:  shard,
 		stripeSize: shard * k,
 		workers:    workers,
-		checksum:   o.Checksum,
-		trailer:    trailer,
-		blockSize:  shard + trailer,
-		fused:      fused,
+		blockSize:  shard + crcSize,
 		straggler:  straggler,
 		closeRead:  o.CloseReaders,
 		metrics:    o.Metrics,

@@ -41,6 +41,7 @@ func TestOptionsValidation(t *testing.T) {
 	for _, o := range []Options{
 		{Codec: code, StripeSize: -1},
 		{Codec: code, Workers: -1},
+		{Codec: code, Checksum: ChecksumCRC32C + 1}, // CRC-32C is the only trailer
 		// Refused by shardio.Options.Validate, at construction time.
 		{Codec: code, HedgeAfter: -1},
 		{Codec: code, Readahead: -1},
