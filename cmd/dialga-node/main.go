@@ -72,7 +72,7 @@ func main() {
 	flag.IntVar(&cfg.k, "k", 4, "data shards per stripe")
 	flag.IntVar(&cfg.m, "m", 2, "parity shards per stripe")
 	flag.IntVar(&cfg.stripeKiB, "stripe", 1024, "stripe size in KiB for object puts")
-	flag.StringVar(&cfg.route, "route", "first-k", "read routing policy: first-k, round-robin, least-loaded")
+	flag.StringVar(&cfg.route, "route", "first-k", "read routing policy: first-k, the only one (slow nodes are sidelined whatever it is)")
 	flag.DurationVar(&cfg.hedge, "hedge", 30*time.Millisecond, "hedged-read deadline floor for object gets (0 disables hedging)")
 	flag.Float64Var(&cfg.fgRPS, "fg-rps", 0, "foreground admission rate, requests/s per node (0 = unmetered)")
 	flag.Float64Var(&cfg.repairRPS, "repair-rps", 0, "repair admission rate, requests/s per node (0 = unmetered)")
@@ -121,7 +121,7 @@ func run(cfg nodeConfig) error {
 	}
 	router, ok := cluster.NewRouter(cfg.route)
 	if !ok {
-		return fmt.Errorf("dialga-node: unknown -route %q (first-k, round-robin, least-loaded)", cfg.route)
+		return fmt.Errorf("dialga-node: unknown -route %q (first-k is the only policy)", cfg.route)
 	}
 
 	reg := obs.NewRegistry()

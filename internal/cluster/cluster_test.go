@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // specMap builds a map from a spec or fails the test.
@@ -190,30 +189,15 @@ func TestRouters(t *testing.T) {
 		}
 	}
 
-	rr := &RoundRobin{}
-	o1 := rr.Order("route-me", p)
-	o2 := rr.Order("route-me", p)
-	if o1[0] == o2[0] {
-		t.Fatalf("RoundRobin did not rotate: %v then %v", o1, o2)
+	for _, policy := range []string{"", "first-k"} {
+		if r, ok := NewRouter(policy); !ok || r != (FirstK{}) {
+			t.Fatalf("NewRouter(%q) = %v, %v; want FirstK", policy, r, ok)
+		}
 	}
-
-	ll := NewLeastLoaded()
-	// Unobserved nodes first, then by latency.
-	ll.Observe(p[0].ID, 50*time.Millisecond, nil)
-	ll.Observe(p[1].ID, time.Millisecond, nil)
-	order = ll.Order("route-me", p)
-	if order[len(order)-1] != 0 || order[len(order)-2] != 1 {
-		t.Fatalf("LeastLoaded order = %v, want observed nodes (1 then 0) last", order)
-	}
-	// A failure sinks a fast node behind a slow one.
-	ll.Observe(p[1].ID, 0, fmt.Errorf("connection refused"))
-	order = ll.Order("route-me", p)
-	if order[len(order)-1] != 1 {
-		t.Fatalf("LeastLoaded order after failure = %v, want shard 1 last", order)
-	}
-
-	if _, ok := NewRouter("least-loaded"); !ok {
-		t.Fatal("NewRouter(least-loaded) unknown")
+	for _, gone := range []string{"round-robin", "least-loaded"} {
+		if _, ok := NewRouter(gone); ok {
+			t.Fatalf("NewRouter accepted the deleted %q policy", gone)
+		}
 	}
 	if _, ok := NewRouter("nope"); ok {
 		t.Fatal("NewRouter accepted unknown policy")

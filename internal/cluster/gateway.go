@@ -110,10 +110,6 @@ type Gateway struct {
 	// epoch N complete under epoch N.
 	state  atomic.Pointer[mapState]
 	swapMu sync.Mutex // serializes UpdateMap
-
-	// The put and read pipelines, kept across requests (ladder.go).
-	encoders pipelines[*stream.Encoder]
-	decoders pipelines[*stream.Decoder]
 }
 
 // mapState pairs a cluster map with the shard clients built from it.
@@ -229,8 +225,7 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	}
 	g.putSizes = opts.Metrics.Histogram("cluster_put_shard_size_bytes",
 		"Object puts by the shard size they were stored at: one bucket per rung of the ladder.", sizes)
-	g.encoders.max, g.decoders.max = len(g.rungs), 2*len(g.rungs)
-	// Building the top rung's encoder now is what validates the options.
+	// Building the top rung's encoder once is what validates the options.
 	if _, err := g.encoderFor(int64(stripeSize)); err != nil {
 		return nil, err
 	}
@@ -333,14 +328,16 @@ func (g *Gateway) header(idx int, size int64, shardSize int) shardfile.Header {
 }
 
 // streamOptions is the shared pipeline config for this gateway's
-// geometry over shards of shardSize bytes.
+// geometry over shards of shardSize bytes. Reads close their shard
+// bodies when they end, so a straggler's connection is not left open.
 func (g *Gateway) streamOptions(shardSize int) stream.Options {
 	return stream.Options{
-		Codec:      g.codec,
-		StripeSize: shardSize * g.k,
-		HedgeAfter: g.hedge,
-		Seed:       g.seed,
-		Metrics:    g.reg,
+		Codec:        g.codec,
+		StripeSize:   shardSize * g.k,
+		HedgeAfter:   g.hedge,
+		Seed:         g.seed,
+		CloseReaders: true,
+		Metrics:      g.reg,
 	}
 }
 
@@ -648,9 +645,14 @@ func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 		return fmt.Errorf("cluster: get %q: read already consumed", o.object)
 	}
 	o.streamed = true
-	// A ranged open holds exactly k shard windows: there is no spare for
-	// a hedge to rejoin from, so it runs unhedged and reads every block.
-	dec, err := g.decoderFor(int(o.set.header.ShardSize), !o.ranged)
+	opts := g.streamOptions(int(o.set.header.ShardSize))
+	if o.ranged {
+		// A ranged open holds exactly k shard windows: there is no spare
+		// for a hedge to rejoin from, so it runs unhedged and reads every
+		// block.
+		opts.HedgeAfter = 0
+	}
+	dec, err := stream.NewDecoder(opts)
 	if err != nil {
 		closeReaders(o.set.readers)
 		return err

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dialga/internal/node"
+	"dialga/internal/obs"
 	"dialga/internal/shardfile"
 	"dialga/internal/stream"
 )
@@ -95,6 +96,39 @@ func (o ladderObject) header(idx int) shardfile.Header {
 	}
 }
 
+// storeAt writes o's six shard files to their placed nodes, encoded at
+// o.shardSize whatever rung the ladder would pick — as another gateway,
+// or this one before the ladder, may have stored it — and returns them.
+func (tc *testCluster) storeAt(ctx context.Context, o ladderObject) [][]byte {
+	tc.t.Helper()
+	enc, err := stream.NewEncoder(tc.gw.streamOptions(o.shardSize))
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	bufs := make([]bytes.Buffer, 6)
+	writers := make([]io.Writer, 6)
+	for idx := range bufs {
+		bufs[idx].Write(o.header(idx).Marshal())
+		writers[idx] = &bufs[idx]
+	}
+	if err := enc.Encode(ctx, bytes.NewReader(o.payload), writers); err != nil {
+		tc.t.Fatal(err)
+	}
+	place, err := tc.gw.Place(o.name)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	files := make([][]byte, 6)
+	for idx := range bufs {
+		files[idx] = bufs[idx].Bytes()
+		cli, _ := tc.gw.Client(place[idx].ID)
+		if err := cli.PutShard(ctx, o.name, idx, bytes.NewReader(files[idx])); err != nil {
+			tc.t.Fatal(err)
+		}
+	}
+	return files
+}
+
 // TestLadderEndToEnd stores, over HTTP, an object on each side of every
 // rung's edge under dialga-node's default geometry and follows each
 // through everything that sizes itself from a stored header: the bytes
@@ -165,7 +199,7 @@ func TestLadderEndToEnd(t *testing.T) {
 	tc.nodes[1].start()
 
 	// One rebuild per object, each of a different shard than the last:
-	// byte-identical files, and one kept Rebuilder per rung in use.
+	// byte-identical files.
 	rep := NewRepairer(tc.gw, nil, tc.reg)
 	for i, o := range objects {
 		idx := i % 6
@@ -177,9 +211,6 @@ func TestLadderEndToEnd(t *testing.T) {
 		if got := tc.shardFile(o.name, idx); !bytes.Equal(got, want) {
 			t.Fatalf("%s shard %d: rebuilt file (%d bytes) differs from the one the put wrote (%d bytes)", o.name, idx, len(got), len(want))
 		}
-	}
-	if got := len(rep.rebuilders.entries); got != len(tc.gw.rungs) {
-		t.Fatalf("%d rebuilders kept after repairs on all %d rungs", got, len(tc.gw.rungs))
 	}
 
 	// A map swap — n1's rack leaves, n6 joins — and the migration it
@@ -286,31 +317,7 @@ func TestReadsObjectsStoredBeforeTheLadder(t *testing.T) {
 	ctx := context.Background()
 	const object = "old-small"
 	payload := clusterPayload(931, 64<<10)
-	old := ladderObject{name: object, payload: payload, shardSize: 256 << 10}
-
-	enc, err := stream.NewEncoder(tc.gw.streamOptions(old.shardSize))
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := make([]bytes.Buffer, 6)
-	writers := make([]io.Writer, 6)
-	for idx := range files {
-		files[idx].Write(old.header(idx).Marshal())
-		writers[idx] = &files[idx]
-	}
-	if err := enc.Encode(ctx, bytes.NewReader(payload), writers); err != nil {
-		t.Fatal(err)
-	}
-	place, err := tc.gw.Place(object)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for idx := range files {
-		cli, _ := tc.gw.Client(place[idx].ID)
-		if err := cli.PutShard(ctx, object, idx, bytes.NewReader(files[idx].Bytes())); err != nil {
-			t.Fatal(err)
-		}
-	}
+	files := tc.storeAt(ctx, ladderObject{name: object, payload: payload, shardSize: 256 << 10})
 
 	tc.mustGet(ctx, object, payload)
 	var part bytes.Buffer
@@ -326,8 +333,8 @@ func TestReadsObjectsStoredBeforeTheLadder(t *testing.T) {
 	if err := rep.RepairOne(ctx, object, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := tc.shardFile(object, 5); !bytes.Equal(got, files[5].Bytes()) {
-		t.Fatalf("rebuilt shard (%d bytes) differs from the stored one (%d bytes)", len(got), files[5].Len())
+	if got := tc.shardFile(object, 5); !bytes.Equal(got, files[5]) {
+		t.Fatalf("rebuilt shard (%d bytes) differs from the stored one (%d bytes)", len(got), len(files[5]))
 	}
 
 	// Overwritten, the key moves to the rung the ladder picks.
@@ -338,10 +345,11 @@ func TestReadsObjectsStoredBeforeTheLadder(t *testing.T) {
 	tc.mustGet(ctx, object, payload)
 }
 
-// TestEncoderTableIsBounded is TestDecoderCacheIsBounded's twin on the
-// put side: whatever sizes arrive, a put picks one of the ladder's
-// encoders, each built once.
-func TestEncoderTableIsBounded(t *testing.T) {
+// TestPutsTakeLadderRungsWithinBudget: whatever sizes arrive, a put
+// stores at one of the ladder's shard sizes, so the stripes of 200
+// distinct sizes come in as many buffer sizes as the ladder has rungs,
+// and what the puts leave idle stays within the process's budget.
+func TestPutsTakeLadderRungsWithinBudget(t *testing.T) {
 	infos := make([]NodeInfo, 6)
 	for i := range infos {
 		infos[i] = NodeInfo{ID: NodeID(fmt.Sprintf("n%d", i)), Addr: fmt.Sprintf("sink:%d", i), Rack: fmt.Sprintf("r%d", i)}
@@ -350,16 +358,13 @@ func TestEncoderTableIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewGateway(GatewayOptions{Map: cmap, K: 4, M: 2, HTTPClient: &http.Client{Transport: sinkShards{}}})
+	gw, err := NewGateway(GatewayOptions{Map: cmap, K: 4, M: 2, Metrics: obs.NewRegistry(), HTTPClient: &http.Client{Transport: sinkShards{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gw.encoders.entries) != 1 {
-		t.Fatalf("%d encoders before the first put, want the top rung's alone", len(gw.encoders.entries))
-	}
 	ctx := context.Background()
 	payload := clusterPayload(930, 2<<20)
-	seen := map[*stream.Encoder]int{}
+	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
 		size := int64(1 + i*i*52) // 200 distinct sizes, 1 B … 2 MiB, dense at the small end
 		if _, err := gw.PutObject(ctx, "sized", bytes.NewReader(payload[:size]), size, node.ClassForeground); err != nil {
@@ -369,12 +374,14 @@ func TestEncoderTableIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev, ok := seen[enc]; ok && prev != enc.ShardSize() {
-			t.Fatalf("one encoder serves shard sizes %d and %d", prev, enc.ShardSize())
+		if !slices.Contains(gw.rungs, enc.ShardSize()) {
+			t.Fatalf("a put of %d bytes takes %d-byte shards, not a rung of %v", size, enc.ShardSize(), gw.rungs)
 		}
-		seen[enc] = enc.ShardSize()
+		seen[enc.ShardSize()] = true
 	}
-	if len(seen) != len(gw.rungs) || len(gw.encoders.entries) != len(gw.rungs) {
-		t.Fatalf("200 sizes used %d encoders and left %d built, want the ladder's %d", len(seen), len(gw.encoders.entries), len(gw.rungs))
+	counts, _, total := gw.putSizes.Snapshot()
+	if len(seen) != len(gw.rungs) || total != 200 || counts[len(counts)-1] != 0 {
+		t.Fatalf("200 sizes took %d of the ladder's %d rungs, buckets %v", len(seen), len(gw.rungs), counts)
 	}
+	checkIdleBudget(t)
 }

@@ -33,7 +33,7 @@ const putWindow = 8
 // idempotent at the node (tmp file, then rename), so a retry is a
 // fresh body over stripes that still exist, not a private copy of
 // them. With a window the list holds at most that many stripes:
-// publish waits while it is full, and a stripe goes back to the encoder
+// publish waits while it is full, and a stripe goes back to the allocator
 // as soon as every live upload has read past it — the put that needs
 // memory for a window, not for the object, and cannot retry.
 type lentStripes struct {
@@ -123,7 +123,7 @@ func (l *lentStripes) advance(shard, seq int) {
 	l.mu.Unlock()
 }
 
-// trim returns to the encoder the stripes every live upload has read
+// trim releases the stripes every live upload has read
 // past, when the list is a window. Callers hold mu.
 func (l *lentStripes) trim() {
 	if l.window == 0 {
@@ -148,7 +148,7 @@ func (l *lentStripes) drop(n int) {
 }
 
 // release ends the loan: every stripe still held goes back to the
-// encoder. The put calls it once every upload has returned — and each
+// allocator. The put calls it once every upload has returned — and each
 // upload seals its bodies before it returns, so nothing can be reading.
 func (l *lentStripes) release() {
 	l.mu.Lock()
@@ -167,7 +167,7 @@ var errBodySealed = errors.New("cluster: shard upload body read after its attemp
 // net/http may still call Read from its write loop after RoundTrip has
 // returned (a node that answers before it has read the body, a cancelled
 // request), so the attempt seals its body before its stripes may go
-// back to the encoder: seal waits out a Read that is copying, and every
+// back to the allocator: seal waits out a Read that is copying, and every
 // later Read fails without touching a stripe.
 type lentBody struct {
 	l         *lentStripes

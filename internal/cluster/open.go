@@ -127,6 +127,15 @@ func (o *shardOpener) unavailable(opened int, what string) error {
 	return fmt.Errorf("%s: %w", what, cause)
 }
 
+// outvoted closes a shard whose header disagrees with the set being
+// read and records it as a failure.
+func (o *shardOpener) outvoted(s openedShard) {
+	s.body.Close()
+	o.countFailure(s.idx)
+	o.failed(fmt.Errorf("shard %d from %s: header disagrees with the other shards about the object",
+		s.idx, o.placement[s.idx].ID))
+}
+
 // countFailure counts a shard that could not be used against its node.
 func (o *shardOpener) countFailure(idx int) {
 	o.g.counter("cluster_open_failures_total",
@@ -193,10 +202,7 @@ func (o *shardOpener) open(ctx context.Context, want, wave int, block, count int
 					readers[s.idx] = s.body
 					continue
 				}
-				s.body.Close()
-				o.countFailure(s.idx)
-				o.failed(fmt.Errorf("shard %d from %s: header disagrees with the other shards about the object",
-					s.idx, o.placement[s.idx].ID))
+				o.outvoted(s)
 			}
 			if leadN >= k {
 				o.header = got[lead].h

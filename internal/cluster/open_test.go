@@ -16,7 +16,7 @@ import (
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
-	"dialga/internal/stream"
+	"dialga/internal/shardio"
 )
 
 // TestGetSourcesMustAgree overwrites an object with one of a different
@@ -152,12 +152,29 @@ func settleGoroutines(t *testing.T, base int) {
 	}
 }
 
-// TestSharedDecoderConcurrentGets drives the gateway's cached decoders
-// — one hedged for full reads, one unhedged for ranges — from eight
-// goroutines at once: every read is byte-exact, both kinds kept using
-// the decoder they started with, and nothing is left running. CI runs
-// it under -race -count=10.
-func TestSharedDecoderConcurrentGets(t *testing.T) {
+// checkIdleBudget asserts what every pipeline's buffers come to once
+// they are back: at most shardio.IdleBudget bytes idle, in lists that
+// are not empty.
+func checkIdleBudget(t *testing.T) {
+	t.Helper()
+	held := 0
+	for size, n := range shardio.IdleBuffers() {
+		if n == 0 {
+			t.Fatalf("an empty list of %d-byte buffers was left behind", size)
+		}
+		held += size * n
+	}
+	if held > shardio.IdleBudget {
+		t.Fatalf("%d bytes idle, over the %d-byte budget", held, shardio.IdleBudget)
+	}
+}
+
+// TestConcurrentGetsShareAllocator drives full and ranged reads, each
+// through a decoder of its own, from eight goroutines at once: every
+// read is byte-exact, the blocks they release are there for the next,
+// the budget holds, and nothing is left running. CI runs it under
+// -race -count=10.
+func TestConcurrentGetsShareAllocator(t *testing.T) {
 	tc := startCluster(t, 6, 4, 2, 0, 72)
 	ctx := context.Background()
 	payloads := make([][]byte, 4)
@@ -166,7 +183,6 @@ func TestSharedDecoderConcurrentGets(t *testing.T) {
 		tc.put(ctx, objectName(i), payloads[i])
 	}
 	tc.mustGet(ctx, objectName(0), payloads[0])
-	full := tc.gw.decoders.entries[0].val
 	base := runtime.NumGoroutine()
 
 	var wg sync.WaitGroup
@@ -200,72 +216,106 @@ func TestSharedDecoderConcurrentGets(t *testing.T) {
 	}
 	wg.Wait()
 
-	if len(tc.gw.decoders.entries) != 2 {
-		t.Fatalf("%d decoders cached, want one hedged and one not", len(tc.gw.decoders.entries))
+	block := shardSizeFor(tc.gw.rungs, int64(len(payloads[0])), 4) + 4
+	if shardio.IdleBuffers()[block] == 0 {
+		t.Fatalf("no %d-byte block idle after 48 reads released theirs", block)
 	}
-	for _, c := range tc.gw.decoders.entries {
-		if c.key.hedged && c.val != full {
-			t.Fatal("full reads did not keep the decoder they started with")
-		}
-	}
+	checkIdleBudget(t)
 	settleGoroutines(t, base)
 }
 
 func objectName(i int) string { return "shared-" + string(rune('a'+i)) }
 
-// TestDecoderCacheIsBounded: the cache holds a full-read and a
-// ranged-read decoder for every rung of the ladder, so reads of the
-// gateway's own objects, of every size in rotation, build each decoder
-// exactly once; but shard sizes come from stored headers, so the cache
-// they key must not grow with them.
-func TestDecoderCacheIsBounded(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 0, 73)
+// TestIdleBudgetHoldsAcrossRungs: puts, GETs, range GETs and rebuilds
+// at every rung of dialga-node's default ladder — the top one with an
+// object whose stripes alone pass the budget — and at 28 shard sizes
+// no gateway of this geometry writes, as stored headers may name, leave
+// at most shardio.IdleBudget bytes idle, and no empty list behind.
+func TestIdleBudgetHoldsAcrossRungs(t *testing.T) {
+	tc := startClusterOpts(t, 6, 4, 2, 0, 73, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
-	payload := clusterPayload(730, 200_000)
-	built := map[*stream.Decoder]bool{}
-	for round := 0; round < 3; round++ {
-		for _, shardSize := range tc.gw.rungs {
-			object, size := fmt.Sprintf("rung-%d", shardSize), 4*shardSize
-			if shardSize == tc.gw.rungs[len(tc.gw.rungs)-1] {
-				size = len(payload) // the top rung, several stripes
-			}
-			if round == 0 {
-				tc.put(ctx, object, payload[:size])
-			}
-			tc.mustGet(ctx, object, payload[:size])
-			var part bytes.Buffer
-			if err := tc.gw.GetObjectRange(ctx, object, &part, 100, 1000, node.ClassForeground); err != nil ||
-				!bytes.Equal(part.Bytes(), payload[100:1100]) {
-				t.Fatalf("range read of %s: %v, %d bytes", object, err, part.Len())
-			}
+	top := tc.gw.rungs[len(tc.gw.rungs)-1]
+	payload := clusterPayload(730, shardio.IdleBudget*3/4) // 1.5× the budget in stripes
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	exercise := func(object string, want []byte, idx int) {
+		t.Helper()
+		tc.mustGet(ctx, object, want)
+		var part bytes.Buffer
+		if err := tc.gw.GetObjectRange(ctx, object, &part, 100, 1000, node.ClassForeground); err != nil ||
+			!bytes.Equal(part.Bytes(), want[100:1100]) {
+			t.Fatalf("range read of %s: %v, %d bytes", object, err, part.Len())
 		}
-		for _, c := range tc.gw.decoders.entries {
-			if round > 0 && !built[c.val] {
-				t.Fatalf("round %d built the decoder for %+v again", round, c.key)
-			}
-			built[c.val] = true
-		}
-		if len(built) != 2*len(tc.gw.rungs) || len(built) != tc.gw.decoders.max {
-			t.Fatalf("round %d: %d decoders built for %d rungs, cache bound %d", round, len(built), len(tc.gw.rungs), tc.gw.decoders.max)
+		tc.deleteShard(ctx, object, idx)
+		if err := rep.RepairOne(ctx, object, idx); err != nil {
+			t.Fatalf("rebuild %s shard %d: %v", object, idx, err)
 		}
 	}
+	for i, shardSize := range tc.gw.rungs {
+		object, size := fmt.Sprintf("rung-%d", shardSize), 4*shardSize
+		if shardSize == top {
+			size = len(payload)
+		}
+		tc.put(ctx, object, payload[:size])
+		exercise(object, payload[:size], i%6)
+	}
+	checkIdleBudget(t)
 
-	first, err := tc.gw.decoderFor(1024, true)
+	for i := 0; i < 28; i++ {
+		shardSize := 5000 + 997*i // between rungs, never on one
+		object, want := fmt.Sprintf("foreign-%d", shardSize), payload[:6*shardSize+i]
+		tc.storeAt(ctx, ladderObject{name: object, payload: want, shardSize: shardSize})
+		exercise(object, want, i%6)
+	}
+	checkIdleBudget(t)
+}
+
+// TestHeapDoesNotClimb: 200 sequential 8 MiB GETs, each through a
+// decoder of its own, leave the heap where the first ones left it, give
+// or take the allocator's budget. Each GET used to strand its block
+// buffers for two GC cycles, and the live heap climbed 53 → 258 MB
+// across a 5 s get_8m window (DESIGN.md).
+func TestHeapDoesNotClimb(t *testing.T) {
+	gets := 200
+	if raceEnabled {
+		gets = 20 // the same shape, at the race detector's speed
+	}
+	tc := startClusterOpts(t, 6, 4, 2, 0, 75, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	ctx := context.Background()
+	tc.put(ctx, "big", clusterPayload(750, 8<<20))
+	shards := memShards{}
+	for idx := 0; idx < 6; idx++ {
+		shards[fmt.Sprintf("/v1/shard/big/%d", idx)] = tc.shardFile("big", idx)
+	}
+	gw, err := NewGateway(GatewayOptions{
+		Map: tc.cmap, K: 4, M: 2,
+		HedgeAfter: 30 * time.Millisecond,
+		HTTPClient: &http.Client{Transport: shards},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for size := 2048; size < 2048+2*tc.gw.decoders.max; size++ {
-		if _, err := tc.gw.decoderFor(size, true); err != nil {
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	// Slack for what is not a buffer: goroutine stacks, pooled jobs and
+	// stripes, registry series.
+	const slack = 8 << 20
+	base := heap()
+	for i := 1; i <= gets; i++ {
+		if err := gw.GetObject(ctx, "big", io.Discard, node.ClassForeground); err != nil {
 			t.Fatal(err)
 		}
-		// Kept warm by use, the first survives every eviction.
-		if again, _ := tc.gw.decoderFor(1024, true); again != first {
-			t.Fatalf("decoder in use was evicted at size %d", size)
+		if i%(gets/4) == 0 {
+			if now := heap(); now > base+shardio.IdleBudget+slack {
+				t.Fatalf("after %d GETs the heap is %d MiB, from %d MiB: over the %d MiB budget plus %d MiB slack",
+					i, now>>20, base>>20, shardio.IdleBudget>>20, slack>>20)
+			}
 		}
 	}
-	if len(tc.gw.decoders.entries) != tc.gw.decoders.max {
-		t.Fatalf("%d decoders cached, want %d", len(tc.gw.decoders.entries), tc.gw.decoders.max)
-	}
+	checkIdleBudget(t)
 }
 
 // memShards is a shard transport that answers whole-shard GETs from
@@ -284,10 +334,10 @@ func (m memShards) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
-// TestGetSteadyStateAllocation: once the gateway's decoder is warm, an
-// 8 MiB GetObject allocates under 64 KiB on the gateway's side — shard
-// opens, scheduler, pipeline — where every GET used to allocate its own
-// ~3 MiB of block buffers.
+// TestGetSteadyStateAllocation: once the allocator holds a GET's
+// blocks, an 8 MiB GetObject allocates under 64 KiB on the gateway's
+// side — shard opens, scheduler, the pipeline it builds — where every
+// GET used to allocate its own ~3 MiB of block buffers.
 func TestGetSteadyStateAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the measurement")
@@ -320,7 +370,7 @@ func TestGetSteadyStateAllocation(t *testing.T) {
 		get()
 	}
 	// The median: a read that happens to run deeper into its window than
-	// any before it still grows the pool by a block or two.
+	// any before it still adds a block or two to the allocator.
 	perGet := make([]uint64, 21)
 	for i := range perGet {
 		perGet[i] = get()

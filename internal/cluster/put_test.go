@@ -264,11 +264,11 @@ func (sinkShards) RoundTrip(req *http.Request) (*http.Response, error) {
 	return &http.Response{StatusCode: http.StatusCreated, Body: http.NoBody, Request: req}, nil
 }
 
-// TestPutSteadyStateAllocation: once the gateway's encoder is warm, an
-// 8 MiB PutObject allocates under 1 MiB on the gateway's side — six
-// uploads, the stripe list, the pipeline — where every put used to
-// allocate ~66 MiB: each shard once more in its retry spool and again
-// for every doubling on the way there.
+// TestPutSteadyStateAllocation: once the allocator holds a put's
+// stripes, an 8 MiB PutObject allocates under 1 MiB on the gateway's
+// side — six uploads, the stripe list, the pipeline it builds — where
+// every put used to allocate ~66 MiB: each shard once more in its retry
+// spool and again for every doubling on the way there.
 func TestPutSteadyStateAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the measurement")
@@ -281,7 +281,7 @@ func TestPutSteadyStateAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := NewGateway(GatewayOptions{Map: cmap, K: 4, M: 2, HTTPClient: &http.Client{Transport: sinkShards{}}})
+	gw, err := NewGateway(GatewayOptions{Map: cmap, K: 4, M: 2, Metrics: obs.NewRegistry(), HTTPClient: &http.Client{Transport: sinkShards{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +311,8 @@ func TestPutSteadyStateAllocation(t *testing.T) {
 	if perPut[10] > 1<<20 {
 		t.Fatalf("%d bytes allocated per PUT, want under 1 MiB", perPut[10])
 	}
-	// Large objects take the top rung, the encoder NewGateway built: a
-	// gateway that only ever sees them builds no other.
-	if n := len(gw.encoders.entries); n != 1 {
-		t.Fatalf("%d encoders built by 8 MiB puts, want 1", n)
+	// Large objects take the top rung, and only it.
+	if counts, _, total := gw.putSizes.Snapshot(); counts[len(gw.rungs)-1] != total {
+		t.Fatalf("8 MiB puts stored at shard sizes %v, want all at the top rung", counts)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"dialga/internal/node"
 	"dialga/internal/obs"
 	"dialga/internal/shardfile"
+	"dialga/internal/stream"
 )
 
 // shardTap is the gateway's shard transport with a tap on it: it logs
@@ -266,6 +267,40 @@ func TestRepairSpareOpensAtFailingBlock(t *testing.T) {
 	}
 	if tap.opened.Load() != tap.closed.Load() {
 		t.Fatalf("%d response bodies opened, %d closed", tap.opened.Load(), tap.closed.Load())
+	}
+}
+
+// TestRepairOutOfSparesSaysWhy: a source turns out corrupt mid-rebuild
+// and the only spare sits on a stopped node. The rebuild fails, and its
+// error names the node the spare could not be opened from — not just
+// that no spare was left.
+func TestRepairOutOfSparesSaysWhy(t *testing.T) {
+	tc, _ := tappedCluster(t, 44, nil)
+	ctx := context.Background()
+	const object = "no-spare"
+	tc.put(ctx, object, clusterPayload(304, 250_000)) // four stripes
+	raw := tc.shardFile(object, 1)
+	h, err := shardfile.Parse(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[shardfile.HeaderSizeV3+2*h.BlockSize()+100] ^= 0x08 // block 2 of a first-k source
+	if err := os.WriteFile(tc.shardPath(object, 1), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	place, err := tc.gw.Place(object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.deleteShard(ctx, object, 0)
+	tc.node(place[5].ID).stop() // the spare's node
+
+	err = NewRepairer(tc.gw, nil, tc.reg).RepairOne(ctx, object, 0)
+	if want := fmt.Sprintf("shard 5 from %s", place[5].ID); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RepairOne = %v, want an error naming %q", err, want)
+	}
+	if !errors.Is(err, stream.ErrTooManyCorrupt) {
+		t.Fatalf("RepairOne = %v, want it to wrap stream.ErrTooManyCorrupt", err)
 	}
 }
 

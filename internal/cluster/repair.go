@@ -127,8 +127,6 @@ type Repairer struct {
 	heap   repairHeap
 	queued map[string]*repairItem
 	seq    uint64
-
-	rebuilders pipelines[*stream.Rebuilder] // see rebuilderFor
 }
 
 // NewRepairer wires a repair queue over the gateway's cluster view
@@ -153,7 +151,6 @@ func NewRepairerOpts(gw *Gateway, lim *Limiter, reg *obs.Registry, opts Repairer
 		maxAttempts: maxAttempts,
 		pacer:       pacer,
 		queued:      make(map[string]*repairItem),
-		rebuilders:  pipelines[*stream.Rebuilder]{max: len(gw.rungs)},
 	}
 }
 
@@ -414,7 +411,7 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	}
 	h := src.header
 	h.Index = uint32(idx)
-	rb, err := r.rebuilderFor(int(h.ShardSize))
+	rb, err := stream.NewRebuilder(r.gw.streamOptions(int(h.ShardSize)))
 	if err == nil {
 		// Spend the k shard files about to be read against the global
 		// repair budget before moving them.
@@ -465,18 +462,6 @@ type sizedReader struct {
 
 func (s sizedReader) Len() int { return int(s.size) }
 
-// rebuilderFor returns the rebuild pipeline for a shard size, keeping
-// one per rung of the gateway's ladder: a cluster's objects share a
-// geometry but not a size, and a repair pass over small and large ones
-// reuses each rung's warmed buffer pools.
-func (r *Repairer) rebuilderFor(shardSize int) (*stream.Rebuilder, error) {
-	return r.rebuilders.get(pipelineKey{shardSize: shardSize}, func() (*stream.Rebuilder, error) {
-		opts := r.gw.streamOptions(shardSize)
-		opts.CloseReaders = true
-		return stream.NewRebuilder(opts)
-	})
-}
-
 // spendRead charges n source bytes about to be read to the bandwidth
 // budget, waiting for them if repair is paced, and counts them.
 func (r *Repairer) spendRead(ctx context.Context, n int64) error {
@@ -498,17 +483,18 @@ type rebuildSources struct {
 
 // spare is the rebuild's stream.SpareFunc: the next candidate that
 // opens at the given block and agrees with the sources' geometry, its
-// remaining bytes charged to the bandwidth budget like theirs.
+// remaining bytes charged to the bandwidth budget like theirs. Every
+// candidate that fails is recorded, so running out of them says why.
 func (s *rebuildSources) spare(ctx context.Context, block int64) (int, io.Reader, error) {
 	for len(s.candidates) > 0 {
 		idx := s.take(1)[0]
 		o, err := s.openShard(ctx, idx, block, -1)
 		if err != nil {
+			s.failed(err)
 			continue
 		}
 		if !sameObject(o.h, s.header) {
-			o.body.Close()
-			s.countFailure(idx)
+			s.outvoted(o)
 			continue
 		}
 		remaining := o.h.ExpectedFileSize() - block*o.h.BlockSize()
@@ -517,6 +503,9 @@ func (s *rebuildSources) spare(ctx context.Context, block int64) (int, io.Reader
 			return 0, nil, err
 		}
 		return idx, o.body, nil
+	}
+	if s.firstErr != nil {
+		return 0, nil, fmt.Errorf("no spare shard left to open: %w", s.firstErr)
 	}
 	return 0, nil, errors.New("no spare shard left to open")
 }

@@ -1,13 +1,6 @@
 package cluster
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"dialga/internal/shardio"
-)
+import "time"
 
 // Router orders the shards of a placement by read preference: the
 // gateway opens shards in the returned order and stops once it has
@@ -44,118 +37,14 @@ func (FirstK) Order(_ string, p Placement) []int { return identity(len(p)) }
 // Observe is a no-op: FirstK does not adapt.
 func (FirstK) Observe(NodeID, time.Duration, error) {}
 
-// RoundRobin rotates the starting shard on every read, spreading load
-// evenly across all k+m nodes of a placement regardless of latency.
-type RoundRobin struct {
-	n atomic.Uint64
-}
-
-// Order returns placement order rotated by the read sequence number.
-func (r *RoundRobin) Order(_ string, p Placement) []int {
-	n := len(p)
-	order := make([]int, n)
-	start := int(r.n.Add(1)-1) % n
-	for i := range order {
-		order[i] = (start + i) % n
-	}
-	return order
-}
-
-// Observe is a no-op: RoundRobin does not adapt.
-func (*RoundRobin) Observe(NodeID, time.Duration, error) {}
-
-// errPenaltyFloor is the minimum synthetic latency folded into a
-// node's EWMA when a read against it fails: a failed node must rank
-// behind any node that is merely slow.
-const errPenaltyFloor = 500 * time.Millisecond
-
-// LeastLoaded ranks nodes by a per-node EWMA of Observe's per-block
-// read samples — the same estimator shardio's adaptive deadlines use —
-// preferring the nodes whose bodies currently read fastest, not merely
-// the ones whose headers arrive first. Failures fold in as large synthetic
-// latencies, so an unresponsive node sinks to the back of the order
-// within an observation or two and climbs back as probes succeed.
-// Unobserved nodes rank first (optimistically fast), which doubles as
-// exploration. Construct with NewLeastLoaded.
-type LeastLoaded struct {
-	mu    sync.Mutex
-	ewmas map[NodeID]*shardio.EWMA
-}
-
-// NewLeastLoaded returns an empty (all nodes unobserved) router.
-func NewLeastLoaded() *LeastLoaded {
-	return &LeastLoaded{ewmas: make(map[NodeID]*shardio.EWMA)}
-}
-
-// Observe folds one read outcome into the node's moving average. An
-// error observes max(4x current average, errPenaltyFloor) instead of
-// the measured duration.
-func (r *LeastLoaded) Observe(id NodeID, d time.Duration, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.ewmas[id]
-	if e == nil {
-		e = &shardio.EWMA{}
-		r.ewmas[id] = e
-	}
-	if err != nil {
-		penalty := 4 * e.Value()
-		if penalty < errPenaltyFloor {
-			penalty = errPenaltyFloor
-		}
-		d = penalty
-	}
-	e.Observe(d)
-}
-
-// Order sorts the placement's shards by their node's average latency,
-// fastest first; unobserved nodes sort ahead of observed ones, and
-// ties break on shard index so the order is deterministic.
-func (r *LeastLoaded) Order(_ string, p Placement) []int {
-	type ranked struct {
-		idx      int
-		observed bool
-		micros   float64
-	}
-	rank := make([]ranked, len(p))
-	r.mu.Lock()
-	for i, n := range p {
-		rank[i] = ranked{idx: i}
-		if e := r.ewmas[n.ID]; e != nil && e.Samples() > 0 {
-			rank[i].observed = true
-			rank[i].micros = e.Micros()
-		}
-	}
-	r.mu.Unlock()
-	sort.SliceStable(rank, func(a, b int) bool {
-		if rank[a].observed != rank[b].observed {
-			return !rank[a].observed
-		}
-		if rank[a].micros != rank[b].micros {
-			return rank[a].micros < rank[b].micros
-		}
-		return rank[a].idx < rank[b].idx
-	})
-	order := make([]int, len(rank))
-	for i, x := range rank {
-		order[i] = x.idx
-	}
-	return order
-}
-
 // NewRouter builds a router by policy name — the flag-friendly
-// constructor: "first-k", "round-robin", or "least-loaded".
+// constructor. "first-k" (or "") is the one policy: ranking nodes by
+// their read latency is the sideliner's job, behind every Router.
 func NewRouter(policy string) (Router, bool) {
-	switch policy {
-	case "", "first-k":
+	if policy == "" || policy == "first-k" {
 		return FirstK{}, true
-	case "round-robin":
-		return &RoundRobin{}, true
-	case "least-loaded":
-		return NewLeastLoaded(), true
-	default:
-		return nil, false
 	}
+	return nil, false
 }
 
 func identity(n int) []int {

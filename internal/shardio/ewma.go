@@ -9,8 +9,8 @@ const ewmaAlpha = 0.25
 
 // EWMA is an exponentially weighted moving average of durations — the
 // latency tracker behind the group's adaptive per-stripe deadlines,
-// exported so other schedulers (the cluster read router's least-loaded
-// policy) rank sources with exactly the same estimator. The zero value
+// exported so the cluster gateway's node sideliner judges nodes with
+// exactly the same estimator. The zero value
 // is ready to use. Not safe for concurrent use; callers that share one
 // across goroutines must lock around it.
 type EWMA struct {

@@ -49,7 +49,6 @@ type Group struct {
 	n       int
 	req     []chan request
 	results chan result
-	pool    *BlockPool
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -59,10 +58,11 @@ type Group struct {
 	sh  []shardMeta
 
 	// Steady-state reuse: gathering a stripe — hedged or not — must not
-	// allocate. Stripes cycle through a pool (Release returns them),
-	// the hedge timer is reset rather than recreated, and the gather
-	// loop's awaited flags and the deadline's EWMA gather reuse
-	// group-owned scratch (all owned by the single consumer goroutine).
+	// allocate. Stripes cycle through a pool (Release returns them, and
+	// their blocks to the allocator), the hedge timer is reset rather
+	// than recreated, and the gather loop's awaited flags and the
+	// deadline's EWMA gather reuse group-owned scratch (all owned by the
+	// single consumer goroutine).
 	stripes     sync.Pool
 	timer       vclock.Timer
 	awaited     []bool
@@ -85,12 +85,6 @@ func NewGroup(readers []io.Reader, opts Options) (*Group, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	pool := opts.Blocks
-	if pool == nil {
-		pool = NewBlockPool(opts.BlockSize)
-	} else if pool.size != opts.BlockSize {
-		return nil, fmt.Errorf("shardio: Blocks pool holds %d-byte buffers, BlockSize is %d", pool.size, opts.BlockSize)
-	}
 	n := len(readers)
 	g := &Group{
 		opts:    opts,
@@ -98,7 +92,6 @@ func NewGroup(readers []io.Reader, opts Options) (*Group, error) {
 		n:       n,
 		req:     make([]chan request, n),
 		results: make(chan result, n),
-		pool:    pool,
 		stop:    make(chan struct{}),
 		sh:      make([]shardMeta, n),
 		awaited: make([]bool, n),
@@ -173,7 +166,7 @@ func (g *Group) Close() {
 		for {
 			select {
 			case res := <-g.results:
-				g.pool.put(res.buf)
+				PutBuffer(res.buf)
 			default:
 				return
 			}
@@ -191,7 +184,7 @@ func (g *Group) enqueue(i int, seq int64) {
 	m := &g.sh[i]
 	m.outstanding = true
 	m.outstandingSeq = seq
-	g.req[i] <- request{seq: seq, buf: g.pool.get()}
+	g.req[i] <- request{seq: seq, buf: GetBuffer(g.opts.BlockSize)}
 }
 
 // eligible reports whether shard i can be asked for a block right now.
@@ -238,7 +231,6 @@ func (g *Group) getStripe(seq int64) *Stripe {
 		}
 		for i := range st.slotStore {
 			st.slotStore[i].gen = -1 // stripe seqs start at 0
-			st.slotStore[i].pool = g.pool
 		}
 	}
 	st.Seq = seq
@@ -250,7 +242,6 @@ func (g *Group) getStripe(seq int64) *Stripe {
 	clear(st.slotGen)
 	st.Retries, st.LateTransients, st.Trips, st.Panics = 0, 0, 0, 0
 	st.Hedged = false
-	st.pool = g.pool
 	st.home = &g.stripes
 	return st
 }
@@ -426,12 +417,12 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 		case res.eof:
 			m.eof = true
 			st.States[i] = StateEOF
-			g.pool.put(res.buf)
+			PutBuffer(res.buf)
 		case res.err != nil:
 			m.dead, m.deadErr = true, res.err
 			st.States[i] = StateDead
 			st.Errs[i] = res.err
-			g.pool.put(res.buf)
+			PutBuffer(res.buf)
 		default:
 			st.LateTransients += uint64(res.transients)
 			m.observe(res.dur)
@@ -443,7 +434,7 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 				g.lateClaimed.Inc()
 			} else {
 				g.lateDropped.Inc()
-				g.pool.put(res.buf)
+				PutBuffer(res.buf)
 			}
 			// Rejoin the stripe being gathered: the shard may have
 			// recovered and can still make this deadline.
@@ -463,12 +454,12 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 	case res.eof:
 		m.eof = true
 		st.States[i] = StateEOF
-		g.pool.put(res.buf)
+		PutBuffer(res.buf)
 	case res.err != nil:
 		m.dead, m.deadErr = true, res.err
 		st.States[i] = StateDead
 		st.Errs[i] = res.err
-		g.pool.put(res.buf)
+		PutBuffer(res.buf)
 	default:
 		st.Blocks[i] = res.buf
 		st.Transients[i] = uint64(res.transients)

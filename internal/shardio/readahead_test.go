@@ -104,12 +104,12 @@ func TestReadaheadServesFromBuffer(t *testing.T) {
 // request.
 func TestServeFromReadaheadQueue(t *testing.T) {
 	reg := obs.NewRegistry()
-	g := &Group{pool: NewBlockPool(4)}
+	g := &Group{opts: Options{BlockSize: 4}}
 	g.raHits = reg.Counter("shardio_readahead_hits_total", "")
 	g.raUseless = reg.Counter("shardio_readahead_useless_total", "")
 
 	mkbuf := func(fill byte) []byte {
-		b := g.pool.get()
+		b := GetBuffer(4)
 		for i := range b {
 			b[i] = fill
 		}
@@ -118,7 +118,7 @@ func TestServeFromReadaheadQueue(t *testing.T) {
 
 	// Empty queue: not served.
 	ra := []raBlock{}
-	res := result{buf: g.pool.get()}
+	res := result{buf: GetBuffer(4)}
 	if g.serveFromReadahead(&ra, request{seq: 0, buf: res.buf}, &res) {
 		t.Fatal("empty queue reported served")
 	}
@@ -129,7 +129,7 @@ func TestServeFromReadaheadQueue(t *testing.T) {
 		{seq: 1, buf: mkbuf(0xa1), dur: time.Millisecond},
 		{seq: 2, buf: mkbuf(0xa2), dur: 7 * time.Millisecond, retries: 1, transients: 1},
 	}
-	res = result{buf: g.pool.get()}
+	res = result{buf: GetBuffer(4)}
 	if !g.serveFromReadahead(&ra, request{seq: 2, buf: res.buf}, &res) {
 		t.Fatal("hit not served")
 	}
@@ -151,7 +151,7 @@ func TestServeFromReadaheadQueue(t *testing.T) {
 
 	// Terminal EOF marker at seq 4 answers a request for seq 9.
 	ra = []raBlock{{seq: 4, eof: true}}
-	res = result{buf: g.pool.get()}
+	res = result{buf: GetBuffer(4)}
 	if !g.serveFromReadahead(&ra, request{seq: 9, buf: res.buf}, &res) {
 		t.Fatal("eof marker not served")
 	}

@@ -88,7 +88,7 @@ func (g *Group) runShard(i int, r io.Reader, pos int64) {
 			case req = <-g.req[i]:
 				got = true
 			default:
-				rb := raBlock{seq: pos, buf: g.pool.get()}
+				rb := raBlock{seq: pos, buf: GetBuffer(g.opts.BlockSize)}
 				var sc result // scratch for readBlock's retry counters
 				start := g.clock.Now()
 				eof, err := g.readBlock(r, rng, rb.buf, &sc)
@@ -97,7 +97,7 @@ func (g *Group) runShard(i int, r io.Reader, pos int64) {
 				rb.transients, rb.retries = sc.transients, sc.retries
 				pos++
 				if eof || err != nil {
-					g.pool.put(rb.buf)
+					PutBuffer(rb.buf)
 					rb.buf = nil
 					terminal = true
 				}
@@ -126,7 +126,7 @@ func (g *Group) runShard(i int, r io.Reader, pos int64) {
 // serveFromReadahead answers req from the readahead queue when
 // possible. Entries for stripes before req.seq are useless prefetches
 // (their stripes were gathered — or skipped — without this shard);
-// their buffers go back to the pool. A terminal marker (EOF or hard
+// their buffers go back to the allocator. A terminal marker (EOF or hard
 // error) answers any request at or past its stripe, matching the
 // catch-up semantics of serve.
 func (g *Group) serveFromReadahead(ra *[]raBlock, req request, res *result) bool {
@@ -138,7 +138,7 @@ func (g *Group) serveFromReadahead(ra *[]raBlock, req request, res *result) bool
 			// marker answers this and every later request.
 			res.eof, res.err = rb.eof, rb.err
 			res.transients, res.retries = rb.transients, rb.retries
-			g.pool.put(res.buf)
+			PutBuffer(res.buf)
 			res.buf = nil
 			*ra = q
 			return true
@@ -148,14 +148,14 @@ func (g *Group) serveFromReadahead(ra *[]raBlock, req request, res *result) bool
 		}
 		q = q[1:]
 		if rb.seq < req.seq {
-			g.pool.put(rb.buf)
+			PutBuffer(rb.buf)
 			g.raUseless.Inc()
 			continue
 		}
 		// rb.seq == req.seq: a readahead hit. Swap buffers — the
-		// requested one returns to the pool, the prefetched one rides
+		// requested one returns to the allocator, the prefetched one rides
 		// the result.
-		g.pool.put(res.buf)
+		PutBuffer(res.buf)
 		res.buf = rb.buf
 		res.dur = rb.dur
 		res.transients, res.retries = rb.transients, rb.retries

@@ -54,6 +54,12 @@
 // All Group methods are intended for a single consumer goroutine (the
 // decoder's producer); only Stripe.TakeLate is safe to call
 // concurrently with the gather loop.
+//
+// Block buffers belong to the process, not to a Group: the package's
+// one allocator (GetBuffer, PutBuffer) hands every Group its blocks and
+// takes them back on Release, under one idle-byte budget, IdleBudget.
+// The stream pipelines draw their spare, rebuilt and stripe buffers from
+// it too, so a pipeline is cheap to build per request.
 package shardio
 
 import (
@@ -102,13 +108,6 @@ type Options struct {
 	// the determinism seam for tests (vclock.Fake). Nil means the real
 	// clock and changes nothing.
 	Clock vclock.Clock
-
-	// Blocks, when non-nil, is the pool the group draws its BlockSize
-	// block buffers from and recycles them to, so consecutive groups
-	// over equally sized blocks reuse each other's buffers instead of
-	// allocating a stripe window afresh each. Nil gives the group a
-	// private pool.
-	Blocks *BlockPool
 
 	// Metrics, when non-nil, is the registry the group publishes its
 	// scheduling telemetry into: per-shard EWMA and breaker gauges,
@@ -203,55 +202,145 @@ func isTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// maxIdleBlockBytes bounds the idle buffers one BlockPool keeps. A pool
-// private to one group never gets near it; a pool shared by every read
-// of a long-lived decoder would otherwise keep, for good, as many
-// buffers as its busiest moment ever had in flight.
-const maxIdleBlockBytes = 64 << 20
+// IdleBudget is the process's one bound on idle buffers: the bytes the
+// allocator's free lists hold, every size together. The three
+// per-pipeline pools it replaced held 21 MiB between them after the
+// benchmark's put_8m, 26 MiB after get_8m and 16 MiB after small_mixed;
+// idle bytes are live heap the GC paces itself by, so the budget is the
+// least of the three — what a workload last used stays, and a burst
+// does not become a permanent reservation (DESIGN.md, "Pool shape").
+const IdleBudget = 16 << 20
 
-// BlockPool recycles block buffers across stripes, and across groups
-// when shared through Options.Blocks. It is a plain mutex-guarded free
-// list rather than a sync.Pool: Put-ing a []byte into a sync.Pool
-// heap-allocates a *[]byte box on every cycle, which would put a
-// per-stripe allocation on the steady-state gather path. The list holds
-// at most maxIdleBlockBytes of idle buffers; a buffer returned beyond
-// that, like one dropped mid-read at Close, is left to the GC. Safe for
-// concurrent use.
-type BlockPool struct {
-	size    int
-	maxFree int
+// buffers is the process's one buffer allocator. Every buffer the data
+// path recycles — a Group's shard blocks, a decoder's reconstruct
+// spares, a rebuilder's output blocks, an encoder's lent stripes — comes
+// from GetBuffer and goes back through PutBuffer, so buffers outlive the
+// pipelines that use them and a pipeline holds nothing worth keeping.
+//
+// It keeps one free list per exact buffer size under one mutex, rather
+// than a sync.Pool: Put-ing a []byte into a sync.Pool heap-allocates a
+// *[]byte box every cycle, and whatever a sync.Pool holds — its victim
+// generation included — is live heap when the next heap goal is set.
+// Idle bytes never exceed IdleBudget: a returned buffer that would push
+// them past it first drops the least recently returned idle buffers,
+// whatever their size, so a workload that shifts from one size to
+// another refills the budget with what it uses now. A size whose list
+// runs dry leaves no entry behind (sizes come from stored headers, which
+// anyone may have written); its emptied list is kept, without its size,
+// for the next size to need one, so a size that comes and goes does not
+// allocate a list each time.
+var buffers struct {
 	mu      sync.Mutex
-	free    [][]byte
+	idle    int               // bytes held, every list together
+	clock   uint64            // PutBuffer calls so far: the return stamp
+	lists   map[int]*freeList // by buffer size; never an empty list
+	emptied []*freeList       // lists that ran dry, at most maxEmptied
 }
 
-// NewBlockPool returns an empty pool of size-byte block buffers.
-func NewBlockPool(size int) *BlockPool {
-	return &BlockPool{size: size, maxFree: max(1, maxIdleBlockBytes/max(1, size))}
+// maxEmptied bounds the emptied lists kept for reuse: enough for the
+// block and stripe sizes of the few rungs a workload cycles through.
+const maxEmptied = 16
+
+type freeList struct {
+	bufs []idleBuffer // oldest first
 }
 
-func (bp *BlockPool) get() []byte {
-	bp.mu.Lock()
-	if n := len(bp.free); n > 0 {
-		b := bp.free[n-1]
-		bp.free[n-1] = nil
-		bp.free = bp.free[:n-1]
-		bp.mu.Unlock()
+type idleBuffer struct {
+	b        []byte
+	returned uint64
+}
+
+// GetBuffer returns a size-byte buffer: the most recently returned idle
+// one of that size, or a new one. Its contents are whatever its last
+// user left. Safe for concurrent use.
+func GetBuffer(size int) []byte {
+	buffers.mu.Lock()
+	if l := buffers.lists[size]; l != nil {
+		n := len(l.bufs) - 1
+		b := l.bufs[n].b
+		l.bufs[n] = idleBuffer{}
+		l.bufs = l.bufs[:n]
+		buffers.idle -= size
+		if n == 0 {
+			retire(size, l)
+		}
+		buffers.mu.Unlock()
 		return b
 	}
-	bp.mu.Unlock()
-	return make([]byte, bp.size)
+	buffers.mu.Unlock()
+	return make([]byte, size)
 }
 
-func (bp *BlockPool) put(b []byte) {
+// PutBuffer returns a buffer GetBuffer handed out, at whatever length it
+// was resliced to from its start; the caller must not touch it again. A
+// buffer larger than IdleBudget is left to the GC. Safe for concurrent
+// use.
+func PutBuffer(b []byte) {
 	b = b[:cap(b)]
-	if len(b) != bp.size {
+	size := len(b)
+	if size == 0 || size > IdleBudget {
 		return
 	}
-	bp.mu.Lock()
-	if len(bp.free) < bp.maxFree {
-		bp.free = append(bp.free, b)
+	buffers.mu.Lock()
+	defer buffers.mu.Unlock()
+	for buffers.idle+size > IdleBudget {
+		evictOldest()
 	}
-	bp.mu.Unlock()
+	l := buffers.lists[size]
+	if l == nil {
+		if n := len(buffers.emptied); n > 0 {
+			l = buffers.emptied[n-1]
+			buffers.emptied = buffers.emptied[:n-1]
+		} else {
+			l = new(freeList)
+		}
+		if buffers.lists == nil {
+			buffers.lists = make(map[int]*freeList)
+		}
+		buffers.lists[size] = l
+	}
+	buffers.clock++
+	l.bufs = append(l.bufs, idleBuffer{b, buffers.clock})
+	buffers.idle += size
+}
+
+// evictOldest drops the least recently returned idle buffer. Callers
+// hold buffers.mu and know one is idle.
+func evictOldest() {
+	var oldest *freeList
+	for _, l := range buffers.lists {
+		if oldest == nil || l.bufs[0].returned < oldest.bufs[0].returned {
+			oldest = l
+		}
+	}
+	size := len(oldest.bufs[0].b)
+	oldest.bufs[0] = idleBuffer{}
+	oldest.bufs = oldest.bufs[1:]
+	buffers.idle -= size
+	if len(oldest.bufs) == 0 {
+		retire(size, oldest)
+	}
+}
+
+// retire removes size's emptied list. Callers hold buffers.mu.
+func retire(size int, l *freeList) {
+	delete(buffers.lists, size)
+	if len(buffers.emptied) < maxEmptied {
+		l.bufs = l.bufs[:0]
+		buffers.emptied = append(buffers.emptied, l)
+	}
+}
+
+// IdleBuffers reports what the allocator holds idle: a count of buffers
+// per buffer size.
+func IdleBuffers() map[int]int {
+	buffers.mu.Lock()
+	defer buffers.mu.Unlock()
+	idle := make(map[int]int, len(buffers.lists))
+	for size, l := range buffers.lists {
+		idle[size] = len(l.bufs)
+	}
+	return idle
 }
 
 // lateSlot is the rendezvous for the hedge race on one abandoned
@@ -269,7 +358,6 @@ type lateSlot struct {
 	gen   int64 // the armed read's stripe seq; -1 until first armed
 	buf   []byte
 	taken bool // consumer committed (with or without the block) or stripe released
-	pool  *BlockPool
 }
 
 // arm resets the slot for a new abandoned read. A buffer left from an
@@ -280,7 +368,7 @@ type lateSlot struct {
 func (s *lateSlot) arm(gen int64) {
 	s.mu.Lock()
 	if s.buf != nil && !s.taken {
-		s.pool.put(s.buf)
+		PutBuffer(s.buf)
 	}
 	s.buf = nil
 	s.taken = false
@@ -335,8 +423,8 @@ func (s *lateSlot) reclaim(gen int64) []byte {
 type Stripe struct {
 	Seq int64
 	// Blocks holds the full BlockSize-byte block per StateOK shard,
-	// nil otherwise. Slices are owned by the group's pool and are
-	// valid until Release.
+	// nil otherwise. Slices come from GetBuffer and are valid until
+	// Release.
 	Blocks [][]byte
 	// States is each shard's disposition this stripe.
 	States []ShardState
@@ -366,8 +454,7 @@ type Stripe struct {
 	slots     []*lateSlot // armed slots (into slotStore), nil when not hedged
 	slotGen   []int64     // generation each slot was armed with
 	slotStore []lateSlot  // inline per-shard slot backing, reused across pool cycles
-	pool      *BlockPool
-	home      *sync.Pool // the Group's stripe pool; Release returns st here
+	home      *sync.Pool  // the Group's stripe pool; Release returns st here
 }
 
 // TakeLate claims shard i's late-arriving block for a StateSlow
@@ -386,12 +473,13 @@ func (st *Stripe) TakeLate(i int) []byte {
 // blocks, and returns the stripe to its group's pool. The stripe and
 // its slices must not be used afterwards. Release is idempotent.
 func (st *Stripe) Release() {
-	if st.pool == nil {
+	home := st.home
+	if home == nil {
 		return
 	}
 	for i, b := range st.Blocks {
 		if b != nil {
-			st.pool.put(b)
+			PutBuffer(b)
 			st.Blocks[i] = nil
 		}
 	}
@@ -400,13 +488,10 @@ func (st *Stripe) Release() {
 			continue
 		}
 		if b := s.reclaim(st.slotGen[i]); b != nil {
-			st.pool.put(b)
+			PutBuffer(b)
 		}
 		st.slots[i] = nil
 	}
-	home := st.home
-	st.pool, st.home = nil, nil
-	if home != nil {
-		home.Put(st)
-	}
+	st.home = nil
+	home.Put(st)
 }

@@ -587,19 +587,18 @@ func TestGroupAttachFill(t *testing.T) {
 	}
 }
 
-// TestGroupSharedBlockPool: groups given one pool reuse each other's
-// block buffers; a pool of the wrong size is refused.
-func TestGroupSharedBlockPool(t *testing.T) {
+// TestGroupsShareAllocator: a group reads into the blocks the group
+// before it released — buffers belong to the process, not the group.
+func TestGroupsShareAllocator(t *testing.T) {
 	const n, stripes = 3, 4
 	shards := mkShards(n, stripes)
-	pool := NewBlockPool(testBlock)
 	seen := map[*byte]bool{}
 	for round := 0; round < 2; round++ {
 		readers := make([]io.Reader, n)
 		for i := range readers {
 			readers[i] = bytes.NewReader(shards[i])
 		}
-		g := newTestGroup(t, readers, Options{Blocks: pool})
+		g := newTestGroup(t, readers, Options{})
 		for s := 0; s < stripes; s++ {
 			st, err := g.Next(context.Background())
 			if err != nil {
@@ -609,15 +608,12 @@ func TestGroupSharedBlockPool(t *testing.T) {
 				if round == 0 {
 					seen[&b[0]] = true
 				} else if !seen[&b[0]] {
-					t.Fatal("second group allocated a block the shared pool should have supplied")
+					t.Fatal("second group allocated a block the first one had released")
 				}
 			}
 			st.Release()
 		}
 		g.Close()
 		g.wait()
-	}
-	if _, err := NewGroup(make([]io.Reader, n), Options{BlockSize: testBlock + 1, Quorum: 2, Blocks: pool}); err == nil {
-		t.Fatal("pool of another block size accepted")
 	}
 }

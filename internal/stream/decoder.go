@@ -60,16 +60,15 @@ func statesAttr(states []shardio.ShardState) string {
 // ErrTooManyCorrupt rather than ever emitting unverified bytes.
 //
 // A Decoder is safe for concurrent use by multiple goroutines: every
-// Decode call builds its own shard scheduler and pipeline, and what
-// they share — the job, spare-buffer and shard-block pools — is
-// synchronized. Keeping one Decoder for many reads is what lets those
-// pools stay warm: the blocks a finished read returns are the blocks
-// the next one reads into.
+// Decode call builds its own shard scheduler and pipeline. It holds no
+// buffers: shard blocks and reconstruct outputs come from the shardio
+// allocator, which outlives every pipeline, so the blocks a finished
+// read returns are the blocks the next one reads into whether or not
+// the two share a Decoder — building one per read costs a few
+// microseconds.
 type Decoder struct {
-	g     geom // g.straggler.Blocks pools the shard blocks of every Decode
+	g     geom
 	stats *counters
-	jobs  jobPool
-	spare *bufPool // ReconstructData's output buffers for erased data blocks
 }
 
 // NewDecoder validates opts and returns a ready Decoder.
@@ -78,8 +77,7 @@ func NewDecoder(opts Options) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.straggler.Blocks = shardio.NewBlockPool(g.blockSize)
-	return &Decoder{g: g, stats: newCounters(g.metrics, "decode"), spare: newBufPool(g.shardSize)}, nil
+	return &Decoder{g: g, stats: newCounters(g.metrics, "decode")}, nil
 }
 
 // StripeSize returns the data payload per stripe.
@@ -177,7 +175,7 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 				d.stats.hedgedReads.Add(1)
 			}
 
-			j := d.jobs.get()
+			j := jobs.get()
 			j.blocks = sliceN(j.blocks, k+m)
 			var eofIdx []int
 			got := 0
@@ -223,7 +221,7 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 			}
 			if got == 0 {
 				st.Release()
-				d.jobs.put(j)
+				jobs.put(j)
 				if wantStripes >= 0 {
 					span.Event("error", "shards ended early")
 					span.End()
@@ -240,7 +238,7 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 			}
 			if got < k && !st.Hedged {
 				st.Release()
-				d.jobs.put(j)
+				jobs.put(j)
 				span.Event("error", "too many corrupt or missing shard blocks")
 				span.End()
 				if firstErr != nil {
@@ -294,13 +292,13 @@ func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 
 	release := func(j *job) {
 		for _, i := range j.eras {
-			d.spare.put(j.blocks[i])
+			shardio.PutBuffer(j.blocks[i])
 		}
 		if j.stripe != nil {
 			j.stripe.Release()
 		}
 		j.span.End()
-		d.jobs.put(j)
+		jobs.put(j)
 	}
 
 	return run(ctx, d.g, d.stats, produce, work, deliver, release)
@@ -337,9 +335,10 @@ func (d *Decoder) verified(block []byte) bool {
 
 // processStripe is the worker body for one gathered stripe: resolve
 // the hedge race for slow shards, verify checksum trailers, and
-// reconstruct missing data shards. It runs allocation-free against
-// warmed pools — erasure outputs come from the decoder's spare-buffer
-// pool as zero-length-with-capacity slices the codec fills in place.
+// reconstruct missing data shards. It runs allocation-free once the
+// allocator is warm — erasure outputs are block-size buffers from it,
+// handed over as zero-length-with-capacity slices the codec fills in
+// place.
 func (d *Decoder) processStripe(j *job) error {
 	k, m := d.g.k, d.g.m
 	shardSize := d.g.shardSize
@@ -387,11 +386,12 @@ func (d *Decoder) processStripe(j *job) error {
 		return fmt.Errorf("stream: stripe %d: %d corrupt or missing shard blocks leave %d of %d required: %w",
 			j.seq, (k+m)-valid, valid, k, ErrTooManyCorrupt)
 	}
-	// Hand every absent data entry a pooled spare as its output buffer;
+	// Hand every absent data entry a spare as its output buffer, of the
+	// block size so that spares and shard blocks are one size class;
 	// release returns them after delivery.
 	for i := 0; i < k; i++ {
 		if j.blocks[i] == nil {
-			j.blocks[i] = d.spare.get()[:0]
+			j.blocks[i] = shardio.GetBuffer(d.g.blockSize)[:0]
 			j.eras = append(j.eras, i)
 		}
 	}

@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"dialga/internal/shardio"
 )
 
 // Encoder is a streaming erasure encoder: it chunks a reader into
@@ -20,16 +21,16 @@ import (
 // Recording the original length for
 // trimming on decode is the caller's job (the dialga-encode shard
 // header does this). An input shorter than one stripe is padded to one
-// too: a caller storing inputs of very different sizes keeps an encoder
-// per stripe size and picks by length (the cluster gateway's ladder).
+// too: a caller storing inputs of very different sizes picks the stripe
+// size by length (the cluster gateway's ladder).
 //
 // An Encoder is safe for concurrent use; each call runs its own
-// pipeline and the shared Stats accumulate across calls.
+// pipeline and the shared Stats accumulate across calls. It holds no
+// buffers — stripes come from the shardio allocator and go back to it
+// on Release — so building one per input costs a few microseconds.
 type Encoder struct {
-	g       geom
-	stats   *counters
-	stripes stripePool
-	jobs    jobPool
+	g     geom
+	stats *counters
 }
 
 // NewEncoder validates opts and returns a ready Encoder.
@@ -38,13 +39,7 @@ func NewEncoder(opts Options) (*Encoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Encoder{
-		g:     g,
-		stats: newCounters(g.metrics, "encode"),
-		// One more than the byte budget: the stripe the producer is holding
-		// when it finds the source has ended.
-		stripes: stripePool{maxFree: min(maxIdleStripes, maxIdleStripeBytes/((g.k+g.m)*g.shardSize)+1)},
-	}, nil
+	return &Encoder{g: g, stats: newCounters(g.metrics, "encode")}, nil
 }
 
 // StripeSize returns the data payload per stripe after rounding
@@ -66,13 +61,14 @@ func (e *Encoder) Shards() int { return e.g.k + e.g.m }
 func (e *Encoder) Stats() Stats { return e.stats.snapshot() }
 
 // Stripe is one encoded stripe, lent by EncodeStripes: the k data and m
-// parity blocks and their checksum trailers, in the encoder's own
-// pooled buffers. Whoever holds it may read the blocks in place, from
+// parity blocks and their checksum trailers, in one buffer from the
+// shardio allocator. Whoever holds it may read the blocks in place, from
 // any number of goroutines, until Release; it must not write to them.
 type Stripe struct {
 	e      *Encoder
 	lent   atomic.Bool
-	blocks []byte // (k+m)*shardSize: one allocation, with crc behind it
+	buf    []byte // the allocator's buffer: blocks, then crc
+	blocks []byte // (k+m)*shardSize
 	data   []byte // blocks' first k*shardSize: the stripe as read, zero-padded
 	parity []byte // blocks' last m*shardSize
 	crc    []byte // (k+m)*crcSize trailers
@@ -86,78 +82,23 @@ func (s *Stripe) Block(i int) (payload, trailer []byte) {
 	return s.blocks[i*size : (i+1)*size], s.crc[i*crcSize : (i+1)*crcSize]
 }
 
-// Release returns the stripe's buffers to the encoder. Call it exactly
+// Release returns the stripe's buffer to the allocator. Call it exactly
 // once per lent stripe, after the last read of any of its blocks.
 func (s *Stripe) Release() {
 	if !s.lent.Swap(false) {
 		panic("stream: Stripe released twice")
 	}
-	s.e.stripes.put(s)
+	shardio.PutBuffer(s.buf)
 }
 
-// maxIdleStripeBytes bounds the encoded stripes an Encoder keeps idle:
-// 8 at the gateway's defaults (RS(4,2) over 1 MiB stripes), one 8 MiB
-// put's worth. A stripe lent through EncodeStripes can stay out for a
-// whole put, so a busy encoder's stripes come back in bursts, and the
-// pool decides how much of a burst stays resident. It is a plain
-// mutex-guarded free list, like shardio.BlockPool, and small on
-// purpose: with the buffers recycled a server allocates so little that
-// the GC runs about once a second, and whatever the pool holds — a
-// sync.Pool's victim generation included — is live heap when the next
-// heap goal is set. A list allowed 32 MiB idle cost 20-40 MiB of peak
-// RSS on workloads that never put.
-//
-// maxIdleStripes bounds the same list by count — the nine stripes those
-// bytes come to at the defaults — so an encoder of small stripes does
-// not read the byte budget as room for hundreds. The gateway keeps one
-// encoder per shard size it stores at, each half the next: capped by
-// count, all of them together idle under twice what the largest does.
-const (
-	maxIdleStripeBytes = 12 << 20
-	maxIdleStripes     = 9
-)
-
-// stripePool is the encoder's free list of stripes. Safe for
-// concurrent use.
-type stripePool struct {
-	maxFree int
-	mu      sync.Mutex
-	free    []*Stripe
-}
-
-// get returns an idle stripe, or nil when there is none.
-func (p *stripePool) get() *Stripe {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.free)
-	if n == 0 {
-		return nil
-	}
-	s := p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	return s
-}
-
-func (p *stripePool) put(s *Stripe) {
-	p.mu.Lock()
-	if len(p.free) < p.maxFree {
-		p.free = append(p.free, s)
-	}
-	p.mu.Unlock()
-}
-
-// lend takes a stripe off the free list, or allocates one: data, parity
-// and trailers are consecutive regions of a single buffer.
+// lend builds a stripe over a buffer from the allocator: data, parity
+// and trailers are consecutive regions of it.
 func (e *Encoder) lend() *Stripe {
-	s := e.stripes.get()
-	if s == nil {
-		g := e.g
-		buf := make([]byte, (g.k+g.m)*g.blockSize)
-		end := (g.k + g.m) * g.shardSize
-		s = &Stripe{e: e, blocks: buf[:end:end], crc: buf[end:]}
-		s.data, s.parity = s.blocks[:g.stripeSize:g.stripeSize], s.blocks[g.stripeSize:]
-	}
+	g := e.g
+	buf := shardio.GetBuffer((g.k + g.m) * g.blockSize)
+	end := (g.k + g.m) * g.shardSize
+	s := &Stripe{e: e, buf: buf, blocks: buf[:end:end], crc: buf[end:]}
+	s.data, s.parity = s.blocks[:g.stripeSize:g.stripeSize], s.blocks[g.stripeSize:]
 	s.lent.Store(true)
 	return s
 }
@@ -245,13 +186,13 @@ func (e *Encoder) EncodeStripes(ctx context.Context, r io.Reader, emit func(*Str
 			}
 			final := err == io.ErrUnexpectedEOF
 			if n < len(st.data) {
-				clear(st.data[n:]) // pooled buffer: scrub stale bytes into the padding
+				clear(st.data[n:]) // recycled buffer: scrub stale bytes into the padding
 			}
 			e.stats.bytesIn.Add(uint64(n))
 			if span != nil {
 				span.Event("read", fmt.Sprintf("bytes=%d", n))
 			}
-			j := e.jobs.get()
+			j := jobs.get()
 			j.seq, j.enc, j.n, j.span = seq, st, n, span
 			if !push(j) {
 				return nil
@@ -279,7 +220,7 @@ func (e *Encoder) EncodeStripes(ctx context.Context, r io.Reader, emit func(*Str
 			j.enc.Release()
 		}
 		j.span.End()
-		e.jobs.put(j)
+		jobs.put(j)
 	}
 
 	return run(ctx, e.g, e.stats, produce, e.encodeStripe, deliver, release)

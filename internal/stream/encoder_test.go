@@ -13,6 +13,7 @@ import (
 
 	"dialga/internal/gf"
 	"dialga/internal/rs"
+	"dialga/internal/shardio"
 )
 
 func randBytes(t testing.TB, n int, seed int64) []byte {
@@ -392,9 +393,10 @@ func TestEncodeStripesMatchesEncode(t *testing.T) {
 
 // TestEncodeStripesReleasesEveryStripe: a stripe that is emitted is the
 // consumer's to release, once; one that is read or encoded but never
-// emitted is recycled by the pipeline. The free list is filled before
-// each run, so whether every stripe came back exactly once is its
-// length afterwards (a second release of any stripe panics).
+// emitted is recycled by the pipeline. The allocator's list of stripe
+// buffers is filled before each run, so whether every stripe came back
+// exactly once is its length afterwards (a second release of any stripe
+// panics).
 func TestEncodeStripesReleasesEveryStripe(t *testing.T) {
 	const stripe, stripes, pooled = 4 << 10, 40, 64
 	payload := randBytes(t, stripes*stripe, 78)
@@ -430,7 +432,6 @@ func TestEncodeStripesReleasesEveryStripe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc.stripes.maxFree = pooled
 			warm := make([]*Stripe, pooled)
 			for i := range warm {
 				warm[i] = enc.lend()
@@ -438,6 +439,9 @@ func TestEncodeStripesReleasesEveryStripe(t *testing.T) {
 			for _, st := range warm {
 				st.Release()
 			}
+			size := len(warm[0].buf)
+			idle := func() int { return shardio.IdleBuffers()[size] }
+			filled := idle()
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -449,14 +453,14 @@ func TestEncodeStripesReleasesEveryStripe(t *testing.T) {
 			if !errors.Is(err, tc.want) || (tc.want == nil && len(held) != stripes) {
 				t.Fatalf("err = %v after %d stripes, want %v", err, len(held), tc.want)
 			}
-			if free := len(enc.stripes.free); free != pooled-len(held) {
-				t.Fatalf("%d stripes idle with %d lent out, want %d: the pipeline kept or lost some", free, len(held), pooled-len(held))
+			if free := idle(); free != filled-len(held) {
+				t.Fatalf("%d stripes idle with %d lent out, want %d: the pipeline kept or lost some", free, len(held), filled-len(held))
 			}
 			for _, st := range held {
 				st.Release()
 			}
-			if free := len(enc.stripes.free); free != pooled {
-				t.Fatalf("%d stripes idle after every release, want %d", free, pooled)
+			if free := idle(); free != filled {
+				t.Fatalf("%d stripes idle after every release, want %d", free, filled)
 			}
 			defer func() {
 				if recover() == nil {
@@ -465,47 +469,5 @@ func TestEncodeStripesReleasesEveryStripe(t *testing.T) {
 			}()
 			held[0].Release()
 		})
-	}
-}
-
-// TestEncoderIdleStripesCappedByCount: an encoder keeps at most
-// maxIdleStripes stripes idle however small they are, so a family of
-// encoders over halving stripe sizes — the cluster gateway keeps one per
-// shard size it stores objects at — idles, all together, under twice
-// what its largest member does alone.
-func TestEncoderIdleStripesCappedByCount(t *testing.T) {
-	const k, m = 4, 2
-	code := mustRS(t, k, m)
-	var idle, largest int
-	for shardSize := 256 << 10; shardSize >= 4<<10; shardSize >>= 1 {
-		enc, err := NewEncoder(Options{Codec: code, StripeSize: k * shardSize, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A put holds every stripe until it ends: a burst of twice the cap
-		// comes back at once.
-		var held []*Stripe
-		payload := randBytes(t, 2*maxIdleStripes*enc.StripeSize(), int64(shardSize))
-		if err := enc.EncodeStripes(context.Background(), bytes.NewReader(payload), func(st *Stripe) error {
-			held = append(held, st)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for _, st := range held {
-			st.Release()
-		}
-		free := len(enc.stripes.free)
-		if free > maxIdleStripes || free == 0 {
-			t.Fatalf("%d-byte shards: %d stripes idle after a burst of %d, want 1..%d", shardSize, free, len(held), maxIdleStripes)
-		}
-		size := free * (k + m) * enc.BlockSize()
-		if largest == 0 {
-			largest = size
-		}
-		idle += size
-	}
-	if idle >= 2*largest {
-		t.Fatalf("the family idles %d bytes, its largest encoder %d alone: want under twice", idle, largest)
 	}
 }

@@ -76,7 +76,7 @@ func TestFusedRoundTrip(t *testing.T) {
 }
 
 // TestEncodeStripeAllocs: the encoder worker body must not allocate
-// once pools are warm ("fused"), and the stripe it leaves behind is the
+// once the codec is warm ("fused"), and the stripe it leaves behind is the
 // two-pass reference — rs.Encode's parity and a gf.CRC32C trailer per
 // block — which the test computes itself ("two-pass").
 func TestEncodeStripeAllocs(t *testing.T) {
@@ -87,7 +87,7 @@ func TestEncodeStripeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := randBytes(t, enc.g.stripeSize, 5)
-	j := enc.jobs.get()
+	j := jobs.get()
 	j.enc = enc.lend()
 	copy(j.enc.data, input)
 	j.n = enc.g.stripeSize
@@ -119,8 +119,8 @@ func TestEncodeStripeAllocs(t *testing.T) {
 
 // TestProcessStripeAllocs: the decoder worker body must not allocate
 // in steady state — neither for a healthy stripe nor for a hedged one
-// that reconstructs a missing data shard through the spare-buffer
-// pool.
+// that reconstructs a missing data shard into a spare from the
+// allocator.
 func TestProcessStripeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -159,13 +159,13 @@ func TestProcessStripeAllocs(t *testing.T) {
 		}
 		j.stripe = st
 	}
-	j := dec.jobs.get()
+	j := jobs.get()
 	prep(j)
 	if err := dec.processStripe(j); err != nil { // warm decode-plan cache + spares
 		t.Fatal(err)
 	}
 	for _, i := range j.eras {
-		dec.spare.put(j.blocks[i])
+		shardio.PutBuffer(j.blocks[i])
 	}
 	j.eras = j.eras[:0]
 	if a := testing.AllocsPerRun(20, func() {
@@ -174,7 +174,7 @@ func TestProcessStripeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, i := range j.eras {
-			dec.spare.put(j.blocks[i])
+			shardio.PutBuffer(j.blocks[i])
 		}
 		j.eras = j.eras[:0]
 	}); a != 0 {
@@ -185,7 +185,7 @@ func TestProcessStripeAllocs(t *testing.T) {
 	}
 
 	// Healthy stripe: all blocks present, verify-only.
-	healthy := dec.jobs.get()
+	healthy := jobs.get()
 	prepAll := func(j *job) {
 		j.blocks = sliceN(j.blocks, k+m)
 		for i := range j.blocks {

@@ -31,9 +31,9 @@ type job struct {
 	ready chan struct{} // receives one value once the worker (or an abort) is done
 	err   error         // sticky per-job failure, set before ready is signalled
 
-	enc    *Stripe         // encoder: pooled stripe buffers; nil once lent to the consumer
+	enc    *Stripe         // encoder: the stripe being encoded; nil once lent to the consumer
 	n      int             // encoder: valid payload bytes in enc.data (tail stripe may be short)
-	buf    []byte          // decoder: pooled stripe buffer ((k+m)*blockSize, trailers inline)
+	buf    []byte          // rebuilder: the rebuilt block, trailer inline, from the allocator
 	blocks [][]byte        // decoder: k+m full block slices, nil for missing shards
 	stripe *shardio.Stripe // decoder: gather result backing blocks; released with the job
 
@@ -41,7 +41,7 @@ type job struct {
 	dviews [][]byte // encoder: k data shard views into enc.data
 	pviews [][]byte // encoder: m parity shard views into enc.parity
 	sums   []uint32 // encoder: k+m fused CRC sums
-	eras   []int    // decoder: indices handed pooled spare output buffers
+	eras   []int    // decoder: indices handed spare output buffers from the allocator
 
 	// span is the stripe's lifecycle trace (nil when tracing is off).
 	// It rides the same producer -> worker -> consumer handoffs as the
@@ -50,10 +50,14 @@ type job struct {
 	span *obs.Span
 }
 
-// jobPool recycles jobs across stripes. get returns a job whose ready
-// channel is empty and whose transient fields are zeroed; scratch
-// slices keep their capacity.
+// jobPool recycles jobs across stripes and pipelines. get returns a job
+// whose ready channel is empty and whose transient fields are zeroed;
+// scratch slices keep their capacity. A job holds no buffer while idle,
+// so a sync.Pool of them pins nothing.
 type jobPool struct{ p sync.Pool }
+
+// jobs is the one job pool every pipeline in the process draws from.
+var jobs jobPool
 
 func (jp *jobPool) get() *job {
 	j, _ := jp.p.Get().(*job)
@@ -66,6 +70,9 @@ func (jp *jobPool) get() *job {
 func (jp *jobPool) put(j *job) {
 	j.seq, j.err, j.n = 0, nil, 0
 	j.enc, j.buf = nil, nil
+	clear(j.blocks) // the views must not pin buffers the allocator drops
+	clear(j.dviews)
+	clear(j.pviews)
 	j.blocks = j.blocks[:0]
 	j.dviews, j.pviews = j.dviews[:0], j.pviews[:0]
 	j.eras = j.eras[:0]

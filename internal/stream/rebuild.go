@@ -35,7 +35,8 @@ type SpareFunc func(ctx context.Context, block int64) (idx int, r io.Reader, err
 // decoder's parts: a shardio.Group owns one goroutine per source (a
 // slow source blocks only itself, transient errors are retried with
 // backoff), a worker pool computes stripes concurrently, and an ordered
-// in-flight window emits them in sequence from pooled buffers.
+// in-flight window emits them in sequence from the shardio allocator's
+// buffers.
 //
 // Every source block's checksum trailer is verified as it is read. A
 // source that fails — a bad checksum, a hard read error, an early EOF
@@ -44,15 +45,14 @@ type SpareFunc func(ctx context.Context, block int64) (idx int, r io.Reader, err
 // block is load-bearing. The output is byte-identical to what an
 // Encoder with the same Options wrote to the target's writer.
 //
-// A Rebuilder is safe for concurrent use, and its buffer pools are
-// shared by every Rebuild call, so a repair queue that keeps one
-// around stops allocating once the first rebuild has warmed it.
+// A Rebuilder is safe for concurrent use. It holds no buffers: source
+// and rebuilt blocks come from the shardio allocator, so a repair queue
+// that builds one per rebuild stops allocating them once the first
+// rebuild has warmed it.
 type Rebuilder struct {
-	g     geom // g.straggler.Blocks pools the source blocks
+	g     geom
 	code  blockRebuilder
 	stats *counters
-	jobs  jobPool
-	out   *bufPool // rebuilt blocks, trailer inline
 }
 
 // NewRebuilder validates opts and returns a ready Rebuilder. The codec
@@ -68,13 +68,7 @@ func NewRebuilder(opts Options) (*Rebuilder, error) {
 		return nil, fmt.Errorf("stream: codec %T cannot rebuild single blocks", g.codec)
 	}
 	g.straggler.HedgeAfter = 0
-	g.straggler.Blocks = shardio.NewBlockPool(g.blockSize)
-	return &Rebuilder{
-		g:     g,
-		code:  code,
-		stats: newCounters(g.metrics, "rebuild"),
-		out:   newBufPool(g.blockSize),
-	}, nil
+	return &Rebuilder{g: g, code: code, stats: newCounters(g.metrics, "rebuild")}, nil
 }
 
 // Stats returns a snapshot of the pipeline counters. Reconstructed
@@ -263,7 +257,7 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 				rb.stats.stripesHealed.Add(1)
 			}
 
-			j := rb.jobs.get()
+			j := jobs.get()
 			j.blocks = sliceN(j.blocks, n)
 			got := 0
 			for i, b := range st.Blocks {
@@ -283,7 +277,7 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 
 	work := func(j *job) error {
 		start := time.Now()
-		j.buf = rb.out.get()
+		j.buf = shardio.GetBuffer(blockSize)
 		sum, err := rb.code.RebuildSum(j.blocks, target, j.buf[:shardSize])
 		if err != nil {
 			return fmt.Errorf("stream: rebuild stripe %d: %w", j.seq, err)
@@ -307,11 +301,11 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 
 	release := func(j *job) {
 		if j.buf != nil {
-			rb.out.put(j.buf)
+			shardio.PutBuffer(j.buf)
 		}
 		j.stripe.Release()
 		j.span.End()
-		rb.jobs.put(j)
+		jobs.put(j)
 	}
 
 	return run(ctx, rb.g, rb.stats, produce, work, deliver, release)

@@ -18,7 +18,9 @@
 //   - Decoder: k+m per-shard io.Readers (nil or failing entries
 //     tolerated, up to m per stripe) -> io.Writer
 //
-// Stripe buffers are pooled, cancellation is by
+// Stripe and block buffers come from shardio's process-wide allocator,
+// not from the pipeline, so pipelines are cheap to build per request;
+// cancellation is by
 // context.Context, and the first error from any stage cancels the
 // pipeline and drains the workers before returning. Per-pipeline
 // counters (stripes, bytes in/out, stripe latency histogram) are
