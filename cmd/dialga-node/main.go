@@ -16,7 +16,7 @@
 // atomically without dropping in-flight streams, and the repair loop
 // rebalances — every shard whose placement changed is migrated
 // copy-then-delete to its new home, paced by the shared
-// -repair-bw/-rebalance-bw budget, always yielding to real repairs.
+// -repair-bw budget, always yielding to real repairs.
 // The serving map and its epoch are visible at /v1/cluster/map.
 //
 // With -write-quorum below k+m the gateway acknowledges puts once a
@@ -59,7 +59,6 @@ type nodeConfig struct {
 	intentLog      string
 	repairAttempts int
 	repairBW       int64
-	rebalanceBW    int64
 }
 
 func main() {
@@ -82,8 +81,7 @@ func main() {
 	flag.IntVar(&cfg.putRetries, "put-retries", 0, "per-shard retries on transient put errors (0 = default 2, -1 disables)")
 	flag.StringVar(&cfg.intentLog, "intent-log", "", "durable write-intent journal path (empty disables; required for -write-quorum below k+m to survive restarts)")
 	flag.IntVar(&cfg.repairAttempts, "repair-attempts", 0, "rebuild attempts before a repair task is dropped (0 = default)")
-	flag.Int64Var(&cfg.repairBW, "repair-bw", 0, "repair read-bandwidth budget in bytes/s (0 = unmetered)")
-	flag.Int64Var(&cfg.rebalanceBW, "rebalance-bw", 0, "bandwidth budget in bytes/s shared by repair and rebalance data movement (0 = use -repair-bw)")
+	flag.Int64Var(&cfg.repairBW, "repair-bw", 0, "bandwidth budget in bytes/s shared by repair and rebalance data movement (0 = unmetered)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -178,13 +176,9 @@ func run(cfg nodeConfig) error {
 	// kinds of data movement share one bandwidth budget.
 	var rep *cluster.Repairer
 	if cfg.repairInterval > 0 || cfg.clusterFile != "" {
-		bw := cfg.repairBW
-		if cfg.rebalanceBW > 0 {
-			bw = cfg.rebalanceBW
-		}
 		rep = cluster.NewRepairerOpts(gw, limiter, reg, cluster.RepairerOptions{
 			MaxAttempts: cfg.repairAttempts,
-			Bandwidth:   bw,
+			Bandwidth:   cfg.repairBW,
 		})
 		// Shards the gateway could not land at put time go straight onto
 		// the repair queue; the journal keeps them across restarts.

@@ -576,26 +576,6 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// openSet is the result of opening an object's shards for decode.
-type openSet struct {
-	header  shardfile.Header // what the opened shards agree on; Index is meaningless
-	readers []io.Reader      // k+m entries, nil where unopened/failed
-}
-
-// open fetches shards of object in router preference order until k +
-// spares agreeing ones are streaming or the candidates run out (see
-// shardOpener.open for the rules). block/count select a window of
-// blocks within each shard ((0, -1) reads whole shards). Callers own
-// the readers — pass them to a decoder that closes them.
-func (g *Gateway) open(ctx context.Context, st *mapState, object string, placement Placement, class string, spares int, block, count int64) (openSet, error) {
-	o := g.newShardOpener(st, object, placement, class)
-	readers, err := o.open(ctx, min(g.k+spares, len(placement)), 1, block, count)
-	if err != nil {
-		return openSet{}, fmt.Errorf("cluster: get %q: %w", object, err)
-	}
-	return openSet{header: o.header, readers: readers}, nil
-}
-
 // ObjectRead is an opened object read pinned to one map generation:
 // the shards are already streaming when OpenObject returns, so the
 // object's size is known before the first payload byte and a
@@ -604,11 +584,12 @@ func (g *Gateway) open(ctx context.Context, st *mapState, object string, placeme
 type ObjectRead struct {
 	g        *Gateway
 	object   string
-	set      openSet
-	size     int64 // full object size
-	off      int64 // first payload byte this read yields
-	length   int64 // payload bytes this read yields
-	ranged   bool  // opened as a byte-range read
+	header   shardfile.Header // what the opened shards agree on; Index is meaningless
+	readers  []io.Reader      // k+m entries, nil where unopened
+	size     int64            // full object size
+	off      int64            // first payload byte this read yields
+	length   int64            // payload bytes this read yields
+	ranged   bool             // opened as a byte-range read
 	streamed bool
 }
 
@@ -633,7 +614,7 @@ func (o *ObjectRead) Close() {
 		return
 	}
 	o.streamed = true
-	closeReaders(o.set.readers)
+	closeReaders(o.readers)
 }
 
 // WriteTo decodes the read's byte window into w — degraded, hedged,
@@ -645,7 +626,7 @@ func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 		return fmt.Errorf("cluster: get %q: read already consumed", o.object)
 	}
 	o.streamed = true
-	opts := g.streamOptions(int(o.set.header.ShardSize))
+	opts := g.streamOptions(int(o.header.ShardSize))
 	if o.ranged {
 		// A ranged open holds exactly k shard windows: there is no spare
 		// for a hedge to rejoin from, so it runs unhedged and reads every
@@ -654,10 +635,10 @@ func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 	}
 	dec, err := stream.NewDecoder(opts)
 	if err != nil {
-		closeReaders(o.set.readers)
+		closeReaders(o.readers)
 		return err
 	}
-	if err := dec.DecodeRange(ctx, o.set.readers, w, o.size, o.off, o.length); err != nil {
+	if err := dec.DecodeRange(ctx, o.readers, w, o.size, o.off, o.length); err != nil {
 		g.counter("cluster_gets_total", "Object gets, by result.",
 			obs.Label{Key: "result", Value: "error"}).Inc()
 		return fmt.Errorf("cluster: get %q: %w", o.object, err)
@@ -676,14 +657,15 @@ func (g *Gateway) OpenObject(ctx context.Context, object string, class string) (
 	if err != nil {
 		return nil, err
 	}
-	set, err := g.open(ctx, st, object, placement, class, g.spares, 0, -1)
+	o := g.newShardOpener(st, object, placement, class)
+	readers, err := o.open(ctx, min(g.k+g.spares, len(placement)), 0, -1)
 	if err != nil {
 		g.counter("cluster_gets_total", "Object gets, by result.",
 			obs.Label{Key: "result", Value: "error"}).Inc()
-		return nil, err
+		return nil, fmt.Errorf("cluster: get %q: %w", object, err)
 	}
-	size := int64(set.header.FileSize)
-	return &ObjectRead{g: g, object: object, set: set, size: size, off: 0, length: size}, nil
+	size := int64(o.header.FileSize)
+	return &ObjectRead{g: g, object: object, header: o.header, readers: readers, size: size, off: 0, length: size}, nil
 }
 
 // GetObject streams the object's bytes into w, reconstructing from any
@@ -761,12 +743,13 @@ func (g *Gateway) openRange(ctx context.Context, object string, spec rangeSpec, 
 		// holds the stripe covering object bytes [i·stripe, (i+1)·stripe).
 		firstStripe := off / stripeSize
 		count := max(1, (off+length+stripeSize-1)/stripeSize-firstStripe)
-		set, err := g.open(ctx, st, object, placement, class, 0, firstStripe, count)
+		o := g.newShardOpener(st, object, placement, class)
+		readers, err := o.open(ctx, g.k, firstStripe, count)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("cluster: get %q: %w", object, err))
 		}
-		if h := set.header; int64(h.FileSize) != size || int64(h.ShardSize) != shardSize {
-			closeReaders(set.readers)
+		if h := o.header; int64(h.FileSize) != size || int64(h.ShardSize) != shardSize {
+			closeReaders(readers)
 			if cut == 2 {
 				return fail(fmt.Errorf("cluster: get %q: opened shards hold %d bytes in %d-byte blocks, the read was cut for %d in %d",
 					object, h.FileSize, h.ShardSize, size, shardSize))
@@ -776,7 +759,7 @@ func (g *Gateway) openRange(ctx context.Context, object string, spec rangeSpec, 
 		}
 		g.counter("cluster_range_gets_total", "Object byte-range gets opened.").Inc()
 		return &ObjectRead{
-			g: g, object: object, set: set,
+			g: g, object: object, header: o.header, readers: readers,
 			size: size, off: off, length: length, ranged: true,
 		}, nil
 	}

@@ -182,11 +182,12 @@ func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64
 // as an open failure, and the next candidate is tried in its place.
 // Sidelined nodes are asked last, and those whose opens fail only while
 // fewer than k shards are open, never for the spares beyond k — so at
-// least k open whenever k agreeing shards can be reached at all. Up to
-// wave candidates are opened at once, never more than are still needed:
-// a GET opens one at a time, a rebuild its k sources together. With
-// fewer than k it fails with unavailable's error.
-func (o *shardOpener) open(ctx context.Context, want, wave int, block, count int64) ([]io.Reader, error) {
+// least k open whenever k agreeing shards can be reached at all. Each
+// round opens every candidate still needed at once, and the next round
+// starts only when they have all answered: a GET, a range GET and a
+// rebuild alike ask for all their shards together, and more only as
+// some fail. With fewer than k it fails with unavailable's error.
+func (o *shardOpener) open(ctx context.Context, want int, block, count int64) ([]io.Reader, error) {
 	k := o.g.k
 	var got []openedShard
 	for {
@@ -211,7 +212,7 @@ func (o *shardOpener) open(ctx context.Context, want, wave int, block, count int
 			closeReaders(readers)
 			return nil, o.unavailable(leadN, fmt.Sprintf("only %d of %d shards available", leadN, k))
 		}
-		idxs := o.take(min(wave, need, avail))
+		idxs := o.take(min(need, avail))
 		opened := make([]openedShard, len(idxs))
 		errs := make([]error, len(idxs))
 		var wg sync.WaitGroup

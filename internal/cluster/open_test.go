@@ -59,7 +59,7 @@ func TestGetSourcesMustAgree(t *testing.T) {
 			before := failures()
 			tap.take()
 			c.mustGet(ctx, object, newPayload)
-			if got := shardsAsked(tap.take()); got != "0,1,2,3,4,5" {
+			if got := shardsAsked(tap.take(), 5); got != "0,1,2,3,4|5" {
 				t.Fatalf("read asked shards %s, want the outvoted shard replaced by the next candidate", got)
 			}
 			if got := failures() - before; got != 1 {
@@ -129,8 +129,89 @@ func TestUnsatisfiableRangeOpensNothing(t *testing.T) {
 	if err == nil || errors.As(err, &re) || errors.Is(err, node.ErrNotFound) {
 		t.Fatalf("range read with three nodes down: %v, want unavailable", err)
 	}
-	if got := shardsAsked(tap.take()); got != "0,1,2,3,4,5" {
-		t.Fatalf("unavailable range read asked shards %s, want each once", got)
+	if got := shardsAsked(tap.take(), 4); got != "0,1,2,3|4,5" {
+		t.Fatalf("unavailable range read asked shards %s, want each once: k, then the two left", got)
+	}
+}
+
+// waveGate holds every request until the wave it expects has all
+// arrived, for at most two seconds.
+type waveGate struct {
+	mu            sync.Mutex
+	size, arrived int
+	full          chan struct{}
+}
+
+func (w *waveGate) expect(n int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.size, w.arrived, w.full = n, 0, make(chan struct{})
+}
+
+// wait reports whether the wave filled up in time. A wave that did not
+// is let through, so the read it holds can finish.
+func (w *waveGate) wait() bool {
+	w.mu.Lock()
+	w.arrived++
+	full := w.full
+	if w.arrived == w.size {
+		close(full)
+	}
+	w.mu.Unlock()
+	select {
+	case <-full:
+		return true
+	case <-time.After(2 * time.Second):
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.full == full && w.arrived < w.size {
+		w.size = w.arrived
+		close(full)
+	}
+	return false
+}
+
+// TestReadOpensItsShardsAtOnce: a GET asks for its k+1 shards, a range
+// GET and a rebuild for their k, all at once. Every shard GET is held
+// until its whole wave has arrived, so a read that asked for one shard
+// after another would never fill a wave.
+func TestReadOpensItsShardsAtOnce(t *testing.T) {
+	tc, tap := tappedCluster(t, 77, nil)
+	ctx := context.Background()
+	payload := clusterPayload(770, 300_000)
+	tc.put(ctx, "obj", payload)
+	var gate waveGate
+	tap.mu.Lock()
+	tap.onSend = func(req *http.Request) {
+		if req.Method == http.MethodGet && strings.HasPrefix(req.URL.Path, "/v1/shard/") && !gate.wait() {
+			t.Errorf("%s held 2s: the rest of its wave never came", req.URL.Path)
+		}
+	}
+	tap.mu.Unlock()
+	tap.take()
+
+	gate.expect(5)
+	tc.mustGet(ctx, "obj", payload)
+	if got := shardsAsked(tap.take()); got != "0,1,2,3,4" {
+		t.Fatalf("GET asked shards %s", got)
+	}
+	gate.expect(4)
+	var part bytes.Buffer
+	if err := tc.gw.GetObjectRange(ctx, "obj", &part, 100_000, 50_000, node.ClassForeground); err != nil ||
+		!bytes.Equal(part.Bytes(), payload[100_000:150_000]) {
+		t.Fatalf("range GET: %v", err)
+	}
+	if got := shardsAsked(tap.take()); got != "0,1,2,3" {
+		t.Fatalf("range GET asked shards %s", got)
+	}
+	tc.deleteShard(ctx, "obj", 0)
+	gate.expect(4)
+	if err := NewRepairer(tc.gw, nil, tc.reg).RepairOne(ctx, "obj", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := shardsAsked(tap.take()); got != "1,2,3,4" {
+		t.Fatalf("rebuild asked shards %s", got)
 	}
 }
 

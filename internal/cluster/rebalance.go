@@ -19,14 +19,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
-	"dialga/internal/shardfile"
 )
 
 // Rebalance diffs every object's placement under old against the
@@ -182,32 +183,24 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 		return r.gw.intents.Done(object, idx)
 	}
 
-	stat, err := src.StatShard(ctx, object, idx)
-	switch {
-	case errors.Is(err, node.ErrNotFound):
-		// The old home has nothing to give; rebuild at the new one.
-		return r.migrateByRebuild(ctx, it, src)
-	case err != nil && node.Transient(err):
-		return fmt.Errorf("cluster: migrate %q shard %d: source %s: %w", object, idx, it.srcID, err)
-	case err != nil:
+	// One request to the source: the header arrives with the body. A
+	// missing or unreadable copy is rebuilt at the new home instead.
+	h, body, err := src.OpenShard(ctx, object, idx)
+	if err != nil {
+		if node.Transient(err) {
+			return fmt.Errorf("cluster: migrate %q shard %d: source %s: %w", object, idx, it.srcID, err)
+		}
 		return r.migrateByRebuild(ctx, it, src)
 	}
 
 	// One shard's bytes spend against the same budget repair uses, so
 	// rebalance and repair together never exceed the configured rate.
-	shardBytes := int64(stat.StripeCount) * int64(stat.ShardSize)
+	shardBytes := h.ExpectedFileSize()
 	if err := r.pacer.wait(ctx, shardBytes); err != nil {
+		body.Close()
 		return err
 	}
-
-	body, err := src.GetShard(ctx, object, idx)
-	if err != nil {
-		if node.Transient(err) {
-			return fmt.Errorf("cluster: migrate %q shard %d: read %s: %w", object, idx, it.srcID, err)
-		}
-		return r.migrateByRebuild(ctx, it, src)
-	}
-	err = dst.PutShard(ctx, object, idx, sizedReader{body, statFileSize(stat)})
+	err = dst.PutShard(ctx, object, idx, sizedReader{io.MultiReader(bytes.NewReader(h.Marshal()), body), shardBytes})
 	body.Close()
 	if err != nil {
 		if node.Transient(err) {
@@ -225,11 +218,6 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	r.reg.Counter("cluster_migrate_bytes_total",
 		"Shard bytes moved to new homes by rebalancing.").Add(uint64(shardBytes))
 	return r.gw.intents.Done(object, idx)
-}
-
-// statFileSize is the exact length of the shard file a stat describes.
-func statFileSize(st node.Stat) int64 {
-	return shardfile.Header{ShardSize: st.ShardSize, StripeCount: st.StripeCount}.ExpectedFileSize()
 }
 
 // migrateByRebuild converges a migration whose source cannot supply a

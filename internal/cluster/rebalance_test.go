@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"dialga/internal/fault"
 	"dialga/internal/node"
+	"dialga/internal/obs"
 )
 
 // TestUpdateMapValidation pins the swap rules: only strictly newer
@@ -338,5 +340,75 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 			t.Fatalf("range (%d,%d) opened %d shards, full read %d: want strictly fewer",
 				win[0], win[1], rangeGets, fullGets)
 		}
+	}
+}
+
+// TestMigrationReadsSourceOnce: a migration asks its source for the
+// shard once — the GET whose header sizes the pace and the upload, no
+// stat before it — and the file arrives at its new home byte for byte.
+func TestMigrationReadsSourceOnce(t *testing.T) {
+	tc, tap := tappedCluster(t, 54, nil)
+	ctx := context.Background()
+	extra := &testNode{t: t, id: "n6", dir: t.TempDir(), addr: "127.0.0.1:0", reg: tc.reg}
+	extra.start()
+	t.Cleanup(extra.stop)
+	tc.nodes = append(tc.nodes, extra)
+
+	// n1 leaves, n6 joins: pick an object only n1's shard of which moves.
+	oldMap := tc.gw.Map()
+	var infos []NodeInfo
+	var src NodeInfo
+	for _, in := range oldMap.Nodes() {
+		if in.ID == "n1" {
+			src = in
+			continue
+		}
+		infos = append(infos, in)
+	}
+	newMap, err := New(append(infos, NodeInfo{ID: extra.id, Addr: extra.addr, Rack: "r6", Zone: "z0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newMap = newMap.WithEpoch(oldMap.Epoch() + 1)
+	var object string
+	for i := 0; object == "" && i < 400; i++ {
+		if name := fmt.Sprintf("move-%d", i); placementDiff(t, oldMap, newMap, name, 6) == 1 {
+			object = name
+		}
+	}
+	if object == "" {
+		t.Fatal("no object moves exactly one shard")
+	}
+	tc.put(ctx, object, clusterPayload(540, 300_000))
+	place, _ := tc.gw.Place(object)
+	idx := slices.IndexFunc(place, func(n NodeInfo) bool { return n.ID == src.ID })
+	want := tc.shardFile(object, idx)
+
+	if err := tc.gw.UpdateMap(newMap); err != nil {
+		t.Fatal(err)
+	}
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	if moves, err := rep.Rebalance(ctx, oldMap); err != nil || moves != 1 {
+		t.Fatalf("rebalance: %d moves, %v; want 1", moves, err)
+	}
+	var asked []string
+	tap.mu.Lock()
+	tap.onSend = func(req *http.Request) {
+		if req.URL.Host == src.Addr {
+			asked = append(asked, req.Method+" "+req.URL.Path)
+		}
+	}
+	tap.mu.Unlock()
+	if _, failed := rep.DrainOnce(ctx); failed != 0 || rep.Pending() != 0 {
+		t.Fatalf("migration failed %d times, %d pending", failed, rep.Pending())
+	}
+	if countPrefix(asked, "GET /v1/shard/") != 1 || countPrefix(asked, "GET /v1/stat/") != 0 {
+		t.Fatalf("migration asked its source %v; want one shard GET and no stat", asked)
+	}
+	if tc.counter("cluster_migrations_total", obs.Label{Key: "result", Value: "copied"}) != 1 {
+		t.Fatal("the shard was not copied")
+	}
+	if got := tc.shardFile(object, idx); !bytes.Equal(got, want) {
+		t.Fatalf("shard %d changed on its way to its new home: %d bytes, were %d", idx, len(got), len(want))
 	}
 }

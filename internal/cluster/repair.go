@@ -405,7 +405,7 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 
 	src := &rebuildSources{r: r, shardOpener: r.gw.newShardOpener(st, object, placement, node.ClassRepair)}
 	src.skip(idx)
-	readers, err := src.open(ctx, r.gw.k, r.gw.k, 0, -1)
+	readers, err := src.open(ctx, r.gw.k, 0, -1)
 	if err != nil {
 		return fmt.Errorf("cluster: repair %q shard %d: %w", object, idx, err)
 	}

@@ -150,19 +150,14 @@ func (s *sideliner) Observe(id NodeID, d time.Duration, err error) {
 	}
 }
 
-// Order returns the inner router's order with the shards of sidelined
+// split returns the inner router's order with the shards of sidelined
 // nodes moved to the back: first those of nodes that still answer, then
 // those of nodes whose last open failed, each group in the inner order.
-func (s *sideliner) Order(object string, p Placement) []int {
-	order, _ := s.split(object, p)
-	return order
-}
-
-// split is Order that also says where spares may come from: order[:front]
-// are the shards of nodes in good standing followed by those of
-// sidelined nodes that still answer; order[front:] sit on sidelined
-// nodes whose last open failed, and are worth asking only for a shard
-// the read cannot do without.
+// front says where spares may come from: order[:front] are the shards
+// of nodes in good standing followed by those of sidelined nodes that
+// still answer; order[front:] sit on sidelined nodes whose last open
+// failed, and are worth asking only for a shard the read cannot do
+// without.
 func (s *sideliner) split(object string, p Placement) (order []int, front int) {
 	order = s.inner.Order(object, p)
 	s.mu.Lock()
