@@ -54,11 +54,10 @@ type nodeConfig struct {
 	repairInterval        time.Duration
 	drain                 time.Duration
 
-	writeQuorum    int
-	putRetries     int
-	intentLog      string
-	repairAttempts int
-	repairBW       int64
+	writeQuorum int
+	putRetries  int
+	intentLog   string
+	repairBW    int64
 }
 
 func main() {
@@ -73,14 +72,13 @@ func main() {
 	flag.IntVar(&cfg.stripeKiB, "stripe", 1024, "stripe size in KiB for object puts")
 	flag.StringVar(&cfg.route, "route", "first-k", "read routing policy: first-k, the only one (slow nodes are sidelined whatever it is)")
 	flag.DurationVar(&cfg.hedge, "hedge", 30*time.Millisecond, "hedged-read deadline floor for object gets (0 disables hedging)")
-	flag.Float64Var(&cfg.fgRPS, "fg-rps", 0, "foreground admission rate, requests/s per node (0 = unmetered)")
-	flag.Float64Var(&cfg.repairRPS, "repair-rps", 0, "repair admission rate, requests/s per node (0 = unmetered)")
+	flag.Float64Var(&cfg.fgRPS, "fg-rps", 0, "foreground admission rate, requests/s per node (0 = unmetered; below 1 still admits one request per 1/rate seconds)")
+	flag.Float64Var(&cfg.repairRPS, "repair-rps", 0, "repair admission rate, requests/s per node (0 = unmetered; below 1 still admits one request per 1/rate seconds)")
 	flag.DurationVar(&cfg.repairInterval, "repair-interval", 0, "background scrub+repair period (0 disables the repair loop)")
 	flag.DurationVar(&cfg.drain, "drain", node.DefaultDrainTimeout, "graceful-shutdown drain window")
 	flag.IntVar(&cfg.writeQuorum, "write-quorum", 0, "shards that must be durable before a put is acked (0 = all k+m; else in [k+1, k+m])")
 	flag.IntVar(&cfg.putRetries, "put-retries", 0, "per-shard retries on transient put errors (0 = default 2, -1 disables)")
 	flag.StringVar(&cfg.intentLog, "intent-log", "", "durable write-intent journal path (empty disables; required for -write-quorum below k+m to survive restarts)")
-	flag.IntVar(&cfg.repairAttempts, "repair-attempts", 0, "rebuild attempts before a repair task is dropped (0 = default)")
 	flag.Int64Var(&cfg.repairBW, "repair-bw", 0, "bandwidth budget in bytes/s shared by repair and rebalance data movement (0 = unmetered)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -177,8 +175,7 @@ func run(cfg nodeConfig) error {
 	var rep *cluster.Repairer
 	if cfg.repairInterval > 0 || cfg.clusterFile != "" {
 		rep = cluster.NewRepairerOpts(gw, limiter, reg, cluster.RepairerOptions{
-			MaxAttempts: cfg.repairAttempts,
-			Bandwidth:   cfg.repairBW,
+			Bandwidth: cfg.repairBW,
 		})
 		// Shards the gateway could not land at put time go straight onto
 		// the repair queue; the journal keeps them across restarts.

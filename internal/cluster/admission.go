@@ -17,7 +17,9 @@ type Rate struct {
 	PerSecond float64
 	// Burst is the bucket capacity: how many tokens can accumulate
 	// while the class is idle (and so how far it can exceed PerSecond
-	// momentarily). Defaults to PerSecond when zero.
+	// momentarily). Defaults to PerSecond when zero, but never below one
+	// token: a class paced under 1/s still admits one request every
+	// 1/PerSecond seconds rather than refusing every request outright.
 	Burst float64
 }
 
@@ -55,7 +57,7 @@ func NewLimiter(rates map[string]Rate, reg *obs.Registry) *Limiter {
 			continue
 		}
 		if r.Burst <= 0 {
-			r.Burst = r.PerSecond
+			r.Burst = max(r.PerSecond, 1)
 		}
 		l.classes[class] = &bucket{rate: r, tokens: r.Burst}
 	}
@@ -68,14 +70,8 @@ func NewLimiter(rates map[string]Rate, reg *obs.Registry) *Limiter {
 func (l *Limiter) Admit(ctx context.Context, class string, cost float64) error {
 	for {
 		wait, err := l.take(class, cost)
-		if err != nil {
+		if err != nil || wait <= 0 {
 			return err
-		}
-		if wait <= 0 {
-			l.reg.Counter("cluster_admitted_total",
-				"Admission-control grants, by traffic class.",
-				obs.Label{Key: "class", Value: class}).Inc()
-			return nil
 		}
 		t := time.NewTimer(wait)
 		select {
@@ -87,46 +83,32 @@ func (l *Limiter) Admit(ctx context.Context, class string, cost float64) error {
 	}
 }
 
-// TryAdmit is the non-blocking variant: it takes cost tokens if the
-// bucket covers them right now and reports whether it did.
-func (l *Limiter) TryAdmit(class string, cost float64) bool {
-	wait, err := l.take(class, cost)
-	if err != nil || wait > 0 {
-		return false
+// take refills the class's bucket and either deducts cost and counts
+// the grant (returning wait 0) or returns how long until the bucket
+// could cover it.
+func (l *Limiter) take(class string, cost float64) (time.Duration, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if b := l.classes[class]; b != nil { // nil: an unmetered class
+		if cost > b.rate.Burst {
+			return 0, fmt.Errorf("cluster: admission cost %.1f exceeds %s burst %.1f", cost, class, b.rate.Burst)
+		}
+		now := l.now()
+		if !b.last.IsZero() {
+			b.tokens += now.Sub(b.last).Seconds() * b.rate.PerSecond
+			if b.tokens > b.rate.Burst {
+				b.tokens = b.rate.Burst
+			}
+		}
+		b.last = now
+		if b.tokens < cost {
+			wait := time.Duration((cost - b.tokens) / b.rate.PerSecond * float64(time.Second))
+			return max(wait, time.Millisecond), nil
+		}
+		b.tokens -= cost
 	}
 	l.reg.Counter("cluster_admitted_total",
 		"Admission-control grants, by traffic class.",
 		obs.Label{Key: "class", Value: class}).Inc()
-	return true
-}
-
-// take refills the class's bucket and either deducts cost (returning
-// wait 0) or returns how long until the bucket could cover it.
-func (l *Limiter) take(class string, cost float64) (time.Duration, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b := l.classes[class]
-	if b == nil {
-		return 0, nil // unmetered class
-	}
-	if cost > b.rate.Burst {
-		return 0, fmt.Errorf("cluster: admission cost %.1f exceeds %s burst %.1f", cost, class, b.rate.Burst)
-	}
-	now := l.now()
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate.PerSecond
-		if b.tokens > b.rate.Burst {
-			b.tokens = b.rate.Burst
-		}
-	}
-	b.last = now
-	if b.tokens >= cost {
-		b.tokens -= cost
-		return 0, nil
-	}
-	wait := time.Duration((cost - b.tokens) / b.rate.PerSecond * float64(time.Second))
-	if wait < time.Millisecond {
-		wait = time.Millisecond
-	}
-	return wait, nil
+	return 0, nil
 }

@@ -17,6 +17,17 @@ func (c *fakeClock) advance(d time.Duration)      { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock                    { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 func withClock(l *Limiter, c *fakeClock) *Limiter { l.now = c.now; return l }
 
+// granted reports whether class's bucket covers cost right now, taking
+// the tokens if it does: Admit's one step, without the blocking.
+func granted(t *testing.T, l *Limiter, class string, cost float64) bool {
+	t.Helper()
+	wait, err := l.take(class, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wait == 0
+}
+
 func TestLimiterBurstAndRefill(t *testing.T) {
 	clock := newFakeClock()
 	reg := obs.NewRegistry()
@@ -26,29 +37,29 @@ func TestLimiterBurstAndRefill(t *testing.T) {
 
 	// The burst drains, then the class is paced.
 	for i := 0; i < 3; i++ {
-		if !lim.TryAdmit(node.ClassRepair, 1) {
+		if !granted(t, lim, node.ClassRepair, 1) {
 			t.Fatalf("burst token %d denied", i)
 		}
 	}
-	if lim.TryAdmit(node.ClassRepair, 1) {
+	if granted(t, lim, node.ClassRepair, 1) {
 		t.Fatal("admitted past burst")
 	}
 	// 100ms at 10/s refills exactly one token.
 	clock.advance(100 * time.Millisecond)
-	if !lim.TryAdmit(node.ClassRepair, 1) {
+	if !granted(t, lim, node.ClassRepair, 1) {
 		t.Fatal("refilled token denied")
 	}
-	if lim.TryAdmit(node.ClassRepair, 1) {
+	if granted(t, lim, node.ClassRepair, 1) {
 		t.Fatal("second token admitted without refill")
 	}
 	// Idle refill caps at the burst.
 	clock.advance(time.Hour)
 	for i := 0; i < 3; i++ {
-		if !lim.TryAdmit(node.ClassRepair, 1) {
+		if !granted(t, lim, node.ClassRepair, 1) {
 			t.Fatalf("post-idle token %d denied", i)
 		}
 	}
-	if lim.TryAdmit(node.ClassRepair, 1) {
+	if granted(t, lim, node.ClassRepair, 1) {
 		t.Fatal("idle refill exceeded burst")
 	}
 	if got := reg.Counter("cluster_admitted_total", "",
@@ -65,14 +76,14 @@ func TestLimiterClassesAreIndependent(t *testing.T) {
 	}, obs.NewRegistry()), clock)
 
 	// Exhaust repair entirely; foreground must be untouched.
-	if !lim.TryAdmit(node.ClassRepair, 1) {
+	if !granted(t, lim, node.ClassRepair, 1) {
 		t.Fatal("repair burst denied")
 	}
-	if lim.TryAdmit(node.ClassRepair, 1) {
+	if granted(t, lim, node.ClassRepair, 1) {
 		t.Fatal("repair over-admitted")
 	}
 	for i := 0; i < 5; i++ {
-		if !lim.TryAdmit(node.ClassForeground, 1) {
+		if !granted(t, lim, node.ClassForeground, 1) {
 			t.Fatalf("foreground token %d denied while repair starved", i)
 		}
 	}
@@ -110,5 +121,23 @@ func TestAdmitRejectsCostAboveBurst(t *testing.T) {
 	lim := NewLimiter(map[string]Rate{node.ClassRepair: {PerSecond: 10, Burst: 2}}, nil)
 	if err := lim.Admit(context.Background(), node.ClassRepair, 5); err == nil {
 		t.Fatal("cost above burst must fail fast, not block forever")
+	}
+}
+
+// TestFractionalRateAdmitsOne pins the burst floor: a class paced below
+// one request a second still admits one request every 1/rate seconds,
+// where a burst defaulted to the rate itself refused every request.
+func TestFractionalRateAdmitsOne(t *testing.T) {
+	clock := newFakeClock()
+	lim := withClock(NewLimiter(map[string]Rate{node.ClassRepair: {PerSecond: 0.5}}, nil), clock)
+	if err := lim.Admit(context.Background(), node.ClassRepair, 1); err != nil {
+		t.Fatal(err)
+	}
+	if granted(t, lim, node.ClassRepair, 1) {
+		t.Fatal("a second request admitted before the bucket refilled")
+	}
+	clock.advance(2 * time.Second)
+	if !granted(t, lim, node.ClassRepair, 1) {
+		t.Fatal("request denied after 1/rate seconds")
 	}
 }

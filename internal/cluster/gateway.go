@@ -124,6 +124,16 @@ type mapState struct {
 // the map is inconsistent. Operations return it instead of panicking.
 var ErrUnknownNode = errors.New("cluster: placement names unknown node")
 
+// nodeClients returns the generation's shard clients in map order.
+func (st *mapState) nodeClients() []*node.Client {
+	nodes := st.cmap.Nodes()
+	clients := make([]*node.Client, len(nodes))
+	for i, info := range nodes {
+		clients[i] = st.clients[info.ID]
+	}
+	return clients
+}
+
 // snap loads the current membership generation.
 func (g *Gateway) snap() *mapState { return g.state.Load() }
 
@@ -815,13 +825,20 @@ func (g *Gateway) DeleteObject(ctx context.Context, object string, class string)
 
 // Objects lists every object any reachable node stores shards for.
 func (g *Gateway) Objects(ctx context.Context) ([]string, error) {
-	st := g.snap()
+	return listObjects(ctx, g.snap().nodeClients(), node.ClassForeground, "list")
+}
+
+// listObjects merges the object listings of clients, asked in traffic
+// class: every object any of them stores shards for, sorted. A node
+// that does not answer is skipped; the listing fails only when none
+// answers, with who naming the caller in the error.
+func listObjects(ctx context.Context, clients []*node.Client, class, who string) ([]string, error) {
 	seen := make(map[string]bool)
 	var names []string
 	var firstErr error
 	reached := 0
-	for _, info := range st.cmap.Nodes() {
-		list, err := st.clients[info.ID].Objects(ctx)
+	for _, cli := range clients {
+		list, err := cli.WithClass(class).Objects(ctx)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -837,7 +854,7 @@ func (g *Gateway) Objects(ctx context.Context) ([]string, error) {
 		}
 	}
 	if reached == 0 {
-		return nil, fmt.Errorf("cluster: no node reachable: %w", firstErr)
+		return nil, fmt.Errorf("cluster: %s: no node reachable: %w", who, firstErr)
 	}
 	sort.Strings(names)
 	return names, nil

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
@@ -40,8 +39,22 @@ func (r *Repairer) Rebalance(ctx context.Context, old *Map) (int, error) {
 	if old == nil {
 		return 0, errors.New("cluster: rebalance needs the previous map")
 	}
+	// Ask every node of either map: the current members, plus transient
+	// clients for nodes only the old map knows, whose shards still need
+	// to move off.
 	st := r.gw.snap()
-	names, err := r.objectsAcross(ctx, st, old)
+	clients := st.nodeClients()
+	asked := make(map[string]bool, len(clients))
+	for _, info := range st.cmap.Nodes() {
+		asked[info.Addr] = true
+	}
+	for _, info := range old.Nodes() {
+		if !asked[info.Addr] {
+			asked[info.Addr] = true
+			clients = append(clients, r.gw.dial(info.Addr))
+		}
+	}
+	names, err := listObjects(ctx, clients, node.ClassRepair, "rebalance scan")
 	if err != nil {
 		return 0, err
 	}
@@ -82,46 +95,6 @@ func (r *Repairer) Rebalance(ctx context.Context, old *Map) (int, error) {
 	r.reg.Counter("cluster_rebalance_moves_total",
 		"Shard migrations enqueued by rebalance passes.").Add(uint64(moves))
 	return moves, nil
-}
-
-// objectsAcross lists every object any node of either map stores
-// shards for — the current members plus transient clients for nodes
-// only the old map knows, whose shards still need to move off.
-func (r *Repairer) objectsAcross(ctx context.Context, st *mapState, old *Map) ([]string, error) {
-	clients := make(map[string]*node.Client, st.cmap.Len())
-	for _, info := range st.cmap.Nodes() {
-		clients[info.Addr] = st.clients[info.ID]
-	}
-	for _, info := range old.Nodes() {
-		if _, ok := clients[info.Addr]; !ok {
-			clients[info.Addr] = r.gw.dial(info.Addr)
-		}
-	}
-	seen := make(map[string]bool)
-	var names []string
-	var firstErr error
-	reached := 0
-	for _, cli := range clients {
-		list, err := cli.WithClass(node.ClassRepair).Objects(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		reached++
-		for _, name := range list {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
-	if reached == 0 {
-		return nil, fmt.Errorf("cluster: rebalance scan: no node reachable: %w", firstErr)
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 func (r *Repairer) migrations(result string) *obs.Counter {

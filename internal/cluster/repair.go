@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -51,6 +50,11 @@ type repairItem struct {
 
 type repairHeap []*repairItem
 
+// repairAttempts is how many rebuild attempts a task gets before it is
+// dropped. A later scan re-discovers the shard and starts it fresh, so
+// a drop bounds queue churn, not durability.
+const repairAttempts = 5
+
 func (h repairHeap) Len() int { return len(h) }
 func (h repairHeap) Less(i, j int) bool {
 	if h[i].redundancy != h[j].redundancy {
@@ -81,10 +85,6 @@ func (h *repairHeap) Pop() any {
 
 // RepairerOptions tunes the repair queue's scheduling.
 type RepairerOptions struct {
-	// MaxAttempts is how many rebuild attempts a task gets before it is
-	// dropped (a later scan re-discovers the shard and starts fresh, so
-	// a drop bounds queue churn, not durability). Default 5.
-	MaxAttempts int
 	// Bandwidth caps repair's source reads in shard bytes per second
 	// across the whole queue. A rebuild is charged the bytes it opens
 	// for reading — k shard files, plus the remainder of any spare it
@@ -117,11 +117,10 @@ type RepairerOptions struct {
 // however deep the damage backlog is, foreground reads keep their own
 // token budget and their own node capacity.
 type Repairer struct {
-	gw          *Gateway
-	lim         *Limiter
-	reg         *obs.Registry
-	maxAttempts int
-	pacer       *bwPacer
+	gw    *Gateway
+	lim   *Limiter
+	reg   *obs.Registry
+	pacer *bwPacer
 
 	mu     sync.Mutex
 	heap   repairHeap
@@ -138,19 +137,14 @@ func NewRepairer(gw *Gateway, lim *Limiter, reg *obs.Registry) *Repairer {
 
 // NewRepairerOpts is NewRepairer with explicit scheduling options.
 func NewRepairerOpts(gw *Gateway, lim *Limiter, reg *obs.Registry, opts RepairerOptions) *Repairer {
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 5
-	}
 	var pacer *bwPacer
 	if opts.Bandwidth > 0 {
 		pacer = &bwPacer{rate: float64(opts.Bandwidth)}
 	}
 	return &Repairer{
 		gw: gw, lim: lim, reg: reg,
-		maxAttempts: maxAttempts,
-		pacer:       pacer,
-		queued:      make(map[string]*repairItem),
+		pacer:  pacer,
+		queued: make(map[string]*repairItem),
 	}
 }
 
@@ -270,37 +264,6 @@ func (r *Repairer) admit(ctx context.Context) error {
 	return r.lim.Admit(ctx, node.ClassRepair, 1)
 }
 
-// objects lists every object any node stores shards for, over
-// repair-class requests.
-func (r *Repairer) objects(ctx context.Context) ([]string, error) {
-	st := r.gw.snap()
-	seen := make(map[string]bool)
-	var names []string
-	var firstErr error
-	reached := 0
-	for _, info := range st.cmap.Nodes() {
-		list, err := st.clients[info.ID].WithClass(node.ClassRepair).Objects(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		reached++
-		for _, name := range list {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
-	if reached == 0 {
-		return nil, fmt.Errorf("cluster: repair scan: no node reachable: %w", firstErr)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
 // ScanOnce scrubs every placed shard of every object, enqueues the
 // damaged ones at a priority reflecting the object's remaining
 // redundancy, and publishes cluster_redundancy_min — the lowest live
@@ -311,11 +274,11 @@ func (r *Repairer) objects(ctx context.Context) ([]string, error) {
 // rebuilding them elsewhere while the node is down would churn data
 // that will reappear.
 func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
-	names, err := r.objects(ctx)
+	st := r.gw.snap()
+	names, err := listObjects(ctx, st.nodeClients(), node.ClassRepair, "repair scan")
 	if err != nil {
 		return 0, err
 	}
-	st := r.gw.snap()
 	enqueued := 0
 	n := r.gw.k + r.gw.m
 	minLive := n
@@ -513,7 +476,7 @@ func (s *rebuildSources) spare(ctx context.Context, block int64) (int, io.Reader
 // DrainOnce works the queue until it is empty or ctx ends, returning
 // how many tasks (repairs and migrations) succeeded and failed. A
 // failed task is re-queued (its nodes may be back next pass) with its
-// attempt counter bumped, until MaxAttempts; after that it is dropped
+// attempt counter bumped, until repairAttempts; after that it is dropped
 // — a later scan that still finds the shard damaged starts it over
 // with a fresh budget.
 func (r *Repairer) DrainOnce(ctx context.Context) (repaired, failed int) {
@@ -550,7 +513,7 @@ func (r *Repairer) DrainOnce(ctx context.Context) (repaired, failed int) {
 			break
 		}
 		it.attempts++
-		if it.attempts >= r.maxAttempts {
+		if it.attempts >= repairAttempts {
 			r.reg.Counter("cluster_repair_dropped_total",
 				"Repair tasks dropped after exhausting their attempt budget.").Inc()
 			continue

@@ -54,11 +54,14 @@ func TestRepairQueuePriorityOrder(t *testing.T) {
 }
 
 // TestRepairAttemptCap: a task whose rebuild cannot succeed is retried
-// MaxAttempts times, counted, then dropped — never stranded in the
-// dedup map, never spinning forever.
+// repairAttempts (5) times, counted, then dropped — never stranded in
+// the dedup map, never spinning forever.
 func TestRepairAttemptCap(t *testing.T) {
+	if repairAttempts != 5 {
+		t.Fatalf("repairAttempts = %d, want 5", repairAttempts)
+	}
 	tc := startCluster(t, 6, 4, 2, 0, 23)
-	r := NewRepairerOpts(tc.gw, nil, tc.reg, RepairerOptions{MaxAttempts: 3})
+	r := NewRepairer(tc.gw, nil, tc.reg)
 	ctx := context.Background()
 
 	// No such object anywhere: every rebuild fails to open sources.
@@ -73,11 +76,11 @@ func TestRepairAttemptCap(t *testing.T) {
 	if r.Pending() != 0 {
 		t.Fatalf("task still queued after cap: pending=%d", r.Pending())
 	}
-	if totalFailed != 3 {
-		t.Fatalf("failed attempts = %d, want 3", totalFailed)
+	if totalFailed != repairAttempts {
+		t.Fatalf("failed attempts = %d, want %d", totalFailed, repairAttempts)
 	}
-	if v := tc.reg.Counter("cluster_repair_failures_total", "").Value(); v != 3 {
-		t.Fatalf("cluster_repair_failures_total = %d, want 3", v)
+	if v := tc.reg.Counter("cluster_repair_failures_total", "").Value(); v != repairAttempts {
+		t.Fatalf("cluster_repair_failures_total = %d, want %d", v, repairAttempts)
 	}
 	if v := tc.reg.Counter("cluster_repair_dropped_total", "").Value(); v != 1 {
 		t.Fatalf("cluster_repair_dropped_total = %d, want 1", v)

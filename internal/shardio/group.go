@@ -73,9 +73,6 @@ type Group struct {
 	hedgedC     *obs.Counter // shardio_hedged_stripes_total
 	lateClaimed *obs.Counter // shardio_late_blocks_claimed_total
 	lateDropped *obs.Counter // shardio_late_blocks_dropped_total
-	raDepthG    *obs.Gauge   // shardio_readahead_depth: current depth knob
-	raHits      *obs.Counter // shardio_readahead_hits_total
-	raUseless   *obs.Counter // shardio_readahead_useless_total
 }
 
 // NewGroup validates opts, spawns one reader goroutine per non-nil
@@ -105,13 +102,6 @@ func NewGroup(readers []io.Reader, opts Options) (*Group, error) {
 		"Straggler blocks that arrived late but were claimed for their stripe via the hedge race.")
 	g.lateDropped = reg.Counter("shardio_late_blocks_dropped_total",
 		"Straggler blocks that arrived after their stripe had committed to reconstruction.")
-	g.raDepthG = reg.Gauge("shardio_readahead_depth",
-		"Current per-shard readahead depth (blocks speculatively read past the last request).")
-	g.raDepthG.Set(float64(opts.Readahead))
-	g.raHits = reg.Counter("shardio_readahead_hits_total",
-		"Block requests served from a shard's readahead buffer.")
-	g.raUseless = reg.Counter("shardio_readahead_useless_total",
-		"Readahead blocks discarded because their stripe was skipped — useless prefetches.")
 	for i, r := range readers {
 		lbl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
 		g.sh[i].ewmaG = reg.Gauge("shardio_shard_ewma_us",

@@ -36,135 +36,32 @@ type result struct {
 // mid-backoff.
 var errClosed = errors.New("shardio: group closed")
 
-// raBlock is one block a shard goroutine read speculatively, ahead of
-// any request — the live-pipeline prefetch buffer entry. dur is the
-// wall time of the actual device read, reported when the block is
-// served so the latency EWMA keeps tracking the device, not the
-// buffer.
-type raBlock struct {
-	seq        int64
-	buf        []byte // nil for terminal (eof/err) markers
-	dur        time.Duration
-	eof        bool
-	err        error
-	transients int
-	retries    int
-}
-
-// runShard serves block requests for shard i until the group closes.
-// It owns the reader: all Reads for the shard happen here, so a slow
-// read blocks only this goroutine while the gather loop moves on.
-//
-// With a positive readahead depth the goroutine fills idle time
-// between requests by reading up to depth blocks past its stream
-// position into pooled buffers; a request for a buffered block is
-// answered without touching the reader (a readahead hit), and buffered
-// blocks whose stripe the group skipped — a breaker-open or
-// sidelined-slow period — are discarded and counted as useless
-// prefetches. pos is the block index r is positioned at.
+// runShard serves block requests for shard i until the group closes:
+// it waits for a request, serves it, and sends the result. It owns the
+// reader: all Reads for the shard happen here, so a slow read blocks
+// only this goroutine while the gather loop moves on. The reader is
+// read only to serve a request — never ahead of one. pos is the block
+// index r is positioned at.
 func (g *Group) runShard(i int, r io.Reader, pos int64) {
 	defer g.wg.Done()
 	// Deterministic full-jitter source: fixed Seed => fixed schedule.
 	rng := &jitter{seed: int64(g.opts.Seed ^ uint64(i)*0x9e3779b97f4a7c15)}
 	var scratch []byte
-	var ra []raBlock
-	terminal := false // eof or hard error observed while reading ahead
 	for {
 		var req request
-		got := false
-		// Speculative phase: with no request pending and budget left,
-		// read the next block ahead. A request arriving mid-phase is
-		// served at the next loop check; one arriving mid-read waits
-		// out that read, exactly as it would were the shard mid-read
-		// for an earlier stripe.
-		for !got && !terminal {
-			depth := g.opts.Readahead
-			if depth <= 0 || len(ra) >= depth {
-				break
-			}
-			select {
-			case <-g.stop:
-				return
-			case req = <-g.req[i]:
-				got = true
-			default:
-				rb := raBlock{seq: pos, buf: GetBuffer(g.opts.BlockSize)}
-				var sc result // scratch for readBlock's retry counters
-				start := g.clock.Now()
-				eof, err := g.readBlock(r, rng, rb.buf, &sc)
-				rb.dur = g.clock.Now().Sub(start)
-				rb.eof, rb.err = eof, err
-				rb.transients, rb.retries = sc.transients, sc.retries
-				pos++
-				if eof || err != nil {
-					PutBuffer(rb.buf)
-					rb.buf = nil
-					terminal = true
-				}
-				ra = append(ra, rb)
-			}
-		}
-		if !got {
-			select {
-			case <-g.stop:
-				return
-			case req = <-g.req[i]:
-			}
+		select {
+		case <-g.stop:
+			return
+		case req = <-g.req[i]:
 		}
 		res := result{shard: i, seq: req.seq, buf: req.buf}
-		if served := g.serveFromReadahead(&ra, req, &res); !served {
-			g.serve(i, r, rng, &scratch, &pos, req, &res)
-		}
+		g.serve(i, r, rng, &scratch, &pos, req, &res)
 		select {
 		case g.results <- res:
 		case <-g.stop:
 			return
 		}
 	}
-}
-
-// serveFromReadahead answers req from the readahead queue when
-// possible. Entries for stripes before req.seq are useless prefetches
-// (their stripes were gathered — or skipped — without this shard);
-// their buffers go back to the allocator. A terminal marker (EOF or hard
-// error) answers any request at or past its stripe, matching the
-// catch-up semantics of serve.
-func (g *Group) serveFromReadahead(ra *[]raBlock, req request, res *result) bool {
-	q := *ra
-	for len(q) > 0 {
-		rb := q[0]
-		if rb.eof || rb.err != nil {
-			// The stream ended (or died) at rb.seq <= req.seq: the
-			// marker answers this and every later request.
-			res.eof, res.err = rb.eof, rb.err
-			res.transients, res.retries = rb.transients, rb.retries
-			PutBuffer(res.buf)
-			res.buf = nil
-			*ra = q
-			return true
-		}
-		if rb.seq > req.seq {
-			break // future block; cannot happen today, kept for safety
-		}
-		q = q[1:]
-		if rb.seq < req.seq {
-			PutBuffer(rb.buf)
-			g.raUseless.Inc()
-			continue
-		}
-		// rb.seq == req.seq: a readahead hit. Swap buffers — the
-		// requested one returns to the allocator, the prefetched one rides
-		// the result.
-		PutBuffer(res.buf)
-		res.buf = rb.buf
-		res.dur = rb.dur
-		res.transients, res.retries = rb.transients, rb.retries
-		g.raHits.Inc()
-		*ra = q
-		return true
-	}
-	*ra = q
-	return false
 }
 
 // jitter is a shard's backoff randomness, built on first use: nearly

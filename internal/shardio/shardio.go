@@ -94,15 +94,6 @@ type Options struct {
 	// from Seed^i, so a fixed seed yields a fixed backoff schedule.
 	Seed uint64
 
-	// Readahead is the per-shard readahead depth: each shard
-	// goroutine may speculatively read up to this many blocks past the
-	// last requested stripe while it would otherwise sit idle, serving
-	// later requests from memory — the live-pipeline analogue of the
-	// paper's prefetch degree. Blocks read ahead of a stripe the group
-	// skips (breaker-open or sidelined-slow periods) are discarded and
-	// counted as useless prefetches. Zero disables readahead.
-	Readahead int
-
 	// Clock, when non-nil, replaces the wall clock for deadlines,
 	// breaker cooldowns, latency measurement, and backoff sleeps —
 	// the determinism seam for tests (vclock.Fake). Nil means the real
@@ -129,8 +120,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("shardio: Quorum %d must be positive", o.Quorum)
 	case o.HedgeAfter < 0:
 		return fmt.Errorf("shardio: HedgeAfter %v must not be negative", o.HedgeAfter)
-	case o.Readahead < 0:
-		return fmt.Errorf("shardio: Readahead %d must not be negative", o.Readahead)
 	}
 	return nil
 }

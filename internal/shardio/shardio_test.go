@@ -84,7 +84,6 @@ func TestOptionsValidation(t *testing.T) {
 		{BlockSize: 0, Quorum: 1},
 		{BlockSize: 8, Quorum: 0},
 		{BlockSize: 8, Quorum: 1, HedgeAfter: -time.Second},
-		{BlockSize: 8, Quorum: 1, Readahead: -1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("options %+v accepted", bad)

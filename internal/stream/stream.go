@@ -153,13 +153,6 @@ type Options struct {
 	// disables tracing at zero cost.
 	Trace *obs.Tracer
 
-	// Readahead is the per-shard readahead depth on decode:
-	// each shard goroutine speculatively reads up to this many blocks
-	// past its last request while idle, so a request for a buffered
-	// block completes without touching the device. Zero (the default)
-	// disables prefetching.
-	Readahead int
-
 	// Clock, when non-nil, replaces the wall clock for every
 	// time-driven decision (hedge deadlines, breaker cooldowns, retry
 	// backoff, latency stamps) — the determinism seam tests use. Nil
@@ -216,7 +209,6 @@ func (o Options) geometry() (geom, error) {
 		HedgeAfter: o.HedgeAfter,
 		Seed:       o.Seed,
 		Metrics:    o.Metrics,
-		Readahead:  o.Readahead,
 		Clock:      o.Clock,
 	}
 	if err := straggler.Validate(); err != nil {

@@ -46,7 +46,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Codec: code, Checksum: ChecksumCRC32C + 1}, // CRC-32C is the only trailer
 		// Refused by shardio.Options.Validate, at construction time.
 		{Codec: code, HedgeAfter: -1},
-		{Codec: code, Readahead: -1},
 	} {
 		if _, err := o.geometry(); err == nil {
 			t.Fatalf("invalid options %+v accepted", o)
