@@ -255,8 +255,8 @@ type MetricLabel = obs.Label
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// StreamTracer records per-stripe lifecycle spans (read → verify →
-// reconstruct → emit, annotated with hedge/breaker/heal decisions)
+// StreamTracer records per-stripe lifecycle spans (read →
+// reconstruct → emit, annotated with spare/hedge/breaker decisions)
 // into a fixed-capacity ring; Snapshot and WriteJSON read it back,
 // newest first.
 type StreamTracer = obs.Tracer

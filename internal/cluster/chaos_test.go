@@ -56,7 +56,7 @@ func TestClusterChaosQuorumConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	tc := startClusterOpts(t, 6, 4, 2, 0, 97, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, 97, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
 		o.PutBackoff = 5 * time.Millisecond
 		o.Intents = log

@@ -35,13 +35,10 @@ type GatewayOptions struct {
 	StripeSize int
 	// Router orders shards for reads. Default FirstK.
 	Router Router
-	// Spares is how many shards beyond K a read opens up front: the
-	// headroom hedged degraded reads need to reconstruct around a
-	// straggler without a mid-stream reopen. Clamped to [0, M];
-	// default 1 (when M > 0).
-	Spares int
 	// HedgeAfter enables hedged degraded reads on GET (see
-	// stream.Options.HedgeAfter). Zero disables hedging.
+	// stream.Options.HedgeAfter): a stripe whose deadline passes with
+	// fewer than K blocks in hand brings a spare in. Zero disables
+	// hedging.
 	HedgeAfter time.Duration
 	// HTTPClient is the transport shard requests ride — the hook for
 	// timeouts, pooling, and fault.Transport chaos. Default
@@ -80,15 +77,15 @@ type GatewayOptions struct {
 
 // Gateway stripes whole objects across the cluster: PUT encodes an
 // object through the streaming pipeline into K+M shard uploads placed
-// rack-disjoint by Place; GET opens shards in router order and decodes
+// rack-disjoint by Place; GET opens K shards in router order and decodes
 // — degraded, hedged, and CRC-healed exactly like local reads, because
-// remote shards arrive as ordinary stream readers. Any node can host a
+// remote shards arrive as ordinary stream readers, with a spare opened
+// mid-stream only for a stripe that comes up short. Any node can host a
 // gateway (placement is deterministic), so there is no metadata
 // service to lose.
 type Gateway struct {
 	k, m       int
-	rungs      []int // the shard sizes puts choose from; see shardSizes
-	spares     int
+	rungs      []int      // the shard sizes puts choose from; see shardSizes
 	router     *sideliner // the configured Router under cross-request sidelining
 	hedge      time.Duration
 	seed       uint64
@@ -178,16 +175,6 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	if router == nil {
 		router = FirstK{}
 	}
-	spares := opts.Spares
-	if spares == 0 && opts.M > 0 {
-		spares = 1
-	}
-	if spares > opts.M {
-		spares = opts.M
-	}
-	if spares < 0 {
-		spares = 0
-	}
 	hc := opts.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
@@ -215,7 +202,6 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		k:       opts.K,
 		m:       opts.M,
 		rungs:   shardSizes((stripeSize + opts.K - 1) / opts.K),
-		spares:  spares,
 		router:  newSideliner(router, opts.Metrics),
 		hedge:   opts.HedgeAfter,
 		seed:    opts.Seed,
@@ -594,12 +580,12 @@ func (c *ctxReader) Read(p []byte) (int, error) {
 type ObjectRead struct {
 	g        *Gateway
 	object   string
-	header   shardfile.Header // what the opened shards agree on; Index is meaningless
-	readers  []io.Reader      // k+m entries, nil where unopened
-	size     int64            // full object size
-	off      int64            // first payload byte this read yields
-	length   int64            // payload bytes this read yields
-	ranged   bool             // opened as a byte-range read
+	src      *shardOpener // what the shards agree on, and the candidates left to spare
+	readers  []io.Reader  // k+m entries, nil where unopened
+	size     int64        // full object size
+	off      int64        // first payload byte this read yields
+	length   int64        // payload bytes this read yields
+	ranged   bool         // opened as a byte-range read
 	streamed bool
 }
 
@@ -628,27 +614,21 @@ func (o *ObjectRead) Close() {
 }
 
 // WriteTo decodes the read's byte window into w — degraded, hedged,
-// and CRC-healed exactly like a local read. It consumes the shard
-// streams; call at most once.
+// and CRC-healed exactly like a local read, opening a spare at the
+// stripe that needs one. It consumes the shard streams; call at most
+// once.
 func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 	g := o.g
 	if o.streamed {
 		return fmt.Errorf("cluster: get %q: read already consumed", o.object)
 	}
 	o.streamed = true
-	opts := g.streamOptions(int(o.header.ShardSize))
-	if o.ranged {
-		// A ranged open holds exactly k shard windows: there is no spare
-		// for a hedge to rejoin from, so it runs unhedged and reads every
-		// block.
-		opts.HedgeAfter = 0
-	}
-	dec, err := stream.NewDecoder(opts)
+	dec, err := stream.NewDecoder(g.streamOptions(int(o.src.header.ShardSize)))
 	if err != nil {
 		closeReaders(o.readers)
 		return err
 	}
-	if err := dec.DecodeRange(ctx, o.readers, w, o.size, o.off, o.length); err != nil {
+	if err := dec.DecodeRange(ctx, o.readers, w, o.size, o.off, o.length, o.src.spare); err != nil {
 		g.counter("cluster_gets_total", "Object gets, by result.",
 			obs.Label{Key: "result", Value: "error"}).Inc()
 		return fmt.Errorf("cluster: get %q: %w", o.object, err)
@@ -659,8 +639,8 @@ func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 	return nil
 }
 
-// OpenObject opens a full-object read: k+spares shards streaming
-// under one map generation, size known up front.
+// OpenObject opens a full-object read: k shards streaming under one map
+// generation, size known up front.
 func (g *Gateway) OpenObject(ctx context.Context, object string, class string) (*ObjectRead, error) {
 	st := g.snap()
 	placement, err := st.cmap.Place(object, g.k+g.m)
@@ -668,20 +648,21 @@ func (g *Gateway) OpenObject(ctx context.Context, object string, class string) (
 		return nil, err
 	}
 	o := g.newShardOpener(st, object, placement, class)
-	readers, err := o.open(ctx, min(g.k+g.spares, len(placement)), 0, -1)
+	readers, err := o.open(ctx, 0, -1)
 	if err != nil {
 		g.counter("cluster_gets_total", "Object gets, by result.",
 			obs.Label{Key: "result", Value: "error"}).Inc()
 		return nil, fmt.Errorf("cluster: get %q: %w", object, err)
 	}
 	size := int64(o.header.FileSize)
-	return &ObjectRead{g: g, object: object, header: o.header, readers: readers, size: size, off: 0, length: size}, nil
+	return &ObjectRead{g: g, object: object, src: o, readers: readers, size: size, off: 0, length: size}, nil
 }
 
 // GetObject streams the object's bytes into w, reconstructing from any
 // k of its shards: failed nodes are skipped at open, stragglers are
 // hedged around mid-stream, and corrupt blocks are healed by CRC-led
-// reconstruction — the full degraded-read machinery, over the network.
+// reconstruction, each through a spare opened at the stripe that needs
+// it — the full degraded-read machinery, over the network.
 func (g *Gateway) GetObject(ctx context.Context, object string, w io.Writer, class string) error {
 	o, err := g.OpenObject(ctx, object, class)
 	if err != nil {
@@ -691,8 +672,9 @@ func (g *Gateway) GetObject(ctx context.Context, object string, w io.Writer, cla
 }
 
 // OpenObjectRange opens a byte-range read of the object: only the
-// stripes covering [off, off+length) are fetched — exactly k shard
-// block-windows, no spares — so the work is O(range), not O(object).
+// stripes covering [off, off+length) are fetched — k shard
+// block-windows, and a spare window only for a stripe that comes up
+// short — so the work is O(range), not O(object).
 // length < 0 means to the end of the object; off < 0 means a suffix
 // read of the last -off bytes. An off at or past the object's size
 // returns a *RangeError carrying the size for a 416 response.
@@ -754,7 +736,7 @@ func (g *Gateway) openRange(ctx context.Context, object string, spec rangeSpec, 
 		firstStripe := off / stripeSize
 		count := max(1, (off+length+stripeSize-1)/stripeSize-firstStripe)
 		o := g.newShardOpener(st, object, placement, class)
-		readers, err := o.open(ctx, g.k, firstStripe, count)
+		readers, err := o.open(ctx, firstStripe, count)
 		if err != nil {
 			return fail(fmt.Errorf("cluster: get %q: %w", object, err))
 		}
@@ -769,7 +751,7 @@ func (g *Gateway) openRange(ctx context.Context, object string, spec rangeSpec, 
 		}
 		g.counter("cluster_range_gets_total", "Object byte-range gets opened.").Inc()
 		return &ObjectRead{
-			g: g, object: object, header: o.header, readers: readers,
+			g: g, object: object, src: o, readers: readers,
 			size: size, off: off, length: length, ranged: true,
 		}, nil
 	}

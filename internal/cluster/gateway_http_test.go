@@ -57,18 +57,10 @@ func httpGet(t *testing.T, srv *httptest.Server, object, rangeHeader string) (*h
 	return resp, body, readErr
 }
 
-// shardGets reads the cluster-wide count of foreground shard-body
-// fetches — the work a read fans out into.
-func shardGets(tc *testCluster) uint64 {
-	return tc.reg.Counter("node_requests_total", "",
-		obs.Label{Key: "route", Value: "shard_get"},
-		obs.Label{Key: "class", Value: "foreground"}).Value()
-}
-
 // TestGatewayHTTPRoundtrip covers the object API end to end over the
 // wire: put, headers on get, delete, and 404 after delete.
 func TestGatewayHTTPRoundtrip(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 0, 41)
+	tc := startCluster(t, 6, 4, 2, 41)
 	srv := startHTTP(t, tc)
 	payload := clusterPayload(41, 200_000)
 
@@ -107,9 +99,10 @@ func TestGatewayHTTPRoundtrip(t *testing.T) {
 // regression: an object that no node has ever seen is 404 — every
 // probed shard answered "not found", so the cluster authoritatively
 // does not hold it — while the same read with a node unreachable is
-// 502, because the missing answer could have been the object.
+// 502, because the missing answer could have been the object. Every
+// failed open brings the next candidate in, so every shard is probed.
 func TestGatewayHTTPNotFoundVsUnavailable(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 2, 43) // spares=m: probe every shard
+	tc := startCluster(t, 6, 4, 2, 43)
 	srv := startHTTP(t, tc)
 
 	resp, body, _ := httpGet(t, srv, "never-put", "")
@@ -127,7 +120,7 @@ func TestGatewayHTTPNotFoundVsUnavailable(t *testing.T) {
 // TestGatewayHTTPPutRequiresLength rejects chunked puts up front: the
 // encoder needs the object size before the first stripe.
 func TestGatewayHTTPPutRequiresLength(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 0, 44)
+	tc := startCluster(t, 6, 4, 2, 44)
 	srv := startHTTP(t, tc)
 
 	// Wrapping the reader hides its concrete type from net/http, so
@@ -150,10 +143,10 @@ func TestGatewayHTTPPutRequiresLength(t *testing.T) {
 // TestGatewayHTTPRange drives Range reads over the wire: single,
 // open-ended, and suffix forms; 416 with "Content-Range: bytes */size"
 // for unsatisfiable ranges; and full 200 for forms the server ignores.
-// It also pins the efficiency claim: a small range fans out into
-// strictly fewer shard fetches than a full read.
+// It also pins the efficiency claim: a small range moves strictly fewer
+// shard bytes than a full read.
 func TestGatewayHTTPRange(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 0, 45)
+	tc, tap := tappedCluster(t, 45, nil)
 	srv := startHTTP(t, tc)
 	size := 3*64*1024 + 777 // four stripes at the 64 KiB test stripe size
 	payload := clusterPayload(45, size)
@@ -213,20 +206,19 @@ func TestGatewayHTTPRange(t *testing.T) {
 		})
 	}
 
-	// O(range) on the wire: a one-stripe window must open strictly
-	// fewer shards than the full read (exactly k, vs k+spares).
-	before := shardGets(tc)
+	// O(range) on the wire: both reads open k shards, but a one-stripe
+	// window must move strictly fewer shard bytes than the full read.
+	before := tap.served.Load()
 	if resp, _, err := httpGet(t, srv, "ranged", ""); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("full get: %d, %v", resp.StatusCode, err)
 	}
-	fullGets := shardGets(tc) - before
-	before = shardGets(tc)
+	fullBytes := tap.served.Load() - before
+	before = tap.served.Load()
 	if resp, _, err := httpGet(t, srv, "ranged", "bytes=100-199"); err != nil || resp.StatusCode != http.StatusPartialContent {
 		t.Fatalf("range get: %d, %v", resp.StatusCode, err)
 	}
-	rangeGets := shardGets(tc) - before
-	if rangeGets >= fullGets {
-		t.Fatalf("range read opened %d shards, full read %d: range must open strictly fewer", rangeGets, fullGets)
+	if rangeBytes := tap.served.Load() - before; rangeBytes >= fullBytes {
+		t.Fatalf("range read moved %d shard bytes, full read %d: range must move strictly fewer", rangeBytes, fullBytes)
 	}
 }
 
@@ -262,15 +254,16 @@ func corruptBlock(t *testing.T, tc *testCluster, object string, idx int, stripe 
 // appended to object data. The client sees the advertised
 // Content-Length, a clean prefix of the object, and a transport error.
 func TestGatewayHTTPTruncationNoErrorProse(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 2, 46) // spares=m: no reopen can dodge the damage
+	tc := startCluster(t, 6, 4, 2, 46)
 	srv := startHTTP(t, tc)
 	size := 5 * 64 * 1024
 	payload := clusterPayload(46, size)
 	if resp := httpPut(t, srv, "trunc", payload); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put: status %d", resp.StatusCode)
 	}
-	// Stripe 3 loses m+1 blocks: unrecoverable, but only discovered
-	// after stripes 0-2 have already been streamed to the client.
+	// Stripe 3 loses m+1 blocks: unrecoverable whatever spares come in,
+	// but only discovered after stripes 0-2 have already been streamed
+	// to the client.
 	for _, idx := range []int{0, 2, 4} {
 		corruptBlock(t, tc, "trunc", idx, 3)
 	}
@@ -349,7 +342,7 @@ func TestParseRangeResolve(t *testing.T) {
 // names a node the current map does not know — the case that used to
 // be a nil-map-lookup panic.
 func TestClientForUnknownNode(t *testing.T) {
-	tc := startCluster(t, 4, 2, 2, 0, 47)
+	tc := startCluster(t, 4, 2, 2, 47)
 	_, err := tc.gw.clientFor(tc.gw.snap(), "ghost")
 	if !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("err %v, want ErrUnknownNode", err)
@@ -365,7 +358,7 @@ func TestClientForUnknownNode(t *testing.T) {
 
 // TestGatewayHTTPClusterMap exposes the serving map and its epoch.
 func TestGatewayHTTPClusterMap(t *testing.T) {
-	tc := startCluster(t, 4, 2, 2, 0, 48)
+	tc := startCluster(t, 4, 2, 2, 48)
 	srv := startHTTP(t, tc)
 	resp, body, err := func() (*http.Response, []byte, error) {
 		resp, err := srv.Client().Get(srv.URL + "/v1/cluster/map")

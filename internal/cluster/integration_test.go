@@ -75,18 +75,16 @@ type testCluster struct {
 }
 
 // startCluster brings up n in-process nodes (one rack each, two
-// zones) and a gateway with the given geometry and seed. spares is
-// GatewayOptions.Spares: 0 keeps the default (k+1 opens per read);
-// pass m to open every shard, which reads through up to m corrupt
-// shards without reopening.
-func startCluster(t *testing.T, n, k, m, spares int, seed uint64) *testCluster {
+// zones) and a gateway with the given geometry and seed, hedging from
+// dialga-node's default floor.
+func startCluster(t *testing.T, n, k, m int, seed uint64) *testCluster {
 	t.Helper()
-	return startClusterOpts(t, n, k, m, spares, seed, nil)
+	return startClusterOpts(t, n, k, m, seed, nil)
 }
 
 // startClusterOpts is startCluster with a hook to adjust the gateway
 // options (quorum, intents, a fault transport) before it is built.
-func startClusterOpts(t *testing.T, n, k, m, spares int, seed uint64, mod func(*GatewayOptions)) *testCluster {
+func startClusterOpts(t *testing.T, n, k, m int, seed uint64, mod func(*GatewayOptions)) *testCluster {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tc := &testCluster{t: t, reg: reg}
@@ -112,8 +110,7 @@ func startClusterOpts(t *testing.T, n, k, m, spares int, seed uint64, mod func(*
 	opts := GatewayOptions{
 		Map: cmap, K: k, M: m,
 		StripeSize: 64 * 1024,
-		Spares:     spares,
-		HedgeAfter: 10 * time.Millisecond,
+		HedgeAfter: 30 * time.Millisecond,
 		Metrics:    reg,
 		Seed:       seed,
 		// No pooled keep-alive connections: a killed-and-replaced node
@@ -166,7 +163,7 @@ func (tc *testCluster) mustGet(ctx context.Context, object string, want []byte) 
 // six nodes, reads with two nodes down, replacement nodes repaired
 // back to full redundancy while foreground reads keep succeeding.
 func TestClusterLifecycle(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 0, 1)
+	tc := startCluster(t, 6, 4, 2, 1)
 	ctx := context.Background()
 
 	const objects = 3
@@ -319,9 +316,9 @@ func corruptShard(t *testing.T, tc *testCluster, object string, idx int, seed ui
 // shards, the queue repairs exactly those shards, and foreground read
 // latency stays bounded while repair churns.
 func TestRepairQueueSeededCorruption(t *testing.T) {
-	// Spares = m: with up to two corrupt shards per object (the RS(4,2)
-	// limit) every read needs all six shards open to survive.
-	tc := startCluster(t, 6, 4, 2, 2, 2)
+	// With up to two corrupt shards per object (the RS(4,2) limit) a
+	// read may need all six shards: the two beyond k come in as spares.
+	tc := startCluster(t, 6, 4, 2, 2)
 	ctx := context.Background()
 
 	const objects = 4

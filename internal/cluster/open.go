@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"dialga/internal/node"
@@ -50,9 +51,10 @@ func agreeing(got []openedShard) (lead, n int) {
 
 // shardOpener opens the shards one read decodes from — a GET, a range
 // GET, a rebuild — in the order the gateway's router gives, under one
-// map generation. Every body it hands out is a timedBody, so closing
-// it is what reports the node's read sample; a failed open is reported
-// here.
+// map generation: k to start with (open), and a spare mid-stream only
+// when a stripe comes up short (spare). Every body it hands out is a
+// timedBody, so closing it is what reports the node's read sample; a
+// failed open is reported here.
 type shardOpener struct {
 	g         *Gateway
 	st        *mapState
@@ -60,11 +62,8 @@ type shardOpener struct {
 	placement Placement
 	class     string
 
-	// candidates are the shard indices not tried yet, most preferred
-	// first; the first front of them may supply spares, the rest sit on
-	// sidelined nodes whose opens fail (see sideliner.split).
-	candidates []int
-	front      int
+	candidates   []int // the shard indices not tried yet, most preferred first
+	block, count int64 // the block window every shard is opened at
 
 	header             shardfile.Header // what the opened shards agree on; Index is meaningless
 	failures, notFound int
@@ -72,21 +71,14 @@ type shardOpener struct {
 }
 
 func (g *Gateway) newShardOpener(st *mapState, object string, placement Placement, class string) *shardOpener {
-	o := &shardOpener{g: g, st: st, object: object, placement: placement, class: class}
-	o.candidates, o.front = g.router.split(object, placement)
-	return o
+	return &shardOpener{g: g, st: st, object: object, placement: placement, class: class,
+		candidates: g.router.split(object, placement)}
 }
 
 // skip drops shard idx from the candidates: the shard a rebuild is for.
 func (o *shardOpener) skip(idx int) {
-	for i, c := range o.candidates {
-		if c == idx {
-			o.candidates = append(o.candidates[:i], o.candidates[i+1:]...)
-			if i < o.front {
-				o.front--
-			}
-			return
-		}
+	if i := slices.Index(o.candidates, idx); i >= 0 {
+		o.candidates = slices.Delete(o.candidates, i, i+1)
 	}
 }
 
@@ -94,8 +86,15 @@ func (o *shardOpener) skip(idx int) {
 func (o *shardOpener) take(n int) []int {
 	wave := o.candidates[:n]
 	o.candidates = o.candidates[n:]
-	o.front = max(0, o.front-n)
 	return wave
+}
+
+// countSpares counts n shards opened beyond a read's first k, by the
+// evidence that called for them.
+func (o *shardOpener) countSpares(reason string, n int) {
+	o.g.counter("cluster_read_spares_total",
+		"Shards reads opened beyond their first k, by the evidence that called for them (open, dead, corrupt, late).",
+		obs.Label{Key: "reason", Value: reason}).Add(uint64(n))
 }
 
 // failed records why a shard could not be used. A failure that is not a
@@ -175,28 +174,27 @@ func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64
 	return openedShard{idx: idx, h: h, body: body}, nil
 }
 
-// open opens candidates until want shards that agree on the object are
-// streaming, and returns them as k+m readers, nil where unopened.
-// Shards must agree on ShardSize, StripeCount and FileSize: the
-// largest agreeing set leads, a shard it outvotes is closed and counted
-// as an open failure, and the next candidate is tried in its place.
-// Sidelined nodes are asked last, and those whose opens fail only while
-// fewer than k shards are open, never for the spares beyond k — so at
-// least k open whenever k agreeing shards can be reached at all. Each
-// round opens every candidate still needed at once, and the next round
-// starts only when they have all answered: a GET, a range GET and a
-// rebuild alike ask for all their shards together, and more only as
-// some fail. With fewer than k it fails with unavailable's error.
-func (o *shardOpener) open(ctx context.Context, want int, block, count int64) ([]io.Reader, error) {
+// open opens candidates at the block window (block, count) ((0, -1):
+// whole shards) until k shards that agree on the object are streaming,
+// and returns them as k+m readers, nil where unopened. Shards must agree
+// on ShardSize, StripeCount and FileSize: the largest agreeing set
+// leads, a shard it outvotes is closed and counted as an open failure,
+// and the next candidate — a spare for reason "open" — is tried in its
+// place, as for an open that fails. Each round opens every candidate
+// still needed at once, and the next round starts only when they have
+// all answered: a GET, a range GET and a rebuild alike ask for their k
+// shards together, and more only as some fail. Sidelined nodes come
+// last in the candidates, those whose opens fail at the very end, so
+// they are asked only when the rest cannot make k. With fewer than k it
+// fails with unavailable's error.
+func (o *shardOpener) open(ctx context.Context, block, count int64) ([]io.Reader, error) {
 	k := o.g.k
+	o.block, o.count = block, count
 	var got []openedShard
-	for {
+	for round := 0; ; round++ {
 		lead, leadN := agreeing(got)
-		need, avail := want-leadN, o.front
-		if avail == 0 {
-			need, avail = k-leadN, len(o.candidates)
-		}
-		if need <= 0 || avail == 0 {
+		need := min(k-leadN, len(o.candidates))
+		if need <= 0 {
 			readers := make([]io.Reader, len(o.placement))
 			for _, s := range got {
 				if sameObject(s.h, got[lead].h) {
@@ -212,7 +210,10 @@ func (o *shardOpener) open(ctx context.Context, want int, block, count int64) ([
 			closeReaders(readers)
 			return nil, o.unavailable(leadN, fmt.Sprintf("only %d of %d shards available", leadN, k))
 		}
-		idxs := o.take(min(need, avail))
+		if round > 0 {
+			o.countSpares("open", need)
+		}
+		idxs := o.take(need)
 		opened := make([]openedShard, len(idxs))
 		errs := make([]error, len(idxs))
 		var wg sync.WaitGroup
@@ -232,6 +233,35 @@ func (o *shardOpener) open(ctx context.Context, want int, block, count int64) ([
 			}
 		}
 	}
+}
+
+// spare is the read's stream.SpareFunc: the next candidate, opened at
+// block of the read's window, that agrees with the open shards about
+// the object, counted under reason. Every candidate that fails is
+// recorded, so running out of them says why.
+func (o *shardOpener) spare(ctx context.Context, block int64, reason string) (int, io.Reader, error) {
+	count := o.count
+	if count >= 0 {
+		count -= block
+	}
+	for len(o.candidates) > 0 {
+		idx := o.take(1)[0]
+		s, err := o.openShard(ctx, idx, o.block+block, count)
+		if err != nil {
+			o.failed(err)
+			continue
+		}
+		if !sameObject(s.h, o.header) {
+			o.outvoted(s)
+			continue
+		}
+		o.countSpares(reason, 1)
+		return idx, s.body, nil
+	}
+	if o.firstErr != nil {
+		return 0, nil, fmt.Errorf("no spare shard left to open: %w", o.firstErr)
+	}
+	return 0, nil, errors.New("no spare shard left to open")
 }
 
 func closeReaders(readers []io.Reader) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dialga/internal/fault"
 	"dialga/internal/node"
 	"dialga/internal/obs"
 	"dialga/internal/shardio"
@@ -59,7 +60,7 @@ func TestGetSourcesMustAgree(t *testing.T) {
 			before := failures()
 			tap.take()
 			c.mustGet(ctx, object, newPayload)
-			if got := shardsAsked(tap.take(), 5); got != "0,1,2,3,4|5" {
+			if got := shardsAsked(tap.take(), 4); got != "0,1,2,3|4" {
 				t.Fatalf("read asked shards %s, want the outvoted shard replaced by the next candidate", got)
 			}
 			if got := failures() - before; got != 1 {
@@ -172,8 +173,8 @@ func (w *waveGate) wait() bool {
 	return false
 }
 
-// TestReadOpensItsShardsAtOnce: a GET asks for its k+1 shards, a range
-// GET and a rebuild for their k, all at once. Every shard GET is held
+// TestReadOpensItsShardsAtOnce: a GET, a range GET and a rebuild each
+// ask for their k shards all at once. Every shard GET is held
 // until its whole wave has arrived, so a read that asked for one shard
 // after another would never fill a wave.
 func TestReadOpensItsShardsAtOnce(t *testing.T) {
@@ -191,9 +192,9 @@ func TestReadOpensItsShardsAtOnce(t *testing.T) {
 	tap.mu.Unlock()
 	tap.take()
 
-	gate.expect(5)
+	gate.expect(4)
 	tc.mustGet(ctx, "obj", payload)
-	if got := shardsAsked(tap.take()); got != "0,1,2,3,4" {
+	if got := shardsAsked(tap.take()); got != "0,1,2,3" {
 		t.Fatalf("GET asked shards %s", got)
 	}
 	gate.expect(4)
@@ -212,6 +213,113 @@ func TestReadOpensItsShardsAtOnce(t *testing.T) {
 	}
 	if got := shardsAsked(tap.take()); got != "1,2,3,4" {
 		t.Fatalf("rebuild asked shards %s", got)
+	}
+}
+
+// spareCount reads cluster_read_spares_total for one reason.
+func (tc *testCluster) spareCount(reason string) uint64 {
+	return tc.counter("cluster_read_spares_total", obs.Label{Key: "reason", Value: reason})
+}
+
+// TestHealthyGetReadsK: a GET on a healthy cluster is served exactly k
+// shard bodies — k store opens on the nodes, k whole shard files on the
+// wire — and opens no spare.
+func TestHealthyGetReadsK(t *testing.T) {
+	tc, tap := tappedCluster(t, 78, nil)
+	ctx := context.Background()
+	payload := clusterPayload(780, 300_000)
+	tc.put(ctx, "obj", payload)
+	file := int64(len(tc.shardFile("obj", 0)))
+	gets, served := tc.counter("node_store_gets_total"), tap.served.Load()
+	tap.take()
+
+	tc.mustGet(ctx, "obj", payload)
+	if got := shardsAsked(tap.take()); got != "0,1,2,3" {
+		t.Fatalf("healthy GET asked shards %s, want the first k", got)
+	}
+	if got := tc.counter("node_store_gets_total") - gets; got != 4 {
+		t.Fatalf("node_store_gets_total moved %d, want k=4", got)
+	}
+	if got := tap.served.Load() - served; got != 4*file {
+		t.Fatalf("shard bodies served %d bytes, want k=4 shard files of %d", got, file)
+	}
+	for _, reason := range []string{"open", "dead", "corrupt", "late"} {
+		if got := tc.spareCount(reason); got != 0 {
+			t.Fatalf("cluster_read_spares_total{reason=%s} = %d on a healthy GET", reason, got)
+		}
+	}
+}
+
+// TestRangeGetHealsCorruptBlock: a flipped byte in the one block a range
+// read needs from a shard is an erasure like any other. The read opens
+// exactly one spare window, at that block, and returns the exact bytes.
+func TestRangeGetHealsCorruptBlock(t *testing.T) {
+	tc, tap := tappedCluster(t, 79, nil)
+	ctx := context.Background()
+	const stripe = 64 * 1024
+	payload := clusterPayload(790, 4*stripe) // four stripes
+	tc.put(ctx, "obj", payload)
+	corruptBlock(t, tc, "obj", 0, 1)
+	tap.take()
+
+	var out bytes.Buffer
+	if err := tc.gw.GetObjectRange(ctx, "obj", &out, stripe+100, 200, node.ClassForeground); err != nil {
+		t.Fatalf("range read across a corrupt block: %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), payload[stripe+100:stripe+300]) {
+		t.Fatal("range read returned the wrong bytes")
+	}
+	reqs := tap.take()
+	if got := shardsAsked(reqs, 4); got != "0,1,2,3|4" {
+		t.Fatalf("range read asked shards %s, want k windows and one spare", got)
+	}
+	if countPrefix(reqs, "GET /v1/shard/obj/4?block=1&count=1") != 1 {
+		t.Fatalf("requests %v, want the spare's window at block 1", reqs)
+	}
+	if got := tc.spareCount("corrupt"); got != 1 {
+		t.Fatalf("cluster_read_spares_total{reason=corrupt} = %d, want 1", got)
+	}
+}
+
+// TestLateStripeBringsSpare: on a fresh gateway, with no sideline
+// history to steer around it, one node among the first k is slow on
+// every body read. The first stripe's deadline passes with k-1 blocks
+// in hand, and that evidence — not an up-front spare — brings one spare
+// in, counted as late. It serves the rest of the read, so the GET takes
+// a fraction of what the slow node would cost stripe by stripe, and the
+// bytes are exact.
+func TestLateStripeBringsSpare(t *testing.T) {
+	faults := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
+	tc := startClusterOpts(t, 6, 4, 2, 64, func(o *GatewayOptions) {
+		o.HTTPClient = &http.Client{Transport: faults}
+		o.HedgeAfter = 30 * time.Millisecond // dialga-node's default
+	})
+	ctx := context.Background()
+	const stripes, delay = 16, 200 * time.Millisecond // a slow body Read sleeps delay/2 at least
+	payload := clusterPayload(640, stripes*64*1024)
+	tc.put(ctx, "obj", payload)
+	place, err := tc.gw.Place("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.Parse(fmt.Sprintf("slow@0+%d", delay.Microseconds()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Set(tc.node(place[1].ID).addr, plan)
+
+	start := time.Now()
+	tc.mustGet(ctx, "obj", payload)
+	if took, limit := time.Since(start), stripes*delay/4; took >= limit {
+		t.Fatalf("GET took %v with a slow node among the first k, want under %v", took, limit)
+	}
+	if got := tc.spareCount("late"); got != 1 {
+		t.Fatalf("cluster_read_spares_total{reason=late} = %d, want 1", got)
+	}
+	for _, reason := range []string{"open", "dead", "corrupt"} {
+		if got := tc.spareCount(reason); got != 0 {
+			t.Fatalf("cluster_read_spares_total{reason=%s} = %d, want 0", reason, got)
+		}
 	}
 }
 
@@ -256,7 +364,7 @@ func checkIdleBudget(t *testing.T) {
 // the budget holds, and nothing is left running. CI runs it under
 // -race -count=10.
 func TestConcurrentGetsShareAllocator(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 0, 72)
+	tc := startCluster(t, 6, 4, 2, 72)
 	ctx := context.Background()
 	payloads := make([][]byte, 4)
 	for i := range payloads {
@@ -313,7 +421,7 @@ func objectName(i int) string { return "shared-" + string(rune('a'+i)) }
 // no gateway of this geometry writes, as stored headers may name, leave
 // at most shardio.IdleBudget bytes idle, and no empty list behind.
 func TestIdleBudgetHoldsAcrossRungs(t *testing.T) {
-	tc := startClusterOpts(t, 6, 4, 2, 0, 73, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	tc := startClusterOpts(t, 6, 4, 2, 73, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
 	top := tc.gw.rungs[len(tc.gw.rungs)-1]
 	payload := clusterPayload(730, shardio.IdleBudget*3/4) // 1.5× the budget in stripes
@@ -360,7 +468,7 @@ func TestHeapDoesNotClimb(t *testing.T) {
 	if raceEnabled {
 		gets = 20 // the same shape, at the race detector's speed
 	}
-	tc := startClusterOpts(t, 6, 4, 2, 0, 75, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	tc := startClusterOpts(t, 6, 4, 2, 75, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
 	tc.put(ctx, "big", clusterPayload(750, 8<<20))
 	shards := memShards{}
@@ -423,7 +531,7 @@ func TestGetSteadyStateAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the measurement")
 	}
-	tc := startClusterOpts(t, 6, 4, 2, 0, 74, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	tc := startClusterOpts(t, 6, 4, 2, 74, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
 	tc.put(ctx, "big", clusterPayload(740, 8<<20))
 	shards := memShards{}

@@ -42,7 +42,7 @@ func (h *putHook) RoundTrip(req *http.Request) (*http.Response, error) {
 // shards, its shard transport under a putHook.
 func hookedCluster(t *testing.T, seed uint64, retries int) (*testCluster, *putHook) {
 	hook := &putHook{base: &http.Transport{DisableKeepAlives: true}}
-	tc := startClusterOpts(t, 6, 4, 2, 0, seed, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, seed, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
 		o.PutRetries = retries
 		o.PutBackoff = 2 * time.Millisecond

@@ -19,7 +19,7 @@ import (
 // epochs with enough failure domains are accepted, and a surviving
 // node's pooled client is reused across the swap.
 func TestUpdateMapValidation(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 0, 52)
+	tc := startCluster(t, 6, 4, 2, 52)
 	cur := tc.gw.Map()
 
 	if err := tc.gw.UpdateMap(nil); err == nil {
@@ -137,8 +137,8 @@ func placementDiff(t *testing.T, a, b *Map, object string, n int) int {
 // the swap must stay byte-exact; Rebalance plus a drain must converge
 // every object onto the new placement with zero lost shards, an
 // emptied removed node, and a drained intent journal; and a Range
-// read afterwards must match the full read's bytes while opening
-// strictly fewer shards.
+// read afterwards must match the full read's bytes while moving
+// strictly fewer shard bytes.
 func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	ft := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
 	log, err := OpenIntentLog(filepath.Join(t.TempDir(), "intents.log"), nil)
@@ -146,9 +146,10 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	tc := startClusterOpts(t, 6, 4, 2, 2, 51, func(o *GatewayOptions) {
+	tap := &shardTap{base: ft}
+	tc := startClusterOpts(t, 6, 4, 2, 51, func(o *GatewayOptions) {
 		o.Intents = log
-		o.HTTPClient = &http.Client{Timeout: 5 * time.Second, Transport: ft}
+		o.HTTPClient = &http.Client{Timeout: 5 * time.Second, Transport: tap}
 	})
 	ctx := context.Background()
 	const n = 6 // k+m
@@ -315,30 +316,30 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	}
 
 	// Range reads on the rebalanced cluster: byte-identical to slices
-	// of the full read, for strictly fewer shard opens.
+	// of the full read, for strictly fewer shard bytes moved.
 	name, payload := names[0], payloads[names[0]]
-	before := shardGets(tc)
+	before := tap.served.Load()
 	var full bytes.Buffer
 	if err := tc.gw.GetObject(ctx, name, &full, node.ClassForeground); err != nil {
 		t.Fatal(err)
 	}
-	fullGets := shardGets(tc) - before
+	fullBytes := tap.served.Load() - before
 	for _, win := range [][2]int64{{0, 100}, {70_000, 4_000}, {objSize - 999, 999}} {
-		before = shardGets(tc)
+		before = tap.served.Load()
 		var part bytes.Buffer
 		if err := tc.gw.GetObjectRange(ctx, name, &part, win[0], win[1], node.ClassForeground); err != nil {
 			t.Fatalf("range (%d,%d): %v", win[0], win[1], err)
 		}
-		rangeGets := shardGets(tc) - before
+		rangeBytes := tap.served.Load() - before
 		if !bytes.Equal(part.Bytes(), payload[win[0]:win[0]+win[1]]) {
 			t.Fatalf("range (%d,%d): bytes differ from full-read slice", win[0], win[1])
 		}
 		if !bytes.Equal(part.Bytes(), full.Bytes()[win[0]:win[0]+win[1]]) {
 			t.Fatalf("range (%d,%d): bytes differ from the full GET", win[0], win[1])
 		}
-		if rangeGets >= fullGets {
-			t.Fatalf("range (%d,%d) opened %d shards, full read %d: want strictly fewer",
-				win[0], win[1], rangeGets, fullGets)
+		if rangeBytes >= fullBytes {
+			t.Fatalf("range (%d,%d) moved %d shard bytes, full read %d: want strictly fewer",
+				win[0], win[1], rangeBytes, fullBytes)
 		}
 	}
 }

@@ -25,8 +25,8 @@ import (
 )
 
 // shardTap is the gateway's shard transport with a tap on it: it logs
-// every request line, counts response bodies opened and closed, and can
-// run a hook as a request goes out.
+// every request line, counts response bodies opened and closed and the
+// bytes read from them, and can run a hook as a request goes out.
 type shardTap struct {
 	base http.RoundTripper
 
@@ -35,6 +35,7 @@ type shardTap struct {
 	onSend   func(*http.Request)
 
 	opened, closed atomic.Int32
+	served         atomic.Int64 // response body bytes the gateway read
 }
 
 func (s *shardTap) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -57,6 +58,12 @@ type tappedBody struct {
 	io.ReadCloser
 	tap  *shardTap
 	once sync.Once
+}
+
+func (b *tappedBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.tap.served.Add(int64(n))
+	return n, err
 }
 
 func (b *tappedBody) Close() error {
@@ -87,7 +94,7 @@ func countPrefix(reqs []string, prefix string) int {
 func tappedCluster(t *testing.T, seed uint64, mod func(*GatewayOptions)) (*testCluster, *shardTap) {
 	t.Helper()
 	tap := &shardTap{base: &http.Transport{DisableKeepAlives: true}}
-	tc := startClusterOpts(t, 6, 4, 2, 0, seed, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, seed, func(o *GatewayOptions) {
 		o.HTTPClient = &http.Client{Transport: tap}
 		if mod != nil {
 			mod(o)

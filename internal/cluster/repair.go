@@ -340,7 +340,8 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 // upload to its placed node. The sources are the first k shards in
 // router order (sidelined nodes last), opened concurrently; another is
 // opened only when one of them fails to open, disagrees with the rest
-// about the object's geometry, or dies or turns out corrupt mid-stream.
+// about the object's geometry, or dies or serves a corrupt block
+// mid-stream — the rule every read follows (stream.SpareFunc).
 // A successful rebuild discharges the shard's durable write intent, if
 // one is journaled.
 func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error {
@@ -366,9 +367,9 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	src := &rebuildSources{r: r, shardOpener: r.gw.newShardOpener(st, object, placement, node.ClassRepair)}
+	src := r.gw.newShardOpener(st, object, placement, node.ClassRepair)
 	src.skip(idx)
-	readers, err := src.open(ctx, r.gw.k, 0, -1)
+	readers, err := src.open(ctx, 0, -1)
 	if err != nil {
 		return fmt.Errorf("cluster: repair %q shard %d: %w", object, idx, err)
 	}
@@ -397,7 +398,18 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 		pr.CloseWithError(err)
 		putErr <- err
 	}()
-	rbErr := rb.Rebuild(ctx, readers, idx, pw, int64(h.StripeCount), src.spare)
+	// A spare's remaining bytes are charged to the budget like the
+	// sources' before they move.
+	spare := func(ctx context.Context, block int64, reason string) (int, io.Reader, error) {
+		i, body, err := src.spare(ctx, block, reason)
+		if err == nil {
+			if err = r.spendRead(ctx, h.ExpectedFileSize()-block*h.BlockSize()); err != nil {
+				closeReaders([]io.Reader{body})
+			}
+		}
+		return i, body, err
+	}
+	rbErr := rb.Rebuild(ctx, readers, idx, pw, int64(h.StripeCount), spare)
 	pw.CloseWithError(rbErr)
 	upErr := <-putErr
 	if rbErr != nil {
@@ -435,42 +447,6 @@ func (r *Repairer) spendRead(ctx context.Context, n int64) error {
 		"Bytes of source shard data the repair queue opened to rebuild shards from.").
 		Add(uint64(n))
 	return nil
-}
-
-// rebuildSources opens the shards one rebuild reads: k to start with
-// (shardOpener.open, all at once), more only as those fail.
-type rebuildSources struct {
-	*shardOpener
-	r *Repairer
-}
-
-// spare is the rebuild's stream.SpareFunc: the next candidate that
-// opens at the given block and agrees with the sources' geometry, its
-// remaining bytes charged to the bandwidth budget like theirs. Every
-// candidate that fails is recorded, so running out of them says why.
-func (s *rebuildSources) spare(ctx context.Context, block int64) (int, io.Reader, error) {
-	for len(s.candidates) > 0 {
-		idx := s.take(1)[0]
-		o, err := s.openShard(ctx, idx, block, -1)
-		if err != nil {
-			s.failed(err)
-			continue
-		}
-		if !sameObject(o.h, s.header) {
-			s.outvoted(o)
-			continue
-		}
-		remaining := o.h.ExpectedFileSize() - block*o.h.BlockSize()
-		if err := s.r.spendRead(ctx, remaining); err != nil {
-			o.body.Close()
-			return 0, nil, err
-		}
-		return idx, o.body, nil
-	}
-	if s.firstErr != nil {
-		return 0, nil, fmt.Errorf("no spare shard left to open: %w", s.firstErr)
-	}
-	return 0, nil, errors.New("no spare shard left to open")
 }
 
 // DrainOnce works the queue until it is empty or ctx ends, returning

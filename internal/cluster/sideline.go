@@ -31,13 +31,11 @@ import (
 // its probe — on time re-admits it, late sidelines it again for longer.
 //
 // Sidelined means asked last, never excluded: the node's shards move to
-// the back of the order, where a read that cannot get what it wants
-// from the nodes in good standing still finds them. A sidelined node
-// that answers — one that is merely slow — supplies spares like any
-// other, so a read tolerates as many bad blocks as it would with nobody
-// sidelined; one whose last open failed is opened only while fewer than
-// k shards are, since a spare sought there is a failed open more often
-// than a spare. All of this is soft state in the Parallel Persistent
+// the back of the order, where a read that cannot get what it needs
+// from the nodes in good standing still finds them — first those of
+// nodes that are merely slow, last those of nodes whose last open
+// failed. So a read tolerates as many bad blocks as it would with nobody
+// sidelined. All of this is soft state in the Parallel Persistent
 // Memory Model's sense — volatile, rebuilt by observation, safe to lose
 // with the process — so none of it is journaled. Safe for concurrent
 // use.
@@ -153,20 +151,18 @@ func (s *sideliner) Observe(id NodeID, d time.Duration, err error) {
 // split returns the inner router's order with the shards of sidelined
 // nodes moved to the back: first those of nodes that still answer, then
 // those of nodes whose last open failed, each group in the inner order.
-// front says where spares may come from: order[:front] are the shards
-// of nodes in good standing followed by those of sidelined nodes that
-// still answer; order[front:] sit on sidelined nodes whose last open
-// failed, and are worth asking only for a shard the read cannot do
-// without.
-func (s *sideliner) split(object string, p Placement) (order []int, front int) {
-	order = s.inner.Order(object, p)
+// A read opens from the front, so it reaches a failing node only for a
+// shard it cannot do without.
+func (s *sideliner) split(object string, p Placement) []int {
+	order := s.inner.Order(object, p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.benched == 0 {
-		return order, len(order)
+		return order
 	}
 	now := s.clock.Now()
 	var slow, failing []int
+	front := 0
 	for _, idx := range order {
 		n := s.nodes[p[idx].ID]
 		switch {
@@ -181,7 +177,7 @@ func (s *sideliner) split(object string, p Placement) (order []int, front int) {
 	}
 	front += copy(order[front:], slow)
 	copy(order[front:], failing)
-	return order, front
+	return order
 }
 
 // sidelinedNode is one entry of the sidelined set GET /v1/cluster/map

@@ -102,11 +102,9 @@ func TestSidelineNeedsARun(t *testing.T) {
 		t.Fatalf("%d late samples in a row did not sideline %s", n, victim)
 	}
 
-	// Its shard moves to the back of the order, the rest keep theirs; it
-	// still answers, so it may still supply a spare.
-	order, front := s.split("sidelined", p)
-	if want := []int{0, 2, 3, 4, 5, 1}; fmt.Sprint(order) != fmt.Sprint(want) || front != 6 {
-		t.Fatalf("order %v front %d, want %v front 6", order, front, want)
+	// Its shard moves to the back of the order, the rest keep theirs.
+	if order, want := s.split("sidelined", p), []int{0, 2, 3, 4, 5, 1}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 	lbl := obs.Label{Key: "node", Value: string(victim)}
 	if s.reg.Gauge("cluster_node_sidelined", "", lbl).Value() != 1 ||
@@ -118,7 +116,7 @@ func TestSidelineNeedsARun(t *testing.T) {
 
 // TestSidelineOrdersSlowBeforeFailing: behind the nodes in good
 // standing come the sidelined nodes that answer, and only then those
-// whose last open failed — the ones spares are not sought from. What a
+// whose last open failed — the ones a read reaches for last. What a
 // node's last open did is what counts, also inside a cooldown.
 func TestSidelineOrdersSlowBeforeFailing(t *testing.T) {
 	s, _, p := fakeSideliner(t)
@@ -127,15 +125,13 @@ func TestSidelineOrdersSlowBeforeFailing(t *testing.T) {
 		s.Observe(p[1].ID, slowRead, nil)
 		s.Observe(p[3].ID, 0, errNodeDown)
 	}
-	order, front := s.split("sidelined", p)
-	if want := []int{2, 4, 5, 1, 0, 3}; fmt.Sprint(order) != fmt.Sprint(want) || front != 4 {
-		t.Fatalf("order %v front %d, want %v front 4", order, front, want)
+	if order, want := s.split("sidelined", p), []int{2, 4, 5, 1, 0, 3}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 	s.Observe(p[0].ID, slowRead, nil) // reached for as a k-th shard, and it answered
 	s.Observe(p[1].ID, 0, errNodeDown)
-	order, front = s.split("sidelined", p)
-	if want := []int{2, 4, 5, 0, 1, 3}; fmt.Sprint(order) != fmt.Sprint(want) || front != 4 {
-		t.Fatalf("order %v front %d, want %v front 4", order, front, want)
+	if order, want := s.split("sidelined", p), []int{2, 4, 5, 0, 1, 3}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 }
 
@@ -179,13 +175,13 @@ func TestSidelineProbeBackoff(t *testing.T) {
 		clock.Advance(want / 2)
 		s.Observe(victim, slowRead, nil)
 		s.Observe(victim, fastRead, nil)
-		if order, _ := s.split("sidelined", p); order[5] != 2 {
+		if order := s.split("sidelined", p); order[5] != 2 {
 			t.Fatalf("trip %d: order %v inside the cooldown, want shard 2 last", trip, order)
 		}
 		clock.Advance(want - want/2)
 		// Cooldown over: back in its place, and the next sample is the probe.
-		if order, front := s.split("sidelined", p); front != 6 || order[2] != 2 {
-			t.Fatalf("trip %d: order %v front %d after the cooldown", trip, order, front)
+		if order := s.split("sidelined", p); fmt.Sprint(order) != "[0 1 2 3 4 5]" {
+			t.Fatalf("trip %d: order %v after the cooldown", trip, order)
 		}
 		s.Observe(victim, slowRead, nil)
 		if probes("miss") != uint64(trip) {
@@ -332,7 +328,7 @@ func (tc *testCluster) lag(id NodeID) {
 }
 
 // shardsAsked lists the shard indices of the tap's logged GETs, cut
-// into waves of the given sizes ("3,4,5|0"); what is left over is one
+// into waves of the given sizes ("0,1,2,3|4"); what is left over is one
 // more wave. A read opens a wave's shards at once, so they arrive in no
 // fixed order and are listed sorted; the next wave goes out only once
 // the last has answered, so the waves keep their order.
@@ -357,12 +353,11 @@ func shardsAsked(reqs []string, waves ...int) string {
 	return strings.Join(out, "|")
 }
 
-// TestSidelinedMeansAskedLast: sidelined nodes that answer are opened
-// after the others, for the spare too; with up to m nodes sidelined for
-// failed opens a read opens k others and never touches them; with more
-// than m it reaches into the back of the order for exactly what it
-// lacks. Status mapping does not move: all-404 is still not-found, a mix
-// is still not.
+// TestSidelinedMeansAskedLast: a read opens k shards, and sidelined
+// nodes' after the others; with up to m nodes sidelined a read opens k
+// others and never touches them; with more than m it reaches into the
+// back of the order for exactly what it lacks. Status mapping does not
+// move: all-404 is still not-found, a mix is still not.
 func TestSidelinedMeansAskedLast(t *testing.T) {
 	tc, tap := tappedCluster(t, 61, nil)
 	tc.gw.router.clock = vclock.NewFake() // cooldowns never end
@@ -373,24 +368,24 @@ func TestSidelinedMeansAskedLast(t *testing.T) {
 	tap.take()
 
 	tc.mustGet(ctx, "obj", payload)
-	if got := shardsAsked(tap.take()); got != "0,1,2,3,4" {
+	if got := shardsAsked(tap.take()); got != "0,1,2,3" {
 		t.Fatalf("healthy read asked shards %s", got)
 	}
 	tc.lag(place[0].ID)
 	tc.mustGet(ctx, "obj", payload)
-	if got := shardsAsked(tap.take()); got != "1,2,3,4,5" {
-		t.Fatalf("read with a slow node sidelined asked shards %s, want the other five", got)
+	if got := shardsAsked(tap.take()); got != "1,2,3,4" {
+		t.Fatalf("read with a slow node sidelined asked shards %s, want the next four", got)
 	}
 	tc.lag(place[1].ID)
 	tc.mustGet(ctx, "obj", payload)
-	if got := shardsAsked(tap.take()); got != "0,2,3,4,5" {
-		t.Fatalf("read with m slow nodes sidelined asked shards %s, want the other four and one of them as the spare", got)
+	if got := shardsAsked(tap.take()); got != "2,3,4,5" {
+		t.Fatalf("read with m slow nodes sidelined asked shards %s, want the other four", got)
 	}
 	tc.bench(place[0].ID)
 	tc.bench(place[1].ID)
 	tc.mustGet(ctx, "obj", payload)
 	if got := shardsAsked(tap.take()); got != "2,3,4,5" {
-		t.Fatalf("read with m sidelined for failed opens asked shards %s, want the other four and no spare from the back", got)
+		t.Fatalf("read with m sidelined for failed opens asked shards %s, want the other four", got)
 	}
 	var rng bytes.Buffer
 	if err := tc.gw.GetObjectRange(ctx, "obj", &rng, 100_000, 50_000, node.ClassForeground); err != nil ||
@@ -401,8 +396,8 @@ func TestSidelinedMeansAskedLast(t *testing.T) {
 
 	tc.bench(place[2].ID)
 	tc.mustGet(ctx, "obj", payload)
-	if got := shardsAsked(tap.take(), 3); got != "3,4,5|0" {
-		t.Fatalf("read with m+1 sidelined asked shards %s, want three from the front then one from the back", got)
+	if got := shardsAsked(tap.take()); got != "0,3,4,5" {
+		t.Fatalf("read with m+1 sidelined asked shards %s, want the three in good standing and one from the back", got)
 	}
 
 	// The sidelined set is served beside the map.
@@ -442,11 +437,11 @@ func TestSidelinedMeansAskedLast(t *testing.T) {
 }
 
 // TestSlowSidelinedNodeStillSpares: sidelining a node that answers
-// costs a read none of its tolerance for bad blocks. With Spares = m and
-// m shards corrupt the read needs all six shards open, whoever is
-// cooling down.
+// costs a read none of its tolerance for bad blocks. With m shards
+// corrupt a read may need all six shards, the two beyond k as spares,
+// whoever is cooling down.
 func TestSlowSidelinedNodeStillSpares(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 2, 76)
+	tc := startCluster(t, 6, 4, 2, 76)
 	tc.gw.router.clock = vclock.NewFake() // cooldowns never end
 	ctx := context.Background()
 	payload := clusterPayload(760, 200_000)
@@ -468,7 +463,7 @@ func TestSlowSidelinedNodeStillSpares(t *testing.T) {
 // were deleted from healthy nodes meet 404s on every open, and no node
 // is sidelined for it.
 func TestMissingShardsSidelineNobody(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 0, 62)
+	tc := startCluster(t, 6, 4, 2, 62)
 	ctx := context.Background()
 	payload := clusterPayload(602, 200_000)
 	tc.put(ctx, "obj", payload)
@@ -489,7 +484,7 @@ func TestMissingShardsSidelineNobody(t *testing.T) {
 // after its cooldown, on a quiet box.
 func TestSidelineSlowNode(t *testing.T) {
 	faults := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
-	tc := startClusterOpts(t, 6, 4, 2, 0, 63, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, 63, func(o *GatewayOptions) {
 		o.HTTPClient = &http.Client{Transport: faults}
 		o.HedgeAfter = 30 * time.Millisecond // dialga-node's default
 	})

@@ -42,7 +42,7 @@ func TestGatherAllocsSteadyState(t *testing.T) {
 	for i := range readers {
 		readers[i] = bytes.NewReader(shards[i])
 	}
-	g := newTestGroup(t, readers, Options{Quorum: 3, HedgeAfter: time.Second})
+	g := newTestGroup(t, readers, Options{HedgeAfter: time.Second})
 	gatherStripes(t, g, 20) // warm pools, EWMAs, and goroutine timers
 	if a := testing.AllocsPerRun(40, func() {
 		gatherStripes(t, g, 1)
@@ -72,7 +72,7 @@ func TestGatherAllocsHedged(t *testing.T) {
 		readers[i] = &slowReader{r: bytes.NewReader(shards[i]), delay: time.Millisecond, slowReads: -1}
 	}
 	readers[2] = &slowReader{r: bytes.NewReader(shards[2]), delay: 8 * time.Millisecond, slowReads: -1, every: 2}
-	g := newTestGroup(t, readers, Options{Quorum: 3, HedgeAfter: 500 * time.Microsecond})
+	g := newTestGroup(t, readers, Options{HedgeAfter: 500 * time.Microsecond})
 	gatherStripes(t, g, 20)
 	hedged := 0
 	if a := testing.AllocsPerRun(60, func() {

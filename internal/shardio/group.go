@@ -255,9 +255,12 @@ func (g *Group) Next(ctx context.Context) (*Stripe, error) {
 // Fill issues stripe st.Seq's block request to every shard that can
 // take one and has no block in st yet, then waits the requests out
 // under the hedging rules, updating st's states, blocks and counters in
-// place. Next calls it on a fresh stripe; a caller calls it again on
-// the stripe Next returned last to read shards attached since. It fails
-// only when ctx is cancelled.
+// place: when the stripe's deadline passes, every shard still reading
+// is left behind as slow, however many blocks are in hand — whether
+// they suffice, or a spare must come in, is the caller's call. Next
+// calls it on a fresh stripe; a caller calls it again on the stripe
+// Next returned last to read shards attached since. It fails only when
+// ctx is cancelled.
 func (g *Group) Fill(ctx context.Context, st *Stripe) error { return g.fill(ctx, st, false) }
 
 // Await is Fill without the speculation: called on the stripe Next
@@ -265,9 +268,10 @@ func (g *Group) Fill(ctx context.Context, st *Stripe) error { return g.fill(ctx,
 // breaker — for a block from every live shard the stripe went ahead
 // without: hedged past, still reading an earlier stripe, or behind an
 // open breaker. Hedging bets that the blocks in hand will do; a consumer
-// that finds they do not (too many corrupt) calls Await before giving
-// the stripe up, so a guess about latency never decides whether data is
-// readable. A block that arrives is an ordinary StateOK block.
+// that finds they do not, with no spare left to bring in, calls Await
+// before giving the stripe up, so a guess about latency never decides
+// whether data is readable. A block that arrives is an ordinary StateOK
+// block.
 func (g *Group) Await(ctx context.Context, st *Stripe) error { return g.fill(ctx, st, true) }
 
 func (g *Group) fill(ctx context.Context, st *Stripe, patient bool) error {
@@ -275,12 +279,12 @@ func (g *Group) fill(ctx context.Context, st *Stripe, patient bool) error {
 	now := g.clock.Now()
 	awaited := g.awaited
 	clear(awaited)
-	wait, got := 0, 0
+	wait := 0
 	for i := range g.sh {
 		m := &g.sh[i]
 		switch {
-		case st.Blocks[i] != nil:
-			got++ // delivered by an earlier Fill of this stripe
+		case st.Blocks[i] != nil || st.States[i] == StateCorrupt:
+			// Settled by an earlier Fill of this stripe.
 		case m.missing:
 			st.States[i] = StateMissing
 		case m.dead:
@@ -310,7 +314,6 @@ func (g *Group) fill(ctx context.Context, st *Stripe, patient bool) error {
 	armed := false // the reusable group timer is counting for this stripe
 	fired := false
 	var timeC <-chan time.Time
-	timedOut := false
 	arm := func() {
 		if !hedge || armed {
 			return
@@ -332,53 +335,39 @@ func (g *Group) fill(ctx context.Context, st *Stripe, patient bool) error {
 		}
 	}()
 
-	// abandon demotes every still-awaited shard to slow for this
-	// stripe, registering the late slot that lets the hedge race
-	// resolve in the worker, and counts the miss against its breaker.
-	abandon := func() {
-		now := g.clock.Now()
-		for i := range awaited {
-			if !awaited[i] {
-				continue
-			}
-			awaited[i] = false
-			m := &g.sh[i]
-			slot := &st.slotStore[i]
-			slot.arm(m.outstandingSeq)
-			m.late, m.lateSeq = slot, m.outstandingSeq
-			st.slots[i] = slot
-			st.slotGen[i] = m.outstandingSeq
-			st.States[i] = StateSlow
-			st.Hedged = true
-			if tripped, _ := m.gate.Observe(now, true); tripped {
-				st.Trips++
-				m.openG.Set(1)
-				m.tripsC.Inc()
-			}
-		}
-		wait = 0
-	}
-
 	for wait > 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-timeC:
+			// Past the deadline: demote every still-awaited shard to slow
+			// for this stripe, registering the late slot that lets the
+			// hedge race resolve in the worker, and count the miss against
+			// its breaker.
 			fired = true
-			timeC = nil
-			if got >= g.opts.Quorum {
-				abandon()
-			} else {
-				timedOut = true // keep waiting; hedge as soon as quorum lands
-			}
-		case res := <-g.results:
-			g.consume(&res, seq, st, awaited, &wait, &got, patient)
-			if hedge && wait > 0 && got >= g.opts.Quorum {
-				if timedOut {
-					abandon()
-				} else {
-					arm() // first samples may only exist now (cold start)
+			now := g.clock.Now()
+			for i := range awaited {
+				if !awaited[i] {
+					continue
 				}
+				m := &g.sh[i]
+				slot := &st.slotStore[i]
+				slot.arm(m.outstandingSeq)
+				m.late, m.lateSeq = slot, m.outstandingSeq
+				st.slots[i] = slot
+				st.slotGen[i] = m.outstandingSeq
+				st.States[i] = StateSlow
+				st.Hedged = true
+				if tripped, _ := m.gate.Observe(now, true); tripped {
+					st.Trips++
+					m.openG.Set(1)
+					m.tripsC.Inc()
+				}
+			}
+			wait = 0
+		case res := <-g.results:
+			if g.consume(&res, seq, st, awaited, &wait, patient); wait > 0 {
+				arm() // the first samples may only exist now (cold start)
 			}
 		}
 	}
@@ -388,7 +377,7 @@ func (g *Group) fill(ctx context.Context, st *Stripe, patient bool) error {
 // consume folds one shard result into the gather state. Stale results
 // (from stripes already hedged past) recycle or hand off their block
 // and re-admit the shard to the current stripe when it is eligible.
-func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait, got *int, patient bool) {
+func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait *int, patient bool) {
 	i := res.shard
 	m := &g.sh[i]
 	m.outstanding = false
@@ -417,7 +406,7 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 			st.LateTransients += uint64(res.transients)
 			m.observe(res.dur)
 			delivered := false
-			if m.late != nil && m.lateSeq == res.seq {
+			if !res.corrupt && m.late != nil && m.lateSeq == res.seq {
 				delivered = m.late.offer(res.seq, res.buf)
 			}
 			if delivered {
@@ -451,10 +440,14 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 		st.Errs[i] = res.err
 		PutBuffer(res.buf)
 	default:
-		st.Blocks[i] = res.buf
 		st.Transients[i] = uint64(res.transients)
-		st.States[i] = StateOK
-		*got++
+		if res.corrupt {
+			st.States[i] = StateCorrupt
+			PutBuffer(res.buf)
+		} else {
+			st.Blocks[i] = res.buf
+			st.States[i] = StateOK
+		}
 		m.observe(res.dur)
 		if patient {
 			break // awaited, not raced: no sample for the breaker

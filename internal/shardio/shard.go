@@ -26,6 +26,7 @@ type result struct {
 	buf        []byte
 	err        error         // terminal failure; nil for delivered blocks and clean EOF
 	eof        bool          // clean EOF at a block boundary, at or before seq
+	corrupt    bool          // the block was read whole and its reader rejected it
 	panicked   bool          // err is a *PanicError
 	dur        time.Duration // wall time of the final block read, incl. retries
 	transients int           // transient errors absorbed reading this request
@@ -94,7 +95,8 @@ func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int
 	}()
 	// Catch up: consume the blocks between the reader's position and
 	// the requested stripe (skipped while the breaker was open or the
-	// shard was sidelined as slow).
+	// shard was sidelined as slow); nobody wants their bytes, corrupt or
+	// not.
 	for *pos < req.seq {
 		if *scratch == nil {
 			*scratch = make([]byte, g.opts.BlockSize)
@@ -105,7 +107,7 @@ func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int
 			res.eof = true
 			return
 		}
-		if err != nil {
+		if err != nil && !isCorrupt(err) {
 			res.err = err
 			return
 		}
@@ -114,11 +116,14 @@ func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int
 	eof, err := g.readBlock(r, rng, req.buf, res)
 	*pos++
 	res.dur = g.clock.Now().Sub(start)
-	if eof {
+	switch {
+	case eof:
 		res.eof = true
-		return
+	case isCorrupt(err):
+		res.corrupt = true
+	default:
+		res.err = err
 	}
-	res.err = err
 }
 
 // Transient read errors are retried in place: at most maxRetries times

@@ -16,12 +16,13 @@
 //   - Latency tracking. Every block read updates a per-shard EWMA;
 //     the fleet median of those EWMAs yields an adaptive per-stripe
 //     deadline (LateAfter, clamped to [HedgeAfter, 15 s]).
-//   - Hedged reads. A shard that misses the deadline while at least
-//     Quorum blocks have arrived is demoted to slow for the stripe:
-//     the stripe proceeds to reconstruction immediately while the slow
-//     read continues in the background. Whichever finishes first wins
-//     — the consumer may claim a late-arriving block via
-//     Stripe.TakeLate up to the moment it commits to reconstruction.
+//   - Hedged reads. A shard that misses the deadline is demoted to
+//     slow for the stripe: the gather returns with the blocks in hand
+//     while the slow read continues in the background, and whether
+//     those suffice, or a spare must come in, is the consumer's call.
+//     Then whichever finishes first wins — the consumer may claim a
+//     late-arriving block via Stripe.TakeLate up to the moment it
+//     commits to reconstruction.
 //   - Retry with backoff. Transient read errors (Transient() bool ==
 //     true) are retried up to three times with exponential backoff and
 //     full jitter, deterministically seeded, instead of a single
@@ -78,11 +79,6 @@ type Options struct {
 	// Required.
 	BlockSize int
 
-	// Quorum is the minimum number of delivered blocks that makes a
-	// stripe recoverable (the code's k). Hedging never abandons a
-	// laggard while fewer than Quorum blocks have arrived. Required.
-	Quorum int
-
 	// HedgeAfter enables hedged reads when positive: it is both the
 	// switch and the floor of the adaptive deadline, so scheduling
 	// noise on fast in-memory reads cannot trigger spurious hedges.
@@ -116,8 +112,6 @@ func (o Options) Validate() error {
 	switch {
 	case o.BlockSize <= 0:
 		return fmt.Errorf("shardio: BlockSize %d must be positive", o.BlockSize)
-	case o.Quorum <= 0:
-		return fmt.Errorf("shardio: Quorum %d must be positive", o.Quorum)
 	case o.HedgeAfter < 0:
 		return fmt.Errorf("shardio: HedgeAfter %v must not be negative", o.HedgeAfter)
 	}
@@ -147,6 +141,10 @@ const (
 	// StateOpen: the shard's circuit breaker is open; the group did
 	// not ask it for this stripe at all.
 	StateOpen
+	// StateCorrupt: the block arrived but its reader rejected its bytes
+	// (an error with Corrupt() == true); an erasure for this stripe
+	// only — the shard serves the next one.
+	StateCorrupt
 )
 
 func (s ShardState) String() string {
@@ -163,6 +161,8 @@ func (s ShardState) String() string {
 		return "slow"
 	case StateOpen:
 		return "open"
+	case StateCorrupt:
+		return "corrupt"
 	default:
 		return fmt.Sprintf("state(%d)", uint8(s))
 	}
@@ -189,6 +189,19 @@ type transienter interface{ Transient() bool }
 func isTransient(err error) bool {
 	var t transienter
 	return errors.As(err, &t) && t.Transient()
+}
+
+// corrupter matches the error a reader returns, having consumed a whole
+// block, for a block whose bytes fail their check (the stream layer's
+// CRC-32C trailer): the block is an erasure, the shard lives on.
+type corrupter interface{ Corrupt() bool }
+
+func isCorrupt(err error) bool {
+	if err == nil {
+		return false // every healthy block asks: no errors.As, no allocation
+	}
+	var c corrupter
+	return errors.As(err, &c) && c.Corrupt()
 }
 
 // IdleBudget is the process's one bound on idle buffers: the bytes the
@@ -421,8 +434,8 @@ type Stripe struct {
 	// stripe from the one it died on).
 	Errs []error
 	// Transients counts transient read errors absorbed while reading
-	// each delivered block — the consumer decides whether a checksum
-	// clears such a block or it must be demoted.
+	// each block that arrived, StateOK or StateCorrupt: the reader's
+	// own check passes or rejects such a block like any other.
 	Transients []uint64
 	// Retries totals backoff retries observed during this gather,
 	// including ones surfacing from stale background reads.

@@ -37,9 +37,6 @@ func newTestGroup(t *testing.T, readers []io.Reader, opts Options) *Group {
 	if opts.BlockSize == 0 {
 		opts.BlockSize = testBlock
 	}
-	if opts.Quorum == 0 {
-		opts.Quorum = 2
-	}
 	g, err := NewGroup(readers, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -81,15 +78,14 @@ func (alwaysTransient) Read([]byte) (int, error) { return 0, &fault.Err{Off: 0} 
 
 func TestOptionsValidation(t *testing.T) {
 	for _, bad := range []Options{
-		{BlockSize: 0, Quorum: 1},
-		{BlockSize: 8, Quorum: 0},
-		{BlockSize: 8, Quorum: 1, HedgeAfter: -time.Second},
+		{BlockSize: 0},
+		{BlockSize: 8, HedgeAfter: -time.Second},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("options %+v accepted", bad)
 		}
 	}
-	if err := (Options{BlockSize: 8, Quorum: 1}).Validate(); err != nil {
+	if err := (Options{BlockSize: 8}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -204,7 +200,7 @@ func TestGroupRetriesTransients(t *testing.T) {
 
 func TestGroupRetriesExhaust(t *testing.T) {
 	readers := []io.Reader{alwaysTransient{}, bytes.NewReader(mkShards(2, 2)[1])}
-	g := newTestGroup(t, readers, Options{Quorum: 1})
+	g := newTestGroup(t, readers, Options{})
 	st, err := g.Next(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -221,9 +217,78 @@ func TestGroupRetriesExhaust(t *testing.T) {
 	st.Release()
 }
 
+// corruptErr is a block rejection the way the stream layer's trailer
+// check reports one.
+type corruptErr struct{}
+
+func (corruptErr) Error() string { return "block checksum mismatch" }
+func (corruptErr) Corrupt() bool { return true }
+
+// rejecting serves a shard stream and rejects block bad: the Read that
+// would complete it returns corruptErr instead, the block consumed.
+type rejecting struct {
+	r   io.Reader
+	bad int64
+	pos int64
+}
+
+func (c *rejecting) Read(p []byte) (int, error) {
+	end := (c.pos/testBlock + 1) * testBlock
+	if int64(len(p)) > end-c.pos {
+		p = p[:end-c.pos]
+	}
+	n, err := c.r.Read(p)
+	if c.pos += int64(n); c.pos == end && end/testBlock-1 == c.bad {
+		return 0, corruptErr{}
+	}
+	return n, err
+}
+
+// TestGroupCorruptBlockIsAnErasure: a block its reader rejects is an
+// erasure for its stripe — StateCorrupt, no block — and the shard
+// serves the stripes after it, also when the rejected block is one a
+// spare attached behind it skip-reads on its way in.
+func TestGroupCorruptBlockIsAnErasure(t *testing.T) {
+	const n, stripes = 3, 4
+	ctx := context.Background()
+	shards := mkShards(n, stripes)
+	readers := []io.Reader{
+		&rejecting{r: bytes.NewReader(shards[0]), bad: 0},
+		&rejecting{r: bytes.NewReader(shards[1]), bad: 1},
+		nil,
+	}
+	g := newTestGroup(t, readers, Options{})
+	for s := 0; s < stripes; s++ {
+		st, err := g.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == 2 {
+			if err := g.Attach(2, &rejecting{r: bytes.NewReader(shards[2]), bad: 1}, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Fill(ctx, st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			switch {
+			case i == 2 && s < 2: // not attached yet
+			case i == s && s < 2: // shards 0 and 1 reject their own stripe's block
+				if st.States[i] != StateCorrupt || st.Blocks[i] != nil {
+					t.Fatalf("stripe %d: rejected shard %d is %v", s, i, st.States[i])
+				}
+			case st.States[i] != StateOK || !bytes.Equal(st.Blocks[i], shards[i][s*testBlock:(s+1)*testBlock]):
+				t.Fatalf("stripe %d: shard %d is %v or misaligned", s, i, st.States[i])
+			}
+		}
+		st.Release()
+	}
+}
+
 // TestGroupHedgesStraggler: with hedging on, a straggler is demoted to
-// slow once quorum has landed, the stripe proceeds, and the late block
-// is claimable afterwards via TakeLate.
+// slow once its deadline passes, the stripe proceeds, and the late
+// block is claimable afterwards via TakeLate.
 func TestGroupHedgesStraggler(t *testing.T) {
 	const n, stripes = 4, 3
 	shards := mkShards(n, stripes)
@@ -233,7 +298,7 @@ func TestGroupHedgesStraggler(t *testing.T) {
 	}
 	readers[2] = &slowReader{r: bytes.NewReader(shards[2]), delay: 40 * time.Millisecond, slowReads: -1}
 	// One miss in three stripes: the breaker stays out of it.
-	g := newTestGroup(t, readers, Options{Quorum: 3, HedgeAfter: 2 * time.Millisecond})
+	g := newTestGroup(t, readers, Options{HedgeAfter: 2 * time.Millisecond})
 
 	start := time.Now()
 	st, err := g.Next(context.Background())
@@ -280,7 +345,7 @@ func TestGroupTakeLateBeforeArrival(t *testing.T) {
 		readers[i] = bytes.NewReader(shards[i])
 	}
 	readers[0] = &slowReader{r: bytes.NewReader(shards[0]), delay: 30 * time.Millisecond, slowReads: -1}
-	g := newTestGroup(t, readers, Options{Quorum: 2, HedgeAfter: 2 * time.Millisecond})
+	g := newTestGroup(t, readers, Options{HedgeAfter: 2 * time.Millisecond})
 	st, err := g.Next(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +385,7 @@ func TestGroupAwaitReadsWhatTheHedgeSkipped(t *testing.T) {
 		readers[i] = bytes.NewReader(shards[i])
 	}
 	readers[1] = &slowReader{r: bytes.NewReader(shards[1]), delay: 40 * time.Millisecond, slowReads: -1, clock: fc}
-	g := newTestGroup(t, readers, Options{Quorum: 2, HedgeAfter: 2 * time.Millisecond, Clock: fc})
+	g := newTestGroup(t, readers, Options{HedgeAfter: 2 * time.Millisecond, Clock: fc})
 
 	opened := false
 	for s := 0; s < stripes; s++ {
@@ -376,7 +441,7 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 	// Slow for exactly the run that trips, then instant.
 	readers[1] = &slowReader{r: bytes.NewReader(shards[1]), delay: delay, slowReads: breakerThreshold, clock: fc}
 	reg := obs.NewRegistry()
-	g := newTestGroup(t, readers, Options{Quorum: 3, HedgeAfter: 2 * time.Millisecond, Clock: fc, Metrics: reg})
+	g := newTestGroup(t, readers, Options{HedgeAfter: 2 * time.Millisecond, Clock: fc, Metrics: reg})
 	openG := reg.Gauge("shardio_breaker_open", "", obs.Label{Key: "shard", Value: "1"})
 	var trips uint64
 	sawOpen, sawRecovered := false, false
@@ -423,7 +488,7 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 func TestGroupPanicRecovered(t *testing.T) {
 	panicky := readerFunc(func([]byte) (int, error) { panic("boom") })
 	readers := []io.Reader{panicky, bytes.NewReader(mkShards(2, 1)[1])}
-	g := newTestGroup(t, readers, Options{Quorum: 1})
+	g := newTestGroup(t, readers, Options{})
 	st, err := g.Next(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +514,7 @@ func TestGroupCancelledNext(t *testing.T) {
 	blocked := fault.NewReader(bytes.NewReader(mkShards(1, 4)[0]), fault.Plan{
 		Ops: []fault.Op{{Kind: fault.Slow, Off: 0, Len: 5_000_000}}, // ~5s per read
 	}).WithContext(ctx)
-	g := newTestGroup(t, []io.Reader{blocked}, Options{Quorum: 1})
+	g := newTestGroup(t, []io.Reader{blocked}, Options{})
 	done := make(chan error, 1)
 	go func() {
 		_, err := g.Next(ctx)
@@ -487,7 +552,7 @@ func TestGroupCloseReleasesGoroutines(t *testing.T) {
 			readers[i] = bytes.NewReader(shards[i])
 		}
 		readers[4] = &slowReader{r: bytes.NewReader(shards[4]), delay: 5 * time.Millisecond, slowReads: -1}
-		g, err := NewGroup(readers, Options{BlockSize: testBlock, Quorum: 3, HedgeAfter: time.Millisecond})
+		g, err := NewGroup(readers, Options{BlockSize: testBlock, HedgeAfter: time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -300,6 +301,67 @@ func TestDecoderTransientErrorsStayPerStripe(t *testing.T) {
 			t.Fatalf("ShardsCorrupted/StripesHealed = %d/%d, want 0/0", st.ShardsCorrupted, st.StripesHealed)
 		}
 	})
+}
+
+// TestDecodeBringsSparesOnEvidence: a read given exactly k shards takes
+// a spare only at a stripe that comes up short — a dead shard, a
+// corrupt block — one per piece of evidence and named for it, while a
+// healthy read takes none; the bytes are exact either way.
+func TestDecodeBringsSparesOnEvidence(t *testing.T) {
+	const k, m, shardSize, stripes = 4, 2, 256, 6
+	const blockSize = shardSize + crcSize
+	opts := Options{Codec: mustRS(t, k, m), StripeSize: k * shardSize, Workers: 2}
+	payload := randBytes(t, stripes*k*shardSize-33, 41)
+	size := int64(len(payload))
+	shards := encodeAll(t, opts, payload)
+	corrupt := func(i, stripe int) io.Reader {
+		b := append([]byte(nil), shards[i]...)
+		b[stripe*blockSize+5] ^= 1
+		return bytes.NewReader(b)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage map[int]io.Reader
+		want   string // the spares opened, in order
+	}{
+		{"healthy", nil, "[]"},
+		{"corrupt block", map[int]io.Reader{1: corrupt(1, 2)}, "[2 corrupt]"},
+		{"dead shard and corrupt block", map[int]io.Reader{
+			0: bytes.NewReader(shards[0][:3*blockSize+7]),
+			2: corrupt(2, 3),
+		}, "[3 dead 3 corrupt]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dec, err := NewDecoder(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			readers := make([]io.Reader, k+m)
+			for i := 0; i < k; i++ {
+				readers[i] = bytes.NewReader(shards[i])
+			}
+			for i, r := range tc.damage {
+				readers[i] = r
+			}
+			next := k
+			calls := []string{}
+			spare := func(_ context.Context, block int64, reason string) (int, io.Reader, error) {
+				calls = append(calls, fmt.Sprintf("%d %s", block, reason))
+				next++
+				return next - 1, bytes.NewReader(shards[next-1][block*blockSize:]), nil
+			}
+			var out bytes.Buffer
+			if err := dec.DecodeRange(context.Background(), readers, &out, size, 0, size, spare); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), payload) {
+				t.Fatal("decoded bytes differ from the payload")
+			}
+			if got := fmt.Sprint(calls); got != tc.want {
+				t.Fatalf("spares opened %s, want %s", got, tc.want)
+			}
+		})
+	}
 }
 
 func TestDecoderValidation(t *testing.T) {

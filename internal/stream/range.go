@@ -16,9 +16,13 @@ import (
 // stream: the leading partial stripe is decoded and trimmed locally,
 // and decoding stops after the window's last stripe.
 //
-// off == 0 with length == size is exactly Decode. length is clamped
-// to the end of the stream.
-func (d *Decoder) DecodeRange(ctx context.Context, shards []io.Reader, w io.Writer, size, off, length int64) error {
+// A stripe that comes up short takes a spare from spare, when it is not
+// nil, at its own block of the window (see SpareFunc): the window's
+// first stripe is block 0.
+//
+// off == 0 with length == size and a nil spare is exactly Decode.
+// length is clamped to the end of the stream.
+func (d *Decoder) DecodeRange(ctx context.Context, shards []io.Reader, w io.Writer, size, off, length int64, spare SpareFunc) error {
 	stripe := int64(d.g.stripeSize)
 	if off < 0 || off > size {
 		return fmt.Errorf("stream: decode range offset %d outside stream of %d bytes", off, size)
@@ -33,7 +37,7 @@ func (d *Decoder) DecodeRange(ctx context.Context, shards []io.Reader, w io.Writ
 	start := off / stripe * stripe
 	window := off + length - start
 	rw := &rangeWriter{w: w, skip: off - start}
-	return d.Decode(ctx, shards, rw, window)
+	return d.decode(ctx, shards, rw, window, spare)
 }
 
 // rangeWriter discards the first skip bytes and passes the rest

@@ -40,7 +40,7 @@ func decodeRange(t testing.TB, opts Options, shards [][]byte, size, off, length 
 		readers[i] = bytes.NewReader(s[lo:hi])
 	}
 	var out bytes.Buffer
-	if err := dec.DecodeRange(context.Background(), readers, &out, size, off, length); err != nil {
+	if err := dec.DecodeRange(context.Background(), readers, &out, size, off, length, nil); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
@@ -138,7 +138,7 @@ func TestDecodeRangeBadOffset(t *testing.T) {
 		readers[i] = bytes.NewReader(s)
 	}
 	for _, off := range []int64{-1, 1201} {
-		if err := dec.DecodeRange(context.Background(), readers, io.Discard, 1200, off, 10); err == nil {
+		if err := dec.DecodeRange(context.Background(), readers, io.Discard, 1200, off, 10, nil); err == nil {
 			t.Fatalf("off=%d: want error, got nil", off)
 		}
 	}

@@ -93,8 +93,10 @@ func TestRebuildMatchesEncoder(t *testing.T) {
 
 // TestRebuildHealsThroughSpare: one source fails at stripe 3 — a
 // corrupt block, a read error, an early end — and the rebuild carries
-// on through the one spare the caller opens at that stripe, with the
-// output still byte-identical and the counters exact.
+// on through the one spare the caller opens at that stripe, for that
+// reason, with the output still byte-identical and the counters exact.
+// A corrupt block is an erasure for its stripe only: its shard goes on
+// serving, so from the next stripe on k+1 sources are read.
 func TestRebuildHealsThroughSpare(t *testing.T) {
 	const k, m, shardSize, stripes, failAt = 4, 2, 256, 8, 3
 	const blockSize = shardSize + crcSize
@@ -105,19 +107,21 @@ func TestRebuildHealsThroughSpare(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
 		damage           func() io.Reader
+		reason           string
 		corrupt, failure uint64
+		kept             uint64 // blocks the damaged source still serves after failAt
 	}{
 		{"corrupt block", func() io.Reader {
 			b := append([]byte(nil), shards[bad]...)
 			b[failAt*blockSize+17] ^= 0x40
 			return bytes.NewReader(b)
-		}, 1, 0},
+		}, "corrupt", 1, 0, stripes - failAt - 1},
 		{"read error", func() io.Reader {
 			return &erraticReader{data: shards[bad][:failAt*blockSize+9], err: errors.New("disk on fire")}
-		}, 0, 1},
+		}, "dead", 0, 1, 0},
 		{"early end", func() io.Reader {
 			return bytes.NewReader(shards[bad][:failAt*blockSize])
-		}, 0, 1},
+		}, "dead", 0, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rb, err := NewRebuilder(opts)
@@ -129,9 +133,9 @@ func TestRebuildHealsThroughSpare(t *testing.T) {
 				readers[i] = bytes.NewReader(shards[i])
 			}
 			readers[bad] = tc.damage()
-			var calls []int64
-			spare := func(_ context.Context, block int64) (int, io.Reader, error) {
-				calls = append(calls, block)
+			var calls []string
+			spare := func(_ context.Context, block int64, reason string) (int, io.Reader, error) {
+				calls = append(calls, fmt.Sprintf("%d %s", block, reason))
 				return spareIdx, bytes.NewReader(shards[spareIdx][block*blockSize:]), nil
 			}
 			var out bytes.Buffer
@@ -141,13 +145,13 @@ func TestRebuildHealsThroughSpare(t *testing.T) {
 			if !bytes.Equal(out.Bytes(), shards[target]) {
 				t.Fatal("healed rebuild differs from the encoder's shard")
 			}
-			if len(calls) != 1 || calls[0] != failAt {
-				t.Fatalf("spare opened at blocks %v, want once at %d", calls, failAt)
+			if want := fmt.Sprintf("%d %s", failAt, tc.reason); len(calls) != 1 || calls[0] != want {
+				t.Fatalf("spares opened %q, want once: %q", calls, want)
 			}
 			st := rb.Stats()
 			want := Stats{
 				Stripes: stripes, Reconstructed: stripes,
-				BytesIn: stripes * k * blockSize, BytesOut: stripes * blockSize,
+				BytesIn: (stripes*k + tc.kept) * blockSize, BytesOut: stripes * blockSize,
 				ShardsCorrupted: tc.corrupt, ShardFailures: tc.failure, StripesHealed: 1,
 			}
 			st.Latency = want.Latency
@@ -177,7 +181,7 @@ func TestRebuildTooManyCorrupt(t *testing.T) {
 	}
 	oneSpare := func() SpareFunc {
 		left := []int{k + 1}
-		return func(_ context.Context, block int64) (int, io.Reader, error) {
+		return func(_ context.Context, block int64, _ string) (int, io.Reader, error) {
 			if len(left) == 0 {
 				return 0, nil, errors.New("spares exhausted")
 			}
@@ -292,7 +296,7 @@ func TestRebuildReleasesEverything(t *testing.T) {
 			readers[i] = open(shards[i])
 		}
 		left := tc.spares
-		spare := func(_ context.Context, block int64) (int, io.Reader, error) {
+		spare := func(_ context.Context, block int64, _ string) (int, io.Reader, error) {
 			if left == 0 {
 				return 0, nil, errors.New("spares exhausted")
 			}
@@ -323,7 +327,7 @@ func TestRebuildReleasesEverything(t *testing.T) {
 // TestVerifiedReaderChunking: the trailer check does not depend on how
 // the underlying reader slices the stream — byte at a time, trailers
 // split across reads — and a bad block fails instead of completing,
-// stickily.
+// with the stream going on from the next block.
 func TestVerifiedReaderChunking(t *testing.T) {
 	const k, m, shardSize, stripes = 2, 1, 40, 3
 	const blockSize = shardSize + crcSize
@@ -342,8 +346,8 @@ func TestVerifiedReaderChunking(t *testing.T) {
 		if !errors.Is(err, errBlockChecksum) || len(got) < blockSize || len(got) >= 2*blockSize {
 			t.Fatalf("chunk %d: bad block: err=%v after %d bytes", chunk, err, len(got))
 		}
-		if n, err := v.Read(make([]byte, 8)); n != 0 || !errors.Is(err, errBlockChecksum) {
-			t.Fatalf("chunk %d: read after a bad block: n=%d err=%v", chunk, n, err)
+		if rest, err := io.ReadAll(v); err != nil || !bytes.Equal(rest, shard[2*blockSize:]) {
+			t.Fatalf("chunk %d: after a bad block: err=%v, %d bytes, want the %d after it", chunk, err, len(rest), len(shard)-2*blockSize)
 		}
 	}
 }

@@ -112,10 +112,11 @@ type Options struct {
 
 	// HedgeAfter enables hedged degraded reads on decode when
 	// positive: a shard that misses the stripe's adaptive deadline
-	// (derived from the fleet-median block-read latency) while at
-	// least k blocks have arrived is demoted to slow, and the stripe
-	// reconstructs around it immediately while the slow read continues
-	// in the background — first finisher wins. HedgeAfter is also the
+	// (derived from the fleet-median block-read latency) is demoted to
+	// slow; with k blocks in hand the stripe reconstructs around it
+	// immediately while the slow read continues in the background —
+	// first finisher wins — and with fewer, a read that has a SpareFunc
+	// brings a spare in. HedgeAfter is also the
 	// deadline floor. Zero (the default) disables hedging and the
 	// circuit breaker: every stripe waits for all live shards. It is the
 	// one straggler switch; the deadline ratio, retry budget and breaker
@@ -147,8 +148,8 @@ type Options struct {
 	Metrics *obs.Registry
 
 	// Trace, when non-nil, records a lifecycle span per stripe (read →
-	// verify → reconstruct → emit on decode, read → encode → emit on
-	// encode, annotated with hedge/breaker/heal decisions) into the
+	// reconstruct → emit on decode, read → encode → emit on encode,
+	// annotated with spare/hedge/breaker decisions) into the
 	// tracer's ring buffer (obs.Tracer.Handler serves it as JSON). Nil
 	// disables tracing at zero cost.
 	Trace *obs.Tracer
@@ -205,7 +206,6 @@ func (o Options) geometry() (geom, error) {
 	}
 	straggler := shardio.Options{
 		BlockSize:  shard + crcSize,
-		Quorum:     k,
 		HedgeAfter: o.HedgeAfter,
 		Seed:       o.Seed,
 		Metrics:    o.Metrics,
