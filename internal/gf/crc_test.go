@@ -42,25 +42,27 @@ func TestCRC32CUpdateFoldsTiles(t *testing.T) {
 
 func TestMulSliceXorMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	for _, n := range kernelLengths {
-		a := randBytes(r, n)
-		b := randBytes(r, n)
-		for c := 0; c < 256; c += 7 {
+	eachBody(func(body string) {
+		for n := 0; n <= maxSweepLen; n++ {
+			a := randBytes(r, n)
+			b := randBytes(r, n+1)[1:] // off a word boundary
 			want := make([]byte, n)
-			RefMulSliceXor(byte(c), want, a, b)
 			got := make([]byte, n)
-			MulSliceXor(byte(c), got, a, b)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulSliceXor c=%d n=%d differs from reference", c, n)
-			}
-			// In-place form: dst aliases a.
-			inPlace := append([]byte(nil), a...)
-			MulSliceXor(byte(c), inPlace, inPlace, b)
-			if !bytes.Equal(inPlace, want) {
-				t.Fatalf("MulSliceXor in-place c=%d n=%d differs from reference", c, n)
+			for c := 0; c < 256; c++ {
+				RefMulSliceXor(byte(c), want, a, b)
+				MulSliceXor(byte(c), got, a, b)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s MulSliceXor c=%d n=%d differs from reference", body, c, n)
+				}
+				// In-place form: dst aliases a.
+				copy(got, a)
+				MulSliceXor(byte(c), got, got, b)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s MulSliceXor in-place c=%d n=%d differs from reference", body, c, n)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestMulSliceXorLengthMismatchPanics(t *testing.T) {

@@ -7,9 +7,11 @@
 //
 // The package provides scalar operations (Mul, Div, Inv, Exp), bulk
 // slice operations used by the table-lookup codec (MulSlice,
-// MulSliceAdd, AddSlice), and the nibble split tables that mirror the
-// layout ISA-L feeds to VPSHUFB. Bulk operations process eight bytes per
-// step via 64-bit word batching where the operation allows it.
+// MulSliceAdd, AddSlice), and the nibble split tables that ISA-L feeds
+// to VPSHUFB. On amd64 CPUs with AVX2 the single-coefficient kernels
+// run ISA-L's VPSHUFB split-table body, 32 bytes per step, chosen once
+// at init from CPUID; everywhere else, and for every tail shorter than
+// 32 bytes, they process eight bytes per step via 64-bit word batching.
 package gf
 
 import "fmt"
@@ -53,6 +55,9 @@ func init() {
 	}
 	for a := 1; a < 256; a++ {
 		invTable[a] = expTable[255-logTable[a]]
+	}
+	for c := range nibbleTables {
+		nibbleTables[c] = MakeNibbleTables(byte(c))
 	}
 }
 

@@ -284,15 +284,20 @@ func TestQuickSliceDistributive(t *testing.T) {
 	}
 }
 
+// BenchmarkMulSliceAdd4K measures one rs tile step's kernel under each
+// body this CPU has.
 func BenchmarkMulSliceAdd4K(b *testing.B) {
 	src := make([]byte, 4096)
 	dst := make([]byte, 4096)
 	rand.New(rand.NewSource(7)).Read(src)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulSliceAdd(0x57, dst, src)
-	}
+	eachBody(func(body string) {
+		b.Run(body, func(b *testing.B) {
+			b.SetBytes(4096)
+			for i := 0; i < b.N; i++ {
+				MulSliceAdd(0x57, dst, src)
+			}
+		})
+	})
 }
 
 func BenchmarkAddSlice4K(b *testing.B) {

@@ -2,12 +2,13 @@ package gf
 
 import "encoding/binary"
 
-// This file holds the word-parallel fused kernels: the software analogue
-// of ISA-L's gf_2vect/gf_4vect dot products (§4.1 of the DIALGA paper).
-// Instead of one VPSHUFB split-table lookup per coefficient, the packed
-// tables fuse 2 or 4 coefficients into a single 16- or 32-bit entry, so
-// one L1 load yields the products for 2-4 parity rows at once and each
-// source word is loaded exactly once per row group.
+// This file holds the portable family's fused kernels: the software
+// analogue of ISA-L's gf_2vect/gf_4vect dot products (§4.1 of the DIALGA
+// paper), which the rs plan compiler uses where MulSliceAdd has no SIMD
+// body. Instead of one VPSHUFB split-table lookup per coefficient, the
+// packed tables fuse 2 or 4 coefficients into a single 16- or 32-bit
+// entry, so one L1 load yields the products for 2-4 parity rows at once
+// and each source word is loaded exactly once per row group.
 //
 // The fused accumulation runs in an *interleaved* layout — acc[2p+r]
 // (pairs) or acc[4p+r] (quads) holds row r at byte position p — because
@@ -15,7 +16,7 @@ import "encoding/binary"
 // 64-bit accumulator words with no per-row shifting. The caller
 // de-interleaves once per tile (Deinterleave2/Deinterleave4) after all k
 // sources have been accumulated, so the transpose cost is amortized over
-// the whole source sweep. See DESIGN.md "Word-parallel GF kernels".
+// the whole source sweep. See DESIGN.md "GF kernel families".
 
 // PairTables is the packed split table for two coefficients:
 // entry b = c0*b | c1*b<<8. One lookup multiplies a source byte by both
@@ -181,71 +182,32 @@ func Deinterleave2(acc, d0, d1 []byte) {
 	}
 }
 
-// MulAdd4 applies four coefficients to one source pass over separate
-// destinations: d_r[i] ^= c_r * src[i]. This is the direct (non-tiled)
-// fused kernel — one source load serves four parity rows — used where
-// the destinations are full rows rather than interleaved tiles, e.g.
-// the incremental parity Update path. All slices must share src's
-// length and must not overlap src.
+// MulAdd4 applies four coefficients to one source over separate
+// destinations: d_r[i] ^= c_r * src[i], as four MulSliceAdd passes, so
+// it runs the SIMD body where there is one. It serves the incremental
+// parity Update path, where the destinations are full rows rather than
+// tiles. (A portable body that loaded each source word once for all
+// four rows measured within noise of the four passes.) All slices must
+// share src's length and must not overlap src.
 func MulAdd4(c0, c1, c2, c3 byte, d0, d1, d2, d3, src []byte) {
 	n := len(src)
 	if len(d0) != n || len(d1) != n || len(d2) != n || len(d3) != n {
 		panic("gf: MulAdd4 length mismatch")
 	}
-	r0, r1 := &mulTable[c0], &mulTable[c1]
-	r2, r3 := &mulTable[c2], &mulTable[c3]
-	for n >= 8 {
-		w := binary.LittleEndian.Uint64(src)
-		b0, b1, b2, b3 := byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-		b4, b5, b6, b7 := byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
-		binary.LittleEndian.PutUint64(d0, binary.LittleEndian.Uint64(d0)^
-			(uint64(r0[b0])|uint64(r0[b1])<<8|uint64(r0[b2])<<16|uint64(r0[b3])<<24|
-				uint64(r0[b4])<<32|uint64(r0[b5])<<40|uint64(r0[b6])<<48|uint64(r0[b7])<<56))
-		binary.LittleEndian.PutUint64(d1, binary.LittleEndian.Uint64(d1)^
-			(uint64(r1[b0])|uint64(r1[b1])<<8|uint64(r1[b2])<<16|uint64(r1[b3])<<24|
-				uint64(r1[b4])<<32|uint64(r1[b5])<<40|uint64(r1[b6])<<48|uint64(r1[b7])<<56))
-		binary.LittleEndian.PutUint64(d2, binary.LittleEndian.Uint64(d2)^
-			(uint64(r2[b0])|uint64(r2[b1])<<8|uint64(r2[b2])<<16|uint64(r2[b3])<<24|
-				uint64(r2[b4])<<32|uint64(r2[b5])<<40|uint64(r2[b6])<<48|uint64(r2[b7])<<56))
-		binary.LittleEndian.PutUint64(d3, binary.LittleEndian.Uint64(d3)^
-			(uint64(r3[b0])|uint64(r3[b1])<<8|uint64(r3[b2])<<16|uint64(r3[b3])<<24|
-				uint64(r3[b4])<<32|uint64(r3[b5])<<40|uint64(r3[b6])<<48|uint64(r3[b7])<<56))
-		src, d0, d1, d2, d3 = src[8:], d0[8:], d1[8:], d2[8:], d3[8:]
-		n -= 8
-	}
-	for i, b := range src {
-		d0[i] ^= r0[b]
-		d1[i] ^= r1[b]
-		d2[i] ^= r2[b]
-		d3[i] ^= r3[b]
-	}
+	MulSliceAdd(c0, d0, src)
+	MulSliceAdd(c1, d1, src)
+	MulSliceAdd(c2, d2, src)
+	MulSliceAdd(c3, d3, src)
 }
 
-// MulAdd2 applies two coefficients to one source pass over separate
+// MulAdd2 applies two coefficients to one source over separate
 // destinations: d_r[i] ^= c_r * src[i]. See MulAdd4.
 func MulAdd2(c0, c1 byte, d0, d1, src []byte) {
-	n := len(src)
-	if len(d0) != n || len(d1) != n {
+	if len(d0) != len(src) || len(d1) != len(src) {
 		panic("gf: MulAdd2 length mismatch")
 	}
-	r0, r1 := &mulTable[c0], &mulTable[c1]
-	for n >= 8 {
-		w := binary.LittleEndian.Uint64(src)
-		b0, b1, b2, b3 := byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-		b4, b5, b6, b7 := byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
-		binary.LittleEndian.PutUint64(d0, binary.LittleEndian.Uint64(d0)^
-			(uint64(r0[b0])|uint64(r0[b1])<<8|uint64(r0[b2])<<16|uint64(r0[b3])<<24|
-				uint64(r0[b4])<<32|uint64(r0[b5])<<40|uint64(r0[b6])<<48|uint64(r0[b7])<<56))
-		binary.LittleEndian.PutUint64(d1, binary.LittleEndian.Uint64(d1)^
-			(uint64(r1[b0])|uint64(r1[b1])<<8|uint64(r1[b2])<<16|uint64(r1[b3])<<24|
-				uint64(r1[b4])<<32|uint64(r1[b5])<<40|uint64(r1[b6])<<48|uint64(r1[b7])<<56))
-		src, d0, d1 = src[8:], d0[8:], d1[8:]
-		n -= 8
-	}
-	for i, b := range src {
-		d0[i] ^= r0[b]
-		d1[i] ^= r1[b]
-	}
+	MulSliceAdd(c0, d0, src)
+	MulSliceAdd(c1, d1, src)
 }
 
 // MulSliceXor materializes a common-subexpression tile in one pass:
@@ -265,6 +227,10 @@ func MulSliceXor(c byte, dst, a, b []byte) {
 	case 1:
 		XorInto(dst, a, b)
 		return
+	}
+	if n := len(dst) &^ 31; n > 0 && mulAddVec != nil {
+		mulAddVec(&nibbleTables[c], dst[:n], a[:n], b[:n])
+		dst, a, b = dst[n:], a[n:], b[n:]
 	}
 	row := &mulTable[c]
 	for len(dst) >= 8 {

@@ -17,64 +17,72 @@ func randBytes(r *rand.Rand, n int) []byte {
 	return b
 }
 
+// maxSweepLen bounds the single-coefficient sweeps: they run every
+// length up to it, so most lengths are not multiples of the SIMD body's
+// 32-byte step and every prefix/tail split is taken.
+const maxSweepLen = 300
+
+// eachBody runs f with the SIMD kernels, where this CPU has them, then
+// with the portable word loops alone, and restores the dispatch.
+func eachBody(f func(body string)) {
+	mul, mad := mulVec, mulAddVec
+	defer func() { mulVec, mulAddVec = mul, mad }()
+	if mul != nil {
+		f("avx2")
+	}
+	mulVec, mulAddVec = nil, nil
+	f("portable")
+}
+
+// TestMulSliceMatchesRef covers all 256 coefficients at every length up
+// to maxSweepLen, on subslices starting off a word boundary, both into
+// a separate destination and in place (dst == src).
 func TestMulSliceMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	for _, n := range kernelLengths {
-		src := randBytes(r, n)
-		for c := 0; c < 256; c += 7 {
-			want := make([]byte, n)
-			RefMulSlice(byte(c), want, src)
-			got := make([]byte, n)
-			MulSlice(byte(c), got, src)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulSlice c=%d n=%d differs from reference", c, n)
+	buf := randBytes(r, maxSweepLen+3)
+	want := make([]byte, maxSweepLen)
+	out := make([]byte, maxSweepLen+3)
+	eachBody(func(body string) {
+		for n := 0; n <= maxSweepLen; n++ {
+			off := n % 4
+			src, got := buf[off:off+n], out[off:off+n]
+			for c := 0; c < 256; c++ {
+				RefMulSlice(byte(c), want[:n], src)
+				MulSlice(byte(c), got, src)
+				if !bytes.Equal(got, want[:n]) {
+					t.Fatalf("%s MulSlice c=%d n=%d off=%d differs from reference", body, c, n, off)
+				}
+				copy(got, src)
+				MulSlice(byte(c), got, got)
+				if !bytes.Equal(got, want[:n]) {
+					t.Fatalf("%s MulSlice in place c=%d n=%d off=%d differs from reference", body, c, n, off)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestMulSliceAddMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
-	for _, n := range kernelLengths {
-		src := randBytes(r, n)
-		init := randBytes(r, n)
-		for c := 0; c < 256; c += 5 {
-			want := append([]byte(nil), init...)
-			RefMulSliceAdd(byte(c), want, src)
-			got := append([]byte(nil), init...)
-			MulSliceAdd(byte(c), got, src)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulSliceAdd c=%d n=%d differs from reference", c, n)
+	buf := randBytes(r, maxSweepLen+3)
+	init := randBytes(r, maxSweepLen+3)
+	want := make([]byte, maxSweepLen)
+	out := make([]byte, maxSweepLen+3)
+	eachBody(func(body string) {
+		for n := 0; n <= maxSweepLen; n++ {
+			off := n % 4
+			src, got := buf[off:off+n], out[off:off+n]
+			for c := 0; c < 256; c++ {
+				copy(want, init[:n])
+				RefMulSliceAdd(byte(c), want[:n], src)
+				copy(got, init[:n])
+				MulSliceAdd(byte(c), got, src)
+				if !bytes.Equal(got, want[:n]) {
+					t.Fatalf("%s MulSliceAdd c=%d n=%d off=%d differs from reference", body, c, n, off)
+				}
 			}
 		}
-	}
-}
-
-func TestWordTablesMatchRef(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for _, n := range kernelLengths {
-		src := randBytes(r, n)
-		init := randBytes(r, n)
-		for c := 0; c < 256; c += 3 {
-			wt := MakeWordTables(byte(c))
-
-			want := make([]byte, n)
-			RefMulSlice(byte(c), want, src)
-			got := make([]byte, n)
-			wt.MulSlice(got, src)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("WordTables.MulSlice c=%d n=%d differs", c, n)
-			}
-
-			want = append([]byte(nil), init...)
-			RefMulSliceAdd(byte(c), want, src)
-			got = append([]byte(nil), init...)
-			wt.MulSliceAdd(got, src)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("WordTables.MulSliceAdd c=%d n=%d differs", c, n)
-			}
-		}
-	}
+	})
 }
 
 func TestMulAddQuadMatchesRef(t *testing.T) {
@@ -152,33 +160,35 @@ func TestDeinterleaveRoundtrip(t *testing.T) {
 
 func TestMulAdd4MatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	for _, n := range kernelLengths {
-		src := randBytes(r, n)
-		var cs [4]byte
-		for i := range cs {
-			cs[i] = byte(r.Intn(256))
-		}
-		want := make([][]byte, 4)
-		got := make([][]byte, 4)
-		for x := range want {
-			init := randBytes(r, n)
-			want[x] = append([]byte(nil), init...)
-			got[x] = append([]byte(nil), init...)
-			RefMulSliceAdd(cs[x], want[x], src)
-		}
-		MulAdd4(cs[0], cs[1], cs[2], cs[3], got[0], got[1], got[2], got[3], src)
-		for x := range got {
-			if !bytes.Equal(got[x], want[x]) {
-				t.Fatalf("MulAdd4 n=%d row %d differs", n, x)
+	eachBody(func(body string) {
+		for n := 0; n <= maxSweepLen; n++ {
+			src := randBytes(r, n)
+			var cs [4]byte
+			for i := range cs {
+				cs[i] = byte(r.Intn(256))
+			}
+			want := make([][]byte, 4)
+			got := make([][]byte, 4)
+			for x := range want {
+				init := randBytes(r, n)
+				want[x] = append([]byte(nil), init...)
+				got[x] = append([]byte(nil), init...)
+				RefMulSliceAdd(cs[x], want[x], src)
+			}
+			MulAdd4(cs[0], cs[1], cs[2], cs[3], got[0], got[1], got[2], got[3], src)
+			for x := range got {
+				if !bytes.Equal(got[x], want[x]) {
+					t.Fatalf("%s MulAdd4 n=%d row %d differs", body, n, x)
+				}
+			}
+			MulAdd2(cs[0], cs[1], got[0], got[1], src)
+			RefMulSliceAdd(cs[0], want[0], src)
+			RefMulSliceAdd(cs[1], want[1], src)
+			if !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+				t.Fatalf("%s MulAdd2 n=%d differs", body, n)
 			}
 		}
-		MulAdd2(cs[0], cs[1], got[0], got[1], src)
-		RefMulSliceAdd(cs[0], want[0], src)
-		RefMulSliceAdd(cs[1], want[1], src)
-		if !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
-			t.Fatalf("MulAdd2 n=%d differs", n)
-		}
-	}
+	})
 }
 
 func TestXorInto(t *testing.T) {
@@ -232,10 +242,10 @@ func TestKernelPanics(t *testing.T) {
 	expectPanic("XorInto ragged", func() { XorInto(make([]byte, 8), make([]byte, 7)) })
 }
 
-// FuzzMulSliceAdd pins the word-parallel and SWAR single-coefficient
-// kernels byte-for-byte against the scalar reference on arbitrary
-// (coefficient, destination, source) inputs, including unaligned
-// lengths.
+// FuzzMulSliceAdd pins both bodies of the single-coefficient kernels
+// byte-for-byte against the scalar reference on arbitrary (coefficient,
+// destination, source) inputs, including lengths off the 8- and
+// 32-byte steps and MulSlice in place.
 func FuzzMulSliceAdd(f *testing.F) {
 	f.Add(uint8(0x57), []byte("hello world, this is 21b"), []byte{1})
 	f.Add(uint8(0), []byte{}, []byte{})
@@ -250,37 +260,32 @@ func FuzzMulSliceAdd(f *testing.F) {
 		}
 		want := append([]byte(nil), dst...)
 		RefMulSliceAdd(c, want, src)
-
-		got := append([]byte(nil), dst...)
-		MulSliceAdd(c, got, src)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("MulSliceAdd c=%d len=%d diverges from scalar reference", c, len(src))
-		}
-
-		wt := MakeWordTables(c)
-		got2 := append([]byte(nil), dst...)
-		wt.MulSliceAdd(got2, src)
-		if !bytes.Equal(got2, want) {
-			t.Fatalf("WordTables.MulSliceAdd c=%d len=%d diverges from scalar reference", c, len(src))
-		}
-
 		wantMul := make([]byte, len(src))
 		RefMulSlice(c, wantMul, src)
-		gotMul := append([]byte(nil), dst...)
-		MulSlice(c, gotMul, src)
-		if !bytes.Equal(gotMul, wantMul) {
-			t.Fatalf("MulSlice c=%d len=%d diverges from scalar reference", c, len(src))
-		}
-		gotMul2 := append([]byte(nil), dst...)
-		wt.MulSlice(gotMul2, src)
-		if !bytes.Equal(gotMul2, wantMul) {
-			t.Fatalf("WordTables.MulSlice c=%d len=%d diverges from scalar reference", c, len(src))
-		}
+
+		eachBody(func(body string) {
+			got := append([]byte(nil), dst...)
+			MulSliceAdd(c, got, src)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s MulSliceAdd c=%d len=%d diverges from scalar reference", body, c, len(src))
+			}
+			gotMul := append([]byte(nil), dst...)
+			MulSlice(c, gotMul, src)
+			if !bytes.Equal(gotMul, wantMul) {
+				t.Fatalf("%s MulSlice c=%d len=%d diverges from scalar reference", body, c, len(src))
+			}
+			inPlace := append([]byte(nil), src...)
+			MulSlice(c, inPlace, inPlace)
+			if !bytes.Equal(inPlace, wantMul) {
+				t.Fatalf("%s MulSlice in place c=%d len=%d diverges from scalar reference", body, c, len(src))
+			}
+		})
 	})
 }
 
-// FuzzMulAddFused pins the packed pair/quad interleaved kernels and the
-// direct MulAdd2/MulAdd4 kernels against the scalar reference.
+// FuzzMulAddFused pins the packed pair/quad interleaved kernels and both
+// bodies of the direct MulAdd2/MulAdd4 kernels against the scalar
+// reference.
 func FuzzMulAddFused(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(3), uint8(4), []byte("fused kernel seed data .."), []byte{7})
 	f.Add(uint8(0), uint8(0xff), uint8(0x80), uint8(0x01), []byte{}, []byte{})
@@ -327,19 +332,27 @@ func FuzzMulAddFused(f *testing.F) {
 
 		// Direct fused vs reference.
 		want := make([][]byte, 4)
-		got := make([][]byte, 4)
 		for x := range want {
-			init := mkInit(1)
-			want[x] = append([]byte(nil), init...)
-			got[x] = append([]byte(nil), init...)
+			want[x] = mkInit(1)
 			RefMulSliceAdd(cs[x], want[x], src)
 		}
-		MulAdd4(c0, c1, c2, c3, got[0], got[1], got[2], got[3], src)
-		for x := range got {
-			if !bytes.Equal(got[x], want[x]) {
-				t.Fatalf("MulAdd4 row %d diverges, n=%d", x, n)
+		eachBody(func(body string) {
+			got := make([][]byte, 4)
+			for x := range got {
+				got[x] = mkInit(1)
 			}
-		}
+			MulAdd4(c0, c1, c2, c3, got[0], got[1], got[2], got[3], src)
+			for x := range got {
+				if !bytes.Equal(got[x], want[x]) {
+					t.Fatalf("%s MulAdd4 row %d diverges, n=%d", body, x, n)
+				}
+			}
+			got[0], got[1] = mkInit(1), mkInit(1)
+			MulAdd2(c0, c1, got[0], got[1], src)
+			if !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
+				t.Fatalf("%s MulAdd2 diverges, n=%d", body, n)
+			}
+		})
 
 		// Deinterleave4 must invert the interleaving.
 		rows := make([][]byte, 4)
@@ -374,17 +387,6 @@ func BenchmarkRefMulSliceAdd64K(b *testing.B) {
 	b.SetBytes(64 << 10)
 	for i := 0; i < b.N; i++ {
 		RefMulSliceAdd(0x57, dst, src)
-	}
-}
-
-func BenchmarkWordTablesMulSliceAdd64K(b *testing.B) {
-	src := make([]byte, 64<<10)
-	dst := make([]byte, 64<<10)
-	rand.New(rand.NewSource(7)).Read(src)
-	wt := MakeWordTables(0x57)
-	b.SetBytes(64 << 10)
-	for i := 0; i < b.N; i++ {
-		wt.MulSliceAdd(dst, src)
 	}
 }
 

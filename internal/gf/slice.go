@@ -26,6 +26,25 @@ func (t *NibbleTables) Mul(b byte) byte {
 	return t.Lo[b&0xf] ^ t.Hi[b>>4]
 }
 
+// nibbleTables[c] is MakeNibbleTables(c), built once at init for the
+// SIMD kernels.
+var nibbleTables [256]NibbleTables
+
+// mulVec and mulAddVec are the SIMD bodies of the single-coefficient
+// kernels, ISA-L's gf_vect_mul and gf_vect_mad: mulVec sets dst = c·src
+// and mulAddVec sets dst = a ⊕ c·src, with t = &nibbleTables[c], over
+// equal-length slices whose length is a multiple of 32. Init installs
+// them where the CPU has them (kernels_amd64.go); elsewhere they stay
+// nil and the word loops do all the work.
+var (
+	mulVec    func(t *NibbleTables, dst, src []byte)
+	mulAddVec func(t *NibbleTables, dst, a, src []byte)
+)
+
+// HasAVX2 reports whether MulSlice, MulSliceAdd and MulSliceXor run the
+// AVX2 VPSHUFB body. The rs plan compiler groups its rows by it.
+func HasAVX2() bool { return mulVec != nil }
+
 // AddSlice XORs src into dst element-wise: dst[i] ^= src[i].
 // It processes eight bytes per iteration. dst and src must be the same
 // length.
@@ -43,11 +62,12 @@ func AddSlice(dst, src []byte) {
 	}
 }
 
-// MulSlice sets dst[i] = c*src[i], eight source bytes per step: each
-// 64-bit source word is split into bytes, multiplied through the
-// coefficient's 256-entry table, and reassembled into one destination
-// word store. dst and src must be the same length and must not
-// partially overlap (dst == src is fine).
+// MulSlice sets dst[i] = c*src[i]. The 32-byte-multiple prefix goes to
+// the SIMD body where there is one; the rest runs eight source bytes
+// per step: each 64-bit source word is split into bytes, multiplied
+// through the coefficient's 256-entry table, and reassembled into one
+// destination word store. dst and src must be the same length and must
+// not partially overlap (dst == src is fine).
 func MulSlice(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf: MulSlice length mismatch")
@@ -59,6 +79,10 @@ func MulSlice(c byte, dst, src []byte) {
 	case 1:
 		copy(dst, src)
 		return
+	}
+	if n := len(src) &^ 31; n > 0 && mulVec != nil {
+		mulVec(&nibbleTables[c], dst[:n], src[:n])
+		dst, src = dst[n:], src[n:]
 	}
 	row := &mulTable[c]
 	for len(src) >= 8 && len(dst) >= 8 {
@@ -75,12 +99,12 @@ func MulSlice(c byte, dst, src []byte) {
 	}
 }
 
-// MulSliceAdd accumulates dst[i] ^= c*src[i], eight source bytes per
-// step with a single destination word read-modify-write. This is the
-// single-coefficient inner kernel of table-lookup Reed-Solomon coding;
-// the fused multi-row kernels in kernels.go supersede it on the encode
-// hot path. dst and src must be the same length and must not partially
-// overlap.
+// MulSliceAdd accumulates dst[i] ^= c*src[i]: the SIMD body takes the
+// 32-byte-multiple prefix where there is one, and the rest runs eight
+// source bytes per step with a single destination word
+// read-modify-write. This is the single-coefficient inner kernel of
+// table-lookup Reed-Solomon coding. dst and src must be the same length
+// and must not partially overlap.
 func MulSliceAdd(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf: MulSliceAdd length mismatch")
@@ -91,6 +115,10 @@ func MulSliceAdd(c byte, dst, src []byte) {
 	case 1:
 		AddSlice(dst, src)
 		return
+	}
+	if n := len(src) &^ 31; n > 0 && mulAddVec != nil {
+		mulAddVec(&nibbleTables[c], dst[:n], dst[:n], src[:n])
+		dst, src = dst[n:], src[n:]
 	}
 	row := &mulTable[c]
 	for len(src) >= 8 && len(dst) >= 8 {

@@ -76,16 +76,18 @@ func cseExtract(rows [][]byte) ([][]byte, []tempDef) {
 	}
 }
 
-// scheduleCost prices a compiled schedule in table lookups + memory
-// touches per tile byte — the two quantities the word-parallel kernels
-// spend. Per active column of a row group the fused kernels perform one
-// packed-table lookup, one source load, and one accumulator
-// read-modify-write (3 units); each group additionally clears and
-// de-interleaves its accumulator once per row (2 units per row, equal
-// across candidate schedules since grouping never changes row count).
-// Each temporary costs one load per operand plus one store, plus a
-// lookup unless its coefficient is 1 (plain XOR).
-func scheduleCost(groups []rowGroup, temps []tempDef) int {
+// scheduleCost prices a compiled schedule for kernel family fam in table
+// lookups + memory touches per tile byte — the two quantities the
+// kernels spend. Per active column of a row group the kernels perform
+// one table lookup (packed for a multi-row group, a VPSHUFB nibble pair
+// for a vectorFamily row), one source load, and one destination
+// read-modify-write (3 units). A packedFamily group additionally clears
+// and de-interleaves its accumulator once per row (2 units per row,
+// equal across candidate schedules since grouping never changes row
+// count); a vectorFamily row is written in place and pays neither. Each
+// temporary costs one load per operand plus one store, plus a lookup
+// unless its coefficient is 1 (plain XOR).
+func scheduleCost(groups []rowGroup, temps []tempDef, fam kernelFamily) int {
 	cost := 0
 	for _, td := range temps {
 		cost += 3
@@ -96,7 +98,9 @@ func scheduleCost(groups []rowGroup, temps []tempDef) int {
 	for gi := range groups {
 		g := &groups[gi]
 		cost += 3 * len(g.cols)
-		cost += 2 * g.n
+		if fam == packedFamily {
+			cost += 2 * g.n
+		}
 	}
 	return cost
 }

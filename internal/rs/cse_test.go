@@ -56,10 +56,20 @@ func refApply(mat *ecmatrix.Matrix, srcs [][]byte, size int) [][]byte {
 // (b) the CSE sweep — temps, sparse groups, fused CRC — still produces
 // exactly the reference product.
 func TestCSEAdoptedAndCorrect(t *testing.T) {
+	for _, fam := range families {
+		testCSEAdoptedAndCorrect(t, fam)
+	}
+}
+
+// families lists both kernel families, so plan tests hold for the one
+// this machine does not run too.
+var families = []kernelFamily{packedFamily, vectorFamily}
+
+func testCSEAdoptedAndCorrect(t *testing.T, fam kernelFamily) {
 	table := crc32.MakeTable(crc32.Castagnoli)
 	for _, shape := range []struct{ rows, cols int }{{8, 8}, {6, 10}, {8, 4}} {
 		mat := proportionalMatrix(shape.rows, shape.cols, int64(shape.rows*100+shape.cols))
-		p := buildPlan(mat)
+		p := buildPlan(mat, fam)
 		if len(p.temps) == 0 {
 			t.Fatalf("%dx%d proportional matrix: CSE schedule not adopted", shape.rows, shape.cols)
 		}
@@ -111,12 +121,14 @@ func TestCSEAdoptedAndCorrect(t *testing.T) {
 	}
 }
 
-// TestCSEFallback: with only a 2-row group, hoisting a pair saves
+// TestCSEFallback: with only a 2-row packed group, hoisting a pair saves
 // exactly what the temp costs (or less), so the searched schedule is
-// never strictly cheaper and the plain grouping must stand.
+// never strictly cheaper and the plain grouping must stand. (Single-row
+// plans price a pair shared by two rows as a win, so this is a property
+// of the packed family.)
 func TestCSEFallback(t *testing.T) {
 	mat := proportionalMatrix(2, 8, 7)
-	p := buildPlan(mat)
+	p := buildPlan(mat, packedFamily)
 	if len(p.temps) != 0 {
 		t.Fatalf("2-row proportional matrix: CSE adopted (cost %d vs plain %d), want fallback",
 			p.cost, p.plainCost)
@@ -130,8 +142,9 @@ func TestCSEFallback(t *testing.T) {
 // worse than the plain schedule, across real generator matrices.
 func TestPlanCostInvariant(t *testing.T) {
 	for _, sh := range fusedShapes {
-		for _, kind := range []MatrixKind{CauchyMatrix, VandermondeMatrix} {
-			c, err := NewWithMatrix(sh.k, sh.m, kind)
+		for _, fk := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+			kind, fam := MatrixKind(fk[0]), families[fk[1]]
+			c, err := newCode(sh.k, sh.m, kind, fam)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,6 +162,12 @@ func TestPlanCostInvariant(t *testing.T) {
 // TestSparseColumnsSkipped: all-zero columns (and a fully zero single
 // row) must cost nothing and still produce correct output.
 func TestSparseColumnsSkipped(t *testing.T) {
+	for _, fam := range families {
+		testSparseColumnsSkipped(t, fam)
+	}
+}
+
+func testSparseColumnsSkipped(t *testing.T, fam kernelFamily) {
 	rows := [][]byte{
 		{5, 0, 9, 0, 1},
 		{7, 0, 3, 0, 2},
@@ -157,7 +176,7 @@ func TestSparseColumnsSkipped(t *testing.T) {
 		{0, 0, 0, 0, 0},
 	}
 	mat := matrixFromRows(rows)
-	p := buildPlan(mat)
+	p := buildPlan(mat, fam)
 	for _, g := range p.groups {
 		for _, col := range g.cols {
 			if col == 1 || col == 3 {

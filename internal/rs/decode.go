@@ -126,16 +126,16 @@ func (c *Code) buildDecodeEntry(key erasureKey) (*decodeEntry, error) {
 			// product is just inv's row; for a parity target it folds
 			// "rebuild the data, then re-encode" into one 1×k row.
 			row := ecmatrix.Mul(c.gen.SubMatrix([]int{key.want}), inv)
-			return &decodeEntry{chosen: e.chosen, rowPlan: buildPlan(row)}, nil
+			return &decodeEntry{chosen: e.chosen, rowPlan: buildPlan(row, c.fam)}, nil
 		}
-		e.dataPlan = buildPlan(inv.SubMatrix(e.missingData))
+		e.dataPlan = buildPlan(inv.SubMatrix(e.missingData), c.fam)
 	}
 	if len(e.missingParity) > 0 {
 		rows := make([]int, len(e.missingParity))
 		for i, idx := range e.missingParity {
 			rows[i] = idx - c.k
 		}
-		e.parityPlan = buildPlan(c.parity.SubMatrix(rows))
+		e.parityPlan = buildPlan(c.parity.SubMatrix(rows), c.fam)
 	}
 	return e, nil
 }

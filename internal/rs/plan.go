@@ -27,6 +27,29 @@ var accPool = sync.Pool{
 	},
 }
 
+// kernelFamily is the gf kernel set a plan is compiled for. It decides
+// the row grouping and how scheduleCost prices a schedule.
+type kernelFamily int
+
+const (
+	// packedFamily groups rows 4/2/1 over packed multi-row tables, so
+	// the portable word kernels load each source byte once per group.
+	packedFamily kernelFamily = iota
+	// vectorFamily makes every row its own group, swept by
+	// gf.MulSlice/MulSliceAdd. Their AVX2 body multiplies 32 bytes per
+	// step, faster than a packed table's byte lookups, and a single row
+	// needs no interleaved accumulator and no de-interleave.
+	vectorFamily
+)
+
+// hostFamily is the family the process's gf kernels run.
+func hostFamily() kernelFamily {
+	if gf.HasAVX2() {
+		return vectorFamily
+	}
+	return packedFamily
+}
+
 // rowGroup is a run of 1, 2 or 4 consecutive plan rows advanced together
 // by one fused source sweep. cols lists the active column indices — the
 // columns with a nonzero coefficient in at least one group row, counting
@@ -58,26 +81,27 @@ type encodePlan struct {
 	cost, plainCost int
 }
 
-// buildPlan compiles an r x c coefficient matrix into fused row groups:
+// buildPlan compiles an r x c coefficient matrix into row groups for
+// kernel family fam: single rows for vectorFamily; for packedFamily
 // greedily 4-row groups, then a 2-row group, then a single row (m=3
 // becomes 2+1, m=5 becomes 4+1, m=7 becomes 4+2+1). It then runs the
 // greedy CSE pair extraction (cse.go) over the matrix and recompiles;
 // the extracted schedule is kept only when it prices strictly cheaper
 // under scheduleCost, otherwise the plain grouping stands.
-func buildPlan(mat *ecmatrix.Matrix) *encodePlan {
+func buildPlan(mat *ecmatrix.Matrix, fam kernelFamily) *encodePlan {
 	rows := make([][]byte, mat.Rows)
 	for i := range rows {
 		rows[i] = append([]byte(nil), mat.Row(i)...)
 	}
 	p := &encodePlan{rows: mat.Rows, cols: mat.Cols}
-	p.groups = compileGroups(rows)
-	p.plainCost = scheduleCost(p.groups, nil)
+	p.groups = compileGroups(rows, fam)
+	p.plainCost = scheduleCost(p.groups, nil, fam)
 	p.cost = p.plainCost
 
 	cseRows, temps := cseExtract(rows)
 	if len(temps) > 0 {
-		cseGroups := compileGroups(cseRows)
-		if cseCost := scheduleCost(cseGroups, temps); cseCost < p.plainCost {
+		cseGroups := compileGroups(cseRows, fam)
+		if cseCost := scheduleCost(cseGroups, temps, fam); cseCost < p.plainCost {
 			p.temps, p.groups, p.cost = temps, cseGroups, cseCost
 			n := len(temps)
 			p.tmp = &sync.Pool{New: func() any {
@@ -89,14 +113,15 @@ func buildPlan(mat *ecmatrix.Matrix) *encodePlan {
 	return p
 }
 
-// compileGroups builds the 4/2/1 row grouping over a row-major
-// coefficient matrix, recording only the active columns of each group.
-func compileGroups(rows [][]byte) []rowGroup {
+// compileGroups builds fam's row grouping over a row-major coefficient
+// matrix, recording only the active columns of each group.
+func compileGroups(rows [][]byte, fam kernelFamily) []rowGroup {
 	var groups []rowGroup
 	width := len(rows[0])
 	for lo := 0; lo < len(rows); {
 		n := 1
 		switch rem := len(rows) - lo; {
+		case fam == vectorFamily:
 		case rem >= 4:
 			n = 4
 		case rem >= 2:
@@ -152,9 +177,11 @@ func (p *encodePlan) apply(dst, srcs [][]byte, size int) {
 // sweep is the fused tile loop behind apply and the *Sum paths. It walks
 // the blocks in L1-sized tiles: within a tile the CSE temporaries (if
 // any) are materialized first, then every row group sweeps its active
-// columns into a pooled interleaved accumulator and transposes the
-// result out once, so each source byte is loaded once per group (not
-// once per row) and the accumulator never leaves L1.
+// columns. A single row accumulates straight into its destination tile;
+// a packed 2- or 4-row group accumulates into a pooled interleaved
+// accumulator and transposes the result out once, so each source byte
+// is loaded once per group (not once per row) and the accumulator never
+// leaves L1.
 //
 // When srcSums is non-nil (length p.cols) the CRC-32C of each source
 // block is folded into it in a per-tile epilogue, right after the row

@@ -195,8 +195,9 @@ func TestRebuildSumPlanCache(t *testing.T) {
 	}
 }
 
-// FuzzRebuildSum pins the single-target rebuild against Reconstruct and
-// gf.CRC32C over arbitrary geometries, sizes, targets and survivor sets.
+// FuzzRebuildSum pins the single-target rebuild of both kernel families
+// against Reconstruct and gf.CRC32C over arbitrary geometries, sizes,
+// targets and survivor sets.
 func FuzzRebuildSum(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint16(300), uint8(0), uint8(0), int64(1))
 	f.Add(uint8(10), uint8(4), uint16(4096), uint8(12), uint8(3), int64(2))
@@ -206,12 +207,9 @@ func FuzzRebuildSum(f *testing.F) {
 		k := int(k8%24) + 1
 		m := int(m8%8) + 1
 		size := int(size16%(2*tileSize+129)) + 1
-		c, err := New(k, m)
-		if err != nil {
-			t.Skip()
-		}
+		packed, vector := familyCodes(t, k, m, CauchyMatrix)
 		r := rand.New(rand.NewSource(seed))
-		stripe := encodedStripe(t, r, c, size)
+		stripe := encodedStripe(t, r, packed, size)
 		want := int(want8) % (k + m)
 		var others []int
 		for _, j := range r.Perm(k + m) {
@@ -219,6 +217,7 @@ func FuzzRebuildSum(f *testing.F) {
 				others = append(others, j)
 			}
 		}
-		checkRebuild(t, c, stripe, others[:k+int(extra8)%m], want)
+		checkRebuild(t, packed, stripe, others[:k+int(extra8)%m], want)
+		checkRebuild(t, vector, stripe, others[:k+int(extra8)%m], want)
 	})
 }

@@ -3,15 +3,17 @@
 // paper: k data blocks are encoded into m parity blocks forming a stripe
 // of k+m blocks, any k of which suffice to reconstruct the stripe.
 //
-// The encoder follows the fused-kernel strategy of ISA-L's
-// gf_4vect_dot_prod lineage: at New time the m x k parity coefficients
-// are compiled into an encode plan whose rows are grouped 4/2/1-wide
-// with packed multi-row lookup tables, and Encode walks the stripe in
-// L1-sized tiles advancing every parity row of a group per source pass —
-// each data byte is loaded once per row group instead of once per parity
-// row. Decoding compiles the same kind of plan per erasure pattern and
-// caches it, so steady-state repair shares the encode kernels and
-// performs no table or matrix work per call.
+// At New time the m x k parity coefficients are compiled into an encode
+// plan for the gf kernel family the process runs, and Encode walks the
+// stripe in L1-sized tiles. Where gf has its AVX2 body (ISA-L's
+// gf_vect_mad), every parity row is its own group, swept 32 bytes per
+// VPSHUFB step. Elsewhere the plan follows the fused-kernel strategy of
+// ISA-L's gf_4vect_dot_prod lineage: rows grouped 4/2/1-wide with packed
+// multi-row lookup tables, so each data byte is loaded once per row
+// group instead of once per parity row. Decoding compiles the same kind
+// of plan per erasure pattern and caches it, so steady-state repair
+// shares the encode kernels and performs no table or matrix work per
+// call.
 package rs
 
 import (
@@ -44,6 +46,7 @@ type Code struct {
 	gen    *ecmatrix.Matrix // (k+m) x k systematic generator
 	parity *ecmatrix.Matrix // m x k parity rows
 	plan   *encodePlan      // fused tiled encode plan over the parity rows
+	fam    kernelFamily     // the family every plan of this code is built for
 
 	mu       sync.RWMutex
 	decode   map[erasureKey]*decodeEntry
@@ -56,6 +59,12 @@ func New(k, m int) (*Code, error) { return NewWithMatrix(k, m, CauchyMatrix) }
 
 // NewWithMatrix constructs an RS code with an explicit matrix kind.
 func NewWithMatrix(k, m int, kind MatrixKind) (*Code, error) {
+	return newCode(k, m, kind, hostFamily())
+}
+
+// newCode is NewWithMatrix with the kernel family named, so tests can
+// build both families on one machine.
+func newCode(k, m int, kind MatrixKind, fam kernelFamily) (*Code, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("rs: k must be positive, got %d", k)
 	}
@@ -80,7 +89,8 @@ func NewWithMatrix(k, m int, kind MatrixKind) (*Code, error) {
 		m:      m,
 		gen:    gen,
 		parity: parity,
-		plan:   buildPlan(parity),
+		plan:   buildPlan(parity, fam),
+		fam:    fam,
 		decode: make(map[erasureKey]*decodeEntry),
 	}, nil
 }
@@ -406,8 +416,8 @@ func (c *Code) DecodeMatrix(survivors []int) (*ecmatrix.Matrix, error) {
 // Update performs an incremental parity update after data block idx
 // changes from oldData to newData, adjusting parity in place. This is
 // the read-modify-write path a PM store uses for small overwrites. The
-// delta scratch is pooled and the parity rows are advanced with fused
-// 4/2/1-row kernels, so one delta pass serves up to four parity rows.
+// delta scratch is pooled and each parity row is advanced by one
+// multiply-accumulate pass over it (gf.MulAdd4/MulAdd2/MulSliceAdd).
 func (c *Code) Update(idx int, oldData, newData []byte, parity [][]byte) error {
 	if idx < 0 || idx >= c.k {
 		return fmt.Errorf("rs: update index %d out of range [0,%d)", idx, c.k)

@@ -173,8 +173,9 @@ func TestEncodeSumAllocs(t *testing.T) {
 }
 
 // FuzzFusedEncodeSum is the differential fuzz target pinning the fused
-// single-pass encode+CRC (and whatever schedule the plan compiler chose,
-// CSE or plain) byte-for-byte against the two-pass scalar reference.
+// single-pass encode+CRC of both kernel families (and whatever schedule
+// the plan compiler chose, CSE or plain) byte-for-byte against the
+// two-pass scalar reference.
 func FuzzFusedEncodeSum(f *testing.F) {
 	f.Add(uint8(10), uint8(4), uint16(200), int64(1))
 	f.Add(uint8(1), uint8(1), uint16(1), int64(2))
@@ -184,27 +185,27 @@ func FuzzFusedEncodeSum(f *testing.F) {
 		k := int(k8%24) + 1
 		m := int(m8%8) + 1
 		size := int(size16%(2*tileSize+129)) + 1
-		c, err := New(k, m)
-		if err != nil {
-			t.Skip()
-		}
+		packed, vector := familyCodes(t, k, m, CauchyMatrix)
 		r := rand.New(rand.NewSource(seed))
-		data, parity := makeStripe(r, k, m, size)
-		sums, err := c.EncodeSum(data, parity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantParity, wantSums := twoPassSums(t, c, data, size)
-		for i := range wantParity {
-			if !bytes.Equal(parity[i], wantParity[i]) {
-				t.Fatalf("RS(%d,%d) size=%d: fused parity %d differs from two-pass reference",
-					k, m, size, i)
+		data, _ := makeStripe(r, k, m, size)
+		wantParity, wantSums := twoPassSums(t, packed, data, size)
+		for _, c := range []*Code{packed, vector} {
+			_, parity := makeStripe(r, k, m, size)
+			sums, err := c.EncodeSum(data, parity)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i := range wantSums {
-			if sums[i] != wantSums[i] {
-				t.Fatalf("RS(%d,%d) size=%d: sum %d = %08x, want %08x",
-					k, m, size, i, sums[i], wantSums[i])
+			for i := range wantParity {
+				if !bytes.Equal(parity[i], wantParity[i]) {
+					t.Fatalf("RS(%d,%d) fam=%d size=%d: fused parity %d differs from two-pass reference",
+						k, m, c.fam, size, i)
+				}
+			}
+			for i := range wantSums {
+				if sums[i] != wantSums[i] {
+					t.Fatalf("RS(%d,%d) fam=%d size=%d: sum %d = %08x, want %08x",
+						k, m, c.fam, size, i, sums[i], wantSums[i])
+				}
 			}
 		}
 	})
