@@ -36,9 +36,10 @@ type GatewayOptions struct {
 	// Router orders shards for reads. Default FirstK.
 	Router Router
 	// HedgeAfter enables hedged degraded reads on GET (see
-	// stream.Options.HedgeAfter): a stripe whose deadline passes with
-	// fewer than K blocks in hand brings a spare in. Zero disables
-	// hedging.
+	// stream.Options.HedgeAfter): a stripe whose deadline passes with K
+	// blocks in hand reconstructs around the straggler, whose block is
+	// recycled when it lands, and one with fewer brings a spare in. Zero
+	// disables hedging.
 	HedgeAfter time.Duration
 	// HTTPClient is the transport shard requests ride — the hook for
 	// timeouts, pooling, and fault.Transport chaos. Default

@@ -52,7 +52,7 @@ func TestGatherAllocsSteadyState(t *testing.T) {
 }
 
 // TestGatherAllocsHedged: the hedged path — deadline timer, abandon,
-// late-slot arming, stale-result rejoin — must be equally allocation
+// late-block recycling, stale-result rejoin — must be equally allocation
 // free. A straggler that is slow on every other read hedges again and
 // again without ever stringing together the run that would trip its
 // breaker and take it out of play.

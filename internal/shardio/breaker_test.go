@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -151,8 +151,8 @@ func TestLateAfter(t *testing.T) {
 }
 
 // TestGroupMetricsRegistered checks the Options.Metrics wiring: a
-// group publishes per-shard EWMA gauges and the group-wide series into
-// the registry, and a plain gather updates them.
+// group publishes its three group-wide series into the registry, none
+// of them per shard, and a plain gather updates the deadline gauge.
 func TestGroupMetricsRegistered(t *testing.T) {
 	const n, stripes = 3, 2
 	shards := mkShards(n, stripes)
@@ -161,7 +161,7 @@ func TestGroupMetricsRegistered(t *testing.T) {
 		readers[i] = bytes.NewReader(shards[i])
 	}
 	reg := obs.NewRegistry()
-	g := newTestGroup(t, readers, Options{Metrics: reg})
+	g := newTestGroup(t, readers, Options{HedgeAfter: time.Second, Metrics: reg})
 	for s := 0; s < stripes; s++ {
 		st, err := g.Next(context.Background())
 		if err != nil {
@@ -169,23 +169,21 @@ func TestGroupMetricsRegistered(t *testing.T) {
 		}
 		st.Release()
 	}
-	for i := 0; i < n; i++ {
-		ewma := reg.Gauge("shardio_shard_ewma_us", "", obs.Label{Key: "shard", Value: strconv.Itoa(i)})
-		if ewma.Value() <= 0 {
-			t.Fatalf("shard %d EWMA gauge = %v, want > 0 after reads", i, ewma.Value())
-		}
-		open := reg.Gauge("shardio_breaker_open", "", obs.Label{Key: "shard", Value: strconv.Itoa(i)})
-		if open.Value() != 0 {
-			t.Fatalf("shard %d breaker-open gauge = %v, want 0", i, open.Value())
-		}
+	if got := reg.Gauge("shardio_deadline_us", "").Value(); got != float64(time.Second/time.Microsecond) {
+		t.Fatalf("shardio_deadline_us = %v, want the 1 s HedgeAfter floor", got)
 	}
 	var buf bytes.Buffer
 	if err := reg.Expose(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"shardio_shard_ewma_us", "shardio_breaker_open", "shardio_breaker_trips_total", "shardio_hedged_stripes_total", "shardio_deadline_us"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("exposition missing %s:\n%s", want, buf.String())
+	var series []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "shardio_") {
+			series = append(series, strings.Fields(line)[0])
 		}
+	}
+	want := []string{"shardio_breaker_trips_total", "shardio_deadline_us", "shardio_late_blocks_dropped_total"}
+	if !slices.Equal(series, want) {
+		t.Fatalf("exposed series %v, want %v:\n%s", series, want, buf.String())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -20,24 +19,11 @@ type shardMeta struct {
 	deadErr error
 	eof     bool
 
-	outstanding    bool      // a request is in flight
-	outstandingSeq int64     // its stripe
-	late           *lateSlot // armed slot of the stripe that hedged past the read
-	lateSeq        int64
+	outstanding    bool  // a request is in flight
+	outstandingSeq int64 // its stripe
 
 	ewma EWMA    // block-read latency tracker
 	gate Breaker // fed a late sample per deadline miss, an on-time one per block in time
-
-	// Registry series for this shard; nil (no-op) without
-	// Options.Metrics.
-	ewmaG  *obs.Gauge   // shardio_shard_ewma_us
-	openG  *obs.Gauge   // shardio_breaker_open: 1 while the breaker is open
-	tripsC *obs.Counter // shardio_breaker_trips_total
-}
-
-func (m *shardMeta) observe(d time.Duration) {
-	m.ewma.Observe(d)
-	m.ewmaG.Set(m.ewma.Micros())
 }
 
 // Group schedules block reads across a stripe's shard readers. Create
@@ -68,10 +54,11 @@ type Group struct {
 	awaited     []bool
 	ewmaScratch []float64
 
-	// Group-wide registry series; nil (no-op) without Options.Metrics.
+	// Registry series; nil (no-op) without Options.Metrics. A Group
+	// lives for one read, and its shard indexes name different nodes
+	// from one object to the next, so no series is per shard.
 	deadlineG   *obs.Gauge   // shardio_deadline_us: last adaptive deadline
-	hedgedC     *obs.Counter // shardio_hedged_stripes_total
-	lateClaimed *obs.Counter // shardio_late_blocks_claimed_total
+	tripsC      *obs.Counter // shardio_breaker_trips_total
 	lateDropped *obs.Counter // shardio_late_blocks_dropped_total
 }
 
@@ -96,20 +83,11 @@ func NewGroup(readers []io.Reader, opts Options) (*Group, error) {
 	reg := opts.Metrics
 	g.deadlineG = reg.Gauge("shardio_deadline_us",
 		"Adaptive per-stripe deadline derived from the fleet-median latency EWMA, microseconds.")
-	g.hedgedC = reg.Counter("shardio_hedged_stripes_total",
-		"Stripes gathered without at least one live shard that missed the deadline.")
-	g.lateClaimed = reg.Counter("shardio_late_blocks_claimed_total",
-		"Straggler blocks that arrived late but were claimed for their stripe via the hedge race.")
+	g.tripsC = reg.Counter("shardio_breaker_trips_total",
+		"Shard circuit-breaker trips, including half-open re-trips.")
 	g.lateDropped = reg.Counter("shardio_late_blocks_dropped_total",
-		"Straggler blocks that arrived after their stripe had committed to reconstruction.")
+		"Straggler blocks that arrived after their stripe had gone ahead without them; recycled.")
 	for i, r := range readers {
-		lbl := obs.Label{Key: "shard", Value: strconv.Itoa(i)}
-		g.sh[i].ewmaG = reg.Gauge("shardio_shard_ewma_us",
-			"Per-shard block-read latency EWMA, microseconds.", lbl)
-		g.sh[i].openG = reg.Gauge("shardio_breaker_open",
-			"1 while the shard's circuit breaker is open, else 0.", lbl)
-		g.sh[i].tripsC = reg.Counter("shardio_breaker_trips_total",
-			"Circuit-breaker trips for this shard, including half-open re-trips.", lbl)
 		if r == nil {
 			g.sh[i].missing = true
 			continue
@@ -215,12 +193,6 @@ func (g *Group) getStripe(seq int64) *Stripe {
 			States:     make([]ShardState, g.n),
 			Errs:       make([]error, g.n),
 			Transients: make([]uint64, g.n),
-			slots:      make([]*lateSlot, g.n),
-			slotGen:    make([]int64, g.n),
-			slotStore:  make([]lateSlot, g.n),
-		}
-		for i := range st.slotStore {
-			st.slotStore[i].gen = -1 // stripe seqs start at 0
 		}
 	}
 	st.Seq = seq
@@ -228,8 +200,6 @@ func (g *Group) getStripe(seq int64) *Stripe {
 	clear(st.States)
 	clear(st.Errs)
 	clear(st.Transients)
-	clear(st.slots)
-	clear(st.slotGen)
 	st.Retries, st.LateTransients, st.Trips, st.Panics = 0, 0, 0, 0
 	st.Hedged = false
 	st.home = &g.stripes
@@ -245,9 +215,6 @@ func (g *Group) Next(ctx context.Context) (*Stripe, error) {
 	g.seq++
 	if err := g.Fill(ctx, st); err != nil {
 		return nil, err
-	}
-	if st.Hedged {
-		g.hedgedC.Inc()
 	}
 	return st, nil
 }
@@ -341,27 +308,18 @@ func (g *Group) fill(ctx context.Context, st *Stripe, patient bool) error {
 			return ctx.Err()
 		case <-timeC:
 			// Past the deadline: demote every still-awaited shard to slow
-			// for this stripe, registering the late slot that lets the
-			// hedge race resolve in the worker, and count the miss against
-			// its breaker.
+			// for this stripe and count the miss against its breaker.
 			fired = true
 			now := g.clock.Now()
 			for i := range awaited {
 				if !awaited[i] {
 					continue
 				}
-				m := &g.sh[i]
-				slot := &st.slotStore[i]
-				slot.arm(m.outstandingSeq)
-				m.late, m.lateSeq = slot, m.outstandingSeq
-				st.slots[i] = slot
-				st.slotGen[i] = m.outstandingSeq
 				st.States[i] = StateSlow
 				st.Hedged = true
-				if tripped, _ := m.gate.Observe(now, true); tripped {
+				if tripped, _ := g.sh[i].gate.Observe(now, true); tripped {
 					st.Trips++
-					m.openG.Set(1)
-					m.tripsC.Inc()
+					g.tripsC.Inc()
 				}
 			}
 			wait = 0
@@ -375,8 +333,8 @@ func (g *Group) fill(ctx context.Context, st *Stripe, patient bool) error {
 }
 
 // consume folds one shard result into the gather state. Stale results
-// (from stripes already hedged past) recycle or hand off their block
-// and re-admit the shard to the current stripe when it is eligible.
+// (from stripes already hedged past) recycle their block and re-admit
+// the shard to the current stripe when it is eligible.
 func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait *int, patient bool) {
 	i := res.shard
 	m := &g.sh[i]
@@ -404,17 +362,9 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 			PutBuffer(res.buf)
 		default:
 			st.LateTransients += uint64(res.transients)
-			m.observe(res.dur)
-			delivered := false
-			if !res.corrupt && m.late != nil && m.lateSeq == res.seq {
-				delivered = m.late.offer(res.seq, res.buf)
-			}
-			if delivered {
-				g.lateClaimed.Inc()
-			} else {
-				g.lateDropped.Inc()
-				PutBuffer(res.buf)
-			}
+			m.ewma.Observe(res.dur)
+			g.lateDropped.Inc()
+			PutBuffer(res.buf)
 			// Rejoin the stripe being gathered: the shard may have
 			// recovered and can still make this deadline.
 			if patient || g.eligible(i, g.clock.Now()) {
@@ -422,9 +372,6 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 				awaited[i] = true
 				*wait++
 			}
-		}
-		if m.late != nil && m.lateSeq == res.seq {
-			m.late = nil
 		}
 		return
 	}
@@ -448,13 +395,9 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 			st.Blocks[i] = res.buf
 			st.States[i] = StateOK
 		}
-		m.observe(res.dur)
-		if patient {
-			break // awaited, not raced: no sample for the breaker
-		}
-		if _, probe := m.gate.Observe(g.clock.Now(), false); probe {
-			// Half-open probe answered in time: breaker closes.
-			m.openG.Set(0)
+		m.ewma.Observe(res.dur)
+		if !patient { // awaited, not raced: no sample for the breaker
+			m.gate.Observe(g.clock.Now(), false)
 		}
 	}
 }

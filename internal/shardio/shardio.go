@@ -20,9 +20,10 @@
 //     slow for the stripe: the gather returns with the blocks in hand
 //     while the slow read continues in the background, and whether
 //     those suffice, or a spare must come in, is the consumer's call.
-//     Then whichever finishes first wins — the consumer may claim a
-//     late-arriving block via Stripe.TakeLate up to the moment it
-//     commits to reconstruction.
+//     The stripe does not take the straggler's block afterwards: when
+//     it lands, during a later gather, it is counted as dropped and
+//     recycled. Taking it could save at most one reconstruction, on a
+//     stripe that has already waited out the deadline.
 //   - Retry with backoff. Transient read errors (Transient() bool ==
 //     true) are retried up to three times with exponential backoff and
 //     full jitter, deterministically seeded, instead of a single
@@ -53,8 +54,8 @@
 // handing the slow node's shard to the Group.
 //
 // All Group methods are intended for a single consumer goroutine (the
-// decoder's producer); only Stripe.TakeLate is safe to call
-// concurrently with the gather loop.
+// decoder's producer). A Stripe belongs to one goroutine at a time: the
+// consumer may hand it on, and whoever holds it last calls Release.
 //
 // Block buffers belong to the process, not to a Group: the package's
 // one allocator (GetBuffer, PutBuffer) hands every Group its blocks and
@@ -97,11 +98,10 @@ type Options struct {
 	Clock vclock.Clock
 
 	// Metrics, when non-nil, is the registry the group publishes its
-	// scheduling telemetry into: per-shard EWMA and breaker gauges,
-	// breaker-trip counters, the adaptive-deadline gauge, and hedged
-	// stripe / late-block counters (shardio_* series). Nil disables
-	// registration; the group still works and Stripe counters are
-	// unaffected.
+	// scheduling telemetry into: the adaptive-deadline gauge, the
+	// breaker-trip counter and the dropped late-block counter
+	// (shardio_* series). Nil disables registration; the group still
+	// works and Stripe counters are unaffected.
 	Metrics *obs.Registry
 }
 
@@ -135,8 +135,9 @@ const (
 	// the rest of the stream.
 	StateDead
 	// StateSlow: the shard is alive but missed the stripe's adaptive
-	// deadline (or is still serving an earlier stripe); its block may
-	// yet arrive and be claimed with TakeLate.
+	// deadline (or is still serving an earlier stripe). Its block
+	// still counts if it lands during a later Fill or Await of this
+	// stripe; one that lands once the stripe has moved on is recycled.
 	StateSlow
 	// StateOpen: the shard's circuit breaker is open; the group did
 	// not ask it for this stripe at all.
@@ -345,81 +346,6 @@ func IdleBuffers() map[int]int {
 	return idle
 }
 
-// lateSlot is the rendezvous for the hedge race on one abandoned
-// block read: the gather loop offers the straggler's block when it
-// finally lands, the worker takes it if reconstruction has not won
-// yet. One slot per shard lives inline in every pooled stripe and is
-// armed with the abandoned read's sequence number as its generation
-// when the stripe hedges past that shard. Every method checks the
-// caller's generation, so a worker still racing on a stripe whose
-// object has been released, pooled, and re-armed for a newer stripe
-// can never touch the new read's block. All methods are safe for
-// concurrent use.
-type lateSlot struct {
-	mu    sync.Mutex
-	gen   int64 // the armed read's stripe seq; -1 until first armed
-	buf   []byte
-	taken bool // consumer committed (with or without the block) or stripe released
-}
-
-// arm resets the slot for a new abandoned read. A buffer left from an
-// earlier generation that was never taken is recycled here — its
-// generation can no longer reach it (Release normally does this, so
-// the path is a safety net). A taken buffer is left to the GC: the
-// previous cycle's worker may still be reading it.
-func (s *lateSlot) arm(gen int64) {
-	s.mu.Lock()
-	if s.buf != nil && !s.taken {
-		PutBuffer(s.buf)
-	}
-	s.buf = nil
-	s.taken = false
-	s.gen = gen
-	s.mu.Unlock()
-}
-
-// offer hands the late block to the slot. It reports false when the
-// consumer has already committed, the stripe was released, or the slot
-// has been re-armed for a newer read — in all of which the caller
-// keeps ownership of buf.
-func (s *lateSlot) offer(gen int64, buf []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if gen != s.gen || s.taken || s.buf != nil {
-		return false
-	}
-	s.buf = buf
-	return true
-}
-
-// take commits the consumer's decision: it returns the late block if
-// one arrived (the direct read won the hedge race) or nil (the hedge
-// reconstruction wins), and blocks later offers either way. The
-// returned slice stays valid until the stripe is released.
-func (s *lateSlot) take(gen int64) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if gen != s.gen {
-		return nil
-	}
-	s.taken = true
-	return s.buf
-}
-
-// reclaim detaches the buffered block, if any, for recycling, and
-// blocks later offers for this generation.
-func (s *lateSlot) reclaim(gen int64) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if gen != s.gen {
-		return nil
-	}
-	s.taken = true
-	b := s.buf
-	s.buf = nil
-	return b
-}
-
 // Stripe is the outcome of one Group.Next gather: per-shard blocks and
 // dispositions plus the counters the stripe accrued.
 type Stripe struct {
@@ -453,27 +379,12 @@ type Stripe struct {
 	// the affected shards surface as StateDead with a *PanicError.
 	Panics uint64
 
-	slots     []*lateSlot // armed slots (into slotStore), nil when not hedged
-	slotGen   []int64     // generation each slot was armed with
-	slotStore []lateSlot  // inline per-shard slot backing, reused across pool cycles
-	home      *sync.Pool  // the Group's stripe pool; Release returns st here
+	home *sync.Pool // the Group's stripe pool; Release returns st here
 }
 
-// TakeLate claims shard i's late-arriving block for a StateSlow
-// shard: non-nil when the direct read beat reconstruction to the
-// worker. At most one call per shard decides the race; the block is
-// valid until Release. Safe to call from a worker goroutine while the
-// gather loop runs.
-func (st *Stripe) TakeLate(i int) []byte {
-	if st.slots == nil || st.slots[i] == nil {
-		return nil
-	}
-	return st.slots[i].take(st.slotGen[i])
-}
-
-// Release recycles every buffer the stripe owns, including late
-// blocks, and returns the stripe to its group's pool. The stripe and
-// its slices must not be used afterwards. Release is idempotent.
+// Release recycles every buffer the stripe owns and returns the stripe
+// to its group's pool. The stripe and its slices must not be used
+// afterwards. Release is idempotent.
 func (st *Stripe) Release() {
 	home := st.home
 	if home == nil {
@@ -484,15 +395,6 @@ func (st *Stripe) Release() {
 			PutBuffer(b)
 			st.Blocks[i] = nil
 		}
-	}
-	for i, s := range st.slots {
-		if s == nil {
-			continue
-		}
-		if b := s.reclaim(st.slotGen[i]); b != nil {
-			PutBuffer(b)
-		}
-		st.slots[i] = nil
 	}
 	st.home = nil
 	home.Put(st)

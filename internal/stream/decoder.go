@@ -47,10 +47,10 @@ func statesAttr(states []shardio.ShardState) string {
 //   - slow: with Options.HedgeAfter set, a live shard that missed the
 //     stripe's adaptive deadline. With k blocks in hand the stripe
 //     proceeds to reconstruction immediately (a hedged degraded read)
-//     while the slow read continues in the background; whichever
-//     finishes first supplies the block. A shard that stays slow trips
-//     its circuit breaker and is skipped entirely until a half-open
-//     probe readmits it.
+//     while the slow read continues in the background; its block, when
+//     it lands, is recycled. A shard that stays slow trips its circuit
+//     breaker and is skipped entirely until a half-open probe readmits
+//     it.
 //
 // A stripe left with fewer than k good blocks takes a spare from the
 // read's SpareFunc (DecodeRange), or else waits for the live shards it
@@ -224,28 +224,13 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 	return run(ctx, d.g, d.stats, produce, work, deliver, release)
 }
 
-// processStripe is the worker body for one gathered stripe: resolve
-// the hedge race for slow shards and reconstruct missing data shards.
-// Every block it sees passed its trailer as it was read, late ones too.
-// It runs allocation-free once the allocator is warm — erasure outputs
-// are block-size buffers from it, handed over as
+// processStripe is the worker body for one gathered stripe: it
+// reconstructs the missing data shards. Every block it sees passed its
+// trailer as it was read. It runs allocation-free once the allocator is
+// warm — erasure outputs are block-size buffers from it, handed over as
 // zero-length-with-capacity slices the codec fills in place.
 func (d *Decoder) processStripe(j *job) error {
 	k, shardSize := d.g.k, d.g.shardSize
-	st := j.stripe
-	// Resolve the hedge race for slow shards: claim the block if the
-	// direct read beat us here (TakeLate is the commit point).
-	slow, hedgeLost := 0, 0 // hedgeLost: slow shards whose direct read won after all
-	for i, state := range st.States {
-		if state != shardio.StateSlow {
-			continue
-		}
-		slow++
-		if late := st.TakeLate(i); late != nil {
-			j.blocks[i] = late
-			hedgeLost++
-		}
-	}
 	// Truncate the full blocks to their data payload for the codec.
 	for i, b := range j.blocks {
 		if b != nil {
@@ -270,11 +255,10 @@ func (d *Decoder) processStripe(j *job) error {
 		d.stats.observe(time.Since(start))
 		j.span.Event("reconstruct", "")
 	}
-	if st.Hedged && slow > hedgeLost {
-		// At least one straggler's block never made it in time:
-		// reconstruction beat the direct read.
+	if st := j.stripe; st.Hedged && slices.Contains(st.States, shardio.StateSlow) {
+		// Decoded without at least one straggler's block.
 		d.stats.hedgeWins.Add(1)
-		j.span.Event("hedge_win", "reconstruction beat the straggler")
+		j.span.Event("hedge_win", "decoded without the straggler")
 	}
 	return nil
 }

@@ -140,8 +140,8 @@ func TestProcessStripeAllocs(t *testing.T) {
 	}
 	blockSize := enc.BlockSize()
 	// Build the stripe/job the gather loop would hand the worker. A
-	// zero-value shardio.Stripe backs it: TakeLate and Release are
-	// no-ops, which is exactly the "no late block arrived" case.
+	// zero-value shardio.Stripe backs it: Release is a no-op, and the
+	// worker reconstructs around the slow shard as for any hedge.
 	st := &shardio.Stripe{
 		States:     make([]shardio.ShardState, k+m),
 		Transients: make([]uint64, k+m),

@@ -81,7 +81,7 @@ func newCounters(reg *obs.Registry, pipeline string) *counters {
 		hedgedReads: reg.Counter("stream_hedged_reads_total",
 			"Stripes that proceeded without a live shard that missed its deadline (decode).", lbl),
 		hedgeWins: reg.Counter("stream_hedge_wins_total",
-			"Hedged stripes where reconstruction beat the straggler's block (decode).", lbl),
+			"Hedged stripes decoded without at least one straggler's block (decode).", lbl),
 		breakerTrips: reg.Counter("stream_breaker_trips_total",
 			"Per-shard circuit-breaker trips, including half-open re-trips (decode).", lbl),
 		retries: reg.Counter("stream_retries_total",
@@ -155,10 +155,10 @@ type Stats struct {
 	// without waiting for at least one live shard that missed its
 	// adaptive deadline (decoder only; requires Options.HedgeAfter).
 	HedgedReads uint64
-	// HedgeWins counts hedged stripes where reconstruction finished
-	// before the straggler's block arrived — the hedge genuinely saved
-	// the stripe's latency, rather than merely racing a read that won
-	// anyway (decoder only).
+	// HedgeWins counts hedged stripes decoded without at least one
+	// straggler's block: the stripe went ahead rather than wait the read
+	// out. A hedged stripe whose straggler blocks all landed during a
+	// spare's Fill or an Await is no win (decoder only).
 	HedgeWins uint64
 	// BreakerTrips counts per-shard circuit-breaker trips: a shard
 	// demoted after missing BreakerThreshold consecutive deadlines,

@@ -114,13 +114,12 @@ type Options struct {
 	// positive: a shard that misses the stripe's adaptive deadline
 	// (derived from the fleet-median block-read latency) is demoted to
 	// slow; with k blocks in hand the stripe reconstructs around it
-	// immediately while the slow read continues in the background —
-	// first finisher wins — and with fewer, a read that has a SpareFunc
-	// brings a spare in. HedgeAfter is also the
-	// deadline floor. Zero (the default) disables hedging and the
-	// circuit breaker: every stripe waits for all live shards. It is the
-	// one straggler switch; the deadline ratio, retry budget and breaker
-	// schedule behind it are shardio's constants.
+	// immediately, and the slow read's block is recycled when it lands;
+	// with fewer, a read that has a SpareFunc brings a spare in.
+	// HedgeAfter is also the deadline floor. Zero (the default) disables
+	// hedging and the circuit breaker: every stripe waits for all live
+	// shards. It is the one straggler switch; the deadline ratio, retry
+	// budget and breaker schedule behind it are shardio's constants.
 	HedgeAfter time.Duration
 
 	// Seed makes retry jitter (and fault-injection schedules layered
