@@ -761,7 +761,7 @@ func (g *Gateway) openRange(ctx context.Context, object string, spec rangeSpec, 
 // statObject learns an object's geometry and size from the first
 // placed shard that answers a stat, in router order. Failures follow
 // open's not-found rule: all-404 means the object is absent. A stat is
-// no read sample, so the router hears of it only when it fails.
+// no read sample, so the sideliner hears of it only when it fails.
 func (g *Gateway) statObject(ctx context.Context, st *mapState, object string, placement Placement, class string) (node.Stat, error) {
 	o := g.newShardOpener(st, object, placement, class)
 	for _, idx := range o.candidates {
@@ -773,7 +773,7 @@ func (g *Gateway) statObject(ctx context.Context, st *mapState, object string, p
 				return stat, nil
 			}
 			if ctx.Err() == nil {
-				g.router.Observe(info.ID, 0, err)
+				g.router.failed(info.ID, err)
 			}
 		}
 		o.failed(fmt.Errorf("shard %d from %s: %w", idx, info.ID, err))

@@ -314,6 +314,12 @@ func TestParseRangeResolve(t *testing.T) {
 		{"bytes=0-1,5-6", false, 0, 0},
 		{"chunks=0-5", false, 0, 0},
 		{"bytes=--5", false, 0, 0},
+		{"bytes=--0", false, 0, 0},
+		{"bytes=+5-9", false, 0, 0},
+		{"bytes=5-+9", false, 0, 0},
+		{"bytes=-+5", false, 0, 0},
+		{"bytes=1 -2", false, 0, 0},
+		{"bytes=99999999999999999999-", false, 0, 0},
 	}
 	for _, c := range cases {
 		spec, ok := parseRange(c.header)

@@ -52,15 +52,16 @@ func agreeing(got []openedShard) (lead, n int) {
 // shardOpener opens the shards one read decodes from — a GET, a range
 // GET, a rebuild — in the order the gateway's router gives, under one
 // map generation: k to start with (open), and a spare mid-stream only
-// when a stripe comes up short (spare). Every body it hands out is a
-// timedBody, so closing it is what reports the node's read sample; a
-// failed open is reported here.
+// when a stripe comes up short (spare). Each body opened at the read's
+// window is a timedBody among its peers, so closing it reports the
+// node's read sample; a failed open is reported here.
 type shardOpener struct {
 	g         *Gateway
 	st        *mapState
 	object    string
 	placement Placement
 	class     string
+	peers     *readPeers // the bodies opened at the read's window
 
 	candidates   []int // the shard indices not tried yet, most preferred first
 	block, count int64 // the block window every shard is opened at
@@ -72,7 +73,7 @@ type shardOpener struct {
 
 func (g *Gateway) newShardOpener(st *mapState, object string, placement Placement, class string) *shardOpener {
 	return &shardOpener{g: g, st: st, object: object, placement: placement, class: class,
-		candidates: g.router.split(object, placement)}
+		peers: &readPeers{s: g.router}, candidates: g.router.split(object, placement)}
 }
 
 // skip drops shard idx from the candidates: the shard a rebuild is for.
@@ -144,8 +145,10 @@ func (o *shardOpener) countFailure(idx int) {
 
 // openShard opens shard idx's block window ((0, -1): the whole shard).
 // A failure is counted against the node and, unless the caller gave up
-// first, reported to the router; a header that does not match the
-// cluster geometry is a failure too. Safe to call concurrently.
+// first, reported to the sideliner; a header that does not match the
+// cluster geometry is a failure too. A spare opened mid-stream amortizes
+// its open over fewer blocks than the read's peers, so it is not one of
+// them. Safe to call concurrently.
 func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64) (openedShard, error) {
 	g := o.g
 	info := o.placement[idx]
@@ -162,11 +165,13 @@ func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64
 	took := g.router.clock.Now().Sub(start)
 	if err != nil {
 		if ctx.Err() == nil {
-			g.router.Observe(info.ID, took, err)
+			g.router.failed(info.ID, err)
 		}
 		return fail(err)
 	}
-	body = g.router.timed(info.ID, body, h.BlockSize(), took)
+	if block == o.block {
+		body = o.peers.timed(info.ID, body, h.BlockSize(), took)
+	}
 	if int(h.Index) != idx || int(h.K) != g.k || int(h.M) != g.m {
 		body.Close()
 		return fail(fmt.Errorf("header (k=%d m=%d index=%d) does not match cluster geometry", h.K, h.M, h.Index))

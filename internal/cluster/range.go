@@ -39,29 +39,28 @@ func parseRange(header string) (rangeSpec, bool) {
 		return rangeSpec{}, false
 	}
 	first, last, dash := strings.Cut(strings.TrimSpace(rest), "-")
-	if !dash {
-		return rangeSpec{}, false
-	}
-	if first == "" {
-		// Suffix form "-n": the final n bytes.
-		n, err := strconv.ParseInt(last, 10, 64)
-		if err != nil || n < 0 {
-			return rangeSpec{}, false
-		}
-		return rangeSpec{start: n, suffix: true}, true
-	}
-	start, err := strconv.ParseInt(first, 10, 64)
-	if err != nil || start < 0 {
-		return rangeSpec{}, false
-	}
-	if last == "" {
+	start, startOK := digits(first)
+	end, endOK := digits(last)
+	switch {
+	case !dash:
+	case first == "" && endOK: // suffix form "-n": the final n bytes
+		return rangeSpec{start: end, suffix: true}, true
+	case startOK && last == "":
 		return rangeSpec{start: start, end: -1}, true
+	case startOK && endOK && end >= start:
+		return rangeSpec{start: start, end: end}, true
 	}
-	end, err := strconv.ParseInt(last, 10, 64)
-	if err != nil || end < start {
-		return rangeSpec{}, false
+	return rangeSpec{}, false
+}
+
+// digits parses a byte position as RFC 9110 spells one, 1*DIGIT: ASCII
+// digits only, no sign or space, and small enough for an int64.
+func digits(s string) (int64, bool) {
+	if s == "" || strings.Trim(s, "0123456789") != "" {
+		return 0, false
 	}
-	return rangeSpec{start: start, end: end}, true
+	n, err := strconv.ParseInt(s, 10, 64)
+	return n, err == nil
 }
 
 // resolve maps the spec onto an object of the given size, returning

@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"errors"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,30 +15,20 @@ import (
 )
 
 // sideliner is the gateway's memory of how its nodes read, kept across
-// requests: it wraps the configured Router, learns one latency sample
-// per shard body from Observe, and moves the nodes that run behind
-// their peers to the back of every order the inner router returns.
-//
-// The rule is relative, as the paper's is: a sample is late past
-// shardio.LateAfter of the other observed nodes' averages, so a fleet
-// that is uniformly slow — a busy box, a cold cache — sidelines nobody,
-// and no absolute number has to be right for the hardware. What lateness
-// does to a node is shardio.Breaker's rule, the one a Group applies to a
-// shard within a stream: a run of late samples (or failed opens)
-// sidelines the node for a cooldown that doubles per consecutive trip,
-// one on-time sample resets the run, and when the cooldown ends the node
-// returns to its place in the order and the next sample it produces is
-// its probe — on time re-admits it, late sidelines it again for longer.
-//
-// Sidelined means asked last, never excluded: the node's shards move to
-// the back of the order, where a read that cannot get what it needs
-// from the nodes in good standing still finds them — first those of
-// nodes that are merely slow, last those of nodes whose last open
-// failed. So a read tolerates as many bad blocks as it would with nobody
-// sidelined. All of this is soft state in the Parallel Persistent
-// Memory Model's sense — volatile, rebuilt by observation, safe to lose
-// with the process — so none of it is journaled. Safe for concurrent
-// use.
+// requests: it wraps the configured Router and moves the nodes that read
+// behind their peers to the back of every order it returns. The rule is
+// relative, as the paper's is, against a reference taken under the
+// sample's own conditions: the bodies one read opens at its window are
+// judged together when the last closes, each late past
+// shardio.LateAfter of the others — so a fleet slow together sidelines
+// nobody, and a one-block range read meets only one-block peers. What
+// lateness does is shardio.Breaker's rule: a run of late samples (or
+// failed opens) sidelines the node for a cooldown that doubles per
+// consecutive trip, one on-time sample resets the run, and after the
+// cooldown its next verdict is its probe. Sidelined means asked last,
+// never excluded: the nodes in good standing first, then the slow, last
+// those whose last open failed. It is soft state, rebuilt by
+// observation, so none of it is journaled. Safe for concurrent use.
 type sideliner struct {
 	inner Router
 	clock vclock.Clock
@@ -46,18 +36,16 @@ type sideliner struct {
 
 	mu      sync.Mutex
 	nodes   map[NodeID]*nodeReads
-	benched int       // nodes whose gate is tripped
-	scratch []float64 // median's sort buffer
+	benched int // nodes whose gate is tripped
 }
 
 // nodeReads is what the sideliner knows about one node.
 type nodeReads struct {
-	ewma    shardio.EWMA    // per-block read samples
 	gate    shardio.Breaker // tripped: the node is sidelined
-	failing bool            // the last sample was a failed open
+	failing bool            // the last verdict was a failed open
 
-	ewmaG, sidelinedG  *obs.Gauge
-	tripsC             *obs.Counter
+	sidelinedG         *obs.Gauge
+	lateC, tripsC      *obs.Counter
 	probeOK, probeMiss *obs.Counter
 }
 
@@ -79,10 +67,10 @@ func (s *sideliner) nodeLocked(id NodeID) *nodeReads {
 			lbl, obs.Label{Key: "result", Value: result})
 	}
 	n = &nodeReads{
-		ewmaG: s.reg.Gauge("cluster_node_read_ewma_us",
-			"Per-node moving average of shard read samples (open plus time blocked in Read, per block), microseconds.", lbl),
 		sidelinedG: s.reg.Gauge("cluster_node_sidelined",
 			"1 while the node is sidelined (asked last by reads), else 0.", lbl),
+		lateC: s.reg.Counter("cluster_node_late_reads_total",
+			"Shard reads from the node judged late against the other reads of the same request, failed opens included.", lbl),
 		tripsC: s.reg.Counter("cluster_sideline_trips_total",
 			"Times the node was sidelined for reading behind its peers, including failed probes.", lbl),
 		probeOK:   probes("ok"),
@@ -92,45 +80,47 @@ func (s *sideliner) nodeLocked(id NodeID) *nodeReads {
 	return n
 }
 
-// lateAfterLocked is the latency past which a sample of self is late:
-// judged against the observed nodes other than self. ok is false when
-// there are none.
-func (s *sideliner) lateAfterLocked(self *nodeReads) (time.Duration, bool) {
-	peers := s.scratch[:0]
-	for _, n := range s.nodes {
-		if n != self && n.ewma.Samples() > 0 {
-			peers = append(peers, n.ewma.Micros())
-		}
-	}
-	s.scratch = peers
-	return shardio.LateAfter(peers)
+// sample is one shard body's read of a node: its open time plus its
+// time blocked in Read, per block.
+type sample struct {
+	id NodeID
+	d  time.Duration
 }
 
-// Observe takes one sample of a node: d is the open time plus the time
-// blocked in Read, per block, of one shard body, or err is why its
-// open failed. A 404 says something about the object and nothing about
-// the node, so it is dropped; a transient failure (transport error,
-// 429, 5xx) counts as a late sample; any other error reaches only the
-// inner router.
-func (s *sideliner) Observe(id NodeID, d time.Duration, err error) {
-	if errors.Is(err, node.ErrNotFound) {
-		return
+// judge gives each sample of one read its verdict: late past
+// shardio.LateAfter of the read's other samples. A lone sample has no
+// reference and gets none.
+func (s *sideliner) judge(read []sample) {
+	us := make([]float64, len(read))
+	for i, smp := range read {
+		us[i] = float64(smp.d) / float64(time.Microsecond)
 	}
-	s.inner.Observe(id, d, err)
-	if err != nil && !node.Transient(err) {
-		return
+	for i, smp := range read {
+		if after, ok := shardio.LateAfter(slices.Concat(us[:i], us[i+1:])); ok {
+			s.verdict(smp.id, smp.d > after, false)
+		}
 	}
+}
+
+// failed takes a failed shard open or stat of node id. A transient
+// failure (transport error, 429, 5xx) is the node's, a late sample at
+// once; any other, a 404 included, says nothing of its reads.
+func (s *sideliner) failed(id NodeID, err error) {
+	if node.Transient(err) {
+		s.verdict(id, true, true)
+	}
+}
+
+// verdict hands one verdict on node id to its breaker and shows what the
+// breaker did in the node's series; failing marks a failed open.
+func (s *sideliner) verdict(id NodeID, late, failing bool) {
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.nodeLocked(id)
-	n.failing = err != nil
-	late := err != nil
-	if err == nil {
-		after, ok := s.lateAfterLocked(n)
-		late = ok && d > after
-		n.ewma.Observe(d)
-		n.ewmaG.Set(n.ewma.Micros())
+	n.failing = failing
+	if late {
+		n.lateC.Inc()
 	}
 	tripped, probe := n.gate.Observe(now, late)
 	switch {
@@ -206,18 +196,38 @@ func (s *sideliner) sidelinedNodes() []sidelinedNode {
 	return out
 }
 
+// readPeers is one read's reference for its own samples: the bodies it
+// opened at its window. Each joins as it opens and leaves with its
+// sample as it closes; the last to leave has the read judged.
+type readPeers struct {
+	s       *sideliner
+	mu      sync.Mutex
+	open    int // bodies joined and not yet closed
+	samples []sample
+}
+
+// leave takes one member's sample, nil if it has none.
+func (p *readPeers) leave(smp *sample) {
+	p.mu.Lock()
+	if smp != nil {
+		p.samples = append(p.samples, *smp)
+	}
+	var read []sample
+	if p.open--; p.open == 0 {
+		read, p.samples = p.samples, nil
+	}
+	p.mu.Unlock()
+	p.s.judge(read)
+}
+
 // timedBody is an open shard body that times itself: the open that
 // produced it plus every moment a caller spent blocked in Read. Close
-// turns that into the node's one sample for this body — the total
-// divided by the blocks read — so every reader of shards (a GET, a
-// range GET, a rebuild source) feeds the sideliner the same quantity
-// without a call of its own. A body that was closed before a byte of it
-// arrived has no per-block time to report and reports nothing, unless
-// it is being waited on at that moment. Read and Close may run
-// concurrently, as the decoder's hedged reads need.
+// gives the read's peers that total divided by the blocks read, so a
+// GET, a range GET and a rebuild source are judged on one quantity. Read
+// and Close may run concurrently, as the decoder's hedged reads need.
 type timedBody struct {
 	rc    io.ReadCloser
-	s     *sideliner
+	peers *readPeers
 	id    NodeID
 	block int64 // bytes per block on the wire
 
@@ -227,20 +237,24 @@ type timedBody struct {
 	closed  atomic.Bool
 }
 
-// timed wraps a body just opened from node id; opened is how long the
-// open took, header included.
-func (s *sideliner) timed(id NodeID, rc io.ReadCloser, blockSize int64, opened time.Duration) *timedBody {
-	b := &timedBody{rc: rc, s: s, id: id, block: max(1, blockSize)}
+// timed wraps a body just opened from node id as one of the read's
+// peers; opened is how long the open took, header included.
+func (p *readPeers) timed(id NodeID, rc io.ReadCloser, blockSize int64, opened time.Duration) *timedBody {
+	p.mu.Lock()
+	p.open++
+	p.mu.Unlock()
+	b := &timedBody{rc: rc, peers: p, id: id, block: max(1, blockSize)}
 	b.spent.Store(int64(opened))
 	return b
 }
 
 func (b *timedBody) Read(p []byte) (int, error) {
-	start := b.s.clock.Now()
+	clock := b.peers.s.clock
+	start := clock.Now()
 	b.reading.Store(start.UnixNano())
 	n, err := b.rc.Read(p)
 	b.reading.Store(0)
-	b.spent.Add(int64(b.s.clock.Now().Sub(start)))
+	b.spent.Add(int64(clock.Now().Sub(start)))
 	b.n.Add(int64(n))
 	return n, err
 }
@@ -253,16 +267,15 @@ func (b *timedBody) Close() error {
 	if start != 0 {
 		// A Read abandoned mid-flight (a hedged-around straggler) is time
 		// blocked too; without it a stalled node would look idle, not slow.
-		spent += b.s.clock.Now().UnixNano() - start
+		spent += b.peers.s.clock.Now().UnixNano() - start
 	}
 	err := b.rc.Close()
-	if n == 0 && start == 0 {
-		// Closed unread — outvoted, a window cut for the wrong size, an
-		// empty object: the whole open as one block's time would be several
-		// times what a body that amortizes it reports.
-		return err
+	// Closed unread (outvoted, cut for the wrong size, empty) it has no
+	// per-block time: its whole open would pass for one block's.
+	var smp *sample
+	if n > 0 || start != 0 {
+		smp = &sample{id: b.id, d: time.Duration(spent / max(1, (n+b.block-1)/b.block))}
 	}
-	blocks := max(1, (n+b.block-1)/b.block)
-	b.s.Observe(b.id, time.Duration(spent/blocks), nil)
+	b.peers.leave(smp)
 	return err
 }

@@ -50,8 +50,9 @@
 // hedging never fires there, on the first stream or the thousandth.
 // That regime is covered one layer up, by the gateway's cross-request
 // node sidelining (internal/cluster, sideline.go), which puts each node
-// behind the same Breaker, judged against its peers, and simply stops
-// handing the slow node's shard to the Group.
+// behind the same Breaker, judged against the other shard reads of the
+// same request, and simply stops handing the slow node's shard to the
+// Group.
 //
 // All Group methods are intended for a single consumer goroutine (the
 // decoder's producer). A Stripe belongs to one goroutine at a time: the
