@@ -94,7 +94,8 @@ func New(nodes []NodeInfo) (*Map, error) {
 //	n0=127.0.0.1:7070/r0/z0,n1=127.0.0.1:7071/r1/z0,n2=127.0.0.1:7072/r2/z1
 //
 // Newlines let a -cluster-file spec list one node per line; lines
-// starting with # are comments.
+// starting with # are comments. Spaces around each field are dropped, so
+// "n0 = h:1 / r0" names node n0.
 func ParseSpec(spec string) (*Map, error) {
 	var nodes []NodeInfo
 	for _, tok := range strings.FieldsFunc(spec, func(r rune) bool { return r == ',' || r == '\n' }) {
@@ -107,15 +108,23 @@ func ParseSpec(spec string) (*Map, error) {
 			return nil, fmt.Errorf("cluster: node spec %q wants id=addr[/rack[/zone]]", tok)
 		}
 		parts := strings.Split(rest, "/")
+		if len(parts) > 3 {
+			return nil, fmt.Errorf("cluster: node spec %q has too many /-fields", tok)
+		}
+		for i := range parts {
+			parts[i] = strings.TrimSpace(parts[i])
+		}
+		id = strings.TrimSpace(id)
+		if strings.Contains(id, "/") {
+			// The rack defaults to the ID, and a rack is a /-field.
+			return nil, fmt.Errorf("cluster: node ID %q contains '/'", id)
+		}
 		n := NodeInfo{ID: NodeID(id), Addr: parts[0]}
 		if len(parts) > 1 {
 			n.Rack = parts[1]
 		}
 		if len(parts) > 2 {
 			n.Zone = parts[2]
-		}
-		if len(parts) > 3 {
-			return nil, fmt.Errorf("cluster: node spec %q has too many /-fields", tok)
 		}
 		nodes = append(nodes, n)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,18 +44,66 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("newline spec len = %d, want 3", m.Len())
 	}
 
+	// Spaces around fields are not part of them.
+	m = specMap(t, "n0 = 127.0.0.1:7070 / r0 / z0")
+	if n := m.Nodes()[0]; n != (NodeInfo{ID: "n0", Addr: "127.0.0.1:7070", Rack: "r0", Zone: "z0"}) {
+		t.Fatalf("spaced spec parsed to %+v", n)
+	}
+
 	for _, bad := range []string{
 		"",                   // empty set
 		"n0",                 // no addr
 		"n0=h:1,n0=h:2",      // dup ID
+		"n0=a,n0 =b",         // dup ID behind a space
 		"n0=h:1,n1=h:1",      // dup addr
 		"n0=h:1/r0/z0/extra", // too many fields
 		"=h:1",               // empty ID
+		"a/b=h:1",            // ID that cannot be rendered back as a rack
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: the -cluster-file parser never panics, and a map it
+// accepts has non-empty fields with no surrounding space, unique IDs and
+// addresses, and renders back to a spec that parses to the same nodes.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		sixNodeSpec, "a=h:1,b=h:2", "n0 = 127.0.0.1:7070 / r0 / z0", "n0=a,n0 =b",
+		"# topology\nn0=h0:1/r0/z0\n\nn1=h1:1/r1/z0,n2=h2:1/r2/z0\n",
+		"n0=h:1/ /z0", "n0=h:1/r0/z0/extra", "=h:1", "n0= ", "n0=a=b/r=1", "/=0",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		ids, addrs := map[NodeID]bool{}, map[string]bool{}
+		var render []string
+		for _, n := range m.Nodes() {
+			for _, field := range []string{string(n.ID), n.Addr, n.Rack, n.Zone} {
+				if field == "" || field != strings.TrimSpace(field) {
+					t.Fatalf("ParseSpec(%q) kept field %q of %+v", spec, field, n)
+				}
+			}
+			if ids[n.ID] || addrs[n.Addr] {
+				t.Fatalf("ParseSpec(%q) accepted a duplicate in %+v", spec, m.Nodes())
+			}
+			ids[n.ID], addrs[n.Addr] = true, true
+			render = append(render, fmt.Sprintf("%s=%s/%s/%s", n.ID, n.Addr, n.Rack, n.Zone))
+		}
+		again, err := ParseSpec(strings.Join(render, ","))
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) rendered to %q, which fails: %v", spec, render, err)
+		}
+		if !reflect.DeepEqual(again.Nodes(), m.Nodes()) {
+			t.Fatalf("ParseSpec(%q) = %+v, rendered back %+v", spec, m.Nodes(), again.Nodes())
+		}
+	})
 }
 
 func TestPlacementDeterministicAndRackDisjoint(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package ecmatrix provides matrices over GF(2^8) for erasure-code
-// construction: Vandermonde and Cauchy generator matrices, Gaussian
+// construction: the systematic Cauchy generator matrix, Gaussian
 // inversion for decoding, and the w=8 bitmatrix expansion used by
 // XOR-based codecs (Jerasure/Zerasure/Cerasure lineage).
 package ecmatrix
@@ -173,30 +173,6 @@ func (m *Matrix) SubMatrix(rows []int) *Matrix {
 	return out
 }
 
-// Vandermonde returns the (k+m) x k extended-Vandermonde generator matrix
-// in systematic form: the top k rows are the identity, and the bottom m
-// rows are derived by Gaussian elimination from a raw Vandermonde matrix,
-// guaranteeing that every k x k submatrix of the result is invertible.
-func Vandermonde(k, m int) *Matrix {
-	if k <= 0 || m < 0 || k+m > gf.FieldSize {
-		panic(fmt.Sprintf("ecmatrix: invalid Vandermonde parameters k=%d m=%d", k, m))
-	}
-	raw := New(k+m, k)
-	for r := 0; r < k+m; r++ {
-		for c := 0; c < k; c++ {
-			raw.Set(r, c, gf.Pow(byte(r), c))
-		}
-	}
-	// Systematize: reduce the top k x k block to identity by column
-	// operations applied to the whole matrix.
-	top := raw.SubMatrix(seq(k))
-	topInv, err := top.Invert()
-	if err != nil {
-		panic("ecmatrix: raw Vandermonde top block singular (impossible for distinct points)")
-	}
-	return Mul(raw, topInv)
-}
-
 // Cauchy returns the (k+m) x k systematic Cauchy generator matrix:
 // identity on top, and parity rows p[i][j] = 1/(x_i + y_j) with
 // x_i = k+i, y_j = j, which are distinct elements of GF(2^8).
@@ -225,12 +201,4 @@ func ParityRows(gen *Matrix, k int) *Matrix {
 		copy(out.Row(i), gen.Row(k+i))
 	}
 	return out
-}
-
-func seq(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = i
-	}
-	return s
 }

@@ -1,7 +1,6 @@
 package gf
 
 import (
-	"bytes"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -38,56 +37,4 @@ func TestCRC32CUpdateFoldsTiles(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestMulSliceXorMatchesRef(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	eachBody(func(body string) {
-		for n := 0; n <= maxSweepLen; n++ {
-			a := randBytes(r, n)
-			b := randBytes(r, n+1)[1:] // off a word boundary
-			want := make([]byte, n)
-			got := make([]byte, n)
-			for c := 0; c < 256; c++ {
-				RefMulSliceXor(byte(c), want, a, b)
-				MulSliceXor(byte(c), got, a, b)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s MulSliceXor c=%d n=%d differs from reference", body, c, n)
-				}
-				// In-place form: dst aliases a.
-				copy(got, a)
-				MulSliceXor(byte(c), got, got, b)
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s MulSliceXor in-place c=%d n=%d differs from reference", body, c, n)
-				}
-			}
-		}
-	})
-}
-
-func TestMulSliceXorLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	MulSliceXor(3, make([]byte, 4), make([]byte, 4), make([]byte, 5))
-}
-
-func FuzzMulSliceXor(f *testing.F) {
-	f.Add(uint8(2), []byte("hello world, this is a tile"), []byte("another source block here!!"))
-	f.Fuzz(func(t *testing.T, c uint8, a, b []byte) {
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		a, b = a[:n], b[:n]
-		want := make([]byte, n)
-		RefMulSliceXor(c, want, a, b)
-		got := make([]byte, n)
-		MulSliceXor(c, got, a, b)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("MulSliceXor c=%d n=%d differs from reference", c, n)
-		}
-	})
 }

@@ -104,17 +104,6 @@ func Log(a byte) int {
 	return logTable[a]
 }
 
-// Pow returns a^n in GF(2^8). a may be zero (0^0 == 1 by convention).
-func Pow(a byte, n int) byte {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[(logTable[a]*n)%255]
-}
-
 // MulRow returns the 256-entry multiplication row for coefficient c,
 // i.e. table[x] = c*x. The row aliases internal storage and must not be
 // modified by the caller.

@@ -137,18 +137,6 @@ func TestExpLogRoundtrip(t *testing.T) {
 	}
 }
 
-func TestPow(t *testing.T) {
-	for a := 0; a < 256; a++ {
-		want := byte(1)
-		for n := 0; n < 16; n++ {
-			if got := Pow(byte(a), n); got != want {
-				t.Fatalf("Pow(%d,%d) = %d, want %d", a, n, got, want)
-			}
-			want = Mul(want, byte(a))
-		}
-	}
-}
-
 func TestNibbleTablesMatchMul(t *testing.T) {
 	for c := 0; c < 256; c++ {
 		nt := MakeNibbleTables(byte(c))
@@ -216,30 +204,6 @@ func TestMulSliceAddAgainstScalar(t *testing.T) {
 		MulSliceAdd(byte(c), dst, src)
 		if !bytes.Equal(dst, want) {
 			t.Fatalf("MulSliceAdd c=%d mismatch", c)
-		}
-	}
-}
-
-func TestDotSlice(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	const n = 128
-	srcs := make([][]byte, 5)
-	coeffs := make([]byte, 5)
-	for j := range srcs {
-		srcs[j] = make([]byte, n)
-		r.Read(srcs[j])
-		coeffs[j] = byte(r.Intn(256))
-	}
-	dst := make([]byte, n)
-	r.Read(dst) // DotSlice must overwrite, not accumulate
-	DotSlice(coeffs, dst, srcs)
-	for i := 0; i < n; i++ {
-		var want byte
-		for j := range srcs {
-			want ^= Mul(coeffs[j], srcs[j][i])
-		}
-		if dst[i] != want {
-			t.Fatalf("DotSlice differs at %d", i)
 		}
 	}
 }

@@ -210,43 +210,6 @@ func MulAdd2(c0, c1 byte, d0, d1, src []byte) {
 	MulSliceAdd(c1, d1, src)
 }
 
-// MulSliceXor materializes a common-subexpression tile in one pass:
-// dst[i] = a[i] ^ c*b[i]. The CSE schedule in the rs plan compiler uses
-// it to build each temporary t = x_j1 + r·x_j2 with one store instead of
-// a copy followed by a MulSliceAdd pass. All slices must share one
-// length; dst may alias a (dst == a is the in-place form) but must not
-// partially overlap b.
-func MulSliceXor(c byte, dst, a, b []byte) {
-	if len(dst) != len(a) || len(dst) != len(b) {
-		panic("gf: MulSliceXor length mismatch")
-	}
-	switch c {
-	case 0:
-		copy(dst, a)
-		return
-	case 1:
-		XorInto(dst, a, b)
-		return
-	}
-	if n := len(dst) &^ 31; n > 0 && mulAddVec != nil {
-		mulAddVec(&nibbleTables[c], dst[:n], a[:n], b[:n])
-		dst, a, b = dst[n:], a[n:], b[n:]
-	}
-	row := &mulTable[c]
-	for len(dst) >= 8 {
-		w := binary.LittleEndian.Uint64(b)
-		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(a)^
-			(uint64(row[byte(w)])|uint64(row[byte(w>>8)])<<8|
-				uint64(row[byte(w>>16)])<<16|uint64(row[byte(w>>24)])<<24|
-				uint64(row[byte(w>>32)])<<32|uint64(row[byte(w>>40)])<<40|
-				uint64(row[byte(w>>48)])<<48|uint64(row[byte(w>>56)])<<56))
-		dst, a, b = dst[8:], a[8:], b[8:]
-	}
-	for i := range dst {
-		dst[i] = a[i] ^ row[b[i]]
-	}
-}
-
 // XorInto overwrites dst with the XOR of all sources: dst[i] =
 // srcs[0][i] ^ srcs[1][i] ^ ... — a fused replacement for a copy
 // followed by repeated AddSlice passes; dst is written exactly once.

@@ -9,7 +9,7 @@ package gf
 func mulAVX2(t *NibbleTables, dst, src []byte)
 
 //go:noescape
-func mulAddAVX2(t *NibbleTables, dst, a, src []byte)
+func mulAddAVX2(t *NibbleTables, dst, src []byte)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

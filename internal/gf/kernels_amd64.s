@@ -39,13 +39,12 @@ mulLoop:
 mulDone:
 	RET
 
-// func mulAddAVX2(t *NibbleTables, dst, a, src []byte)
-TEXT ·mulAddAVX2(SB), NOSPLIT, $0-80
+// func mulAddAVX2(t *NibbleTables, dst, src []byte)
+TEXT ·mulAddAVX2(SB), NOSPLIT, $0-56
 	MOVQ t+0(FP), AX
 	MOVQ dst_base+8(FP), DI
-	MOVQ a_base+32(FP), BX
-	MOVQ src_base+56(FP), SI
-	MOVQ src_len+64(FP), CX
+	MOVQ src_base+32(FP), SI
+	MOVQ src_len+40(FP), CX
 	SHRQ $5, CX
 	JZ   madDone
 	VBROADCASTI128 (AX), Y0
@@ -62,10 +61,9 @@ madLoop:
 	VPSHUFB Y3, Y0, Y3
 	VPSHUFB Y4, Y1, Y4
 	VPXOR   Y3, Y4, Y3
-	VPXOR   (BX), Y3, Y3
+	VPXOR   (DI), Y3, Y3
 	VMOVDQU Y3, (DI)
 	ADDQ    $32, SI
-	ADDQ    $32, BX
 	ADDQ    $32, DI
 	DECQ    CX
 	JNZ     madLoop

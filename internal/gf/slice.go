@@ -32,17 +32,18 @@ var nibbleTables [256]NibbleTables
 
 // mulVec and mulAddVec are the SIMD bodies of the single-coefficient
 // kernels, ISA-L's gf_vect_mul and gf_vect_mad: mulVec sets dst = c·src
-// and mulAddVec sets dst = a ⊕ c·src, with t = &nibbleTables[c], over
+// and mulAddVec sets dst ⊕= c·src, with t = &nibbleTables[c], over
 // equal-length slices whose length is a multiple of 32. Init installs
 // them where the CPU has them (kernels_amd64.go); elsewhere they stay
 // nil and the word loops do all the work.
 var (
 	mulVec    func(t *NibbleTables, dst, src []byte)
-	mulAddVec func(t *NibbleTables, dst, a, src []byte)
+	mulAddVec func(t *NibbleTables, dst, src []byte)
 )
 
-// HasAVX2 reports whether MulSlice, MulSliceAdd and MulSliceXor run the
-// AVX2 VPSHUFB body. The rs plan compiler groups its rows by it.
+// HasAVX2 reports whether MulSlice and MulSliceAdd run the AVX2 VPSHUFB
+// body. The rs plan compiler groups its rows by it: single rows over
+// these kernels where it holds, packed 4/2/1 groups elsewhere.
 func HasAVX2() bool { return mulVec != nil }
 
 // AddSlice XORs src into dst element-wise: dst[i] ^= src[i].
@@ -117,7 +118,7 @@ func MulSliceAdd(c byte, dst, src []byte) {
 		return
 	}
 	if n := len(src) &^ 31; n > 0 && mulAddVec != nil {
-		mulAddVec(&nibbleTables[c], dst[:n], dst[:n], src[:n])
+		mulAddVec(&nibbleTables[c], dst[:n], src[:n])
 		dst, src = dst[n:], src[n:]
 	}
 	row := &mulTable[c]
@@ -132,19 +133,6 @@ func MulSliceAdd(c byte, dst, src []byte) {
 	}
 	for i, b := range src {
 		dst[i] ^= row[b]
-	}
-}
-
-// DotSlice computes dst = sum_j coeffs[j]*srcs[j] (element-wise over the
-// slices), overwriting dst. All slices must share dst's length and
-// len(coeffs) must equal len(srcs).
-func DotSlice(coeffs []byte, dst []byte, srcs [][]byte) {
-	if len(coeffs) != len(srcs) {
-		panic("gf: DotSlice coefficient/source count mismatch")
-	}
-	clear(dst)
-	for j, src := range srcs {
-		MulSliceAdd(coeffs[j], dst, src)
 	}
 }
 
@@ -178,20 +166,11 @@ func RefMulSliceAdd(c byte, dst, src []byte) {
 	}
 }
 
-// RefMulSliceXor is the scalar reference for MulSliceXor:
-// dst[i] = a[i] ^ c*b[i], one table lookup per byte.
-func RefMulSliceXor(c byte, dst, a, b []byte) {
-	if len(dst) != len(a) || len(dst) != len(b) {
-		panic("gf: RefMulSliceXor length mismatch")
-	}
-	row := &mulTable[c]
-	for i := range dst {
-		dst[i] = a[i] ^ row[b[i]]
-	}
-}
-
-// RefDotSlice is the scalar reference for DotSlice: a zeroed destination
-// accumulated with one RefMulSliceAdd pass per source.
+// RefDotSlice computes dst = sum_j coeffs[j]*srcs[j] (element-wise over
+// the slices), overwriting dst: a zeroed destination accumulated with one
+// RefMulSliceAdd pass per source. It is the reference product the rs
+// plans are tested against. All slices must share dst's length and
+// len(coeffs) must equal len(srcs).
 func RefDotSlice(coeffs []byte, dst []byte, srcs [][]byte) {
 	if len(coeffs) != len(srcs) {
 		panic("gf: RefDotSlice coefficient/source count mismatch")

@@ -8,13 +8,13 @@ import (
 )
 
 // familyCodes builds the same code under both kernel families.
-func familyCodes(t testing.TB, k, m int, kind MatrixKind) (packed, vector *Code) {
+func familyCodes(t testing.TB, k, m int) (packed, vector *Code) {
 	t.Helper()
-	packed, err := newCode(k, m, kind, packedFamily)
+	packed, err := newCode(k, m, packedFamily)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vector, err = newCode(k, m, kind, vectorFamily); err != nil {
+	if vector, err = newCode(k, m, vectorFamily); err != nil {
 		t.Fatal(err)
 	}
 	return packed, vector
@@ -39,12 +39,13 @@ func erasurePatterns(r *rand.Rand, n, m, extra int) [][]int {
 
 // TestPlanFamiliesAgree holds the single-row plans the AVX2 kernels run
 // against the packed 4/2/1 plans the portable kernels run, on random
-// geometries (k <= 20, m <= 6, both matrix kinds, sizes across tile
-// edges): encode parity and sums, ReconstructData and ReconstructSum for
-// every erasure pattern, RebuildSum for every target, and Verify
-// verdicts on clean and corrupted parity must be identical, and equal
-// to the encoded stripe. A second pass does the same at plan level on
-// matrices where the CSE schedule is adopted and where it is not.
+// geometries (k <= 20, m <= 6, sizes across tile edges): encode parity
+// and sums, ReconstructData and ReconstructSum for every erasure
+// pattern, RebuildSum for every target, and Verify verdicts on clean and
+// corrupted parity must be identical, and equal to the encoded stripe.
+// A second pass does the same at plan level on matrices no code builds:
+// proportional rows (every 2x2 minor zero) and random rows with zero
+// coefficients.
 func TestPlanFamiliesAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	trials := 16
@@ -53,10 +54,9 @@ func TestPlanFamiliesAgree(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		k, m := 1+r.Intn(20), 1+r.Intn(6)
-		kind := MatrixKind(r.Intn(2))
 		size := 1 + r.Intn(2*tileSize+100)
-		packed, vector := familyCodes(t, k, m, kind)
-		geom := fmt.Sprintf("RS(%d,%d) kind=%d size=%d", k, m, kind, size)
+		packed, vector := familyCodes(t, k, m)
+		geom := fmt.Sprintf("RS(%d,%d) size=%d", k, m, size)
 
 		data, parity := makeStripe(r, k, m, size)
 		wantSums, err := packed.EncodeSum(data, parity)
@@ -147,7 +147,6 @@ func TestPlanFamiliesAgree(t *testing.T) {
 		}
 	}
 
-	adopted, plain := 0, 0
 	for trial := 0; trial < 24; trial++ {
 		rows, cols := 1+r.Intn(6), 1+r.Intn(20)
 		mat := proportionalMatrix(rows, cols, int64(trial))
@@ -160,11 +159,6 @@ func TestPlanFamiliesAgree(t *testing.T) {
 		var sums [2][]uint32
 		for fi, fam := range families {
 			p := buildPlan(mat, fam)
-			if len(p.temps) > 0 {
-				adopted++
-			} else {
-				plain++
-			}
 			_, outs[fi] = makeStripe(r, 0, rows, size)
 			sums[fi] = make([]uint32, rows)
 			p.sweep(outs[fi], srcs, size, nil, sums[fi])
@@ -178,9 +172,6 @@ func TestPlanFamiliesAgree(t *testing.T) {
 				t.Fatalf("trial %d %dx%d: plan row %d differs between families", trial, rows, cols, i)
 			}
 		}
-	}
-	if adopted == 0 || plain == 0 {
-		t.Fatalf("plan pass covered %d CSE-adopted and %d plain plans, want both", adopted, plain)
 	}
 }
 

@@ -28,7 +28,7 @@ var accPool = sync.Pool{
 }
 
 // kernelFamily is the gf kernel set a plan is compiled for. It decides
-// the row grouping and how scheduleCost prices a schedule.
+// the row grouping.
 type kernelFamily int
 
 const (
@@ -51,11 +51,10 @@ func hostFamily() kernelFamily {
 }
 
 // rowGroup is a run of 1, 2 or 4 consecutive plan rows advanced together
-// by one fused source sweep. cols lists the active column indices — the
-// columns with a nonzero coefficient in at least one group row, counting
-// CSE temporaries as columns beyond the matrix width — and the packed
-// tables (quad/pair) or raw coefficients (single rows) run parallel to
-// it, so all-zero columns cost nothing.
+// by one fused source sweep. cols lists the active source columns — the
+// columns with a nonzero coefficient in at least one group row — and the
+// packed tables (quad/pair) or raw coefficients (single rows) run
+// parallel to it, so all-zero columns cost nothing.
 type rowGroup struct {
 	lo, n  int
 	cols   []int
@@ -64,63 +63,24 @@ type rowGroup struct {
 	coeffs []byte
 }
 
-// encodePlan is a coefficient matrix compiled into fused row groups plus
-// an optional CSE prologue of pooled temporary tiles. A plan is
-// immutable after buildPlan and safe for concurrent use; the encode plan
-// of a Code is built once at New, and decode plans are built once per
-// erasure pattern and cached.
+// encodePlan is a coefficient matrix compiled into fused row groups. A
+// plan is immutable after buildPlan and safe for concurrent use; the
+// encode plan of a Code is built once at New, and decode plans are built
+// once per erasure pattern and cached.
 type encodePlan struct {
-	rows, cols int
-	temps      []tempDef  // CSE temporaries, evaluation order; empty for plain plans
-	groups     []rowGroup // over cols + len(temps) logical columns
-	tmp        *sync.Pool // temp-tile scratch (len(temps)*tileSize); nil without temps
-
-	// cost prices the chosen schedule and plainCost the quad/pair
-	// baseline, in scheduleCost units; cost < plainCost iff the CSE
-	// schedule was adopted. Retained for tests and introspection.
-	cost, plainCost int
+	groups []rowGroup
 }
 
 // buildPlan compiles an r x c coefficient matrix into row groups for
-// kernel family fam: single rows for vectorFamily; for packedFamily
-// greedily 4-row groups, then a 2-row group, then a single row (m=3
-// becomes 2+1, m=5 becomes 4+1, m=7 becomes 4+2+1). It then runs the
-// greedy CSE pair extraction (cse.go) over the matrix and recompiles;
-// the extracted schedule is kept only when it prices strictly cheaper
-// under scheduleCost, otherwise the plain grouping stands.
+// kernel family fam, recording only the active columns of each group:
+// single rows for vectorFamily; for packedFamily greedily 4-row groups,
+// then a 2-row group, then a single row (m=3 becomes 2+1, m=5 becomes
+// 4+1, m=7 becomes 4+2+1).
 func buildPlan(mat *ecmatrix.Matrix, fam kernelFamily) *encodePlan {
-	rows := make([][]byte, mat.Rows)
-	for i := range rows {
-		rows[i] = append([]byte(nil), mat.Row(i)...)
-	}
-	p := &encodePlan{rows: mat.Rows, cols: mat.Cols}
-	p.groups = compileGroups(rows, fam)
-	p.plainCost = scheduleCost(p.groups, nil, fam)
-	p.cost = p.plainCost
-
-	cseRows, temps := cseExtract(rows)
-	if len(temps) > 0 {
-		cseGroups := compileGroups(cseRows, fam)
-		if cseCost := scheduleCost(cseGroups, temps, fam); cseCost < p.plainCost {
-			p.temps, p.groups, p.cost = temps, cseGroups, cseCost
-			n := len(temps)
-			p.tmp = &sync.Pool{New: func() any {
-				b := make([]byte, n*tileSize)
-				return &b
-			}}
-		}
-	}
-	return p
-}
-
-// compileGroups builds fam's row grouping over a row-major coefficient
-// matrix, recording only the active columns of each group.
-func compileGroups(rows [][]byte, fam kernelFamily) []rowGroup {
-	var groups []rowGroup
-	width := len(rows[0])
-	for lo := 0; lo < len(rows); {
+	p := &encodePlan{}
+	for lo := 0; lo < mat.Rows; {
 		n := 1
-		switch rem := len(rows) - lo; {
+		switch rem := mat.Rows - lo; {
 		case fam == vectorFamily:
 		case rem >= 4:
 			n = 4
@@ -128,10 +88,10 @@ func compileGroups(rows [][]byte, fam kernelFamily) []rowGroup {
 			n = 2
 		}
 		g := rowGroup{lo: lo, n: n}
-		for c := 0; c < width; c++ {
+		for c := 0; c < mat.Cols; c++ {
 			active := false
-			for r := 0; r < n; r++ {
-				if rows[lo+r][c] != 0 {
+			for r := lo; r < lo+n; r++ {
+				if mat.At(r, c) != 0 {
 					active = true
 					break
 				}
@@ -143,105 +103,87 @@ func compileGroups(rows [][]byte, fam kernelFamily) []rowGroup {
 			switch n {
 			case 4:
 				g.quad = append(g.quad, gf.MakeQuadTables(
-					rows[lo][c], rows[lo+1][c], rows[lo+2][c], rows[lo+3][c]))
+					mat.At(lo, c), mat.At(lo+1, c), mat.At(lo+2, c), mat.At(lo+3, c)))
 			case 2:
-				g.pair = append(g.pair, gf.MakePairTables(rows[lo][c], rows[lo+1][c]))
+				g.pair = append(g.pair, gf.MakePairTables(mat.At(lo, c), mat.At(lo+1, c)))
 			default:
-				g.coeffs = append(g.coeffs, rows[lo][c])
+				g.coeffs = append(g.coeffs, mat.At(lo, c))
 			}
 		}
-		groups = append(groups, g)
+		p.groups = append(p.groups, g)
 		lo += n
 	}
-	return groups
+	return p
 }
 
-// tile resolves a logical column to its current tile slice: source
-// columns come from srcs, temporary columns from the tmp scratch laid
-// out at tileSize stride.
-func (p *encodePlan) tile(srcs [][]byte, tmp []byte, col, off, t int) []byte {
-	if col < p.cols {
-		return srcs[col][off : off+t]
+// step computes the group's rows of the tile [off, off+t) of srcs into
+// dst[r][doff:doff+t] for r < g.n, overwriting them. A single row
+// accumulates straight into its output tile; a packed 2- or 4-row group
+// accumulates into the interleaved accumulator acc (at least 4*t bytes)
+// and transposes the result out once, so each source byte is loaded
+// once per group (not once per row) and the accumulator never leaves L1.
+func (g *rowGroup) step(dst [][]byte, doff int, acc []byte, srcs [][]byte, off, t int) {
+	switch g.n {
+	case 4:
+		a := acc[:4*t]
+		clear(a)
+		for ci, col := range g.cols {
+			g.quad[ci].MulAddQuad(a, srcs[col][off:off+t])
+		}
+		gf.Deinterleave4(a, dst[0][doff:doff+t], dst[1][doff:doff+t],
+			dst[2][doff:doff+t], dst[3][doff:doff+t])
+	case 2:
+		a := acc[:2*t]
+		clear(a)
+		for ci, col := range g.cols {
+			g.pair[ci].MulAddPair(a, srcs[col][off:off+t])
+		}
+		gf.Deinterleave2(a, dst[0][doff:doff+t], dst[1][doff:doff+t])
+	default:
+		d := dst[0][doff : doff+t]
+		if len(g.cols) == 0 {
+			clear(d)
+			return
+		}
+		gf.MulSlice(g.coeffs[0], d, srcs[g.cols[0]][off:off+t])
+		for ci := 1; ci < len(g.cols); ci++ {
+			gf.MulSliceAdd(g.coeffs[ci], d, srcs[g.cols[ci]][off:off+t])
+		}
 	}
-	i := col - p.cols
-	return tmp[i*tileSize : i*tileSize+t]
 }
 
 // apply computes dst[i] = sum_j mat[i][j]*srcs[j] for every plan row,
-// overwriting dst. dst must hold p.rows blocks and srcs p.cols blocks,
-// all of length size; dst blocks must not alias srcs.
+// overwriting dst. dst must hold one block per plan row and srcs one per
+// matrix column, all of length size; dst blocks must not alias srcs.
 func (p *encodePlan) apply(dst, srcs [][]byte, size int) {
 	p.sweep(dst, srcs, size, nil, nil)
 }
 
 // sweep is the fused tile loop behind apply and the *Sum paths. It walks
-// the blocks in L1-sized tiles: within a tile the CSE temporaries (if
-// any) are materialized first, then every row group sweeps its active
-// columns. A single row accumulates straight into its destination tile;
-// a packed 2- or 4-row group accumulates into a pooled interleaved
-// accumulator and transposes the result out once, so each source byte
-// is loaded once per group (not once per row) and the accumulator never
-// leaves L1.
+// the blocks in L1-sized tiles, and within a tile every row group takes
+// one step over its active columns, straight into its destination tiles.
 //
-// When srcSums is non-nil (length p.cols) the CRC-32C of each source
-// block is folded into it in a per-tile epilogue, right after the row
-// groups consumed those tiles — the bytes are still cache-resident, so
-// the checksum re-read is served from L1/L2 instead of the DRAM (or
+// When srcSums is non-nil (one entry per source) the CRC-32C of each
+// source block is folded into it in a per-tile epilogue, right after the
+// row groups consumed those tiles — the bytes are still cache-resident,
+// so the checksum re-read is served from L1/L2 instead of the DRAM (or
 // persistent-memory) pass a separate whole-block checksum would cost.
-// Likewise dstSums (length p.rows) accumulates each output row's CRC
-// immediately after its tile is produced. Both start from the caller's
-// values (zero for a fresh checksum), so a full sweep leaves exactly
-// gf.CRC32C of each block — the single-pass replacement for a separate
-// trailer pass over the stripe.
+// Likewise dstSums (one entry per plan row) accumulates each output
+// row's CRC immediately after its tile is produced. Both start from the
+// caller's values (zero for a fresh checksum), so a full sweep leaves
+// exactly gf.CRC32C of each block — the single-pass replacement for a
+// separate trailer pass over the stripe.
 func (p *encodePlan) sweep(dst, srcs [][]byte, size int, srcSums, dstSums []uint32) {
 	accp := accPool.Get().(*[]byte)
 	acc := *accp
-	var tmpp *[]byte
-	var tmp []byte
-	if p.tmp != nil {
-		tmpp = p.tmp.Get().(*[]byte)
-		tmp = *tmpp
-	}
 	for off := 0; off < size; off += tileSize {
 		t := min(tileSize, size-off)
-		for ti := range p.temps {
-			td := &p.temps[ti]
-			gf.MulSliceXor(td.cb, tmp[ti*tileSize:ti*tileSize+t],
-				p.tile(srcs, tmp, td.a, off, t), p.tile(srcs, tmp, td.b, off, t))
-		}
 		for gi := range p.groups {
 			g := &p.groups[gi]
-			switch g.n {
-			case 4:
-				a := acc[:4*t]
-				clear(a)
-				for ci, col := range g.cols {
-					g.quad[ci].MulAddQuad(a, p.tile(srcs, tmp, col, off, t))
-				}
-				gf.Deinterleave4(a,
-					dst[g.lo][off:off+t], dst[g.lo+1][off:off+t],
-					dst[g.lo+2][off:off+t], dst[g.lo+3][off:off+t])
-			case 2:
-				a := acc[:2*t]
-				clear(a)
-				for ci, col := range g.cols {
-					g.pair[ci].MulAddPair(a, p.tile(srcs, tmp, col, off, t))
-				}
-				gf.Deinterleave2(a, dst[g.lo][off:off+t], dst[g.lo+1][off:off+t])
-			default:
-				d := dst[g.lo][off : off+t]
-				if len(g.cols) == 0 {
-					clear(d)
-					break
-				}
-				gf.MulSlice(g.coeffs[0], d, p.tile(srcs, tmp, g.cols[0], off, t))
-				for ci := 1; ci < len(g.cols); ci++ {
-					gf.MulSliceAdd(g.coeffs[ci], d, p.tile(srcs, tmp, g.cols[ci], off, t))
-				}
-			}
+			g.step(dst[g.lo:], off, acc, srcs, off, t)
 			if dstSums != nil {
-				for r := 0; r < g.n; r++ {
-					dstSums[g.lo+r] = gf.CRC32CUpdate(dstSums[g.lo+r], dst[g.lo+r][off:off+t])
+				for r := g.lo; r < g.lo+g.n; r++ {
+					dstSums[r] = gf.CRC32CUpdate(dstSums[r], dst[r][off:off+t])
 				}
 			}
 		}
@@ -250,9 +192,6 @@ func (p *encodePlan) sweep(dst, srcs [][]byte, size int, srcSums, dstSums []uint
 				srcSums[j] = gf.CRC32CUpdate(srcSums[j], src[off:off+t])
 			}
 		}
-	}
-	if tmpp != nil {
-		p.tmp.Put(tmpp)
 	}
 	accPool.Put(accp)
 }
@@ -264,64 +203,19 @@ func (p *encodePlan) sweep(dst, srcs [][]byte, size int, srcSums, dstSums []uint
 func (p *encodePlan) verify(expect, srcs [][]byte, size int) bool {
 	accp := accPool.Get().(*[]byte)
 	outp := accPool.Get().(*[]byte)
-	var tmpp *[]byte
-	var tmp []byte
-	if p.tmp != nil {
-		tmpp = p.tmp.Get().(*[]byte)
-		tmp = *tmpp
-	}
 	defer func() {
-		if tmpp != nil {
-			p.tmp.Put(tmpp)
-		}
 		accPool.Put(accp)
 		accPool.Put(outp)
 	}()
 	acc, out := *accp, *outp
+	rows := [4][]byte{out, out[tileSize:], out[2*tileSize:], out[3*tileSize:]}
 	for off := 0; off < size; off += tileSize {
 		t := min(tileSize, size-off)
-		for ti := range p.temps {
-			td := &p.temps[ti]
-			gf.MulSliceXor(td.cb, tmp[ti*tileSize:ti*tileSize+t],
-				p.tile(srcs, tmp, td.a, off, t), p.tile(srcs, tmp, td.b, off, t))
-		}
 		for gi := range p.groups {
 			g := &p.groups[gi]
-			switch g.n {
-			case 4:
-				a := acc[:4*t]
-				clear(a)
-				for ci, col := range g.cols {
-					g.quad[ci].MulAddQuad(a, p.tile(srcs, tmp, col, off, t))
-				}
-				gf.Deinterleave4(a, out[:t], out[t:2*t], out[2*t:3*t], out[3*t:4*t])
-				for r := 0; r < 4; r++ {
-					if !bytes.Equal(out[r*t:(r+1)*t], expect[g.lo+r][off:off+t]) {
-						return false
-					}
-				}
-			case 2:
-				a := acc[:2*t]
-				clear(a)
-				for ci, col := range g.cols {
-					g.pair[ci].MulAddPair(a, p.tile(srcs, tmp, col, off, t))
-				}
-				gf.Deinterleave2(a, out[:t], out[t:2*t])
-				if !bytes.Equal(out[:t], expect[g.lo][off:off+t]) ||
-					!bytes.Equal(out[t:2*t], expect[g.lo+1][off:off+t]) {
-					return false
-				}
-			default:
-				d := out[:t]
-				if len(g.cols) == 0 {
-					clear(d)
-				} else {
-					gf.MulSlice(g.coeffs[0], d, p.tile(srcs, tmp, g.cols[0], off, t))
-					for ci := 1; ci < len(g.cols); ci++ {
-						gf.MulSliceAdd(g.coeffs[ci], d, p.tile(srcs, tmp, g.cols[ci], off, t))
-					}
-				}
-				if !bytes.Equal(d, expect[g.lo][off:off+t]) {
+			g.step(rows[:], 0, acc, srcs, off, t)
+			for r := range g.n {
+				if !bytes.Equal(rows[r][:t], expect[g.lo+r][off:off+t]) {
 					return false
 				}
 			}

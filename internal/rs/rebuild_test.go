@@ -207,7 +207,7 @@ func FuzzRebuildSum(f *testing.F) {
 		k := int(k8%24) + 1
 		m := int(m8%8) + 1
 		size := int(size16%(2*tileSize+129)) + 1
-		packed, vector := familyCodes(t, k, m, CauchyMatrix)
+		packed, vector := familyCodes(t, k, m)
 		r := rand.New(rand.NewSource(seed))
 		stripe := encodedStripe(t, r, packed, size)
 		want := int(want8) % (k + m)

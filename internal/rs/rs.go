@@ -3,17 +3,22 @@
 // paper: k data blocks are encoded into m parity blocks forming a stripe
 // of k+m blocks, any k of which suffice to reconstruct the stripe.
 //
-// At New time the m x k parity coefficients are compiled into an encode
-// plan for the gf kernel family the process runs, and Encode walks the
-// stripe in L1-sized tiles. Where gf has its AVX2 body (ISA-L's
-// gf_vect_mad), every parity row is its own group, swept 32 bytes per
-// VPSHUFB step. Elsewhere the plan follows the fused-kernel strategy of
-// ISA-L's gf_4vect_dot_prod lineage: rows grouped 4/2/1-wide with packed
-// multi-row lookup tables, so each data byte is loaded once per row
-// group instead of once per parity row. Decoding compiles the same kind
-// of plan per erasure pattern and caches it, so steady-state repair
-// shares the encode kernels and performs no table or matrix work per
-// call.
+// The generator is systematic Cauchy. At New time its m x k parity
+// coefficients are compiled into an encode plan for the gf kernel family
+// the process runs, and Encode walks the stripe in L1-sized tiles, each
+// row group taking one tile step at a time; Verify runs the same step
+// into scratch and stops at the first tile that differs. Where gf has
+// its AVX2 body (ISA-L's gf_vect_mad), every parity row is its own
+// group, swept 32 bytes per VPSHUFB step. Elsewhere the plan follows the
+// fused-kernel strategy of ISA-L's gf_4vect_dot_prod lineage: rows
+// grouped 4/2/1-wide with packed multi-row lookup tables, so each data
+// byte is loaded once per row group instead of once per parity row.
+// Decoding compiles the same kind of plan per erasure pattern and caches
+// it, so steady-state repair shares the encode kernels and performs no
+// table or matrix work per call. A plan is exactly the coefficient
+// rows: an MDS matrix has no zero 2x2 minor, so no two rows share a
+// column pair at one ratio and there is no common subexpression to
+// hoist (DESIGN.md records the measurement).
 package rs
 
 import (
@@ -24,18 +29,6 @@ import (
 
 	"dialga/internal/ecmatrix"
 	"dialga/internal/gf"
-)
-
-// MatrixKind selects the generator-matrix construction.
-type MatrixKind int
-
-const (
-	// CauchyMatrix is the default: systematic Cauchy generator,
-	// MDS for all k+m <= 256.
-	CauchyMatrix MatrixKind = iota
-	// VandermondeMatrix is the systematized extended Vandermonde
-	// construction (ISA-L's gf_gen_rs_matrix lineage).
-	VandermondeMatrix
 )
 
 // Code is an RS(k+m, k) code instance. The coding parameters are
@@ -54,17 +47,12 @@ type Code struct {
 }
 
 // New constructs an RS code with k data and m parity blocks using a
-// Cauchy generator matrix.
-func New(k, m int) (*Code, error) { return NewWithMatrix(k, m, CauchyMatrix) }
+// systematic Cauchy generator matrix, MDS for all k+m <= 256.
+func New(k, m int) (*Code, error) { return newCode(k, m, hostFamily()) }
 
-// NewWithMatrix constructs an RS code with an explicit matrix kind.
-func NewWithMatrix(k, m int, kind MatrixKind) (*Code, error) {
-	return newCode(k, m, kind, hostFamily())
-}
-
-// newCode is NewWithMatrix with the kernel family named, so tests can
-// build both families on one machine.
-func newCode(k, m int, kind MatrixKind, fam kernelFamily) (*Code, error) {
+// newCode is New with the kernel family named, so tests can build both
+// families on one machine.
+func newCode(k, m int, fam kernelFamily) (*Code, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("rs: k must be positive, got %d", k)
 	}
@@ -74,15 +62,7 @@ func newCode(k, m int, kind MatrixKind, fam kernelFamily) (*Code, error) {
 	if k+m > gf.FieldSize {
 		return nil, fmt.Errorf("rs: k+m = %d exceeds field size %d", k+m, gf.FieldSize)
 	}
-	var gen *ecmatrix.Matrix
-	switch kind {
-	case CauchyMatrix:
-		gen = ecmatrix.Cauchy(k, m)
-	case VandermondeMatrix:
-		gen = ecmatrix.Vandermonde(k, m)
-	default:
-		return nil, fmt.Errorf("rs: unknown matrix kind %d", kind)
-	}
+	gen := ecmatrix.Cauchy(k, m)
 	parity := ecmatrix.ParityRows(gen, k)
 	return &Code{
 		k:      k,

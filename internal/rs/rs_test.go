@@ -29,37 +29,32 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(252, 4); err != nil {
 		t.Fatal("k+m=256 rejected")
 	}
-	if _, err := NewWithMatrix(4, 2, MatrixKind(99)); err == nil {
-		t.Fatal("bad matrix kind accepted")
-	}
 }
 
 func TestEncodeVerify(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, kind := range []MatrixKind{CauchyMatrix, VandermondeMatrix} {
-		for _, p := range []struct{ k, m int }{{2, 1}, {4, 2}, {8, 4}, {24, 4}, {48, 4}} {
-			c, err := NewWithMatrix(p.k, p.m, kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := randBlocks(r, p.k, 257)
-			parity, err := c.EncodeAppend(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ok, err := c.Verify(data, parity)
-			if err != nil || !ok {
-				t.Fatalf("verify failed for k=%d m=%d kind=%d: %v", p.k, p.m, kind, err)
-			}
-			// Corrupt one byte: must fail verification.
-			parity[0][13] ^= 1
-			ok, err = c.Verify(data, parity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ok {
-				t.Fatal("verify passed on corrupted parity")
-			}
+	for _, p := range []struct{ k, m int }{{2, 1}, {4, 2}, {8, 4}, {24, 4}, {48, 4}} {
+		c, err := New(p.k, p.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := randBlocks(r, p.k, 257)
+		parity, err := c.EncodeAppend(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok, err := c.Verify(data, parity)
+		if err != nil || !ok {
+			t.Fatalf("verify failed for k=%d m=%d: %v", p.k, p.m, err)
+		}
+		// Corrupt one byte: must fail verification.
+		parity[0][13] ^= 1
+		ok, err = c.Verify(data, parity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			t.Fatal("verify passed on corrupted parity")
 		}
 	}
 }
