@@ -4,9 +4,8 @@
 //
 // The repository contains two halves:
 //
-//   - a real, usable erasure-coding library (Reed-Solomon, LRC and
-//     XOR/bitmatrix codecs over GF(2^8)) — exposed here via Codec and
-//     LRC;
+//   - a real, usable Reed-Solomon erasure-coding library over GF(2^8),
+//     exposed here via Codec and the streaming pipeline;
 //   - a cycle-level simulation of the paper's testbed (CPU caches, L2
 //     stream prefetcher, Optane-style persistent memory) on which the
 //     DIALGA scheduler and every baseline run — exposed here via
@@ -27,7 +26,6 @@ import (
 	"io"
 
 	"dialga/internal/harness"
-	"dialga/internal/lrc"
 	"dialga/internal/obs"
 	"dialga/internal/rs"
 	"dialga/internal/stream"
@@ -97,55 +95,6 @@ func (c *Codec) Verify(data, parity [][]byte) (bool, error) { return c.code.Veri
 // degraded stripe. The streaming decoder reconstructs with it.
 func (c *Codec) ReconstructData(blocks [][]byte) error { return c.code.ReconstructData(blocks) }
 
-// Update applies an incremental parity update after data block idx
-// changes from oldData to newData.
-func (c *Codec) Update(idx int, oldData, newData []byte, parity [][]byte) error {
-	return c.code.Update(idx, oldData, newData, parity)
-}
-
-// LRC is an Azure-style locally repairable code LRC(k, m, l): m global
-// Reed-Solomon parities plus one XOR parity per group of k/l data
-// blocks, so single failures repair from k/l blocks instead of k.
-type LRC struct {
-	code *lrc.Code
-}
-
-// NewLRC constructs an LRC(k, m, l) codec; l must divide k.
-func NewLRC(k, m, l int) (*LRC, error) {
-	c, err := lrc.New(k, m, l)
-	if err != nil {
-		return nil, err
-	}
-	return &LRC{code: c}, nil
-}
-
-// K returns the data block count.
-func (c *LRC) K() int { return c.code.K() }
-
-// M returns the global parity count.
-func (c *LRC) M() int { return c.code.M() }
-
-// L returns the local group count.
-func (c *LRC) L() int { return c.code.L() }
-
-// EncodeAppend returns (global, local) parity blocks for data.
-func (c *LRC) EncodeAppend(data [][]byte) (global, local [][]byte, err error) {
-	return c.code.EncodeAppend(data)
-}
-
-// Reconstruct repairs a stripe of k+m+l blocks in place, preferring
-// cheap local repair when possible.
-func (c *LRC) Reconstruct(blocks [][]byte) error { return c.code.Reconstruct(blocks) }
-
-// RepairCost returns the number of blocks read to repair block idx
-// under the current erasure pattern.
-func (c *LRC) RepairCost(blocks [][]byte, idx int) int { return c.code.RepairCost(blocks, idx) }
-
-// Verify reports whether all parities are consistent with data.
-func (c *LRC) Verify(data, global, local [][]byte) (bool, error) {
-	return c.code.Verify(data, global, local)
-}
-
 // Split partitions a byte stream into exactly k equally sized shards
 // (zero-padded tail) suitable for Codec.Encode. Shards that fit
 // entirely inside data alias its storage — mutating them mutates the
@@ -177,7 +126,7 @@ type StreamOptions = stream.Options
 
 // StreamCodec is the stripe-level codec interface the pipeline drives:
 // exactly the calls it makes (K, M, EncodeSumInto, ReconstructData).
-// *Codec satisfies it; the LRC is a whole-buffer codec only.
+// *Codec satisfies it.
 type StreamCodec = stream.Codec
 
 // StreamStats is a snapshot of pipeline counters: stripes, bytes

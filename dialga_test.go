@@ -26,23 +26,6 @@ func ExampleCodec() {
 	// Output: the quick brown fox jumps over the lazy dog!
 }
 
-func ExampleLRC() {
-	lrc, _ := NewLRC(4, 2, 2) // 4 data, 2 global RS, 2 local XOR parities
-
-	data, _ := Split([]byte("locally repairable codes cut repair traffic"), 4)
-	global, local, _ := lrc.EncodeAppend(data)
-
-	stripe := append(append(data, global...), local...)
-	stripe[0] = nil // single failure: local repair reads k/l = 2 blocks
-	fmt.Println("repair cost:", lrc.RepairCost(stripe, 0), "blocks")
-	_ = lrc.Reconstruct(stripe)
-	restored, _ := Join(stripe[:4], 43)
-	fmt.Println(string(restored))
-	// Output:
-	// repair cost: 2 blocks
-	// locally repairable codes cut repair traffic
-}
-
 func TestFacadeCodecRoundtrip(t *testing.T) {
 	c, err := NewCodec(6, 3)
 	if err != nil {
@@ -79,7 +62,7 @@ func TestFacadeCodecRoundtrip(t *testing.T) {
 	}
 }
 
-func TestFacadeCodecEncodeInPlaceAndUpdate(t *testing.T) {
+func TestFacadeCodecEncodeInPlace(t *testing.T) {
 	c, _ := NewCodec(4, 2)
 	r := rand.New(rand.NewSource(2))
 	data := make([][]byte, 4)
@@ -94,51 +77,9 @@ func TestFacadeCodecEncodeInPlaceAndUpdate(t *testing.T) {
 	if err := c.Encode(data, parity); err != nil {
 		t.Fatal(err)
 	}
-	newBlock := make([]byte, 256)
-	r.Read(newBlock)
-	if err := c.Update(1, data[1], newBlock, parity); err != nil {
-		t.Fatal(err)
-	}
-	data[1] = newBlock
 	ok, _ := c.Verify(data, parity)
 	if !ok {
-		t.Fatal("update broke parity")
-	}
-}
-
-func TestFacadeLRC(t *testing.T) {
-	c, err := NewLRC(12, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.K() != 12 || c.M() != 4 || c.L() != 2 {
-		t.Fatal("accessors wrong")
-	}
-	r := rand.New(rand.NewSource(3))
-	data := make([][]byte, 12)
-	for i := range data {
-		data[i] = make([]byte, 128)
-		r.Read(data[i])
-	}
-	global, local, err := c.EncodeAppend(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := c.Verify(data, global, local)
-	if err != nil || !ok {
-		t.Fatal("verify failed")
-	}
-	stripe := append(append(append([][]byte{}, data...), global...), local...)
-	want := stripe[3]
-	stripe[3] = nil
-	if cost := c.RepairCost(stripe, 3); cost != 6 {
-		t.Fatalf("local repair cost = %d, want 6", cost)
-	}
-	if err := c.Reconstruct(stripe); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stripe[3], want) {
-		t.Fatal("repair wrong")
+		t.Fatal("Encode left parity inconsistent")
 	}
 }
 
@@ -276,9 +217,6 @@ func TestFacadeSplitCopy(t *testing.T) {
 func TestFacadeInvalidParams(t *testing.T) {
 	if _, err := NewCodec(0, 4); err == nil {
 		t.Fatal("bad codec params accepted")
-	}
-	if _, err := NewLRC(10, 4, 3); err == nil {
-		t.Fatal("l not dividing k accepted")
 	}
 }
 

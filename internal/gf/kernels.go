@@ -184,11 +184,10 @@ func Deinterleave2(acc, d0, d1 []byte) {
 
 // MulAdd4 applies four coefficients to one source over separate
 // destinations: d_r[i] ^= c_r * src[i], as four MulSliceAdd passes, so
-// it runs the SIMD body where there is one. It serves the incremental
-// parity Update path, where the destinations are full rows rather than
-// tiles. (A portable body that loaded each source word once for all
-// four rows measured within noise of the four passes.) All slices must
-// share src's length and must not overlap src.
+// it runs the SIMD body where there is one. (A portable body that loaded
+// each source word once for all four rows measured within noise of the
+// four passes.) The benchmark ladder times it as its gf.mul_add4 rung.
+// All slices must share src's length and must not overlap src.
 func MulAdd4(c0, c1, c2, c3 byte, d0, d1, d2, d3, src []byte) {
 	n := len(src)
 	if len(d0) != n || len(d1) != n || len(d2) != n || len(d3) != n {
@@ -198,50 +197,4 @@ func MulAdd4(c0, c1, c2, c3 byte, d0, d1, d2, d3, src []byte) {
 	MulSliceAdd(c1, d1, src)
 	MulSliceAdd(c2, d2, src)
 	MulSliceAdd(c3, d3, src)
-}
-
-// MulAdd2 applies two coefficients to one source over separate
-// destinations: d_r[i] ^= c_r * src[i]. See MulAdd4.
-func MulAdd2(c0, c1 byte, d0, d1, src []byte) {
-	if len(d0) != len(src) || len(d1) != len(src) {
-		panic("gf: MulAdd2 length mismatch")
-	}
-	MulSliceAdd(c0, d0, src)
-	MulSliceAdd(c1, d1, src)
-}
-
-// XorInto overwrites dst with the XOR of all sources: dst[i] =
-// srcs[0][i] ^ srcs[1][i] ^ ... — a fused replacement for a copy
-// followed by repeated AddSlice passes; dst is written exactly once.
-// Every source must have dst's length. With no sources dst is zeroed.
-func XorInto(dst []byte, srcs ...[]byte) {
-	for _, s := range srcs {
-		if len(s) != len(dst) {
-			panic("gf: XorInto length mismatch")
-		}
-	}
-	switch len(srcs) {
-	case 0:
-		clear(dst)
-		return
-	case 1:
-		copy(dst, srcs[0])
-		return
-	}
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		w := binary.LittleEndian.Uint64(srcs[0][i:])
-		for _, s := range srcs[1:] {
-			w ^= binary.LittleEndian.Uint64(s[i:])
-		}
-		binary.LittleEndian.PutUint64(dst[i:], w)
-	}
-	for ; i < n; i++ {
-		b := srcs[0][i]
-		for _, s := range srcs[1:] {
-			b ^= s[i]
-		}
-		dst[i] = b
-	}
 }

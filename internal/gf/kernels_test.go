@@ -181,37 +181,8 @@ func TestMulAdd4MatchesRef(t *testing.T) {
 					t.Fatalf("%s MulAdd4 n=%d row %d differs", body, n, x)
 				}
 			}
-			MulAdd2(cs[0], cs[1], got[0], got[1], src)
-			RefMulSliceAdd(cs[0], want[0], src)
-			RefMulSliceAdd(cs[1], want[1], src)
-			if !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
-				t.Fatalf("%s MulAdd2 n=%d differs", body, n)
-			}
 		}
 	})
-}
-
-func TestXorInto(t *testing.T) {
-	r := rand.New(rand.NewSource(28))
-	for _, n := range kernelLengths {
-		for srcCount := 0; srcCount <= 5; srcCount++ {
-			srcs := make([][]byte, srcCount)
-			for j := range srcs {
-				srcs[j] = randBytes(r, n)
-			}
-			want := make([]byte, n)
-			for j := range srcs {
-				for i := range want {
-					want[i] ^= srcs[j][i]
-				}
-			}
-			dst := randBytes(r, n) // must be overwritten, not accumulated
-			XorInto(dst, srcs...)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("XorInto n=%d srcs=%d wrong", n, srcCount)
-			}
-		}
-	}
 }
 
 func TestKernelPanics(t *testing.T) {
@@ -236,10 +207,6 @@ func TestKernelPanics(t *testing.T) {
 	expectPanic("MulAdd4 ragged", func() {
 		MulAdd4(1, 2, 3, 4, make([]byte, 8), make([]byte, 8), make([]byte, 8), make([]byte, 7), make([]byte, 8))
 	})
-	expectPanic("MulAdd2 ragged", func() {
-		MulAdd2(1, 2, make([]byte, 8), make([]byte, 7), make([]byte, 8))
-	})
-	expectPanic("XorInto ragged", func() { XorInto(make([]byte, 8), make([]byte, 7)) })
 }
 
 // FuzzMulSliceAdd pins both bodies of the single-coefficient kernels
@@ -284,8 +251,7 @@ func FuzzMulSliceAdd(f *testing.F) {
 }
 
 // FuzzMulAddFused pins the packed pair/quad interleaved kernels and both
-// bodies of the direct MulAdd2/MulAdd4 kernels against the scalar
-// reference.
+// bodies of the direct MulAdd4 kernel against the scalar reference.
 func FuzzMulAddFused(f *testing.F) {
 	f.Add(uint8(1), uint8(2), uint8(3), uint8(4), []byte("fused kernel seed data .."), []byte{7})
 	f.Add(uint8(0), uint8(0xff), uint8(0x80), uint8(0x01), []byte{}, []byte{})
@@ -346,11 +312,6 @@ func FuzzMulAddFused(f *testing.F) {
 				if !bytes.Equal(got[x], want[x]) {
 					t.Fatalf("%s MulAdd4 row %d diverges, n=%d", body, x, n)
 				}
-			}
-			got[0], got[1] = mkInit(1), mkInit(1)
-			MulAdd2(c0, c1, got[0], got[1], src)
-			if !bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1]) {
-				t.Fatalf("%s MulAdd2 diverges, n=%d", body, n)
 			}
 		})
 

@@ -220,6 +220,47 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	}
 }
 
+// TestStorePutStageSeconds: node_store_put_seconds takes one receive
+// and one commit sample per committed upload, and an upload rejected
+// for a bad block takes no commit sample; /metrics shows both stages.
+func TestStorePutStageSeconds(t *testing.T) {
+	reg := obs.NewRegistry()
+	store, err := OpenStore(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(stage string) uint64 {
+		_, _, n := reg.Histogram("node_store_put_seconds", "", nil, obs.Label{Key: "stage", Value: stage}).Snapshot()
+		return n
+	}
+	file := oneBlockShard(4<<10, 0)
+	if err := store.Put("obj", 0, bytes.NewReader(file)); err != nil {
+		t.Fatal(err)
+	}
+	if r, c := count("receive"), count("commit"); r != 1 || c != 1 {
+		t.Fatalf("after a good put: receive %d, commit %d samples, want 1 and 1", r, c)
+	}
+	file[shardfile.HeaderSizeV3+100] ^= 0x04
+	if err := store.Put("obj", 0, bytes.NewReader(file)); !errors.Is(err, ErrBadShard) {
+		t.Fatalf("bad-CRC put: %v, want ErrBadShard", err)
+	}
+	if c := count("commit"); c != 1 {
+		t.Fatalf("a bad-CRC put observed a commit sample: %d, want 1", c)
+	}
+	var out bytes.Buffer
+	if err := reg.Expose(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`node_store_put_seconds_count{stage="receive"} 1`,
+		`node_store_put_seconds_count{stage="commit"} 1`,
+	} {
+		if !bytes.Contains(out.Bytes(), []byte(want)) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // bareBlocks is a shard file's blocks without their trailers: what the
 // retired trailer-less framings carried.
 func bareBlocks(h shardfile.Header, file []byte) []byte {

@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"dialga/internal/gf"
 	"dialga/internal/obs"
@@ -51,14 +52,16 @@ type Store struct {
 	mu  sync.Mutex // serializes multi-step directory mutations (delete-last-shard cleanup)
 	tmp uint64     // temp-file sequence
 
-	puts    *obs.Counter // node_store_puts_total
-	gets    *obs.Counter // node_store_gets_total
-	deletes *obs.Counter // node_store_deletes_total
-	rejects *obs.Counter // node_store_rejected_total
-	shards  *obs.Gauge   // node_store_shards
-	recRuns *obs.Counter // node_recovery_runs_total
-	recTmp  *obs.Counter // node_recovery_tmp_removed_total
-	recQuar *obs.Counter // node_recovery_quarantined_total
+	puts    *obs.Counter   // node_store_puts_total
+	gets    *obs.Counter   // node_store_gets_total
+	deletes *obs.Counter   // node_store_deletes_total
+	rejects *obs.Counter   // node_store_rejected_total
+	shards  *obs.Gauge     // node_store_shards
+	putRecv *obs.Histogram // node_store_put_seconds{stage="receive"}
+	putCmt  *obs.Histogram // node_store_put_seconds{stage="commit"}
+	recRuns *obs.Counter   // node_recovery_runs_total
+	recTmp  *obs.Counter   // node_recovery_tmp_removed_total
+	recQuar *obs.Counter   // node_recovery_quarantined_total
 }
 
 // OpenStore creates (if needed) and opens a shard store rooted at dir,
@@ -83,6 +86,10 @@ func OpenStore(dir string, reg *obs.Registry) (*Store, error) {
 			"Shard uploads rejected by header or size validation."),
 		shards: reg.Gauge("node_store_shards",
 			"Shard files currently held by the local store."),
+		putRecv: reg.Histogram("node_store_put_seconds", putSecondsHelp,
+			putSecondsBounds, obs.Label{Key: "stage", Value: "receive"}),
+		putCmt: reg.Histogram("node_store_put_seconds", putSecondsHelp,
+			putSecondsBounds, obs.Label{Key: "stage", Value: "commit"}),
 		recRuns: reg.Counter("node_recovery_runs_total",
 			"Crash-recovery scans run over the local store."),
 		recTmp: reg.Counter("node_recovery_tmp_removed_total",
@@ -180,7 +187,9 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	err = receive(f, h, body)
+	received := time.Now()
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -200,12 +209,22 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 		os.Remove(dir) // only removes an object dir this put created empty
 		return err
 	}
+	s.putRecv.Observe(received.Sub(start).Seconds())
+	s.putCmt.Observe(time.Since(received).Seconds())
 	s.puts.Inc()
 	if !existed {
 		s.shards.Add(1)
 	}
 	return nil
 }
+
+// node_store_put_seconds splits a committed upload in two: receive is
+// the body after the header, read, checked and written block by block;
+// commit is the close, the stat and the rename that publish the file.
+// Only a committed upload is observed, once per stage.
+const putSecondsHelp = "Time a committed shard upload spent per stage: receive (blocks read, checked and written) or commit (close, stat and rename)."
+
+var putSecondsBounds = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
 // putBufSize caps the buffer an upload is received through: room for
 // the default geometry's block (RS(4,2) over 1 MiB stripes: 256 KiB +

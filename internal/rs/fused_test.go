@@ -242,7 +242,7 @@ func TestDecodeCacheLRU(t *testing.T) {
 	}
 }
 
-// Steady-state allocation budgets: encode, verify, and update must not
+// Steady-state allocation budgets: encode and verify must not
 // allocate at all; reconstruction with caller-supplied buffers must not
 // either once its decode plan is cached.
 func TestSteadyStateAllocs(t *testing.T) {
@@ -275,21 +275,6 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Verify allocates %.1f per op, want 0", n)
-	}
-
-	newData := make([]byte, size)
-	r.Read(newData)
-	if n := testing.AllocsPerRun(20, func() {
-		if err := c.Update(3, data[3], newData, parity); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("Update allocates %.1f per op, want 0", n)
-	}
-	// The repeated updates left parity reflecting newData deltas;
-	// recompute it before the reconstruction checks below.
-	if err := c.Encode(data, parity); err != nil {
-		t.Fatal(err)
 	}
 
 	blocks := make([][]byte, k+m)

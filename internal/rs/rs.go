@@ -392,44 +392,3 @@ func (c *Code) DecodeMatrix(survivors []int) (*ecmatrix.Matrix, error) {
 	sub := c.gen.SubMatrix(survivors)
 	return sub.Invert()
 }
-
-// Update performs an incremental parity update after data block idx
-// changes from oldData to newData, adjusting parity in place. This is
-// the read-modify-write path a PM store uses for small overwrites. The
-// delta scratch is pooled and each parity row is advanced by one
-// multiply-accumulate pass over it (gf.MulAdd4/MulAdd2/MulSliceAdd).
-func (c *Code) Update(idx int, oldData, newData []byte, parity [][]byte) error {
-	if idx < 0 || idx >= c.k {
-		return fmt.Errorf("rs: update index %d out of range [0,%d)", idx, c.k)
-	}
-	if len(oldData) != len(newData) {
-		return ErrBlockSize
-	}
-	if len(parity) != c.m {
-		return ErrBlockCount
-	}
-	for _, p := range parity {
-		if len(p) != len(oldData) {
-			return ErrBlockSize
-		}
-	}
-	bp, delta := getBuf(len(oldData))
-	gf.XorInto(delta, oldData, newData)
-	i := 0
-	for ; c.m-i >= 4; i += 4 {
-		gf.MulAdd4(
-			c.parity.At(i, idx), c.parity.At(i+1, idx),
-			c.parity.At(i+2, idx), c.parity.At(i+3, idx),
-			parity[i], parity[i+1], parity[i+2], parity[i+3], delta)
-	}
-	if c.m-i >= 2 {
-		gf.MulAdd2(c.parity.At(i, idx), c.parity.At(i+1, idx),
-			parity[i], parity[i+1], delta)
-		i += 2
-	}
-	if i < c.m {
-		gf.MulSliceAdd(c.parity.At(i, idx), parity[i], delta)
-	}
-	putBuf(bp)
-	return nil
-}

@@ -235,32 +235,6 @@ func mulByte(a, b byte) byte {
 	return byte(p)
 }
 
-func TestUpdate(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	c, _ := New(6, 3)
-	data := randBlocks(r, 6, 200)
-	parity, _ := c.EncodeAppend(data)
-
-	// Overwrite block 2 and incrementally update parity.
-	newBlock := make([]byte, 200)
-	r.Read(newBlock)
-	if err := c.Update(2, data[2], newBlock, parity); err != nil {
-		t.Fatal(err)
-	}
-	data[2] = newBlock
-	ok, err := c.Verify(data, parity)
-	if err != nil || !ok {
-		t.Fatalf("parity inconsistent after incremental update: %v", err)
-	}
-
-	if err := c.Update(9, data[0], data[0], parity); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-	if err := c.Update(0, data[0][:10], data[0], parity); err == nil {
-		t.Fatal("mismatched old/new sizes accepted")
-	}
-}
-
 func TestM0Rejected(t *testing.T) {
 	if _, err := New(4, 0); err == nil {
 		t.Fatal("m=0 accepted; parity-less codes are not erasure codes")

@@ -56,12 +56,10 @@ func (s Schedule) XORCount() int {
 
 // Encoder is an XOR-based encoder for RS(k+m, k) with w=8.
 type Encoder struct {
-	k, m       int
-	gen        *ecmatrix.Matrix    // (k+m) x k systematic generator over GF(2^8)
-	parityBM   *ecmatrix.BitMatrix // (m*8) x (k*8) parity bitmatrix
-	schedule   Schedule
-	smart      bool
-	tempBlocks int // scratch blocks needed by CSE temporaries
+	k, m     int
+	gen      *ecmatrix.Matrix    // (k+m) x k systematic generator over GF(2^8)
+	parityBM *ecmatrix.BitMatrix // (m*8) x (k*8) parity bitmatrix
+	schedule Schedule
 }
 
 // Options configures Encoder construction.
@@ -72,10 +70,6 @@ type Options struct {
 	// SmartSchedule enables delta scheduling (reuse of previously
 	// computed parity packets); naive scheduling otherwise.
 	SmartSchedule bool
-	// CSESchedule enables common-subexpression scheduling (Luo et
-	// al.-style pair sharing with temporary packets); takes precedence
-	// over SmartSchedule.
-	CSESchedule bool
 }
 
 // NewEncoder builds an XOR encoder for k data and m parity blocks.
@@ -92,16 +86,12 @@ func NewEncoder(k, m int, opts Options) (*Encoder, error) {
 	}
 	parity := ecmatrix.ParityRows(gen, k)
 	bm := ecmatrix.ToBitMatrix(parity)
-	e := &Encoder{k: k, m: m, gen: gen.Clone(), parityBM: bm, smart: opts.SmartSchedule}
-	switch {
-	case opts.CSESchedule:
-		e.schedule = CSESchedule(bm, k, m)
-	case opts.SmartSchedule:
+	e := &Encoder{k: k, m: m, gen: gen.Clone(), parityBM: bm}
+	if opts.SmartSchedule {
 		e.schedule = SmartSchedule(bm, k, m)
-	default:
+	} else {
 		e.schedule = NaiveSchedule(bm, k, m)
 	}
-	e.tempBlocks = e.schedule.TempBlocks(k, m)
 	return e, nil
 }
 
@@ -132,16 +122,7 @@ func (e *Encoder) Encode(data, parity [][]byte) error {
 	if err != nil {
 		return err
 	}
-	out := parity
-	if e.tempBlocks > 0 {
-		// CSE schedules write temporaries beyond the parity blocks.
-		out = make([][]byte, e.m+e.tempBlocks)
-		copy(out, parity)
-		for i := e.m; i < len(out); i++ {
-			out[i] = make([]byte, size)
-		}
-	}
-	return executeSchedule(e.schedule, data, out, size)
+	return executeSchedule(e.schedule, data, parity, size)
 }
 
 // EncodeAppend allocates and returns the parity blocks.
@@ -223,19 +204,10 @@ func (e *Encoder) LRCSchedule(l int) (Schedule, error) {
 	if l <= 0 || e.k%l != 0 {
 		return nil, fmt.Errorf("xorec: l=%d must divide k=%d", l, e.k)
 	}
-	// Global schedule dst blocks are k..k+m-1 already; temporaries (if
-	// any) must shift up by l so locals can sit at k+m..k+m+l-1.
+	// The global schedule writes blocks k..k+m-1; locals follow it.
 	groupSize := e.k / l
 	out := make(Schedule, 0, len(e.schedule)+l*groupSize*W)
-	for _, op := range e.schedule {
-		if op.SrcBlock >= e.k+e.m {
-			op.SrcBlock += l
-		}
-		if op.DstBlock >= e.k+e.m {
-			op.DstBlock += l
-		}
-		out = append(out, op)
-	}
+	out = append(out, e.schedule...)
 	for g := 0; g < l; g++ {
 		lo := g * groupSize
 		dst := e.k + e.m + g

@@ -397,3 +397,46 @@ func BenchmarkXOREncode_8_4_1K(b *testing.B) {
 		}
 	}
 }
+
+func TestLRCSchedule(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	enc, err := NewEncoder(8, 4, Options{SmartSchedule: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := enc.LRCSchedule(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := randBlocks(r, 8, 256)
+	// Execute: outputs are 4 global + 2 local parities.
+	out := make([][]byte, 6)
+	for i := range out {
+		out[i] = make([]byte, 256)
+	}
+	if err := executeSchedule(sched, data, out, 256); err != nil {
+		t.Fatal(err)
+	}
+	// Globals match the plain encoder.
+	want, _ := enc.EncodeAppend(data)
+	for i := 0; i < 4; i++ {
+		if !bytes.Equal(out[i], want[i]) {
+			t.Fatalf("LRC global parity %d differs", i)
+		}
+	}
+	// Locals are group XORs.
+	for g := 0; g < 2; g++ {
+		for j := 0; j < 256; j++ {
+			var x byte
+			for b := g * 4; b < (g+1)*4; b++ {
+				x ^= data[b][j]
+			}
+			if out[4+g][j] != x {
+				t.Fatalf("LRC local parity %d wrong at %d", g, j)
+			}
+		}
+	}
+	if _, err := enc.LRCSchedule(3); err == nil {
+		t.Fatal("l not dividing k accepted")
+	}
+}
