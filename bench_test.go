@@ -339,7 +339,7 @@ func ablationRun(b *testing.B, threads int, mutate func(*mem.Config), opts dialg
 	for t := 0; t < threads; t++ {
 		l, err := workload.New(workload.Config{
 			K: 24, M: 4, BlockSize: 1024,
-			TotalDataBytes: 4 << 20, Placement: workload.Scattered, Seed: 42,
+			TotalDataBytes: 4 << 20, Seed: 42,
 		}, t)
 		if err != nil {
 			b.Fatal(err)
@@ -379,7 +379,7 @@ func BenchmarkAblationStreamCapacity(b *testing.B) {
 		}
 		l, err := workload.New(workload.Config{
 			K: 48, M: 4, BlockSize: 1024,
-			TotalDataBytes: 4 << 20, Placement: workload.Scattered, Seed: 42,
+			TotalDataBytes: 4 << 20, Seed: 42,
 		}, 0)
 		if err != nil {
 			b.Fatal(err)
@@ -426,7 +426,7 @@ func BenchmarkAblationShuffleCost(b *testing.B) {
 		for t := 0; t < 16; t++ {
 			l, err := workload.New(workload.Config{
 				K: 24, M: 4, BlockSize: 1024,
-				TotalDataBytes: 4 << 20, Placement: workload.Scattered, Seed: 42,
+				TotalDataBytes: 4 << 20, Seed: 42,
 			}, t)
 			if err != nil {
 				b.Fatal(err)
@@ -471,7 +471,7 @@ func BenchmarkAblationPrefetchOverhead(b *testing.B) {
 		}
 		l, err := workload.New(workload.Config{
 			K: 24, M: 4, BlockSize: 1024,
-			TotalDataBytes: 4 << 20, Placement: workload.Scattered, Seed: 42,
+			TotalDataBytes: 4 << 20, Seed: 42,
 		}, 0)
 		if err != nil {
 			b.Fatal(err)

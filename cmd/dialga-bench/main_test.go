@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -68,5 +69,42 @@ func TestDeletedModeFlagRejected(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "flag provided but not defined: -cluster") {
 		t.Fatalf("stderr %q does not reject -cluster as unknown", stderr)
+	}
+}
+
+// -system prints, for every compared system, the throughput the
+// figures compute for the same spec.
+func TestSystemPrintsHarnessThroughput(t *testing.T) {
+	r := &harness.Runner{Quick: true}
+	for _, st := range systems {
+		code, out, stderr := runCLI("-system", string(st), "-k", "8", "-m", "4", "-block", "1024", "-threads", "1", "-quick")
+		if code != 0 {
+			t.Fatalf("%s: exited %d; stderr: %s", st, code, stderr)
+		}
+		res, err := r.Run(harness.BaseSpec(st, 8, 4, 1024, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("throughput:        %8.3f GB/s", res.ThroughputGBps)
+		if !strings.Contains(out, want) {
+			t.Fatalf("%s: output lacks %q:\n%s", st, want, out)
+		}
+		// Fig. 18's quick +BF cell at k=8.
+		if st == harness.StratDialga && !strings.Contains(out, "6.951 GB/s") {
+			t.Fatalf("DIALGA RS(12,8) quick run is not 6.951 GB/s:\n%s", out)
+		}
+	}
+}
+
+func TestSystemRejectsBadUse(t *testing.T) {
+	for _, args := range [][]string{
+		{"-system", "ISA-L-PF"},
+		{"-system", "DIALGA", "-fig", "fig10"},
+		{"-system", "DIALGA", "-all"},
+	} {
+		code, out, stderr := runCLI(args...)
+		if code != 2 || out != "" || stderr == "" {
+			t.Fatalf("%q: exit %d, stdout %q, stderr %q; want 2, empty stdout, an error on stderr", args, code, out, stderr)
+		}
 	}
 }

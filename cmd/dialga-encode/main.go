@@ -6,6 +6,7 @@
 //
 //	dialga-encode -mode encode -k 8 -m 4 -in data.bin -dir shards/
 //	dialga-encode -mode decode -k 8 -m 4 -out restored.bin -dir shards/
+//	dialga-encode -mode verify -dir shards/ [-metrics]
 //
 // Shards are named shard.000 .. shard.(k+m-1); delete up to m of them
 // and decode still succeeds. Each shard file starts with a self-
@@ -18,6 +19,13 @@
 // that stripe and healed through reconstruction. A shard file in the
 // retired trailer-less v2 framing is refused by name, like any other
 // header that does not parse.
+//
+// -mode verify scrubs a shard directory without decoding it: it checks
+// every shard's header (self-CRC, slot index, and agreement with the
+// set's geometry), its size and each block's CRC-32C trailer, names
+// each damaged shard and the stripes whose blocks failed, and exits 1
+// on any damage. -metrics appends the scrub's metric series in
+// Prometheus text format.
 package main
 
 import (
@@ -34,39 +42,59 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, writes reports to
+// stdout and diagnostics to stderr, and returns the exit status, so
+// tests can drive it directly.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dialga-encode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mode    = flag.String("mode", "", "encode or decode")
-		k       = flag.Int("k", 8, "data shards")
-		m       = flag.Int("m", 4, "parity shards")
-		in      = flag.String("in", "", "input file (encode)")
-		out     = flag.String("out", "", "output file (decode)")
-		dir     = flag.String("dir", "shards", "shard directory")
-		stripe  = flag.Int("stripe", stream.DefaultStripeSize, "stripe size in bytes (data payload per stripe)")
-		workers = flag.Int("workers", 0, "encoding workers (0 = GOMAXPROCS)")
+		mode    = fs.String("mode", "", "encode, decode or verify")
+		k       = fs.Int("k", 8, "data shards")
+		m       = fs.Int("m", 4, "parity shards")
+		in      = fs.String("in", "", "input file (encode)")
+		out     = fs.String("out", "", "output file (decode)")
+		dir     = fs.String("dir", "shards", "shard directory")
+		stripe  = fs.Int("stripe", stream.DefaultStripeSize, "stripe size in bytes (data payload per stripe)")
+		workers = fs.Int("workers", 0, "encoding workers (0 = GOMAXPROCS)")
+		metrics = fs.Bool("metrics", false, "with -mode verify: append the scrub's metric series in Prometheus text format")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var err error
 	switch *mode {
 	case "encode":
-		err = encode(*k, *m, *in, *dir, *stripe, *workers)
+		err = encode(stdout, *k, *m, *in, *dir, *stripe, *workers)
 	case "decode":
-		err = decode(*k, *m, *out, *dir, *workers)
+		err = decode(stdout, *k, *m, *out, *dir, *workers)
+	case "verify":
+		var damaged bool
+		damaged, err = verifyDir(*dir, stdout, *metrics)
+		if err == nil && damaged {
+			return 1
+		}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dialga-encode:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dialga-encode:", err)
+		return 1
 	}
+	return 0
 }
 
 func shardPath(dir string, i int) string {
 	return shardfile.Path(dir, i)
 }
 
-func encode(k, m int, in, dir string, stripeSize, workers int) error {
+// encode writes in's k+m shard files into dir and reports on w.
+func encode(w io.Writer, k, m int, in, dir string, stripeSize, workers int) error {
 	if in == "" {
 		return fmt.Errorf("encode needs -in")
 	}
@@ -139,7 +167,7 @@ func encode(k, m int, in, dir string, stripeSize, workers int) error {
 		}
 		files[i] = nil
 	}
-	fmt.Printf("encoded %d bytes into %d data + %d parity shards (%d stripes of %d bytes/shard + crc32c) in %s\n",
+	fmt.Fprintf(w, "encoded %d bytes into %d data + %d parity shards (%d stripes of %d bytes/shard + crc32c) in %s\n",
 		fileSize, k, m, stripes, enc.ShardSize(), dir)
 	return nil
 }
@@ -202,7 +230,9 @@ func openShards(k, m int, dir string) (readers []io.Reader, agreed shardfile.Hea
 	return readers, agreed, present, closeAll, nil
 }
 
-func decode(k, m int, out, dir string, workers int) error {
+// decode rebuilds the original file from dir into out and reports on
+// w.
+func decode(w io.Writer, k, m int, out, dir string, workers int) error {
 	if out == "" {
 		return fmt.Errorf("decode needs -out")
 	}
@@ -227,21 +257,21 @@ func decode(k, m int, out, dir string, workers int) error {
 		return err
 	}
 	defer of.Close()
-	w := bufio.NewWriterSize(of, 1<<20)
-	if err := dec.Decode(context.Background(), readers, w, int64(hdr.FileSize)); err != nil {
+	bw := bufio.NewWriterSize(of, 1<<20)
+	if err := dec.Decode(context.Background(), readers, bw, int64(hdr.FileSize)); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
+	if err := bw.Flush(); err != nil {
 		return err
 	}
 	if err := of.Close(); err != nil {
 		return err
 	}
 	st := dec.Stats()
-	fmt.Printf("reconstructed %d bytes from %d shards (%d stripes, %d reconstructed) into %s\n",
+	fmt.Fprintf(w, "reconstructed %d bytes from %d shards (%d stripes, %d reconstructed) into %s\n",
 		hdr.FileSize, present, st.Stripes, st.Reconstructed, out)
 	if st.ShardsCorrupted > 0 {
-		fmt.Printf("healed %d corrupt shard blocks across %d stripes\n", st.ShardsCorrupted, st.StripesHealed)
+		fmt.Fprintf(w, "healed %d corrupt shard blocks across %d stripes\n", st.ShardsCorrupted, st.StripesHealed)
 	}
 	return nil
 }

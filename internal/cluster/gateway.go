@@ -342,7 +342,7 @@ func (g *Gateway) streamOptions(shardSize int) stream.Options {
 // concurrently to the object's placement. Every shard upload carries a
 // full shardfile (header + checksummed blocks), so each node validates
 // its shard independently and a node directory is scrubbable with
-// dialga-inspect.
+// dialga-encode -mode verify.
 //
 // A put is acknowledged once WriteQuorum shard uploads have landed.
 // Transient upload failures (connection errors, throttling, 5xx) are

@@ -96,7 +96,7 @@ type RepairerOptions struct {
 
 // Repairer is the background repair queue: it scrubs every placed
 // shard of every object in the cluster (reusing the same shardfile
-// scrub that dialga-inspect -verify runs locally), queues the damaged
+// scrub that dialga-encode -mode verify runs locally), queues the damaged
 // and missing ones, and rebuilds each in the shard domain: k of the
 // object's other shards stream through a stream.Rebuilder that
 // computes only the damaged shard's row, so a rebuild reads k shards

@@ -383,13 +383,7 @@ func (s *Scheduler) applyMode(p *isal.KernelParams, high bool) {
 	} else {
 		p.Shuffle = false
 		p.XPLineLoop = false
-		if !s.opts.DisableBufferFriendly {
-			p.BufferFriendly = true
-			p.FirstLineBoost = isal.DefaultBoost
-			p.RestReduce = isal.DefaultRestReduce
-		} else {
-			p.BufferFriendly = false
-		}
+		p.BufferFriendly = !s.opts.DisableBufferFriendly
 	}
 	s.capDistance(p)
 }

@@ -17,7 +17,7 @@ import (
 func pmSpec(k, m, threads int, st harness.Strategy) harness.RunSpec {
 	return harness.RunSpec{
 		K: k, M: m, BlockSize: 1024, Threads: threads,
-		Source: mem.PM, HWP: true, Placement: workload.Scattered,
+		Source: mem.PM, HWP: true,
 		Strategy: st, Seed: 1,
 	}
 }

@@ -31,8 +31,11 @@ func (r *Runner) threadSweep() []int {
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }
 
-// baseSpec returns the common configuration for a strategy run.
-func baseSpec(strat Strategy, k, m, block, threads int) RunSpec {
+// BaseSpec returns the common configuration for a strategy run: the
+// §5.1 testbed (PM source, hardware prefetcher on) with ISA-L-noPF
+// mapped to ISA-L with the prefetcher off. Every figure and
+// `dialga-bench -system` build their runs from it.
+func BaseSpec(strat Strategy, k, m, block, threads int) RunSpec {
 	s := RunSpec{
 		K: k, M: m, BlockSize: block, Threads: threads,
 		Source: mem.PM, HWP: true, Strategy: strat,
@@ -57,14 +60,14 @@ func (r *Runner) Fig03() (*Figure, error) {
 	}
 	for _, src := range []mem.DeviceKind{mem.DRAM, mem.PM} {
 		for _, hwp := range []bool{false, true} {
-			s := baseSpec(StratISAL, 8, defaultM, defaultBlock, 1)
+			s := BaseSpec(StratISAL, 8, defaultM, defaultBlock, 1)
 			s.Source = src
 			s.HWP = hwp
 			res, err := r.Run(s)
 			if err != nil {
 				return nil, err
 			}
-			cfg := r.config(s)
+			cfg := r.Config(s)
 			f.AddPoint("throughput", res.ThroughputGBps)
 			f.AddPoint("missCyc/load", res.MissCyclesPerLoad(&cfg))
 		}
@@ -90,7 +93,7 @@ func (r *Runner) Fig04() (*Figure, error) {
 		f.XLabels = append(f.XLabels, fmt.Sprintf("%.1f", fr))
 		for _, src := range []mem.DeviceKind{mem.PM, mem.DRAM} {
 			for _, simd := range []mem.SIMDWidth{mem.AVX512, mem.AVX256} {
-				s := baseSpec(StratISAL, 8, defaultM, defaultBlock, 1)
+				s := BaseSpec(StratISAL, 8, defaultM, defaultBlock, 1)
 				s.Source = src
 				s.Freq = fr
 				s.SIMD = simd
@@ -117,7 +120,7 @@ func (r *Runner) Fig05() (*Figure, error) {
 	}
 	for _, k := range r.kSweep() {
 		f.XLabels = append(f.XLabels, itoa(k))
-		res, err := r.Run(baseSpec(StratISAL, k, defaultM, 4096, 1))
+		res, err := r.Run(BaseSpec(StratISAL, k, defaultM, 4096, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -143,11 +146,11 @@ func (r *Runner) Fig06() (*Figure, error) {
 	}
 	for _, bs := range blocks {
 		f.XLabels = append(f.XLabels, bytesLabel(bs))
-		on, err := r.Run(baseSpec(StratISAL, 24, defaultM, bs, 1))
+		on, err := r.Run(BaseSpec(StratISAL, 24, defaultM, bs, 1))
 		if err != nil {
 			return nil, err
 		}
-		off, err := r.Run(baseSpec(StratISALNoPF, 24, defaultM, bs, 1))
+		off, err := r.Run(BaseSpec(StratISALNoPF, 24, defaultM, bs, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -171,11 +174,11 @@ func (r *Runner) Fig07() (*Figure, error) {
 	}
 	for _, t := range r.threadSweep() {
 		f.XLabels = append(f.XLabels, itoa(t))
-		on, err := r.throughputAvg(baseSpec(StratISAL, 24, defaultM, 4096, t))
+		on, err := r.throughputAvg(BaseSpec(StratISAL, 24, defaultM, 4096, t))
 		if err != nil {
 			return nil, err
 		}
-		off, err := r.throughputAvg(baseSpec(StratISALNoPF, 24, defaultM, 4096, t))
+		off, err := r.throughputAvg(BaseSpec(StratISALNoPF, 24, defaultM, 4096, t))
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +196,7 @@ func comparedStrategies() []Strategy {
 }
 
 func (r *Runner) runStrategy(strat Strategy, k, m, block, threads int) (float64, error) {
-	s := baseSpec(strat, k, m, block, threads)
+	s := BaseSpec(strat, k, m, block, threads)
 	return r.throughputAvg(s)
 }
 
@@ -375,7 +378,7 @@ func (r *Runner) Fig15() (*Figure, error) {
 		for _, simd := range []mem.SIMDWidth{mem.AVX512, mem.AVX256} {
 			f.XLabels = append(f.XLabels, fmt.Sprintf("k%d/%s", k, simd))
 			for _, st := range []Strategy{StratCerasure, StratISAL, StratDialga} {
-				s := baseSpec(st, k, defaultM, defaultBlock, 1)
+				s := BaseSpec(st, k, defaultM, defaultBlock, 1)
 				s.SIMD = simd
 				res, err := r.Run(s)
 				if err != nil {
@@ -429,12 +432,12 @@ func (r *Runner) Fig17() (*Figure, error) {
 	for _, k := range []int{8, 24, 48} {
 		f.XLabels = append(f.XLabels, itoa(k))
 		for _, st := range []Strategy{StratISAL, StratISALD, StratDialga} {
-			s := baseSpec(st, k, defaultM, defaultBlock, 1)
+			s := BaseSpec(st, k, defaultM, defaultBlock, 1)
 			res, err := r.Run(s)
 			if err != nil {
 				return nil, err
 			}
-			cfg := r.config(s)
+			cfg := r.Config(s)
 			f.AddPoint(string(st), res.StallCyclesPerLoad(&cfg))
 		}
 	}
@@ -465,7 +468,7 @@ func (r *Runner) Fig18() (*Figure, error) {
 			{"+HW", true, true, false},
 			{"+BF", true, true, true},
 		} {
-			s := baseSpec(StratDialga, k, defaultM, defaultBlock, 1)
+			s := BaseSpec(StratDialga, k, defaultM, defaultBlock, 1)
 			s.HWP = v.hwp
 			y, err := r.runBreakdown(s, v.sw, v.bf)
 			if err != nil {
@@ -491,7 +494,7 @@ func (r *Runner) Fig19() (*Figure, error) {
 	for _, t := range []int{1, 18} {
 		for _, st := range []Strategy{StratISAL, StratDialga} {
 			f.XLabels = append(f.XLabels, fmt.Sprintf("t%d/%s", t, st))
-			s := baseSpec(st, 24, defaultM, defaultBlock, t)
+			s := BaseSpec(st, 24, defaultM, defaultBlock, t)
 			res, err := r.Run(s)
 			if err != nil {
 				return nil, err
@@ -546,7 +549,7 @@ func (r *Runner) Gen01() (*Figure, error) {
 		for _, threads := range []int{1, 8} {
 			f.XLabels = append(f.XLabels, fmt.Sprintf("%s/t%d", p.name, threads))
 			for _, st := range []Strategy{StratISALNoPF, StratISAL, StratDialga} {
-				s := baseSpec(st, 24, defaultM, defaultBlock, threads)
+				s := BaseSpec(st, 24, defaultM, defaultBlock, threads)
 				s.BaseConfig = p.cfg
 				res, err := r.Run(s)
 				if err != nil {
@@ -581,7 +584,7 @@ func (r *Runner) Mix01() (*Figure, error) {
 	for _, threads := range []int{1, 8} {
 		f.XLabels = append(f.XLabels, itoa(threads))
 		for _, st := range []Strategy{StratISALNoPF, StratISAL, StratDialga} {
-			s := baseSpec(st, 24, defaultM, sizes[0], threads)
+			s := BaseSpec(st, 24, defaultM, sizes[0], threads)
 			res, err := r.RunWith(s, func(l *workload.Layout, cfg *mem.Config) (engine.Program, error) {
 				// l's thread id is implicit in its addresses; carve
 				// per-segment layouts from disjoint pseudo-thread

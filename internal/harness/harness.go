@@ -78,7 +78,6 @@ type RunSpec struct {
 	Params    isal.KernelParams // for fixed-kernel ISA-L runs
 	Strategy  Strategy
 	LRCGroups int // l > 0 models LRC(k, m-l global, l local)
-	Placement workload.Placement
 	Seed      int64
 	// DialgaOpts overrides the coordinator options for DIALGA runs
 	// (used by the Fig. 18 breakdown and the ablations).
@@ -88,7 +87,8 @@ type RunSpec struct {
 	BaseConfig func() mem.Config
 }
 
-func (r *Runner) config(s RunSpec) mem.Config {
+// Config returns the machine model Run simulates s on.
+func (r *Runner) Config(s RunSpec) mem.Config {
 	cfg := mem.DefaultConfig()
 	if s.BaseConfig != nil {
 		cfg = s.BaseConfig()
@@ -109,7 +109,6 @@ func (r *Runner) layouts(s RunSpec, cfg *mem.Config) ([]*workload.Layout, error)
 		l, err := workload.New(workload.Config{
 			K: s.K, M: s.M, BlockSize: s.BlockSize,
 			TotalDataBytes: r.perThreadBytes(s.Threads),
-			Placement:      s.Placement,
 			Seed:           s.Seed + 42,
 		}, t)
 		if err != nil {
@@ -130,7 +129,7 @@ func (r *Runner) Run(s RunSpec) (*engine.Result, error) {
 // RunWith executes one measurement with a custom per-thread program
 // factory (used for decode schedules and ablation variants).
 func (r *Runner) RunWith(s RunSpec, factory func(*workload.Layout, *mem.Config) (engine.Program, error)) (*engine.Result, error) {
-	cfg := r.config(s)
+	cfg := r.Config(s)
 	e, err := engine.New(cfg, s.Source)
 	if err != nil {
 		return nil, err

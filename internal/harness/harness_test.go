@@ -54,7 +54,7 @@ func TestByIDUnknown(t *testing.T) {
 func TestRunSpecStrategies(t *testing.T) {
 	r := quickRunner()
 	for _, st := range comparedStrategies() {
-		s := baseSpec(st, 8, 2, 1024, 1)
+		s := BaseSpec(st, 8, 2, 1024, 1)
 		res, err := r.Run(s)
 		if err != nil {
 			t.Fatalf("%s: %v", st, err)
@@ -67,7 +67,7 @@ func TestRunSpecStrategies(t *testing.T) {
 
 func TestUnknownStrategy(t *testing.T) {
 	r := quickRunner()
-	s := baseSpec("nope", 4, 2, 1024, 1)
+	s := BaseSpec("nope", 4, 2, 1024, 1)
 	if _, err := r.Run(s); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
@@ -75,7 +75,7 @@ func TestUnknownStrategy(t *testing.T) {
 
 func TestZerasureWideStripeError(t *testing.T) {
 	r := quickRunner()
-	s := baseSpec(StratZerasure, 48, 4, 1024, 1)
+	s := BaseSpec(StratZerasure, 48, 4, 1024, 1)
 	if _, err := r.Run(s); err == nil {
 		t.Fatal("Zerasure at k=48 should fail (search space)")
 	}
@@ -130,7 +130,7 @@ func TestRepeatsAveraging(t *testing.T) {
 		t.Skip("averaging smoke skipped in -short mode")
 	}
 	r := &Runner{Quick: true, Repeats: 2}
-	y, err := r.throughputAvg(baseSpec(StratISAL, 8, 4, 1024, 2))
+	y, err := r.throughputAvg(BaseSpec(StratISAL, 8, 4, 1024, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRepeatsAveraging(t *testing.T) {
 		t.Fatal("averaged throughput not positive")
 	}
 	// Single-threaded runs are not repeated (deterministic anyway).
-	y1, err := r.throughputAvg(baseSpec(StratISAL, 8, 4, 1024, 1))
+	y1, err := r.throughputAvg(BaseSpec(StratISAL, 8, 4, 1024, 1))
 	if err != nil || y1 <= 0 {
 		t.Fatal("single-thread average failed")
 	}

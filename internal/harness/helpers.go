@@ -15,7 +15,7 @@ import (
 // (denser) decode bitmatrix schedule derived from the inverted survivor
 // matrix (§5.4).
 func (r *Runner) runDecode(st Strategy, k, m, block int) (float64, error) {
-	s := baseSpec(st, k, m, block, 1)
+	s := BaseSpec(st, k, m, block, 1)
 	switch st {
 	case StratZerasure, StratCerasure:
 		var enc *xorec.Encoder
@@ -56,7 +56,7 @@ func (r *Runner) runDecode(st Strategy, k, m, block int) (float64, error) {
 // runLRC measures LRC(k, m, l) encoding: m global parities plus l local
 // XOR parities (the stripe writes m+l parity blocks).
 func (r *Runner) runLRC(st Strategy, k, m, l int) (float64, error) {
-	s := baseSpec(st, k, m+l, defaultBlock, 1)
+	s := BaseSpec(st, k, m+l, defaultBlock, 1)
 	s.LRCGroups = l
 	if st == StratCerasure {
 		var enc *xorec.Encoder
@@ -99,7 +99,6 @@ func (r *Runner) mixedProgram(s RunSpec, base *workload.Layout, cfg *mem.Config,
 		l, err := workload.New(workload.Config{
 			K: s.K, M: s.M, BlockSize: bs,
 			TotalDataBytes: segBytes,
-			Placement:      workload.Scattered,
 			Seed:           s.Seed + int64(seg),
 		}, threadID+64*(seg+1)) // disjoint pseudo-thread regions
 		if err != nil {

@@ -31,7 +31,7 @@ func mustRun(t *testing.T, r *Runner, s RunSpec) float64 {
 // Obs. 1: PM encoding is much slower than DRAM encoding.
 func TestShapePMSlowerThanDRAM(t *testing.T) {
 	r := shapeRunner(t)
-	pm := baseSpec(StratISAL, 8, 4, 1024, 1)
+	pm := BaseSpec(StratISAL, 8, 4, 1024, 1)
 	dram := pm
 	dram.Source = mem.DRAM
 	if mustRun(t, r, dram) < 1.4*mustRun(t, r, pm) {
@@ -42,8 +42,8 @@ func TestShapePMSlowerThanDRAM(t *testing.T) {
 // Obs. 3: the stream-table cliff — k=36 collapses relative to k=32.
 func TestShapeStreamTableCliff(t *testing.T) {
 	r := shapeRunner(t)
-	at32 := mustRun(t, r, baseSpec(StratISAL, 32, 4, 4096, 1))
-	at36 := mustRun(t, r, baseSpec(StratISAL, 36, 4, 4096, 1))
+	at32 := mustRun(t, r, BaseSpec(StratISAL, 32, 4, 4096, 1))
+	at36 := mustRun(t, r, BaseSpec(StratISAL, 36, 4, 4096, 1))
 	if at36 > 0.55*at32 {
 		t.Fatalf("no stream-table cliff: k=36 (%v) vs k=32 (%v)", at36, at32)
 	}
@@ -52,10 +52,10 @@ func TestShapeStreamTableCliff(t *testing.T) {
 // Obs. 4: the prefetcher is useless at 256 B blocks and strong at 4 KB.
 func TestShapeBlockSizeSensitivity(t *testing.T) {
 	r := shapeRunner(t)
-	small := baseSpec(StratISAL, 24, 4, 256, 1)
-	smallOff := baseSpec(StratISALNoPF, 24, 4, 256, 1)
-	big := baseSpec(StratISAL, 24, 4, 4096, 1)
-	bigOff := baseSpec(StratISALNoPF, 24, 4, 4096, 1)
+	small := BaseSpec(StratISAL, 24, 4, 256, 1)
+	smallOff := BaseSpec(StratISALNoPF, 24, 4, 256, 1)
+	big := BaseSpec(StratISAL, 24, 4, 4096, 1)
+	bigOff := BaseSpec(StratISALNoPF, 24, 4, 4096, 1)
 	gainSmall := mustRun(t, r, small) / mustRun(t, r, smallOff)
 	gainBig := mustRun(t, r, big) / mustRun(t, r, bigOff)
 	if gainSmall > 1.1 {
@@ -69,8 +69,8 @@ func TestShapeBlockSizeSensitivity(t *testing.T) {
 // Obs. 5: prefetch-on scalability collapses past its knee.
 func TestShapeConcurrencyKnee(t *testing.T) {
 	r := shapeRunner(t)
-	at8 := mustRun(t, r, baseSpec(StratISAL, 24, 4, 4096, 8))
-	at18 := mustRun(t, r, baseSpec(StratISAL, 24, 4, 4096, 18))
+	at8 := mustRun(t, r, BaseSpec(StratISAL, 24, 4, 4096, 8))
+	at18 := mustRun(t, r, BaseSpec(StratISAL, 24, 4, 4096, 18))
 	if at18 > 0.75*at8 {
 		t.Fatalf("no thrash knee: t=18 (%v) vs t=8 (%v)", at18, at8)
 	}
@@ -80,8 +80,8 @@ func TestShapeConcurrencyKnee(t *testing.T) {
 func TestShapeDialgaBeatsISAL(t *testing.T) {
 	r := shapeRunner(t)
 	for _, k := range []int{8, 24, 48} {
-		isal := mustRun(t, r, baseSpec(StratISAL, k, 4, 1024, 1))
-		dial := mustRun(t, r, baseSpec(StratDialga, k, 4, 1024, 1))
+		isal := mustRun(t, r, BaseSpec(StratISAL, k, 4, 1024, 1))
+		dial := mustRun(t, r, BaseSpec(StratDialga, k, 4, 1024, 1))
 		if dial < 1.2*isal {
 			t.Fatalf("k=%d: DIALGA (%v) not clearly above ISA-L (%v)", k, dial, isal)
 		}
@@ -91,8 +91,8 @@ func TestShapeDialgaBeatsISAL(t *testing.T) {
 // §5.2: XOR codecs sit below the table-lookup codec on PM.
 func TestShapeXORBelowISAL(t *testing.T) {
 	r := shapeRunner(t)
-	isal := mustRun(t, r, baseSpec(StratISAL, 24, 4, 1024, 1))
-	cer := mustRun(t, r, baseSpec(StratCerasure, 24, 4, 1024, 1))
+	isal := mustRun(t, r, BaseSpec(StratISAL, 24, 4, 1024, 1))
+	cer := mustRun(t, r, BaseSpec(StratCerasure, 24, 4, 1024, 1))
 	if cer >= isal {
 		t.Fatalf("Cerasure (%v) not below ISA-L (%v) on PM", cer, isal)
 	}
@@ -102,8 +102,8 @@ func TestShapeXORBelowISAL(t *testing.T) {
 // codec.
 func TestShapeDecomposeRecoversWideStripes(t *testing.T) {
 	r := shapeRunner(t)
-	isal := mustRun(t, r, baseSpec(StratISAL, 48, 4, 1024, 1))
-	isald := mustRun(t, r, baseSpec(StratISALD, 48, 4, 1024, 1))
+	isal := mustRun(t, r, BaseSpec(StratISAL, 48, 4, 1024, 1))
+	isald := mustRun(t, r, BaseSpec(StratISALD, 48, 4, 1024, 1))
 	if isald < 1.3*isal {
 		t.Fatalf("ISA-L-D (%v) should clearly beat collapsed ISA-L (%v) at k=48", isald, isal)
 	}
@@ -113,7 +113,7 @@ func TestShapeDecomposeRecoversWideStripes(t *testing.T) {
 // matrices), while table-lookup decode matches encode.
 func TestShapeDecode(t *testing.T) {
 	r := shapeRunner(t)
-	encC, err := r.Run(baseSpec(StratCerasure, 24, 4, 1024, 1))
+	encC, err := r.Run(BaseSpec(StratCerasure, 24, 4, 1024, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestShapeDecode(t *testing.T) {
 // threads.
 func TestShapeReadTrafficReduction(t *testing.T) {
 	r := shapeRunner(t)
-	isal, err := r.Run(baseSpec(StratISAL, 24, 4, 1024, 18))
+	isal, err := r.Run(BaseSpec(StratISAL, 24, 4, 1024, 18))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dial, err := r.Run(baseSpec(StratDialga, 24, 4, 1024, 18))
+	dial, err := r.Run(BaseSpec(StratDialga, 24, 4, 1024, 18))
 	if err != nil {
 		t.Fatal(err)
 	}

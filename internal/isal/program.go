@@ -24,14 +24,9 @@ type KernelParams struct {
 	// starts at d=k.
 	PrefetchDistance int
 	// BufferFriendly applies the non-uniform distance of §4.3.2: the
-	// first cacheline of each XPLine is prefetched FirstLineBoost tasks
-	// earlier, the rest RestReduce tasks later.
+	// first cacheline of each XPLine is prefetched firstLineBoost tasks
+	// earlier, the rest restReduce tasks later.
 	BufferFriendly bool
-	// FirstLineBoost is the extra distance for XPLine-first lines
-	// (paper: initial distance k+4 => boost 4).
-	FirstLineBoost int
-	// RestReduce is the distance reduction for non-first lines.
-	RestReduce int
 	// XPLineLoop expands the loop task granularity to one 256 B XPLine
 	// per block per iteration (§4.3.3), trading single-thread latency
 	// for read-buffer efficiency under pressure.
@@ -42,13 +37,13 @@ type KernelParams struct {
 	PrefetchOverheadCycles float64
 }
 
-// DefaultBoost is the paper's k+4 first-line distance expressed as a
-// boost over d=k.
-const DefaultBoost = 4
+// firstLineBoost is the paper's k+4 first-line distance expressed as
+// a boost over d=k.
+const firstLineBoost = 4
 
-// DefaultRestReduce is the distance reduction applied to non-first
-// cachelines under buffer-friendly prefetching.
-const DefaultRestReduce = 2
+// restReduce is the distance reduction applied to non-first cachelines
+// under buffer-friendly prefetching.
+const restReduce = 2
 
 // linesPerGroup returns the loop-expansion factor for the XPLine loop:
 // the device's media line in cachelines (4 on Optane), capped so one
@@ -259,28 +254,20 @@ func (p *Program) Next(op *engine.Op) bool {
 			}
 		} else {
 			// Non-uniform distances (§4.3.2): a line that opens an
-			// XPLine is prefetched FirstLineBoost tasks earlier (its
+			// XPLine is prefetched firstLineBoost tasks earlier (its
 			// implicit 256 B load starts early); the remaining lines
-			// RestReduce tasks later (they only need the buffer hit).
+			// restReduce tasks later (they only need the buffer hit).
 			// Classifying by *target* keeps coverage exact: every task
 			// is prefetched by exactly one predecessor.
-			boost := uint64(p.Params.FirstLineBoost)
-			if boost == 0 {
-				boost = DefaultBoost
-			}
-			reduce := uint64(p.Params.RestReduce)
-			if reduce == 0 {
-				reduce = DefaultRestReduce
-			}
 			for i := range chunk {
 				base := p.taskBase + uint64(i)
-				if far, ok := p.loadAddrAt(base + d + boost); ok &&
+				if far, ok := p.loadAddrAt(base + d + firstLineBoost); ok &&
 					uint64(far)%uint64(p.Cfg.PMLineSize) == 0 {
 					op.SWPrefetches = append(op.SWPrefetches, far)
 				}
 				nearIdx := base + d
-				if nearIdx > reduce {
-					nearIdx -= reduce
+				if nearIdx > restReduce {
+					nearIdx -= restReduce
 				}
 				if near, ok := p.loadAddrAt(nearIdx); ok &&
 					uint64(near)%uint64(p.Cfg.PMLineSize) != 0 {

@@ -13,7 +13,6 @@ func testLayout(t *testing.T, k, m, block, totalKB int) *workload.Layout {
 	l, err := workload.New(workload.Config{
 		K: k, M: m, BlockSize: block,
 		TotalDataBytes: totalKB << 10,
-		Placement:      workload.Scattered,
 		Seed:           7,
 	}, 0)
 	if err != nil {
@@ -146,7 +145,7 @@ func TestBufferFriendlyCoverage(t *testing.T) {
 	l := testLayout(t, 4, 2, 1024, 64)
 	p := NewProgram(l, &cfg, KernelParams{
 		SWPrefetch: true, PrefetchDistance: 8,
-		BufferFriendly: true, FirstLineBoost: 4, RestReduce: 2,
+		BufferFriendly: true,
 	})
 	loads := map[mem.Addr]bool{}
 	pf := map[mem.Addr]int{}

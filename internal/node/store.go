@@ -9,9 +9,9 @@
 // wire format is deliberately dumb: a shard travels as the exact
 // shardfile bytes (v3 header + checksummed blocks) that dialga-encode
 // writes to disk, so the store can validate uploads with the header
-// self-CRC and byte count alone, `dialga-inspect -verify` can scrub a
-// node's data directory directly, and a shard fetched over HTTP can be
-// fed straight into the streaming decoder.
+// self-CRC and byte count alone, `dialga-encode -mode verify` can
+// scrub a node's object directories directly, and a shard fetched over
+// HTTP can be fed straight into the streaming decoder.
 package node
 
 import (
@@ -364,9 +364,7 @@ func (s *Store) Scrub(object string, idx int) (shardfile.ShardReport, error) {
 	if err != nil {
 		return shardfile.ShardReport{}, err
 	}
-	rep := shardfile.ScrubFile(shardfile.Path(dir, idx))
-	rep.Index = idx
-	return rep, nil
+	return shardfile.ScrubFile(shardfile.Path(dir, idx), idx), nil
 }
 
 // Delete removes a shard; deleting the object's last shard removes its

@@ -16,7 +16,7 @@ const (
 	ShardMissing
 	// ShardBadHeader: the header failed to parse (bad magic, a version
 	// or checksum algorithm other than v3's CRC-32C, self-CRC, or
-	// geometry).
+	// geometry), or it belongs to another slot or another encoding.
 	ShardBadHeader
 	// ShardTruncated: the file's size disagrees with its header.
 	ShardTruncated
@@ -60,10 +60,9 @@ type ShardReport struct {
 }
 
 // DirReport is a whole shard directory's scrub outcome: one entry per
-// shard slot 0..k+m-1 of the geometry learned from the first parseable
-// header.
+// shard slot 0..k+m-1 of the geometry most of its headers agree on.
 type DirReport struct {
-	Geometry Header // the header the slot count was derived from
+	Geometry Header // a header of the set's geometry; the slot count comes from it
 	Shards   []ShardReport
 }
 
@@ -92,12 +91,20 @@ func (r DirReport) Counts() (ok, damaged, missing int) {
 	return
 }
 
-// ScrubFile scrubs a single shard file: parse and validate the header
-// (the v3 self-CRC catches corrupted headers), check the on-disk size
-// against the header, then verify every block trailer. The returned
-// report's Index is taken from the header when it parses, else -1.
-func ScrubFile(path string) ShardReport {
-	rep := ShardReport{Index: -1}
+// ScrubFile scrubs the shard file at slot index of its set: parse and
+// validate the header (the v3 self-CRC catches corrupted headers),
+// check that it names this slot, check the on-disk size against the
+// header, then verify every block trailer. A file renamed or copied
+// into the wrong slot has sound blocks but is damaged all the same:
+// decode refuses it.
+func ScrubFile(path string, index int) ShardReport {
+	return scrubFile(path, index, nil)
+}
+
+// scrubFile is ScrubFile that, given a set's geometry, also reports a
+// header from another encoding of another size or shape as damaged.
+func scrubFile(path string, index int, geom *Header) ShardReport {
+	rep := ShardReport{Index: index}
 	f, err := os.Open(path)
 	if err != nil {
 		rep.Status = ShardMissing
@@ -111,7 +118,18 @@ func ScrubFile(path string) ShardReport {
 		rep.Detail = err.Error()
 		return rep
 	}
-	rep.Header, rep.Index = h, int(h.Index)
+	rep.Header = h
+	switch {
+	case int(h.Index) != index:
+		rep.Status = ShardBadHeader
+		rep.Detail = fmt.Sprintf("header says index %d (file renamed or copied?)", h.Index)
+		return rep
+	case geom != nil && (h.K != geom.K || h.M != geom.M || h.ShardSize != geom.ShardSize ||
+		h.StripeCount != geom.StripeCount || h.FileSize != geom.FileSize):
+		rep.Status = ShardBadHeader
+		rep.Detail = fmt.Sprintf("header disagrees with shard %d (mixed encodings?)", geom.Index)
+		return rep
+	}
 	if fi, err := f.Stat(); err == nil && fi.Size() != h.ExpectedFileSize() {
 		rep.Status = ShardTruncated
 		rep.Detail = fmt.Sprintf("%d bytes on disk, want %d", fi.Size(), h.ExpectedFileSize())
@@ -134,28 +152,41 @@ func ScrubFile(path string) ShardReport {
 }
 
 // ScrubDir scrubs every shard slot of a shard directory laid out by
-// Path. It learns the geometry from the first parseable header, then
-// scrubs slots 0..k+m-1, reporting each as ok, missing, or damaged
-// (bad header / truncated / read error / corrupt).
-// The same walk backs both `dialga-inspect -verify` and the cluster
-// repair queue's damage detection, so the two can never disagree on
-// what counts as damage.
+// Path. It learns the set's geometry from its headers, then scrubs
+// slots 0..k+m-1, reporting each as ok, missing, or damaged (bad header
+// / truncated / read error / corrupt). A header that names another
+// slot, or whose geometry, stripe count or file size disagrees with the
+// set's, is a bad header: decode would refuse the file.
+// `dialga-encode -mode verify` renders this walk; the node's per-shard
+// scrub, which the cluster repair queue polls, runs the same ScrubFile
+// checks, so the two can never disagree on what counts as damage.
 func ScrubDir(dir string) (DirReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return DirReport{}, err
 	}
-	// Find one parseable header to learn the geometry, so missing
-	// shard slots can be reported by index.
+	// The set's geometry is the one most headers agree on, counting only
+	// headers that name their own slot, so a foreign or swapped file
+	// cannot outvote the set it was dropped into, whatever its slot.
+	// With no such header (every file swapped), the first parseable
+	// header still gives the slot count.
+	type shape struct {
+		k, m, shardSize uint32
+		stripes, size   uint64
+	}
+	type tally struct {
+		votes int
+		first Header // the lowest slot's header of this shape
+	}
 	var rep DirReport
-	haveGeom := false
+	var fallback *Header
+	tallies := map[shape]*tally{}
+	best := 0
 	why := "no shard files" // or why the last one's header did not parse
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
 		var idx int
-		if _, err := fmt.Sscanf(e.Name(), "shard.%d", &idx); err != nil {
+		if _, err := fmt.Sscanf(e.Name(), "shard.%d", &idx); err != nil ||
+			e.IsDir() || e.Name() != filepath.Base(Path(dir, idx)) {
 			continue
 		}
 		f, err := os.Open(filepath.Join(dir, e.Name()))
@@ -164,19 +195,34 @@ func ScrubDir(dir string) (DirReport, error) {
 		}
 		h, perr := Parse(f)
 		f.Close()
-		if perr == nil {
-			rep.Geometry, haveGeom = h, true
-			break
+		if perr != nil {
+			why = e.Name() + ": " + perr.Error()
+			continue
 		}
-		why = e.Name() + ": " + perr.Error()
+		if fallback == nil {
+			fallback = &h
+		}
+		if int(h.Index) != idx {
+			continue
+		}
+		s := shape{h.K, h.M, h.ShardSize, h.StripeCount, h.FileSize}
+		t := tallies[s]
+		if t == nil {
+			t = &tally{first: h}
+			tallies[s] = t
+		}
+		if t.votes++; t.votes > best {
+			best, rep.Geometry = t.votes, t.first
+		}
 	}
-	if !haveGeom {
+	switch {
+	case best == 0 && fallback == nil:
 		return rep, fmt.Errorf("no readable shard headers in %s (%s)", dir, why)
+	case best == 0:
+		rep.Geometry = *fallback
 	}
 	for i := 0; i < int(rep.Geometry.K+rep.Geometry.M); i++ {
-		sr := ScrubFile(Path(dir, i))
-		sr.Index = i
-		rep.Shards = append(rep.Shards, sr)
+		rep.Shards = append(rep.Shards, scrubFile(Path(dir, i), i, &rep.Geometry))
 	}
 	return rep, nil
 }

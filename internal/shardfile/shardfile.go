@@ -1,7 +1,6 @@
 // Package shardfile defines the self-describing on-disk shard-file
-// format shared by cmd/dialga-encode (writer/reader), the shard nodes
-// (which store and serve these exact bytes), and cmd/dialga-inspect
-// (scrubber).
+// format shared by cmd/dialga-encode (writer, reader and scrubber) and
+// the shard nodes (which store and serve these exact bytes).
 //
 // A shard file is a 48-byte v3 header followed by StripeCount blocks of
 // BlockSize bytes each: ShardSize payload bytes and a 4-byte CRC-32C

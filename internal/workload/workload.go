@@ -2,12 +2,11 @@
 // programs run over, mirroring the paper's benchmark setup: RS(k+m, k)
 // random encoding over a large pre-filled region (§5.1).
 //
-// The default Scattered placement puts each block in an independent
-// block-size-aligned slot of a shuffled region, matching "random
-// stripes": the memory after a block within its 4 KiB page belongs to
-// unrelated stripes, so hardware-prefetch overrun is wasted — the
-// mechanism behind Obs. 4's read amplification. The Sequential placement
-// makes each block column contiguous, the friendliest possible layout.
+// Each data block sits in an independent block-size-aligned slot of a
+// shuffled region, matching "random stripes": the memory after a block
+// within its 4 KiB page belongs to unrelated stripes, so
+// hardware-prefetch overrun is wasted — the mechanism behind Obs. 4's
+// read amplification.
 package workload
 
 import (
@@ -17,24 +16,11 @@ import (
 	"dialga/internal/mem"
 )
 
-// Placement selects the block placement policy.
-type Placement int
-
-const (
-	// Scattered places blocks in shuffled, block-aligned slots
-	// ("random stripes", the paper's default).
-	Scattered Placement = iota
-	// Sequential places stripe s's block j at column base j plus
-	// s*blockSize (contiguous per-block streams).
-	Sequential
-)
-
 // Layout is the address map of one thread's encoding workload.
 type Layout struct {
 	K, M      int
 	BlockSize int
 	Stripes   int
-	placement Placement
 
 	// Data[s][j] is the base address of data block j of stripe s.
 	Data [][]mem.Addr
@@ -61,7 +47,6 @@ type Config struct {
 	// 1 GiB; the simulator defaults to less since behaviour is
 	// steady-state once the working set exceeds the LLC).
 	TotalDataBytes int
-	Placement      Placement
 	Seed           int64
 }
 
@@ -80,39 +65,23 @@ func New(cfg Config, threadID int) (*Layout, error) {
 	}
 	l := &Layout{
 		K: cfg.K, M: cfg.M, BlockSize: cfg.BlockSize,
-		Stripes:   stripes,
-		placement: cfg.Placement,
-		Data:      make([][]mem.Addr, stripes),
-		Parity:    make([][]mem.Addr, stripes),
+		Stripes: stripes,
+		Data:    make([][]mem.Addr, stripes),
+		Parity:  make([][]mem.Addr, stripes),
 	}
 	base := ThreadRegion(threadID)
 	parityBase := base + parityRegionOffset
 
-	switch cfg.Placement {
-	case Sequential:
-		// Column layout: block j of all stripes contiguous.
-		colStride := mem.Addr(stripes * cfg.BlockSize)
-		for s := 0; s < stripes; s++ {
-			l.Data[s] = make([]mem.Addr, cfg.K)
-			for j := 0; j < cfg.K; j++ {
-				l.Data[s][j] = base + mem.Addr(j)*colStride + mem.Addr(s*cfg.BlockSize)
-			}
+	// Shuffled block-aligned slots.
+	r := rand.New(rand.NewSource(cfg.Seed + int64(threadID)*7919))
+	perm := r.Perm(stripes * cfg.K)
+	slot := 0
+	for s := 0; s < stripes; s++ {
+		l.Data[s] = make([]mem.Addr, cfg.K)
+		for j := 0; j < cfg.K; j++ {
+			l.Data[s][j] = base + mem.Addr(perm[slot]*cfg.BlockSize)
+			slot++
 		}
-	case Scattered:
-		// Shuffled block-aligned slots.
-		r := rand.New(rand.NewSource(cfg.Seed + int64(threadID)*7919))
-		nSlots := stripes * cfg.K
-		perm := r.Perm(nSlots)
-		slot := 0
-		for s := 0; s < stripes; s++ {
-			l.Data[s] = make([]mem.Addr, cfg.K)
-			for j := 0; j < cfg.K; j++ {
-				l.Data[s][j] = base + mem.Addr(perm[slot]*cfg.BlockSize)
-				slot++
-			}
-		}
-	default:
-		return nil, fmt.Errorf("workload: unknown placement %d", cfg.Placement)
 	}
 
 	// Parity always sequential per column in its own region: parity is

@@ -12,7 +12,6 @@ func TestValidation(t *testing.T) {
 		{K: 8, M: -1, BlockSize: 1024, TotalDataBytes: 1 << 20},
 		{K: 8, M: 4, BlockSize: 100, TotalDataBytes: 1 << 20}, // unaligned
 		{K: 8, M: 4, BlockSize: 1024, TotalDataBytes: 1024},   // < one stripe
-		{K: 8, M: 4, BlockSize: 1024, TotalDataBytes: 1 << 20, Placement: Placement(9)},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg, 0); err == nil {
@@ -22,7 +21,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestScatteredLayout(t *testing.T) {
-	cfg := Config{K: 8, M: 4, BlockSize: 1024, TotalDataBytes: 1 << 20, Placement: Scattered, Seed: 1}
+	cfg := Config{K: 8, M: 4, BlockSize: 1024, TotalDataBytes: 1 << 20, Seed: 1}
 	l, err := New(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +55,7 @@ func TestScatteredLayout(t *testing.T) {
 }
 
 func TestScatteredIsShuffled(t *testing.T) {
-	cfg := Config{K: 4, M: 2, BlockSize: 1024, TotalDataBytes: 1 << 20, Placement: Scattered, Seed: 7}
+	cfg := Config{K: 4, M: 2, BlockSize: 1024, TotalDataBytes: 1 << 20, Seed: 7}
 	l, _ := New(cfg, 0)
 	sequentialPairs := 0
 	total := 0
@@ -75,25 +74,8 @@ func TestScatteredIsShuffled(t *testing.T) {
 	}
 }
 
-func TestSequentialLayout(t *testing.T) {
-	cfg := Config{K: 4, M: 2, BlockSize: 512, TotalDataBytes: 1 << 19, Placement: Sequential}
-	l, err := New(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Column-contiguity: stripe s+1's block j directly follows stripe
-	// s's block j.
-	for s := 0; s+1 < l.Stripes; s++ {
-		for j := 0; j < 4; j++ {
-			if l.Data[s+1][j] != l.Data[s][j]+512 {
-				t.Fatalf("sequential layout broken at stripe %d block %d", s, j)
-			}
-		}
-	}
-}
-
 func TestThreadRegionsDisjoint(t *testing.T) {
-	cfg := Config{K: 8, M: 4, BlockSize: 4096, TotalDataBytes: 4 << 20, Placement: Scattered, Seed: 3}
+	cfg := Config{K: 8, M: 4, BlockSize: 4096, TotalDataBytes: 4 << 20, Seed: 3}
 	l0, _ := New(cfg, 0)
 	l1, _ := New(cfg, 1)
 	if ThreadRegion(1)-ThreadRegion(0) < mem.Addr(cfg.TotalDataBytes)*4 {
@@ -116,7 +98,7 @@ func TestThreadRegionsDisjoint(t *testing.T) {
 }
 
 func TestParityDistinctFromData(t *testing.T) {
-	cfg := Config{K: 4, M: 2, BlockSize: 1024, TotalDataBytes: 1 << 20, Placement: Scattered, Seed: 5}
+	cfg := Config{K: 4, M: 2, BlockSize: 1024, TotalDataBytes: 1 << 20, Seed: 5}
 	l, _ := New(cfg, 0)
 	for s := range l.Parity {
 		for i, a := range l.Parity[s] {
@@ -142,7 +124,7 @@ func TestLinesPerBlock(t *testing.T) {
 // (stride multiples of the channel count would serialize all parity
 // writes; the columns are page-staggered to prevent it).
 func TestParityColumnsSpreadAcrossChannels(t *testing.T) {
-	cfg := Config{K: 8, M: 4, BlockSize: 1024, TotalDataBytes: 8 << 20, Placement: Scattered, Seed: 1}
+	cfg := Config{K: 8, M: 4, BlockSize: 1024, TotalDataBytes: 8 << 20, Seed: 1}
 	l, _ := New(cfg, 0)
 	const channels = 6
 	seen := map[uint64]bool{}
@@ -155,7 +137,7 @@ func TestParityColumnsSpreadAcrossChannels(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := Config{K: 8, M: 4, BlockSize: 1024, TotalDataBytes: 1 << 20, Placement: Scattered, Seed: 11}
+	cfg := Config{K: 8, M: 4, BlockSize: 1024, TotalDataBytes: 1 << 20, Seed: 11}
 	a, _ := New(cfg, 0)
 	b, _ := New(cfg, 0)
 	for s := range a.Data {

@@ -13,7 +13,6 @@ func testLayout(t *testing.T, k, m, block, totalKB int) *workload.Layout {
 	l, err := workload.New(workload.Config{
 		K: k, M: m, BlockSize: block,
 		TotalDataBytes: totalKB << 10,
-		Placement:      workload.Scattered,
 		Seed:           5,
 	}, 0)
 	if err != nil {

@@ -32,7 +32,8 @@ printf '%-52s %s\n' 'stream.Options fields' "$(fields ./internal/stream Options)
 printf '%-52s %s\n' 'shardio.Options fields' "$(fields ./internal/shardio Options)"
 printf '%-52s %s\n' 'cluster.GatewayOptions fields' "$(fields ./internal/cluster GatewayOptions)"
 printf '%-52s %s\n' 'exported declarations in dialga.go' "$(exported .)"
-for b in dialga-bench dialga-encode dialga-node dialga-inspect; do
+for b in dialga-bench dialga-encode dialga-node; do
 	printf '%-52s %s\n' "flags: $b" "$(flags "$b")"
 done
+printf '%-52s %s\n' 'flags across local tools' "$(($(flags dialga-bench) + $(flags dialga-encode)))"
 printf '%-52s %s\n' 'CI jobs' "$(awk '/^jobs:/{j=1;next} j && /^  [a-z][a-z0-9-]*:$/{n++} END{print n+0}' .github/workflows/ci.yml)"
