@@ -357,10 +357,8 @@ func ablationRun(b *testing.B, threads int, mutate func(*mem.Config), opts dialg
 // pinned initial distance d=k.
 func BenchmarkAblationDistanceSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		with := ablationRun(b, 1, nil, dialga.DefaultOptions())
-		pinned := dialga.DefaultOptions()
-		pinned.DisableHillClimbing = true
-		without := ablationRun(b, 1, nil, pinned)
+		with := ablationRun(b, 1, nil, dialga.Options{})
+		without := ablationRun(b, 1, nil, dialga.Options{DisableHillClimbing: true})
 		b.ReportMetric(with, "climbed-GB/s")
 		b.ReportMetric(without, "pinned-GB/s")
 	}
@@ -401,10 +399,8 @@ func BenchmarkAblationStreamCapacity(b *testing.B) {
 // (12) against never disabling the hardware prefetcher, at 16 threads.
 func BenchmarkAblationThreadThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		with := ablationRun(b, 16, nil, dialga.DefaultOptions())
-		noMgmt := dialga.DefaultOptions()
-		noMgmt.DisableHWManagement = true
-		without := ablationRun(b, 16, nil, noMgmt)
+		with := ablationRun(b, 16, nil, dialga.Options{})
+		without := ablationRun(b, 16, nil, dialga.Options{DisableHWManagement: true})
 		b.ReportMetric(with, "threshold12-GB/s")
 		b.ReportMetric(without, "noMgmt-GB/s")
 	}

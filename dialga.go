@@ -118,10 +118,10 @@ func Join(shards [][]byte, size int) ([]byte, error) { return rs.Join(shards, si
 // accepts a *Codec directly. Every shard block carries a CRC-32C
 // trailer, computed in the same sweep as the parity and verified on
 // decode; the Checksum field has no other value to take. Straggler
-// tolerance on decode — hedged degraded reads, seeded retries of
-// transient errors, per-shard circuit breakers — has one switch,
-// HedgeAfter (off until set; retries are always on), and fixed
-// constants behind it.
+// tolerance on decode — hedged degraded reads and per-shard circuit
+// breakers — has one switch, HedgeAfter (off until set), and fixed
+// constants behind it. A shard whose read fails is retired at once and
+// never read again.
 type StreamOptions = stream.Options
 
 // StreamCodec is the stripe-level codec interface the pipeline drives:
@@ -131,9 +131,8 @@ type StreamCodec = stream.Codec
 
 // StreamStats is a snapshot of pipeline counters: stripes, bytes
 // in/out, reconstruction and integrity counts (ShardsCorrupted,
-// StripesHealed, TransientFaults), straggler-tolerance counts
-// (HedgedReads, HedgeWins, BreakerTrips, Retries, WorkerPanics), and a
-// stripe-latency histogram.
+// StripesHealed), straggler-tolerance counts (HedgedReads, HedgeWins,
+// BreakerTrips, WorkerPanics), and a stripe-latency histogram.
 type StreamStats = stream.Stats
 
 // StreamPanicError is a panic recovered from a pipeline or shard-reader

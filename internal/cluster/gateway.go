@@ -48,7 +48,7 @@ type GatewayOptions struct {
 	// Metrics receives cluster_* and the underlying stream_*/shardio_*
 	// series. Nil disables.
 	Metrics *obs.Registry
-	// Seed makes decoder retry jitter reproducible.
+	// Seed makes the jitter of put upload retries reproducible.
 	Seed uint64
 	// WriteQuorum is the number of shard uploads that must land before
 	// a put is acknowledged. Zero means all K+M (every put fully
@@ -332,7 +332,6 @@ func (g *Gateway) streamOptions(shardSize int) stream.Options {
 		Codec:        g.codec,
 		StripeSize:   shardSize * g.k,
 		HedgeAfter:   g.hedge,
-		Seed:         g.seed,
 		CloseReaders: true,
 		Metrics:      g.reg,
 	}

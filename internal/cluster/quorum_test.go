@@ -284,3 +284,56 @@ func TestPutRetryDisabled(t *testing.T) {
 	}
 	tc.mustGet(ctx, object, payload)
 }
+
+// TestIntentJournalRepairsStaleShardAfterCrash: the write-intent
+// journal is what makes a degraded same-size overwrite whole after the
+// gateway that acked it crashes. The node holding data shard 0 misses
+// the overwrite and comes back with the old version's shard, whose
+// blocks and header all check out: a scrub passes it, and only the
+// journal says it is stale. Adopting the journal rebuilds it, and the
+// GET returns the new version.
+func TestIntentJournalRepairsStaleShardAfterCrash(t *testing.T) {
+	tc, log := quorumCluster(t, 6, 4, 2, 5)
+	ctx := context.Background()
+	const object = "overwritten"
+	v1, v2 := clusterPayload(61, 300_000), clusterPayload(62, 300_000)
+	tc.put(ctx, object, v1)
+	place, err := tc.gw.Place(object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := tc.node(place[0].ID)
+	holder.stop()
+	tc.put(ctx, object, v2)
+	if got, want := log.Pending(), []Intent{{Object: object, Index: 0}}; len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("pending intents = %v, want %v", got, want)
+	}
+
+	// The crash: nothing of the acking gateway survives but the log.
+	tc.reg = obs.NewRegistry()
+	tc.gw, err = NewGateway(GatewayOptions{
+		Map: tc.cmap, K: 4, M: 2,
+		StripeSize:  64 * 1024,
+		HedgeAfter:  30 * time.Millisecond,
+		Metrics:     tc.reg,
+		WriteQuorum: 5,
+		Intents:     log,
+		HTTPClient:  &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder.start()
+
+	rep := NewRepairer(tc.gw, nil, nil)
+	if n := rep.AdoptIntents(); n != 1 {
+		t.Fatalf("adopted %d intents, want 1", n)
+	}
+	if ok, failed := rep.DrainOnce(ctx); ok != 1 || failed != 0 {
+		t.Fatalf("drain repaired %d, failed %d; want 1 and 0", ok, failed)
+	}
+	if got := log.Pending(); len(got) != 0 {
+		t.Fatalf("intents after repair = %v, want none", got)
+	}
+	tc.mustGet(ctx, object, v2)
+}

@@ -35,30 +35,35 @@ import (
 	"dialga/internal/workload"
 )
 
-// Options are the coordinator's tunables, defaulting to the paper's
-// constants.
-type Options struct {
-	// LatencyThreshold is the read-contention trigger: sampled load
-	// latency above LatencyThreshold x the low-pressure baseline
+// The coordinator's thresholds are the paper's numbers, not knobs.
+const (
+	// latencyThreshold is the read-contention trigger: sampled load
+	// latency above latencyThreshold x the low-pressure baseline
 	// indicates traffic contention (paper: 1.10).
-	LatencyThreshold float64
-	// UselessPFThreshold is the prefetcher-inefficiency trigger on the
+	latencyThreshold = 1.10
+	// uselessPFThreshold is the prefetcher-inefficiency trigger on the
 	// useless-prefetch rate relative to baseline (paper: 1.50).
-	UselessPFThreshold float64
-	// ThreadThreshold is the concurrency above which the high-pressure
+	uselessPFThreshold = 1.50
+	// threadThreshold is the concurrency above which the high-pressure
 	// entry point is trialed (paper: 12, from Eq. 1).
-	ThreadThreshold int
-	// SamplePeriodNS is the counter sampling period (paper: 1 kHz).
-	SamplePeriodNS float64
-	// Neighborhood is the hill-climbing exploration radius (paper: 16).
-	Neighborhood int
-	// RetriggerFluctuation re-starts tuning when windowed performance
+	threadThreshold = 12
+	// samplePeriodNS is the counter sampling period in simulated
+	// nanoseconds (paper: 1 kHz).
+	samplePeriodNS = 1e6
+	// neighborhood is the hill-climbing exploration radius (paper: 16).
+	neighborhood = 16
+	// retriggerFluctuation re-starts tuning when windowed performance
 	// moves by more than this fraction (paper: 0.10).
-	RetriggerFluctuation float64
-	// WideStripeStreams is the stream-tracking capacity beyond which
+	retriggerFluctuation = 0.10
+	// wideStripeStreams is the stream-tracking capacity beyond which
 	// the hardware prefetcher self-disables, so DIALGA need not manage
 	// it (paper: 32 on Cascade Lake).
-	WideStripeStreams int
+	wideStripeStreams = 32
+)
+
+// Options are the coordinator's ablation switches. The zero value is
+// the paper's configuration.
+type Options struct {
 	// DisableSWPrefetch turns off the pipelined software prefetcher
 	// (ablation).
 	DisableSWPrefetch bool
@@ -70,19 +75,6 @@ type Options struct {
 	// DisableHillClimbing pins the prefetch distance at its initial
 	// value d=k, still subject to the Eq. 1 cap (ablation).
 	DisableHillClimbing bool
-}
-
-// DefaultOptions returns the paper's configuration.
-func DefaultOptions() Options {
-	return Options{
-		LatencyThreshold:     1.10,
-		UselessPFThreshold:   1.50,
-		ThreadThreshold:      12,
-		SamplePeriodNS:       1e6, // 1 kHz in simulated time
-		Neighborhood:         16,
-		RetriggerFluctuation: 0.10,
-		WideStripeStreams:    32,
-	}
 }
 
 // phase is the coordinator's tuning state.
@@ -172,12 +164,9 @@ func New(l *workload.Layout, cfg *mem.Config, opts Options) *Scheduler {
 		blockSize: l.BlockSize,
 		curD:      l.K, // the search begins at d = k (§4.1.2)
 		bestD:     l.K,
-		sampler:   pmu.NewSampler(opts.SamplePeriodNS, opts.LatencyThreshold, opts.UselessPFThreshold),
+		sampler:   pmu.NewSampler(samplePeriodNS, latencyThreshold, uselessPFThreshold),
 	}
-	if s.opts.Neighborhood <= 0 {
-		s.opts.Neighborhood = 16
-	}
-	n := s.opts.Neighborhood
+	const n = neighborhood
 	// Probe order within the neighbourhood: prefer growing the
 	// distance (latency hiding), then shrinking.
 	s.probeOffsets = []int{n, n / 2, -n / 2, 2 * n}
@@ -272,10 +261,10 @@ func (s *Scheduler) wantsTrial() bool {
 	if s.modeCooldown > 0 {
 		return false
 	}
-	if s.k > s.opts.WideStripeStreams {
+	if s.k > wideStripeStreams {
 		return false
 	}
-	if s.opts.ThreadThreshold > 0 && s.tel.ThreadCount() > s.opts.ThreadThreshold {
+	if s.tel.ThreadCount() > threadThreshold {
 		return true
 	}
 	return s.contended
@@ -345,7 +334,7 @@ func (s *Scheduler) step(perf float64, p *isal.KernelParams) {
 		// (§4.1.2).
 		if s.settledPerf > 0 {
 			fl := perf/s.settledPerf - 1
-			if fl > s.opts.RetriggerFluctuation || fl < -s.opts.RetriggerFluctuation {
+			if fl > retriggerFluctuation || fl < -retriggerFluctuation {
 				s.phase = phaseModeMeasure
 			}
 		}

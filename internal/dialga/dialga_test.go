@@ -66,7 +66,7 @@ func TestSchedulerBeatsPlainISAL(t *testing.T) {
 	// DIALGA with hill climbing must outperform the plain ISA-L kernel
 	// on the same workload (k=24, 1KB, single thread).
 	resD, scheds := runThreads(t, 1, func(i int) engine.Program {
-		return New(testLayout(t, 24, 4, 1024, 8<<10, i), cfgPtr(), DefaultOptions())
+		return New(testLayout(t, 24, 4, 1024, 8<<10, i), cfgPtr(), Options{})
 	})
 	resP, _ := runThreads(t, 1, func(i int) engine.Program {
 		l := testLayout(t, 24, 4, 1024, 8<<10, i)
@@ -87,7 +87,7 @@ func TestSchedulerBeatsPlainISAL(t *testing.T) {
 
 func TestHillClimbingMovesDistance(t *testing.T) {
 	_, scheds := runThreads(t, 1, func(i int) engine.Program {
-		return New(testLayout(t, 8, 4, 1024, 8<<10, i), cfgPtr(), DefaultOptions())
+		return New(testLayout(t, 8, 4, 1024, 8<<10, i), cfgPtr(), Options{})
 	})
 	s := scheds[0]
 	// At k=8 the optimal distance is far above the d=k start; the
@@ -98,8 +98,7 @@ func TestHillClimbingMovesDistance(t *testing.T) {
 }
 
 func TestHillClimbingDisabled(t *testing.T) {
-	opts := DefaultOptions()
-	opts.DisableHillClimbing = true
+	opts := Options{DisableHillClimbing: true}
 	_, scheds := runThreads(t, 1, func(i int) engine.Program {
 		return New(testLayout(t, 8, 4, 1024, 4<<10, i), cfgPtr(), opts)
 	})
@@ -111,7 +110,7 @@ func TestHillClimbingDisabled(t *testing.T) {
 func TestHighConcurrencyTrialsHighPressureMode(t *testing.T) {
 	const threads = 14 // above the threshold of 12
 	_, scheds := runThreads(t, threads, func(i int) engine.Program {
-		return New(testLayout(t, 24, 4, 1024, 4<<10, i), cfgPtr(), DefaultOptions())
+		return New(testLayout(t, 24, 4, 1024, 4<<10, i), cfgPtr(), Options{})
 	})
 	s := scheds[0]
 	// Above the threshold the coordinator must have trialed the
@@ -128,7 +127,7 @@ func TestHighConcurrencyTrialsHighPressureMode(t *testing.T) {
 
 func TestLowConcurrencyNeverTrials(t *testing.T) {
 	_, scheds := runThreads(t, 2, func(i int) engine.Program {
-		return New(testLayout(t, 24, 4, 1024, 4<<10, i), cfgPtr(), DefaultOptions())
+		return New(testLayout(t, 24, 4, 1024, 4<<10, i), cfgPtr(), Options{})
 	})
 	s := scheds[0]
 	if s.Params().Shuffle || s.HighMode() {
@@ -137,8 +136,7 @@ func TestLowConcurrencyNeverTrials(t *testing.T) {
 }
 
 func TestDisableHWManagementNeverShuffles(t *testing.T) {
-	opts := DefaultOptions()
-	opts.DisableHWManagement = true
+	opts := Options{DisableHWManagement: true}
 	_, scheds := runThreads(t, 14, func(i int) engine.Program {
 		return New(testLayout(t, 24, 4, 1024, 2<<10, i), cfgPtr(), opts)
 	})
@@ -152,7 +150,7 @@ func TestDisableHWManagementNeverShuffles(t *testing.T) {
 
 func TestWideStripeLeavesPrefetcherAlone(t *testing.T) {
 	_, scheds := runThreads(t, 1, func(i int) engine.Program {
-		return New(testLayout(t, 48, 4, 1024, 4<<10, i), cfgPtr(), DefaultOptions())
+		return New(testLayout(t, 48, 4, 1024, 4<<10, i), cfgPtr(), Options{})
 	})
 	if scheds[0].Params().Shuffle {
 		t.Fatal("wide stripes need no shuffle: the stream table self-disables (§4.1.2)")
@@ -160,8 +158,7 @@ func TestWideStripeLeavesPrefetcherAlone(t *testing.T) {
 }
 
 func TestDisableSWPrefetchOption(t *testing.T) {
-	opts := DefaultOptions()
-	opts.DisableSWPrefetch = true
+	opts := Options{DisableSWPrefetch: true}
 	res, scheds := runThreads(t, 1, func(i int) engine.Program {
 		return New(testLayout(t, 8, 4, 1024, 4<<10, i), cfgPtr(), opts)
 	})
@@ -180,7 +177,7 @@ func TestDisableSWPrefetchOption(t *testing.T) {
 func TestTraceEvents(t *testing.T) {
 	var events []TraceEvent
 	_, _ = runThreads(t, 1, func(i int) engine.Program {
-		s := New(testLayout(t, 8, 4, 1024, 4<<10, i), cfgPtr(), DefaultOptions())
+		s := New(testLayout(t, 8, 4, 1024, 4<<10, i), cfgPtr(), Options{})
 		s.Trace = func(ev TraceEvent) { events = append(events, ev) }
 		return s
 	})
@@ -211,7 +208,7 @@ func TestTraceEvents(t *testing.T) {
 
 func TestSchedulerDataBytes(t *testing.T) {
 	l := testLayout(t, 8, 4, 1024, 4<<10, 0)
-	s := New(l, cfgPtr(), DefaultOptions())
+	s := New(l, cfgPtr(), Options{})
 	if s.DataBytes() != l.DataBytes() {
 		t.Fatal("DataBytes mismatch")
 	}
@@ -222,7 +219,7 @@ func TestSchedulerHighPressureBeatsISALAtScale(t *testing.T) {
 	// working set to develop.
 	const threads = 18
 	mkD := func(i int) engine.Program {
-		return New(testLayout(t, 24, 4, 1024, 8<<10, i), cfgPtr(), DefaultOptions())
+		return New(testLayout(t, 24, 4, 1024, 8<<10, i), cfgPtr(), Options{})
 	}
 	mkP := func(i int) engine.Program {
 		return plainProgram(testLayout(t, 24, 4, 1024, 8<<10, i))

@@ -96,7 +96,7 @@ func ExampleRunner_RunWith() {
 	var phases []string
 	seen := map[string]bool{}
 	res, err := r.RunWith(spec, func(l *workload.Layout, cfg *mem.Config) (engine.Program, error) {
-		sched = dialga.New(l, cfg, dialga.DefaultOptions())
+		sched = dialga.New(l, cfg, dialga.Options{})
 		sched.Trace = func(ev dialga.TraceEvent) {
 			if !seen[ev.Phase] {
 				seen[ev.Phase] = true

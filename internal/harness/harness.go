@@ -79,9 +79,10 @@ type RunSpec struct {
 	Strategy  Strategy
 	LRCGroups int // l > 0 models LRC(k, m-l global, l local)
 	Seed      int64
-	// DialgaOpts overrides the coordinator options for DIALGA runs
-	// (used by the Fig. 18 breakdown and the ablations).
-	DialgaOpts *dialga.Options
+	// DialgaOpts are the coordinator's ablation switches for DIALGA
+	// runs (the Fig. 18 breakdown); the zero value is the paper's
+	// configuration.
+	DialgaOpts dialga.Options
 	// BaseConfig overrides the hardware model (nil = mem.DefaultConfig;
 	// the generality experiment passes mem.CMMHConfig).
 	BaseConfig func() mem.Config
@@ -158,11 +159,7 @@ func (r *Runner) RunWith(s RunSpec, factory func(*workload.Layout, *mem.Config) 
 func (r *Runner) program(s RunSpec, l *workload.Layout, cfg *mem.Config) (engine.Program, error) {
 	switch s.Strategy {
 	case StratDialga:
-		opts := dialga.DefaultOptions()
-		if s.DialgaOpts != nil {
-			opts = *s.DialgaOpts
-		}
-		sch := dialga.New(l, cfg, opts)
+		sch := dialga.New(l, cfg, s.DialgaOpts)
 		if s.LRCGroups > 0 {
 			sch.SetLRCLocalGroups(s.LRCGroups)
 		}

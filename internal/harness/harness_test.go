@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,11 +15,17 @@ import (
 // shapes (quick working sets fit the LLC).
 func quickRunner() *Runner { return &Runner{Quick: true} }
 
+// figuresSHA256 is the SHA-256 of every quick figure's Table() text,
+// in FigureIDs order. A simulator change that means to move no number
+// keeps it; one that means to must say so by changing it.
+const figuresSHA256 = "1a0bfa612b50f9ff9dbf487914e46bd430fb934a9b52f51a84c959864f178f6e"
+
 func TestEveryFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure smoke run skipped in -short mode")
 	}
 	r := quickRunner()
+	sum := sha256.New()
 	for _, id := range FigureIDs {
 		f, err := r.ByID(id)
 		if err != nil {
@@ -38,10 +47,16 @@ func TestEveryFigureRuns(t *testing.T) {
 		if !strings.Contains(tab, id) {
 			t.Fatalf("%s: table missing id", id)
 		}
+		sum.Write([]byte(tab))
 		csv := f.CSV()
 		if len(strings.Split(strings.TrimSpace(csv), "\n")) != len(f.XLabels)+1 {
 			t.Fatalf("%s: csv row count wrong", id)
 		}
+	}
+	// Only amd64 is pinned: arm64 may fuse a multiply and an add, and
+	// the rounding it skips moves low digits.
+	if got := hex.EncodeToString(sum.Sum(nil)); runtime.GOARCH == "amd64" && got != figuresSHA256 {
+		t.Errorf("figure tables hash to %s, want %s: a figure's numbers changed", got, figuresSHA256)
 	}
 }
 

@@ -106,7 +106,7 @@ func (r *Runner) mixedProgram(s RunSpec, base *workload.Layout, cfg *mem.Config,
 		}
 		var p engine.Program
 		if s.Strategy == StratDialga {
-			p = dialga.New(l, cfg, dialga.DefaultOptions())
+			p = dialga.New(l, cfg, s.DialgaOpts)
 		} else {
 			p = isal.NewProgram(l, cfg, s.Params)
 		}
@@ -119,11 +119,11 @@ func (r *Runner) mixedProgram(s RunSpec, base *workload.Layout, cfg *mem.Config,
 // individual optimizations disabled. The hardware prefetcher is
 // controlled by the machine switch (s.HWP), not the coordinator.
 func (r *Runner) runBreakdown(s RunSpec, sw, bf bool) (float64, error) {
-	opts := dialga.DefaultOptions()
-	opts.DisableSWPrefetch = !sw
-	opts.DisableBufferFriendly = !bf
-	opts.DisableHWManagement = true
-	s.DialgaOpts = &opts
+	s.DialgaOpts = dialga.Options{
+		DisableSWPrefetch:     !sw,
+		DisableBufferFriendly: !bf,
+		DisableHWManagement:   true,
+	}
 	s.Strategy = StratDialga
 	res, err := r.Run(s)
 	if err != nil {

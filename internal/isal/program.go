@@ -1,3 +1,14 @@
+// Package isal provides the simulator entry-point programs that model
+// Intel ISA-L's erasure-coding kernel (ec_encode_data) on the simulated
+// testbed: its memory-access pattern, one read per data block and one
+// table-lookup multiply-XOR per parity accumulator per 64 B.
+//
+// The real ISA-L dispatches among assembly entry points per instruction
+// set; DIALGA statically extends those entry points with prefetching
+// variants (§4.1.2). Program generates the kernel's access stream for
+// the engine, parameterized by the same entry-point variants (plain,
+// shuffled, software-prefetch, XPLine-expanded); DecomposedProgram
+// models ISA-L-D. The bytes themselves are coded by package rs.
 package isal
 
 import (

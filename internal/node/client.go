@@ -44,10 +44,10 @@ type ScrubStatus struct {
 	Detail  string `json:"detail,omitempty"`
 }
 
-// NetError wraps a transport-level failure (connection refused, reset,
-// timeout) as transient: the remote node may be back for the next
-// stripe, so shardio's retry-with-backoff and per-stripe demotion
-// apply instead of permanently killing the shard.
+// NetError wraps a transport-level failure of a request (connection
+// refused, reset, timeout) as transient: the remote node may answer a
+// fresh request, so a put retries the upload, rebalance requeues the
+// move, and the gateway's sideliner charges the failure to the node.
 type NetError struct{ Err error }
 
 func (e *NetError) Error() string { return "node: " + e.Err.Error() }
@@ -81,7 +81,7 @@ func (e *StatusError) Is(target error) bool {
 // Transient reports whether err advertises itself as momentary via the
 // Transient() bool convention (NetError, throttled/5xx StatusError,
 // fault-injected errors). The cluster layer keys retry-vs-give-up
-// decisions for shard uploads off this.
+// decisions for shard uploads and moves off this.
 func Transient(err error) bool {
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()
@@ -178,10 +178,11 @@ func (c *Client) GetShard(ctx context.Context, object string, idx int) (io.ReadC
 	return resp.Body, nil
 }
 
-// OpenShard fetches a shard and parses its header, returning a body
-// positioned at the first block with every read error wrapped as
-// transient — the reader the streaming decoder's hedged reads,
-// retries, and breakers drive directly. The caller must Close it.
+// OpenShard fetches a shard and parses its header, returning the
+// response body positioned at the first block — the reader the
+// streaming decoder's hedged reads and breakers drive directly. A read
+// error from the body is the transport's own: the body cannot resume,
+// so the decoder retires the shard. The caller must Close it.
 func (c *Client) OpenShard(ctx context.Context, object string, idx int) (shardfile.Header, io.ReadCloser, error) {
 	return c.OpenShardAt(ctx, object, idx, 0, -1)
 }
@@ -205,7 +206,7 @@ func (c *Client) OpenShardAt(ctx context.Context, object string, idx int, block,
 		body.Close()
 		return shardfile.Header{}, nil, fmt.Errorf("node: shard %s/%d from %s: %w", object, idx, c.base, err)
 	}
-	return h, &transientBody{rc: body}, nil
+	return h, body, nil
 }
 
 // StatShard fetches a shard's parsed header.
@@ -249,20 +250,3 @@ func drainClose(body io.ReadCloser) error {
 	io.Copy(io.Discard, io.LimitReader(body, 4096))
 	return body.Close()
 }
-
-// transientBody wraps a response body so mid-stream transport errors
-// surface as transient NetErrors (io.EOF passes through untouched:
-// a clean end of stream is not a fault).
-type transientBody struct {
-	rc io.ReadCloser
-}
-
-func (b *transientBody) Read(p []byte) (int, error) {
-	n, err := b.rc.Read(p)
-	if err != nil && err != io.EOF {
-		err = &NetError{Err: err}
-	}
-	return n, err
-}
-
-func (b *transientBody) Close() error { return b.rc.Close() }

@@ -568,8 +568,8 @@ func TestShardGetBlockWindows(t *testing.T) {
 		}
 		_, err = io.ReadAll(body)
 		body.Close()
-		if !errors.Is(err, io.ErrUnexpectedEOF) || err.Error() != "node: unexpected EOF" {
-			t.Errorf("window %v of a truncated shard: read error %v, want node: unexpected EOF", w, err)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("window %v of a truncated shard: read error %v, want unexpected EOF", w, err)
 		}
 	}
 }
@@ -589,7 +589,7 @@ func TestServerAdmissionThrottles(t *testing.T) {
 		t.Fatalf("throttled request: %v, want 429 StatusError", err)
 	}
 	if !se.Transient() {
-		t.Fatal("429 must be transient so shard readers retry instead of dying")
+		t.Fatal("429 must be transient so a put retries the upload instead of failing it")
 	}
 	if got := reg.Counter("node_throttled_total", "", obs.Label{Key: "class", Value: ClassForeground}).Value(); got != 1 {
 		t.Fatalf("node_throttled_total = %d, want 1", got)

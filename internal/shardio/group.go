@@ -189,18 +189,16 @@ func (g *Group) getStripe(seq int64) *Stripe {
 	st, _ := g.stripes.Get().(*Stripe)
 	if st == nil {
 		st = &Stripe{
-			Blocks:     make([][]byte, g.n),
-			States:     make([]ShardState, g.n),
-			Errs:       make([]error, g.n),
-			Transients: make([]uint64, g.n),
+			Blocks: make([][]byte, g.n),
+			States: make([]ShardState, g.n),
+			Errs:   make([]error, g.n),
 		}
 	}
 	st.Seq = seq
 	clear(st.Blocks)
 	clear(st.States)
 	clear(st.Errs)
-	clear(st.Transients)
-	st.Retries, st.LateTransients, st.Trips, st.Panics = 0, 0, 0, 0
+	st.Trips, st.Panics = 0, 0
 	st.Hedged = false
 	st.home = &g.stripes
 	return st
@@ -339,7 +337,6 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 	i := res.shard
 	m := &g.sh[i]
 	m.outstanding = false
-	st.Retries += uint64(res.retries)
 	if res.panicked {
 		st.Panics++
 	}
@@ -361,7 +358,6 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 			st.Errs[i] = res.err
 			PutBuffer(res.buf)
 		default:
-			st.LateTransients += uint64(res.transients)
 			m.ewma.Observe(res.dur)
 			g.lateDropped.Inc()
 			PutBuffer(res.buf)
@@ -387,7 +383,6 @@ func (g *Group) consume(res *result, seq int64, st *Stripe, awaited []bool, wait
 		st.Errs[i] = res.err
 		PutBuffer(res.buf)
 	default:
-		st.Transients[i] = uint64(res.transients)
 		if res.corrupt {
 			st.States[i] = StateCorrupt
 			PutBuffer(res.buf)

@@ -1,10 +1,8 @@
 package shardio
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime/debug"
 	"time"
 )
@@ -21,21 +19,15 @@ type request struct {
 // result is sent per request, so the results channel (capacity = shard
 // count) can never block a send.
 type result struct {
-	shard      int
-	seq        int64
-	buf        []byte
-	err        error         // terminal failure; nil for delivered blocks and clean EOF
-	eof        bool          // clean EOF at a block boundary, at or before seq
-	corrupt    bool          // the block was read whole and its reader rejected it
-	panicked   bool          // err is a *PanicError
-	dur        time.Duration // wall time of the final block read, incl. retries
-	transients int           // transient errors absorbed reading this request
-	retries    int           // backoff retries spent on this request
+	shard    int
+	seq      int64
+	buf      []byte
+	err      error         // terminal failure; nil for delivered blocks and clean EOF
+	eof      bool          // clean EOF at a block boundary, at or before seq
+	corrupt  bool          // the block was read whole and its reader rejected it
+	panicked bool          // err is a *PanicError
+	dur      time.Duration // wall time of the requested block's read
 }
-
-// errClosed reports a read abandoned because the group was closed
-// mid-backoff.
-var errClosed = errors.New("shardio: group closed")
 
 // runShard serves block requests for shard i until the group closes:
 // it waits for a request, serves it, and sends the result. It owns the
@@ -45,8 +37,6 @@ var errClosed = errors.New("shardio: group closed")
 // index r is positioned at.
 func (g *Group) runShard(i int, r io.Reader, pos int64) {
 	defer g.wg.Done()
-	// Deterministic full-jitter source: fixed Seed => fixed schedule.
-	rng := &jitter{seed: int64(g.opts.Seed ^ uint64(i)*0x9e3779b97f4a7c15)}
 	var scratch []byte
 	for {
 		var req request
@@ -56,7 +46,7 @@ func (g *Group) runShard(i int, r io.Reader, pos int64) {
 		case req = <-g.req[i]:
 		}
 		res := result{shard: i, seq: req.seq, buf: req.buf}
-		g.serve(i, r, rng, &scratch, &pos, req, &res)
+		g.serve(i, r, &scratch, &pos, req, &res)
 		select {
 		case g.results <- res:
 		case <-g.stop:
@@ -65,24 +55,9 @@ func (g *Group) runShard(i int, r io.Reader, pos int64) {
 	}
 }
 
-// jitter is a shard's backoff randomness, built on first use: nearly
-// every shard reads its stream without one retry, and a math/rand
-// source is 5 KB a shard would otherwise allocate per stream.
-type jitter struct {
-	seed int64
-	r    *rand.Rand
-}
-
-func (j *jitter) Int63n(n int64) int64 {
-	if j.r == nil {
-		j.r = rand.New(rand.NewSource(j.seed))
-	}
-	return j.r.Int63n(n)
-}
-
 // serve fulfills one request, converting panics (a misbehaving reader
 // implementation) into a typed error instead of killing the process.
-func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int64, req request, res *result) {
+func (g *Group) serve(i int, r io.Reader, scratch *[]byte, pos *int64, req request, res *result) {
 	defer func() {
 		if p := recover(); p != nil {
 			res.err = &PanicError{
@@ -101,7 +76,7 @@ func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int
 		if *scratch == nil {
 			*scratch = make([]byte, g.opts.BlockSize)
 		}
-		eof, err := g.readBlock(r, rng, *scratch, res)
+		eof, err := readBlock(r, *scratch)
 		*pos++
 		if eof {
 			res.eof = true
@@ -113,7 +88,7 @@ func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int
 		}
 	}
 	start := g.clock.Now()
-	eof, err := g.readBlock(r, rng, req.buf, res)
+	eof, err := readBlock(r, req.buf)
 	*pos++
 	res.dur = g.clock.Now().Sub(start)
 	switch {
@@ -126,54 +101,16 @@ func (g *Group) serve(i int, r io.Reader, rng *jitter, scratch *[]byte, pos *int
 	}
 }
 
-// Transient read errors are retried in place: at most maxRetries times
-// per block, retry i after a sleep drawn uniformly from
-// [0, backoff<<(i-1)] (full jitter, seeded by Options.Seed).
-const (
-	maxRetries = 3
-	backoff    = 500 * time.Microsecond
-)
-
-// readBlock reads one full block, absorbing up to maxRetries transient
-// errors with exponential full-jitter backoff. A clean EOF before the
-// first byte returns eof=true; a mid-block EOF or any other failure is
-// terminal.
-func (g *Group) readBlock(r io.Reader, rng *jitter, buf []byte, res *result) (eof bool, err error) {
-	n := 0
-	for attempt := 0; ; {
-		m, err := io.ReadFull(r, buf[n:])
-		n += m
-		switch {
-		case err == nil:
-			return false, nil
-		case err == io.EOF && n == 0:
-			return true, nil
-		case isTransient(err) && attempt < maxRetries:
-			attempt++
-			res.retries++
-			res.transients++
-			d := time.Duration(rng.Int63n(int64(backoff)<<(attempt-1) + 1))
-			if !g.sleep(d) {
-				return false, errClosed
-			}
-		default:
-			return false, err
-		}
+// readBlock reads one full block, once. A clean EOF before the first
+// byte returns eof=true. A Corrupt error rejects this block only; any
+// other error is terminal, even one that calls itself Transient: a
+// stream that broke mid-block has lost its place (a broken HTTP body
+// never returns the bytes it dropped), so the shard is dead and a spare
+// or parity takes over (stream's sources.gather).
+func readBlock(r io.Reader, buf []byte) (eof bool, err error) {
+	n, err := io.ReadFull(r, buf)
+	if err == io.EOF && n == 0 {
+		return true, nil
 	}
-}
-
-// sleep pauses for d or until the group closes; it reports whether the
-// full duration elapsed.
-func (g *Group) sleep(d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := g.clock.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C():
-		return true
-	case <-g.stop:
-		return false
-	}
+	return false, err
 }

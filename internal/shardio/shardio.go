@@ -11,7 +11,7 @@
 // errors only.
 //
 // A Group owns one goroutine per shard reader and schedules block
-// reads with four defenses layered on top of the raw io.Reader:
+// reads with four rules layered on top of the raw io.Reader:
 //
 //   - Latency tracking. Every block read updates a per-shard EWMA;
 //     the fleet median of those EWMAs yields an adaptive per-stripe
@@ -24,10 +24,12 @@
 //     it lands, during a later gather, it is counted as dropped and
 //     recycled. Taking it could save at most one reconstruction, on a
 //     stripe that has already waited out the deadline.
-//   - Retry with backoff. Transient read errors (Transient() bool ==
-//     true) are retried up to three times with exponential backoff and
-//     full jitter, deterministically seeded, instead of a single
-//     immediate retry.
+//   - One read per block. A read error is terminal unless it is a
+//     clean EOF or a corrupt-block rejection: the shard is dead from
+//     that stripe on and is never read again, so the consumer brings a
+//     spare in or reconstructs from parity. A stream that broke
+//     mid-block has lost its place; reading it again could only delay
+//     the spare.
 //   - Circuit breaking. Each shard sits behind a Breaker: five deadline
 //     misses in a row and the group stops waiting for it entirely.
 //     After a cooldown (doubling per trip) the next stripe issues a
@@ -88,14 +90,10 @@ type Options struct {
 	// stripe waits for all live shards, however slow.
 	HedgeAfter time.Duration
 
-	// Seed makes retry jitter reproducible. Shard i derives its RNG
-	// from Seed^i, so a fixed seed yields a fixed backoff schedule.
-	Seed uint64
-
 	// Clock, when non-nil, replaces the wall clock for deadlines,
-	// breaker cooldowns, latency measurement, and backoff sleeps —
-	// the determinism seam for tests (vclock.Fake). Nil means the real
-	// clock and changes nothing.
+	// breaker cooldowns and latency measurement — the determinism seam
+	// for tests (vclock.Fake). Nil means the real clock and changes
+	// nothing.
 	Clock vclock.Clock
 
 	// Metrics, when non-nil, is the registry the group publishes its
@@ -131,9 +129,9 @@ const (
 	// StateEOF: the shard ended cleanly at a block boundary (at or
 	// before this stripe).
 	StateEOF
-	// StateDead: the shard failed hard — a non-transient error, a
-	// ragged mid-block EOF, or retries exhausted — and is retired for
-	// the rest of the stream.
+	// StateDead: a read of the shard failed — any error but a clean
+	// EOF at a block boundary or a corrupt block, a ragged mid-block
+	// EOF included — and it is retired for the rest of the stream.
 	StateDead
 	// StateSlow: the shard is alive but missed the stripe's adaptive
 	// deadline (or is still serving an earlier stripe). Its block
@@ -181,16 +179,6 @@ type PanicError struct {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("panic in %s: %v", e.Stage, e.Value)
-}
-
-// transienter matches errors advertising themselves as momentary via
-// a Transient() bool method (the net.Error convention, also satisfied
-// by fault.Err).
-type transienter interface{ Transient() bool }
-
-func isTransient(err error) bool {
-	var t transienter
-	return errors.As(err, &t) && t.Transient()
 }
 
 // corrupter matches the error a reader returns, having consumed a whole
@@ -360,16 +348,6 @@ type Stripe struct {
 	// Errs carries the terminal error for StateDead shards (every
 	// stripe from the one it died on).
 	Errs []error
-	// Transients counts transient read errors absorbed while reading
-	// each block that arrived, StateOK or StateCorrupt: the reader's
-	// own check passes or rejects such a block like any other.
-	Transients []uint64
-	// Retries totals backoff retries observed during this gather,
-	// including ones surfacing from stale background reads.
-	Retries uint64
-	// LateTransients totals transient errors absorbed by background
-	// reads whose blocks arrived too late to serve their stripe.
-	LateTransients uint64
 	// Hedged reports that the stripe proceeded without at least one
 	// live shard that missed the adaptive deadline.
 	Hedged bool

@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,11 +72,6 @@ func (s *slowReader) Read(p []byte) (int, error) {
 	}
 	return s.r.Read(p)
 }
-
-// alwaysTransient fails every Read with a transient error.
-type alwaysTransient struct{}
-
-func (alwaysTransient) Read([]byte) (int, error) { return 0, &fault.Err{Off: 0} }
 
 func TestOptionsValidation(t *testing.T) {
 	for _, bad := range []Options{
@@ -163,59 +159,89 @@ func TestGroupMissingAndDead(t *testing.T) {
 	st.Release()
 }
 
-func TestGroupRetriesTransients(t *testing.T) {
-	const n, stripes = 3, 4
-	shards := mkShards(n, stripes)
-	readers := make([]io.Reader, n)
-	for i := range readers {
-		readers[i] = bytes.NewReader(shards[i])
-	}
-	// Shard 1 hiccups twice: once at a block boundary, once mid-block.
-	readers[1] = fault.NewReader(bytes.NewReader(shards[1]), fault.Plan{Ops: []fault.Op{
-		{Kind: fault.ErrOnce, Off: testBlock},
-		{Kind: fault.ErrOnce, Off: 2*testBlock + 5},
-	}})
-	g := newTestGroup(t, readers, Options{})
-	var retries, transients uint64
-	for s := 0; s < stripes; s++ {
-		st, err := g.Next(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if st.States[i] != StateOK {
-				t.Fatalf("stripe %d shard %d state %v", s, i, st.States[i])
-			}
-			if !bytes.Equal(st.Blocks[i], shards[i][s*testBlock:(s+1)*testBlock]) {
-				t.Fatalf("stripe %d shard %d corrupted across retry", s, i)
-			}
-			transients += st.Transients[i]
-		}
-		retries += st.Retries
-		st.Release()
-	}
-	if retries != 2 || transients != 2 {
-		t.Fatalf("retries/transients = %d/%d, want 2/2", retries, transients)
-	}
+// breaksOnce serves its stream, except that the Read reaching offset
+// at fails with a transient injected fault, the way a broken connection
+// would; it counts the Reads that come after.
+type breaksOnce struct {
+	r     io.Reader
+	at    int
+	pos   int
+	broke bool
+	after int
 }
 
-func TestGroupRetriesExhaust(t *testing.T) {
-	readers := []io.Reader{alwaysTransient{}, bytes.NewReader(mkShards(2, 2)[1])}
-	g := newTestGroup(t, readers, Options{})
-	st, err := g.Next(context.Background())
-	if err != nil {
-		t.Fatal(err)
+func (b *breaksOnce) Read(p []byte) (int, error) {
+	if b.broke {
+		b.after++
+		return b.r.Read(p)
 	}
-	if st.States[0] != StateDead {
-		t.Fatalf("shard 0 state %v, want dead after retries exhausted", st.States[0])
+	if b.pos == b.at {
+		b.broke = true
+		return 0, &fault.Err{Off: int64(b.at)}
 	}
-	if !errors.Is(st.Errs[0], fault.ErrInjected) {
-		t.Fatalf("dead err %v does not expose the underlying fault", st.Errs[0])
+	n, err := b.r.Read(p[:min(len(p), b.at-b.pos)])
+	b.pos += n
+	return n, err
+}
+
+// timerCount is a clock that counts the timers armed on it.
+type timerCount struct {
+	*vclock.Fake
+	armed atomic.Int64
+}
+
+func (c *timerCount) NewTimer(d time.Duration) vclock.Timer {
+	c.armed.Add(1)
+	return c.Fake.NewTimer(d)
+}
+
+func (c *timerCount) After(d time.Duration) <-chan time.Time {
+	c.armed.Add(1)
+	return c.Fake.After(d)
+}
+
+// TestGroupTransientErrorKillsShard: a read error mid-block is terminal
+// even when it calls itself Transient. The shard is dead at that stripe
+// on the first error, nothing sleeps, and its reader is never read
+// again.
+func TestGroupTransientErrorKillsShard(t *testing.T) {
+	const n, stripes = 3, 3
+	shards := mkShards(n, stripes)
+	broken := &breaksOnce{r: bytes.NewReader(shards[1]), at: testBlock + 5}
+	readers := []io.Reader{bytes.NewReader(shards[0]), broken, bytes.NewReader(shards[2])}
+	clock := &timerCount{Fake: vclock.NewFake()}
+	g := newTestGroup(t, readers, Options{Clock: clock})
+	// The fake clock never moves: a gather that waits on it never ends.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for s := 0; s < stripes; s++ {
+		st, err := g.Next(ctx)
+		if err != nil {
+			t.Fatalf("stripe %d: %v", s, err)
+		}
+		want := StateOK
+		if s >= 1 {
+			want = StateDead
+		}
+		if st.States[1] != want {
+			t.Fatalf("stripe %d: shard 1 state %v, want %v", s, st.States[1], want)
+		}
+		if want == StateDead && !errors.Is(st.Errs[1], fault.ErrInjected) {
+			t.Fatalf("stripe %d: dead err %v does not expose the fault", s, st.Errs[1])
+		}
+		if st.States[0] != StateOK || st.States[2] != StateOK {
+			t.Fatalf("stripe %d: healthy shards %v", s, st.States)
+		}
+		st.Release()
 	}
-	if st.Retries != maxRetries {
-		t.Fatalf("Retries = %d, want %d", st.Retries, maxRetries)
+	g.Close()
+	g.wait()
+	if broken.after != 0 {
+		t.Fatalf("broken shard read %d more times after its error", broken.after)
 	}
-	st.Release()
+	if got := clock.armed.Load(); got != 0 {
+		t.Fatalf("%d timers armed: something waited on the broken shard", got)
+	}
 }
 
 // corruptErr is a block rejection the way the stream layer's trailer

@@ -32,18 +32,17 @@ func statesAttr(states []shardio.ShardState) string {
 //
 // Shard reads are scheduled by an internal/shardio.Group: one goroutine
 // per shard owns its reader, so a slow shard blocks only itself, and
-// transient errors are retried with exponential full-jitter backoff.
+// a shard whose read fails is never read again.
 //
 // Shards degrade at four severities:
 //
 //   - missing: a nil entry in the reader slice — never read at all.
-//   - dead: a reader that failed hard (non-transient error with
-//     retries exhausted, or EOF before its peers); retired and treated
-//     as missing for that stripe and all later ones.
-//   - erased: a block whose checksum trailer does not verify (the
-//     trailer is also what clears a block read across a transient,
-//     Transient() bool == true, error); an erasure for that stripe
-//     only — the shard stays live and may serve the next stripe.
+//   - dead: a reader whose read failed — any error, Transient() or
+//     not, but a clean EOF — or that hit EOF before its peers; retired
+//     and treated as missing for that stripe and all later ones.
+//   - erased: a block whose checksum trailer does not verify; an
+//     erasure for that stripe only — the shard stays live and may
+//     serve the next stripe.
 //   - slow: with Options.HedgeAfter set, a live shard that missed the
 //     stripe's adaptive deadline. With k blocks in hand the stripe
 //     proceeds to reconstruction immediately (a hedged degraded read)

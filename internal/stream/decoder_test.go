@@ -8,8 +8,6 @@ import (
 	"io"
 	"testing"
 	"time"
-
-	"dialga/internal/fault"
 )
 
 // decodeAll runs the streaming decoder over the given shard byte
@@ -249,58 +247,6 @@ func TestDecoderCancellationMidStream(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Decode did not return after cancellation")
 	}
-}
-
-// TestDecoderTransientErrorsStayPerStripe is the regression test for
-// the old behaviour of killing a shard permanently on its first read
-// error. With one shard genuinely missing and two more throwing
-// one-shot transient faults (fault.ErrOnce-style, Transient() == true)
-// at different stripes, permanent demotion would leave 3 dead > m=2
-// and fail the decode; the per-stripe path must absorb both faults and
-// round-trip, and the trailer clears each re-read block rather than
-// demoting it.
-func TestDecoderTransientErrorsStayPerStripe(t *testing.T) {
-	t.Run("crc32c clears re-read blocks", func(t *testing.T) {
-		code := mustRS(t, 4, 2)
-		opts := Options{Codec: code, StripeSize: 4 * 256, Workers: 2}
-		payload := randBytes(t, 10*4*256+100, 31)
-		shards := encodeAll(t, opts, payload)
-		dec, err := NewDecoder(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blockSize := dec.BlockSize()
-		readers := make([]io.Reader, len(shards))
-		for i, s := range shards {
-			readers[i] = bytes.NewReader(s)
-		}
-		readers[0] = nil // one shard genuinely gone
-		// Shards 1 and 3 hiccup once each, at different stripes
-		// (one at a block boundary, one mid-block).
-		readers[1] = fault.NewReader(bytes.NewReader(shards[1]), fault.Plan{
-			Ops: []fault.Op{{Kind: fault.ErrOnce, Off: int64(2 * blockSize)}},
-		})
-		readers[3] = fault.NewReader(bytes.NewReader(shards[3]), fault.Plan{
-			Ops: []fault.Op{{Kind: fault.ErrOnce, Off: int64(6*blockSize) + 17}},
-		})
-		var out bytes.Buffer
-		if err := dec.Decode(context.Background(), readers, &out, int64(len(payload))); err != nil {
-			t.Fatalf("decode failed on transient faults: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), payload) {
-			t.Fatal("payload mismatch after transient faults")
-		}
-		st := dec.Stats()
-		if st.ShardFailures != 0 {
-			t.Fatalf("ShardFailures = %d: transient fault killed a shard permanently", st.ShardFailures)
-		}
-		if st.TransientFaults != 2 {
-			t.Fatalf("TransientFaults = %d, want 2", st.TransientFaults)
-		}
-		if st.ShardsCorrupted != 0 || st.StripesHealed != 0 {
-			t.Fatalf("ShardsCorrupted/StripesHealed = %d/%d, want 0/0", st.ShardsCorrupted, st.StripesHealed)
-		}
-	})
 }
 
 // TestDecodeBringsSparesOnEvidence: a read given exactly k shards takes

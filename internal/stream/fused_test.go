@@ -142,10 +142,7 @@ func TestProcessStripeAllocs(t *testing.T) {
 	// Build the stripe/job the gather loop would hand the worker. A
 	// zero-value shardio.Stripe backs it: Release is a no-op, and the
 	// worker reconstructs around the slow shard as for any hedge.
-	st := &shardio.Stripe{
-		States:     make([]shardio.ShardState, k+m),
-		Transients: make([]uint64, k+m),
-	}
+	st := &shardio.Stripe{States: make([]shardio.ShardState, k+m)}
 	slowShard := 2 // hedged straggler: nil block, reconstructed around
 	prep := func(j *job) {
 		j.blocks = sliceN(j.blocks, k+m)

@@ -25,10 +25,9 @@ type blockRebuilder interface {
 // decoded object and never the blocks nobody asked for — so rebuilding
 // a shard reads k shards and writes one. It is built from the
 // decoder's parts: a shardio.Group owns one goroutine per source (a
-// slow source blocks only itself, transient errors are retried with
-// backoff), a worker pool computes stripes concurrently, and an ordered
-// in-flight window emits them in sequence from the shardio allocator's
-// buffers.
+// slow source blocks only itself, a failed read retires it), a worker
+// pool computes stripes concurrently, and an ordered in-flight window
+// emits them in sequence from the shardio allocator's buffers.
 //
 // Every source block's checksum trailer is verified as it is read. A
 // source that dies or ends early is retired; a block that fails its

@@ -206,19 +206,13 @@ func (s *sources) gather(ctx context.Context, seq int64) (*shardio.Stripe, int, 
 	return nil, spares, err
 }
 
-// account charges a gathered stripe's counters: its reads' retries,
-// trips, panics and transient faults, its corrupt blocks, and the
-// shards that failed at it — once each, a dead shard and, if anything
-// was read, one that ended while its peers still had blocks.
+// account charges a gathered stripe's counters: its breaker trips and
+// reader panics, its corrupt blocks, and the shards that failed at it —
+// once each, a dead shard and, if anything was read, one that ended
+// while its peers still had blocks.
 func (s *sources) account(st *shardio.Stripe, seq int64, read bool, corrupt int) {
-	s.stats.retries.Add(st.Retries)
 	s.stats.breakerTrips.Add(st.Trips)
 	s.stats.workerPanics.Add(st.Panics)
-	transients := st.LateTransients
-	for _, t := range st.Transients {
-		transients += t
-	}
-	s.stats.transientFaults.Add(transients)
 	s.stats.shardsCorrupted.Add(uint64(corrupt))
 	if st.Hedged {
 		s.stats.hedgedReads.Add(1)

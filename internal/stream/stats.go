@@ -43,11 +43,9 @@ type counters struct {
 	reconstructed   *obs.Counter
 	shardsCorrupted *obs.Counter
 	stripesHealed   *obs.Counter
-	transientFaults *obs.Counter
 	hedgedReads     *obs.Counter
 	hedgeWins       *obs.Counter
 	breakerTrips    *obs.Counter
-	retries         *obs.Counter
 	workerPanics    *obs.Counter
 	lat             *obs.Histogram
 }
@@ -76,16 +74,12 @@ func newCounters(reg *obs.Registry, pipeline string) *counters {
 			"Shard blocks demoted to per-stripe erasures (decode).", lbl),
 		stripesHealed: reg.Counter("stream_stripes_healed_total",
 			"Stripes decoded correctly despite corrupt shard blocks (decode).", lbl),
-		transientFaults: reg.Counter("stream_transient_faults_total",
-			"Momentary read errors absorbed without retiring the shard (decode).", lbl),
 		hedgedReads: reg.Counter("stream_hedged_reads_total",
 			"Stripes that proceeded without a live shard that missed its deadline (decode).", lbl),
 		hedgeWins: reg.Counter("stream_hedge_wins_total",
 			"Hedged stripes decoded without at least one straggler's block (decode).", lbl),
 		breakerTrips: reg.Counter("stream_breaker_trips_total",
 			"Per-shard circuit-breaker trips, including half-open re-trips (decode).", lbl),
-		retries: reg.Counter("stream_retries_total",
-			"Exponential-backoff retries of transient shard read errors (decode).", lbl),
 		workerPanics: reg.Counter("stream_worker_panics_total",
 			"Panics recovered from pipeline stages and shard readers.", lbl),
 		lat: reg.Histogram("stream_stripe_latency_us",
@@ -108,11 +102,9 @@ func (c *counters) snapshot() Stats {
 		Reconstructed:   c.reconstructed.Value(),
 		ShardsCorrupted: c.shardsCorrupted.Value(),
 		StripesHealed:   c.stripesHealed.Value(),
-		TransientFaults: c.transientFaults.Value(),
 		HedgedReads:     c.hedgedReads.Value(),
 		HedgeWins:       c.hedgeWins.Value(),
 		BreakerTrips:    c.breakerTrips.Value(),
-		Retries:         c.retries.Value(),
 		WorkerPanics:    c.workerPanics.Value(),
 	}
 	counts, _, _ := c.lat.Snapshot()
@@ -133,24 +125,18 @@ type Stats struct {
 	// including parity on encode.
 	BytesOut uint64
 	// ShardFailures counts shard input streams that died mid-stream
-	// (decoder only): read errors and short/ragged shards.
+	// (decoder only): read errors of any kind, and short/ragged shards.
 	ShardFailures uint64
 	// Reconstructed counts stripes that needed erasure reconstruction
 	// (decoder only).
 	Reconstructed uint64
 	// ShardsCorrupted counts shard blocks demoted to erasures for one
-	// stripe (decoder only): checksum-trailer mismatches, plus blocks
-	// discarded after a transient read fault when no checksum is
-	// available to clear them. Unlike ShardFailures, a corrupted
-	// shard stays live for later stripes.
+	// stripe (decoder only): checksum-trailer mismatches. Unlike
+	// ShardFailures, a corrupted shard stays live for later stripes.
 	ShardsCorrupted uint64
 	// StripesHealed counts stripes that decoded correctly despite one
 	// or more corrupted shard blocks (decoder only).
 	StripesHealed uint64
-	// TransientFaults counts momentary read errors (errors exposing
-	// Transient() bool == true, e.g. fault.ErrInjected) the decoder
-	// absorbed without retiring the shard (decoder only).
-	TransientFaults uint64
 	// HedgedReads counts stripes that proceeded to reconstruction
 	// without waiting for at least one live shard that missed its
 	// adaptive deadline (decoder only; requires Options.HedgeAfter).
@@ -164,10 +150,6 @@ type Stats struct {
 	// demoted after missing BreakerThreshold consecutive deadlines,
 	// plus every half-open probe that missed again (decoder only).
 	BreakerTrips uint64
-	// Retries counts exponential-backoff retries of transient shard
-	// read errors, including retries spent on reads that ultimately
-	// failed (decoder only).
-	Retries uint64
 	// WorkerPanics counts panics recovered from pipeline stages and
 	// shard-reader goroutines and surfaced as *PanicError instead of
 	// crashing the process.

@@ -64,7 +64,7 @@ func (p *pacedWriter) Write(b []byte) (int, error) {
 
 // stragglerOpts is the common geometry of the straggler matrix: small
 // stripes so reconstruction is cheap relative to the injected delays,
-// hedging with a 1ms floor, and everything seeded.
+// hedging with a 1ms floor.
 func stragglerOpts(t *testing.T, k, m, shardSize int) Options {
 	t.Helper()
 	return Options{
@@ -72,7 +72,6 @@ func stragglerOpts(t *testing.T, k, m, shardSize int) Options {
 		StripeSize: k * shardSize,
 		Workers:    2,
 		HedgeAfter: time.Millisecond,
-		Seed:       42,
 	}
 }
 

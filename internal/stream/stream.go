@@ -118,13 +118,9 @@ type Options struct {
 	// with fewer, a read that has a SpareFunc brings a spare in.
 	// HedgeAfter is also the deadline floor. Zero (the default) disables
 	// hedging and the circuit breaker: every stripe waits for all live
-	// shards. It is the one straggler switch; the deadline ratio, retry
-	// budget and breaker schedule behind it are shardio's constants.
+	// shards. It is the one straggler switch; the deadline ratio and
+	// breaker schedule behind it are shardio's constants.
 	HedgeAfter time.Duration
-
-	// Seed makes retry jitter (and fault-injection schedules layered
-	// underneath) reproducible.
-	Seed uint64
 
 	// CloseReaders, on decode, closes every shard reader that
 	// implements io.Closer when Decode returns — including readers a
@@ -154,9 +150,8 @@ type Options struct {
 	Trace *obs.Tracer
 
 	// Clock, when non-nil, replaces the wall clock for every
-	// time-driven decision (hedge deadlines, breaker cooldowns, retry
-	// backoff, latency stamps) — the determinism seam tests use. Nil
-	// means time.Now.
+	// time-driven decision (hedge deadlines, breaker cooldowns, latency
+	// stamps) — the determinism seam tests use. Nil means time.Now.
 	Clock vclock.Clock
 }
 
@@ -206,7 +201,6 @@ func (o Options) geometry() (geom, error) {
 	straggler := shardio.Options{
 		BlockSize:  shard + crcSize,
 		HedgeAfter: o.HedgeAfter,
-		Seed:       o.Seed,
 		Metrics:    o.Metrics,
 		Clock:      o.Clock,
 	}
