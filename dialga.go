@@ -185,10 +185,9 @@ func StreamDecode(ctx context.Context, opts StreamOptions, shards []io.Reader, w
 
 // Observability — see internal/obs. Pipelines register their counters,
 // gauges, and latency histograms in a MetricsRegistry set on
-// StreamOptions.Metrics, and record per-stripe lifecycle spans into a
-// StreamTracer set on StreamOptions.Trace. The registry renders in the
-// Prometheus text exposition format via its Expose method;
-// `dialga-node` mounts it at /metrics.
+// StreamOptions.Metrics. The registry renders in the Prometheus text
+// exposition format via its Expose method; `dialga-node` mounts it at
+// /metrics.
 
 // MetricsRegistry is an atomic metrics registry: counters, gauges, and
 // log-linear histograms addressable by name + labels, rendered in
@@ -202,23 +201,6 @@ type MetricLabel = obs.Label
 
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// StreamTracer records per-stripe lifecycle spans (read →
-// reconstruct → emit, annotated with spare/hedge/breaker decisions)
-// into a fixed-capacity ring; Snapshot and WriteJSON read it back,
-// newest first.
-type StreamTracer = obs.Tracer
-
-// StreamSpan is one traced stripe lifecycle.
-type StreamSpan = obs.Span
-
-// NewStreamTracer returns a tracer retaining the last capacity spans
-// (DefaultTraceCapacity when capacity <= 0).
-func NewStreamTracer(capacity int) *StreamTracer { return obs.NewTracer(capacity) }
-
-// DefaultTraceCapacity is the span-ring size NewStreamTracer applies
-// when none is given.
-const DefaultTraceCapacity = obs.DefaultTraceCapacity
 
 // Figure is a reproduced paper figure; see internal/harness.
 type Figure = harness.Figure

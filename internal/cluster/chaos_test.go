@@ -56,9 +56,8 @@ func TestClusterChaosQuorumConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	tc := startClusterOpts(t, 6, 4, 2, 97, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
-		o.PutBackoff = 5 * time.Millisecond
 		o.Intents = log
 		// The client timeout is what bounds a blackholed request: the
 		// route drops packets silently, so only our own deadline ends it.

@@ -48,8 +48,6 @@ type GatewayOptions struct {
 	// Metrics receives cluster_* and the underlying stream_*/shardio_*
 	// series. Nil disables.
 	Metrics *obs.Registry
-	// Seed makes the jitter of put upload retries reproducible.
-	Seed uint64
 	// WriteQuorum is the number of shard uploads that must land before
 	// a put is acknowledged. Zero means all K+M (every put fully
 	// redundant at ack). Any other value must lie in [K+1, K+M]: at
@@ -64,11 +62,9 @@ type GatewayOptions struct {
 	// one copy shared by all K+M uploads) until it ends, so a failed
 	// upload can start again from stripe 0. -1 disables retries, and the
 	// put then holds a window of putWindow stripes however large the
-	// object: the put for objects larger than memory.
+	// object: the put for objects larger than memory. Attempt n waits
+	// a jittered delay under n·putBackoffBase first (see putBackoff).
 	PutRetries int
-	// PutBackoff is the base delay between per-shard retry attempts,
-	// grown linearly with full deterministic jitter. Default 50ms.
-	PutBackoff time.Duration
 	// Intents is the durable write-intent journal degraded puts record
 	// the missing shards in before acknowledging. Nil disables
 	// journaling (quorum puts still succeed, but a gateway crash
@@ -89,7 +85,6 @@ type Gateway struct {
 	rungs      []int      // the shard sizes puts choose from; see shardSizes
 	router     *sideliner // the configured Router under cross-request sidelining
 	hedge      time.Duration
-	seed       uint64
 	reg        *obs.Registry
 	hc         *http.Client
 	codec      *rs.Code
@@ -97,7 +92,6 @@ type Gateway struct {
 	putSizes   *obs.Histogram // cluster_put_shard_size_bytes
 	quorum     int            // shard uploads required to ack a put
 	retries    int            // per-shard transient retry budget (-1: disabled)
-	backoff    time.Duration
 	intents    *IntentLog
 	onDegraded func(object string, index int)
 
@@ -195,23 +189,17 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	if retries < 0 {
 		retries = -1
 	}
-	backoff := opts.PutBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
 	g := &Gateway{
 		k:       opts.K,
 		m:       opts.M,
 		rungs:   shardSizes((stripeSize + opts.K - 1) / opts.K),
 		router:  newSideliner(router, opts.Metrics),
 		hedge:   opts.HedgeAfter,
-		seed:    opts.Seed,
 		reg:     opts.Metrics,
 		hc:      hc,
 		codec:   codec,
 		quorum:  quorum,
 		retries: retries,
-		backoff: backoff,
 		intents: opts.Intents,
 		retained: opts.Metrics.Gauge("cluster_put_retained_bytes",
 			"Encoded stripe bytes puts currently lend to their shard uploads."),
@@ -519,7 +507,7 @@ func (g *Gateway) uploadShard(ctx context.Context, object string, id NodeID, cli
 		if err == nil || !node.Transient(err) || attempt >= g.retries {
 			return err
 		}
-		if sleepCtx(ctx, putBackoff(g.seed, idx, attempt+1, g.backoff)) != nil {
+		if sleepCtx(ctx, putBackoff(object, idx, attempt+1)) != nil {
 			return err // the put is over; the attempt's own error says more than ctx's
 		}
 		g.counter("cluster_put_shard_retries_total",
@@ -528,12 +516,18 @@ func (g *Gateway) uploadShard(ctx context.Context, object string, id NodeID, cli
 	}
 }
 
-// putBackoff is the delay before retry attempt (1-based): full jitter
-// over [0, attempt·base), deterministic in (seed, shard, attempt) so a
-// seeded chaos run replays its exact retry schedule.
-func putBackoff(seed uint64, shard, attempt int, base time.Duration) time.Duration {
-	span := time.Duration(attempt) * base
-	h := mix(seed ^ uint64(shard)<<32 ^ uint64(attempt))
+// putBackoffBase is the span of the first retry's jitter; attempt n
+// draws from n times it.
+const putBackoffBase = 50 * time.Millisecond
+
+// putBackoff is the delay before retry attempt (1-based) of one shard's
+// upload: full jitter over [0, attempt·putBackoffBase), keyed by the
+// attempt's own identity. Uploads that one node failure cuts together
+// belong to different objects, so they draw different delays and do not
+// retry in step; a seeded chaos run still replays its exact schedule.
+func putBackoff(object string, shard, attempt int) time.Duration {
+	span := time.Duration(attempt) * putBackoffBase
+	h := mix(fnv64(object) ^ uint64(shard)<<32 ^ uint64(attempt))
 	return time.Duration(h % uint64(span))
 }
 

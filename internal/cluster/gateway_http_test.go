@@ -60,7 +60,7 @@ func httpGet(t *testing.T, srv *httptest.Server, object, rangeHeader string) (*h
 // TestGatewayHTTPRoundtrip covers the object API end to end over the
 // wire: put, headers on get, delete, and 404 after delete.
 func TestGatewayHTTPRoundtrip(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 41)
+	tc := startCluster(t, 6, 4, 2)
 	srv := startHTTP(t, tc)
 	payload := clusterPayload(41, 200_000)
 
@@ -102,7 +102,7 @@ func TestGatewayHTTPRoundtrip(t *testing.T) {
 // 502, because the missing answer could have been the object. Every
 // failed open brings the next candidate in, so every shard is probed.
 func TestGatewayHTTPNotFoundVsUnavailable(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 43)
+	tc := startCluster(t, 6, 4, 2)
 	srv := startHTTP(t, tc)
 
 	resp, body, _ := httpGet(t, srv, "never-put", "")
@@ -120,7 +120,7 @@ func TestGatewayHTTPNotFoundVsUnavailable(t *testing.T) {
 // TestGatewayHTTPPutRequiresLength rejects chunked puts up front: the
 // encoder needs the object size before the first stripe.
 func TestGatewayHTTPPutRequiresLength(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 44)
+	tc := startCluster(t, 6, 4, 2)
 	srv := startHTTP(t, tc)
 
 	// Wrapping the reader hides its concrete type from net/http, so
@@ -146,7 +146,7 @@ func TestGatewayHTTPPutRequiresLength(t *testing.T) {
 // It also pins the efficiency claim: a small range moves strictly fewer
 // shard bytes than a full read.
 func TestGatewayHTTPRange(t *testing.T) {
-	tc, tap := tappedCluster(t, 45, nil)
+	tc, tap := tappedCluster(t, nil)
 	srv := startHTTP(t, tc)
 	size := 3*64*1024 + 777 // four stripes at the 64 KiB test stripe size
 	payload := clusterPayload(45, size)
@@ -254,7 +254,7 @@ func corruptBlock(t *testing.T, tc *testCluster, object string, idx int, stripe 
 // appended to object data. The client sees the advertised
 // Content-Length, a clean prefix of the object, and a transport error.
 func TestGatewayHTTPTruncationNoErrorProse(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 46)
+	tc := startCluster(t, 6, 4, 2)
 	srv := startHTTP(t, tc)
 	size := 5 * 64 * 1024
 	payload := clusterPayload(46, size)
@@ -348,7 +348,7 @@ func TestParseRangeResolve(t *testing.T) {
 // names a node the current map does not know — the case that used to
 // be a nil-map-lookup panic.
 func TestClientForUnknownNode(t *testing.T) {
-	tc := startCluster(t, 4, 2, 2, 47)
+	tc := startCluster(t, 4, 2, 2)
 	_, err := tc.gw.clientFor(tc.gw.snap(), "ghost")
 	if !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("err %v, want ErrUnknownNode", err)
@@ -364,7 +364,7 @@ func TestClientForUnknownNode(t *testing.T) {
 
 // TestGatewayHTTPClusterMap exposes the serving map and its epoch.
 func TestGatewayHTTPClusterMap(t *testing.T) {
-	tc := startCluster(t, 4, 2, 2, 48)
+	tc := startCluster(t, 4, 2, 2)
 	srv := startHTTP(t, tc)
 	resp, body, err := func() (*http.Response, []byte, error) {
 		resp, err := srv.Client().Get(srv.URL + "/v1/cluster/map")

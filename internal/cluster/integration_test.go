@@ -75,16 +75,16 @@ type testCluster struct {
 }
 
 // startCluster brings up n in-process nodes (one rack each, two
-// zones) and a gateway with the given geometry and seed, hedging from
+// zones) and a gateway with the given geometry, hedging from
 // dialga-node's default floor.
-func startCluster(t *testing.T, n, k, m int, seed uint64) *testCluster {
+func startCluster(t *testing.T, n, k, m int) *testCluster {
 	t.Helper()
-	return startClusterOpts(t, n, k, m, seed, nil)
+	return startClusterOpts(t, n, k, m, nil)
 }
 
 // startClusterOpts is startCluster with a hook to adjust the gateway
 // options (quorum, intents, a fault transport) before it is built.
-func startClusterOpts(t *testing.T, n, k, m int, seed uint64, mod func(*GatewayOptions)) *testCluster {
+func startClusterOpts(t *testing.T, n, k, m int, mod func(*GatewayOptions)) *testCluster {
 	t.Helper()
 	reg := obs.NewRegistry()
 	tc := &testCluster{t: t, reg: reg}
@@ -112,7 +112,6 @@ func startClusterOpts(t *testing.T, n, k, m int, seed uint64, mod func(*GatewayO
 		StripeSize: 64 * 1024,
 		HedgeAfter: 30 * time.Millisecond,
 		Metrics:    reg,
-		Seed:       seed,
 		// No pooled keep-alive connections: a killed-and-replaced node
 		// must not be reached over a stale socket.
 		HTTPClient: &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
@@ -163,7 +162,7 @@ func (tc *testCluster) mustGet(ctx context.Context, object string, want []byte) 
 // six nodes, reads with two nodes down, replacement nodes repaired
 // back to full redundancy while foreground reads keep succeeding.
 func TestClusterLifecycle(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 1)
+	tc := startCluster(t, 6, 4, 2)
 	ctx := context.Background()
 
 	const objects = 3
@@ -318,7 +317,7 @@ func corruptShard(t *testing.T, tc *testCluster, object string, idx int, seed ui
 func TestRepairQueueSeededCorruption(t *testing.T) {
 	// With up to two corrupt shards per object (the RS(4,2) limit) a
 	// read may need all six shards: the two beyond k come in as spares.
-	tc := startCluster(t, 6, 4, 2, 2)
+	tc := startCluster(t, 6, 4, 2)
 	ctx := context.Background()
 
 	const objects = 4

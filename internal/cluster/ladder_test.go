@@ -136,7 +136,7 @@ func (tc *testCluster) storeAt(ctx context.Context, o ladderObject) [][]byte {
 // stopped, the rebuild of a deleted shard, and a migration under a map
 // swap.
 func TestLadderEndToEnd(t *testing.T) {
-	tc := startClusterOpts(t, 6, 4, 2, 91, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	srv := startHTTP(t, tc)
 	ctx := context.Background()
 
@@ -265,10 +265,9 @@ func TestLadderEndToEnd(t *testing.T) {
 // shard size is part of that: it returns the latest version's bytes,
 // whole or by range, never a blend of two encodings.
 func TestOverwriteAcrossRungs(t *testing.T) {
-	tc := startClusterOpts(t, 6, 4, 2, 92, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.StripeSize = 1 << 20
 		o.WriteQuorum = 5
-		o.PutBackoff = time.Millisecond
 	})
 	ctx := context.Background()
 	const object = "rewritten"
@@ -313,7 +312,7 @@ func TestOverwriteAcrossRungs(t *testing.T) {
 // byte by a gateway that would itself have stored it in 16 KiB shards:
 // the header says how an object is stored, not the reader's ladder.
 func TestReadsObjectsStoredBeforeTheLadder(t *testing.T) {
-	tc := startClusterOpts(t, 6, 4, 2, 93, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
 	const object = "old-small"
 	payload := clusterPayload(931, 64<<10)

@@ -37,9 +37,8 @@ func TestGetSourcesMustAgree(t *testing.T) {
 		{"stale shard is the longer one", 200_000, 100_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, tap := tappedCluster(t, 71, func(o *GatewayOptions) {
+			c, tap := tappedCluster(t, func(o *GatewayOptions) {
 				o.WriteQuorum = 5
-				o.PutBackoff = time.Millisecond
 			})
 			ctx := context.Background()
 			const object, stale = "overwritten", 0
@@ -107,7 +106,7 @@ func TestGetSourcesMustAgree(t *testing.T) {
 // object is refused on the stat alone, and a range read of an object
 // too few nodes can serve fails after one round of opens.
 func TestUnsatisfiableRangeOpensNothing(t *testing.T) {
-	tc, tap := tappedCluster(t, 75, nil)
+	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	payload := clusterPayload(750, 100_000)
 	tc.put(ctx, "obj", payload)
@@ -178,7 +177,7 @@ func (w *waveGate) wait() bool {
 // until its whole wave has arrived, so a read that asked for one shard
 // after another would never fill a wave.
 func TestReadOpensItsShardsAtOnce(t *testing.T) {
-	tc, tap := tappedCluster(t, 77, nil)
+	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	payload := clusterPayload(770, 300_000)
 	tc.put(ctx, "obj", payload)
@@ -225,7 +224,7 @@ func (tc *testCluster) spareCount(reason string) uint64 {
 // shard bodies — k store opens on the nodes, k whole shard files on the
 // wire — and opens no spare.
 func TestHealthyGetReadsK(t *testing.T) {
-	tc, tap := tappedCluster(t, 78, nil)
+	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	payload := clusterPayload(780, 300_000)
 	tc.put(ctx, "obj", payload)
@@ -254,7 +253,7 @@ func TestHealthyGetReadsK(t *testing.T) {
 // read needs from a shard is an erasure like any other. The read opens
 // exactly one spare window, at that block, and returns the exact bytes.
 func TestRangeGetHealsCorruptBlock(t *testing.T) {
-	tc, tap := tappedCluster(t, 79, nil)
+	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	const stripe = 64 * 1024
 	payload := clusterPayload(790, 4*stripe) // four stripes
@@ -290,7 +289,7 @@ func TestRangeGetHealsCorruptBlock(t *testing.T) {
 // bytes are exact.
 func TestLateStripeBringsSpare(t *testing.T) {
 	faults := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
-	tc := startClusterOpts(t, 6, 4, 2, 64, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.HTTPClient = &http.Client{Transport: faults}
 		o.HedgeAfter = 30 * time.Millisecond // dialga-node's default
 	})
@@ -364,7 +363,7 @@ func checkIdleBudget(t *testing.T) {
 // the budget holds, and nothing is left running. CI runs it under
 // -race -count=10.
 func TestConcurrentGetsShareAllocator(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 72)
+	tc := startCluster(t, 6, 4, 2)
 	ctx := context.Background()
 	payloads := make([][]byte, 4)
 	for i := range payloads {
@@ -421,7 +420,7 @@ func objectName(i int) string { return "shared-" + string(rune('a'+i)) }
 // no gateway of this geometry writes, as stored headers may name, leave
 // at most shardio.IdleBudget bytes idle, and no empty list behind.
 func TestIdleBudgetHoldsAcrossRungs(t *testing.T) {
-	tc := startClusterOpts(t, 6, 4, 2, 73, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
 	top := tc.gw.rungs[len(tc.gw.rungs)-1]
 	payload := clusterPayload(730, shardio.IdleBudget*3/4) // 1.5× the budget in stripes
@@ -468,7 +467,7 @@ func TestHeapDoesNotClimb(t *testing.T) {
 	if raceEnabled {
 		gets = 20 // the same shape, at the race detector's speed
 	}
-	tc := startClusterOpts(t, 6, 4, 2, 75, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
 	tc.put(ctx, "big", clusterPayload(750, 8<<20))
 	shards := memShards{}
@@ -531,7 +530,7 @@ func TestGetSteadyStateAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations swamp the measurement")
 	}
-	tc := startClusterOpts(t, 6, 4, 2, 74, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
 	tc.put(ctx, "big", clusterPayload(740, 8<<20))
 	shards := memShards{}

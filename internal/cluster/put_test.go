@@ -40,12 +40,11 @@ func (h *putHook) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // hookedCluster starts a six-node RS(4,2) cluster acking at five
 // shards, its shard transport under a putHook.
-func hookedCluster(t *testing.T, seed uint64, retries int) (*testCluster, *putHook) {
+func hookedCluster(t *testing.T, retries int) (*testCluster, *putHook) {
 	hook := &putHook{base: &http.Transport{DisableKeepAlives: true}}
-	tc := startClusterOpts(t, 6, 4, 2, seed, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
 		o.PutRetries = retries
-		o.PutBackoff = 2 * time.Millisecond
 		o.HTTPClient = &http.Client{Transport: hook}
 	})
 	return tc, hook
@@ -61,13 +60,39 @@ func (tc *testCluster) topBlockSize() int {
 	return tc.gw.rungs[len(tc.gw.rungs)-1] + 4 // the CRC-32C trailer
 }
 
+// TestPutBackoffSpreadsAcrossObjects: the retry jitter is keyed by the
+// upload's own identity, so the uploads one node failure cuts together —
+// the same shard slot of many objects — retry at different times, and a
+// seeded run still replays the same schedule.
+func TestPutBackoffSpreadsAcrossObjects(t *testing.T) {
+	const shard, objects = 2, 64
+	seen := map[time.Duration]bool{}
+	for i := 0; i < objects; i++ {
+		object := fmt.Sprintf("obj-%d", i)
+		d := putBackoff(object, shard, 1)
+		if d < 0 || d >= putBackoffBase {
+			t.Fatalf("%s attempt 1: delay %v outside [0, %v)", object, d, putBackoffBase)
+		}
+		seen[d] = true
+		if d2 := putBackoff(object, shard, 2); d2 < 0 || d2 >= 2*putBackoffBase {
+			t.Fatalf("%s attempt 2: delay %v outside [0, %v)", object, d2, 2*putBackoffBase)
+		}
+		if again := putBackoff(object, shard, 1); again != d {
+			t.Fatalf("%s: delay %v, then %v for the same attempt", object, d, again)
+		}
+	}
+	if len(seen) < 48 {
+		t.Fatalf("%d objects drew only %d distinct delays, want >= 48", objects, len(seen))
+	}
+}
+
 // TestPutMidStreamCutReplaysByReference: one node's upload is cut, with
 // a transient error, in the middle of its second block — after the
 // first stripe has gone out whole. The retry is a fresh body over the
 // same lent stripes, and must leave all six shard files byte-identical
 // to those of a put nothing happened to.
 func TestPutMidStreamCutReplaysByReference(t *testing.T) {
-	tc, hook := hookedCluster(t, 81, 0)
+	tc, hook := hookedCluster(t, 0)
 	ctx := context.Background()
 	payload := clusterPayload(810, 5*64*1024+999) // five full stripes and a tail
 	tc.put(ctx, "clean", payload)
@@ -122,7 +147,7 @@ func TestPutMidStreamCutReplaysByReference(t *testing.T) {
 // by running out of body. Run under -race: reading a recycled stripe is
 // a data race with the encoder writing it.
 func TestPutSealsBodyAgainstLateReads(t *testing.T) {
-	tc, hook := hookedCluster(t, 82, 0)
+	tc, hook := hookedCluster(t, 0)
 	ctx := context.Background()
 	const object, lateShard = "late", 1
 	place, err := tc.gw.Place(object)
@@ -177,7 +202,7 @@ func TestPutSealsBodyAgainstLateReads(t *testing.T) {
 // of its source than the pipeline's depth beyond them, for as long as
 // the node stalls — and finishes degraded once the node fails.
 func TestPutWindowBoundsRetainedStripes(t *testing.T) {
-	tc, hook := hookedCluster(t, 83, -1)
+	tc, hook := hookedCluster(t, -1)
 	const object, stalledShard, stripes, stripeSize = "windowed", 3, 64, 64 * 1024
 	place, err := tc.gw.Place(object)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // quorumCluster starts a cluster whose gateway acks at quorum, with a
-// durable intent log and fast retry backoff.
+// durable intent log.
 func quorumCluster(t *testing.T, n, k, m, quorum int) (*testCluster, *IntentLog) {
 	t.Helper()
 	log, err := OpenIntentLog(filepath.Join(t.TempDir(), "intents.log"), nil)
@@ -25,9 +25,8 @@ func quorumCluster(t *testing.T, n, k, m, quorum int) (*testCluster, *IntentLog)
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { log.Close() })
-	tc := startClusterOpts(t, n, k, m, 7, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, n, k, m, func(o *GatewayOptions) {
 		o.WriteQuorum = quorum
-		o.PutBackoff = 2 * time.Millisecond
 		o.Intents = log
 	})
 	return tc, log
@@ -157,9 +156,8 @@ func TestPutBelowQuorumFails(t *testing.T) {
 // retry path (a fresh body over the lent stripes), leaving the put fully redundant.
 func TestPutRetriesTransientFaults(t *testing.T) {
 	ft := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
-	tc := startClusterOpts(t, 6, 4, 2, 11, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
-		o.PutBackoff = 2 * time.Millisecond
 		o.HTTPClient = &http.Client{Transport: ft}
 	})
 	ctx := context.Background()
@@ -262,7 +260,7 @@ func TestPutRetryDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	tc := startClusterOpts(t, 6, 4, 2, 13, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
 		o.PutRetries = -1
 		o.Intents = log

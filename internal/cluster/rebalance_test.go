@@ -19,7 +19,7 @@ import (
 // epochs with enough failure domains are accepted, and a surviving
 // node's pooled client is reused across the swap.
 func TestUpdateMapValidation(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 52)
+	tc := startCluster(t, 6, 4, 2)
 	cur := tc.gw.Map()
 
 	if err := tc.gw.UpdateMap(nil); err == nil {
@@ -147,7 +147,7 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	}
 	defer log.Close()
 	tap := &shardTap{base: ft}
-	tc := startClusterOpts(t, 6, 4, 2, 51, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.Intents = log
 		o.HTTPClient = &http.Client{Timeout: 5 * time.Second, Transport: tap}
 	})
@@ -348,7 +348,7 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 // shard once — the GET whose header sizes the pace and the upload, no
 // stat before it — and the file arrives at its new home byte for byte.
 func TestMigrationReadsSourceOnce(t *testing.T) {
-	tc, tap := tappedCluster(t, 54, nil)
+	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	extra := &testNode{t: t, id: "n6", dir: t.TempDir(), addr: "127.0.0.1:0", reg: tc.reg}
 	extra.start()

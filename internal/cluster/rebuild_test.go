@@ -91,10 +91,10 @@ func countPrefix(reqs []string, prefix string) int {
 }
 
 // tappedCluster is startClusterOpts with a shardTap under the gateway.
-func tappedCluster(t *testing.T, seed uint64, mod func(*GatewayOptions)) (*testCluster, *shardTap) {
+func tappedCluster(t *testing.T, mod func(*GatewayOptions)) (*testCluster, *shardTap) {
 	t.Helper()
 	tap := &shardTap{base: &http.Transport{DisableKeepAlives: true}}
-	tc := startClusterOpts(t, 6, 4, 2, seed, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.HTTPClient = &http.Client{Transport: tap}
 		if mod != nil {
 			mod(o)
@@ -147,7 +147,7 @@ func (tc *testCluster) counter(name string, labels ...obs.Label) uint64 {
 // blocks, trailers, data and parity alike — and it took exactly k
 // source GETs and one PUT to get there.
 func TestRepairRebuildsShardFilesExactly(t *testing.T) {
-	tc, tap := tappedCluster(t, 41, nil)
+	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	const object = "exact"
 	tc.put(ctx, object, clusterPayload(301, 200_000)) // 64 KiB stripes: three full, one padded
@@ -189,7 +189,7 @@ func TestRepairRebuildsShardFilesExactly(t *testing.T) {
 // erasure, the scan reports it as a bad header, and the repair rewrites
 // it to exactly the v3 file the put wrote.
 func TestRepairRewritesLegacyShard(t *testing.T) {
-	tc, _ := tappedCluster(t, 59, nil)
+	tc, _ := tappedCluster(t, nil)
 	ctx := context.Background()
 	const object, legacy = "legacy", 2
 	payload := clusterPayload(601, 200_000)
@@ -239,7 +239,7 @@ func TestRepairRewritesLegacyShard(t *testing.T) {
 // the rebuilt file is still exact, and the budget is charged the k
 // shard files plus only the spare's remainder.
 func TestRepairSpareOpensAtFailingBlock(t *testing.T) {
-	tc, tap := tappedCluster(t, 43, nil)
+	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	const object = "spare"
 	tc.put(ctx, object, clusterPayload(303, 250_000)) // four stripes
@@ -282,7 +282,7 @@ func TestRepairSpareOpensAtFailingBlock(t *testing.T) {
 // error names the node the spare could not be opened from — not just
 // that no spare was left.
 func TestRepairOutOfSparesSaysWhy(t *testing.T) {
-	tc, _ := tappedCluster(t, 44, nil)
+	tc, _ := tappedCluster(t, nil)
 	ctx := context.Background()
 	const object = "no-spare"
 	tc.put(ctx, object, clusterPayload(304, 250_000)) // four stripes
@@ -331,9 +331,8 @@ func TestRepairSourcesMustAgree(t *testing.T) {
 		{"fewer than k agree", 100_000, 200_000, []int{4}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, _ := tappedCluster(t, 47, func(o *GatewayOptions) {
+			c, _ := tappedCluster(t, func(o *GatewayOptions) {
 				o.WriteQuorum = 5
-				o.PutBackoff = time.Millisecond
 			})
 			ctx := context.Background()
 			const object, stale, target = "overwritten", 1, 0
@@ -397,7 +396,7 @@ func (tc *testCluster) mustGetSkipping(ctx context.Context, object string, want 
 // shard body it opened is closed, no goroutine is left behind, and no
 // node is left holding a .put-*.tmp or a half-written shard.
 func TestRepairReleasesEverything(t *testing.T) {
-	tc, tap := tappedCluster(t, 53, nil)
+	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	payload := clusterPayload(501, 1_000_000)
 	for _, object := range []string{"short", "refused", "cancelled", "fine"} {

@@ -14,7 +14,7 @@ import (
 // TestRepairQueuePriorityOrder: tasks pop lowest-redundancy first,
 // FIFO within a level, and re-enqueueing can only raise urgency.
 func TestRepairQueuePriorityOrder(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 21)
+	tc := startCluster(t, 6, 4, 2)
 	r := NewRepairer(tc.gw, nil, tc.reg)
 
 	r.enqueue(repairTask{Object: "healthy-ish", Index: 0}, 1, 0)
@@ -60,7 +60,7 @@ func TestRepairAttemptCap(t *testing.T) {
 	if repairAttempts != 5 {
 		t.Fatalf("repairAttempts = %d, want 5", repairAttempts)
 	}
-	tc := startCluster(t, 6, 4, 2, 23)
+	tc := startCluster(t, 6, 4, 2)
 	r := NewRepairer(tc.gw, nil, tc.reg)
 	ctx := context.Background()
 
@@ -99,9 +99,8 @@ func TestRepairAdoptsIntents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := startClusterOpts(t, 6, 4, 2, 29, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
-		o.PutBackoff = 2 * time.Millisecond
 		o.Intents = log
 	})
 	ctx := context.Background()
@@ -148,7 +147,7 @@ func TestRepairAdoptsIntents(t *testing.T) {
 // TestRepairBandwidthBudget: with a budget of one object per ~50ms,
 // three rebuilds must take at least ~100ms (first is free).
 func TestRepairBandwidthBudget(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 31)
+	tc := startCluster(t, 6, 4, 2)
 	ctx := context.Background()
 
 	const objSize = 50_000
@@ -190,7 +189,7 @@ func TestRepairBandwidthBudget(t *testing.T) {
 // TestScanSetsRedundancyMin: the scan publishes the lowest live-shard
 // count it saw, and prioritizes the weakest object's shards first.
 func TestScanSetsRedundancyMin(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 37)
+	tc := startCluster(t, 6, 4, 2)
 	ctx := context.Background()
 
 	const objSize = 60_000

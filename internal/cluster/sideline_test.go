@@ -364,7 +364,7 @@ func TestSidelineReadsWithoutPeers(t *testing.T) {
 // read's window, so it is neither judged nor their reference; they are
 // judged.
 func TestSidelineSkipsMidStreamSpare(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 81)
+	tc := startCluster(t, 6, 4, 2)
 	ctx := context.Background()
 	payload := clusterPayload(810, 4*64*1024) // four stripes
 	tc.put(ctx, "obj", payload)
@@ -510,7 +510,7 @@ func shardsAsked(reqs []string, waves ...int) string {
 // back of the order for exactly what it lacks. Status mapping does not
 // move: all-404 is still not-found, a mix is still not.
 func TestSidelinedMeansAskedLast(t *testing.T) {
-	tc, tap := tappedCluster(t, 61, nil)
+	tc, tap := tappedCluster(t, nil)
 	tc.gw.router.clock = vclock.NewFake() // cooldowns never end
 	ctx := context.Background()
 	payload := clusterPayload(601, 300_000)
@@ -592,7 +592,7 @@ func TestSidelinedMeansAskedLast(t *testing.T) {
 // corrupt a read may need all six shards, the two beyond k as spares,
 // whoever is cooling down.
 func TestSlowSidelinedNodeStillSpares(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 76)
+	tc := startCluster(t, 6, 4, 2)
 	tc.gw.router.clock = vclock.NewFake() // cooldowns never end
 	ctx := context.Background()
 	payload := clusterPayload(760, 200_000)
@@ -614,7 +614,7 @@ func TestSlowSidelinedNodeStillSpares(t *testing.T) {
 // were deleted from healthy nodes meet 404s on every open, and no node
 // is sidelined for it.
 func TestMissingShardsSidelineNobody(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2, 62)
+	tc := startCluster(t, 6, 4, 2)
 	ctx := context.Background()
 	payload := clusterPayload(602, 200_000)
 	tc.put(ctx, "obj", payload)
@@ -635,7 +635,7 @@ func TestMissingShardsSidelineNobody(t *testing.T) {
 // the probe that re-admits it.
 func TestSidelineSlowNode(t *testing.T) {
 	faults := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
-	tc := startClusterOpts(t, 6, 4, 2, 63, func(o *GatewayOptions) {
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.HTTPClient = &http.Client{Transport: faults}
 		o.HedgeAfter = 30 * time.Millisecond // dialga-node's default
 	})

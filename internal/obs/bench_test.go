@@ -54,14 +54,3 @@ func BenchmarkObsNilCounterAdd(b *testing.B) {
 		c.Add(1)
 	}
 }
-
-func BenchmarkObsSpan(b *testing.B) {
-	tr := NewTracer(256)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := tr.Begin(int64(i))
-		sp.Event("read", "")
-		sp.Event("emit", "")
-		sp.End()
-	}
-}

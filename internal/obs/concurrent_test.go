@@ -47,57 +47,3 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d", count, workers*iters)
 	}
 }
-
-// TestTracerConcurrent runs span producers against snapshot/JSON
-// readers; span ownership transfer and ring eviction must be clean
-// under -race.
-func TestTracerConcurrent(t *testing.T) {
-	spans := 3000
-	if raceEnabled {
-		spans = 600
-	}
-	tr := NewTracer(64)
-	done := make(chan struct{})
-	var readers sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				for _, sp := range tr.Snapshot() {
-					if len(sp.Events) != 1 || sp.Events[0].Name != "emit" {
-						t.Errorf("torn span observed: %+v", sp)
-						return
-					}
-				}
-				if err := tr.WriteJSON(io.Discard); err != nil {
-					t.Errorf("WriteJSON: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	var writers sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		writers.Add(1)
-		go func(g int) {
-			defer writers.Done()
-			for i := 0; i < spans; i++ {
-				sp := tr.Begin(int64(g*spans + i))
-				sp.Event("emit", "x")
-				sp.End()
-			}
-		}(g)
-	}
-	writers.Wait()
-	close(done)
-	readers.Wait()
-	if tr.Total() != uint64(4*spans) {
-		t.Fatalf("Total = %d, want %d", tr.Total(), 4*spans)
-	}
-}

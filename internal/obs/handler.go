@@ -15,14 +15,3 @@ func (r *Registry) Handler() http.Handler {
 		}
 	})
 }
-
-// Handler returns an http.Handler serving the tracer's span ring as
-// JSON, newest first — the /debug/trace endpoint.
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := t.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-}

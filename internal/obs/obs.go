@@ -1,15 +1,14 @@
 // Package obs is the repository's dependency-free observability
 // substrate: an atomic metrics registry (counters, gauges and
-// log-linear histograms with explicit bucket upper bounds), a
-// Prometheus-text-format exposition, and a lightweight ring-buffer
-// tracer for stripe lifecycles.
+// log-linear histograms with explicit bucket upper bounds) and its
+// Prometheus-text-format exposition.
 //
 // The paper's coordinator is driven entirely by measurement — PMU
 // sampling feeding relative-latency and useless-prefetch thresholds —
 // and the production layers (internal/stream, internal/shardio) follow
 // the same discipline at stream scale: every scheduling decision
-// (hedge, breaker trip, retry, heal) is visible as a metric or a span
-// so it can be tuned from the outside. Metrics registered here back
+// (hedge, breaker trip, heal) is visible as a metric so it can be
+// tuned from the outside. Metrics registered here back
 // stream.Stats snapshots and are served by `dialga-node` at /metrics.
 //
 // Design constraints:

@@ -3,6 +3,6 @@
 package obs
 
 // raceEnabled reports whether the race detector is active; the
-// concurrent registry/tracer hammer tests scale their workload down
-// under instrumentation (the stream package uses the same pattern).
+// concurrent registry hammer test scales its workload down under
+// instrumentation (the stream package uses the same pattern).
 const raceEnabled = true

@@ -63,10 +63,10 @@ func BenchmarkPipelineDecodeDegraded(b *testing.B) {
 }
 
 // BenchmarkStreamEncode is the instrumentation-overhead benchmark: the
-// same encode pipeline with metrics/tracing detached (each pipeline's
-// private registry, no tracer) and attached (shared registry plus span
-// tracer). CI's bench-obs job records both and checks the attached
-// variant stays within a few percent.
+// same encode pipeline with metrics detached (each pipeline's private
+// registry) and attached (one shared registry). CI's bench-obs job
+// records both and checks the attached variant stays within a few
+// percent.
 func BenchmarkStreamEncode(b *testing.B) {
 	code := mustRS(b, 8, 4)
 	payload := randBytes(b, benchPayloadMB<<20, 3)
@@ -92,7 +92,6 @@ func BenchmarkStreamEncode(b *testing.B) {
 	b.Run("stripe=1024KiB/obs=on", func(b *testing.B) {
 		opts := base
 		opts.Metrics = obs.NewRegistry()
-		opts.Trace = obs.NewTracer(obs.DefaultTraceCapacity)
 		run(b, opts)
 	})
 }

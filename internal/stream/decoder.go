@@ -5,24 +5,10 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 	"time"
 
 	"dialga/internal/shardio"
 )
-
-// statesAttr renders a stripe's per-shard dispositions as a compact
-// comma-joined attribute for trace spans, e.g. "ok,ok,slow,ok,open".
-func statesAttr(states []shardio.ShardState) string {
-	var b strings.Builder
-	for i, s := range states {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.String())
-	}
-	return b.String()
-}
 
 // Decoder is the inverse pipeline: it reads one block per stripe from
 // each of the shard readers it is given, verifies each block's CRC-32C
@@ -121,11 +107,8 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 
 	produce := func(ctx context.Context, push func(*job) bool) error {
 		for seq := int64(0); wantStripes < 0 || seq < wantStripes; seq++ {
-			span := d.g.trace.Begin(seq)
-			st, spares, err := src.gather(ctx, seq)
+			st, _, err := src.gather(ctx, seq)
 			if err != nil {
-				span.Event("error", "too few usable shard blocks")
-				span.End()
 				return err
 			}
 			j := jobs.get()
@@ -137,18 +120,6 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 					got++
 				}
 			}
-			if span != nil {
-				span.Event("read", fmt.Sprintf("got=%d states=%s", got, statesAttr(st.States)))
-				if spares > 0 {
-					span.Event("spare", fmt.Sprintf("opened=%d", spares))
-				}
-				if st.Hedged {
-					span.Event("hedge", "deadline missed; reconstructing around stragglers")
-				}
-				if st.Trips > 0 {
-					span.Event("breaker", fmt.Sprintf("trips=%d", st.Trips))
-				}
-			}
 			if got == 0 {
 				// Nothing was read: the end of the stream if the shards
 				// ended together, the end of the read if they died.
@@ -157,22 +128,17 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 				jobs.put(j)
 				switch {
 				case wantStripes >= 0:
-					span.Event("error", "shards ended early")
-					err = fmt.Errorf("stream: shards ended at stripe %d, want %d stripes", seq, wantStripes)
+					return fmt.Errorf("stream: shards ended at stripe %d, want %d stripes", seq, wantStripes)
 				case !eof:
-					span.Event("error", "all shards dead")
-					err = src.failure
-				default:
-					span.Event("eof", "")
+					return src.failure
 				}
-				span.End()
-				return err
+				return nil
 			}
 			if slices.Contains(st.States, shardio.StateCorrupt) {
 				d.stats.stripesHealed.Add(1)
 			}
 			d.stats.bytesIn.Add(uint64(got * blockSize))
-			j.seq, j.stripe, j.span = seq, st, span
+			j.seq, j.stripe = seq, st
 			if !push(j) {
 				return nil
 			}
@@ -184,7 +150,6 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 
 	remaining := size // consumer-goroutine state only; <0 means unbounded
 	deliver := func(j *job) error {
-		var wrote int64
 		for i := 0; i < k; i++ {
 			b := j.blocks[i]
 			if remaining >= 0 && int64(len(b)) > remaining {
@@ -197,15 +162,11 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 				return fmt.Errorf("stream: write output: %w", err)
 			}
 			d.stats.bytesOut.Add(uint64(len(b)))
-			wrote += int64(len(b))
 			if remaining >= 0 {
 				remaining -= int64(len(b))
 			}
 		}
 		d.stats.stripes.Add(1)
-		if j.span != nil {
-			j.span.Event("emit", fmt.Sprintf("bytes=%d", wrote))
-		}
 		return nil
 	}
 
@@ -216,7 +177,6 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 		if j.stripe != nil {
 			j.stripe.Release()
 		}
-		j.span.End()
 		jobs.put(j)
 	}
 
@@ -252,12 +212,10 @@ func (d *Decoder) processStripe(j *job) error {
 		}
 		d.stats.reconstructed.Add(1)
 		d.stats.observe(time.Since(start))
-		j.span.Event("reconstruct", "")
 	}
 	if st := j.stripe; st.Hedged && slices.Contains(st.States, shardio.StateSlow) {
 		// Decoded without at least one straggler's block.
 		d.stats.hedgeWins.Add(1)
-		j.span.Event("hedge_win", "decoded without the straggler")
 	}
 	return nil
 }

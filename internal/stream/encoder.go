@@ -124,7 +124,6 @@ func (e *Encoder) encodeStripe(j *job) error {
 		binary.LittleEndian.PutUint32(st.crc[i*crcSize:], sum)
 	}
 	e.stats.observe(time.Since(start))
-	j.span.Event("encode", "")
 	return nil
 }
 
@@ -170,7 +169,6 @@ func (e *Encoder) Encode(ctx context.Context, r io.Reader, shards []io.Writer) e
 func (e *Encoder) EncodeStripes(ctx context.Context, r io.Reader, emit func(*Stripe) error) error {
 	produce := func(ctx context.Context, push func(*job) bool) error {
 		for seq := int64(0); ; seq++ {
-			span := e.g.trace.Begin(seq)
 			st := e.lend()
 			n, err := io.ReadFull(r, st.data)
 			if n == 0 {
@@ -189,11 +187,8 @@ func (e *Encoder) EncodeStripes(ctx context.Context, r io.Reader, emit func(*Str
 				clear(st.data[n:]) // recycled buffer: scrub stale bytes into the padding
 			}
 			e.stats.bytesIn.Add(uint64(n))
-			if span != nil {
-				span.Event("read", fmt.Sprintf("bytes=%d", n))
-			}
 			j := jobs.get()
-			j.seq, j.enc, j.n, j.span = seq, st, n, span
+			j.seq, j.enc = seq, st
 			if !push(j) {
 				return nil
 			}
@@ -211,7 +206,6 @@ func (e *Encoder) EncodeStripes(ctx context.Context, r io.Reader, emit func(*Str
 		}
 		e.stats.stripes.Add(1)
 		e.stats.bytesOut.Add(uint64((e.g.k + e.g.m) * e.g.blockSize))
-		j.span.Event("emit", "")
 		return nil
 	}
 
@@ -219,7 +213,6 @@ func (e *Encoder) EncodeStripes(ctx context.Context, r io.Reader, emit func(*Str
 		if j.enc != nil {
 			j.enc.Release()
 		}
-		j.span.End()
 		jobs.put(j)
 	}
 

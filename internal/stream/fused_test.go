@@ -90,7 +90,6 @@ func TestEncodeStripeAllocs(t *testing.T) {
 	j := jobs.get()
 	j.enc = enc.lend()
 	copy(j.enc.data, input)
-	j.n = enc.g.stripeSize
 	if err := enc.encodeStripe(j); err != nil { // warm codec plan
 		t.Fatal(err)
 	}

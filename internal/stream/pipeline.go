@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"dialga/internal/obs"
 	"dialga/internal/shardio"
 )
 
@@ -32,7 +31,6 @@ type job struct {
 	err   error         // sticky per-job failure, set before ready is signalled
 
 	enc    *Stripe         // encoder: the stripe being encoded; nil once lent to the consumer
-	n      int             // encoder: valid payload bytes in enc.data (tail stripe may be short)
 	buf    []byte          // rebuilder: the rebuilt block, trailer inline, from the allocator
 	blocks [][]byte        // decoder: k+m full block slices, nil for missing shards
 	stripe *shardio.Stripe // decoder: gather result backing blocks; released with the job
@@ -42,12 +40,6 @@ type job struct {
 	pviews [][]byte // encoder: m parity shard views into enc.parity
 	sums   []uint32 // encoder: k+m fused CRC sums
 	eras   []int    // decoder: indices handed spare output buffers from the allocator
-
-	// span is the stripe's lifecycle trace (nil when tracing is off).
-	// It rides the same producer -> worker -> consumer handoffs as the
-	// rest of the job, so event appends never race; release publishes
-	// it to the tracer's ring.
-	span *obs.Span
 }
 
 // jobPool recycles jobs across stripes and pipelines. get returns a job
@@ -68,7 +60,7 @@ func (jp *jobPool) get() *job {
 }
 
 func (jp *jobPool) put(j *job) {
-	j.seq, j.err, j.n = 0, nil, 0
+	j.seq, j.err = 0, nil
 	j.enc, j.buf = nil, nil
 	clear(j.blocks) // the views must not pin buffers the allocator drops
 	clear(j.dviews)
@@ -76,7 +68,7 @@ func (jp *jobPool) put(j *job) {
 	j.blocks = j.blocks[:0]
 	j.dviews, j.pviews = j.dviews[:0], j.pviews[:0]
 	j.eras = j.eras[:0]
-	j.stripe, j.span = nil, nil
+	j.stripe = nil
 	jp.p.Put(j)
 }
 

@@ -99,19 +99,13 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 
 	produce := func(ctx context.Context, push func(*job) bool) error {
 		for seq := int64(0); seq < stripes; seq++ {
-			span := rb.g.trace.Begin(seq)
 			st, spares, err := src.gather(ctx, seq)
 			if err == nil && !slices.ContainsFunc(st.Blocks, func(b []byte) bool { return b != nil }) {
 				st.Release()
 				err = fmt.Errorf("stream: rebuild stripe %d: every source ended: %w", seq, ErrTooManyCorrupt)
 			}
 			if err != nil {
-				span.Event("error", "too few usable source blocks")
-				span.End()
 				return err
-			}
-			if span != nil {
-				span.Event("read", fmt.Sprintf("spares=%d states=%s", spares, statesAttr(st.States)))
 			}
 			if spares > 0 {
 				rb.stats.stripesHealed.Add(1)
@@ -127,7 +121,7 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 				}
 			}
 			rb.stats.bytesIn.Add(uint64(got * blockSize))
-			j.seq, j.stripe, j.span = seq, st, span
+			j.seq, j.stripe = seq, st
 			if !push(j) {
 				return nil
 			}
@@ -145,7 +139,6 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 		binary.LittleEndian.PutUint32(j.buf[shardSize:], sum)
 		rb.stats.reconstructed.Add(1)
 		rb.stats.observe(time.Since(start))
-		j.span.Event("rebuild", "")
 		return nil
 	}
 
@@ -155,7 +148,6 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 		}
 		rb.stats.stripes.Add(1)
 		rb.stats.bytesOut.Add(uint64(blockSize))
-		j.span.Event("emit", "")
 		return nil
 	}
 
@@ -164,7 +156,6 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 			shardio.PutBuffer(j.buf)
 		}
 		j.stripe.Release()
-		j.span.End()
 		jobs.put(j)
 	}
 

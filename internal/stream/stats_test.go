@@ -153,7 +153,7 @@ func TestLatencyHistogramBounds(t *testing.T) {
 
 // TestStatsAndExposeConcurrentWithDecode hammers both snapshot paths —
 // Stats() and the registry's Prometheus exposition — from separate
-// goroutines while a traced, hedge-capable decode mutates every series
+// goroutines while a hedge-capable decode mutates every series
 // underneath them. Run under -race (see race_on_test.go) this is the
 // registry-vs-pipeline race test; in any mode it checks the exposition
 // stays parseable and the final counters land exactly.
@@ -164,10 +164,9 @@ func TestStatsAndExposeConcurrentWithDecode(t *testing.T) {
 	}
 	code := mustRS(t, 4, 2)
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(64)
 	opts := Options{
 		Codec: code, StripeSize: 4 * 64, Workers: 4,
-		Metrics: reg, Trace: tr,
+		Metrics: reg,
 	}
 	payload := randBytes(t, stripes*4*64, 7)
 	shards := encodeAll(t, Options{Codec: code, StripeSize: 4 * 64, Workers: 4}, payload)
@@ -195,7 +194,6 @@ func TestStatsAndExposeConcurrentWithDecode(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = tr.Snapshot()
 				select {
 				case <-done:
 					return

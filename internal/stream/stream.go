@@ -142,13 +142,6 @@ type Options struct {
 	// Pipelines sharing a registry accumulate into the same series.
 	Metrics *obs.Registry
 
-	// Trace, when non-nil, records a lifecycle span per stripe (read →
-	// reconstruct → emit on decode, read → encode → emit on encode,
-	// annotated with spare/hedge/breaker decisions) into the
-	// tracer's ring buffer (obs.Tracer.Handler serves it as JSON). Nil
-	// disables tracing at zero cost.
-	Trace *obs.Tracer
-
 	// Clock, when non-nil, replaces the wall clock for every
 	// time-driven decision (hedge deadlines, breaker cooldowns, latency
 	// stamps) — the determinism seam tests use. Nil means time.Now.
@@ -166,7 +159,6 @@ type geom struct {
 	straggler  shardio.Options // validated shard-I/O scheduling config (decoder)
 	closeRead  bool            // close closable shard readers when Decode returns
 	metrics    *obs.Registry   // nil: each pipeline gets a private registry
-	trace      *obs.Tracer     // nil: tracing off
 	clock      vclock.Clock    // nil: wall clock
 }
 
@@ -218,7 +210,6 @@ func (o Options) geometry() (geom, error) {
 		straggler:  straggler,
 		closeRead:  o.CloseReaders,
 		metrics:    o.Metrics,
-		trace:      o.Trace,
 		clock:      o.Clock,
 	}, nil
 }
