@@ -17,7 +17,7 @@ import (
 	"dialga/internal/fault"
 	"dialga/internal/node"
 	"dialga/internal/obs"
-	"dialga/internal/shardio"
+	"dialga/internal/stream"
 )
 
 // TestGetSourcesMustAgree overwrites an object with one of a different
@@ -341,19 +341,19 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // checkIdleBudget asserts what every pipeline's buffers come to once
-// they are back: at most shardio.IdleBudget bytes idle, in lists that
+// they are back: at most stream.IdleBudget bytes idle, in lists that
 // are not empty.
 func checkIdleBudget(t *testing.T) {
 	t.Helper()
 	held := 0
-	for size, n := range shardio.IdleBuffers() {
+	for size, n := range stream.IdleBuffers() {
 		if n == 0 {
 			t.Fatalf("an empty list of %d-byte buffers was left behind", size)
 		}
 		held += size * n
 	}
-	if held > shardio.IdleBudget {
-		t.Fatalf("%d bytes idle, over the %d-byte budget", held, shardio.IdleBudget)
+	if held > stream.IdleBudget {
+		t.Fatalf("%d bytes idle, over the %d-byte budget", held, stream.IdleBudget)
 	}
 }
 
@@ -405,7 +405,7 @@ func TestConcurrentGetsShareAllocator(t *testing.T) {
 	wg.Wait()
 
 	block := shardSizeFor(tc.gw.rungs, int64(len(payloads[0])), 4) + 4
-	if shardio.IdleBuffers()[block] == 0 {
+	if stream.IdleBuffers()[block] == 0 {
 		t.Fatalf("no %d-byte block idle after 48 reads released theirs", block)
 	}
 	checkIdleBudget(t)
@@ -418,12 +418,12 @@ func objectName(i int) string { return "shared-" + string(rune('a'+i)) }
 // at every rung of dialga-node's default ladder — the top one with an
 // object whose stripes alone pass the budget — and at 28 shard sizes
 // no gateway of this geometry writes, as stored headers may name, leave
-// at most shardio.IdleBudget bytes idle, and no empty list behind.
+// at most stream.IdleBudget bytes idle, and no empty list behind.
 func TestIdleBudgetHoldsAcrossRungs(t *testing.T) {
 	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) { o.StripeSize = 1 << 20 })
 	ctx := context.Background()
 	top := tc.gw.rungs[len(tc.gw.rungs)-1]
-	payload := clusterPayload(730, shardio.IdleBudget*3/4) // 1.5× the budget in stripes
+	payload := clusterPayload(730, stream.IdleBudget*3/4) // 1.5× the budget in stripes
 	rep := NewRepairer(tc.gw, nil, tc.reg)
 	exercise := func(object string, want []byte, idx int) {
 		t.Helper()
@@ -497,9 +497,9 @@ func TestHeapDoesNotClimb(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%(gets/4) == 0 {
-			if now := heap(); now > base+shardio.IdleBudget+slack {
+			if now := heap(); now > base+stream.IdleBudget+slack {
 				t.Fatalf("after %d GETs the heap is %d MiB, from %d MiB: over the %d MiB budget plus %d MiB slack",
-					i, now>>20, base>>20, shardio.IdleBudget>>20, slack>>20)
+					i, now>>20, base>>20, stream.IdleBudget>>20, slack>>20)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
-	"dialga/internal/shardio"
+	"dialga/internal/stream"
 	"dialga/internal/vclock"
 )
 
@@ -20,9 +20,9 @@ import (
 // relative, as the paper's is, against a reference taken under the
 // sample's own conditions: the bodies one read opens at its window are
 // judged together when the last closes, each late past
-// shardio.LateAfter of the others — so a fleet slow together sidelines
+// stream.LateAfter of the others — so a fleet slow together sidelines
 // nobody, and a one-block range read meets only one-block peers. What
-// lateness does is shardio.Breaker's rule: a run of late samples (or
+// lateness does is stream.Breaker's rule: a run of late samples (or
 // failed opens) sidelines the node for a cooldown that doubles per
 // consecutive trip, one on-time sample resets the run, and after the
 // cooldown its next verdict is its probe. Sidelined means asked last,
@@ -41,8 +41,8 @@ type sideliner struct {
 
 // nodeReads is what the sideliner knows about one node.
 type nodeReads struct {
-	gate    shardio.Breaker // tripped: the node is sidelined
-	failing bool            // the last verdict was a failed open
+	gate    stream.Breaker // tripped: the node is sidelined
+	failing bool           // the last verdict was a failed open
 
 	sidelinedG         *obs.Gauge
 	lateC, tripsC      *obs.Counter
@@ -88,7 +88,7 @@ type sample struct {
 }
 
 // judge gives each sample of one read its verdict: late past
-// shardio.LateAfter of the read's other samples. A lone sample has no
+// stream.LateAfter of the read's other samples. A lone sample has no
 // reference and gets none.
 func (s *sideliner) judge(read []sample) {
 	us := make([]float64, len(read))
@@ -96,7 +96,7 @@ func (s *sideliner) judge(read []sample) {
 		us[i] = float64(smp.d) / float64(time.Microsecond)
 	}
 	for i, smp := range read {
-		if after, ok := shardio.LateAfter(slices.Concat(us[:i], us[i+1:])); ok {
+		if after, ok := stream.LateAfter(slices.Concat(us[:i], us[i+1:])); ok {
 			s.verdict(smp.id, smp.d > after, false)
 		}
 	}

@@ -24,8 +24,8 @@ const (
 	slowRead = 5 * time.Millisecond
 )
 
-// shardio.Breaker's numbers, restated: the gate's own rules are pinned
-// by its table in internal/shardio; these tests pin that the sideliner
+// stream.Breaker's numbers, restated: the gate's own rules are pinned
+// by its table in internal/stream; these tests pin that the sideliner
 // feeds it, acts on it and reports it.
 const (
 	lateRun       = 5                      // late samples in a row that sideline a node

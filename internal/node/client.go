@@ -52,7 +52,7 @@ type NetError struct{ Err error }
 
 func (e *NetError) Error() string { return "node: " + e.Err.Error() }
 
-// Transient marks the failure as momentary (the shardio convention).
+// Transient marks the failure as momentary, for the func Transient below.
 func (e *NetError) Transient() bool { return true }
 
 func (e *NetError) Unwrap() error { return e.Err }

@@ -5,7 +5,7 @@
 //
 // The paper's coordinator is driven entirely by measurement — PMU
 // sampling feeding relative-latency and useless-prefetch thresholds —
-// and the production layers (internal/stream, internal/shardio) follow
+// and the production layers (internal/stream, internal/cluster) follow
 // the same discipline at stream scale: every scheduling decision
 // (hedge, breaker trip, heal) is visible as a metric so it can be
 // tuned from the outside. Metrics registered here back

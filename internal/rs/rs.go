@@ -379,16 +379,3 @@ func (c *Code) RebuildSum(blocks [][]byte, want int, dst []byte) (uint32, error)
 	sc.release()
 	return sum, nil
 }
-
-// DecodeMatrix returns the k x k matrix that reconstructs the original
-// data blocks from the survivor blocks listed in survivors (stripe
-// indices, exactly k of them). This is the matrix an ISA-L style decoder
-// feeds to the same table-lookup kernel as encoding, which is why decode
-// shares encode's memory-access pattern (§4.1 "Other Coding Tasks").
-func (c *Code) DecodeMatrix(survivors []int) (*ecmatrix.Matrix, error) {
-	if len(survivors) != c.k {
-		return nil, fmt.Errorf("%w: need exactly k=%d survivors", ErrBlockCount, c.k)
-	}
-	sub := c.gen.SubMatrix(survivors)
-	return sub.Invert()
-}

@@ -183,58 +183,6 @@ func TestReconstructDataOnly(t *testing.T) {
 	}
 }
 
-func TestDecodeMatrix(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	c, _ := New(5, 3)
-	data := randBlocks(r, 5, 96)
-	parity, _ := c.EncodeAppend(data)
-	full := append(append([][]byte{}, data...), parity...)
-	// Survive on blocks {1,3,5,6,7}: two data lost.
-	surv := []int{1, 3, 5, 6, 7}
-	dm, err := c.DecodeMatrix(surv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := make([][]byte, 5)
-	for i, s := range surv {
-		srcs[i] = full[s]
-	}
-	for d := 0; d < 5; d++ {
-		out := make([]byte, 96)
-		for i := range out {
-			var acc byte
-			for j := 0; j < 5; j++ {
-				acc ^= mulByte(dm.At(d, j), srcs[j][i])
-			}
-			out[i] = acc
-		}
-		if !bytes.Equal(out, data[d]) {
-			t.Fatalf("decode matrix wrong for data block %d", d)
-		}
-	}
-	if _, err := c.DecodeMatrix([]int{0, 1}); err == nil {
-		t.Fatal("short survivor list accepted")
-	}
-}
-
-func mulByte(a, b byte) byte {
-	// tiny local reference using the package's own GF via Encode of a
-	// 1-byte block would be circular; reimplement carry-less multiply.
-	var p uint16
-	ua, ub := uint16(a), uint16(b)
-	for i := 0; i < 8; i++ {
-		if ub&1 != 0 {
-			p ^= ua
-		}
-		ub >>= 1
-		ua <<= 1
-		if ua&0x100 != 0 {
-			ua ^= 0x11d
-		}
-	}
-	return byte(p)
-}
-
 func TestM0Rejected(t *testing.T) {
 	if _, err := New(4, 0); err == nil {
 		t.Fatal("m=0 accepted; parity-less codes are not erasure codes")

@@ -1,4 +1,4 @@
-package shardio
+package stream
 
 import (
 	"bytes"
@@ -8,30 +8,32 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dialga/internal/vclock"
 )
 
-// gatherStripes runs count Next/Release cycles and reports how many of
+// gatherStripes runs count next/release cycles and reports how many of
 // them hedged.
-func gatherStripes(t testing.TB, g *Group, count int) int {
+func gatherStripes(t testing.TB, g *group, count int) int {
 	t.Helper()
 	hedged := 0
 	for i := 0; i < count; i++ {
-		st, err := g.Next(context.Background())
+		st, err := g.next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Hedged {
 			hedged++
 		}
-		st.Release()
+		st.release()
 	}
 	return hedged
 }
 
-// TestGatherAllocsSteadyState: once pools and EWMAs are warm, a
-// healthy all-shards-on-time gather cycle must not allocate — stripes
-// come from the group pool, blocks from the free list, and the
-// deadline math runs on group-owned scratch.
+// TestGatherAllocsSteadyState: once pools are warm, a healthy
+// all-shards-on-time gather cycle must not allocate — stripes come from
+// the group pool, blocks from the free list, and the deadline is judged
+// on the latencies the pooled stripe keeps.
 func TestGatherAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -42,8 +44,8 @@ func TestGatherAllocsSteadyState(t *testing.T) {
 	for i := range readers {
 		readers[i] = bytes.NewReader(shards[i])
 	}
-	g := newTestGroup(t, readers, Options{HedgeAfter: time.Second})
-	gatherStripes(t, g, 20) // warm pools, EWMAs, and goroutine timers
+	g := newTestGroup(t, readers, geom{hedgeAfter: time.Second})
+	gatherStripes(t, g, 20) // warm pools and goroutine timers
 	if a := testing.AllocsPerRun(40, func() {
 		gatherStripes(t, g, 1)
 	}); a != 0 {
@@ -53,36 +55,137 @@ func TestGatherAllocsSteadyState(t *testing.T) {
 
 // TestGatherAllocsHedged: the hedged path — deadline timer, abandon,
 // late-block recycling, stale-result rejoin — must be equally allocation
-// free. A straggler that is slow on every other read hedges again and
-// again without ever stringing together the run that would trip its
-// breaker and take it out of play.
+// free. Every read waits on its gate, so the test, not the scheduler,
+// decides which block lands when, and only the test moves the clock;
+// the driver opens only the gate of a shard whose read is waiting on
+// it. Two shards keep time and two straggle, and stripes alternate. In
+// a hedged one the prompt shards' two blocks land, which judges the
+// stripe — as many blocks in hand as reads still out — and the clock
+// is moved past the deadline it arms, so both stragglers are hedged
+// with their reads held. In the next each held block lands mid-gather,
+// late, and is recycled; its straggler rejoins and reads that stripe's
+// block in time, so its misses never run together into a breaker trip.
 func TestGatherAllocsHedged(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	const n, stripes = 4, 400
+	prompt, stragglers := []int{0, 1}, []int{2, 3}
 	shards := mkShards(n, stripes)
+	gates := make([]chan struct{}, n)
 	readers := make([]io.Reader, n)
 	for i := range readers {
-		// Pace the healthy shards so stripes take long enough for the
-		// straggler's stale results to land mid-gather and re-admit it —
-		// otherwise it stays outstanding and later stripes never hedge.
-		// Delays sit well above sleep granularity (~1ms) so the EWMA
-		// split between healthy and straggler is real.
-		readers[i] = &slowReader{r: bytes.NewReader(shards[i]), delay: time.Millisecond, slowReads: -1}
+		gates[i] = make(chan struct{})
+		readers[i] = &gated{r: bytes.NewReader(shards[i]), gate: gates[i]}
 	}
-	readers[2] = &slowReader{r: bytes.NewReader(shards[2]), delay: 8 * time.Millisecond, slowReads: -1, every: 2}
-	g := newTestGroup(t, readers, Options{HedgeAfter: 500 * time.Microsecond})
-	gatherStripes(t, g, 20)
-	hedged := 0
-	if a := testing.AllocsPerRun(60, func() {
+	clock := &armSignal{Fake: vclock.NewFake(), armed: make(chan time.Duration, 16)}
+	g := newTestGroup(t, readers, geom{hedgeAfter: 500 * time.Microsecond, clock: clock})
+	begin, driven := make(chan bool), make(chan struct{})
+	go func() {
+		defer close(driven)
+		for hedge := range begin {
+			if hedge {
+				clock.drain() // the last stripe's arms
+				for _, i := range prompt {
+					gates[i] <- struct{}{}
+				}
+				for d := range clock.armed {
+					if d < maxDeadline { // judged, not the cap
+						break
+					}
+				}
+				clock.Advance(maxDeadline)
+				continue
+			}
+			// Each held block, stale, then the rejoined read's, in time;
+			// the prompt shards' reads hold the gather open till then.
+			for _, i := range stragglers {
+				gates[i] <- struct{}{}
+				gates[i] <- struct{}{}
+			}
+			for _, i := range prompt {
+				gates[i] <- struct{}{}
+			}
+		}
+	}()
+	// Cleanups run last-registered first: this one before the group's
+	// close, so no read is left waiting on a gate.
+	t.Cleanup(func() {
+		close(begin)
+		<-driven
+		for _, gate := range gates {
+			close(gate)
+		}
+	})
+
+	hedge, hedged := false, 0
+	stripe := func() {
+		hedge = !hedge
+		begin <- hedge
 		hedged += gatherStripes(t, g, 1)
-	}); a != 0 {
+	}
+	for i := 0; i < 20; i++ {
+		stripe()
+	}
+	hedged = 0
+	if a := testing.AllocsPerRun(60, stripe); a != 0 {
 		t.Errorf("hedged gather allocates %.1f per stripe, want 0", a)
 	}
 	if hedged == 0 {
 		t.Error("no stripe hedged; the straggler scenario did not engage")
 	}
+}
+
+// gated is a shard reader whose every Read first waits for the test to
+// send on gate.
+type gated struct {
+	r    io.Reader
+	gate chan struct{}
+}
+
+func (g *gated) Read(p []byte) (int, error) {
+	<-g.gate
+	return g.r.Read(p)
+}
+
+// armSignal is a fake clock that reports on armed, without blocking,
+// how long each timer armed on it, by NewTimer or by Reset, is set for.
+type armSignal struct {
+	*vclock.Fake
+	armed chan time.Duration
+}
+
+func (c *armSignal) signal(d time.Duration) {
+	select {
+	case c.armed <- d:
+	default:
+	}
+}
+
+// drain discards the arms reported so far.
+func (c *armSignal) drain() {
+	for {
+		select {
+		case <-c.armed:
+		default:
+			return
+		}
+	}
+}
+
+func (c *armSignal) NewTimer(d time.Duration) vclock.Timer {
+	defer c.signal(d)
+	return armTimer{c.Fake.NewTimer(d), c}
+}
+
+type armTimer struct {
+	vclock.Timer
+	c *armSignal
+}
+
+func (t armTimer) Reset(d time.Duration) {
+	t.Timer.Reset(d)
+	t.c.signal(d)
 }
 
 // drainBuffers empties the allocator, so a test starts with nothing
@@ -126,17 +229,17 @@ func checkBuffers(t testing.TB) {
 // allocate.
 func TestAllocatorRecyclesReslices(t *testing.T) {
 	drainBuffers()
-	b := GetBuffer(64)
+	b := getBuffer(64)
 	if len(b) != 64 {
 		t.Fatalf("got %d bytes, want 64", len(b))
 	}
-	PutBuffer(b[:10])
-	PutBuffer(make([]byte, 3))
-	got := GetBuffer(64)
+	putBuffer(b[:10])
+	putBuffer(make([]byte, 3))
+	got := getBuffer(64)
 	if len(got) != 64 || &got[0] != &b[0] {
 		t.Fatal("the resliced buffer was not handed out again whole")
 	}
-	if other := GetBuffer(3); len(other) != 3 {
+	if other := getBuffer(3); len(other) != 3 {
 		t.Fatalf("got %d bytes, want 3", len(other))
 	}
 	checkBuffers(t)
@@ -144,7 +247,7 @@ func TestAllocatorRecyclesReslices(t *testing.T) {
 		return // the race detector's instrumentation allocates
 	}
 	if a := testing.AllocsPerRun(200, func() {
-		PutBuffer(GetBuffer(64)[:1])
+		putBuffer(getBuffer(64)[:1])
 	}); a != 0 {
 		t.Fatalf("a get/put cycle allocates %.1f, want 0", a)
 	}
@@ -159,29 +262,29 @@ func TestAllocatorBudget(t *testing.T) {
 	const big, small = IdleBudget / 4, 4 << 10
 	var bigs [][]byte
 	for i := 0; i < 4; i++ {
-		bigs = append(bigs, GetBuffer(big))
+		bigs = append(bigs, getBuffer(big))
 	}
 	for _, b := range bigs {
-		PutBuffer(b) // the budget, exactly
+		putBuffer(b) // the budget, exactly
 	}
-	PutBuffer(GetBuffer(small)) // pushes out the first big buffer returned
+	putBuffer(getBuffer(small)) // pushes out the first big buffer returned
 	if idle := IdleBuffers(); idle[big] != 3 || idle[small] != 1 {
 		t.Fatalf("idle %v, want 3 big and 1 small", idle)
 	}
-	if b := GetBuffer(big); &b[0] != &bigs[3][0] {
+	if b := getBuffer(big); &b[0] != &bigs[3][0] {
 		t.Fatal("not the most recently returned big buffer")
 	} else {
-		PutBuffer(b)
+		putBuffer(b)
 	}
-	PutBuffer(make([]byte, IdleBudget+1))
+	putBuffer(make([]byte, IdleBudget+1))
 	if idle := IdleBuffers(); idle[IdleBudget+1] != 0 {
 		t.Fatal("a buffer larger than the budget was pooled")
 	}
 	checkBuffers(t)
 
-	GetBuffer(small)
+	getBuffer(small)
 	for i := 0; i < 3; i++ {
-		GetBuffer(big)
+		getBuffer(big)
 	}
 	if idle := IdleBuffers(); len(idle) != 0 {
 		t.Fatalf("idle %v after taking every buffer, want nothing", idle)
@@ -201,10 +304,10 @@ func TestAllocatorShiftsToTheWorkload(t *testing.T) {
 	smallStripe, smallBlock := (k+m)*(16<<10+4), 16<<10+4
 	var preload [][]byte
 	for i := 0; i <= IdleBudget/topStripe; i++ {
-		preload = append(preload, GetBuffer(topStripe))
+		preload = append(preload, getBuffer(topStripe))
 	}
 	for _, b := range preload {
-		PutBuffer(b) // one more than fits: the budget is full
+		putBuffer(b) // one more than fits: the budget is full
 	}
 	full := IdleBuffers()[topStripe]
 	working := puts*smallStripe + gets*(k+1)*smallBlock // a stripe a put; k blocks and a spare a GET
@@ -216,13 +319,13 @@ func TestAllocatorShiftsToTheWorkload(t *testing.T) {
 	hold := make([][]byte, 0, puts+gets*(k+1))
 	cycle := func() {
 		for i := 0; i < puts; i++ {
-			hold = append(hold, GetBuffer(smallStripe))
+			hold = append(hold, getBuffer(smallStripe))
 		}
 		for i := 0; i < gets*(k+1); i++ {
-			hold = append(hold, GetBuffer(smallBlock))
+			hold = append(hold, getBuffer(smallBlock))
 		}
 		for _, b := range hold {
-			PutBuffer(b)
+			putBuffer(b)
 		}
 		hold = hold[:0]
 	}
@@ -254,7 +357,7 @@ func TestAllocatorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				size := sizes[(w+i)%len(sizes)]
-				b := GetBuffer(size)
+				b := getBuffer(size)
 				if len(b) != size {
 					t.Errorf("got %d bytes, want %d", len(b), size)
 					return
@@ -265,7 +368,7 @@ func TestAllocatorConcurrent(t *testing.T) {
 					t.Error("a buffer was handed to two goroutines at once")
 					return
 				}
-				PutBuffer(b[:i%size])
+				putBuffer(b[:i%size])
 			}
 		}(w)
 	}

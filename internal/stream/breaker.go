@@ -1,4 +1,4 @@
-package shardio
+package stream
 
 import (
 	"slices"
@@ -6,16 +6,16 @@ import (
 )
 
 // The relative rule, as this tree applies it to a source that reads
-// behind its reference — a shard within one stream (Group), a node
-// against the other nodes of each read (the cluster gateway's
-// sideliner): act on a ratio, on sustained evidence, and back off with
-// hysteresis. Like the paper's
-// thresholds these are constants, not knobs.
+// behind its reference — a shard against the other blocks of its
+// stripe (group), a node against the other nodes of each read (the
+// cluster gateway's sideliner): act on a ratio, on sustained evidence,
+// and back off with hysteresis. Like the paper's thresholds these are
+// constants, not knobs.
 const (
 	// lateMult is the ratio: a read is late once it takes longer than
 	// lateMult times the median of the reads it is judged against.
 	lateMult = 3.0
-	// maxDeadline caps a Group's per-stripe deadline, and with it how
+	// maxDeadline caps a group's per-stripe deadline, and with it how
 	// long a tripped source sits out: never longer than the worst wait
 	// the group itself would tolerate.
 	maxDeadline = 15 * time.Second
@@ -28,10 +28,10 @@ const (
 )
 
 // LateAfter returns the latency past which a sample is late: lateMult
-// times the median of refs, the latencies in microseconds (averages,
-// EWMA.Micros, or single samples) of the sources the sample is judged
-// against. Which sources those are is the caller's rule. refs is sorted in place; ok is
-// false when it is empty, and then nothing is late.
+// times the median of refs, the latencies in microseconds of the reads
+// the sample is judged against. Which reads those are is the caller's
+// rule. refs is sorted in place; ok is false when it is empty, and then
+// nothing is late.
 func LateAfter(refs []float64) (d time.Duration, ok bool) {
 	if len(refs) == 0 {
 		return 0, false

@@ -1,4 +1,4 @@
-package shardio
+package stream
 
 import (
 	"bytes"
@@ -35,10 +35,10 @@ func TestBreaker(t *testing.T) {
 		name  string
 		steps []step
 	}{
-		{"a run one short of the threshold, broken by one on-time sample, trips nothing", []step{
+		{"a run one short of the threshold, then on time, trips nothing", []step{
 			lates(n - 1), {late: false}, lates(n - 1),
 		}},
-		{"the threshold-th late sample in a row trips for the base cooldown", trip},
+		{"the threshold-th late sample in a row trips the base cooldown", trip},
 		{"samples inside the cooldown change nothing", append(trip[:2:2],
 			step{at: cd / 2, late: true, trips: 1, coolingFor: cd / 2, repeat: 3 * n},
 			step{at: cd - 1, late: false, trips: 1, coolingFor: 1},
@@ -150,7 +150,7 @@ func TestLateAfter(t *testing.T) {
 	}
 }
 
-// TestGroupMetricsRegistered checks the Options.Metrics wiring: a
+// TestGroupMetricsRegistered checks the geom.metrics wiring: a
 // group publishes its three group-wide series into the registry, none
 // of them per shard, and a plain gather updates the deadline gauge.
 func TestGroupMetricsRegistered(t *testing.T) {
@@ -161,13 +161,13 @@ func TestGroupMetricsRegistered(t *testing.T) {
 		readers[i] = bytes.NewReader(shards[i])
 	}
 	reg := obs.NewRegistry()
-	g := newTestGroup(t, readers, Options{HedgeAfter: time.Second, Metrics: reg})
+	g := newTestGroup(t, readers, geom{hedgeAfter: time.Second, metrics: reg})
 	for s := 0; s < stripes; s++ {
-		st, err := g.Next(context.Background())
+		st, err := g.next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Release()
+		st.release()
 	}
 	if got := reg.Gauge("shardio_deadline_us", "").Value(); got != float64(time.Second/time.Microsecond) {
 		t.Fatalf("shardio_deadline_us = %v, want the 1 s HedgeAfter floor", got)

@@ -6,8 +6,6 @@ import (
 	"io"
 	"slices"
 	"time"
-
-	"dialga/internal/shardio"
 )
 
 // Decoder is the inverse pipeline: it reads one block per stripe from
@@ -16,9 +14,9 @@ import (
 // straggling shards (up to m per stripe), and writes the recovered data
 // payload to a single writer in stripe order.
 //
-// Shard reads are scheduled by an internal/shardio.Group: one goroutine
-// per shard owns its reader, so a slow shard blocks only itself, and
-// a shard whose read fails is never read again.
+// Shard reads are scheduled by a group (see the package doc): one
+// goroutine per shard owns its reader, so a slow shard blocks only
+// itself, and a shard whose read fails is never read again.
 //
 // Shards degrade at four severities:
 //
@@ -30,12 +28,12 @@ import (
 //     erasure for that stripe only — the shard stays live and may
 //     serve the next stripe.
 //   - slow: with Options.HedgeAfter set, a live shard that missed the
-//     stripe's adaptive deadline. With k blocks in hand the stripe
-//     proceeds to reconstruction immediately (a hedged degraded read)
-//     while the slow read continues in the background; its block, when
-//     it lands, is recycled. A shard that stays slow trips its circuit
-//     breaker and is skipped entirely until a half-open probe readmits
-//     it.
+//     stripe's deadline, judged against the stripe's other blocks.
+//     With k blocks in hand the stripe proceeds to reconstruction
+//     immediately (a hedged degraded read) while the slow read
+//     continues in the background; its block, when it lands, is
+//     recycled. A shard that stays slow trips its circuit breaker and
+//     is skipped entirely until a half-open probe readmits it.
 //
 // A stripe left with fewer than k good blocks takes a spare from the
 // read's SpareFunc (DecodeRange), or else waits for the live shards it
@@ -45,7 +43,7 @@ import (
 //
 // A Decoder is safe for concurrent use by multiple goroutines: every
 // Decode call builds its own shard scheduler and pipeline. It holds no
-// buffers: shard blocks and reconstruct outputs come from the shardio
+// buffers: shard blocks and reconstruct outputs come from the package's
 // allocator, which outlives every pipeline, so the blocks a finished
 // read returns are the blocks the next one reads into whether or not
 // the two share a Decoder — building one per read costs a few
@@ -64,19 +62,9 @@ func NewDecoder(opts Options) (*Decoder, error) {
 	return &Decoder{g: g, stats: newCounters(g.metrics, "decode")}, nil
 }
 
-// StripeSize returns the data payload per stripe.
-func (d *Decoder) StripeSize() int { return d.g.stripeSize }
-
 // ShardSize returns the data bytes per shard per stripe, excluding
 // the checksum trailer.
 func (d *Decoder) ShardSize() int { return d.g.shardSize }
-
-// BlockSize returns the bytes consumed from each shard reader per
-// stripe: ShardSize plus the checksum trailer.
-func (d *Decoder) BlockSize() int { return d.g.blockSize }
-
-// Shards returns the total shard count k+m.
-func (d *Decoder) Shards() int { return d.g.k + d.g.m }
 
 // Stats returns a snapshot of the pipeline counters.
 func (d *Decoder) Stats() Stats { return d.stats.snapshot() }
@@ -123,8 +111,8 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 			if got == 0 {
 				// Nothing was read: the end of the stream if the shards
 				// ended together, the end of the read if they died.
-				eof := slices.Contains(st.States, shardio.StateEOF)
-				st.Release()
+				eof := slices.Contains(st.States, stateEOF)
+				st.release()
 				jobs.put(j)
 				switch {
 				case wantStripes >= 0:
@@ -134,7 +122,7 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 				}
 				return nil
 			}
-			if slices.Contains(st.States, shardio.StateCorrupt) {
+			if slices.Contains(st.States, stateCorrupt) {
 				d.stats.stripesHealed.Add(1)
 			}
 			d.stats.bytesIn.Add(uint64(got * blockSize))
@@ -172,10 +160,10 @@ func (d *Decoder) decode(ctx context.Context, shards []io.Reader, w io.Writer, s
 
 	release := func(j *job) {
 		for _, i := range j.eras {
-			shardio.PutBuffer(j.blocks[i])
+			putBuffer(j.blocks[i])
 		}
 		if j.stripe != nil {
-			j.stripe.Release()
+			j.stripe.release()
 		}
 		jobs.put(j)
 	}
@@ -201,7 +189,7 @@ func (d *Decoder) processStripe(j *job) error {
 	// release returns them after delivery.
 	for i := 0; i < k; i++ {
 		if j.blocks[i] == nil {
-			j.blocks[i] = shardio.GetBuffer(d.g.blockSize)[:0]
+			j.blocks[i] = getBuffer(d.g.blockSize)[:0]
 			j.eras = append(j.eras, i)
 		}
 	}
@@ -213,7 +201,7 @@ func (d *Decoder) processStripe(j *job) error {
 		d.stats.reconstructed.Add(1)
 		d.stats.observe(time.Since(start))
 	}
-	if st := j.stripe; st.Hedged && slices.Contains(st.States, shardio.StateSlow) {
+	if st := j.stripe; st.Hedged && slices.Contains(st.States, stateSlow) {
 		// Decoded without at least one straggler's block.
 		d.stats.hedgeWins.Add(1)
 	}

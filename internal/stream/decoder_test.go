@@ -229,7 +229,7 @@ func TestDecoderCancellationMidStream(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// Four good stripes, then every shard stalls until cancelled.
 	shards := encodeAll(t, opts, randBytes(t, 4*1024, 14))
-	readers := make([]io.Reader, dec.Shards())
+	readers := make([]io.Reader, dec.g.k+dec.g.m)
 	for i := range readers {
 		readers[i] = io.MultiReader(bytes.NewReader(shards[i]), &blockingReader{ctx: ctx})
 	}

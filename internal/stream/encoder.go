@@ -7,8 +7,6 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
-
-	"dialga/internal/shardio"
 )
 
 // Encoder is a streaming erasure encoder: it chunks a reader into
@@ -26,7 +24,7 @@ import (
 //
 // An Encoder is safe for concurrent use; each call runs its own
 // pipeline and the shared Stats accumulate across calls. It holds no
-// buffers — stripes come from the shardio allocator and go back to it
+// buffers — stripes come from the package allocator and go back to it
 // on Release — so building one per input costs a few microseconds.
 type Encoder struct {
 	g     geom
@@ -62,7 +60,7 @@ func (e *Encoder) Stats() Stats { return e.stats.snapshot() }
 
 // Stripe is one encoded stripe, lent by EncodeStripes: the k data and m
 // parity blocks and their checksum trailers, in one buffer from the
-// shardio allocator. Whoever holds it may read the blocks in place, from
+// package allocator. Whoever holds it may read the blocks in place, from
 // any number of goroutines, until Release; it must not write to them.
 type Stripe struct {
 	e      *Encoder
@@ -88,14 +86,14 @@ func (s *Stripe) Release() {
 	if !s.lent.Swap(false) {
 		panic("stream: Stripe released twice")
 	}
-	shardio.PutBuffer(s.buf)
+	putBuffer(s.buf)
 }
 
 // lend builds a stripe over a buffer from the allocator: data, parity
 // and trailers are consecutive regions of it.
 func (e *Encoder) lend() *Stripe {
 	g := e.g
-	buf := shardio.GetBuffer((g.k + g.m) * g.blockSize)
+	buf := getBuffer((g.k + g.m) * g.blockSize)
 	end := (g.k + g.m) * g.shardSize
 	s := &Stripe{e: e, buf: buf, blocks: buf[:end:end], crc: buf[end:]}
 	s.data, s.parity = s.blocks[:g.stripeSize:g.stripeSize], s.blocks[g.stripeSize:]

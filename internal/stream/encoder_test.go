@@ -13,7 +13,6 @@ import (
 
 	"dialga/internal/gf"
 	"dialga/internal/rs"
-	"dialga/internal/shardio"
 )
 
 func randBytes(t testing.TB, n int, seed int64) []byte {
@@ -440,7 +439,7 @@ func TestEncodeStripesReleasesEveryStripe(t *testing.T) {
 				st.Release()
 			}
 			size := len(warm[0].buf)
-			idle := func() int { return shardio.IdleBuffers()[size] }
+			idle := func() int { return IdleBuffers()[size] }
 			filled := idle()
 
 			ctx, cancel := context.WithCancel(context.Background())

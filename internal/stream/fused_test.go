@@ -5,8 +5,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"dialga/internal/shardio"
 )
 
 // TestFusedTrailersByteIdentical pins the fused sweep's contract: every
@@ -139,18 +137,18 @@ func TestProcessStripeAllocs(t *testing.T) {
 	}
 	blockSize := enc.BlockSize()
 	// Build the stripe/job the gather loop would hand the worker. A
-	// zero-value shardio.Stripe backs it: Release is a no-op, and the
+	// zero-value shardStripe backs it: release is a no-op, and the
 	// worker reconstructs around the slow shard as for any hedge.
-	st := &shardio.Stripe{States: make([]shardio.ShardState, k+m)}
+	st := &shardStripe{States: make([]shardState, k+m)}
 	slowShard := 2 // hedged straggler: nil block, reconstructed around
 	prep := func(j *job) {
 		j.blocks = sliceN(j.blocks, k+m)
 		for i := range j.blocks {
 			if i == slowShard {
-				st.States[i] = shardio.StateSlow
+				st.States[i] = stateSlow
 				continue
 			}
-			st.States[i] = shardio.StateOK
+			st.States[i] = stateOK
 			j.blocks[i] = shards[i][:blockSize]
 		}
 		j.stripe = st
@@ -161,7 +159,7 @@ func TestProcessStripeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range j.eras {
-		shardio.PutBuffer(j.blocks[i])
+		putBuffer(j.blocks[i])
 	}
 	j.eras = j.eras[:0]
 	if a := testing.AllocsPerRun(20, func() {
@@ -170,7 +168,7 @@ func TestProcessStripeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, i := range j.eras {
-			shardio.PutBuffer(j.blocks[i])
+			putBuffer(j.blocks[i])
 		}
 		j.eras = j.eras[:0]
 	}); a != 0 {
@@ -185,7 +183,7 @@ func TestProcessStripeAllocs(t *testing.T) {
 	prepAll := func(j *job) {
 		j.blocks = sliceN(j.blocks, k+m)
 		for i := range j.blocks {
-			st.States[i] = shardio.StateOK
+			st.States[i] = stateOK
 			j.blocks[i] = shards[i][:blockSize]
 		}
 		j.stripe = st

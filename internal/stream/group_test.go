@@ -1,4 +1,4 @@
-package shardio
+package stream
 
 import (
 	"bytes"
@@ -34,56 +34,59 @@ func mkShards(n, stripes int) [][]byte {
 	return out
 }
 
-func newTestGroup(t *testing.T, readers []io.Reader, opts Options) *Group {
+// newTestGroup starts a group over readers with g's settings, in
+// testBlock-byte blocks unless g names a block size, and closes it when
+// the test ends.
+func newTestGroup(t *testing.T, readers []io.Reader, g geom) *group {
 	t.Helper()
-	if opts.BlockSize == 0 {
-		opts.BlockSize = testBlock
+	if g.blockSize == 0 {
+		g.blockSize = testBlock
 	}
-	g, err := NewGroup(readers, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(g.Close)
-	return g
+	grp := newGroup(readers, g)
+	t.Cleanup(grp.close)
+	return grp
 }
 
-// slowReader delays every Read by a fixed duration, optionally only
-// for the first slowReads calls (a straggler that recovers), and of
-// those optionally only every every-th (a straggler that never strings
-// a run together). With a clock the delay passes on it, not in real
-// time.
+// slowReader delays every Read by a fixed duration on a fake clock,
+// optionally only for the first slowReads calls (a straggler that
+// recovers).
 type slowReader struct {
 	r         io.Reader
 	delay     time.Duration
 	slowReads int // <0: always slow
-	every     int // >1: only calls 1, 1+every, 1+2*every, ... are slow
 	clock     vclock.Clock
 	calls     int
 }
 
 func (s *slowReader) Read(p []byte) (int, error) {
 	s.calls++
-	if (s.slowReads < 0 || s.calls <= s.slowReads) && (s.every <= 1 || s.calls%s.every == 1) {
-		if s.clock != nil {
-			<-s.clock.After(s.delay)
-		} else {
-			time.Sleep(s.delay) // not time.After: the allocation tests count
-		}
+	if s.slowReads < 0 || s.calls <= s.slowReads {
+		<-s.clock.After(s.delay)
 	}
 	return s.r.Read(p)
 }
 
-func TestOptionsValidation(t *testing.T) {
-	for _, bad := range []Options{
-		{BlockSize: 0},
-		{BlockSize: 8, HedgeAfter: -time.Second},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("options %+v accepted", bad)
-		}
-	}
-	if err := (Options{BlockSize: 8}).Validate(); err != nil {
+// The group's options are fields of the stream geometry: a block is
+// never empty, a negative hedge floor is refused and a positive one
+// reaches the group.
+func TestGroupOptionsValidation(t *testing.T) {
+	code := mustRS(t, 4, 2)
+	g, err := (Options{Codec: code, StripeSize: 1}).geometry()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if g.blockSize <= crcSize {
+		t.Fatalf("a 1-byte stripe gives %d-byte blocks, want a payload past the %d-byte trailer", g.blockSize, crcSize)
+	}
+	if _, err := (Options{Codec: code, HedgeAfter: -time.Second}).geometry(); err == nil {
+		t.Fatal("negative HedgeAfter accepted")
+	}
+	g, err = (Options{Codec: code, HedgeAfter: time.Millisecond}).geometry()
+	if err != nil {
+		t.Fatalf("hedged options refused: %v", err)
+	}
+	if g.hedgeAfter != time.Millisecond {
+		t.Fatalf("hedgeAfter = %v, want 1ms", g.hedgeAfter)
 	}
 }
 
@@ -94,14 +97,14 @@ func TestGroupDeliversInOrder(t *testing.T) {
 	for i := range readers {
 		readers[i] = bytes.NewReader(shards[i])
 	}
-	g := newTestGroup(t, readers, Options{})
+	g := newTestGroup(t, readers, geom{})
 	for s := 0; s < stripes; s++ {
-		st, err := g.Next(context.Background())
+		st, err := g.next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if st.States[i] != StateOK {
+			if st.States[i] != stateOK {
 				t.Fatalf("stripe %d shard %d state %v", s, i, st.States[i])
 			}
 			want := shards[i][s*testBlock : (s+1)*testBlock]
@@ -109,18 +112,18 @@ func TestGroupDeliversInOrder(t *testing.T) {
 				t.Fatalf("stripe %d shard %d block mismatch", s, i)
 			}
 		}
-		st.Release()
+		st.release()
 	}
-	st, err := g.Next(context.Background())
+	st, err := g.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if st.States[i] != StateEOF {
+		if st.States[i] != stateEOF {
 			t.Fatalf("post-end shard %d state %v, want eof", i, st.States[i])
 		}
 	}
-	st.Release()
+	st.release()
 }
 
 func TestGroupMissingAndDead(t *testing.T) {
@@ -131,32 +134,32 @@ func TestGroupMissingAndDead(t *testing.T) {
 	readers[1] = bytes.NewReader(shards[1])
 	readers[2] = bytes.NewReader(shards[2][:testBlock+3]) // dies mid-block on stripe 1
 	readers[3] = bytes.NewReader(shards[3])
-	g := newTestGroup(t, readers, Options{})
-	st, err := g.Next(context.Background())
+	g := newTestGroup(t, readers, geom{})
+	st, err := g.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.States[0] != StateMissing || st.States[2] != StateOK {
+	if st.States[0] != stateMissing || st.States[2] != stateOK {
 		t.Fatalf("stripe 0 states %v", st.States)
 	}
-	st.Release()
-	st, err = g.Next(context.Background())
+	st.release()
+	st, err = g.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.States[2] != StateDead || st.Errs[2] == nil {
+	if st.States[2] != stateDead || st.Errs[2] == nil {
 		t.Fatalf("ragged shard state %v err %v, want dead", st.States[2], st.Errs[2])
 	}
-	st.Release()
+	st.release()
 	// Death is sticky and keeps reporting.
-	st, err = g.Next(context.Background())
+	st, err = g.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.States[2] != StateDead {
+	if st.States[2] != stateDead {
 		t.Fatalf("stripe 2 shard 2 state %v, want sticky dead", st.States[2])
 	}
-	st.Release()
+	st.release()
 }
 
 // breaksOnce serves its stream, except that the Read reaching offset
@@ -210,31 +213,31 @@ func TestGroupTransientErrorKillsShard(t *testing.T) {
 	broken := &breaksOnce{r: bytes.NewReader(shards[1]), at: testBlock + 5}
 	readers := []io.Reader{bytes.NewReader(shards[0]), broken, bytes.NewReader(shards[2])}
 	clock := &timerCount{Fake: vclock.NewFake()}
-	g := newTestGroup(t, readers, Options{Clock: clock})
+	g := newTestGroup(t, readers, geom{clock: clock})
 	// The fake clock never moves: a gather that waits on it never ends.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for s := 0; s < stripes; s++ {
-		st, err := g.Next(ctx)
+		st, err := g.next(ctx)
 		if err != nil {
 			t.Fatalf("stripe %d: %v", s, err)
 		}
-		want := StateOK
+		want := stateOK
 		if s >= 1 {
-			want = StateDead
+			want = stateDead
 		}
 		if st.States[1] != want {
 			t.Fatalf("stripe %d: shard 1 state %v, want %v", s, st.States[1], want)
 		}
-		if want == StateDead && !errors.Is(st.Errs[1], fault.ErrInjected) {
+		if want == stateDead && !errors.Is(st.Errs[1], fault.ErrInjected) {
 			t.Fatalf("stripe %d: dead err %v does not expose the fault", s, st.Errs[1])
 		}
-		if st.States[0] != StateOK || st.States[2] != StateOK {
+		if st.States[0] != stateOK || st.States[2] != stateOK {
 			t.Fatalf("stripe %d: healthy shards %v", s, st.States)
 		}
-		st.Release()
+		st.release()
 	}
-	g.Close()
+	g.close()
 	g.wait()
 	if broken.after != 0 {
 		t.Fatalf("broken shard read %d more times after its error", broken.after)
@@ -244,15 +247,9 @@ func TestGroupTransientErrorKillsShard(t *testing.T) {
 	}
 }
 
-// corruptErr is a block rejection the way the stream layer's trailer
-// check reports one.
-type corruptErr struct{}
-
-func (corruptErr) Error() string { return "block checksum mismatch" }
-func (corruptErr) Corrupt() bool { return true }
-
 // rejecting serves a shard stream and rejects block bad: the Read that
-// would complete it returns corruptErr instead, the block consumed.
+// would complete it returns errBlockChecksum instead, the block
+// consumed, as a verifiedReader does.
 type rejecting struct {
 	r   io.Reader
 	bad int64
@@ -266,13 +263,13 @@ func (c *rejecting) Read(p []byte) (int, error) {
 	}
 	n, err := c.r.Read(p)
 	if c.pos += int64(n); c.pos == end && end/testBlock-1 == c.bad {
-		return 0, corruptErr{}
+		return 0, errBlockChecksum
 	}
 	return n, err
 }
 
 // TestGroupCorruptBlockIsAnErasure: a block its reader rejects is an
-// erasure for its stripe — StateCorrupt, no block — and the shard
+// erasure for its stripe — stateCorrupt, no block — and the shard
 // serves the stripes after it, also when the rejected block is one a
 // spare attached behind it skip-reads on its way in.
 func TestGroupCorruptBlockIsAnErasure(t *testing.T) {
@@ -284,17 +281,17 @@ func TestGroupCorruptBlockIsAnErasure(t *testing.T) {
 		&rejecting{r: bytes.NewReader(shards[1]), bad: 1},
 		nil,
 	}
-	g := newTestGroup(t, readers, Options{})
+	g := newTestGroup(t, readers, geom{})
 	for s := 0; s < stripes; s++ {
-		st, err := g.Next(ctx)
+		st, err := g.next(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s == 2 {
-			if err := g.Attach(2, &rejecting{r: bytes.NewReader(shards[2]), bad: 1}, 0); err != nil {
+			if err := g.attach(2, &rejecting{r: bytes.NewReader(shards[2]), bad: 1}, 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := g.Fill(ctx, st); err != nil {
+			if err := g.fill(ctx, st); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -302,47 +299,128 @@ func TestGroupCorruptBlockIsAnErasure(t *testing.T) {
 			switch {
 			case i == 2 && s < 2: // not attached yet
 			case i == s && s < 2: // shards 0 and 1 reject their own stripe's block
-				if st.States[i] != StateCorrupt || st.Blocks[i] != nil {
+				if st.States[i] != stateCorrupt || st.Blocks[i] != nil {
 					t.Fatalf("stripe %d: rejected shard %d is %v", s, i, st.States[i])
 				}
-			case st.States[i] != StateOK || !bytes.Equal(st.Blocks[i], shards[i][s*testBlock:(s+1)*testBlock]):
+			case st.States[i] != stateOK || !bytes.Equal(st.Blocks[i], shards[i][s*testBlock:(s+1)*testBlock]):
 				t.Fatalf("stripe %d: shard %d is %v or misaligned", s, i, st.States[i])
 			}
 		}
-		st.Release()
+		st.release()
 	}
 }
 
 // TestGroupHedgesStraggler: with hedging on, a straggler is demoted to
-// slow once its deadline passes and the stripe proceeds without it.
+// slow once its deadline passes and the stripe proceeds without it. On
+// a pumped fake clock: the straggler's read takes 40 ms, its peers'
+// none, so the deadline is the 2 ms floor.
 func TestGroupHedgesStraggler(t *testing.T) {
 	const n, stripes = 4, 3
+	fc := vclock.NewFake()
+	defer fc.Pump()()
 	shards := mkShards(n, stripes)
 	readers := make([]io.Reader, n)
 	for i := range readers {
 		readers[i] = bytes.NewReader(shards[i])
 	}
-	readers[2] = &slowReader{r: bytes.NewReader(shards[2]), delay: 40 * time.Millisecond, slowReads: -1}
+	readers[2] = &slowReader{r: bytes.NewReader(shards[2]), delay: 40 * time.Millisecond, slowReads: -1, clock: fc}
 	// One miss in three stripes: the breaker stays out of it.
-	g := newTestGroup(t, readers, Options{HedgeAfter: 2 * time.Millisecond})
+	g := newTestGroup(t, readers, geom{hedgeAfter: 2 * time.Millisecond, clock: fc})
 
-	start := time.Now()
-	st, err := g.Next(context.Background())
+	start := fc.Now()
+	st, err := g.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := time.Since(start); d > 30*time.Millisecond {
+	if d := fc.Now().Sub(start); d > 30*time.Millisecond {
 		t.Fatalf("hedged gather took %v, stalled on the straggler", d)
 	}
-	if !st.Hedged || st.States[2] != StateSlow {
+	if !st.Hedged || st.States[2] != stateSlow {
 		t.Fatalf("Hedged=%v States[2]=%v, want hedged slow", st.Hedged, st.States[2])
 	}
 	for _, i := range []int{0, 1, 3} {
-		if st.States[i] != StateOK {
+		if st.States[i] != stateOK {
 			t.Fatalf("healthy shard %d state %v", i, st.States[i])
 		}
 	}
-	st.Release()
+	st.release()
+}
+
+// hangsAfter serves the first block of its stream, then blocks every
+// further Read until release is closed: a source that hangs.
+type hangsAfter struct {
+	r       io.Reader
+	pos     int
+	release chan struct{}
+}
+
+func (h *hangsAfter) Read(p []byte) (int, error) {
+	if h.pos >= testBlock {
+		<-h.release
+	}
+	n, err := h.r.Read(p)
+	h.pos += n
+	return n, err
+}
+
+// TestGroupHedgesAHungStripe: a stripe whose every read hangs has no
+// block to judge the others by, so only the maxDeadline cap ends its
+// wait — not before, and not never. On a fake clock only the test moves:
+// stripe 0 gathers with the clock standing still, and stripe 1's reads
+// all hang.
+func TestGroupHedgesAHungStripe(t *testing.T) {
+	const n, stripes = 3, 2
+	shards := mkShards(n, stripes)
+	release := make(chan struct{})
+	readers := make([]io.Reader, n)
+	for i := range readers {
+		readers[i] = &hangsAfter{r: bytes.NewReader(shards[i]), release: release}
+	}
+	clock := &armSignal{Fake: vclock.NewFake(), armed: make(chan time.Duration, 16)}
+	g := newTestGroup(t, readers, geom{hedgeAfter: 2 * time.Millisecond, clock: clock})
+	t.Cleanup(func() { close(release) }) // before the group's close
+
+	st, err := g.next(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Hedged {
+		t.Fatalf("stripe 0 hedged with every block in: %v", st.States)
+	}
+	st.release()
+	clock.drain()
+	start := clock.Now()
+	got := make(chan *shardStripe, 1)
+	go func() {
+		st, err := g.next(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		got <- st
+	}()
+	if d := <-clock.armed; d != maxDeadline {
+		t.Fatalf("a stripe with nothing in hand armed %v, want the %v cap", d, maxDeadline)
+	}
+	clock.Advance(maxDeadline - time.Nanosecond)
+	select {
+	case st := <-got:
+		t.Fatalf("stripe 1 went ahead before the cap, %v in: %v", clock.Now().Sub(start), st.States)
+	default:
+	}
+	clock.Advance(time.Nanosecond)
+	st = <-got
+	if st == nil {
+		return
+	}
+	defer st.release()
+	if !st.Hedged {
+		t.Fatal("stripe 1 not hedged at the cap")
+	}
+	for i, s := range st.States {
+		if s != stateSlow || st.Blocks[i] != nil {
+			t.Fatalf("hung shard %d is %v, want slow and empty", i, s)
+		}
+	}
 }
 
 // TestGroupRecyclesLateBlock: a stripe that hedged past a straggler
@@ -350,9 +428,11 @@ func TestGroupHedgesStraggler(t *testing.T) {
 // while the block lands during the next gather, the stripe keeps the
 // shard slow and empty; the block is counted as dropped and recycled,
 // and the shard rejoins the stripe being gathered. On a pumped fake
-// clock: healthy reads take 20 ms, so stripe 0's deadline passes at
-// 80 ms, and the straggler's one slow read lands at 90 ms, inside
-// stripe 1's gather.
+// clock: healthy reads take 20 ms, so stripe 0 is judged when its two
+// healthy blocks land and its deadline passes at 80 ms, and the
+// straggler's one slow read lands at 90 ms, inside stripe 1's gather.
+// Its rejoined read is instant, and one fast block does not judge the
+// stripe: the healthy shards' 20 ms blocks are not hedged.
 func TestGroupRecyclesLateBlock(t *testing.T) {
 	const n, stripes = 3, 2
 	fc := vclock.NewFake()
@@ -364,33 +444,33 @@ func TestGroupRecyclesLateBlock(t *testing.T) {
 	}
 	readers[0] = &slowReader{r: bytes.NewReader(shards[0]), delay: 90 * time.Millisecond, slowReads: 1, clock: fc}
 	reg := obs.NewRegistry()
-	g := newTestGroup(t, readers, Options{HedgeAfter: 2 * time.Millisecond, Clock: fc, Metrics: reg})
+	g := newTestGroup(t, readers, geom{hedgeAfter: 2 * time.Millisecond, clock: fc, metrics: reg})
 	dropped := reg.Counter("shardio_late_blocks_dropped_total", "")
 
-	st, err := g.Next(context.Background())
+	st, err := g.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Hedged || st.States[0] != StateSlow {
+	if !st.Hedged || st.States[0] != stateSlow {
 		t.Fatalf("stripe 0: Hedged=%v States[0]=%v, want hedged past shard 0", st.Hedged, st.States[0])
 	}
-	st2, err := g.Next(context.Background())
+	st2, err := g.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := dropped.Value(); got != 1 {
 		t.Fatalf("shardio_late_blocks_dropped_total = %d after the straggler landed, want 1", got)
 	}
-	if st.States[0] != StateSlow || st.Blocks[0] != nil {
+	if st.States[0] != stateSlow || st.Blocks[0] != nil {
 		t.Fatalf("stripe 0 took the late block: state %v", st.States[0])
 	}
 	for i := range readers {
-		if st2.States[i] != StateOK || !bytes.Equal(st2.Blocks[i], shards[i][testBlock:2*testBlock]) {
+		if st2.States[i] != stateOK || !bytes.Equal(st2.Blocks[i], shards[i][testBlock:2*testBlock]) {
 			t.Fatalf("stripe 1: shard %d is %v or misaligned after the straggler rejoined", i, st2.States[i])
 		}
 	}
-	st.Release()
-	st2.Release()
+	st.release()
+	st2.release()
 
 	var buf bytes.Buffer
 	if err := reg.Expose(&buf); err != nil {
@@ -399,7 +479,7 @@ func TestGroupRecyclesLateBlock(t *testing.T) {
 	if strings.Contains(buf.String(), "claimed") {
 		t.Fatalf("exposition still has a claimed series:\n%s", buf.String())
 	}
-	g.Close()
+	g.close()
 	waitDone := make(chan struct{})
 	go func() { g.wait(); close(waitDone) }()
 	select {
@@ -414,7 +494,7 @@ func TestGroupRecyclesLateBlock(t *testing.T) {
 // every other one is handed to Await, which finds the straggler still
 // reading the stripe before (or, once enough misses are in, behind an
 // open breaker), waits it out and asks it for this stripe anyway. What
-// comes back is an ordinary StateOK block, the right one: the shard
+// comes back is an ordinary stateOK block, the right one: the shard
 // stays stripe-aligned through reads nobody collected.
 func TestGroupAwaitReadsWhatTheHedgeSkipped(t *testing.T) {
 	const n, stripes = 3, 4 * 5 // a trip takes five misses, and only unawaited stripes count one
@@ -426,34 +506,34 @@ func TestGroupAwaitReadsWhatTheHedgeSkipped(t *testing.T) {
 		readers[i] = bytes.NewReader(shards[i])
 	}
 	readers[1] = &slowReader{r: bytes.NewReader(shards[1]), delay: 40 * time.Millisecond, slowReads: -1, clock: fc}
-	g := newTestGroup(t, readers, Options{HedgeAfter: 2 * time.Millisecond, Clock: fc})
+	g := newTestGroup(t, readers, geom{hedgeAfter: 2 * time.Millisecond, clock: fc})
 
 	opened := false
 	for s := 0; s < stripes; s++ {
-		st, err := g.Next(context.Background())
+		st, err := g.next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.States[1] != StateSlow && st.States[1] != StateOpen {
+		if st.States[1] != stateSlow && st.States[1] != stateOpen {
 			t.Fatalf("stripe %d: straggler state %v, want it skipped", s, st.States[1])
 		}
 		if s%2 == 0 {
-			st.Release()
+			st.release()
 			continue
 		}
-		opened = opened || st.States[1] == StateOpen
-		if err := g.Await(context.Background(), st); err != nil {
+		opened = opened || st.States[1] == stateOpen
+		if err := g.await(context.Background(), st); err != nil {
 			t.Fatal(err)
 		}
 		for i := range readers {
-			if st.States[i] != StateOK {
+			if st.States[i] != stateOK {
 				t.Fatalf("stripe %d: shard %d is %v after Await", s, i, st.States[i])
 			}
 			if want := shards[i][s*testBlock : (s+1)*testBlock]; !bytes.Equal(st.Blocks[i], want) {
 				t.Fatalf("stripe %d: shard %d delivered the wrong block", s, i)
 			}
 		}
-		st.Release()
+		st.release()
 	}
 	if !opened {
 		t.Fatal("the breaker never opened: Await was not tried on a shard the group skips")
@@ -482,22 +562,22 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 	// Slow for exactly the run that trips, then instant.
 	readers[1] = &slowReader{r: bytes.NewReader(shards[1]), delay: delay, slowReads: breakerThreshold, clock: fc}
 	reg := obs.NewRegistry()
-	g := newTestGroup(t, readers, Options{HedgeAfter: 2 * time.Millisecond, Clock: fc, Metrics: reg})
+	g := newTestGroup(t, readers, geom{hedgeAfter: 2 * time.Millisecond, clock: fc, metrics: reg})
 	var trips uint64
 	sawOpen, sawRecovered := false, false
 	for s := 0; s < stripes && !sawRecovered; s++ {
-		st, err := g.Next(context.Background())
+		st, err := g.next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		trips += st.Trips
 		switch st.States[1] {
-		case StateOpen:
+		case stateOpen:
 			sawOpen = true
 			if trips == 0 {
 				t.Fatalf("stripe %d skipped the shard before any trip", st.Seq)
 			}
-		case StateOK:
+		case stateOK:
 			if sawOpen {
 				sawRecovered = true
 				if !bytes.Equal(st.Blocks[1], shards[1][int(st.Seq)*testBlock:(int(st.Seq)+1)*testBlock]) {
@@ -505,7 +585,7 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 				}
 			}
 		}
-		st.Release()
+		st.release()
 		<-fc.After(pace)
 	}
 	if trips == 0 {
@@ -528,19 +608,19 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 func TestGroupPanicRecovered(t *testing.T) {
 	panicky := readerFunc(func([]byte) (int, error) { panic("boom") })
 	readers := []io.Reader{panicky, bytes.NewReader(mkShards(2, 1)[1])}
-	g := newTestGroup(t, readers, Options{})
-	st, err := g.Next(context.Background())
+	g := newTestGroup(t, readers, geom{})
+	st, err := g.next(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.States[0] != StateDead || st.Panics != 1 {
+	if st.States[0] != stateDead || st.Panics != 1 {
 		t.Fatalf("state %v panics %d, want dead/1", st.States[0], st.Panics)
 	}
 	var pe *PanicError
 	if !errors.As(st.Errs[0], &pe) || pe.Value != "boom" {
 		t.Fatalf("err %v is not the recovered panic", st.Errs[0])
 	}
-	st.Release()
+	st.release()
 }
 
 type readerFunc func([]byte) (int, error)
@@ -554,12 +634,14 @@ func TestGroupCancelledNext(t *testing.T) {
 	blocked := fault.NewReader(bytes.NewReader(mkShards(1, 4)[0]), fault.Plan{
 		Ops: []fault.Op{{Kind: fault.Slow, Off: 0, Len: 5_000_000}}, // ~5s per read
 	}).WithContext(ctx)
-	g := newTestGroup(t, []io.Reader{blocked}, Options{})
+	g := newTestGroup(t, []io.Reader{blocked}, geom{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := g.Next(ctx)
+		_, err := g.next(ctx)
 		done <- err
 	}()
+	// Lets Next park on the blocked read first; if it has not yet, it
+	// finds ctx cancelled on entry, and the test holds all the same.
 	time.Sleep(5 * time.Millisecond)
 	cancel()
 	select {
@@ -570,7 +652,7 @@ func TestGroupCancelledNext(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Next did not return after cancellation")
 	}
-	g.Close()
+	g.close()
 	waitDone := make(chan struct{})
 	go func() { g.wait(); close(waitDone) }()
 	select {
@@ -580,10 +662,14 @@ func TestGroupCancelledNext(t *testing.T) {
 	}
 }
 
-// TestGroupCloseReleasesGoroutines is the package-level leak check:
-// goroutine count returns to baseline after heavy hedged use.
+// TestGroupCloseReleasesGoroutines is the group's leak check: goroutine
+// count returns to baseline after heavy hedged use. The straggler's
+// 5 ms reads pass on a pumped fake clock, which keeps running until
+// every group has drained.
 func TestGroupCloseReleasesGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
+	fc := vclock.NewFake()
+	stopPump := fc.Pump()
 	for round := 0; round < 3; round++ {
 		const n = 5
 		shards := mkShards(n, 6)
@@ -591,22 +677,21 @@ func TestGroupCloseReleasesGoroutines(t *testing.T) {
 		for i := range readers {
 			readers[i] = bytes.NewReader(shards[i])
 		}
-		readers[4] = &slowReader{r: bytes.NewReader(shards[4]), delay: 5 * time.Millisecond, slowReads: -1}
-		g, err := NewGroup(readers, Options{BlockSize: testBlock, HedgeAfter: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
+		readers[4] = &slowReader{r: bytes.NewReader(shards[4]), delay: 5 * time.Millisecond, slowReads: -1, clock: fc}
+		g := newGroup(readers, geom{blockSize: testBlock, hedgeAfter: time.Millisecond, clock: fc})
 		for s := 0; s < 6; s++ {
-			st, err := g.Next(context.Background())
+			st, err := g.next(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.Release()
+			st.release()
 		}
-		g.Close()
+		g.close()
 		g.wait()
 	}
-	// The runtime may briefly keep helper goroutines (timers); poll.
+	stopPump()
+	// The runtime may briefly keep helper goroutines (timers); poll, in
+	// real time, for them to exit.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= base {
@@ -630,64 +715,64 @@ func TestGroupAttachFill(t *testing.T) {
 	readers := make([]io.Reader, n)
 	readers[0] = bytes.NewReader(shards[0])
 	readers[1] = bytes.NewReader(shards[1][:2*testBlock+5]) // dies mid-block on stripe 2
-	g := newTestGroup(t, readers, Options{})
+	g := newTestGroup(t, readers, geom{})
 	for s := 0; s < 2; s++ {
-		st, err := g.Next(ctx)
+		st, err := g.next(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Release()
+		st.release()
 	}
-	st, err := g.Next(ctx)
+	st, err := g.next(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.States[0] != StateOK || st.States[1] != StateDead || st.States[3] != StateMissing {
+	if st.States[0] != stateOK || st.States[1] != stateDead || st.States[3] != stateMissing {
 		t.Fatalf("stripe 2 states %v", st.States)
 	}
 	held := &st.Blocks[0][0]
 
-	if err := g.Attach(0, bytes.NewReader(nil), 2); err == nil {
+	if err := g.attach(0, bytes.NewReader(nil), 2); err == nil {
 		t.Fatal("attach to a live slot accepted")
 	}
-	if err := g.Attach(n, bytes.NewReader(nil), 2); err == nil {
+	if err := g.attach(n, bytes.NewReader(nil), 2); err == nil {
 		t.Fatal("attach past the last slot accepted")
 	}
 	// Shard 3 arrives positioned at the failing stripe; shard 2 arrives
 	// positioned at its start and is skip-read up to it.
-	if err := g.Attach(3, bytes.NewReader(shards[3][2*testBlock:]), 2); err != nil {
+	if err := g.attach(3, bytes.NewReader(shards[3][2*testBlock:]), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Attach(2, bytes.NewReader(shards[2]), 0); err != nil {
+	if err := g.attach(2, bytes.NewReader(shards[2]), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Fill(ctx, st); err != nil {
+	if err := g.fill(ctx, st); err != nil {
 		t.Fatal(err)
 	}
 	if &st.Blocks[0][0] != held {
 		t.Fatal("fill re-read a shard that had already delivered")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if st.States[i] != StateOK || !bytes.Equal(st.Blocks[i], block(i, 2)) {
+		if st.States[i] != stateOK || !bytes.Equal(st.Blocks[i], block(i, 2)) {
 			t.Fatalf("after fill: shard %d state %v, block ok=%v", i, st.States[i], bytes.Equal(st.Blocks[i], block(i, 2)))
 		}
 	}
-	if st.States[1] != StateDead {
+	if st.States[1] != stateDead {
 		t.Fatalf("after fill: dead shard state %v", st.States[1])
 	}
-	st.Release()
+	st.release()
 
 	for s := 3; s < stripes; s++ {
-		st, err := g.Next(ctx)
+		st, err := g.next(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, i := range []int{0, 2, 3} {
-			if st.States[i] != StateOK || !bytes.Equal(st.Blocks[i], block(i, s)) {
+			if st.States[i] != stateOK || !bytes.Equal(st.Blocks[i], block(i, s)) {
 				t.Fatalf("stripe %d shard %d state %v or wrong block", s, i, st.States[i])
 			}
 		}
-		st.Release()
+		st.release()
 	}
 }
 
@@ -702,9 +787,9 @@ func TestGroupsShareAllocator(t *testing.T) {
 		for i := range readers {
 			readers[i] = bytes.NewReader(shards[i])
 		}
-		g := newTestGroup(t, readers, Options{})
+		g := newTestGroup(t, readers, geom{})
 		for s := 0; s < stripes; s++ {
-			st, err := g.Next(context.Background())
+			st, err := g.next(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -715,9 +800,9 @@ func TestGroupsShareAllocator(t *testing.T) {
 					t.Fatal("second group allocated a block the first one had released")
 				}
 			}
-			st.Release()
+			st.release()
 		}
-		g.Close()
+		g.close()
 		g.wait()
 	}
 }

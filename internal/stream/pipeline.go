@@ -5,15 +5,20 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-
-	"dialga/internal/shardio"
 )
 
 // PanicError is a panic recovered from a pipeline-stage or shard-reader
-// goroutine and surfaced as an ordinary error: Stage names the
-// goroutine, Value is the recovered panic value, Stack the captured
-// stack. Counted in Stats.WorkerPanics.
-type PanicError = shardio.PanicError
+// goroutine and surfaced as an ordinary error instead of killing the
+// process. Counted in Stats.WorkerPanics.
+type PanicError struct {
+	Stage string // which goroutine panicked, e.g. "shard 3 reader"
+	Value any    // the recovered panic value
+	Stack []byte // stack captured at recovery
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("panic in %s: %v", e.Stage, e.Value)
+}
 
 // job is one stripe moving through the pipeline. The producer fills
 // seq/enc/blocks/n, a worker fills the parity/err and signals ready, and
@@ -30,10 +35,10 @@ type job struct {
 	ready chan struct{} // receives one value once the worker (or an abort) is done
 	err   error         // sticky per-job failure, set before ready is signalled
 
-	enc    *Stripe         // encoder: the stripe being encoded; nil once lent to the consumer
-	buf    []byte          // rebuilder: the rebuilt block, trailer inline, from the allocator
-	blocks [][]byte        // decoder: k+m full block slices, nil for missing shards
-	stripe *shardio.Stripe // decoder: gather result backing blocks; released with the job
+	enc    *Stripe      // encoder: the stripe being encoded; nil once lent to the consumer
+	buf    []byte       // rebuilder: the rebuilt block, trailer inline, from the allocator
+	blocks [][]byte     // decoder: k+m full block slices, nil for missing shards
+	stripe *shardStripe // decoder: gather result backing blocks; released with the job
 
 	// Reusable per-job scratch, capacity preserved across pool cycles.
 	dviews [][]byte // encoder: k data shard views into enc.data

@@ -17,8 +17,8 @@ func decodeRange(t testing.TB, opts Options, shards [][]byte, size, off, length 
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripe := int64(dec.StripeSize())
-	block := int64(dec.BlockSize())
+	stripe := int64(dec.g.stripeSize)
+	block := int64(dec.g.blockSize)
 	first := off / stripe
 	end := off + length
 	if length < 0 || end > size {

@@ -7,8 +7,6 @@ import (
 	"io"
 	"slices"
 	"time"
-
-	"dialga/internal/shardio"
 )
 
 // blockRebuilder is the codec entry point a Rebuilder drives: one
@@ -24,10 +22,10 @@ type blockRebuilder interface {
 // and computes the target's block — a single k-source row, never the
 // decoded object and never the blocks nobody asked for — so rebuilding
 // a shard reads k shards and writes one. It is built from the
-// decoder's parts: a shardio.Group owns one goroutine per source (a
-// slow source blocks only itself, a failed read retires it), a worker
-// pool computes stripes concurrently, and an ordered in-flight window
-// emits them in sequence from the shardio allocator's buffers.
+// decoder's parts: a group owns one goroutine per source (a slow
+// source blocks only itself, a failed read retires it), a worker pool
+// computes stripes concurrently, and an ordered in-flight window emits
+// them in sequence from the package allocator's buffers.
 //
 // Every source block's checksum trailer is verified as it is read. A
 // source that dies or ends early is retired; a block that fails its
@@ -39,7 +37,7 @@ type blockRebuilder interface {
 // target's writer.
 //
 // A Rebuilder is safe for concurrent use. It holds no buffers: source
-// and rebuilt blocks come from the shardio allocator, so a repair queue
+// and rebuilt blocks come from the package's allocator, so a repair queue
 // that builds one per rebuild stops allocating them once the first
 // rebuild has warmed it.
 type Rebuilder struct {
@@ -60,7 +58,7 @@ func NewRebuilder(opts Options) (*Rebuilder, error) {
 	if !ok {
 		return nil, fmt.Errorf("stream: codec %T cannot rebuild single blocks", g.codec)
 	}
-	g.straggler.HedgeAfter = 0
+	g.hedgeAfter = 0
 	return &Rebuilder{g: g, code: code, stats: newCounters(g.metrics, "rebuild")}, nil
 }
 
@@ -101,7 +99,7 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 		for seq := int64(0); seq < stripes; seq++ {
 			st, spares, err := src.gather(ctx, seq)
 			if err == nil && !slices.ContainsFunc(st.Blocks, func(b []byte) bool { return b != nil }) {
-				st.Release()
+				st.release()
 				err = fmt.Errorf("stream: rebuild stripe %d: every source ended: %w", seq, ErrTooManyCorrupt)
 			}
 			if err != nil {
@@ -131,7 +129,7 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 
 	work := func(j *job) error {
 		start := time.Now()
-		j.buf = shardio.GetBuffer(blockSize)
+		j.buf = getBuffer(blockSize)
 		sum, err := rb.code.RebuildSum(j.blocks, target, j.buf[:shardSize])
 		if err != nil {
 			return fmt.Errorf("stream: rebuild stripe %d: %w", j.seq, err)
@@ -153,9 +151,9 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 
 	release := func(j *job) {
 		if j.buf != nil {
-			shardio.PutBuffer(j.buf)
+			putBuffer(j.buf)
 		}
-		j.stripe.Release()
+		j.stripe.release()
 		jobs.put(j)
 	}
 

@@ -1,6 +1,7 @@
-package shardio
+package stream
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -26,7 +27,7 @@ type result struct {
 	eof      bool          // clean EOF at a block boundary, at or before seq
 	corrupt  bool          // the block was read whole and its reader rejected it
 	panicked bool          // err is a *PanicError
-	dur      time.Duration // wall time of the requested block's read
+	dur      time.Duration // how long the requested block's read took, on the group's clock
 }
 
 // runShard serves block requests for shard i until the group closes:
@@ -35,7 +36,7 @@ type result struct {
 // only this goroutine while the gather loop moves on. The reader is
 // read only to serve a request — never ahead of one. pos is the block
 // index r is positioned at.
-func (g *Group) runShard(i int, r io.Reader, pos int64) {
+func (g *group) runShard(i int, r io.Reader, pos int64) {
 	defer g.wg.Done()
 	var scratch []byte
 	for {
@@ -57,7 +58,7 @@ func (g *Group) runShard(i int, r io.Reader, pos int64) {
 
 // serve fulfills one request, converting panics (a misbehaving reader
 // implementation) into a typed error instead of killing the process.
-func (g *Group) serve(i int, r io.Reader, scratch *[]byte, pos *int64, req request, res *result) {
+func (g *group) serve(i int, r io.Reader, scratch *[]byte, pos *int64, req request, res *result) {
 	defer func() {
 		if p := recover(); p != nil {
 			res.err = &PanicError{
@@ -74,7 +75,7 @@ func (g *Group) serve(i int, r io.Reader, scratch *[]byte, pos *int64, req reque
 	// not.
 	for *pos < req.seq {
 		if *scratch == nil {
-			*scratch = make([]byte, g.opts.BlockSize)
+			*scratch = make([]byte, g.geom.blockSize)
 		}
 		eof, err := readBlock(r, *scratch)
 		*pos++
@@ -82,7 +83,7 @@ func (g *Group) serve(i int, r io.Reader, scratch *[]byte, pos *int64, req reque
 			res.eof = true
 			return
 		}
-		if err != nil && !isCorrupt(err) {
+		if err != nil && !errors.Is(err, errBlockChecksum) {
 			res.err = err
 			return
 		}
@@ -94,7 +95,7 @@ func (g *Group) serve(i int, r io.Reader, scratch *[]byte, pos *int64, req reque
 	switch {
 	case eof:
 		res.eof = true
-	case isCorrupt(err):
+	case errors.Is(err, errBlockChecksum):
 		res.corrupt = true
 	default:
 		res.err = err
@@ -102,11 +103,11 @@ func (g *Group) serve(i int, r io.Reader, scratch *[]byte, pos *int64, req reque
 }
 
 // readBlock reads one full block, once. A clean EOF before the first
-// byte returns eof=true. A Corrupt error rejects this block only; any
+// byte returns eof=true. errBlockChecksum rejects this block only; any
 // other error is terminal, even one that calls itself Transient: a
 // stream that broke mid-block has lost its place (a broken HTTP body
 // never returns the bytes it dropped), so the shard is dead and a spare
-// or parity takes over (stream's sources.gather).
+// or parity takes over (sources.gather).
 func readBlock(r io.Reader, buf []byte) (eof bool, err error) {
 	n, err := io.ReadFull(r, buf)
 	if err == io.EOF && n == 0 {

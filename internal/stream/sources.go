@@ -3,12 +3,12 @@ package stream
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 
 	"dialga/internal/gf"
-	"dialga/internal/shardio"
 )
 
 // SpareFunc opens a replacement source for a read in progress. A read
@@ -22,16 +22,11 @@ import (
 // means no spare is left.
 type SpareFunc func(ctx context.Context, block int64, reason string) (idx int, r io.Reader, err error)
 
-// blockChecksumError is what a verifiedReader returns for a block whose
-// trailer does not match. Its Corrupt method is how shardio tells it
-// from a failed read: the block is an erasure for its stripe, and the
-// shard serves the next one.
-type blockChecksumError struct{}
-
-func (blockChecksumError) Error() string { return "stream: shard block checksum mismatch" }
-func (blockChecksumError) Corrupt() bool { return true }
-
-var errBlockChecksum error = blockChecksumError{}
+// errBlockChecksum is what a verifiedReader returns for a block whose
+// trailer does not match, and how a shard goroutine tells it from a
+// failed read: the block is an erasure for its stripe, and the shard
+// serves the next one.
+var errBlockChecksum = errors.New("stream: shard block checksum mismatch")
 
 // verifiedReader passes a shard's block stream through while checking
 // every block's CRC-32C trailer: the Read that would complete a block
@@ -72,10 +67,10 @@ func (v *verifiedReader) Read(p []byte) (int, error) {
 }
 
 // sources is the shard side of one read, a Decode or a Rebuild: a
-// shardio.Group over the readers it was given, each behind a
-// verifiedReader, and the one rule by which a read takes on more.
+// group over the readers it was given, each behind a verifiedReader,
+// and the one rule by which a read takes on more.
 type sources struct {
-	grp       *shardio.Group
+	grp       *group
 	k         int
 	shardSize int
 	stats     *counters
@@ -108,7 +103,7 @@ func openSources(g geom, stats *counters, shards []io.Reader, spare SpareFunc) (
 	case present < g.k:
 		err = fmt.Errorf("stream: only %d shard readers present, need at least k=%d", present, g.k)
 	default:
-		s.grp, err = shardio.NewGroup(readers, g.straggler)
+		s.grp = newGroup(readers, g)
 	}
 	if err != nil {
 		s.close()
@@ -123,7 +118,7 @@ func openSources(g geom, stats *counters, shards []io.Reader, spare SpareFunc) (
 // connection is let go promptly instead of when the remote end gives up.
 func (s *sources) close() {
 	if s.grp != nil {
-		s.grp.Close()
+		s.grp.close()
 	}
 	if s.closeRead {
 		for _, r := range s.owned {
@@ -144,20 +139,20 @@ func (s *sources) close() {
 // good blocks, or one nothing was read into (every source ended or is
 // gone: the caller's to judge), and how many spares came in for it.
 // Otherwise the error wraps ErrTooManyCorrupt, or is ctx's.
-func (s *sources) gather(ctx context.Context, seq int64) (*shardio.Stripe, int, error) {
-	st, err := s.grp.Next(ctx)
+func (s *sources) gather(ctx context.Context, seq int64) (*shardStripe, int, error) {
+	st, err := s.grp.next(ctx)
 	spares := 0
 	for err == nil {
 		var good, dead, corrupt, skipped int
 		for i, state := range st.States {
 			switch state {
-			case shardio.StateOK:
+			case stateOK:
 				good++
-			case shardio.StateCorrupt:
+			case stateCorrupt:
 				corrupt++
-			case shardio.StateSlow, shardio.StateOpen:
+			case stateSlow, stateOpen:
 				skipped++
-			case shardio.StateDead, shardio.StateEOF:
+			case stateDead, stateEOF:
 				if !s.retired[i] {
 					dead++
 				}
@@ -179,15 +174,15 @@ func (s *sources) gather(ctx context.Context, seq int64) (*shardio.Stripe, int, 
 			var r io.Reader
 			if idx, r, err = s.spare(ctx, seq, reason); err == nil {
 				s.owned = append(s.owned, r)
-				if err = s.grp.Attach(idx, &verifiedReader{r: r, shardSize: s.shardSize}, seq); err == nil {
+				if err = s.grp.attach(idx, &verifiedReader{r: r, shardSize: s.shardSize}, seq); err == nil {
 					spares++
-					err = s.grp.Fill(ctx, st)
+					err = s.grp.fill(ctx, st)
 					continue
 				}
 			}
 			s.spare, s.spareErr, err = nil, err, nil
 		case skipped > 0:
-			err = s.grp.Await(ctx, st)
+			err = s.grp.await(ctx, st)
 		case ctx.Err() != nil:
 			err = ctx.Err() // a spare open cut short is no verdict on the data
 		default:
@@ -201,7 +196,7 @@ func (s *sources) gather(ctx context.Context, seq int64) (*shardio.Stripe, int, 
 		}
 	}
 	if st != nil {
-		st.Release()
+		st.release()
 	}
 	return nil, spares, err
 }
@@ -210,7 +205,7 @@ func (s *sources) gather(ctx context.Context, seq int64) (*shardio.Stripe, int, 
 // reader panics, its corrupt blocks, and the shards that failed at it —
 // once each, a dead shard and, if anything was read, one that ended
 // while its peers still had blocks.
-func (s *sources) account(st *shardio.Stripe, seq int64, read bool, corrupt int) {
+func (s *sources) account(st *shardStripe, seq int64, read bool, corrupt int) {
 	s.stats.breakerTrips.Add(st.Trips)
 	s.stats.workerPanics.Add(st.Panics)
 	s.stats.shardsCorrupted.Add(uint64(corrupt))
@@ -218,14 +213,14 @@ func (s *sources) account(st *shardio.Stripe, seq int64, read bool, corrupt int)
 		s.stats.hedgedReads.Add(1)
 	}
 	for i, state := range st.States {
-		if s.retired[i] || state != shardio.StateDead && (state != shardio.StateEOF || !read) {
+		if s.retired[i] || state != stateDead && (state != stateEOF || !read) {
 			continue
 		}
 		s.retired[i] = true
 		s.stats.shardFailures.Add(1)
 		if s.failure == nil {
 			err := st.Errs[i]
-			if state == shardio.StateEOF {
+			if state == stateEOF {
 				err = io.ErrUnexpectedEOF
 			}
 			s.failure = fmt.Errorf("stream: shard %d failed at stripe %d: %w", i, seq, err)

@@ -34,7 +34,7 @@ func TestStatsConcurrentWithHealingDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blockSize := dec.BlockSize()
+	blockSize := dec.g.blockSize
 	// Corrupt one block of shard 1 in every stripe: every stripe heals.
 	var plan fault.Plan
 	for s := 0; s < stripes; s++ {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ const (
 	// miss: one a stripe, in a row.
 	lagDelay   = 8 * time.Millisecond
 	stripePace = 60 * time.Millisecond
-	// lateRun is the run of deadline misses that trips shardio's breaker.
+	// lateRun is the run of deadline misses that trips a shard's breaker.
 	lateRun = 5
 )
 
@@ -468,5 +470,97 @@ func TestHedgeNeverCostsAReadableStripe(t *testing.T) {
 	}
 	if st.Stripes != stripes {
 		t.Fatalf("Stripes = %d, want %d", st.Stripes, stripes)
+	}
+}
+
+// turning delays every block read on the fake clock: by base before
+// block turn, by 10*base from it on when slow, by base throughout when
+// not. pos is the block the reader is positioned at.
+type turning struct {
+	r         io.Reader
+	clock     *vclock.Fake
+	slow      bool
+	pos, turn int64
+	blockSize int
+	done      int // bytes of block pos read so far
+}
+
+func (t *turning) Read(p []byte) (int, error) {
+	if t.done == 0 {
+		d := time.Millisecond
+		if t.slow && t.pos >= t.turn {
+			d *= 10
+		}
+		<-t.clock.After(d)
+	}
+	p = p[:min(len(p), t.blockSize-t.done)]
+	n, err := t.r.Read(p)
+	if t.done += n; t.done == t.blockSize {
+		t.pos, t.done = t.pos+1, 0
+	}
+	return n, err
+}
+
+// TestLatenessIsJudgedByPeers pins the relative rule within a read, on a
+// pumped fake clock: every block read takes 1 ms until stripe turn, and
+// from there on either every shard or one of them takes 10 ms. A fleet
+// that slows together is no evidence against any of its shards, so the
+// read brings no spare in as late; one shard that slows is behind the
+// shards beside it from its first slow block, so that stripe brings a
+// late spare in, and no stripe before it does.
+func TestLatenessIsJudgedByPeers(t *testing.T) {
+	const (
+		k, m, shardSize = 4, 2, 128
+		stripes, turn   = 12, 6
+		blockSize       = shardSize + crcSize
+	)
+	for _, tc := range []struct {
+		name string
+		slow func(i int) bool
+		want string // the spares asked for, in order
+	}{
+		{"the fleet slows together", func(int) bool { return true }, "[]"},
+		{"one shard slows", func(i int) bool { return i == 1 }, "[6 late]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := vclock.NewFake()
+			defer fc.Pump()()
+			opts := Options{Codec: mustRS(t, k, m), StripeSize: k * shardSize, Workers: 2, HedgeAfter: 2 * time.Millisecond, Clock: fc}
+			payload := randBytes(t, stripes*k*shardSize, 29)
+			size := int64(len(payload))
+			shards := encodeAll(t, opts, payload)
+			open := func(i int, block int64) io.Reader {
+				return &turning{r: bytes.NewReader(shards[i][block*blockSize:]), clock: fc,
+					slow: tc.slow(i), pos: block, turn: turn, blockSize: blockSize}
+			}
+			readers := make([]io.Reader, k+m)
+			for i := 0; i < k; i++ {
+				readers[i] = open(i, 0)
+			}
+			next := k
+			var calls []string
+			spare := func(_ context.Context, block int64, reason string) (int, io.Reader, error) {
+				calls = append(calls, fmt.Sprintf("%d %s", block, reason))
+				if next == k+m {
+					return 0, nil, errors.New("no spare left")
+				}
+				next++
+				return next - 1, open(next-1, block), nil
+			}
+			dec, err := NewDecoder(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := dec.DecodeRange(context.Background(), readers, &out, size, 0, size, spare); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), payload) {
+				t.Fatal("decoded bytes differ from the payload")
+			}
+			if got := fmt.Sprint(calls); got != tc.want {
+				t.Fatalf("spares asked for %s (%d late), want %s", got, strings.Count(got, "late"), tc.want)
+			}
+		})
 	}
 }

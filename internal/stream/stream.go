@@ -18,13 +18,75 @@
 //   - Decoder: k+m per-shard io.Readers (nil or failing entries
 //     tolerated, up to m per stripe) -> io.Writer
 //
-// Stripe and block buffers come from shardio's process-wide allocator,
-// not from the pipeline, so pipelines are cheap to build per request;
-// cancellation is by
-// context.Context, and the first error from any stage cancels the
-// pipeline and drains the workers before returning. Per-pipeline
-// counters (stripes, bytes in/out, stripe latency histogram) are
-// available via Stats().
+// Cancellation is by context.Context, and the first error from any
+// stage cancels the pipeline and drains the workers before returning.
+// Per-pipeline counters (stripes, bytes in/out, stripe latency
+// histogram) are available via Stats().
+//
+// # Shard reads
+//
+// A plain decoder that read one block per stripe from every shard in
+// turn would let a single slow-but-alive reader drag every stripe down
+// to its speed. Erasure coding makes "slow" a soft failure: any k of
+// the k+m blocks recover the stripe, so a laggard can be treated as an
+// erasure-for-now and reconstructed around — the stream-layer analogue
+// of DIALGA's relative-latency trigger, which reacts to a shard running
+// behind its peers rather than to hard errors only.
+//
+// A read (Decode, DecodeRange, Rebuild) therefore schedules its shard
+// reads with a group: one goroutine per shard reader, and four rules on
+// top of the raw io.Reader:
+//
+//   - Peer deadlines. Each stripe is judged against itself. Once it
+//     has as many blocks in hand as reads still out — half its reads
+//     back, so one fast block alone never judges it — the rest get
+//     LateAfter of the in-hand blocks' latencies longer: lateMult times
+//     their median, floored at Options.HedgeAfter and capped at 15 s.
+//     Until then no read is late against its peers, and only the 15 s
+//     cap ends the wait. A fleet that slows together moves its own
+//     reference, so it is never late; a shard that hangs while its
+//     peers deliver is; a stripe whose every read hangs goes ahead at
+//     the cap.
+//   - Hedged reads. A shard that misses the deadline is demoted to
+//     slow for the stripe: the gather returns with the blocks in hand
+//     while the slow read continues in the background, and whether
+//     those suffice, or a spare must come in, is the consumer's call.
+//     The stripe does not take the straggler's block afterwards: when
+//     it lands, during a later gather, it is counted as dropped and
+//     recycled. Taking it could save at most one reconstruction, on a
+//     stripe that has already waited out the deadline.
+//   - One read per block. A read error is terminal unless it is a
+//     clean EOF or a block that fails its trailer: the shard is dead
+//     from that stripe on and is never read again, so the consumer
+//     brings a spare in or reconstructs from parity. A stream that
+//     broke mid-block has lost its place; reading it again could only
+//     delay the spare.
+//   - Circuit breaking. Each shard sits behind a Breaker: five deadline
+//     misses in a row and the group stops waiting for it entirely.
+//     After a cooldown (doubling per trip) the next stripe issues a
+//     probe read; an on-time probe closes the breaker, a miss re-opens
+//     it with a longer cooldown.
+//
+// The numbers are constants (breaker.go), not options: the one switch
+// is HedgeAfter. A shard goroutine skip-reads any blocks an open or
+// slow period left behind before serving a request, so a shard
+// re-admitted by a half-open probe is always stripe-aligned.
+//
+// A group remembers nothing past its read, and its hedge acts only
+// above the HedgeAfter floor. At the cluster gateway's defaults — 256
+// KiB blocks, a 30 ms floor — a node that adds a few milliseconds to
+// every read makes a block cost ~5 ms: far behind its peers, far under
+// the floor, so in-stream hedging never fires there. That regime is
+// covered one layer up, by the gateway's cross-request node sidelining
+// (internal/cluster, sideline.go), which puts each node behind the same
+// Breaker, judged by the same LateAfter against the other shard reads
+// of the same request, and simply stops handing the slow node's shard
+// to the read.
+//
+// Block buffers belong to the process, not to a pipeline: the
+// package's one allocator hands every read its blocks and every
+// encoder its stripes, and takes them back, under one idle-byte
+// budget, IdleBudget, so a pipeline is cheap to build per request.
 package stream
 
 import (
@@ -34,7 +96,6 @@ import (
 	"time"
 
 	"dialga/internal/obs"
-	"dialga/internal/shardio"
 	"dialga/internal/vclock"
 )
 
@@ -111,15 +172,16 @@ type Options struct {
 	Checksum Checksum
 
 	// HedgeAfter enables hedged degraded reads on decode when
-	// positive: a shard that misses the stripe's adaptive deadline
-	// (derived from the fleet-median block-read latency) is demoted to
-	// slow; with k blocks in hand the stripe reconstructs around it
-	// immediately, and the slow read's block is recycled when it lands;
-	// with fewer, a read that has a SpareFunc brings a spare in.
+	// positive: a shard that misses its stripe's deadline (derived from
+	// the latencies of the blocks that stripe has read, once half its
+	// reads are back) is demoted to slow; with k blocks in hand the
+	// stripe reconstructs around it immediately, and the slow read's
+	// block is recycled when it lands; with fewer, a read that has a
+	// SpareFunc brings a spare in.
 	// HedgeAfter is also the deadline floor. Zero (the default) disables
 	// hedging and the circuit breaker: every stripe waits for all live
 	// shards. It is the one straggler switch; the deadline ratio and
-	// breaker schedule behind it are shardio's constants.
+	// breaker schedule behind it are the package's constants.
 	HedgeAfter time.Duration
 
 	// CloseReaders, on decode, closes every shard reader that
@@ -135,7 +197,7 @@ type Options struct {
 	// Metrics, when non-nil, is the observability registry the
 	// pipeline registers its counter/gauge/histogram series in
 	// (stream_* series labelled by pipeline direction, shardio_*
-	// series for the decoder's shard scheduler); Stats() snapshots
+	// series for the reads' shard scheduling); Stats() snapshots
 	// read from those live series, and `dialga-node` exposes the
 	// registry at /metrics. Nil keeps the historical behaviour: a
 	// private registry per pipeline, observable only through Stats().
@@ -155,11 +217,11 @@ type geom struct {
 	shardSize  int // data bytes per shard per stripe
 	stripeSize int // k * shardSize
 	workers    int
-	blockSize  int             // shardSize + crcSize: bytes on the wire per shard per stripe
-	straggler  shardio.Options // validated shard-I/O scheduling config (decoder)
-	closeRead  bool            // close closable shard readers when Decode returns
-	metrics    *obs.Registry   // nil: each pipeline gets a private registry
-	clock      vclock.Clock    // nil: wall clock
+	blockSize  int           // shardSize + crcSize: bytes on the wire per shard per stripe
+	hedgeAfter time.Duration // deadline floor of a read's shard group; 0: no hedging
+	closeRead  bool          // close closable shard readers when Decode returns
+	metrics    *obs.Registry // nil: each pipeline gets a private registry
+	clock      vclock.Clock  // nil: wall clock
 }
 
 var errNoCodec = errors.New("stream: Options.Codec is required")
@@ -190,14 +252,8 @@ func (o Options) geometry() (geom, error) {
 	if o.Checksum != ChecksumCRC32C {
 		return geom{}, fmt.Errorf("stream: unknown Checksum %d: CRC-32C is the only block trailer", o.Checksum)
 	}
-	straggler := shardio.Options{
-		BlockSize:  shard + crcSize,
-		HedgeAfter: o.HedgeAfter,
-		Metrics:    o.Metrics,
-		Clock:      o.Clock,
-	}
-	if err := straggler.Validate(); err != nil {
-		return geom{}, err
+	if o.HedgeAfter < 0 {
+		return geom{}, fmt.Errorf("stream: HedgeAfter %v must not be negative", o.HedgeAfter)
 	}
 	return geom{
 		codec:      o.Codec,
@@ -207,7 +263,7 @@ func (o Options) geometry() (geom, error) {
 		stripeSize: shard * k,
 		workers:    workers,
 		blockSize:  shard + crcSize,
-		straggler:  straggler,
+		hedgeAfter: o.HedgeAfter,
 		closeRead:  o.CloseReaders,
 		metrics:    o.Metrics,
 		clock:      o.Clock,

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"dialga/internal/shardio"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -44,7 +42,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Codec: code, StripeSize: -1},
 		{Codec: code, Workers: -1},
 		{Codec: code, Checksum: ChecksumCRC32C + 1}, // CRC-32C is the only trailer
-		// Refused by shardio.Options.Validate, at construction time.
+		// Refused at construction time, not when a read starts.
 		{Codec: code, HedgeAfter: -1},
 	} {
 		if _, err := o.geometry(); err == nil {
@@ -111,7 +109,7 @@ func TestBufPool(t *testing.T) {
 	}
 	first := &s.buf[0]
 	s.Release()
-	shardio.PutBuffer(make([]byte, 3)) // a foreign, undersized buffer
+	putBuffer(make([]byte, 3)) // a foreign, undersized buffer
 	s = e.lend()
 	if len(s.buf) != size || &s.buf[0] != first {
 		t.Fatal("the released stripe buffer was not lent again whole")
@@ -128,21 +126,21 @@ func TestBufPoolRecyclesShortTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := shardio.GetBuffer(g.blockSize)
-	shardio.PutBuffer(b[:10]) // tail-block-shaped reslice
-	got := shardio.GetBuffer(g.blockSize)
+	b := getBuffer(g.blockSize)
+	putBuffer(b[:10]) // tail-block-shaped reslice
+	got := getBuffer(g.blockSize)
 	if len(got) != g.blockSize {
 		t.Fatalf("got %d-byte block after short put, want %d", len(got), g.blockSize)
 	}
 	if &got[0] != &b[0] {
 		t.Fatal("short-tail block was dropped instead of recycled")
 	}
-	shardio.PutBuffer(got[:0])
+	putBuffer(got[:0])
 	if raceEnabled {
 		return // the race detector's instrumentation allocates
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		shardio.PutBuffer(shardio.GetBuffer(g.blockSize)[:1])
+		putBuffer(getBuffer(g.blockSize)[:1])
 	})
 	if allocs != 0 {
 		t.Fatalf("short-tail block cycle allocates %v objects per run, want 0", allocs)

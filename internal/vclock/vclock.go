@@ -2,7 +2,7 @@
 // time.Now / time.NewTimer / time.After with a real implementation and
 // a deterministic fake.
 //
-// The shard-I/O scheduler (internal/shardio), the gateway's sideliner
+// The shard-read scheduler (internal/stream), the gateway's sideliner
 // (internal/cluster), and their tests all take a Clock instead of
 // calling the time package directly, so every time-driven decision —
 // breaker cooldowns, hedge deadlines, sideline probes — can be
@@ -12,6 +12,8 @@
 package vclock
 
 import (
+	"bytes"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -148,24 +150,32 @@ func (f *Fake) next() *fakeWaiter {
 }
 
 // pumpSettle is the real time Pump lets the code under test run before
-// each jump: in-memory reads and small stripes take microseconds, so it
-// is ample, and a virtual second still costs only milliseconds.
+// it looks whether that code has parked: in-memory reads and small
+// stripes take microseconds, so it is ample, and a virtual second still
+// costs only milliseconds.
 const pumpSettle = 500 * time.Microsecond
+
+// pumpPatience bounds the real time Pump waits for the code under test
+// to park before it jumps anyway: a goroutine that never parks (a spin)
+// slows each jump by at most this much instead of stopping the clock.
+const pumpPatience = time.Second
 
 // Pump makes the clock run itself, for tests that drive goroutines they
 // cannot script step by step (a whole decode pipeline): whenever a timer
-// is pending it lets the code under test run for pumpSettle of real
-// time, then jumps to the earliest pending deadline, so virtual time
-// passes only while everyone is (by that allowance) parked on the clock,
-// and costs no more real time than the events in it. Code that a loaded
-// machine makes slower than the allowance merely sees its timers fire
-// early — a deadline missed, never a wrong answer. The returned stop ends
-// the pump and waits for it.
+// is pending it lets the code under test run until no goroutine but its
+// own is running or waiting to run (looking every pumpSettle of real
+// time), then jumps to the earliest pending deadline, so virtual time
+// passes only while everyone is parked, and costs no more real time than
+// the events in it. A loaded machine that deschedules the code under
+// test therefore delays the jump instead of firing a deadline before
+// the reads it judges have started. The returned stop ends the pump and
+// waits for it.
 func (f *Fake) Pump() (stop func()) {
 	stopped := false
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		var dump []byte
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		for !stopped {
@@ -173,8 +183,15 @@ func (f *Fake) Pump() (stop func()) {
 				f.armed.Wait()
 				continue
 			}
+			// Unlocked while looking: a goroutine about to arm a timer
+			// must not be seen parked on f.mu.
 			f.mu.Unlock()
-			time.Sleep(pumpSettle)
+			for waited := time.Duration(0); ; waited += pumpSettle {
+				time.Sleep(pumpSettle)
+				if waited >= pumpPatience || !othersBusy(&dump) {
+					break
+				}
+			}
 			f.mu.Lock()
 			if w := f.next(); w != nil && !stopped {
 				f.advanceTo(w.at)
@@ -188,6 +205,38 @@ func (f *Fake) Pump() (stop func()) {
 		f.mu.Unlock()
 		<-done
 	}
+}
+
+// othersBusy reports whether any goroutine but the caller is running,
+// waiting to run or in a system call, from the state in each
+// goroutine's header of a full stack dump ("goroutine 7 [select]:").
+// buf is the dump's buffer, grown as needed and kept between calls.
+func othersBusy(buf *[]byte) bool {
+	n := runtime.Stack(*buf, true)
+	for n == len(*buf) {
+		*buf = make([]byte, 2*len(*buf)+64<<10)
+		n = runtime.Stack(*buf, true)
+	}
+	dump, caller := (*buf)[:n], true // the caller's own trace comes first
+	for len(dump) > 0 {
+		var line []byte
+		line, dump, _ = bytes.Cut(dump, []byte("\n"))
+		if !bytes.HasPrefix(line, []byte("goroutine ")) {
+			continue
+		}
+		if caller {
+			caller = false
+			continue
+		}
+		_, state, _ := bytes.Cut(line, []byte("["))
+		state, _, _ = bytes.Cut(state, []byte("]"))
+		state, _, _ = bytes.Cut(state, []byte(","))
+		switch string(state) {
+		case "running", "runnable", "preempted", "syscall", "copystack":
+			return true
+		}
+	}
+	return false
 }
 
 func (f *Fake) NewTimer(d time.Duration) Timer {

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -105,6 +106,26 @@ func TestFakePump(t *testing.T) {
 	case <-tm.C():
 		t.Fatal("timer fired after the pump was stopped")
 	case <-time.After(5 * time.Millisecond):
+	}
+}
+
+// TestFakePumpWaitsForRunningCode: Pump does not move the clock while
+// another goroutine is still running, however long that takes in real
+// time — here a 20 ms spin, forty times the pump's settle.
+func TestFakePumpWaitsForRunningCode(t *testing.T) {
+	f := NewFake()
+	tm := f.NewTimer(time.Second)
+	var spun atomic.Bool
+	go func() {
+		for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); {
+		}
+		spun.Store(true)
+	}()
+	stop := f.Pump()
+	defer stop()
+	<-tm.C()
+	if !spun.Load() {
+		t.Fatal("the pump moved the clock while a goroutine was running")
 	}
 }
 

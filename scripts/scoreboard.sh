@@ -29,7 +29,6 @@ done
 printf '%-52s %s\n' 'non-test Go lines outside bench/' "$lines"
 printf '%-52s %s\n' 'exported identifiers across internal/' "$internal"
 printf '%-52s %s\n' 'stream.Options fields' "$(fields ./internal/stream Options)"
-printf '%-52s %s\n' 'shardio.Options fields' "$(fields ./internal/shardio Options)"
 printf '%-52s %s\n' 'cluster.GatewayOptions fields' "$(fields ./internal/cluster GatewayOptions)"
 printf '%-52s %s\n' 'exported declarations in dialga.go' "$(exported .)"
 for b in dialga-bench dialga-encode dialga-node; do
