@@ -20,10 +20,11 @@
 // The serving map and its epoch are visible at /v1/cluster/map.
 //
 // With -write-quorum below k+m the gateway acknowledges puts once a
-// quorum of shards is durable; each missing shard is journaled to the
-// -intent-log before the ack and rebuilt by the repair loop, which
-// adopts the journal at startup. The store itself recovers crash
-// debris (orphaned temp files, torn shards) every time it opens.
+// quorum of shards is durable. Every shard header carries its put's
+// generation, so a shard a put missed is absent or older than the rest
+// of its object, and the repair loop's scan finds and rebuilds it, also
+// after a restart. The store itself recovers crash debris (orphaned
+// temp files, torn shards) every time it opens.
 package main
 
 import (
@@ -56,7 +57,6 @@ type nodeConfig struct {
 
 	writeQuorum int
 	putRetries  int
-	intentLog   string
 	repairBW    int64
 }
 
@@ -78,7 +78,6 @@ func main() {
 	flag.DurationVar(&cfg.drain, "drain", node.DefaultDrainTimeout, "graceful-shutdown drain window")
 	flag.IntVar(&cfg.writeQuorum, "write-quorum", 0, "shards that must be durable before a put is acked (0 = all k+m; else in [k+1, k+m])")
 	flag.IntVar(&cfg.putRetries, "put-retries", 0, "per-shard retries on transient put errors (0 = default 2, -1 disables)")
-	flag.StringVar(&cfg.intentLog, "intent-log", "", "durable write-intent journal path (empty disables; required for -write-quorum below k+m to survive restarts)")
 	flag.Int64Var(&cfg.repairBW, "repair-bw", 0, "bandwidth budget in bytes/s shared by repair and rebalance data movement (0 = unmetered)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -130,14 +129,6 @@ func run(cfg nodeConfig) error {
 	if err != nil {
 		return err
 	}
-	var intents *cluster.IntentLog
-	if cfg.intentLog != "" {
-		intents, err = cluster.OpenIntentLog(cfg.intentLog, reg)
-		if err != nil {
-			return err
-		}
-		defer intents.Close()
-	}
 	gw, err := cluster.NewGateway(cluster.GatewayOptions{
 		Map: cmap, K: cfg.k, M: cfg.m,
 		StripeSize:  cfg.stripeKiB * 1024,
@@ -146,7 +137,6 @@ func run(cfg nodeConfig) error {
 		Metrics:     reg,
 		WriteQuorum: cfg.writeQuorum,
 		PutRetries:  cfg.putRetries,
-		Intents:     intents,
 	})
 	if err != nil {
 		return err
@@ -178,11 +168,8 @@ func run(cfg nodeConfig) error {
 			Bandwidth: cfg.repairBW,
 		})
 		// Shards the gateway could not land at put time go straight onto
-		// the repair queue; the journal keeps them across restarts.
+		// the repair queue; after a restart the scan finds them.
 		gw.SetOnDegraded(func(object string, idx int) { rep.Enqueue(object, idx) })
-		if n := rep.AdoptIntents(); n > 0 {
-			fmt.Fprintf(os.Stderr, "dialga-node %s: adopted %d journaled write-intents\n", cfg.id, n)
-		}
 		if cfg.repairInterval > 0 {
 			go rep.Run(ctx, cfg.repairInterval)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -41,24 +40,18 @@ func (r *slowChunkReader) Read(p []byte) (int, error) {
 }
 
 // TestClusterChaosQuorumConvergence is the acceptance test for the
-// quorum-write / durable-intent / crash-recovery stack: a seeded,
+// quorum-write / repair-scan / crash-recovery stack: a seeded,
 // serializable fault plan partitions one node, blackholes another, and
 // a third is killed outright in the middle of a streaming put. Every
 // put the gateway ACKNOWLEDGED must decode byte-exact throughout — the
 // durability contract — and once the network heals and the dead node
 // returns (with its persistent shards intact, per the PPM fault
-// model), intent adoption plus repair must converge the cluster back
-// to full redundancy.
+// model), scan and repair must find every shard a degraded ack owed
+// and converge the cluster back to full redundancy.
 func TestClusterChaosQuorumConvergence(t *testing.T) {
 	ft := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
-	log, err := OpenIntentLog(filepath.Join(t.TempDir(), "intents.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
 	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
-		o.Intents = log
 		// The client timeout is what bounds a blackholed request: the
 		// route drops packets silently, so only our own deadline ends it.
 		o.HTTPClient = &http.Client{Timeout: time.Second, Transport: ft}
@@ -100,8 +93,8 @@ func TestClusterChaosQuorumConvergence(t *testing.T) {
 
 	// Phase B: partition one rack. With K+M = 6 nodes, every placement
 	// uses every node, so each put is forced through the quorum path:
-	// five shards land, the partitioned node's shard becomes a durable
-	// intent.
+	// five shards land, and the partitioned node's shard is owed.
+	degraded := func() uint64 { return tc.reg.Counter("cluster_put_degraded_total", "").Value() }
 	partitioned := tc.nodes[2]
 	ft.Partition(partitioned.addr)
 	for i := 0; i < 3; i++ {
@@ -109,8 +102,8 @@ func TestClusterChaosQuorumConvergence(t *testing.T) {
 			t.Fatalf("put during partition: %v", err)
 		}
 	}
-	if got := len(log.Pending()); got != 3 {
-		t.Fatalf("intents during partition = %d, want 3", got)
+	if got := degraded(); got != 3 {
+		t.Fatalf("degraded puts during partition = %d, want 3", got)
 	}
 	verifyAcked("during partition")
 	ft.Heal(partitioned.addr)
@@ -123,18 +116,18 @@ func TestClusterChaosQuorumConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ft.Set(tc.nodes[4].addr, holePlan)
-	before := tc.reg.Counter("cluster_put_degraded_total", "").Value()
+	before := degraded()
 	if err := put("blackholed", nil, objSize); err != nil {
 		t.Fatalf("put through blackhole: %v", err)
 	}
-	if after := tc.reg.Counter("cluster_put_degraded_total", "").Value(); after != before {
+	if after := degraded(); after != before {
 		t.Fatal("blackholed put was degraded; the retry should have landed the shard")
 	}
 	ft.Heal(tc.nodes[4].addr)
 
 	// Phase D: kill a node in the middle of a streaming put, then keep
-	// writing while it is down. Acks must continue (quorum 5 of 6) and
-	// every missing shard must be journaled.
+	// writing while it is down. Acks must continue (quorum 5 of 6), each
+	// owing the killed node's shard.
 	killed := tc.nodes[5]
 	killPayload := clusterPayload(3001, 4*objSize)
 	killDone := make(chan error, 1)
@@ -157,21 +150,25 @@ func TestClusterChaosQuorumConvergence(t *testing.T) {
 	verifyAcked("with node down")
 
 	// Phase E: the dead node returns with its persistent shards intact
-	// (only shards put while it was down are missing). Adopt the
-	// journal, then scan-and-drain until the cluster converges.
+	// (only shards put while it was down are missing). The first scan
+	// finds every shard a degraded ack owed, one per degraded put, and
+	// scan-and-drain continues until the cluster converges.
 	killed.start()
 	rep := NewRepairer(tc.gw, nil, tc.reg)
-	rep.AdoptIntents()
 	converged := false
 	for pass := 0; pass < 6; pass++ {
-		if _, err := rep.ScanOnce(ctx); err != nil {
+		enq, err := rep.ScanOnce(ctx)
+		if err != nil {
 			t.Fatalf("scan pass %d: %v", pass, err)
+		}
+		if pass == 0 && uint64(enq) != degraded() {
+			t.Fatalf("first scan queued %d shards, %d degraded puts owe one each", enq, degraded())
 		}
 		_, failed := rep.DrainOnce(ctx)
 		if failed != 0 {
 			continue
 		}
-		enq, err := rep.ScanOnce(ctx)
+		enq, err = rep.ScanOnce(ctx)
 		if err != nil {
 			t.Fatalf("verify scan pass %d: %v", pass, err)
 		}
@@ -182,9 +179,6 @@ func TestClusterChaosQuorumConvergence(t *testing.T) {
 	}
 	if !converged {
 		t.Fatal("repair did not converge to full redundancy")
-	}
-	if got := log.Pending(); len(got) != 0 {
-		t.Fatalf("intents after convergence: %v, want none", got)
 	}
 	if g := tc.reg.Gauge("cluster_redundancy_min", "").Value(); g != 6 {
 		t.Fatalf("cluster_redundancy_min after convergence = %v, want 6", g)

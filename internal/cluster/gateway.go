@@ -2,13 +2,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +14,6 @@ import (
 	"dialga/internal/node"
 	"dialga/internal/obs"
 	"dialga/internal/rs"
-	"dialga/internal/shardfile"
 	"dialga/internal/stream"
 )
 
@@ -53,8 +50,9 @@ type GatewayOptions struct {
 	// redundant at ack). Any other value must lie in [K+1, K+M]: at
 	// least one shard beyond the data minimum, so an acked object
 	// always survives the immediate loss of any single node. Shards
-	// missing at ack time are journaled as write intents (see Intents)
-	// and handed to repair.
+	// missing at ack time are handed to repair (see SetOnDegraded), and
+	// the repair scan finds them too: they are absent, or hold an older
+	// generation.
 	WriteQuorum int
 	// PutRetries is the per-shard retry budget for transient upload
 	// failures during a put. Zero means the default (2 retries). With
@@ -65,11 +63,6 @@ type GatewayOptions struct {
 	// object: the put for objects larger than memory. Attempt n waits
 	// a jittered delay under n·putBackoffBase first (see putBackoff).
 	PutRetries int
-	// Intents is the durable write-intent journal degraded puts record
-	// the missing shards in before acknowledging. Nil disables
-	// journaling (quorum puts still succeed, but a gateway crash
-	// forgets which shards were owed).
-	Intents *IntentLog
 }
 
 // Gateway stripes whole objects across the cluster: PUT encodes an
@@ -92,7 +85,7 @@ type Gateway struct {
 	putSizes   *obs.Histogram // cluster_put_shard_size_bytes
 	quorum     int            // shard uploads required to ack a put
 	retries    int            // per-shard transient retry budget (-1: disabled)
-	intents    *IntentLog
+	lastGen    atomic.Uint64  // the last generation a put drew
 	onDegraded func(object string, index int)
 
 	// state is the current membership generation: the map plus one
@@ -200,7 +193,6 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		codec:   codec,
 		quorum:  quorum,
 		retries: retries,
-		intents: opts.Intents,
 		retained: opts.Metrics.Gauge("cluster_put_retained_bytes",
 			"Encoded stripe bytes puts currently lend to their shard uploads."),
 	}
@@ -268,8 +260,8 @@ func (g *Gateway) UpdateMap(next *Map) error {
 func (g *Gateway) Shards() int { return g.k + g.m }
 
 // SetOnDegraded installs the degraded-put callback: f is called once
-// per shard missing at ack time, after its intent is journaled — how the
-// repairer learns about owed shards without polling. It runs on
+// per shard missing at ack time — how a co-resident repairer learns
+// about owed shards before its next scan. It runs on
 // PutObject's goroutine; keep it fast. The gateway is usually built
 // before the repairer that wants the hook, hence a setter; call it
 // before the gateway starts serving puts, the hook is read without
@@ -297,21 +289,6 @@ func (g *Gateway) counter(name, help string, labels ...obs.Label) *obs.Counter {
 	return g.reg.Counter(name, help, labels...)
 }
 
-// header builds shard idx's shardfile header for an object of size
-// bytes encoded with the gateway's geometry in shardSize-byte shards.
-func (g *Gateway) header(idx int, size int64, shardSize int) shardfile.Header {
-	stripeSize := uint64(shardSize * g.k)
-	stripes := (uint64(size) + stripeSize - 1) / stripeSize
-	return shardfile.Header{
-		Version: shardfile.VersionV3,
-		K:       uint32(g.k), M: uint32(g.m), Index: uint32(idx),
-		ShardSize:   uint32(shardSize),
-		StripeCount: stripes,
-		FileSize:    uint64(size),
-		Algo:        shardfile.AlgoCRC32C,
-	}
-}
-
 // streamOptions is the shared pipeline config for this gateway's
 // geometry over shards of shardSize bytes. Reads close their shard
 // bodies when they end, so a straggler's connection is not left open.
@@ -323,247 +300,6 @@ func (g *Gateway) streamOptions(shardSize int) stream.Options {
 		CloseReaders: true,
 		Metrics:      g.reg,
 	}
-}
-
-// PutObject encodes size bytes from r into K+M shards streamed
-// concurrently to the object's placement. Every shard upload carries a
-// full shardfile (header + checksummed blocks), so each node validates
-// its shard independently and a node directory is scrubbable with
-// dialga-encode -mode verify.
-//
-// A put is acknowledged once WriteQuorum shard uploads have landed.
-// Transient upload failures (connection errors, throttling, 5xx) are
-// retried per shard with backoff and full jitter, reading the put's
-// encoded stripes again from the first; a shard that still cannot land
-// does not fail the put as long as quorum holds — its absence is journaled as a
-// durable write intent *before* the ack, then reported through
-// OnDegraded so repair rebuilds it. Below quorum the put fails and the
-// shards that did land are deleted best-effort. Returns the placement
-// used.
-func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, size int64, class string) (Placement, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("cluster: put %q needs a known size", object)
-	}
-	st := g.snap()
-	placement, err := st.cmap.Place(object, g.k+g.m)
-	if err != nil {
-		return nil, err
-	}
-
-	enc, err := g.encoderFor(size)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	n := g.k + g.m
-	window := 0 // retries need every stripe kept until the put ends
-	if g.retries < 0 {
-		window = putWindow
-	}
-	lent := newLentStripes(ctx, n, window, n*enc.BlockSize(), g.retained)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		cli, err := g.clientFor(st, placement[i].ID)
-		if err != nil {
-			// No destination for this shard; it must not hold the window.
-			lent.advance(i, gone)
-			errs[i] = fmt.Errorf("shard %d -> %s: %w", i, placement[i].ID, err)
-			continue
-		}
-		wg.Add(1)
-		go func(i int, cli *node.Client) {
-			defer wg.Done()
-			h := g.header(i, size, enc.ShardSize())
-			if err := g.uploadShard(ctx, object, placement[i].ID, cli.WithClass(class), lent, h); err != nil {
-				errs[i] = fmt.Errorf("shard %d -> %s: %w", i, placement[i].ID, err)
-			}
-		}(i, cli)
-	}
-
-	// Count input bytes locally: the encoder's Stats() aggregates across
-	// every pipeline sharing the registry, so it cannot size-check one put.
-	// The ctx wrapper bounds cancellation latency: the encoder's
-	// producer loop reads the caller's reader without watching ctx, so
-	// a trickling (or stalled-between-reads) source would otherwise
-	// keep the whole put — stripes, uploader goroutines and all — alive
-	// long after the caller gave up.
-	cr := &countingReader{r: readerCtx(ctx, r)}
-	encErr := enc.EncodeStripes(ctx, cr, lent.publish)
-	if encErr == nil && cr.n != size {
-		encErr = fmt.Errorf("read %d bytes, expected %d", cr.n, size)
-	}
-	if encErr != nil {
-		// Cancelled before the uploads can see why: a failure the encoder
-		// caused is then never mistaken for one worth a retry.
-		cancel()
-	}
-	lent.finish(encErr)
-	wg.Wait()
-	lent.release()
-
-	fail := func(err error) (Placement, error) {
-		g.counter("cluster_puts_total", "Object puts, by result.",
-			obs.Label{Key: "result", Value: "error"}).Inc()
-		return nil, fmt.Errorf("cluster: put %q: %w", object, err)
-	}
-	// dropLanded clears the shards that did land, best-effort, on a
-	// fresh context (ours may already be cancelled): a put that fails is
-	// stale the moment the client retries.
-	dropLanded := func() {
-		cleanCtx, cleanCancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cleanCancel()
-		for i, err := range errs {
-			if err == nil {
-				if cli, cerr := g.clientFor(st, placement[i].ID); cerr == nil {
-					cli.WithClass(class).DeleteShard(cleanCtx, object, i)
-				}
-			}
-		}
-	}
-	if encErr != nil {
-		// Only a source longer than it declared leaves anything to drop:
-		// the uploads are complete at the declared size.
-		dropLanded()
-		return fail(encErr)
-	}
-
-	landed := 0
-	var missing []int
-	var firstErr error
-	for i, err := range errs {
-		if err == nil {
-			landed++
-			continue
-		}
-		missing = append(missing, i)
-		if firstErr == nil {
-			firstErr = err
-		}
-		g.counter("cluster_put_shard_failures_total",
-			"Shard uploads that failed permanently during puts, by node.",
-			obs.Label{Key: "node", Value: string(placement[i].ID)}).Inc()
-	}
-	if landed < g.quorum {
-		// Not enough durability to ack.
-		dropLanded()
-		return fail(fmt.Errorf("only %d of %d shards landed, quorum is %d: %w",
-			landed, n, g.quorum, firstErr))
-	}
-
-	// Quorum holds. Journal what is owed before acknowledging — the
-	// durability contract is that an acked degraded put survives a
-	// gateway crash — and discharge stale intents for shards this put
-	// just (re)wrote.
-	for i := 0; i < n; i++ {
-		if errs[i] == nil {
-			if err := g.intents.Done(object, i); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	for _, i := range missing {
-		if err := g.intents.Add(object, i); err != nil {
-			return fail(err)
-		}
-	}
-	if g.onDegraded != nil {
-		for _, i := range missing {
-			g.onDegraded(object, i)
-		}
-	}
-
-	result := "ok"
-	if len(missing) > 0 {
-		result = "degraded"
-		g.counter("cluster_put_degraded_total",
-			"Puts acknowledged at quorum with one or more shards owed to repair.").Inc()
-	}
-	g.counter("cluster_puts_total", "Object puts, by result.",
-		obs.Label{Key: "result", Value: result}).Inc()
-	g.counter("cluster_put_bytes_total", "Object payload bytes written.").Add(uint64(size))
-	g.putSizes.Observe(float64(enc.ShardSize()))
-	return placement, nil
-}
-
-// uploadShard sends one shard of a put to its node, reading the lent
-// stripes in place. A transient failure is retried, with linearly
-// growing, fully-jittered backoff, as a fresh body from stripe 0 — the
-// stripes are still there, and the node commits by rename, so an
-// attempt can simply be made again. Failures never tear down the put:
-// the other shards' uploads are unaffected, and the caller decides
-// afterwards whether quorum held.
-func (g *Gateway) uploadShard(ctx context.Context, object string, id NodeID, cli *node.Client, lent *lentStripes, h shardfile.Header) error {
-	idx := int(h.Index)
-	// Whatever ends the upload, a windowed list stops waiting for it —
-	// after the last attempt's body is sealed.
-	defer lent.advance(idx, gone)
-	for attempt := 0; ; attempt++ {
-		body := lent.body(idx, h)
-		err := cli.PutShard(ctx, object, idx, body)
-		body.seal()
-		if err == nil || !node.Transient(err) || attempt >= g.retries {
-			return err
-		}
-		if sleepCtx(ctx, putBackoff(object, idx, attempt+1)) != nil {
-			return err // the put is over; the attempt's own error says more than ctx's
-		}
-		g.counter("cluster_put_shard_retries_total",
-			"Shard uploads started again after a transient failure during puts, by node.",
-			obs.Label{Key: "node", Value: string(id)}).Inc()
-	}
-}
-
-// putBackoffBase is the span of the first retry's jitter; attempt n
-// draws from n times it.
-const putBackoffBase = 50 * time.Millisecond
-
-// putBackoff is the delay before retry attempt (1-based) of one shard's
-// upload: full jitter over [0, attempt·putBackoffBase), keyed by the
-// attempt's own identity. Uploads that one node failure cuts together
-// belong to different objects, so they draw different delays and do not
-// retry in step; a seeded chaos run still replays its exact schedule.
-func putBackoff(object string, shard, attempt int) time.Duration {
-	span := time.Duration(attempt) * putBackoffBase
-	h := mix(fnv64(object) ^ uint64(shard)<<32 ^ uint64(attempt))
-	return time.Duration(h % uint64(span))
-}
-
-// sleepCtx pauses for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// readerCtx wraps r so each Read first checks ctx: once the put's
-// context ends, the next read fails instead of letting a slow source
-// hold the pipeline open. (A single Read already blocked inside r is
-// beyond rescue — this bounds the damage to one call.)
-func readerCtx(ctx context.Context, r io.Reader) io.Reader {
-	return &ctxReader{ctx: ctx, r: r}
-}
-
-type ctxReader struct {
-	ctx context.Context
-	r   io.Reader
-}
-
-func (c *ctxReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, err
-	}
-	return c.r.Read(p)
 }
 
 // ObjectRead is an opened object read pinned to one map generation:
@@ -834,160 +570,4 @@ func listObjects(ctx context.Context, clients []*node.Client, class, who string)
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Handler returns the gateway's object API:
-//
-//	PUT    /v1/object/{object}     store an object (Content-Length required)
-//	GET    /v1/object/{object}     fetch an object (honors single-range Range: headers)
-//	DELETE /v1/object/{object}     delete an object's shards
-//	GET    /v1/objects/all         cluster-wide object listing
-//	GET    /v1/placement/{object}  the object's shard placement as JSON
-//	GET    /v1/cluster/map         the serving cluster map with its epoch, and the sidelined nodes
-func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /v1/object/{object}", g.handlePut)
-	mux.HandleFunc("GET /v1/object/{object}", g.handleGet)
-	mux.HandleFunc("DELETE /v1/object/{object}", g.handleDelete)
-	mux.HandleFunc("GET /v1/cluster/map", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, struct {
-			MapInfo
-			// Sidelined lists the nodes reads currently ask last, each
-			// with what is left of its cooldown.
-			Sidelined []sidelinedNode `json:"sidelined"`
-		}{g.Map().Info(), g.router.sidelinedNodes()})
-	})
-	mux.HandleFunc("GET /v1/objects/all", func(w http.ResponseWriter, r *http.Request) {
-		names, err := g.Objects(r.Context())
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		if names == nil {
-			names = []string{}
-		}
-		writeJSON(w, names)
-	})
-	mux.HandleFunc("GET /v1/placement/{object}", func(w http.ResponseWriter, r *http.Request) {
-		p, err := g.Place(r.PathValue("object"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		writeJSON(w, p)
-	})
-	return mux
-}
-
-func (g *Gateway) handlePut(w http.ResponseWriter, r *http.Request) {
-	object := r.PathValue("object")
-	if r.ContentLength < 0 {
-		http.Error(w, "object put requires Content-Length", http.StatusLengthRequired)
-		return
-	}
-	p, err := g.PutObject(r.Context(), object, r.Body, r.ContentLength, node.Class(r))
-	if err != nil {
-		gatewayFail(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, p)
-}
-
-func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
-	object := r.PathValue("object")
-	class := node.Class(r)
-
-	var o *ObjectRead
-	var err error
-	if spec, ok := parseRange(r.Header.Get("Range")); ok {
-		o, err = g.openRange(r.Context(), object, spec, class)
-		var re *RangeError
-		if errors.As(err, &re) {
-			w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", re.Size))
-			http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
-			return
-		}
-	} else {
-		o, err = g.OpenObject(r.Context(), object, class)
-	}
-	if err != nil {
-		gatewayFail(w, err)
-		return
-	}
-
-	// Everything the client needs to detect a truncated response goes
-	// out before the first payload byte: the shards are open, so the
-	// exact length is known up front.
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Accept-Ranges", "bytes")
-	h.Set("Content-Length", strconv.FormatInt(o.Length(), 10))
-	if o.Ranged() {
-		h.Set("Content-Range",
-			fmt.Sprintf("bytes %d-%d/%d", o.Off(), o.Off()+o.Length()-1, o.Size()))
-		w.WriteHeader(http.StatusPartialContent)
-	}
-
-	cw := &countWriter{w: w}
-	if err := o.WriteTo(r.Context(), cw); err != nil {
-		if cw.n == 0 && !o.Ranged() {
-			// Nothing on the wire yet; a clean error response is still
-			// possible.
-			gatewayFail(w, err)
-			return
-		}
-		// The status line (and possibly payload bytes) already went
-		// out. Error prose appended now would be indistinguishable
-		// from object data, so kill the connection instead: the
-		// Content-Length mismatch tells the client it was truncated.
-		panic(http.ErrAbortHandler)
-	}
-}
-
-// countWriter tallies payload bytes already written to the client, so
-// the handler knows whether an error can still become a status code.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if err := g.DeleteObject(r.Context(), r.PathValue("object"), node.Class(r)); err != nil {
-		gatewayFail(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func gatewayFail(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, node.ErrNotFound):
-		http.Error(w, err.Error(), http.StatusNotFound)
-	default:
-		http.Error(w, err.Error(), http.StatusBadGateway)
-	}
-}
-
-// countingReader tallies bytes as the encoder consumes them.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }

@@ -241,7 +241,7 @@ func corruptBlock(t *testing.T, tc *testCluster, object string, idx int, stripe 
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := shardfile.HeaderSizeV3 + stripe*h.BlockSize() + 7
+	off := h.Size() + stripe*h.BlockSize() + 7
 	raw[off] ^= 0x40
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func startCluster(t *testing.T, n, k, m int) *testCluster {
 }
 
 // startClusterOpts is startCluster with a hook to adjust the gateway
-// options (quorum, intents, a fault transport) before it is built.
+// options (quorum, a fault transport) before it is built.
 func startClusterOpts(t *testing.T, n, k, m int, mod func(*GatewayOptions)) *testCluster {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -283,19 +283,19 @@ func corruptShard(t *testing.T, tc *testCluster, object string, idx int, seed ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := int64(len(raw) - shardfile.HeaderSizeV3)
+	body := int64(len(raw) - shardfile.HeaderSizeV4)
 	plan := fault.Generate(seed, body, 4)
 	// Keep only in-place corruption: truncation and transient errors
 	// would change the file length or abort the rewrite.
 	ops := plan.Ops[:0]
 	for _, op := range plan.Ops {
 		if op.Kind == fault.BitFlip || op.Kind == fault.ZeroFill {
-			op.Off += shardfile.HeaderSizeV3
+			op.Off += shardfile.HeaderSizeV4
 			ops = append(ops, op)
 		}
 	}
 	if len(ops) == 0 {
-		ops = append(ops, fault.Op{Kind: fault.BitFlip, Off: shardfile.HeaderSizeV3 + int64(seed%uint64(body)), Bit: 1})
+		ops = append(ops, fault.Op{Kind: fault.BitFlip, Off: shardfile.HeaderSizeV4 + int64(seed%uint64(body)), Bit: 1})
 	}
 	plan.Ops = ops
 	damaged, err := io.ReadAll(fault.NewReader(bytes.NewReader(raw), plan))

@@ -161,13 +161,16 @@ func TestLadderEndToEnd(t *testing.T) {
 		}
 		for idx := 0; idx < 6; idx++ {
 			raw := tc.shardFile(o.name, idx)
-			if want := o.header(idx); int64(len(raw)) != want.ExpectedFileSize() || !bytes.HasPrefix(raw, want.Marshal()) {
-				t.Fatalf("%s shard %d: %d bytes on disk, want %d-byte shards in a %d-byte file under the header %+v",
-					o.name, idx, len(raw), o.shardSize, want.ExpectedFileSize(), want)
+			got, err := shardfile.Parse(bytes.NewReader(raw))
+			want := o.header(idx)
+			want.Version, want.Generation = shardfile.VersionV4, got.Generation
+			if err != nil || got != want || got.Generation == 0 || int64(len(raw)) != want.ExpectedFileSize() {
+				t.Fatalf("%s shard %d: %d bytes on disk under %+v, %v; want %d-byte shards in a %d-byte file under the header %+v",
+					o.name, idx, len(raw), got, err, o.shardSize, want.ExpectedFileSize(), want)
 			}
 		}
-		if len(o.payload) == 64<<10 && len(tc.shardFile(o.name, 0)) != 16436 {
-			t.Fatalf("a 64 KiB object's shard is %d bytes, want 48 + 16384 + 4", len(tc.shardFile(o.name, 0)))
+		if len(o.payload) == 64<<10 && len(tc.shardFile(o.name, 0)) != 16444 {
+			t.Fatalf("a 64 KiB object's shard is %d bytes, want 56 + 16384 + 4", len(tc.shardFile(o.name, 0)))
 		}
 	}
 	counts, _, total := tc.gw.putSizes.Snapshot()
@@ -338,7 +341,7 @@ func TestReadsObjectsStoredBeforeTheLadder(t *testing.T) {
 
 	// Overwritten, the key moves to the rung the ladder picks.
 	tc.put(ctx, object, payload)
-	if got, want := len(tc.shardFile(object, 0)), 48+16384+4; got != want {
+	if got, want := len(tc.shardFile(object, 0)), 56+16384+4; got != want {
 		t.Fatalf("overwritten shard is %d bytes, want %d", got, want)
 	}
 	tc.mustGet(ctx, object, payload)

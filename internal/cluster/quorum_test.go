@@ -5,8 +5,9 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,20 +17,12 @@ import (
 	"dialga/internal/obs"
 )
 
-// quorumCluster starts a cluster whose gateway acks at quorum, with a
-// durable intent log.
-func quorumCluster(t *testing.T, n, k, m, quorum int) (*testCluster, *IntentLog) {
+// quorumCluster starts a cluster whose gateway acks at quorum.
+func quorumCluster(t *testing.T, n, k, m, quorum int) *testCluster {
 	t.Helper()
-	log, err := OpenIntentLog(filepath.Join(t.TempDir(), "intents.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { log.Close() })
-	tc := startClusterOpts(t, n, k, m, func(o *GatewayOptions) {
+	return startClusterOpts(t, n, k, m, func(o *GatewayOptions) {
 		o.WriteQuorum = quorum
-		o.Intents = log
 	})
-	return tc, log
 }
 
 func TestQuorumOptionValidation(t *testing.T) {
@@ -53,17 +46,18 @@ func TestQuorumOptionValidation(t *testing.T) {
 }
 
 // TestPutQuorumDegradedAck: one node down, quorum k+1 over RS(4,2) —
-// the put must succeed degraded, journal an intent for the missing
-// shard, fire the OnDegraded hook, and the object must read back.
+// the put must succeed degraded, fire the OnDegraded hook for the
+// missing shard, and the object must read back; once the node is back,
+// a repair scan finds exactly that shard owed.
 func TestPutQuorumDegradedAck(t *testing.T) {
-	tc, log := quorumCluster(t, 6, 4, 2, 5)
+	tc := quorumCluster(t, 6, 4, 2, 5)
 	ctx := context.Background()
 
 	var mu sync.Mutex
-	var hooked []Intent
+	var hooked []repairTask
 	tc.gw.SetOnDegraded(func(object string, index int) {
 		mu.Lock()
-		hooked = append(hooked, Intent{Object: object, Index: index})
+		hooked = append(hooked, repairTask{Object: object, Index: index})
 		mu.Unlock()
 	})
 
@@ -85,12 +79,9 @@ func TestPutQuorumDegradedAck(t *testing.T) {
 	}
 	tc.mustGet(ctx, object, payload)
 
-	want := []Intent{{Object: object, Index: downIdx}}
-	if got := log.Pending(); len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("pending intents = %v, want %v", got, want)
-	}
+	want := []repairTask{{Object: object, Index: downIdx}}
 	mu.Lock()
-	h := append([]Intent(nil), hooked...)
+	h := append([]repairTask(nil), hooked...)
 	mu.Unlock()
 	if len(h) != 1 || h[0] != want[0] {
 		t.Fatalf("OnDegraded saw %v, want %v", h, want)
@@ -107,20 +98,30 @@ func TestPutQuorumDegradedAck(t *testing.T) {
 		t.Fatal("cluster_put_shard_failures_total for the dead node never moved")
 	}
 
-	// A later full-width rewrite of the object discharges the intent.
+	// The node is back without its shard: a scan owes exactly that one.
 	tc.node(place[downIdx].ID).start()
+	rep := NewRepairer(tc.gw, nil, nil)
+	if n, err := rep.ScanOnce(ctx); err != nil || n != 1 {
+		t.Fatalf("scan after the node returned queued %d, %v; want 1", n, err)
+	}
+	if it, _ := rep.pop(); it.repairTask != want[0] {
+		t.Fatalf("scan queued %+v, want %v", it.repairTask, want[0])
+	}
+	// A later full-width rewrite of the object leaves nothing owed.
 	if _, err := tc.gw.PutObject(ctx, object, bytes.NewReader(payload), int64(len(payload)), node.ClassForeground); err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	if got := log.Pending(); len(got) != 0 {
-		t.Fatalf("intents after full rewrite = %v, want none", got)
+	if n, err := rep.ScanOnce(ctx); err != nil || n != 0 {
+		t.Fatalf("scan after a full rewrite queued %d, %v; want none", n, err)
 	}
 }
 
-// TestPutBelowQuorumFails: with two nodes down and quorum k+1 the put
-// must fail, and the shards that landed must be cleaned up.
+// TestPutBelowQuorumFails: with three nodes down and quorum k+1 the
+// put must fail, and the shards that landed, fewer than k, must be
+// cleaned up. (With k or more landed they stay: see
+// TestPutFailedOverwriteKeepsAVersion.)
 func TestPutBelowQuorumFails(t *testing.T) {
-	tc, log := quorumCluster(t, 6, 4, 2, 5)
+	tc := quorumCluster(t, 6, 4, 2, 5)
 	ctx := context.Background()
 
 	const object = "below-quorum"
@@ -129,19 +130,21 @@ func TestPutBelowQuorumFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.node(place[0].ID).stop()
-	tc.node(place[3].ID).stop()
+	down := map[int]bool{0: true, 3: true, 4: true}
+	for idx := range down {
+		tc.node(place[idx].ID).stop()
+	}
 
 	_, err = tc.gw.PutObject(ctx, object, bytes.NewReader(payload), int64(len(payload)), node.ClassForeground)
 	if err == nil {
 		t.Fatal("put below quorum succeeded")
 	}
-	if got := log.Pending(); len(got) != 0 {
-		t.Fatalf("failed put journaled intents: %v", got)
+	if v := tc.reg.Counter("cluster_put_degraded_total", "").Value(); v != 0 {
+		t.Fatalf("cluster_put_degraded_total = %d after a failed put, want 0", v)
 	}
 	// Best-effort cleanup: the live nodes hold nothing for the object.
 	for idx, info := range place {
-		if idx == 0 || idx == 3 {
+		if down[idx] {
 			continue
 		}
 		cli, _ := tc.gw.Client(info.ID)
@@ -210,7 +213,7 @@ func (trickleReader) Read(p []byte) (int, error) {
 // reader and requires both a prompt error return and that every
 // goroutine the put spawned exits.
 func TestPutCancellationReleasesPipeline(t *testing.T) {
-	tc, _ := quorumCluster(t, 6, 4, 2, 5)
+	tc := quorumCluster(t, 6, 4, 2, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 
 	before := runtime.NumGoroutine()
@@ -255,15 +258,9 @@ func TestPutCancellationReleasesPipeline(t *testing.T) {
 // TestPutRetryDisabled: PutRetries -1 keeps the original
 // fail-fast-per-shard behaviour (a window of stripes, no retry), still under quorum rules.
 func TestPutRetryDisabled(t *testing.T) {
-	log, err := OpenIntentLog(filepath.Join(t.TempDir(), "intents.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
 	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
 		o.WriteQuorum = 5
 		o.PutRetries = -1
-		o.Intents = log
 	})
 	ctx := context.Background()
 
@@ -277,21 +274,29 @@ func TestPutRetryDisabled(t *testing.T) {
 	if _, err := tc.gw.PutObject(ctx, object, bytes.NewReader(payload), int64(len(payload)), node.ClassForeground); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if got := log.Pending(); len(got) != 1 || got[0].Index != 5 {
-		t.Fatalf("pending = %v, want shard 5 owed", got)
+	if v := tc.reg.Counter("cluster_put_degraded_total", "").Value(); v != 1 {
+		t.Fatalf("cluster_put_degraded_total = %d, want 1", v)
 	}
 	tc.mustGet(ctx, object, payload)
+	tc.node(place[5].ID).start()
+	rep := NewRepairer(tc.gw, nil, nil)
+	if n, err := rep.ScanOnce(ctx); err != nil || n != 1 {
+		t.Fatalf("scan queued %d, %v; want shard 5 owed", n, err)
+	}
+	if it, _ := rep.pop(); it.Index != 5 {
+		t.Fatalf("scan queued shard %d, want 5", it.Index)
+	}
 }
 
-// TestIntentJournalRepairsStaleShardAfterCrash: the write-intent
-// journal is what makes a degraded same-size overwrite whole after the
-// gateway that acked it crashes. The node holding data shard 0 misses
-// the overwrite and comes back with the old version's shard, whose
-// blocks and header all check out: a scrub passes it, and only the
-// journal says it is stale. Adopting the journal rebuilds it, and the
-// GET returns the new version.
-func TestIntentJournalRepairsStaleShardAfterCrash(t *testing.T) {
-	tc, log := quorumCluster(t, 6, 4, 2, 5)
+// TestRepairScanFindsStaleShardAfterCrash: a degraded same-size
+// overwrite leaves the node holding data shard 0 with the old version's
+// shard, whose blocks and header checksums all check out, and the
+// gateway that acked the overwrite is lost. The shard names itself by
+// its older generation: a GET returns the new version before any
+// repair, one scan queues exactly shard 0, and the rebuilt shard
+// carries the new version's generation.
+func TestRepairScanFindsStaleShardAfterCrash(t *testing.T) {
+	tc := quorumCluster(t, 6, 4, 2, 5)
 	ctx := context.Background()
 	const object = "overwritten"
 	v1, v2 := clusterPayload(61, 300_000), clusterPayload(62, 300_000)
@@ -303,11 +308,8 @@ func TestIntentJournalRepairsStaleShardAfterCrash(t *testing.T) {
 	holder := tc.node(place[0].ID)
 	holder.stop()
 	tc.put(ctx, object, v2)
-	if got, want := log.Pending(), []Intent{{Object: object, Index: 0}}; len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("pending intents = %v, want %v", got, want)
-	}
 
-	// The crash: nothing of the acking gateway survives but the log.
+	// The crash: nothing of the acking gateway survives.
 	tc.reg = obs.NewRegistry()
 	tc.gw, err = NewGateway(GatewayOptions{
 		Map: tc.cmap, K: 4, M: 2,
@@ -315,23 +317,157 @@ func TestIntentJournalRepairsStaleShardAfterCrash(t *testing.T) {
 		HedgeAfter:  30 * time.Millisecond,
 		Metrics:     tc.reg,
 		WriteQuorum: 5,
-		Intents:     log,
 		HTTPClient:  &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	holder.start()
+	tc.mustGet(ctx, object, v2)
 
-	rep := NewRepairer(tc.gw, nil, nil)
-	if n := rep.AdoptIntents(); n != 1 {
-		t.Fatalf("adopted %d intents, want 1", n)
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	if n, err := rep.ScanOnce(ctx); err != nil || n != 1 {
+		t.Fatalf("scan queued %d, %v; want the stale shard alone", n, err)
+	}
+	if v := tc.counter("cluster_scrub_damaged_total", obs.Label{Key: "status", Value: "stale"}); v != 1 {
+		t.Fatalf("cluster_scrub_damaged_total{status=stale} = %d, want 1", v)
 	}
 	if ok, failed := rep.DrainOnce(ctx); ok != 1 || failed != 0 {
 		t.Fatalf("drain repaired %d, failed %d; want 1 and 0", ok, failed)
 	}
-	if got := log.Pending(); len(got) != 0 {
-		t.Fatalf("intents after repair = %v, want none", got)
+	stat := func(idx int) node.Stat {
+		cli, _ := tc.gw.Client(place[idx].ID)
+		st, err := cli.StatShard(ctx, object, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if got, want := stat(0).Generation, stat(1).Generation; got != want || want == 0 {
+		t.Fatalf("rebuilt shard 0 is at generation %d, the object at %d", got, want)
+	}
+	tc.mustGet(ctx, object, v2)
+}
+
+// putGate orders one put's uploads against another put's to the same
+// key, shard by shard: an upload of a shard in wait is held until the
+// other put's upload of it has landed (closed its channel), and an
+// upload of a shard in landed closes that channel when it ends.
+type putGate struct {
+	base   http.RoundTripper
+	object string
+	wait   map[int]chan struct{}
+	landed map[int]chan struct{}
+}
+
+func (g *putGate) RoundTrip(req *http.Request) (*http.Response, error) {
+	idx := -1
+	if rest, ok := strings.CutPrefix(req.URL.Path, "/v1/shard/"+g.object+"/"); ok && req.Method == http.MethodPut {
+		idx, _ = strconv.Atoi(rest)
+	}
+	if ch := g.wait[idx]; ch != nil {
+		<-ch
+	}
+	if ch := g.landed[idx]; ch != nil {
+		defer close(ch)
+	}
+	return g.base.RoundTrip(req)
+}
+
+// TestPutConcurrentSameKey: two puts of the same size to one key, each
+// through its own gateway, reach the nodes interleaved: on every node
+// one put's shard lands and then the other's replaces it, so each node
+// keeps either version. The shards' geometry is the same, and only
+// their generation tells the versions apart. Every GET returns exactly
+// one put's bytes, or an error.
+func TestPutConcurrentSameKey(t *testing.T) {
+	tc := startCluster(t, 6, 4, 2)
+	ctx := context.Background()
+	const object = "contended"
+	payloads := [2][]byte{clusterPayload(71, 300_000), clusterPayload(72, 300_000)}
+	// survivor[i] is the put whose shard i lands last, so stays.
+	for _, survivor := range [][6]int{
+		{0, 0, 1, 1, 1, 1},
+		{1, 1, 1, 1, 0, 0},
+		{0, 1, 0, 1, 0, 1},
+		{1, 0, 0, 0, 1, 1},
+		{0, 0, 0, 1, 1, 1},
+	} {
+		var gates [2]*putGate
+		for p := range gates {
+			gates[p] = &putGate{base: &http.Transport{DisableKeepAlives: true}, object: object,
+				wait: map[int]chan struct{}{}, landed: map[int]chan struct{}{}}
+		}
+		for idx, last := range survivor {
+			ch := make(chan struct{})
+			gates[last].wait[idx], gates[1-last].landed[idx] = ch, ch
+		}
+		errs := make(chan error, 2)
+		for p, gate := range gates {
+			gw, err := NewGateway(GatewayOptions{Map: tc.cmap, K: 4, M: 2, StripeSize: 64 * 1024,
+				HTTPClient: &http.Client{Transport: gate}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				_, err := gw.PutObject(ctx, object, bytes.NewReader(payloads[p]), int64(len(payloads[p])), node.ClassForeground)
+				errs <- err
+			}()
+		}
+		for range gates {
+			if err := <-errs; err != nil {
+				t.Fatalf("survivors %v: put: %v", survivor, err)
+			}
+		}
+		var out bytes.Buffer
+		err := tc.gw.GetObject(ctx, object, &out, node.ClassForeground)
+		switch {
+		case err != nil:
+			t.Logf("survivors %v: get refused: %v", survivor, err)
+		case !bytes.Equal(out.Bytes(), payloads[0]) && !bytes.Equal(out.Bytes(), payloads[1]):
+			t.Fatalf("survivors %v: get returned %d bytes that are neither put's", survivor, out.Len())
+		}
+	}
+}
+
+// TestPutFailedOverwriteKeepsAVersion: at the default quorum (all k+m),
+// an overwrite with one node down lands 5 of 6 shards and fails. Those
+// 5 uploads have already replaced the acknowledged version's shards by
+// rename, so deleting them would leave one shard of either version and
+// neither readable. Kept, they are the version a GET returns, the stale
+// shard is outvoted, and a scan owes exactly that shard.
+func TestPutFailedOverwriteKeepsAVersion(t *testing.T) {
+	tc := startCluster(t, 6, 4, 2)
+	ctx := context.Background()
+	const object = "failed-overwrite"
+	v1, v2 := clusterPayload(81, 300_000), clusterPayload(82, 300_000)
+	tc.put(ctx, object, v1)
+	place, err := tc.gw.Place(object)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := tc.node(place[5].ID)
+	down.stop()
+	_, err = tc.gw.PutObject(ctx, object, bytes.NewReader(v2), int64(len(v2)), node.ClassForeground)
+	if err == nil || !strings.Contains(err.Error(), "only 5 of 6 shards landed") {
+		t.Fatalf("overwrite with a node down: %v, want it refused below quorum", err)
+	}
+	down.start()
+
+	var out bytes.Buffer
+	if err := tc.gw.GetObject(ctx, object, &out, node.ClassForeground); err != nil ||
+		!(bytes.Equal(out.Bytes(), v1) || bytes.Equal(out.Bytes(), v2)) {
+		t.Fatalf("get after the failed overwrite: %v, %d bytes that are neither version", err, out.Len())
+	}
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	if n, err := rep.ScanOnce(ctx); err != nil || n != 1 {
+		t.Fatalf("scan queued %d, %v; want the one stale shard", n, err)
+	}
+	if ok, failed := rep.DrainOnce(ctx); ok != 1 || failed != 0 {
+		t.Fatalf("drain repaired %d, failed %d; want 1 and 0", ok, failed)
+	}
+	if n, err := rep.ScanOnce(ctx); err != nil || n != 0 {
+		t.Fatalf("scan after repair queued %d, %v; want none", n, err)
 	}
 	tc.mustGet(ctx, object, v2)
 }

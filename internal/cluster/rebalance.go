@@ -3,9 +3,9 @@
 // map silently re-homes every object while the bytes stay where the
 // old map put them. Rebalance closes that gap: it diffs each object's
 // placement under the old and current maps and enqueues one bounded
-// migration per moved shard, journaling a durable intent first so a
-// crash mid-rebalance converges when the intents are adopted as
-// repairs at the new placement.
+// migration per moved shard. A crash mid-rebalance leaves a shard not
+// yet moved missing at its new home, and the next repair scan rebuilds
+// it there.
 //
 // Migrations ride the repair queue itself, at redundancy m (the best
 // possible health), so any genuine repair — an object actually missing
@@ -73,12 +73,6 @@ func (r *Repairer) Rebalance(ctx context.Context, old *Map) (int, error) {
 			if po[i].ID == pn[i].ID {
 				continue
 			}
-			// Journal the move before queueing it: if this process dies
-			// before the copy lands, the adopted intent rebuilds the
-			// shard at its new home.
-			if err := r.gw.intents.Add(object, i); err != nil {
-				return moves, err
-			}
 			if r.enqueueItem(&repairItem{
 				repairTask: repairTask{Object: object, Index: i},
 				redundancy: r.gw.m,
@@ -108,9 +102,9 @@ func (r *Repairer) migrations(result string) *obs.Counter {
 // The happy path is a paced byte copy (the shard travels as exact
 // shardfile bytes, validated by the destination); if the source no
 // longer has a healthy copy, the shard is rebuilt at its new home from
-// k of the object's other shards instead. Either way the source's copy is removed
-// afterwards and the move's durable intent is discharged. A transient
-// failure returns an error so DrainOnce requeues the item.
+// k of the object's other shards instead. Either way the source's copy
+// is removed afterwards. A transient failure returns an error so
+// DrainOnce requeues the item.
 func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	st := r.gw.snap()
 	object, idx := it.Object, it.Index
@@ -137,7 +131,7 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	if dstInfo.ID == it.srcID {
 		// The map changed again and the shard's home moved back;
 		// nothing to move.
-		return r.gw.intents.Done(object, idx)
+		return nil
 	}
 	if err := r.admit(ctx); err != nil {
 		return err
@@ -148,13 +142,10 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	}
 	dst := dstCli.WithClass(node.ClassRepair)
 
-	// Fast path: a previous attempt already landed the copy (and maybe
-	// died before cleanup) — finish the delete and settle the intent.
-	if _, err := dst.StatShard(ctx, object, idx); err == nil {
-		src.DeleteShard(ctx, object, idx)
-		r.migrations("already").Inc()
-		return r.gw.intents.Done(object, idx)
-	}
+	// What the destination holds already, if anything: the copy a
+	// previous attempt landed before it died, or a shard of another
+	// version.
+	landed, landedErr := dst.StatShard(ctx, object, idx)
 
 	// One request to the source: the header arrives with the body. A
 	// missing or unreadable copy is rebuilt at the new home instead.
@@ -164,6 +155,16 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 			return fmt.Errorf("cluster: migrate %q shard %d: source %s: %w", object, idx, it.srcID, err)
 		}
 		return r.migrateByRebuild(ctx, it, src)
+	}
+	// Fast path: the destination already holds this shard at its
+	// generation, or a newer one a put wrote there since the map
+	// changed — finish the delete. An older copy is a stale shard, and
+	// the move overwrites it.
+	if landedErr == nil && landed.Generation >= h.Generation {
+		body.Close()
+		src.DeleteShard(ctx, object, idx)
+		r.migrations("already").Inc()
+		return nil
 	}
 
 	// One shard's bytes spend against the same budget repair uses, so
@@ -190,14 +191,13 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	r.migrations("copied").Inc()
 	r.reg.Counter("cluster_migrate_bytes_total",
 		"Shard bytes moved to new homes by rebalancing.").Add(uint64(shardBytes))
-	return r.gw.intents.Done(object, idx)
+	return nil
 }
 
 // migrateByRebuild converges a migration whose source cannot supply a
 // healthy copy: the shard is rebuilt at its new placement by the
-// repair path's shard-domain rebuild (RepairOne, which also discharges
-// the durable intent),
-// then whatever stale copy the old home still holds is dropped.
+// repair path's shard-domain rebuild (RepairOne), then whatever stale
+// copy the old home still holds is dropped.
 func (r *Repairer) migrateByRebuild(ctx context.Context, it *repairItem, src *node.Client) error {
 	if err := r.RepairOne(ctx, it.Object, it.Index); err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -136,19 +135,13 @@ func placementDiff(t *testing.T, a, b *Map, object string, n int) int {
 // must complete byte-exact on the old epoch; reads during and after
 // the swap must stay byte-exact; Rebalance plus a drain must converge
 // every object onto the new placement with zero lost shards, an
-// emptied removed node, and a drained intent journal; and a Range
+// emptied removed node, and nothing left for a repair scan; and a Range
 // read afterwards must match the full read's bytes while moving
 // strictly fewer shard bytes.
 func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	ft := fault.NewTransport(&http.Transport{DisableKeepAlives: true})
-	log, err := OpenIntentLog(filepath.Join(t.TempDir(), "intents.log"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
 	tap := &shardTap{base: ft}
 	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
-		o.Intents = log
 		o.HTTPClient = &http.Client{Timeout: 5 * time.Second, Transport: tap}
 	})
 	ctx := context.Background()
@@ -284,8 +277,8 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	ft.Heal(extra.addr)
 
 	// Converged: every shard lives at its new home, the removed node
-	// is empty, the journal holds no undischarged moves, and every
-	// object still reads byte-exact.
+	// is empty, a repair scan finds nothing owed, and every object
+	// still reads byte-exact.
 	for _, name := range names {
 		p, err := newMap.Place(name, n)
 		if err != nil {
@@ -308,8 +301,8 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	if len(left) != 0 {
 		t.Fatalf("removed node still holds shards for %v", left)
 	}
-	if pend := log.Pending(); len(pend) != 0 {
-		t.Fatalf("intent journal still holds %d moves: %v", len(pend), pend)
+	if n, err := rep.ScanOnce(ctx); err != nil || n != 0 {
+		t.Fatalf("scan after the rebalance queued %d, %v; want none", n, err)
 	}
 	for name, want := range payloads {
 		tc.mustGet(ctx, name, want)
@@ -412,4 +405,68 @@ func TestMigrationReadsSourceOnce(t *testing.T) {
 	if got := tc.shardFile(object, idx); !bytes.Equal(got, want) {
 		t.Fatalf("shard %d changed on its way to its new home: %d bytes, were %d", idx, len(got), len(want))
 	}
+}
+
+// TestMigrationReplacesStaleCopy: a migration's destination already
+// holds the moved shard, but from an older put of the key. Only a copy
+// at the source's generation counts as landed, so the move copies the
+// current shard over the stale one instead of just deleting the source.
+func TestMigrationReplacesStaleCopy(t *testing.T) {
+	tc := startCluster(t, 6, 4, 2)
+	ctx := context.Background()
+	extra := &testNode{t: t, id: "n6", dir: t.TempDir(), addr: "127.0.0.1:0", reg: tc.reg}
+	extra.start()
+	t.Cleanup(extra.stop)
+	tc.nodes = append(tc.nodes, extra)
+
+	// n1 leaves, n6 joins: pick an object only n1's shard of which moves.
+	oldMap := tc.gw.Map()
+	var infos []NodeInfo
+	for _, in := range oldMap.Nodes() {
+		if in.ID != "n1" {
+			infos = append(infos, in)
+		}
+	}
+	newMap, err := New(append(infos, NodeInfo{ID: extra.id, Addr: extra.addr, Rack: "r6", Zone: "z0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newMap = newMap.WithEpoch(oldMap.Epoch() + 1)
+	var object string
+	for i := 0; object == "" && i < 400; i++ {
+		if name := fmt.Sprintf("stale-move-%d", i); placementDiff(t, oldMap, newMap, name, 6) == 1 {
+			object = name
+		}
+	}
+	if object == "" {
+		t.Fatal("no object moves exactly one shard")
+	}
+	place, _ := tc.gw.Place(object)
+	idx := slices.IndexFunc(place, func(n NodeInfo) bool { return n.ID == "n1" })
+
+	tc.put(ctx, object, clusterPayload(550, 200_000))
+	if err := node.NewClient(extra.addr).PutShard(ctx, object, idx, bytes.NewReader(tc.shardFile(object, idx))); err != nil {
+		t.Fatal(err)
+	}
+	latest := clusterPayload(551, 200_000)
+	tc.put(ctx, object, latest)
+	want := tc.shardFile(object, idx)
+
+	if err := tc.gw.UpdateMap(newMap); err != nil {
+		t.Fatal(err)
+	}
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	if moves, err := rep.Rebalance(ctx, oldMap); err != nil || moves != 1 {
+		t.Fatalf("rebalance: %d moves, %v; want 1", moves, err)
+	}
+	if _, failed := rep.DrainOnce(ctx); failed != 0 || rep.Pending() != 0 {
+		t.Fatalf("migration failed %d times, %d pending", failed, rep.Pending())
+	}
+	if tc.counter("cluster_migrations_total", obs.Label{Key: "result", Value: "copied"}) != 1 {
+		t.Fatal("the stale copy at the destination was taken for the moved shard")
+	}
+	if got := tc.shardFile(object, idx); !bytes.Equal(got, want) {
+		t.Fatal("the moved shard is not the latest put's")
+	}
+	tc.mustGet(ctx, object, latest)
 }

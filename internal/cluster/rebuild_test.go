@@ -202,7 +202,7 @@ func TestRepairRewritesLegacyShard(t *testing.T) {
 	v2 := append([]byte(nil), want[:40]...)
 	binary.LittleEndian.PutUint32(v2[4:], 2)
 	for s := int64(0); s < int64(h.StripeCount); s++ {
-		off := shardfile.HeaderSizeV3 + s*h.BlockSize()
+		off := h.Size() + s*h.BlockSize()
 		v2 = append(v2, want[off:off+int64(h.ShardSize)]...)
 	}
 	if err := os.WriteFile(tc.shardPath(object, legacy), v2, 0o644); err != nil {
@@ -251,7 +251,7 @@ func TestRepairSpareOpensAtFailingBlock(t *testing.T) {
 
 	// Flip one payload bit in block 2 of shard 1 — a first-k source.
 	raw := tc.shardFile(object, 1)
-	raw[shardfile.HeaderSizeV3+2*h.BlockSize()+100] ^= 0x08
+	raw[h.Size()+2*h.BlockSize()+100] ^= 0x08
 	if err := os.WriteFile(tc.shardPath(object, 1), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRepairSpareOpensAtFailingBlock(t *testing.T) {
 	if countPrefix(reqs, "GET /v1/shard/") != 5 || countPrefix(reqs, "GET /v1/shard/"+object+"/5?block=2&count=-1") != 1 {
 		t.Fatalf("requests %v, want 4 whole-shard GETs and shard 5 from block 2", reqs)
 	}
-	wantRead := 4*uint64(len(want)) + shardfile.HeaderSizeV3 + 2*uint64(h.BlockSize())
+	wantRead := 4*uint64(len(want)) + uint64(h.Size()) + 2*uint64(h.BlockSize())
 	if got := tc.counter("cluster_repair_read_bytes_total"); got != wantRead {
 		t.Fatalf("cluster_repair_read_bytes_total = %d, want %d", got, wantRead)
 	}
@@ -291,7 +291,7 @@ func TestRepairOutOfSparesSaysWhy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[shardfile.HeaderSizeV3+2*h.BlockSize()+100] ^= 0x08 // block 2 of a first-k source
+	raw[h.Size()+2*h.BlockSize()+100] ^= 0x08 // block 2 of a first-k source
 	if err := os.WriteFile(tc.shardPath(object, 1), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

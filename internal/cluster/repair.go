@@ -107,9 +107,10 @@ type RepairerOptions struct {
 // objects at redundancy zero (one more loss and they are unreadable)
 // rebuild before objects that still have parity headroom, FIFO within
 // a priority. Failed rebuilds are retried with a capped attempt
-// counter, and the queue seeds itself from the gateway's durable
-// write-intent journal at startup (AdoptIntents), so shards owed by
-// quorum writes survive a gateway crash and restart.
+// counter. A shard a quorum put acknowledged without, or a rebalance
+// did not move before a crash, is absent, or its header carries an
+// older generation than the object's, so the next scan finds it like
+// any other damage.
 //
 // All repair traffic — scrub probes, source reads, the rebuilt-shard
 // write — is tagged node.ClassRepair and paced by the limiter's repair
@@ -241,21 +242,6 @@ func (r *Repairer) updateGaugesLocked() {
 	}
 }
 
-// AdoptIntents seeds the queue from the gateway's durable write-intent
-// journal: every shard a quorum put acknowledged without is queued for
-// rebuild. Run it once at startup, after OpenIntentLog replayed the
-// journal, to resume the repairs a crashed gateway still owed. It
-// returns how many tasks it queued.
-func (r *Repairer) AdoptIntents() int {
-	n := 0
-	for _, in := range r.gw.intents.Pending() {
-		if r.Enqueue(in.Object, in.Index) {
-			n++
-		}
-	}
-	return n
-}
-
 // admit paces one repair-class operation through the limiter.
 func (r *Repairer) admit(ctx context.Context) error {
 	if r.lim == nil {
@@ -268,11 +254,14 @@ func (r *Repairer) admit(ctx context.Context) error {
 // damaged ones at a priority reflecting the object's remaining
 // redundancy, and publishes cluster_redundancy_min — the lowest live
 // shard count across everything it scanned. It returns how many new
-// tasks it queued. A shard whose node answers 404 is missing
-// (enqueued); a shard whose node is unreachable is skipped — under the
-// persistent-memory fault model the node's shards survive it, so
-// rebuilding them elsewhere while the node is down would churn data
-// that will reappear.
+// tasks it queued. It hears every placed shard of an object before it
+// judges any: a shard is damaged when its node answers 404, when its
+// scrub fails, or when it scrubs clean at another generation than the
+// object's current one (see currentGeneration) — a stale shard a put
+// or a rebalance left behind. A shard whose node is unreachable is
+// skipped — under the persistent-memory fault model the node's shards
+// survive it, so rebuilding them elsewhere while the node is down would
+// churn data that will reappear.
 func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 	st := r.gw.snap()
 	names, err := listObjects(ctx, st.nodeClients(), node.ClassRepair, "repair scan")
@@ -287,7 +276,9 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 		if err != nil {
 			return enqueued, err
 		}
-		var damaged []int
+		verdicts := make([]string, n) // "" where the node could not be probed
+		gens := make([]uint64, n)
+		votes := make(map[uint64]int) // clean shards by generation
 		for idx, info := range placement {
 			if err := r.admit(ctx); err != nil {
 				return enqueued, err
@@ -301,21 +292,33 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 			status, err := cli.WithClass(node.ClassRepair).ScrubShard(ctx, object, idx)
 			switch {
 			case errors.Is(err, node.ErrNotFound):
-				r.reg.Counter("cluster_scrub_damaged_total",
-					"Placed shards found damaged by repair scans, by kind.",
-					obs.Label{Key: "status", Value: "missing"}).Inc()
-				damaged = append(damaged, idx)
+				verdicts[idx] = "missing"
 			case err != nil:
 				r.reg.Counter("cluster_scrub_unreachable_total",
 					"Placed shards the repair scan could not probe (node down).").Inc()
 			case status.Damaged:
-				r.reg.Counter("cluster_scrub_damaged_total",
-					"Placed shards found damaged by repair scans, by kind.",
-					obs.Label{Key: "status", Value: status.Status}).Inc()
-				damaged = append(damaged, idx)
+				verdicts[idx] = status.Status
 			default:
+				verdicts[idx], gens[idx] = "ok", status.Generation
+				votes[status.Generation]++
+			}
+		}
+		cur, known := currentGeneration(votes, r.gw.k)
+		var damaged []int
+		for idx, v := range verdicts {
+			if v == "ok" && known && gens[idx] != cur {
+				v = "stale"
+			}
+			switch v {
+			case "":
+			case "ok":
 				r.reg.Counter("cluster_scrub_ok_total",
 					"Placed shards that passed a repair-scan scrub.").Inc()
+			default:
+				r.reg.Counter("cluster_scrub_damaged_total",
+					"Placed shards found damaged by repair scans, by kind.",
+					obs.Label{Key: "status", Value: v}).Inc()
+				damaged = append(damaged, idx)
 			}
 		}
 		live := n - len(damaged)
@@ -334,16 +337,27 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 	return enqueued, nil
 }
 
+// currentGeneration is the generation of an object every read decodes:
+// the newest that at least k of its clean shards carry. ok is false
+// when no generation has k, and then no shard can be called stale.
+func currentGeneration(votes map[uint64]int, k int) (gen uint64, ok bool) {
+	for g, n := range votes {
+		if n >= k && (!ok || g > gen) {
+			gen, ok = g, true
+		}
+	}
+	return gen, ok
+}
+
 // RepairOne rebuilds one damaged shard in the shard domain: k of the
 // object's other shards stream through a stream.Rebuilder, which
 // computes only the damaged shard's blocks, straight into a validated
 // upload to its placed node. The sources are the first k shards in
 // router order (sidelined nodes last), opened concurrently; another is
 // opened only when one of them fails to open, disagrees with the rest
-// about the object's geometry, or dies or serves a corrupt block
+// about the object's generation or geometry, or dies or serves a corrupt block
 // mid-stream — the rule every read follows (stream.SpareFunc).
-// A successful rebuild discharges the shard's durable write intent, if
-// one is journaled.
+// The rebuilt shard carries the sources' generation.
 func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error {
 	st := r.gw.snap()
 	placement, err := st.cmap.Place(object, r.gw.k+r.gw.m)
@@ -421,9 +435,6 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	r.reg.Counter("cluster_repair_bytes_total",
 		"Bytes of rebuilt shard data written by the repair queue.").
 		Add(uint64(h.ExpectedFileSize()))
-	// The shard exists again; whatever a degraded put still owed for
-	// this slot is settled.
-	r.gw.intents.Done(object, idx)
 	return nil
 }
 

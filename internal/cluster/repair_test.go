@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -89,59 +88,6 @@ func TestRepairAttemptCap(t *testing.T) {
 	if !r.Enqueue("phantom", 0) {
 		t.Fatal("dropped task could not be re-enqueued")
 	}
-}
-
-// TestRepairAdoptsIntents: a degraded quorum put's journaled intent is
-// adopted into the queue at startup, repaired, and discharged.
-func TestRepairAdoptsIntents(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "intents.log")
-	log, err := OpenIntentLog(logPath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
-		o.WriteQuorum = 5
-		o.Intents = log
-	})
-	ctx := context.Background()
-
-	const object = "owed"
-	payload := clusterPayload(61, 150_000)
-	place, err := tc.gw.Place(object)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.node(place[4].ID).stop()
-	if _, err := tc.gw.PutObject(ctx, object, bytes.NewReader(payload), int64(len(payload)), node.ClassForeground); err != nil {
-		t.Fatal(err)
-	}
-	log.Close()
-
-	// "Restart": reopen the journal, adopt, bring the node back, drain.
-	log2, err := OpenIntentLog(logPath, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log2.Close()
-	tc.gw.intents = log2
-	tc.node(place[4].ID).start()
-
-	r := NewRepairer(tc.gw, nil, tc.reg)
-	if n := r.AdoptIntents(); n != 1 {
-		t.Fatalf("adopted %d intents, want 1", n)
-	}
-	repaired, failed := r.DrainOnce(ctx)
-	if repaired != 1 || failed != 0 {
-		t.Fatalf("repaired=%d failed=%d, want 1/0", repaired, failed)
-	}
-	if got := log2.Pending(); len(got) != 0 {
-		t.Fatalf("intents after repair = %v, want none", got)
-	}
-	cli, _ := tc.gw.Client(place[4].ID)
-	if st, err := cli.StatShard(ctx, object, 4); err != nil || int(st.Index) != 4 {
-		t.Fatalf("rebuilt shard: %+v, %v", st, err)
-	}
-	tc.mustGet(ctx, object, payload)
 }
 
 // TestRepairBandwidthBudget: with a budget of one object per ~50ms,

@@ -23,6 +23,7 @@ type Stat struct {
 	StripeCount uint64 `json:"stripe_count"`
 	FileSize    uint64 `json:"file_size"`
 	Algo        string `json:"algo"`
+	Generation  uint64 `json:"generation"`
 }
 
 func statFromHeader(h shardfile.Header) Stat {
@@ -30,18 +31,21 @@ func statFromHeader(h shardfile.Header) Stat {
 		Version: h.Version, K: h.K, M: h.M, Index: h.Index,
 		ShardSize: h.ShardSize, StripeCount: h.StripeCount,
 		FileSize: h.FileSize, Algo: h.Algo.String(),
+		Generation: h.Generation,
 	}
 }
 
 // ScrubStatus is the JSON shape of /v1/scrub: one shard's server-side
-// integrity verdict.
+// integrity verdict, with the generation its header carries (0 when
+// the header is missing or unreadable).
 type ScrubStatus struct {
-	Index   int    `json:"index"`
-	Status  string `json:"status"`
-	Damaged bool   `json:"damaged"`
-	Stripes uint64 `json:"stripes"`
-	Corrupt uint64 `json:"corrupt"`
-	Detail  string `json:"detail,omitempty"`
+	Index      int    `json:"index"`
+	Status     string `json:"status"`
+	Damaged    bool   `json:"damaged"`
+	Stripes    uint64 `json:"stripes"`
+	Corrupt    uint64 `json:"corrupt"`
+	Generation uint64 `json:"generation"`
+	Detail     string `json:"detail,omitempty"`
 }
 
 // NetError wraps a transport-level failure of a request (connection

@@ -29,7 +29,7 @@ type RecoveryReport struct {
 //   - Orphaned upload temp files (.put-*.tmp) are deleted. A crash
 //     between the temp write and the rename leaves one; it was never
 //     visible to readers and its shard was never acknowledged.
-//   - Shard files whose v3 header fails its self-CRC, or whose size
+//   - Shard files whose header fails its self-CRC, or whose size
 //     disagrees with the header's expected file size (a torn or
 //     truncated write, e.g. a filesystem that dropped tail pages on
 //     power loss), are moved into .quarantine/ rather than deleted —
@@ -89,8 +89,8 @@ func (s *Store) Recover() (RecoveryReport, error) {
 }
 
 // verifyShardFile checks that path holds a structurally complete
-// shardfile: the v3 header parses (its self-CRC validates the first 44
-// bytes) and the file length matches the size the header promises.
+// shardfile: the header parses (its self-CRC validates the bytes before
+// it) and the file length matches the size the header promises.
 // It reads only the header, never the blocks.
 func verifyShardFile(path string) error {
 	f, err := os.Open(path)

@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"dialga/internal/obs"
-	"dialga/internal/shardfile"
 )
 
 // Traffic classes. Every shard request carries one in the
@@ -40,8 +39,8 @@ type Admitter interface {
 
 // Server is a node's HTTP API over its local shard store.
 //
-// Wire format (all bodies are exact shardfile bytes — v3 header +
-// checksummed blocks — except where noted):
+// Wire format (all bodies are exact shardfile bytes — a v3 or v4
+// header + checksummed blocks — except where noted):
 //
 //	PUT    /v1/shard/{object}/{idx}   store one shard (validated, atomic)
 //	GET    /v1/shard/{object}/{idx}   fetch one shard (?block=N&count=M for a block window)
@@ -194,7 +193,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(shardfile.HeaderSizeV3+n, 10))
+	w.Header().Set("Content-Length", strconv.FormatInt(h.Size()+n, 10))
 	w.WriteHeader(http.StatusOK)
 	// Re-emit the header we consumed during validation, then stream
 	// the blocks; a broken client connection is the client's problem.
@@ -240,12 +239,13 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ScrubStatus{
-		Index:   rep.Index,
-		Status:  rep.Status.String(),
-		Damaged: rep.Status.Damaged(),
-		Stripes: rep.Result.Stripes,
-		Corrupt: rep.Result.Corrupt,
-		Detail:  rep.Detail,
+		Index:      rep.Index,
+		Status:     rep.Status.String(),
+		Damaged:    rep.Status.Damaged(),
+		Stripes:    rep.Result.Stripes,
+		Corrupt:    rep.Result.Corrupt,
+		Generation: rep.Header.Generation,
+		Detail:     rep.Detail,
 	})
 }
 

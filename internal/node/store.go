@@ -7,7 +7,7 @@
 // A node knows nothing about placement, routing, or repair — that is
 // internal/cluster's control plane, layered on top of the client. The
 // wire format is deliberately dumb: a shard travels as the exact
-// shardfile bytes (v3 header + checksummed blocks) that dialga-encode
+// shardfile bytes (header + checksummed blocks) that dialga-encode
 // writes to disk, so the store can validate uploads with the header
 // self-CRC and byte count alone, `dialga-encode -mode verify` can
 // scrub a node's object directories directly, and a shard fetched over
@@ -339,7 +339,7 @@ func (s *Store) GetAt(object string, idx int, block, count int64) (shardfile.Hea
 		count = stripes - block
 	}
 	// Get left the file at block 0; step straight to the window.
-	if _, err := f.Seek(shardfile.HeaderSizeV3+block*h.BlockSize(), io.SeekStart); err != nil {
+	if _, err := f.Seek(h.Size()+block*h.BlockSize(), io.SeekStart); err != nil {
 		f.Close()
 		return shardfile.Header{}, nil, 0, err
 	}

@@ -15,8 +15,9 @@ const (
 	// ShardMissing: no file at the slot's conventional path.
 	ShardMissing
 	// ShardBadHeader: the header failed to parse (bad magic, a version
-	// or checksum algorithm other than v3's CRC-32C, self-CRC, or
-	// geometry), or it belongs to another slot or another encoding.
+	// other than 3 or 4, a checksum algorithm other than CRC-32C,
+	// self-CRC, or geometry), or it belongs to another slot or another
+	// encoding.
 	ShardBadHeader
 	// ShardTruncated: the file's size disagrees with its header.
 	ShardTruncated
@@ -92,7 +93,7 @@ func (r DirReport) Counts() (ok, damaged, missing int) {
 }
 
 // ScrubFile scrubs the shard file at slot index of its set: parse and
-// validate the header (the v3 self-CRC catches corrupted headers),
+// validate the header (its self-CRC catches corrupted headers),
 // check that it names this slot, check the on-disk size against the
 // header, then verify every block trailer. A file renamed or copied
 // into the wrong slot has sound blocks but is damaged all the same:

@@ -2,17 +2,24 @@
 // format shared by cmd/dialga-encode (writer, reader and scrubber) and
 // the shard nodes (which store and serve these exact bytes).
 //
-// A shard file is a 48-byte v3 header followed by StripeCount blocks of
-// BlockSize bytes each: ShardSize payload bytes and a 4-byte CRC-32C
-// trailer over them. The header carries the geometry, shard index,
-// stripe count, file size, the checksum algorithm (CRC-32C, the only
-// one) and a CRC-32C over the header itself, so a corrupted header is
-// rejected instead of mis-parsed into a plausible geometry.
+// A shard file is a header followed by StripeCount blocks of BlockSize
+// bytes each: ShardSize payload bytes and a 4-byte CRC-32C trailer over
+// them. The header carries the geometry, shard index, stripe count,
+// file size, the checksum algorithm (CRC-32C, the only one) and a
+// CRC-32C over the header itself, so a corrupted header is rejected
+// instead of mis-parsed into a plausible geometry.
 //
-// It is the only framing Parse accepts. The retired v2 header (40 bytes,
-// bare blocks) and v3 headers naming no checksum are refused: a block
-// without a trailer is a block nobody can verify, so the node would
-// store it unchecked and scrub could never call it damaged.
+// The header comes in two versions, and its length follows from its
+// version: the 48-byte v3 header, which dialga-encode writes, and the
+// 56-byte v4 header, which adds the generation a cluster put stamps
+// into every shard it writes. Two shards of one object that carry
+// different generations belong to different puts, so a stale shard
+// names itself. A v3 header is generation 0, older than any put.
+//
+// These are the only framings Parse accepts. The retired v2 header (40
+// bytes, bare blocks) and headers naming no checksum are refused: a
+// block without a trailer is a block nobody can verify, so the node
+// would store it unchecked and scrub could never call it damaged.
 package shardfile
 
 import (
@@ -28,16 +35,23 @@ const (
 	// Magic identifies a dialga shard file.
 	Magic = 0xd1a16aec
 
-	// VersionV3 is the shard header version: the checksum-algorithm
-	// field and a header self-CRC.
+	// VersionV3 is the shard header without a generation: the
+	// checksum-algorithm field and a header self-CRC.
 	VersionV3 = 3
 
-	// HeaderSizeV3 is the on-disk header length.
-	HeaderSizeV3 = 48
+	// VersionV4 is VersionV3 plus the put's generation.
+	VersionV4 = 4
 
-	// headerCRCOff is where the header self-CRC lives; it covers bytes
-	// [0, headerCRCOff).
-	headerCRCOff = 44
+	// HeaderSizeV3 and HeaderSizeV4 are the on-disk header lengths.
+	HeaderSizeV3 = 48
+	HeaderSizeV4 = 56
+
+	// prefixSize is the magic and version every header starts with,
+	// read before the rest because the version says how long it is.
+	prefixSize = 8
+
+	// genOff is where a v4 header's generation lives.
+	genOff = 44
 
 	// trailerSize is the CRC-32C trailer behind every block's payload.
 	trailerSize = 4
@@ -64,7 +78,7 @@ func (a Algo) String() string {
 // Layout (little-endian):
 //
 //	off  0  u32  magic
-//	off  4  u32  version (3)
+//	off  4  u32  version (3 or 4)
 //	off  8  u32  k (data shards)
 //	off 12  u32  m (parity shards)
 //	off 16  u32  shard index in [0, k+m)
@@ -72,15 +86,28 @@ func (a Algo) String() string {
 //	off 24  u64  stripe count
 //	off 32  u64  original file size
 //	off 40  u32  checksum algorithm (1 = CRC-32C)
+//	v3:
 //	off 44  u32  CRC-32C over bytes [0, 44)
+//	v4:
+//	off 44  u64  generation
+//	off 52  u32  CRC-32C over bytes [0, 52)
 type Header struct {
-	Version     uint32 // VersionV3; 0 marshals as VersionV3
+	Version     uint32 // VersionV3 or VersionV4; 0 marshals as VersionV3
 	K, M        uint32
 	Index       uint32
 	ShardSize   uint32
 	StripeCount uint64
 	FileSize    uint64
-	Algo        Algo // AlgoCRC32C in every header Parse accepts
+	Algo        Algo   // AlgoCRC32C in every header Parse accepts
+	Generation  uint64 // the put that wrote the shard; a v3 header has 0 and marshals none
+}
+
+// Size returns the header's on-disk length, which its version sets.
+func (h Header) Size() int64 {
+	if h.Version == VersionV4 {
+		return HeaderSizeV4
+	}
+	return HeaderSizeV3
 }
 
 // BlockSize returns the on-disk bytes per stripe block: the shard
@@ -93,17 +120,17 @@ func (h Header) BlockSize() int64 {
 // file with this header must have; anything else is truncated or
 // ragged.
 func (h Header) ExpectedFileSize() int64 {
-	return HeaderSizeV3 + int64(h.StripeCount)*h.BlockSize()
+	return h.Size() + int64(h.StripeCount)*h.BlockSize()
 }
 
 // Marshal serializes the header (Version 0 as VersionV3), computing its
-// self-CRC.
+// self-CRC. Only a v4 header carries the generation.
 func (h Header) Marshal() []byte {
 	version := h.Version
 	if version == 0 {
 		version = VersionV3
 	}
-	buf := make([]byte, HeaderSizeV3)
+	buf := make([]byte, h.Size())
 	binary.LittleEndian.PutUint32(buf[0:], Magic)
 	binary.LittleEndian.PutUint32(buf[4:], version)
 	binary.LittleEndian.PutUint32(buf[8:], h.K)
@@ -113,31 +140,41 @@ func (h Header) Marshal() []byte {
 	binary.LittleEndian.PutUint64(buf[24:], h.StripeCount)
 	binary.LittleEndian.PutUint64(buf[32:], h.FileSize)
 	binary.LittleEndian.PutUint32(buf[40:], uint32(h.Algo))
-	binary.LittleEndian.PutUint32(buf[headerCRCOff:], gf.CRC32C(buf[:headerCRCOff]))
+	if version == VersionV4 {
+		binary.LittleEndian.PutUint64(buf[genOff:], h.Generation)
+	}
+	crcOff := len(buf) - 4
+	binary.LittleEndian.PutUint32(buf[crcOff:], gf.CRC32C(buf[:crcOff]))
 	return buf
 }
 
 // Parse reads and validates a shard header from r, consuming exactly
-// HeaderSizeV3 bytes and nothing more. It accepts version 3 with
-// AlgoCRC32C and nothing else; the error names the version or algorithm
-// it refused.
+// the header's Size bytes and nothing more. It accepts versions 3 and 4
+// with AlgoCRC32C and nothing else; the error names the version or
+// algorithm it refused.
 func Parse(r io.Reader) (Header, error) {
-	buf := make([]byte, HeaderSizeV3)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf := make([]byte, HeaderSizeV4)
+	if _, err := io.ReadFull(r, buf[:prefixSize]); err != nil {
 		return Header{}, fmt.Errorf("header truncated: %w", err)
 	}
 	if magic := binary.LittleEndian.Uint32(buf[0:]); magic != Magic {
 		return Header{}, fmt.Errorf("bad magic %#x", magic)
 	}
-	if version := binary.LittleEndian.Uint32(buf[4:]); version != VersionV3 {
-		return Header{}, fmt.Errorf("unsupported shard header version %d (want %d)", version, VersionV3)
+	version := binary.LittleEndian.Uint32(buf[4:])
+	if version != VersionV3 && version != VersionV4 {
+		return Header{}, fmt.Errorf("unsupported shard header version %d (want %d or %d)", version, VersionV3, VersionV4)
 	}
-	want := binary.LittleEndian.Uint32(buf[headerCRCOff:])
-	if got := gf.CRC32C(buf[:headerCRCOff]); got != want {
+	buf = buf[:Header{Version: version}.Size()]
+	if _, err := io.ReadFull(r, buf[prefixSize:]); err != nil {
+		return Header{}, fmt.Errorf("header truncated: %w", err)
+	}
+	crcOff := len(buf) - 4
+	want := binary.LittleEndian.Uint32(buf[crcOff:])
+	if got := gf.CRC32C(buf[:crcOff]); got != want {
 		return Header{}, fmt.Errorf("header self-CRC mismatch: computed %#x, stored %#x (corrupt header)", got, want)
 	}
 	h := Header{
-		Version:     VersionV3,
+		Version:     version,
 		K:           binary.LittleEndian.Uint32(buf[8:]),
 		M:           binary.LittleEndian.Uint32(buf[12:]),
 		Index:       binary.LittleEndian.Uint32(buf[16:]),
@@ -145,6 +182,9 @@ func Parse(r io.Reader) (Header, error) {
 		StripeCount: binary.LittleEndian.Uint64(buf[24:]),
 		FileSize:    binary.LittleEndian.Uint64(buf[32:]),
 		Algo:        Algo(binary.LittleEndian.Uint32(buf[40:])),
+	}
+	if version == VersionV4 {
+		h.Generation = binary.LittleEndian.Uint64(buf[genOff:])
 	}
 	if h.Algo != AlgoCRC32C {
 		return Header{}, fmt.Errorf("unsupported checksum algorithm %d (want %d, crc32c)", uint32(h.Algo), uint32(AlgoCRC32C))

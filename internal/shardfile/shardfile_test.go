@@ -35,6 +35,13 @@ func v3Header() Header {
 	}
 }
 
+// v4Header is v3Header stamped with a put's generation.
+func v4Header() Header {
+	h := v3Header()
+	h.Version, h.Generation = VersionV4, 0x1841_2c4d_9a07_5e13
+	return h
+}
+
 // v2Header is h in the retired v2 layout: the first 40 bytes of the v3
 // layout with version 2, no algorithm field and no self-CRC.
 func v2Header(h Header) []byte {
@@ -46,6 +53,7 @@ func v2Header(h Header) []byte {
 func TestHeaderMarshalParseRoundTrip(t *testing.T) {
 	for _, h := range []Header{
 		v3Header(),
+		v4Header(),
 		{Version: VersionV3, K: 3, M: 1, Index: 3, ShardSize: 64, StripeCount: 1, FileSize: 100, Algo: AlgoCRC32C},
 	} {
 		got, err := Parse(bytes.NewReader(h.Marshal()))
@@ -65,6 +73,11 @@ func TestHeaderMarshalParseRoundTrip(t *testing.T) {
 	}
 	if got.Version != VersionV3 {
 		t.Fatalf("zero version marshalled as %d, want v3", got.Version)
+	}
+	// A v3 header has no room for a generation: it parses as 0.
+	h.Generation = 7
+	if got, err := Parse(bytes.NewReader(h.Marshal())); err != nil || got.Generation != 0 {
+		t.Fatalf("v3 header parsed as generation %d, %v; want 0", got.Generation, err)
 	}
 }
 
@@ -127,6 +140,15 @@ func TestHeaderRejections(t *testing.T) {
 		{"truncated v2 prefix", func(b []byte) []byte {
 			return b[:16]
 		}, "truncated"},
+		{"v3 bytes under a v4 version", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:], VersionV4)
+			return append(b, "8 more"...)
+		}, "truncated"},
+		{"v4 generation flip under self-CRC", func([]byte) []byte {
+			b := v4Header().Marshal()
+			b[50] ^= 1
+			return b
+		}, "self-CRC"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,6 +185,14 @@ func TestHeaderSizes(t *testing.T) {
 	}
 	if v3.ExpectedFileSize() != 48+3*104 {
 		t.Fatalf("v3 expected size %d", v3.ExpectedFileSize())
+	}
+	v4 := v3
+	v4.Version = VersionV4
+	if len(v4.Marshal()) != HeaderSizeV4 || v4.Size() != HeaderSizeV4 {
+		t.Fatal("v4 header size wrong")
+	}
+	if v4.ExpectedFileSize() != 56+3*104 {
+		t.Fatalf("v4 expected size %d", v4.ExpectedFileSize())
 	}
 }
 
@@ -242,10 +272,11 @@ func TestScrubMatchesEncoderOutput(t *testing.T) {
 
 // FuzzParse feeds arbitrary bytes to the parser that faces both the
 // wire (a node's upload body) and the disk. It must never panic, and a
-// header it accepts is a v3 CRC-32C header that consumed exactly
-// HeaderSizeV3 bytes and marshals back to those bytes.
+// header it accepts is a v3 or v4 CRC-32C header that consumed exactly
+// its Size bytes and marshals back to those bytes, generation and all.
 func FuzzParse(f *testing.F) {
 	valid := v3Header().Marshal()
+	v4 := v4Header().Marshal()
 	noSum := v3Header()
 	noSum.Algo = 0
 	badCRC := append([]byte(nil), valid...)
@@ -255,20 +286,28 @@ func FuzzParse(f *testing.F) {
 	f.Add(noSum.Marshal())
 	f.Add(badCRC)
 	f.Add(valid[:HeaderSizeV3-1])
+	f.Add(append(append([]byte(nil), v4...), "a block follows"...))
+	f.Add(v4[:HeaderSizeV4-1])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bytes.NewReader(b)
 		h, err := Parse(r)
 		if err != nil {
 			return
 		}
-		if used := len(b) - r.Len(); used != HeaderSizeV3 {
-			t.Fatalf("accepted header consumed %d bytes, want %d", used, HeaderSizeV3)
+		if used := int64(len(b) - r.Len()); used != h.Size() {
+			t.Fatalf("accepted v%d header consumed %d bytes, want %d", h.Version, used, h.Size())
 		}
-		if !bytes.Equal(h.Marshal(), b[:HeaderSizeV3]) {
+		if !bytes.Equal(h.Marshal(), b[:h.Size()]) {
 			t.Fatalf("%+v re-marshals to other bytes than it was parsed from", h)
 		}
-		if h.Version != VersionV3 || h.Algo != AlgoCRC32C {
+		if (h.Version != VersionV3 && h.Version != VersionV4) || h.Algo != AlgoCRC32C {
 			t.Fatalf("accepted version %d, algorithm %d", h.Version, h.Algo)
+		}
+		if h.Version == VersionV4 {
+			back, err := Parse(bytes.NewReader(h.Marshal()))
+			if err != nil || back.Generation != h.Generation || back.Generation != binary.LittleEndian.Uint64(b[genOff:]) {
+				t.Fatalf("v4 generation %#x came back as %#x, %v", h.Generation, back.Generation, err)
+			}
 		}
 	})
 }
