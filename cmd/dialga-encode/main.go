@@ -12,20 +12,22 @@
 // and decode still succeeds. Each shard file starts with a self-
 // describing v3 header (geometry, shard index, stripe count, file
 // size, checksum algorithm, header self-CRC — see internal/shardfile),
-// and every stripe block carries a CRC-32C trailer. Decoding with
-// mismatched -k/-m flags, a shard copied from another geometry, a
-// corrupted header, or a truncated shard file fails loudly; a shard
-// block whose trailer does not verify is demoted to an erasure for
-// that stripe and healed through reconstruction. A shard file in the
-// retired trailer-less v2 framing is refused by name, like any other
-// header that does not parse.
+// and every stripe block carries a CRC-32C trailer. Decode and verify
+// also read the v4 shards a cluster put writes, whose header adds the
+// put's generation. Decoding with mismatched -k/-m flags, a shard
+// copied from another encoding or left by an older put, a corrupted
+// header, or a truncated shard file fails loudly; a shard block whose
+// trailer does not verify is demoted to an erasure for that stripe and
+// healed through reconstruction. A shard file in the retired
+// trailer-less v2 framing is refused by name, like any other header
+// that does not parse.
 //
 // -mode verify scrubs a shard directory without decoding it: it checks
 // every shard's header (self-CRC, slot index, and agreement with the
-// set's geometry), its size and each block's CRC-32C trailer, names
-// each damaged shard and the stripes whose blocks failed, and exits 1
-// on any damage. -metrics appends the scrub's metric series in
-// Prometheus text format.
+// set's encoding, generation included), its size and each block's
+// CRC-32C trailer, names each damaged shard and the stripes whose
+// blocks failed, and exits 1 on any damage. -metrics appends the
+// scrub's metric series in Prometheus text format.
 package main
 
 import (
@@ -176,8 +178,9 @@ func encode(w io.Writer, k, m int, in, dir string, stripeSize, workers int) erro
 // one reader per stripe-order slot (nil = missing shard), the
 // agreed-upon header, and a closer for the opened files. Any header
 // inconsistency — a header that does not parse (a v2 one included),
-// mismatched flags, cross-geometry shards, truncated or ragged files —
-// is an error.
+// mismatched flags, shards of two encodings (another geometry, size or
+// put generation: see shardfile.Header.SameEncoding), truncated or
+// ragged files — is an error.
 func openShards(k, m int, dir string) (readers []io.Reader, agreed shardfile.Header, present int, closeAll func(), err error) {
 	readers = make([]io.Reader, k+m)
 	var files []*os.File
@@ -210,9 +213,8 @@ func openShards(k, m int, dir string) (readers []io.Reader, agreed shardfile.Hea
 		}
 		if present == 0 {
 			agreed = h
-		} else if h.ShardSize != agreed.ShardSize || h.StripeCount != agreed.StripeCount ||
-			h.FileSize != agreed.FileSize {
-			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: header disagrees with shard %d (mixed encodings?)", i, agreed.Index)
+		} else if !h.SameEncoding(agreed) {
+			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: header disagrees with shard %d (mixed encodings or a stale shard?)", i, agreed.Index)
 		}
 		fi, statErr := f.Stat()
 		if statErr != nil {

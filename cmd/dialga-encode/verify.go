@@ -38,11 +38,12 @@ func newScrubMetrics(reg *obs.Registry) scrubMetrics {
 
 // verifyDir scrubs every shard file in dir through the shared
 // shardfile.ScrubDir walk (the per-shard checks the cluster repair
-// queue runs, plus agreement with the set's geometry) and renders one
+// queue runs, plus agreement with the set's encoding) and renders one
 // line per shard slot plus a summary. It returns
 // whether any corruption, truncation, or header damage was found — a
 // shard in the retired trailer-less v2 framing is a bad header, and so
-// is one that belongs to another slot or another encoding. With
+// is one that belongs to another slot, another encoding or an older
+// put. With
 // metrics the report ends in the scrub's scrub_* series.
 func verifyDir(dir string, w io.Writer, metrics bool) (damaged bool, err error) {
 	var reg *obs.Registry
@@ -81,6 +82,6 @@ func verifyDir(dir string, w io.Writer, metrics bool) (damaged bool, err error) 
 	}
 	ok, bad, missing := rep.Counts()
 	fmt.Fprintf(w, "scrub: %d ok, %d corrupt/damaged, %d missing (geometry k=%d m=%d)\n",
-		ok, bad, missing, rep.Geometry.K, rep.Geometry.M)
+		ok, bad, missing, rep.Set.K, rep.Set.M)
 	return bad > 0, reg.Expose(w)
 }

@@ -186,6 +186,16 @@ func TestVerifyDir(t *testing.T) {
 		wantReport(t, code, out, stderr, 1, want...)
 	})
 
+	// A shard an older put left behind has the right slot, geometry and
+	// sound blocks; its generation alone says it is stale.
+	t.Run("stale generation is caught", func(t *testing.T) {
+		code, out, stderr := verify(mixedGenerationDir(t))
+		wantReport(t, code, out, stderr, 1,
+			"shard.001: BAD HEADER: header disagrees with shard 0",
+			"shard.000: ok", "shard.002: ok",
+			"scrub: 5 ok, 1 corrupt/damaged, 0 missing (geometry k=4 m=2)")
+	})
+
 	t.Run("empty dir errors", func(t *testing.T) {
 		if code, _, stderr := verify(t.TempDir()); code != 1 || stderr == "" {
 			t.Fatalf("empty directory: exit %d, stderr %q; want 1 and an error", code, stderr)

@@ -173,7 +173,8 @@ func StreamEncode(ctx context.Context, opts StreamOptions, r io.Reader, shards [
 // StreamDecode reconstructs the original stream from k+m shard readers
 // (nil entries and mid-stream failures tolerated, up to m per stripe)
 // and writes exactly size bytes to w; size < 0 decodes until EOF,
-// including the encoder's tail padding.
+// including the encoder's tail padding. Every shard reader that is an
+// io.Closer is closed when it returns.
 func StreamDecode(ctx context.Context, opts StreamOptions, shards []io.Reader, w io.Writer, size int64) (StreamStats, error) {
 	dec, err := stream.NewDecoder(opts)
 	if err != nil {

@@ -294,11 +294,10 @@ func (g *Gateway) counter(name, help string, labels ...obs.Label) *obs.Counter {
 // bodies when they end, so a straggler's connection is not left open.
 func (g *Gateway) streamOptions(shardSize int) stream.Options {
 	return stream.Options{
-		Codec:        g.codec,
-		StripeSize:   shardSize * g.k,
-		HedgeAfter:   g.hedge,
-		CloseReaders: true,
-		Metrics:      g.reg,
+		Codec:      g.codec,
+		StripeSize: shardSize * g.k,
+		HedgeAfter: g.hedge,
+		Metrics:    g.reg,
 	}
 }
 

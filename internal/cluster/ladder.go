@@ -25,9 +25,9 @@ func shardSizes(top int) []int {
 // shardSizeFor picks the rung an object of size bytes is stored at: the
 // smallest whose single stripe of k shards holds it, the top rung for
 // everything larger. A pure function of its arguments: a key overwritten
-// at the same size is encoded the same way again (sameObject relies on
-// it), and an object past half a configured stripe is stored exactly as
-// it was before there was a ladder.
+// at the same size is encoded the same way again, and an object past
+// half a configured stripe is stored exactly as it was before there was
+// a ladder.
 func shardSizeFor(rungs []int, size int64, k int) int {
 	need := (size + int64(k) - 1) / int64(k)
 	for _, s := range rungs {

@@ -264,7 +264,7 @@ func TestLadderEndToEnd(t *testing.T) {
 // TestOverwriteAcrossRungs overwrites one key small → 8 MiB → small,
 // each time with a different node down, so each overwrite leaves one
 // node holding a valid shard of the version before — stored at another
-// rung. A read is sized by what its shards agree on (sameObject), and
+// rung. A read is sized by what its shards agree on (SameEncoding), and
 // shard size is part of that: it returns the latest version's bytes,
 // whole or by range, never a blend of two encodings.
 func TestOverwriteAcrossRungs(t *testing.T) {

@@ -98,7 +98,9 @@ func (l *lentStripes) finish(err error) {
 
 // stripe returns stripe seq if it has been published. If not, it
 // returns either the channel that closes when the list next changes or,
-// once the encoder is done, the error that ended it.
+// once the encoder is done, the error that ended it. (An encoder done
+// without error has published every stripe a body reads: the put
+// finishes clean only when its source gave exactly the declared size.)
 func (l *lentStripes) stripe(seq int) (*stream.Stripe, <-chan struct{}, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -108,10 +110,19 @@ func (l *lentStripes) stripe(seq int) (*stream.Stripe, <-chan struct{}, error) {
 	if !l.done {
 		return nil, l.wake, nil
 	}
-	if l.err != nil {
-		return nil, nil, l.err
+	return nil, nil, l.err
+}
+
+// verdict says whether the put has finished its source clean: nil, nil
+// once it has; the channel to wait on while the encoder runs; the error
+// that failed it.
+func (l *lentStripes) verdict() (<-chan struct{}, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.done {
+		return l.wake, nil
 	}
-	return nil, nil, io.ErrUnexpectedEOF // the source ended before the size it declared
+	return nil, l.err
 }
 
 // advance records that shard's upload needs no stripe before seq (gone:
@@ -163,6 +174,12 @@ var errBodySealed = errors.New("cluster: shard upload body read after its attemp
 // header, then the shard's (block, trailer) of stripe 0, 1, … read in
 // place from the lent stripes, waiting for the encoder where it has to.
 // Len is exact, so the upload carries a Content-Length.
+//
+// The body holds back its last byte until the put has checked that its
+// source gave exactly the declared size (lentStripes.finish(nil)); if
+// the put fails instead, the body fails. A node commits a shard only
+// once it has read the whole file, so no node replaces the previous
+// version's shard with one of a put whose source was short or long.
 //
 // net/http may still call Read from its write loop after RoundTrip has
 // returned (a node that answers before it has read the body, a cancelled
@@ -222,6 +239,18 @@ func (b *lentBody) readReady(p []byte) (n int, wait <-chan struct{}, err error) 
 		return 0, nil, errBodySealed
 	}
 	for n < len(p) && b.left > 0 {
+		room := p[n:]
+		if int64(len(room)) >= b.left { // this read would end the body
+			if wait, err = b.l.verdict(); err != nil {
+				break
+			}
+			if wait != nil {
+				if b.left == 1 {
+					break
+				}
+				room = room[:b.left-1]
+			}
+		}
 		src := b.hdr
 		if len(src) == 0 {
 			var st *stream.Stripe
@@ -235,7 +264,7 @@ func (b *lentBody) readReady(p []byte) (n int, wait <-chan struct{}, err error) 
 				src = trailer[b.off-len(payload):]
 			}
 		}
-		c := copy(p[n:], src)
+		c := copy(room, src)
 		n += c
 		b.left -= int64(c)
 		if len(b.hdr) > 0 {

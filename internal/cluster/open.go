@@ -20,39 +20,11 @@ type openedShard struct {
 	body io.ReadCloser
 }
 
-// sameObject reports whether two shard headers describe the same
-// encoding of the same object: the same put's generation and geometry.
-// Block checksums cannot tell a stale shard of an overwritten key from
-// a current one, so shards must agree here before their bytes are
-// combined. (Every header that parses names CRC-32C, so the algorithm
-// never disagrees. The geometry tells apart the v3 shards written
-// before headers carried a generation, which all read as 0.)
-func sameObject(a, b shardfile.Header) bool {
-	return a.Generation == b.Generation && a.ShardSize == b.ShardSize &&
-		a.StripeCount == b.StripeCount && a.FileSize == b.FileSize
-}
-
 // agreeing finds the set of opened shards that describe the same object
-// a read should decode: lead indexes one of its members (-1 when got is
-// empty) and n is its size. A set counts up to k members: more wins,
-// then the newer generation, so the newest version that k shards carry
-// leads however many shards an older one has. Ties after that go to the
-// shard opened earlier.
-func agreeing(got []openedShard, k int) (lead, n int) {
-	lead = -1
-	for i := range got {
-		c := 0
-		for j := range got {
-			if sameObject(got[i].h, got[j].h) {
-				c++
-			}
-		}
-		if lead < 0 || min(c, k) > min(n, k) ||
-			(min(c, k) == min(n, k) && got[i].h.Generation > got[lead].h.Generation) {
-			lead, n = i, c
-		}
-	}
-	return lead, n
+// a read should decode, by shardfile.Vote: lead indexes one of its
+// members (-1 when got is empty) and n is its size.
+func agreeing(got []openedShard) (lead, n int) {
+	return shardfile.Vote(len(got), func(i int) shardfile.Header { return got[i].h })
 }
 
 // shardOpener opens the shards one read decodes from — a GET, a range
@@ -187,11 +159,11 @@ func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64
 
 // open opens candidates at the block window (block, count) ((0, -1):
 // whole shards) until k shards that agree on the object are streaming,
-// and returns them as k+m readers, nil where unopened. Shards must agree
-// on their generation, ShardSize, StripeCount and FileSize: the set
-// agreeing picks leads, a shard it outvotes is closed and counted as an
-// open failure, and the next candidate — a spare for reason "open" — is
-// tried in its place, as for an open that fails. Each round opens every candidate
+// and returns them as k+m readers, nil where unopened. Shards must be one
+// encoding (shardfile.Header.SameEncoding): the set agreeing picks
+// leads, a shard it outvotes is closed and counted as an open failure,
+// and the next candidate — a spare for reason "open" — is tried in its
+// place, as for an open that fails. Each round opens every candidate
 // still needed at once, and the next round starts only when they have
 // all answered: a GET, a range GET and a rebuild alike ask for their k
 // shards together, and more only as some fail. Sidelined nodes come
@@ -203,12 +175,12 @@ func (o *shardOpener) open(ctx context.Context, block, count int64) ([]io.Reader
 	o.block, o.count = block, count
 	var got []openedShard
 	for round := 0; ; round++ {
-		lead, leadN := agreeing(got, k)
+		lead, leadN := agreeing(got)
 		need := min(k-leadN, len(o.candidates))
 		if need <= 0 {
 			readers := make([]io.Reader, len(o.placement))
 			for _, s := range got {
-				if sameObject(s.h, got[lead].h) {
+				if s.h.SameEncoding(got[lead].h) {
 					readers[s.idx] = s.body
 					continue
 				}
@@ -262,7 +234,7 @@ func (o *shardOpener) spare(ctx context.Context, block int64, reason string) (in
 			o.failed(err)
 			continue
 		}
-		if !sameObject(s.h, o.header) {
+		if !s.h.SameEncoding(o.header) {
 			o.outvoted(s)
 			continue
 		}

@@ -10,9 +10,6 @@ import (
 // node derives it independently and identically.
 type Placement []NodeInfo
 
-// Node returns the node holding shard idx.
-func (p Placement) Node(idx int) NodeInfo { return p[idx] }
-
 // fnv64 is the FNV-1a hash of s — the stable object/node fingerprint
 // placement scores are derived from. Inlined rather than hash/fnv so
 // the two-string combination below allocates nothing.

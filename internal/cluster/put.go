@@ -50,7 +50,10 @@ func (g *Gateway) nextGeneration() uint64 {
 //
 // Every shard's header carries the put's generation, drawn once here
 // and the same on every upload attempt, so a reader tells this put's
-// shards from any other version's.
+// shards from any other version's. No upload lands before the put has
+// read exactly size bytes from r: each body holds back its last byte
+// until then (lentBody), so a source that is short or long fails the
+// put and leaves the previous version whole.
 //
 // A put is acknowledged once WriteQuorum shard uploads have landed.
 // Transient upload failures (connection errors, throttling, 5xx) are
@@ -132,26 +135,8 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 			obs.Label{Key: "result", Value: "error"}).Inc()
 		return nil, fmt.Errorf("cluster: put %q: %w", object, err)
 	}
-	// dropLanded clears the shards that did land, best-effort, on a
-	// fresh context (ours may already be cancelled): a put that fails is
-	// stale the moment the client retries.
-	dropLanded := func() {
-		cleanCtx, cleanCancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cleanCancel()
-		for i, err := range errs {
-			if err == nil {
-				if cli, cerr := g.clientFor(st, placement[i].ID); cerr == nil {
-					cli.WithClass(class).DeleteShard(cleanCtx, object, i)
-				}
-			}
-		}
-	}
 	if encErr != nil {
-		// Only a source longer than it declared leaves anything to drop:
-		// the uploads are complete at the declared size. They have
-		// already replaced the old version's shards, so this loses the
-		// old version too; only a commit step after the uploads would not.
-		dropLanded()
+		// No upload gave its node the last byte, so none landed.
 		return fail(encErr)
 	}
 
@@ -175,9 +160,19 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 		// Not enough durability to ack. The landed shards replaced the
 		// old version's by rename: below K they decode nothing, so they
 		// go; from K up they are the readable version, and deleting them
-		// would lose the old one too.
+		// would lose the old one too. They are cleared best-effort, on a
+		// fresh context (ours may already be cancelled): a put that fails
+		// is stale the moment the client retries.
 		if landed < g.k {
-			dropLanded()
+			cleanCtx, cleanCancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cleanCancel()
+			for i, err := range errs {
+				if err == nil {
+					if cli, cerr := g.clientFor(st, placement[i].ID); cerr == nil {
+						cli.WithClass(class).DeleteShard(cleanCtx, object, i)
+					}
+				}
+			}
 		}
 		return fail(fmt.Errorf("only %d of %d shards landed, quorum is %d: %w",
 			landed, n, g.quorum, firstErr))

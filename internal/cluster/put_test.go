@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -348,3 +349,83 @@ func TestPutSteadyStateAllocation(t *testing.T) {
 		t.Fatalf("8 MiB puts stored at shard sizes %v, want all at the top rung", counts)
 	}
 }
+
+// startedPuts is a shard transport that reports each shard upload as it
+// starts, then sends it detached from the put's cancellation, the way
+// an upload whose bytes are already on the wire outruns it: an upload
+// fails only if its body does.
+type startedPuts struct {
+	base    http.RoundTripper
+	started chan int // buffered for one put's first attempts; a retry's start is not reported
+}
+
+func (s *startedPuts) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPut {
+		select {
+		case s.started <- 1:
+		default:
+		}
+		req = req.WithContext(context.WithoutCancel(req.Context()))
+	}
+	return s.base.RoundTrip(req)
+}
+
+// overwriteFromWrongSize puts v1, 300,000 bytes, then overwrites it
+// declaring the same size from a source that serves served bytes of
+// another payload. The source holds back its end (io.EOF, after any
+// bytes past the declared size) until every upload of the overwrite has
+// started and the encoder has read the rest, so each node is part-way
+// through the new shard when the put learns the size was wrong. The put
+// must fail, and every shard, and so every GET, must still be v1's.
+func overwriteFromWrongSize(t *testing.T, served int) {
+	tc := startCluster(t, 6, 4, 2)
+	starts := &startedPuts{base: &http.Transport{DisableKeepAlives: true}, started: make(chan int, 6)}
+	gw, err := NewGateway(GatewayOptions{Map: tc.cmap, K: 4, M: 2, StripeSize: 64 * 1024,
+		HTTPClient: &http.Client{Transport: starts}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const object, size = "wrong-size", 300_000
+	v1 := clusterPayload(91, size)
+	tc.put(ctx, object, v1)
+
+	src := bytes.NewReader(clusterPayload(92, served))
+	head := io.LimitReader(src, int64(min(served, size)))
+	drained, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	source := readerFunc(func(p []byte) (int, error) {
+		if n, _ := head.Read(p); n > 0 {
+			return n, nil
+		}
+		once.Do(func() { close(drained) })
+		<-release
+		return src.Read(p)
+	})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := gw.PutObject(ctx, object, source, size, node.ClassForeground)
+		errc <- err
+	}()
+	<-drained
+	for range 6 {
+		<-starts.started
+	}
+	close(release)
+	want := fmt.Sprintf("read %d bytes, expected %d", served, size)
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("overwrite from a %d-byte source declared at %d: %v, want %q", served, size, err, want)
+	}
+	tc.mustGet(ctx, object, v1)
+	if n, err := NewRepairer(tc.gw, nil, tc.reg).ScanOnce(ctx); err != nil || n != 0 {
+		t.Fatalf("scan after the failed overwrite queued %d, %v; want every shard still v1's", n, err)
+	}
+}
+
+// TestPutShortSourceKeepsPrevious: a source that ends 100 bytes short
+// of its declared size does not replace the previous version.
+func TestPutShortSourceKeepsPrevious(t *testing.T) { overwriteFromWrongSize(t, 300_000-100) }
+
+// TestPutLongSourceKeepsPrevious: a source that runs 100 bytes past its
+// declared size does not replace, or delete, the previous version.
+func TestPutLongSourceKeepsPrevious(t *testing.T) { overwriteFromWrongSize(t, 300_000+100) }

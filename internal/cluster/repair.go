@@ -13,6 +13,7 @@ import (
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
+	"dialga/internal/shardfile"
 	"dialga/internal/stream"
 )
 
@@ -256,12 +257,12 @@ func (r *Repairer) admit(ctx context.Context) error {
 // shard count across everything it scanned. It returns how many new
 // tasks it queued. It hears every placed shard of an object before it
 // judges any: a shard is damaged when its node answers 404, when its
-// scrub fails, or when it scrubs clean at another generation than the
-// object's current one (see currentGeneration) — a stale shard a put
-// or a rebalance left behind. A shard whose node is unreachable is
-// skipped — under the persistent-memory fault model the node's shards
-// survive it, so rebuilding them elsewhere while the node is down would
-// churn data that will reappear.
+// scrub fails, or when it scrubs clean outside the set of at least k
+// clean shards that shardfile.Vote picks, the one every read decodes —
+// a stale shard a put or a rebalance left behind. A shard whose node is
+// unreachable is skipped — under the persistent-memory fault model the
+// node's shards survive it, so rebuilding them elsewhere while the node
+// is down would churn data that will reappear.
 func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 	st := r.gw.snap()
 	names, err := listObjects(ctx, st.nodeClients(), node.ClassRepair, "repair scan")
@@ -277,8 +278,8 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 			return enqueued, err
 		}
 		verdicts := make([]string, n) // "" where the node could not be probed
-		gens := make([]uint64, n)
-		votes := make(map[uint64]int) // clean shards by generation
+		heads := make([]shardfile.Header, n)
+		var clean []int // the shards that scrubbed clean
 		for idx, info := range placement {
 			if err := r.admit(ctx); err != nil {
 				return enqueued, err
@@ -299,14 +300,17 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 			case status.Damaged:
 				verdicts[idx] = status.Status
 			default:
-				verdicts[idx], gens[idx] = "ok", status.Generation
-				votes[status.Generation]++
+				verdicts[idx], heads[idx] = "ok", status.Header
+				clean = append(clean, idx)
 			}
 		}
-		cur, known := currentGeneration(votes, r.gw.k)
+		// The object is the set of clean shards every read decodes. With
+		// fewer than k members no read decodes it, and no shard can be
+		// called stale.
+		lead, members := shardfile.Vote(len(clean), func(i int) shardfile.Header { return heads[clean[i]] })
 		var damaged []int
 		for idx, v := range verdicts {
-			if v == "ok" && known && gens[idx] != cur {
+			if v == "ok" && members >= r.gw.k && !heads[idx].SameEncoding(heads[clean[lead]]) {
 				v = "stale"
 			}
 			switch v {
@@ -335,18 +339,6 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 		"Lowest live-shard count across all objects at the last repair scan.").
 		Set(float64(minLive))
 	return enqueued, nil
-}
-
-// currentGeneration is the generation of an object every read decodes:
-// the newest that at least k of its clean shards carry. ok is false
-// when no generation has k, and then no shard can be called stale.
-func currentGeneration(votes map[uint64]int, k int) (gen uint64, ok bool) {
-	for g, n := range votes {
-		if n >= k && (!ok || g > gen) {
-			gen, ok = g, true
-		}
-	}
-	return gen, ok
 }
 
 // RepairOne rebuilds one damaged shard in the shard domain: k of the

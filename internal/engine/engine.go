@@ -87,9 +87,6 @@ func (tl *Telemetry) LoadLatencySumNS() float64 { return tl.t.stats.LoadLatSumNS
 // (the PMU 0xf2 analogue).
 func (tl *Telemetry) UselessHWPrefetches() uint64 { return tl.t.l2.Stats().UselessPrefetch }
 
-// HWPrefetchesIssued returns the stream prefetcher's issue count.
-func (tl *Telemetry) HWPrefetchesIssued() uint64 { return tl.t.pf.Stats().Issued }
-
 // ThreadCount returns the number of threads in the run (the
 // concurrency signal of the coordinator's I/O pattern collection).
 func (tl *Telemetry) ThreadCount() int { return len(tl.e.threads) }

@@ -7,8 +7,6 @@ import (
 	"io"
 	"testing"
 	"time"
-
-	"dialga/internal/obs"
 )
 
 func payload(n int) []byte {
@@ -118,84 +116,6 @@ func TestErrTransientAndIs(t *testing.T) {
 	}
 }
 
-func TestWriterShortWriteAndResume(t *testing.T) {
-	var sink bytes.Buffer
-	w := NewWriter(&sink, Plan{Ops: []Op{{Kind: ShortWrite, Off: 10}}})
-	src := payload(30)
-	n, err := w.Write(src)
-	if n != 10 || !errors.Is(err, ErrInjected) {
-		t.Fatalf("short write returned (%d, %v), want (10, injected)", n, err)
-	}
-	if n, err := w.Write(src[10:]); n != 20 || err != nil {
-		t.Fatalf("resumed write returned (%d, %v)", n, err)
-	}
-	if !bytes.Equal(sink.Bytes(), src) {
-		t.Fatal("writer payload corrupted across short write")
-	}
-}
-
-func TestWriterTornWrite(t *testing.T) {
-	var sink bytes.Buffer
-	w := NewWriter(&sink, Plan{Ops: []Op{{Kind: Truncate, Off: 12}}})
-	src := payload(40)
-	if n, err := w.Write(src); n != 40 || err != nil {
-		t.Fatalf("torn write returned (%d, %v), want silent success", n, err)
-	}
-	if !bytes.Equal(sink.Bytes(), src[:12]) {
-		t.Fatalf("sink has %d bytes, want 12 (silent truncation)", sink.Len())
-	}
-}
-
-func TestWriterCorruptsCopyNotCaller(t *testing.T) {
-	var sink bytes.Buffer
-	w := NewWriter(&sink, Plan{Ops: []Op{
-		{Kind: BitFlip, Off: 3, Bit: 0},
-		{Kind: ZeroFill, Off: 8, Len: 4},
-	}})
-	src := payload(16)
-	orig := append([]byte(nil), src...)
-	if _, err := w.Write(src); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(src, orig) {
-		t.Fatal("writer mutated the caller's buffer")
-	}
-	want := append([]byte(nil), orig...)
-	want[3] ^= 1
-	clear(want[8:12])
-	if !bytes.Equal(sink.Bytes(), want) {
-		t.Fatal("corruption ops not applied to the written stream")
-	}
-}
-
-func TestWriterErrOnce(t *testing.T) {
-	var sink bytes.Buffer
-	w := NewWriter(&sink, Plan{Ops: []Op{{Kind: ErrOnce, Off: 5}}})
-	src := payload(20)
-	n, err := w.Write(src)
-	if n != 5 || !errors.Is(err, ErrInjected) {
-		t.Fatalf("write returned (%d, %v), want (5, injected)", n, err)
-	}
-	if n, err := w.Write(src[5:]); n != 15 || err != nil {
-		t.Fatalf("retry returned (%d, %v)", n, err)
-	}
-	if !bytes.Equal(sink.Bytes(), src) {
-		t.Fatal("payload corrupted across transient write error")
-	}
-}
-
-func TestWriterStall(t *testing.T) {
-	var sink bytes.Buffer
-	w := NewWriter(&sink, Plan{Ops: []Op{{Kind: Stall, Off: 4, Len: 1}}})
-	src := payload(10)
-	if n, err := w.Write(src); n != 10 || err != nil {
-		t.Fatalf("stalled write returned (%d, %v)", n, err)
-	}
-	if !bytes.Equal(sink.Bytes(), src) {
-		t.Fatal("stall corrupted the stream")
-	}
-}
-
 func TestPlanStringParseRoundTrip(t *testing.T) {
 	plans := []Plan{
 		{},
@@ -205,8 +125,6 @@ func TestPlanStringParseRoundTrip(t *testing.T) {
 			{Kind: ZeroFill, Off: 40, Len: 12},
 			{Kind: Truncate, Off: 999},
 			{Kind: ErrOnce, Off: 50},
-			{Kind: ShortWrite, Off: 8},
-			{Kind: Stall, Off: 64, Len: 250},
 			{Kind: Slow, Off: 0, Len: 4000},
 			{Kind: Slow, Off: 512, Len: 3000, Span: 4096},
 		}},
@@ -222,7 +140,7 @@ func TestPlanStringParseRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"flip@", "zap@3", "flip@1.9", "zero@5", "trunc@-1", "flip@x.1",
-		"zero@5+2~9", "slow@5+2~0", "slow@5+2~-3", "slow@5+2~x"} {
+		"zero@5+2~9", "slow@5+2~0", "slow@5+2~-3", "slow@5+2~x", "short@8", "stall@64+250"} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) accepted a malformed plan", bad)
 		}
@@ -375,108 +293,5 @@ func TestReaderSlowCancelled(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled slow read did not return")
-	}
-}
-
-// TestWriterStallCancelled: the write-side stall honours its context
-// the same way.
-func TestWriterStallCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var sink bytes.Buffer
-	w := NewWriter(&sink, Plan{
-		Ops: []Op{{Kind: Stall, Off: 0, Len: 10_000_000}},
-	}).WithContext(ctx)
-	done := make(chan error, 1)
-	go func() {
-		_, err := w.Write(payload(8))
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled stall returned %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancelled stalled write did not return")
-	}
-}
-
-// TestInjectMetrics checks WithMetrics accounting: every fault a
-// Reader or Writer actually delivers shows up once in
-// fault_injected_total{kind=...}.
-func TestInjectMetrics(t *testing.T) {
-	kindCount := func(reg *obs.Registry, k Kind) uint64 {
-		return reg.Counter("fault_injected_total", "", obs.Label{Key: "kind", Value: k.String()}).Value()
-	}
-
-	reg := obs.NewRegistry()
-	src := payload(16)
-	r := NewReader(bytes.NewReader(src), Plan{Ops: []Op{
-		{Kind: BitFlip, Off: 2, Bit: 0},
-		{Kind: ErrOnce, Off: 4},
-		{Kind: Truncate, Off: 8},
-	}}).WithMetrics(reg)
-	if _, err := io.ReadAll(onlyTransient{r}); err != nil {
-		t.Fatal(err)
-	}
-	if got := kindCount(reg, BitFlip); got != 1 {
-		t.Fatalf("flip count = %d, want 1", got)
-	}
-	if got := kindCount(reg, ErrOnce); got != 1 {
-		t.Fatalf("err count = %d, want 1", got)
-	}
-	// Drive one read past the truncation point so the EOF injection is
-	// observed and counted exactly once despite repeated reads.
-	for i := 0; i < 3; i++ {
-		if _, err := r.Read(make([]byte, 4)); err != io.EOF {
-			t.Fatalf("post-truncate read error = %v, want EOF", err)
-		}
-	}
-	if got := kindCount(reg, Truncate); got != 1 {
-		t.Fatalf("trunc count = %d, want 1", got)
-	}
-
-	wreg := obs.NewRegistry()
-	var sink bytes.Buffer
-	w := NewWriter(&sink, Plan{Ops: []Op{
-		{Kind: ZeroFill, Off: 1, Len: 2},
-		{Kind: Stall, Off: 3, Len: 1},
-		{Kind: ShortWrite, Off: 6},
-	}}).WithMetrics(wreg)
-	data := payload(8)
-	n, err := w.Write(data)
-	if err == nil {
-		t.Fatal("short write did not surface a fault")
-	}
-	if _, err := w.Write(data[n:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := kindCount(wreg, ZeroFill); got != 1 {
-		t.Fatalf("zero count = %d, want 1", got)
-	}
-	if got := kindCount(wreg, Stall); got != 1 {
-		t.Fatalf("stall count = %d, want 1", got)
-	}
-	if got := kindCount(wreg, ShortWrite); got != 1 {
-		t.Fatalf("short count = %d, want 1", got)
-	}
-}
-
-// onlyTransient retries transient injected errors so ReadAll can run a
-// faulty stream to EOF.
-type onlyTransient struct{ r io.Reader }
-
-func (o onlyTransient) Read(p []byte) (int, error) {
-	for {
-		n, err := o.r.Read(p)
-		if err != nil && errors.Is(err, ErrInjected) {
-			if n == 0 {
-				continue
-			}
-			return n, nil
-		}
-		return n, err
 	}
 }

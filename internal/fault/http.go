@@ -5,15 +5,13 @@ import (
 	"io"
 	"net/http"
 	"sync"
-
-	"dialga/internal/obs"
 )
 
 // Transport is an http.RoundTripper that applies a fault Plan to the
 // traffic of a wrapped transport, keyed by the request's host. Two
 // classes of op apply:
 //
-// Byte-stream ops (flip, zero, trunc, err, slow, ...) wrap the
+// Byte-stream ops (flip, zero, trunc, err, slow) wrap the
 // response body, so the plan's offsets are relative to the start of
 // each response — a `slow@0+3000` plan makes every read from that
 // host a straggler, a `flip@100.3` plan corrupts byte 100 of every
@@ -30,14 +28,13 @@ import (
 //
 // This is how the cluster chaos tests inject deterministic network
 // faults under the shard client without touching the servers: the
-// same Plan grammar, seeded Generate, and metrics that the
-// reader/writer wrappers use, applied at the transport seam.
+// same Plan grammar and seeded Generate the Reader uses, applied at the
+// transport seam.
 //
 // The zero value is unusable; build one with NewTransport. Safe for
 // concurrent use.
 type Transport struct {
 	base http.RoundTripper
-	reg  *obs.Registry
 
 	mu    sync.Mutex
 	plans map[string]Plan  // request host -> plan applied to its traffic
@@ -51,13 +48,6 @@ func NewTransport(base http.RoundTripper) *Transport {
 		base = http.DefaultTransport
 	}
 	return &Transport{base: base, plans: make(map[string]Plan), reqs: make(map[string]int64)}
-}
-
-// WithMetrics counts every applied injection in reg as
-// fault_injected_total{kind=...}. It returns t for chaining.
-func (t *Transport) WithMetrics(reg *obs.Registry) *Transport {
-	t.reg = reg
-	return t
 }
 
 // Set installs (or, with an empty plan, clears) the fault plan for
@@ -118,18 +108,15 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !ok {
 		return t.base.RoundTrip(req)
 	}
-	m := newInjectMetrics(t.reg)
 	for _, op := range plan.Ops {
 		switch op.Kind {
 		case Refuse:
 			if covers(op, n) {
-				m.inc(Refuse, 1)
 				return nil, fmt.Errorf("fault: connection to %s refused (request %d): %w",
 					req.URL.Host, n, &Err{Off: n})
 			}
 		case Blackhole:
 			if covers(op, n) {
-				m.inc(Blackhole, 1)
 				<-req.Context().Done()
 				return nil, fmt.Errorf("fault: connection to %s blackholed (request %d): %w",
 					req.URL.Host, n, &Err{Off: n})
@@ -141,9 +128,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return resp, err
 	}
 	fr := NewReader(resp.Body, plan).WithContext(req.Context())
-	if t.reg != nil {
-		fr.WithMetrics(t.reg)
-	}
 	resp.Body = &faultBody{Reader: fr, closer: resp.Body}
 	return resp, nil
 }

@@ -8,8 +8,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"dialga/internal/obs"
 )
 
 func TestConnPlanRoundTrip(t *testing.T) {
@@ -36,16 +34,13 @@ func TestConnPlanRoundTrip(t *testing.T) {
 
 // transportPair is a live server plus a fault transport client aimed
 // at it.
-func transportPair(t *testing.T, reg *obs.Registry) (host string, cli *http.Client, ft *Transport) {
+func transportPair(t *testing.T) (host string, cli *http.Client, ft *Transport) {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "payload")
 	}))
 	t.Cleanup(ts.Close)
 	ft = NewTransport(nil)
-	if reg != nil {
-		ft.WithMetrics(reg)
-	}
 	return ts.Listener.Addr().String(), &http.Client{Transport: ft}, ft
 }
 
@@ -60,8 +55,7 @@ func get(cli *http.Client, host string) error {
 }
 
 func TestTransportRefuseWindow(t *testing.T) {
-	reg := obs.NewRegistry()
-	host, cli, ft := transportPair(t, reg)
+	host, cli, ft := transportPair(t)
 
 	// refuse@1+2: request 0 passes, 1 and 2 refused, 3+ pass again.
 	plan, err := Parse("refuse@1+2")
@@ -78,14 +72,10 @@ func TestTransportRefuseWindow(t *testing.T) {
 			t.Fatalf("request %d: %v does not match ErrInjected", i, err)
 		}
 	}
-	if got := reg.Counter("fault_injected_total", "",
-		obs.Label{Key: "kind", Value: "refuse"}).Value(); got != 2 {
-		t.Fatalf("fault_injected_total{refuse} = %d, want 2", got)
-	}
 }
 
 func TestTransportPartitionAndHeal(t *testing.T) {
-	host, cli, ft := transportPair(t, nil)
+	host, cli, ft := transportPair(t)
 
 	ft.Partition(host)
 	if err := get(cli, host); !errors.Is(err, ErrInjected) {
@@ -113,7 +103,7 @@ func TestTransportPartitionAndHeal(t *testing.T) {
 }
 
 func TestTransportBlackholeHonoursContext(t *testing.T) {
-	host, cli, ft := transportPair(t, nil)
+	host, cli, ft := transportPair(t)
 	ft.Set(host, Plan{Ops: []Op{{Kind: Blackhole}}})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -132,7 +122,7 @@ func TestTransportBlackholeHonoursContext(t *testing.T) {
 }
 
 func TestTransportBodyFaultsStillApply(t *testing.T) {
-	host, cli, ft := transportPair(t, nil)
+	host, cli, ft := transportPair(t)
 	// Conn ops and body ops share one plan: request 0 refused, then
 	// every body truncated to 3 bytes.
 	plan, err := Parse("refuse@0+1;trunc@3")

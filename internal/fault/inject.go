@@ -4,41 +4,11 @@ import (
 	"context"
 	"io"
 	"time"
-
-	"dialga/internal/obs"
 )
-
-// injectMetrics counts applied fault injections per kind in a
-// registry as fault_injected_total{kind=...}. Nil (the default) is a
-// no-op, so the injectors stay dependency-free unless a registry is
-// attached with WithMetrics.
-type injectMetrics struct {
-	c [Blackhole + 1]*obs.Counter // indexed by Kind
-}
-
-func newInjectMetrics(reg *obs.Registry) *injectMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &injectMetrics{}
-	for k := range m.c {
-		m.c[k] = reg.Counter("fault_injected_total",
-			"Fault injections applied to wrapped streams, by kind.",
-			obs.Label{Key: "kind", Value: Kind(k).String()})
-	}
-	return m
-}
-
-func (m *injectMetrics) inc(k Kind, n uint64) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.c[k].Add(n)
-}
 
 // sleep pauses for d unless ctx is cancelled first, in which case it
 // returns the context's error. A nil ctx sleeps unconditionally.
-// Injected latency (Stall, Slow) goes through here so a cancelled
+// Injected latency (Slow) goes through here so a cancelled
 // decode is never held hostage by its own fault plan.
 func sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
@@ -94,13 +64,12 @@ type Reader struct {
 	ctx   context.Context
 	pos   int64
 	ops   []Op
-	fired []bool  // ErrOnce (and first-Truncate) ops that already triggered
+	fired []bool  // ErrOnce ops that already triggered
 	count []int64 // Slow ops: reads delayed so far (the delay-draw index)
-	m     *injectMetrics
 }
 
-// NewReader wraps r with the plan's read-side faults. Write-side ops
-// (ShortWrite, Stall) are ignored.
+// NewReader wraps r with the plan's byte-stream faults. The
+// connection-level ops (Refuse, Blackhole) are ignored.
 func NewReader(r io.Reader, p Plan) *Reader {
 	ops := append([]Op(nil), p.Ops...)
 	return &Reader{r: r, ops: ops, fired: make([]bool, len(ops)), count: make([]int64, len(ops))}
@@ -114,15 +83,6 @@ func (f *Reader) WithContext(ctx context.Context) *Reader {
 	return f
 }
 
-// WithMetrics counts every applied injection in reg as
-// fault_injected_total{kind=...}, so chaos runs can cross-check the
-// faults actually delivered against the pipeline's healing counters.
-// It returns f for chaining.
-func (f *Reader) WithMetrics(reg *obs.Registry) *Reader {
-	f.m = newInjectMetrics(reg)
-	return f
-}
-
 func (f *Reader) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return f.r.Read(p)
@@ -132,10 +92,6 @@ func (f *Reader) Read(p []byte) (int, error) {
 		switch op.Kind {
 		case Truncate:
 			if op.Off <= f.pos {
-				if !f.fired[i] {
-					f.fired[i] = true
-					f.m.inc(Truncate, 1)
-				}
 				return 0, io.EOF
 			}
 			if d := op.Off - f.pos; d < limit {
@@ -147,7 +103,6 @@ func (f *Reader) Read(p []byte) (int, error) {
 			}
 			if op.Off <= f.pos {
 				f.fired[i] = true
-				f.m.inc(ErrOnce, 1)
 				return 0, &Err{Off: f.pos}
 			}
 			// Stop this read just short of the trigger byte so the
@@ -168,7 +123,6 @@ func (f *Reader) Read(p []byte) (int, error) {
 		}
 		j := f.count[i]
 		f.count[i]++
-		f.m.inc(Slow, 1)
 		if err := sleep(f.ctx, slowDelay(op, j)); err != nil {
 			return 0, err
 		}
@@ -181,185 +135,21 @@ func (f *Reader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// corrupt applies the data-mutation ops overlapping [pos, pos+len(b)).
+// corrupt applies the data-mutation ops (BitFlip, ZeroFill) that
+// overlap [pos, pos+len(b)) to b in place.
 func (f *Reader) corrupt(b []byte, pos int64) {
-	flips, zeros := applyDataOps(f.ops, b, pos)
-	f.m.inc(BitFlip, flips)
-	f.m.inc(ZeroFill, zeros)
-}
-
-// applyDataOps mutates b in place and reports how many BitFlip and
-// ZeroFill ops actually touched this window, so callers can meter the
-// corruption they delivered.
-func applyDataOps(ops []Op, b []byte, pos int64) (flips, zeros uint64) {
 	end := pos + int64(len(b))
-	for _, op := range ops {
+	for _, op := range f.ops {
 		switch op.Kind {
 		case BitFlip:
 			if op.Off >= pos && op.Off < end {
 				b[op.Off-pos] ^= 1 << (op.Bit & 7)
-				flips++
 			}
 		case ZeroFill:
-			lo, hi := op.Off, op.Off+op.Len
-			if lo < pos {
-				lo = pos
-			}
-			if hi > end {
-				hi = end
-			}
+			lo, hi := max(op.Off, pos), min(op.Off+op.Len, end)
 			if lo < hi {
 				clear(b[lo-pos : hi-pos])
-				zeros++
 			}
 		}
 	}
-	return flips, zeros
-}
-
-// Writer applies a Plan to the bytes flowing into an underlying
-// writer. BitFlip and ZeroFill corrupt a private copy (the caller's
-// buffer is never touched), Truncate silently drops everything from
-// its offset on — a torn write — while still reporting success, and
-// ShortWrite/ErrOnce surface transient *Err failures. Stall sleeps
-// before the write that crosses its offset, emulating a device that
-// hiccups without failing.
-type Writer struct {
-	w     io.Writer
-	ctx   context.Context
-	pos   int64
-	ops   []Op
-	fired []bool // ErrOnce/ShortWrite/Stall/Truncate ops that already triggered
-	buf   []byte // scratch for corrupted copies
-	m     *injectMetrics
-}
-
-// NewWriter wraps w with the plan's write-side faults.
-func NewWriter(w io.Writer, p Plan) *Writer {
-	ops := append([]Op(nil), p.Ops...)
-	return &Writer{w: w, ops: ops, fired: make([]bool, len(ops))}
-}
-
-// WithContext binds ctx to the writer's injected sleeps (Stall): a
-// stall in progress returns ctx.Err() as soon as ctx is cancelled. It
-// returns f for chaining.
-func (f *Writer) WithContext(ctx context.Context) *Writer {
-	f.ctx = ctx
-	return f
-}
-
-// WithMetrics counts every applied injection in reg as
-// fault_injected_total{kind=...}. It returns f for chaining.
-func (f *Writer) WithMetrics(reg *obs.Registry) *Writer {
-	f.m = newInjectMetrics(reg)
-	return f
-}
-
-func (f *Writer) Write(p []byte) (int, error) {
-	if len(p) == 0 {
-		return f.w.Write(p)
-	}
-	limit := int64(len(p))
-	for i, op := range f.ops {
-		if f.fired[i] {
-			continue
-		}
-		switch op.Kind {
-		case ErrOnce:
-			if op.Off <= f.pos {
-				f.fired[i] = true
-				f.m.inc(ErrOnce, 1)
-				return 0, &Err{Off: f.pos}
-			}
-			if d := op.Off - f.pos; d < limit {
-				limit = d
-			}
-		case ShortWrite:
-			// Cut the write that crosses Off: deliver the head, fail
-			// the tail once.
-			if op.Off > f.pos && op.Off < f.pos+limit {
-				limit = op.Off - f.pos
-			}
-		case Stall:
-			if op.Off >= f.pos && op.Off < f.pos+limit {
-				f.fired[i] = true
-				f.m.inc(Stall, 1)
-				if err := sleep(f.ctx, time.Duration(op.Len)*time.Microsecond); err != nil {
-					return 0, err
-				}
-			}
-		}
-	}
-	n, err := f.write(p[:limit])
-	f.pos += int64(n)
-	if err != nil {
-		return n, err
-	}
-	if n < len(p) {
-		// The write was cut at an op boundary (ShortWrite tail, or an
-		// ErrOnce trigger byte). Fire that op now and report the
-		// undelivered tail as a transient fault, per the io.Writer
-		// contract — exactly once per op.
-		for i, op := range f.ops {
-			if (op.Kind == ShortWrite || op.Kind == ErrOnce) && !f.fired[i] && op.Off == f.pos {
-				f.fired[i] = true
-				f.m.inc(op.Kind, 1)
-			}
-		}
-		return n, &Err{Off: f.pos}
-	}
-	return n, nil
-}
-
-// write forwards b, honouring Truncate (drop bytes silently) and the
-// data-corruption ops (mutate a copy, never the caller's buffer).
-func (f *Writer) write(b []byte) (int, error) {
-	keep := int64(len(b))
-	for i, op := range f.ops {
-		if op.Kind != Truncate {
-			continue
-		}
-		if op.Off <= f.pos {
-			keep = 0
-		} else if d := op.Off - f.pos; d < keep {
-			keep = d
-		}
-		if keep < int64(len(b)) && !f.fired[i] {
-			f.fired[i] = true
-			f.m.inc(Truncate, 1)
-		}
-	}
-	out := b[:keep]
-	if f.needsCorrupt(f.pos, f.pos+keep) {
-		f.buf = append(f.buf[:0], out...)
-		flips, zeros := applyDataOps(f.ops, f.buf, f.pos)
-		f.m.inc(BitFlip, flips)
-		f.m.inc(ZeroFill, zeros)
-		out = f.buf
-	}
-	if len(out) > 0 {
-		n, err := f.w.Write(out)
-		if err != nil {
-			return n, err
-		}
-	}
-	// Dropped (truncated) bytes count as "written": the torn write is
-	// silent, which is the failure mode worth testing.
-	return len(b), nil
-}
-
-func (f *Writer) needsCorrupt(lo, hi int64) bool {
-	for _, op := range f.ops {
-		switch op.Kind {
-		case BitFlip:
-			if op.Off >= lo && op.Off < hi {
-				return true
-			}
-		case ZeroFill:
-			if op.Off < hi && op.Off+op.Len > lo {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -21,8 +21,6 @@ func (p Plan) String() string {
 			fmt.Fprintf(&b, "flip@%d.%d", op.Off, op.Bit&7)
 		case ZeroFill:
 			fmt.Fprintf(&b, "zero@%d+%d", op.Off, op.Len)
-		case Stall:
-			fmt.Fprintf(&b, "stall@%d+%d", op.Off, op.Len)
 		case Slow:
 			if op.Span > 0 {
 				fmt.Fprintf(&b, "slow@%d+%d~%d", op.Off, op.Len, op.Span)
@@ -67,12 +65,10 @@ func Parse(s string) (Plan, error) {
 				return Plan{}, fmt.Errorf("%w: flip bit %q out of range", errBadPlan, bits)
 			}
 			op.Off, op.Bit = off, uint8(bit)
-		case "zero", "stall", "slow", "refuse", "hole":
+		case "zero", "slow", "refuse", "hole":
 			switch name {
 			case "zero":
 				op.Kind = ZeroFill
-			case "stall":
-				op.Kind = Stall
 			case "slow":
 				op.Kind = Slow
 			case "refuse":
@@ -108,14 +104,10 @@ func Parse(s string) (Plan, error) {
 				return Plan{}, fmt.Errorf("%w: %s length %q invalid", errBadPlan, name, lens)
 			}
 			op.Off, op.Len = off, l
-		case "trunc", "err", "short":
-			switch name {
-			case "trunc":
-				op.Kind = Truncate
-			case "err":
+		case "trunc", "err":
+			op.Kind = Truncate
+			if name == "err" {
 				op.Kind = ErrOnce
-			case "short":
-				op.Kind = ShortWrite
 			}
 			off, err := strconv.ParseInt(rest, 10, 64)
 			if err != nil {

@@ -36,16 +36,17 @@ func statFromHeader(h shardfile.Header) Stat {
 }
 
 // ScrubStatus is the JSON shape of /v1/scrub: one shard's server-side
-// integrity verdict, with the generation its header carries (0 when
-// the header is missing or unreadable).
+// integrity verdict, with the header it carries (zero when the header
+// is missing or unreadable), so a repair scan judges which shards make
+// one object by the same rule as every read (shardfile.Vote).
 type ScrubStatus struct {
-	Index      int    `json:"index"`
-	Status     string `json:"status"`
-	Damaged    bool   `json:"damaged"`
-	Stripes    uint64 `json:"stripes"`
-	Corrupt    uint64 `json:"corrupt"`
-	Generation uint64 `json:"generation"`
-	Detail     string `json:"detail,omitempty"`
+	Index   int              `json:"index"`
+	Status  string           `json:"status"`
+	Damaged bool             `json:"damaged"`
+	Stripes uint64           `json:"stripes"`
+	Corrupt uint64           `json:"corrupt"`
+	Header  shardfile.Header `json:"header"`
+	Detail  string           `json:"detail,omitempty"`
 }
 
 // NetError wraps a transport-level failure of a request (connection

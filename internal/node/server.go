@@ -239,13 +239,13 @@ func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, ScrubStatus{
-		Index:      rep.Index,
-		Status:     rep.Status.String(),
-		Damaged:    rep.Status.Damaged(),
-		Stripes:    rep.Result.Stripes,
-		Corrupt:    rep.Result.Corrupt,
-		Generation: rep.Header.Generation,
-		Detail:     rep.Detail,
+		Index:   rep.Index,
+		Status:  rep.Status.String(),
+		Damaged: rep.Status.Damaged(),
+		Stripes: rep.Result.Stripes,
+		Corrupt: rep.Result.Corrupt,
+		Header:  rep.Header,
+		Detail:  rep.Detail,
 	})
 }
 

@@ -81,12 +81,6 @@ func (c *Code) K() int { return c.k }
 // M returns the number of parity blocks per stripe.
 func (c *Code) M() int { return c.m }
 
-// Generator returns a copy of the (k+m) x k generator matrix.
-func (c *Code) Generator() *ecmatrix.Matrix { return c.gen.Clone() }
-
-// ParityMatrix returns a copy of the m x k parity rows.
-func (c *Code) ParityMatrix() *ecmatrix.Matrix { return c.parity.Clone() }
-
 var (
 	// ErrBlockCount indicates the slice-of-blocks argument has the
 	// wrong number of blocks for this code.

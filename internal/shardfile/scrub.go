@@ -17,7 +17,7 @@ const (
 	// ShardBadHeader: the header failed to parse (bad magic, a version
 	// other than 3 or 4, a checksum algorithm other than CRC-32C,
 	// self-CRC, or geometry), or it belongs to another slot or another
-	// encoding.
+	// encoding, another put's generation included.
 	ShardBadHeader
 	// ShardTruncated: the file's size disagrees with its header.
 	ShardTruncated
@@ -61,10 +61,10 @@ type ShardReport struct {
 }
 
 // DirReport is a whole shard directory's scrub outcome: one entry per
-// shard slot 0..k+m-1 of the geometry most of its headers agree on.
+// shard slot 0..k+m-1 of the set its headers vote for.
 type DirReport struct {
-	Geometry Header // a header of the set's geometry; the slot count comes from it
-	Shards   []ShardReport
+	Set    Header // the lead header of that set; the slot count comes from it
+	Shards []ShardReport
 }
 
 // Damaged reports whether any shard slot needs repair.
@@ -102,9 +102,9 @@ func ScrubFile(path string, index int) ShardReport {
 	return scrubFile(path, index, nil)
 }
 
-// scrubFile is ScrubFile that, given a set's geometry, also reports a
-// header from another encoding of another size or shape as damaged.
-func scrubFile(path string, index int, geom *Header) ShardReport {
+// scrubFile is ScrubFile that, given a header of the set, also reports
+// a header of another encoding as damaged.
+func scrubFile(path string, index int, set *Header) ShardReport {
 	rep := ShardReport{Index: index}
 	f, err := os.Open(path)
 	if err != nil {
@@ -125,10 +125,9 @@ func scrubFile(path string, index int, geom *Header) ShardReport {
 		rep.Status = ShardBadHeader
 		rep.Detail = fmt.Sprintf("header says index %d (file renamed or copied?)", h.Index)
 		return rep
-	case geom != nil && (h.K != geom.K || h.M != geom.M || h.ShardSize != geom.ShardSize ||
-		h.StripeCount != geom.StripeCount || h.FileSize != geom.FileSize):
+	case set != nil && !h.SameEncoding(*set):
 		rep.Status = ShardBadHeader
-		rep.Detail = fmt.Sprintf("header disagrees with shard %d (mixed encodings?)", geom.Index)
+		rep.Detail = fmt.Sprintf("header disagrees with shard %d (mixed encodings or a stale shard?)", set.Index)
 		return rep
 	}
 	if fi, err := f.Stat(); err == nil && fi.Size() != h.ExpectedFileSize() {
@@ -153,11 +152,12 @@ func scrubFile(path string, index int, geom *Header) ShardReport {
 }
 
 // ScrubDir scrubs every shard slot of a shard directory laid out by
-// Path. It learns the set's geometry from its headers, then scrubs
-// slots 0..k+m-1, reporting each as ok, missing, or damaged (bad header
-// / truncated / read error / corrupt). A header that names another
-// slot, or whose geometry, stripe count or file size disagrees with the
-// set's, is a bad header: decode would refuse the file.
+// Path. It learns the set from its headers, then scrubs slots
+// 0..k+m-1, reporting each as ok, missing, or damaged (bad header /
+// truncated / read error / corrupt). A header that names another slot,
+// or that is not the set's encoding (Header.SameEncoding: another
+// geometry, stripe count, file size or generation), is a bad header:
+// decode would refuse the file.
 // `dialga-encode -mode verify` renders this walk; the node's per-shard
 // scrub, which the cluster repair queue polls, runs the same ScrubFile
 // checks, so the two can never disagree on what counts as damage.
@@ -166,23 +166,14 @@ func ScrubDir(dir string) (DirReport, error) {
 	if err != nil {
 		return DirReport{}, err
 	}
-	// The set's geometry is the one most headers agree on, counting only
-	// headers that name their own slot, so a foreign or swapped file
-	// cannot outvote the set it was dropped into, whatever its slot.
-	// With no such header (every file swapped), the first parseable
-	// header still gives the slot count.
-	type shape struct {
-		k, m, shardSize uint32
-		stripes, size   uint64
-	}
-	type tally struct {
-		votes int
-		first Header // the lowest slot's header of this shape
-	}
+	// The set is the one Vote picks among the headers that name their
+	// own slot, so a foreign or swapped file cannot outvote the set it
+	// was dropped into, whatever its slot. With no such header (every
+	// file swapped), the first parseable header still gives the slot
+	// count.
 	var rep DirReport
+	var own []Header // headers that name their own slot, lowest slot first
 	var fallback *Header
-	tallies := map[shape]*tally{}
-	best := 0
 	why := "no shard files" // or why the last one's header did not parse
 	for _, e := range entries {
 		var idx int
@@ -203,27 +194,21 @@ func ScrubDir(dir string) (DirReport, error) {
 		if fallback == nil {
 			fallback = &h
 		}
-		if int(h.Index) != idx {
-			continue
-		}
-		s := shape{h.K, h.M, h.ShardSize, h.StripeCount, h.FileSize}
-		t := tallies[s]
-		if t == nil {
-			t = &tally{first: h}
-			tallies[s] = t
-		}
-		if t.votes++; t.votes > best {
-			best, rep.Geometry = t.votes, t.first
+		if int(h.Index) == idx {
+			own = append(own, h)
 		}
 	}
+	lead, _ := Vote(len(own), func(i int) Header { return own[i] })
 	switch {
-	case best == 0 && fallback == nil:
+	case lead >= 0:
+		rep.Set = own[lead]
+	case fallback != nil:
+		rep.Set = *fallback
+	default:
 		return rep, fmt.Errorf("no readable shard headers in %s (%s)", dir, why)
-	case best == 0:
-		rep.Geometry = *fallback
 	}
-	for i := 0; i < int(rep.Geometry.K+rep.Geometry.M); i++ {
-		rep.Shards = append(rep.Shards, scrubFile(Path(dir, i), i, &rep.Geometry))
+	for i := 0; i < int(rep.Set.K+rep.Set.M); i++ {
+		rep.Shards = append(rep.Shards, scrubFile(Path(dir, i), i, &rep.Set))
 	}
 	return rep, nil
 }

@@ -123,6 +123,47 @@ func (h Header) ExpectedFileSize() int64 {
 	return h.Size() + int64(h.StripeCount)*h.BlockSize()
 }
 
+// SameEncoding reports whether h and o describe one encoding of one
+// object, so that their shards may be combined in one decode: the same
+// K, M, ShardSize, StripeCount, FileSize and Generation. Index is each
+// shard's own and is not compared. Block checksums cannot tell a stale
+// shard of an overwritten key from a current one, so this is the test
+// every reader, decoder and scrub applies before it trusts a set. (Every
+// header that parses names CRC-32C, so the algorithm never disagrees.
+// The geometry tells apart the v3 shards, which all read as
+// generation 0.)
+func (h Header) SameEncoding(o Header) bool {
+	return h.K == o.K && h.M == o.M && h.ShardSize == o.ShardSize &&
+		h.StripeCount == o.StripeCount && h.FileSize == o.FileSize &&
+		h.Generation == o.Generation
+}
+
+// Vote picks, among n headers (header(i) is the i-th), the set of
+// shards that make one object: lead is the index of its first member
+// (-1 when n is 0) and count is its size. A set counts up to its own K
+// members: more wins, then the newer generation, so the newest version
+// that K shards carry wins however many shards an older one has. Ties
+// after that go to the set with the earlier header. Vote allocates
+// nothing.
+func Vote(n int, header func(i int) Header) (lead, count int) {
+	lead = -1
+	var best Header
+	for i := 0; i < n; i++ {
+		h := header(i)
+		c := 0
+		for j := 0; j < n; j++ {
+			if h.SameEncoding(header(j)) {
+				c++
+			}
+		}
+		votes, bestVotes := min(c, int(h.K)), min(count, int(best.K))
+		if lead < 0 || votes > bestVotes || (votes == bestVotes && h.Generation > best.Generation) {
+			lead, count, best = i, c, h
+		}
+	}
+	return lead, count
+}
+
 // Marshal serializes the header (Version 0 as VersionV3), computing its
 // self-CRC. Only a v4 header carries the generation.
 func (h Header) Marshal() []byte {

@@ -197,6 +197,59 @@ func TestHeaderSizes(t *testing.T) {
 }
 
 // block builds a shardSize payload + CRC trailer stripe block.
+// TestSameEncoding: every field but the index, the version and the
+// algorithm decides whether two shards are one encoding.
+func TestSameEncoding(t *testing.T) {
+	a := v4Header()
+	b := a
+	b.Index, b.Version = 2, VersionV3
+	if !a.SameEncoding(b) {
+		t.Fatal("shards differing only in index and version are not one encoding")
+	}
+	for name, edit := range map[string]func(*Header){
+		"k":            func(h *Header) { h.K++ },
+		"m":            func(h *Header) { h.M++ },
+		"shard size":   func(h *Header) { h.ShardSize++ },
+		"stripe count": func(h *Header) { h.StripeCount++ },
+		"file size":    func(h *Header) { h.FileSize++ },
+		"generation":   func(h *Header) { h.Generation-- },
+	} {
+		b := a
+		edit(&b)
+		if a.SameEncoding(b) || b.SameEncoding(a) {
+			t.Errorf("headers differing in %s are one encoding", name)
+		}
+	}
+}
+
+// TestVote: a set counts up to its own K, then the newer generation
+// wins, then the earlier header leads.
+func TestVote(t *testing.T) {
+	at := func(gen uint64, size uint64) Header {
+		return Header{Version: VersionV4, K: 2, M: 1, ShardSize: 64, StripeCount: 1, FileSize: size, Generation: gen}
+	}
+	for _, tc := range []struct {
+		name        string
+		hs          []Header
+		lead, count int
+	}{
+		{"empty", nil, -1, 0},
+		{"more wins below k", []Header{at(9, 100), at(5, 100), at(5, 100)}, 1, 2},
+		{"newer wins once both reach k", []Header{at(5, 100), at(5, 100), at(5, 100), at(9, 100), at(9, 100)}, 3, 2},
+		{"earlier wins a tie", []Header{at(5, 100), at(5, 200)}, 0, 1},
+		{"geometry splits a generation", []Header{at(5, 100), at(5, 200), at(5, 200)}, 1, 2},
+	} {
+		lead, count := Vote(len(tc.hs), func(i int) Header { return tc.hs[i] })
+		if lead != tc.lead || count != tc.count {
+			t.Errorf("%s: Vote = (%d, %d), want (%d, %d)", tc.name, lead, count, tc.lead, tc.count)
+		}
+	}
+	hs := []Header{at(5, 100), at(9, 100), at(9, 100)}
+	if n := testing.AllocsPerRun(100, func() { Vote(len(hs), func(i int) Header { return hs[i] }) }); n != 0 {
+		t.Fatalf("Vote allocates %v times per call, want 0", n)
+	}
+}
+
 func block(payload []byte) []byte {
 	b := append([]byte(nil), payload...)
 	var crc [4]byte

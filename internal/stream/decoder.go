@@ -75,6 +75,9 @@ func (d *Decoder) Stats() Stats { return d.stats.snapshot() }
 // early. size < 0 means "until EOF": every recovered stripe is written
 // in full, including any zero padding the encoder added to the tail.
 // Every reader given is read every stripe, and no other reader is.
+// Every reader given that is an io.Closer is closed on return, also one
+// a hedged stripe abandoned mid-Read, so its Close must be safe to call
+// concurrently with a blocked Read (an http.Response.Body's is).
 func (d *Decoder) Decode(ctx context.Context, shards []io.Reader, w io.Writer, size int64) error {
 	return d.decode(ctx, shards, w, size, nil)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -325,5 +326,41 @@ func TestDecoderValidation(t *testing.T) {
 	}
 	if err := dec.Decode(context.Background(), readers, io.Discard, 0); err == nil {
 		t.Fatal("too few present readers accepted")
+	}
+}
+
+// TestDecodeClosesReaders: Decode closes every reader it was given that
+// is an io.Closer, whether it decoded or failed, with no option asking
+// it to.
+func TestDecodeClosesReaders(t *testing.T) {
+	const k, m, shardSize = 4, 2, 256
+	opts := Options{Codec: mustRS(t, k, m), StripeSize: k * shardSize}
+	payload := randBytes(t, 5*k*shardSize+77, 44)
+	shards := encodeAll(t, opts, payload)
+	for _, tc := range []struct {
+		name string
+		size int64
+		ok   bool
+	}{
+		{"decoded", int64(len(payload)), true},
+		{"shards end early", int64(len(payload)) * 2, false},
+	} {
+		var closed atomic.Int32
+		readers := make([]io.Reader, k+m)
+		for i := 1; i < k+m; i++ { // shard 0 missing
+			readers[i] = closeCounter{bytes.NewReader(shards[i]), &closed}
+		}
+		dec, err := NewDecoder(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err = dec.Decode(context.Background(), readers, &out, tc.size)
+		if (err == nil) != tc.ok || (tc.ok && !bytes.Equal(out.Bytes(), payload)) {
+			t.Fatalf("%s: decode err %v, %d bytes; want ok=%v and the payload", tc.name, err, out.Len(), tc.ok)
+		}
+		if n := closed.Load(); n != k+m-1 {
+			t.Fatalf("%s: %d of %d readers closed", tc.name, n, k+m-1)
+		}
 	}
 }

@@ -18,7 +18,8 @@ import (
 //
 // A stripe that comes up short takes a spare from spare, when it is not
 // nil, at its own block of the window (see SpareFunc): the window's
-// first stripe is block 0.
+// first stripe is block 0. Like Decode, DecodeRange closes every
+// reader given or brought in that is an io.Closer when it returns.
 //
 // off == 0 with length == size and a nil spare is exactly Decode.
 // length is clamped to the end of the stream.

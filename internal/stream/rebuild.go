@@ -78,8 +78,8 @@ func (rb *Rebuilder) Stats() Stats { return rb.stats.snapshot() }
 // usable blocks. A nil spare, or one that returns an error, fails the
 // rebuild with an error wrapping ErrTooManyCorrupt; the blocks before
 // the failing stripe have been written by then, so w must only commit
-// on success. With Options.CloseReaders, every reader given or obtained
-// from spare is closed on return.
+// on success. Every reader given or obtained from spare that is an
+// io.Closer is closed on return.
 func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int, w io.Writer, stripes int64, spare SpareFunc) error {
 	n := rb.g.k + rb.g.m
 	shardSize, blockSize := rb.g.shardSize, rb.g.blockSize

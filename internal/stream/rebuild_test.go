@@ -248,11 +248,11 @@ func (w *stallWriter) Write(p []byte) (int, error) {
 
 // TestRebuildReleasesEverything: a finished, a failed, a cancelled and
 // a write-failed rebuild all close every reader they were handed or
-// opened as a spare (under CloseReaders) and leave no goroutine behind.
+// opened as a spare and leave no goroutine behind.
 func TestRebuildReleasesEverything(t *testing.T) {
 	const k, m, shardSize, stripes = 4, 2, 128, 12
 	const blockSize = shardSize + crcSize
-	opts := Options{Codec: mustRS(t, k, m), StripeSize: k * shardSize, CloseReaders: true}
+	opts := Options{Codec: mustRS(t, k, m), StripeSize: k * shardSize}
 	shards := encodeAll(t, opts, randBytes(t, stripes*k*shardSize, 35))
 	corrupt := append([]byte(nil), shards[0]...)
 	corrupt[2*blockSize] ^= 1

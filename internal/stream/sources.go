@@ -77,7 +77,6 @@ type sources struct {
 	spare     SpareFunc // nil once no spare is left
 	spareErr  error     // why none is
 	owned     []io.Reader
-	closeRead bool
 	retired   []bool // shards already charged to ShardFailures
 	failure   error  // the first of those failures
 }
@@ -87,7 +86,7 @@ type sources struct {
 // when openSources fails it has closed them itself.
 func openSources(g geom, stats *counters, shards []io.Reader, spare SpareFunc) (*sources, error) {
 	s := &sources{k: g.k, shardSize: g.shardSize, stats: stats, spare: spare,
-		owned: slices.Clone(shards), closeRead: g.closeRead, retired: make([]bool, len(shards))}
+		owned: slices.Clone(shards), retired: make([]bool, len(shards))}
 	readers := make([]io.Reader, len(shards))
 	present := 0
 	for i, r := range shards {
@@ -112,19 +111,19 @@ func openSources(g geom, stats *counters, shards []io.Reader, spare SpareFunc) (
 	return s, nil
 }
 
-// close stops the group and then, under CloseReaders, closes every
-// reader given or brought in: closing a body whose shard goroutine is
+// close stops the group and then closes every reader given or brought
+// in that is an io.Closer: closing a body whose shard goroutine is
 // still blocked in Read unblocks that Read, so an abandoned straggler's
 // connection is let go promptly instead of when the remote end gives up.
+// A reader's Close must therefore be safe to call concurrently with a
+// blocked Read, as an http.Response.Body's is.
 func (s *sources) close() {
 	if s.grp != nil {
 		s.grp.close()
 	}
-	if s.closeRead {
-		for _, r := range s.owned {
-			if c, ok := r.(io.Closer); ok {
-				c.Close()
-			}
+	for _, r := range s.owned {
+		if c, ok := r.(io.Closer); ok {
+			c.Close()
 		}
 	}
 }

@@ -184,16 +184,6 @@ type Options struct {
 	// breaker schedule behind it are the package's constants.
 	HedgeAfter time.Duration
 
-	// CloseReaders, on decode, closes every shard reader that
-	// implements io.Closer when Decode returns — including readers a
-	// hedged stripe abandoned mid-Read. Network sources (HTTP response
-	// bodies) need this: without it a decoder that reconstructed
-	// around a straggler would leak the straggler's connection until
-	// its read happened to finish. The readers' Close must be safe to
-	// call concurrently with a blocked Read (http.Response.Body is);
-	// that is exactly how a stuck remote read gets unblocked promptly.
-	CloseReaders bool
-
 	// Metrics, when non-nil, is the observability registry the
 	// pipeline registers its counter/gauge/histogram series in
 	// (stream_* series labelled by pipeline direction, shardio_*
@@ -219,7 +209,6 @@ type geom struct {
 	workers    int
 	blockSize  int           // shardSize + crcSize: bytes on the wire per shard per stripe
 	hedgeAfter time.Duration // deadline floor of a read's shard group; 0: no hedging
-	closeRead  bool          // close closable shard readers when Decode returns
 	metrics    *obs.Registry // nil: each pipeline gets a private registry
 	clock      vclock.Clock  // nil: wall clock
 }
@@ -264,7 +253,6 @@ func (o Options) geometry() (geom, error) {
 		workers:    workers,
 		blockSize:  shard + crcSize,
 		hedgeAfter: o.HedgeAfter,
-		closeRead:  o.CloseReaders,
 		metrics:    o.Metrics,
 		clock:      o.Clock,
 	}, nil

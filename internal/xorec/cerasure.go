@@ -142,10 +142,6 @@ func (d *Decomposed) Groups() int { return len(d.groups) }
 // Width returns the maximum sub-stripe width.
 func (d *Decomposed) Width() int { return d.width }
 
-// SubEncoders exposes the per-group encoders (for schedule/trace
-// inspection by the simulator).
-func (d *Decomposed) SubEncoders() []*Encoder { return d.subs }
-
 // Encode computes stripe parity by combining partial parities of each
 // group. parity blocks are overwritten.
 func (d *Decomposed) Encode(data, parity [][]byte) error {

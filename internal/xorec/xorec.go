@@ -303,9 +303,6 @@ func (d *Decoder) Schedule() Schedule { return d.schedule }
 // BitMatrix returns the decode bitmatrix.
 func (d *Decoder) BitMatrix() *ecmatrix.BitMatrix { return d.bm }
 
-// Missing returns the stripe indices this decoder reconstructs.
-func (d *Decoder) Missing() []int { return append([]int(nil), d.missing...) }
-
 // Decode reconstructs the missing blocks. blocks is the full stripe
 // (k+m entries, stripe order) with nil at missing positions; outputs are
 // written into freshly allocated slices placed back into blocks.
