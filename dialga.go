@@ -131,8 +131,9 @@ type StreamCodec = stream.Codec
 
 // StreamStats is a snapshot of pipeline counters: stripes, bytes
 // in/out, reconstruction and integrity counts (ShardsCorrupted,
-// StripesHealed), straggler-tolerance counts (HedgedReads, HedgeWins,
-// BreakerTrips, WorkerPanics), and a stripe-latency histogram.
+// StripesHealed), and straggler-tolerance counts (HedgedReads,
+// HedgeWins, BreakerTrips, WorkerPanics). Per-stripe codec latency is
+// the stream_stripe_latency_us histogram of StreamOptions.Metrics.
 type StreamStats = stream.Stats
 
 // StreamPanicError is a panic recovered from a pipeline or shard-reader

@@ -371,20 +371,7 @@ func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 // OpenObject opens a full-object read: k shards streaming under one map
 // generation, size known up front.
 func (g *Gateway) OpenObject(ctx context.Context, object string, class string) (*ObjectRead, error) {
-	st := g.snap()
-	placement, err := st.cmap.Place(object, g.k+g.m)
-	if err != nil {
-		return nil, err
-	}
-	o := g.newShardOpener(st, object, placement, class)
-	readers, err := o.open(ctx, 0, -1)
-	if err != nil {
-		g.counter("cluster_gets_total", "Object gets, by result.",
-			obs.Label{Key: "result", Value: "error"}).Inc()
-		return nil, fmt.Errorf("cluster: get %q: %w", object, err)
-	}
-	size := int64(o.header.FileSize)
-	return &ObjectRead{g: g, object: object, src: o, readers: readers, size: size, off: 0, length: size}, nil
+	return g.openRead(ctx, object, 0, -1, false, class)
 }
 
 // GetObject streams the object's bytes into w, reconstructing from any
@@ -400,24 +387,18 @@ func (g *Gateway) GetObject(ctx context.Context, object string, w io.Writer, cla
 	return o.WriteTo(ctx, w)
 }
 
-// OpenObjectRange opens a byte-range read of the object: only the
-// stripes covering [off, off+length) are fetched — k shard
-// block-windows, and a spare window only for a stripe that comes up
-// short — so the work is O(range), not O(object).
-// length < 0 means to the end of the object; off < 0 means a suffix
-// read of the last -off bytes. An off at or past the object's size
-// returns a *RangeError carrying the size for a 416 response.
+// OpenObjectRange opens a byte-range read of the object: the length
+// bytes from off, where length < 0 means to the end of the object and
+// off < 0 a suffix read of the last -off bytes. Each of the k shards it
+// opens, like a whole read's, is asked for that range, and its node
+// serves only the blocks that carry it — so the work is O(range), not
+// O(object), and a spare is opened only for a stripe that comes up
+// short, from that stripe on. The range is cut from the header the k
+// shards agree on, by the rule the nodes use (shardfile.Header.Cut); a
+// range it cannot satisfy (past the end, zero bytes, an empty object)
+// returns a *RangeError carrying that size for a 416 response.
 func (g *Gateway) OpenObjectRange(ctx context.Context, object string, off, length int64, class string) (*ObjectRead, error) {
-	var spec rangeSpec
-	switch {
-	case off < 0:
-		spec = rangeSpec{start: -off, suffix: true}
-	case length < 0:
-		spec = rangeSpec{start: off, end: -1}
-	default:
-		spec = rangeSpec{start: off, end: off + length - 1}
-	}
-	return g.openRange(ctx, object, spec, class)
+	return g.openRead(ctx, object, off, length, true, class)
 }
 
 // GetObjectRange streams the byte range [off, off+length) of the
@@ -430,83 +411,31 @@ func (g *Gateway) GetObjectRange(ctx context.Context, object string, w io.Writer
 	return o.WriteTo(ctx, w)
 }
 
-// openRange resolves a range spec against the object's size (learned
-// from one shard stat) and opens the covering stripes' block windows.
-// The stat is one shard's word, and the shard may be a stale one of an
-// overwritten key: if the k windows that open agree on another size,
-// the range is cut again, once, from what they say.
-func (g *Gateway) openRange(ctx context.Context, object string, spec rangeSpec, class string) (*ObjectRead, error) {
+// openRead opens k shards at the object bytes [off, off+length) under
+// one map generation and cuts the read from the header they agree on.
+func (g *Gateway) openRead(ctx context.Context, object string, off, length int64, ranged bool, class string) (*ObjectRead, error) {
 	st := g.snap()
 	placement, err := st.cmap.Place(object, g.k+g.m)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*ObjectRead, error) {
+	o := g.newShardOpener(st, object, placement, class)
+	readers, err := o.open(ctx, off, length)
+	if err != nil {
 		g.counter("cluster_gets_total", "Object gets, by result.",
 			obs.Label{Key: "result", Value: "error"}).Inc()
-		return nil, err
+		return nil, fmt.Errorf("cluster: get %q: %w", object, err)
 	}
-	stat, err := g.statObject(ctx, st, object, placement, class)
-	if err != nil {
-		return fail(err)
-	}
-	size, shardSize := int64(stat.FileSize), int64(stat.ShardSize)
-	for cut := 1; ; cut++ {
-		off, length, err := spec.resolve(size)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: get %q: %w", object, err)
-		}
-		stripeSize := shardSize * int64(g.k)
-		if stripeSize <= 0 {
-			return nil, fmt.Errorf("cluster: get %q: shard reports zero shard size", object)
-		}
-		// Map the byte window onto whole stripes: block i of every shard
-		// holds the stripe covering object bytes [i·stripe, (i+1)·stripe).
-		firstStripe := off / stripeSize
-		count := max(1, (off+length+stripeSize-1)/stripeSize-firstStripe)
-		o := g.newShardOpener(st, object, placement, class)
-		readers, err := o.open(ctx, firstStripe, count)
-		if err != nil {
-			return fail(fmt.Errorf("cluster: get %q: %w", object, err))
-		}
-		if h := o.header; int64(h.FileSize) != size || int64(h.ShardSize) != shardSize {
+	size := int64(o.header.FileSize)
+	if ranged {
+		if o.win.Len == 0 {
 			closeReaders(readers)
-			if cut == 2 {
-				return fail(fmt.Errorf("cluster: get %q: opened shards hold %d bytes in %d-byte blocks, the read was cut for %d in %d",
-					object, h.FileSize, h.ShardSize, size, shardSize))
-			}
-			size, shardSize = int64(h.FileSize), int64(h.ShardSize)
-			continue
+			return nil, fmt.Errorf("cluster: get %q: %w", object, &RangeError{Size: size})
 		}
 		g.counter("cluster_range_gets_total", "Object byte-range gets opened.").Inc()
-		return &ObjectRead{
-			g: g, object: object, src: o, readers: readers,
-			size: size, off: off, length: length, ranged: true,
-		}, nil
 	}
-}
-
-// statObject learns an object's geometry and size from the first
-// placed shard that answers a stat, in router order. Failures follow
-// open's not-found rule: all-404 means the object is absent. A stat is
-// no read sample, so the sideliner hears of it only when it fails.
-func (g *Gateway) statObject(ctx context.Context, st *mapState, object string, placement Placement, class string) (node.Stat, error) {
-	o := g.newShardOpener(st, object, placement, class)
-	for _, idx := range o.candidates {
-		info := placement[idx]
-		cli, err := g.clientFor(st, info.ID)
-		if err == nil {
-			var stat node.Stat
-			if stat, err = cli.WithClass(class).StatShard(ctx, object, idx); err == nil {
-				return stat, nil
-			}
-			if ctx.Err() == nil {
-				g.router.failed(info.ID, err)
-			}
-		}
-		o.failed(fmt.Errorf("shard %d from %s: %w", idx, info.ID, err))
-	}
-	return node.Stat{}, fmt.Errorf("cluster: get %q: %w", object, o.unavailable(0, "no shard stat available"))
+	return &ObjectRead{g: g, object: object, src: o, readers: readers,
+		size: size, off: o.win.Off, length: o.win.Len, ranged: ranged}, nil
 }
 
 // DeleteObject drops every shard of the object from its placement.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -144,9 +145,11 @@ func TestGatewayHTTPPutRequiresLength(t *testing.T) {
 // open-ended, and suffix forms; 416 with "Content-Range: bytes */size"
 // for unsatisfiable ranges; and full 200 for forms the server ignores.
 // It also pins the efficiency claim: a small range moves strictly fewer
-// shard bytes than a full read.
+// shard bytes than a full read. And a stale shard does not size a
+// range: one node misses an overwrite, and a range only the new version
+// has is still served.
 func TestGatewayHTTPRange(t *testing.T) {
-	tc, tap := tappedCluster(t, nil)
+	tc, tap := tappedCluster(t, func(o *GatewayOptions) { o.WriteQuorum = 5 })
 	srv := startHTTP(t, tc)
 	size := 3*64*1024 + 777 // four stripes at the 64 KiB test stripe size
 	payload := clusterPayload(45, size)
@@ -220,6 +223,30 @@ func TestGatewayHTTPRange(t *testing.T) {
 	if rangeBytes := tap.served.Load() - before; rangeBytes >= fullBytes {
 		t.Fatalf("range read moved %d shard bytes, full read %d: range must move strictly fewer", rangeBytes, fullBytes)
 	}
+
+	// The node holding shard 0, asked first, is down while a 64 KiB
+	// object is overwritten with 8 MiB, so it keeps a valid shard of the
+	// 64 KiB version. The last byte of the 8 MiB one is a 206 all the same.
+	ctx := context.Background()
+	place, err := tc.gw.Place("overwritten")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.put(ctx, "overwritten", clusterPayload(47, 64<<10))
+	tc.node(place[0].ID).stop()
+	latest := clusterPayload(48, 8<<20)
+	tc.put(ctx, "overwritten", latest)
+	tc.node(place[0].ID).start()
+	resp, body, err := httpGet(t, srv, "overwritten", "bytes=8388607-8388607")
+	if err != nil || resp.StatusCode != http.StatusPartialContent {
+		t.Fatalf("last byte after a degraded overwrite: status %d, %v; want 206", resp.StatusCode, err)
+	}
+	if got, want := resp.Header.Get("Content-Range"), "bytes 8388607-8388607/8388608"; got != want {
+		t.Fatalf("Content-Range %q, want %q", got, want)
+	}
+	if !bytes.Equal(body, latest[8388607:]) {
+		t.Fatalf("body %x, want the 8 MiB version's last byte %x", body, latest[8388607:])
+	}
 }
 
 // corruptBlock flips one byte inside a specific block of a stored
@@ -288,14 +315,24 @@ func TestGatewayHTTPTruncationNoErrorProse(t *testing.T) {
 	}
 }
 
+// rangeHeader is a shard header of an object of size bytes, stored in
+// RS(4,2) stripes of four 64-byte blocks: small enough that a range
+// cut from it spans several blocks.
+func rangeHeader(size int64) shardfile.Header {
+	const stripe = 4 * 64
+	return shardfile.Header{K: 4, M: 2, ShardSize: 64,
+		StripeCount: (uint64(size) + stripe - 1) / stripe, FileSize: uint64(size)}
+}
+
 // TestParseRangeResolve pins the Range grammar and its resolution
-// against an object size, including every reject-and-ignore form.
+// against an object size by shardfile's rule, including every
+// reject-and-ignore form.
 func TestParseRangeResolve(t *testing.T) {
 	const size = 1000
 	cases := []struct {
 		header      string
 		ok          bool  // parses as a usable spec
-		off, length int64 // resolved window; length -1 = expect RangeError
+		off, length int64 // resolved window; length -1 = expect it unsatisfiable
 	}{
 		{"bytes=0-99", true, 0, 100},
 		{"bytes=500-", true, 500, 500},
@@ -303,6 +340,7 @@ func TestParseRangeResolve(t *testing.T) {
 		{"bytes=-2000", true, 0, 1000},
 		{"bytes=999-999", true, 999, 1},
 		{"bytes=0-9999", true, 0, 1000},
+		{"bytes=0-9223372036854775807", true, 0, 1000}, // end-start+1 overflows int64
 		{" bytes=1-2", true, 1, 2},
 		{"bytes=1000-", true, 0, -1},
 		{"bytes=-0", true, 0, -1},
@@ -322,7 +360,7 @@ func TestParseRangeResolve(t *testing.T) {
 		{"bytes=99999999999999999999-", false, 0, 0},
 	}
 	for _, c := range cases {
-		spec, ok := parseRange(c.header)
+		off, length, ok := parseRange(c.header)
 		if ok != c.ok {
 			t.Errorf("parseRange(%q): ok=%v, want %v", c.header, ok, c.ok)
 			continue
@@ -330,16 +368,15 @@ func TestParseRangeResolve(t *testing.T) {
 		if !ok {
 			continue
 		}
-		off, length, err := spec.resolve(size)
+		win := rangeHeader(size).Cut(off, length)
 		if c.length == -1 {
-			var re *RangeError
-			if !errors.As(err, &re) || re.Size != size {
-				t.Errorf("resolve(%q): err %v, want RangeError{%d}", c.header, err, size)
+			if win != (shardfile.Window{}) {
+				t.Errorf("Cut(%q) = %+v, want the empty window of an unsatisfiable range", c.header, win)
 			}
 			continue
 		}
-		if err != nil || off != c.off || length != c.length {
-			t.Errorf("resolve(%q) = (%d, %d, %v), want (%d, %d)", c.header, off, length, err, c.off, c.length)
+		if win.Off != c.off || win.Len != c.length {
+			t.Errorf("Cut(%q) = %+v, want bytes (%d, %d)", c.header, win, c.off, c.length)
 		}
 	}
 }

@@ -75,8 +75,8 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
 
 	var o *ObjectRead
 	var err error
-	if spec, ok := parseRange(r.Header.Get("Range")); ok {
-		o, err = g.openRange(r.Context(), object, spec, class)
+	if off, length, ok := parseRange(r.Header.Get("Range")); ok {
+		o, err = g.OpenObjectRange(r.Context(), object, off, length, class)
 		var re *RangeError
 		if errors.As(err, &re) {
 			w.Header().Set("Content-Range", fmt.Sprintf("bytes */%d", re.Size))

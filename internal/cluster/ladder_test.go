@@ -294,15 +294,7 @@ func TestOverwriteAcrossRungs(t *testing.T) {
 		for _, win := range [][2]int64{{0, 1}, {int64(size) - 1, 1}, {int64(size) / 2, 1000}} {
 			var part bytes.Buffer
 			err := tc.gw.GetObjectRange(ctx, object, &part, win[0], win[1], node.ClassForeground)
-			switch want := latest[win[0] : win[0]+win[1]]; {
-			case err == nil && bytes.Equal(part.Bytes(), want):
-			case err != nil && part.Len() == 0 && win[0] > 0:
-				// A range is first cut from one shard's stat, and a stale
-				// shard that says the object ends before the range begins
-				// makes that a refusal (as it always has, until repair
-				// replaces the shard): a clean failure, not a blend.
-				t.Logf("overwrite %d: range (%d,%d) refused: %v", i, win[0], win[1], err)
-			default:
+			if err != nil || !bytes.Equal(part.Bytes(), latest[win[0]:win[0]+win[1]]) {
 				t.Fatalf("overwrite %d: range (%d,%d): %v, %d bytes that are not the latest version's", i, win[0], win[1], err, part.Len())
 			}
 		}

@@ -30,9 +30,11 @@ func agreeing(got []openedShard) (lead, n int) {
 // shardOpener opens the shards one read decodes from — a GET, a range
 // GET, a rebuild — in the order the gateway's router gives, under one
 // map generation: k to start with (open), and a spare mid-stream only
-// when a stripe comes up short (spare). Each body opened at the read's
-// window is a timedBody among its peers, so closing it reports the
-// node's read sample; a failed open is reported here.
+// when a stripe comes up short (spare). Every shard is asked for the
+// read's object bytes, and its node serves the blocks that carry them.
+// Each body opened at the read's window is a timedBody among its peers,
+// so closing it reports the node's read sample; a failed open is
+// reported here.
 type shardOpener struct {
 	g         *Gateway
 	st        *mapState
@@ -41,10 +43,11 @@ type shardOpener struct {
 	class     string
 	peers     *readPeers // the bodies opened at the read's window
 
-	candidates   []int // the shard indices not tried yet, most preferred first
-	block, count int64 // the block window every shard is opened at
+	candidates  []int // the shard indices not tried yet, most preferred first
+	off, length int64 // the object bytes every shard is asked for
 
 	header             shardfile.Header // what the opened shards agree on; Index is meaningless
+	win                shardfile.Window // the read's bytes and blocks, as header cuts them
 	failures, notFound int
 	firstErr           error
 }
@@ -121,13 +124,13 @@ func (o *shardOpener) countFailure(idx int) {
 		obs.Label{Key: "node", Value: string(o.placement[idx].ID)}).Inc()
 }
 
-// openShard opens shard idx's block window ((0, -1): the whole shard).
-// A failure is counted against the node and, unless the caller gave up
+// openShard opens shard idx at the object bytes [off, off+length). A
+// failure is counted against the node and, unless the caller gave up
 // first, reported to the sideliner; a header that does not match the
 // cluster geometry is a failure too. A spare opened mid-stream amortizes
 // its open over fewer blocks than the read's peers, so it is not one of
 // them. Safe to call concurrently.
-func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64) (openedShard, error) {
+func (o *shardOpener) openShard(ctx context.Context, idx int, off, length int64) (openedShard, error) {
 	g := o.g
 	info := o.placement[idx]
 	fail := func(err error) (openedShard, error) {
@@ -139,7 +142,7 @@ func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64
 		return fail(err)
 	}
 	start := g.router.clock.Now()
-	h, body, err := cli.WithClass(o.class).OpenShardAt(ctx, o.object, idx, block, count)
+	h, body, err := cli.WithClass(o.class).OpenShard(ctx, o.object, idx, off, length)
 	took := g.router.clock.Now().Sub(start)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -147,7 +150,7 @@ func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64
 		}
 		return fail(err)
 	}
-	if block == o.block {
+	if off == o.off && length == o.length {
 		body = o.peers.timed(info.ID, body, h.BlockSize(), took)
 	}
 	if int(h.Index) != idx || int(h.K) != g.k || int(h.M) != g.m {
@@ -157,22 +160,23 @@ func (o *shardOpener) openShard(ctx context.Context, idx int, block, count int64
 	return openedShard{idx: idx, h: h, body: body}, nil
 }
 
-// open opens candidates at the block window (block, count) ((0, -1):
-// whole shards) until k shards that agree on the object are streaming,
-// and returns them as k+m readers, nil where unopened. Shards must be one
-// encoding (shardfile.Header.SameEncoding): the set agreeing picks
-// leads, a shard it outvotes is closed and counted as an open failure,
-// and the next candidate — a spare for reason "open" — is tried in its
-// place, as for an open that fails. Each round opens every candidate
-// still needed at once, and the next round starts only when they have
-// all answered: a GET, a range GET and a rebuild alike ask for their k
-// shards together, and more only as some fail. Sidelined nodes come
-// last in the candidates, those whose opens fail at the very end, so
-// they are asked only when the rest cannot make k. With fewer than k it
-// fails with unavailable's error.
-func (o *shardOpener) open(ctx context.Context, block, count int64) ([]io.Reader, error) {
+// open asks candidates for the object bytes [off, off+length) (see
+// shardfile.Header.Cut; (0, -1): whole shards) until k shards that agree
+// on the object are streaming, and returns them as k+m readers, nil
+// where unopened, with the read cut from the header they agree on in
+// o.win. Shards must be one encoding (shardfile.Header.SameEncoding):
+// the set agreeing picks leads, a shard it outvotes is closed and
+// counted as an open failure, and the next candidate — a spare for
+// reason "open" — is tried in its place, as for an open that fails.
+// Each round opens every candidate still needed at once, and the next
+// round starts only when they have all answered: a GET, a range GET and
+// a rebuild alike ask for their k shards together, and more only as some
+// fail. Sidelined nodes come last in the candidates, those whose opens
+// fail at the very end, so they are asked only when the rest cannot make
+// k. With fewer than k it fails with unavailable's error.
+func (o *shardOpener) open(ctx context.Context, off, length int64) ([]io.Reader, error) {
 	k := o.g.k
-	o.block, o.count = block, count
+	o.off, o.length = off, length
 	var got []openedShard
 	for round := 0; ; round++ {
 		lead, leadN := agreeing(got)
@@ -188,6 +192,7 @@ func (o *shardOpener) open(ctx context.Context, block, count int64) ([]io.Reader
 			}
 			if leadN >= k {
 				o.header = got[lead].h
+				o.win = o.header.Cut(off, length)
 				return readers, nil
 			}
 			closeReaders(readers)
@@ -204,7 +209,7 @@ func (o *shardOpener) open(ctx context.Context, block, count int64) ([]io.Reader
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				opened[i], errs[i] = o.openShard(ctx, idx, block, count)
+				opened[i], errs[i] = o.openShard(ctx, idx, off, length)
 			}()
 		}
 		wg.Wait()
@@ -218,18 +223,21 @@ func (o *shardOpener) open(ctx context.Context, block, count int64) ([]io.Reader
 	}
 }
 
-// spare is the read's stream.SpareFunc: the next candidate, opened at
-// block of the read's window, that agrees with the open shards about
-// the object, counted under reason. Every candidate that fails is
-// recorded, so running out of them says why.
+// spare is the read's stream.SpareFunc: the next candidate that agrees
+// with the open shards about the object, counted under reason, asked
+// for the read's remaining bytes from the start of the window's block
+// block on. Every candidate that fails is recorded, so running out of
+// them says why.
 func (o *shardOpener) spare(ctx context.Context, block int64, reason string) (int, io.Reader, error) {
-	count := o.count
-	if count >= 0 {
-		count -= block
+	off, length := o.off, o.length
+	if block > 0 {
+		end := o.win.Off + o.win.Len
+		off = (o.win.Block + block) * int64(o.header.ShardSize) * int64(o.header.K)
+		length = end - off
 	}
 	for len(o.candidates) > 0 {
 		idx := o.take(1)[0]
-		s, err := o.openShard(ctx, idx, o.block+block, count)
+		s, err := o.openShard(ctx, idx, off, length)
 		if err != nil {
 			o.failed(err)
 			continue

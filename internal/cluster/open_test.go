@@ -66,10 +66,9 @@ func TestGetSourcesMustAgree(t *testing.T) {
 				t.Fatalf("cluster_open_failures_total{node=%s} moved %d, want 1", staleNode, got)
 			}
 
-			// A range read takes its size from one stat — here the stale
-			// shard's — and cuts its window again once the k shards it
-			// opens say otherwise. It learns that from the windows alone:
-			// no whole shard is opened on the way.
+			// A range read asks every shard for its bytes alone, and is
+			// sized by what the k windows that open agree on: no stat, and
+			// no whole shard opened on the way, stale shard or not.
 			tap.take()
 			var mid bytes.Buffer
 			if err := c.gw.GetObjectRange(ctx, object, &mid, 50_000, 1000, node.ClassForeground); err != nil ||
@@ -77,15 +76,9 @@ func TestGetSourcesMustAgree(t *testing.T) {
 				t.Fatalf("range read of bytes 50000-50999: %v, %d bytes", err, mid.Len())
 			}
 			for _, req := range tap.take() {
-				if strings.HasPrefix(req, "GET /v1/shard/") && !strings.Contains(req, "?block=") {
-					t.Fatalf("range read opened a whole shard: %s", req)
+				if !strings.HasPrefix(req, "GET /v1/shard/") || !strings.Contains(req, "?off=") {
+					t.Fatalf("range read sent %s, want only windowed shard GETs", req)
 				}
-			}
-			if tc.newSize < tc.oldSize {
-				// The stale size puts the last 1000 bytes in blocks the
-				// current shards do not have; that read fails, as it always
-				// has, until repair replaces the stale shard.
-				return
 			}
 			o, err := c.gw.OpenObjectRange(ctx, object, -1000, -1, node.ClassForeground)
 			if err != nil {
@@ -102,15 +95,18 @@ func TestGetSourcesMustAgree(t *testing.T) {
 	}
 }
 
-// TestUnsatisfiableRangeOpensNothing: a range past the end of the
-// object is refused on the stat alone, and a range read of an object
-// too few nodes can serve fails after one round of opens.
-func TestUnsatisfiableRangeOpensNothing(t *testing.T) {
+// TestUnsatisfiableRangeReadsNoBlocks: a range past the end of the
+// object costs k header-only shard GETs — no stat, no block — and is
+// refused with the size those k shards agree on; and a range read of
+// an object too few nodes can serve fails after one round of opens.
+func TestUnsatisfiableRangeReadsNoBlocks(t *testing.T) {
 	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
 	payload := clusterPayload(750, 100_000)
 	tc.put(ctx, "obj", payload)
 	place, _ := tc.gw.Place("obj")
+	header := tc.shardHeader("obj", 0).Size()
+	served := tap.served.Load()
 	tap.take()
 
 	var re *RangeError
@@ -118,8 +114,12 @@ func TestUnsatisfiableRangeOpensNothing(t *testing.T) {
 	if !errors.As(err, &re) || re.Size != 100_000 {
 		t.Fatalf("range past the end: %v, want a RangeError carrying the size", err)
 	}
-	if got := shardsAsked(tap.take()); got != "" {
-		t.Fatalf("unsatisfiable range opened shards %s", got)
+	reqs := tap.take()
+	if got := shardsAsked(reqs); got != "0,1,2,3" || len(reqs) != 4 {
+		t.Fatalf("unsatisfiable range sent %v, want k shard GETs", reqs)
+	}
+	if got := tap.served.Load() - served; got != 4*header {
+		t.Fatalf("unsatisfiable range was served %d bytes, want k headers of %d and no block", got, header)
 	}
 
 	for _, idx := range []int{1, 2, 3} {
@@ -220,27 +220,46 @@ func (tc *testCluster) spareCount(reason string) uint64 {
 	return tc.counter("cluster_read_spares_total", obs.Label{Key: "reason", Value: reason})
 }
 
-// TestHealthyGetReadsK: a GET on a healthy cluster is served exactly k
-// shard bodies — k store opens on the nodes, k whole shard files on the
-// wire — and opens no spare.
+// TestHealthyGetReadsK: a GET on a healthy cluster, whole or by range,
+// is served exactly k shard bodies — k store opens on the nodes, and on
+// the wire k shard GETs and nothing else: k whole shard files, or k
+// headers with the blocks the range needs — and opens no spare.
 func TestHealthyGetReadsK(t *testing.T) {
 	tc, tap := tappedCluster(t, nil)
 	ctx := context.Background()
-	payload := clusterPayload(780, 300_000)
+	payload := clusterPayload(780, 300_000) // five stripes of four 16 KiB blocks
 	tc.put(ctx, "obj", payload)
 	file := int64(len(tc.shardFile("obj", 0)))
-	gets, served := tc.counter("node_store_gets_total"), tap.served.Load()
-	tap.take()
-
-	tc.mustGet(ctx, "obj", payload)
-	if got := shardsAsked(tap.take()); got != "0,1,2,3" {
-		t.Fatalf("healthy GET asked shards %s, want the first k", got)
-	}
-	if got := tc.counter("node_store_gets_total") - gets; got != 4 {
-		t.Fatalf("node_store_gets_total moved %d, want k=4", got)
-	}
-	if got := tap.served.Load() - served; got != 4*file {
-		t.Fatalf("shard bodies served %d bytes, want k=4 shard files of %d", got, file)
+	h := tc.shardHeader("obj", 0)
+	for _, read := range []struct {
+		name        string
+		off, length int64 // -1, -1: the whole object
+		shardBytes  int64 // what each shard body serves
+	}{
+		{"whole", -1, -1, file},
+		{"range", 70_000, 100_000, h.Size() + 2*h.BlockSize()}, // stripes 1 and 2
+	} {
+		gets, served := tc.counter("node_store_gets_total"), tap.served.Load()
+		tap.take()
+		if read.off < 0 {
+			tc.mustGet(ctx, "obj", payload)
+		} else {
+			var part bytes.Buffer
+			if err := tc.gw.GetObjectRange(ctx, "obj", &part, read.off, read.length, node.ClassForeground); err != nil ||
+				!bytes.Equal(part.Bytes(), payload[read.off:read.off+read.length]) {
+				t.Fatalf("%s GET: %v, %d bytes", read.name, err, part.Len())
+			}
+		}
+		reqs := tap.take()
+		if got := shardsAsked(reqs); got != "0,1,2,3" || countPrefix(reqs, "GET /v1/shard/") != len(reqs) {
+			t.Fatalf("healthy %s GET sent %v, want k shard GETs of the first k", read.name, reqs)
+		}
+		if got := tc.counter("node_store_gets_total") - gets; got != 4 {
+			t.Fatalf("%s GET: node_store_gets_total moved %d, want k=4", read.name, got)
+		}
+		if got := tap.served.Load() - served; got != 4*read.shardBytes {
+			t.Fatalf("%s GET: shard bodies served %d bytes, want k=4 of %d", read.name, got, read.shardBytes)
+		}
 	}
 	for _, reason := range []string{"open", "dead", "corrupt", "late"} {
 		if got := tc.spareCount(reason); got != 0 {
@@ -272,7 +291,7 @@ func TestRangeGetHealsCorruptBlock(t *testing.T) {
 	if got := shardsAsked(reqs, 4); got != "0,1,2,3|4" {
 		t.Fatalf("range read asked shards %s, want k windows and one spare", got)
 	}
-	if countPrefix(reqs, "GET /v1/shard/obj/4?block=1&count=1") != 1 {
+	if countPrefix(reqs, "GET /v1/shard/obj/4?off=65636&len=200") != 1 {
 		t.Fatalf("requests %v, want the spare's window at block 1", reqs)
 	}
 	if got := tc.spareCount("corrupt"); got != 1 {

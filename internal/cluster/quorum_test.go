@@ -15,6 +15,7 @@ import (
 	"dialga/internal/fault"
 	"dialga/internal/node"
 	"dialga/internal/obs"
+	"dialga/internal/shardfile"
 )
 
 // quorumCluster starts a cluster whose gateway acks at quorum.
@@ -335,7 +336,7 @@ func TestRepairScanFindsStaleShardAfterCrash(t *testing.T) {
 	if ok, failed := rep.DrainOnce(ctx); ok != 1 || failed != 0 {
 		t.Fatalf("drain repaired %d, failed %d; want 1 and 0", ok, failed)
 	}
-	stat := func(idx int) node.Stat {
+	stat := func(idx int) shardfile.Header {
 		cli, _ := tc.gw.Client(place[idx].ID)
 		st, err := cli.StatShard(ctx, object, idx)
 		if err != nil {

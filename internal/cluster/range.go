@@ -17,26 +17,18 @@ func (e *RangeError) Error() string {
 	return fmt.Sprintf("requested range not satisfiable (object is %d bytes)", e.Size)
 }
 
-// rangeSpec is one parsed byte-range request, before resolution
-// against the object's size. Non-suffix: bytes start..end inclusive,
-// end == -1 meaning to the end of the object. Suffix ("bytes=-n"):
-// the final start bytes (start holds n, end is unused).
-type rangeSpec struct {
-	start  int64
-	end    int64
-	suffix bool
-}
-
-// parseRange parses an HTTP Range header value. It handles exactly
-// the shapes the gateway serves — a single "bytes=a-b", "bytes=a-",
-// or "bytes=-n" range. Anything else (empty header, other units,
-// multiple ranges, malformed values) returns ok=false, which per RFC
-// 9110 the server may ignore by serving the full object with 200.
-func parseRange(header string) (rangeSpec, bool) {
+// parseRange parses an HTTP Range header value into the (off, length)
+// request OpenObjectRange takes. It handles exactly the shapes the
+// gateway serves — a single "bytes=a-b", "bytes=a-", or "bytes=-n"
+// range; "bytes=-0" asks for zero bytes, which no object satisfies.
+// Anything else (empty header, other units, multiple ranges, malformed
+// values) returns ok=false, which per RFC 9110 the server may ignore
+// by serving the full object with 200.
+func parseRange(header string) (off, length int64, ok bool) {
 	header = strings.TrimSpace(header)
 	rest, found := strings.CutPrefix(header, "bytes=")
 	if !found || strings.Contains(rest, ",") {
-		return rangeSpec{}, false
+		return 0, 0, false
 	}
 	first, last, dash := strings.Cut(strings.TrimSpace(rest), "-")
 	start, startOK := digits(first)
@@ -44,13 +36,21 @@ func parseRange(header string) (rangeSpec, bool) {
 	switch {
 	case !dash:
 	case first == "" && endOK: // suffix form "-n": the final n bytes
-		return rangeSpec{start: end, suffix: true}, true
+		if end == 0 {
+			return 0, 0, true
+		}
+		return -end, -1, true
 	case startOK && last == "":
-		return rangeSpec{start: start, end: -1}, true
+		return start, -1, true
 	case startOK && endOK && end >= start:
-		return rangeSpec{start: start, end: end}, true
+		// end-start+1 overflows only for "bytes=0-" followed by the
+		// largest int64, which reads to the end like "bytes=0-".
+		if n := end - start + 1; n > 0 {
+			return start, n, true
+		}
+		return start, -1, true
 	}
-	return rangeSpec{}, false
+	return 0, 0, false
 }
 
 // digits parses a byte position as RFC 9110 spells one, 1*DIGIT: ASCII
@@ -61,29 +61,4 @@ func digits(s string) (int64, bool) {
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	return n, err == nil
-}
-
-// resolve maps the spec onto an object of the given size, returning
-// the absolute byte window [off, off+length). Unsatisfiable specs —
-// start at or past the end, a zero-byte suffix, any range of an empty
-// object — return a *RangeError.
-func (s rangeSpec) resolve(size int64) (off, length int64, err error) {
-	if s.suffix {
-		n := s.start
-		if n == 0 || size == 0 {
-			return 0, 0, &RangeError{Size: size}
-		}
-		if n > size {
-			n = size
-		}
-		return size - n, n, nil
-	}
-	if s.start >= size {
-		return 0, 0, &RangeError{Size: size}
-	}
-	end := s.end
-	if end < 0 || end >= size {
-		end = size - 1
-	}
-	return s.start, end - s.start + 1, nil
 }

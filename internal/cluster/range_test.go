@@ -1,15 +1,17 @@
 package cluster
 
 import (
-	"errors"
 	"strings"
 	"testing"
+
+	"dialga/internal/shardfile"
 )
 
-// FuzzParseRange: whatever Range header and object size come in, a spec
-// parseRange accepts has only digits in its numbers, and a window
-// resolve grants lies inside the object and is not empty; what it
-// refuses is a RangeError.
+// FuzzParseRange: whatever Range header and object size come in, a range
+// parseRange accepts has only digits in its numbers, and the window
+// shardfile's rule cuts for it is either empty, as for a range no
+// object of that size satisfies, or bytes inside the object and the
+// blocks that carry exactly them.
 func FuzzParseRange(f *testing.F) {
 	for _, h := range []string{
 		"bytes=0-99", "bytes=500-", "bytes=-200", "bytes=-0", "bytes=999-999",
@@ -23,7 +25,7 @@ func FuzzParseRange(f *testing.F) {
 		if size < 0 {
 			return // objects have no negative sizes
 		}
-		spec, ok := parseRange(header)
+		off, length, ok := parseRange(header)
 		if !ok {
 			return
 		}
@@ -32,16 +34,20 @@ func FuzzParseRange(f *testing.F) {
 		if first+last == "" || strings.Trim(first+last, "0123456789") != "" {
 			t.Fatalf("parseRange(%q) accepted numbers %q and %q", header, first, last)
 		}
-		off, length, err := spec.resolve(size)
-		if err != nil {
-			var re *RangeError
-			if !errors.As(err, &re) || re.Size != size {
-				t.Fatalf("resolve(%q, %d): %v, want a RangeError", header, size, err)
+		h := rangeHeader(size)
+		win := h.Cut(off, length)
+		if win.Len == 0 {
+			if win != (shardfile.Window{}) {
+				t.Fatalf("Cut(%q, %d) = %+v: no bytes, but not the empty window", header, size, win)
 			}
 			return
 		}
-		if off < 0 || length < 1 || off+length > size {
-			t.Fatalf("resolve(%q, %d) = [%d, +%d), outside the object or empty", header, size, off, length)
+		stripe := int64(h.ShardSize) * int64(h.K)
+		if win.Off < 0 || win.Len < 1 || win.Off+win.Len > size {
+			t.Fatalf("Cut(%q, %d) = %+v, outside the object or empty", header, size, win)
+		}
+		if win.Block != win.Off/stripe || win.Block+win.Blocks != (win.Off+win.Len-1)/stripe+1 {
+			t.Fatalf("Cut(%q, %d) = %+v: blocks do not carry exactly the bytes", header, size, win)
 		}
 	})
 }

@@ -149,7 +149,7 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 
 	// One request to the source: the header arrives with the body. A
 	// missing or unreadable copy is rebuilt at the new home instead.
-	h, body, err := src.OpenShard(ctx, object, idx)
+	h, body, err := src.OpenShard(ctx, object, idx, 0, -1)
 	if err != nil {
 		if node.Transient(err) {
 			return fmt.Errorf("cluster: migrate %q shard %d: source %s: %w", object, idx, it.srcID, err)

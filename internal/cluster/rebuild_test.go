@@ -31,7 +31,7 @@ type shardTap struct {
 	base http.RoundTripper
 
 	mu       sync.Mutex
-	requests []string // "GET /v1/shard/obj/3?block=2&count=-1"
+	requests []string // "GET /v1/shard/obj/3?off=131072&len=118928"
 	onSend   func(*http.Request)
 
 	opened, closed atomic.Int32
@@ -119,6 +119,15 @@ func (tc *testCluster) shardFile(object string, idx int) []byte {
 		tc.t.Fatal(err)
 	}
 	return raw
+}
+
+func (tc *testCluster) shardHeader(object string, idx int) shardfile.Header {
+	tc.t.Helper()
+	h, err := shardfile.Parse(bytes.NewReader(tc.shardFile(object, idx)))
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	return h
 }
 
 func (tc *testCluster) deleteShard(ctx context.Context, object string, idx int) {
@@ -265,7 +274,7 @@ func TestRepairSpareOpensAtFailingBlock(t *testing.T) {
 		t.Fatal("rebuilt shard differs from the one the put wrote")
 	}
 	reqs := tap.take()
-	if countPrefix(reqs, "GET /v1/shard/") != 5 || countPrefix(reqs, "GET /v1/shard/"+object+"/5?block=2&count=-1") != 1 {
+	if countPrefix(reqs, "GET /v1/shard/") != 5 || countPrefix(reqs, "GET /v1/shard/"+object+"/5?off=131072&len=118928") != 1 {
 		t.Fatalf("requests %v, want 4 whole-shard GETs and shard 5 from block 2", reqs)
 	}
 	wantRead := 4*uint64(len(want)) + uint64(h.Size()) + 2*uint64(h.BlockSize())

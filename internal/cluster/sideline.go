@@ -102,7 +102,7 @@ func (s *sideliner) judge(read []sample) {
 	}
 }
 
-// failed takes a failed shard open or stat of node id. A transient
+// failed takes a failed shard open of node id. A transient
 // failure (transport error, 429, 5xx) is the node's, a late sample at
 // once; any other, a 404 included, says nothing of its reads.
 func (s *sideliner) failed(id NodeID, err error) {

@@ -13,28 +13,6 @@ import (
 	"dialga/internal/shardfile"
 )
 
-// Stat is the JSON shape of /v1/stat: the parsed shard header.
-type Stat struct {
-	Version     uint32 `json:"version"`
-	K           uint32 `json:"k"`
-	M           uint32 `json:"m"`
-	Index       uint32 `json:"index"`
-	ShardSize   uint32 `json:"shard_size"`
-	StripeCount uint64 `json:"stripe_count"`
-	FileSize    uint64 `json:"file_size"`
-	Algo        string `json:"algo"`
-	Generation  uint64 `json:"generation"`
-}
-
-func statFromHeader(h shardfile.Header) Stat {
-	return Stat{
-		Version: h.Version, K: h.K, M: h.M, Index: h.Index,
-		ShardSize: h.ShardSize, StripeCount: h.StripeCount,
-		FileSize: h.FileSize, Algo: h.Algo.String(),
-		Generation: h.Generation,
-	}
-}
-
 // ScrubStatus is the JSON shape of /v1/scrub: one shard's server-side
 // integrity verdict, with the header it carries (zero when the header
 // is missing or unreadable), so a repair scan judges which shards make
@@ -183,23 +161,20 @@ func (c *Client) GetShard(ctx context.Context, object string, idx int) (io.ReadC
 	return resp.Body, nil
 }
 
-// OpenShard fetches a shard and parses its header, returning the
-// response body positioned at the first block — the reader the
-// streaming decoder's hedged reads and breakers drive directly. A read
-// error from the body is the transport's own: the body cannot resume,
-// so the decoder retires the shard. The caller must Close it.
-func (c *Client) OpenShard(ctx context.Context, object string, idx int) (shardfile.Header, io.ReadCloser, error) {
-	return c.OpenShardAt(ctx, object, idx, 0, -1)
-}
-
-// OpenShardAt is OpenShard over a block window: the body holds count
-// whole blocks starting at block index `block` (count < 0: through the
-// last block). The parsed header still describes the full shard. A
-// (0, -1) window is wire-identical to OpenShard.
-func (c *Client) OpenShardAt(ctx context.Context, object string, idx int, block, count int64) (shardfile.Header, io.ReadCloser, error) {
+// OpenShard fetches a shard's header and the blocks that carry the
+// object bytes [off, off+length) (see shardfile.Header.Cut for the
+// conventions: (0, -1) is the whole shard, and a range the shard's
+// object cannot satisfy brings the header alone). The node cuts the
+// window from its own header, which the parsed header returned here
+// describes in full. The body is positioned at the window's first
+// block — the reader the streaming decoder's hedged reads and breakers
+// drive directly. A read error from the body is the transport's own:
+// the body cannot resume, so the decoder retires the shard. The caller
+// must Close it.
+func (c *Client) OpenShard(ctx context.Context, object string, idx int, off, length int64) (shardfile.Header, io.ReadCloser, error) {
 	u := c.shardURL("shard", object, idx)
-	if block != 0 || count >= 0 {
-		u = fmt.Sprintf("%s?block=%d&count=%d", u, block, count)
+	if off != 0 || length >= 0 {
+		u = fmt.Sprintf("%s?off=%d&len=%d", u, off, length)
 	}
 	resp, err := c.do(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -215,8 +190,8 @@ func (c *Client) OpenShardAt(ctx context.Context, object string, idx int, block,
 }
 
 // StatShard fetches a shard's parsed header.
-func (c *Client) StatShard(ctx context.Context, object string, idx int) (Stat, error) {
-	return getJSON[Stat](ctx, c, c.shardURL("stat", object, idx))
+func (c *Client) StatShard(ctx context.Context, object string, idx int) (shardfile.Header, error) {
+	return getJSON[shardfile.Header](ctx, c, c.shardURL("stat", object, idx))
 }
 
 // ScrubShard asks the node to verify one shard server-side.

@@ -389,7 +389,7 @@ func TestServerHTTPRoundTrip(t *testing.T) {
 			t.Fatalf("put shard %d: %v", i, err)
 		}
 	}
-	h, body, err := cli.OpenShard(ctx, "http-obj", 1)
+	h, body, err := cli.OpenShard(ctx, "http-obj", 1, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func TestServerHTTPRoundTrip(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "http-obj" {
 		t.Fatalf("objects = %v, %v", names, err)
 	}
-	if _, _, err := cli.OpenShard(ctx, "nope", 0); !errors.Is(err, ErrNotFound) {
+	if _, _, err := cli.OpenShard(ctx, "nope", 0, 0, -1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing shard: %v, want ErrNotFound", err)
 	}
 	if err := cli.DeleteShard(ctx, "http-obj", 0); err != nil {
@@ -465,7 +465,7 @@ func TestShardGetHandsOverFile(t *testing.T) {
 		body  []byte
 	}{
 		{"", "*io.LimitedReader over *os.File", shards[0]},
-		{"?block=0&count=1", "*io.LimitedReader over *os.File",
+		{"?off=0&len=1", "*io.LimitedReader over *os.File",
 			shards[0][:shardfile.HeaderSizeV3+h.BlockSize()]},
 	} {
 		rec := &sourceRecorder{ResponseRecorder: httptest.NewRecorder()}
@@ -480,11 +480,12 @@ func TestShardGetHandsOverFile(t *testing.T) {
 	}
 }
 
-// TestShardGetBlockWindows pins a shard GET's block-window wire: the
-// re-marshalled header, then exactly the asked-for slice of the stored
-// file under a Content-Length that says so; 422 for a window that
-// starts past the end, 400 for a malformed one; and never a complete
-// response from a stored file that lost its tail.
+// TestShardGetBlockWindows pins a shard GET's window wire: the
+// re-marshalled header, then exactly the blocks that carry the asked-for
+// object bytes, cut from the shard's own header, under a Content-Length
+// that says so; the header alone for a range the object cannot satisfy;
+// 400 for a malformed window; and never a complete response from a
+// stored file that lost its tail.
 func TestShardGetBlockWindows(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), nil)
 	if err != nil {
@@ -505,8 +506,8 @@ func TestShardGetBlockWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.StripeCount != 5 {
-		t.Fatalf("shard has %d blocks, the cases below want 5", h.StripeCount)
+	if h.StripeCount != 5 || h.ShardSize != 2048 {
+		t.Fatalf("shard has %d blocks of %d bytes, the cases below want 5 of 2048", h.StripeCount, h.ShardSize)
 	}
 	bs := h.BlockSize()
 	get := func(query string) (*http.Response, []byte) {
@@ -522,16 +523,23 @@ func TestShardGetBlockWindows(t *testing.T) {
 		}
 		return resp, body
 	}
+	// A stripe is k=2 blocks of 2048 bytes: block i carries the object
+	// bytes [4096·i, 4096·(i+1)), and the object ends at 20,000.
 	for _, tc := range []struct {
 		query      string
 		first, end int64 // the blocks [first, end) the body carries
 	}{
 		{"", 0, 5},
-		{"?block=0&count=-1", 0, 5},
-		{"?block=2&count=-1", 2, 5},
-		{"?block=1&count=2", 1, 3},
-		{"?block=4&count=1", 4, 5},
-		{"?block=3&count=10", 3, 5}, // clamped to the blocks that exist
+		{"?off=0&len=-1", 0, 5},
+		{"?off=8192&len=-1", 2, 5},
+		{"?off=4096&len=8192", 1, 3},
+		{"?off=4100&len=4093", 1, 3}, // straddles a block edge by one byte
+		{"?off=16384&len=1", 4, 5},
+		{"?off=12288&len=100000", 3, 5}, // clamped to the end of the object
+		{"?off=-100", 4, 5},             // the last 100 bytes
+		{"?len=1", 0, 1},
+		{"?off=20000&len=1", 0, 0}, // past the end: the header alone
+		{"?off=0&len=0", 0, 0},     // zero bytes: the header alone
 	} {
 		resp, body := get(tc.query)
 		want := append(file[:shardfile.HeaderSizeV3:shardfile.HeaderSizeV3],
@@ -541,16 +549,9 @@ func TestShardGetBlockWindows(t *testing.T) {
 				tc.query, resp.StatusCode, resp.ContentLength, len(body), tc.first, tc.end, len(want))
 		}
 	}
-	for query, code := range map[string]int{
-		"?block=5&count=1":  http.StatusUnprocessableEntity,
-		"?block=9":          http.StatusUnprocessableEntity,
-		"?block=0&count=0":  http.StatusBadRequest,
-		"?block=-1&count=1": http.StatusBadRequest,
-		"?block=x":          http.StatusBadRequest,
-		"?block=0&count=y":  http.StatusBadRequest,
-	} {
-		if resp, _ := get(query); resp.StatusCode != code {
-			t.Errorf("GET%s: status %d, want %d", query, resp.StatusCode, code)
+	for _, query := range []string{"?off=x", "?len=y", "?off=1.5&len=2", "?off=0&len=0x10"} {
+		if resp, _ := get(query); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET%s: status %d, want %d", query, resp.StatusCode, http.StatusBadRequest)
 		}
 	}
 
@@ -561,8 +562,8 @@ func TestShardGetBlockWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli := NewClient(ts.URL)
-	for _, w := range [][2]int64{{0, -1}, {3, 2}} {
-		_, body, err := cli.OpenShardAt(context.Background(), "obj", 1, w[0], w[1])
+	for _, w := range [][2]int64{{0, -1}, {12288, 8192}} {
+		_, body, err := cli.OpenShard(context.Background(), "obj", 1, w[0], w[1])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,9 +43,10 @@ type Admitter interface {
 // header + checksummed blocks — except where noted):
 //
 //	PUT    /v1/shard/{object}/{idx}   store one shard (validated, atomic)
-//	GET    /v1/shard/{object}/{idx}   fetch one shard (?block=N&count=M for a block window)
+//	GET    /v1/shard/{object}/{idx}   fetch one shard: the header, then the blocks carrying
+//	                                  object bytes ?off=N&len=M (default: all of them)
 //	DELETE /v1/shard/{object}/{idx}   drop one shard (idempotent)
-//	GET    /v1/stat/{object}/{idx}    parsed header as JSON
+//	GET    /v1/stat/{object}/{idx}    parsed header (shardfile.Header) as JSON
 //	GET    /v1/scrub/{object}/{idx}   server-side scrub report as JSON
 //	GET    /v1/objects                stored object names as JSON
 //	GET    /healthz                   liveness
@@ -150,43 +151,30 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusCreated)
 }
 
-// handleGet serves a shard, or a window of its blocks: the header
-// re-marshalled from the one the store parsed, then the stored blocks.
+// handleGet serves a shard's header, then the blocks that carry the
+// object bytes ?off=N&len=M asks for, which the store cuts from the
+// shard's own header (shardfile.Header.Cut; no query is the whole
+// shard, and a range the object cannot satisfy gets the header alone).
 // The blocks go out as an *io.LimitedReader over the open file, bounded
-// to the shard or window's length. A LimitedReader has no WriteTo, so
-// io.Copy hands it to the response's ReadFrom, and net/http's TCP
-// connection sends it by sendfile(2), with no copy through user space.
-// io.Copy(w, f) misses that: it prefers the file's WriteTo, which cannot
-// see the socket behind a ResponseWriter and falls back to a wrapper
-// sendfile refuses, so every byte goes through a 32 KiB buffer.
+// to the window's length. A LimitedReader has no WriteTo, so io.Copy
+// hands it to the response's ReadFrom, and net/http's TCP connection
+// sends it by sendfile(2), with no copy through user space. io.Copy(w,
+// f) misses that: it prefers the file's WriteTo, which cannot see the
+// socket behind a ResponseWriter and falls back to a wrapper sendfile
+// refuses, so every byte goes through a 32 KiB buffer.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	object, idx, ok := shardParams(w, r)
 	if !ok {
 		return
 	}
-	// ?block=N&count=M selects a window of whole blocks — the unit a
-	// range read needs, since blocks carry their own checksum trailers.
-	// Defaults (0, -1) stream the entire shard, wire-identical to a GET
-	// without query parameters.
-	block, count := int64(0), int64(-1)
 	q := r.URL.Query()
-	if v := q.Get("block"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			http.Error(w, "bad block parameter", http.StatusBadRequest)
-			return
-		}
-		block = n
+	off, offOK := intParam(q.Get("off"), 0)
+	length, lenOK := intParam(q.Get("len"), -1)
+	if !offOK || !lenOK {
+		http.Error(w, "bad off or len parameter", http.StatusBadRequest)
+		return
 	}
-	if v := q.Get("count"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n == 0 {
-			http.Error(w, "bad count parameter", http.StatusBadRequest)
-			return
-		}
-		count = n
-	}
-	h, f, n, err := s.store.GetAt(object, idx, block, count)
+	h, f, n, err := s.store.GetAt(object, idx, off, length)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -201,6 +189,15 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	io.Copy(w, &io.LimitedReader{R: f, N: n})
+}
+
+// intParam parses a query parameter as an int64, def when it is absent.
+func intParam(v string, def int64) (int64, bool) {
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.ParseInt(v, 10, 64)
+	return n, err == nil
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -225,7 +222,7 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, statFromHeader(h))
+	writeJSON(w, h)
 }
 
 func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {

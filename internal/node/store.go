@@ -312,38 +312,28 @@ func (s *Store) Get(object string, idx int) (shardfile.Header, *os.File, error) 
 	return h, f, nil
 }
 
-// GetAt opens a window of a shard: count whole blocks starting at block
-// index `block` (each block is one stripe's worth of this shard: data
-// plus checksum trailer). It returns the parsed header, the open file
-// positioned at the window's first byte, and the window's length in
-// bytes. count < 0 means through the last block; count is clamped to
-// the blocks that exist. A block index past the end is rejected. The
-// file comes back as itself, under no wrapper, so a server can hand an
+// GetAt opens the blocks of a shard that carry the object bytes
+// [off, off+length), as its own header cuts them (shardfile.Header.Cut:
+// (0, -1) is every block, and a range the object cannot satisfy is no
+// block). It returns the parsed header, the open file positioned at the
+// window's first byte, and the window's length in bytes. The file comes
+// back as itself, under no wrapper, so a server can hand an
 // *io.LimitedReader over it to the socket, which sends it by
 // sendfile(2). The caller must Close the file.
-func (s *Store) GetAt(object string, idx int, block, count int64) (shardfile.Header, *os.File, int64, error) {
+func (s *Store) GetAt(object string, idx int, off, length int64) (shardfile.Header, *os.File, int64, error) {
 	h, f, err := s.Get(object, idx)
 	if err != nil {
 		return shardfile.Header{}, nil, 0, err
 	}
-	stripes := int64(h.StripeCount)
-	if block == 0 && count < 0 {
-		return h, f, stripes * h.BlockSize(), nil
+	win := h.Cut(off, length)
+	if win.Block > 0 {
+		// Get left the file at block 0; step straight to the window.
+		if _, err := f.Seek(h.Size()+win.Block*h.BlockSize(), io.SeekStart); err != nil {
+			f.Close()
+			return shardfile.Header{}, nil, 0, err
+		}
 	}
-	if block < 0 || block >= stripes {
-		f.Close()
-		return shardfile.Header{}, nil, 0, fmt.Errorf("%w: block %d outside shard %s/%d (%d blocks)",
-			ErrBadShard, block, object, idx, stripes)
-	}
-	if count < 0 || block+count > stripes {
-		count = stripes - block
-	}
-	// Get left the file at block 0; step straight to the window.
-	if _, err := f.Seek(h.Size()+block*h.BlockSize(), io.SeekStart); err != nil {
-		f.Close()
-		return shardfile.Header{}, nil, 0, err
-	}
-	return h, f, count * h.BlockSize(), nil
+	return h, f, win.Blocks * h.BlockSize(), nil
 }
 
 // Stat parses and returns a stored shard's header without reading its

@@ -123,6 +123,45 @@ func (h Header) ExpectedFileSize() int64 {
 	return h.Size() + int64(h.StripeCount)*h.BlockSize()
 }
 
+// Window is a byte range of an object laid onto its shard files: the
+// payload bytes [Off, Off+Len) the range covers, and the blocks
+// [Block, Block+Blocks) of every shard that carry them. A range that
+// cannot be satisfied is the zero Window: no bytes, no blocks.
+type Window struct {
+	Off, Len      int64
+	Block, Blocks int64
+}
+
+// Cut maps a range request onto the object h describes. The request
+// reads the length bytes from off: off < 0 asks for the last -off
+// bytes (length is then ignored), and length < 0 for everything from
+// off on. A length past the end is clamped to it. Block i of every
+// shard carries the object bytes [i·stripe, (i+1)·stripe), stripe
+// being K·ShardSize, so the window runs from the block holding the
+// first byte through the one holding the last, and no further than
+// the StripeCount blocks the shard has. The window is empty when the
+// request cannot be satisfied: it starts at or past the end, asks for
+// zero bytes (a zero-length suffix too), or the object is empty. Every
+// writer sets StripeCount to the stripes the object fills, so (0, -1)
+// is the whole shard. Readers cut their read from the header their
+// shards agree on, and a node cuts the blocks it serves from its own.
+func (h Header) Cut(off, length int64) Window {
+	size, stripe := int64(h.FileSize), int64(h.ShardSize)*int64(h.K)
+	if off < 0 {
+		off, length = max(0, size+off), -1
+	}
+	if off >= size || length == 0 || stripe <= 0 {
+		return Window{}
+	}
+	n := size - off
+	if length > 0 {
+		n = min(n, length)
+	}
+	first := off / stripe
+	end := min((off+n-1)/stripe+1, int64(h.StripeCount))
+	return Window{Off: off, Len: n, Block: first, Blocks: max(0, end-first)}
+}
+
 // SameEncoding reports whether h and o describe one encoding of one
 // object, so that their shards may be combined in one decode: the same
 // K, M, ShardSize, StripeCount, FileSize and Generation. Index is each

@@ -170,10 +170,10 @@ func TestEncoderStats(t *testing.T) {
 	if st.BytesOut != wantOut {
 		t.Fatalf("BytesOut = %d, want %d", st.BytesOut, wantOut)
 	}
-	if st.Latency.Total() != 3 {
-		t.Fatalf("latency observations = %d, want 3", st.Latency.Total())
+	if _, _, n := enc.stats.lat.Snapshot(); n != 3 {
+		t.Fatalf("stream_stripe_latency_us observations = %d, want 3", n)
 	}
-	if q := st.Latency.Quantile(0.99); q <= 0 {
+	if q := enc.stats.lat.Quantile(0.99); q <= 0 {
 		t.Fatalf("Quantile(0.99) = %v, want > 0", q)
 	}
 }

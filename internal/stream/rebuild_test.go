@@ -154,7 +154,6 @@ func TestRebuildHealsThroughSpare(t *testing.T) {
 				BytesIn: (stripes*k + tc.kept) * blockSize, BytesOut: stripes * blockSize,
 				ShardsCorrupted: tc.corrupt, ShardFailures: tc.failure, StripesHealed: 1,
 			}
-			st.Latency = want.Latency
 			if st != want {
 				t.Fatalf("stats %+v, want %+v", st, want)
 			}

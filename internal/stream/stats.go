@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"math"
 	"time"
 
 	"dialga/internal/obs"
@@ -94,7 +93,7 @@ func (c *counters) observe(d time.Duration) {
 }
 
 func (c *counters) snapshot() Stats {
-	s := Stats{
+	return Stats{
 		Stripes:         c.stripes.Value(),
 		BytesIn:         c.bytesIn.Value(),
 		BytesOut:        c.bytesOut.Value(),
@@ -107,9 +106,6 @@ func (c *counters) snapshot() Stats {
 		BreakerTrips:    c.breakerTrips.Value(),
 		WorkerPanics:    c.workerPanics.Value(),
 	}
-	counts, _, _ := c.lat.Snapshot()
-	copy(s.Latency.Counts[:], counts)
-	return s
 }
 
 // Stats is a point-in-time snapshot of a pipeline's counters, safe to
@@ -154,81 +150,4 @@ type Stats struct {
 	// shard-reader goroutines and surfaced as *PanicError instead of
 	// crashing the process.
 	WorkerPanics uint64
-	// Latency is the per-stripe codec latency histogram (encode or
-	// reconstruct time, excluding I/O).
-	Latency LatencyHistogram
-}
-
-// LatencyHistogram is a fixed power-of-two histogram of per-stripe
-// codec latency: 26 finite buckets with inclusive upper bounds
-// 2^0..2^25 microseconds plus an overflow bucket.
-type LatencyHistogram struct {
-	Counts [latencyBuckets]uint64
-}
-
-// Total returns the number of observations.
-func (h LatencyHistogram) Total() uint64 {
-	var t uint64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Bounds returns the inclusive upper bound of every bucket: 2^i
-// microseconds for buckets 0..25, and a sentinel of the maximum
-// representable duration for the final overflow bucket. The slice is
-// freshly allocated and has latencyBuckets entries, aligned with
-// Counts.
-func (h LatencyHistogram) Bounds() []time.Duration {
-	bounds := make([]time.Duration, latencyBuckets)
-	for i := 0; i < latencyBuckets-1; i++ {
-		bounds[i] = time.Duration(1<<i) * time.Microsecond
-	}
-	bounds[latencyBuckets-1] = time.Duration(math.MaxInt64)
-	return bounds
-}
-
-// Bucket returns the (lo, hi] duration range covered by bucket i:
-// observations in bucket i satisfy lo < d <= hi (bucket 0 covers
-// [0, 1µs]). The final bucket's hi is the overflow sentinel.
-func (h LatencyHistogram) Bucket(i int) (lo, hi time.Duration) {
-	if i <= 0 {
-		return 0, time.Microsecond
-	}
-	if i >= latencyBuckets-1 {
-		return time.Duration(1<<(latencyBuckets-2)) * time.Microsecond, time.Duration(math.MaxInt64)
-	}
-	return time.Duration(1<<(i-1)) * time.Microsecond, time.Duration(1<<i) * time.Microsecond
-}
-
-// Quantile returns an upper bound on the q-quantile (0 <= q <= 1) of
-// observed stripe latency, at bucket resolution. With inclusive upper
-// bounds the estimate is tight for observations that sit exactly on a
-// bucket boundary. It returns 0 when nothing has been observed.
-func (h LatencyHistogram) Quantile(q float64) time.Duration {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if rank < cum {
-			_, hi := h.Bucket(i)
-			return hi
-		}
-	}
-	_, hi := h.Bucket(latencyBuckets - 1)
-	return hi
 }

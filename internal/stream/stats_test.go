@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -115,8 +114,8 @@ func TestLatencyBucketEdges(t *testing.T) {
 	for _, tc := range cases {
 		c := newCounters(nil, "edges")
 		c.observe(tc.d)
-		h := c.snapshot().Latency
-		for i, n := range h.Counts {
+		counts, _, _ := c.lat.Snapshot()
+		for i, n := range counts {
 			want := uint64(0)
 			if i == tc.bucket {
 				want = 1
@@ -124,29 +123,6 @@ func TestLatencyBucketEdges(t *testing.T) {
 			if n != want {
 				t.Errorf("observe(%v): bucket %d count = %d, want %d", tc.d, i, n, want)
 			}
-		}
-	}
-}
-
-// TestLatencyHistogramBounds checks Bounds() alignment with Counts:
-// 27 entries, powers of two up to 2^25µs, and an overflow sentinel.
-func TestLatencyHistogramBounds(t *testing.T) {
-	var h LatencyHistogram
-	bounds := h.Bounds()
-	if len(bounds) != latencyBuckets {
-		t.Fatalf("len(Bounds()) = %d, want %d", len(bounds), latencyBuckets)
-	}
-	for i := 0; i < latencyBuckets-1; i++ {
-		if want := time.Duration(1<<i) * time.Microsecond; bounds[i] != want {
-			t.Fatalf("Bounds()[%d] = %v, want %v", i, bounds[i], want)
-		}
-	}
-	if bounds[latencyBuckets-1] != time.Duration(math.MaxInt64) {
-		t.Fatalf("overflow bound = %v, want max duration", bounds[latencyBuckets-1])
-	}
-	for i := range bounds {
-		if _, hi := h.Bucket(i); hi != bounds[i] {
-			t.Fatalf("Bucket(%d) hi = %v, but Bounds()[%d] = %v", i, hi, i, bounds[i])
 		}
 	}
 }

@@ -57,40 +57,41 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestLatencyHistogram reads stripe latencies back from the pipeline's
+// stream_stripe_latency_us series, in microseconds.
 func TestLatencyHistogram(t *testing.T) {
 	c := newCounters(nil, "test")
+	if c.lat.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram quantile should be 0")
+	}
 	c.observe(500 * time.Nanosecond) // bucket 0
 	c.observe(3 * time.Microsecond)  // (2µs,4µs] -> bucket 2
 	c.observe(3 * time.Microsecond)
 	c.observe(10 * time.Millisecond) // 10000µs -> bucket 14
-	h := c.snapshot().Latency
-	if h.Total() != 4 {
-		t.Fatalf("Total = %d, want 4", h.Total())
+	counts, _, total := c.lat.Snapshot()
+	if total != 4 {
+		t.Fatalf("observations = %d, want 4", total)
 	}
-	if h.Counts[0] != 1 || h.Counts[2] != 2 || h.Counts[14] != 1 {
-		t.Fatalf("bucket counts wrong: %v", h.Counts)
+	if counts[0] != 1 || counts[2] != 2 || counts[14] != 1 {
+		t.Fatalf("bucket counts wrong: %v", counts)
 	}
-	if lo, hi := h.Bucket(2); lo != 2*time.Microsecond || hi != 4*time.Microsecond {
-		t.Fatalf("Bucket(2) = [%v,%v), want [2µs,4µs)", lo, hi)
+	if b := c.lat.Bounds(); b[1] != 2 || b[2] != 4 {
+		t.Fatalf("bucket 2 is (%v, %v]µs, want (2, 4]", b[1], b[2])
 	}
 	// Quantiles are monotone and bracket the observations.
-	if q := h.Quantile(0); q > time.Microsecond {
-		t.Fatalf("Quantile(0) = %v, want <= 1µs", q)
+	if q := c.lat.Quantile(0); q > 1 {
+		t.Fatalf("Quantile(0) = %vµs, want <= 1", q)
 	}
-	if q := h.Quantile(1); q < 10*time.Millisecond {
-		t.Fatalf("Quantile(1) = %v, want >= 10ms", q)
+	if q := c.lat.Quantile(1); q < 10_000 {
+		t.Fatalf("Quantile(1) = %vµs, want >= 10000", q)
 	}
-	if h.Quantile(0.5) > h.Quantile(0.9) {
+	if c.lat.Quantile(0.5) > c.lat.Quantile(0.9) {
 		t.Fatal("quantiles not monotone")
 	}
 	// Overflow clamps into the last bucket instead of panicking.
 	c.observe(10 * time.Hour)
-	if c.snapshot().Latency.Counts[latencyBuckets-1] != 1 {
+	if counts, _, _ := c.lat.Snapshot(); counts[latencyBuckets-1] != 1 {
 		t.Fatal("overflow observation not clamped to last bucket")
-	}
-	var empty LatencyHistogram
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
 	}
 }
 
