@@ -167,9 +167,8 @@ func run(cfg nodeConfig) error {
 		rep = cluster.NewRepairerOpts(gw, limiter, reg, cluster.RepairerOptions{
 			Bandwidth: cfg.repairBW,
 		})
-		// Shards the gateway could not land at put time go straight onto
-		// the repair queue; after a restart the scan finds them.
-		gw.SetOnDegraded(func(object string, idx int) { rep.Enqueue(object, idx) })
+		// A shard a put could not land is found by the next scan, like
+		// any other damage, once its node answers.
 		if cfg.repairInterval > 0 {
 			go rep.Run(ctx, cfg.repairInterval)
 		}

@@ -172,7 +172,7 @@ func TestClusterChaosQuorumConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("verify scan pass %d: %v", pass, err)
 		}
-		if enq == 0 && rep.Pending() == 0 {
+		if enq == 0 && rep.pending() == 0 {
 			converged = true
 			break
 		}

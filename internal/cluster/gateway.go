@@ -49,10 +49,9 @@ type GatewayOptions struct {
 	// a put is acknowledged. Zero means all K+M (every put fully
 	// redundant at ack). Any other value must lie in [K+1, K+M]: at
 	// least one shard beyond the data minimum, so an acked object
-	// always survives the immediate loss of any single node. Shards
-	// missing at ack time are handed to repair (see SetOnDegraded), and
-	// the repair scan finds them too: they are absent, or hold an older
-	// generation.
+	// always survives the immediate loss of any single node. A shard
+	// missing at ack time is found by the next repair scan, like any
+	// other damage: it is absent, or holds an older generation.
 	WriteQuorum int
 	// PutRetries is the per-shard retry budget for transient upload
 	// failures during a put. Zero means the default (2 retries). With
@@ -74,19 +73,18 @@ type GatewayOptions struct {
 // gateway (placement is deterministic), so there is no metadata
 // service to lose.
 type Gateway struct {
-	k, m       int
-	rungs      []int      // the shard sizes puts choose from; see shardSizes
-	router     *sideliner // the configured Router under cross-request sidelining
-	hedge      time.Duration
-	reg        *obs.Registry
-	hc         *http.Client
-	codec      *rs.Code
-	retained   *obs.Gauge     // cluster_put_retained_bytes
-	putSizes   *obs.Histogram // cluster_put_shard_size_bytes
-	quorum     int            // shard uploads required to ack a put
-	retries    int            // per-shard transient retry budget (-1: disabled)
-	lastGen    atomic.Uint64  // the last generation a put drew
-	onDegraded func(object string, index int)
+	k, m     int
+	rungs    []int      // the shard sizes puts choose from; see shardSizes
+	router   *sideliner // the configured Router under cross-request sidelining
+	hedge    time.Duration
+	reg      *obs.Registry
+	hc       *http.Client
+	codec    *rs.Code
+	retained *obs.Gauge     // cluster_put_retained_bytes
+	putSizes *obs.Histogram // cluster_put_shard_size_bytes
+	quorum   int            // shard uploads required to ack a put
+	retries  int            // per-shard transient retry budget (-1: disabled)
+	lastGen  atomic.Uint64  // the last generation a put drew
 
 	// state is the current membership generation: the map plus one
 	// shard client per member. Every operation loads it exactly once at
@@ -259,15 +257,6 @@ func (g *Gateway) UpdateMap(next *Map) error {
 // Shards returns the stripe width K+M.
 func (g *Gateway) Shards() int { return g.k + g.m }
 
-// SetOnDegraded installs the degraded-put callback: f is called once
-// per shard missing at ack time — how a co-resident repairer learns
-// about owed shards before its next scan. It runs on
-// PutObject's goroutine; keep it fast. The gateway is usually built
-// before the repairer that wants the hook, hence a setter; call it
-// before the gateway starts serving puts, the hook is read without
-// synchronization.
-func (g *Gateway) SetOnDegraded(f func(object string, index int)) { g.onDegraded = f }
-
 // Map returns the gateway's current cluster map. Operations that need
 // a stable view across several calls should hold on to the returned
 // map rather than calling Map repeatedly.
@@ -399,16 +388,6 @@ func (g *Gateway) GetObject(ctx context.Context, object string, w io.Writer, cla
 // returns a *RangeError carrying that size for a 416 response.
 func (g *Gateway) OpenObjectRange(ctx context.Context, object string, off, length int64, class string) (*ObjectRead, error) {
 	return g.openRead(ctx, object, off, length, true, class)
-}
-
-// GetObjectRange streams the byte range [off, off+length) of the
-// object into w (see OpenObjectRange for the off/length conventions).
-func (g *Gateway) GetObjectRange(ctx context.Context, object string, w io.Writer, off, length int64, class string) error {
-	o, err := g.OpenObjectRange(ctx, object, off, length, class)
-	if err != nil {
-		return err
-	}
-	return o.WriteTo(ctx, w)
 }
 
 // openRead opens k shards at the object bytes [off, off+length) under

@@ -361,7 +361,7 @@ func TestRepairQueueSeededCorruption(t *testing.T) {
 		obs.Label{Key: "status", Value: "corrupt"}).Value(); got != damagedShards {
 		t.Fatalf("cluster_scrub_damaged_total{corrupt} = %d, want %d", got, damagedShards)
 	}
-	if got := rep.Pending(); got != damagedShards {
+	if got := rep.pending(); got != damagedShards {
 		t.Fatalf("pending = %d, want %d", got, damagedShards)
 	}
 
@@ -414,7 +414,7 @@ func TestRepairQueueSeededCorruption(t *testing.T) {
 	if got := tc.reg.Gauge("cluster_repair_queue", "").Value(); got != 0 {
 		t.Fatalf("cluster_repair_queue = %v, want 0", got)
 	}
-	if got := rep.Pending(); got != 0 {
+	if got := rep.pending(); got != 0 {
 		t.Fatalf("pending after drain = %d", got)
 	}
 

@@ -245,9 +245,9 @@ func TestLadderEndToEnd(t *testing.T) {
 	if _, err := rep.Rebalance(ctx, oldMap); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(30 * time.Second); rep.Pending() > 0; {
+	for deadline := time.Now().Add(30 * time.Second); rep.pending() > 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("rebalance queue not drained: %d pending", rep.Pending())
+			t.Fatalf("rebalance queue not drained: %d pending", rep.pending())
 		}
 		rep.DrainOnce(ctx)
 	}
@@ -293,7 +293,7 @@ func TestOverwriteAcrossRungs(t *testing.T) {
 		tc.mustGet(ctx, object, latest)
 		for _, win := range [][2]int64{{0, 1}, {int64(size) - 1, 1}, {int64(size) / 2, 1000}} {
 			var part bytes.Buffer
-			err := tc.gw.GetObjectRange(ctx, object, &part, win[0], win[1], node.ClassForeground)
+			err := tc.gw.getObjectRange(ctx, object, &part, win[0], win[1], node.ClassForeground)
 			if err != nil || !bytes.Equal(part.Bytes(), latest[win[0]:win[0]+win[1]]) {
 				t.Fatalf("overwrite %d: range (%d,%d): %v, %d bytes that are not the latest version's", i, win[0], win[1], err, part.Len())
 			}
@@ -315,7 +315,7 @@ func TestReadsObjectsStoredBeforeTheLadder(t *testing.T) {
 
 	tc.mustGet(ctx, object, payload)
 	var part bytes.Buffer
-	if err := tc.gw.GetObjectRange(ctx, object, &part, 60_000, 5536, node.ClassForeground); err != nil ||
+	if err := tc.gw.getObjectRange(ctx, object, &part, 60_000, 5536, node.ClassForeground); err != nil ||
 		!bytes.Equal(part.Bytes(), payload[60_000:]) {
 		t.Fatalf("range read of the last 5536 bytes: %v, %d bytes", err, part.Len())
 	}

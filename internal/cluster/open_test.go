@@ -20,6 +20,16 @@ import (
 	"dialga/internal/stream"
 )
 
+// getObjectRange streams the object bytes [off, off+length) into w
+// (see OpenObjectRange for the off/length conventions).
+func (g *Gateway) getObjectRange(ctx context.Context, object string, w io.Writer, off, length int64, class string) error {
+	o, err := g.OpenObjectRange(ctx, object, off, length, class)
+	if err != nil {
+		return err
+	}
+	return o.WriteTo(ctx, w)
+}
+
 // TestGetSourcesMustAgree overwrites an object with one of a different
 // size while the node holding shard 0 — first in router order — is
 // down, so that node keeps a valid shard of the old version. A read is
@@ -71,7 +81,7 @@ func TestGetSourcesMustAgree(t *testing.T) {
 			// no whole shard opened on the way, stale shard or not.
 			tap.take()
 			var mid bytes.Buffer
-			if err := c.gw.GetObjectRange(ctx, object, &mid, 50_000, 1000, node.ClassForeground); err != nil ||
+			if err := c.gw.getObjectRange(ctx, object, &mid, 50_000, 1000, node.ClassForeground); err != nil ||
 				!bytes.Equal(mid.Bytes(), newPayload[50_000:51_000]) {
 				t.Fatalf("range read of bytes 50000-50999: %v, %d bytes", err, mid.Len())
 			}
@@ -110,7 +120,7 @@ func TestUnsatisfiableRangeReadsNoBlocks(t *testing.T) {
 	tap.take()
 
 	var re *RangeError
-	err := tc.gw.GetObjectRange(ctx, "obj", io.Discard, 100_000, 10, node.ClassForeground)
+	err := tc.gw.getObjectRange(ctx, "obj", io.Discard, 100_000, 10, node.ClassForeground)
 	if !errors.As(err, &re) || re.Size != 100_000 {
 		t.Fatalf("range past the end: %v, want a RangeError carrying the size", err)
 	}
@@ -125,7 +135,7 @@ func TestUnsatisfiableRangeReadsNoBlocks(t *testing.T) {
 	for _, idx := range []int{1, 2, 3} {
 		tc.node(place[idx].ID).stop()
 	}
-	err = tc.gw.GetObjectRange(ctx, "obj", io.Discard, 0, 10, node.ClassForeground)
+	err = tc.gw.getObjectRange(ctx, "obj", io.Discard, 0, 10, node.ClassForeground)
 	if err == nil || errors.As(err, &re) || errors.Is(err, node.ErrNotFound) {
 		t.Fatalf("range read with three nodes down: %v, want unavailable", err)
 	}
@@ -198,7 +208,7 @@ func TestReadOpensItsShardsAtOnce(t *testing.T) {
 	}
 	gate.expect(4)
 	var part bytes.Buffer
-	if err := tc.gw.GetObjectRange(ctx, "obj", &part, 100_000, 50_000, node.ClassForeground); err != nil ||
+	if err := tc.gw.getObjectRange(ctx, "obj", &part, 100_000, 50_000, node.ClassForeground); err != nil ||
 		!bytes.Equal(part.Bytes(), payload[100_000:150_000]) {
 		t.Fatalf("range GET: %v", err)
 	}
@@ -245,7 +255,7 @@ func TestHealthyGetReadsK(t *testing.T) {
 			tc.mustGet(ctx, "obj", payload)
 		} else {
 			var part bytes.Buffer
-			if err := tc.gw.GetObjectRange(ctx, "obj", &part, read.off, read.length, node.ClassForeground); err != nil ||
+			if err := tc.gw.getObjectRange(ctx, "obj", &part, read.off, read.length, node.ClassForeground); err != nil ||
 				!bytes.Equal(part.Bytes(), payload[read.off:read.off+read.length]) {
 				t.Fatalf("%s GET: %v, %d bytes", read.name, err, part.Len())
 			}
@@ -281,7 +291,7 @@ func TestRangeGetHealsCorruptBlock(t *testing.T) {
 	tap.take()
 
 	var out bytes.Buffer
-	if err := tc.gw.GetObjectRange(ctx, "obj", &out, stripe+100, 200, node.ClassForeground); err != nil {
+	if err := tc.gw.getObjectRange(ctx, "obj", &out, stripe+100, 200, node.ClassForeground); err != nil {
 		t.Fatalf("range read across a corrupt block: %v", err)
 	}
 	if !bytes.Equal(out.Bytes(), payload[stripe+100:stripe+300]) {
@@ -347,7 +357,7 @@ func settleGoroutines(t *testing.T, base int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // paces the poll; the 5 s deadline decides the outcome
 		now := runtime.NumGoroutine()
 		if now <= base {
 			return
@@ -409,7 +419,7 @@ func TestConcurrentGetsShareAllocator(t *testing.T) {
 				} else {
 					off, n := int64(1000*w+i), int64(150_000)
 					want = want[off : off+n]
-					if err := tc.gw.GetObjectRange(ctx, objectName(obj), &out, off, n, node.ClassForeground); err != nil {
+					if err := tc.gw.getObjectRange(ctx, objectName(obj), &out, off, n, node.ClassForeground); err != nil {
 						t.Errorf("range get %d: %v", obj, err)
 						return
 					}
@@ -448,7 +458,7 @@ func TestIdleBudgetHoldsAcrossRungs(t *testing.T) {
 		t.Helper()
 		tc.mustGet(ctx, object, want)
 		var part bytes.Buffer
-		if err := tc.gw.GetObjectRange(ctx, object, &part, 100, 1000, node.ClassForeground); err != nil ||
+		if err := tc.gw.getObjectRange(ctx, object, &part, 100, 1000, node.ClassForeground); err != nil ||
 			!bytes.Equal(part.Bytes(), want[100:1100]) {
 			t.Fatalf("range read of %s: %v, %d bytes", object, err, part.Len())
 		}

@@ -59,8 +59,8 @@ func (g *Gateway) nextGeneration() uint64 {
 // Transient upload failures (connection errors, throttling, 5xx) are
 // retried per shard with backoff and full jitter, reading the put's
 // encoded stripes again from the first; a shard that still cannot land
-// does not fail the put as long as quorum holds — it is reported
-// through OnDegraded, and the next repair scan finds it anyway. Below
+// does not fail the put as long as quorum holds: the next repair scan
+// finds it owed, like any other damage, once its node answers. Below
 // quorum the put fails. If fewer than K shards landed, they are
 // deleted best-effort; with K or more the new version is readable, so
 // they stay (they have already replaced the old version's shards) and
@@ -141,14 +141,12 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	}
 
 	landed := 0
-	var missing []int
 	var firstErr error
 	for i, err := range errs {
 		if err == nil {
 			landed++
 			continue
 		}
-		missing = append(missing, i)
 		if firstErr == nil {
 			firstErr = err
 		}
@@ -178,14 +176,8 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 			landed, n, g.quorum, firstErr))
 	}
 
-	if g.onDegraded != nil {
-		for _, i := range missing {
-			g.onDegraded(object, i)
-		}
-	}
-
 	result := "ok"
-	if len(missing) > 0 {
+	if landed < n {
 		result = "degraded"
 		g.counter("cluster_put_degraded_total",
 			"Puts acknowledged at quorum with one or more shards owed to repair.").Inc()

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -47,20 +46,13 @@ func TestQuorumOptionValidation(t *testing.T) {
 }
 
 // TestPutQuorumDegradedAck: one node down, quorum k+1 over RS(4,2) —
-// the put must succeed degraded, fire the OnDegraded hook for the
-// missing shard, and the object must read back; once the node is back,
-// a repair scan finds exactly that shard owed.
+// the put must succeed degraded and the object must read back. The
+// missed shard is found by a scan, like any other damage: while its
+// node is down a scan skips it and a drain attempts no rebuild, and
+// once the node is back one scan queues exactly that shard.
 func TestPutQuorumDegradedAck(t *testing.T) {
 	tc := quorumCluster(t, 6, 4, 2, 5)
 	ctx := context.Background()
-
-	var mu sync.Mutex
-	var hooked []repairTask
-	tc.gw.SetOnDegraded(func(object string, index int) {
-		mu.Lock()
-		hooked = append(hooked, repairTask{Object: object, Index: index})
-		mu.Unlock()
-	})
 
 	const object = "degraded-put"
 	payload := clusterPayload(41, 256_000)
@@ -80,13 +72,6 @@ func TestPutQuorumDegradedAck(t *testing.T) {
 	}
 	tc.mustGet(ctx, object, payload)
 
-	want := []repairTask{{Object: object, Index: downIdx}}
-	mu.Lock()
-	h := append([]repairTask(nil), hooked...)
-	mu.Unlock()
-	if len(h) != 1 || h[0] != want[0] {
-		t.Fatalf("OnDegraded saw %v, want %v", h, want)
-	}
 	if v := tc.reg.Counter("cluster_put_degraded_total", "").Value(); v != 1 {
 		t.Fatalf("cluster_put_degraded_total = %d, want 1", v)
 	}
@@ -99,14 +84,33 @@ func TestPutQuorumDegradedAck(t *testing.T) {
 		t.Fatal("cluster_put_shard_failures_total for the dead node never moved")
 	}
 
+	// The node is still down: its shard is unreachable, not damaged, so
+	// nothing is queued and no rebuild is attempted against it.
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	if n, err := rep.ScanOnce(ctx); err != nil || n != 0 {
+		t.Fatalf("scan with the node down queued %d, %v; want none", n, err)
+	}
+	if repaired, failed := rep.DrainOnce(ctx); repaired != 0 || failed != 0 {
+		t.Fatalf("drain with the node down: repaired=%d failed=%d, want nothing attempted", repaired, failed)
+	}
+	for _, result := range []string{"ok", "error"} {
+		if v := tc.reg.Counter("cluster_repairs_total", "",
+			obs.Label{Key: "result", Value: result}).Value(); v != 0 {
+			t.Fatalf("cluster_repairs_total{%s} = %d with the node down, want 0", result, v)
+		}
+	}
+	if v := tc.reg.Counter("cluster_scrub_unreachable_total", "").Value(); v != 1 {
+		t.Fatalf("cluster_scrub_unreachable_total = %d, want 1", v)
+	}
+
 	// The node is back without its shard: a scan owes exactly that one.
 	tc.node(place[downIdx].ID).start()
-	rep := NewRepairer(tc.gw, nil, nil)
+	want := repairTask{Object: object, Index: downIdx}
 	if n, err := rep.ScanOnce(ctx); err != nil || n != 1 {
 		t.Fatalf("scan after the node returned queued %d, %v; want 1", n, err)
 	}
-	if it, _ := rep.pop(); it.repairTask != want[0] {
-		t.Fatalf("scan queued %+v, want %v", it.repairTask, want[0])
+	if it, _ := rep.pop(); it.repairTask != want {
+		t.Fatalf("scan queued %+v, want %v", it.repairTask, want)
 	}
 	// A later full-width rewrite of the object leaves nothing owed.
 	if _, err := tc.gw.PutObject(ctx, object, bytes.NewReader(payload), int64(len(payload)), node.ClassForeground); err != nil {
@@ -203,7 +207,7 @@ func TestPutRetriesTransientFaults(t *testing.T) {
 type trickleReader struct{}
 
 func (trickleReader) Read(p []byte) (int, error) {
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(2 * time.Millisecond) // paces the reader; decides no outcome
 	if len(p) > 0 {
 		p[0] = 'z'
 	}
@@ -223,7 +227,9 @@ func TestPutCancellationReleasesPipeline(t *testing.T) {
 		_, err := tc.gw.PutObject(ctx, "cancelled", trickleReader{}, 1<<30, node.ClassForeground)
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the pipeline spin up mid-encode
+	// Lets the pipeline spin up mid-encode; decides no outcome, as a put
+	// cancelled at any point must fail and release its goroutines.
+	time.Sleep(50 * time.Millisecond)
 	cancel()
 
 	select {
@@ -252,7 +258,7 @@ func TestPutCancellationReleasesPipeline(t *testing.T) {
 			n := runtime.Stack(buf, true)
 			t.Fatalf("goroutines before=%d after=%d; put leaked:\n%s", before, now, buf[:n])
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // paces the poll; the 5 s deadline decides the outcome
 	}
 }
 

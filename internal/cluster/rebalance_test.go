@@ -85,7 +85,7 @@ func TestRepairPreemptsMigration(t *testing.T) {
 	r.enqueue(repairTask{Object: "damaged", Index: 0}, 2, 0)
 	// A repair report for an already-queued migration raises its
 	// urgency but keeps the cheap copy as the plan.
-	r.Enqueue("moved", 0)
+	r.enqueue(repairTask{Object: "moved", Index: 0}, r.gw.m-1, 0)
 
 	want := []struct {
 		object  string
@@ -264,9 +264,9 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	}()
 
 	deadline := time.Now().Add(30 * time.Second)
-	for rep.Pending() > 0 {
+	for rep.pending() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("rebalance queue not drained: %d pending", rep.Pending())
+			t.Fatalf("rebalance queue not drained: %d pending", rep.pending())
 		}
 		rep.DrainOnce(ctx)
 	}
@@ -320,7 +320,7 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	for _, win := range [][2]int64{{0, 100}, {70_000, 4_000}, {objSize - 999, 999}} {
 		before = tap.served.Load()
 		var part bytes.Buffer
-		if err := tc.gw.GetObjectRange(ctx, name, &part, win[0], win[1], node.ClassForeground); err != nil {
+		if err := tc.gw.getObjectRange(ctx, name, &part, win[0], win[1], node.ClassForeground); err != nil {
 			t.Fatalf("range (%d,%d): %v", win[0], win[1], err)
 		}
 		rangeBytes := tap.served.Load() - before
@@ -393,8 +393,8 @@ func TestMigrationReadsSourceOnce(t *testing.T) {
 		}
 	}
 	tap.mu.Unlock()
-	if _, failed := rep.DrainOnce(ctx); failed != 0 || rep.Pending() != 0 {
-		t.Fatalf("migration failed %d times, %d pending", failed, rep.Pending())
+	if _, failed := rep.DrainOnce(ctx); failed != 0 || rep.pending() != 0 {
+		t.Fatalf("migration failed %d times, %d pending", failed, rep.pending())
 	}
 	if countPrefix(asked, "GET /v1/shard/") != 1 || countPrefix(asked, "GET /v1/stat/") != 0 {
 		t.Fatalf("migration asked its source %v; want one shard GET and no stat", asked)
@@ -459,8 +459,8 @@ func TestMigrationReplacesStaleCopy(t *testing.T) {
 	if moves, err := rep.Rebalance(ctx, oldMap); err != nil || moves != 1 {
 		t.Fatalf("rebalance: %d moves, %v; want 1", moves, err)
 	}
-	if _, failed := rep.DrainOnce(ctx); failed != 0 || rep.Pending() != 0 {
-		t.Fatalf("migration failed %d times, %d pending", failed, rep.Pending())
+	if _, failed := rep.DrainOnce(ctx); failed != 0 || rep.pending() != 0 {
+		t.Fatalf("migration failed %d times, %d pending", failed, rep.pending())
 	}
 	if tc.counter("cluster_migrations_total", obs.Label{Key: "result", Value: "copied"}) != 1 {
 		t.Fatal("the stale copy at the destination was taken for the moved shard")

@@ -364,7 +364,7 @@ func TestRepairSourcesMustAgree(t *testing.T) {
 			failuresBefore := c.counter("cluster_open_failures_total", obs.Label{Key: "node", Value: string(staleNode)})
 
 			rep := NewRepairer(c.gw, nil, c.reg)
-			rep.Enqueue(object, target)
+			rep.enqueue(repairTask{Object: object, Index: target}, c.gw.m-1, 0)
 			repaired, failed := rep.DrainOnce(ctx)
 			if repaired != tc.wantRepaired || failed != 1-tc.wantRepaired {
 				t.Fatalf("repaired=%d failed=%d, want %d/%d", repaired, failed, tc.wantRepaired, 1-tc.wantRepaired)
@@ -379,8 +379,8 @@ func TestRepairSourcesMustAgree(t *testing.T) {
 				c.mustGetSkipping(ctx, object, newPayload, stale)
 				return
 			}
-			if rep.Pending() != 1 {
-				t.Fatalf("pending = %d, want the failed task requeued", rep.Pending())
+			if rep.pending() != 1 {
+				t.Fatalf("pending = %d, want the failed task requeued", rep.pending())
 			}
 			if _, err := os.Stat(c.shardPath(object, target)); !errors.Is(err, fs.ErrNotExist) {
 				t.Fatalf("target shard after a failed rebuild: %v, want it absent", err)

@@ -150,26 +150,6 @@ func NewRepairerOpts(gw *Gateway, lim *Limiter, reg *obs.Registry, opts Repairer
 	}
 }
 
-// Pending returns the number of queued repair tasks.
-func (r *Repairer) Pending() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.heap)
-}
-
-// Enqueue queues shard idx of object for rebuild at the most urgent
-// single-loss priority the caller can assert without a scan (the
-// object is down at least this one shard). It reports whether the
-// task was new; re-enqueueing an existing task can only raise its
-// urgency, never reset its attempt count.
-func (r *Repairer) Enqueue(object string, idx int) bool {
-	red := r.gw.m - 1
-	if red < 0 {
-		red = 0
-	}
-	return r.enqueue(repairTask{Object: object, Index: idx}, red, 0)
-}
-
 // enqueue adds or re-prioritizes a task. A task already queued keeps
 // its attempt count and takes the lower (more urgent) redundancy.
 func (r *Repairer) enqueue(t repairTask, redundancy, attempts int) bool {

@@ -52,6 +52,13 @@ func TestRepairQueuePriorityOrder(t *testing.T) {
 	}
 }
 
+// pending returns the number of queued tasks, repairs and migrations.
+func (r *Repairer) pending() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.heap)
+}
+
 // TestRepairAttemptCap: a task whose rebuild cannot succeed is retried
 // repairAttempts (5) times, counted, then dropped — never stranded in
 // the dedup map, never spinning forever.
@@ -64,16 +71,17 @@ func TestRepairAttemptCap(t *testing.T) {
 	ctx := context.Background()
 
 	// No such object anywhere: every rebuild fails to open sources.
-	if !r.Enqueue("phantom", 0) {
+	phantom := repairTask{Object: "phantom", Index: 0}
+	if !r.enqueue(phantom, tc.gw.m-1, 0) {
 		t.Fatal("enqueue")
 	}
 	totalFailed := 0
-	for pass := 0; pass < 10 && r.Pending() > 0; pass++ {
+	for pass := 0; pass < 10 && r.pending() > 0; pass++ {
 		_, failed := r.DrainOnce(ctx)
 		totalFailed += failed
 	}
-	if r.Pending() != 0 {
-		t.Fatalf("task still queued after cap: pending=%d", r.Pending())
+	if r.pending() != 0 {
+		t.Fatalf("task still queued after cap: pending=%d", r.pending())
 	}
 	if totalFailed != repairAttempts {
 		t.Fatalf("failed attempts = %d, want %d", totalFailed, repairAttempts)
@@ -85,7 +93,7 @@ func TestRepairAttemptCap(t *testing.T) {
 		t.Fatalf("cluster_repair_dropped_total = %d, want 1", v)
 	}
 	// The dedup map let go of the key: the task can be found again.
-	if !r.Enqueue("phantom", 0) {
+	if !r.enqueue(phantom, tc.gw.m-1, 0) {
 		t.Fatal("dropped task could not be re-enqueued")
 	}
 }
@@ -115,8 +123,8 @@ func TestRepairBandwidthBudget(t *testing.T) {
 	if _, err := r.ScanOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if r.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", r.Pending())
+	if r.pending() != 3 {
+		t.Fatalf("pending = %d, want 3", r.pending())
 	}
 	start := time.Now()
 	repaired, failed := r.DrainOnce(ctx)

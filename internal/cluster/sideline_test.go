@@ -302,7 +302,7 @@ func TestTimedBodySample(t *testing.T) {
 		close(done)
 	}()
 	for stalled.reading.Load() == 0 {
-		time.Sleep(time.Millisecond)
+		time.Sleep(time.Millisecond) // polls for the read to start; decides no outcome
 	}
 	clock.Advance(7 * time.Millisecond)
 	stalled.Close()
@@ -539,7 +539,7 @@ func TestSidelinedMeansAskedLast(t *testing.T) {
 		t.Fatalf("read with m sidelined for failed opens asked shards %s, want the other four", got)
 	}
 	var rng bytes.Buffer
-	if err := tc.gw.GetObjectRange(ctx, "obj", &rng, 100_000, 50_000, node.ClassForeground); err != nil ||
+	if err := tc.gw.getObjectRange(ctx, "obj", &rng, 100_000, 50_000, node.ClassForeground); err != nil ||
 		!bytes.Equal(rng.Bytes(), payload[100_000:150_000]) {
 		t.Fatalf("range read with m sidelined: %v", err)
 	}

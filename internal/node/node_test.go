@@ -79,11 +79,11 @@ func TestStoreRoundTrip(t *testing.T) {
 		}
 	}
 	for i, want := range shards {
-		h, body, err := store.Get("obj", i)
+		h, body, n, err := store.GetAt("obj", i, 0, -1)
 		if err != nil {
 			t.Fatalf("get shard %d: %v", i, err)
 		}
-		got, err := io.ReadAll(body)
+		got, err := io.ReadAll(io.LimitReader(body, n))
 		body.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := store.Delete("obj", 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := store.Get("obj", 0); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := store.GetAt("obj", 0, 0, -1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get deleted shard: %v, want ErrNotFound", err)
 	}
 	// Deleting again is idempotent.

@@ -12,19 +12,13 @@ import (
 // quarantineDir is the store-root directory damaged shard files are
 // moved into instead of deleted, so an operator (or a forensic tool)
 // can still look at what the recovery scan condemned. It is
-// dot-prefixed, which keeps it out of Objects and the shard count.
+// dot-prefixed, which keeps it out of Objects and the recovery scan.
 const quarantineDir = ".quarantine"
 
-// RecoveryReport summarizes one startup recovery scan.
-type RecoveryReport struct {
-	TmpRemoved  int // orphaned .put-*.tmp upload files deleted
-	Quarantined int // torn, truncated, or unreadable shard files moved aside
-	Scanned     int // shard files examined
-}
-
-// Recover walks the store and repairs the damage a crash can leave
-// behind, restoring the invariant that every shard.* file under the
-// root is a complete, parseable shardfile:
+// recoverStore walks the store's object directories, the ones Objects
+// lists (see objectName), and repairs the damage a crash can leave
+// behind, restoring the invariant that every shard.* file in them is a
+// complete, parseable shardfile:
 //
 //   - Orphaned upload temp files (.put-*.tmp) are deleted. A crash
 //     between the temp write and the rename leaves one; it was never
@@ -41,23 +35,24 @@ type RecoveryReport struct {
 // which is too expensive for a startup path, and the per-block CRC
 // trailers catch it on first read anyway.
 //
-// OpenStore runs Recover automatically; it is exported so tests and
-// tools can re-run the scan on a live store.
-func (s *Store) Recover() (RecoveryReport, error) {
-	var rep RecoveryReport
+// It returns how many shard files it kept: those it scanned, less
+// those it quarantined. OpenStore runs it before the store serves
+// anything and sets node_store_shards from that count.
+func (s *Store) recoverStore() (int, error) {
+	kept := 0
 	s.recRuns.Inc()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return rep, err
+		return 0, err
 	}
 	for _, e := range entries {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
+		if _, ok := objectName(e); !ok {
 			continue
 		}
 		dir := filepath.Join(s.dir, e.Name())
 		files, err := os.ReadDir(dir)
 		if err != nil {
-			return rep, err
+			return 0, err
 		}
 		for _, f := range files {
 			name := f.Name()
@@ -66,26 +61,25 @@ func (s *Store) Recover() (RecoveryReport, error) {
 				continue
 			case strings.HasPrefix(name, ".put-") && strings.HasSuffix(name, ".tmp"):
 				if err := os.Remove(filepath.Join(dir, name)); err != nil {
-					return rep, err
+					return 0, err
 				}
-				rep.TmpRemoved++
 				s.recTmp.Inc()
 			case strings.HasPrefix(name, "shard."):
-				rep.Scanned++
 				path := filepath.Join(dir, name)
-				if verr := verifyShardFile(path); verr != nil {
-					if err := s.quarantine(e.Name(), path); err != nil {
-						return rep, err
-					}
-					rep.Quarantined++
-					s.recQuar.Inc()
+				if verifyShardFile(path) == nil {
+					kept++
+					continue
 				}
+				if err := s.quarantine(e.Name(), path); err != nil {
+					return 0, err
+				}
+				s.recQuar.Inc()
 			}
 		}
 		// A dir left empty by the cleanup is itself crash litter.
 		os.Remove(dir)
 	}
-	return rep, nil
+	return kept, nil
 }
 
 // verifyShardFile checks that path holds a structurally complete

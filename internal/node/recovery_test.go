@@ -162,7 +162,7 @@ func TestStoreRestartRecovery(t *testing.T) {
 				if strings.HasPrefix(f.Name(), "shard.") {
 					live++
 					idx := int(f.Name()[len(f.Name())-1] - '0')
-					h, r, err := s.Get(object, idx)
+					h, r, _, err := s.GetAt(object, idx, 0, -1)
 					if err != nil {
 						t.Errorf("surviving shard %d unreadable: %v", idx, err)
 						continue
@@ -212,6 +212,41 @@ func TestRecoveryRemovesEmptiedObjectDir(t *testing.T) {
 	}
 	if len(objs) != 0 {
 		t.Fatalf("objects after quarantining the only shard: %v", objs)
+	}
+}
+
+// TestRecoveryWalksOnlyObjectDirs: a directory whose name does not
+// percent-decode is foreign. Objects does not list it, so the recovery
+// scan leaves it alone, torn shard file and all, and the shard gauge
+// counts only the store's own shards.
+func TestRecoveryWalksOnlyObjectDirs(t *testing.T) {
+	dir := t.TempDir()
+	shards := encodeShards(t, 2, 1, []byte("ours"))
+	seedStore(t, dir, "ours", shards)
+	foreign := filepath.Join(dir, "%zz")
+	if err := os.Mkdir(foreign, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(foreign, "shard.000")
+	if err := os.WriteFile(torn, shards[0][:10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := OpenStore(dir, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if objs, err := s.Objects(); err != nil || len(objs) != 1 || objs[0] != "ours" {
+		t.Fatalf("objects = %v, %v; want [ours]", objs, err)
+	}
+	if _, err := os.Stat(torn); err != nil {
+		t.Fatalf("recovery touched a foreign directory: %v", err)
+	}
+	if got := reg.Counter("node_recovery_quarantined_total", "").Value(); got != 0 {
+		t.Fatalf("quarantined %d files, want 0", got)
+	}
+	if got := int(reg.Gauge("node_store_shards", "").Value()); got != len(shards) {
+		t.Fatalf("node_store_shards = %d, want %d", got, len(shards))
 	}
 }
 

@@ -217,11 +217,12 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	h, err := s.store.Stat(object, idx)
+	h, f, _, err := s.store.GetAt(object, idx, 0, 0)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	f.Close()
 	writeJSON(w, h)
 }
 

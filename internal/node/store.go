@@ -65,7 +65,7 @@ type Store struct {
 }
 
 // OpenStore creates (if needed) and opens a shard store rooted at dir,
-// running the crash-recovery scan (see Recover) before the store
+// running the crash-recovery scan (see recoverStore) before the store
 // serves anything: orphaned upload temp files are deleted and torn or
 // unreadable shard files are quarantined, so every shard the open
 // store reports actually parses. A non-nil reg receives the store's
@@ -97,10 +97,7 @@ func OpenStore(dir string, reg *obs.Registry) (*Store, error) {
 		recQuar: reg.Counter("node_recovery_quarantined_total",
 			"Torn or unreadable shard files quarantined by recovery scans."),
 	}
-	if _, err := s.Recover(); err != nil {
-		return nil, err
-	}
-	n, err := s.countShards()
+	n, err := s.recoverStore()
 	if err != nil {
 		return nil, err
 	}
@@ -124,30 +121,6 @@ func (s *Store) objectDir(object string) (string, error) {
 		return "", fmt.Errorf("%w: unusable object name %q", ErrBadShard, object)
 	}
 	return filepath.Join(s.dir, enc), nil
-}
-
-func (s *Store) countShards() (int, error) {
-	objects, err := s.Objects()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, o := range objects {
-		dir, err := s.objectDir(o)
-		if err != nil {
-			continue
-		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasPrefix(e.Name(), "shard.") {
-				n++
-			}
-		}
-	}
-	return n, nil
 }
 
 // Put validates and atomically commits one shard upload: the body must
@@ -288,63 +261,48 @@ func receive(f *os.File, h shardfile.Header, body io.Reader) error {
 	return nil
 }
 
-// Get opens a shard for reading, returning its parsed header and the
-// open file positioned at the first block (the header bytes already
-// consumed). The caller must Close the file.
+// Get opens a whole shard for reading: GetAt's (0, -1), its file
+// positioned at the first block. The caller must Close the file.
 func (s *Store) Get(object string, idx int) (shardfile.Header, *os.File, error) {
+	h, f, _, err := s.GetAt(object, idx, 0, -1)
+	return h, f, err
+}
+
+// GetAt opens the blocks of a shard that carry the object bytes
+// [off, off+length), as its own header cuts them (shardfile.Header.Cut:
+// (0, -1) is every block, and (0, 0) or a range the object cannot
+// satisfy is no block, the header alone). It returns the parsed header,
+// the open file positioned at the window's first byte, and the window's
+// length in bytes. The file comes back as itself, under no wrapper, so
+// a server can hand an *io.LimitedReader over it to the socket, which
+// sends it by sendfile(2). The caller must Close the file.
+func (s *Store) GetAt(object string, idx int, off, length int64) (shardfile.Header, *os.File, int64, error) {
 	dir, err := s.objectDir(object)
 	if err != nil {
-		return shardfile.Header{}, nil, err
+		return shardfile.Header{}, nil, 0, err
 	}
 	f, err := os.Open(shardfile.Path(dir, idx))
 	if err != nil {
 		if os.IsNotExist(err) {
 			err = fmt.Errorf("%w: %s/%d", ErrNotFound, object, idx)
 		}
-		return shardfile.Header{}, nil, err
+		return shardfile.Header{}, nil, 0, err
 	}
 	h, err := shardfile.Parse(f)
 	if err != nil {
 		f.Close()
-		return shardfile.Header{}, nil, fmt.Errorf("stored shard %s/%d unreadable: %w", object, idx, err)
+		return shardfile.Header{}, nil, 0, fmt.Errorf("stored shard %s/%d unreadable: %w", object, idx, err)
 	}
 	s.gets.Inc()
-	return h, f, nil
-}
-
-// GetAt opens the blocks of a shard that carry the object bytes
-// [off, off+length), as its own header cuts them (shardfile.Header.Cut:
-// (0, -1) is every block, and a range the object cannot satisfy is no
-// block). It returns the parsed header, the open file positioned at the
-// window's first byte, and the window's length in bytes. The file comes
-// back as itself, under no wrapper, so a server can hand an
-// *io.LimitedReader over it to the socket, which sends it by
-// sendfile(2). The caller must Close the file.
-func (s *Store) GetAt(object string, idx int, off, length int64) (shardfile.Header, *os.File, int64, error) {
-	h, f, err := s.Get(object, idx)
-	if err != nil {
-		return shardfile.Header{}, nil, 0, err
-	}
 	win := h.Cut(off, length)
 	if win.Block > 0 {
-		// Get left the file at block 0; step straight to the window.
+		// Parse left the file at block 0; step straight to the window.
 		if _, err := f.Seek(h.Size()+win.Block*h.BlockSize(), io.SeekStart); err != nil {
 			f.Close()
 			return shardfile.Header{}, nil, 0, err
 		}
 	}
 	return h, f, win.Blocks * h.BlockSize(), nil
-}
-
-// Stat parses and returns a stored shard's header without reading its
-// blocks.
-func (s *Store) Stat(object string, idx int) (shardfile.Header, error) {
-	h, r, err := s.Get(object, idx)
-	if err != nil {
-		return shardfile.Header{}, err
-	}
-	r.Close()
-	return h, nil
 }
 
 // Scrub runs the shared shardfile scrub over one stored shard,
@@ -389,15 +347,23 @@ func (s *Store) Objects() ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
-			continue // files, and bookkeeping dirs like .quarantine
+		if name, ok := objectName(e); ok {
+			names = append(names, name)
 		}
-		name, err := url.PathUnescape(e.Name())
-		if err != nil {
-			continue // foreign directory; not ours to report
-		}
-		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// objectName is the one rule for which entries of the store root are
+// object directories, for Objects and the recovery scan alike: a
+// directory whose name is not dot-prefixed (bookkeeping like
+// .quarantine) and percent-decodes (anything else is foreign, not ours
+// to report or repair). It returns the object name the entry decodes to.
+func objectName(e fs.DirEntry) (string, bool) {
+	if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
+		return "", false
+	}
+	name, err := url.PathUnescape(e.Name())
+	return name, err == nil
 }

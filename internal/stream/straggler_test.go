@@ -406,7 +406,7 @@ func TestChaosStragglerNoGoroutineLeaks(t *testing.T) {
 		if runtime.NumGoroutine() <= base {
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // paces the poll; the 5 s deadline decides the outcome
 	}
 	t.Fatalf("goroutines leaked: %d at baseline, %d after decodes", base, runtime.NumGoroutine())
 }
