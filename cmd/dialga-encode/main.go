@@ -1,8 +1,9 @@
 // Command dialga-encode is a real file erasure-coding tool built on the
 // repository's streaming RS pipeline: it chunks a file into stripes,
-// encodes them on a worker pool into k data + m parity shard files, and
-// reconstructs the original file from any k surviving shards — all in
-// O(stripe) memory, so files far larger than RAM round-trip.
+// encodes them on a pool of GOMAXPROCS workers into k data + m parity
+// shard files, and reconstructs the original file from any k surviving
+// shards — all in O(stripe) memory, so files far larger than RAM
+// round-trip.
 //
 //	dialga-encode -mode encode -k 8 -m 4 -in data.bin -dir shards/
 //	dialga-encode -mode decode -k 8 -m 4 -out restored.bin -dir shards/
@@ -61,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out     = fs.String("out", "", "output file (decode)")
 		dir     = fs.String("dir", "shards", "shard directory")
 		stripe  = fs.Int("stripe", stream.DefaultStripeSize, "stripe size in bytes (data payload per stripe)")
-		workers = fs.Int("workers", 0, "encoding workers (0 = GOMAXPROCS)")
 		metrics = fs.Bool("metrics", false, "with -mode verify: append the scrub's metric series in Prometheus text format")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -71,9 +71,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var err error
 	switch *mode {
 	case "encode":
-		err = encode(stdout, *k, *m, *in, *dir, *stripe, *workers)
+		err = encode(stdout, *k, *m, *in, *dir, *stripe)
 	case "decode":
-		err = decode(stdout, *k, *m, *out, *dir, *workers)
+		err = decode(stdout, *k, *m, *out, *dir)
 	case "verify":
 		var damaged bool
 		damaged, err = verifyDir(*dir, stdout, *metrics)
@@ -96,7 +96,7 @@ func shardPath(dir string, i int) string {
 }
 
 // encode writes in's k+m shard files into dir and reports on w.
-func encode(w io.Writer, k, m int, in, dir string, stripeSize, workers int) error {
+func encode(w io.Writer, k, m int, in, dir string, stripeSize int) error {
 	if in == "" {
 		return fmt.Errorf("encode needs -in")
 	}
@@ -104,7 +104,7 @@ func encode(w io.Writer, k, m int, in, dir string, stripeSize, workers int) erro
 	if err != nil {
 		return err
 	}
-	enc, err := stream.NewEncoder(stream.Options{Codec: code, StripeSize: stripeSize, Workers: workers})
+	enc, err := stream.NewEncoder(stream.Options{Codec: code, StripeSize: stripeSize})
 	if err != nil {
 		return err
 	}
@@ -176,11 +176,13 @@ func encode(w io.Writer, k, m int, in, dir string, stripeSize, workers int) erro
 
 // openShards opens and validates every present shard file, returning
 // one reader per stripe-order slot (nil = missing shard), the
-// agreed-upon header, and a closer for the opened files. Any header
-// inconsistency — a header that does not parse (a v2 one included),
-// mismatched flags, shards of two encodings (another geometry, size or
-// put generation: see shardfile.Header.SameEncoding), truncated or
-// ragged files — is an error.
+// agreed-upon header, and a closer for the opened files. A file that
+// shardfile.Open does not judge a whole shard of its slot (a header
+// that does not parse, a v2 one included, names another slot, or a
+// truncated or ragged file) is an error, and so are mismatched flags
+// and shards of two encodings (another geometry, size or put
+// generation: see shardfile.Header.SameEncoding). Only a file that
+// does not exist is a missing shard.
 func openShards(k, m int, dir string) (readers []io.Reader, agreed shardfile.Header, present int, closeAll func(), err error) {
 	readers = make([]io.Reader, k+m)
 	var files []*os.File
@@ -195,33 +197,23 @@ func openShards(k, m int, dir string) (readers []io.Reader, agreed shardfile.Hea
 		}
 	}()
 	for i := 0; i < k+m; i++ {
-		f, openErr := os.Open(shardPath(dir, i))
-		if openErr != nil {
-			continue // missing shard
+		h, f, status, detail := shardfile.Open(shardPath(dir, i), i)
+		switch status {
+		case shardfile.ShardOK:
+		case shardfile.ShardMissing:
+			continue
+		default:
+			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: %s", i, detail)
 		}
 		files = append(files, f)
-		h, parseErr := shardfile.Parse(f)
-		if parseErr != nil {
-			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: %w", i, parseErr)
-		}
 		if int(h.K) != k || int(h.M) != m {
 			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: encoded with k=%d m=%d, flags say k=%d m=%d",
 				i, h.K, h.M, k, m)
-		}
-		if int(h.Index) != i {
-			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: header says index %d (file renamed or copied?)", i, h.Index)
 		}
 		if present == 0 {
 			agreed = h
 		} else if !h.SameEncoding(agreed) {
 			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: header disagrees with shard %d (mixed encodings or a stale shard?)", i, agreed.Index)
-		}
-		fi, statErr := f.Stat()
-		if statErr != nil {
-			return nil, agreed, 0, closeAll, statErr
-		}
-		if fi.Size() != h.ExpectedFileSize() {
-			return nil, agreed, 0, closeAll, fmt.Errorf("shard %d: %d bytes on disk, want %d (truncated or ragged)", i, fi.Size(), h.ExpectedFileSize())
 		}
 		readers[i] = bufio.NewReaderSize(f, 1<<20)
 		present++
@@ -234,7 +226,7 @@ func openShards(k, m int, dir string) (readers []io.Reader, agreed shardfile.Hea
 
 // decode rebuilds the original file from dir into out and reports on
 // w.
-func decode(w io.Writer, k, m int, out, dir string, workers int) error {
+func decode(w io.Writer, k, m int, out, dir string) error {
 	if out == "" {
 		return fmt.Errorf("decode needs -out")
 	}
@@ -247,7 +239,7 @@ func decode(w io.Writer, k, m int, out, dir string, workers int) error {
 		return err
 	}
 	defer closeShards()
-	dec, err := stream.NewDecoder(stream.Options{Codec: code, StripeSize: int(hdr.ShardSize) * k, Workers: workers})
+	dec, err := stream.NewDecoder(stream.Options{Codec: code, StripeSize: int(hdr.ShardSize) * k})
 	if err != nil {
 		return err
 	}

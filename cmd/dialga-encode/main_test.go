@@ -35,7 +35,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 8, 4, in, shards, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 8, 4, in, shards, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	// Remove m shards (mixed data + parity).
@@ -44,7 +44,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := decode(io.Discard, 8, 4, out, shards, 0); err != nil {
+	if err := decode(io.Discard, 8, 4, out, shards); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(out)
@@ -72,7 +72,7 @@ func TestEncodeDecodeMultiStripe(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 4, 2, in, shards, 16<<10, 3); err != nil {
+	if err := encode(io.Discard, 4, 2, in, shards, 16<<10); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{1, 4} {
@@ -80,7 +80,7 @@ func TestEncodeDecodeMultiStripe(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := decode(io.Discard, 4, 2, out, shards, 3); err != nil {
+	if err := decode(io.Discard, 4, 2, out, shards); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(out)
@@ -122,7 +122,7 @@ func TestLargeFileStreams(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 8, 4, in, shards, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 8, 4, in, shards, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{2, 7, 10} {
@@ -130,7 +130,7 @@ func TestLargeFileStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := decode(io.Discard, 8, 4, out, shards, 0); err != nil {
+	if err := decode(io.Discard, 8, 4, out, shards); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(in)
@@ -153,13 +153,13 @@ func TestDecodeTooFewShards(t *testing.T) {
 	if err := os.WriteFile(in, []byte("hello world"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 4, 2, in, shards, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 4, 2, in, shards, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{0, 1, 2} { // 3 > m=2 lost
 		os.Remove(shardPath(shards, i))
 	}
-	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards, 0); err == nil {
+	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards); err == nil {
 		t.Fatal("decode succeeded with fewer than k shards")
 	}
 }
@@ -172,10 +172,10 @@ func TestEncodeTinyFile(t *testing.T) {
 	if err := os.WriteFile(in, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 8, 4, in, shards, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 8, 4, in, shards, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := decode(io.Discard, 8, 4, out, shards, 0); err != nil {
+	if err := decode(io.Discard, 8, 4, out, shards); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(out)
@@ -192,10 +192,10 @@ func TestEncodeEmptyFile(t *testing.T) {
 	if err := os.WriteFile(in, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 4, 2, in, shards, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 4, 2, in, shards, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := decode(io.Discard, 4, 2, out, shards, 0); err != nil {
+	if err := decode(io.Discard, 4, 2, out, shards); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(out)
@@ -214,7 +214,7 @@ func TestDecodeBadHeader(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		os.WriteFile(shardPath(shards, i), []byte("garbage-garbage-garbage-garbage-garbage!"), 0o644)
 	}
-	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards, 0); err == nil {
+	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards); err == nil {
 		t.Fatal("garbage shards accepted")
 	}
 }
@@ -233,13 +233,13 @@ func TestDecodeMismatchedGeometry(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 8, 4, in, shards, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 8, 4, in, shards, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := decode(io.Discard, 6, 6, filepath.Join(dir, "out.bin"), shards, 0); err == nil {
+	if err := decode(io.Discard, 6, 6, filepath.Join(dir, "out.bin"), shards); err == nil {
 		t.Fatal("decode accepted mismatched k/m flags")
 	}
-	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards, 0); err == nil {
+	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards); err == nil {
 		t.Fatal("decode accepted a smaller geometry")
 	}
 }
@@ -258,10 +258,10 @@ func TestDecodeForeignShard(t *testing.T) {
 	if err := os.WriteFile(inB, bytes.Repeat([]byte("B"), 20000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 4, 2, inA, shardsA, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 4, 2, inA, shardsA, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 4, 2, inB, shardsB, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 4, 2, inB, shardsB, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	// Same geometry, different encoding: headers disagree on file size.
@@ -272,7 +272,7 @@ func TestDecodeForeignShard(t *testing.T) {
 	if err := os.WriteFile(shardPath(shardsA, 2), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shardsA, 0); err == nil {
+	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shardsA); err == nil {
 		t.Fatal("decode accepted a shard from a different encoding")
 	}
 }
@@ -286,7 +286,7 @@ func TestDecodeShardIndexMismatch(t *testing.T) {
 	if err := os.WriteFile(in, bytes.Repeat([]byte("z"), 5000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 4, 2, in, shards, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 4, 2, in, shards, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	// Swap two shard files on disk.
@@ -294,7 +294,7 @@ func TestDecodeShardIndexMismatch(t *testing.T) {
 	b, _ := os.ReadFile(shardPath(shards, 3))
 	os.WriteFile(shardPath(shards, 0), b, 0o644)
 	os.WriteFile(shardPath(shards, 3), a, 0o644)
-	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards, 0); err == nil {
+	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards); err == nil {
 		t.Fatal("decode accepted renamed shard files")
 	}
 }
@@ -308,7 +308,7 @@ func TestDecodeTruncatedShard(t *testing.T) {
 	if err := os.WriteFile(in, bytes.Repeat([]byte("q"), 30000), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 4, 2, in, shards, 1<<20, 0); err != nil {
+	if err := encode(io.Discard, 4, 2, in, shards, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	p := shardPath(shards, 1)
@@ -319,7 +319,7 @@ func TestDecodeTruncatedShard(t *testing.T) {
 	if err := os.WriteFile(p, data[:len(data)-100], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards, 0); err == nil {
+	if err := decode(io.Discard, 4, 2, filepath.Join(dir, "out.bin"), shards); err == nil {
 		t.Fatal("decode accepted a truncated shard file")
 	}
 }
@@ -341,7 +341,7 @@ func TestDecodeHealsCorruptBlocks(t *testing.T) {
 	if err := os.WriteFile(in, payload, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := encode(io.Discard, 4, 2, in, shards, 8<<10, 2); err != nil {
+	if err := encode(io.Discard, 4, 2, in, shards, 8<<10); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt blocks in m=2 shards: one data, one parity, different
@@ -363,7 +363,7 @@ func TestDecodeHealsCorruptBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := decode(io.Discard, 4, 2, out, shards, 2); err != nil {
+	if err := decode(io.Discard, 4, 2, out, shards); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(out)
@@ -539,11 +539,11 @@ func TestShardFormatCompat(t *testing.T) {
 			if err := os.WriteFile(in, payload, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := encode(io.Discard, 4, 2, in, shards, 4<<10, 0); err != nil {
+			if err := encode(io.Discard, 4, 2, in, shards, 4<<10); err != nil {
 				t.Fatal(err)
 			}
 			tc.prepare(t, shards)
-			err := decode(io.Discard, 4, 2, out, shards, 0)
+			err := decode(io.Discard, 4, 2, out, shards)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("decode returned %v, want an error naming %q", err, tc.wantErr)

@@ -21,7 +21,7 @@ func encodeDir(t *testing.T, k, m int, payload []byte) string {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(tmp, "shards")
-	if err := encode(io.Discard, k, m, in, dir, k*1024, 0); err != nil {
+	if err := encode(io.Discard, k, m, in, dir, k*1024); err != nil {
 		t.Fatal(err)
 	}
 	return dir

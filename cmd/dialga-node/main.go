@@ -146,7 +146,6 @@ func run(cfg nodeConfig) error {
 	nh := node.NewServer(store, limiter, reg).Handler()
 	gh := gw.Handler()
 	mux.Handle("/v1/shard/", nh)
-	mux.Handle("/v1/stat/", nh)
 	mux.Handle("/v1/scrub/", nh)
 	mux.Handle("/v1/objects", nh)
 	mux.Handle("/healthz", nh)

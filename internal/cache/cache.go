@@ -166,10 +166,3 @@ func (c *Cache) Insert(addr mem.Addr, arrival float64, prefetched bool) (evicted
 	}
 	return evictedUseless
 }
-
-// InvalidateAll clears the cache contents (statistics are preserved).
-func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-}

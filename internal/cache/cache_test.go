@@ -67,7 +67,7 @@ func TestUselessPrefetchEviction(t *testing.T) {
 		t.Fatal("useless prefetch not counted")
 	}
 	// A demand-hit prefetched line is no longer useless when evicted.
-	c.InvalidateAll()
+	c = New("L1", 2*64, 2)
 	c.Insert(mem.Addr(0), 0, true)
 	c.Lookup(mem.Addr(0), 1) // use it
 	c.Insert(mem.Addr(64), 0, false)
@@ -125,20 +125,19 @@ func TestRefillExistingLine(t *testing.T) {
 	}
 }
 
-func TestInvalidateAllAndResetStats(t *testing.T) {
+func TestResetStats(t *testing.T) {
 	c := New("t", 32<<10, 8)
 	c.Insert(mem.Addr(0), 0, false)
 	c.Lookup(mem.Addr(0), 1)
-	c.InvalidateAll()
-	if c.Contains(mem.Addr(0)) {
-		t.Fatal("InvalidateAll left contents")
-	}
 	if c.Stats().Hits != 1 {
-		t.Fatal("InvalidateAll should preserve stats")
+		t.Fatal("hit not counted")
 	}
 	c.ResetStats()
 	if c.Stats() != (Stats{}) {
 		t.Fatal("ResetStats did not clear")
+	}
+	if !c.Contains(mem.Addr(0)) {
+		t.Fatal("ResetStats dropped contents")
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -10,24 +9,23 @@ import (
 	"dialga/internal/obs"
 )
 
-// Rate configures one traffic class's token bucket: a steady refill
-// rate and a burst ceiling. The zero Rate means "unmetered".
+// Rate configures one traffic class's token bucket. The zero Rate
+// means "unmetered".
 type Rate struct {
-	// PerSecond is the sustained admission rate in tokens per second.
+	// PerSecond is the sustained admission rate in requests per second.
+	// Every request costs one token, and the bucket holds
+	// max(PerSecond, 1): an idle class may momentarily exceed the rate by
+	// one second's worth, and a class paced under 1/s still admits one
+	// request every 1/PerSecond seconds rather than refusing every
+	// request outright.
 	PerSecond float64
-	// Burst is the bucket capacity: how many tokens can accumulate
-	// while the class is idle (and so how far it can exceed PerSecond
-	// momentarily). Defaults to PerSecond when zero, but never below one
-	// token: a class paced under 1/s still admits one request every
-	// 1/PerSecond seconds rather than refusing every request outright.
-	Burst float64
 }
 
 // bucket is one class's token bucket. Guarded by Limiter.mu.
 type bucket struct {
-	rate   Rate
-	tokens float64
-	last   time.Time
+	perSecond, burst float64
+	tokens           float64
+	last             time.Time
 }
 
 // Limiter is token-bucket admission control keyed by traffic class. A
@@ -56,22 +54,19 @@ func NewLimiter(rates map[string]Rate, reg *obs.Registry) *Limiter {
 		if r.PerSecond <= 0 {
 			continue
 		}
-		if r.Burst <= 0 {
-			r.Burst = max(r.PerSecond, 1)
-		}
-		l.classes[class] = &bucket{rate: r, tokens: r.Burst}
+		burst := max(r.PerSecond, 1)
+		l.classes[class] = &bucket{perSecond: r.PerSecond, burst: burst, tokens: burst}
 	}
 	return l
 }
 
-// Admit blocks until the class's bucket covers cost tokens or ctx
-// ends. Costs larger than the bucket's burst capacity can never be
-// covered and fail immediately.
-func (l *Limiter) Admit(ctx context.Context, class string, cost float64) error {
+// Admit blocks until the class's bucket holds a token for one request,
+// and takes it, or until ctx ends.
+func (l *Limiter) Admit(ctx context.Context, class string) error {
 	for {
-		wait, err := l.take(class, cost)
-		if err != nil || wait <= 0 {
-			return err
+		wait := l.take(class)
+		if wait <= 0 {
+			return nil
 		}
 		t := time.NewTimer(wait)
 		select {
@@ -83,32 +78,26 @@ func (l *Limiter) Admit(ctx context.Context, class string, cost float64) error {
 	}
 }
 
-// take refills the class's bucket and either deducts cost and counts
-// the grant (returning wait 0) or returns how long until the bucket
-// could cover it.
-func (l *Limiter) take(class string, cost float64) (time.Duration, error) {
+// take refills the class's bucket and either deducts one token and
+// counts the grant (returning 0) or returns how long until the bucket
+// holds one.
+func (l *Limiter) take(class string) time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if b := l.classes[class]; b != nil { // nil: an unmetered class
-		if cost > b.rate.Burst {
-			return 0, fmt.Errorf("cluster: admission cost %.1f exceeds %s burst %.1f", cost, class, b.rate.Burst)
-		}
 		now := l.now()
 		if !b.last.IsZero() {
-			b.tokens += now.Sub(b.last).Seconds() * b.rate.PerSecond
-			if b.tokens > b.rate.Burst {
-				b.tokens = b.rate.Burst
-			}
+			b.tokens = min(b.burst, b.tokens+now.Sub(b.last).Seconds()*b.perSecond)
 		}
 		b.last = now
-		if b.tokens < cost {
-			wait := time.Duration((cost - b.tokens) / b.rate.PerSecond * float64(time.Second))
-			return max(wait, time.Millisecond), nil
+		if b.tokens < 1 {
+			wait := time.Duration((1 - b.tokens) / b.perSecond * float64(time.Second))
+			return max(wait, time.Millisecond)
 		}
-		b.tokens -= cost
+		b.tokens--
 	}
 	l.reg.Counter("cluster_admitted_total",
 		"Admission-control grants, by traffic class.",
 		obs.Label{Key: "class", Value: class}).Inc()
-	return 0, nil
+	return 0
 }

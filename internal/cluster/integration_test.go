@@ -344,9 +344,10 @@ func TestRepairQueueSeededCorruption(t *testing.T) {
 	}
 
 	// Pace repair hard (but foreground not at all) so the drain
-	// overlaps the foreground read loop below.
+	// overlaps the foreground read loop below: the scan spends the
+	// bucket's 20 tokens, and every rebuild waits 50 ms for its own.
 	lim := NewLimiter(map[string]Rate{
-		node.ClassRepair: {PerSecond: 200, Burst: 4},
+		node.ClassRepair: {PerSecond: 20},
 	}, tc.reg)
 	rep := NewRepairer(tc.gw, lim, tc.reg)
 

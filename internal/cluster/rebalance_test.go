@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"dialga/internal/fault"
 	"dialga/internal/node"
 	"dialga/internal/obs"
+	"dialga/internal/shardfile"
 )
 
 // TestUpdateMapValidation pins the swap rules: only strictly newer
@@ -396,8 +399,9 @@ func TestMigrationReadsSourceOnce(t *testing.T) {
 	if _, failed := rep.DrainOnce(ctx); failed != 0 || rep.pending() != 0 {
 		t.Fatalf("migration failed %d times, %d pending", failed, rep.pending())
 	}
-	if countPrefix(asked, "GET /v1/shard/") != 1 || countPrefix(asked, "GET /v1/stat/") != 0 {
-		t.Fatalf("migration asked its source %v; want one shard GET and no stat", asked)
+	// A header-only stat would be a shard GET too.
+	if countPrefix(asked, "GET /v1/shard/") != 1 {
+		t.Fatalf("migration asked its source %v; want one shard GET", asked)
 	}
 	if tc.counter("cluster_migrations_total", obs.Label{Key: "result", Value: "copied"}) != 1 {
 		t.Fatal("the shard was not copied")
@@ -469,4 +473,74 @@ func TestMigrationReplacesStaleCopy(t *testing.T) {
 		t.Fatal("the moved shard is not the latest put's")
 	}
 	tc.mustGet(ctx, object, latest)
+}
+
+// TestMigrationRecopiesTornCopy: a migration's destination holds the
+// moved shard at the source's generation, but torn: it lost its last
+// 100 bytes. The destination judges its own file before it answers for
+// it, so the torn copy does not count as landed, and the move copies
+// the whole shard over it before it deletes the source's.
+func TestMigrationRecopiesTornCopy(t *testing.T) {
+	tc := startCluster(t, 6, 4, 2)
+	ctx := context.Background()
+	extra := &testNode{t: t, id: "n6", dir: t.TempDir(), addr: "127.0.0.1:0", reg: tc.reg}
+	extra.start()
+	t.Cleanup(extra.stop)
+	tc.nodes = append(tc.nodes, extra)
+
+	// n1 leaves, n6 joins: pick an object only n1's shard of which moves.
+	oldMap := tc.gw.Map()
+	var infos []NodeInfo
+	for _, in := range oldMap.Nodes() {
+		if in.ID != "n1" {
+			infos = append(infos, in)
+		}
+	}
+	newMap, err := New(append(infos, NodeInfo{ID: extra.id, Addr: extra.addr, Rack: "r6", Zone: "z0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newMap = newMap.WithEpoch(oldMap.Epoch() + 1)
+	var object string
+	for i := 0; object == "" && i < 400; i++ {
+		if name := fmt.Sprintf("torn-move-%d", i); placementDiff(t, oldMap, newMap, name, 6) == 1 {
+			object = name
+		}
+	}
+	if object == "" {
+		t.Fatal("no object moves exactly one shard")
+	}
+	place, _ := tc.gw.Place(object)
+	idx := slices.IndexFunc(place, func(n NodeInfo) bool { return n.ID == "n1" })
+
+	payload := clusterPayload(560, 200_000)
+	tc.put(ctx, object, payload)
+	want := tc.shardFile(object, idx)
+	torn := shardfile.Path(filepath.Join(extra.dir, object), idx)
+	if err := os.MkdirAll(filepath.Dir(torn), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, want[:len(want)-100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := tc.gw.UpdateMap(newMap); err != nil {
+		t.Fatal(err)
+	}
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	if moves, err := rep.Rebalance(ctx, oldMap); err != nil || moves != 1 {
+		t.Fatalf("rebalance: %d moves, %v; want 1", moves, err)
+	}
+	if _, failed := rep.DrainOnce(ctx); failed != 0 || rep.pending() != 0 {
+		t.Fatalf("migration failed %d times, %d pending", failed, rep.pending())
+	}
+	copied := tc.counter("cluster_migrations_total", obs.Label{Key: "result", Value: "copied"})
+	already := tc.counter("cluster_migrations_total", obs.Label{Key: "result", Value: "already"})
+	if copied != 1 || already != 0 {
+		t.Fatalf("migrations copied %d, already %d; want 1 and 0: the torn copy was taken for the moved shard", copied, already)
+	}
+	if got, err := os.ReadFile(torn); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the destination holds %d bytes (%v), want the source's %d", len(got), err, len(want))
+	}
+	tc.mustGet(ctx, object, payload)
 }

@@ -228,7 +228,7 @@ func (r *Repairer) admit(ctx context.Context) error {
 	if r.lim == nil {
 		return nil
 	}
-	return r.lim.Admit(ctx, node.ClassRepair, 1)
+	return r.lim.Admit(ctx, node.ClassRepair)
 }
 
 // ScanOnce scrubs every placed shard of every object, enqueues the

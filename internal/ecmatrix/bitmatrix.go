@@ -32,30 +32,6 @@ func (b *BitMatrix) Clone() *BitMatrix {
 	return n
 }
 
-// Ones returns the number of set bits; for an XOR codec this counts the
-// XOR/copy operations per w-bit column of data, the cost metric Zerasure
-// and Cerasure minimize.
-func (b *BitMatrix) Ones() int {
-	n := 0
-	for _, v := range b.Bits {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
-// RowOnes returns the number of set bits in row r.
-func (b *BitMatrix) RowOnes(r int) int {
-	n := 0
-	for _, v := range b.Row(r) {
-		if v {
-			n++
-		}
-	}
-	return n
-}
-
 // elementColumns returns the 8x8 binary expansion of e: column j of the
 // block is the bit pattern of e * x^j, matching Jerasure's
 // jerasure_matrix_to_bitmatrix construction for w=8.

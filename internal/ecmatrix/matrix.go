@@ -74,23 +74,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns a*x for a column vector x (len a.Cols).
-func (m *Matrix) MulVec(x []byte) []byte {
-	if len(x) != m.Cols {
-		panic("ecmatrix: vector length mismatch")
-	}
-	out := make([]byte, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var acc byte
-		for j, c := range row {
-			acc ^= gf.Mul(c, x[j])
-		}
-		out[i] = acc
-	}
-	return out
-}
-
 // ErrSingular is returned when a matrix passed to Invert has no inverse,
 // i.e. the chosen survivor set cannot reconstruct the stripe.
 var ErrSingular = errors.New("ecmatrix: matrix is singular")

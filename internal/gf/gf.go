@@ -5,7 +5,7 @@
 // Jerasure and most storage erasure-coding libraries, so encoding matrices
 // and parity bytes produced here are interoperable with those systems.
 //
-// The package provides scalar operations (Mul, Div, Inv, Exp), bulk
+// The package provides scalar operations (Mul, Inv, Exp), bulk
 // slice operations used by the table-lookup codec (MulSlice,
 // MulSliceAdd, AddSlice), and the nibble split tables that ISA-L feeds
 // to VPSHUFB. On amd64 CPUs with AVX2 the single-coefficient kernels
@@ -68,17 +68,6 @@ func Add(a, b byte) byte { return a ^ b }
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte { return mulTable[a][b] }
 
-// Div returns a/b in GF(2^8). It panics if b == 0.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[logTable[a]+255-logTable[b]]
-}
-
 // Inv returns the multiplicative inverse of a. It panics if a == 0.
 func Inv(a byte) byte {
 	if a == 0 {
@@ -94,14 +83,6 @@ func Exp(n int) byte {
 		panic(fmt.Sprintf("gf: negative exponent %d", n))
 	}
 	return expTable[n%255]
-}
-
-// Log returns log_alpha(a). It panics if a == 0.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf: log of zero")
-	}
-	return logTable[a]
 }
 
 // MulRow returns the 256-entry multiplication row for coefficient c,

@@ -189,9 +189,15 @@ func (c *Client) OpenShard(ctx context.Context, object string, idx int, off, len
 	return h, body, nil
 }
 
-// StatShard fetches a shard's parsed header.
+// StatShard fetches a shard's parsed header: OpenShard's header-only
+// window (0, 0), closed once the header is parsed. The node judges the
+// file whole before it answers, as it does for every shard GET.
 func (c *Client) StatShard(ctx context.Context, object string, idx int) (shardfile.Header, error) {
-	return getJSON[shardfile.Header](ctx, c, c.shardURL("stat", object, idx))
+	h, body, err := c.OpenShard(ctx, object, idx, 0, 0)
+	if err != nil {
+		return h, err
+	}
+	return h, drainClose(body)
 }
 
 // ScrubShard asks the node to verify one shard server-side.

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dialga/internal/gf"
@@ -100,6 +101,18 @@ func TestStoreRoundTrip(t *testing.T) {
 	names, err := store.Objects()
 	if err != nil || len(names) != 1 || names[0] != "obj" {
 		t.Fatalf("objects = %v, %v", names, err)
+	}
+	// A whole shard file of another slot is refused at open: the header
+	// must name the slot asked for.
+	dir := filepath.Join(store.Dir(), "obj")
+	if err := os.WriteFile(shardfile.Path(dir, 2), shards[1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, f, _, err := store.GetAt("obj", 2, 0, -1); err == nil || errors.Is(err, ErrNotFound) || !strings.Contains(err.Error(), "header says index 1") {
+		if f != nil {
+			f.Close()
+		}
+		t.Fatalf("get of shard 1's file in slot 2: %v, want refused naming index 1", err)
 	}
 	if err := store.Delete("obj", 0); err != nil {
 		t.Fatal(err)
@@ -368,7 +381,7 @@ func TestStorePutSmallBlocks(t *testing.T) {
 // denyAll is an Admitter that rejects every request.
 type denyAll struct{}
 
-func (denyAll) Admit(context.Context, string, float64) error {
+func (denyAll) Admit(context.Context, string) error {
 	return errors.New("bucket empty")
 }
 
@@ -556,21 +569,21 @@ func TestShardGetBlockWindows(t *testing.T) {
 	}
 
 	// A stored file that loses its tail after the store opened is never
-	// served as a complete response: the body ends short of its
-	// Content-Length, and the client's read says so.
+	// served as a complete response: the open judges its size against
+	// its header and refuses it before a byte goes out, whatever the
+	// window, the header-only one included.
 	if err := os.Truncate(path, int64(len(file))-bs/2); err != nil {
 		t.Fatal(err)
 	}
 	cli := NewClient(ts.URL)
-	for _, w := range [][2]int64{{0, -1}, {12288, 8192}} {
+	for _, w := range [][2]int64{{0, -1}, {12288, 8192}, {0, 0}} {
 		_, body, err := cli.OpenShard(context.Background(), "obj", 1, w[0], w[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = io.ReadAll(body)
-		body.Close()
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("window %v of a truncated shard: read error %v, want unexpected EOF", w, err)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusInternalServerError || !strings.Contains(se.Msg, "truncated") {
+			if body != nil {
+				body.Close()
+			}
+			t.Errorf("window %v of a truncated shard: %v, want a 500 naming it truncated", w, err)
 		}
 	}
 }

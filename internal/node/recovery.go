@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"dialga/internal/shardfile"
@@ -18,17 +19,19 @@ const quarantineDir = ".quarantine"
 // recoverStore walks the store's object directories, the ones Objects
 // lists (see objectName), and repairs the damage a crash can leave
 // behind, restoring the invariant that every shard.* file in them is a
-// complete, parseable shardfile:
+// whole shard of the slot its name gives (shardfile.Path's rule), as
+// shardfile.Open judges it, the rule GetAt serves by:
 //
 //   - Orphaned upload temp files (.put-*.tmp) are deleted. A crash
 //     between the temp write and the rename leaves one; it was never
 //     visible to readers and its shard was never acknowledged.
-//   - Shard files whose header fails its self-CRC, or whose size
-//     disagrees with the header's expected file size (a torn or
-//     truncated write, e.g. a filesystem that dropped tail pages on
-//     power loss), are moved into .quarantine/ rather than deleted —
-//     the repair plane will rebuild the shard from its peers, and the
-//     damaged bytes stay available for inspection.
+//   - Shard files whose header fails its self-CRC or names another
+//     slot, or whose size disagrees with the header's expected file
+//     size (a torn or truncated write, e.g. a filesystem that dropped
+//     tail pages on power loss), are moved into .quarantine/ rather
+//     than deleted — the repair plane will rebuild the shard from its
+//     peers, and the damaged bytes stay available for inspection. So
+//     is a shard.* file whose name is no slot's.
 //
 // Block-level corruption (a flipped bit inside a block body) is left
 // to the periodic scrub: detecting it requires reading every byte,
@@ -66,9 +69,13 @@ func (s *Store) recoverStore() (int, error) {
 				s.recTmp.Inc()
 			case strings.HasPrefix(name, "shard."):
 				path := filepath.Join(dir, name)
-				if verifyShardFile(path) == nil {
-					kept++
-					continue
+				idx, err := strconv.Atoi(strings.TrimPrefix(name, "shard."))
+				if err == nil && shardfile.Path(dir, idx) == path {
+					if _, sf, status, _ := shardfile.Open(path, idx); status == shardfile.ShardOK {
+						sf.Close()
+						kept++
+						continue
+					}
 				}
 				if err := s.quarantine(e.Name(), path); err != nil {
 					return 0, err
@@ -80,31 +87,6 @@ func (s *Store) recoverStore() (int, error) {
 		os.Remove(dir)
 	}
 	return kept, nil
-}
-
-// verifyShardFile checks that path holds a structurally complete
-// shardfile: the header parses (its self-CRC validates the bytes before
-// it) and the file length matches the size the header promises.
-// It reads only the header, never the blocks.
-func verifyShardFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	h, err := shardfile.Parse(f)
-	if err != nil {
-		return err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	if fi.Size() != h.ExpectedFileSize() {
-		return fmt.Errorf("node: shard file is %d bytes, header wants %d (torn write)",
-			fi.Size(), h.ExpectedFileSize())
-	}
-	return nil
 }
 
 // quarantine moves a condemned shard file into the store's quarantine

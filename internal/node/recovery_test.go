@@ -92,6 +92,18 @@ func TestStoreRestartRecovery(t *testing.T) {
 			wantShards:      4,
 		},
 		{
+			// A whole, valid shard file under another slot's name (a
+			// misdirected copy or rename) is not that slot's shard.
+			name: "shard in another slot's name",
+			damage: func(t *testing.T, od string, shards [][]byte) {
+				if err := os.WriteFile(filepath.Join(od, "shard.001"), shards[4], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantQuarantined: 1,
+			wantShards:      4,
+		},
+		{
 			// Garbage appended past the promised file size is just as
 			// untrustworthy as a missing tail.
 			name: "overlong shard file",

@@ -29,12 +29,12 @@ const (
 const ClassHeader = "X-Dialga-Class"
 
 // Admitter is the node's admission-control hook: Admit blocks until
-// the class's token bucket covers cost (or ctx ends). It is a tiny
-// interface so the data plane does not depend on the control plane —
-// internal/cluster's token-bucket Limiter implements it, and a nil
-// Admitter admits everything.
+// the class's token bucket holds a token for one request (or ctx
+// ends). It is a tiny interface so the data plane does not depend on
+// the control plane — internal/cluster's token-bucket Limiter
+// implements it, and a nil Admitter admits everything.
 type Admitter interface {
-	Admit(ctx context.Context, class string, cost float64) error
+	Admit(ctx context.Context, class string) error
 }
 
 // Server is a node's HTTP API over its local shard store.
@@ -44,9 +44,9 @@ type Admitter interface {
 //
 //	PUT    /v1/shard/{object}/{idx}   store one shard (validated, atomic)
 //	GET    /v1/shard/{object}/{idx}   fetch one shard: the header, then the blocks carrying
-//	                                  object bytes ?off=N&len=M (default: all of them)
+//	                                  object bytes ?off=N&len=M (default: all of them;
+//	                                  ?off=0&len=0 is the header alone)
 //	DELETE /v1/shard/{object}/{idx}   drop one shard (idempotent)
-//	GET    /v1/stat/{object}/{idx}    parsed header (shardfile.Header) as JSON
 //	GET    /v1/scrub/{object}/{idx}   server-side scrub report as JSON
 //	GET    /v1/objects                stored object names as JSON
 //	GET    /healthz                   liveness
@@ -76,7 +76,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("PUT /v1/shard/{object}/{idx}", s.withAdmission("shard_put", s.handlePut))
 	mux.HandleFunc("GET /v1/shard/{object}/{idx}", s.withAdmission("shard_get", s.handleGet))
 	mux.HandleFunc("DELETE /v1/shard/{object}/{idx}", s.withAdmission("shard_delete", s.handleDelete))
-	mux.HandleFunc("GET /v1/stat/{object}/{idx}", s.withAdmission("stat", s.handleStat))
 	mux.HandleFunc("GET /v1/scrub/{object}/{idx}", s.withAdmission("scrub", s.handleScrub))
 	mux.HandleFunc("GET /v1/objects", s.withAdmission("objects", s.handleObjects))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -105,7 +104,7 @@ func (s *Server) withAdmission(route string, h http.HandlerFunc) http.HandlerFun
 			obs.Label{Key: "route", Value: route},
 			obs.Label{Key: "class", Value: class}).Inc()
 		if s.admit != nil {
-			if err := s.admit.Admit(r.Context(), class, 1); err != nil {
+			if err := s.admit.Admit(r.Context(), class); err != nil {
 				s.reg.Counter("node_throttled_total",
 					"Shard-API requests rejected by admission control, by traffic class.",
 					obs.Label{Key: "class", Value: class}).Inc()
@@ -210,20 +209,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
-	object, idx, ok := shardParams(w, r)
-	if !ok {
-		return
-	}
-	h, f, _, err := s.store.GetAt(object, idx, 0, 0)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	f.Close()
-	writeJSON(w, h)
 }
 
 func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,6 @@
 // Package node is the data plane of the dialga shard service: a
 // disk-backed shard store, an HTTP server exposing it (put / get /
-// stat / scrub / delete per shard, plus object listing, /metrics and
+// scrub / delete per shard, plus object listing, /metrics and
 // /healthz), a client for talking to peers, and a graceful-shutdown
 // serving helper.
 //
@@ -66,10 +66,10 @@ type Store struct {
 
 // OpenStore creates (if needed) and opens a shard store rooted at dir,
 // running the crash-recovery scan (see recoverStore) before the store
-// serves anything: orphaned upload temp files are deleted and torn or
-// unreadable shard files are quarantined, so every shard the open
-// store reports actually parses. A non-nil reg receives the store's
-// node_store_* and node_recovery_* series.
+// serves anything: orphaned upload temp files are deleted and shard
+// files that shardfile.Open does not judge whole are quarantined, so
+// every shard the open store reports is one GetAt serves. A non-nil
+// reg receives the store's node_store_* and node_recovery_* series.
 func OpenStore(dir string, reg *obs.Registry) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -271,32 +271,31 @@ func (s *Store) Get(object string, idx int) (shardfile.Header, *os.File, error) 
 // GetAt opens the blocks of a shard that carry the object bytes
 // [off, off+length), as its own header cuts them (shardfile.Header.Cut:
 // (0, -1) is every block, and (0, 0) or a range the object cannot
-// satisfy is no block, the header alone). It returns the parsed header,
-// the open file positioned at the window's first byte, and the window's
-// length in bytes. The file comes back as itself, under no wrapper, so
-// a server can hand an *io.LimitedReader over it to the socket, which
-// sends it by sendfile(2). The caller must Close the file.
+// satisfy is no block, the header alone). The file must be a whole
+// shard of slot idx by shardfile.Open's rule, the one the recovery scan
+// keeps by, so a torn, overlong or misplaced file is refused before any
+// byte of it is served. It returns the parsed header, the open file
+// positioned at the window's first byte, and the window's length in
+// bytes. The file comes back as itself, under no wrapper, so a server
+// can hand an *io.LimitedReader over it to the socket, which sends it
+// by sendfile(2). The caller must Close the file.
 func (s *Store) GetAt(object string, idx int, off, length int64) (shardfile.Header, *os.File, int64, error) {
 	dir, err := s.objectDir(object)
 	if err != nil {
 		return shardfile.Header{}, nil, 0, err
 	}
-	f, err := os.Open(shardfile.Path(dir, idx))
-	if err != nil {
-		if os.IsNotExist(err) {
-			err = fmt.Errorf("%w: %s/%d", ErrNotFound, object, idx)
-		}
-		return shardfile.Header{}, nil, 0, err
-	}
-	h, err := shardfile.Parse(f)
-	if err != nil {
-		f.Close()
-		return shardfile.Header{}, nil, 0, fmt.Errorf("stored shard %s/%d unreadable: %w", object, idx, err)
+	h, f, status, detail := shardfile.Open(shardfile.Path(dir, idx), idx)
+	switch status {
+	case shardfile.ShardOK:
+	case shardfile.ShardMissing:
+		return shardfile.Header{}, nil, 0, fmt.Errorf("%w: %s/%d", ErrNotFound, object, idx)
+	default:
+		return shardfile.Header{}, nil, 0, fmt.Errorf("stored shard %s/%d unreadable: %s: %s", object, idx, status, detail)
 	}
 	s.gets.Inc()
 	win := h.Cut(off, length)
 	if win.Block > 0 {
-		// Parse left the file at block 0; step straight to the window.
+		// Open left the file at block 0; step straight to the window.
 		if _, err := f.Seek(h.Size()+win.Block*h.BlockSize(), io.SeekStart); err != nil {
 			f.Close()
 			return shardfile.Header{}, nil, 0, err

@@ -1,7 +1,9 @@
 package shardfile
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -10,9 +12,10 @@ import (
 type ShardStatus int
 
 const (
-	// ShardOK: header valid, every block trailer verified.
+	// ShardOK: a whole shard of its slot (Open's judgement) and, from a
+	// scrub, every block trailer verified.
 	ShardOK ShardStatus = iota
-	// ShardMissing: no file at the slot's conventional path.
+	// ShardMissing: the file does not exist.
 	ShardMissing
 	// ShardBadHeader: the header failed to parse (bad magic, a version
 	// other than 3 or 4, a checksum algorithm other than CRC-32C,
@@ -21,8 +24,9 @@ const (
 	ShardBadHeader
 	// ShardTruncated: the file's size disagrees with its header.
 	ShardTruncated
-	// ShardReadError: the block scan failed partway (I/O error or an
-	// early end despite a plausible size).
+	// ShardReadError: the file could not be opened or stat'd, or the
+	// block scan failed partway (I/O error or an early end despite a
+	// plausible size).
 	ShardReadError
 	// ShardCorrupt: one or more block trailers failed verification.
 	ShardCorrupt
@@ -92,12 +96,53 @@ func (r DirReport) Counts() (ok, damaged, missing int) {
 	return
 }
 
-// ScrubFile scrubs the shard file at slot index of its set: parse and
-// validate the header (its self-CRC catches corrupted headers),
-// check that it names this slot, check the on-disk size against the
-// header, then verify every block trailer. A file renamed or copied
-// into the wrong slot has sound blocks but is damaged all the same:
-// decode refuses it.
+// Open is the one judge of a stored shard file: it opens path as slot
+// index of its set and parses the header, which must name index, and
+// the file must be exactly the header's ExpectedFileSize bytes. A whole
+// shard comes back as ShardOK with its header and the open file
+// positioned at block 0, which the caller must Close. Anything else
+// comes back closed, as the status that says why with a detail:
+// ShardMissing only when the file does not exist, ShardReadError when
+// it cannot be opened or stat'd, ShardBadHeader for a header that does
+// not parse or names another slot, and ShardTruncated for a size the
+// header disagrees with. The header is returned whenever it parsed.
+// What a node's recovery scan keeps, what it serves and what a scrub
+// passes before reading the blocks is this one rule; the blocks'
+// trailers are checked by whoever reads them.
+func Open(path string, index int) (h Header, f *os.File, status ShardStatus, detail string) {
+	f, err := os.Open(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return h, nil, ShardMissing, err.Error()
+	case err != nil:
+		return h, nil, ShardReadError, err.Error()
+	}
+	defer func() {
+		if status != ShardOK {
+			f.Close()
+			f = nil
+		}
+	}()
+	if h, err = Parse(f); err != nil {
+		return h, f, ShardBadHeader, err.Error()
+	}
+	if int(h.Index) != index {
+		return h, f, ShardBadHeader, fmt.Sprintf("header says index %d (file renamed or copied?)", h.Index)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return h, f, ShardReadError, err.Error()
+	}
+	if fi.Size() != h.ExpectedFileSize() {
+		return h, f, ShardTruncated, fmt.Sprintf("%d bytes on disk, want %d (truncated or ragged)", fi.Size(), h.ExpectedFileSize())
+	}
+	return h, f, ShardOK, ""
+}
+
+// ScrubFile scrubs the shard file at slot index of its set: Open's
+// judgement (a file renamed or copied into the wrong slot has sound
+// blocks but is damaged all the same: decode refuses it), then every
+// block trailer.
 func ScrubFile(path string, index int) ShardReport {
 	return scrubFile(path, index, nil)
 }
@@ -105,34 +150,15 @@ func ScrubFile(path string, index int) ShardReport {
 // scrubFile is ScrubFile that, given a header of the set, also reports
 // a header of another encoding as damaged.
 func scrubFile(path string, index int, set *Header) ShardReport {
-	rep := ShardReport{Index: index}
-	f, err := os.Open(path)
-	if err != nil {
-		rep.Status = ShardMissing
-		rep.Detail = err.Error()
+	h, f, status, detail := Open(path, index)
+	rep := ShardReport{Index: index, Status: status, Header: h, Detail: detail}
+	if status != ShardOK {
 		return rep
 	}
 	defer f.Close()
-	h, err := Parse(f)
-	if err != nil {
-		rep.Status = ShardBadHeader
-		rep.Detail = err.Error()
-		return rep
-	}
-	rep.Header = h
-	switch {
-	case int(h.Index) != index:
-		rep.Status = ShardBadHeader
-		rep.Detail = fmt.Sprintf("header says index %d (file renamed or copied?)", h.Index)
-		return rep
-	case set != nil && !h.SameEncoding(*set):
+	if set != nil && !h.SameEncoding(*set) {
 		rep.Status = ShardBadHeader
 		rep.Detail = fmt.Sprintf("header disagrees with shard %d (mixed encodings or a stale shard?)", set.Index)
-		return rep
-	}
-	if fi, err := f.Stat(); err == nil && fi.Size() != h.ExpectedFileSize() {
-		rep.Status = ShardTruncated
-		rep.Detail = fmt.Sprintf("%d bytes on disk, want %d", fi.Size(), h.ExpectedFileSize())
 		return rep
 	}
 	res, err := Scrub(f, h)
@@ -145,8 +171,6 @@ func scrubFile(path string, index int, set *Header) ShardReport {
 		rep.Status = ShardCorrupt
 		rep.Detail = fmt.Sprintf("%d of %d blocks failed %s (stripes %v)",
 			res.Corrupt, res.Stripes, h.Algo, res.CorruptStripes)
-	default:
-		rep.Status = ShardOK
 	}
 	return rep
 }
@@ -170,7 +194,8 @@ func ScrubDir(dir string) (DirReport, error) {
 	// own slot, so a foreign or swapped file cannot outvote the set it
 	// was dropped into, whatever its slot. With no such header (every
 	// file swapped), the first parseable header still gives the slot
-	// count.
+	// count. The vote reads headers by Parse, not Open, because it reads
+	// the headers of misplaced files on purpose.
 	var rep DirReport
 	var own []Header // headers that name their own slot, lowest slot first
 	var fallback *Header

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -286,6 +288,58 @@ func TestScrub(t *testing.T) {
 	short := body.Bytes()[:3*36]
 	if _, err := Scrub(bytes.NewReader(short), h); err == nil {
 		t.Fatal("scrub accepted a truncated shard")
+	}
+}
+
+// TestOpenJudgesWholeShard: Open hands back a file only when it is a
+// whole shard of the slot asked for, and otherwise says why — the one
+// rule a node's recovery, its reads and every scrub apply.
+func TestOpenJudgesWholeShard(t *testing.T) {
+	h := Header{Version: VersionV4, K: 2, M: 1, Index: 1, ShardSize: 32, StripeCount: 2, FileSize: 64, Algo: AlgoCRC32C, Generation: 7}
+	whole := append(h.Marshal(), block(bytes.Repeat([]byte{1}, 32))...)
+	whole = append(whole, block(bytes.Repeat([]byte{2}, 32))...)
+	dir := t.TempDir()
+	write := func(name string, b []byte) string {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name   string
+		path   string
+		index  int
+		want   ShardStatus
+		detail string
+	}{
+		{"whole", write("whole", whole), 1, ShardOK, ""},
+		{"absent", filepath.Join(dir, "absent"), 1, ShardMissing, "no such file"},
+		{"a directory", dir, 1, ShardBadHeader, "header truncated"},
+		{"another slot", write("slot", whole), 0, ShardBadHeader, "header says index 1"},
+		{"torn tail", write("torn", whole[:len(whole)-5]), 1, ShardTruncated, "123 bytes on disk, want 128"},
+		{"overlong", write("long", append(append([]byte(nil), whole...), 0)), 1, ShardTruncated, "129 bytes on disk, want 128"},
+		{"bad magic", write("magic", make([]byte, len(whole))), 1, ShardBadHeader, "bad magic"},
+	} {
+		got, f, status, detail := Open(tc.path, tc.index)
+		if status != tc.want || !strings.Contains(detail, tc.detail) {
+			t.Errorf("%s: %v %q, want %v naming %q", tc.name, status, detail, tc.want, tc.detail)
+		}
+		if (f != nil) != (status == ShardOK) {
+			t.Errorf("%s: %v came back with file %v", tc.name, status, f)
+		}
+		if status == ShardTruncated && got != h {
+			t.Errorf("%s: header %+v, want the parsed %+v", tc.name, got, h)
+		}
+		if f == nil {
+			continue
+		}
+		rest, err := io.ReadAll(f)
+		f.Close()
+		if got != h || err != nil || !bytes.Equal(rest, whole[h.Size():]) {
+			t.Errorf("%s: header %+v, then %d bytes (%v); want %+v, then block 0 on", tc.name, got, len(rest), err, h)
+		}
 	}
 }
 

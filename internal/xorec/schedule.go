@@ -5,7 +5,7 @@ import "dialga/internal/ecmatrix"
 // NaiveSchedule converts a parity bitmatrix ((m*8) x (k*8)) into the
 // straightforward schedule: each parity packet is a copy of its first
 // source packet followed by XORs of the remaining sources. The cost is
-// exactly Ones(bitmatrix) operations (copies included).
+// exactly one operation per set bit of the bitmatrix (copies included).
 func NaiveSchedule(bm *ecmatrix.BitMatrix, k, m int) Schedule {
 	var sched Schedule
 	for r := 0; r < bm.Rows; r++ {
