@@ -15,8 +15,7 @@
 // SIGHUP reloads it live: the new map (with a bumped epoch) swaps in
 // atomically without dropping in-flight streams, and the repair loop
 // rebalances — every shard whose placement changed is migrated
-// copy-then-delete to its new home, paced by the shared
-// -repair-bw budget, always yielding to real repairs.
+// copy-then-delete to its new home, always yielding to real repairs.
 // The serving map and its epoch are visible at /v1/cluster/map.
 //
 // With -write-quorum below k+m the gateway acknowledges puts once a
@@ -25,6 +24,9 @@
 // of its object, and the repair loop's scan finds and rebuilds it, also
 // after a restart. The store itself recovers crash debris (orphaned
 // temp files, torn shards) every time it opens.
+//
+// Repair yields to foreground: a node holds back repair while its
+// foreground shard reads run 1.1× slower beside it (cluster.Limiter).
 package main
 
 import (
@@ -57,7 +59,6 @@ type nodeConfig struct {
 
 	writeQuorum int
 	putRetries  int
-	repairBW    int64
 }
 
 func main() {
@@ -78,7 +79,6 @@ func main() {
 	flag.DurationVar(&cfg.drain, "drain", node.DefaultDrainTimeout, "graceful-shutdown drain window")
 	flag.IntVar(&cfg.writeQuorum, "write-quorum", 0, "shards that must be durable before a put is acked (0 = all k+m; else in [k+1, k+m])")
 	flag.IntVar(&cfg.putRetries, "put-retries", 0, "per-shard retries on transient put errors (0 = default 2, -1 disables)")
-	flag.Int64Var(&cfg.repairBW, "repair-bw", 0, "bandwidth budget in bytes/s shared by repair and rebalance data movement (0 = unmetered)")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -160,12 +160,10 @@ func run(cfg nodeConfig) error {
 
 	// The repair queue also executes rebalance migrations, so a node
 	// with a reloadable map needs one even without a scrub loop. Both
-	// kinds of data movement share one bandwidth budget.
+	// kinds of data movement pass the node's limiter as repair.
 	var rep *cluster.Repairer
 	if cfg.repairInterval > 0 || cfg.clusterFile != "" {
-		rep = cluster.NewRepairerOpts(gw, limiter, reg, cluster.RepairerOptions{
-			Bandwidth: cfg.repairBW,
-		})
+		rep = cluster.NewRepairer(gw, limiter, reg)
 		// A shard a put could not land is found by the next scan, like
 		// any other damage, once its node answers.
 		if cfg.repairInterval > 0 {

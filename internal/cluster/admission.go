@@ -2,11 +2,23 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
+	"dialga/internal/stream"
+	"dialga/internal/vclock"
+)
+
+// The repair governor's rule is the paper's coordinator's (internal/dialga's
+// latencyThreshold), and like it a constant: a foreground read served
+// beside repair is late past slowdown times the median time per block
+// of the latest refWindow reads served without repair.
+const (
+	slowdown  = 1.10
+	refWindow = 32
 )
 
 // Rate configures one traffic class's token bucket. The zero Rate
@@ -28,20 +40,29 @@ type bucket struct {
 	last             time.Time
 }
 
-// Limiter is token-bucket admission control keyed by traffic class. A
-// node installs one as its node.Admitter so foreground and repair
-// traffic drain separate buckets: however deep the repair backlog, the
-// repair class can never consume foreground's tokens, and a starved
-// repair bucket merely slows reconstruction. Classes without a
-// configured Rate are admitted immediately. Admit blocks (it is
-// pacing, not rejection); node.Server turns a context-expired Admit
-// into 429, and the repair queue simply proceeds at the paced rate.
+// Limiter is a node's admission control: its node.Admitter, and its
+// Repairer's. Foreground and repair drain separate token buckets, so a
+// deep repair backlog can never consume foreground's tokens; a class
+// without a Rate is unmetered. And repair yields to foreground: the
+// verdicts on the foreground reads node.Server reports (Served) go to a
+// stream.Breaker, and while it is tripped repair admissions wait out its
+// cooldown, so five late reads in a row hold repair for 250 ms, doubling
+// per failed probe up to 15 s. Foreground never waits on it, and with no
+// reference or no foreground load nothing is judged. Admit blocks (it is
+// pacing, not rejection); node.Server turns a context-expired Admit into
+// 429.
 type Limiter struct {
+	clock vclock.Clock
+
 	mu      sync.Mutex
 	classes map[string]*bucket
+	gate    stream.Breaker           // tripped: repair admissions wait out its cooldown
+	refs    [refWindow]time.Duration // the latest unloaded reads' time per block, a ring
+	nrefs   int                      // unloaded reads taken, ever
 
-	reg *obs.Registry
-	now func() time.Time // test hook
+	reg   *obs.Registry
+	held  *obs.Gauge   // cluster_repair_held
+	trips *obs.Counter // cluster_repair_hold_trips_total
 }
 
 var _ node.Admitter = (*Limiter)(nil)
@@ -49,7 +70,15 @@ var _ node.Admitter = (*Limiter)(nil)
 // NewLimiter builds a limiter from per-class rates. Classes absent
 // from rates (and classes with a zero Rate) are unmetered.
 func NewLimiter(rates map[string]Rate, reg *obs.Registry) *Limiter {
-	l := &Limiter{classes: make(map[string]*bucket, len(rates)), reg: reg, now: time.Now}
+	l := &Limiter{
+		clock:   vclock.Real(),
+		classes: make(map[string]*bucket, len(rates)),
+		reg:     reg,
+		held: reg.Gauge("cluster_repair_held",
+			"1 while repair admissions wait because foreground reads run late beside repair, else 0."),
+		trips: reg.Counter("cluster_repair_hold_trips_total",
+			"Times repair was held back for foreground reads running late beside it, including failed probes."),
+	}
 	for class, r := range rates {
 		if r.PerSecond <= 0 {
 			continue
@@ -60,32 +89,72 @@ func NewLimiter(rates map[string]Rate, reg *obs.Registry) *Limiter {
 	return l
 }
 
-// Admit blocks until the class's bucket holds a token for one request,
-// and takes it, or until ctx ends.
+// Admit blocks until the request may go, or until ctx ends: a repair
+// request while the governor holds repair, and any request until its
+// class's bucket holds a token, which it takes. A nil Limiter admits
+// everything.
 func (l *Limiter) Admit(ctx context.Context, class string) error {
-	for {
+	for l != nil {
 		wait := l.take(class)
 		if wait <= 0 {
 			return nil
 		}
-		t := time.NewTimer(wait)
+		t := l.clock.NewTimer(wait)
 		select {
 		case <-ctx.Done():
 			t.Stop()
 			return ctx.Err()
-		case <-t.C:
+		case <-t.C():
 		}
 	}
+	return nil
 }
 
-// take refills the class's bucket and either deducts one token and
-// counts the grant (returning 0) or returns how long until the bucket
-// holds one.
+// Served takes one foreground read: an unloaded one joins the
+// reference, a loaded one is judged against it.
+func (l *Limiter) Served(perBlock time.Duration, loaded bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	now := l.clock.Now()
+	switch {
+	case !loaded:
+		l.refs[l.nrefs%refWindow] = perBlock
+		l.nrefs++
+	case l.nrefs > 0: // no reference yet: nothing is judged
+		var buf [refWindow]time.Duration
+		refs := buf[:copy(buf[:min(l.nrefs, refWindow)], l.refs[:])]
+		slices.Sort(refs)
+		late := float64(perBlock) > slowdown*float64(refs[len(refs)/2])
+		if tripped, _ := l.gate.Observe(now, late); tripped {
+			l.trips.Inc()
+		}
+	}
+	l.holding(now)
+}
+
+// holding reports whether the governor holds repair at now, and shows
+// it on the gauge. Caller holds l.mu.
+func (l *Limiter) holding(now time.Time) bool {
+	if l.gate.Cooling(now) {
+		l.held.Set(1)
+		return true
+	}
+	l.held.Set(0)
+	return false
+}
+
+// take returns how long a request of class must wait: until the
+// governor's cooldown ends for a held repair request, else until the
+// class's bucket refills to one token. At zero it has deducted the
+// token and counted the grant.
 func (l *Limiter) take(class string) time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	now := l.clock.Now()
+	if class == node.ClassRepair && l.holding(now) {
+		return l.gate.Until.Sub(now)
+	}
 	if b := l.classes[class]; b != nil { // nil: an unmetered class
-		now := l.now()
 		if !b.last.IsZero() {
 			b.tokens = min(b.burst, b.tokens+now.Sub(b.last).Seconds()*b.perSecond)
 		}

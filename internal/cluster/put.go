@@ -208,8 +208,12 @@ func (g *Gateway) uploadShard(ctx context.Context, object string, id NodeID, cli
 		if err == nil || !node.Transient(err) || attempt >= g.retries {
 			return err
 		}
-		if sleepCtx(ctx, putBackoff(object, idx, attempt+1)) != nil {
+		t := time.NewTimer(putBackoff(object, idx, attempt+1))
+		select {
+		case <-ctx.Done():
+			t.Stop()
 			return err // the put is over; the attempt's own error says more than ctx's
+		case <-t.C:
 		}
 		g.counter("cluster_put_shard_retries_total",
 			"Shard uploads started again after a transient failure during puts, by node.",
@@ -230,21 +234,6 @@ func putBackoff(object string, shard, attempt int) time.Duration {
 	span := time.Duration(attempt) * putBackoffBase
 	h := mix(fnv64(object) ^ uint64(shard)<<32 ^ uint64(attempt))
 	return time.Duration(h % uint64(span))
-}
-
-// sleepCtx pauses for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // readerCtx wraps r so each Read first checks ctx: once the put's

@@ -13,8 +13,8 @@
 // everything. Each migration is copy-then-delete: the shard is copied
 // to its new home as exact shardfile bytes (the destination validates
 // it like any upload), and only then removed from the old one, so no
-// step of rebalancing ever reduces the number of live copies. Data
-// movement is paced by the repairer's shared bandwidth budget.
+// step of rebalancing ever reduces the number of live copies. Moves are
+// repair-class traffic, which yields to foreground reads (Limiter).
 
 package cluster
 
@@ -99,7 +99,7 @@ func (r *Repairer) migrations(result string) *obs.Counter {
 
 // migrateOne executes one queued migration: move shard it.Index of
 // it.Object from its old home to its placement under the current map.
-// The happy path is a paced byte copy (the shard travels as exact
+// The happy path is a byte copy (the shard travels as exact
 // shardfile bytes, validated by the destination); if the source no
 // longer has a healthy copy, the shard is rebuilt at its new home from
 // k of the object's other shards instead. Either way the source's copy
@@ -133,7 +133,7 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 		// nothing to move.
 		return nil
 	}
-	if err := r.admit(ctx); err != nil {
+	if err := r.lim.Admit(ctx, node.ClassRepair); err != nil {
 		return err
 	}
 	dstCli, err := r.gw.clientFor(st, dstInfo.ID)
@@ -167,13 +167,7 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 		return nil
 	}
 
-	// One shard's bytes spend against the same budget repair uses, so
-	// rebalance and repair together never exceed the configured rate.
 	shardBytes := h.ExpectedFileSize()
-	if err := r.pacer.wait(ctx, shardBytes); err != nil {
-		body.Close()
-		return err
-	}
 	err = dst.PutShard(ctx, object, idx, sizedReader{io.MultiReader(bytes.NewReader(h.Marshal()), body), shardBytes})
 	body.Close()
 	if err != nil {

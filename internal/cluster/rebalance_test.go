@@ -232,7 +232,7 @@ func TestEpochSwapRebalanceConvergence(t *testing.T) {
 	}
 	ft.Set(extra.addr, refuse)
 
-	rep := NewRepairerOpts(tc.gw, nil, tc.reg, RepairerOptions{Bandwidth: 64 << 20})
+	rep := NewRepairer(tc.gw, nil, tc.reg)
 	moves, err := rep.Rebalance(ctx, oldMap)
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)

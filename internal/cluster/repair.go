@@ -84,17 +84,6 @@ func (h *repairHeap) Pop() any {
 	return it
 }
 
-// RepairerOptions tunes the repair queue's scheduling.
-type RepairerOptions struct {
-	// Bandwidth caps repair's source reads in shard bytes per second
-	// across the whole queue. A rebuild is charged the bytes it opens
-	// for reading — k shard files, plus the remainder of any spare it
-	// brings in mid-stream — before it moves them; a migration is
-	// charged the one shard it copies. Zero leaves repair unpaced (the
-	// admission limiter still applies per request).
-	Bandwidth int64
-}
-
 // Repairer is the background repair queue: it scrubs every placed
 // shard of every object in the cluster (reusing the same shardfile
 // scrub that dialga-encode -mode verify runs locally), queues the damaged
@@ -114,15 +103,14 @@ type RepairerOptions struct {
 // any other damage.
 //
 // All repair traffic — scrub probes, source reads, the rebuilt-shard
-// write — is tagged node.ClassRepair and paced by the limiter's repair
-// bucket at both ends, plus an optional global bandwidth budget, so
-// however deep the damage backlog is, foreground reads keep their own
-// token budget and their own node capacity.
+// write — is tagged node.ClassRepair and admitted by the Limiter at
+// both ends, where it yields to foreground reads, so however deep the
+// damage backlog is, foreground reads keep their own token budget and
+// their own node capacity.
 type Repairer struct {
-	gw    *Gateway
-	lim   *Limiter
-	reg   *obs.Registry
-	pacer *bwPacer
+	gw  *Gateway
+	lim *Limiter
+	reg *obs.Registry
 
 	mu     sync.Mutex
 	heap   repairHeap
@@ -130,24 +118,10 @@ type Repairer struct {
 	seq    uint64
 }
 
-// NewRepairer wires a repair queue over the gateway's cluster view
-// with default scheduling. lim may be nil (unpaced); reg may be nil
-// (unmetered).
+// NewRepairer wires a repair queue over the gateway's cluster view.
+// lim may be nil (unpaced); reg may be nil (unmetered).
 func NewRepairer(gw *Gateway, lim *Limiter, reg *obs.Registry) *Repairer {
-	return NewRepairerOpts(gw, lim, reg, RepairerOptions{})
-}
-
-// NewRepairerOpts is NewRepairer with explicit scheduling options.
-func NewRepairerOpts(gw *Gateway, lim *Limiter, reg *obs.Registry, opts RepairerOptions) *Repairer {
-	var pacer *bwPacer
-	if opts.Bandwidth > 0 {
-		pacer = &bwPacer{rate: float64(opts.Bandwidth)}
-	}
-	return &Repairer{
-		gw: gw, lim: lim, reg: reg,
-		pacer:  pacer,
-		queued: make(map[string]*repairItem),
-	}
+	return &Repairer{gw: gw, lim: lim, reg: reg, queued: make(map[string]*repairItem)}
 }
 
 // enqueue adds or re-prioritizes a task. A task already queued keeps
@@ -223,14 +197,6 @@ func (r *Repairer) updateGaugesLocked() {
 	}
 }
 
-// admit paces one repair-class operation through the limiter.
-func (r *Repairer) admit(ctx context.Context) error {
-	if r.lim == nil {
-		return nil
-	}
-	return r.lim.Admit(ctx, node.ClassRepair)
-}
-
 // ScanOnce scrubs every placed shard of every object, enqueues the
 // damaged ones at a priority reflecting the object's remaining
 // redundancy, and publishes cluster_redundancy_min — the lowest live
@@ -261,7 +227,7 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 		heads := make([]shardfile.Header, n)
 		var clean []int // the shards that scrubbed clean
 		for idx, info := range placement {
-			if err := r.admit(ctx); err != nil {
+			if err := r.lim.Admit(ctx, node.ClassRepair); err != nil {
 				return enqueued, err
 			}
 			cli, cerr := r.gw.clientFor(st, info.ID)
@@ -339,7 +305,7 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	if idx < 0 || idx >= len(placement) {
 		return fmt.Errorf("cluster: repair %q shard %d out of range", object, idx)
 	}
-	if err := r.admit(ctx); err != nil {
+	if err := r.lim.Admit(ctx, node.ClassRepair); err != nil {
 		return err
 	}
 	dst, err := r.gw.clientFor(st, placement[idx].ID)
@@ -362,15 +328,11 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	h := src.header
 	h.Index = uint32(idx)
 	rb, err := stream.NewRebuilder(r.gw.streamOptions(int(h.ShardSize)))
-	if err == nil {
-		// Spend the k shard files about to be read against the global
-		// repair budget before moving them.
-		err = r.spendRead(ctx, int64(r.gw.k)*h.ExpectedFileSize())
-	}
 	if err != nil {
 		closeReaders(readers)
 		return err
 	}
+	r.countRead(int64(r.gw.k) * h.ExpectedFileSize())
 
 	// The rebuilt blocks reach the node through a pipe: a failed rebuild
 	// fails the request body, so the node never commits a short shard,
@@ -384,14 +346,11 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 		pr.CloseWithError(err)
 		putErr <- err
 	}()
-	// A spare's remaining bytes are charged to the budget like the
-	// sources' before they move.
+	// A spare's remaining bytes are counted like the sources'.
 	spare := func(ctx context.Context, block int64, reason string) (int, io.Reader, error) {
 		i, body, err := src.spare(ctx, block, reason)
 		if err == nil {
-			if err = r.spendRead(ctx, h.ExpectedFileSize()-block*h.BlockSize()); err != nil {
-				closeReaders([]io.Reader{body})
-			}
+			r.countRead(h.ExpectedFileSize() - block*h.BlockSize())
 		}
 		return i, body, err
 	}
@@ -420,16 +379,11 @@ type sizedReader struct {
 
 func (s sizedReader) Len() int { return int(s.size) }
 
-// spendRead charges n source bytes about to be read to the bandwidth
-// budget, waiting for them if repair is paced, and counts them.
-func (r *Repairer) spendRead(ctx context.Context, n int64) error {
-	if err := r.pacer.wait(ctx, n); err != nil {
-		return err
-	}
+// countRead counts n source bytes a rebuild opened for reading.
+func (r *Repairer) countRead(n int64) {
 	r.reg.Counter("cluster_repair_read_bytes_total",
 		"Bytes of source shard data the repair queue opened to rebuild shards from.").
 		Add(uint64(n))
-	return nil
 }
 
 // DrainOnce works the queue until it is empty or ctx ends, returning
@@ -510,29 +464,4 @@ func (r *Repairer) Run(ctx context.Context, interval time.Duration) error {
 			r.DrainOnce(ctx)
 		}
 	}
-}
-
-// bwPacer meters repair bandwidth: wait reserves n bytes against a
-// rate, sleeping until the reservation's start time. A nil pacer is
-// unlimited.
-type bwPacer struct {
-	rate float64 // bytes per second
-
-	mu   sync.Mutex
-	next time.Time
-}
-
-func (p *bwPacer) wait(ctx context.Context, n int64) error {
-	if p == nil || n <= 0 {
-		return nil
-	}
-	p.mu.Lock()
-	now := time.Now()
-	if p.next.Before(now) {
-		p.next = now
-	}
-	start := p.next
-	p.next = start.Add(time.Duration(float64(n) / p.rate * float64(time.Second)))
-	p.mu.Unlock()
-	return sleepCtx(ctx, start.Sub(now))
 }

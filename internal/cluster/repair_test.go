@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
@@ -95,48 +94,6 @@ func TestRepairAttemptCap(t *testing.T) {
 	// The dedup map let go of the key: the task can be found again.
 	if !r.enqueue(phantom, tc.gw.m-1, 0) {
 		t.Fatal("dropped task could not be re-enqueued")
-	}
-}
-
-// TestRepairBandwidthBudget: with a budget of one object per ~50ms,
-// three rebuilds must take at least ~100ms (first is free).
-func TestRepairBandwidthBudget(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2)
-	ctx := context.Background()
-
-	const objSize = 50_000
-	payloads := map[string][]byte{}
-	for _, name := range []string{"bw-0", "bw-1", "bw-2"} {
-		payloads[name] = clusterPayload(71, objSize)
-		if _, err := tc.gw.PutObject(ctx, name, bytes.NewReader(payloads[name]), objSize, node.ClassForeground); err != nil {
-			t.Fatal(err)
-		}
-		place, _ := tc.gw.Place(name)
-		cli, _ := tc.gw.Client(place[2].ID)
-		if err := cli.DeleteShard(ctx, name, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// objSize bytes per 50ms.
-	r := NewRepairerOpts(tc.gw, nil, tc.reg, RepairerOptions{Bandwidth: objSize * 20})
-	if _, err := r.ScanOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if r.pending() != 3 {
-		t.Fatalf("pending = %d, want 3", r.pending())
-	}
-	start := time.Now()
-	repaired, failed := r.DrainOnce(ctx)
-	elapsed := time.Since(start)
-	if repaired != 3 || failed != 0 {
-		t.Fatalf("repaired=%d failed=%d", repaired, failed)
-	}
-	if elapsed < 80*time.Millisecond {
-		t.Fatalf("3 paced rebuilds finished in %v; budget not applied", elapsed)
-	}
-	for name, want := range payloads {
-		tc.mustGet(ctx, name, want)
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dialga/internal/gf"
 	"dialga/internal/obs"
@@ -123,6 +125,35 @@ func TestStoreRoundTrip(t *testing.T) {
 	// Deleting again is idempotent.
 	if err := store.Delete("obj", 0); err != nil {
 		t.Fatalf("re-delete: %v", err)
+	}
+}
+
+// TestStorePutCountsASlotOnce: concurrent first puts of one slot
+// raise node_store_shards by one, however their commits interleave.
+func TestStorePutCountsASlotOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	store, err := OpenStore(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := encodeShards(t, 2, 1, testPayload(5_000))[0]
+	gauge := reg.Gauge("node_store_shards", "")
+	for round := 0; round < 200; round++ {
+		object := fmt.Sprintf("race-%d", round)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := store.Put(object, 0, bytes.NewReader(shard)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := gauge.Value(); got != float64(round+1) {
+			t.Fatalf("round %d: node_store_shards = %v after four first puts of one slot, want %d", round, got, round+1)
+		}
 	}
 }
 
@@ -385,6 +416,8 @@ func (denyAll) Admit(context.Context, string) error {
 	return errors.New("bucket empty")
 }
 
+func (denyAll) Served(time.Duration, bool) {}
+
 func TestServerHTTPRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	store, err := OpenStore(t.TempDir(), reg)
@@ -607,6 +640,109 @@ func TestServerAdmissionThrottles(t *testing.T) {
 	}
 	if got := reg.Counter("node_throttled_total", "", obs.Label{Key: "class", Value: ClassForeground}).Value(); got != 1 {
 		t.Fatalf("node_throttled_total = %d, want 1", got)
+	}
+}
+
+// servedRead is one Served report.
+type servedRead struct {
+	perBlock time.Duration
+	loaded   bool
+}
+
+// readRecorder is an Admitter that admits everything and keeps what
+// Served reports.
+type readRecorder struct {
+	mu    sync.Mutex
+	reads []servedRead
+}
+
+func (*readRecorder) Admit(context.Context, string) error { return nil }
+
+func (r *readRecorder) Served(perBlock time.Duration, loaded bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.reads = append(r.reads, servedRead{perBlock, loaded})
+}
+
+// take returns the reports since the last take.
+func (r *readRecorder) take() []servedRead {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	reads := r.reads
+	r.reads = nil
+	return reads
+}
+
+// TestServerReportsForegroundReads: every foreground shard GET that
+// serves blocks is reported, its time per block marked loaded when a
+// repair-class request is in its handler on the same node; a
+// header-only GET and a repair-class GET are not reported.
+func TestServerReportsForegroundReads(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &readRecorder{}
+	srv := NewServer(store, rec, nil).Handler()
+	shards := encodeShards(t, 2, 1, testPayload(20_000)) // five 4 KiB stripes
+	for i, b := range shards {
+		if err := store.Put("obj", i, bytes.NewReader(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(query, class string) []servedRead {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, "/v1/shard/obj/0"+query, nil)
+		req.Header.Set(ClassHeader, class)
+		w := httptest.NewRecorder()
+		start := time.Now()
+		srv.ServeHTTP(w, req)
+		took := time.Since(start)
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s as %s: %d %s", query, class, w.Code, w.Body)
+		}
+		reads := rec.take()
+		for _, r := range reads {
+			if r.perBlock <= 0 || 5*r.perBlock > took {
+				t.Fatalf("GET %s: %v per block of 5, in a request that took %v", query, r.perBlock, took)
+			}
+		}
+		return reads
+	}
+
+	if r := get("", ClassForeground); len(r) != 1 || r[0].loaded {
+		t.Fatalf("unloaded foreground GET reported %+v, want one unloaded read", r)
+	}
+	if r := get("?off=0&len=0", ClassForeground); len(r) != 0 {
+		t.Fatalf("header-only GET reported %+v, want nothing", r)
+	}
+	if r := get("", ClassRepair); len(r) != 0 {
+		t.Fatalf("repair GET reported %+v, want nothing", r)
+	}
+
+	// A repair upload parked in its handler: the pipe's write returns
+	// once the store has read the header, and the body stalls there.
+	body, feed := io.Pipe()
+	put := httptest.NewRequest(http.MethodPut, "/v1/shard/obj/1", body)
+	put.Header.Set(ClassHeader, ClassRepair)
+	done := make(chan int)
+	go func() {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, put)
+		done <- w.Code
+	}()
+	if _, err := feed.Write(shards[1][:shardfile.HeaderSizeV3]); err != nil {
+		t.Fatal(err)
+	}
+	if r := get("", ClassForeground); len(r) != 1 || !r[0].loaded {
+		t.Fatalf("foreground GET beside a repair upload reported %+v, want one loaded read", r)
+	}
+	feed.CloseWithError(errors.New("uploader gone"))
+	if code := <-done; code == http.StatusCreated {
+		t.Fatal("the cut-off repair upload was committed")
+	}
+	if r := get("", ClassForeground); len(r) != 1 || r[0].loaded {
+		t.Fatalf("foreground GET after the repair ended reported %+v, want one unloaded read", r)
 	}
 }
 

@@ -7,14 +7,16 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
+	"time"
 
 	"dialga/internal/obs"
 )
 
 // Traffic classes. Every shard request carries one in the
 // ClassHeader; the node's admission control meters each class through
-// its own token bucket so background repair can never starve
-// foreground serving.
+// its own token bucket and holds repair back while it slows foreground
+// reads, so background repair can never starve foreground serving.
 const (
 	// ClassForeground is user-facing traffic: object puts/gets and the
 	// shard I/O they fan out into. The default when no class header is
@@ -28,13 +30,18 @@ const (
 // ClassHeader is the HTTP header naming a request's traffic class.
 const ClassHeader = "X-Dialga-Class"
 
-// Admitter is the node's admission-control hook: Admit blocks until
-// the class's token bucket holds a token for one request (or ctx
-// ends). It is a tiny interface so the data plane does not depend on
-// the control plane — internal/cluster's token-bucket Limiter
-// implements it, and a nil Admitter admits everything.
+// Admitter is the node's admission-control hook. It is a tiny
+// interface so the data plane does not depend on the control plane —
+// internal/cluster's Limiter implements it, and a nil Admitter admits
+// everything.
 type Admitter interface {
+	// Admit blocks until a request of class may be served, or until
+	// ctx ends.
 	Admit(ctx context.Context, class string) error
+	// Served takes a foreground shard GET that served blocks: its time
+	// from admission to the handler's return per block, and whether a
+	// repair-class request was served on the node while it ran.
+	Served(perBlock time.Duration, loaded bool)
 }
 
 // Server is a node's HTTP API over its local shard store.
@@ -54,14 +61,16 @@ type Admitter interface {
 //
 // Every /v1 request passes admission control for its traffic class
 // (ClassHeader, default foreground); a request the limiter cannot
-// cover before its context ends gets 429.
+// cover before its context ends gets 429. Every foreground shard GET
+// that serves blocks is reported to the Admitter (Served).
 type Server struct {
 	store *Store
 	admit Admitter
 	reg   *obs.Registry
 
-	requests  *obs.Counter // node_requests_total{route,class}
-	throttled *obs.Counter // node_throttled_total{class}
+	// Repair-class requests past admission: a GET ran beside one iff
+	// more had begun by its end than had ended by its start.
+	repairsBegun, repairsEnded atomic.Uint64
 }
 
 // NewServer wires a store, an optional admission controller, and an
@@ -111,6 +120,10 @@ func (s *Server) withAdmission(route string, h http.HandlerFunc) http.HandlerFun
 				http.Error(w, "admission: "+err.Error(), http.StatusTooManyRequests)
 				return
 			}
+		}
+		if class == ClassRepair {
+			s.repairsBegun.Add(1)
+			defer s.repairsEnded.Add(1)
 		}
 		h(w, r)
 	}
@@ -162,6 +175,7 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 // socket behind a ResponseWriter and falls back to a wrapper sendfile
 // refuses, so every byte goes through a 32 KiB buffer.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	start, repairsEnded := time.Now(), s.repairsEnded.Load()
 	object, idx, ok := shardParams(w, r)
 	if !ok {
 		return
@@ -179,6 +193,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close()
+	if blocks := n / h.BlockSize(); blocks > 0 && s.admit != nil && Class(r) == ClassForeground {
+		defer func() {
+			s.admit.Served(time.Since(start)/time.Duration(blocks), s.repairsBegun.Load() > repairsEnded)
+		}()
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(h.Size()+n, 10))
 	w.WriteHeader(http.StatusOK)

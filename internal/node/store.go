@@ -49,7 +49,7 @@ var ErrBadShard = errors.New("node: invalid shard upload")
 type Store struct {
 	dir string
 
-	mu  sync.Mutex // serializes multi-step directory mutations (delete-last-shard cleanup)
+	mu  sync.Mutex // serializes multi-step directory mutations: a commit's check and rename, delete-last-shard cleanup
 	tmp uint64     // temp-file sequence
 
 	puts    *obs.Counter   // node_store_puts_total
@@ -169,10 +169,11 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 	path := shardfile.Path(dir, idx)
 	existed := false
 	if err == nil {
-		if _, serr := os.Stat(path); serr == nil {
-			existed = true
-		}
+		s.mu.Lock() // one step, so concurrent first puts count a slot once
+		_, serr := os.Stat(path)
+		existed = serr == nil
 		err = os.Rename(tmp, path)
+		s.mu.Unlock()
 	}
 	if err != nil {
 		if errors.Is(err, ErrBadShard) {
