@@ -60,9 +60,9 @@ type Limiter struct {
 	refs    [refWindow]time.Duration // the latest unloaded reads' time per block, a ring
 	nrefs   int                      // unloaded reads taken, ever
 
-	reg   *obs.Registry
-	held  *obs.Gauge   // cluster_repair_held
-	trips *obs.Counter // cluster_repair_hold_trips_total
+	admitted [2]*obs.Counter // cluster_admitted_total{class}: foreground, repair
+	held     *obs.Gauge      // cluster_repair_held
+	trips    *obs.Counter    // cluster_repair_hold_trips_total
 }
 
 var _ node.Admitter = (*Limiter)(nil)
@@ -73,11 +73,15 @@ func NewLimiter(rates map[string]Rate, reg *obs.Registry) *Limiter {
 	l := &Limiter{
 		clock:   vclock.Real(),
 		classes: make(map[string]*bucket, len(rates)),
-		reg:     reg,
 		held: reg.Gauge("cluster_repair_held",
 			"1 while repair admissions wait because foreground reads run late beside repair, else 0."),
 		trips: reg.Counter("cluster_repair_hold_trips_total",
 			"Times repair was held back for foreground reads running late beside it, including failed probes."),
+	}
+	for i, class := range []string{node.ClassForeground, node.ClassRepair} {
+		l.admitted[i] = reg.Counter("cluster_admitted_total",
+			"Admission-control grants, by traffic class.",
+			obs.Label{Key: "class", Value: class})
 	}
 	for class, r := range rates {
 		if r.PerSecond <= 0 {
@@ -165,8 +169,10 @@ func (l *Limiter) take(class string) time.Duration {
 		}
 		b.tokens--
 	}
-	l.reg.Counter("cluster_admitted_total",
-		"Admission-control grants, by traffic class.",
-		obs.Label{Key: "class", Value: class}).Inc()
+	if class == node.ClassRepair {
+		l.admitted[1].Inc()
+	} else {
+		l.admitted[0].Inc() // any other class is served as foreground (node.Class)
+	}
 	return 0
 }

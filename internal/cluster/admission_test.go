@@ -353,3 +353,26 @@ func TestGovernorHoldsRepairThenProbes(t *testing.T) {
 		t.Fatalf("held repair admission = %v, want Canceled", err)
 	}
 }
+
+// TestLimiterAdmitLooksUpNoMetrics: a grant is counted in a series the
+// limiter resolved when it was built, so Admit with a registry
+// allocates nothing, metered or not.
+func TestLimiterAdmitLooksUpNoMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	lim := NewLimiter(map[string]Rate{node.ClassRepair: {PerSecond: 1e9}}, reg)
+	ctx := context.Background()
+	admit := func() {
+		if lim.Admit(ctx, node.ClassForeground) != nil || lim.Admit(ctx, node.ClassRepair) != nil {
+			t.Fatal("admission refused")
+		}
+	}
+	if a := testing.AllocsPerRun(100, admit); a != 0 {
+		t.Fatalf("Admit allocates %v times a pair, want 0", a)
+	}
+	for _, class := range []string{node.ClassForeground, node.ClassRepair} {
+		if got := reg.Counter("cluster_admitted_total", "",
+			obs.Label{Key: "class", Value: class}).Value(); got != 101 {
+			t.Errorf("cluster_admitted_total{class=%s} = %d, want 101", class, got)
+		}
+	}
+}

@@ -15,8 +15,9 @@ import (
 
 // ScrubStatus is the JSON shape of /v1/scrub: one shard's server-side
 // integrity verdict, with the header it carries (zero when the header
-// is missing or unreadable), so a repair scan judges which shards make
-// one object by the same rule as every read (shardfile.Vote).
+// is unreadable), so a repair scan judges which shards make one object
+// by the same rule as every read (shardfile.Vote). Stripes and Corrupt
+// stay zero from a header-only scrub.
 type ScrubStatus struct {
 	Index   int              `json:"index"`
 	Status  string           `json:"status"`
@@ -200,9 +201,15 @@ func (c *Client) StatShard(ctx context.Context, object string, idx int) (shardfi
 	return h, drainClose(body)
 }
 
-// ScrubShard asks the node to verify one shard server-side.
-func (c *Client) ScrubShard(ctx context.Context, object string, idx int) (ScrubStatus, error) {
-	return getJSON[ScrubStatus](ctx, c, c.shardURL("scrub", object, idx))
+// ScrubShard asks the node to verify one shard server-side: its
+// header, slot and size, and with blocks every block trailer too. A
+// missing shard is ErrNotFound; any other damage is a Damaged verdict.
+func (c *Client) ScrubShard(ctx context.Context, object string, idx int, blocks bool) (ScrubStatus, error) {
+	u := c.shardURL("scrub", object, idx)
+	if !blocks {
+		u += "?blocks=0"
+	}
+	return getJSON[ScrubStatus](ctx, c, u)
 }
 
 // DeleteShard drops a shard (idempotent on the server).

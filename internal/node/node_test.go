@@ -95,7 +95,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		if !bytes.Equal(full, want) {
 			t.Fatalf("shard %d: stored bytes differ (got %d, want %d)", i, len(full), len(want))
 		}
-		rep, err := store.Scrub("obj", i)
+		rep, err := store.Scrub("obj", i, true)
 		if err != nil || rep.Status != shardfile.ShardOK {
 			t.Fatalf("scrub shard %d: %v %v", i, rep.Status, err)
 		}
@@ -252,7 +252,7 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	if err := cli.PutShard(ctx, "obj", 0, bytes.NewReader(v2)); !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("v2 upload: %v, want a 422", err)
 	}
-	if rep, err := store.Scrub("obj", 0); err != nil || rep.Status != shardfile.ShardOK {
+	if rep, err := store.Scrub("obj", 0, true); err != nil || rep.Status != shardfile.ShardOK {
 		t.Fatalf("committed shard after a rejected overwrite: %v, %v", rep.Status, err)
 	}
 	if v := reg.Gauge("node_store_shards", "").Value(); v != 1 {
@@ -337,7 +337,7 @@ func TestStorePutLargeBlocks(t *testing.T) {
 	if err := store.Put("big", 0, bytes.NewReader(file)); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := store.Scrub("big", 0); err != nil || rep.Status != shardfile.ShardOK {
+	if rep, err := store.Scrub("big", 0, true); err != nil || rep.Status != shardfile.ShardOK {
 		t.Fatalf("scrub: %v, %v", rep.Status, err)
 	}
 	file[len(file)-5000] ^= 1 // deep in the second block, past a piece boundary
@@ -371,7 +371,7 @@ func TestStorePutSmallBlocks(t *testing.T) {
 	if err := store.Put("small", 0, bytes.NewReader(file)); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := store.Scrub("small", 0); err != nil || rep.Status != shardfile.ShardOK {
+	if rep, err := store.Scrub("small", 0, true); err != nil || rep.Status != shardfile.ShardOK {
 		t.Fatalf("scrub: %v, %v", rep.Status, err)
 	}
 	if raw, err := os.ReadFile(shardfile.Path(filepath.Join(store.Dir(), "small"), 0)); err != nil || !bytes.Equal(raw, file) {
@@ -451,7 +451,7 @@ func TestServerHTTPRoundTrip(t *testing.T) {
 	if err != nil || st.Index != 2 || st.K != 2 || st.M != 1 {
 		t.Fatalf("stat = %+v, %v", st, err)
 	}
-	sc, err := cli.ScrubShard(ctx, "http-obj", 0)
+	sc, err := cli.ScrubShard(ctx, "http-obj", 0, true)
 	if err != nil || sc.Damaged {
 		t.Fatalf("scrub = %+v, %v", sc, err)
 	}
@@ -798,5 +798,110 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	if err := <-resp; err != nil {
 		t.Fatalf("in-flight request failed across shutdown: %v", err)
+	}
+}
+
+// TestScrubHeaderOnly: a header-only scrub (?blocks=0) judges a stored
+// shard by its header, slot and size alone, so it passes a file whose
+// damage is inside a block and fails every other kind the full scrub
+// fails. Damage is a verdict, never a 5xx; a missing file is 404 in
+// both forms.
+func TestScrubHeaderOnly(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(store, nil, nil).Handler())
+	defer ts.Close()
+	cli := NewClient(ts.URL)
+	ctx := context.Background()
+
+	shards := encodeShards(t, 2, 1, testPayload(20_000))
+	for i, b := range shards {
+		if err := cli.PutShard(ctx, "obj", i, bytes.NewReader(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(store.Dir(), "obj")
+	h, err := shardfile.Parse(bytes.NewReader(shards[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot := bytes.Clone(shards[0])
+	rot[h.Size()+h.BlockSize()+7] ^= 0x10 // a payload bit of block 1
+	if err := os.WriteFile(shardfile.Path(dir, 0), rot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(shardfile.Path(dir, 1), int64(len(shards[1])-100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shardfile.Path(dir, 2), shards[1], 0o644); err != nil { // slot 1's file
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		idx             int
+		headers, blocks string // the verdict of each form
+	}{
+		{0, "ok", "corrupt"},
+		{1, "truncated", "truncated"},
+		{2, "bad-header", "bad-header"},
+	} {
+		for _, blocks := range []bool{false, true} {
+			want := c.headers
+			if blocks {
+				want = c.blocks
+			}
+			st, err := cli.ScrubShard(ctx, "obj", c.idx, blocks)
+			if err != nil || st.Status != want || st.Damaged != (want != "ok") {
+				t.Errorf("scrub slot %d (blocks %v) = %+v, %v; want %s", c.idx, blocks, st, err, want)
+			}
+		}
+	}
+	for _, blocks := range []bool{false, true} {
+		_, err := cli.ScrubShard(ctx, "obj", 3, blocks)
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusNotFound || !errors.Is(err, ErrNotFound) {
+			t.Errorf("scrub of a missing slot (blocks %v): %v, want a 404", blocks, err)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/scrub/obj/0?blocks=some")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("?blocks=some: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// nopWriter is a ResponseWriter that keeps nothing.
+type nopWriter struct{ h http.Header }
+
+func (w nopWriter) Header() http.Header       { return w.h }
+func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (nopWriter) WriteHeader(int)             {}
+
+// TestAdmissionLooksUpNoMetrics: the admission wrapper counts a request
+// in a series resolved when the routes were built, so admitting one
+// allocates nothing.
+func TestAdmissionLooksUpNoMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewServer(nil, &readRecorder{}, reg)
+	requests := s.perClass("node_requests_total", "", obs.Label{Key: "route", Value: "test"})
+	h := s.withAdmission(requests, s.perClass("node_throttled_total", ""), func(http.ResponseWriter, *http.Request) {})
+	w := nopWriter{http.Header{}}
+	fg := httptest.NewRequest(http.MethodGet, "/v1/objects", nil)
+	rp := httptest.NewRequest(http.MethodGet, "/v1/objects", nil)
+	rp.Header.Set(ClassHeader, ClassRepair)
+	if a := testing.AllocsPerRun(100, func() { h(w, fg); h(w, rp) }); a != 0 {
+		t.Fatalf("admitting a request allocates %v times, want 0", a)
+	}
+	for _, class := range []string{ClassForeground, ClassRepair} {
+		got := reg.Counter("node_requests_total", "",
+			obs.Label{Key: "route", Value: "test"}, obs.Label{Key: "class", Value: class}).Value()
+		if got != 101 { // AllocsPerRun's warm-up run, then 100
+			t.Errorf("node_requests_total{class=%s} = %d, want 101", class, got)
+		}
 	}
 }

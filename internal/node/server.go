@@ -54,7 +54,9 @@ type Admitter interface {
 //	                                  object bytes ?off=N&len=M (default: all of them;
 //	                                  ?off=0&len=0 is the header alone)
 //	DELETE /v1/shard/{object}/{idx}   drop one shard (idempotent)
-//	GET    /v1/scrub/{object}/{idx}   server-side scrub report as JSON
+//	GET    /v1/scrub/{object}/{idx}   server-side scrub report as JSON: header, slot,
+//	                                  size and every block trailer (?blocks=0: all
+//	                                  but the trailers); a missing shard is 404
 //	GET    /v1/objects                stored object names as JSON
 //	GET    /healthz                   liveness
 //	GET    /metrics                   Prometheus text exposition
@@ -79,14 +81,23 @@ func NewServer(store *Store, admit Admitter, reg *obs.Registry) *Server {
 	return &Server{store: store, admit: admit, reg: reg}
 }
 
-// Handler returns the node's routing table.
+// Handler returns the node's routing table. It resolves every series
+// its routes count, so a request looks none up.
 func (s *Server) Handler() http.Handler {
+	throttled := s.perClass("node_throttled_total",
+		"Shard-API requests rejected by admission control, by traffic class.")
 	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /v1/shard/{object}/{idx}", s.withAdmission("shard_put", s.handlePut))
-	mux.HandleFunc("GET /v1/shard/{object}/{idx}", s.withAdmission("shard_get", s.handleGet))
-	mux.HandleFunc("DELETE /v1/shard/{object}/{idx}", s.withAdmission("shard_delete", s.handleDelete))
-	mux.HandleFunc("GET /v1/scrub/{object}/{idx}", s.withAdmission("scrub", s.handleScrub))
-	mux.HandleFunc("GET /v1/objects", s.withAdmission("objects", s.handleObjects))
+	admitted := func(route string, h http.HandlerFunc) http.HandlerFunc {
+		requests := s.perClass("node_requests_total",
+			"Shard-API requests served, by route and traffic class.",
+			obs.Label{Key: "route", Value: route})
+		return s.withAdmission(requests, throttled, h)
+	}
+	mux.HandleFunc("PUT /v1/shard/{object}/{idx}", admitted("shard_put", s.handlePut))
+	mux.HandleFunc("GET /v1/shard/{object}/{idx}", admitted("shard_get", s.handleGet))
+	mux.HandleFunc("DELETE /v1/shard/{object}/{idx}", admitted("shard_delete", s.handleDelete))
+	mux.HandleFunc("GET /v1/scrub/{object}/{idx}", admitted("scrub", s.handleScrub))
+	mux.HandleFunc("GET /v1/objects", admitted("objects", s.handleObjects))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
@@ -103,20 +114,35 @@ func Class(r *http.Request) string {
 	return ClassForeground
 }
 
+// byClass is one series per traffic class: foreground, then repair.
+type byClass [2]*obs.Counter
+
+func (c byClass) of(class string) *obs.Counter {
+	if class == ClassRepair {
+		return c[1]
+	}
+	return c[0]
+}
+
+// perClass resolves a counter's series for both traffic classes.
+func (s *Server) perClass(name, help string, labels ...obs.Label) byClass {
+	var c byClass
+	for i, class := range []string{ClassForeground, ClassRepair} {
+		c[i] = s.reg.Counter(name, help, append(labels, obs.Label{Key: "class", Value: class})...)
+	}
+	return c
+}
+
 // withAdmission meters a handler: one admission token per request in
-// the request's class, counted per route.
-func (s *Server) withAdmission(route string, h http.HandlerFunc) http.HandlerFunc {
+// the request's class, counted in requests, and in throttled when
+// admission refuses it.
+func (s *Server) withAdmission(requests, throttled byClass, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		class := Class(r)
-		s.reg.Counter("node_requests_total",
-			"Shard-API requests served, by route and traffic class.",
-			obs.Label{Key: "route", Value: route},
-			obs.Label{Key: "class", Value: class}).Inc()
+		requests.of(class).Inc()
 		if s.admit != nil {
 			if err := s.admit.Admit(r.Context(), class); err != nil {
-				s.reg.Counter("node_throttled_total",
-					"Shard-API requests rejected by admission control, by traffic class.",
-					obs.Label{Key: "class", Value: class}).Inc()
+				throttled.of(class).Inc()
 				http.Error(w, "admission: "+err.Error(), http.StatusTooManyRequests)
 				return
 			}
@@ -230,12 +256,20 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleScrub reports one shard's scrub verdict: a damaged shard is a
+// 200 whose verdict says so, never a 5xx a caller would take for a sick
+// node. ?blocks=0 skips the block trailers.
 func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	object, idx, ok := shardParams(w, r)
 	if !ok {
 		return
 	}
-	rep, err := s.store.Scrub(object, idx)
+	blocks, ok := intParam(r.URL.Query().Get("blocks"), 1)
+	if !ok {
+		http.Error(w, "bad blocks parameter", http.StatusBadRequest)
+		return
+	}
+	rep, err := s.store.Scrub(object, idx, blocks != 0)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -305,14 +305,20 @@ func (s *Store) GetAt(object string, idx int, off, length int64) (shardfile.Head
 	return h, f, win.Blocks * h.BlockSize(), nil
 }
 
-// Scrub runs the shared shardfile scrub over one stored shard,
-// verifying the header, size, and every block trailer.
-func (s *Store) Scrub(object string, idx int) (shardfile.ShardReport, error) {
+// Scrub runs the shared shardfile scrub over one stored shard: the
+// header, slot and size by shardfile.Open's rule and, with blocks,
+// every block trailer. A missing file is ErrNotFound; any other damage
+// is a report whose Status names it.
+func (s *Store) Scrub(object string, idx int, blocks bool) (shardfile.ShardReport, error) {
 	dir, err := s.objectDir(object)
 	if err != nil {
 		return shardfile.ShardReport{}, err
 	}
-	return shardfile.ScrubFile(shardfile.Path(dir, idx), idx), nil
+	rep := shardfile.ScrubFile(shardfile.Path(dir, idx), idx, blocks)
+	if rep.Status == shardfile.ShardMissing {
+		return rep, fmt.Errorf("%w: %s/%d", ErrNotFound, object, idx)
+	}
+	return rep, nil
 }
 
 // Delete removes a shard; deleting the object's last shard removes its

@@ -141,15 +141,17 @@ func Open(path string, index int) (h Header, f *os.File, status ShardStatus, det
 
 // ScrubFile scrubs the shard file at slot index of its set: Open's
 // judgement (a file renamed or copied into the wrong slot has sound
-// blocks but is damaged all the same: decode refuses it), then every
-// block trailer.
-func ScrubFile(path string, index int) ShardReport {
-	return scrubFile(path, index, nil)
+// blocks but is damaged all the same: decode refuses it), then, with
+// blocks, every block trailer. Without blocks it reads the header and
+// stats the file, nothing more, so it sees every damage but bit rot
+// inside a block, and its Result stays zero.
+func ScrubFile(path string, index int, blocks bool) ShardReport {
+	return scrubFile(path, index, nil, blocks)
 }
 
 // scrubFile is ScrubFile that, given a header of the set, also reports
 // a header of another encoding as damaged.
-func scrubFile(path string, index int, set *Header) ShardReport {
+func scrubFile(path string, index int, set *Header, blocks bool) ShardReport {
 	h, f, status, detail := Open(path, index)
 	rep := ShardReport{Index: index, Status: status, Header: h, Detail: detail}
 	if status != ShardOK {
@@ -159,6 +161,9 @@ func scrubFile(path string, index int, set *Header) ShardReport {
 	if set != nil && !h.SameEncoding(*set) {
 		rep.Status = ShardBadHeader
 		rep.Detail = fmt.Sprintf("header disagrees with shard %d (mixed encodings or a stale shard?)", set.Index)
+		return rep
+	}
+	if !blocks {
 		return rep
 	}
 	res, err := Scrub(f, h)
@@ -233,7 +238,7 @@ func ScrubDir(dir string) (DirReport, error) {
 		return rep, fmt.Errorf("no readable shard headers in %s (%s)", dir, why)
 	}
 	for i := 0; i < int(rep.Set.K+rep.Set.M); i++ {
-		rep.Shards = append(rep.Shards, scrubFile(Path(dir, i), i, &rep.Set))
+		rep.Shards = append(rep.Shards, scrubFile(Path(dir, i), i, &rep.Set, true))
 	}
 	return rep, nil
 }
