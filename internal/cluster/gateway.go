@@ -73,18 +73,24 @@ type GatewayOptions struct {
 // gateway (placement is deterministic), so there is no metadata
 // service to lose.
 type Gateway struct {
-	k, m     int
-	rungs    []int      // the shard sizes puts choose from; see shardSizes
-	router   *sideliner // the configured Router under cross-request sidelining
-	hedge    time.Duration
-	reg      *obs.Registry
-	hc       *http.Client
-	codec    *rs.Code
-	retained *obs.Gauge     // cluster_put_retained_bytes
-	putSizes *obs.Histogram // cluster_put_shard_size_bytes
-	quorum   int            // shard uploads required to ack a put
-	retries  int            // per-shard transient retry budget (-1: disabled)
-	lastGen  atomic.Uint64  // the last generation a put drew
+	k, m    int
+	rungs   []int              // the shard sizes puts choose from; see shardSizes
+	pipes   map[int]*pipelines // each rung's pipelines, built once; see pipelinesFor
+	router  *sideliner         // the configured Router under cross-request sidelining
+	hedge   time.Duration
+	reg     *obs.Registry
+	hc      *http.Client
+	codec   *rs.Code
+	quorum  int           // shard uploads required to ack a put
+	retries int           // per-shard transient retry budget (-1: disabled)
+	lastGen atomic.Uint64 // the last generation a put drew
+
+	// Resolved in NewGateway, each named for its series (per-node ones are
+	// in nodeSeries); a map holds a family's series by label value.
+	gets, puts, spares                                   map[string]*obs.Counter
+	getBytes, putBytes, rangeGets, putDegraded, mapSwaps *obs.Counter
+	mapEpoch, retained                                   *obs.Gauge
+	putSizes                                             *obs.Histogram
 
 	// state is the current membership generation: the map plus one
 	// shard client per member. Every operation loads it exactly once at
@@ -95,12 +101,20 @@ type Gateway struct {
 	swapMu sync.Mutex // serializes UpdateMap
 }
 
-// mapState pairs a cluster map with the shard clients built from it.
-// Both are immutable once published.
+// mapState pairs a cluster map with the shard clients built from it and
+// each member's series. All are immutable once published.
 type mapState struct {
 	cmap    *Map
 	clients map[NodeID]*node.Client
+	series  map[NodeID]nodeSeries
 }
+
+// nodeSeries are the series the gateway counts against one node:
+// cluster_open_failures_total, cluster_put_shard_failures_total and
+// cluster_put_shard_retries_total. A node the generation does not know
+// has the zero nodeSeries, which counts nothing; it is counted in
+// cluster_unknown_node_total instead.
+type nodeSeries struct{ openFailures, putFailures, putRetries *obs.Counter }
 
 // ErrUnknownNode reports a placement that names a node the current map
 // has no client for — a stale placement raced a membership change, or
@@ -127,7 +141,8 @@ func (g *Gateway) clientFor(st *mapState, id NodeID) (*node.Client, error) {
 	if c, ok := st.clients[id]; ok {
 		return c, nil
 	}
-	g.counter("cluster_unknown_node_total",
+	// A lookup on a request's path: a node absent from the map has no series yet.
+	g.reg.Counter("cluster_unknown_node_total",
 		"Operations that hit a placement naming a node absent from the map, by node.",
 		obs.Label{Key: "node", Value: string(id)}).Inc()
 	return nil, fmt.Errorf("%w: %s (map epoch %d)", ErrUnknownNode, id, st.cmap.Epoch())
@@ -180,49 +195,87 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 	if retries < 0 {
 		retries = -1
 	}
+	reg := opts.Metrics
 	g := &Gateway{
 		k:       opts.K,
 		m:       opts.M,
 		rungs:   shardSizes((stripeSize + opts.K - 1) / opts.K),
-		router:  newSideliner(router, opts.Metrics),
+		pipes:   make(map[int]*pipelines),
+		router:  newSideliner(router, reg),
 		hedge:   opts.HedgeAfter,
-		reg:     opts.Metrics,
+		reg:     reg,
 		hc:      hc,
 		codec:   codec,
 		quorum:  quorum,
 		retries: retries,
-		retained: opts.Metrics.Gauge("cluster_put_retained_bytes",
+		gets:    byLabel(reg, "cluster_gets_total", "Object gets, by result.", "result", "ok", "error"),
+		puts: byLabel(reg, "cluster_puts_total", "Object puts, by result.",
+			"result", "ok", "degraded", "error"),
+		spares: byLabel(reg, "cluster_read_spares_total",
+			"Shards reads opened beyond their first k, by the evidence that called for them (open, dead, corrupt, late).",
+			"reason", "open", "dead", "corrupt", "late"),
+		getBytes:  reg.Counter("cluster_get_bytes_total", "Object payload bytes read."),
+		putBytes:  reg.Counter("cluster_put_bytes_total", "Object payload bytes written."),
+		rangeGets: reg.Counter("cluster_range_gets_total", "Object byte-range gets opened."),
+		putDegraded: reg.Counter("cluster_put_degraded_total",
+			"Puts acknowledged at quorum with one or more shards owed to repair."),
+		mapSwaps: reg.Counter("cluster_map_swaps_total", "Cluster map generations swapped in since start."),
+		mapEpoch: reg.Gauge("cluster_map_epoch", "Epoch of the cluster map currently serving."),
+		retained: reg.Gauge("cluster_put_retained_bytes",
 			"Encoded stripe bytes puts currently lend to their shard uploads."),
 	}
 	sizes := make([]float64, len(g.rungs))
 	for i, s := range g.rungs {
 		sizes[i] = float64(s)
+		// Building the rungs' pipelines is what validates the options.
+		p, err := g.pipelinesFor(s)
+		if err != nil {
+			return nil, err
+		}
+		g.pipes[s] = p
 	}
-	g.putSizes = opts.Metrics.Histogram("cluster_put_shard_size_bytes",
+	g.putSizes = reg.Histogram("cluster_put_shard_size_bytes",
 		"Object puts by the shard size they were stored at: one bucket per rung of the ladder.", sizes)
-	// Building the top rung's encoder once is what validates the options.
-	if _, err := g.encoderFor(int64(stripeSize)); err != nil {
-		return nil, err
-	}
+	g.mapEpoch.Set(float64(opts.Map.Epoch()))
 	g.state.Store(g.buildState(opts.Map, nil))
 	return g, nil
 }
 
+// byLabel resolves one counter series per value of the label key.
+func byLabel(reg *obs.Registry, name, help, key string, values ...string) map[string]*obs.Counter {
+	series := make(map[string]*obs.Counter, len(values))
+	for _, v := range values {
+		series[v] = reg.Counter(name, help, obs.Label{Key: key, Value: v})
+	}
+	return series
+}
+
 // buildState makes the client set for a map, reusing the previous
 // generation's client for any node whose address did not change so
-// connection pools survive a swap.
+// connection pools survive a swap, and resolves each member's series.
 func (g *Gateway) buildState(next *Map, prev *mapState) *mapState {
-	clients := make(map[NodeID]*node.Client, next.Len())
+	st := &mapState{cmap: next, clients: make(map[NodeID]*node.Client, next.Len()),
+		series: make(map[NodeID]nodeSeries, next.Len())}
 	for _, n := range next.Nodes() {
+		g.router.meet(n.ID)
+		lbl := obs.Label{Key: "node", Value: string(n.ID)}
+		st.series[n.ID] = nodeSeries{
+			openFailures: g.reg.Counter("cluster_open_failures_total",
+				"Shard opens that failed during object reads, by node.", lbl),
+			putFailures: g.reg.Counter("cluster_put_shard_failures_total",
+				"Shard uploads that failed permanently during puts, by node.", lbl),
+			putRetries: g.reg.Counter("cluster_put_shard_retries_total",
+				"Shard uploads started again after a transient failure during puts, by node.", lbl),
+		}
 		if prev != nil {
 			if old, ok := prev.cmap.Get(n.ID); ok && old.Addr == n.Addr {
-				clients[n.ID] = prev.clients[n.ID]
+				st.clients[n.ID] = prev.clients[n.ID]
 				continue
 			}
 		}
-		clients[n.ID] = g.dial(n.Addr)
+		st.clients[n.ID] = g.dial(n.Addr)
 	}
-	return &mapState{cmap: next, clients: clients}
+	return st
 }
 
 // UpdateMap atomically swaps the cluster map for a newer generation.
@@ -248,9 +301,8 @@ func (g *Gateway) UpdateMap(next *Map) error {
 			next.Epoch(), cur.cmap.Epoch())
 	}
 	g.state.Store(g.buildState(next, cur))
-	g.reg.Gauge("cluster_map_epoch", "Epoch of the cluster map currently serving.").
-		Set(float64(next.Epoch()))
-	g.counter("cluster_map_swaps_total", "Cluster map generations swapped in since start.").Inc()
+	g.mapEpoch.Set(float64(next.Epoch()))
+	g.mapSwaps.Inc()
 	return nil
 }
 
@@ -272,22 +324,6 @@ func (g *Gateway) Place(object string) (Placement, error) {
 func (g *Gateway) Client(id NodeID) (*node.Client, bool) {
 	c, ok := g.snap().clients[id]
 	return c, ok
-}
-
-func (g *Gateway) counter(name, help string, labels ...obs.Label) *obs.Counter {
-	return g.reg.Counter(name, help, labels...)
-}
-
-// streamOptions is the shared pipeline config for this gateway's
-// geometry over shards of shardSize bytes. Reads close their shard
-// bodies when they end, so a straggler's connection is not left open.
-func (g *Gateway) streamOptions(shardSize int) stream.Options {
-	return stream.Options{
-		Codec:      g.codec,
-		StripeSize: shardSize * g.k,
-		HedgeAfter: g.hedge,
-		Metrics:    g.reg,
-	}
 }
 
 // ObjectRead is an opened object read pinned to one map generation:
@@ -341,19 +377,17 @@ func (o *ObjectRead) WriteTo(ctx context.Context, w io.Writer) error {
 		return fmt.Errorf("cluster: get %q: read already consumed", o.object)
 	}
 	o.streamed = true
-	dec, err := stream.NewDecoder(g.streamOptions(int(o.src.header.ShardSize)))
+	p, err := g.pipelinesFor(int(o.src.header.ShardSize))
 	if err != nil {
 		closeReaders(o.readers)
 		return err
 	}
-	if err := dec.DecodeRange(ctx, o.readers, w, o.size, o.off, o.length, o.src.spare); err != nil {
-		g.counter("cluster_gets_total", "Object gets, by result.",
-			obs.Label{Key: "result", Value: "error"}).Inc()
+	if err := p.dec.DecodeRange(ctx, o.readers, w, o.size, o.off, o.length, o.src.spare); err != nil {
+		g.gets["error"].Inc()
 		return fmt.Errorf("cluster: get %q: %w", o.object, err)
 	}
-	g.counter("cluster_gets_total", "Object gets, by result.",
-		obs.Label{Key: "result", Value: "ok"}).Inc()
-	g.counter("cluster_get_bytes_total", "Object payload bytes read.").Add(uint64(o.length))
+	g.gets["ok"].Inc()
+	g.getBytes.Add(uint64(o.length))
 	return nil
 }
 
@@ -401,8 +435,7 @@ func (g *Gateway) openRead(ctx context.Context, object string, off, length int64
 	o := g.newShardOpener(st, object, placement, class)
 	readers, err := o.open(ctx, off, length)
 	if err != nil {
-		g.counter("cluster_gets_total", "Object gets, by result.",
-			obs.Label{Key: "result", Value: "error"}).Inc()
+		g.gets["error"].Inc()
 		return nil, fmt.Errorf("cluster: get %q: %w", object, err)
 	}
 	size := int64(o.header.FileSize)
@@ -411,7 +444,7 @@ func (g *Gateway) openRead(ctx context.Context, object string, off, length int64
 			closeReaders(readers)
 			return nil, fmt.Errorf("cluster: get %q: %w", object, &RangeError{Size: size})
 		}
-		g.counter("cluster_range_gets_total", "Object byte-range gets opened.").Inc()
+		g.rangeGets.Inc()
 	}
 	return &ObjectRead{g: g, object: object, src: o, readers: readers,
 		size: size, off: o.win.Off, length: o.win.Len, ranged: ranged}, nil

@@ -419,3 +419,54 @@ func TestGatewayHTTPClusterMap(t *testing.T) {
 		t.Fatalf("cluster map body missing epoch/nodes: %s", body)
 	}
 }
+
+// TestGatewayOpAllocs budgets the allocations of a 64 KiB GET, a 64 KiB
+// range GET of an 8 MiB object and a 64 KiB put through the gateway's
+// HTTP handler at dialga-node's stripe size over pooled connections,
+// counted process-wide as
+// AllocsPerRun counts: the test's client, the gateway and its six
+// nodes together. Each budget is the measured count plus a margin of
+// 5 %, so a change that adds per-request work shows here: resolving
+// series per request, as the gateway once did, cost 67 more a GET,
+// range GET and put alike (666, 708 and 884). The counts were measured
+// with go1.24, and most of them are net/http's, so a failure under
+// another toolchain is first re-measured there.
+func TestGatewayOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations swamp the measurement")
+	}
+	tc := startClusterOpts(t, 6, 4, 2, func(o *GatewayOptions) {
+		o.StripeSize = 1 << 20
+		o.HTTPClient = http.DefaultClient // pooled, dialga-node's
+
+	})
+	srv := startHTTP(t, tc)
+	small, big := clusterPayload(1, 64<<10), clusterPayload(2, 8<<20)
+	for object, payload := range map[string][]byte{"small": small, "big": big} {
+		if resp := httpPut(t, srv, object, payload); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("put %s: %s", object, resp.Status)
+		}
+	}
+	get := func(object, rng string, want []byte) func() {
+		return func() {
+			if _, body, err := httpGet(t, srv, object, rng); err != nil || !bytes.Equal(body, want) {
+				t.Fatalf("get %s %q: %d bytes, err %v", object, rng, len(body), err)
+			}
+		}
+	}
+	for _, op := range []struct {
+		name     string
+		measured float64
+		run      func()
+	}{
+		{"64 KiB GET", 599, get("small", "", small)},
+		{"64 KiB range GET of an 8 MiB object", 641, get("big", "bytes=1048576-1114111", big[1<<20:1<<20+64<<10])},
+		{"64 KiB put", 817, func() { httpPut(t, srv, "small", small) }},
+	} {
+		got := testing.AllocsPerRun(50, op.run)
+		t.Logf("%s: %v allocations", op.name, got)
+		if budget := op.measured * 1.05; got > budget {
+			t.Errorf("%s allocates %v times, over its budget of %v (%v measured, plus 5 %%)", op.name, got, budget, op.measured)
+		}
+	}
+}

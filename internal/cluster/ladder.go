@@ -1,6 +1,10 @@
 package cluster
 
-import "dialga/internal/stream"
+import (
+	"cmp"
+
+	"dialga/internal/stream"
+)
 
 // minShardSize is the ladder's floor: rs encodes and checksums in 4 KiB
 // tiles, and below it a shard file is mostly header, trailer and inode.
@@ -38,10 +42,35 @@ func shardSizeFor(rungs []int, size int64, k int) int {
 	return rungs[len(rungs)-1]
 }
 
-// encoderFor builds the put pipeline for an object of size bytes: an
-// encoder at the rung shardSizeFor picks. Pipelines are per request —
-// their buffers come from the process's allocator, so there is nothing
-// in one worth keeping.
-func (g *Gateway) encoderFor(size int64) (*stream.Encoder, error) {
-	return stream.NewEncoder(g.streamOptions(shardSizeFor(g.rungs, size, g.k)))
+// encoderFor is the put pipeline for an object of size bytes: the
+// encoder of the rung shardSizeFor picks.
+func (g *Gateway) encoderFor(size int64) *stream.Encoder {
+	return g.pipes[shardSizeFor(g.rungs, size, g.k)].enc
+}
+
+// pipelines are the streaming pipelines for one shard size. Each is
+// safe for concurrent use and holds no buffers (they come from the
+// process's allocator), so NewGateway builds one set per rung, series
+// and all, and every request at that rung shares it.
+type pipelines struct {
+	enc *stream.Encoder
+	dec *stream.Decoder
+	rb  *stream.Rebuilder
+}
+
+// pipelinesFor returns the pipelines for shards of shardSize bytes: its
+// rung's, or a new set — for NewGateway's rungs, and for a size off the
+// ladder (an object stored under another stripe size) one per request.
+func (g *Gateway) pipelinesFor(shardSize int) (*pipelines, error) {
+	if p, ok := g.pipes[shardSize]; ok {
+		return p, nil
+	}
+	opts := stream.Options{Codec: g.codec, StripeSize: shardSize * g.k, HedgeAfter: g.hedge, Metrics: g.reg}
+	enc, err1 := stream.NewEncoder(opts)
+	dec, err2 := stream.NewDecoder(opts)
+	rb, err3 := stream.NewRebuilder(opts)
+	if err := cmp.Or(err1, err2, err3); err != nil {
+		return nil, err
+	}
+	return &pipelines{enc: enc, dec: dec, rb: rb}, nil
 }

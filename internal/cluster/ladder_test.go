@@ -13,7 +13,6 @@ import (
 	"dialga/internal/node"
 	"dialga/internal/obs"
 	"dialga/internal/shardfile"
-	"dialga/internal/stream"
 )
 
 // TestShardSizeLadder pins the ladder at k = 3, so that nothing leans
@@ -101,10 +100,11 @@ func (o ladderObject) header(idx int) shardfile.Header {
 // or this one before the ladder, may have stored it — and returns them.
 func (tc *testCluster) storeAt(ctx context.Context, o ladderObject) [][]byte {
 	tc.t.Helper()
-	enc, err := stream.NewEncoder(tc.gw.streamOptions(o.shardSize))
+	p, err := tc.gw.pipelinesFor(o.shardSize)
 	if err != nil {
 		tc.t.Fatal(err)
 	}
+	enc := p.enc
 	bufs := make([]bytes.Buffer, 6)
 	writers := make([]io.Writer, 6)
 	for idx := range bufs {
@@ -364,10 +364,7 @@ func TestPutsTakeLadderRungsWithinBudget(t *testing.T) {
 		if _, err := gw.PutObject(ctx, "sized", bytes.NewReader(payload[:size]), size, node.ClassForeground); err != nil {
 			t.Fatalf("put of %d bytes: %v", size, err)
 		}
-		enc, err := gw.encoderFor(size)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := gw.encoderFor(size)
 		if !slices.Contains(gw.rungs, enc.ShardSize()) {
 			t.Fatalf("a put of %d bytes takes %d-byte shards, not a rung of %v", size, enc.ShardSize(), gw.rungs)
 		}

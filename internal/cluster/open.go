@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"dialga/internal/node"
-	"dialga/internal/obs"
 	"dialga/internal/shardfile"
 )
 
@@ -71,14 +70,6 @@ func (o *shardOpener) take(n int) []int {
 	return wave
 }
 
-// countSpares counts n shards opened beyond a read's first k, by the
-// evidence that called for them.
-func (o *shardOpener) countSpares(reason string, n int) {
-	o.g.counter("cluster_read_spares_total",
-		"Shards reads opened beyond their first k, by the evidence that called for them (open, dead, corrupt, late).",
-		obs.Label{Key: "reason", Value: reason}).Add(uint64(n))
-}
-
 // failed records why a shard could not be used. A failure that is not a
 // 404 is the more telling diagnosis, so it displaces an earlier 404 as
 // the reported cause.
@@ -119,9 +110,7 @@ func (o *shardOpener) outvoted(s openedShard) {
 
 // countFailure counts a shard that could not be used against its node.
 func (o *shardOpener) countFailure(idx int) {
-	o.g.counter("cluster_open_failures_total",
-		"Shard opens that failed during object reads, by node.",
-		obs.Label{Key: "node", Value: string(o.placement[idx].ID)}).Inc()
+	o.st.series[o.placement[idx].ID].openFailures.Inc()
 }
 
 // openShard opens shard idx at the object bytes [off, off+length). A
@@ -199,7 +188,7 @@ func (o *shardOpener) open(ctx context.Context, off, length int64) ([]io.Reader,
 			return nil, o.unavailable(leadN, fmt.Sprintf("only %d of %d shards available", leadN, k))
 		}
 		if round > 0 {
-			o.countSpares("open", need)
+			o.g.spares["open"].Add(uint64(need))
 		}
 		idxs := o.take(need)
 		opened := make([]openedShard, len(idxs))
@@ -246,7 +235,7 @@ func (o *shardOpener) spare(ctx context.Context, block int64, reason string) (in
 			o.outvoted(s)
 			continue
 		}
-		o.countSpares(reason, 1)
+		o.g.spares[reason].Inc()
 		return idx, s.body, nil
 	}
 	if o.firstErr != nil {

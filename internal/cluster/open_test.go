@@ -487,7 +487,7 @@ func TestIdleBudgetHoldsAcrossRungs(t *testing.T) {
 }
 
 // TestHeapDoesNotClimb: 200 sequential 8 MiB GETs, each through a
-// decoder of its own, leave the heap where the first ones left it, give
+// shard group of its own, leave the heap where the first ones left it, give
 // or take the allocator's budget. Each GET used to strand its block
 // buffers for two GC cycles, and the live heap climbed 53 → 258 MB
 // across a 5 s get_8m window (DESIGN.md).

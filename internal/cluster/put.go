@@ -75,10 +75,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 		return nil, err
 	}
 
-	enc, err := g.encoderFor(size)
-	if err != nil {
-		return nil, err
-	}
+	enc := g.encoderFor(size)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -103,7 +100,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 		go func(i int, cli *node.Client) {
 			defer wg.Done()
 			h := g.header(i, size, enc.ShardSize(), gen)
-			if err := g.uploadShard(ctx, object, placement[i].ID, cli.WithClass(class), lent, h); err != nil {
+			if err := g.uploadShard(ctx, object, cli.WithClass(class), st.series[placement[i].ID].putRetries, lent, h); err != nil {
 				errs[i] = fmt.Errorf("shard %d -> %s: %w", i, placement[i].ID, err)
 			}
 		}(i, cli)
@@ -131,8 +128,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	lent.release()
 
 	fail := func(err error) (Placement, error) {
-		g.counter("cluster_puts_total", "Object puts, by result.",
-			obs.Label{Key: "result", Value: "error"}).Inc()
+		g.puts["error"].Inc()
 		return nil, fmt.Errorf("cluster: put %q: %w", object, err)
 	}
 	if encErr != nil {
@@ -150,9 +146,7 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 		if firstErr == nil {
 			firstErr = err
 		}
-		g.counter("cluster_put_shard_failures_total",
-			"Shard uploads that failed permanently during puts, by node.",
-			obs.Label{Key: "node", Value: string(placement[i].ID)}).Inc()
+		st.series[placement[i].ID].putFailures.Inc()
 	}
 	if landed < g.quorum {
 		// Not enough durability to ack. The landed shards replaced the
@@ -179,24 +173,22 @@ func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, siz
 	result := "ok"
 	if landed < n {
 		result = "degraded"
-		g.counter("cluster_put_degraded_total",
-			"Puts acknowledged at quorum with one or more shards owed to repair.").Inc()
+		g.putDegraded.Inc()
 	}
-	g.counter("cluster_puts_total", "Object puts, by result.",
-		obs.Label{Key: "result", Value: result}).Inc()
-	g.counter("cluster_put_bytes_total", "Object payload bytes written.").Add(uint64(size))
+	g.puts[result].Inc()
+	g.putBytes.Add(uint64(size))
 	g.putSizes.Observe(float64(enc.ShardSize()))
 	return placement, nil
 }
 
 // uploadShard sends one shard of a put to its node, reading the lent
-// stripes in place. A transient failure is retried, with linearly
-// growing, fully-jittered backoff, as a fresh body from stripe 0 — the
-// stripes are still there, and the node commits by rename, so an
-// attempt can simply be made again. Failures never tear down the put:
+// stripes in place. A transient failure is retried (counted in retries)
+// with linearly growing, fully-jittered backoff, as a fresh body from
+// stripe 0 — the stripes are still there, and the node commits by
+// rename, so an attempt can simply be made again. Failures never tear down the put:
 // the other shards' uploads are unaffected, and the caller decides
 // afterwards whether quorum held.
-func (g *Gateway) uploadShard(ctx context.Context, object string, id NodeID, cli *node.Client, lent *lentStripes, h shardfile.Header) error {
+func (g *Gateway) uploadShard(ctx context.Context, object string, cli *node.Client, retries *obs.Counter, lent *lentStripes, h shardfile.Header) error {
 	idx := int(h.Index)
 	// Whatever ends the upload, a windowed list stops waiting for it —
 	// after the last attempt's body is sealed.
@@ -215,9 +207,7 @@ func (g *Gateway) uploadShard(ctx context.Context, object string, id NodeID, cli
 			return err // the put is over; the attempt's own error says more than ctx's
 		case <-t.C:
 		}
-		g.counter("cluster_put_shard_retries_total",
-			"Shard uploads started again after a transient failure during puts, by node.",
-			obs.Label{Key: "node", Value: string(id)}).Inc()
+		retries.Inc()
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"io"
 
 	"dialga/internal/node"
-	"dialga/internal/obs"
 )
 
 // Rebalance diffs every object's placement under old against the
@@ -73,7 +72,7 @@ func (r *Repairer) Rebalance(ctx context.Context, old *Map) (int, error) {
 			if po[i].ID == pn[i].ID {
 				continue
 			}
-			if r.enqueueItem(&repairItem{
+			if r.enqueueItem(repairItem{
 				repairTask: repairTask{Object: object, Index: i},
 				redundancy: r.gw.m,
 				migrate:    true,
@@ -84,17 +83,9 @@ func (r *Repairer) Rebalance(ctx context.Context, old *Map) (int, error) {
 			}
 		}
 	}
-	r.reg.Counter("cluster_rebalance_runs_total",
-		"Placement-diff rebalance passes started.").Inc()
-	r.reg.Counter("cluster_rebalance_moves_total",
-		"Shard migrations enqueued by rebalance passes.").Add(uint64(moves))
+	r.rebalanceRuns.Inc()
+	r.rebalanceMoves.Add(uint64(moves))
 	return moves, nil
-}
-
-func (r *Repairer) migrations(result string) *obs.Counter {
-	return r.reg.Counter("cluster_migrations_total",
-		"Shard migrations completed by rebalancing, by how the shard reached its new home.",
-		obs.Label{Key: "result", Value: result})
 }
 
 // migrateOne executes one queued migration: move shard it.Index of
@@ -163,7 +154,7 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	if landedErr == nil && landed.Generation >= h.Generation {
 		body.Close()
 		src.DeleteShard(ctx, object, idx)
-		r.migrations("already").Inc()
+		r.migrations["already"].Inc()
 		return nil
 	}
 
@@ -182,9 +173,8 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	// A failed delete strands a harmless extra copy the next scan's
 	// drain pass can retry; it never loses data.
 	src.DeleteShard(ctx, object, idx)
-	r.migrations("copied").Inc()
-	r.reg.Counter("cluster_migrate_bytes_total",
-		"Shard bytes moved to new homes by rebalancing.").Add(uint64(shardBytes))
+	r.migrations["copied"].Inc()
+	r.migrateBytes.Add(uint64(shardBytes))
 	return nil
 }
 
@@ -197,6 +187,6 @@ func (r *Repairer) migrateByRebuild(ctx context.Context, it *repairItem, src *no
 		return err
 	}
 	src.DeleteShard(ctx, it.Object, it.Index)
-	r.migrations("rebuilt").Inc()
+	r.migrations["rebuilt"].Inc()
 	return nil
 }

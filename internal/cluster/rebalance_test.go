@@ -77,11 +77,11 @@ func TestRepairPreemptsMigration(t *testing.T) {
 	}
 	r := NewRepairer(gw, nil, nil)
 
-	r.enqueueItem(&repairItem{
+	r.enqueueItem(repairItem{
 		repairTask: repairTask{Object: "moved", Index: 0},
 		redundancy: 2, migrate: true, srcID: "n0",
 	})
-	r.enqueueItem(&repairItem{
+	r.enqueueItem(repairItem{
 		repairTask: repairTask{Object: "later", Index: 0},
 		redundancy: 2, migrate: true, srcID: "n1",
 	})

@@ -16,7 +16,6 @@ import (
 	"dialga/internal/node"
 	"dialga/internal/obs"
 	"dialga/internal/shardfile"
-	"dialga/internal/stream"
 )
 
 // repairTask names one damaged shard: rebuild shard Index of Object.
@@ -24,8 +23,6 @@ type repairTask struct {
 	Object string
 	Index  int
 }
-
-func (t repairTask) key() string { return t.Object + "/" + strconv.Itoa(t.Index) }
 
 // repairItem is a queued task with its scheduling state. redundancy is
 // the object's remaining parity headroom (live shards minus K) when
@@ -135,74 +132,102 @@ type Repairer struct {
 	// lockstep.
 	scans atomic.Uint64
 
-	scrubOK          *obs.Counter            // cluster_scrub_ok_total
-	scrubUnreachable *obs.Counter            // cluster_scrub_unreachable_total
-	scrubDamaged     map[string]*obs.Counter // cluster_scrub_damaged_total, by status
+	// The series the Repairer counts, all resolved in NewRepairer, each
+	// named for its series; a map holds a family's series by label value.
+	scrubOK, scrubUnreachable, scanErrors                  *obs.Counter
+	scrubDamaged, repairs, migrations                      map[string]*obs.Counter
+	repairFailures, repairDropped, repairBytes             *obs.Counter
+	readBytes, rebalanceRuns, rebalanceMoves, migrateBytes *obs.Counter
+	redundancyMin, repairQueue, rebalanceQueue             *obs.Gauge
+	queuePriority                                          []*obs.Gauge // by redundancy, 0..m
 
 	mu     sync.Mutex
 	heap   repairHeap
-	queued map[string]*repairItem
+	queued map[repairTask]*repairItem
 	seq    uint64
+	depth  []int // queued items by redundancy, 0..m
+	moving int   // queued migrations
 }
 
 // NewRepairer wires a repair queue over the gateway's cluster view.
 // lim may be nil (unpaced); reg may be nil (unmetered).
 func NewRepairer(gw *Gateway, lim *Limiter, reg *obs.Registry) *Repairer {
+	statuses := []string{"stale"}
+	for s := shardfile.ShardMissing; s <= shardfile.ShardCorrupt; s++ {
+		statuses = append(statuses, s.String())
+	}
 	r := &Repairer{
-		gw: gw, lim: lim, reg: reg, queued: make(map[string]*repairItem),
-		scrubOK: reg.Counter("cluster_scrub_ok_total",
-			"Placed shards that passed a repair-scan scrub."),
+		gw: gw, lim: lim, reg: reg, queued: make(map[repairTask]*repairItem), depth: make([]int, gw.m+1),
+		scrubOK: reg.Counter("cluster_scrub_ok_total", "Placed shards that passed a repair-scan scrub."),
 		scrubUnreachable: reg.Counter("cluster_scrub_unreachable_total",
 			"Placed shards the repair scan could not probe (node down)."),
-		scrubDamaged: map[string]*obs.Counter{"stale": scrubDamagedCounter(reg, "stale")},
+		scanErrors:   reg.Counter("cluster_scan_errors_total", "Repair scans that aborted with an error."),
+		scrubDamaged: byLabel(reg, "cluster_scrub_damaged_total", scrubDamagedHelp, "status", statuses...),
+		repairs:      byLabel(reg, "cluster_repairs_total", "Shard rebuilds, by result.", "result", "ok", "error"),
+		migrations: byLabel(reg, "cluster_migrations_total",
+			"Shard migrations completed by rebalancing, by how the shard reached its new home.",
+			"result", "already", "copied", "rebuilt"),
+		repairFailures: reg.Counter("cluster_repair_failures_total", "Shard rebuild attempts that failed."),
+		repairDropped: reg.Counter("cluster_repair_dropped_total",
+			"Repair tasks dropped after exhausting their attempt budget."),
+		repairBytes: reg.Counter("cluster_repair_bytes_total",
+			"Bytes of rebuilt shard data written by the repair queue."),
+		readBytes: reg.Counter("cluster_repair_read_bytes_total",
+			"Bytes of source shard data the repair queue opened to rebuild shards from."),
+		rebalanceRuns:  reg.Counter("cluster_rebalance_runs_total", "Placement-diff rebalance passes started."),
+		rebalanceMoves: reg.Counter("cluster_rebalance_moves_total", "Shard migrations enqueued by rebalance passes."),
+		migrateBytes:   reg.Counter("cluster_migrate_bytes_total", "Shard bytes moved to new homes by rebalancing."),
+		redundancyMin: reg.Gauge("cluster_redundancy_min",
+			"Lowest live-shard count across all objects at the last repair scan."),
+		repairQueue:    reg.Gauge("cluster_repair_queue", "Damaged shards currently queued for rebuild."),
+		rebalanceQueue: reg.Gauge("cluster_rebalance_queue", "Shard migrations currently queued by rebalancing."),
 	}
-	for s := shardfile.ShardMissing; s <= shardfile.ShardCorrupt; s++ {
-		r.scrubDamaged[s.String()] = scrubDamagedCounter(reg, s.String())
+	for red := 0; red <= gw.m; red++ {
+		r.queuePriority = append(r.queuePriority, reg.Gauge("cluster_repair_queue_priority",
+			"Damaged shards queued for rebuild, by the object's remaining redundancy.",
+			obs.Label{Key: "redundancy", Value: strconv.Itoa(red)}))
 	}
+	// Until the first scan, what a scan of no objects reports: full width.
+	r.redundancyMin.Set(float64(gw.k + gw.m))
 	r.scans.Store(rand.Uint64N(scrubRotation))
 	return r
 }
 
-// scrubDamagedCounter is cluster_scrub_damaged_total for one kind of
-// damage.
-func scrubDamagedCounter(reg *obs.Registry, status string) *obs.Counter {
-	return reg.Counter("cluster_scrub_damaged_total",
-		"Placed shards found damaged by repair scans, by kind.",
-		obs.Label{Key: "status", Value: status})
-}
+const scrubDamagedHelp = "Placed shards found damaged by repair scans, by kind."
 
 // enqueue adds or re-prioritizes a task. A task already queued keeps
 // its attempt count and takes the lower (more urgent) redundancy.
 func (r *Repairer) enqueue(t repairTask, redundancy, attempts int) bool {
-	return r.enqueueItem(&repairItem{repairTask: t, redundancy: redundancy, attempts: attempts})
+	return r.enqueueItem(repairItem{repairTask: t, redundancy: redundancy, attempts: attempts})
 }
 
 // enqueueItem adds or re-prioritizes a task, preserving the incoming
 // item's kind (repair vs migration) and source when it is new. A slot
 // already queued only gets more urgent: it takes the lower redundancy
-// and keeps its attempt count. A queued migration is not demoted to a
-// rebuild by a later repair enqueue for the same slot — the copy is
-// cheaper, and migrateOne falls back to rebuilding if its source is
-// gone.
-func (r *Repairer) enqueueItem(it *repairItem) bool {
-	if it.redundancy < 0 {
-		it.redundancy = 0
-	}
+// and keeps its attempt count, and redundancy is clamped to [0, m]. A
+// queued migration is not demoted to a rebuild by a later repair
+// enqueue for the same slot — the copy is cheaper, and migrateOne falls
+// back to rebuilding if its source is gone.
+func (r *Repairer) enqueueItem(it repairItem) bool {
+	it.redundancy = min(max(it.redundancy, 0), r.gw.m)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cur, ok := r.queued[it.key()]; ok {
+	if cur, ok := r.queued[it.repairTask]; ok {
 		if it.redundancy < cur.redundancy {
+			r.countLocked(cur, -1)
 			cur.redundancy = it.redundancy
+			r.countLocked(cur, 1)
 			heap.Fix(&r.heap, cur.pos)
-			r.updateGaugesLocked()
 		}
 		return false
 	}
 	r.seq++
 	it.seq = r.seq
-	r.queued[it.key()] = it
-	heap.Push(&r.heap, it)
-	r.updateGaugesLocked()
+	queued := new(repairItem) // only now: re-prioritizing allocates nothing
+	*queued = it
+	r.queued[it.repairTask] = queued
+	heap.Push(&r.heap, queued)
+	r.countLocked(queued, 1)
 	return true
 }
 
@@ -214,34 +239,23 @@ func (r *Repairer) pop() (*repairItem, bool) {
 		return nil, false
 	}
 	it := heap.Pop(&r.heap).(*repairItem)
-	delete(r.queued, it.key())
-	r.updateGaugesLocked()
+	delete(r.queued, it.repairTask)
+	r.countLocked(it, -1)
 	return it, true
 }
 
-// updateGaugesLocked refreshes the queue-depth gauges: the total, and
-// one series per redundancy level so dashboards can see whether the
+// countLocked adds d to the queue's counts at its redundancy and kind
+// and sets the queue-depth gauges from them: the depth of each kind,
+// and one series per redundancy level so dashboards can see whether the
 // backlog is annoying (redundancy m-1) or dangerous (redundancy 0).
-func (r *Repairer) updateGaugesLocked() {
-	counts := make(map[int]int)
-	repairs, migrations := 0, 0
-	for _, it := range r.heap {
-		counts[it.redundancy]++
-		if it.migrate {
-			migrations++
-		} else {
-			repairs++
-		}
+func (r *Repairer) countLocked(it *repairItem, d int) {
+	r.depth[it.redundancy] += d
+	if it.migrate {
+		r.moving += d
 	}
-	r.reg.Gauge("cluster_repair_queue",
-		"Damaged shards currently queued for rebuild.").Set(float64(repairs))
-	r.reg.Gauge("cluster_rebalance_queue",
-		"Shard migrations currently queued by rebalancing.").Set(float64(migrations))
-	for red := 0; red <= r.gw.m; red++ {
-		r.reg.Gauge("cluster_repair_queue_priority",
-			"Damaged shards queued for rebuild, by the object's remaining redundancy.",
-			obs.Label{Key: "redundancy", Value: strconv.Itoa(red)}).Set(float64(counts[red]))
-	}
+	r.queuePriority[it.redundancy].Set(float64(r.depth[it.redundancy]))
+	r.repairQueue.Set(float64(len(r.heap) - r.moving))
+	r.rebalanceQueue.Set(float64(r.moving))
 }
 
 // ScanOnce scrubs every placed shard of every object, enqueues the
@@ -321,8 +335,10 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 				r.scrubOK.Inc()
 			default:
 				c, ok := r.scrubDamaged[v]
-				if !ok { // a status this build does not know
-					c = scrubDamagedCounter(r.reg, v)
+				if !ok {
+					// A lookup on the scan's path: a status from another build.
+					c = r.reg.Counter("cluster_scrub_damaged_total", scrubDamagedHelp,
+						obs.Label{Key: "status", Value: v})
 				}
 				c.Inc()
 				damaged = append(damaged, idx)
@@ -338,9 +354,7 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 			}
 		}
 	}
-	r.reg.Gauge("cluster_redundancy_min",
-		"Lowest live-shard count across all objects at the last repair scan.").
-		Set(float64(minLive))
+	r.redundancyMin.Set(float64(minLive))
 	r.scans.Add(1)
 	return enqueued, nil
 }
@@ -385,7 +399,7 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	}
 	h := src.header
 	h.Index = uint32(idx)
-	rb, err := stream.NewRebuilder(r.gw.streamOptions(int(h.ShardSize)))
+	p, err := r.gw.pipelinesFor(int(h.ShardSize))
 	if err != nil {
 		closeReaders(readers)
 		return err
@@ -412,7 +426,7 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 		}
 		return i, body, err
 	}
-	rbErr := rb.Rebuild(ctx, readers, idx, pw, int64(h.StripeCount), spare)
+	rbErr := p.rb.Rebuild(ctx, readers, idx, pw, int64(h.StripeCount), spare)
 	pw.CloseWithError(rbErr)
 	upErr := <-putErr
 	if rbErr != nil {
@@ -421,9 +435,7 @@ func (r *Repairer) RepairOne(ctx context.Context, object string, idx int) error 
 	if upErr != nil {
 		return fmt.Errorf("cluster: repair %q shard %d: upload: %w", object, idx, upErr)
 	}
-	r.reg.Counter("cluster_repair_bytes_total",
-		"Bytes of rebuilt shard data written by the repair queue.").
-		Add(uint64(h.ExpectedFileSize()))
+	r.repairBytes.Add(uint64(h.ExpectedFileSize()))
 	return nil
 }
 
@@ -439,9 +451,7 @@ func (s sizedReader) Len() int { return int(s.size) }
 
 // countRead counts n source bytes a rebuild opened for reading.
 func (r *Repairer) countRead(n int64) {
-	r.reg.Counter("cluster_repair_read_bytes_total",
-		"Bytes of source shard data the repair queue opened to rebuild shards from.").
-		Add(uint64(n))
+	r.readBytes.Add(uint64(n))
 }
 
 // DrainOnce works the queue until it is empty or ctx ends, returning
@@ -466,17 +476,14 @@ func (r *Repairer) DrainOnce(ctx context.Context) (repaired, failed int) {
 		if err == nil {
 			repaired++
 			if !it.migrate {
-				r.reg.Counter("cluster_repairs_total", "Shard rebuilds, by result.",
-					obs.Label{Key: "result", Value: "ok"}).Inc()
+				r.repairs["ok"].Inc()
 			}
 			continue
 		}
 		failed++
 		if !it.migrate {
-			r.reg.Counter("cluster_repairs_total", "Shard rebuilds, by result.",
-				obs.Label{Key: "result", Value: "error"}).Inc()
-			r.reg.Counter("cluster_repair_failures_total",
-				"Shard rebuild attempts that failed.").Inc()
+			r.repairs["error"].Inc()
+			r.repairFailures.Inc()
 		}
 		if ctx.Err() != nil {
 			// Put the interrupted task back so nothing is stranded.
@@ -485,8 +492,7 @@ func (r *Repairer) DrainOnce(ctx context.Context) (repaired, failed int) {
 		}
 		it.attempts++
 		if it.attempts >= repairAttempts {
-			r.reg.Counter("cluster_repair_dropped_total",
-				"Repair tasks dropped after exhausting their attempt budget.").Inc()
+			r.repairDropped.Inc()
 			continue
 		}
 		requeue = append(requeue, it)
@@ -494,8 +500,7 @@ func (r *Repairer) DrainOnce(ctx context.Context) (repaired, failed int) {
 	for _, it := range requeue {
 		// Re-inserting the popped item keeps its kind, source, and
 		// attempt count — a requeued migration stays a migration.
-		it.pos = 0
-		r.enqueueItem(it)
+		r.enqueueItem(*it)
 	}
 	return repaired, failed
 }
@@ -515,8 +520,7 @@ func (r *Repairer) Run(ctx context.Context, interval time.Duration) error {
 			return ctx.Err()
 		case <-tick.C:
 			if _, err := r.ScanOnce(ctx); err != nil {
-				r.reg.Counter("cluster_scan_errors_total",
-					"Repair scans that aborted with an error.").Inc()
+				r.scanErrors.Inc()
 				continue
 			}
 			r.DrainOnce(ctx)

@@ -145,7 +145,7 @@ func TestScanSetsRedundancyMin(t *testing.T) {
 func (r *Repairer) queuedKey(object string, idx int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.queued[repairTask{Object: object, Index: idx}.key()] != nil
+	return r.queued[repairTask{Object: object, Index: idx}] != nil
 }
 
 // TestScanRotatesBlockScrub: every scan judges every placed slot by a
@@ -261,4 +261,68 @@ func TestScanRotatesBlockScrub(t *testing.T) {
 	if got := tc.counter("cluster_scrub_damaged_total", obs.Label{Key: "status", Value: "corrupt"}); got != 1 {
 		t.Fatalf("cluster_scrub_damaged_total{status=corrupt} = %d, want 1", got)
 	}
+}
+
+// TestRepairQueueGaugesFromCounts: the queue-depth gauges follow the
+// queue's own counts through enqueues, re-prioritizations and pops, at
+// a depth where walking the heap on every change would show, and
+// re-prioritizing a queued task allocates nothing.
+func TestRepairQueueGaugesFromCounts(t *testing.T) {
+	infos := make([]NodeInfo, 6)
+	for i := range infos {
+		infos[i] = NodeInfo{ID: NodeID(fmt.Sprintf("n%d", i)), Addr: fmt.Sprintf("203.0.113.%d:1", i), Rack: fmt.Sprintf("r%d", i)}
+	}
+	cmap, err := New(infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := NewGateway(GatewayOptions{Map: cmap, K: 4, M: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	r := NewRepairer(gw, nil, reg)
+	const repairs, moves = 3500, 500
+	tasks := make([]repairTask, repairs+moves)
+	for i := range tasks {
+		tasks[i] = repairTask{Object: fmt.Sprintf("obj-%04d", i), Index: i % 6}
+		r.enqueueItem(repairItem{repairTask: tasks[i], redundancy: 2, migrate: i >= repairs})
+	}
+	// Raise repairs 0..100 to redundancy 1, and the first 50 migrations
+	// to 0 by a repair report, which keeps them migrations.
+	next := 0
+	if a := testing.AllocsPerRun(100, func() { r.enqueue(tasks[next], 1, 0); next++ }); a != 0 {
+		t.Errorf("re-prioritizing a queued task allocates %v times, want 0", a)
+	}
+	for i := repairs; i < repairs+50; i++ {
+		r.enqueue(tasks[i], 0, 0)
+	}
+	want := func(repairQ, rebalanceQ float64, byRedundancy ...float64) {
+		t.Helper()
+		if got := reg.Gauge("cluster_repair_queue", "").Value(); got != repairQ {
+			t.Errorf("cluster_repair_queue = %v, want %v", got, repairQ)
+		}
+		if got := reg.Gauge("cluster_rebalance_queue", "").Value(); got != rebalanceQ {
+			t.Errorf("cluster_rebalance_queue = %v, want %v", got, rebalanceQ)
+		}
+		for red, w := range byRedundancy {
+			if got := reg.Gauge("cluster_repair_queue_priority", "",
+				obs.Label{Key: "redundancy", Value: fmt.Sprint(red)}).Value(); got != w {
+				t.Errorf("cluster_repair_queue_priority{redundancy=%d} = %v, want %v", red, got, w)
+			}
+		}
+	}
+	want(repairs, moves, 50, 101, repairs+moves-151)
+	// Pops take the 50 migrations at 0, then the 101 repairs at 1, then
+	// 849 repairs at 2.
+	for i := 0; i < 1000; i++ {
+		if _, ok := r.pop(); !ok {
+			t.Fatal("queue ran dry")
+		}
+	}
+	want(repairs-950, moves-50, 0, 0, repairs+moves-1000)
+	for r.pending() > 0 {
+		r.pop()
+	}
+	want(0, 0, 0, 0, 0)
 }

@@ -53,6 +53,14 @@ func newSideliner(inner Router, reg *obs.Registry) *sideliner {
 	return &sideliner{inner: inner, clock: vclock.Real(), reg: reg, nodes: make(map[NodeID]*nodeReads)}
 }
 
+// meet creates id's record and series, if new: the gateway meets each
+// node of a map as it adopts it, so no read resolves a series.
+func (s *sideliner) meet(id NodeID) {
+	s.mu.Lock()
+	s.nodeLocked(id)
+	s.mu.Unlock()
+}
+
 // nodeLocked returns id's record, creating it (and its series) on first
 // sight.
 func (s *sideliner) nodeLocked(id NodeID) *nodeReads {

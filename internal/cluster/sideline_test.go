@@ -370,12 +370,17 @@ func TestSidelineSkipsMidStreamSpare(t *testing.T) {
 	tc.put(ctx, "obj", payload)
 	corruptBlock(t, tc, "obj", 0, 1)
 	place, _ := tc.gw.Place("obj")
+	// Forget the records the gateway made as it adopted the map, so that
+	// from here a record is a verdict.
+	s := tc.gw.router
+	s.mu.Lock()
+	s.nodes = make(map[NodeID]*nodeReads)
+	s.mu.Unlock()
 
 	tc.mustGet(ctx, "obj", payload)
 	if got := tc.spareCount("corrupt"); got != 1 {
 		t.Fatalf("cluster_read_spares_total{reason=corrupt} = %d, want 1", got)
 	}
-	s := tc.gw.router
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for idx, n := range place {

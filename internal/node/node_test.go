@@ -905,3 +905,45 @@ func TestAdmissionLooksUpNoMetrics(t *testing.T) {
 		}
 	}
 }
+
+// drainWriter is a ResponseWriter that takes a body the way a socket's
+// sendfile does, through ReadFrom, and keeps nothing.
+type drainWriter struct{ nopWriter }
+
+func (drainWriter) ReadFrom(r io.Reader) (int64, error) { return io.Copy(io.Discard, r) }
+
+// TestShardGetAllocs budgets what the node's shard GET handler
+// allocates to serve a 64 KiB object's shard, whole and as a one-block
+// window, with its series in a registry: the count measured with
+// go1.24 plus a margin of 4, so a change that adds work per request
+// shows here.
+func TestShardGetAllocs(t *testing.T) {
+	reg := obs.NewRegistry()
+	store, err := OpenStore(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := encodeShards(t, 4, 2, testPayload(64<<10))
+	if err := store.Put("obj", 0, bytes.NewReader(shards[0])); err != nil {
+		t.Fatal(err)
+	}
+	handler := NewServer(store, nil, reg).Handler()
+	w := drainWriter{nopWriter{http.Header{}}}
+	for _, tc := range []struct {
+		query  string
+		budget float64
+	}{
+		{"", 16 + 4},
+		{"?off=0&len=1", 19 + 4},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/shard/obj/0"+tc.query, nil)
+		got := testing.AllocsPerRun(200, func() {
+			clear(w.h)
+			handler.ServeHTTP(w, req)
+		})
+		t.Logf("shard GET%s: %v allocations", tc.query, got)
+		if got > tc.budget {
+			t.Errorf("shard GET%s allocates %v times, over its budget of %v", tc.query, got, tc.budget)
+		}
+	}
+}

@@ -112,16 +112,8 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 }
 
-// Bounds returns a copy of the finite bucket upper bounds.
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
-// Snapshot copies the per-bucket counts (len(Bounds())+1 entries, the
-// last being the overflow bucket) along with the running sum and total
+// Snapshot copies the per-bucket counts (one per finite bound, then the
+// overflow bucket) along with the running sum and total
 // observation count. The three values are each atomically read but not
 // mutually consistent under concurrent writes; totals catch up once
 // writers pause, which is the same contract stream.Stats has always
@@ -135,39 +127,4 @@ func (h *Histogram) Snapshot() (counts []uint64, sum float64, count uint64) {
 		counts[i] = h.counts[i].Load()
 	}
 	return counts, h.sum.load(), h.count.Load()
-}
-
-// Quantile returns an upper bound on the q-quantile (clamped to
-// [0, 1]) at bucket resolution: the bound of the bucket the rank falls
-// in, or +Inf when it falls in the overflow bucket. It returns 0 when
-// nothing has been observed.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts, _, total := h.Snapshot()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if rank < cum {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
 }

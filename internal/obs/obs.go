@@ -73,8 +73,9 @@ type family struct {
 // concurrent use, and safe on a nil *Registry (metrics come back nil
 // and their updates no-op).
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*family
+	mu      sync.Mutex
+	fams    map[string]*family
+	lookups int // calls to lookup: the tests' check that a served op resolves no series
 }
 
 // NewRegistry returns an empty registry.
@@ -121,6 +122,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, bounds []float64, 
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.lookups++
 	f, ok := r.fams[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, bounds: bounds, series: make(map[string]any)}

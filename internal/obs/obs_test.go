@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -39,7 +38,7 @@ func TestNilRegistryAndMetricsNoop(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Quantile(0.5) != 0 {
+	if counts, sum, n := h.Snapshot(); c.Value() != 0 || g.Value() != 0 || counts != nil || sum != 0 || n != 0 {
 		t.Fatal("nil metrics reported values")
 	}
 	var sb strings.Builder
@@ -96,16 +95,20 @@ func TestHistogramBucketEdges(t *testing.T) {
 	if sum != wantSum {
 		t.Fatalf("sum = %g, want %g", sum, wantSum)
 	}
-	if got := h.Bounds(); len(got) != 4 || got[3] != 8 {
-		t.Fatalf("Bounds() = %v", got)
+	if len(counts) != 5 {
+		t.Fatalf("%d buckets, want the 4 bounds' and the overflow", len(counts))
 	}
 }
 
+// TestHistogramQuantile: quantiles are read at bucket resolution from
+// the snapshot's counts, which place every rank: the p50 and p89 of 90
+// observations in (1,2] and 10 past the last bound fall under bound 2,
+// and the p99 in the overflow bucket.
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("q", "", []float64{1, 2, 4, 8})
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
+	if _, _, n := h.Snapshot(); n != 0 {
+		t.Fatal("empty histogram has observations")
 	}
 	for i := 0; i < 90; i++ {
 		h.Observe(1.5) // (1,2]
@@ -113,20 +116,14 @@ func TestHistogramQuantile(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(100) // overflow
 	}
-	if q := h.Quantile(0.5); q != 2 {
-		t.Fatalf("p50 = %g, want 2", q)
+	counts, _, total := h.Snapshot()
+	if total != 100 {
+		t.Fatalf("count = %d, want 100", total)
 	}
-	if q := h.Quantile(0.89); q != 2 {
-		t.Fatalf("p89 = %g, want 2", q)
-	}
-	if q := h.Quantile(0.99); !math.IsInf(q, 1) {
-		t.Fatalf("p99 = %g, want +Inf (overflow bucket)", q)
-	}
-	if q := h.Quantile(-1); q != 2 {
-		t.Fatalf("clamped q<0 = %g, want 2", q)
-	}
-	if q := h.Quantile(2); !math.IsInf(q, 1) {
-		t.Fatalf("clamped q>1 = %g, want +Inf", q)
+	// Ranks 50 and 89 lie within the first counts[0]+counts[1] ranks,
+	// rank 99 beyond everything under the last finite bound.
+	if below2 := counts[0] + counts[1]; below2 != 90 || counts[4] != 10 {
+		t.Fatalf("counts %v: want 90 at or under 2 and 10 in the overflow bucket", counts)
 	}
 }
 

@@ -150,9 +150,9 @@ func TestLateAfter(t *testing.T) {
 	}
 }
 
-// TestGroupMetricsRegistered checks the geom.metrics wiring: a
-// group publishes its three group-wide series into the registry, none
-// of them per shard, and a plain gather updates the deadline gauge.
+// TestGroupMetricsRegistered checks the geom.shardio wiring: a read
+// pipeline's three group-wide series are in its registry, none of them
+// per shard, and a plain gather updates the deadline gauge.
 func TestGroupMetricsRegistered(t *testing.T) {
 	const n, stripes = 3, 2
 	shards := mkShards(n, stripes)

@@ -59,6 +59,7 @@ func NewDecoder(opts Options) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.shardio = newShardioSeries(g.metrics)
 	return &Decoder{g: g, stats: newCounters(g.metrics, "decode")}, nil
 }
 

@@ -127,7 +127,7 @@ type shardMeta struct {
 // group schedules block reads across a stripe's shard readers by the
 // four rules in the package doc. Create one per read with newGroup,
 // call next once per stripe from a single goroutine, and close when
-// done. It reads geom's blockSize, hedgeAfter, clock and metrics.
+// done. It reads geom's blockSize, hedgeAfter, clock and shardio.
 type group struct {
 	geom    geom
 	clock   vclock.Clock
@@ -150,14 +150,27 @@ type group struct {
 	stripes sync.Pool
 	timer   vclock.Timer
 	awaited []bool
+}
 
-	// Registry series; nil (no-op) without geom.metrics. A group lives
-	// for one read, and its shard indexes name different nodes from one
-	// object to the next, so no series is per shard. The names keep
-	// their shardio_ prefix: dashboards and the benchmark match on it.
-	deadlineG   *obs.Gauge   // shardio_deadline_us: last stripe deadline
-	tripsC      *obs.Counter // shardio_breaker_trips_total
-	lateDropped *obs.Counter // shardio_late_blocks_dropped_total
+// shardioSeries are what a read's group counts, resolved once per read
+// pipeline by NewDecoder and NewRebuilder (nil, so no-op, without
+// Options.Metrics). None is per shard: a group's shard indexes name
+// different nodes from one object to the next. The shardio_ prefix
+// stays: dashboards and the benchmark match on it.
+type shardioSeries struct {
+	deadline           *obs.Gauge   // shardio_deadline_us: last stripe deadline
+	trips, lateDropped *obs.Counter // shardio_breaker_trips_total, shardio_late_blocks_dropped_total
+}
+
+func newShardioSeries(reg *obs.Registry) shardioSeries {
+	return shardioSeries{
+		deadline: reg.Gauge("shardio_deadline_us",
+			"Last per-stripe deadline, from the block-read latencies the stripe had in hand, microseconds."),
+		trips: reg.Counter("shardio_breaker_trips_total",
+			"Shard circuit-breaker trips, including half-open re-trips."),
+		lateDropped: reg.Counter("shardio_late_blocks_dropped_total",
+			"Straggler blocks that arrived after their stripe had gone ahead without them; recycled."),
+	}
 }
 
 // newGroup spawns one reader goroutine per non-nil shard reader and
@@ -175,13 +188,6 @@ func newGroup(readers []io.Reader, g geom) *group {
 		sh:      make([]shardMeta, n),
 		awaited: make([]bool, n),
 	}
-	reg := g.metrics
-	grp.deadlineG = reg.Gauge("shardio_deadline_us",
-		"Last per-stripe deadline, from the block-read latencies the stripe had in hand, microseconds.")
-	grp.tripsC = reg.Counter("shardio_breaker_trips_total",
-		"Shard circuit-breaker trips, including half-open re-trips.")
-	grp.lateDropped = reg.Counter("shardio_late_blocks_dropped_total",
-		"Straggler blocks that arrived after their stripe had gone ahead without them; recycled.")
 	for i, r := range readers {
 		if r == nil {
 			grp.sh[i].missing = true
@@ -262,7 +268,7 @@ func (g *group) eligible(i int, now time.Time) bool {
 func (g *group) deadline(st *shardStripe) time.Duration {
 	late, _ := LateAfter(st.lat) // st.lat is never empty when judged
 	d := min(max(late, g.geom.hedgeAfter), maxDeadline)
-	g.deadlineG.Set(float64(d) / float64(time.Microsecond))
+	g.geom.shardio.deadline.Set(float64(d) / float64(time.Microsecond))
 	return d
 }
 
@@ -420,7 +426,7 @@ func (g *group) collect(ctx context.Context, st *shardStripe, patient bool) erro
 				st.Hedged = true
 				if tripped, _ := g.sh[i].gate.Observe(now, true); tripped {
 					st.Trips++
-					g.tripsC.Inc()
+					g.geom.shardio.trips.Inc()
 				}
 			}
 			wait = 0
@@ -461,7 +467,7 @@ func (g *group) consume(res *result, seq int64, st *shardStripe, awaited []bool,
 		putBuffer(res.buf)
 	case res.seq != seq:
 		// A background read from a stripe the pipeline already left.
-		g.lateDropped.Inc()
+		g.geom.shardio.lateDropped.Inc()
 		putBuffer(res.buf)
 		// Rejoin the stripe being gathered: the shard may have
 		// recovered and can still make this deadline.

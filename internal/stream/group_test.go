@@ -42,6 +42,7 @@ func newTestGroup(t *testing.T, readers []io.Reader, g geom) *group {
 	if g.blockSize == 0 {
 		g.blockSize = testBlock
 	}
+	g.shardio = newShardioSeries(g.metrics)
 	grp := newGroup(readers, g)
 	t.Cleanup(grp.close)
 	return grp

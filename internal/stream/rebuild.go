@@ -59,6 +59,7 @@ func NewRebuilder(opts Options) (*Rebuilder, error) {
 		return nil, fmt.Errorf("stream: codec %T cannot rebuild single blocks", g.codec)
 	}
 	g.hedgeAfter = 0
+	g.shardio = newShardioSeries(g.metrics)
 	return &Rebuilder{g: g, code: code, stats: newCounters(g.metrics, "rebuild")}, nil
 }
 

@@ -33,20 +33,10 @@ func latencyBoundsUS() []float64 {
 // per-pipeline counter semantics; pipelines sharing a registry share
 // (and sum into) the same series per pipeline direction.
 type counters struct {
-	reg *obs.Registry
-
-	stripes         *obs.Counter
-	bytesIn         *obs.Counter
-	bytesOut        *obs.Counter
-	shardFailures   *obs.Counter
-	reconstructed   *obs.Counter
-	shardsCorrupted *obs.Counter
-	stripesHealed   *obs.Counter
-	hedgedReads     *obs.Counter
-	hedgeWins       *obs.Counter
-	breakerTrips    *obs.Counter
-	workerPanics    *obs.Counter
-	lat             *obs.Histogram
+	stripes, bytesIn, bytesOut, shardFailures, reconstructed *obs.Counter
+	shardsCorrupted, stripesHealed, hedgedReads, hedgeWins   *obs.Counter
+	breakerTrips, workerPanics                               *obs.Counter
+	lat                                                      *obs.Histogram
 }
 
 // newCounters registers the pipeline counter set in reg (a private
@@ -58,7 +48,6 @@ func newCounters(reg *obs.Registry, pipeline string) *counters {
 	}
 	lbl := obs.Label{Key: "pipeline", Value: pipeline}
 	return &counters{
-		reg: reg,
 		stripes: reg.Counter("stream_stripes_total",
 			"Stripes fully emitted downstream.", lbl),
 		bytesIn: reg.Counter("stream_bytes_in_total",

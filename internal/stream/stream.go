@@ -211,6 +211,7 @@ type geom struct {
 	hedgeAfter time.Duration // deadline floor of a read's shard group; 0: no hedging
 	metrics    *obs.Registry // nil: each pipeline gets a private registry
 	clock      vclock.Clock  // nil: wall clock
+	shardio    shardioSeries // a read pipeline's group series; zero on an encoder
 }
 
 var errNoCodec = errors.New("stream: Options.Codec is required")

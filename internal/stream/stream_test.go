@@ -61,8 +61,8 @@ func TestOptionsValidation(t *testing.T) {
 // stream_stripe_latency_us series, in microseconds.
 func TestLatencyHistogram(t *testing.T) {
 	c := newCounters(nil, "test")
-	if c.lat.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile should be 0")
+	if _, _, n := c.lat.Snapshot(); n != 0 {
+		t.Fatal("empty histogram has observations")
 	}
 	c.observe(500 * time.Nanosecond) // bucket 0
 	c.observe(3 * time.Microsecond)  // (2µs,4µs] -> bucket 2
@@ -75,18 +75,22 @@ func TestLatencyHistogram(t *testing.T) {
 	if counts[0] != 1 || counts[2] != 2 || counts[14] != 1 {
 		t.Fatalf("bucket counts wrong: %v", counts)
 	}
-	if b := c.lat.Bounds(); b[1] != 2 || b[2] != 4 {
-		t.Fatalf("bucket 2 is (%v, %v]µs, want (2, 4]", b[1], b[2])
+	// Bucket 2 is (2, 4]µs: each bound stays with the bucket below it.
+	c.observe(2 * time.Microsecond)
+	c.observe(4 * time.Microsecond)
+	if counts, _, _ := c.lat.Snapshot(); counts[1] != 1 || counts[2] != 3 {
+		t.Fatalf("2µs and 4µs: bucket counts %v, want one more in buckets 1 and 2", counts)
 	}
-	// Quantiles are monotone and bracket the observations.
-	if q := c.lat.Quantile(0); q > 1 {
-		t.Fatalf("Quantile(0) = %vµs, want <= 1", q)
+	// The buckets bracket the observations: the fastest in the bucket
+	// at or under 1µs, the slowest in (8192, 16384]µs and none above.
+	counts, _, _ = c.lat.Snapshot()
+	if b := latencyBoundsUS(); b[0] != 1 || b[13] != 8192 || b[14] != 16384 || counts[0] == 0 {
+		t.Fatalf("bounds %v, bucket 0 = %d", b, counts[0])
 	}
-	if q := c.lat.Quantile(1); q < 10_000 {
-		t.Fatalf("Quantile(1) = %vµs, want >= 10000", q)
-	}
-	if c.lat.Quantile(0.5) > c.lat.Quantile(0.9) {
-		t.Fatal("quantiles not monotone")
+	for i, n := range counts[15:] {
+		if n != 0 {
+			t.Fatalf("bucket %d holds %d, above the slowest observation's", 15+i, n)
+		}
 	}
 	// Overflow clamps into the last bucket instead of panicking.
 	c.observe(10 * time.Hour)
