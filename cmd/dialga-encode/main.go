@@ -7,7 +7,7 @@
 //
 //	dialga-encode -mode encode -k 8 -m 4 -in data.bin -dir shards/
 //	dialga-encode -mode decode -k 8 -m 4 -out restored.bin -dir shards/
-//	dialga-encode -mode verify -dir shards/ [-metrics]
+//	dialga-encode -mode verify -dir shards/
 //
 // Shards are named shard.000 .. shard.(k+m-1); delete up to m of them
 // and decode still succeeds. Each shard file starts with a self-
@@ -27,8 +27,7 @@
 // every shard's header (self-CRC, slot index, and agreement with the
 // set's encoding, generation included), its size and each block's
 // CRC-32C trailer, names each damaged shard and the stripes whose
-// blocks failed, and exits 1 on any damage. -metrics appends the
-// scrub's metric series in Prometheus text format.
+// blocks failed, and exits 1 on any damage.
 package main
 
 import (
@@ -55,14 +54,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dialga-encode", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		mode    = fs.String("mode", "", "encode, decode or verify")
-		k       = fs.Int("k", 8, "data shards")
-		m       = fs.Int("m", 4, "parity shards")
-		in      = fs.String("in", "", "input file (encode)")
-		out     = fs.String("out", "", "output file (decode)")
-		dir     = fs.String("dir", "shards", "shard directory")
-		stripe  = fs.Int("stripe", stream.DefaultStripeSize, "stripe size in bytes (data payload per stripe)")
-		metrics = fs.Bool("metrics", false, "with -mode verify: append the scrub's metric series in Prometheus text format")
+		mode   = fs.String("mode", "", "encode, decode or verify")
+		k      = fs.Int("k", 8, "data shards")
+		m      = fs.Int("m", 4, "parity shards")
+		in     = fs.String("in", "", "input file (encode)")
+		out    = fs.String("out", "", "output file (decode)")
+		dir    = fs.String("dir", "shards", "shard directory")
+		stripe = fs.Int("stripe", stream.DefaultStripeSize, "stripe size in bytes (data payload per stripe)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -76,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = decode(stdout, *k, *m, *out, *dir)
 	case "verify":
 		var damaged bool
-		damaged, err = verifyDir(*dir, stdout, *metrics)
+		damaged, err = verifyDir(*dir, stdout)
 		if err == nil && damaged {
 			return 1
 		}

@@ -72,14 +72,10 @@ func TestVerifyDir(t *testing.T) {
 	t.Run("flipped block bit is caught", func(t *testing.T) {
 		dir := encodeDir(t, 4, 2, payload)
 		corruptFile(t, shardfile.Path(dir, 2), shardfile.HeaderSizeV3+777, 0x04) // stripe 0
-		code, out, stderr := verify(dir, "-metrics")
+		code, out, stderr := verify(dir)
 		wantReport(t, code, out, stderr, 1,
 			"shard.002: CORRUPT: 1 of 4 blocks failed crc32c (stripes [0])",
-			"scrub: 5 ok, 1 corrupt/damaged, 0 missing",
-			`scrub_shards_scrubbed_total{result="corrupt"} 1`,
-			`scrub_shards_scrubbed_total{result="ok"} 5`,
-			"scrub_blocks_corrupt_total 1",
-			"scrub_stripes_scrubbed_total 24")
+			"scrub: 5 ok, 1 corrupt/damaged, 0 missing")
 	})
 
 	t.Run("corrupt header and missing shard reported", func(t *testing.T) {

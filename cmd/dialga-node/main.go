@@ -9,7 +9,8 @@
 // Every node is equivalent: placement is a deterministic function of
 // the cluster map and the object name, so any node's gateway can serve
 // any object and there is no metadata service. The process drains
-// gracefully on SIGINT/SIGTERM.
+// gracefully on SIGINT/SIGTERM, giving in-flight requests up to
+// node.DefaultDrainTimeout.
 //
 // With -cluster-file the map comes from a spec file instead, and
 // SIGHUP reloads it live: the new map (with a bumped epoch) swaps in
@@ -55,7 +56,6 @@ type nodeConfig struct {
 	hedge                 time.Duration
 	fgRPS, repairRPS      float64
 	repairInterval        time.Duration
-	drain                 time.Duration
 
 	writeQuorum int
 	putRetries  int
@@ -76,7 +76,6 @@ func main() {
 	flag.Float64Var(&cfg.fgRPS, "fg-rps", 0, "foreground admission rate, requests/s per node (0 = unmetered; below 1 still admits one request per 1/rate seconds)")
 	flag.Float64Var(&cfg.repairRPS, "repair-rps", 0, "repair admission rate, requests/s per node (0 = unmetered; below 1 still admits one request per 1/rate seconds)")
 	flag.DurationVar(&cfg.repairInterval, "repair-interval", 0, "background scrub+repair period (0 disables the repair loop)")
-	flag.DurationVar(&cfg.drain, "drain", node.DefaultDrainTimeout, "graceful-shutdown drain window")
 	flag.IntVar(&cfg.writeQuorum, "write-quorum", 0, "shards that must be durable before a put is acked (0 = all k+m; else in [k+1, k+m])")
 	flag.IntVar(&cfg.putRetries, "put-retries", 0, "per-shard retries on transient put errors (0 = default 2, -1 disables)")
 	flag.Parse()
@@ -212,5 +211,5 @@ func run(cfg nodeConfig) error {
 
 	fmt.Fprintf(os.Stderr, "dialga-node %s: serving %s (dir %s, RS(%d,%d), route %s, %d-node map)\n",
 		cfg.id, cfg.listen, cfg.dir, cfg.k, cfg.m, cfg.route, cmap.Len())
-	return node.Serve(ctx, &http.Server{Addr: cfg.listen, Handler: mux}, nil, cfg.drain)
+	return node.Serve(ctx, &http.Server{Addr: cfg.listen, Handler: mux}, nil)
 }

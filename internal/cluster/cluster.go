@@ -47,9 +47,19 @@ func (n NodeInfo) Domain() string { return n.Zone + "/" + n.Rack }
 // expressed as a *new* Map with a higher epoch swapped in atomically
 // (see Gateway.UpdateMap), never as in-place mutation.
 type Map struct {
-	epoch uint64
-	nodes []NodeInfo // sorted by ID
-	byID  map[NodeID]NodeInfo
+	epoch   uint64
+	nodes   []NodeInfo // sorted by ID
+	byID    map[NodeID]NodeInfo
+	keys    []placeKey // nodes[i]'s placement inputs
+	domains int        // distinct zone/rack pairs
+}
+
+// placeKey is what Place needs of one node, derived once by New: its
+// rendezvous key, and the indices of its domain and its zone among the
+// map's (each below len(nodes)).
+type placeKey struct {
+	key          uint64 // mix(fnv64(ID))
+	domain, zone int
 }
 
 // New validates a node set into a Map: IDs and addresses must be
@@ -85,6 +95,20 @@ func New(nodes []NodeInfo) (*Map, error) {
 		m.nodes = append(m.nodes, n)
 	}
 	sort.Slice(m.nodes, func(i, j int) bool { return m.nodes[i].ID < m.nodes[j].ID })
+	domains, zones := map[string]int{}, map[string]int{}
+	index := func(seen map[string]int, key string) int {
+		i, ok := seen[key]
+		if !ok {
+			i = len(seen)
+			seen[key] = i
+		}
+		return i
+	}
+	for _, n := range m.nodes {
+		m.keys = append(m.keys, placeKey{key: mix(fnv64(string(n.ID))),
+			domain: index(domains, n.Domain()), zone: index(zones, n.Zone)})
+	}
+	m.domains = len(domains)
 	return m, nil
 }
 
@@ -140,7 +164,9 @@ func (m *Map) Epoch() uint64 { return m.epoch }
 // WithEpoch returns a copy of the map stamped with the given epoch.
 // The node set is shared (maps are immutable), so the copy is cheap.
 func (m *Map) WithEpoch(epoch uint64) *Map {
-	return &Map{epoch: epoch, nodes: m.nodes, byID: m.byID}
+	c := *m
+	c.epoch = epoch
+	return &c
 }
 
 // MapInfo is the wire shape of a cluster map, served by the
@@ -169,10 +195,4 @@ func (m *Map) Get(id NodeID) (NodeInfo, bool) {
 // Domains returns the number of distinct failure domains (zone/rack
 // pairs) in the map — the ceiling on how many shards of one stripe
 // can be placed strictly domain-disjoint.
-func (m *Map) Domains() int {
-	seen := make(map[string]struct{}, len(m.nodes))
-	for _, n := range m.nodes {
-		seen[n.Domain()] = struct{}{}
-	}
-	return len(seen)
-}
+func (m *Map) Domains() int { return m.domains }

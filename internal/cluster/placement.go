@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Placement is the node assignment for one object's stripe: entry i
@@ -32,18 +33,24 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// score is node n's rendezvous (highest-random-weight) score for
-// object: deterministic, uniform, and independent per (object, node),
-// so removing one node only moves the shards that lived on it.
-func score(object string, n NodeInfo) uint64 {
-	return mix(fnv64(object) ^ mix(fnv64(string(n.ID))))
+// rankSlot is one row of Place's scratch, which holds two things per
+// row. node is the index in Map.nodes of the row-th best-scored node,
+// score its score and taken whether a shard is on it. usedDomain and
+// usedZone say whether the map's domain and zone numbered row (placeKey)
+// hold a shard; a map has no more domains or zones than nodes.
+type rankSlot struct {
+	score                       uint64
+	node                        int
+	taken, usedDomain, usedZone bool
 }
 
 // Place assigns the n shards of object's stripe to nodes:
 //
 //   - Deterministic: rendezvous hashing orders the nodes by
 //     per-(object, node) score, so placement needs no directory, and
-//     node loss only reshuffles the lost node's shards.
+//     node loss only reshuffles the lost node's shards. The score,
+//     mix(fnv64(object) ^ mix(fnv64(node ID))), is uniform and
+//     independent per (object, node); ties go to the lower ID.
 //   - Rack-disjoint: no two shards ever share a failure domain
 //     (zone/rack pair). A map with fewer domains than shards is a
 //     configuration error — redundancy that can be wiped out by one
@@ -52,38 +59,40 @@ func score(object string, n NodeInfo) uint64 {
 //   - Zone-spread: among the rack-disjoint choices, shards prefer
 //     zones not yet used by this stripe, so a zone-sized failure
 //     takes out as few shards as possible.
+//
+// It allocates its result and one scratch slice.
 func (m *Map) Place(object string, n int) (Placement, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: placement for %d shards", n)
 	}
-	if d := m.Domains(); n > d {
-		return nil, fmt.Errorf("cluster: %d shards need %d disjoint failure domains, map has %d", n, n, d)
+	if n > m.domains {
+		return nil, fmt.Errorf("cluster: %d shards need %d disjoint failure domains, map has %d", n, n, m.domains)
 	}
-	ranked := make([]NodeInfo, len(m.nodes))
-	copy(ranked, m.nodes)
-	sort.Slice(ranked, func(i, j int) bool {
-		si, sj := score(object, ranked[i]), score(object, ranked[j])
-		if si != sj {
-			return si > sj
+	ranked := make([]rankSlot, len(m.nodes))
+	h := fnv64(object)
+	for i, k := range m.keys {
+		ranked[i] = rankSlot{score: mix(h ^ k.key), node: i}
+	}
+	slices.SortFunc(ranked, func(a, b rankSlot) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return ranked[i].ID < ranked[j].ID // total order even on score ties
+		return cmp.Compare(a.node, b.node) // nodes are sorted by ID
 	})
 
 	placement := make(Placement, 0, n)
-	usedDomain := make(map[string]bool, n)
-	usedZone := make(map[string]bool, n)
-	taken := make([]bool, len(ranked))
 	// Pass 1 per slot: best-scored node in an unused domain AND an
 	// unused zone; pass 2 relaxes the zone (all zones already
 	// represented), never the domain.
 	for len(placement) < n {
 		pick := -1
 		for pass := 0; pass < 2 && pick < 0; pass++ {
-			for i, cand := range ranked {
-				if taken[i] || usedDomain[cand.Domain()] {
+			for i, r := range ranked {
+				k := m.keys[r.node]
+				if r.taken || ranked[k.domain].usedDomain {
 					continue
 				}
-				if pass == 0 && usedZone[cand.Zone] {
+				if pass == 0 && ranked[k.zone].usedZone {
 					continue
 				}
 				pick = i
@@ -91,29 +100,32 @@ func (m *Map) Place(object string, n int) (Placement, error) {
 			}
 		}
 		if pick < 0 {
-			// Unreachable given the Domains() precheck, but refuse
+			// Unreachable given the domain-count precheck, but refuse
 			// loudly rather than looping.
 			return nil, fmt.Errorf("cluster: placement for %q stuck at %d of %d shards", object, len(placement), n)
 		}
-		taken[pick] = true
-		usedDomain[ranked[pick].Domain()] = true
-		if zonesLeft(ranked, taken, usedZone) == 0 {
+		ranked[pick].taken = true
+		k := m.keys[ranked[pick].node]
+		ranked[k.domain].usedDomain = true
+		if m.zonesLeft(ranked) == 0 {
 			// Every remaining candidate's zone is already used: start a
 			// fresh zone round so spreading stays as even as it can be.
-			usedZone = make(map[string]bool, n)
+			for i := range ranked {
+				ranked[i].usedZone = false
+			}
 		}
-		usedZone[ranked[pick].Zone] = true
-		placement = append(placement, ranked[pick])
+		ranked[k.zone].usedZone = true
+		placement = append(placement, m.nodes[ranked[pick].node])
 	}
 	return placement, nil
 }
 
 // zonesLeft counts untaken candidates in zones not yet used this
 // round.
-func zonesLeft(ranked []NodeInfo, taken []bool, usedZone map[string]bool) int {
+func (m *Map) zonesLeft(ranked []rankSlot) int {
 	left := 0
-	for i, cand := range ranked {
-		if !taken[i] && !usedZone[cand.Zone] {
+	for _, r := range ranked {
+		if !r.taken && !ranked[m.keys[r.node].zone].usedZone {
 			left++
 		}
 	}

@@ -139,7 +139,8 @@ func (r *Repairer) migrateOne(ctx context.Context, it *repairItem) error {
 	landed, landedErr := dst.StatShard(ctx, object, idx)
 
 	// One request to the source: the header arrives with the body. A
-	// missing or unreadable copy is rebuilt at the new home instead.
+	// missing or damaged copy (a 404 or a 409, neither transient) is
+	// rebuilt at the new home instead.
 	h, body, err := src.OpenShard(ctx, object, idx, 0, -1)
 	if err != nil {
 		if node.Transient(err) {

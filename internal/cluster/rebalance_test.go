@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -475,21 +477,17 @@ func TestMigrationReplacesStaleCopy(t *testing.T) {
 	tc.mustGet(ctx, object, latest)
 }
 
-// TestMigrationRecopiesTornCopy: a migration's destination holds the
-// moved shard at the source's generation, but torn: it lost its last
-// 100 bytes. The destination judges its own file before it answers for
-// it, so the torn copy does not count as landed, and the move copies
-// the whole shard over it before it deletes the source's.
-func TestMigrationRecopiesTornCopy(t *testing.T) {
-	tc := startCluster(t, 6, 4, 2)
-	ctx := context.Background()
-	extra := &testNode{t: t, id: "n6", dir: t.TempDir(), addr: "127.0.0.1:0", reg: tc.reg}
+// oneShardMove adds node n6 to tc and returns a map in which n1 has left
+// and n6 has joined, with a name of the given prefix exactly one shard
+// of which, idx, moves from n1 to n6.
+func oneShardMove(t *testing.T, tc *testCluster, prefix string) (extra *testNode, oldMap, newMap *Map, object string, idx int) {
+	t.Helper()
+	extra = &testNode{t: t, id: "n6", dir: t.TempDir(), addr: "127.0.0.1:0", reg: tc.reg}
 	extra.start()
 	t.Cleanup(extra.stop)
 	tc.nodes = append(tc.nodes, extra)
 
-	// n1 leaves, n6 joins: pick an object only n1's shard of which moves.
-	oldMap := tc.gw.Map()
+	oldMap = tc.gw.Map()
 	var infos []NodeInfo
 	for _, in := range oldMap.Nodes() {
 		if in.ID != "n1" {
@@ -501,9 +499,8 @@ func TestMigrationRecopiesTornCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	newMap = newMap.WithEpoch(oldMap.Epoch() + 1)
-	var object string
 	for i := 0; object == "" && i < 400; i++ {
-		if name := fmt.Sprintf("torn-move-%d", i); placementDiff(t, oldMap, newMap, name, 6) == 1 {
+		if name := fmt.Sprintf("%s-%d", prefix, i); placementDiff(t, oldMap, newMap, name, 6) == 1 {
 			object = name
 		}
 	}
@@ -511,7 +508,18 @@ func TestMigrationRecopiesTornCopy(t *testing.T) {
 		t.Fatal("no object moves exactly one shard")
 	}
 	place, _ := tc.gw.Place(object)
-	idx := slices.IndexFunc(place, func(n NodeInfo) bool { return n.ID == "n1" })
+	return extra, oldMap, newMap, object, slices.IndexFunc(place, func(n NodeInfo) bool { return n.ID == "n1" })
+}
+
+// TestMigrationRecopiesTornCopy: a migration's destination holds the
+// moved shard at the source's generation, but torn: it lost its last
+// 100 bytes. The destination judges its own file before it answers for
+// it, so the torn copy does not count as landed, and the move copies
+// the whole shard over it before it deletes the source's.
+func TestMigrationRecopiesTornCopy(t *testing.T) {
+	tc := startCluster(t, 6, 4, 2)
+	ctx := context.Background()
+	extra, oldMap, newMap, object, idx := oneShardMove(t, tc, "torn-move")
 
 	payload := clusterPayload(560, 200_000)
 	tc.put(ctx, object, payload)
@@ -541,6 +549,49 @@ func TestMigrationRecopiesTornCopy(t *testing.T) {
 	}
 	if got, err := os.ReadFile(torn); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("the destination holds %d bytes (%v), want the source's %d", len(got), err, len(want))
+	}
+	tc.mustGet(ctx, object, payload)
+}
+
+// TestMigrationRebuildsTornSource: the moved shard's source copy lost
+// its last 100 bytes. Its node answers that the shard is damaged, which
+// is no reason to retry the node, so the first pass rebuilds the shard
+// at its new home from the object's other shards and deletes the torn
+// source.
+func TestMigrationRebuildsTornSource(t *testing.T) {
+	tc := startCluster(t, 6, 4, 2)
+	ctx := context.Background()
+	extra, oldMap, newMap, object, idx := oneShardMove(t, tc, "torn-source")
+
+	payload := clusterPayload(561, 200_000)
+	tc.put(ctx, object, payload)
+	want := tc.shardFile(object, idx)
+	source := tc.shardPath(object, idx)
+	if err := os.Truncate(source, int64(len(want)-100)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := tc.gw.UpdateMap(newMap); err != nil {
+		t.Fatal(err)
+	}
+	rep := NewRepairer(tc.gw, nil, tc.reg)
+	if moves, err := rep.Rebalance(ctx, oldMap); err != nil || moves != 1 {
+		t.Fatalf("rebalance: %d moves, %v; want 1", moves, err)
+	}
+	if done, failed := rep.DrainOnce(ctx); done != 1 || failed != 0 || rep.pending() != 0 {
+		t.Fatalf("one pass moved %d, failed %d, left %d pending; want 1, 0, 0", done, failed, rep.pending())
+	}
+	rebuilt := tc.counter("cluster_migrations_total", obs.Label{Key: "result", Value: "rebuilt"})
+	dropped := tc.counter("cluster_repair_dropped_total")
+	if rebuilt != 1 || dropped != 0 {
+		t.Fatalf("migrations rebuilt %d, dropped %d; want 1 and 0", rebuilt, dropped)
+	}
+	if _, err := os.Stat(source); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the torn source is still there: %v", err)
+	}
+	landed := shardfile.Path(filepath.Join(extra.dir, object), idx)
+	if got, err := os.ReadFile(landed); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the new home holds %d bytes (%v), want the shard's %d", len(got), err, len(want))
 	}
 	tc.mustGet(ctx, object, payload)
 }

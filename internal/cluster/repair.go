@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,10 +56,10 @@ type repairHeap []*repairItem
 // a drop bounds queue churn, not durability.
 const repairAttempts = 5
 
-// scrubRotation is R: each scan checks the block trailers of the 1/R
-// of the placed slots at its turn of the rotation (scrubTurn) and
-// judges the rest by header alone, so R scans read every stored byte
-// once, not R times.
+// scrubRotation is R: each scan has the block trailers of the 1/R of
+// the placed slots at its turn of the rotation (scrubTurn) checked by a
+// scrub, and judges the rest by a header-only shard GET, so R scans read
+// every stored byte once, not R times.
 const scrubRotation = 16
 
 // scrubTurn is the scan of each rotation that block-scrubs slot idx of
@@ -96,10 +97,10 @@ func (h *repairHeap) Pop() any {
 	return it
 }
 
-// Repairer is the background repair queue: it scrubs every placed
-// shard of every object in the cluster (reusing the same shardfile
-// scrub that dialga-encode -mode verify runs locally), by header on
-// every scan and block by block on one scan in scrubRotation, queues
+// Repairer is the background repair queue: it probes every placed
+// shard of every object in the cluster, by a header-only shard GET on
+// most scans and on one scan in scrubRotation by a scrub (the same
+// shardfile scrub that dialga-encode -mode verify runs locally), queues
 // the damaged and missing ones, and rebuilds each in the shard domain:
 // k of the object's other shards stream through a stream.Rebuilder that
 // computes only the damaged shard's row, so a rebuild reads k shards
@@ -258,27 +259,30 @@ func (r *Repairer) countLocked(it *repairItem, d int) {
 	r.rebalanceQueue.Set(float64(r.moving))
 }
 
-// ScanOnce scrubs every placed shard of every object, enqueues the
+// ScanOnce probes every placed shard of every object, enqueues the
 // damaged ones at a priority reflecting the object's remaining
 // redundancy, and publishes cluster_redundancy_min — the lowest live
 // shard count across everything it scanned. It returns how many new
 // tasks it queued. It hears every placed shard of an object before it
 // judges any: a shard is damaged when its node answers 404, when its
-// scrub fails, or when it scrubs clean outside the set of at least k
-// clean shards that shardfile.Vote picks, the one every read decodes —
-// a stale shard a put or a rebalance left behind. A shard whose node is
-// unreachable is skipped — under the persistent-memory fault model the
-// node's shards survive it, so rebuilding them elsewhere while the node
-// is down would churn data that will reappear.
+// node finds it damaged, or when it is clean outside the set of at
+// least k clean shards that shardfile.Vote picks, the one every read
+// decodes — a stale shard a put or a rebalance left behind. A shard
+// whose node is unreachable is skipped — under the persistent-memory
+// fault model the node's shards survive it, so rebuilding them
+// elsewhere while the node is down would churn data that will reappear.
 //
-// Every slot's scrub reads its header, slot and size, which show a
-// missing, torn, misplaced, unreadable or stale shard, so one scan
-// queues all of those. Only the slots at this scan's turn of the
-// rotation (scrubTurn) have their block trailers checked too, so bit
-// rot inside a block is queued by the R-th scan of one Repairer at the
-// latest, R being scrubRotation; a Repairer starts its rotation at a
-// random turn. Every read still checks the trailers of the blocks it
-// reads.
+// Every slot gets one probe. Its node judges the file by header, slot
+// and size before it answers either probe, which shows a missing, torn,
+// misplaced, unreadable or stale shard, so one scan queues all of
+// those: a 404 is missing, and a damaged shard (node.ErrDamaged) is
+// queued under the status its node names. Most slots get the
+// header-only shard GET (StatShard); only the slots at this scan's turn
+// of the rotation (scrubTurn) get a scrub (ScrubShard), which checks
+// their block trailers too, so bit rot inside a block is queued by the
+// R-th scan of one Repairer at the latest, R being scrubRotation; a
+// Repairer starts its rotation at a random turn. Every read still
+// checks the trailers of the blocks it reads.
 func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 	turn := r.scans.Load() % scrubRotation
 	st := r.gw.snap()
@@ -306,17 +310,23 @@ func (r *Repairer) ScanOnce(ctx context.Context) (int, error) {
 				r.scrubUnreachable.Inc()
 				continue
 			}
-			blocks := scrubTurn(object, idx) == turn
-			status, err := cli.WithClass(node.ClassRepair).ScrubShard(ctx, object, idx, blocks)
+			cli = cli.WithClass(node.ClassRepair)
+			probe := cli.StatShard
+			if scrubTurn(object, idx) == turn {
+				probe = cli.ScrubShard
+			}
+			h, err := probe(ctx, object, idx)
+			var damaged *node.StatusError
 			switch {
 			case errors.Is(err, node.ErrNotFound):
 				verdicts[idx] = "missing"
+			case errors.Is(err, node.ErrDamaged) && errors.As(err, &damaged):
+				// The 409's body begins with the shardfile.ShardStatus.
+				verdicts[idx], _, _ = strings.Cut(damaged.Msg, ":")
 			case err != nil:
 				r.scrubUnreachable.Inc()
-			case status.Damaged:
-				verdicts[idx] = status.Status
 			default:
-				verdicts[idx], heads[idx] = "ok", status.Header
+				verdicts[idx], heads[idx] = "ok", h
 				clean = append(clean, idx)
 			}
 		}

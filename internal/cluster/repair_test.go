@@ -149,7 +149,7 @@ func (r *Repairer) queuedKey(object string, idx int) bool {
 }
 
 // TestScanRotatesBlockScrub: every scan judges every placed slot by a
-// header-only scrub, except the slots at its turn of the rotation,
+// header-only shard GET, except the slots at its turn of the rotation,
 // which get a block scrub instead; scrubRotation scans block-scrub each
 // placed slot exactly once. Damage a header shows (a deleted, a
 // truncated and a bad-header shard) is queued by the first scan, and a
@@ -171,7 +171,7 @@ func TestScanRotatesBlockScrub(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The bit flip goes in the slot of rot-3 whose turn comes last, so
-	// the scans before it show that a header-only scrub passes it.
+	// the scans before it show that a header-only GET passes it.
 	flipped := 0
 	for idx := 1; idx < 6; idx++ {
 		if scrubTurn("rot-3", idx) > scrubTurn("rot-3", flipped) {
@@ -204,31 +204,35 @@ func TestScanRotatesBlockScrub(t *testing.T) {
 			t.Fatal(err)
 		}
 		enqueued += n
-		sent := map[string]string{} // "object/idx" -> the scrub's query
+		sent := map[string]string{} // "object/idx" -> the probe's route and query
 		for _, req := range tap.take() {
-			path, ok := strings.CutPrefix(req, "GET /v1/scrub/")
-			if !ok {
+			var slot, probe string
+			if path, ok := strings.CutPrefix(req, "GET /v1/scrub/"); ok {
+				slot, probe = path, "scrub"
+			} else if path, ok := strings.CutPrefix(req, "GET /v1/shard/"); ok {
+				slot, probe, _ = strings.Cut(path, "?")
+				probe = "shard?" + probe
+			} else {
 				continue
 			}
-			slot, query, _ := strings.Cut(path, "?")
 			if _, dup := sent[slot]; dup {
-				t.Fatalf("scan %d scrubbed %s twice", scan, slot)
+				t.Fatalf("scan %d probed %s twice", scan, slot)
 			}
-			sent[slot] = query
+			sent[slot] = probe
 		}
 		for i := 0; i < objects; i++ {
 			object := fmt.Sprintf("rot-%d", i)
 			for idx := 0; idx < 6; idx++ {
 				slot := fmt.Sprintf("%s/%d", object, idx)
-				query, ok := sent[slot]
+				probe, ok := sent[slot]
 				blocks := int(scrubTurn(object, idx)) == scan
 				switch {
 				case !ok:
-					t.Fatalf("scan %d sent no scrub for %s", scan, slot)
-				case blocks && query != "":
-					t.Fatalf("scan %d scrubbed %s with %q, want a block scrub at its turn", scan, slot, query)
-				case !blocks && query != "blocks=0":
-					t.Fatalf("scan %d scrubbed %s with %q, want header-only", scan, slot, query)
+					t.Fatalf("scan %d sent no probe for %s", scan, slot)
+				case blocks && probe != "scrub":
+					t.Fatalf("scan %d probed %s with %q, want a block scrub at its turn", scan, slot, probe)
+				case !blocks && probe != "shard?off=0&len=0":
+					t.Fatalf("scan %d probed %s with %q, want a header-only shard GET", scan, slot, probe)
 				}
 				if blocks {
 					blockScrubs[slot]++
@@ -236,7 +240,7 @@ func TestScanRotatesBlockScrub(t *testing.T) {
 			}
 		}
 		if len(sent) != objects*6 {
-			t.Fatalf("scan %d sent %d scrubs for %d placed slots", scan, len(sent), objects*6)
+			t.Fatalf("scan %d sent %d probes for %d placed slots", scan, len(sent), objects*6)
 		}
 		for _, d := range headerSeen {
 			if !rep.queuedKey(d.object, d.idx) {

@@ -112,7 +112,8 @@ func (s *sideliner) judge(read []sample) {
 
 // failed takes a failed shard open of node id. A transient
 // failure (transport error, 429, 5xx) is the node's, a late sample at
-// once; any other, a 404 included, says nothing of its reads.
+// once; any other, a 404 or a damaged shard's 409 included, says
+// nothing of its reads.
 func (s *sideliner) failed(id NodeID, err error) {
 	if node.Transient(err) {
 		s.verdict(id, true, true)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -630,6 +631,35 @@ func TestMissingShardsSidelineNobody(t *testing.T) {
 	}
 	if got := tc.gw.router.sidelinedNodes(); len(got) != 0 {
 		t.Fatalf("404s on open sidelined %v", got)
+	}
+}
+
+// TestDamagedShardsSidelineNobody: reads of an object one of whose
+// stored shards lost its last 100 bytes meet the node's damaged answer
+// on every open of that shard. The damage is the file's, so the read
+// opens a spare, and its healthy node gets no late verdict for it.
+func TestDamagedShardsSidelineNobody(t *testing.T) {
+	tc := startCluster(t, 6, 4, 2)
+	ctx := context.Background()
+	payload := clusterPayload(604, 200_000)
+	tc.put(ctx, "obj", payload)
+	torn := tc.shardPath("obj", 0)
+	if err := os.Truncate(torn, int64(len(tc.shardFile("obj", 0))-100)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*lateRun; i++ {
+		tc.mustGet(ctx, "obj", payload)
+	}
+	if got := tc.gw.router.sidelinedNodes(); len(got) != 0 {
+		t.Fatalf("a torn shard sidelined %v", got)
+	}
+	place, _ := tc.gw.Place("obj")
+	lbl := obs.Label{Key: "node", Value: string(place[0].ID)}
+	if late := tc.counter("cluster_node_late_reads_total", lbl); late != 0 {
+		t.Fatalf("the torn shard's node was judged late %d times", late)
+	}
+	if spares := tc.counter("cluster_read_spares_total", obs.Label{Key: "reason", Value: "open"}); spares != 3*lateRun {
+		t.Fatalf("%d spares opened for %d reads past a torn shard, want one each", spares, 3*lateRun)
 	}
 }
 

@@ -13,21 +13,6 @@ import (
 	"dialga/internal/shardfile"
 )
 
-// ScrubStatus is the JSON shape of /v1/scrub: one shard's server-side
-// integrity verdict, with the header it carries (zero when the header
-// is unreadable), so a repair scan judges which shards make one object
-// by the same rule as every read (shardfile.Vote). Stripes and Corrupt
-// stay zero from a header-only scrub.
-type ScrubStatus struct {
-	Index   int              `json:"index"`
-	Status  string           `json:"status"`
-	Damaged bool             `json:"damaged"`
-	Stripes uint64           `json:"stripes"`
-	Corrupt uint64           `json:"corrupt"`
-	Header  shardfile.Header `json:"header"`
-	Detail  string           `json:"detail,omitempty"`
-}
-
 // NetError wraps a transport-level failure of a request (connection
 // refused, reset, timeout) as transient: the remote node may answer a
 // fresh request, so a put retries the upload, rebalance requeues the
@@ -41,8 +26,9 @@ func (e *NetError) Transient() bool { return true }
 
 func (e *NetError) Unwrap() error { return e.Err }
 
-// StatusError reports a non-2xx response from a peer. 404 unwraps to
-// ErrNotFound; 429 (admission throttled) and 5xx are transient.
+// StatusError reports a non-2xx response from a peer. 404 matches
+// ErrNotFound and 409 ErrDamaged; 429 (admission throttled) and 5xx are
+// transient.
 type StatusError struct {
 	Code int
 	Msg  string
@@ -57,9 +43,10 @@ func (e *StatusError) Transient() bool {
 	return e.Code == http.StatusTooManyRequests || e.Code >= 500
 }
 
-// Is makes a 404 StatusError match ErrNotFound.
+// Is makes a 404 StatusError match ErrNotFound, and a 409 ErrDamaged.
 func (e *StatusError) Is(target error) bool {
-	return target == ErrNotFound && e.Code == http.StatusNotFound
+	return target == ErrNotFound && e.Code == http.StatusNotFound ||
+		target == ErrDamaged && e.Code == http.StatusConflict
 }
 
 // Transient reports whether err advertises itself as momentary via the
@@ -177,6 +164,12 @@ func (c *Client) OpenShard(ctx context.Context, object string, idx int, off, len
 	if off != 0 || length >= 0 {
 		u = fmt.Sprintf("%s?off=%d&len=%d", u, off, length)
 	}
+	return c.openHeader(ctx, u, object, idx)
+}
+
+// openHeader GETs u, a shard route of (object, idx), and parses the
+// header its body begins with. The caller must Close the body.
+func (c *Client) openHeader(ctx context.Context, u, object string, idx int) (shardfile.Header, io.ReadCloser, error) {
 	resp, err := c.do(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return shardfile.Header{}, nil, err
@@ -191,25 +184,28 @@ func (c *Client) OpenShard(ctx context.Context, object string, idx int, off, len
 }
 
 // StatShard fetches a shard's parsed header: OpenShard's header-only
-// window (0, 0), closed once the header is parsed. The node judges the
-// file whole before it answers, as it does for every shard GET.
+// window (0, 0). The node judges the file whole before it answers, as
+// it does for every shard GET: a missing shard is ErrNotFound, a
+// damaged one ErrDamaged.
 func (c *Client) StatShard(ctx context.Context, object string, idx int) (shardfile.Header, error) {
-	h, body, err := c.OpenShard(ctx, object, idx, 0, 0)
+	return c.header(ctx, c.shardURL("shard", object, idx)+"?off=0&len=0", object, idx)
+}
+
+// ScrubShard asks the node to check every block trailer of one shard
+// server-side, and fetches its parsed header as StatShard does: a
+// missing shard is ErrNotFound, and any damage, a block that fails its
+// trailer included, ErrDamaged.
+func (c *Client) ScrubShard(ctx context.Context, object string, idx int) (shardfile.Header, error) {
+	return c.header(ctx, c.shardURL("scrub", object, idx), object, idx)
+}
+
+// header is openHeader for a header-only answer, closed once parsed.
+func (c *Client) header(ctx context.Context, u, object string, idx int) (shardfile.Header, error) {
+	h, body, err := c.openHeader(ctx, u, object, idx)
 	if err != nil {
 		return h, err
 	}
 	return h, drainClose(body)
-}
-
-// ScrubShard asks the node to verify one shard server-side: its
-// header, slot and size, and with blocks every block trailer too. A
-// missing shard is ErrNotFound; any other damage is a Damaged verdict.
-func (c *Client) ScrubShard(ctx context.Context, object string, idx int, blocks bool) (ScrubStatus, error) {
-	u := c.shardURL("scrub", object, idx)
-	if !blocks {
-		u += "?blocks=0"
-	}
-	return getJSON[ScrubStatus](ctx, c, u)
 }
 
 // DeleteShard drops a shard (idempotent on the server).

@@ -95,9 +95,8 @@ func TestStoreRoundTrip(t *testing.T) {
 		if !bytes.Equal(full, want) {
 			t.Fatalf("shard %d: stored bytes differ (got %d, want %d)", i, len(full), len(want))
 		}
-		rep, err := store.Scrub("obj", i, true)
-		if err != nil || rep.Status != shardfile.ShardOK {
-			t.Fatalf("scrub shard %d: %v %v", i, rep.Status, err)
+		if sh, err := store.Scrub("obj", i); err != nil || sh != h {
+			t.Fatalf("scrub shard %d: %+v, %v; want its header", i, sh, err)
 		}
 	}
 	names, err := store.Objects()
@@ -252,8 +251,8 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	if err := cli.PutShard(ctx, "obj", 0, bytes.NewReader(v2)); !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("v2 upload: %v, want a 422", err)
 	}
-	if rep, err := store.Scrub("obj", 0, true); err != nil || rep.Status != shardfile.ShardOK {
-		t.Fatalf("committed shard after a rejected overwrite: %v, %v", rep.Status, err)
+	if _, err := store.Scrub("obj", 0); err != nil {
+		t.Fatalf("committed shard after a rejected overwrite: %v", err)
 	}
 	if v := reg.Gauge("node_store_shards", "").Value(); v != 1 {
 		t.Fatalf("node_store_shards = %v after one commit and one rejected overwrite, want 1", v)
@@ -337,8 +336,8 @@ func TestStorePutLargeBlocks(t *testing.T) {
 	if err := store.Put("big", 0, bytes.NewReader(file)); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := store.Scrub("big", 0, true); err != nil || rep.Status != shardfile.ShardOK {
-		t.Fatalf("scrub: %v, %v", rep.Status, err)
+	if _, err := store.Scrub("big", 0); err != nil {
+		t.Fatalf("scrub: %v", err)
 	}
 	file[len(file)-5000] ^= 1 // deep in the second block, past a piece boundary
 	if err := store.Put("big", 0, bytes.NewReader(file)); !errors.Is(err, ErrBadShard) {
@@ -371,8 +370,8 @@ func TestStorePutSmallBlocks(t *testing.T) {
 	if err := store.Put("small", 0, bytes.NewReader(file)); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := store.Scrub("small", 0, true); err != nil || rep.Status != shardfile.ShardOK {
-		t.Fatalf("scrub: %v, %v", rep.Status, err)
+	if _, err := store.Scrub("small", 0); err != nil {
+		t.Fatalf("scrub: %v", err)
 	}
 	if raw, err := os.ReadFile(shardfile.Path(filepath.Join(store.Dir(), "small"), 0)); err != nil || !bytes.Equal(raw, file) {
 		t.Fatalf("stored file differs from the upload: %d bytes, %v", len(raw), err)
@@ -451,8 +450,8 @@ func TestServerHTTPRoundTrip(t *testing.T) {
 	if err != nil || st.Index != 2 || st.K != 2 || st.M != 1 {
 		t.Fatalf("stat = %+v, %v", st, err)
 	}
-	sc, err := cli.ScrubShard(ctx, "http-obj", 0, true)
-	if err != nil || sc.Damaged {
+	sc, err := cli.ScrubShard(ctx, "http-obj", 0)
+	if err != nil || sc.Index != 0 || sc.K != 2 || sc.M != 1 {
 		t.Fatalf("scrub = %+v, %v", sc, err)
 	}
 	names, err := cli.Objects(ctx)
@@ -604,20 +603,17 @@ func TestShardGetBlockWindows(t *testing.T) {
 	// A stored file that loses its tail after the store opened is never
 	// served as a complete response: the open judges its size against
 	// its header and refuses it before a byte goes out, whatever the
-	// window, the header-only one included.
+	// window, the header-only one included, as a damaged shard.
 	if err := os.Truncate(path, int64(len(file))-bs/2); err != nil {
 		t.Fatal(err)
 	}
 	cli := NewClient(ts.URL)
 	for _, w := range [][2]int64{{0, -1}, {12288, 8192}, {0, 0}} {
 		_, body, err := cli.OpenShard(context.Background(), "obj", 1, w[0], w[1])
-		var se *StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusInternalServerError || !strings.Contains(se.Msg, "truncated") {
-			if body != nil {
-				body.Close()
-			}
-			t.Errorf("window %v of a truncated shard: %v, want a 500 naming it truncated", w, err)
+		if body != nil {
+			body.Close()
 		}
+		wantDamaged(t, fmt.Sprintf("window %v of a truncated shard", w), err, "truncated")
 	}
 }
 
@@ -773,7 +769,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
 	go func() {
-		served <- Serve(ctx, &http.Server{Handler: mux}, ln, 0)
+		served <- Serve(ctx, &http.Server{Handler: mux}, ln)
 	}()
 
 	// Start an in-flight request, then trigger shutdown while it hangs.
@@ -801,12 +797,26 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestScrubHeaderOnly: a header-only scrub (?blocks=0) judges a stored
-// shard by its header, slot and size alone, so it passes a file whose
-// damage is inside a block and fails every other kind the full scrub
-// fails. Damage is a verdict, never a 5xx; a missing file is 404 in
-// both forms.
-func TestScrubHeaderOnly(t *testing.T) {
+// wantDamaged fails the test unless err is the one answer to a damaged
+// stored shard: a 409 that matches ErrDamaged, not ErrNotFound, is not
+// transient, and whose message begins with status.
+func wantDamaged(t *testing.T, what string, err error, status string) {
+	t.Helper()
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict || !errors.Is(err, ErrDamaged) ||
+		errors.Is(err, ErrNotFound) || Transient(err) || !strings.HasPrefix(se.Msg, status+":") {
+		t.Errorf("%s: %v, want a 409 naming it %s", what, err, status)
+	}
+}
+
+// TestDamagedShardOneAnswer: a damaged stored shard gets one answer on
+// every route, whole, ranged and header-only GETs and the scrub alike:
+// a 409 naming its shardfile.ShardStatus, which is not transient, so no
+// caller takes the file's damage for a sick node. The header-only GET
+// judges a shard by header, slot and size, so it passes a file whose
+// damage is inside a block, which the scrub finds. A clean shard
+// answers both probes with its header; a missing one is 404 on both.
+func TestDamagedShardOneAnswer(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -821,6 +831,9 @@ func TestScrubHeaderOnly(t *testing.T) {
 		if err := cli.PutShard(ctx, "obj", i, bytes.NewReader(b)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := cli.PutShard(ctx, "clean", 0, bytes.NewReader(shards[0])); err != nil {
+		t.Fatal(err)
 	}
 	dir := filepath.Join(store.Dir(), "obj")
 	h, err := shardfile.Parse(bytes.NewReader(shards[0]))
@@ -840,38 +853,38 @@ func TestScrubHeaderOnly(t *testing.T) {
 	}
 
 	for _, c := range []struct {
-		idx             int
-		headers, blocks string // the verdict of each form
+		idx    int
+		status string // what every shard GET and the scrub answer
 	}{
-		{0, "ok", "corrupt"},
-		{1, "truncated", "truncated"},
-		{2, "bad-header", "bad-header"},
+		{1, "truncated"},
+		{2, "bad-header"},
 	} {
-		for _, blocks := range []bool{false, true} {
-			want := c.headers
-			if blocks {
-				want = c.blocks
+		for _, w := range [][2]int64{{0, -1}, {4096, 8192}, {0, 0}} {
+			_, body, err := cli.OpenShard(ctx, "obj", c.idx, w[0], w[1])
+			if body != nil {
+				body.Close()
 			}
-			st, err := cli.ScrubShard(ctx, "obj", c.idx, blocks)
-			if err != nil || st.Status != want || st.Damaged != (want != "ok") {
-				t.Errorf("scrub slot %d (blocks %v) = %+v, %v; want %s", c.idx, blocks, st, err, want)
-			}
+			wantDamaged(t, fmt.Sprintf("GET of slot %d, window %v", c.idx, w), err, c.status)
 		}
+		_, err := cli.ScrubShard(ctx, "obj", c.idx)
+		wantDamaged(t, fmt.Sprintf("scrub of slot %d", c.idx), err, c.status)
 	}
-	for _, blocks := range []bool{false, true} {
-		_, err := cli.ScrubShard(ctx, "obj", 3, blocks)
+	if st, err := cli.StatShard(ctx, "obj", 0); err != nil || st != h {
+		t.Errorf("header-only GET of a block-rotted shard = %+v, %v; want its header", st, err)
+	}
+	_, err = cli.ScrubShard(ctx, "obj", 0)
+	wantDamaged(t, "scrub of a block-rotted shard", err, "corrupt")
+	if sh, err := cli.ScrubShard(ctx, "clean", 0); err != nil || sh != h {
+		t.Errorf("scrub of a clean shard = %+v, %v; want its header", sh, err)
+	}
+	for name, probe := range map[string]func(context.Context, string, int) (shardfile.Header, error){
+		"header-only GET": cli.StatShard, "scrub": cli.ScrubShard,
+	} {
+		_, err := probe(ctx, "obj", 3)
 		var se *StatusError
-		if !errors.As(err, &se) || se.Code != http.StatusNotFound || !errors.Is(err, ErrNotFound) {
-			t.Errorf("scrub of a missing slot (blocks %v): %v, want a 404", blocks, err)
+		if !errors.As(err, &se) || se.Code != http.StatusNotFound || !errors.Is(err, ErrNotFound) || errors.Is(err, ErrDamaged) {
+			t.Errorf("%s of a missing slot: %v, want a 404", name, err)
 		}
-	}
-	resp, err := http.Get(ts.URL + "/v1/scrub/obj/0?blocks=some")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("?blocks=some: status %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -22,13 +22,10 @@ func SignalContext(parent context.Context) (context.Context, context.CancelFunc)
 
 // Serve runs srv until it fails or ctx is cancelled, then drains:
 // the listener closes immediately (no new connections) while in-flight
-// requests get up to drain (DefaultDrainTimeout when <= 0) to finish
-// via http.Server.Shutdown. A clean shutdown returns nil, never
+// requests get up to DefaultDrainTimeout to finish via
+// http.Server.Shutdown. A clean shutdown returns nil, never
 // http.ErrServerClosed. When ln is nil, Serve listens on srv.Addr.
-func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
-	if drain <= 0 {
-		drain = DefaultDrainTimeout
-	}
+func Serve(ctx context.Context, srv *http.Server, ln net.Listener) error {
 	errc := make(chan error, 1)
 	go func() {
 		if ln != nil {
@@ -44,7 +41,7 @@ func Serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Du
 		}
 		return err
 	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), drain)
+		sctx, cancel := context.WithTimeout(context.Background(), DefaultDrainTimeout)
 		defer cancel()
 		err := srv.Shutdown(sctx)
 		<-errc // collect the Serve goroutine's ErrServerClosed

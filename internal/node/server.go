@@ -54,12 +54,16 @@ type Admitter interface {
 //	                                  object bytes ?off=N&len=M (default: all of them;
 //	                                  ?off=0&len=0 is the header alone)
 //	DELETE /v1/shard/{object}/{idx}   drop one shard (idempotent)
-//	GET    /v1/scrub/{object}/{idx}   server-side scrub report as JSON: header, slot,
-//	                                  size and every block trailer (?blocks=0: all
-//	                                  but the trailers); a missing shard is 404
+//	GET    /v1/scrub/{object}/{idx}   check every block trailer server-side, then send
+//	                                  the header alone, as ?off=0&len=0 does
 //	GET    /v1/objects                stored object names as JSON
 //	GET    /healthz                   liveness
 //	GET    /metrics                   Prometheus text exposition
+//
+// A shard GET or scrub of a missing shard is a 404, and of a damaged one
+// (ErrDamaged: torn, misplaced, unreadable, a bad header or, from the
+// scrub, a block that fails its trailer) a 409 whose body begins with
+// the shardfile.ShardStatus and a colon. Neither is the node's fault.
 //
 // Every /v1 request passes admission control for its traffic class
 // (ClassHeader, default foreground); a request the limiter cannot
@@ -170,6 +174,8 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrNotFound):
 		http.Error(w, err.Error(), http.StatusNotFound)
+	case errors.Is(err, ErrDamaged):
+		http.Error(w, err.Error(), http.StatusConflict)
 	case errors.Is(err, ErrBadShard):
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 	default:
@@ -256,33 +262,21 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleScrub reports one shard's scrub verdict: a damaged shard is a
-// 200 whose verdict says so, never a 5xx a caller would take for a sick
-// node. ?blocks=0 skips the block trailers.
+// handleScrub checks every block trailer of one shard and answers a
+// clean shard with its header, the way a header-only shard GET does.
 func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	object, idx, ok := shardParams(w, r)
 	if !ok {
 		return
 	}
-	blocks, ok := intParam(r.URL.Query().Get("blocks"), 1)
-	if !ok {
-		http.Error(w, "bad blocks parameter", http.StatusBadRequest)
-		return
-	}
-	rep, err := s.store.Scrub(object, idx, blocks != 0)
+	h, err := s.store.Scrub(object, idx)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	writeJSON(w, ScrubStatus{
-		Index:   rep.Index,
-		Status:  rep.Status.String(),
-		Damaged: rep.Status.Damaged(),
-		Stripes: rep.Result.Stripes,
-		Corrupt: rep.Result.Corrupt,
-		Header:  rep.Header,
-		Detail:  rep.Detail,
-	})
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(h.Size(), 10))
+	w.Write(h.Marshal())
 }
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {

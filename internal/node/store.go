@@ -36,6 +36,14 @@ import (
 // ErrNotFound reports a shard or object the store does not hold.
 var ErrNotFound = errors.New("node: shard not found")
 
+// ErrDamaged reports a stored shard that is there but is not one the
+// node can serve whole: any shardfile.Open or block-scrub verdict but
+// ok and missing. The damage is the file's, not the node's, so it is
+// never transient: a read opens a spare, repair rebuilds the shard, a
+// migration rebuilds it at its new home. On the wire it is a 409 whose
+// body begins with the shardfile.ShardStatus that names it and a colon.
+var ErrDamaged = errors.New("damaged stored shard")
+
 // ErrBadShard reports an upload rejected by validation: unparseable
 // header, index mismatch, a byte count that disagrees with the header,
 // or a block that fails its checksum trailer.
@@ -274,24 +282,20 @@ func (s *Store) Get(object string, idx int) (shardfile.Header, *os.File, error) 
 // (0, -1) is every block, and (0, 0) or a range the object cannot
 // satisfy is no block, the header alone). The file must be a whole
 // shard of slot idx by shardfile.Open's rule, the one the recovery scan
-// keeps by, so a torn, overlong or misplaced file is refused before any
-// byte of it is served. It returns the parsed header, the open file
-// positioned at the window's first byte, and the window's length in
-// bytes. The file comes back as itself, under no wrapper, so a server
-// can hand an *io.LimitedReader over it to the socket, which sends it
-// by sendfile(2). The caller must Close the file.
+// keeps by, so a torn, overlong or misplaced file is refused, as
+// ErrDamaged, before any byte of it is served. It returns the parsed
+// header, the open file positioned at the window's first byte, and the
+// window's length in bytes. The file comes back as itself, under no
+// wrapper, so a server can hand an *io.LimitedReader over it to the
+// socket, which sends it by sendfile(2). The caller must Close the file.
 func (s *Store) GetAt(object string, idx int, off, length int64) (shardfile.Header, *os.File, int64, error) {
 	dir, err := s.objectDir(object)
 	if err != nil {
 		return shardfile.Header{}, nil, 0, err
 	}
 	h, f, status, detail := shardfile.Open(shardfile.Path(dir, idx), idx)
-	switch status {
-	case shardfile.ShardOK:
-	case shardfile.ShardMissing:
-		return shardfile.Header{}, nil, 0, fmt.Errorf("%w: %s/%d", ErrNotFound, object, idx)
-	default:
-		return shardfile.Header{}, nil, 0, fmt.Errorf("stored shard %s/%d unreadable: %s: %s", object, idx, status, detail)
+	if err := verdict(object, idx, status, detail); err != nil {
+		return shardfile.Header{}, nil, 0, err
 	}
 	s.gets.Inc()
 	win := h.Cut(off, length)
@@ -306,19 +310,32 @@ func (s *Store) GetAt(object string, idx int, off, length int64) (shardfile.Head
 }
 
 // Scrub runs the shared shardfile scrub over one stored shard: the
-// header, slot and size by shardfile.Open's rule and, with blocks,
-// every block trailer. A missing file is ErrNotFound; any other damage
-// is a report whose Status names it.
-func (s *Store) Scrub(object string, idx int, blocks bool) (shardfile.ShardReport, error) {
+// header, slot and size by shardfile.Open's rule, then every block
+// trailer. It returns a clean shard's header; a missing file is
+// ErrNotFound and any other damage ErrDamaged, as from GetAt.
+func (s *Store) Scrub(object string, idx int) (shardfile.Header, error) {
 	dir, err := s.objectDir(object)
 	if err != nil {
-		return shardfile.ShardReport{}, err
+		return shardfile.Header{}, err
 	}
-	rep := shardfile.ScrubFile(shardfile.Path(dir, idx), idx, blocks)
-	if rep.Status == shardfile.ShardMissing {
-		return rep, fmt.Errorf("%w: %s/%d", ErrNotFound, object, idx)
+	rep := shardfile.ScrubFile(shardfile.Path(dir, idx), idx)
+	if err := verdict(object, idx, rep.Status, rep.Detail); err != nil {
+		return shardfile.Header{}, err
 	}
-	return rep, nil
+	return rep.Header, nil
+}
+
+// verdict is the error of slot idx of object judged status: none for
+// ok, ErrNotFound for missing, and ErrDamaged, led by the status, for
+// anything else.
+func verdict(object string, idx int, status shardfile.ShardStatus, detail string) error {
+	switch status {
+	case shardfile.ShardOK:
+		return nil
+	case shardfile.ShardMissing:
+		return fmt.Errorf("%w: %s/%d", ErrNotFound, object, idx)
+	}
+	return fmt.Errorf("%s: %w %s/%d: %s", status, ErrDamaged, object, idx, detail)
 }
 
 // Delete removes a shard; deleting the object's last shard removes its

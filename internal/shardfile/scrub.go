@@ -51,10 +51,6 @@ func (s ShardStatus) String() string {
 	}
 }
 
-// Damaged reports whether the status demands repair: the shard is
-// absent or its bytes cannot be trusted — anything but ShardOK.
-func (s ShardStatus) Damaged() bool { return s != ShardOK }
-
 // ShardReport is one shard slot's scrub outcome.
 type ShardReport struct {
 	Index  int
@@ -74,7 +70,7 @@ type DirReport struct {
 // Damaged reports whether any shard slot needs repair.
 func (r DirReport) Damaged() bool {
 	for _, s := range r.Shards {
-		if s.Status.Damaged() {
+		if s.Status != ShardOK {
 			return true
 		}
 	}
@@ -141,17 +137,15 @@ func Open(path string, index int) (h Header, f *os.File, status ShardStatus, det
 
 // ScrubFile scrubs the shard file at slot index of its set: Open's
 // judgement (a file renamed or copied into the wrong slot has sound
-// blocks but is damaged all the same: decode refuses it), then, with
-// blocks, every block trailer. Without blocks it reads the header and
-// stats the file, nothing more, so it sees every damage but bit rot
-// inside a block, and its Result stays zero.
-func ScrubFile(path string, index int, blocks bool) ShardReport {
-	return scrubFile(path, index, nil, blocks)
+// blocks but is damaged all the same: decode refuses it), then every
+// block trailer.
+func ScrubFile(path string, index int) ShardReport {
+	return scrubFile(path, index, nil)
 }
 
 // scrubFile is ScrubFile that, given a header of the set, also reports
 // a header of another encoding as damaged.
-func scrubFile(path string, index int, set *Header, blocks bool) ShardReport {
+func scrubFile(path string, index int, set *Header) ShardReport {
 	h, f, status, detail := Open(path, index)
 	rep := ShardReport{Index: index, Status: status, Header: h, Detail: detail}
 	if status != ShardOK {
@@ -161,9 +155,6 @@ func scrubFile(path string, index int, set *Header, blocks bool) ShardReport {
 	if set != nil && !h.SameEncoding(*set) {
 		rep.Status = ShardBadHeader
 		rep.Detail = fmt.Sprintf("header disagrees with shard %d (mixed encodings or a stale shard?)", set.Index)
-		return rep
-	}
-	if !blocks {
 		return rep
 	}
 	res, err := Scrub(f, h)
@@ -238,7 +229,7 @@ func ScrubDir(dir string) (DirReport, error) {
 		return rep, fmt.Errorf("no readable shard headers in %s (%s)", dir, why)
 	}
 	for i := 0; i < int(rep.Set.K+rep.Set.M); i++ {
-		rep.Shards = append(rep.Shards, scrubFile(Path(dir, i), i, &rep.Set, true))
+		rep.Shards = append(rep.Shards, scrubFile(Path(dir, i), i, &rep.Set))
 	}
 	return rep, nil
 }
