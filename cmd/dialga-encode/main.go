@@ -27,7 +27,7 @@
 // every shard's header (self-CRC, slot index, and agreement with the
 // set's encoding, generation included), its size and each block's
 // CRC-32C trailer, names each damaged shard and the stripes whose
-// blocks failed, and exits 1 on any damage.
+// blocks failed, and exits 1 on any damage, a missing shard included.
 package main
 
 import (

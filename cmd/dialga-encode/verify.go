@@ -11,10 +11,11 @@ import (
 // verifyDir scrubs every shard file in dir through the shared
 // shardfile.ScrubDir walk (the per-shard checks the cluster repair
 // queue runs, plus agreement with the set's encoding) and renders one
-// line per shard slot plus a summary. It returns whether any
-// corruption, truncation, or header damage was found — a shard in the
-// retired trailer-less v2 framing is a bad header, and so is one that
-// belongs to another slot, another encoding or an older put.
+// line per shard slot plus a summary. It returns whether any slot
+// needs repair: a missing shard, or corruption, truncation or header
+// damage — a shard in the retired trailer-less v2 framing is a bad
+// header, and so is one that belongs to another slot, another encoding
+// or an older put.
 func verifyDir(dir string, w io.Writer) (damaged bool, err error) {
 	rep, err := shardfile.ScrubDir(dir)
 	if err != nil {
@@ -40,5 +41,5 @@ func verifyDir(dir string, w io.Writer) (damaged bool, err error) {
 	ok, bad, missing := rep.Counts()
 	fmt.Fprintf(w, "scrub: %d ok, %d corrupt/damaged, %d missing (geometry k=%d m=%d)\n",
 		ok, bad, missing, rep.Set.K, rep.Set.M)
-	return bad > 0, nil
+	return rep.Damaged(), nil
 }

@@ -78,6 +78,16 @@ func TestVerifyDir(t *testing.T) {
 			"scrub: 5 ok, 1 corrupt/damaged, 0 missing")
 	})
 
+	// A lost shard alone is damage: the set has lost redundancy.
+	t.Run("missing shard alone fails", func(t *testing.T) {
+		dir := encodeDir(t, 4, 2, payload)
+		if err := os.Remove(shardfile.Path(dir, 1)); err != nil {
+			t.Fatal(err)
+		}
+		code, out, stderr := verify(dir)
+		wantReport(t, code, out, stderr, 1, "shard.001: missing", "scrub: 5 ok, 0 corrupt/damaged, 1 missing")
+	})
+
 	t.Run("corrupt header and missing shard reported", func(t *testing.T) {
 		dir := encodeDir(t, 4, 2, payload)
 		corruptFile(t, shardfile.Path(dir, 0), 9, 0xff) // k field: self-CRC must catch it

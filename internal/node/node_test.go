@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -301,6 +302,100 @@ func TestStorePutStageSeconds(t *testing.T) {
 		if !bytes.Contains(out.Bytes(), []byte(want)) {
 			t.Fatalf("/metrics lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestStorePutStartsWritebackOnOverwrite: an upload into a slot that
+// holds a file hands writeback every byte of its temp file, header
+// first, block by block, in order and with no gap; a slot's first
+// upload, and one into a slot emptied by a delete, hands it none. An
+// error from writeback fails the upload like a failed write, leaving no
+// temp file and the previous shard as it was, except one saying the
+// file system cannot, after which the upload goes on without.
+func TestStorePutStartsWritebackOnOverwrite(t *testing.T) {
+	type span struct{ off, n int64 }
+	var calls []span
+	fail := func(int) error { return nil } // the error for the i-th call
+	writeback = func(_ *os.File, off, n int64) error {
+		calls = append(calls, span{off, n})
+		return fail(len(calls) - 1)
+	}
+	t.Cleanup(func() { writeback = startWriteback })
+
+	store, err := OpenStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := encodeShards(t, 2, 1, testPayload(10_000))[0]
+	if err := store.Put("obj", 0, bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 0 {
+		t.Fatalf("a slot's first upload started writeback: %v", calls)
+	}
+
+	second := encodeShards(t, 2, 1, testPayload(12_000))[0]
+	h, err := shardfile.Parse(bytes.NewReader(second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("obj", 0, bytes.NewReader(second)); err != nil {
+		t.Fatal(err)
+	}
+	var end int64
+	for _, c := range calls {
+		if c.off != end || c.n <= 0 {
+			t.Fatalf("writeback calls %v: want [0, %d) in order with no gap", calls, h.ExpectedFileSize())
+		}
+		end += c.n
+	}
+	if end != h.ExpectedFileSize() || uint64(len(calls)) != h.StripeCount {
+		t.Fatalf("writeback calls %v: want [0, %d) in one call per block, %d blocks",
+			calls, h.ExpectedFileSize(), h.StripeCount)
+	}
+
+	stored := func() []byte {
+		t.Helper()
+		entries, err := os.ReadDir(filepath.Join(store.Dir(), "obj"))
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("object directory holds %v, %v: want the one shard and no temp file", entries, err)
+		}
+		raw, err := os.ReadFile(shardfile.Path(filepath.Join(store.Dir(), "obj"), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	calls = nil
+	fail = func(i int) error {
+		if i == 1 {
+			return os.NewSyscallError("sync_file_range", syscall.EIO)
+		}
+		return nil
+	}
+	third := encodeShards(t, 2, 1, testPayload(11_000))[0]
+	if err := store.Put("obj", 0, bytes.NewReader(third)); !errors.Is(err, syscall.EIO) || errors.Is(err, ErrBadShard) {
+		t.Fatalf("upload whose writeback fails with EIO: %v, want that error", err)
+	}
+	if raw := stored(); !bytes.Equal(raw, second) {
+		t.Fatal("a failed upload changed the shard it was to replace")
+	}
+
+	calls = nil
+	fail = func(int) error { return os.NewSyscallError("sync_file_range", syscall.ENOSYS) }
+	if err := store.Put("obj", 0, bytes.NewReader(third)); err != nil {
+		t.Fatalf("upload on a file system without writeback: %v", err)
+	}
+	if len(calls) != 1 || !bytes.Equal(stored(), third) {
+		t.Fatalf("after ENOSYS: %d writeback calls, want 1 and the upload committed", len(calls))
+	}
+
+	if err := store.Delete("obj", 0); err != nil {
+		t.Fatal(err)
+	}
+	calls = nil
+	if err := store.Put("obj", 0, bytes.NewReader(first)); err != nil || len(calls) != 0 {
+		t.Fatalf("upload into a deleted slot: %v, writeback calls %v; want none", err, calls)
 	}
 }
 

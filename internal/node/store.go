@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"dialga/internal/gf"
@@ -137,6 +138,17 @@ func (s *Store) objectDir(object string) (string, error) {
 // every block matches its checksum trailer. Anything else is rejected
 // with ErrBadShard and leaves no trace on disk. An existing shard at
 // the slot is replaced atomically.
+//
+// When the slot already holds a file, the upload starts the temp file's
+// writeback block by block as it is received (see receive), because
+// ext4 (auto_da_alloc) writes back a file renamed over another inside
+// rename(2): started early, that flush leaves the commit instead of
+// waiting in it. The bytes on disk and their order are unchanged:
+// data=ordered still writes them before the journal commits the rename.
+// It makes no upload durable; nothing here syncs. An upload into an
+// empty slot (its first put, or a repair of a deleted shard) starts
+// none: its rename flushes nothing, and its file may be deleted before
+// the kernel's own writeback would have run.
 func (s *Store) Put(object string, idx int, body io.Reader) error {
 	dir, err := s.objectDir(object)
 	if err != nil {
@@ -168,13 +180,14 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 	if err != nil {
 		return err
 	}
+	path := shardfile.Path(dir, idx)
+	_, err = os.Stat(path) // an overwrite: start writeback early
 	start := time.Now()
-	err = receive(f, h, body)
+	err = receive(f, h, body, err == nil)
 	received := time.Now()
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	path := shardfile.Path(dir, idx)
 	existed := false
 	if err == nil {
 		s.mu.Lock() // one step, so concurrent first puts count a slot once
@@ -221,11 +234,20 @@ var putSecondsBounds = []float64{1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 0.01, 0
 // holds is live heap whenever the GC sets its next goal.
 const putBufSize = 320 << 10
 
+// writeback starts the kernel writing a file's bytes [off, off+n) to
+// disk without waiting for it: startWriteback, or a test's fake.
+var writeback = startWriteback
+
 // receive copies an upload's header and blocks into f, one block at a
 // time: each block's payload is checksummed against its trailer while
 // it is still in cache, before anything could be renamed into place,
 // and the body must end exactly where the header says the file does.
-func receive(f *os.File, h shardfile.Header, body io.Reader) error {
+// With early set, each block, once checked and written, has the bytes
+// written since the last call (the first block's call takes the header
+// too) handed to writeback; an error fails the upload as a failed
+// write does, except one saying the file system cannot, after which
+// the upload goes on without.
+func receive(f *os.File, h shardfile.Header, body io.Reader, early bool) error {
 	if _, err := f.Write(h.Marshal()); err != nil {
 		return err
 	}
@@ -239,6 +261,7 @@ func receive(f *os.File, h shardfile.Header, body io.Reader) error {
 		}
 		return err
 	}
+	var started int64 // bytes of f handed to writeback
 	for stripe := uint64(0); stripe < h.StripeCount; stripe++ {
 		var sum uint32
 		for left := payload; left > 0; {
@@ -260,6 +283,16 @@ func receive(f *os.File, h shardfile.Header, body io.Reader) error {
 			if _, err := f.Write(piece); err != nil {
 				return err
 			}
+		}
+		if early {
+			end := h.Size() + int64(stripe+1)*h.BlockSize()
+			err := writeback(f, started, end-started)
+			if errors.Is(err, syscall.ENOSYS) || errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.EOPNOTSUPP) {
+				early = false // the file system cannot; go on without
+			} else if err != nil {
+				return err
+			}
+			started = end
 		}
 	}
 	if n, err := body.Read(buf[:1]); n > 0 {
