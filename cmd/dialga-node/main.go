@@ -34,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -79,7 +80,14 @@ func main() {
 	flag.IntVar(&cfg.writeQuorum, "write-quorum", 0, "shards that must be durable before a put is acked (0 = all k+m; else in [k+1, k+m])")
 	flag.IntVar(&cfg.putRetries, "put-retries", 0, "per-shard retries on transient put errors (0 = default 2, -1 disables)")
 	flag.Parse()
-	if err := run(cfg); err != nil {
+	ctx, stop := node.SignalContext(context.Background())
+	hup := make(chan os.Signal, 1)
+	if cfg.clusterFile != "" {
+		signal.Notify(hup, syscall.SIGHUP)
+	}
+	err := run(ctx, cfg, nil, hup)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -98,7 +106,10 @@ func loadSpec(cfg nodeConfig) (*cluster.Map, error) {
 	return cluster.ParseSpec(cfg.spec)
 }
 
-func run(cfg nodeConfig) error {
+// run serves the node until ctx is cancelled. It serves on ln, or, when
+// ln is nil, on -listen (default: the node's address in the map). With
+// -cluster-file, each value received on hup reloads the map.
+func run(ctx context.Context, cfg nodeConfig, ln net.Listener, hup <-chan os.Signal) error {
 	if cfg.id == "" || cfg.dir == "" || (cfg.spec == "" && cfg.clusterFile == "") {
 		return fmt.Errorf("dialga-node needs -id, -dir and -cluster or -cluster-file")
 	}
@@ -110,7 +121,10 @@ func run(cfg nodeConfig) error {
 	if !ok {
 		return fmt.Errorf("dialga-node: -id %s is not in the cluster map", cfg.id)
 	}
-	if cfg.listen == "" {
+	switch {
+	case ln != nil:
+		cfg.listen = ln.Addr().String()
+	case cfg.listen == "":
 		cfg.listen = self.Addr
 	}
 	router, ok := cluster.NewRouter(cfg.route)
@@ -154,9 +168,6 @@ func run(cfg nodeConfig) error {
 	mux.Handle("/v1/placement/", gh)
 	mux.Handle("/v1/cluster/", gh)
 
-	ctx, stop := node.SignalContext(context.Background())
-	defer stop()
-
 	// The repair queue also executes rebalance migrations, so a node
 	// with a reloadable map needs one even without a scrub loop. Both
 	// kinds of data movement pass the node's limiter as repair.
@@ -171,9 +182,6 @@ func run(cfg nodeConfig) error {
 	}
 
 	if cfg.clusterFile != "" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		defer signal.Stop(hup)
 		go func() {
 			for {
 				select {
@@ -181,35 +189,43 @@ func run(cfg nodeConfig) error {
 					return
 				case <-hup:
 				}
-				next, err := loadSpec(cfg)
-				if err != nil {
+				if err := reload(ctx, cfg, gw, rep); err != nil {
 					fmt.Fprintf(os.Stderr, "dialga-node %s: reload: %v\n", cfg.id, err)
-					continue
 				}
-				prev := gw.Map()
-				if err := gw.UpdateMap(next.WithEpoch(prev.Epoch() + 1)); err != nil {
-					fmt.Fprintf(os.Stderr, "dialga-node %s: reload: %v\n", cfg.id, err)
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "dialga-node %s: cluster map reloaded, epoch %d (%d nodes)\n",
-					cfg.id, prev.Epoch()+1, next.Len())
-				go func(prev *cluster.Map) {
-					moves, err := rep.Rebalance(ctx, prev)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "dialga-node %s: rebalance: %v\n", cfg.id, err)
-						return
-					}
-					if moves > 0 {
-						done, failed := rep.DrainOnce(ctx)
-						fmt.Fprintf(os.Stderr, "dialga-node %s: rebalance: %d moves enqueued, %d done, %d failed\n",
-							cfg.id, moves, done, failed)
-					}
-				}(prev)
 			}
 		}()
 	}
 
 	fmt.Fprintf(os.Stderr, "dialga-node %s: serving %s (dir %s, RS(%d,%d), route %s, %d-node map)\n",
 		cfg.id, cfg.listen, cfg.dir, cfg.k, cfg.m, cfg.route, cmap.Len())
-	return node.Serve(ctx, &http.Server{Addr: cfg.listen, Handler: mux}, nil)
+	return node.Serve(ctx, &http.Server{Addr: cfg.listen, Handler: mux}, ln)
+}
+
+// reload swaps in the map -cluster-file now holds, one epoch past the
+// serving map, and rebalances toward it in the background: every
+// shard whose placement changed is migrated through rep's queue.
+func reload(ctx context.Context, cfg nodeConfig, gw *cluster.Gateway, rep *cluster.Repairer) error {
+	next, err := loadSpec(cfg)
+	if err != nil {
+		return err
+	}
+	prev := gw.Map()
+	if err := gw.UpdateMap(next.WithEpoch(prev.Epoch() + 1)); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "dialga-node %s: cluster map reloaded, epoch %d (%d nodes)\n",
+		cfg.id, prev.Epoch()+1, next.Len())
+	go func() {
+		moves, err := rep.Rebalance(ctx, prev)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dialga-node %s: rebalance: %v\n", cfg.id, err)
+			return
+		}
+		if moves > 0 {
+			done, failed := rep.DrainOnce(ctx)
+			fmt.Fprintf(os.Stderr, "dialga-node %s: rebalance: %d moves enqueued, %d done, %d failed\n",
+				cfg.id, moves, done, failed)
+		}
+	}()
+	return nil
 }

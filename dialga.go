@@ -33,67 +33,13 @@ import (
 
 // Codec is a systematic Reed-Solomon RS(k+m, k) erasure codec over
 // GF(2^8): k data blocks produce m parity blocks; any k of the k+m
-// blocks recover the stripe. Safe for concurrent use.
-type Codec struct {
-	code *rs.Code
-}
+// blocks recover the stripe. It is internal/rs's Code, the one codec
+// the streaming pipeline, the shard files and the cluster run on. Safe
+// for concurrent use.
+type Codec = rs.Code
 
 // NewCodec constructs an RS(k+m, k) codec (Cauchy generator matrix).
-func NewCodec(k, m int) (*Codec, error) {
-	c, err := rs.New(k, m)
-	if err != nil {
-		return nil, err
-	}
-	return &Codec{code: c}, nil
-}
-
-// K returns the number of data blocks per stripe.
-func (c *Codec) K() int { return c.code.K() }
-
-// M returns the number of parity blocks per stripe.
-func (c *Codec) M() int { return c.code.M() }
-
-// Encode fills parity (m equally sized blocks) from data (k blocks).
-func (c *Codec) Encode(data, parity [][]byte) error { return c.code.Encode(data, parity) }
-
-// EncodeAppend allocates and returns the parity blocks for data.
-func (c *Codec) EncodeAppend(data [][]byte) ([][]byte, error) { return c.code.EncodeAppend(data) }
-
-// EncodeSum is the fused single-pass variant of Encode: it fills
-// parity and returns the CRC-32C (Castagnoli) of every block — k data
-// sums then m parity sums — folded tile-by-tile during the encode
-// sweep while each tile is still cache-resident, instead of a second
-// pass over all k+m blocks.
-func (c *Codec) EncodeSum(data, parity [][]byte) ([]uint32, error) {
-	return c.code.EncodeSum(data, parity)
-}
-
-// EncodeSumInto is EncodeSum writing the k+m checksums into
-// caller-provided sums; it allocates nothing. The streaming encoder
-// computes every stripe's parity and checksum trailers with it.
-func (c *Codec) EncodeSumInto(sums []uint32, data, parity [][]byte) error {
-	return c.code.EncodeSumInto(sums, data, parity)
-}
-
-// ReconstructSum is Reconstruct with fused checksums: rebuilt blocks
-// additionally get their CRC-32C written to the matching entries of
-// sums (len k+m); entries for blocks that were already present are
-// left untouched.
-func (c *Codec) ReconstructSum(blocks [][]byte, sums []uint32) error {
-	return c.code.ReconstructSum(blocks, sums)
-}
-
-// Reconstruct repairs a stripe in place: blocks holds k+m entries in
-// stripe order with nil for missing blocks (at most m may be nil).
-func (c *Codec) Reconstruct(blocks [][]byte) error { return c.code.Reconstruct(blocks) }
-
-// Verify reports whether parity is consistent with data.
-func (c *Codec) Verify(data, parity [][]byte) (bool, error) { return c.code.Verify(data, parity) }
-
-// ReconstructData repairs only the data blocks of a stripe in place,
-// skipping parity rebuilds — the fast path for serving reads from a
-// degraded stripe. The streaming decoder reconstructs with it.
-func (c *Codec) ReconstructData(blocks [][]byte) error { return c.code.ReconstructData(blocks) }
+func NewCodec(k, m int) (*Codec, error) { return rs.New(k, m) }
 
 // Split partitions a byte stream into exactly k equally sized shards
 // (zero-padded tail) suitable for Codec.Encode. Shards that fit
@@ -114,20 +60,14 @@ func Join(shards [][]byte, size int) ([]byte, error) { return rs.Join(shards, si
 // shards through an order-preserving bounded window, so files of any
 // size are processed in O(stripe) memory.
 
-// StreamOptions configures a streaming pipeline. StreamOptions.Codec
-// accepts a *Codec directly. Every shard block carries a CRC-32C
-// trailer, computed in the same sweep as the parity and verified on
-// decode; the Checksum field has no other value to take. Straggler
-// tolerance on decode — hedged degraded reads and per-shard circuit
-// breakers — has one switch, HedgeAfter (off until set), and fixed
-// constants behind it. A shard whose read fails is retired at once and
-// never read again.
+// StreamOptions configures a streaming pipeline; its Codec is a
+// *Codec. Every shard block carries a CRC-32C trailer, computed in the
+// same sweep as the parity and verified on decode; the Checksum field
+// has no other value to take. Straggler tolerance on decode — hedged
+// degraded reads and per-shard circuit breakers — has one switch,
+// HedgeAfter (off until set), and fixed constants behind it. A shard
+// whose read fails is retired at once and never read again.
 type StreamOptions = stream.Options
-
-// StreamCodec is the stripe-level codec interface the pipeline drives:
-// exactly the calls it makes (K, M, EncodeSumInto, ReconstructData).
-// *Codec satisfies it.
-type StreamCodec = stream.Codec
 
 // StreamStats is a snapshot of pipeline counters: stripes, bytes
 // in/out, reconstruction and integrity counts (ShardsCorrupted,

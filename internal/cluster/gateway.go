@@ -306,9 +306,6 @@ func (g *Gateway) UpdateMap(next *Map) error {
 	return nil
 }
 
-// Shards returns the stripe width K+M.
-func (g *Gateway) Shards() int { return g.k + g.m }
-
 // Map returns the gateway's current cluster map. Operations that need
 // a stable view across several calls should hold on to the returned
 // map rather than calling Map repeatedly.

@@ -5,7 +5,7 @@
 // Jerasure and most storage erasure-coding libraries, so encoding matrices
 // and parity bytes produced here are interoperable with those systems.
 //
-// The package provides scalar operations (Mul, Inv, Exp), bulk
+// The package provides scalar operations (Mul, Inv), bulk
 // slice operations used by the table-lookup codec (MulSlice,
 // MulSliceAdd, AddSlice), and the nibble split tables that ISA-L feeds
 // to VPSHUFB. On amd64 CPUs with AVX2 the single-coefficient kernels
@@ -13,8 +13,6 @@
 // at init from CPUID; everywhere else, and for every tail shorter than
 // 32 bytes, they process eight bytes per step via 64-bit word batching.
 package gf
-
-import "fmt"
 
 // Poly is the primitive polynomial used to construct GF(2^8),
 // expressed with the implicit x^8 term included (0x11d).
@@ -61,10 +59,6 @@ func init() {
 	}
 }
 
-// Add returns a+b in GF(2^8). Addition is XOR; it is its own inverse,
-// so Sub is the same operation.
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte { return mulTable[a][b] }
 
@@ -74,15 +68,6 @@ func Inv(a byte) byte {
 		panic("gf: zero has no inverse")
 	}
 	return invTable[a]
-}
-
-// Exp returns alpha^n where alpha is the primitive element (2).
-// n may be any non-negative integer.
-func Exp(n int) byte {
-	if n < 0 {
-		panic(fmt.Sprintf("gf: negative exponent %d", n))
-	}
-	return expTable[n%255]
 }
 
 // MulRow returns the 256-entry multiplication row for coefficient c,

@@ -142,18 +142,6 @@ func MulSliceAdd(c byte, dst, src []byte) {
 // fast kernel byte-for-byte against them, and rs.(*Code).EncodeRef
 // exposes them for old-vs-new benchmarking.
 
-// RefMulSlice is the scalar reference for MulSlice: one table lookup
-// per byte.
-func RefMulSlice(c byte, dst, src []byte) {
-	if len(dst) != len(src) {
-		panic("gf: RefMulSlice length mismatch")
-	}
-	row := &mulTable[c]
-	for i, b := range src {
-		dst[i] = row[b]
-	}
-}
-
 // RefMulSliceAdd is the scalar reference for MulSliceAdd: one table
 // lookup and XOR per byte.
 func RefMulSliceAdd(c byte, dst, src []byte) {

@@ -93,9 +93,6 @@ func (c *Client) WithHTTPClient(hc *http.Client) *Client {
 	return &d
 }
 
-// Addr returns the client's base URL.
-func (c *Client) Addr() string { return c.base }
-
 func (c *Client) shardURL(kind, object string, idx int) string {
 	return fmt.Sprintf("%s/v1/%s/%s/%d", c.base, kind, url.PathEscape(object), idx)
 }

@@ -11,9 +11,8 @@ import "fmt"
 // it writes through to the input, and vice versa. Only shards that
 // need zero padding (and shards past the end of data) are freshly
 // allocated. This makes Split a zero-copy view for full-length inputs
-// (len(data) a multiple of k), which is what the internal/stream
-// pipeline relies on when slicing its pooled stripe buffers. Callers
-// that mutate shards they don't own must use SplitCopy.
+// (len(data) a multiple of k). Callers that mutate shards they don't
+// own must use SplitCopy.
 func Split(data []byte, k int) ([][]byte, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("rs: Split needs positive k, got %d", k)

@@ -108,10 +108,8 @@ func (e *Encoder) lend() *Stripe {
 func (e *Encoder) encodeStripe(j *job) error {
 	start := time.Now()
 	st := j.enc
-	// Full-length stripes split into pure aliases of the pooled
-	// buffer (see the pinned rs.Split aliasing contract) — the
-	// zero-copy path the pipeline is built around. Callers that
-	// need ownership use rs.SplitCopy instead.
+	// The block views alias the pooled stripe buffer: the zero-copy
+	// path the pipeline is built around.
 	j.dviews = shardViewsInto(j.dviews, st.data, e.g.k, e.g.shardSize)
 	j.pviews = shardViewsInto(j.pviews, st.parity, e.g.m, e.g.shardSize)
 	j.sums = sliceN(j.sums, e.g.k+e.g.m)

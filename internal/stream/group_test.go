@@ -62,7 +62,7 @@ type slowReader struct {
 func (s *slowReader) Read(p []byte) (int, error) {
 	s.calls++
 	if s.slowReads < 0 || s.calls <= s.slowReads {
-		<-s.clock.After(s.delay)
+		<-s.clock.NewTimer(s.delay).C()
 	}
 	return s.r.Read(p)
 }
@@ -197,11 +197,6 @@ type timerCount struct {
 func (c *timerCount) NewTimer(d time.Duration) vclock.Timer {
 	c.armed.Add(1)
 	return c.Fake.NewTimer(d)
-}
-
-func (c *timerCount) After(d time.Duration) <-chan time.Time {
-	c.armed.Add(1)
-	return c.Fake.After(d)
 }
 
 // TestGroupTransientErrorKillsShard: a read error mid-block is terminal
@@ -587,7 +582,7 @@ func TestGroupBreakerTripsAndRecovers(t *testing.T) {
 			}
 		}
 		st.release()
-		<-fc.After(pace)
+		<-fc.NewTimer(pace).C()
 	}
 	if trips == 0 {
 		t.Fatal("breaker never tripped")

@@ -9,14 +9,6 @@ import (
 	"time"
 )
 
-// blockRebuilder is the codec entry point a Rebuilder drives: one
-// block of a stripe computed from any k of the others, with its
-// CRC-32C folded into the same sweep. *rs.Code implements it; it is not
-// part of Codec because the public dialga.Codec does not export it.
-type blockRebuilder interface {
-	RebuildSum(blocks [][]byte, want int, dst []byte) (uint32, error)
-}
-
 // Rebuilder regenerates one shard of a stripe set from the others in
 // the shard domain: each stripe it reads one block from every source
 // and computes the target's block — a single k-source row, never the
@@ -42,25 +34,19 @@ type blockRebuilder interface {
 // rebuild has warmed it.
 type Rebuilder struct {
 	g     geom
-	code  blockRebuilder
 	stats *counters
 }
 
-// NewRebuilder validates opts and returns a ready Rebuilder. The codec
-// must offer single-block rebuilds (*rs.Code does). Options.HedgeAfter
-// is ignored: a rebuild never hedges.
+// NewRebuilder validates opts and returns a ready Rebuilder.
+// Options.HedgeAfter is ignored: a rebuild never hedges.
 func NewRebuilder(opts Options) (*Rebuilder, error) {
 	g, err := opts.geometry()
 	if err != nil {
 		return nil, err
 	}
-	code, ok := g.codec.(blockRebuilder)
-	if !ok {
-		return nil, fmt.Errorf("stream: codec %T cannot rebuild single blocks", g.codec)
-	}
 	g.hedgeAfter = 0
 	g.shardio = newShardioSeries(g.metrics)
-	return &Rebuilder{g: g, code: code, stats: newCounters(g.metrics, "rebuild")}, nil
+	return &Rebuilder{g: g, stats: newCounters(g.metrics, "rebuild")}, nil
 }
 
 // Stats returns a snapshot of the pipeline counters. Reconstructed
@@ -131,7 +117,7 @@ func (rb *Rebuilder) Rebuild(ctx context.Context, shards []io.Reader, target int
 	work := func(j *job) error {
 		start := time.Now()
 		j.buf = getBuffer(blockSize)
-		sum, err := rb.code.RebuildSum(j.blocks, target, j.buf[:shardSize])
+		sum, err := rb.g.codec.RebuildSum(j.blocks, target, j.buf[:shardSize])
 		if err != nil {
 			return fmt.Errorf("stream: rebuild stripe %d: %w", j.seq, err)
 		}

@@ -132,7 +132,7 @@ type Stats struct {
 	// spare's Fill or an Await is no win (decoder only).
 	HedgeWins uint64
 	// BreakerTrips counts per-shard circuit-breaker trips: a shard
-	// demoted after missing BreakerThreshold consecutive deadlines,
+	// demoted after missing five consecutive deadlines (breakerThreshold),
 	// plus every half-open probe that missed again (decoder only).
 	BreakerTrips uint64
 	// WorkerPanics counts panics recovered from pipeline stages and

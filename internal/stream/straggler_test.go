@@ -44,7 +44,7 @@ type laggard struct {
 
 func (l *laggard) Read(p []byte) (int, error) {
 	if l.clock.Now().Before(l.slowUntil) {
-		<-l.clock.After(lagDelay)
+		<-l.clock.NewTimer(lagDelay).C()
 	}
 	return l.r.Read(p)
 }
@@ -60,7 +60,7 @@ type pacedWriter struct {
 }
 
 func (p *pacedWriter) Write(b []byte) (int, error) {
-	<-p.clock.After(stripePace / time.Duration(p.k))
+	<-p.clock.NewTimer(stripePace / time.Duration(p.k)).C()
 	return p.w.Write(b)
 }
 
@@ -350,7 +350,7 @@ func TestChaosStragglerNoGoroutineLeaks(t *testing.T) {
 		readers[1] = &laggard{r: bytes.NewReader(shards[1]), clock: fc, slowUntil: fc.Now().Add(time.Hour)}
 		var out bytes.Buffer
 		go func() {
-			<-fc.After(3 * stripePace)
+			<-fc.NewTimer(3 * stripePace).C()
 			cancel()
 		}()
 		err = dec.Decode(ctx, readers, &pacedWriter{w: &out, clock: fc, k: k}, int64(len(payload)))
@@ -491,7 +491,7 @@ func (t *turning) Read(p []byte) (int, error) {
 		if t.slow && t.pos >= t.turn {
 			d *= 10
 		}
-		<-t.clock.After(d)
+		<-t.clock.NewTimer(d).C()
 	}
 	p = p[:min(len(p), t.blockSize-t.done)]
 	n, err := t.r.Read(p)

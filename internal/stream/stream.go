@@ -1,5 +1,5 @@
 // Package stream is a concurrent, streaming erasure-coding pipeline
-// over the repository's byte-level codecs.
+// over internal/rs.
 //
 // The whole-buffer API (rs.Code) encodes one stripe at a time on the
 // calling goroutine and requires the entire payload in memory. This
@@ -96,6 +96,7 @@ import (
 	"time"
 
 	"dialga/internal/obs"
+	"dialga/internal/rs"
 	"dialga/internal/vclock"
 )
 
@@ -127,31 +128,11 @@ const (
 // stripe number — instead of ever emitting unverified bytes.
 var ErrTooManyCorrupt = errors.New("stream: too many corrupt or missing shard blocks in stripe")
 
-// Codec is the stripe-level erasure codec the pipeline drives, and
-// exactly the calls it makes. *rs.Code and the public dialga.Codec
-// satisfy it. Implementations must be safe for concurrent use.
-//
-//   - EncodeSumInto fills the m parity blocks from the k data blocks
-//     and writes the CRC-32C of all k+m blocks into sums, in one
-//     cache-tiled sweep that checksums each tile while it is still
-//     L1-resident (the paper's fused pass). The sums must be what
-//     gf.CRC32C returns over each full block.
-//   - ReconstructData rebuilds the missing data blocks of a k+m stripe
-//     in place, skipping parity. A zero-length entry with capacity
-//     means "missing, rebuild into me", which lets the decoder hand out
-//     pooled output buffers instead of allocating per stripe.
-type Codec interface {
-	K() int
-	M() int
-	EncodeSumInto(sums []uint32, data, parity [][]byte) error
-	ReconstructData(blocks [][]byte) error
-}
-
 // Options configures a pipeline. The zero value of every field except
 // Codec is usable: defaults are filled in by NewEncoder/NewDecoder.
 type Options struct {
-	// Codec encodes and reconstructs stripes. Required.
-	Codec Codec
+	// Codec encodes, reconstructs and rebuilds stripes. Required.
+	Codec *rs.Code
 
 	// StripeSize is the number of data bytes per stripe, rounded up
 	// to a multiple of Codec.K() so shards stay equally sized.
@@ -202,7 +183,7 @@ type Options struct {
 
 // geom is a validated, defaulted view of Options.
 type geom struct {
-	codec      Codec
+	codec      *rs.Code
 	k, m       int
 	shardSize  int // data bytes per shard per stripe
 	stripeSize int // k * shardSize
@@ -259,17 +240,11 @@ func (o Options) geometry() (geom, error) {
 	}, nil
 }
 
-// shardViews slices buf into n consecutive shardSize-byte views
-// without copying. The views alias buf (the same deliberate aliasing
-// rs.Split performs on full-length inputs); the pipeline owns its
+// shardViewsInto slices buf into n consecutive shardSize-byte views
+// without copying, writing them into caller scratch: jobs keep their
+// view slices across pool cycles so the per-stripe hot path re-slices
+// instead of allocating. The views alias buf; the pipeline owns its
 // pooled buffers, so the aliasing never escapes to callers.
-func shardViews(buf []byte, n, shardSize int) [][]byte {
-	return shardViewsInto(make([][]byte, 0, n), buf, n, shardSize)
-}
-
-// shardViewsInto is shardViews writing into caller scratch: jobs keep
-// their view slices across pool cycles so the per-stripe hot path
-// re-slices instead of allocating.
 func shardViewsInto(views [][]byte, buf []byte, n, shardSize int) [][]byte {
 	views = views[:0]
 	for i := 0; i < n; i++ {

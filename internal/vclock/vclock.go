@@ -1,5 +1,5 @@
 // Package vclock is a minimal virtual-clock seam: an interface over
-// time.Now / time.NewTimer / time.After with a real implementation and
+// time.Now / time.NewTimer with a real implementation and
 // a deterministic fake.
 //
 // The shard-read scheduler (internal/stream), the gateway's sideliner
@@ -25,9 +25,6 @@ type Clock interface {
 	Now() time.Time
 	// NewTimer returns a timer that fires once after d.
 	NewTimer(d time.Duration) Timer
-	// After returns a channel that receives the fire time once d has
-	// elapsed.
-	After(d time.Duration) <-chan time.Time
 }
 
 // Timer is the injectable face of *time.Timer. Stop and Reset carry
@@ -53,9 +50,8 @@ func OrReal(c Clock) Clock {
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) NewTimer(d time.Duration) Timer         { return realTimer{time.NewTimer(d)} }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) Now() time.Time                 { return time.Now() }
+func (realClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
 
 type realTimer struct{ t *time.Timer }
 
@@ -83,7 +79,7 @@ func NewFake() *Fake {
 	return f
 }
 
-// fakeWaiter is one pending timer/After registration.
+// fakeWaiter is one pending timer registration.
 type fakeWaiter struct {
 	at   time.Time
 	ch   chan time.Time
@@ -250,10 +246,6 @@ func (f *Fake) NewTimer(d time.Duration) Timer {
 	}
 	f.mu.Unlock()
 	return &fakeTimer{f: f, w: w}
-}
-
-func (f *Fake) After(d time.Duration) <-chan time.Time {
-	return f.NewTimer(d).C()
 }
 
 type fakeTimer struct {

@@ -85,9 +85,9 @@ func TestFakePump(t *testing.T) {
 	stop := f.Pump()
 	woke := make(chan time.Duration, 2)
 	go func() {
-		<-f.After(time.Second)
+		<-f.NewTimer(time.Second).C()
 		woke <- f.Now().Sub(start)
-		<-f.After(2 * time.Hour)
+		<-f.NewTimer(2 * time.Hour).C()
 		woke <- f.Now().Sub(start)
 	}()
 	for _, want := range []time.Duration{time.Second, 2*time.Hour + time.Second} {
