@@ -10,7 +10,7 @@
 // the cluster map and the object name, so any node's gateway can serve
 // any object and there is no metadata service. The process drains
 // gracefully on SIGINT/SIGTERM, giving in-flight requests up to
-// node.DefaultDrainTimeout.
+// node.Serve's drain timeout.
 //
 // With -cluster-file the map comes from a spec file instead, and
 // SIGHUP reloads it live: the new map (with a bumped epoch) swaps in
@@ -39,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -168,6 +169,13 @@ func run(ctx context.Context, cfg nodeConfig, ln net.Listener, hup <-chan os.Sig
 	mux.Handle("/v1/placement/", gh)
 	mux.Handle("/v1/cluster/", gh)
 
+	// Serve returns once ctx is cancelled or the server fails; either
+	// way the background loops stop and run waits for them.
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+
 	// The repair queue also executes rebalance migrations, so a node
 	// with a reloadable map needs one even without a scrub loop. Both
 	// kinds of data movement pass the node's limiter as repair.
@@ -177,19 +185,25 @@ func run(ctx context.Context, cfg nodeConfig, ln net.Listener, hup <-chan os.Sig
 		// A shard a put could not land is found by the next scan, like
 		// any other damage, once its node answers.
 		if cfg.repairInterval > 0 {
-			go rep.Run(ctx, cfg.repairInterval)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = rep.Run(ctx, cfg.repairInterval) // ctx.Err(), once run stops
+			}()
 		}
 	}
 
 	if cfg.clusterFile != "" {
+		wg.Add(1)
 		go func() {
+			defer wg.Done()
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-hup:
 				}
-				if err := reload(ctx, cfg, gw, rep); err != nil {
+				if err := reload(ctx, cfg, gw, rep, &wg); err != nil {
 					fmt.Fprintf(os.Stderr, "dialga-node %s: reload: %v\n", cfg.id, err)
 				}
 			}
@@ -202,9 +216,10 @@ func run(ctx context.Context, cfg nodeConfig, ln net.Listener, hup <-chan os.Sig
 }
 
 // reload swaps in the map -cluster-file now holds, one epoch past the
-// serving map, and rebalances toward it in the background: every
-// shard whose placement changed is migrated through rep's queue.
-func reload(ctx context.Context, cfg nodeConfig, gw *cluster.Gateway, rep *cluster.Repairer) error {
+// serving map, and rebalances toward it in the background, counted in
+// wg: every shard whose placement changed is migrated through rep's
+// queue.
+func reload(ctx context.Context, cfg nodeConfig, gw *cluster.Gateway, rep *cluster.Repairer, wg *sync.WaitGroup) error {
 	next, err := loadSpec(cfg)
 	if err != nil {
 		return err
@@ -215,7 +230,9 @@ func reload(ctx context.Context, cfg nodeConfig, gw *cluster.Gateway, rep *clust
 	}
 	fmt.Fprintf(os.Stderr, "dialga-node %s: cluster map reloaded, epoch %d (%d nodes)\n",
 		cfg.id, prev.Epoch()+1, next.Len())
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		moves, err := rep.Rebalance(ctx, prev)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dialga-node %s: rebalance: %v\n", cfg.id, err)

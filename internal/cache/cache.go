@@ -34,7 +34,6 @@ type Stats struct {
 // Cache is one level of a set-associative cache. It is not safe for
 // concurrent use; the engine serializes accesses.
 type Cache struct {
-	name    string
 	sets    int
 	ways    int
 	setMask uint64
@@ -47,7 +46,7 @@ type Cache struct {
 // Size must be a multiple of ways*64 and the set count must be a power
 // of two (true for all real L1/L2 geometries; the LLC's 11-way 24.75 MB
 // geometry is mapped onto the nearest power-of-two set count).
-func New(name string, size, ways int) *Cache {
+func New(size, ways int) *Cache {
 	if size <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache: invalid geometry size=%d ways=%d", size, ways))
 	}
@@ -62,7 +61,6 @@ func New(name string, size, ways int) *Cache {
 	}
 	sets = p
 	return &Cache{
-		name:    name,
 		sets:    sets,
 		ways:    ways,
 		setMask: uint64(sets - 1),
@@ -70,14 +68,8 @@ func New(name string, size, ways int) *Cache {
 	}
 }
 
-// Name returns the level's label ("L1", "L2", "LLC").
-func (c *Cache) Name() string { return c.name }
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the statistics without invalidating contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 func (c *Cache) set(tag uint64) []line {
 	s := int(tag & c.setMask)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestMissThenHit(t *testing.T) {
-	c := New("L1", 32<<10, 8)
+	c := New(32<<10, 8)
 	addr := mem.Addr(0x1000)
 	hit, _ := c.Lookup(addr, 0)
 	if hit {
@@ -25,7 +25,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestSameLineDifferentOffsets(t *testing.T) {
-	c := New("L1", 32<<10, 8)
+	c := New(32<<10, 8)
 	c.Insert(mem.Addr(0x1000), 0, false)
 	hit, _ := c.Lookup(mem.Addr(0x1030), 10) // same 64B line
 	if !hit {
@@ -38,7 +38,7 @@ func TestSameLineDifferentOffsets(t *testing.T) {
 }
 
 func TestInFlightPrefetchStall(t *testing.T) {
-	c := New("L2", 1<<20, 16)
+	c := New(1<<20, 16)
 	addr := mem.Addr(0x2000)
 	c.Insert(addr, 500, true) // prefetch arriving at t=500
 	hit, ready := c.Lookup(addr, 100)
@@ -57,7 +57,7 @@ func TestInFlightPrefetchStall(t *testing.T) {
 
 func TestUselessPrefetchEviction(t *testing.T) {
 	// Tiny direct-mapped-ish cache: 1 set equivalent via size = ways*64.
-	c := New("L1", 2*64, 2) // 1 set, 2 ways
+	c := New(2*64, 2) // 1 set, 2 ways
 	c.Insert(mem.Addr(0), 0, true)
 	c.Insert(mem.Addr(64), 0, true)
 	if ev := c.Insert(mem.Addr(128), 0, false); !ev {
@@ -67,7 +67,7 @@ func TestUselessPrefetchEviction(t *testing.T) {
 		t.Fatal("useless prefetch not counted")
 	}
 	// A demand-hit prefetched line is no longer useless when evicted.
-	c = New("L1", 2*64, 2)
+	c = New(2*64, 2)
 	c.Insert(mem.Addr(0), 0, true)
 	c.Lookup(mem.Addr(0), 1) // use it
 	c.Insert(mem.Addr(64), 0, false)
@@ -77,7 +77,7 @@ func TestUselessPrefetchEviction(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New("t", 2*64, 2) // 1 set, 2 ways
+	c := New(2*64, 2) // 1 set, 2 ways
 	c.Insert(mem.Addr(0), 0, false)
 	c.Insert(mem.Addr(64), 0, false)
 	c.Lookup(mem.Addr(0), 1) // refresh line 0
@@ -91,7 +91,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestContainsDoesNotDisturb(t *testing.T) {
-	c := New("t", 2*64, 2)
+	c := New(2*64, 2)
 	c.Insert(mem.Addr(0), 0, true)
 	before := c.Stats()
 	if !c.Contains(mem.Addr(0)) {
@@ -111,7 +111,7 @@ func TestContainsDoesNotDisturb(t *testing.T) {
 }
 
 func TestRefillExistingLine(t *testing.T) {
-	c := New("t", 2*64, 2)
+	c := New(2*64, 2)
 	c.Insert(mem.Addr(0), 900, true)
 	// Demand refill of the same line updates arrival and clears the mark.
 	c.Insert(mem.Addr(0), 50, false)
@@ -125,28 +125,9 @@ func TestRefillExistingLine(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := New("t", 32<<10, 8)
-	c.Insert(mem.Addr(0), 0, false)
-	c.Lookup(mem.Addr(0), 1)
-	if c.Stats().Hits != 1 {
-		t.Fatal("hit not counted")
-	}
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not clear")
-	}
-	if !c.Contains(mem.Addr(0)) {
-		t.Fatal("ResetStats dropped contents")
-	}
-}
-
 func TestNonPowerOfTwoGeometry(t *testing.T) {
 	// 11-way LLC-like geometry: sets round down to a power of two.
-	c := New("LLC", 24*(1<<20)+768<<10, 11)
-	if c.Name() != "LLC" {
-		t.Fatal("name lost")
-	}
+	c := New(24*(1<<20)+768<<10, 11)
 	// Must behave as a cache: insert/lookup roundtrip over many sets.
 	for i := 0; i < 10000; i++ {
 		c.Insert(mem.Addr(i*64), 0, false)

@@ -57,7 +57,7 @@ func TestQuickMatchesReferenceModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		const ways = 4
 		const sets = 8
-		c := New("t", sets*ways*mem.CachelineSize, ways)
+		c := New(sets*ways*mem.CachelineSize, ways)
 		ref := newRef(sets, ways)
 		for i := 0; i < 3000; i++ {
 			line := uint64(r.Intn(sets * ways * 3))
@@ -85,7 +85,7 @@ func TestQuickMatchesReferenceModel(t *testing.T) {
 func TestQuickStatsConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := New("t", 16*mem.CachelineSize, 2)
+		c := New(16*mem.CachelineSize, 2)
 		lookups := 0
 		inserts := uint64(0)
 		prefetchIns := uint64(0)

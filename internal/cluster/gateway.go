@@ -327,7 +327,7 @@ func (g *Gateway) Client(id NodeID) (*node.Client, bool) {
 // the shards are already streaming when OpenObject returns, so the
 // object's size is known before the first payload byte and a
 // concurrent map swap cannot disturb the read. Stream the bytes with
-// WriteTo, or Close without streaming to release the shards.
+// WriteTo, which releases the shards.
 type ObjectRead struct {
 	g        *Gateway
 	object   string
@@ -352,17 +352,6 @@ func (o *ObjectRead) Length() int64 { return o.length }
 // Ranged reports whether the read covers a byte range rather than the
 // whole object.
 func (o *ObjectRead) Ranged() bool { return o.ranged }
-
-// Close releases the open shard streams of a read that was never
-// streamed. After WriteTo it is a no-op (the decoder owns the
-// readers).
-func (o *ObjectRead) Close() {
-	if o.streamed {
-		return
-	}
-	o.streamed = true
-	closeReaders(o.readers)
-}
 
 // WriteTo decodes the read's byte window into w — degraded, hedged,
 // and CRC-healed exactly like a local read, opening a spare at the

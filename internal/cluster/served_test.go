@@ -125,31 +125,3 @@ func TestGatewayListsAllObjects(t *testing.T) {
 		t.Fatalf("listing with every node down: %d, want 502", code)
 	}
 }
-
-// TestObjectReadCloseUnstreamed: a read that is opened and never
-// streamed closes every shard body it opened, and cannot be streamed
-// afterwards.
-func TestObjectReadCloseUnstreamed(t *testing.T) {
-	tc, tap := tappedCluster(t, nil)
-	ctx := context.Background()
-	payload := clusterPayload(11, 300_000)
-	if _, err := tc.gw.PutObject(ctx, "closed", bytes.NewReader(payload), int64(len(payload)), node.ClassForeground); err != nil {
-		t.Fatal(err)
-	}
-	opened := tap.opened.Load()
-	o, err := tc.gw.OpenObject(ctx, "closed", node.ClassForeground)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tap.opened.Load() - opened; got != 4 {
-		t.Fatalf("open opened %d shard bodies, want k=4", got)
-	}
-	o.Close()
-	o.Close()
-	if tap.opened.Load() != tap.closed.Load() {
-		t.Fatalf("%d response bodies opened, %d closed", tap.opened.Load(), tap.closed.Load())
-	}
-	if err := o.WriteTo(ctx, new(bytes.Buffer)); err == nil {
-		t.Fatal("WriteTo after Close succeeded")
-	}
-}

@@ -192,23 +192,12 @@ func (s *Scheduler) Next(op *engine.Op) bool { return s.prog.Next(op) }
 // DataBytes implements engine.Program.
 func (s *Scheduler) DataBytes() uint64 { return s.prog.DataBytes() }
 
-// Params returns the kernel parameters currently in force (diagnostic).
-func (s *Scheduler) Params() isal.KernelParams { return s.prog.Params }
-
 // Distance returns the current software prefetch distance (diagnostic).
 func (s *Scheduler) Distance() int { return s.curD }
-
-// Contended reports whether the coordinator currently sees read
-// traffic contention (diagnostic).
-func (s *Scheduler) Contended() bool { return s.contended }
 
 // HighMode reports whether the high-pressure entry point is active
 // (diagnostic).
 func (s *Scheduler) HighMode() bool { return s.highMode }
-
-// ModeTrials returns how many entry-point trials the coordinator ran
-// (diagnostic).
-func (s *Scheduler) ModeTrials() int { return s.modeTrials }
 
 // onStripe is the per-stripe coordinator hook.
 func (s *Scheduler) onStripe(stripe int, p *isal.KernelParams) {
@@ -396,14 +385,14 @@ func (s *Scheduler) samplePMU() {
 	}
 }
 
-// MaxDistance implements Eq. 1: the largest prefetch distance (in
+// maxDistance implements Eq. 1: the largest prefetch distance (in
 // cacheline tasks) whose read-buffer footprint across all threads fits
 // the device buffer:
 //
 //	nthread x k x 256B x ceil(maxd/(k+m)) <= buffersize,
 //
 // with m = 0 for non-temporal stores.
-func MaxDistance(bufferLines, threads, k int) int {
+func maxDistance(bufferLines, threads, k int) int {
 	if bufferLines <= 0 || threads <= 0 || k <= 0 {
 		return 1 << 30 // DRAM or degenerate: unconstrained
 	}
@@ -416,7 +405,7 @@ func MaxDistance(bufferLines, threads, k int) int {
 
 // capDistance applies Eq. 1 and publishes the distance.
 func (s *Scheduler) capDistance(p *isal.KernelParams) {
-	maxD := MaxDistance(s.tel.ReadBufferCapacityLines(), s.tel.ThreadCount(), s.k)
+	maxD := maxDistance(s.tel.ReadBufferCapacityLines(), s.tel.ThreadCount(), s.k)
 	if s.curD > maxD {
 		s.curD = maxD
 	}
@@ -430,7 +419,7 @@ func (s *Scheduler) clampProbe(d int) int {
 	if d < 1 {
 		return 1
 	}
-	maxD := MaxDistance(s.tel.ReadBufferCapacityLines(), s.tel.ThreadCount(), s.k)
+	maxD := maxDistance(s.tel.ReadBufferCapacityLines(), s.tel.ThreadCount(), s.k)
 	if d > maxD {
 		return maxD
 	}

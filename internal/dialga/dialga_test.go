@@ -45,20 +45,20 @@ func runThreads(t *testing.T, threads int, mk func(thread int) engine.Program) (
 
 func TestMaxDistanceEq1(t *testing.T) {
 	// 384 XPLines, 1 thread, k=24: 16 windows of k tasks.
-	if got := MaxDistance(384, 1, 24); got != 16*24 {
-		t.Fatalf("MaxDistance = %d, want %d", got, 16*24)
+	if got := maxDistance(384, 1, 24); got != 16*24 {
+		t.Fatalf("maxDistance = %d, want %d", got, 16*24)
 	}
 	// 18 threads: less than one window per thread: clamped to k.
-	if got := MaxDistance(384, 18, 24); got != 24 {
-		t.Fatalf("MaxDistance = %d, want 24", got)
+	if got := maxDistance(384, 18, 24); got != 24 {
+		t.Fatalf("maxDistance = %d, want 24", got)
 	}
 	// DRAM (no buffer): unconstrained.
-	if got := MaxDistance(0, 4, 24); got < 1<<20 {
-		t.Fatalf("MaxDistance on DRAM should be unconstrained, got %d", got)
+	if got := maxDistance(0, 4, 24); got < 1<<20 {
+		t.Fatalf("maxDistance on DRAM should be unconstrained, got %d", got)
 	}
 	// Degenerate inputs do not panic.
-	if MaxDistance(384, 0, 24) < 1 || MaxDistance(384, 1, 0) < 1 {
-		t.Fatal("degenerate MaxDistance")
+	if maxDistance(384, 0, 24) < 1 || maxDistance(384, 1, 0) < 1 {
+		t.Fatal("degenerate maxDistance")
 	}
 }
 
@@ -77,10 +77,10 @@ func TestSchedulerBeatsPlainISAL(t *testing.T) {
 			resD.ThroughputGBps, resP.ThroughputGBps)
 	}
 	s := scheds[0]
-	if !s.Params().SWPrefetch {
+	if !s.prog.Params.SWPrefetch {
 		t.Fatal("low-pressure policy should enable software prefetching")
 	}
-	if s.Params().Shuffle {
+	if s.prog.Params.Shuffle {
 		t.Fatal("low-pressure policy should keep the HW prefetcher (no shuffle)")
 	}
 }
@@ -116,11 +116,11 @@ func TestHighConcurrencyTrialsHighPressureMode(t *testing.T) {
 	// Above the threshold the coordinator must have trialed the
 	// shuffle+XPLine entry point (it keeps whichever wins the window
 	// comparison).
-	if s.ModeTrials() == 0 {
+	if s.modeTrials == 0 {
 		t.Fatal("no entry-point trial above the thread threshold")
 	}
 	// Eq. 1 must cap the distance regardless of the winning mode.
-	if s.Distance() > MaxDistance(384, threads, 24) {
+	if s.Distance() > maxDistance(384, threads, 24) {
 		t.Fatalf("distance %d exceeds the Eq. 1 cap", s.Distance())
 	}
 }
@@ -130,7 +130,7 @@ func TestLowConcurrencyNeverTrials(t *testing.T) {
 		return New(testLayout(t, 24, 4, 1024, 4<<10, i), cfgPtr(), Options{})
 	})
 	s := scheds[0]
-	if s.Params().Shuffle || s.HighMode() {
+	if s.prog.Params.Shuffle || s.HighMode() {
 		t.Fatal("low concurrency must stay on the low-pressure entry point")
 	}
 }
@@ -140,10 +140,10 @@ func TestDisableHWManagementNeverShuffles(t *testing.T) {
 	_, scheds := runThreads(t, 14, func(i int) engine.Program {
 		return New(testLayout(t, 24, 4, 1024, 2<<10, i), cfgPtr(), opts)
 	})
-	if scheds[0].ModeTrials() != 0 {
+	if scheds[0].modeTrials != 0 {
 		t.Fatal("HW management disabled but a mode trial ran")
 	}
-	if scheds[0].Params().Shuffle {
+	if scheds[0].prog.Params.Shuffle {
 		t.Fatal("HW management disabled but shuffle engaged")
 	}
 }
@@ -152,7 +152,7 @@ func TestWideStripeLeavesPrefetcherAlone(t *testing.T) {
 	_, scheds := runThreads(t, 1, func(i int) engine.Program {
 		return New(testLayout(t, 48, 4, 1024, 4<<10, i), cfgPtr(), Options{})
 	})
-	if scheds[0].Params().Shuffle {
+	if scheds[0].prog.Params.Shuffle {
 		t.Fatal("wide stripes need no shuffle: the stream table self-disables (§4.1.2)")
 	}
 }
@@ -162,7 +162,7 @@ func TestDisableSWPrefetchOption(t *testing.T) {
 	res, scheds := runThreads(t, 1, func(i int) engine.Program {
 		return New(testLayout(t, 8, 4, 1024, 4<<10, i), cfgPtr(), opts)
 	})
-	if scheds[0].Params().SWPrefetch {
+	if scheds[0].prog.Params.SWPrefetch {
 		t.Fatal("SW prefetch not disabled")
 	}
 	var sw uint64

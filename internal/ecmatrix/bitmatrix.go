@@ -11,8 +11,8 @@ type BitMatrix struct {
 	Bits       []bool // row-major
 }
 
-// NewBitMatrix returns a zero bitmatrix.
-func NewBitMatrix(rows, cols int) *BitMatrix {
+// newBitMatrix returns a zero bitmatrix.
+func newBitMatrix(rows, cols int) *BitMatrix {
 	return &BitMatrix{Rows: rows, Cols: cols, Bits: make([]bool, rows*cols)}
 }
 
@@ -24,13 +24,6 @@ func (b *BitMatrix) Set(r, c int, v bool) { b.Bits[r*b.Cols+c] = v }
 
 // Row returns row r aliasing internal storage.
 func (b *BitMatrix) Row(r int) []bool { return b.Bits[r*b.Cols : (r+1)*b.Cols] }
-
-// Clone returns a deep copy.
-func (b *BitMatrix) Clone() *BitMatrix {
-	n := NewBitMatrix(b.Rows, b.Cols)
-	copy(n.Bits, b.Bits)
-	return n
-}
 
 // elementColumns returns the 8x8 binary expansion of e: column j of the
 // block is the bit pattern of e * x^j, matching Jerasure's
@@ -61,7 +54,7 @@ func ElementOnes(e byte) int {
 // ToBitMatrix expands a GF(2^8) matrix into its w=8 binary form.
 func ToBitMatrix(m *Matrix) *BitMatrix {
 	const w = 8
-	out := NewBitMatrix(m.Rows*w, m.Cols*w)
+	out := newBitMatrix(m.Rows*w, m.Cols*w)
 	for r := 0; r < m.Rows; r++ {
 		for c := 0; c < m.Cols; c++ {
 			cols := elementColumns(m.At(r, c))

@@ -41,8 +41,8 @@ func (m *Matrix) Clone() *Matrix {
 	return n
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
+// identity returns the n x n identity matrix.
+func identity(n int) *Matrix {
 	m := New(n, n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 1)
@@ -74,19 +74,19 @@ func Mul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// ErrSingular is returned when a matrix passed to Invert has no inverse,
+// errSingular is returned when a matrix passed to Invert has no inverse,
 // i.e. the chosen survivor set cannot reconstruct the stripe.
-var ErrSingular = errors.New("ecmatrix: matrix is singular")
+var errSingular = errors.New("ecmatrix: matrix is singular")
 
 // Invert returns the inverse of a square matrix via Gauss-Jordan
-// elimination, or ErrSingular.
+// elimination, or errSingular.
 func (m *Matrix) Invert() (*Matrix, error) {
 	if m.Rows != m.Cols {
 		panic("ecmatrix: Invert on non-square matrix")
 	}
 	n := m.Rows
 	work := m.Clone()
-	inv := Identity(n)
+	inv := identity(n)
 	for col := 0; col < n; col++ {
 		// Find pivot.
 		pivot := -1
@@ -97,7 +97,7 @@ func (m *Matrix) Invert() (*Matrix, error) {
 			}
 		}
 		if pivot == -1 {
-			return nil, ErrSingular
+			return nil, errSingular
 		}
 		if pivot != col {
 			swapRows(work, pivot, col)

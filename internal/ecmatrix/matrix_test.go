@@ -12,7 +12,7 @@ func TestIdentityMul(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	m := New(5, 5)
 	r.Read(m.Data)
-	id := Identity(5)
+	id := identity(5)
 	left := Mul(id, m)
 	right := Mul(m, id)
 	for i := range m.Data {
@@ -39,7 +39,7 @@ func TestInvertRoundtrip(t *testing.T) {
 			}
 		}
 		prod := Mul(m, inv)
-		id := Identity(n)
+		id := identity(n)
 		for i := range prod.Data {
 			if prod.Data[i] != id.Data[i] {
 				t.Fatalf("m * m^-1 != I for n=%d", n)
@@ -56,8 +56,8 @@ func TestInvertSingular(t *testing.T) {
 		m.Set(1, c, byte(c+1))
 		m.Set(2, c, byte(7*c+3))
 	}
-	if _, err := m.Invert(); err != ErrSingular {
-		t.Fatalf("expected ErrSingular, got %v", err)
+	if _, err := m.Invert(); err != errSingular {
+		t.Fatalf("expected errSingular, got %v", err)
 	}
 }
 
@@ -153,7 +153,7 @@ func TestBitMatrixMatchesFieldArithmetic(t *testing.T) {
 }
 
 func TestBitMatrixIdentityExpansion(t *testing.T) {
-	id := Identity(3)
+	id := identity(3)
 	bm := ToBitMatrix(id)
 	for i := 0; i < 24; i++ {
 		for j := 0; j < 24; j++ {

@@ -95,12 +95,6 @@ func (tl *Telemetry) ThreadCount() int { return len(tl.e.threads) }
 // XPLines (0 on DRAM), for DIALGA's Eq. 1.
 func (tl *Telemetry) ReadBufferCapacityLines() int { return tl.e.dev.BufferCapacityLines() }
 
-// SetHWPrefetchEnabled toggles this thread's stream prefetcher issue
-// gate. The real DIALGA cannot do this cheaply via MSR and instead uses
-// the shuffle mapping; the simulator exposes both mechanisms so their
-// equivalence is testable.
-func (tl *Telemetry) SetHWPrefetchEnabled(on bool) { tl.t.pf.Enabled = on }
-
 // ThreadStats are per-thread accumulated counters.
 type ThreadStats struct {
 	Loads        uint64
@@ -166,9 +160,6 @@ func tryAcquireSlot(pool []float64, now float64) *float64 {
 	return nil
 }
 
-// Stats returns the thread's counters.
-func (t *Thread) Stats() ThreadStats { return t.stats }
-
 // Engine runs a set of programs over a shared memory system.
 type Engine struct {
 	cfg     mem.Config
@@ -186,7 +177,7 @@ func New(cfg mem.Config, kind mem.DeviceKind) (*Engine, error) {
 	e := &Engine{
 		cfg: cfg,
 		dev: pmem.New(kind, &cfg),
-		llc: cache.New("LLC", cfg.LLCSize, cfg.LLCWays),
+		llc: cache.New(cfg.LLCSize, cfg.LLCWays),
 	}
 	return e, nil
 }
@@ -194,17 +185,14 @@ func New(cfg mem.Config, kind mem.DeviceKind) (*Engine, error) {
 // Config returns the engine configuration.
 func (e *Engine) Config() *mem.Config { return &e.cfg }
 
-// Device returns the shared memory device.
-func (e *Engine) Device() *pmem.Device { return e.dev }
-
 // AddThread registers a program as a new simulated thread and returns
 // the thread handle.
 func (e *Engine) AddThread(p Program) *Thread {
 	t := &Thread{
 		id:    len(e.threads),
 		prog:  p,
-		l1:    cache.New("L1", e.cfg.L1Size, e.cfg.L1Ways),
-		l2:    cache.New("L2", e.cfg.L2Size, e.cfg.L2Ways),
+		l1:    cache.New(e.cfg.L1Size, e.cfg.L1Ways),
+		l2:    cache.New(e.cfg.L2Size, e.cfg.L2Ways),
 		pf:    hwpf.New(&e.cfg),
 		fills: make([]float64, e.cfg.MLP),
 		sq:    make([]float64, e.cfg.SQDepth),

@@ -247,18 +247,6 @@ func TestTelemetryAttachAndCounters(t *testing.T) {
 	}
 }
 
-func TestTelemetryHWPrefetchToggle(t *testing.T) {
-	cfg := mem.DefaultConfig()
-	p := &seqProgram{base: 0, lines: 4096, perOp: 8}
-	e, _ := New(cfg, mem.PM)
-	e.AddThread(p)
-	p.tel.SetHWPrefetchEnabled(false)
-	res, _ := e.Run()
-	if res.PF.Issued != 0 {
-		t.Fatal("telemetry toggle did not disable the prefetcher")
-	}
-}
-
 func TestResultMetrics(t *testing.T) {
 	cfg := mem.DefaultConfig()
 	res := run(t, cfg, mem.PM, &seqProgram{base: 0, lines: 4096, perOp: 8})

@@ -14,9 +14,9 @@
 // 32 bytes, they process eight bytes per step via 64-bit word batching.
 package gf
 
-// Poly is the primitive polynomial used to construct GF(2^8),
+// poly is the primitive polynomial used to construct GF(2^8),
 // expressed with the implicit x^8 term included (0x11d).
-const Poly = 0x11d
+const poly = 0x11d
 
 // FieldSize is the number of elements in GF(2^8).
 const FieldSize = 256
@@ -40,7 +40,7 @@ func init() {
 		logTable[x] = i
 		x <<= 1
 		if x&0x100 != 0 {
-			x ^= Poly
+			x ^= poly
 		}
 	}
 	for i := 255; i < 510; i++ {
@@ -55,7 +55,7 @@ func init() {
 		invTable[a] = expTable[255-logTable[a]]
 	}
 	for c := range nibbleTables {
-		nibbleTables[c] = MakeNibbleTables(byte(c))
+		nibbleTables[c] = makeNibbleTable(byte(c))
 	}
 }
 

@@ -57,7 +57,7 @@ func TestDistributive(t *testing.T) {
 	}
 }
 
-// Reference slow multiply: carry-less multiply then reduce by Poly.
+// Reference slow multiply: carry-less multiply then reduce by poly.
 func slowMul(a, b byte) byte {
 	var p uint16
 	ua, ub := uint16(a), uint16(b)
@@ -68,7 +68,7 @@ func slowMul(a, b byte) byte {
 		ub >>= 1
 		ua <<= 1
 		if ua&0x100 != 0 {
-			ua ^= Poly
+			ua ^= poly
 		}
 	}
 	return byte(p)
@@ -118,9 +118,9 @@ func TestExpLogRoundtrip(t *testing.T) {
 
 func TestNibbleTablesMatchMul(t *testing.T) {
 	for c := 0; c < 256; c++ {
-		nt := MakeNibbleTables(byte(c))
+		nt := makeNibbleTable(byte(c))
 		for b := 0; b < 256; b++ {
-			if got, want := nt.Mul(byte(b)), Mul(byte(c), byte(b)); got != want {
+			if got, want := nt.Lo[b&0xf]^nt.Hi[b>>4], Mul(byte(c), byte(b)); got != want {
 				t.Fatalf("nibble mul mismatch c=%d b=%d: got %d want %d", c, b, got, want)
 			}
 		}
@@ -138,9 +138,9 @@ func TestAddSlice(t *testing.T) {
 		for i := range want {
 			want[i] = a[i] ^ b[i]
 		}
-		AddSlice(a, b)
+		addSlice(a, b)
 		if !bytes.Equal(a, want) {
-			t.Fatalf("AddSlice wrong for n=%d", n)
+			t.Fatalf("addSlice wrong for n=%d", n)
 		}
 	}
 }
@@ -151,7 +151,7 @@ func TestAddSliceLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	AddSlice(make([]byte, 3), make([]byte, 4))
+	addSlice(make([]byte, 3), make([]byte, 4))
 }
 
 func TestMulSliceAgainstScalar(t *testing.T) {
@@ -212,14 +212,14 @@ func TestQuickSliceDistributive(t *testing.T) {
 		a, b = a[:n], b[:n]
 		sum := make([]byte, n)
 		copy(sum, a)
-		AddSlice(sum, b)
+		addSlice(sum, b)
 		left := make([]byte, n)
 		MulSlice(c, left, sum)
 		ra := make([]byte, n)
 		MulSlice(c, ra, a)
 		rb := make([]byte, n)
 		MulSlice(c, rb, b)
-		AddSlice(ra, rb)
+		addSlice(ra, rb)
 		return bytes.Equal(left, ra)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -249,6 +249,6 @@ func BenchmarkAddSlice4K(b *testing.B) {
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AddSlice(dst, src)
+		addSlice(dst, src)
 	}
 }

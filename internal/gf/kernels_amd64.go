@@ -6,10 +6,10 @@ package gf
 // every other architecture.
 
 //go:noescape
-func mulAVX2(t *NibbleTables, dst, src []byte)
+func mulAVX2(t *nibbleTable, dst, src []byte)
 
 //go:noescape
-func mulAddAVX2(t *NibbleTables, dst, src []byte)
+func mulAddAVX2(t *nibbleTable, dst, src []byte)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

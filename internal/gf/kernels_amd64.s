@@ -2,12 +2,12 @@
 
 // The AVX2 bodies of ISA-L's gf_vect_mul and gf_vect_mad. Each source
 // byte is split into its two nibbles and both are looked up with
-// VPSHUFB in the coefficient's NibbleTables (Lo at offset 0, Hi at 16),
+// VPSHUFB in the coefficient's nibbleTable (Lo at offset 0, Hi at 16),
 // broadcast to both 128-bit lanes, so one step multiplies 32 bytes. The
 // Go callers hand over equal-length slices whose length is a multiple
 // of 32; a length below 32 returns without touching memory.
 
-// func mulAVX2(t *NibbleTables, dst, src []byte)
+// func mulAVX2(t *nibbleTable, dst, src []byte)
 TEXT ·mulAVX2(SB), NOSPLIT, $0-56
 	MOVQ t+0(FP), AX
 	MOVQ dst_base+8(FP), DI
@@ -39,7 +39,7 @@ mulLoop:
 mulDone:
 	RET
 
-// func mulAddAVX2(t *NibbleTables, dst, src []byte)
+// func mulAddAVX2(t *nibbleTable, dst, src []byte)
 TEXT ·mulAddAVX2(SB), NOSPLIT, $0-56
 	MOVQ t+0(FP), AX
 	MOVQ dst_base+8(FP), DI

@@ -74,7 +74,7 @@ func TestMulSliceAddMatchesRef(t *testing.T) {
 			src, got := buf[off:off+n], out[off:off+n]
 			for c := 0; c < 256; c++ {
 				copy(want, init[:n])
-				RefMulSliceAdd(byte(c), want[:n], src)
+				refMulSliceAdd(byte(c), want[:n], src)
 				copy(got, init[:n])
 				MulSliceAdd(byte(c), got, src)
 				if !bytes.Equal(got, want[:n]) {
@@ -173,7 +173,7 @@ func TestMulAdd4MatchesRef(t *testing.T) {
 				init := randBytes(r, n)
 				want[x] = append([]byte(nil), init...)
 				got[x] = append([]byte(nil), init...)
-				RefMulSliceAdd(cs[x], want[x], src)
+				refMulSliceAdd(cs[x], want[x], src)
 			}
 			MulAdd4(cs[0], cs[1], cs[2], cs[3], got[0], got[1], got[2], got[3], src)
 			for x := range got {
@@ -226,7 +226,7 @@ func FuzzMulSliceAdd(f *testing.F) {
 			}
 		}
 		want := append([]byte(nil), dst...)
-		RefMulSliceAdd(c, want, src)
+		refMulSliceAdd(c, want, src)
 		wantMul := make([]byte, len(src))
 		RefMulSlice(c, wantMul, src)
 
@@ -300,7 +300,7 @@ func FuzzMulAddFused(f *testing.F) {
 		want := make([][]byte, 4)
 		for x := range want {
 			want[x] = mkInit(1)
-			RefMulSliceAdd(cs[x], want[x], src)
+			refMulSliceAdd(cs[x], want[x], src)
 		}
 		eachBody(func(body string) {
 			got := make([][]byte, 4)
@@ -347,7 +347,7 @@ func BenchmarkRefMulSliceAdd64K(b *testing.B) {
 	rand.New(rand.NewSource(7)).Read(src)
 	b.SetBytes(64 << 10)
 	for i := 0; i < b.N; i++ {
-		RefMulSliceAdd(0x57, dst, src)
+		refMulSliceAdd(0x57, dst, src)
 	}
 }
 

@@ -2,18 +2,18 @@ package gf
 
 import "encoding/binary"
 
-// NibbleTables holds the two 16-entry lookup tables for a coefficient c,
+// nibbleTable holds the two 16-entry lookup tables for a coefficient c,
 // mirroring the operand layout ISA-L feeds to VPSHUFB: Lo[x] = c*(x) for
 // the low nibble and Hi[x] = c*(x<<4) for the high nibble, so that
 // c*b == Lo[b&0xf] ^ Hi[b>>4].
-type NibbleTables struct {
+type nibbleTable struct {
 	Lo [16]byte
 	Hi [16]byte
 }
 
-// MakeNibbleTables builds the VPSHUFB-style split tables for coefficient c.
-func MakeNibbleTables(c byte) NibbleTables {
-	var t NibbleTables
+// makeNibbleTable builds the VPSHUFB-style split tables for coefficient c.
+func makeNibbleTable(c byte) nibbleTable {
+	var t nibbleTable
 	for x := 0; x < 16; x++ {
 		t.Lo[x] = Mul(c, byte(x))
 		t.Hi[x] = Mul(c, byte(x<<4))
@@ -21,14 +21,9 @@ func MakeNibbleTables(c byte) NibbleTables {
 	return t
 }
 
-// Mul applies the split-table multiply to a single byte.
-func (t *NibbleTables) Mul(b byte) byte {
-	return t.Lo[b&0xf] ^ t.Hi[b>>4]
-}
-
-// nibbleTables[c] is MakeNibbleTables(c), built once at init for the
+// nibbleTables[c] is makeNibbleTable(c), built once at init for the
 // SIMD kernels.
-var nibbleTables [256]NibbleTables
+var nibbleTables [256]nibbleTable
 
 // mulVec and mulAddVec are the SIMD bodies of the single-coefficient
 // kernels, ISA-L's gf_vect_mul and gf_vect_mad: mulVec sets dst = c·src
@@ -37,8 +32,8 @@ var nibbleTables [256]NibbleTables
 // them where the CPU has them (kernels_amd64.go); elsewhere they stay
 // nil and the word loops do all the work.
 var (
-	mulVec    func(t *NibbleTables, dst, src []byte)
-	mulAddVec func(t *NibbleTables, dst, src []byte)
+	mulVec    func(t *nibbleTable, dst, src []byte)
+	mulAddVec func(t *nibbleTable, dst, src []byte)
 )
 
 // HasAVX2 reports whether MulSlice and MulSliceAdd run the AVX2 VPSHUFB
@@ -46,12 +41,12 @@ var (
 // these kernels where it holds, packed 4/2/1 groups elsewhere.
 func HasAVX2() bool { return mulVec != nil }
 
-// AddSlice XORs src into dst element-wise: dst[i] ^= src[i].
+// addSlice XORs src into dst element-wise: dst[i] ^= src[i].
 // It processes eight bytes per iteration. dst and src must be the same
 // length.
-func AddSlice(dst, src []byte) {
+func addSlice(dst, src []byte) {
 	if len(dst) != len(src) {
-		panic("gf: AddSlice length mismatch")
+		panic("gf: addSlice length mismatch")
 	}
 	for len(src) >= 8 && len(dst) >= 8 {
 		binary.LittleEndian.PutUint64(dst,
@@ -114,7 +109,7 @@ func MulSliceAdd(c byte, dst, src []byte) {
 	case 0:
 		return
 	case 1:
-		AddSlice(dst, src)
+		addSlice(dst, src)
 		return
 	}
 	if n := len(src) &^ 31; n > 0 && mulAddVec != nil {
@@ -142,11 +137,11 @@ func MulSliceAdd(c byte, dst, src []byte) {
 // fast kernel byte-for-byte against them, and rs.(*Code).EncodeRef
 // exposes them for old-vs-new benchmarking.
 
-// RefMulSliceAdd is the scalar reference for MulSliceAdd: one table
+// refMulSliceAdd is the scalar reference for MulSliceAdd: one table
 // lookup and XOR per byte.
-func RefMulSliceAdd(c byte, dst, src []byte) {
+func refMulSliceAdd(c byte, dst, src []byte) {
 	if len(dst) != len(src) {
-		panic("gf: RefMulSliceAdd length mismatch")
+		panic("gf: refMulSliceAdd length mismatch")
 	}
 	row := &mulTable[c]
 	for i, b := range src {
@@ -156,7 +151,7 @@ func RefMulSliceAdd(c byte, dst, src []byte) {
 
 // RefDotSlice computes dst = sum_j coeffs[j]*srcs[j] (element-wise over
 // the slices), overwriting dst: a zeroed destination accumulated with one
-// RefMulSliceAdd pass per source. It is the reference product the rs
+// refMulSliceAdd pass per source. It is the reference product the rs
 // plans are tested against. All slices must share dst's length and
 // len(coeffs) must equal len(srcs).
 func RefDotSlice(coeffs []byte, dst []byte, srcs [][]byte) {
@@ -167,6 +162,6 @@ func RefDotSlice(coeffs []byte, dst []byte, srcs [][]byte) {
 		dst[i] = 0
 	}
 	for j, src := range srcs {
-		RefMulSliceAdd(coeffs[j], dst, src)
+		refMulSliceAdd(coeffs[j], dst, src)
 	}
 }

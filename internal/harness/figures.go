@@ -212,7 +212,7 @@ func (r *Runner) throughputAvg(s RunSpec) (float64, error) {
 		s.Seed = int64(i * 1009)
 		res, err := r.Run(s)
 		if err != nil {
-			return NaN, err
+			return nan, err
 		}
 		sum += res.ThroughputGBps
 	}
@@ -232,7 +232,7 @@ func (r *Runner) Fig10() (*Figure, error) {
 		f.XLabels = append(f.XLabels, itoa(k))
 		for _, st := range comparedStrategies() {
 			if st == StratZerasure && k > 32 {
-				f.AddPoint(string(st), NaN)
+				f.AddPoint(string(st), nan)
 				continue
 			}
 			y, err := r.runStrategy(st, k, defaultM, defaultBlock, 1)
@@ -266,7 +266,7 @@ func (r *Runner) Fig11() (*Figure, error) {
 			f.XLabels = append(f.XLabels, fmt.Sprintf("k%d/m%d", k, m))
 			for _, st := range comparedStrategies() {
 				if st == StratZerasure && k > 32 {
-					f.AddPoint(string(st), NaN)
+					f.AddPoint(string(st), nan)
 					continue
 				}
 				y, err := r.runStrategy(st, k, m, defaultBlock, 1)
@@ -353,7 +353,7 @@ func (r *Runner) Fig14() (*Figure, error) {
 		f.XLabels = append(f.XLabels, itoa(k))
 		for _, st := range comparedStrategies() {
 			if st == StratZerasure && k > 32 {
-				f.AddPoint(string(st), NaN)
+				f.AddPoint(string(st), nan)
 				continue
 			}
 			y, err := r.runDecode(st, k, defaultM, defaultBlock)
@@ -508,24 +508,6 @@ func (r *Runner) Fig19() (*Figure, error) {
 	return f, nil
 }
 
-// All runs every figure in order.
-func (r *Runner) All() ([]*Figure, error) {
-	runs := []func() (*Figure, error){
-		r.Fig03, r.Fig04, r.Fig05, r.Fig06, r.Fig07,
-		r.Fig10, r.Fig11, r.Fig12, r.Fig13, r.Fig14,
-		r.Fig15, r.Fig16, r.Fig17, r.Fig18, r.Fig19,
-	}
-	var out []*Figure
-	for _, fn := range runs {
-		f, err := fn()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // Gen01 is the §6 "Generality" experiment: the same strategies on the
 // Optane profile and on a flash-backed CMM-H-style profile (4 KiB media
 // lines behind a multi-MB internal DRAM buffer). DIALGA's mechanisms
@@ -604,28 +586,35 @@ func (r *Runner) Mix01() (*Figure, error) {
 	return f, nil
 }
 
-// FigureIDs lists every reproducible figure in paper order, plus the
-// §6 generality experiment and the mixed-size motivation experiment.
-var FigureIDs = []string{
-	"fig03", "fig04", "fig05", "fig06", "fig07",
-	"fig10", "fig11", "fig12", "fig13", "fig14",
-	"fig15", "fig16", "fig17", "fig18", "fig19",
-	"gen01", "mix01",
+// figures is every reproducible figure in paper order, plus the §6
+// generality experiment and the mixed-size motivation experiment.
+var figures = []struct {
+	id  string
+	run func(*Runner) (*Figure, error)
+}{
+	{"fig03", (*Runner).Fig03}, {"fig04", (*Runner).Fig04}, {"fig05", (*Runner).Fig05},
+	{"fig06", (*Runner).Fig06}, {"fig07", (*Runner).Fig07}, {"fig10", (*Runner).Fig10},
+	{"fig11", (*Runner).Fig11}, {"fig12", (*Runner).Fig12}, {"fig13", (*Runner).Fig13},
+	{"fig14", (*Runner).Fig14}, {"fig15", (*Runner).Fig15}, {"fig16", (*Runner).Fig16},
+	{"fig17", (*Runner).Fig17}, {"fig18", (*Runner).Fig18}, {"fig19", (*Runner).Fig19},
+	{"gen01", (*Runner).Gen01}, {"mix01", (*Runner).Mix01},
 }
 
-// ByID dispatches a single figure by its id ("fig03".."fig19").
+// FigureIDs lists the ids of every reproducible figure, in order.
+var FigureIDs = func() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
+}()
+
+// ByID runs a single figure by its id (one of FigureIDs).
 func (r *Runner) ByID(id string) (*Figure, error) {
-	m := map[string]func() (*Figure, error){
-		"fig03": r.Fig03, "fig04": r.Fig04, "fig05": r.Fig05,
-		"fig06": r.Fig06, "fig07": r.Fig07, "fig10": r.Fig10,
-		"fig11": r.Fig11, "fig12": r.Fig12, "fig13": r.Fig13,
-		"fig14": r.Fig14, "fig15": r.Fig15, "fig16": r.Fig16,
-		"fig17": r.Fig17, "fig18": r.Fig18, "fig19": r.Fig19,
-		"gen01": r.Gen01, "mix01": r.Mix01,
+	for _, f := range figures {
+		if f.id == id {
+			return f.run(r)
+		}
 	}
-	fn, ok := m[id]
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown figure %q", id)
-	}
-	return fn()
+	return nil, fmt.Errorf("harness: unknown figure %q", id)
 }

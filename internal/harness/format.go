@@ -76,8 +76,8 @@ func csvEscape(s string) string {
 	return s
 }
 
-// Improvement returns (a/b - 1) as a percentage, guarding zeros.
-func Improvement(a, b float64) float64 {
+// improvement returns (a/b - 1) as a percentage, guarding zeros.
+func improvement(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
@@ -116,7 +116,7 @@ func (f *Figure) ImprovementRange(target string) (minPct, maxPct float64, ok boo
 		if math.IsInf(best, -1) || best <= 0 {
 			continue
 		}
-		imp := Improvement(tgt.Y[row], best)
+		imp := improvement(tgt.Y[row], best)
 		if imp < minPct {
 			minPct = imp
 		}

@@ -214,7 +214,7 @@ type Figure struct {
 	Notes []string
 }
 
-// Series is one line/bar group of a figure. NaN marks missing points
+// Series is one line/bar group of a figure. nan marks missing points
 // (e.g. Zerasure beyond its search horizon).
 type Series struct {
 	Name string
@@ -232,5 +232,5 @@ func (f *Figure) AddPoint(series string, y float64) {
 	f.Series = append(f.Series, Series{Name: series, Y: []float64{y}})
 }
 
-// NaN is the missing-point marker.
-var NaN = math.NaN()
+// nan is the missing-point marker.
+var nan = math.NaN()

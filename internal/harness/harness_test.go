@@ -175,16 +175,16 @@ func TestFigureAddPoint(t *testing.T) {
 func TestImprovementRange(t *testing.T) {
 	f := &Figure{XLabels: []string{"a", "b", "c"}}
 	f.Series = []Series{
-		{Name: "DIALGA", Y: []float64{2, 4, NaN}},
+		{Name: "DIALGA", Y: []float64{2, 4, nan}},
 		{Name: "ISA-L", Y: []float64{1, 2, 3}},
-		{Name: "Zerasure", Y: []float64{0.5, NaN, 1}},
+		{Name: "Zerasure", Y: []float64{0.5, nan, 1}},
 	}
 	lo, hi, ok := f.ImprovementRange("DIALGA")
 	if !ok {
 		t.Fatal("no range computed")
 	}
 	// Points: a: 2 vs best-other 1 => +100%; b: 4 vs 2 => +100%;
-	// c: NaN skipped.
+	// c: nan skipped.
 	if lo != 100 || hi != 100 {
 		t.Fatalf("range = [%v, %v], want [100, 100]", lo, hi)
 	}
@@ -194,10 +194,10 @@ func TestImprovementRange(t *testing.T) {
 }
 
 func TestImprovement(t *testing.T) {
-	if Improvement(2, 1) != 100 {
-		t.Fatal("Improvement(2,1) != 100%")
+	if improvement(2, 1) != 100 {
+		t.Fatal("improvement(2,1) != 100%")
 	}
-	if Improvement(1, 0) != 0 {
+	if improvement(1, 0) != 0 {
 		t.Fatal("zero baseline not guarded")
 	}
 }

@@ -26,28 +26,28 @@ func (r *Runner) runDecode(st Strategy, k, m, block int) (float64, error) {
 			enc, err = xorec.NewCerasure(k, m)
 		}
 		if err != nil {
-			return NaN, err
+			return nan, err
 		}
 		// Erase the first m data blocks: the hardest pattern.
 		missing := make([]int, m)
 		for i := range missing {
 			missing[i] = i
 		}
-		dec, err := enc.NewDecoder(missing)
+		sched, err := enc.DecodeSchedule(missing)
 		if err != nil {
-			return NaN, err
+			return nan, err
 		}
 		res, err := r.RunWith(s, func(l *workload.Layout, cfg *mem.Config) (engine.Program, error) {
-			return xorec.NewProgram(l, cfg, dec.Schedule()), nil
+			return xorec.NewProgram(l, cfg, sched), nil
 		})
 		if err != nil {
-			return NaN, err
+			return nan, err
 		}
 		return res.ThroughputGBps, nil
 	default:
 		res, err := r.Run(s)
 		if err != nil {
-			return NaN, err
+			return nan, err
 		}
 		return res.ThroughputGBps, nil
 	}
@@ -67,23 +67,23 @@ func (r *Runner) runLRC(st Strategy, k, m, l int) (float64, error) {
 			enc, err = xorec.NewEncoder(k, m, xorec.Options{SmartSchedule: true})
 		}
 		if err != nil {
-			return NaN, err
+			return nan, err
 		}
 		sched, err := enc.LRCSchedule(l)
 		if err != nil {
-			return NaN, err
+			return nan, err
 		}
 		res, err := r.RunWith(s, func(lay *workload.Layout, cfg *mem.Config) (engine.Program, error) {
 			return xorec.NewProgram(lay, cfg, sched), nil
 		})
 		if err != nil {
-			return NaN, err
+			return nan, err
 		}
 		return res.ThroughputGBps, nil
 	}
 	res, err := r.Run(s)
 	if err != nil {
-		return NaN, err
+		return nan, err
 	}
 	return res.ThroughputGBps, nil
 }
@@ -127,7 +127,7 @@ func (r *Runner) runBreakdown(s RunSpec, sw, bf bool) (float64, error) {
 	s.Strategy = StratDialga
 	res, err := r.Run(s)
 	if err != nil {
-		return NaN, err
+		return nan, err
 	}
 	return res.ThroughputGBps, nil
 }

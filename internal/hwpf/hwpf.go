@@ -71,17 +71,6 @@ func New(cfg *mem.Config) *Prefetcher {
 // Stats returns a copy of the accumulated statistics.
 func (p *Prefetcher) Stats() Stats { return p.stats }
 
-// ResetStats clears statistics, retaining stream state.
-func (p *Prefetcher) ResetStats() { p.stats = Stats{} }
-
-// Reset clears all stream state and statistics.
-func (p *Prefetcher) Reset() {
-	for i := range p.streams {
-		p.streams[i] = stream{}
-	}
-	p.stats = Stats{}
-}
-
 // degree returns how many lines ahead to issue at a confidence level: a
 // gradual ramp (doubling every two confidence steps) from 1 at trigger
 // up to MaxDegree. The slow ramp is why short streams (small blocks)
@@ -200,15 +189,4 @@ func (p *Prefetcher) observe(addr mem.Addr, allocate bool) []mem.Addr {
 		s.maxIssued = to
 	}
 	return p.reqBuf
-}
-
-// ActiveStreams returns the number of valid stream slots (diagnostic).
-func (p *Prefetcher) ActiveStreams() int {
-	n := 0
-	for i := range p.streams {
-		if p.streams[i].valid {
-			n++
-		}
-	}
-	return n
 }

@@ -117,7 +117,7 @@ func TestStreamTableOverflow(t *testing.T) {
 	}
 
 	// Exactly at capacity all streams train and issue.
-	p.Reset()
+	p = newTestPF()
 	issued = 0
 	for line := 0; line < 32; line++ {
 		for s := 0; s < p.TableSize; s++ {
@@ -165,17 +165,13 @@ func TestSameLineAccessNeutral(t *testing.T) {
 
 func TestActiveStreams(t *testing.T) {
 	p := newTestPF()
-	if p.ActiveStreams() != 0 {
+	if p.Stats().StreamAllocs != 0 {
 		t.Fatal("fresh table not empty")
 	}
 	p.OnAccess(0)
 	p.OnAccess(mem.PageSize)
-	if p.ActiveStreams() != 2 {
-		t.Fatalf("ActiveStreams = %d, want 2", p.ActiveStreams())
-	}
-	p.Reset()
-	if p.ActiveStreams() != 0 || p.Stats() != (Stats{}) {
-		t.Fatal("Reset incomplete")
+	if got := p.Stats().StreamAllocs; got != 2 {
+		t.Fatalf("StreamAllocs = %d, want 2", got)
 	}
 }
 
@@ -213,17 +209,5 @@ func TestForwardJumpNeutral(t *testing.T) {
 	}
 	if issued == 0 {
 		t.Fatal("forward jump blocked stream training")
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	p := newTestPF()
-	walkSequential(p, 0, 16)
-	p.ResetStats()
-	if p.Stats() != (Stats{}) {
-		t.Fatal("ResetStats did not clear")
-	}
-	if p.ActiveStreams() == 0 {
-		t.Fatal("ResetStats must retain stream state")
 	}
 }

@@ -42,9 +42,6 @@ func NewDecomposedProgram(l *workload.Layout, cfg *mem.Config, width int) *Decom
 	return p
 }
 
-// Groups returns the number of sub-stripes per stripe.
-func (p *DecomposedProgram) Groups() int { return len(p.groups) }
-
 // DataBytes implements engine.Program.
 func (p *DecomposedProgram) DataBytes() uint64 { return p.Layout.DataBytes() }
 

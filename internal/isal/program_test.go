@@ -250,8 +250,8 @@ func TestDecomposedProgram(t *testing.T) {
 	cfg := mem.DefaultConfig()
 	l := testLayout(t, 48, 4, 1024, 96)
 	p := NewDecomposedProgram(l, &cfg, 16)
-	if p.Groups() != 3 {
-		t.Fatalf("groups = %d, want 3", p.Groups())
+	if len(p.groups) != 3 {
+		t.Fatalf("groups = %d, want 3", len(p.groups))
 	}
 	loads, stores, _, _ := drain(t, p)
 	lines := l.LinesPerBlock()
@@ -271,7 +271,7 @@ func TestDecomposedDefaultWidth(t *testing.T) {
 	cfg := mem.DefaultConfig()
 	l := testLayout(t, 20, 4, 1024, 80)
 	p := NewDecomposedProgram(l, &cfg, 0)
-	if p.Width != 16 || p.Groups() != 2 {
-		t.Fatalf("default width=%d groups=%d", p.Width, p.Groups())
+	if p.Width != 16 || len(p.groups) != 2 {
+		t.Fatalf("default width=%d groups=%d", p.Width, len(p.groups))
 	}
 }

@@ -111,7 +111,7 @@ func (c *Client) do(ctx context.Context, method, url string, body io.Reader) (*h
 	if l, ok := body.(interface{ Len() int }); ok {
 		req.ContentLength = int64(l.Len())
 	}
-	req.Header.Set(ClassHeader, c.class)
+	req.Header.Set(classHeader, c.class)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, &NetError{Err: err}

@@ -106,7 +106,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	// A whole shard file of another slot is refused at open: the header
 	// must name the slot asked for.
-	dir := filepath.Join(store.Dir(), "obj")
+	dir := filepath.Join(store.dir, "obj")
 	if err := os.WriteFile(shardfile.Path(dir, 2), shards[1], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	mustReject := func(what, object string, idx int, body []byte) {
 		t.Helper()
 		before := rejected.Value()
-		if err := store.Put(object, idx, bytes.NewReader(body)); !errors.Is(err, ErrBadShard) {
-			t.Fatalf("%s: %v, want ErrBadShard", what, err)
+		if err := store.Put(object, idx, bytes.NewReader(body)); !errors.Is(err, errBadShard) {
+			t.Fatalf("%s: %v, want errBadShard", what, err)
 		}
 		if got := rejected.Value() - before; got != 1 {
 			t.Fatalf("%s: node_store_rejected_total moved by %d, want 1", what, got)
@@ -232,7 +232,7 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	if err != nil || len(names) != 0 {
 		t.Fatalf("objects after rejected puts = %v, %v", names, err)
 	}
-	if entries, err := os.ReadDir(store.Dir()); err != nil || len(entries) != 0 {
+	if entries, err := os.ReadDir(store.dir); err != nil || len(entries) != 0 {
 		t.Fatalf("store directory after rejected puts holds %v, %v", entries, err)
 	}
 
@@ -258,7 +258,7 @@ func TestStoreRejectsBadUploads(t *testing.T) {
 	if v := reg.Gauge("node_store_shards", "").Value(); v != 1 {
 		t.Fatalf("node_store_shards = %v after one commit and one rejected overwrite, want 1", v)
 	}
-	entries, err := os.ReadDir(filepath.Join(store.Dir(), "obj"))
+	entries, err := os.ReadDir(filepath.Join(store.dir, "obj"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("object directory holds %v, %v: want the one shard and no temp file", entries, err)
 	}
@@ -285,8 +285,8 @@ func TestStorePutStageSeconds(t *testing.T) {
 		t.Fatalf("after a good put: receive %d, commit %d samples, want 1 and 1", r, c)
 	}
 	file[shardfile.HeaderSizeV3+100] ^= 0x04
-	if err := store.Put("obj", 0, bytes.NewReader(file)); !errors.Is(err, ErrBadShard) {
-		t.Fatalf("bad-CRC put: %v, want ErrBadShard", err)
+	if err := store.Put("obj", 0, bytes.NewReader(file)); !errors.Is(err, errBadShard) {
+		t.Fatalf("bad-CRC put: %v, want errBadShard", err)
 	}
 	if c := count("commit"); c != 1 {
 		t.Fatalf("a bad-CRC put observed a commit sample: %d, want 1", c)
@@ -356,11 +356,11 @@ func TestStorePutStartsWritebackOnOverwrite(t *testing.T) {
 
 	stored := func() []byte {
 		t.Helper()
-		entries, err := os.ReadDir(filepath.Join(store.Dir(), "obj"))
+		entries, err := os.ReadDir(filepath.Join(store.dir, "obj"))
 		if err != nil || len(entries) != 1 {
 			t.Fatalf("object directory holds %v, %v: want the one shard and no temp file", entries, err)
 		}
-		raw, err := os.ReadFile(shardfile.Path(filepath.Join(store.Dir(), "obj"), 0))
+		raw, err := os.ReadFile(shardfile.Path(filepath.Join(store.dir, "obj"), 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestStorePutStartsWritebackOnOverwrite(t *testing.T) {
 		return nil
 	}
 	third := encodeShards(t, 2, 1, testPayload(11_000))[0]
-	if err := store.Put("obj", 0, bytes.NewReader(third)); !errors.Is(err, syscall.EIO) || errors.Is(err, ErrBadShard) {
+	if err := store.Put("obj", 0, bytes.NewReader(third)); !errors.Is(err, syscall.EIO) || errors.Is(err, errBadShard) {
 		t.Fatalf("upload whose writeback fails with EIO: %v, want that error", err)
 	}
 	if raw := stored(); !bytes.Equal(raw, second) {
@@ -435,8 +435,8 @@ func TestStorePutLargeBlocks(t *testing.T) {
 		t.Fatalf("scrub: %v", err)
 	}
 	file[len(file)-5000] ^= 1 // deep in the second block, past a piece boundary
-	if err := store.Put("big", 0, bytes.NewReader(file)); !errors.Is(err, ErrBadShard) {
-		t.Fatalf("flipped byte in a multi-piece block: %v, want ErrBadShard", err)
+	if err := store.Put("big", 0, bytes.NewReader(file)); !errors.Is(err, errBadShard) {
+		t.Fatalf("flipped byte in a multi-piece block: %v, want errBadShard", err)
 	}
 }
 
@@ -468,7 +468,7 @@ func TestStorePutSmallBlocks(t *testing.T) {
 	if _, err := store.Scrub("small", 0); err != nil {
 		t.Fatalf("scrub: %v", err)
 	}
-	if raw, err := os.ReadFile(shardfile.Path(filepath.Join(store.Dir(), "small"), 0)); err != nil || !bytes.Equal(raw, file) {
+	if raw, err := os.ReadFile(shardfile.Path(filepath.Join(store.dir, "small"), 0)); err != nil || !bytes.Equal(raw, file) {
 		t.Fatalf("stored file differs from the upload: %d bytes, %v", len(raw), err)
 	}
 
@@ -637,7 +637,7 @@ func TestShardGetBlockWindows(t *testing.T) {
 	if err := store.Put("obj", 1, bytes.NewReader(shards[1])); err != nil {
 		t.Fatal(err)
 	}
-	path := shardfile.Path(filepath.Join(store.Dir(), "obj"), 1)
+	path := shardfile.Path(filepath.Join(store.dir, "obj"), 1)
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -784,7 +784,7 @@ func TestServerReportsForegroundReads(t *testing.T) {
 	get := func(query, class string) []servedRead {
 		t.Helper()
 		req := httptest.NewRequest(http.MethodGet, "/v1/shard/obj/0"+query, nil)
-		req.Header.Set(ClassHeader, class)
+		req.Header.Set(classHeader, class)
 		w := httptest.NewRecorder()
 		start := time.Now()
 		srv.ServeHTTP(w, req)
@@ -815,7 +815,7 @@ func TestServerReportsForegroundReads(t *testing.T) {
 	// once the store has read the header, and the body stalls there.
 	body, feed := io.Pipe()
 	put := httptest.NewRequest(http.MethodPut, "/v1/shard/obj/1", body)
-	put.Header.Set(ClassHeader, ClassRepair)
+	put.Header.Set(classHeader, ClassRepair)
 	done := make(chan int)
 	go func() {
 		w := httptest.NewRecorder()
@@ -930,7 +930,7 @@ func TestDamagedShardOneAnswer(t *testing.T) {
 	if err := cli.PutShard(ctx, "clean", 0, bytes.NewReader(shards[0])); err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(store.Dir(), "obj")
+	dir := filepath.Join(store.dir, "obj")
 	h, err := shardfile.Parse(bytes.NewReader(shards[0]))
 	if err != nil {
 		t.Fatal(err)
@@ -1001,7 +1001,7 @@ func TestAdmissionLooksUpNoMetrics(t *testing.T) {
 	w := nopWriter{http.Header{}}
 	fg := httptest.NewRequest(http.MethodGet, "/v1/objects", nil)
 	rp := httptest.NewRequest(http.MethodGet, "/v1/objects", nil)
-	rp.Header.Set(ClassHeader, ClassRepair)
+	rp.Header.Set(classHeader, ClassRepair)
 	if a := testing.AllocsPerRun(100, func() { h(w, fg); h(w, rp) }); a != 0 {
 		t.Fatalf("admitting a request allocates %v times, want 0", a)
 	}

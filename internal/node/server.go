@@ -14,7 +14,7 @@ import (
 )
 
 // Traffic classes. Every shard request carries one in the
-// ClassHeader; the node's admission control meters each class through
+// classHeader; the node's admission control meters each class through
 // its own token bucket and holds repair back while it slows foreground
 // reads, so background repair can never starve foreground serving.
 const (
@@ -27,8 +27,8 @@ const (
 	ClassRepair = "repair"
 )
 
-// ClassHeader is the HTTP header naming a request's traffic class.
-const ClassHeader = "X-Dialga-Class"
+// classHeader is the HTTP header naming a request's traffic class.
+const classHeader = "X-Dialga-Class"
 
 // Admitter is the node's admission-control hook. It is a tiny
 // interface so the data plane does not depend on the control plane —
@@ -66,7 +66,7 @@ type Admitter interface {
 // the shardfile.ShardStatus and a colon. Neither is the node's fault.
 //
 // Every /v1 request passes admission control for its traffic class
-// (ClassHeader, default foreground); a request the limiter cannot
+// (classHeader, default foreground); a request the limiter cannot
 // cover before its context ends gets 429. Every foreground shard GET
 // that serves blocks is reported to the Admitter (Served).
 type Server struct {
@@ -112,7 +112,7 @@ func (s *Server) Handler() http.Handler {
 // Class extracts a request's traffic class, defaulting unknown or
 // absent values to foreground.
 func Class(r *http.Request) string {
-	if c := r.Header.Get(ClassHeader); c == ClassRepair {
+	if c := r.Header.Get(classHeader); c == ClassRepair {
 		return ClassRepair
 	}
 	return ClassForeground
@@ -176,7 +176,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 	case errors.Is(err, ErrDamaged):
 		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, ErrBadShard):
+	case errors.Is(err, errBadShard):
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)

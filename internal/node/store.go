@@ -45,10 +45,10 @@ var ErrNotFound = errors.New("node: shard not found")
 // body begins with the shardfile.ShardStatus that names it and a colon.
 var ErrDamaged = errors.New("damaged stored shard")
 
-// ErrBadShard reports an upload rejected by validation: unparseable
+// errBadShard reports an upload rejected by validation: unparseable
 // header, index mismatch, a byte count that disagrees with the header,
 // or a block that fails its checksum trailer.
-var ErrBadShard = errors.New("node: invalid shard upload")
+var errBadShard = errors.New("node: invalid shard upload")
 
 // Store is a node's local shard storage: one directory per object
 // (name percent-encoded), shard files laid out by shardfile.Path
@@ -114,20 +114,17 @@ func OpenStore(dir string, reg *obs.Registry) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // objectDir maps an object name to its directory, percent-encoding
 // anything that could escape the store root. Empty names, names that
 // encode to path navigation, and names that would collide with the
 // store's dot-prefixed bookkeeping dirs (.quarantine) are rejected.
 func (s *Store) objectDir(object string) (string, error) {
 	if object == "" {
-		return "", fmt.Errorf("%w: empty object name", ErrBadShard)
+		return "", fmt.Errorf("%w: empty object name", errBadShard)
 	}
 	enc := url.PathEscape(object)
 	if strings.HasPrefix(enc, ".") || strings.ContainsAny(enc, "/\\") {
-		return "", fmt.Errorf("%w: unusable object name %q", ErrBadShard, object)
+		return "", fmt.Errorf("%w: unusable object name %q", errBadShard, object)
 	}
 	return filepath.Join(s.dir, enc), nil
 }
@@ -136,7 +133,7 @@ func (s *Store) objectDir(object string) (string, error) {
 // be exact shardfile bytes whose header parses, whose index matches
 // idx, whose length matches the header's expected file size, and whose
 // every block matches its checksum trailer. Anything else is rejected
-// with ErrBadShard and leaves no trace on disk. An existing shard at
+// with errBadShard and leaves no trace on disk. An existing shard at
 // the slot is replaced atomically.
 //
 // When the slot already holds a file, the upload starts the temp file's
@@ -158,11 +155,11 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 	h, err := shardfile.Parse(body)
 	if err != nil {
 		s.rejects.Inc()
-		return fmt.Errorf("%w: %v", ErrBadShard, err)
+		return fmt.Errorf("%w: %v", errBadShard, err)
 	}
 	if int(h.Index) != idx {
 		s.rejects.Inc()
-		return fmt.Errorf("%w: header says shard %d, uploaded to slot %d", ErrBadShard, h.Index, idx)
+		return fmt.Errorf("%w: header says shard %d, uploaded to slot %d", errBadShard, h.Index, idx)
 	}
 	s.mu.Lock()
 	s.tmp++
@@ -197,7 +194,7 @@ func (s *Store) Put(object string, idx int, body io.Reader) error {
 		s.mu.Unlock()
 	}
 	if err != nil {
-		if errors.Is(err, ErrBadShard) {
+		if errors.Is(err, errBadShard) {
 			s.rejects.Inc()
 		}
 		os.Remove(tmp)
@@ -257,7 +254,7 @@ func receive(f *os.File, h shardfile.Header, body io.Reader, early bool) error {
 	short := func(stripe uint64, err error) error {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return fmt.Errorf("%w: body ended in block %d, header wants %d blocks of %d bytes",
-				ErrBadShard, stripe, h.StripeCount, h.BlockSize())
+				errBadShard, stripe, h.StripeCount, h.BlockSize())
 		}
 		return err
 	}
@@ -278,7 +275,7 @@ func receive(f *os.File, h shardfile.Header, body io.Reader, early bool) error {
 			}
 			sum = gf.CRC32CUpdate(sum, piece[:n])
 			if left == 0 && binary.LittleEndian.Uint32(piece[n:]) != sum {
-				return fmt.Errorf("%w: block %d fails its CRC-32C trailer", ErrBadShard, stripe)
+				return fmt.Errorf("%w: block %d fails its CRC-32C trailer", errBadShard, stripe)
 			}
 			if _, err := f.Write(piece); err != nil {
 				return err
@@ -296,7 +293,7 @@ func receive(f *os.File, h shardfile.Header, body io.Reader, early bool) error {
 		}
 	}
 	if n, err := body.Read(buf[:1]); n > 0 {
-		return fmt.Errorf("%w: body runs past the %d bytes its header describes", ErrBadShard, h.ExpectedFileSize())
+		return fmt.Errorf("%w: body runs past the %d bytes its header describes", errBadShard, h.ExpectedFileSize())
 	} else if err != nil && err != io.EOF {
 		return err
 	}

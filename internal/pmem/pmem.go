@@ -40,16 +40,6 @@ type Stats struct {
 	BufEvictedUnused uint64 // XPLines evicted without a single subsequent hit
 }
 
-// ReadAmplification returns media read bytes / controller read bytes —
-// the PM-media-layer amplification of Fig. 19 (1.0 means none; DRAM is
-// always 1.0).
-func (s Stats) ReadAmplification() float64 {
-	if s.CtrlReadBytes == 0 {
-		return 1
-	}
-	return float64(s.MediaReadBytes) / float64(s.CtrlReadBytes)
-}
-
 type bufEntry struct {
 	xpline  uint64
 	lru     uint64
@@ -106,9 +96,6 @@ func New(kind mem.DeviceKind, cfg *mem.Config) *Device {
 
 // Stats returns a copy of the accumulated statistics.
 func (d *Device) Stats() Stats { return d.stats }
-
-// ResetStats clears statistics, retaining buffer and queue state.
-func (d *Device) ResetStats() { d.stats = Stats{} }
 
 // BufferCapacityLines returns the total read buffer capacity in XPLines
 // (0 for DRAM); DIALGA's Eq. 1 uses this to bound prefetch distance.
@@ -217,20 +204,9 @@ func (d *Device) Read(addr mem.Addr, now float64) (readyAt float64) {
 	return readyAt
 }
 
-// ReadQueueDelayNS returns how long a read arriving at `now` would wait
-// for addr's channel (0 when idle). Hardware prefetchers sample this
-// kind of occupancy signal to throttle under memory pressure.
-func (d *Device) ReadQueueDelayNS(addr mem.Addr, now float64) float64 {
-	ch := d.channelOf(addr)
-	if ch.readBusyUntil <= now {
-		return 0
-	}
-	return ch.readBusyUntil - now
-}
-
-// WriteBacklogNS is the maximum per-channel write-queue depth (in ns of
+// writeBacklogNS is the maximum per-channel write-queue depth (in ns of
 // occupancy) before a store stalls the issuing thread.
-const WriteBacklogNS = 2000
+const writeBacklogNS = 2000
 
 // Write services a 64 B non-temporal store beginning at time now. It
 // returns the time at which the issuing thread may proceed — usually
@@ -280,8 +256,8 @@ func (d *Device) Write(addr mem.Addr, now float64) (proceedAt float64) {
 }
 
 func (d *Device) backpressure(ch *channel, now float64) float64 {
-	if ch.writeBusyUntil-now > WriteBacklogNS {
-		return ch.writeBusyUntil - WriteBacklogNS
+	if ch.writeBusyUntil-now > writeBacklogNS {
+		return ch.writeBusyUntil - writeBacklogNS
 	}
 	return now
 }

@@ -35,7 +35,6 @@ type Sampler struct {
 	baselineLatNS   float64
 	baselineUseless float64
 	contended       bool
-	samples         int
 }
 
 // NewSampler constructs a sampler with the given period (ns of
@@ -64,7 +63,6 @@ func (s *Sampler) Sample(nowNS float64, c Counters) bool {
 	uselessRate := float64(c.UselessPrefetches-s.last.UselessPrefetches) / float64(dLoads)
 	s.lastNS = nowNS
 	s.last = c
-	s.samples++
 
 	if !s.haveBase {
 		// The first window establishes the low-pressure baseline
@@ -89,9 +87,3 @@ func (s *Sampler) Sample(nowNS float64, c Counters) bool {
 // latency and a wasteful hardware prefetcher — the paper's condition
 // for disabling the prefetcher.
 func (s *Sampler) Contended() bool { return s.contended }
-
-// BaselineLatencyNS returns the current low-pressure latency baseline.
-func (s *Sampler) BaselineLatencyNS() float64 { return s.baselineLatNS }
-
-// Samples returns how many windows have been evaluated.
-func (s *Sampler) Samples() int { return s.samples }

@@ -15,8 +15,8 @@ func TestBaselineEstablishment(t *testing.T) {
 	if !feed(s, 1000, 100*200, 100, 0) {
 		t.Fatal("did not sample at the period")
 	}
-	if s.BaselineLatencyNS() != 200 {
-		t.Fatalf("baseline = %v, want 200", s.BaselineLatencyNS())
+	if s.baselineLatNS != 200 {
+		t.Fatalf("baseline = %v, want 200", s.baselineLatNS)
 	}
 	if s.Contended() {
 		t.Fatal("contended right after baseline")
@@ -68,7 +68,7 @@ func TestRecoveryClearsContention(t *testing.T) {
 func TestBaselineTracksImprovement(t *testing.T) {
 	s := NewSampler(1000, 1.10, 1.50)
 	feed(s, 1000, 1000*300, 1000, 0) // baseline 300
-	before := s.BaselineLatencyNS()
+	before := s.baselineLatNS
 	// Several calmer windows: baseline drifts down.
 	lat := 1000 * 300.0
 	loads := uint64(1000)
@@ -77,7 +77,7 @@ func TestBaselineTracksImprovement(t *testing.T) {
 		loads += 1000
 		feed(s, float64(2000+i*1000), lat, loads, 0)
 	}
-	if s.BaselineLatencyNS() >= before {
+	if s.baselineLatNS >= before {
 		t.Fatal("baseline did not track the calmer regime")
 	}
 }
@@ -88,7 +88,7 @@ func TestZeroLoadWindow(t *testing.T) {
 	if feed(s, 2000, 1000*200, 1000, 0) { // no new loads
 		t.Fatal("empty window should not update")
 	}
-	if s.Samples() != 1 {
-		t.Fatalf("samples = %d, want 1", s.Samples())
+	if s.baselineLatNS != 200 {
+		t.Fatalf("baseline = %v after an empty window, want 200", s.baselineLatNS)
 	}
 }

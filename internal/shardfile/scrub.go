@@ -157,7 +157,7 @@ func scrubFile(path string, index int, set *Header) ShardReport {
 		rep.Detail = fmt.Sprintf("header disagrees with shard %d (mixed encodings or a stale shard?)", set.Index)
 		return rep
 	}
-	res, err := Scrub(f, h)
+	res, err := scrub(f, h)
 	rep.Result = res
 	switch {
 	case err != nil:

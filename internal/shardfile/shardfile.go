@@ -32,8 +32,8 @@ import (
 )
 
 const (
-	// Magic identifies a dialga shard file.
-	Magic = 0xd1a16aec
+	// headerMagic identifies a dialga shard file.
+	headerMagic = 0xd1a16aec
 
 	// VersionV3 is the shard header without a generation: the
 	// checksum-algorithm field and a header self-CRC.
@@ -211,7 +211,7 @@ func (h Header) Marshal() []byte {
 		version = VersionV3
 	}
 	buf := make([]byte, h.Size())
-	binary.LittleEndian.PutUint32(buf[0:], Magic)
+	binary.LittleEndian.PutUint32(buf[0:], headerMagic)
 	binary.LittleEndian.PutUint32(buf[4:], version)
 	binary.LittleEndian.PutUint32(buf[8:], h.K)
 	binary.LittleEndian.PutUint32(buf[12:], h.M)
@@ -237,7 +237,7 @@ func Parse(r io.Reader) (Header, error) {
 	if _, err := io.ReadFull(r, buf[:prefixSize]); err != nil {
 		return Header{}, fmt.Errorf("header truncated: %w", err)
 	}
-	if magic := binary.LittleEndian.Uint32(buf[0:]); magic != Magic {
+	if magic := binary.LittleEndian.Uint32(buf[0:]); magic != headerMagic {
 		return Header{}, fmt.Errorf("bad magic %#x", magic)
 	}
 	version := binary.LittleEndian.Uint32(buf[4:])
@@ -297,11 +297,11 @@ type ScrubResult struct {
 	CorruptStripes []uint64 // first maxCorruptListed corrupt stripe indices
 }
 
-// Scrub reads every stripe block of a shard file (r must be
+// scrub reads every stripe block of a shard file (r must be
 // positioned just past the header) and verifies each block's checksum
 // trailer. It returns a read error if the file ends before
 // StripeCount blocks.
-func Scrub(r io.Reader, h Header) (ScrubResult, error) {
+func scrub(r io.Reader, h Header) (ScrubResult, error) {
 	var res ScrubResult
 	block := make([]byte, h.BlockSize())
 	payload := int(h.ShardSize)

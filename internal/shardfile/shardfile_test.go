@@ -170,7 +170,7 @@ func TestHeaderRejections(t *testing.T) {
 // (magic + size, no version) must not parse.
 func TestParseV1Rejected(t *testing.T) {
 	old := make([]byte, 16)
-	binary.LittleEndian.PutUint32(old[0:], Magic)
+	binary.LittleEndian.PutUint32(old[0:], headerMagic)
 	binary.LittleEndian.PutUint64(old[8:], 12345)
 	if _, err := Parse(bytes.NewReader(old)); err == nil {
 		t.Fatal("v1 header accepted")
@@ -273,7 +273,7 @@ func TestScrub(t *testing.T) {
 	bad2[32] ^= 1 // corrupt the trailer of stripe 3
 	body.Write(bad2)
 
-	res, err := Scrub(bytes.NewReader(body.Bytes()), h)
+	res, err := scrub(bytes.NewReader(body.Bytes()), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestScrub(t *testing.T) {
 
 	// Truncated shard: body ends one block early.
 	short := body.Bytes()[:3*36]
-	if _, err := Scrub(bytes.NewReader(short), h); err == nil {
+	if _, err := scrub(bytes.NewReader(short), h); err == nil {
 		t.Fatal("scrub accepted a truncated shard")
 	}
 }
@@ -367,7 +367,7 @@ func TestScrubMatchesEncoderOutput(t *testing.T) {
 			ShardSize: uint32(enc.ShardSize()), StripeCount: stripes,
 			Algo: AlgoCRC32C,
 		}
-		res, err := Scrub(bytes.NewReader(bufs[i].Bytes()), h)
+		res, err := scrub(bytes.NewReader(bufs[i].Bytes()), h)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}

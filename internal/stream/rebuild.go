@@ -49,12 +49,6 @@ func NewRebuilder(opts Options) (*Rebuilder, error) {
 	return &Rebuilder{g: g, stats: newCounters(g.metrics, "rebuild")}, nil
 }
 
-// Stats returns a snapshot of the pipeline counters. Reconstructed
-// counts rebuilt stripes; ShardsCorrupted counts source blocks that
-// failed their trailer and ShardFailures sources retired; StripesHealed
-// counts stripes completed through a spare.
-func (rb *Rebuilder) Stats() Stats { return rb.stats.snapshot() }
-
 // Rebuild reads stripes blocks from each non-nil entry of shards (k+m
 // entries in stripe order, at least k present, every one positioned at
 // its first block) and writes shard target's blocks, trailers

@@ -84,7 +84,7 @@ func TestRebuildMatchesEncoder(t *testing.T) {
 				}
 			}
 			stripes := uint64(len(shards[0]) / rb.g.blockSize)
-			if st := rb.Stats(); st.Stripes != 2*(k+m)*stripes || st.ShardFailures+st.ShardsCorrupted+st.StripesHealed != 0 {
+			if st := rb.stats.snapshot(); st.Stripes != 2*(k+m)*stripes || st.ShardFailures+st.ShardsCorrupted+st.StripesHealed != 0 {
 				t.Fatalf("stats after clean rebuilds: %+v", st)
 			}
 		})
@@ -148,7 +148,7 @@ func TestRebuildHealsThroughSpare(t *testing.T) {
 			if want := fmt.Sprintf("%d %s", failAt, tc.reason); len(calls) != 1 || calls[0] != want {
 				t.Fatalf("spares opened %q, want once: %q", calls, want)
 			}
-			st := rb.Stats()
+			st := rb.stats.snapshot()
 			want := Stats{
 				Stripes: stripes, Reconstructed: stripes,
 				BytesIn: (stripes*k + tc.kept) * blockSize, BytesOut: stripes * blockSize,

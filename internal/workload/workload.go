@@ -28,10 +28,10 @@ type Layout struct {
 	Parity [][]mem.Addr
 }
 
-// ThreadRegion returns the base address of a thread's private address
+// threadRegion returns the base address of a thread's private address
 // region; regions are 16 GiB apart so layouts never collide while still
 // interleaving over the same device channels.
-func ThreadRegion(threadID int) mem.Addr {
+func threadRegion(threadID int) mem.Addr {
 	return mem.Addr(uint64(threadID) << 34)
 }
 
@@ -69,7 +69,7 @@ func New(cfg Config, threadID int) (*Layout, error) {
 		Data:    make([][]mem.Addr, stripes),
 		Parity:  make([][]mem.Addr, stripes),
 	}
-	base := ThreadRegion(threadID)
+	base := threadRegion(threadID)
 	parityBase := base + parityRegionOffset
 
 	// Shuffled block-aligned slots.

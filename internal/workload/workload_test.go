@@ -47,7 +47,7 @@ func TestScatteredLayout(t *testing.T) {
 				t.Fatalf("block %x reused", uint64(a))
 			}
 			seen[a] = true
-			if a >= ThreadRegion(0)+parityRegionOffset {
+			if a >= threadRegion(0)+parityRegionOffset {
 				t.Fatal("data block in parity region")
 			}
 		}
@@ -78,7 +78,7 @@ func TestThreadRegionsDisjoint(t *testing.T) {
 	cfg := Config{K: 8, M: 4, BlockSize: 4096, TotalDataBytes: 4 << 20, Seed: 3}
 	l0, _ := New(cfg, 0)
 	l1, _ := New(cfg, 1)
-	if ThreadRegion(1)-ThreadRegion(0) < mem.Addr(cfg.TotalDataBytes)*4 {
+	if threadRegion(1)-threadRegion(0) < mem.Addr(cfg.TotalDataBytes)*4 {
 		t.Fatal("thread regions too close")
 	}
 	max0 := mem.Addr(0)
@@ -89,10 +89,10 @@ func TestThreadRegionsDisjoint(t *testing.T) {
 			}
 		}
 	}
-	if max0 >= ThreadRegion(1) {
+	if max0 >= threadRegion(1) {
 		t.Fatal("thread 0 layout spills into thread 1's region")
 	}
-	if l1.Data[0][0] < ThreadRegion(1) {
+	if l1.Data[0][0] < threadRegion(1) {
 		t.Fatal("thread 1 layout below its region")
 	}
 }

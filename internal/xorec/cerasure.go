@@ -15,7 +15,7 @@ func NewCerasure(k, m int) (*Encoder, error) {
 	if k <= 0 || m <= 0 || k+m > gf.FieldSize {
 		return nil, fmt.Errorf("xorec: invalid parameters k=%d m=%d", k, m)
 	}
-	rowScale, colScale := NormalizeCauchy(k, m)
+	rowScale, colScale := normalizeCauchy(k, m)
 	base := ecmatrix.Cauchy(k, m)
 	// Greedy passes: for each column then each row, pick the scale that
 	// minimizes that line's bit weight given current other scales.
@@ -66,21 +66,21 @@ func NewCerasure(k, m int) (*Encoder, error) {
 
 // Decomposed wraps an encoder family to implement the wide-stripe
 // decomposition strategy used by Cerasure and by ISA-L-D (§5.1): the k
-// data blocks are split into groups of at most Width, each group is
+// data blocks are split into groups of at most width, each group is
 // encoded to m partial parities with a narrow code, and the partial
 // parities are XOR-combined into the stripe parity. Decomposition
 // re-activates the hardware prefetcher (fewer concurrent streams) at the
 // cost of extra partial-parity write and read traffic.
 type Decomposed struct {
-	k, m, width int
-	groups      [][2]int   // [lo, hi) data ranges
-	subs        []*Encoder // one narrow encoder per group
+	k, m   int
+	groups [][2]int   // [lo, hi) data ranges
+	subs   []*Encoder // one narrow encoder per group
 }
 
-// DefaultDecomposeWidth is the sub-stripe width used when none is given;
+// defaultDecomposeWidth is the sub-stripe width used when none is given;
 // chosen to sit inside the L2 stream prefetcher's comfortable tracking
 // range (16 streams).
-const DefaultDecomposeWidth = 16
+const defaultDecomposeWidth = 16
 
 // NewDecomposed builds a decomposed encoder over groups of at most width
 // data blocks. The combined code is the Cauchy code whose parity matrix
@@ -88,14 +88,14 @@ const DefaultDecomposeWidth = 16
 // stripe remains MDS.
 func NewDecomposed(k, m, width int, build func(subK, subM int, cols *ecmatrix.Matrix) (*Encoder, error)) (*Decomposed, error) {
 	if width <= 0 {
-		width = DefaultDecomposeWidth
+		width = defaultDecomposeWidth
 	}
 	if k <= 0 || m <= 0 || k+m > gf.FieldSize {
 		return nil, fmt.Errorf("xorec: invalid parameters k=%d m=%d", k, m)
 	}
 	full := ecmatrix.Cauchy(k, m)
 	parity := ecmatrix.ParityRows(full, k)
-	d := &Decomposed{k: k, m: m, width: width}
+	d := &Decomposed{k: k, m: m}
 	for lo := 0; lo < k; lo += width {
 		hi := lo + width
 		if hi > k {
@@ -130,70 +130,13 @@ func NewDecomposed(k, m, width int, build func(subK, subM int, cols *ecmatrix.Ma
 	return d, nil
 }
 
-// K returns the data block count.
-func (d *Decomposed) K() int { return d.k }
-
-// M returns the parity block count.
-func (d *Decomposed) M() int { return d.m }
-
-// Groups returns the number of sub-stripes.
-func (d *Decomposed) Groups() int { return len(d.groups) }
-
-// Width returns the maximum sub-stripe width.
-func (d *Decomposed) Width() int { return d.width }
-
-// Encode computes stripe parity by combining partial parities of each
-// group. parity blocks are overwritten.
-func (d *Decomposed) Encode(data, parity [][]byte) error {
-	if len(data) != d.k {
-		return fmt.Errorf("xorec: got %d data blocks, want %d", len(data), d.k)
-	}
-	if len(parity) != d.m {
-		return fmt.Errorf("xorec: got %d parity blocks, want %d", len(parity), d.m)
-	}
-	size := -1
-	for _, b := range data {
-		if size == -1 {
-			size = len(b)
-		} else if len(b) != size {
-			return fmt.Errorf("xorec: data blocks must be equally sized")
-		}
-	}
-	if size <= 0 || size%W != 0 {
-		return errPacketAlign
-	}
-	partial := make([][]byte, d.m)
-	for i := range partial {
-		partial[i] = make([]byte, size)
-		if len(parity[i]) != size {
-			return fmt.Errorf("xorec: parity blocks must match data block size")
-		}
-	}
-	for g, rng := range d.groups {
-		sub := data[rng[0]:rng[1]]
-		if err := d.subs[g].Encode(sub, partial); err != nil {
-			return err
-		}
-		if g == 0 {
-			for i := range parity {
-				copy(parity[i], partial[i])
-			}
-		} else {
-			for i := range parity {
-				gf.AddSlice(parity[i], partial[i])
-			}
-		}
-	}
-	return nil
-}
-
 // CombinedSchedule flattens the per-group schedules into one stripe
 // schedule with global block numbering: data blocks 0..k-1, and group
 // g's partial parity i at block k + g*m + i (group 0's partials double
 // as the final parity blocks k..k+m-1). After the per-group schedules,
 // recombination ops XOR the later groups' partials into group 0's.
 // The result is what Program replays for a decomposed encoder: at any
-// moment only one group's (≤ Width) data streams are live, which is
+// moment only one group's (≤ width) data streams are live, which is
 // how decomposition re-activates the hardware prefetcher — at the cost
 // of the extra partial-parity traffic the paper charges against the
 // strategy.
@@ -228,16 +171,4 @@ func (d *Decomposed) CombinedSchedule() Schedule {
 		}
 	}
 	return out
-}
-
-// XORCount returns the total packet operations across groups, plus the
-// recombination XORs.
-func (d *Decomposed) XORCount() int {
-	n := 0
-	for _, s := range d.subs {
-		n += len(s.Schedule())
-	}
-	// Recombination: (groups-1) * m * W packet XORs.
-	n += (len(d.groups) - 1) * d.m * W
-	return n
 }

@@ -177,17 +177,11 @@ func TestCombinedScheduleMatchesDirectEncode(t *testing.T) {
 			data[i][j] = byte(i*37 + j)
 		}
 	}
-	want, _ := full.EncodeAppend(data)
+	want := encode(full, data)
 
 	// Execute the combined schedule: parity space = groups*m blocks.
-	groups := d.Groups()
-	scratch := make([][]byte, groups*4)
-	for i := range scratch {
-		scratch[i] = make([]byte, 256)
-	}
-	if err := executeSchedule(sched, data, scratch, 256); err != nil {
-		t.Fatal(err)
-	}
+	scratch := blocks(len(d.groups)*4, 256)
+	run(sched, data, scratch)
 	for i := 0; i < 4; i++ {
 		for j := range want[i] {
 			if scratch[i][j] != want[i][j] {

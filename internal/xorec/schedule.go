@@ -2,11 +2,11 @@ package xorec
 
 import "dialga/internal/ecmatrix"
 
-// NaiveSchedule converts a parity bitmatrix ((m*8) x (k*8)) into the
+// naiveSchedule converts a parity bitmatrix ((m*8) x (k*8)) into the
 // straightforward schedule: each parity packet is a copy of its first
 // source packet followed by XORs of the remaining sources. The cost is
 // exactly one operation per set bit of the bitmatrix (copies included).
-func NaiveSchedule(bm *ecmatrix.BitMatrix, k, m int) Schedule {
+func naiveSchedule(bm *ecmatrix.BitMatrix, k, m int) Schedule {
 	var sched Schedule
 	for r := 0; r < bm.Rows; r++ {
 		dstBlock := k + r/W
@@ -29,13 +29,13 @@ func NaiveSchedule(bm *ecmatrix.BitMatrix, k, m int) Schedule {
 	return sched
 }
 
-// SmartSchedule implements Jerasure-style delta ("smart") scheduling:
+// smartSchedule implements Jerasure-style delta ("smart") scheduling:
 // when computing a parity packet, it may start from a previously
 // computed parity packet whose source set differs minimally, XORing only
 // the symmetric difference. This is the scheduling optimization Zerasure
 // builds on. The result computes exactly the same parity packets, often
 // with fewer operations on dense matrices.
-func SmartSchedule(bm *ecmatrix.BitMatrix, k, m int) Schedule {
+func smartSchedule(bm *ecmatrix.BitMatrix, k, m int) Schedule {
 	rows := bm.Rows
 	cols := bm.Cols
 	// rowBits[r] = set of source columns for parity row r.
@@ -116,33 +116,4 @@ func SmartSchedule(bm *ecmatrix.BitMatrix, k, m int) Schedule {
 		order = append(order, r)
 	}
 	return sched
-}
-
-// ScheduleStats summarizes a schedule's memory behaviour for the
-// simulator and for cost reporting.
-type ScheduleStats struct {
-	Ops        int // total packet operations
-	Copies     int
-	XORs       int
-	DataReads  int // reads of data-block packets
-	ParityRead int // reads of previously computed parity packets
-}
-
-// Stats computes summary statistics for a schedule given k data blocks.
-func (s Schedule) Stats(k int) ScheduleStats {
-	var st ScheduleStats
-	st.Ops = len(s)
-	for _, op := range s {
-		if op.Copy {
-			st.Copies++
-		} else {
-			st.XORs++
-		}
-		if op.SrcBlock < k {
-			st.DataReads++
-		} else {
-			st.ParityRead++
-		}
-	}
-	return st
 }

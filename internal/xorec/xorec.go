@@ -1,6 +1,6 @@
-// Package xorec implements XOR-based (bitmatrix) erasure codecs in the
-// Jerasure lineage, together with the two optimized baselines the DIALGA
-// paper compares against:
+// Package xorec builds the packet XOR schedules of XOR-based
+// (bitmatrix) erasure codecs in the Jerasure lineage, together with the
+// two optimized baselines the DIALGA paper compares against:
 //
 //   - Zerasure (Zhou & Tian, FAST'19): matrix normalization plus a
 //     simulated-annealing search over column/row scalings to minimize the
@@ -13,7 +13,9 @@
 // each GF(2^8) coefficient into an 8x8 bit block and evaluate parity as a
 // sequence of packet-level XOR operations. This reads data packets
 // repeatedly from different locations — the larger memory footprint the
-// paper identifies as their weakness on PM (§2.2).
+// paper identifies as their weakness on PM (§2.2). The simulator replays
+// a schedule's accesses (Program); the package's tests run schedules on
+// bytes to check that they compute the code.
 package xorec
 
 import (
@@ -43,22 +45,10 @@ type XOROp struct {
 // parity packets. Its length is the XOR-count cost metric.
 type Schedule []XOROp
 
-// XORCount returns the number of non-copy operations in the schedule.
-func (s Schedule) XORCount() int {
-	n := 0
-	for _, op := range s {
-		if !op.Copy {
-			n++
-		}
-	}
-	return n
-}
-
-// Encoder is an XOR-based encoder for RS(k+m, k) with w=8.
+// Encoder holds the XOR encode schedule of an RS(k+m, k) code with w=8.
 type Encoder struct {
 	k, m     int
-	gen      *ecmatrix.Matrix    // (k+m) x k systematic generator over GF(2^8)
-	parityBM *ecmatrix.BitMatrix // (m*8) x (k*8) parity bitmatrix
+	gen      *ecmatrix.Matrix // (k+m) x k systematic generator over GF(2^8)
 	schedule Schedule
 }
 
@@ -84,116 +74,19 @@ func NewEncoder(k, m int, opts Options) (*Encoder, error) {
 	if gen.Rows != k+m || gen.Cols != k {
 		return nil, fmt.Errorf("xorec: generator must be %dx%d, got %dx%d", k+m, k, gen.Rows, gen.Cols)
 	}
-	parity := ecmatrix.ParityRows(gen, k)
-	bm := ecmatrix.ToBitMatrix(parity)
-	e := &Encoder{k: k, m: m, gen: gen.Clone(), parityBM: bm}
+	bm := ecmatrix.ToBitMatrix(ecmatrix.ParityRows(gen, k))
+	e := &Encoder{k: k, m: m, gen: gen.Clone()}
 	if opts.SmartSchedule {
-		e.schedule = SmartSchedule(bm, k, m)
+		e.schedule = smartSchedule(bm, k, m)
 	} else {
-		e.schedule = NaiveSchedule(bm, k, m)
+		e.schedule = naiveSchedule(bm, k, m)
 	}
 	return e, nil
 }
 
-// K returns the data block count.
-func (e *Encoder) K() int { return e.k }
-
-// M returns the parity block count.
-func (e *Encoder) M() int { return e.m }
-
 // Schedule returns the encoder's XOR schedule (shared storage; treat as
 // read-only).
 func (e *Encoder) Schedule() Schedule { return e.schedule }
-
-// ParityBitMatrix returns the parity bitmatrix (shared storage; treat as
-// read-only).
-func (e *Encoder) ParityBitMatrix() *ecmatrix.BitMatrix { return e.parityBM }
-
-// XORCount returns the number of packet XORs per stripe.
-func (e *Encoder) XORCount() int { return e.schedule.XORCount() }
-
-var errPacketAlign = errors.New("xorec: block size must be a positive multiple of 8")
-
-// Encode computes parity blocks from data blocks. Block sizes must be
-// equal and a multiple of W (=8) bytes so each block splits into 8
-// bit-row packets.
-func (e *Encoder) Encode(data, parity [][]byte) error {
-	size, err := checkStripe(data, parity, e.k, e.m)
-	if err != nil {
-		return err
-	}
-	return executeSchedule(e.schedule, data, parity, size)
-}
-
-// EncodeAppend allocates and returns the parity blocks.
-func (e *Encoder) EncodeAppend(data [][]byte) ([][]byte, error) {
-	if len(data) != e.k {
-		return nil, fmt.Errorf("xorec: got %d data blocks, want %d", len(data), e.k)
-	}
-	if len(data) == 0 || len(data[0]) == 0 {
-		return nil, errPacketAlign
-	}
-	parity := make([][]byte, e.m)
-	for i := range parity {
-		parity[i] = make([]byte, len(data[0]))
-	}
-	if err := e.Encode(data, parity); err != nil {
-		return nil, err
-	}
-	return parity, nil
-}
-
-func checkStripe(data, parity [][]byte, k, m int) (int, error) {
-	if len(data) != k {
-		return 0, fmt.Errorf("xorec: got %d data blocks, want %d", len(data), k)
-	}
-	if len(parity) != m {
-		return 0, fmt.Errorf("xorec: got %d parity blocks, want %d", len(parity), m)
-	}
-	size := -1
-	for _, b := range data {
-		if size == -1 {
-			size = len(b)
-		}
-		if len(b) != size {
-			return 0, errors.New("xorec: data blocks must be equally sized")
-		}
-	}
-	for _, b := range parity {
-		if len(b) != size {
-			return 0, errors.New("xorec: parity blocks must match data block size")
-		}
-	}
-	if size <= 0 || size%W != 0 {
-		return 0, errPacketAlign
-	}
-	return size, nil
-}
-
-// executeSchedule runs the packet operations. blocks are addressed with
-// the schedule's numbering: 0..k-1 data, k.. parity.
-func executeSchedule(sched Schedule, data, parity [][]byte, size int) error {
-	ps := size / W
-	packet := func(block, bit int) []byte {
-		var b []byte
-		if block < len(data) {
-			b = data[block]
-		} else {
-			b = parity[block-len(data)]
-		}
-		return b[bit*ps : (bit+1)*ps]
-	}
-	for _, op := range sched {
-		src := packet(op.SrcBlock, op.SrcBit)
-		dst := packet(op.DstBlock, op.DstBit)
-		if op.Copy {
-			copy(dst, src)
-		} else {
-			gf.AddSlice(dst, src)
-		}
-	}
-	return nil
-}
 
 // LRCSchedule extends an encoder's schedule with l local XOR parities
 // (§4.1 "Other Coding Tasks"): data blocks are divided into l groups
@@ -224,21 +117,15 @@ func (e *Encoder) LRCSchedule(l int) (Schedule, error) {
 	return out, nil
 }
 
-// Decoder holds a decode schedule for a specific erasure pattern.
-type Decoder struct {
-	k, m      int
-	survivors []int
-	missing   []int
-	schedule  Schedule
-	bm        *ecmatrix.BitMatrix
-}
-
-// NewDecoder builds a decoder for the given erasure pattern (stripe
-// indices of missing blocks) from the encoder's generator matrix. The
-// decode bitmatrix is derived from the inverted survivor matrix — the
-// paper notes (§5.4) its density is not optimized by encoding-side
-// searches, which is why XOR decode underperforms.
-func (e *Encoder) NewDecoder(missing []int) (*Decoder, error) {
+// DecodeSchedule builds the schedule that rebuilds the given erasure
+// pattern (stripe indices of missing blocks) from the encoder's
+// generator matrix. It reads the first k surviving blocks in stripe
+// order as its blocks 0..k-1 and writes the missing blocks, in stripe
+// order, as its blocks k and up. The decode bitmatrix is derived from
+// the inverted survivor matrix — the paper notes (§5.4) its density is
+// not optimized by encoding-side searches, which is why XOR decode
+// underperforms.
+func (e *Encoder) DecodeSchedule(missing []int) (Schedule, error) {
 	if len(missing) == 0 {
 		return nil, errors.New("xorec: nothing to decode")
 	}
@@ -292,51 +179,5 @@ func (e *Encoder) NewDecoder(missing []int) (*Decoder, error) {
 			dec.Set(r, j, acc)
 		}
 	}
-	bm := ecmatrix.ToBitMatrix(dec)
-	sched := NaiveSchedule(bm, e.k, len(missingSorted))
-	return &Decoder{k: e.k, m: e.m, survivors: survivors, missing: missingSorted, schedule: sched, bm: bm}, nil
-}
-
-// Schedule returns the decode schedule.
-func (d *Decoder) Schedule() Schedule { return d.schedule }
-
-// BitMatrix returns the decode bitmatrix.
-func (d *Decoder) BitMatrix() *ecmatrix.BitMatrix { return d.bm }
-
-// Decode reconstructs the missing blocks. blocks is the full stripe
-// (k+m entries, stripe order) with nil at missing positions; outputs are
-// written into freshly allocated slices placed back into blocks.
-func (d *Decoder) Decode(blocks [][]byte) error {
-	if len(blocks) != d.k+d.m {
-		return fmt.Errorf("xorec: stripe has %d blocks, want %d", len(blocks), d.k+d.m)
-	}
-	size := -1
-	for _, s := range d.survivors {
-		if blocks[s] == nil {
-			return fmt.Errorf("xorec: survivor block %d is nil", s)
-		}
-		if size == -1 {
-			size = len(blocks[s])
-		} else if len(blocks[s]) != size {
-			return errors.New("xorec: survivor blocks must be equally sized")
-		}
-	}
-	if size <= 0 || size%W != 0 {
-		return errPacketAlign
-	}
-	srcs := make([][]byte, d.k)
-	for i, s := range d.survivors {
-		srcs[i] = blocks[s]
-	}
-	outs := make([][]byte, len(d.missing))
-	for i := range outs {
-		outs[i] = make([]byte, size)
-	}
-	if err := executeSchedule(d.schedule, srcs, outs, size); err != nil {
-		return err
-	}
-	for i, idx := range d.missing {
-		blocks[idx] = outs[i]
-	}
-	return nil
+	return naiveSchedule(ecmatrix.ToBitMatrix(dec), e.k, len(missingSorted)), nil
 }

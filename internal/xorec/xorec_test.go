@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dialga/internal/ecmatrix"
 )
 
 func randBlocks(r *rand.Rand, n, size int) [][]byte {
@@ -24,12 +26,12 @@ func refBitEncode(t *testing.T, enc *Encoder, data [][]byte) [][]byte {
 	t.Helper()
 	size := len(data[0])
 	ps := size / W
-	k, m := enc.K(), enc.M()
+	k, m := enc.k, enc.m
 	out := make([][]byte, m)
 	for i := range out {
 		out[i] = make([]byte, size)
 	}
-	bm := enc.ParityBitMatrix()
+	bm := ecmatrix.ToBitMatrix(ecmatrix.ParityRows(enc.gen, k))
 	for col := 0; col < ps*8; col++ {
 		bytePos, bitPos := col/8, uint(col%8)
 		// Gather the input bit vector: bit (j*W + b) = bit bitPos of
@@ -63,10 +65,7 @@ func TestEncodeMatchesBitReference(t *testing.T) {
 		}
 		data := randBlocks(r, p.k, 512)
 		want := refBitEncode(t, enc, data)
-		got, err := enc.EncodeAppend(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := encode(enc, data)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("k=%d m=%d parity %d differs from bit-level reference", p.k, p.m, i)
@@ -87,8 +86,8 @@ func TestSmartScheduleSameParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := randBlocks(r, p.k, 256)
-		a, _ := naive.EncodeAppend(data)
-		b, _ := smart.EncodeAppend(data)
+		a := encode(naive, data)
+		b := encode(smart, data)
 		for i := range a {
 			if !bytes.Equal(a[i], b[i]) {
 				t.Fatalf("smart schedule parity differs for k=%d m=%d", p.k, p.m)
@@ -102,19 +101,6 @@ func TestSmartScheduleSameParity(t *testing.T) {
 }
 
 func TestEncodeValidation(t *testing.T) {
-	enc, _ := NewEncoder(4, 2, Options{})
-	r := rand.New(rand.NewSource(3))
-	data := randBlocks(r, 4, 64)
-	if err := enc.Encode(data[:3], randBlocks(r, 2, 64)); err == nil {
-		t.Fatal("short data accepted")
-	}
-	if err := enc.Encode(data, randBlocks(r, 1, 64)); err == nil {
-		t.Fatal("short parity accepted")
-	}
-	bad := randBlocks(r, 4, 60) // not a multiple of 8... 60 % 8 == 4
-	if err := enc.Encode(bad, randBlocks(r, 2, 60)); err == nil {
-		t.Fatal("unaligned block size accepted")
-	}
 	if _, err := NewEncoder(0, 2, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
@@ -130,26 +116,19 @@ func TestDecoderAllPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := randBlocks(r, 6, 128)
-	parity, err := enc.EncodeAppend(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parity := encode(enc, data)
 	full := append(append([][]byte{}, data...), parity...)
 	n := len(full)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			for c := b + 1; c < n; c++ {
 				missing := []int{a, b, c}
-				dec, err := enc.NewDecoder(missing)
-				if err != nil {
-					t.Fatalf("decoder for %v: %v", missing, err)
-				}
 				work := make([][]byte, n)
 				copy(work, full)
 				for _, e := range missing {
 					work[e] = nil
 				}
-				if err := dec.Decode(work); err != nil {
+				if err := decode(enc, work); err != nil {
 					t.Fatalf("decode %v: %v", missing, err)
 				}
 				for i := range full {
@@ -164,21 +143,14 @@ func TestDecoderAllPatterns(t *testing.T) {
 
 func TestDecoderValidation(t *testing.T) {
 	enc, _ := NewEncoder(4, 2, Options{})
-	if _, err := enc.NewDecoder(nil); err == nil {
+	if _, err := enc.DecodeSchedule(nil); err == nil {
 		t.Fatal("empty erasure list accepted")
 	}
-	if _, err := enc.NewDecoder([]int{0, 1, 2}); err == nil {
+	if _, err := enc.DecodeSchedule([]int{0, 1, 2}); err == nil {
 		t.Fatal("too many erasures accepted")
 	}
-	if _, err := enc.NewDecoder([]int{9}); err == nil {
+	if _, err := enc.DecodeSchedule([]int{9}); err == nil {
 		t.Fatal("out-of-range erasure accepted")
-	}
-	dec, err := enc.NewDecoder([]int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(make([][]byte, 3)); err == nil {
-		t.Fatal("wrong stripe width accepted")
 	}
 }
 
@@ -190,22 +162,15 @@ func TestZerasure(t *testing.T) {
 	}
 	// The annealed code must still be a working MDS code.
 	data := randBlocks(r, 8, 256)
-	parity, err := enc.EncodeAppend(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parity := encode(enc, data)
 	full := append(append([][]byte{}, data...), parity...)
 	missing := []int{0, 3, 9, 11}
-	dec, err := enc.NewDecoder(missing)
-	if err != nil {
-		t.Fatal(err)
-	}
 	work := make([][]byte, len(full))
 	copy(work, full)
 	for _, e := range missing {
 		work[e] = nil
 	}
-	if err := dec.Decode(work); err != nil {
+	if err := decode(enc, work); err != nil {
 		t.Fatal(err)
 	}
 	for i := range full {
@@ -216,8 +181,8 @@ func TestZerasure(t *testing.T) {
 
 	// Annealing must not be worse than the plain Cauchy code.
 	plain, _ := NewEncoder(8, 4, Options{SmartSchedule: true})
-	if enc.XORCount() > plain.XORCount() {
-		t.Errorf("zerasure XOR count %d worse than plain %d", enc.XORCount(), plain.XORCount())
+	if xorCount(enc.Schedule()) > xorCount(plain.Schedule()) {
+		t.Errorf("zerasure XOR count %d worse than plain %d", xorCount(enc.Schedule()), xorCount(plain.Schedule()))
 	}
 }
 
@@ -225,15 +190,15 @@ func TestZerasureWideStripeRefusal(t *testing.T) {
 	if _, err := NewZerasure(48, 4, ZerasureOptions{Seed: 1}); err == nil {
 		t.Fatal("zerasure should refuse k=48 (search space too large, per paper §5.2.1)")
 	}
-	var e ErrSearchSpace
+	var e searchSpaceError
 	_, err := NewZerasure(48, 4, ZerasureOptions{Seed: 1})
 	if !errorsAs(err, &e) || e.K != 48 {
-		t.Fatalf("expected ErrSearchSpace{K:48}, got %v", err)
+		t.Fatalf("expected searchSpaceError{K:48}, got %v", err)
 	}
 }
 
-func errorsAs(err error, target *ErrSearchSpace) bool {
-	if e, ok := err.(ErrSearchSpace); ok {
+func errorsAs(err error, target *searchSpaceError) bool {
+	if e, ok := err.(searchSpaceError); ok {
 		*target = e
 		return true
 	}
@@ -248,22 +213,15 @@ func TestCerasure(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := randBlocks(r, p.k, 128)
-		parity, err := enc.EncodeAppend(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		parity := encode(enc, data)
 		full := append(append([][]byte{}, data...), parity...)
 		missing := []int{1, p.k} // one data, one parity
-		dec, err := enc.NewDecoder(missing)
-		if err != nil {
-			t.Fatal(err)
-		}
 		work := make([][]byte, len(full))
 		copy(work, full)
 		for _, e := range missing {
 			work[e] = nil
 		}
-		if err := dec.Decode(work); err != nil {
+		if err := decode(enc, work); err != nil {
 			t.Fatal(err)
 		}
 		for i := range full {
@@ -272,8 +230,8 @@ func TestCerasure(t *testing.T) {
 			}
 		}
 		plain, _ := NewEncoder(p.k, p.m, Options{SmartSchedule: true})
-		if enc.XORCount() > plain.XORCount() {
-			t.Errorf("cerasure k=%d XOR count %d worse than plain %d", p.k, enc.XORCount(), plain.XORCount())
+		if xorCount(enc.Schedule()) > xorCount(plain.Schedule()) {
+			t.Errorf("cerasure k=%d XOR count %d worse than plain %d", p.k, xorCount(enc.Schedule()), xorCount(plain.Schedule()))
 		}
 	}
 }
@@ -290,11 +248,11 @@ func TestDecomposedMatchesFullCode(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := randBlocks(r, p.k, 256)
-		want, _ := full.EncodeAppend(data)
-		got := randBlocks(r, p.m, 256) // pre-filled garbage: Encode must overwrite
-		if err := dec.Encode(data, got); err != nil {
-			t.Fatal(err)
-		}
+		want := encode(full, data)
+		// Pre-filled garbage: the combined schedule must overwrite every
+		// parity and partial-parity block.
+		got := randBlocks(r, len(dec.groups)*p.m, 256)
+		run(dec.CombinedSchedule(), data, got)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("decomposed parity %d differs from full code (k=%d width=%d)", i, p.k, p.w)
@@ -302,38 +260,11 @@ func TestDecomposedMatchesFullCode(t *testing.T) {
 		}
 		wantGroups := (p.k + max(p.w, 1) - 1) / max(p.w, 1)
 		if p.w == 0 {
-			wantGroups = (p.k + DefaultDecomposeWidth - 1) / DefaultDecomposeWidth
+			wantGroups = (p.k + defaultDecomposeWidth - 1) / defaultDecomposeWidth
 		}
-		if dec.Groups() != wantGroups {
-			t.Fatalf("groups = %d, want %d", dec.Groups(), wantGroups)
+		if len(dec.groups) != wantGroups {
+			t.Fatalf("groups = %d, want %d", len(dec.groups), wantGroups)
 		}
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestScheduleStats(t *testing.T) {
-	enc, _ := NewEncoder(4, 2, Options{})
-	st := enc.Schedule().Stats(4)
-	if st.Ops != len(enc.Schedule()) {
-		t.Fatal("Ops mismatch")
-	}
-	if st.Copies != 2*W {
-		t.Fatalf("naive schedule should have one copy per parity packet: got %d want %d", st.Copies, 2*W)
-	}
-	if st.Copies+st.XORs != st.Ops {
-		t.Fatal("copies + xors != ops")
-	}
-	if st.DataReads+st.ParityRead != st.Ops {
-		t.Fatal("reads don't sum to ops")
-	}
-	if st.ParityRead != 0 {
-		t.Fatal("naive schedule should not read parity packets")
 	}
 }
 
@@ -350,23 +281,16 @@ func TestQuickEncodeDecodeRoundtrip(t *testing.T) {
 		}
 		size := 8 * (1 + r.Intn(64))
 		data := randBlocks(r, k, size)
-		parity, err := enc.EncodeAppend(data)
-		if err != nil {
-			return false
-		}
+		parity := encode(enc, data)
 		full := append(append([][]byte{}, data...), parity...)
 		nMiss := 1 + r.Intn(m)
 		missing := r.Perm(k + m)[:nMiss]
-		dec, err := enc.NewDecoder(missing)
-		if err != nil {
-			return false
-		}
 		work := make([][]byte, len(full))
 		copy(work, full)
 		for _, e := range missing {
 			work[e] = nil
 		}
-		if err := dec.Decode(work); err != nil {
+		if err := decode(enc, work); err != nil {
 			return false
 		}
 		for i := range full {
@@ -378,23 +302,6 @@ func TestQuickEncodeDecodeRoundtrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkXOREncode_8_4_1K(b *testing.B) {
-	enc, err := NewEncoder(8, 4, Options{SmartSchedule: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(8))
-	data := randBlocks(r, 8, 1024)
-	parity := randBlocks(r, 4, 1024)
-	b.SetBytes(8 * 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(data, parity); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -410,15 +317,10 @@ func TestLRCSchedule(t *testing.T) {
 	}
 	data := randBlocks(r, 8, 256)
 	// Execute: outputs are 4 global + 2 local parities.
-	out := make([][]byte, 6)
-	for i := range out {
-		out[i] = make([]byte, 256)
-	}
-	if err := executeSchedule(sched, data, out, 256); err != nil {
-		t.Fatal(err)
-	}
+	out := blocks(6, 256)
+	run(sched, data, out)
 	// Globals match the plain encoder.
-	want, _ := enc.EncodeAppend(data)
+	want := encode(enc, data)
 	for i := 0; i < 4; i++ {
 		if !bytes.Equal(out[i], want[i]) {
 			t.Fatalf("LRC global parity %d differs", i)

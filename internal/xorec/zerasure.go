@@ -40,11 +40,11 @@ func parityOnes(k, m int, rowScale, colScale []byte) int {
 	return total
 }
 
-// NormalizeCauchy applies the classic "good Cauchy" normalization: scale
+// normalizeCauchy applies the classic "good Cauchy" normalization: scale
 // each column so the first parity row becomes all ones, then scale each
 // remaining row by the inverse of its lightest element. This is
 // Zerasure's deterministic starting point before annealing.
-func NormalizeCauchy(k, m int) (rowScale, colScale []byte) {
+func normalizeCauchy(k, m int) (rowScale, colScale []byte) {
 	base := ecmatrix.Cauchy(k, m)
 	colScale = make([]byte, k)
 	for j := 0; j < k; j++ {
@@ -83,12 +83,12 @@ type ZerasureOptions struct {
 	MaxK int
 }
 
-// ErrSearchSpace is returned by NewZerasure for stripes wider than the
+// searchSpaceError is returned by NewZerasure for stripes wider than the
 // search can converge on, mirroring the paper's missing wide-stripe
 // results for Zerasure.
-type ErrSearchSpace struct{ K, MaxK int }
+type searchSpaceError struct{ K, MaxK int }
 
-func (e ErrSearchSpace) Error() string {
+func (e searchSpaceError) Error() string {
 	return "xorec: zerasure annealing does not converge for k > maxK"
 }
 
@@ -101,7 +101,7 @@ func NewZerasure(k, m int, opts ZerasureOptions) (*Encoder, error) {
 		maxK = 32
 	}
 	if k > maxK {
-		return nil, ErrSearchSpace{K: k, MaxK: maxK}
+		return nil, searchSpaceError{K: k, MaxK: maxK}
 	}
 	// Zerasure's annealing starts from the raw Cauchy matrix rather
 	// than the normalized one; with a bounded iteration budget this
