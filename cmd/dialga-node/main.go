@@ -143,6 +143,7 @@ func run(ctx context.Context, cfg nodeConfig, ln net.Listener, hup <-chan os.Sig
 	if err != nil {
 		return err
 	}
+	defer store.Close() // last: after the server and the loops are done
 	gw, err := cluster.NewGateway(cluster.GatewayOptions{
 		Map: cmap, K: cfg.k, M: cfg.m,
 		StripeSize:  cfg.stripeKiB * 1024,

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -24,12 +22,13 @@ import (
 // listener, stoppable and restartable (optionally with a fresh empty
 // store) to simulate node loss and replacement.
 type testNode struct {
-	t    *testing.T
-	id   NodeID
-	dir  string
-	addr string
-	srv  *http.Server
-	reg  *obs.Registry
+	t     *testing.T
+	id    NodeID
+	dir   string
+	addr  string
+	srv   *http.Server
+	store *node.Store
+	reg   *obs.Registry
 }
 
 func (n *testNode) start() {
@@ -38,6 +37,7 @@ func (n *testNode) start() {
 	if err != nil {
 		n.t.Fatal(err)
 	}
+	n.store = store
 	ln, err := net.Listen("tcp", n.addr)
 	if err != nil {
 		n.t.Fatal(err)
@@ -54,6 +54,7 @@ func (n *testNode) stop() {
 	if n.srv != nil {
 		n.srv.Close()
 		n.srv = nil
+		n.store.Close() // a handler still running appends nothing more
 	}
 }
 
@@ -268,46 +269,36 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 }
 
-// corruptShard damages one stored shard file in place with a seeded
-// fault plan (bit flips and zero fills past the header) — simulated
-// silent media corruption for the scrub to find.
+// corruptShard damages one stored shard in place, in whichever layout
+// holds it, with a seeded fault plan (bit flips and zero fills past the
+// header) — simulated silent media corruption for the scrub to find.
 func corruptShard(t *testing.T, tc *testCluster, object string, idx int, seed uint64) {
 	t.Helper()
-	p, err := tc.gw.Place(object)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tn := tc.node(p[idx].ID)
-	path := shardfile.Path(filepath.Join(tn.dir, object), idx)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := int64(len(raw) - shardfile.HeaderSizeV4)
-	plan := fault.Generate(seed, body, 4)
-	// Keep only in-place corruption: truncation and transient errors
-	// would change the file length or abort the rewrite.
-	ops := plan.Ops[:0]
-	for _, op := range plan.Ops {
-		if op.Kind == fault.BitFlip || op.Kind == fault.ZeroFill {
-			op.Off += shardfile.HeaderSizeV4
-			ops = append(ops, op)
+	tc.editShard(object, idx, func(raw []byte) {
+		body := int64(len(raw) - shardfile.HeaderSizeV4)
+		plan := fault.Generate(seed, body, 4)
+		// Keep only in-place corruption: truncation and transient errors
+		// would change the shard's length or abort the rewrite.
+		ops := plan.Ops[:0]
+		for _, op := range plan.Ops {
+			if op.Kind == fault.BitFlip || op.Kind == fault.ZeroFill {
+				op.Off += shardfile.HeaderSizeV4
+				ops = append(ops, op)
+			}
 		}
-	}
-	if len(ops) == 0 {
-		ops = append(ops, fault.Op{Kind: fault.BitFlip, Off: shardfile.HeaderSizeV4 + int64(seed%uint64(body)), Bit: 1})
-	}
-	plan.Ops = ops
-	damaged, err := io.ReadAll(fault.NewReader(bytes.NewReader(raw), plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(damaged, raw) {
-		t.Fatal("fault plan was a no-op")
-	}
-	if err := os.WriteFile(path, damaged, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		if len(ops) == 0 {
+			ops = append(ops, fault.Op{Kind: fault.BitFlip, Off: shardfile.HeaderSizeV4 + int64(seed%uint64(body)), Bit: 1})
+		}
+		plan.Ops = ops
+		damaged, err := io.ReadAll(fault.NewReader(bytes.NewReader(raw), plan))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(damaged, raw) {
+			t.Fatal("fault plan was a no-op")
+		}
+		copy(raw, damaged)
+	})
 }
 
 // TestRepairQueueSeededCorruption corrupts shards across racks with a
@@ -315,21 +306,36 @@ func corruptShard(t *testing.T, tc *testCluster, object string, idx int, seed ui
 // shards, the queue repairs exactly those shards, and foreground read
 // latency stays bounded while repair churns.
 func TestRepairQueueSeededCorruption(t *testing.T) {
+	repairQueueSeededCorruption(t, 200_000, false)
+}
+
+// TestRepairQueueSeededCorruptionPacked is TestRepairQueueSeededCorruption
+// over single-stripe objects, whose shards are records of the nodes'
+// segments: the same damage is found and rebuilt the same way.
+func TestRepairQueueSeededCorruptionPacked(t *testing.T) {
+	repairQueueSeededCorruption(t, 60_000, true)
+}
+
+// repairQueueSeededCorruption runs the test over objects of objSize
+// bytes, whose shards are records (packed) or files.
+func repairQueueSeededCorruption(t *testing.T, objSize int, packed bool) {
 	// With up to two corrupt shards per object (the RS(4,2) limit) a
 	// read may need all six shards: the two beyond k come in as spares.
 	tc := startCluster(t, 6, 4, 2)
 	ctx := context.Background()
 
 	const objects = 4
-	const objSize = 200_000
 	payloads := map[string][]byte{}
 	names := make([]string, 0, objects)
 	for i := 0; i < objects; i++ {
 		name := fmt.Sprintf("scrub-%d", i)
 		names = append(names, name)
 		payloads[name] = clusterPayload(uint64(900+i), objSize)
-		if _, err := tc.gw.PutObject(ctx, name, bytes.NewReader(payloads[name]), objSize, node.ClassForeground); err != nil {
+		if _, err := tc.gw.PutObject(ctx, name, bytes.NewReader(payloads[name]), int64(objSize), node.ClassForeground); err != nil {
 			t.Fatal(err)
+		}
+		if got := tc.packed(name, 0); got != packed {
+			t.Fatalf("%s/0 packed = %v, want %v", name, got, packed)
 		}
 	}
 	sort.Strings(names)

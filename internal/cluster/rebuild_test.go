@@ -112,13 +112,70 @@ func (tc *testCluster) shardPath(object string, idx int) string {
 	return shardfile.Path(filepath.Join(tc.node(p[idx].ID).dir, object), idx)
 }
 
-func (tc *testCluster) shardFile(object string, idx int) []byte {
+// shardAt says where the bytes of shard idx of object lie on its node,
+// in whichever layout holds them (a single-stripe shard is a record of
+// the node's segment log, any other a file of its own): the file, and
+// the shard's offset and length in it. The shard must be whole.
+func (tc *testCluster) shardAt(object string, idx int) (path string, off, n int64) {
 	tc.t.Helper()
-	raw, err := os.ReadFile(tc.shardPath(object, idx))
+	p, err := tc.gw.Place(object)
 	if err != nil {
 		tc.t.Fatal(err)
 	}
+	h, f, blocks, err := tc.node(p[idx].ID).store.GetAt(object, idx, 0, -1)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	defer f.Close()
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	return f.Name(), pos - h.Size(), h.Size() + blocks
+}
+
+// packed reports whether shard idx of object is a record of its node's
+// segment log rather than a file of its own.
+func (tc *testCluster) packed(object string, idx int) bool {
+	tc.t.Helper()
+	path, _, _ := tc.shardAt(object, idx)
+	return filepath.Base(filepath.Dir(path)) == ".segments"
+}
+
+// shardFile reads the stored bytes of shard idx of object, whichever
+// layout holds them.
+func (tc *testCluster) shardFile(object string, idx int) []byte {
+	tc.t.Helper()
+	path, off, n := tc.shardAt(object, idx)
+	f, err := os.Open(path)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	defer f.Close()
+	raw := make([]byte, n)
+	if _, err := f.ReadAt(raw, off); err != nil {
+		tc.t.Fatal(err)
+	}
 	return raw
+}
+
+// editShard damages shard idx of object in place, in whichever layout
+// holds it: edit changes the shard's stored bytes (not their length),
+// and the change is written back where they lie, into the shard's file
+// or over its record in the node's segment.
+func (tc *testCluster) editShard(object string, idx int, edit func(raw []byte)) {
+	tc.t.Helper()
+	path, off, _ := tc.shardAt(object, idx)
+	raw := tc.shardFile(object, idx)
+	edit(raw)
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(raw, off); err != nil {
+		tc.t.Fatal(err)
+	}
 }
 
 func (tc *testCluster) shardHeader(object string, idx int) shardfile.Header {

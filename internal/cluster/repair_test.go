@@ -178,21 +178,76 @@ func TestScanRotatesBlockScrub(t *testing.T) {
 			flipped = idx
 		}
 	}
-	turn := int(scrubTurn("rot-3", flipped))
-	if turn == 0 {
-		t.Fatal("every slot of rot-3 is at turn 0; pick another object")
-	}
 	rot := tc.shardFile("rot-3", flipped)
 	h := tc.shardHeader("rot-3", flipped)
 	rot[h.Size()+h.BlockSize()+11] ^= 0x04
 	if err := os.WriteFile(tc.shardPath("rot-3", flipped), rot, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	headerSeen := []struct {
-		object string
-		idx    int
-	}{{"rot-0", 1}, {"rot-1", 2}, {"rot-2", 3}}
+	checkScanRotation(t, tc, tap, objects, []repairTask{{"rot-0", 1}, {"rot-1", 2}, {"rot-2", 3}}, flipped)
+}
 
+// TestScanRotatesBlockScrubPacked is TestScanRotatesBlockScrub over
+// single-stripe objects, whose shards are records of the nodes'
+// segments, damaged where they lie: a deleted slot is missing, a
+// flipped header byte a bad header, a record torn at the segment's tail
+// by a crash is cut at restart (the slot then has no record, so it is
+// missing), and a bit flipped inside a block is found at its slot's
+// turn of the rotation.
+func TestScanRotatesBlockScrubPacked(t *testing.T) {
+	tc, tap := tappedCluster(t, nil)
+	ctx := context.Background()
+	const objects = 8
+	for i := 0; i < objects; i++ {
+		tc.put(ctx, fmt.Sprintf("rot-%d", i), clusterPayload(uint64(300+i), 50_000))
+	}
+	if !tc.packed("rot-0", 0) {
+		t.Fatal("a 50,000-byte object's shard is a file, want a record")
+	}
+	tc.deleteShard(ctx, "rot-0", 1)
+	// rot-7 went last, so its shard is the last record of each node's
+	// segment: a crash can tear it.
+	place, err := tc.gw.Place("rot-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := tc.node(place[2].ID)
+	path, off, n := tc.shardAt("rot-7", 2)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != off+n {
+		t.Fatalf("rot-7/2 is not the last record of %s (%v)", path, err)
+	}
+	torn.stop()
+	if err := os.Truncate(path, off+n-100); err != nil {
+		t.Fatal(err)
+	}
+	torn.start()
+	tc.editShard("rot-2", 3, func(raw []byte) { raw[9] ^= 0x01 }) // a header byte: its self-CRC fails
+	flipped := 0
+	for idx := 1; idx < 6; idx++ {
+		if scrubTurn("rot-3", idx) > scrubTurn("rot-3", flipped) {
+			flipped = idx
+		}
+	}
+	h := tc.shardHeader("rot-3", flipped)
+	tc.editShard("rot-3", flipped, func(raw []byte) { raw[h.Size()+11] ^= 0x04 })
+	checkScanRotation(t, tc, tap, objects, []repairTask{{"rot-0", 1}, {"rot-7", 2}, {"rot-2", 3}}, flipped)
+	if got := tc.counter("node_recovery_quarantined_total"); got != 1 {
+		t.Fatalf("node_recovery_quarantined_total = %d after one torn record, want 1", got)
+	}
+}
+
+// checkScanRotation runs one rotation of scans over the objects rot-0
+// … rot-(objects-1), every slot of them placed and probed once a scan:
+// the damage a header shows (headerSeen) queued from the first scan, and
+// the bit flip in block data of rot-3's slot flipped exactly from its
+// slot's turn.
+func checkScanRotation(t *testing.T, tc *testCluster, tap *shardTap, objects int, headerSeen []repairTask, flipped int) {
+	t.Helper()
+	ctx := context.Background()
+	turn := int(scrubTurn("rot-3", flipped))
+	if turn == 0 {
+		t.Fatal("every slot of rot-3 is at turn 0; pick another object")
+	}
 	rep := NewRepairer(tc.gw, nil, tc.reg)
 	rep.scans.Store(0) // scan i of the rotation is at turn i
 	tap.take()
@@ -243,8 +298,8 @@ func TestScanRotatesBlockScrub(t *testing.T) {
 			t.Fatalf("scan %d sent %d probes for %d placed slots", scan, len(sent), objects*6)
 		}
 		for _, d := range headerSeen {
-			if !rep.queuedKey(d.object, d.idx) {
-				t.Fatalf("scan %d: %s/%d not queued", scan, d.object, d.idx)
+			if !rep.queuedKey(d.Object, d.Index) {
+				t.Fatalf("scan %d: %s/%d not queued", scan, d.Object, d.Index)
 			}
 		}
 		if got := rep.queuedKey("rot-3", flipped); got != (scan >= turn) {

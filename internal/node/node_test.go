@@ -468,8 +468,8 @@ func TestStorePutSmallBlocks(t *testing.T) {
 	if _, err := store.Scrub("small", 0); err != nil {
 		t.Fatalf("scrub: %v", err)
 	}
-	if raw, err := os.ReadFile(shardfile.Path(filepath.Join(store.dir, "small"), 0)); err != nil || !bytes.Equal(raw, file) {
-		t.Fatalf("stored file differs from the upload: %d bytes, %v", len(raw), err)
+	if raw := slotBytes(t, store, "small", 0); !bytes.Equal(raw, file) {
+		t.Fatalf("stored shard differs from the upload: %d bytes", len(raw))
 	}
 
 	// Six first shards of one new object at once: each finds no object

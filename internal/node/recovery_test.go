@@ -11,9 +11,9 @@ import (
 )
 
 // seedStore fills dir with a store holding the given shards of one
-// object, then lets the caller damage the files before "restarting"
-// the node by re-opening the store.
-func seedStore(t *testing.T, dir, object string, shards [][]byte) {
+// object, then lets the caller damage them before "restarting" the
+// node by re-opening the store.
+func seedStore(t *testing.T, dir, object string, shards [][]byte) *Store {
 	t.Helper()
 	s, err := OpenStore(dir, nil)
 	if err != nil {
@@ -23,6 +23,56 @@ func seedStore(t *testing.T, dir, object string, shards [][]byte) {
 		if err := s.Put(object, i, bytes.NewReader(b)); err != nil {
 			t.Fatalf("seed put shard %d: %v", i, err)
 		}
+	}
+	return s
+}
+
+// slotAt says where the bytes of slot idx of object lie, in whichever
+// layout holds them: the file, and the shard's offset and length in it.
+func slotAt(t *testing.T, s *Store, object string, idx int) (path string, off, n int64) {
+	t.Helper()
+	f, at, size, err := s.locate(object, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if size < 0 {
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = fi.Size()
+	}
+	return f.Name(), at, size
+}
+
+// slotBytes reads the stored bytes of slot idx of object.
+func slotBytes(t *testing.T, s *Store, object string, idx int) []byte {
+	t.Helper()
+	path, off, n := slotAt(t, s, object, idx)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, n)
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// tearSlot cuts slot idx of object short, keep bytes into its shard, as
+// a torn write leaves it: a file is truncated, and a record, which must
+// be the last of its segment, takes the segment's tail with it.
+func tearSlot(t *testing.T, s *Store, object string, idx int, keep int64) {
+	t.Helper()
+	path, off, n := slotAt(t, s, object, idx)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != off+n {
+		t.Fatalf("slot %s/%d is not the last bytes of %s (%v): a crash cannot tear it", object, idx, path, err)
+	}
+	if err := os.Truncate(path, off+keep); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -210,10 +260,7 @@ func TestStoreRestartRecovery(t *testing.T) {
 func TestRecoveryRemovesEmptiedObjectDir(t *testing.T) {
 	dir := t.TempDir()
 	shards := encodeShards(t, 2, 1, []byte("tiny"))
-	seedStore(t, dir, "only", shards[:1])
-	if err := os.Truncate(filepath.Join(objDir(t, dir, "only"), "shard.000"), 10); err != nil {
-		t.Fatal(err)
-	}
+	tearSlot(t, seedStore(t, dir, "only", shards[:1]), "only", 0, 10)
 	s, err := OpenStore(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -266,10 +313,7 @@ func TestQuarantineNameCollisions(t *testing.T) {
 	dir := t.TempDir()
 	shards := encodeShards(t, 2, 1, []byte("dup"))
 	for round := 0; round < 3; round++ {
-		seedStore(t, dir, "dup", shards[:1])
-		if err := os.Truncate(filepath.Join(objDir(t, dir, "dup"), "shard.000"), 10); err != nil {
-			t.Fatal(err)
-		}
+		tearSlot(t, seedStore(t, dir, "dup", shards[:1]), "dup", 0, 10)
 		if _, err := OpenStore(dir, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -362,6 +362,7 @@ var servedFamilies = []family{
 	{"node_store_put_seconds", "histogram", "stage", "Time a committed shard upload spent per stage: receive (blocks read, checked and written) or commit (close, stat and rename)."},
 	{"node_store_puts_total", "counter", "", "Shard files accepted and committed to the local store."},
 	{"node_store_rejected_total", "counter", "", "Shard uploads rejected by header or size validation."},
+	{"node_store_segment_bytes", "gauge", "state", "Bytes of the store's segment log: records the index points at (live) and superseded ones compaction has yet to reclaim (dead)."},
 	{"node_store_shards", "gauge", "", "Shard files currently held by the local store."},
 	{"node_throttled_total", "counter", "class", "Shard-API requests rejected by admission control, by traffic class."},
 	{"shardio_breaker_trips_total", "counter", "", "Shard circuit-breaker trips, including half-open re-trips."},

@@ -3,6 +3,7 @@ package shardfile
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -92,66 +93,92 @@ func (r DirReport) Counts() (ok, damaged, missing int) {
 	return
 }
 
-// Open is the one judge of a stored shard file: it opens path as slot
-// index of its set and parses the header, which must name index, and
-// the file must be exactly the header's ExpectedFileSize bytes. A whole
-// shard comes back as ShardOK with its header and the open file
-// positioned at block 0, which the caller must Close. Anything else
+// Open opens the shard file at path and judges it whole by OpenAt's
+// rule: a whole shard comes back as ShardOK with its header and the open
+// file positioned at block 0, which the caller must Close. Anything else
 // comes back closed, as the status that says why with a detail:
 // ShardMissing only when the file does not exist, ShardReadError when
-// it cannot be opened or stat'd, ShardBadHeader for a header that does
-// not parse or names another slot, and ShardTruncated for a size the
-// header disagrees with. The header is returned whenever it parsed.
-// What a node's recovery scan keeps, what it serves and what a scrub
-// passes before reading the blocks is this one rule; the blocks'
-// trailers are checked by whoever reads them.
+// it cannot be opened, and otherwise OpenAt's verdict.
 func Open(path string, index int) (h Header, f *os.File, status ShardStatus, detail string) {
-	f, err := os.Open(path)
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		return h, nil, ShardMissing, err.Error()
-	case err != nil:
-		return h, nil, ShardReadError, err.Error()
+	f, status, detail = openFile(path)
+	if status != ShardOK {
+		return h, nil, status, detail
 	}
-	defer func() {
-		if status != ShardOK {
-			f.Close()
-			f = nil
-		}
-	}()
-	if h, err = Parse(f); err != nil {
-		return h, f, ShardBadHeader, err.Error()
-	}
-	if int(h.Index) != index {
-		return h, f, ShardBadHeader, fmt.Sprintf("header says index %d (file renamed or copied?)", h.Index)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return h, f, ShardReadError, err.Error()
-	}
-	if fi.Size() != h.ExpectedFileSize() {
-		return h, f, ShardTruncated, fmt.Sprintf("%d bytes on disk, want %d (truncated or ragged)", fi.Size(), h.ExpectedFileSize())
+	if h, status, detail = OpenAt(f, 0, -1, index); status != ShardOK {
+		f.Close()
+		return h, nil, status, detail
 	}
 	return h, f, ShardOK, ""
 }
 
-// ScrubFile scrubs the shard file at slot index of its set: Open's
-// judgement (a file renamed or copied into the wrong slot has sound
-// blocks but is damaged all the same: decode refuses it), then every
-// block trailer.
-func ScrubFile(path string, index int) ShardReport {
-	return scrubFile(path, index, nil)
+// openFile opens path for reading: ShardMissing when it does not exist,
+// ShardReadError when it cannot be opened.
+func openFile(path string) (*os.File, ShardStatus, string) {
+	f, err := os.Open(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, ShardMissing, err.Error()
+	case err != nil:
+		return nil, ShardReadError, err.Error()
+	}
+	return f, ShardOK, ""
 }
 
-// scrubFile is ScrubFile that, given a header of the set, also reports
-// a header of another encoding as damaged.
-func scrubFile(path string, index int, set *Header) ShardReport {
-	h, f, status, detail := Open(path, index)
+// OpenAt is the one judge of a stored shard, whether it is a file of
+// its own or a section of a larger one: the size bytes of f from off
+// (size < 0: the rest of the file) must start with a header that parses
+// and names slot index, and must be exactly the header's
+// ExpectedFileSize bytes, all of them on disk. A whole shard is ShardOK
+// with its header and f positioned at block 0. Anything else is the
+// status that says why with a detail: ShardReadError when f cannot be
+// stat'd, ShardBadHeader for a header that does not parse or names
+// another slot, and ShardTruncated for a size the header disagrees
+// with. The header is returned whenever it parsed. What a node's
+// recovery scan keeps, what it serves and what a scrub passes before
+// reading the blocks is this one rule; the blocks' trailers are checked
+// by whoever reads them. f stays open whatever the verdict.
+func OpenAt(f *os.File, off, size int64, index int) (h Header, status ShardStatus, detail string) {
+	fi, err := f.Stat()
+	if err != nil {
+		return h, ShardReadError, err.Error()
+	}
+	avail := fi.Size() - off // the bytes on disk from off on
+	if size < 0 {
+		size = avail
+	}
+	if off != 0 {
+		if _, err := f.Seek(off, io.SeekStart); err != nil {
+			return h, ShardReadError, err.Error()
+		}
+	}
+	if h, err = Parse(f); err != nil {
+		return h, ShardBadHeader, err.Error()
+	}
+	if int(h.Index) != index {
+		return h, ShardBadHeader, fmt.Sprintf("header says index %d (file renamed or copied?)", h.Index)
+	}
+	if size != h.ExpectedFileSize() || avail < size {
+		return h, ShardTruncated, fmt.Sprintf("%d bytes on disk, want %d (truncated or ragged)", min(size, avail), h.ExpectedFileSize())
+	}
+	return h, ShardOK, ""
+}
+
+// ScrubAt scrubs the shard in the size bytes of f from off (size < 0:
+// the rest of the file) as slot index of its set: OpenAt's judgement (a
+// shard renamed or copied into the wrong slot has sound blocks but is
+// damaged all the same: decode refuses it), then every block trailer.
+func ScrubAt(f *os.File, off, size int64, index int) ShardReport {
+	return scrubAt(f, off, size, index, nil)
+}
+
+// scrubAt is ScrubAt that, given a header of the set, also reports a
+// header of another encoding as damaged.
+func scrubAt(f *os.File, off, size int64, index int, set *Header) ShardReport {
+	h, status, detail := OpenAt(f, off, size, index)
 	rep := ShardReport{Index: index, Status: status, Header: h, Detail: detail}
 	if status != ShardOK {
 		return rep
 	}
-	defer f.Close()
 	if set != nil && !h.SameEncoding(*set) {
 		rep.Status = ShardBadHeader
 		rep.Detail = fmt.Sprintf("header disagrees with shard %d (mixed encodings or a stale shard?)", set.Index)
@@ -171,6 +198,16 @@ func scrubFile(path string, index int, set *Header) ShardReport {
 	return rep
 }
 
+// scrubFile scrubs the shard file at path as slot index of the set.
+func scrubFile(path string, index int, set *Header) ShardReport {
+	f, status, detail := openFile(path)
+	if status != ShardOK {
+		return ShardReport{Index: index, Status: status, Detail: detail}
+	}
+	defer f.Close()
+	return scrubAt(f, 0, -1, index, set)
+}
+
 // ScrubDir scrubs every shard slot of a shard directory laid out by
 // Path. It learns the set from its headers, then scrubs slots
 // 0..k+m-1, reporting each as ok, missing, or damaged (bad header /
@@ -179,7 +216,7 @@ func scrubFile(path string, index int, set *Header) ShardReport {
 // geometry, stripe count, file size or generation), is a bad header:
 // decode would refuse the file.
 // `dialga-encode -mode verify` renders this walk; the node's per-shard
-// scrub, which the cluster repair queue polls, runs the same ScrubFile
+// scrub, which the cluster repair queue polls, runs the same ScrubAt
 // checks, so the two can never disagree on what counts as damage.
 func ScrubDir(dir string) (DirReport, error) {
 	entries, err := os.ReadDir(dir)

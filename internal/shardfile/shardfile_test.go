@@ -341,6 +341,53 @@ func TestOpenJudgesWholeShard(t *testing.T) {
 			t.Errorf("%s: header %+v, then %d bytes (%v); want %+v, then block 0 on", tc.name, got, len(rest), err, h)
 		}
 	}
+
+	// The same judge over a section of a larger file, as a node's
+	// segment holds a record: the section's size, not the file's, is
+	// what the header must agree with, and all of it must be on disk.
+	junk := bytes.Repeat([]byte{0xee}, 33)
+	f, err := os.Open(write("section", append(append(append([]byte(nil), junk...), whole...), junk...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	off, size := int64(len(junk)), int64(len(whole))
+	for _, tc := range []struct {
+		name      string
+		off, size int64
+		index     int
+		want      ShardStatus
+		detail    string
+	}{
+		{"whole section", off, size, 1, ShardOK, ""},
+		{"another slot", off, size, 0, ShardBadHeader, "header says index 1"},
+		{"short section", off, size - 5, 1, ShardTruncated, "123 bytes on disk, want 128"},
+		{"long section", off, size + 1, 1, ShardTruncated, "129 bytes on disk, want 128"},
+		{"past the end", off + 33, size + 33, 1, ShardBadHeader, "bad magic"},
+		{"off the start", off - 1, size, 1, ShardBadHeader, "bad magic"},
+	} {
+		got, status, detail := OpenAt(f, tc.off, tc.size, tc.index)
+		if status != tc.want || !strings.Contains(detail, tc.detail) {
+			t.Errorf("%s: %v %q, want %v naming %q", tc.name, status, detail, tc.want, tc.detail)
+			continue
+		}
+		if status != ShardOK {
+			continue
+		}
+		rest := make([]byte, size-h.Size())
+		if _, err := io.ReadFull(f, rest); got != h || err != nil || !bytes.Equal(rest, whole[h.Size():]) {
+			t.Errorf("%s: header %+v, then %v; want %+v, then block 0 on", tc.name, got, err, h)
+		}
+	}
+	// A section whose tail is not on disk is truncated, header and all.
+	torn, err := os.Open(write("torn-section", append(append([]byte(nil), junk...), whole[:len(whole)-7]...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer torn.Close()
+	if _, status, detail := OpenAt(torn, off, size, 1); status != ShardTruncated || !strings.Contains(detail, "121 bytes on disk, want 128") {
+		t.Errorf("section torn by 7 bytes: %v %q, want truncated naming 121 bytes on disk", status, detail)
+	}
 }
 
 // TestScrubMatchesEncoderOutput scrubs blocks produced by the real
