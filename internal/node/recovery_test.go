@@ -2,6 +2,8 @@ package node
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -257,20 +259,46 @@ func TestStoreRestartRecovery(t *testing.T) {
 	}
 }
 
+// layouts are payloads whose RS(2,1) shards, over encodeShards' 4 KiB
+// stripes, take each of the store's layouts: six stripes stay a file in
+// the object's directory, and one stripe packs into a record.
+var layouts = []struct {
+	name    string
+	payload []byte
+}{
+	{"file", bytes.Repeat([]byte("multi-stripe "), 1600)},
+	{"packed", []byte("tiny")},
+}
+
+// TestRecoveryRemovesEmptiedObjectDir: a torn slot that was its
+// object's only shard leaves no object behind. In the file layout the
+// quarantine empties the object's directory, which recovery removes; a
+// record never had one.
 func TestRecoveryRemovesEmptiedObjectDir(t *testing.T) {
-	dir := t.TempDir()
-	shards := encodeShards(t, 2, 1, []byte("tiny"))
-	tearSlot(t, seedStore(t, dir, "only", shards[:1]), "only", 0, 10)
-	s, err := OpenStore(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs, err := s.Objects()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != 0 {
-		t.Fatalf("objects after quarantining the only shard: %v", objs)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			dir := t.TempDir()
+			shards := encodeShards(t, 2, 1, l.payload)
+			tearSlot(t, seedStore(t, dir, "only", shards[:1]), "only", 0, 10)
+			od := objDir(t, dir, "only")
+			if _, err := os.Stat(od); (err == nil) != (l.name == "file") {
+				t.Fatalf("before recovery, stat of the object directory: %v", err)
+			}
+			s, err := OpenStore(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(od); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("object directory after quarantining the only shard: %v", err)
+			}
+			objs, err := s.Objects()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(objs) != 0 {
+				t.Fatalf("objects after quarantining the only shard: %v", objs)
+			}
+		})
 	}
 }
 
@@ -309,21 +337,27 @@ func TestRecoveryWalksOnlyObjectDirs(t *testing.T) {
 	}
 }
 
+// TestQuarantineNameCollisions: the same slot torn three times, in
+// either layout, leaves three quarantined copies, not one.
 func TestQuarantineNameCollisions(t *testing.T) {
-	dir := t.TempDir()
-	shards := encodeShards(t, 2, 1, []byte("dup"))
-	for round := 0; round < 3; round++ {
-		tearSlot(t, seedStore(t, dir, "dup", shards[:1]), "dup", 0, 10)
-		if _, err := OpenStore(dir, nil); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	qfiles, err := os.ReadDir(filepath.Join(dir, quarantineDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qfiles) != 3 {
-		t.Fatalf("quarantine holds %d files after 3 rounds, want 3", len(qfiles))
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			dir := t.TempDir()
+			shards := encodeShards(t, 2, 1, l.payload)
+			for round := 0; round < 3; round++ {
+				tearSlot(t, seedStore(t, dir, "dup", shards[:1]), "dup", 0, 10)
+				if _, err := OpenStore(dir, nil); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+			qfiles, err := os.ReadDir(filepath.Join(dir, quarantineDir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(qfiles) != 3 {
+				t.Fatalf("quarantine holds %d files after 3 rounds, want 3", len(qfiles))
+			}
+		})
 	}
 }
 

@@ -63,7 +63,8 @@ const (
 	// segment's inode is shared by hundreds of small shards. Between
 	// operations a store's segments hold at most 2·live + segCap bytes:
 	// every sealed segment is at most twice its live bytes, and only the
-	// active one can hold more.
+	// active one can hold more. A compaction that fails on I/O leaves
+	// its segment over the bound until the next record it loses.
 	segCap = 8 << 20
 
 	// segmentDir holds the segment files, named by sequence number.
@@ -117,7 +118,6 @@ type segment struct {
 	f           *os.File
 	size        int64
 	live, tombs int64
-	stuck       bool // a compaction found it unreadable; leave it be
 }
 
 // loc is where a slot's newest record lies: the frame at off in seg,
@@ -284,7 +284,7 @@ func (s *Store) setSegGauges() {
 // may hold a record it supersedes; in the oldest segment none can, so
 // there it counts as dead and the rewrite drops it. s.mu must be held.
 func (s *Store) due(seg *segment) bool {
-	if seg.stuck || seg == s.active() || len(s.segs) == 0 {
+	if seg == s.active() || len(s.segs) == 0 {
 		return false
 	}
 	keep := seg.live
@@ -325,14 +325,11 @@ func (s *Store) compact() {
 		if seg == nil {
 			return
 		}
-		recs, err := walk(seg.path)
-		if err == nil {
-			err = s.rewrite(seg, recs)
-		}
-		if err != nil {
-			s.mu.Lock()
-			seg.stuck = true
-			s.mu.Unlock()
+		// A failed walk or rewrite leaves seg as it was and out of
+		// dueSegs, so the loop ends; the next record it loses queues it
+		// again.
+		if recs, err := walk(seg.path); err == nil {
+			s.rewrite(seg, recs)
 		}
 	}
 }

@@ -442,6 +442,47 @@ func TestCompactionBoundsSegments(t *testing.T) {
 	t.Logf("%d compactions", compactions)
 }
 
+// TestGetRacingLayoutMove: a GET that races puts moving its slot back
+// and forth between a multi-stripe file and a record serves the old
+// shard or the new one, whole, and never finds the slot empty.
+func TestGetRacingLayoutMove(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := [2][]byte{
+		encodeShards(t, 2, 1, bytes.Repeat([]byte{1}, 20_000))[0], // five stripes: a file
+		packedShard(0, 1, 'x', 64),
+	}
+	mustPut(t, s, "moving", 0, shards[0])
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				h, f, n, err := s.GetAt("moving", 0, 0, -1)
+				if err != nil {
+					t.Errorf("GET racing a layout move: %v", err)
+					return
+				}
+				body, err := io.ReadAll(io.LimitReader(f, n))
+				f.Close()
+				if got := append(h.Marshal(), body...); err != nil || !bytes.Equal(got, shards[0]) && !bytes.Equal(got, shards[1]) {
+					t.Errorf("GET racing a layout move served %d bytes (%v), want one of the slot's shards", len(got), err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 2000 && !t.Failed(); i++ {
+		mustPut(t, s, "moving", 0, shards[i%2])
+	}
+	done.Store(true)
+	wg.Wait()
+}
+
 // TestOverlongObjectNameRefusedInEitherLayout: a name whose directory
 // would pass maxDirName is refused before the layout is chosen, so a
 // small object cannot take a name its multi-stripe overwrite could not.

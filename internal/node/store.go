@@ -498,29 +498,27 @@ func (s *Store) Scrub(object string, idx int) (shardfile.Header, error) {
 // locate opens the file that holds slot idx of object and says where in
 // it the shard lies: its record's bytes [at, at+size) of a segment, or
 // its own shard file whole (0, -1). A slot that holds neither is
-// ErrNotFound, and a file that cannot be opened ErrDamaged. The segment
-// is opened while s.mu is held, so a compaction cannot swap the file
-// between the index's answer and the open. The caller must Close f.
+// ErrNotFound, and a file that cannot be opened ErrDamaged. Either file
+// is opened while s.mu is held, so the index's answer and the open are
+// one step: neither a compaction swapping the segment nor a put moving
+// the slot to the other layout can come between them. The caller must
+// Close f.
 func (s *Store) locate(object string, idx int) (f *os.File, at, size int64, err error) {
 	dir, err := s.objectDir(object)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	s.mu.RLock()
-	l, ok := s.index[slotKey{object, idx}]
-	packed := ok && !l.tomb()
-	if packed {
-		f, err = os.Open(l.seg.path)
-	}
-	s.mu.RUnlock()
-	if packed {
+	if l, ok := s.index[slotKey{object, idx}]; ok && !l.tomb() {
 		at, size = l.off+l.frame, l.size
+		f, err = os.Open(l.seg.path)
 	} else {
 		at, size = 0, -1
 		f, err = os.Open(shardfile.Path(dir, idx))
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, 0, 0, verdict(object, idx, shardfile.ShardMissing, "")
-		}
+	}
+	s.mu.RUnlock()
+	if errors.Is(err, fs.ErrNotExist) && size < 0 {
+		return nil, 0, 0, verdict(object, idx, shardfile.ShardMissing, "")
 	}
 	if err != nil {
 		return nil, 0, 0, verdict(object, idx, shardfile.ShardReadError, err.Error())
